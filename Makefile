@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short test-race test-crash test-chaos test-memcap vet fmt-check check bench bench-hot bench-json fuzz-smoke cover
+.PHONY: all build test short test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover
 
 all: build test
 
@@ -86,9 +86,17 @@ cover:
 		echo "cover: $$pkg $$pct% (ratchet $$min%)"; \
 	done
 
-# The CI gate: build, vet, formatting, the short test suite, a fuzz
-# smoke pass, and the durability and request-lifecycle fault suites.
-check: build vet fmt-check short fuzz-smoke test-crash test-chaos test-memcap
+# bench/ is its own module, so `go build ./...` and `go test ./...` at
+# the root never compile it: an API slip in a package it imports would
+# otherwise surface only when the benchmark driver fails.
+check-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# The CI gate: build, vet, formatting, the short test suite, the
+# benchmark module, a fuzz smoke pass, and the durability and
+# request-lifecycle fault suites.
+check: build vet fmt-check short check-bench fuzz-smoke test-crash test-chaos test-memcap
 
 # Full benchmark sweep with allocation counts.
 bench:
@@ -109,9 +117,9 @@ bench-json:
 # masked float-fold crossover, and the end-to-end residual/masked
 # filter benchmarks that ride on them.
 bench-kernels:
-	$(GO) test -run='^$$' -bench='BenchmarkIter|BenchmarkAndCountWith|BenchmarkOrCountWith' -benchmem ./internal/bitset
+	$(GO) test -run='^$$' -bench='BenchmarkIter|BenchmarkAndCountWith' -benchmem ./internal/bitset
 	$(GO) test -run='^$$' -bench='BenchmarkFoldMasked' -benchmem ./internal/agg
-	$(GO) test -run='^$$' -bench='BenchmarkResidualFilter|BenchmarkOrChainShortCircuit|BenchmarkMaskedAggregation' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation' -benchmem .
 
 # Just the scoring hot path: the paper's interactivity claim lives here.
 bench-hot:

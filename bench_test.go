@@ -1,7 +1,7 @@
 package repro_test
 
-// Figure/experiment benchmarks. One bench per paper artifact (DESIGN.md
-// §3) plus scaling and ablation benches. They measure the system the
+// Figure/experiment benchmarks. One bench per paper artifact (the
+// experiment ids of cmd/experiments) plus scaling and ablation benches. They measure the system the
 // same way cmd/experiments does, but under testing.B so regressions are
 // visible in -bench output:
 //
@@ -18,11 +18,9 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -477,8 +475,8 @@ func BenchmarkStreamingDebug(b *testing.B) {
 }
 
 // BenchmarkFullScaleIntel runs the Figure 4 query at the real trace's
-// scale (2.3M readings), demonstrating the substitution documented in
-// DESIGN.md covers the paper's full data volume.
+// scale (2.3M readings), demonstrating that the synthetic substitute
+// (internal/datasets) covers the paper's full data volume.
 func BenchmarkFullScaleIntel(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-scale trace generation is slow; skipped in -short")
@@ -840,11 +838,10 @@ func BenchmarkZoneMapSkip(b *testing.B) {
 // BenchmarkSelectiveFilter measures greedy clause ordering on the shape
 // it exists for: an AND chain whose most selective clause sits LAST in
 // source order (temperature > 1000 matches nothing; the four clauses
-// before it match nearly everything). Left-to-right evaluation
-// materializes and intersects every clause mask; the greedy planner
-// probes cached popcounts, evaluates the empty clause first, and
-// short-circuits the rest. The bench fails if the short-circuit ever
-// stops engaging — the optimization, not just the timing, is pinned.
+// before it match nearly everything). The walker probes cached
+// popcounts, evaluates the empty clause first, and short-circuits the
+// rest. The bench fails if the short-circuit ever stops engaging — the
+// optimization, not just the timing, is pinned.
 func BenchmarkSelectiveFilter(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 200_000, Seed: 7})
 	stmt, err := sqlparse.Parse(
@@ -854,54 +851,36 @@ func BenchmarkSelectiveFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"left-to-right", exec.Options{NoGreedyOrdering: true}},
-		{"greedy", exec.Options{}},
+	// Warm the shared clause-mask cache: steady-state lowering, not the
+	// first decode.
+	if _, err := exec.RunOn(tbl, stmt); err != nil {
+		b.Fatal(err)
 	}
-	// Warm the shared clause-mask cache so both modes measure
-	// steady-state lowering, not the first decode.
-	for _, mode := range modes {
-		if _, err := exec.RunOnWith(tbl, stmt, mode.opts); err != nil {
+	var skipped int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := exec.RunOn(tbl, stmt)
+		if err != nil {
 			b.Fatal(err)
 		}
+		skipped += res.Plan.FilterShortCircuited
 	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var skipped int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOnWith(tbl, stmt, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				skipped += res.Plan.FilterShortCircuited
-			}
-			if mode.name == "greedy" {
-				if skipped == 0 {
-					b.Fatal("greedy ordering never short-circuited the chain")
-				}
-				b.ReportMetric(float64(skipped)/float64(b.N), "short-circuited/op")
-			}
-		})
+	if skipped == 0 {
+		b.Fatal("greedy ordering never short-circuited the chain")
 	}
+	b.ReportMetric(float64(skipped)/float64(b.N), "short-circuited/op")
 }
 
 // BenchmarkAdvanceOrderBy measures the incremental ORDER BY merge on a
 // wide group space: 50k groups sorted by a changing aggregate, advanced
-// by 1k-row batches that touch ~2% of groups. The carry path merges the
-// carried order with a re-sort of only the changed groups; the re-sort
-// baseline pays O(groups log groups) comparisons every advance. The
-// carry bench fails if the merge ever stops engaging.
+// by 1k-row batches that touch ~2% of groups. The carry merges the
+// carried order with a re-sort of only the changed groups. The bench
+// fails if the merge ever stops engaging.
 func BenchmarkAdvanceOrderBy(b *testing.B) {
 	const ngroups = 50_000
 	const baseRows = 200_000
 	const batchSize = 1_000
 	const poolBatches = 100
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	schema := engine.NewSchema("g", engine.TInt, "v", engine.TFloat)
 	makeRows := func(k int) [][]engine.Value {
@@ -927,72 +906,59 @@ func BenchmarkAdvanceOrderBy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"carry", exec.Options{}},
-		{"resort", exec.Options{NoSortCarry: true}},
+	// Each restart builds a fresh table family: appending the pool to a
+	// shared base would hit the stale-snapshot guard on the second pass.
+	setup := func() (*engine.Table, *exec.Result) {
+		tbl := engine.MustNewTable("t", schema)
+		for _, rows := range baseBatches {
+			grown, err := tbl.AppendBatch(rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tbl = grown
+		}
+		res, err := exec.RunOn(tbl, stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tbl, res
 	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			// Each restart builds a fresh table family: appending the pool
-			// to a shared base would hit the stale-snapshot guard on the
-			// second pass.
-			setup := func() (*engine.Table, *exec.Result) {
-				tbl := engine.MustNewTable("t", schema)
-				for _, rows := range baseBatches {
-					grown, err := tbl.AppendBatch(rows)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tbl = grown
-				}
-				res, err := exec.RunOn(tbl, stmt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return tbl, res
-			}
-			tbl, res := setup()
-			bi, carried := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bi == len(pool) {
-					// Pool exhausted: restart from the base table so the
-					// measured group space stays near ngroups.
-					b.StopTimer()
-					tbl, res = setup()
-					bi = 0
-					b.StartTimer()
-				}
-				grown, err := tbl.AppendBatch(pool[bi])
-				if err != nil {
-					b.Fatal(err)
-				}
-				bi++
-				res, err = AdvanceOrderByStep(ctx, res, grown, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Plan.SortCarried {
-					carried++
-				}
-				tbl = grown
-			}
-			if mode.name == "carry" && carried == 0 {
-				b.Fatal("incremental sort merge never engaged")
-			}
-			b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
-		})
+	tbl, res := setup()
+	bi, carried := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bi == len(pool) {
+			// Pool exhausted: restart from the base table so the
+			// measured group space stays near ngroups.
+			b.StopTimer()
+			tbl, res = setup()
+			bi = 0
+			b.StartTimer()
+		}
+		grown, err := tbl.AppendBatch(pool[bi])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bi++
+		res, err = advanceOrderByStep(res, grown)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Plan.SortCarried {
+			carried++
+		}
+		tbl = grown
 	}
+	if carried == 0 {
+		b.Fatal("incremental sort merge never engaged")
+	}
+	b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
 }
 
-// AdvanceOrderByStep is the advance under bench: split out so both
-// modes go through the identical call path.
-func AdvanceOrderByStep(ctx context.Context, res *exec.Result, grown *engine.Table, opts exec.Options) (*exec.Result, error) {
-	out, err := exec.AdvanceWith(ctx, res, grown, opts)
+// advanceOrderByStep is the advance under bench: it must carry, not
+// re-run.
+func advanceOrderByStep(res *exec.Result, grown *engine.Table) (*exec.Result, error) {
+	out, err := exec.Advance(res, grown)
 	if err != nil {
 		return nil, err
 	}
@@ -1004,12 +970,9 @@ func AdvanceOrderByStep(ctx context.Context, res *exec.Result, grown *engine.Tab
 
 // BenchmarkResidualFilter measures partial WHERE lowering on the shape
 // it exists for: an AND chain mixing a selective lowerable comparison
-// with a LIKE that cannot lower. Before residual masks the whole chain
-// fell back to per-row EvalBool over every row (the left-to-right mode
-// here); with them the comparison lowers to a cached clause mask and
-// the LIKE runs only on its survivors. The bench fails if the residual
-// path stops engaging or stops being at least 3x faster than the
-// boxed-WHERE fallback.
+// with a LIKE that cannot lower. The comparison lowers to a cached
+// clause mask and the LIKE runs only on its survivors. The bench fails
+// if the LIKE is ever evaluated on more than the comparison's survivors.
 func BenchmarkResidualFilter(b *testing.B) {
 	tbl, _ := datasets.FEC(datasets.FECConfig{Rows: 200_000, Seed: 7})
 	stmt, err := sqlparse.Parse(
@@ -1018,118 +981,31 @@ func BenchmarkResidualFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"boxed-where", exec.Options{NoGreedyOrdering: true}},
-		{"residual", exec.Options{}},
-	}
-	// Warm the shared clause-mask cache so both modes measure
-	// steady-state lowering, not the first decode.
-	for _, mode := range modes {
-		if _, err := exec.RunOnWith(tbl, stmt, mode.opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	measure := func(opts exec.Options) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for k := 0; k < 3; k++ {
-			t0 := time.Now()
-			if _, err := exec.RunOnWith(tbl, stmt, opts); err != nil {
-				b.Fatal(err)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	if slow, fast := measure(modes[0].opts), measure(modes[1].opts); fast*3 > slow {
-		b.Fatalf("residual filter only %.2fx faster than boxed WHERE (%v vs %v)",
-			float64(slow)/float64(fast), fast, slow)
-	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var residualRows int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOnWith(tbl, stmt, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch mode.name {
-				case "residual":
-					if res.Plan.ResidualConjuncts == 0 || res.Plan.FilterFallback != "" {
-						b.Fatalf("residual path not engaged: %+v", res.Plan)
-					}
-					residualRows += res.Plan.ResidualRows
-				case "boxed-where":
-					if res.Plan.FilterFallback == "" {
-						b.Fatalf("left-to-right mode unexpectedly lowered the chain: %+v", res.Plan)
-					}
-				}
-			}
-			if mode.name == "residual" {
-				b.ReportMetric(float64(residualRows)/float64(b.N), "residualrows/op")
-			}
-		})
-	}
-}
-
-// BenchmarkOrChainShortCircuit measures largest-first OR ordering: the
-// first disjunct below matches every row, so the ordered union fills
-// immediately and the remaining disjunct masks are never materialized.
-// Left-to-right lowering pays for all three. The bench fails if the
-// fill short-circuit stops engaging.
-func BenchmarkOrChainShortCircuit(b *testing.B) {
-	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 200_000, Seed: 7})
-	stmt, err := sqlparse.Parse(
-		"SELECT moteid, count(*) AS n FROM readings " +
-			"WHERE humidity > -1000 OR temperature > 50 OR light > 500 GROUP BY moteid")
-	if err != nil {
+	// Warm the shared clause-mask cache: steady-state lowering, not the
+	// first decode.
+	if _, err := exec.RunOn(tbl, stmt); err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"left-to-right", exec.Options{NoGreedyOrdering: true}},
-		{"ordered", exec.Options{}},
-	}
-	for _, mode := range modes {
-		if _, err := exec.RunOnWith(tbl, stmt, mode.opts); err != nil {
+	var residualRows int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := exec.RunOn(tbl, stmt)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Plan.ResidualConjuncts != 1 || res.Plan.FilterFallback != "" || res.Plan.ResidualRows >= tbl.NumRows()/2 {
+			b.Fatalf("residual conjunct not narrowed by the lowered one: %+v", res.Plan)
+		}
+		residualRows += res.Plan.ResidualRows
 	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var skipped int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOnWith(tbl, stmt, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				skipped += res.Plan.FilterShortCircuited
-			}
-			if mode.name == "ordered" {
-				if skipped == 0 {
-					b.Fatal("filled OR union never short-circuited")
-				}
-				b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
-			}
-		})
-	}
+	b.ReportMetric(float64(residualRows)/float64(b.N), "residualrows/op")
 }
 
 // BenchmarkMaskedAggregation measures the mask-guarded global
 // aggregation kernels: a GROUP BY-free statement whose aggregates all
 // fold as floats runs FoldMasked over whole segment chunks instead of
-// per-row scanRow calls. The scalar reference is the baseline. The
-// bench fails if the masked path stops engaging.
+// per-row scanRow calls. The boxed reference scan (the test oracle) is
+// the baseline. The bench fails if the masked path stops engaging.
 func BenchmarkMaskedAggregation(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 200_000, Seed: 7})
 	stmt, err := sqlparse.Parse(
@@ -1138,15 +1014,16 @@ func BenchmarkMaskedAggregation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	modes := []struct {
 		name string
-		opts exec.Options
+		run  func() (*exec.Result, error)
 	}{
-		{"scalar", exec.Options{ForceScalar: true}},
-		{"masked", exec.Options{}},
+		{"reference", func() (*exec.Result, error) { return exec.RunReference(ctx, tbl, stmt) }},
+		{"masked", func() (*exec.Result, error) { return exec.RunOn(tbl, stmt) }},
 	}
 	for _, mode := range modes {
-		if _, err := exec.RunOnWith(tbl, stmt, mode.opts); err != nil {
+		if _, err := mode.run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1156,7 +1033,7 @@ func BenchmarkMaskedAggregation(b *testing.B) {
 			b.SetBytes(200_000 * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOnWith(tbl, stmt, mode.opts)
+				res, err := mode.run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1171,13 +1048,12 @@ func BenchmarkMaskedAggregation(b *testing.B) {
 // BenchmarkRetentionOrderBy measures ORDER BY carry across retention:
 // a windowed ordered statement advanced over append+retain steps keeps
 // both its group states (rebase) and its sort order (incremental
-// merge); the resort baseline re-sorts every step. The carry bench
-// fails if either the rebase or the sort merge stops engaging.
+// merge). The bench fails if either the rebase or the sort merge stops
+// engaging.
 func BenchmarkRetentionOrderBy(b *testing.B) {
 	const base = 16_384 // retained row budget (256 min-size segments)
 	const ngroups = 2_000
 	const batchSize = 128 // two segments appended (and dropped) per step
-	ctx := context.Background()
 	schema := engine.NewSchema("g", engine.TInt, "x", engine.TFloat)
 	stmt, err := sqlparse.Parse(fmt.Sprintf(
 		"SELECT g, sum(x) AS s, count(*) AS n FROM t WHERE x >= %d GROUP BY g ORDER BY s DESC", base/2))
@@ -1195,69 +1071,57 @@ func BenchmarkRetentionOrderBy(b *testing.B) {
 		}
 		return rows
 	}
-	modes := []struct {
-		name string
-		opts exec.Options
-	}{
-		{"carry", exec.Options{}},
-		{"resort", exec.Options{NoSortCarry: true}},
+	// Each restart rebuilds the family: the fixed cutoff stays ahead of
+	// the retention horizon for (base/2)/batchSize steps, after which
+	// dropped rows would enter the carried window.
+	setup := func() (*engine.Table, *exec.Result, int) {
+		tbl, err := engine.NewTableSeg("t", schema, engine.MinSegmentBits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for x := 0; x < base; x += 4096 {
+			if tbl, err = tbl.AppendBatch(makeRows(x, 4096)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		res, err := exec.RunOn(tbl, stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tbl, res, base
 	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			// Each restart rebuilds the family: the fixed cutoff stays
-			// ahead of the retention horizon for (base/2)/batchSize steps,
-			// after which dropped rows would enter the carried window.
-			setup := func() (*engine.Table, *exec.Result, int) {
-				tbl, err := engine.NewTableSeg("t", schema, engine.MinSegmentBits)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for x := 0; x < base; x += 4096 {
-					if tbl, err = tbl.AppendBatch(makeRows(x, 4096)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				res, err := exec.RunOn(tbl, stmt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return tbl, res, base
-			}
-			tbl, res, next := setup()
-			steps, carried := 0, 0
-			maxSteps := (base / 2) / batchSize / 2 // halfway to the cutoff: comfortably rebasable
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if steps == maxSteps {
-					b.StopTimer()
-					tbl, res, next = setup()
-					steps = 0
-					b.StartTimer()
-				}
-				grown, err := tbl.AppendBatch(makeRows(next, batchSize))
-				if err != nil {
-					b.Fatal(err)
-				}
-				next += batchSize
-				retained, _, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: base})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = AdvanceOrderByStep(ctx, res, retained, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Plan.SortCarried {
-					carried++
-				}
-				tbl = retained
-				steps++
-			}
-			if mode.name == "carry" && carried == 0 {
-				b.Fatal("ordered retention advance never carried the sort")
-			}
-			b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
-		})
+	tbl, res, next := setup()
+	steps, carried := 0, 0
+	maxSteps := (base / 2) / batchSize / 2 // halfway to the cutoff: comfortably rebasable
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if steps == maxSteps {
+			b.StopTimer()
+			tbl, res, next = setup()
+			steps = 0
+			b.StartTimer()
+		}
+		grown, err := tbl.AppendBatch(makeRows(next, batchSize))
+		if err != nil {
+			b.Fatal(err)
+		}
+		next += batchSize
+		retained, _, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: base})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err = advanceOrderByStep(res, retained)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Plan.SortCarried {
+			carried++
+		}
+		tbl = retained
+		steps++
 	}
+	if carried == 0 {
+		b.Fatal("ordered retention advance never carried the sort")
+	}
+	b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -150,7 +151,7 @@ func runCleaned(db *engine.DB, sql string, applied []predicate.Predicate) (*sqlp
 	for _, p := range applied {
 		stmt.Where = expr.And(stmt.Where, p.NegationExpr())
 	}
-	res, err := exec.Run(db, stmt)
+	res, err := exec.RunCtx(context.Background(), db, stmt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,7 @@
 // Command experiments regenerates every figure of the paper and the
-// quantitative evaluation recorded in EXPERIMENTS.md.
+// quantitative evaluation.
 //
-// Experiment ids (see DESIGN.md §3):
+// Experiment ids:
 //
 //	F4  — Figure 4: avg/stddev temperature per 30-min window (Intel)
 //	F4z — Figure 4 (right): zoom into suspect windows' raw tuples

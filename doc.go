@@ -3,7 +3,8 @@
 // end-to-end ranked provenance system for interactively detecting,
 // understanding, and cleaning errors in aggregate query results.
 //
-// The system lives in internal/ (see DESIGN.md for the full inventory):
+// The system lives in internal/ (ROADMAP.md's architecture map is the
+// full inventory):
 //
 //   - internal/core — the ranked provenance pipeline (the paper's
 //     contribution): Debug(query, S, D', ε) → ranked predicates,
@@ -58,140 +59,88 @@
 // chunks, and the scoring algebra above composes by concatenating
 // word-aligned chunks, OR-ing bitsets and merging removable states.
 //
-// # The vectorized query executor
+// # The query executor: one pipeline
 //
-// The same columnar substrate now runs the query half of the loop.
-// exec.RunOn keeps two implementations: a boxed reference scan (the
-// oracle — row materialization, per-row WHERE interpretation, string
-// group keys) and a vectorized shard-parallel pipeline that grouped
-// statements take by default:
+// The same columnar substrate runs the query half of the loop. Every
+// grouped statement takes one path through internal/exec — resolve →
+// filter mask → sharded scan → merge → materialize — and nothing
+// chooses between, falls back to, or mirrors an alternative:
 //
-//   - WHERE lowers onto predicate.Index clause masks: a comparison
-//     between a column and a constant becomes a cached bitmap, and the
-//     tree combines with Kleene-logic (TRUE,FALSE) mask pairs so
-//     NOT/NULL semantics survive the translation (exec/filter.go).
-//     Trees with non-lowerable nodes (LIKE, arithmetic, column-column)
-//     fall back to one per-row expr.EvalBool pass that fills the same
-//     bitmap.
-//   - Group keys are integers, not strings: dictionary codes for string
-//     columns, canonical float bits for numeric columns, and compiled
-//     zero-alloc evaluators (expr.Compile) for computed keys; a single
-//     string-column key uses a dense code-indexed slot table instead of
-//     a hash map.
-//   - Aggregate arguments stream from engine.FloatView float slices
-//     into the states through agg.FloatAdder — no boxing per row.
-//   - The row space splits across a worker pool; per-shard group states
-//     merge in shard order via agg.Merger, which reproduces the
-//     sequential scan's group order, lineage order, and FirstRow
-//     exactly.
+//   - One WHERE evaluator (exec/filter.go). The WHERE is a chain of one
+//     or more AND conjuncts. A conjunct that is index-shaped — column
+//     against constant, IS NULL, BETWEEN, IN, under AND/OR/NOT — lowers
+//     onto predicate.Index clause masks as a Kleene (TRUE, FALSE)
+//     bitmap pair, so NOT/NULL semantics survive; one function
+//     (classify) decides which node lowers to what, and a leaf's
+//     selectivity estimate and masks both derive from that one
+//     description. Any other conjunct (LIKE, arithmetic, function
+//     calls) is residual: evaluated per row, only on its eligibility
+//     mask — the rows with no source-earlier known-FALSE conjunct,
+//     exactly the rows the scalar evaluator's AND short-circuit would
+//     reach (FALSE short-circuits, NULL does not), so error presence is
+//     preserved, not just values. "Nothing lowers" and "the predicate
+//     index cannot serve this superseded snapshot" are the same walk
+//     with every conjunct residual; Plan.FilterFallback names which
+//     ("filter: non-lowerable predicate shape" / "filter: predicate
+//     index geometry mismatch").
+//   - Statistics-free ordering. Lowered conjuncts AND into the running
+//     mask in ascending estimated-TRUE order — cached clause-mask
+//     popcounts, O(1) once the mask exists, in the spirit of
+//     janus-datalog's "greedy beats optimal, no statistics" result —
+//     through a fused AND+popcount kernel, and the rest of the chain is
+//     skipped the moment the mask empties (with residuals pending: the
+//     moment eligibility empties). Reordering happens only within runs
+//     of lowered conjuncts between residuals, and every conjunct's
+//     shape is validated before any cut, so ordering can never suppress
+//     an error the left-to-right evaluator would have surfaced. Under
+//     3VL this is sound because the root AND chain needs only TRUE
+//     masks: T(chain) = ∩ T(conjunct). OR roots and nested trees are a
+//     single conjunct lowered through the plain combinators.
+//     Plan.FilterConjuncts/FilterOrder/FilterShortCircuited and
+//     Plan.ResidualConjuncts/ResidualRows record the walk.
+//   - One scan (exec/vector.go). Group keys are integers, not strings:
+//     dictionary codes for string columns, canonical float bits for
+//     numeric columns, and per-row evaluators (expr.Compile, boxed Eval
+//     where that refuses) for everything else, whose string results
+//     intern into NaN-payload slots no number can occupy. One key looks
+//     up through a dense code table or a uint64 map, two or more
+//     through a map keyed by the slots' bytes — any width. Aggregate
+//     arguments stream from engine.FloatView into the states through
+//     agg.FloatAdder. The row space splits across a worker pool on
+//     ranges balanced by SURVIVING-row popcount (zone-skipped segments
+//     contribute nothing; a hot segment subdivides on bitset-word
+//     boundaries), and per-shard states merge in shard order via
+//     agg.Merger, reproducing the sequential scan's group order,
+//     lineage order and FirstRow exactly. DISTINCT states have no Merge
+//     and scan as one shard. A GROUP BY-free statement whose arguments
+//     all fold as floats swaps the per-row inner loop for
+//     agg.FoldMasked over whole segment chunks (Plan.MaskedAgg) — the
+//     one choice the scan makes, from the statement's shape.
+//   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
+//     per-row WHERE interpretation, string group keys, boxed
+//     accumulation. No production code path reaches it. The randomized
+//     harnesses in internal/exec run generated statements — DISTINCT,
+//     0–6 keys, string computed keys, NULL/NaN/±0-heavy data, shards
+//     1–4, resident and out-of-core — through both and require
+//     identical rows, group order, lineage, FirstRow and error
+//     presence, with Plan.Vectorized set and Plan.Fallback empty on
+//     every fresh run; FuzzResidualFilterParity drives arbitrary parsed
+//     predicates through buildFilter against per-row EvalBool.
 //
-// Statements the pipeline cannot express exactly — DISTINCT aggregates,
-// more than four group-by columns, string-valued computed keys — take
-// the reference scan instead (Result.Plan says which path ran and why).
-// A randomized property test executes generated statements on both
-// paths and requires identical output, group order, and lineage.
+// Advance keeps sorted output incrementally: the carried result's order
+// merges with a re-sort of only the groups whose lineage grew. The merge
+// engages only when the sort keys are totally ordered — any NaN key or
+// incomparable pair in either result forces the full sort, because
+// sort.SliceStable's comparator is intransitive exactly there — and
+// ties break by group scan position, matching the stable sort bit for
+// bit (Plan.SortCarried).
 //
-// # Statistics-free query planning
-//
-// The planner never gathers statistics: every cardinality it uses is a
-// popcount of a bitmap the executor was going to build anyway (in the
-// spirit of janus-datalog's "greedy beats optimal, no statistics"
-// result). Three layers compound:
-//
-//   - Greedy clause ordering (exec/filter.go). A WHERE whose root is an
-//     AND chain is flattened and its conjuncts probed for estimated
-//     survivor counts — cached clause-mask popcounts from
-//     predicate.Index, O(1) after the mask exists — then evaluated most
-//     selective first. The running mask ANDs each conjunct with a fused
-//     AND+popcount kernel and SHORT-CIRCUITS the rest of the chain the
-//     moment it empties, so the remaining clause masks are neither
-//     fetched nor intersected. The ordering rule: a conjunct
-//     participates only if the probe can bound it exactly the way full
-//     lowering would evaluate it — greedy refuses a chain precisely
-//     when plain lowering would refuse it, falling back first to
-//     left-to-right lowering and then to the per-row scalar path, so
-//     reordering can never suppress an error (or a mask-geometry
-//     refusal) that the unordered path would have surfaced. Under 3VL
-//     this is sound because the root AND chain needs only the TRUE
-//     masks: T(chain) = ∩ T(conjunct), which is order-independent.
-//     Result.Plan records the decision — FilterConjuncts (chain
-//     length), FilterOrder (the permutation chosen), and
-//     FilterShortCircuited (conjuncts never materialized); a chain the
-//     planner refused shows FilterConjuncts == 0 with WhereLowered
-//     saying which fallback ran.
-//   - Selectivity-adaptive scan shards (exec/vector.go). After the
-//     filter mask and zone-map skipping are known, the shard split
-//     balances SURVIVING-ROW popcount rather than raw row ranges:
-//     segments the zone maps emptied contribute nothing, and a hot
-//     segment holding more than one shard's share of survivors is
-//     subdivided on bitset-word boundaries — so a point query whose
-//     survivors all sit in one segment no longer serializes onto one
-//     busy shard while the rest idle. Boundaries stay word-aligned
-//     (segment boundary ≡ word boundary), so per-shard chunk and mask
-//     state still composes by word slicing.
-//   - Batch mask kernels and incremental ORDER BY (internal/bitset,
-//     exec). AndCountWith/AndNotOf/AnyWords/CountWords fuse the
-//     intersect-and-count loops the filter and zone-skip paths run per
-//     query. Advance maintains sorted group output incrementally: the
-//     carried result's order is merged with a re-sort of only the
-//     changed/new groups (changed = lineage grew this advance) instead
-//     of re-sorting every group per batch. The merge engages only when
-//     the sort keys are totally ordered — any NaN key or incomparable
-//     pair in either the carried or current result forces the full
-//     re-sort, because sort.SliceStable's comparator is intransitive
-//     exactly there — and ties break by group scan position, matching
-//     the stable sort bit for bit. Plan.SortCarried says which path
-//     ran.
-//
-// /api/stats aggregates the planner counters across queries
-// (filters_ordered, conjuncts_skipped, sorts_carried);
-// BenchmarkSelectiveFilter and BenchmarkAdvanceOrderBy pin the
-// optimizations themselves, not just their timings — the selective
-// filter bench fails if the short-circuit stops engaging, the advance
-// bench if the merge does. The differential harnesses in
-// internal/exec/planner_test.go hold every ordering and carry decision
-// bit-identical to left-to-right evaluation and the boxed scalar
-// oracle.
-//
-// # Residual predicates and mixed-connective ordering
-//
-// Partial lowering extends the greedy AND chain to predicates that are
-// only PARTLY index-shaped (exec/filter.go). A chain mixing lowerable
-// comparisons with non-lowerable conjuncts (LIKE, computed arithmetic)
-// no longer abandons the whole WHERE to per-row evaluation: the
-// lowerable conjuncts fold into a running TRUE mask as before, and each
-// residual conjunct is evaluated per row ONLY on the bits of its
-// eligibility mask — the rows with no source-earlier known-FALSE
-// conjunct, walked with bitset.Iter over the unrolled word kernels.
-// That eligibility set is exactly the set of rows the scalar
-// evaluator's AND short-circuit would reach (FALSE short-circuits,
-// NULL does not), so error presence is preserved, not just values; the
-// chain still short-circuits, but on the eligibility mask emptying
-// rather than the pass mask, for the same reason. Reordering happens
-// only within maximal runs of lowered conjuncts between residuals,
-// keeping every guard relation intact. OR chains order too: disjuncts
-// lower to TRUE masks, union largest-first with a fused OR+popcount,
-// and stop the moment the union fills. Plan.ResidualConjuncts and
-// Plan.ResidualRows record the per-row work actually paid, and
-// Plan.FilterFallback carries a canonical reason vocabulary ("filter:
-// non-lowerable predicate shape" / "predicate index geometry mismatch"
-// / "lowering disabled") shared by the greedy and left-to-right paths.
-//
-// Below the planner, the hot word loops are hardware-shaped
-// (internal/bitset, internal/agg): And/AndNot/Or and the fused count
-// kernels run 4-wide unrolled, and a GROUP BY-free aggregation whose
-// arguments all fold as floats skips scanRow entirely — agg.FoldMasked
-// folds each segment chunk under the per-word effective mask (filter
-// &^ null), switching between set-bit iteration and a dense 64-lane
-// scan at a measured popcount crossover, in ascending row order so
-// float accumulation stays bit-identical to the scalar fold
-// (Plan.MaskedAgg). FuzzResidualFilterParity drives arbitrary parsed
-// predicates through buildFilter against the per-row EvalBool oracle;
-// /api/stats adds filters_residual and residual_rows; and
-// BenchmarkResidualFilter, BenchmarkOrChainShortCircuit,
-// BenchmarkMaskedAggregation and BenchmarkRetentionOrderBy pin the
-// optimizations — the residual bench fails if the path stops engaging
-// or drops under 3x the boxed-WHERE fallback.
+// /api/stats aggregates the plan counters across queries
+// (filters_ordered, conjuncts_skipped, filters_residual, residual_rows,
+// sorts_carried); BenchmarkSelectiveFilter, BenchmarkResidualFilter,
+// BenchmarkMaskedAggregation, BenchmarkAdvanceOrderBy and
+// BenchmarkRetentionOrderBy fail when the thing they time stops
+// engaging, not just when it slows.
 //
 // # Incremental maintenance and streaming ingest
 //
@@ -234,7 +183,7 @@
 //
 // Group-key equality is pinned to engine.Equal everywhere: Value.Key
 // and the executor's canonical float slots both collapse -0.0 into
-// +0.0 (and all NaNs into one key), so the scalar and vectorized paths
+// +0.0 (and all NaNs into one key), so the pipeline and its oracle
 // group identically.
 //
 // BenchmarkStreamingAppendQuery measures the append-then-requery cycle:
@@ -309,10 +258,10 @@
 // sealing hands the tail arrays to a new segment by reference. Decoded
 // column chunks (floats + NULL words, dictionary codes) and the
 // predicate index's mask chunks live per segment, so every derived
-// structure shares the segment's lifetime, and the vectorized executor
-// shards its scan on segment boundaries (a shard is a whole number of
-// segments), so shard state aligns with chunk boundaries instead of
-// re-partitioning flat arrays per call.
+// structure shares the segment's lifetime, and the executor cuts its
+// scan shards on segment boundaries wherever a segment is no more than
+// a shard's share of surviving rows, so shard state aligns with chunk
+// boundaries instead of re-partitioning flat arrays per call.
 //
 // Segments are also the unit of retention. DB.Retain /
 // Table.RetainTail drop whole head segments past a row-count or
@@ -336,7 +285,10 @@
 //     by pure id translation, keeping Plan.Incremental;
 //   - otherwise the carried state is unusable and Advance re-runs the
 //     statement over the retained window, recording why in
-//     Plan.Fallback ("retention: ..."). core.DebugAdvance never carries
+//     Plan.Fallback ("retention: ...") — the only thing that field
+//     ever names is an Advance re-run: a retention blocker, or an
+//     aggregate state with no Merge to carry (DISTINCT, "advance:
+//     ..."). core.DebugAdvance never carries
 //     a RANKING across a horizon — the fingerprints that prove "same
 //     question" are written in row ids — so it re-expands (or falls
 //     back) with the reason recorded, while the scorer and result
@@ -346,13 +298,13 @@
 //
 // Stale snapshots taken before a retention pass stay readable (their
 // segments are alive until the last reader drops them), but their
-// dictionary views degrade to the boxed path and lowered filters
-// refuse their base — correctness never depends on a superseded
-// window. The differential harnesses drive append chains with batch
+// dictionary views degrade to evaluated string keys and the predicate
+// index refuses their base, leaving every WHERE conjunct residual —
+// correctness never depends on a superseded window. The differential harnesses drive append chains with batch
 // sizes landing exactly on, one under and one over segment boundaries,
 // interleaved with randomized retention, at the minimum segment size —
 // segmented executor, Scorer and DebugAdvance results stay
-// bit-identical to the flat scalar oracle at every step.
+// bit-identical to the reference scan at every step.
 //
 // BenchmarkSegmentedAppend shows flat per-batch append cost across
 // base sizes; BenchmarkRetention shows the bounded retained footprint

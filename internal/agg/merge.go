@@ -1,7 +1,7 @@
 package agg
 
-// This file holds the two interfaces the vectorized executor
-// (internal/exec) accumulates through: FloatAdder, the unboxed
+// This file holds the two interfaces the executor (internal/exec)
+// accumulates through: FloatAdder, the unboxed
 // counterpart of Add for numeric argument columns, and Merger, the
 // shard-combine step of the partitioned scan.
 
@@ -25,16 +25,18 @@ type FloatAdder interface {
 // state of the same kind — the combine step of a partitioned scan: each
 // shard accumulates privately, then states merge pairwise in shard
 // order. Merge returns false (leaving the receiver unchanged) when
-// other is not a compatible state; callers treat that as "not
-// mergeable" and fall back to a single-threaded scan.
+// other is not a compatible state; between states cloned from one
+// prototype that cannot happen, and the executor reports it as an
+// internal error.
 //
 // Merging must be equivalent to having Added other's values after the
 // receiver's (Median concatenates in order so holistic results match
 // the sequential scan exactly; the algebraic aggregates sum partial
 // sums). The Distinct wrapper deliberately does not implement Merger —
 // its per-shard states would double-count values seen by multiple
-// shards — which is what routes DISTINCT queries down the
-// single-threaded path.
+// shards — so a statement with a DISTINCT aggregate scans as a single
+// shard of the same pipeline, and exec.Advance re-runs it instead of
+// carrying its states.
 type Merger interface {
 	Func
 	// Merge folds other's accumulated state into the receiver. It

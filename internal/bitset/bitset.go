@@ -313,34 +313,6 @@ func (b *Bitset) AndCountWith(other *Bitset) int {
 	return c
 }
 
-// OrCountWith unions other into b in place and returns the number of
-// bits set afterwards — the fused OR+popcount dual of AndCountWith that
-// the ordered OR-chain folder uses to detect a filled running mask in
-// the same pass that produced it (same length required).
-func (b *Bitset) OrCountWith(other *Bitset) int {
-	if b.n != other.n {
-		panic("bitset: OrCountWith length mismatch")
-	}
-	x := b.words
-	y := other.words[:len(x)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		w0 := x[i] | y[i]
-		w1 := x[i+1] | y[i+1]
-		w2 := x[i+2] | y[i+2]
-		w3 := x[i+3] | y[i+3]
-		x[i], x[i+1], x[i+2], x[i+3] = w0, w1, w2, w3
-		c += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
-			bits.OnesCount64(w2) + bits.OnesCount64(w3)
-	}
-	for ; i < len(x); i++ {
-		x[i] |= y[i]
-		c += bits.OnesCount64(x[i])
-	}
-	return c
-}
-
 // AndNotCountWith removes other's bits from b in place and returns the
 // number of bits that remain set — the fused difference+popcount kernel
 // the residual filter path uses to kill known-FALSE rows from the

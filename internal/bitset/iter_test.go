@@ -180,15 +180,7 @@ func TestFusedCountKernels(t *testing.T) {
 			}
 
 			x = a.Clone()
-			got := x.OrCountWith(b)
-			ref = a.Clone()
-			ref.Or(b)
-			if got != ref.Count() || !equalInts(x.Rows(), ref.Rows()) {
-				t.Fatalf("n=%d: OrCountWith = %d, want %d", n, got, ref.Count())
-			}
-
-			x = a.Clone()
-			got = x.AndNotCountWith(b)
+			got := x.AndNotCountWith(b)
 			ref = a.Clone()
 			ref.AndNot(b)
 			if got != ref.Count() || !equalInts(x.Rows(), ref.Rows()) {
@@ -247,18 +239,5 @@ func BenchmarkAndCountWith(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scratch.CopyFrom(x)
 		scratch.AndCountWith(y)
-	}
-}
-
-func BenchmarkOrCountWith(b *testing.B) {
-	n := 100_000
-	rng := rand.New(rand.NewSource(7))
-	x := FromRows(n, randRows(rng, n))
-	y := FromRows(n, randRows(rng, n))
-	scratch := x.Clone()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch.CopyFrom(x)
-		scratch.OrCountWith(y)
 	}
 }

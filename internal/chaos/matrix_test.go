@@ -93,7 +93,7 @@ func TestMatrixRun(t *testing.T) {
 		tbl := testgen.TableSeg(rng, 9000+rng.Intn(4000), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
 		opts := exec.Options{Shards: 4}
-		oracle, err := exec.RunOnWith(tbl, stmt, opts)
+		oracle, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
 		if err != nil {
 			continue
 		}
@@ -159,7 +159,7 @@ func TestMatrixAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := exec.RunOnWith(grown, stmt, exec.Options{Shards: 4})
+		oracle, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -283,7 +283,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Advance: %v", seed, err)
 		}
-		fresh, err := exec.RunOnWith(grown, stmt, exec.Options{Shards: 4})
+		fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}

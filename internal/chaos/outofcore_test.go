@@ -71,7 +71,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 	cases := 0
 	for s := int64(1); s <= 3; s++ {
 		stmt := testgen.DebugStmt(rand.New(rand.NewSource(s * 17)))
-		oracle, err := exec.RunOnWith(oracleTbl, stmt, opts)
+		oracle, err := exec.RunOnWithCtx(context.Background(), oracleTbl, stmt, opts)
 		if err != nil {
 			continue
 		}

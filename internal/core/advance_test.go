@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -141,7 +142,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				}
 				// Fresh oracle at a forced shard count: shard-merged
 				// aggregate states feed the from-scratch Debug.
-				fresh, err := exec.RunOnWith(grown, stmt, exec.Options{Shards: 4})
+				fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
-				fresh, err := exec.RunOnWith(cur, stmt, exec.Options{Shards: 4})
+				fresh, err := exec.RunOnWithCtx(context.Background(), cur, stmt, exec.Options{Shards: 4})
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}

@@ -7,8 +7,7 @@
 // available offline, so this package synthesizes statistically faithful
 // stand-ins that reproduce the *anomalies the demo walkthroughs rely
 // on* — and, unlike the real data, label every anomalous row, enabling
-// the quantitative precision/recall evaluation in EXPERIMENTS.md. See
-// DESIGN.md §2 for the substitution rationale.
+// the quantitative precision/recall evaluation of cmd/experiments.
 package datasets
 
 import (

@@ -86,9 +86,9 @@ func (e *SegmentLoadError) Unwrap() error { return e.Err }
 
 // CatchSegmentLoad converts a SegmentLoadError panic into *errp,
 // re-panicking anything else. Deferred at every public entry point
-// that can reach a faultable segment (exec.Run, exec.Advance, the
-// stats accessors) so a failed chunk load is a query error, not a
-// crash.
+// that can reach a faultable segment (exec.RunOnWithCtx,
+// exec.AdvanceCtx, the stats accessors) so a failed chunk load is a
+// query error, not a crash.
 func CatchSegmentLoad(errp *error) {
 	if r := recover(); r != nil {
 		if sle, ok := r.(*SegmentLoadError); ok {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/agg"
@@ -36,11 +35,12 @@ import (
 
 // Advance executes res.Stmt against grown — a newer version of
 // res.Source's table family (see engine.Table.AppendBatch) — reusing
-// res's group states and folding in only the appended rows. Statements
-// the vectorized pipeline cannot express (DISTINCT aggregates, >4
-// group-by columns, string-valued computed keys) and aggregate-free
-// projections fall back to a full RunOn; Plan.Incremental reports
-// whether the incremental path ran.
+// res's group states and folding in only the appended rows.
+// Plan.Incremental reports whether that happened; when the carried
+// state cannot be extended — a retention pass dropped rows it
+// references, or an aggregate state has no Merge to copy it with
+// (DISTINCT) — the statement re-runs over the whole of grown and
+// Plan.Fallback records why. Aggregate-free projections always re-run.
 func Advance(res *Result, grown *engine.Table) (*Result, error) {
 	return AdvanceCtx(context.Background(), res, grown)
 }
@@ -55,15 +55,19 @@ func Advance(res *Result, grown *engine.Table) (*Result, error) {
 // call). Retrying AdvanceCtx on the same res, or re-running the
 // statement from scratch, must yield bit-identical results.
 func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Result, err error) {
-	return AdvanceWith(ctx, res, grown, Options{})
-}
-
-// AdvanceWith is AdvanceCtx with explicit execution options: the
-// planner knobs (NoGreedyOrdering, NoFilterLowering) apply to the
-// suffix filter, and NoSortCarry forces the full ORDER BY re-sort
-// instead of the incremental merge. Tests and benchmarks use it to pin
-// the fast paths against their reference counterparts.
-func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Options) (out *Result, err error) {
+	// Any error after the claim below publishes nothing, so the claim
+	// must be released for the caller to retry: partial suffix appends
+	// from the aborted attempt live past res's published slice lengths
+	// and are overwritten by the next attempt. Deferred before
+	// CatchSegmentLoad so that it sees a chunk-load failure as err too.
+	claimed := false
+	defer func() {
+		if claimed && err != nil {
+			res.argMu.Lock()
+			res.advanced = false
+			res.argMu.Unlock()
+		}
+	}()
 	defer engine.CatchSegmentLoad(&err)
 	if res == nil || res.Stmt == nil {
 		return nil, fmt.Errorf("exec: Advance of nil result")
@@ -86,6 +90,16 @@ func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Opt
 		return nil, fmt.Errorf("exec: Advance target has %d rows, result's source has %d surviving", newN, oldN)
 	}
 	stmt := res.Stmt
+	// rerun executes the statement over the whole of grown, recording why
+	// the carried state could not be extended.
+	rerun := func(reason string) (*Result, error) {
+		out, err := RunOnWithCtx(ctx, grown, stmt, Options{})
+		if err != nil {
+			return nil, err
+		}
+		out.Plan.Fallback = reason
+		return out, nil
+	}
 	if drop > 0 {
 		// The rebase contract (engine retention): carried group states
 		// survive id translation only when nothing they reference was
@@ -93,8 +107,7 @@ func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Opt
 		// must be at or past the horizon — and the horizon must be
 		// word-aligned so carried bitmaps rebase by word-shift (always
 		// true for whole-segment drops). Otherwise the carried state is
-		// unusable and the statement re-runs over the retained window,
-		// with the reason recorded in the plan.
+		// unusable and the statement re-runs over the retained window.
 		reason := rebaseBlocker(res, drop)
 		if oldN < 0 {
 			// The horizon moved past the carried result's whole window
@@ -103,46 +116,29 @@ func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Opt
 			reason = "retention: horizon beyond carried window"
 		}
 		if reason != "" {
-			out, err := RunOnCtx(ctx, grown, stmt)
-			if err != nil {
-				return nil, err
-			}
-			if out.Plan.Fallback == "" {
-				out.Plan.Fallback = reason
-			}
-			return out, nil
+			return rerun(reason)
 		}
 	}
-	if !stmt.HasAggregates() && len(stmt.GroupBy) == 0 {
+	if !isGrouped(stmt) {
 		// Projection: every output row is one source row; a re-run is
 		// already O(n) output materialization, nothing to reuse.
-		return RunOnCtx(ctx, grown, stmt)
+		return rerun("")
 	}
 
-	// Prototype aggregates; anything non-mergeable cannot state-copy.
-	protos := make([]agg.Func, len(res.aggItems))
-	for ai, i := range res.aggItems {
-		f, err := agg.New(stmt.Items[i].Agg.Name)
-		if err != nil {
-			return nil, err
-		}
-		if stmt.Items[i].Agg.Distinct {
-			f = agg.NewDistinct(f)
-		}
-		protos[ai] = f
-	}
-
-	// The WHERE mask is needed only for suffix rows: lowered filters
-	// extend their clause masks incrementally, and the per-row fallback
-	// for non-lowerable trees evaluates just [oldN, newN) — otherwise a
-	// non-lowerable WHERE would silently reinstate the O(table)-per-batch
-	// rescan this path exists to avoid.
-	p, reason, err := planVector(ctx, grown, stmt, res.aggArgs, protos, opts, oldN)
+	protos, err := newProtos(stmt, res.aggItems)
 	if err != nil {
 		return nil, err
 	}
-	if reason != "" || !p.mergeable {
-		return RunOnCtx(ctx, grown, stmt)
+	// The WHERE mask is needed only for suffix rows: lowered conjuncts
+	// extend their clause masks incrementally and residual ones evaluate
+	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
+	// reinstate the O(table)-per-batch rescan this path exists to avoid.
+	p, err := planVector(ctx, grown, stmt, res.aggArgs, protos, oldN)
+	if err != nil {
+		return nil, err
+	}
+	if !p.mergeable {
+		return rerun("advance: aggregate state has no Merge to carry it with")
 	}
 
 	// Claim the result for advancing before touching any shared slice.
@@ -153,39 +149,18 @@ func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Opt
 	}
 	res.advanced = true
 	res.argMu.Unlock()
-	// Any error past this point publishes nothing, so the claim must be
-	// released for the caller to retry: partial suffix appends from the
-	// aborted attempt live past res's published slice lengths and are
-	// overwritten by the next attempt.
-	unclaim := func() {
-		res.argMu.Lock()
-		res.advanced = false
-		res.argMu.Unlock()
-	}
-
-	// full re-runs the statement from scratch (mid-advance fallback); a
-	// failed full run releases the claim so the caller can retry.
-	full := func() (*Result, error) {
-		out, err := RunOnCtx(ctx, grown, stmt)
-		if err != nil {
-			unclaim()
-			return nil, err
-		}
-		return out, nil
-	}
+	claimed = true
 
 	// Seed a suffix scan with copies of every old group, in scan order.
 	ss := newShardScan(p, oldN, newN)
 	oldLens := make([]int, len(res.allGroups))
+	nk := len(p.keys)
+	slots := make([]uint64, nk*len(res.allGroups)) // one backing array for every carried key
 	for gi, g := range res.allGroups {
 		oldLens[gi] = len(g.Lineage)
-		key, ok := reconstructKey(g, p)
-		if !ok {
-			return full()
-		}
-		vg, ok := copyGroup(g, p, key)
-		if !ok {
-			return full()
+		vg, err := copyGroup(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk])
+		if err != nil {
+			return nil, err
 		}
 		if drop > 0 {
 			// Rebase the carried ids: rebaseBlocker proved every
@@ -199,63 +174,33 @@ func AdvanceWith(ctx context.Context, res *Result, grown *engine.Table, opts Opt
 			}
 			vg.g.Lineage = nl
 		}
-		switch {
-		case ss.dense != nil:
-			ss.dense[key[0]] = int32(len(ss.groups)) + 1
-		case ss.h1 != nil:
-			ss.h1[key[0]] = int32(len(ss.groups))
-		case ss.hN != nil:
-			ss.hN[key] = int32(len(ss.groups))
-		}
+		ss.index(vg.slots)
 		ss.groups = append(ss.groups, vg)
 	}
 
 	ss.run()
 	if ss.err != nil {
-		if errors.Is(ss.err, errVectorAbort) {
-			return full()
-		}
-		unclaim()
 		return nil, ss.err
 	}
 
-	// Materialize boxed key values for suffix-born groups only.
+	// Suffix-born groups still need their boxed key values.
 	groups := make([]*Group, len(ss.groups))
-	row := make([]engine.Value, grown.NumCols())
-	rr := grown.NewRowReader()
-	defer rr.Close()
 	for gi, vg := range ss.groups {
-		if gi >= len(res.allGroups) && len(stmt.GroupBy) > 0 {
-			rr.RowInto(vg.g.FirstRow, row)
-			vg.g.Key = make([]engine.Value, len(stmt.GroupBy))
-			for k, g := range stmt.GroupBy {
-				v, err := g.Eval(row)
-				if err != nil {
-					unclaim()
-					return nil, err
-				}
-				vg.g.Key[k] = v
-			}
-		}
 		groups[gi] = vg.g
+	}
+	rr := grown.NewRowReader() // open through materialize, as in runVector
+	defer rr.Close()
+	if err := boxGroupKeys(grown, rr, stmt, groups); err != nil {
+		return nil, err
 	}
 
 	out = &Result{
 		Stmt: stmt, Source: grown, Groups: groups,
 		aggArgs: res.aggArgs, aggItems: res.aggItems,
-		Plan: PlanInfo{
-			Vectorized: true, WhereLowered: p.lowered, Shards: 1, Incremental: true,
-			FilterConjuncts:      p.fstats.conjuncts,
-			FilterOrder:          p.fstats.order,
-			FilterShortCircuited: p.fstats.shortCircuited,
-			ResidualConjuncts:    p.fstats.residualConjuncts,
-			ResidualRows:         p.fstats.residualRows,
-			FilterFallback:       p.fstats.fallback,
-			MaskedAgg:            p.maskedAgg,
-		},
+		Plan: p.planInfo(1),
 	}
-	if err := out.materializeCarry(res, oldLens, opts.NoSortCarry); err != nil {
-		unclaim()
+	out.Plan.Incremental = true
+	if err := out.materializeCarry(res, oldLens); err != nil {
 		return nil, err
 	}
 	carryCaches(res, out, ss, oldLens, oldN, newN, drop)
@@ -290,64 +235,40 @@ func rebaseBlocker(res *Result, drop int) string {
 	return ""
 }
 
-// reconstructKey rebuilds a group's packed key slots from its boxed key
-// values, using the same canonicalization scanRow applies per row.
-// Append-stable dictionary codes make the dict slots version-portable.
-func reconstructKey(g *Group, p *vectorPlan) (vKey, bool) {
-	var key vKey
-	if len(g.Key) != len(p.keys) {
-		return key, false
-	}
-	for i := range p.keys {
-		v := g.Key[i]
-		switch p.keys[i].kind {
-		case kindDict:
-			if v.IsNull() {
-				key[i] = 0 // scanRow: NULL code -1 → slot 0
-				continue
-			}
-			if v.T != engine.TString {
-				return key, false
-			}
-			code := p.keys[i].dict.Code(v.S)
-			if code < 0 {
-				return key, false // key string unseen in the grown dict: impossible unless mismatched
-			}
-			key[i] = uint64(code + 1)
-		default: // kindFloat, kindComputed (numeric)
-			if v.IsNull() {
-				key[i] = nullSlot
-				continue
-			}
-			if v.T == engine.TString {
-				return key, false // string computed keys never vectorize
-			}
-			key[i] = canonSlot(v.Float())
-		}
-	}
-	return key, true
-}
-
 // copyGroup makes the advanced copy of one group: aggregate states are
 // deep-copied via Clone+Merge (the old states stay untouched for
 // in-flight readers), Key is shared (immutable), and Lineage is shared
 // as-is — suffix appends land past the old length, which old readers
-// never index.
-func copyGroup(g *Group, p *vectorPlan, key vKey) (*vGroup, bool) {
+// never index. The key slots are rebuilt into slots (zeroed, one per key
+// column) from the boxed key values with the canonicalization scanRow
+// applies per row; append-stable dictionary codes make the dict slots
+// version-portable.
+func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 	ng := &Group{Key: g.Key, Lineage: g.Lineage, Aggs: make([]agg.Func, len(g.Aggs)), FirstRow: g.FirstRow}
-	vg := &vGroup{g: ng, key: key, fas: make([]agg.FloatAdder, len(g.Aggs))}
+	vg := &vGroup{g: ng, slots: slots, fas: make([]agg.FloatAdder, len(g.Aggs))}
+	for i, k := range p.keys {
+		v := g.Key[i]
+		if k.kind != kindDict {
+			vg.slots[i] = p.valueSlot(v)
+		} else if !v.IsNull() { // scanRow: NULL code -1 → slot 0
+			code := k.dict.Code(v.S)
+			if code < 0 {
+				return nil, fmt.Errorf("exec: internal: carried group key %q missing from the grown dictionary", v.S)
+			}
+			vg.slots[i] = uint64(code + 1)
+		}
+	}
 	for i, a := range g.Aggs {
 		fresh := a.Clone()
-		m, ok := fresh.(agg.Merger)
-		if !ok || !m.Merge(a) {
-			return nil, false
+		if !fresh.(agg.Merger).Merge(a) { // every state is a Merger: p.mergeable
+			return nil, errShardMerge
 		}
 		ng.Aggs[i] = fresh
 		if p.args[i].floatFed {
-			vg.fas[i] = ng.Aggs[i].(agg.FloatAdder)
+			vg.fas[i] = fresh.(agg.FloatAdder)
 		}
 	}
-	return vg, true
+	return vg, nil
 }
 
 // carryCaches extends the old result's lazily-built columnar caches —

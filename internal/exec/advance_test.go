@@ -29,14 +29,14 @@ func batchRows(rng *rand.Rand, k int) [][]engine.Value {
 
 // TestAdvanceParity is the incremental counterpart of the vector/scalar
 // parity test: for random statements and random append batches, the
-// advanced result must equal a from-scratch reference run on the grown
+// advanced result must equal a from-scratch RunReference on the grown
 // table, across a chain of appends.
 func TestAdvanceParity(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 101))
 		tbl := parityTable(rng, rng.Intn(200))
 		for iter := 0; iter < 25; iter++ {
-			stmt, _ := randStmt(rng)
+			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
 			// Appends are linear per family: each iteration chains from
 			// the newest version the previous iteration produced.
@@ -45,6 +45,7 @@ func TestAdvanceParity(t *testing.T) {
 			if err != nil {
 				continue // reference scan rejects it identically; covered by parity test
 			}
+			assertPipeline(t, sql, res)
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(batchRows(rng, 1+rng.Intn(40)))
 				if err != nil {
@@ -54,13 +55,19 @@ func TestAdvanceParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}
-				ref, err := RunOnWith(grown, stmt, Options{ForceScalar: true})
+				ref, err := runRef(grown, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: reference run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
 				tablesEqual(t, label, ref.Table, adv.Table)
 				groupsEqual(t, label, ref, adv)
+				// Without retention the only re-run is the one DISTINCT
+				// forces (its states have no Merge to carry them with), and
+				// it is a pipeline run with the reason recorded.
+				if !adv.Plan.Vectorized || adv.Plan.Incremental == hasDistinct || (adv.Plan.Fallback != "") != hasDistinct {
+					t.Fatalf("%s: hasDistinct=%v but plan %+v", label, hasDistinct, adv.Plan)
+				}
 				cur, res = grown, adv
 			}
 			tbl = cur
@@ -68,9 +75,9 @@ func TestAdvanceParity(t *testing.T) {
 	}
 }
 
-// streamFixture builds a small grouped statement over a dict + float
-// key that the vectorized pipeline handles, so Advance's incremental
-// path (not the fallback) is what's under test.
+// streamFixture builds a small grouped statement whose aggregate states
+// all merge, so Advance's incremental path (not a re-run) is what's
+// under test.
 func streamFixture(t *testing.T, rows int) (*engine.Table, *sqlparse.SelectStmt) {
 	t.Helper()
 	tbl, err := engine.NewTable("p", engine.NewSchema("s", engine.TString, "f", engine.TFloat))
@@ -126,7 +133,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	if !adv.Plan.Incremental {
 		t.Fatalf("Advance did not take the incremental path: %+v", adv.Plan)
 	}
-	ref, err := RunOnWith(grown, stmt, Options{ForceScalar: true})
+	ref, err := runRef(grown, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := RunOnWith(grown2, stmt, Options{ForceScalar: true})
+	ref2, err := runRef(grown2, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,14 +103,10 @@ type Result struct {
 	advanced bool
 }
 
-// Run executes stmt against db, capturing provenance.
-func Run(db *engine.DB, stmt *sqlparse.SelectStmt) (*Result, error) {
-	return RunCtx(context.Background(), db, stmt)
-}
-
-// RunCtx is Run under a cancellable context: scan loops poll ctx at
-// ctxCheckRows granularity and return a context error (wrapping
-// context.Canceled / DeadlineExceeded) without publishing anything.
+// RunCtx executes stmt against db, capturing provenance. Scan loops
+// poll ctx at ctxCheckRows granularity and return a context error
+// (wrapping context.Canceled / DeadlineExceeded) without publishing
+// anything.
 func RunCtx(ctx context.Context, db *engine.DB, stmt *sqlparse.SelectStmt) (*Result, error) {
 	src, err := db.Table(stmt.From)
 	if err != nil {
@@ -125,78 +121,84 @@ func RunSQL(db *engine.DB, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(db, stmt)
+	return RunCtx(context.Background(), db, stmt)
 }
 
 // RunOn executes stmt against an explicit source table (the FROM name
 // is ignored). This is what clean-and-requery uses to run the original
-// statement against a filtered view. Grouped statements take the
-// vectorized shard-parallel pipeline (vector.go) when they can, and the
-// boxed reference scan otherwise; Result.Plan records the choice.
+// statement against a filtered view.
 func RunOn(src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
 	return RunOnWithCtx(context.Background(), src, stmt, Options{})
 }
 
-// RunOnCtx is RunOn under a cancellable context (see RunCtx).
-func RunOnCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
-	return RunOnWithCtx(ctx, src, stmt, Options{})
-}
-
-// RunOnWith is RunOn with explicit strategy options (shard count,
-// forced scalar execution). Tests and benchmarks use it to pin paths;
-// normal callers want RunOn.
-func RunOnWith(src *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (*Result, error) {
-	return RunOnWithCtx(context.Background(), src, stmt, opts)
-}
-
-// RunOnWithCtx is RunOnWith under a cancellable context (see RunCtx).
-// A chunk-load failure on an out-of-core table (corrupt or vanished
-// segment file) surfaces here as an error, never as a panic.
+// RunOnWithCtx is RunOn under a cancellable context (see RunCtx) with
+// explicit Options. Grouped statements run the sharded scan in
+// vector.go, aggregate-free ones runProjection. A chunk-load failure on
+// an out-of-core table (corrupt or vanished segment file) surfaces here
+// as an error, never as a panic.
 func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (res *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
+	aggArgs, aggItems, protos, err := prepare(src, stmt)
+	if err != nil {
+		return nil, err
+	}
+	if !isGrouped(stmt) {
+		return runProjection(ctx, src, stmt)
+	}
+	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, opts)
+}
+
+func isGrouped(stmt *sqlparse.SelectStmt) bool {
+	return stmt.HasAggregates() || len(stmt.GroupBy) > 0
+}
+
+// prepare resolves every expression of stmt against src's schema,
+// checks the grouped select list, and builds the prototype aggregates
+// (cloned per group): aggArgs[i] is the i'th aggregate's argument (nil
+// for count(*)), aggItems[i] its select-item index.
+func prepare(src *engine.Table, stmt *sqlparse.SelectStmt) (aggArgs []expr.Expr, aggItems []int, protos []agg.Func, err error) {
 	if len(stmt.Items) == 0 {
-		return nil, fmt.Errorf("exec: empty select list")
+		return nil, nil, nil, fmt.Errorf("exec: empty select list")
 	}
 	schema := src.Schema()
-
-	// Resolve every expression against the source schema.
 	if stmt.Where != nil {
 		if err := stmt.Where.Resolve(schema); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 	for _, g := range stmt.GroupBy {
 		if err := g.Resolve(schema); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
-	var aggArgs []expr.Expr
-	var aggItems []int
 	for i := range stmt.Items {
 		item := &stmt.Items[i]
-		if item.IsAgg() {
-			if item.Agg.Arg != nil {
-				if err := item.Agg.Arg.Resolve(schema); err != nil {
-					return nil, err
-				}
-			}
-			aggArgs = append(aggArgs, item.Agg.Arg)
-			aggItems = append(aggItems, i)
-		} else {
+		if !item.IsAgg() {
 			if err := item.Expr.Resolve(schema); err != nil {
-				return nil, err
+				return nil, nil, nil, err
+			}
+			continue
+		}
+		if item.Agg.Arg != nil {
+			if err := item.Agg.Arg.Resolve(schema); err != nil {
+				return nil, nil, nil, err
 			}
 		}
+		aggArgs = append(aggArgs, item.Agg.Arg)
+		aggItems = append(aggItems, i)
 	}
-	grouped := stmt.HasAggregates() || len(stmt.GroupBy) > 0
-	if !grouped {
-		return runProjection(ctx, src, stmt, opts)
+	if !isGrouped(stmt) {
+		return nil, nil, nil, nil
 	}
 	if err := checkPlainItemsGrouped(stmt); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
+	protos, err = newProtos(stmt, aggItems)
+	return aggArgs, aggItems, protos, err
+}
 
-	// Prototype aggregates, cloned per group.
+// newProtos builds one fresh aggregate state per aggregate select item.
+func newProtos(stmt *sqlparse.SelectStmt, aggItems []int) ([]agg.Func, error) {
 	protos := make([]agg.Func, len(aggItems))
 	for ai, i := range aggItems {
 		f, err := agg.New(stmt.Items[i].Agg.Name)
@@ -208,26 +210,22 @@ func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 		}
 		protos[ai] = f
 	}
-
-	if !opts.ForceScalar {
-		res, fallback, err := runVector(ctx, src, stmt, aggArgs, aggItems, protos, opts)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
-		return runScalarGrouped(ctx, src, stmt, aggArgs, aggItems, protos, fallback)
-	}
-	return runScalarGrouped(ctx, src, stmt, aggArgs, aggItems, protos, "forced scalar")
+	return protos, nil
 }
 
-// runScalarGrouped is the boxed reference scan: row-at-a-time WHERE
-// evaluation, string group keys, boxed aggregate accumulation. It is
-// the oracle the vectorized pipeline is property-tested against, and
-// the fallback for statements the pipeline cannot express (recorded in
-// Plan.Fallback).
-func runScalarGrouped(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, fallback string) (*Result, error) {
+// RunReference is the boxed reference scan: row-at-a-time WHERE
+// evaluation through expr.EvalBool, string group keys, boxed aggregate
+// accumulation, one goroutine. It is the oracle the differential tests
+// pin RunOnWithCtx and Advance to — rows, group order, lineage,
+// FirstRow, error presence — and shares nothing with them below
+// prepare and materialize. Nothing outside tests calls it.
+func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
+	defer engine.CatchSegmentLoad(&err)
+	aggArgs, aggItems, protos, err := prepare(src, stmt)
+	if err != nil {
+		return nil, err
+	}
+	grouped := isGrouped(stmt)
 	groupsByKey := make(map[string]*Group)
 	var groups []*Group
 	row := make([]engine.Value, src.NumCols())
@@ -251,6 +249,10 @@ func runScalarGrouped(ctx context.Context, src *engine.Table, stmt *sqlparse.Sel
 			if !ok {
 				continue
 			}
+		}
+		if !grouped { // projection: every passing row is its own group
+			groups = append(groups, &Group{Lineage: []int{r}, FirstRow: r})
+			continue
 		}
 		keyBuf.Reset()
 		for k, g := range stmt.GroupBy {
@@ -290,10 +292,9 @@ func runScalarGrouped(ctx context.Context, src *engine.Table, stmt *sqlparse.Sel
 		}
 	}
 
-	res := &Result{
+	res = &Result{
 		Stmt: stmt, Source: src, Groups: groups,
 		aggArgs: aggArgs, aggItems: aggItems,
-		Plan: PlanInfo{Fallback: fallback},
 	}
 	if err := res.materialize(); err != nil {
 		return nil, err
@@ -322,24 +323,14 @@ func checkPlainItemsGrouped(stmt *sqlparse.SelectStmt) error {
 }
 
 // runProjection handles aggregate-free statements: each output row's
-// lineage is exactly its one source row. The WHERE filter goes through
-// the same compiled clause-mask path as the grouped pipeline (with the
-// same per-row fallback), so projections over predicate-shaped filters
-// never interpret the WHERE tree per row.
-func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (*Result, error) {
-	filter, lowered, fstats, err := buildFilter(ctx, src, stmt.Where, opts.NoFilterLowering || opts.ForceScalar, opts.NoGreedyOrdering || opts.ForceScalar, 0)
+// lineage is exactly its one source row. The WHERE filter is the same
+// buildFilter mask the grouped scan consumes.
+func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
+	filter, fstats, err := buildFilter(ctx, src, stmt.Where, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stmt: stmt, Source: src, Plan: PlanInfo{
-		WhereLowered:         lowered,
-		FilterConjuncts:      fstats.conjuncts,
-		FilterOrder:          fstats.order,
-		FilterShortCircuited: fstats.shortCircuited,
-		ResidualConjuncts:    fstats.residualConjuncts,
-		ResidualRows:         fstats.residualRows,
-		FilterFallback:       fstats.fallback,
-	}}
+	res := &Result{Stmt: stmt, Source: src, Plan: fstats.plan()}
 	if filter == nil {
 		for r := 0; r < src.NumRows(); r++ {
 			if r%ctxCheckRows == 0 {
@@ -360,7 +351,7 @@ func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.Select
 // materialize builds the result table from groups and applies HAVING,
 // ORDER BY and LIMIT (keeping Groups parallel to rows throughout).
 func (r *Result) materialize() error {
-	return r.materializeCarry(nil, nil, false)
+	return r.materializeCarry(nil, nil)
 }
 
 // materializeCarry is materialize with an optional incremental ORDER
@@ -372,9 +363,9 @@ func (r *Result) materialize() error {
 // the carried order: O(changed·log changed + groups) instead of
 // O(groups·log groups) of boxed comparisons per advance. The carry
 // runs only when both materializations' keys are totally ordered (see
-// Result.ordCarrySafe); otherwise, or when noCarry is set, the full
-// stable sort runs and produces bit-identical output by construction.
-func (r *Result) materializeCarry(prev *Result, oldLens []int, noCarry bool) error {
+// Result.ordCarrySafe); otherwise the full stable sort runs and produces
+// bit-identical output by construction.
+func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 	r.allGroups = r.Groups
 	stmt := r.Stmt
 	labels := make([]string, len(stmt.Items))
@@ -483,7 +474,7 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int, noCarry bool) err
 		r.ordCarrySafe = keysTotallyOrdered(keys)
 		var idx []int
 		carried := false
-		if !noCarry && prev != nil && prev.ordCarrySafe && r.ordCarrySafe {
+		if prev != nil && prev.ordCarrySafe && r.ordCarrySafe {
 			idx, carried = r.carrySortOrder(prev, oldLens, keys, pos)
 		}
 		if !carried {

@@ -10,12 +10,16 @@ import (
 	"repro/internal/predicate"
 )
 
-// This file is the WHERE half of the vectorized pipeline: it lowers
-// predicate-shaped WHERE trees — comparisons between a column and a
-// constant, IS NULL, BETWEEN and IN over constants, combined with
-// AND/OR/NOT — onto the cached clause masks of predicate.Index, so
-// filter evaluation becomes a handful of bitmap operations instead of a
-// per-row tree walk.
+// This file is the WHERE half of the pipeline. buildFilter turns a
+// resolved WHERE tree into the bitmap of passing rows through one
+// walker: the tree is a chain of one or more AND conjuncts, and each
+// conjunct either *lowers* onto the cached clause masks of
+// predicate.Index (comparisons between a column and a constant, IS
+// NULL, BETWEEN and IN over constants, combined with AND/OR/NOT) or is
+// *residual* (LIKE, arithmetic, function calls, column-to-column
+// comparisons) and is evaluated per row, only on the rows the
+// conjuncts before it have not already ruled out. A WHERE where nothing
+// lowers is the same walk with every conjunct residual.
 //
 // SQL WHERE is three-valued: a row passes only when the expression is
 // TRUE, and NOT must map NULL to NULL, not to TRUE. Lowering therefore
@@ -27,32 +31,22 @@ import (
 //	OR:   T = T₁∨T₂   F = F₁∧F₂
 //	NOT:  T = F₁      F = T₁
 //
-// A comparison leaf gets T from the clause mask (whose semantics are
-// pinned bit-for-bit to the scalar evaluator by the predicate package's
-// parity test) and F = nonNull(column) \ T. Anything the lowerer cannot
-// express — arithmetic inside a comparison, column-to-column
-// comparisons, LIKE, scalar function calls — makes the whole tree
-// non-lowerable and the executor falls back to per-row expr.EvalBool.
+// A leaf gets T from clause masks (whose semantics are pinned
+// bit-for-bit to the scalar evaluator by the predicate package's parity
+// test) and F = nonNull(column) \ T.
 
-// tableIndex returns the table family's shared predicate index
-// (predicate.Shared — one set of clause masks per family, shared with
-// the ranker's candidate scoring). The index implements
-// engine.RowSynced, so the aux cache rebases it onto t when t is a
-// grown copy-on-write version — cached clause masks then extend by
-// decoding only the appended suffix.
-func tableIndex(t *engine.Table) *predicate.Index {
-	return predicate.Shared(t)
-}
-
-// lowerCtx carries the index together with the exact table version the
-// statement is executing against. Masks are always requested at
+// lowerCtx carries the table family's shared predicate index
+// (predicate.Shared — one set of clause masks per family; it implements
+// engine.RowSynced, so requesting it through a grown copy-on-write
+// version rebases it and cached masks extend by decoding only the
+// appended suffix) together with the exact table version the statement
+// is executing against. Masks are always requested at
 // src.NumRows() AND src.Base(), never at the index's own (possibly
 // newer) geometry, so a query running mid-append sees masks of exactly
 // its snapshot's length — and a query racing a retention pass (whose
-// base the index has already rebased past) refuses the lowered path
-// instead of reading masks of a different row-id window. ok=false from
-// either accessor aborts lowering; the executor then evaluates WHERE
-// per row, which is always correct.
+// base the index has already rebased past) gets ok=false from every
+// accessor instead of masks of a different row-id window. buildFilter
+// then evaluates every conjunct as a residual, which is always correct.
 type lowerCtx struct {
 	ix   *predicate.Index
 	src  *engine.Table
@@ -83,211 +77,226 @@ type tfMask struct {
 	t, f *bitset.Bitset
 }
 
-// lowerWhere lowers a resolved WHERE tree to the mask of passing rows
-// (TRUE rows; NULL counts as not passing, matching expr.EvalBool). The
-// returned bitset may alias a shared clause mask and must be treated as
-// read-only. ok is false when the tree contains a non-lowerable node;
-// aborted further distinguishes an index geometry mismatch (the masks
-// exist conceptually but not at this table version's base/length stamp)
-// from a predicate shape lowering does not express — the two reasons
-// the canonical fallback vocabulary keeps apart.
-func lowerWhere(e expr.Expr, lc lowerCtx) (*bitset.Bitset, bool, bool) {
-	m, ok, aborted := lowerTF(e, lc)
-	if !ok {
-		return nil, false, aborted
-	}
-	return m.t, true, false
+// ---------------------------------------------------------------------
+// Leaves: the one place that decides which WHERE node lowers to what
+
+type leafKind uint8
+
+const (
+	leafConst   leafKind = iota // the same verdict on every row
+	leafIsNull                  // T = rows where the column is NULL
+	leafClauses                 // T = AND / OR of clause masks over one column
+)
+
+// leaf is a WHERE node that lowers directly onto the predicate index,
+// normalized so its selectivity estimate and its masks derive from one
+// description: a comparison is one clause, BETWEEN the AND of two, IN
+// the OR of one equality clause per literal.
+type leaf struct {
+	kind    leafKind
+	verdict int8 // leafConst: +1 TRUE, -1 FALSE, 0 NULL
+	ci      int  // the column (leafIsNull, leafClauses)
+	clauses []predicate.Clause
+	all     bool // leafClauses: T is the AND of the clause masks, not the OR
+	openF   bool // IN list holding a NULL literal: a non-matching row is NULL, never FALSE
+	invert  bool // IS NOT NULL / NOT BETWEEN / NOT IN: T and F swap
 }
 
-func lowerTF(e expr.Expr, lc lowerCtx) (tfMask, bool, bool) {
-	n := lc.src.NumRows()
+// classify reports whether e is a leaf, and which. The checks are pure
+// shape — schema and literal types, no index access — and a leaf always
+// lowers unless the index refuses the table version's geometry. A
+// comparison or range whose literal is not comparable with the column
+// is not a leaf: the scalar evaluator errors on it, and evaluating it
+// as a residual surfaces that error identically.
+func classify(e expr.Expr, schema engine.Schema) (leaf, bool) {
+	column := func(x expr.Expr) (string, int, bool) {
+		col, ok := x.(*expr.Col)
+		if !ok {
+			return "", -1, false
+		}
+		ci := schema.ColIndex(col.Name)
+		return col.Name, ci, ci >= 0
+	}
 	switch node := e.(type) {
 	case *expr.Lit:
-		// A constant condition: TRUE/FALSE for every row, or NULL for a
-		// NULL literal (neither mask set).
-		m := tfMask{t: bitset.New(n), f: bitset.New(n)}
+		l := leaf{kind: leafConst}
 		if !node.Val.IsNull() {
+			l.verdict = -1
 			if node.Val.Bool() {
-				m.t.Fill()
-			} else {
-				m.f.Fill()
+				l.verdict = 1
 			}
 		}
-		return m, true, false
-
-	case *expr.Not:
-		m, ok, aborted := lowerTF(node.X, lc)
-		if !ok {
-			return tfMask{}, false, aborted
-		}
-		return tfMask{t: m.f, f: m.t}, true, false
+		return l, true
 
 	case *expr.Bin:
-		if node.Op.IsLogic() {
-			l, ok, aborted := lowerTF(node.L, lc)
-			if !ok {
-				return tfMask{}, false, aborted
-			}
-			r, ok, aborted := lowerTF(node.R, lc)
-			if !ok {
-				return tfMask{}, false, aborted
-			}
-			out := tfMask{t: bitset.New(n), f: bitset.New(n)}
-			if node.Op == expr.OpAnd {
-				out.t.IntersectOf(l.t, r.t)
-				out.f.CopyFrom(l.f)
-				out.f.Or(r.f)
-			} else {
-				out.t.CopyFrom(l.t)
-				out.t.Or(r.t)
-				out.f.IntersectOf(l.f, r.f)
-			}
-			return out, true, false
+		col, lit, op, ok := comparisonShape(node)
+		if !ok {
+			return leaf{}, false
 		}
-		if node.Op.IsComparison() {
-			return lowerComparison(node, lc)
+		name, ci, ok := column(col)
+		if !ok {
+			return leaf{}, false
 		}
-		return tfMask{}, false, false // arithmetic has no boolean lowering
+		if lit.Val.IsNull() {
+			return leaf{kind: leafConst}, true // NULL for every row
+		}
+		if !literalComparable(schema[ci].Type, lit.Val) {
+			return leaf{}, false
+		}
+		return leaf{kind: leafClauses, ci: ci, clauses: []predicate.Clause{{Col: name, Op: op, Val: lit.Val}}}, true
 
 	case *expr.IsNull:
-		col, ok := node.X.(*expr.Col)
-		if !ok {
-			return tfMask{}, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return tfMask{}, false, false
-		}
-		nonNull, ok := lc.nonNullBits(ci)
-		if !ok {
-			return tfMask{}, false, true
-		}
-		isNull := bitset.New(n)
-		isNull.Fill()
-		isNull.AndNot(nonNull)
-		if node.Invert { // IS NOT NULL
-			return tfMask{t: nonNull, f: isNull}, true, false
-		}
-		return tfMask{t: isNull, f: nonNull}, true, false
+		_, ci, ok := column(node.X)
+		return leaf{kind: leafIsNull, ci: ci, invert: node.Invert}, ok
 
 	case *expr.Between:
-		col, ok := node.X.(*expr.Col)
-		if !ok {
-			return tfMask{}, false, false
-		}
+		name, ci, ok := column(node.X)
 		lo, okLo := node.Lo.(*expr.Lit)
 		hi, okHi := node.Hi.(*expr.Lit)
-		if !okLo || !okHi {
-			return tfMask{}, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return tfMask{}, false, false
+		if !ok || !okLo || !okHi {
+			return leaf{}, false
 		}
 		if lo.Val.IsNull() || hi.Val.IsNull() {
-			// NULL bound: the range test is NULL for every row.
-			return tfMask{t: bitset.New(n), f: bitset.New(n)}, true, false
+			return leaf{kind: leafConst}, true // the range test is NULL for every row
 		}
-		colType := lc.src.Schema()[ci].Type
-		if !literalComparable(colType, lo.Val) || !literalComparable(colType, hi.Val) {
-			return tfMask{}, false, false // scalar path would error; keep it
+		if t := schema[ci].Type; !literalComparable(t, lo.Val) || !literalComparable(t, hi.Val) {
+			return leaf{}, false
 		}
-		geBits, okGe := lc.clauseBits(predicate.Clause{Col: col.Name, Op: predicate.OpGe, Val: lo.Val})
-		leBits, okLe := lc.clauseBits(predicate.Clause{Col: col.Name, Op: predicate.OpLe, Val: hi.Val})
-		nn, okNN := lc.nonNullBits(ci)
-		if !okGe || !okLe || !okNN {
-			return tfMask{}, false, true
-		}
-		t := bitset.New(n)
-		t.IntersectOf(geBits, leBits)
-		f := nn.Clone()
-		f.AndNot(t)
-		if node.Invert {
-			return tfMask{t: f, f: t}, true, false
-		}
-		return tfMask{t: t, f: f}, true, false
+		return leaf{kind: leafClauses, ci: ci, all: true, invert: node.Invert, clauses: []predicate.Clause{
+			{Col: name, Op: predicate.OpGe, Val: lo.Val},
+			{Col: name, Op: predicate.OpLe, Val: hi.Val},
+		}}, true
 
 	case *expr.In:
-		col, ok := node.X.(*expr.Col)
+		name, ci, ok := column(node.X)
 		if !ok {
-			return tfMask{}, false, false
+			return leaf{}, false
 		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return tfMask{}, false, false
-		}
-		t := bitset.New(n)
-		sawNull := false
-		for _, e := range node.List {
-			lit, ok := e.(*expr.Lit)
+		l := leaf{kind: leafClauses, ci: ci, invert: node.Invert}
+		for _, item := range node.List {
+			lit, ok := item.(*expr.Lit)
 			if !ok {
-				return tfMask{}, false, false
+				return leaf{}, false
 			}
 			if lit.Val.IsNull() {
-				sawNull = true
+				l.openF = true
 				continue
 			}
 			// Equality against an incomparable literal type matches
-			// nothing in both paths (engine.Equal treats incomparable as
+			// nothing on both sides (engine.Equal treats incomparable as
 			// unequal, the clause mask stays empty), so every literal
 			// lowers.
-			eq, ok := lc.clauseBits(predicate.Clause{Col: col.Name, Op: predicate.OpEq, Val: lit.Val})
-			if !ok {
-				return tfMask{}, false, true
-			}
-			t.Or(eq)
+			l.clauses = append(l.clauses, predicate.Clause{Col: name, Op: predicate.OpEq, Val: lit.Val})
 		}
-		f := bitset.New(n)
-		if !sawNull {
-			// With a NULL in the list, non-matching rows are NULL (x
-			// might equal the NULL), so F stays empty.
-			nn, ok := lc.nonNullBits(ci)
-			if !ok {
-				return tfMask{}, false, true
-			}
-			f.CopyFrom(nn)
-			f.AndNot(t)
-		}
-		if node.Invert {
-			return tfMask{t: f, f: t}, true, false
-		}
-		return tfMask{t: t, f: f}, true, false
-
-	default:
-		// Bare columns, function calls, LIKE, …: not lowerable.
-		return tfMask{}, false, false
+		return l, true
 	}
+	return leaf{}, false
 }
 
-// lowerComparison lowers "column op constant" (either operand order)
-// onto one clause mask.
-func lowerComparison(node *expr.Bin, lc lowerCtx) (tfMask, bool, bool) {
+// est estimates the popcount of the leaf's TRUE mask from the counts
+// the index caches per clause, materializing nothing. ok is false on an
+// index geometry mismatch.
+func (l leaf) est(lc lowerCtx) (est int, ok bool) {
 	n := lc.src.NumRows()
-	col, lit, op, ok := comparisonShape(node)
-	if !ok {
-		return tfMask{}, false, false
+	switch l.kind {
+	case leafConst:
+		if l.verdict > 0 {
+			return n, true
+		}
+		return 0, true
+	case leafIsNull:
+		nn, ok := lc.nonNullCount(l.ci)
+		if l.invert {
+			return nn, ok
+		}
+		return n - nn, ok
 	}
-	ci := lc.src.Schema().ColIndex(col.Name)
-	if ci < 0 {
-		return tfMask{}, false, false
+	for i, c := range l.clauses {
+		cnt, ok := lc.clauseCount(c)
+		if !ok {
+			return 0, false
+		}
+		switch {
+		case !l.all:
+			est += cnt
+		case i == 0 || cnt < est:
+			est = cnt // a range matches at most its narrower bound
+		}
 	}
-	if lit.Val.IsNull() {
-		// Comparison with a NULL constant is NULL for every row.
-		return tfMask{t: bitset.New(n), f: bitset.New(n)}, true, false
+	if est > n {
+		est = n
 	}
-	if !literalComparable(lc.src.Schema()[ci].Type, lit.Val) {
-		// The scalar evaluator errors on incomparable comparison
-		// operands; don't lower, so the error surfaces identically.
-		return tfMask{}, false, false
+	if !l.invert {
+		return est, true
 	}
-	t, okT := lc.clauseBits(predicate.Clause{Col: col.Name, Op: op, Val: lit.Val})
-	nn, okNN := lc.nonNullBits(ci)
-	if !okT || !okNN {
-		return tfMask{}, false, true
+	if l.openF {
+		return 0, true // NOT IN with a NULL literal is never TRUE
 	}
-	f := nn.Clone()
-	f.AndNot(t)
-	return tfMask{t: t, f: f}, true, false
+	nn, ok := lc.nonNullCount(l.ci)
+	if est = nn - est; est < 0 {
+		est = 0
+	}
+	return est, ok
+}
+
+// masks materializes the leaf's TRUE mask and, when needF, its FALSE
+// mask (left nil otherwise — a conjunct nothing is guarded by only ever
+// contributes T). The TRUE mask of a single clause aliases the index's
+// shared cached bitset and is read-only. ok is false on an index
+// geometry mismatch.
+func (l leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
+	n := lc.src.NumRows()
+	if l.kind == leafConst {
+		m = tfMask{t: bitset.New(n), f: bitset.New(n)}
+		switch {
+		case l.verdict > 0:
+			m.t.Fill()
+		case l.verdict < 0:
+			m.f.Fill()
+		}
+		return m, true
+	}
+	var nn *bitset.Bitset
+	if needF || l.invert || l.kind == leafIsNull {
+		if nn, ok = lc.nonNullBits(l.ci); !ok {
+			return tfMask{}, false
+		}
+	}
+	if l.kind == leafIsNull {
+		m.t = bitset.New(n)
+		m.t.Fill()
+		m.t.AndNot(nn)
+		m.f = nn
+	} else {
+		for i, c := range l.clauses {
+			b, ok := lc.clauseBits(c)
+			switch {
+			case !ok:
+				return tfMask{}, false
+			case len(l.clauses) == 1:
+				m.t = b
+			case i == 0:
+				m.t = b.Clone()
+			case l.all:
+				m.t.And(b)
+			default:
+				m.t.Or(b)
+			}
+		}
+		if m.t == nil {
+			m.t = bitset.New(n) // IN over NULL literals only
+		}
+		if nn != nil {
+			m.f = bitset.New(n)
+			if !l.openF {
+				m.f.AndNotOf(nn, m.t)
+			}
+		}
+	}
+	if l.invert {
+		m.t, m.f = m.f, m.t
+	}
+	return m, true
 }
 
 // comparisonShape extracts the (column, constant, clause op) of a
@@ -356,71 +365,113 @@ func literalComparable(colType engine.Type, lit engine.Value) bool {
 }
 
 // ---------------------------------------------------------------------
-// Mixed-connective ordering and residual masks
+// Trees: leaves under the Kleene combinators
+
+// lowerable reports whether lowerTF accepts e's shape: a leaf, or
+// NOT/AND/OR over lowerable operands.
+func lowerable(e expr.Expr, schema engine.Schema) bool {
+	if _, ok := classify(e, schema); ok {
+		return true
+	}
+	switch node := e.(type) {
+	case *expr.Not:
+		return lowerable(node.X, schema)
+	case *expr.Bin:
+		return node.Op.IsLogic() && lowerable(node.L, schema) && lowerable(node.R, schema)
+	}
+	return false
+}
+
+// lowerTF lowers a lowerable tree to its TRUE/FALSE mask pair. ok is
+// false on an index geometry mismatch.
+func lowerTF(e expr.Expr, lc lowerCtx) (tfMask, bool) {
+	if l, ok := classify(e, lc.src.Schema()); ok {
+		return l.masks(lc, true)
+	}
+	if not, ok := e.(*expr.Not); ok {
+		m, ok := lowerTF(not.X, lc)
+		return tfMask{t: m.f, f: m.t}, ok
+	}
+	node := e.(*expr.Bin) // lowerable: AND or OR
+	l, ok := lowerTF(node.L, lc)
+	if !ok {
+		return tfMask{}, false
+	}
+	r, ok := lowerTF(node.R, lc)
+	if !ok {
+		return tfMask{}, false
+	}
+	n := lc.src.NumRows()
+	out := tfMask{t: bitset.New(n), f: bitset.New(n)}
+	if node.Op == expr.OpAnd {
+		out.t.IntersectOf(l.t, r.t)
+		out.f.CopyFrom(l.f)
+		out.f.Or(r.f)
+	} else {
+		out.t.CopyFrom(l.t)
+		out.t.Or(r.t)
+		out.f.IntersectOf(l.f, r.f)
+	}
+	return out, true
+}
+
+// ---------------------------------------------------------------------
+// The conjunct walker
 //
-// The WHERE pass mask of a root-level AND chain is the intersection of
-// the conjuncts' TRUE masks — order-independent, and the FALSE masks
-// are never consumed (a row passes iff the tree is TRUE). That makes
-// the chain a planning opportunity: evaluate the most selective
-// conjunct first, AND the rest in ascending estimated-TRUE order
-// through the fused AndCountWith kernel, and stop materializing
-// entirely once the running mask has no set bits — every remaining
+// The pass mask of the root AND chain is the intersection of the
+// conjuncts' TRUE masks — order-independent, and a conjunct's FALSE
+// mask matters only to the residuals after it. That makes the chain a
+// planning opportunity: AND the lowered conjuncts in ascending
+// estimated-TRUE order through the fused AndCountWith kernel, and stop
+// materializing once the running mask has no set bits — every remaining
 // conjunct can only be skipped, never change the result. Selectivity
 // estimates are the clause-mask popcounts predicate.Index caches per
 // (base, length) stamp: no table statistics, in the spirit of
-// janus-datalog's "greedy beats optimal" ordering result.
+// janus-datalog's "greedy beats optimal" ordering result. OR roots, OR
+// conjuncts and nested trees lower through the plain combinators above.
 //
-// Root OR chains get the dual treatment: the pass mask is the union of
-// the disjuncts' TRUE masks, folded largest-estimate-first through the
-// fused OrCountWith kernel and short-circuited when the running mask
-// *fills* — a full union cannot grow, and a filled TRUE mask implies an
-// empty FALSE mask, so nothing downstream is lost. One level of nesting
-// folds the same way: an OR-chain conjunct inside an AND folds its
-// disjuncts with the fill cut (AND-of-OR), an AND-chain disjunct inside
-// an OR folds its conjuncts with the empty cut (OR-of-AND).
-//
-// An AND chain that mixes lowerable and non-lowerable conjuncts (LIKE,
-// computed expressions) no longer forfeits the whole chain to the boxed
-// per-row scan. The lowerable conjuncts fold into a running mask pair —
-// pass (rows still TRUE under every conjunct so far) and elig (rows not
-// yet known FALSE under any source-earlier conjunct) — and each
-// *residual* conjunct is then evaluated per row only on elig's set
-// bits, via bitset.Iter. Eligibility must reflect exactly the conjuncts
-// that precede a residual in source order, because that is the set of
-// rows the scalar evaluator would reach it on (Kleene AND short-
-// circuits only on known FALSE, so NULL rows stay eligible): lowered
-// conjuncts may be reordered greedily *within* a run between residuals,
-// but never across one, and a guarded conjunct contributes its FALSE
-// mask to elig where a trailing one only narrows pass. The residual
-// loop can be skipped only when elig is empty — an empty pass alone is
-// not enough, since a residual might still error on an eligible row and
-// the scalar path would surface that error.
-//
-// The ordering is exact, not heuristic, about *lowerability*: every
-// conjunct and disjunct is probed (or eagerly lowered) before any
-// short-circuit decision, so a tree the full Kleene lowering would
-// refuse — and whose per-row evaluation might error — is refused here
-// too (unless it rides as a residual), never silently truncated to its
-// cheap prefix.
+// The walk keeps a running mask pair — pass (rows still TRUE under
+// every conjunct so far) and elig (rows not yet known FALSE under any
+// source-earlier conjunct) — and evaluates each residual conjunct per
+// row only on elig's set bits. Eligibility must reflect exactly the
+// conjuncts that precede a residual in source order, because that is
+// the set of rows the scalar evaluator would reach it on (Kleene AND
+// short-circuits only on known FALSE, so NULL rows stay eligible):
+// lowered conjuncts may be reordered greedily *within* a run between
+// residuals, but never across one, and a guarded conjunct contributes
+// its FALSE mask to elig where a trailing one only narrows pass. The
+// residual loop can be skipped only when elig is empty — an empty pass
+// alone is not enough, since a residual might still error on an
+// eligible row and the scalar path would surface that error.
 
-// Canonical Plan.FilterFallback vocabulary: every path that abandons
-// lowering for the per-row scan records exactly one of these reasons,
-// so the greedy and left-to-right paths can never drift apart in how
-// they describe the same refusal.
+// Canonical Plan.FilterFallback vocabulary: the two reasons a WHERE was
+// evaluated entirely per row.
 const (
 	fallbackFilterShape    = "filter: non-lowerable predicate shape"
 	fallbackFilterGeometry = "filter: predicate index geometry mismatch"
-	fallbackFilterDisabled = "filter: lowering disabled"
 )
 
-// filterStats records the ordering decision for Result.Plan.
+// filterStats records the walk for Result.Plan.
 type filterStats struct {
-	conjuncts         int    // root chain conjuncts/disjuncts (0: not an ordered chain)
+	conjuncts         int    // root AND-chain conjuncts
 	order             []int  // evaluation order, as source-position indexes
-	shortCircuited    int    // trailing conjuncts never materialized
-	residualConjuncts int    // conjuncts evaluated per-row on surviving bits
+	shortCircuited    int    // trailing conjuncts never evaluated
+	residualConjuncts int    // conjuncts evaluated per row on eligible bits
 	residualRows      int    // total residual per-row evaluations
-	fallback          string // canonical reason when the per-row scan ran
+	fallback          string // canonical reason when every conjunct was residual
+}
+
+// plan renders the walk into the filter fields of a PlanInfo.
+func (fs filterStats) plan() PlanInfo {
+	return PlanInfo{
+		WhereLowered:         fs.fallback == "",
+		FilterConjuncts:      fs.conjuncts,
+		FilterOrder:          fs.order,
+		FilterShortCircuited: fs.shortCircuited,
+		ResidualConjuncts:    fs.residualConjuncts,
+		ResidualRows:         fs.residualRows,
+		FilterFallback:       fs.fallback,
+	}
 }
 
 // flattenAnd appends the non-AND leaves of e's root AND chain to out in
@@ -433,558 +484,136 @@ func flattenAnd(e expr.Expr, out []expr.Expr) []expr.Expr {
 	return append(out, e)
 }
 
-// flattenOr appends the non-OR leaves of e's root OR chain to out in
-// source (left-to-right) order.
-func flattenOr(e expr.Expr, out []expr.Expr) []expr.Expr {
-	if b, ok := e.(*expr.Bin); ok && b.Op == expr.OpOr {
-		out = flattenOr(b.L, out)
-		return flattenOr(b.R, out)
-	}
-	return append(out, e)
-}
-
-// greedyConjunct is one AND-chain conjunct during planning: its source
-// position, estimated TRUE count, and — for subtrees the leaf prober
-// does not understand — an eagerly lowered TRUE mask.
-type greedyConjunct struct {
-	e   expr.Expr
-	pos int
-	est int
-	t   *bitset.Bitset // non-nil: already materialized
-}
-
-// probeLeafEst estimates the TRUE-mask popcount of a simple conjunct
-// without materializing anything beyond the index's own cached clause
-// masks. ok is false when e is not one of the simple leaf shapes (the
-// caller then lowers it eagerly) — the checks for the shapes it does
-// accept mirror lowerTF exactly, so a conjunct it approves always
-// lowers. aborted reports an index base mismatch: the whole lowering
-// must be abandoned for the per-row path.
-func probeLeafEst(e expr.Expr, lc lowerCtx) (est int, ok, aborted bool) {
-	n := lc.src.NumRows()
-	switch node := e.(type) {
-	case *expr.Lit:
-		if !node.Val.IsNull() && node.Val.Bool() {
-			return n, true, false
-		}
-		return 0, true, false
-
-	case *expr.Bin:
-		if !node.Op.IsComparison() {
-			return 0, false, false
-		}
-		col, lit, op, ok := comparisonShape(node)
-		if !ok {
-			return 0, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return 0, false, false
-		}
-		if lit.Val.IsNull() {
-			return 0, true, false
-		}
-		if !literalComparable(lc.src.Schema()[ci].Type, lit.Val) {
-			return 0, false, false
-		}
-		cnt, okC := lc.clauseCount(predicate.Clause{Col: col.Name, Op: op, Val: lit.Val})
-		if !okC {
-			return 0, false, true
-		}
-		return cnt, true, false
-
-	case *expr.IsNull:
-		col, ok := node.X.(*expr.Col)
-		if !ok {
-			return 0, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return 0, false, false
-		}
-		nn, okC := lc.nonNullCount(ci)
-		if !okC {
-			return 0, false, true
-		}
-		if node.Invert {
-			return nn, true, false
-		}
-		return n - nn, true, false
-
-	case *expr.Between:
-		col, ok := node.X.(*expr.Col)
-		if !ok {
-			return 0, false, false
-		}
-		lo, okLo := node.Lo.(*expr.Lit)
-		hi, okHi := node.Hi.(*expr.Lit)
-		if !okLo || !okHi {
-			return 0, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return 0, false, false
-		}
-		if lo.Val.IsNull() || hi.Val.IsNull() {
-			return 0, true, false // range test is NULL everywhere, T empty
-		}
-		colType := lc.src.Schema()[ci].Type
-		if !literalComparable(colType, lo.Val) || !literalComparable(colType, hi.Val) {
-			return 0, false, false
-		}
-		ge, okGe := lc.clauseCount(predicate.Clause{Col: col.Name, Op: predicate.OpGe, Val: lo.Val})
-		le, okLe := lc.clauseCount(predicate.Clause{Col: col.Name, Op: predicate.OpLe, Val: hi.Val})
-		nn, okNN := lc.nonNullCount(ci)
-		if !okGe || !okLe || !okNN {
-			return 0, false, true
-		}
-		est = ge
-		if le < est {
-			est = le
-		}
-		if node.Invert {
-			// NOT BETWEEN matches at most the non-NULL rows outside the
-			// narrower bound.
-			est = nn - est
-			if est < 0 {
-				est = 0
-			}
-		}
-		return est, true, false
-
-	case *expr.In:
-		col, ok := node.X.(*expr.Col)
-		if !ok {
-			return 0, false, false
-		}
-		ci := lc.src.Schema().ColIndex(col.Name)
-		if ci < 0 {
-			return 0, false, false
-		}
-		sum, sawNull := 0, false
-		for _, le := range node.List {
-			lit, ok := le.(*expr.Lit)
-			if !ok {
-				return 0, false, false
-			}
-			if lit.Val.IsNull() {
-				sawNull = true
-				continue
-			}
-			cnt, okC := lc.clauseCount(predicate.Clause{Col: col.Name, Op: predicate.OpEq, Val: lit.Val})
-			if !okC {
-				return 0, false, true
-			}
-			sum += cnt
-		}
-		if sum > n {
-			sum = n
-		}
-		if !node.Invert {
-			return sum, true, false
-		}
-		if sawNull {
-			return 0, true, false // NOT IN with a NULL literal is never TRUE
-		}
-		nn, okNN := lc.nonNullCount(ci)
-		if !okNN {
-			return 0, false, true
-		}
-		est = nn - sum
-		if est < 0 {
-			est = 0
-		}
-		return est, true, false
-
-	default:
-		return 0, false, false
-	}
-}
-
-// lowerLeafTrue materializes the TRUE mask of a conjunct probeLeafEst
-// approved — the T half of lowerTF's result for the same node, without
-// building the FALSE mask a root conjunct never needs. The returned
-// bitset may alias a shared cached mask (read-only).
-func lowerLeafTrue(e expr.Expr, lc lowerCtx) (*bitset.Bitset, bool, bool) {
-	n := lc.src.NumRows()
-	switch node := e.(type) {
-	case *expr.Lit:
-		b := bitset.New(n)
-		if !node.Val.IsNull() && node.Val.Bool() {
-			b.Fill()
-		}
-		return b, true, false
-
-	case *expr.Bin:
-		m, ok, aborted := lowerComparison(node, lc)
-		if !ok {
-			return nil, false, aborted
-		}
-		return m.t, true, false
-
-	case *expr.IsNull:
-		ci := lc.src.Schema().ColIndex(node.X.(*expr.Col).Name)
-		nn, ok := lc.nonNullBits(ci)
-		if !ok {
-			return nil, false, true
-		}
-		if node.Invert {
-			return nn, true, false
-		}
-		isNull := bitset.New(n)
-		isNull.Fill()
-		isNull.AndNot(nn)
-		return isNull, true, false
-
-	case *expr.Between, *expr.In:
-		m, ok, aborted := lowerTF(e, lc)
-		if !ok {
-			return nil, false, aborted
-		}
-		return m.t, true, false
-	}
-	return nil, false, false
-}
-
-// probeLowerable reports whether lowerTF would accept e, without
-// materializing any mask: leaves go through probeLeafEst (whose shape
-// checks mirror lowerTF exactly) and NOT/AND/OR recurse. aborted
-// signals an index geometry mismatch, which abandons the whole
-// lowering. This is the classifier the residual path uses to split an
-// AND chain into lowerable and residual conjuncts before deciding how
-// to materialize each.
-func probeLowerable(e expr.Expr, lc lowerCtx) (ok, aborted bool) {
-	if _, ok, ab := probeLeafEst(e, lc); ok || ab {
-		return ok, ab
-	}
-	switch node := e.(type) {
-	case *expr.Not:
-		return probeLowerable(node.X, lc)
-	case *expr.Bin:
-		if node.Op.IsLogic() {
-			ok, ab := probeLowerable(node.L, lc)
-			if !ok {
-				return false, ab
-			}
-			return probeLowerable(node.R, lc)
-		}
-		return false, false
-	default:
-		return false, false
-	}
-}
-
-// lowerAndTrue folds a pre-flattened all-lowerable AND chain to its
-// TRUE mask in ascending estimated-TRUE order with the empty-mask cut —
-// the nested (OR-of-AND) form of the greedy fold, T side only. Every
-// conjunct is validated before any short-circuit decision.
-func lowerAndTrue(parts []expr.Expr, lc lowerCtx) (*bitset.Bitset, bool, bool) {
-	conj := make([]greedyConjunct, len(parts))
-	for i, pe := range parts {
-		est, simple, aborted := probeLeafEst(pe, lc)
-		if aborted {
-			return nil, false, true
-		}
-		if !simple {
-			m, ok, aborted := lowerTF(pe, lc)
-			if !ok {
-				return nil, false, aborted
-			}
-			conj[i] = greedyConjunct{e: pe, pos: i, est: m.t.Count(), t: m.t}
-			continue
-		}
-		conj[i] = greedyConjunct{e: pe, pos: i, est: est}
-	}
-	sort.SliceStable(conj, func(a, b int) bool { return conj[a].est < conj[b].est })
-	var running *bitset.Bitset
-	count := -1
-	for _, c := range conj {
-		if count == 0 {
-			break
-		}
-		t := c.t
-		if t == nil {
-			var ok, aborted bool
-			if t, ok, aborted = lowerLeafTrue(c.e, lc); !ok {
-				return nil, false, aborted
-			}
-		}
-		if running == nil {
-			running = t.Clone()
-			count = running.Count()
-			continue
-		}
-		count = running.AndCountWith(t)
-	}
-	return running, true, false
-}
-
-// lowerOrTrue folds an OR chain of 2+ disjuncts to its TRUE mask in
-// descending estimated-TRUE order, short-circuiting when the running
-// union fills — the dual of the AND chain's empty cut. A filled TRUE
-// mask implies an empty FALSE mask (every row is TRUE somewhere), so
-// skipping the remaining disjuncts loses nothing even where the FALSE
-// side matters. Disjuncts that are themselves AND chains fold through
-// lowerAndTrue (OR-of-AND); every disjunct is validated lowerable
-// before any short-circuit decision. Returns the mask, the evaluation
-// order as source positions, and the number of disjuncts skipped.
-func lowerOrTrue(e expr.Expr, lc lowerCtx) (*bitset.Bitset, []int, int, bool, bool) {
-	disj := flattenOr(e, nil)
-	if len(disj) < 2 {
-		return nil, nil, 0, false, false
-	}
-	n := lc.src.NumRows()
-	ds := make([]greedyConjunct, len(disj))
-	for i, de := range disj {
-		est, simple, aborted := probeLeafEst(de, lc)
-		if aborted {
-			return nil, nil, 0, false, true
-		}
-		if simple {
-			ds[i] = greedyConjunct{e: de, pos: i, est: est}
-			continue
-		}
-		if parts := flattenAnd(de, nil); len(parts) >= 2 {
-			m, ok, aborted := lowerAndTrue(parts, lc)
-			if !ok {
-				return nil, nil, 0, false, aborted
-			}
-			ds[i] = greedyConjunct{e: de, pos: i, est: m.Count(), t: m}
-			continue
-		}
-		m, ok, aborted := lowerTF(de, lc)
-		if !ok {
-			return nil, nil, 0, false, aborted
-		}
-		ds[i] = greedyConjunct{e: de, pos: i, est: m.t.Count(), t: m.t}
-	}
-	sort.SliceStable(ds, func(a, b int) bool { return ds[a].est > ds[b].est })
-	order := make([]int, len(ds))
-	for i, d := range ds {
-		order[i] = d.pos
-	}
-	var running *bitset.Bitset
-	count, skipped := -1, 0
-	for i, d := range ds {
-		if count == n {
-			// The union already covers every row: no disjunct can add a
-			// bit, and all were validated lowerable, so none can hide an
-			// error the per-row path would have surfaced.
-			skipped = len(ds) - i
-			break
-		}
-		t := d.t
-		if t == nil {
-			var ok, aborted bool
-			if t, ok, aborted = lowerLeafTrue(d.e, lc); !ok {
-				return nil, nil, 0, false, aborted
-			}
-		}
-		if running == nil {
-			running = t.Clone()
-			count = running.Count()
-			continue
-		}
-		count = running.OrCountWith(t)
-	}
-	return running, order, skipped, true, false
-}
-
-// orderedConjunct is one root AND-chain conjunct in the unified ordered
-// plan: lowerable conjuncts carry masks (full T/F when guarded, T only
-// when trailing), residual conjuncts are evaluated per row on eligible
-// bits at their source position.
-type orderedConjunct struct {
+// conjunct is one root AND-chain conjunct in the walk: lowered
+// conjuncts carry masks (the full T/F pair when guarded, T only when
+// trailing), residual conjuncts are evaluated per row on eligible bits
+// at their source position.
+type conjunct struct {
 	e        expr.Expr
 	pos      int
 	est      int
 	residual bool
-	guarded  bool           // a residual conjunct follows in source order
-	m        tfMask         // guarded lowered conjunct: full mask pair
-	t        *bitset.Bitset // trailing lowered conjunct: TRUE mask (nil: lazy simple leaf)
+	guarded  bool   // a residual conjunct follows in source order
+	lazy     *leaf  // trailing leaf whose TRUE mask waits behind the empty cut
+	m        tfMask // every other lowered conjunct, materialized up front
 }
 
-// lowerWhereOrdered is the unified ordered lowering for root AND chains
-// (with or without residual conjuncts) and root OR chains. ok is false
-// when the tree is neither, or refuses lowering; aborted distinguishes
-// an index geometry mismatch. err carries residual evaluation errors —
-// genuine expression errors the scalar path would also have surfaced —
-// and context cancellation. Bits below from are left unset.
-func lowerWhereOrdered(ctx context.Context, e expr.Expr, lc lowerCtx, from int) (mask *bitset.Bitset, stats filterStats, ok, aborted bool, err error) {
-	parts := flattenAnd(e, nil)
-	if len(parts) < 2 {
-		// Not an AND chain: a root OR chain still gets the greedy union.
-		m, order, skipped, okOr, ab := lowerOrTrue(e, lc)
-		if !okOr {
-			return nil, filterStats{}, false, ab, nil
-		}
-		return m, filterStats{conjuncts: len(order), order: order, shortCircuited: skipped}, true, false, nil
+// rowEval returns e's per-row evaluator over rr: the compiled
+// zero-alloc form when expr.Compile accepts e, a boxed Eval over a row
+// buffer otherwise.
+func rowEval(e expr.Expr, rr *engine.RowReader, ncols int) expr.Evaluator {
+	if ev, ok := expr.Compile(e, rr); ok {
+		return ev
 	}
+	row := make([]engine.Value, ncols)
+	return func(r int) (engine.Value, error) {
+		rr.RowInto(r, row)
+		return e.Eval(row)
+	}
+}
 
-	// Classify: which conjuncts lower, which ride as residuals.
-	conj := make([]orderedConjunct, len(parts))
-	nResidual := 0
-	for i, pe := range parts {
-		okL, ab := probeLowerable(pe, lc)
-		if ab {
-			return nil, filterStats{}, false, true, nil
-		}
-		conj[i] = orderedConjunct{e: pe, pos: i, residual: !okL}
-		if !okL {
-			nResidual++
-		}
-	}
-	if nResidual == len(parts) {
-		// Nothing lowers: the per-row scan over the whole tree is the
-		// residual path with no mask to narrow it — refuse.
-		return nil, filterStats{}, false, false, nil
-	}
+// walkConjuncts evaluates the AND chain parts over rows [from, n) of
+// lc.src; bits below from are left unset. With allResidual the index is
+// never consulted. geometry reports an index geometry mismatch (the
+// caller re-walks with allResidual); err carries residual evaluation
+// errors — genuine expression errors the scalar path would also have
+// surfaced — and context cancellation.
+func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, from int, allResidual bool) (pass *bitset.Bitset, stats filterStats, geometry bool, err error) {
+	schema := lc.src.Schema()
+	conj := make([]conjunct, len(parts))
 	lastResidual := -1
-	for i := range conj {
+	stats = filterStats{conjuncts: len(parts), order: make([]int, len(parts))}
+	for i, pe := range parts {
+		conj[i] = conjunct{e: pe, pos: i, residual: allResidual || !lowerable(pe, schema)}
 		if conj[i].residual {
 			lastResidual = i
+			stats.residualConjuncts++
 		}
 	}
+	if stats.residualConjuncts == len(parts) {
+		stats.fallback = fallbackFilterShape
+	}
 
-	// Materialize estimates and masks. Guarded lowered conjuncts (source-
-	// before the last residual) need the full T/F pair — their FALSE mask
-	// feeds eligibility — and can never be skipped, so they lower eagerly.
-	// Trailing lowered conjuncts need only T: simple leaves stay lazy
-	// behind the empty cut, OR chains fold with the fill cut.
+	// Estimates and masks. Guarded conjuncts (source-before the last
+	// residual) need the full T/F pair — their FALSE mask feeds
+	// eligibility — and can never be skipped, so they lower eagerly, as
+	// do trees the index holds no count for. Trailing leaves stay lazy.
 	for i := range conj {
 		c := &conj[i]
 		if c.residual {
 			continue
 		}
 		c.guarded = c.pos < lastResidual
-		if c.guarded {
-			m, okL, ab := lowerTF(c.e, lc)
-			if !okL {
-				return nil, filterStats{}, false, ab, nil
-			}
-			c.m = m
-			c.est = m.t.Count()
-			continue
+		ok := true
+		if l, isLeaf := classify(c.e, schema); isLeaf && !c.guarded {
+			c.lazy = &l
+			c.est, ok = l.est(lc)
+		} else if c.m, ok = lowerTF(c.e, lc); ok {
+			c.est = c.m.t.Count()
 		}
-		est, simple, ab := probeLeafEst(c.e, lc)
-		if ab {
-			return nil, filterStats{}, false, true, nil
+		if !ok {
+			return nil, filterStats{}, true, nil
 		}
-		if simple {
-			c.est = est
-			continue
-		}
-		if t, _, _, okOr, ab := lowerOrTrue(c.e, lc); okOr {
-			c.t = t
-			c.est = t.Count()
-			continue
-		} else if ab {
-			return nil, filterStats{}, false, true, nil
-		}
-		m, okL, ab := lowerTF(c.e, lc)
-		if !okL {
-			return nil, filterStats{}, false, ab, nil
-		}
-		c.t = m.t
-		c.est = m.t.Count()
 	}
 
-	// Plan the evaluation order: residuals stay at their source
-	// positions (eligibility is defined by source order), lowered
-	// conjuncts sort ascending-estimate within each run between
-	// residuals.
-	planned := make([]*orderedConjunct, 0, len(conj))
-	runStart := len(planned)
-	flushRun := func() {
-		seg := planned[runStart:]
-		sort.SliceStable(seg, func(a, b int) bool { return seg[a].est < seg[b].est })
-	}
+	// Residuals stay at their source positions (eligibility is defined
+	// by source order); lowered conjuncts sort ascending-estimate within
+	// each run between residuals.
+	planned := make([]*conjunct, len(conj))
 	for i := range conj {
-		if conj[i].residual {
-			flushRun()
-			planned = append(planned, &conj[i])
-			runStart = len(planned)
-			continue
-		}
-		planned = append(planned, &conj[i])
+		planned[i] = &conj[i]
 	}
-	flushRun()
-
-	stats = filterStats{
-		conjuncts:         len(conj),
-		order:             make([]int, len(conj)),
-		residualConjuncts: nResidual,
+	for lo := 0; lo < len(planned); {
+		hi := lo
+		for hi < len(planned) && !planned[hi].residual {
+			hi++
+		}
+		run := planned[lo:hi]
+		sort.SliceStable(run, func(a, b int) bool { return run[a].est < run[b].est })
+		lo = hi + 1
 	}
 	for i, c := range planned {
 		stats.order[i] = c.pos
 	}
 
-	// Execute. pass = rows TRUE under every conjunct so far; elig = rows
-	// not known FALSE under any source-earlier conjunct (pass ⊆ elig).
+	// pass = rows TRUE under every conjunct so far; elig = rows not known
+	// FALSE under any source-earlier conjunct (pass ⊆ elig).
 	n := lc.src.NumRows()
-	pass := passWindow(n, from)
-	passCount := n - from
+	pass = bitset.New(n)
+	pass.FillFrom(from)
+	passCount, eligCount := n-from, n-from
 	var elig *bitset.Bitset
-	eligCount := n - from
-	if nResidual > 0 {
-		elig = pass.Clone()
-	}
-	residualLeft := nResidual
 	var rr *engine.RowReader
-	defer func() {
-		if rr != nil {
-			rr.Close()
-		}
-	}()
+	if lastResidual >= 0 {
+		elig = pass.Clone()
+		rr = lc.src.NewRowReader()
+		defer rr.Close()
+	}
+	residualLeft := stats.residualConjuncts
 	ctxTick := 0
 	for k, c := range planned {
-		if residualLeft > 0 {
-			if eligCount == 0 {
-				// Every row already has a known-FALSE conjunct: the whole
-				// AND is FALSE everywhere (pass is necessarily empty too)
-				// and no residual can be reached by the scalar evaluator on
-				// any row, so skipping the rest cannot hide an error.
-				stats.shortCircuited = len(planned) - k
-				break
-			}
-		} else if passCount == 0 {
-			// No residuals remain and the running TRUE mask is empty:
-			// remaining conjuncts were all validated lowerable, skip them.
+		// With residuals pending, stop only when every row already has a
+		// known-FALSE conjunct: the AND is FALSE everywhere and the scalar
+		// evaluator reaches no residual on any row, so skipping the rest
+		// cannot hide an error. Without, an empty TRUE mask is enough.
+		if (residualLeft > 0 && eligCount == 0) || (residualLeft == 0 && passCount == 0) {
 			stats.shortCircuited = len(planned) - k
 			break
 		}
 		switch {
 		case c.residual:
-			if rr == nil {
-				rr = lc.src.NewRowReader()
-			}
-			ev, compiled := expr.Compile(c.e, rr)
-			var row []engine.Value
-			if !compiled {
-				row = make([]engine.Value, lc.src.NumCols())
-			}
+			ev := rowEval(c.e, rr, lc.src.NumCols())
 			it := elig.Iter(from)
-			for {
-				r, more := it.Next()
-				if !more {
-					break
-				}
+			for r, more := it.Next(); more; r, more = it.Next() {
 				if ctxTick%ctxCheckRows == 0 {
 					if cerr := ctx.Err(); cerr != nil {
-						return nil, filterStats{}, false, false, ctxErr(cerr)
+						return nil, filterStats{}, false, ctxErr(cerr)
 					}
 				}
 				ctxTick++
-				var v engine.Value
-				var everr error
-				if compiled {
-					v, everr = ev(r)
-				} else {
-					rr.RowInto(r, row)
-					v, everr = c.e.Eval(row)
-				}
+				v, everr := ev(r)
 				if everr != nil {
-					return nil, filterStats{}, false, false, everr
+					return nil, filterStats{}, false, everr
 				}
 				stats.residualRows++
 				if v.IsNull() {
@@ -1004,83 +633,39 @@ func lowerWhereOrdered(ctx context.Context, e expr.Expr, lc lowerCtx, from int) 
 			passCount = pass.AndCountWith(c.m.t)
 			eligCount = elig.AndNotCountWith(c.m.f)
 		default:
-			t := c.t
-			if t == nil {
-				var okL, ab bool
-				if t, okL, ab = lowerLeafTrue(c.e, lc); !okL {
-					return nil, filterStats{}, false, ab, nil
+			if c.lazy != nil {
+				var ok bool
+				if c.m, ok = c.lazy.masks(lc, false); !ok {
+					return nil, filterStats{}, true, nil
 				}
 			}
-			passCount = pass.AndCountWith(t)
+			passCount = pass.AndCountWith(c.m.t)
 		}
 	}
-	return pass, stats, true, false, nil
+	return pass, stats, false, nil
 }
 
-// passWindow returns a length-n bitset with exactly [from, n) set.
-func passWindow(n, from int) *bitset.Bitset {
-	b := bitset.New(n)
-	b.FillFrom(from)
-	return b
-}
-
-// buildFilter produces the WHERE pass mask for src: lowered onto clause
-// masks when possible — root AND chains in greedy most-selective-first
-// order with short-circuit, residual per-row evaluation for mixed
-// chains, and root OR chains in greedy largest-first order with the
-// fill cut, unless noGreedy; everything else through the full Kleene
-// lowering — otherwise (or when lowering is disabled) by scanning rows
-// through expr.EvalBool exactly like the boxed executor, recording the
-// canonical fallback reason in stats. A nil where yields (nil, true):
-// no filtering. Bits below "from" may be left unset: callers that only
-// consume a suffix (exec.Advance) pass the first row they will read,
-// which keeps the residual and scalar paths O(suffix) instead of
+// buildFilter produces the WHERE pass mask for src through
+// walkConjuncts. A nil where yields a nil mask: no filtering. When the
+// predicate index cannot serve this table version's geometry (a
+// superseded snapshot racing retention) the chain is walked again with
+// every conjunct residual. Bits below "from" may be left unset: callers
+// that only consume a suffix (exec.Advance) pass the first row they
+// will read, which keeps residual evaluation O(suffix) instead of
 // O(table); full scans pass 0.
-func buildFilter(ctx context.Context, src *engine.Table, where expr.Expr, noLowering, noGreedy bool, from int) (pass *bitset.Bitset, lowered bool, stats filterStats, err error) {
+func buildFilter(ctx context.Context, src *engine.Table, where expr.Expr, from int) (*bitset.Bitset, filterStats, error) {
 	if where == nil {
-		return nil, true, filterStats{}, nil
+		return nil, filterStats{}, nil
 	}
-	reason := fallbackFilterDisabled
-	if !noLowering {
-		lc := lowerCtx{ix: tableIndex(src), src: src, base: src.Base()}
-		if !noGreedy {
-			pass, stats, ok, _, err := lowerWhereOrdered(ctx, where, lc, from)
-			if err != nil {
-				return nil, false, filterStats{}, err
-			}
-			if ok {
-				return pass, true, stats, nil
-			}
-		}
-		if pass, ok, aborted := lowerWhere(where, lc); ok {
-			return pass, true, filterStats{}, nil
-		} else if aborted {
-			reason = fallbackFilterGeometry
-		} else {
-			reason = fallbackFilterShape
-		}
+	lc := lowerCtx{ix: predicate.Shared(src), src: src, base: src.Base()}
+	parts := flattenAnd(where, nil)
+	pass, stats, geometry, err := walkConjuncts(ctx, parts, lc, from, false)
+	if geometry {
+		pass, stats, _, err = walkConjuncts(ctx, parts, lc, from, true)
+		stats.fallback = fallbackFilterGeometry
 	}
-	// Scalar fallback: per-row three-valued evaluation, aborting on the
-	// first error like the reference scan.
-	n := src.NumRows()
-	pass = bitset.New(n)
-	row := make([]engine.Value, src.NumCols())
-	rr := src.NewRowReader()
-	defer rr.Close()
-	for r := from; r < n; r++ {
-		if (r-from)%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, false, filterStats{}, ctxErr(err)
-			}
-		}
-		rr.RowInto(r, row)
-		ok, err := expr.EvalBool(where, row)
-		if err != nil {
-			return nil, false, filterStats{}, err
-		}
-		if ok {
-			pass.Set(r)
-		}
+	if err != nil {
+		return nil, filterStats{}, err
 	}
-	return pass, false, filterStats{fallback: reason}, nil
+	return pass, stats, nil
 }

@@ -11,7 +11,7 @@ import (
 // These tests pin the mask-guarded global aggregation path: a GROUP
 // BY-free statement whose aggregates all fold as floats must run
 // through the batch kernels (Plan.MaskedAgg) and stay bit-identical to
-// the scalar reference at every filter density — including NaN, ±0.0,
+// the reference scan at every filter density — including NaN, ±0.0,
 // and NULL inputs, sharded scans, incremental Advance, and the 4 KiB
 // thrash-pool out-of-core configuration.
 
@@ -36,14 +36,14 @@ func TestMaskedAggDensities(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sql := maskedAggSQL + " WHERE " + tc.where
 			for _, shards := range []int{1, 3} {
-				res, err := RunOnWith(tbl, mustParse(t, sql), Options{Shards: shards})
+				res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !res.Plan.Vectorized || !res.Plan.MaskedAgg {
 					t.Fatalf("shards=%d: masked aggregation did not engage: %+v", shards, res.Plan)
 				}
-				ref, err := RunOnWith(tbl, mustParse(t, sql), Options{ForceScalar: true})
+				ref, err := runRef(tbl, mustParse(t, sql))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,14 +73,14 @@ func TestMaskedAggEligibility(t *testing.T) {
 		{"SELECT sum(f) AS sf FROM p WHERE i >= 0 GROUP BY j", false}, // grouped
 	}
 	for _, tc := range cases {
-		res, err := RunOnWith(tbl, mustParse(t, tc.sql), Options{})
+		res, err := runWith(tbl, mustParse(t, tc.sql), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Plan.MaskedAgg != tc.want {
 			t.Fatalf("[%s] MaskedAgg = %v, want %v (plan %+v)", tc.sql, res.Plan.MaskedAgg, tc.want, res.Plan)
 		}
-		ref, err := RunOnWith(tbl, mustParse(t, tc.sql), Options{ForceScalar: true})
+		ref, err := runRef(tbl, mustParse(t, tc.sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,8 +89,8 @@ func TestMaskedAggEligibility(t *testing.T) {
 	}
 }
 
-// Random WHERE trees over random float-fed aggregate lists, vectorized
-// vs scalar — the masked path must hold bit-exact parity wherever it
+// Random WHERE trees over random float-fed aggregate lists, pipeline
+// vs reference — the masked path must hold bit-exact parity wherever it
 // engages, and it must actually engage.
 func TestMaskedAggParityRandomized(t *testing.T) {
 	aggs := []string{"count(*)", "sum(f)", "avg(f)", "min(f)", "max(f)", "stddev(f)", "var(f)", "sum(i)", "median(f)"}
@@ -112,8 +112,8 @@ func TestMaskedAggParityRandomized(t *testing.T) {
 			}
 			stmt := mustParse(t, "SELECT "+sel+" FROM p WHERE i >= 0")
 			stmt.Where = randWhere(rng, 1+rng.Intn(2))
-			ref, refErr := RunOnWith(tbl, stmt, Options{ForceScalar: true})
-			got, gotErr := RunOnWith(tbl, stmt, Options{Shards: 1 + rng.Intn(3)})
+			ref, refErr := runRef(tbl, stmt)
+			got, gotErr := runWith(tbl, stmt, Options{Shards: 1 + rng.Intn(3)})
 			if (refErr != nil) != (gotErr != nil) {
 				t.Fatalf("seed %d iter %d: error disagreement ref=%v got=%v where=%s", seed, iter, refErr, gotErr, stmt.Where)
 			}
@@ -160,7 +160,7 @@ func TestMaskedAggAdvance(t *testing.T) {
 		if !adv.Plan.Incremental || !adv.Plan.MaskedAgg {
 			t.Fatalf("step %d: advance left the masked incremental path: %+v", step, adv.Plan)
 		}
-		ref, err := RunOnWith(grown, stmt, Options{ForceScalar: true})
+		ref, err := runRef(grown, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +188,12 @@ func TestMaskedAggOutOfCore(t *testing.T) {
 	wheres := []string{"i > 100", "f = 3.25", "i >= 0", "j >= 0", "i >= 2 AND s LIKE 'a%'"}
 	for _, where := range wheres {
 		sql := maskedAggSQL + " WHERE " + where
-		ref, err := RunOnWith(oracle, mustParse(t, sql), Options{ForceScalar: true})
+		ref, err := runRef(oracle, mustParse(t, sql))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 4} {
-			res, err := RunOnWith(lazy, mustParse(t, sql), Options{Shards: shards})
+			res, err := runWith(lazy, mustParse(t, sql), Options{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"math/rand"
-	"testing"
-
 	"math"
+	"math/rand"
+	"strings"
+	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -15,8 +15,8 @@ import (
 // fully resident is the oracle for the lazily-attached, buffer-pooled
 // reopen. A deliberately tiny pool forces constant eviction, so every
 // statement exercises fault → pin → release across shard boundaries,
-// and the parity requirement is the same bit-exact one the vectorized
-// pipeline already owes the boxed scan.
+// and the parity requirement is the same bit-exact one the pipeline
+// already owes the reference scan.
 
 func oocOpts(fs store.FS, cacheBytes int64) store.Options {
 	return store.Options{
@@ -126,19 +126,19 @@ func TestOutOfCoreQueryParity(t *testing.T) {
 			stmt, _ := randStmt(rng)
 			sql := stmt.String()
 
-			ref, refErr := RunOnWith(oracle, stmt, Options{ForceScalar: true})
-			lz1, lz1Err := RunOnWith(lazy, stmt, Options{Shards: 1})
-			lz4, lz4Err := RunOnWith(lazy, stmt, Options{Shards: 4})
-			if (refErr != nil) != (lz1Err != nil) || (refErr != nil) != (lz4Err != nil) {
-				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\nlz1: %v\nlz4: %v",
-					seed, iter, sql, refErr, lz1Err, lz4Err)
-			}
-			if refErr != nil {
-				continue
-			}
-			for label, res := range map[string]*Result{"lazy shards=1": lz1, "lazy shards=4": lz4} {
-				tablesEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref.Table, res.Table)
-				groupsEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref, res)
+			ref, refErr := runRef(oracle, stmt)
+			for shards := 1; shards <= 4; shards++ {
+				label := fmt.Sprintf("seed %d iter %d lazy shards=%d [%s]", seed, iter, shards, sql)
+				res, err := runWith(lazy, stmt, Options{Shards: shards})
+				if (refErr != nil) != (err != nil) {
+					t.Fatalf("%s: error disagreement\nref: %v\nlazy: %v", label, refErr, err)
+				}
+				if refErr != nil {
+					continue
+				}
+				tablesEqual(t, label, ref.Table, res.Table)
+				groupsEqual(t, label, ref, res)
+				assertPipeline(t, label, res)
 			}
 			if n := lazySt.PoolPinned(); n != 0 {
 				t.Fatalf("seed %d iter %d: %d chunks still pinned after query [%s]", seed, iter, n, sql)
@@ -208,11 +208,11 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	// One segment's worth of matches: every other sealed segment's zone
 	// range excludes 5000, so pruning must skip them without faulting.
 	stmt := mustParse(t, "SELECT s, sum(f) AS total, count(*) AS n FROM p WHERE i = 5000 GROUP BY s")
-	ref, err := RunOnWith(oracle, stmt, Options{ForceScalar: true})
+	ref, err := runRef(oracle, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnWith(lazy, stmt, Options{Shards: 1})
+	res, err := runWith(lazy, stmt, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	// A predicate no segment can satisfy: everything skips, nothing
 	// faults.
 	none := mustParse(t, "SELECT s, count(*) AS n FROM p WHERE i = 123 GROUP BY s")
-	resNone, err := RunOnWith(lazy, none, Options{Shards: 1})
+	resNone, err := runWith(lazy, none, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,12 +342,12 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	}
 	for _, sql := range queries {
 		stmt := mustParse(t, sql)
-		ref, err := RunOnWith(oracle, stmt, Options{ForceScalar: true})
+		ref, err := runRef(oracle, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 4} {
-			res, err := RunOnWith(lazy, stmt, Options{Shards: shards})
+			res, err := runWith(lazy, stmt, Options{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +365,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// segment (64), the mixed segment's NaN/-0.0/1.0 rows (48), and the
 	// tail (10). The -0.0-only segment contributing all 64 is the
 	// regression this test exists for.
-	res, err := RunOnWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"), Options{Shards: 1})
+	res, err := runWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// is [0,0] (seal canonicalizes -0.0), NaN never satisfies a strict
 	// op, and the mixed segment's finite range starts at 0 — all five
 	// sealed segments skip without faulting.
-	resLt, err := RunOnWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"), Options{Shards: 1})
+	resLt, err := runWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,5 +389,56 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	}
 	if resLt.Plan.ChunksFaulted != 0 {
 		t.Fatalf("fully-pruned f < 0 still faulted: %+v", resLt.Plan)
+	}
+}
+
+// TestAdvanceReleasesClaimOnLoadFailure: a chunk-load failure after the
+// suffix scan — materialize faulting a carried group's first row out of
+// a segment file corrupted since the fresh run — must release the
+// advance claim like any other error, so the caller can retry instead
+// of being told the result was already advanced.
+func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	fs := store.NewMemFS()
+	buildOOCTable(t, fs, rng, 8)
+	st, tbl := reopen(t, fs, 4096)
+	defer st.Close()
+	res, err := RunOn(tbl, mustParse(t, "SELECT s, count(*) AS n FROM p GROUP BY s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append("p", oocBatch(rng, 10)); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := st.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a bit in the column sections of the first sealed segment: the
+	// suffix scan never reads it, materialize does.
+	corrupted := false
+	for _, f := range fs.Files() {
+		if strings.HasSuffix(f, "00000000.seg") {
+			size, err := fs.FileSize(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.FlipBit(f, size/2, 5); err != nil {
+				t.Fatal(err)
+			}
+			corrupted = true
+		}
+	}
+	if !corrupted {
+		t.Fatal("no first segment file to corrupt")
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		_, err := Advance(res, grown)
+		if err == nil {
+			t.Fatal("advance over a corrupted segment succeeded")
+		}
+		if strings.Contains(err.Error(), "already advanced") {
+			t.Fatalf("attempt %d: load failure leaked the advance claim: %v", attempt, err)
+		}
 	}
 }

@@ -11,13 +11,14 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// This file pins the vectorized pipeline to the boxed reference scan
-// with randomized statements: WHERE trees (lowerable and not), GROUP BY
-// combinations (column, computed, string-valued computed), aggregate
-// mixes (including DISTINCT and computed arguments), over tables with
-// NULLs, NaNs and collision-heavy values. Results must match exactly —
-// cell values, group order, lineage, FirstRow — for the scalar
-// reference, the single-shard vectorized run, and a forced 4-shard run.
+// This file pins the pipeline to the boxed reference scan
+// (RunReference) with randomized statements: WHERE trees (lowerable and
+// not), GROUP BY lists of 0–6 keys (column, computed, string-valued
+// computed, mixed), aggregate mixes (including DISTINCT and computed
+// arguments), over tables with NULLs, NaNs and collision-heavy values.
+// Results must match exactly — cell values, group order, lineage,
+// FirstRow — at 1, 2, 3 and 4 shards, and every fresh grouped run must
+// report Plan.Vectorized with an empty Plan.Fallback.
 //
 // Shard merging adds partial float sums, which is only bit-exact when
 // the addends are; the generator therefore draws floats from multiples
@@ -140,7 +141,7 @@ func randWhere(rng *rand.Rand, depth int) expr.Expr {
 		}
 		return in
 	case 3:
-		// Not lowerable: LIKE forces the scalar filter fallback.
+		// Not lowerable: LIKE is a residual conjunct.
 		return &expr.Like{X: expr.NewCol("s"), Pattern: []string{"a%", "%y", "_"}[rng.Intn(3)], Invert: rng.Intn(2) == 0}
 	case 4:
 		// Not lowerable: arithmetic inside the comparison.
@@ -156,15 +157,19 @@ func randWhere(rng *rand.Rand, depth int) expr.Expr {
 	}
 }
 
-// randGroupBy returns 0..2 group-by expressions; the bool reports
-// whether a string-valued computed key (lower(s)) was included, which
-// must route to the reference scan.
-func randGroupBy(rng *rand.Rand) ([]expr.Expr, bool) {
+// randGroupBy returns 0..6 group-by expressions: columns of every type,
+// numeric computed keys, and string-valued computed keys (lower(s),
+// upper(s)) mixed in with them. Wide lists are drawn less often than
+// narrow ones but often enough that every width appears in each
+// harness.
+func randGroupBy(rng *rand.Rand) []expr.Expr {
 	ng := rng.Intn(3)
+	if rng.Intn(3) == 0 {
+		ng = rng.Intn(7)
+	}
 	var out []expr.Expr
-	stringComputed := false
 	for k := 0; k < ng; k++ {
-		switch rng.Intn(7) {
+		switch rng.Intn(9) {
 		case 0:
 			out = append(out, expr.NewCol("s"))
 		case 1:
@@ -174,17 +179,18 @@ func randGroupBy(rng *rand.Rand) ([]expr.Expr, bool) {
 		case 3:
 			out = append(out, expr.NewFunc("bucket", expr.NewFunc("epoch", expr.NewCol("t")), expr.Int(1800)))
 		case 4:
-			if rng.Float64() < 0.5 {
-				out = append(out, expr.NewFunc("lower", expr.NewCol("s")))
-				stringComputed = true
-			} else {
-				out = append(out, expr.NewCol("j"))
-			}
+			out = append(out, expr.NewFunc("lower", expr.NewCol("s")))
+		case 5:
+			out = append(out, expr.NewFunc("upper", expr.NewCol("s")))
+		case 6:
+			out = append(out, expr.NewCol("j"))
+		case 7:
+			out = append(out, expr.NewCol("t"))
 		default:
 			out = append(out, expr.NewCol("i"))
 		}
 	}
-	return out, stringComputed
+	return out
 }
 
 func randAggItem(rng *rand.Rand, alias string) sqlparse.SelectItem {
@@ -222,9 +228,8 @@ func randAggItem(rng *rand.Rand, alias string) sqlparse.SelectItem {
 
 func randStmt(rng *rand.Rand) (*sqlparse.SelectStmt, bool) {
 	stmt := &sqlparse.SelectStmt{From: "p", Limit: -1}
-	groupBy, stringComputed := randGroupBy(rng)
-	stmt.GroupBy = groupBy
-	for k, g := range groupBy {
+	stmt.GroupBy = randGroupBy(rng)
+	for k, g := range stmt.GroupBy {
 		// Re-create an equal expression so select items and GROUP BY
 		// don't share nodes (matching what the parser produces).
 		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Expr: cloneGroupExpr(g), Alias: fmt.Sprintf("g%d", k)})
@@ -250,7 +255,6 @@ func randStmt(rng *rand.Rand) (*sqlparse.SelectStmt, bool) {
 	if rng.Float64() < 0.15 {
 		stmt.Limit = rng.Intn(5)
 	}
-	_ = stringComputed
 	return stmt, hasDistinct
 }
 
@@ -309,6 +313,8 @@ func tablesEqual(t *testing.T, label string, a, b *engine.Table) {
 }
 
 func TestVectorScalarParity(t *testing.T) {
+	widths := make(map[int]int)
+	sawDistinct, sawStringKey := false, false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := parityTable(rng, rng.Intn(250))
@@ -316,29 +322,40 @@ func TestVectorScalarParity(t *testing.T) {
 			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
 
-			ref, refErr := RunOnWith(tbl, stmt, Options{ForceScalar: true})
-			vec1, vec1Err := RunOnWith(tbl, stmt, Options{Shards: 1})
-			vec4, vec4Err := RunOnWith(tbl, stmt, Options{Shards: 4})
-
-			if (refErr != nil) != (vec1Err != nil) || (refErr != nil) != (vec4Err != nil) {
-				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\nvec1: %v\nvec4: %v",
-					seed, iter, sql, refErr, vec1Err, vec4Err)
+			ref, refErr := runRef(tbl, stmt)
+			for shards := 1; shards <= 4; shards++ {
+				label := fmt.Sprintf("seed %d iter %d shards=%d [%s]", seed, iter, shards, sql)
+				vec, vecErr := runWith(tbl, stmt, Options{Shards: shards})
+				if (refErr != nil) != (vecErr != nil) {
+					t.Fatalf("%s: error disagreement\nref: %v\nvec: %v", label, refErr, vecErr)
+				}
+				if refErr != nil {
+					continue
+				}
+				tablesEqual(t, label, ref.Table, vec.Table)
+				groupsEqual(t, label, ref, vec)
+				assertPipeline(t, label, vec)
 			}
 			if refErr != nil {
 				continue
 			}
-			for label, vec := range map[string]*Result{"shards=1": vec1, "shards=4": vec4} {
-				tablesEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref.Table, vec.Table)
-				groupsEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref, vec)
-			}
-			if hasDistinct {
-				if vec1.Plan.Vectorized {
-					t.Fatalf("seed %d iter %d: DISTINCT statement did not fall back to the reference scan [%s]", seed, iter, sql)
-				}
-				if vec1.Plan.Fallback == "" {
-					t.Fatalf("seed %d iter %d: DISTINCT fallback reason missing [%s]", seed, iter, sql)
+			widths[len(stmt.GroupBy)]++
+			sawDistinct = sawDistinct || hasDistinct
+			for _, g := range ref.Groups {
+				for k, v := range g.Key {
+					if _, isCol := stmt.GroupBy[k].(*expr.Col); !isCol && v.T == engine.TString {
+						sawStringKey = true
+					}
 				}
 			}
 		}
+	}
+	for w := 0; w <= 6; w++ {
+		if widths[w] == 0 {
+			t.Fatalf("harness coverage: no statement with %d group keys ran (%v)", w, widths)
+		}
+	}
+	if !sawDistinct || !sawStringKey {
+		t.Fatalf("harness coverage: sawDistinct=%v sawStringKey=%v", sawDistinct, sawStringKey)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,19 +13,19 @@ import (
 
 // Differential harnesses for the statistics-free planner: greedy clause
 // ordering must be invisible in every output bit (tables, group order,
-// lineage, errors) next to left-to-right evaluation and the boxed
-// scalar oracle, and the incremental ORDER BY merge must be invisible
-// next to the full re-sort. Both run under adversarial configurations —
-// a 4 KiB thrash pool with 4 shards for the filter, append/retention
-// chains for the sort — because those are the paths the optimizations
-// actually reorder work on.
+// lineage, errors) next to the boxed reference scan, which evaluates
+// WHERE left to right per row, and the incremental ORDER BY merge must
+// be invisible next to the reference's full sort. Both run under
+// adversarial configurations — a 4 KiB thrash pool with 4 shards for
+// the filter, append/retention chains for the sort — because those are
+// the paths the optimizations actually reorder work on.
 
 // randAndChain builds a WHERE that is a root AND chain of 2..5
 // conjuncts — the shape the greedy planner orders. Conjuncts are
 // randWhere subtrees at depth 1, so the chain mixes simple probeable
 // leaves, nested OR/NOT subtrees (eagerly lowered), further ANDs
 // (flattened into the chain), and non-lowerable nodes (LIKE,
-// arithmetic) that must refuse the whole lowering.
+// arithmetic) that ride as residuals.
 func randAndChain(rng *rand.Rand) expr.Expr {
 	e := randWhere(rng, 1)
 	for k := 1 + rng.Intn(4); k > 0; k-- {
@@ -36,8 +35,8 @@ func randAndChain(rng *rand.Rand) expr.Expr {
 }
 
 // TestGreedyFilterParityOutOfCore pins greedy-ordered filter evaluation
-// bit-identical to left-to-right evaluation and to the boxed scalar
-// oracle, over an out-of-core table served through a 4 KiB thrash pool
+// bit-identical to the reference scan's left-to-right per-row
+// evaluation, over an out-of-core table served through a 4 KiB thrash pool
 // with 4 scan shards — the config where the ordering, short-circuit,
 // and adaptive shard split all engage at once.
 func TestGreedyFilterParityOutOfCore(t *testing.T) {
@@ -58,24 +57,20 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 			stmt.Where = randAndChain(rng)
 			sql := stmt.String()
 
-			ref, refErr := RunOnWith(oracle, stmt, Options{ForceScalar: true})
-			greedy, gErr := RunOnWith(lazy, stmt, Options{Shards: 4})
-			ltr, lErr := RunOnWith(lazy, stmt, Options{Shards: 4, NoGreedyOrdering: true})
-			if (refErr != nil) != (gErr != nil) || (refErr != nil) != (lErr != nil) {
-				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\ngreedy: %v\nltr: %v",
-					seed, iter, sql, refErr, gErr, lErr)
+			ref, refErr := runRef(oracle, stmt)
+			greedy, gErr := runWith(lazy, stmt, Options{Shards: 4})
+			if (refErr != nil) != (gErr != nil) {
+				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\ngreedy: %v",
+					seed, iter, sql, refErr, gErr)
 			}
 			if refErr != nil {
 				continue
 			}
-			for label, res := range map[string]*Result{"greedy": greedy, "left-to-right": ltr} {
-				tablesEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref.Table, res.Table)
-				groupsEqual(t, fmt.Sprintf("seed %d iter %d %s [%s]", seed, iter, label, sql), ref, res)
-			}
-			if ltr.Plan.FilterConjuncts != 0 {
-				t.Fatalf("seed %d iter %d: NoGreedyOrdering still recorded an ordered chain: %+v", seed, iter, ltr.Plan)
-			}
-			if greedy.Plan.Vectorized && greedy.Plan.WhereLowered {
+			label := fmt.Sprintf("seed %d iter %d [%s]", seed, iter, sql)
+			tablesEqual(t, label, ref.Table, greedy.Table)
+			groupsEqual(t, label, ref, greedy)
+			assertPipeline(t, label, greedy)
+			if greedy.Plan.WhereLowered {
 				// A lowered root AND chain must record its ordering: the
 				// order is a permutation of the source positions.
 				if greedy.Plan.FilterConjuncts < 2 {
@@ -108,12 +103,9 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 }
 
 // TestAdvanceSortCarryParity pins the incremental ORDER BY merge
-// bit-identical to the full re-sort and to a from-scratch scalar run,
-// across 3-step append/retention chains. Two advance chains run side by
-// side from the same statement — one carrying the sort, one forced to
-// re-sort — so any divergence names the culprit directly.
+// bit-identical to the full sort of a from-scratch reference run,
+// across 3-step append/retention chains.
 func TestAdvanceSortCarryParity(t *testing.T) {
-	ctx := context.Background()
 	carried := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed * 77))
@@ -134,10 +126,6 @@ func TestAdvanceSortCarryParity(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			resFull, err := RunOn(cur, stmt)
-			if err != nil {
-				t.Fatalf("seed %d iter %d: second fresh run errored: %v\nsql: %s", seed, iter, err, sql)
-			}
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(batchRows(rng, boundaryBatchSize(rng, cur)))
 				if err != nil {
@@ -152,30 +140,21 @@ func TestAdvanceSortCarryParity(t *testing.T) {
 					}
 					cur = nt
 				}
-				advCarry, err := AdvanceWith(ctx, resCarry, cur, Options{})
+				advCarry, err := Advance(resCarry, cur)
 				if err != nil {
-					t.Fatalf("seed %d iter %d step %d: AdvanceWith: %v\nsql: %s", seed, iter, step, err, sql)
+					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}
-				advFull, err := AdvanceWith(ctx, resFull, cur, Options{NoSortCarry: true})
-				if err != nil {
-					t.Fatalf("seed %d iter %d step %d: AdvanceWith(NoSortCarry): %v\nsql: %s", seed, iter, step, err, sql)
-				}
-				if advFull.Plan.SortCarried {
-					t.Fatalf("seed %d iter %d step %d: NoSortCarry advance still carried the sort", seed, iter, step)
-				}
-				ref, err := RunOnWith(cur, stmt, Options{ForceScalar: true})
+				ref, err := runRef(cur, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: reference run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
-				tablesEqual(t, label+" carry", ref.Table, advCarry.Table)
-				groupsEqual(t, label+" carry", ref, advCarry)
-				tablesEqual(t, label+" full", ref.Table, advFull.Table)
-				groupsEqual(t, label+" full", ref, advFull)
+				tablesEqual(t, label, ref.Table, advCarry.Table)
+				groupsEqual(t, label, ref, advCarry)
 				if advCarry.Plan.SortCarried {
 					carried++
 				}
-				resCarry, resFull = advCarry, advFull
+				resCarry = advCarry
 			}
 			tbl = cur
 		}

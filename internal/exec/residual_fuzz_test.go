@@ -18,10 +18,10 @@ var fuzzFilterTable = sync.OnceValue(func() *engine.Table {
 	return parityTable(rand.New(rand.NewSource(99)), 300)
 })
 
-// FuzzResidualFilterParity pins buildFilter — the greedy ordered path
-// with residual masks and OR-chain unions, the plain left-to-right
-// lowering, and the scalar fallback it degrades to — against the
-// per-row expr.EvalBool oracle: for any WHERE the parser accepts and
+// FuzzResidualFilterParity pins buildFilter — the one conjunct walker,
+// whatever mix of lowered and residual conjuncts the WHERE splits into,
+// the all-residual case included — against the per-row expr.EvalBool
+// oracle: for any WHERE the parser accepts and
 // the schema resolves, the pass mask must match bit for bit, and the
 // two sides must agree on whether evaluation errors at all (the
 // residual path only reaches rows the scalar evaluator would reach, so
@@ -38,6 +38,8 @@ func FuzzResidualFilterParity(f *testing.F) {
 		"f = 0 AND i IS NOT NULL AND s LIKE '%'",
 		"i / 0 > 1 AND s LIKE 'a%'",
 		"i > 3 AND f / i > 0.5",
+		"s LIKE 'a%'",          // all-residual root
+		"j = 1 OR s LIKE '%y'", // OR root with a non-lowerable arm
 	} {
 		f.Add(s)
 	}
@@ -67,21 +69,16 @@ func FuzzResidualFilterParity(f *testing.F) {
 			want[r] = ok
 		}
 
-		ctx := context.Background()
-		for _, noGreedy := range []bool{false, true} {
-			mask, _, _, err := buildFilter(ctx, tbl, where, false, noGreedy, 0)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("noGreedy=%v [%s]: error disagreement: buildFilter=%v oracle=%v",
-					noGreedy, where, err, wantErr)
-			}
-			if err != nil {
-				continue
-			}
-			for r := 0; r < n; r++ {
-				if mask.Get(r) != want[r] {
-					t.Fatalf("noGreedy=%v [%s]: row %d: mask=%v oracle=%v",
-						noGreedy, where, r, mask.Get(r), want[r])
-				}
+		mask, _, err := buildFilter(context.Background(), tbl, where, 0)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("[%s]: error disagreement: buildFilter=%v oracle=%v", where, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for r := 0; r < n; r++ {
+			if mask.Get(r) != want[r] {
+				t.Fatalf("[%s]: row %d: mask=%v oracle=%v", where, r, mask.Get(r), want[r])
 			}
 		}
 	})

@@ -7,22 +7,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/expr"
 )
 
-// This file pins the residual-mask filter path: AND chains mixing
-// lowerable and non-lowerable conjuncts stay on the vectorized scan,
-// evaluating the non-lowerable conjuncts per row only on bits that
-// survive the lowered prefix — and the ordered OR-chain union with its
-// fill short-circuit. Both against the ForceScalar reference, plus the
-// canonical fallback-reason vocabulary.
+// This file pins the conjunct walker: AND chains mixing lowerable and
+// non-lowerable conjuncts evaluate the non-lowerable ones per row only
+// on bits that survive the lowered prefix, OR roots lower through the
+// Kleene combinators (or ride as one residual when an arm does not
+// lower), and the all-residual case — nothing lowers, or the predicate
+// index cannot serve the table version — is the same walk. All against
+// the RunReference oracle, plus the canonical fallback-reason
+// vocabulary.
 
 func TestResidualFilterEngages(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := parityTable(rng, 4000)
 	sql := "SELECT j, sum(f) AS sf, count(*) AS n FROM p WHERE i >= 4 AND s LIKE 'a%' GROUP BY j"
 	stmt := mustParse(t, sql)
-	res, err := RunOnWith(tbl, stmt, Options{})
+	res, err := RunOn(tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestResidualFilterEngages(t *testing.T) {
 	if res.Plan.ResidualRows == 0 || res.Plan.ResidualRows >= tbl.NumRows()/2 {
 		t.Fatalf("ResidualRows = %d, want in (0, %d)", res.Plan.ResidualRows, tbl.NumRows()/2)
 	}
-	ref, err := RunOnWith(tbl, mustParse(t, sql), Options{ForceScalar: true})
+	ref, err := runRef(tbl, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestResidualFilterEngages(t *testing.T) {
 
 // randResidualAnd builds an AND chain of 2..5 conjuncts with at least
 // one guaranteed non-lowerable conjunct at a random position, so every
-// statement exercises the residual path (or its refusal when nothing
+// statement exercises the residual path (all-residual when nothing
 // else lowers).
 func randResidualAnd(rng *rand.Rand) expr.Expr {
 	n := 2 + rng.Intn(4)
@@ -95,8 +98,8 @@ func TestResidualFilterParityRandomized(t *testing.T) {
 		for iter := 0; iter < 60; iter++ {
 			stmt, _ := randStmt(rng)
 			stmt.Where = randResidualAnd(rng)
-			ref, refErr := RunOnWith(tbl, stmt, Options{ForceScalar: true})
-			got, gotErr := RunOnWith(tbl, stmt, Options{Shards: 3})
+			ref, refErr := runRef(tbl, stmt)
+			got, gotErr := runWith(tbl, stmt, Options{Shards: 3})
 			if (refErr != nil) != (gotErr != nil) {
 				t.Fatalf("seed %d iter %d: error disagreement\nref: %v\ngot: %v\nwhere: %s",
 					seed, iter, refErr, gotErr, stmt.Where)
@@ -123,57 +126,42 @@ func TestResidualFilterParityRandomized(t *testing.T) {
 	}
 }
 
-func TestOrChainOrdering(t *testing.T) {
+// TestOrRootLowering pins OR at the root of the WHERE: it is a chain of
+// one conjunct, lowered through the Kleene combinators when every arm
+// lowers and evaluated as one residual when any arm does not.
+func TestOrRootLowering(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tbl := parityTable(rng, 3000)
-	t.Run("ordered", func(t *testing.T) {
-		sql := "SELECT j, count(*) AS n FROM p WHERE s = 'a' OR i > 3 OR f < -7 GROUP BY j"
-		res, err := RunOnWith(tbl, mustParse(t, sql), Options{})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		sql     string
+		lowered bool
+	}{
+		{"SELECT j, count(*) AS n FROM p WHERE s = 'a' OR i > 3 OR f < -7 GROUP BY j", true},
+		// j >= 0 is TRUE for every row (j has no NULLs): the union fills.
+		{"SELECT i, count(*) AS n FROM p WHERE j >= 0 OR s = 'b' OR f > 2 GROUP BY i", true},
+		{"SELECT j, count(*) AS n FROM p WHERE (i > 0 AND s = 'a') OR (f < 0 AND NOT j = 2) GROUP BY j", true},
+		{"SELECT j, count(*) AS n FROM p WHERE s = 'a' OR s LIKE '%y' GROUP BY j", false},
+	} {
+		res := runBoth(t, tbl, tc.sql)
+		assertPipeline(t, tc.sql, res)
+		if res.Plan.FilterConjuncts != 1 || res.Plan.WhereLowered != tc.lowered {
+			t.Fatalf("[%s] OR root: want one conjunct, lowered=%v, got %+v", tc.sql, tc.lowered, res.Plan)
 		}
-		if !res.Plan.WhereLowered || res.Plan.FilterConjuncts != 3 {
-			t.Fatalf("OR chain not ordered: %+v", res.Plan)
-		}
-		ref, err := RunOnWith(tbl, mustParse(t, sql), Options{ForceScalar: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesEqual(t, sql, ref.Table, res.Table)
-		groupsEqual(t, sql, ref, res)
-	})
-	t.Run("fill-short-circuit", func(t *testing.T) {
-		// j >= 0 is TRUE for every row (j has no NULLs), so the union
-		// fills immediately and the remaining disjuncts are skipped.
-		sql := "SELECT i, count(*) AS n FROM p WHERE j >= 0 OR s = 'b' OR f > 2 GROUP BY i"
-		res, err := RunOnWith(tbl, mustParse(t, sql), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Plan.WhereLowered || res.Plan.FilterShortCircuited == 0 {
-			t.Fatalf("filled OR union did not short-circuit: %+v", res.Plan)
-		}
-		ref, err := RunOnWith(tbl, mustParse(t, sql), Options{ForceScalar: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesEqual(t, sql, ref.Table, res.Table)
-		groupsEqual(t, sql, ref, res)
-	})
+	}
 	t.Run("randomized", func(t *testing.T) {
-		sawOrdered := false
+		sawLowered, sawResidual := false, false
 		for iter := 0; iter < 60; iter++ {
 			stmt, _ := randStmt(rng)
-			// Root OR chain of simple randWhere leaves (some lowerable,
-			// some not — non-lowerable disjuncts must refuse cleanly).
+			// Root OR chain of simple randWhere leaves, some lowerable,
+			// some not.
 			n := 2 + rng.Intn(3)
 			w := randWhere(rng, 0)
 			for k := 1; k < n; k++ {
 				w = expr.NewBin(expr.OpOr, w, randWhere(rng, 0))
 			}
 			stmt.Where = w
-			ref, refErr := RunOnWith(tbl, stmt, Options{ForceScalar: true})
-			got, gotErr := RunOnWith(tbl, stmt, Options{Shards: 3})
+			ref, refErr := runRef(tbl, stmt)
+			got, gotErr := runWith(tbl, stmt, Options{Shards: 3})
 			if (refErr != nil) != (gotErr != nil) {
 				t.Fatalf("iter %d: error disagreement ref=%v got=%v where=%s", iter, refErr, gotErr, stmt.Where)
 			}
@@ -183,44 +171,84 @@ func TestOrChainOrdering(t *testing.T) {
 			label := fmt.Sprintf("or iter %d [%s]", iter, stmt.Where)
 			tablesEqual(t, label, ref.Table, got.Table)
 			groupsEqual(t, label, ref, got)
-			if got.Plan.WhereLowered && got.Plan.FilterConjuncts >= 2 {
-				sawOrdered = true
+			assertPipeline(t, label, got)
+			if got.Plan.WhereLowered {
+				sawLowered = true
+			} else {
+				sawResidual = true
 			}
 		}
-		if !sawOrdered {
-			t.Fatal("no OR chain took the ordered path")
+		if !sawLowered || !sawResidual {
+			t.Fatalf("harness coverage: sawLowered=%v sawResidual=%v", sawLowered, sawResidual)
 		}
 	})
 }
 
 // TestFilterFallbackVocabulary pins the canonical Plan.FilterFallback
-// reason strings: the greedy and left-to-right paths must describe the
-// same refusal with the same words.
+// reason strings.
 func TestFilterFallbackVocabulary(t *testing.T) {
 	tbl := vectorTestTable(t)
 	cases := []struct {
 		name string
 		sql  string
-		opts Options
 		want string
 	}{
-		{"lowered", "SELECT city, count(*) AS n FROM v WHERE pop > 10 GROUP BY city", Options{}, ""},
-		{"shape-greedy", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 GROUP BY city", Options{}, fallbackFilterShape},
-		{"shape-ltr", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 GROUP BY city", Options{NoGreedyOrdering: true}, fallbackFilterShape},
-		{"shape-all-residual-chain", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 AND city LIKE 'a%' GROUP BY city", Options{}, fallbackFilterShape},
-		{"disabled", "SELECT city, count(*) AS n FROM v WHERE pop > 10 GROUP BY city", Options{NoFilterLowering: true}, fallbackFilterDisabled},
-		{"no-where", "SELECT city, count(*) AS n FROM v GROUP BY city", Options{}, ""},
+		{"lowered", "SELECT city, count(*) AS n FROM v WHERE pop > 10 GROUP BY city", ""},
+		{"shape", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 GROUP BY city", fallbackFilterShape},
+		{"shape-all-residual-chain", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 AND city LIKE 'a%' GROUP BY city", fallbackFilterShape},
+		{"mixed-chain", "SELECT city, count(*) AS n FROM v WHERE length(city) > 2 AND pop > 10 GROUP BY city", ""},
+		{"no-where", "SELECT city, count(*) AS n FROM v GROUP BY city", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunOnWith(tbl, mustParse(t, tc.sql), tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Plan.FilterFallback != tc.want {
+			res := runBoth(t, tbl, tc.sql)
+			if res.Plan.FilterFallback != tc.want || res.Plan.WhereLowered != (tc.want == "") {
 				t.Fatalf("FilterFallback = %q, want %q (plan %+v)", res.Plan.FilterFallback, tc.want, res.Plan)
 			}
 		})
+	}
+}
+
+// TestFilterGeometryMismatch pins the other all-residual case: a
+// snapshot whose retention base the shared predicate index has already
+// rebased past gets no clause masks, so every conjunct — lowerable
+// shape or not — is walked as a residual, the plan says why, and the
+// rows still equal the reference scan's. (The superseded snapshot has
+// no DictView either, so GROUP BY s rides the interned string slots.)
+func TestFilterGeometryMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	old := tinySegTable(rng, 300)
+	grown, err := old.AppendBatch(batchRows(rng, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 2 * grown.SegRows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DroppedRows == 0 {
+		t.Fatal("fixture dropped nothing: retention not exercised")
+	}
+	sql := "SELECT s, j, count(*) AS n, sum(f) AS sf FROM p WHERE i >= 0 AND j < 3 GROUP BY s, j"
+	// A query on the retained version rebases the family's index.
+	if res := runBoth(t, cur, sql); !res.Plan.WhereLowered {
+		t.Fatalf("retained version did not lower: %+v", res.Plan)
+	}
+	ref, err := runRef(old, mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		res, err := runWith(old, mustParse(t, sql), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPipeline(t, sql, res)
+		if res.Plan.FilterFallback != fallbackFilterGeometry || res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 2 {
+			t.Fatalf("superseded snapshot: want the geometry all-residual walk, got %+v", res.Plan)
+		}
+		tablesEqual(t, sql, ref.Table, res.Table)
+		groupsEqual(t, sql, ref, res)
 	}
 }
 
@@ -235,7 +263,7 @@ func TestResidualFilterCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := buildFilter(ctx, tbl, where, false, false, 0)
+	_, _, err := buildFilter(ctx, tbl, where, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context did not abort the residual filter: %v", err)
 	}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -65,7 +64,7 @@ func boundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
 
 // TestAdvanceRetentionParity interleaves boundary-straddling append
 // batches with randomized retention passes and checks the advanced
-// result against the scalar oracle at every step.
+// result against the reference scan at every step.
 func TestAdvanceRetentionParity(t *testing.T) {
 	sawDrop, sawFallback := false, false
 	for seed := int64(1); seed <= 6; seed++ {
@@ -79,6 +78,7 @@ func TestAdvanceRetentionParity(t *testing.T) {
 			if err != nil {
 				continue
 			}
+			assertPipeline(t, sql, res)
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(batchRows(rng, boundaryBatchSize(rng, cur)))
 				if err != nil {
@@ -101,13 +101,13 @@ func TestAdvanceRetentionParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}
+				if !adv.Plan.Vectorized || adv.Plan.Incremental == (adv.Plan.Fallback != "") {
+					t.Fatalf("seed %d iter %d step %d: an advance either carries or re-runs on the pipeline with a recorded reason, got %+v\nsql: %s", seed, iter, step, adv.Plan, sql)
+				}
 				if dropped > 0 && !adv.Plan.Incremental {
-					if adv.Plan.Fallback == "" {
-						t.Fatalf("seed %d iter %d step %d: retention fallback without a recorded reason\nsql: %s", seed, iter, step, sql)
-					}
 					sawFallback = true
 				}
-				ref, err := RunOnWith(cur, stmt, Options{ForceScalar: true})
+				ref, err := runRef(cur, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: reference run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
@@ -198,7 +198,7 @@ func TestAdvanceRetentionRebase(t *testing.T) {
 	if !adv.Plan.Incremental {
 		t.Fatalf("expected the rebase path, got plan %+v", adv.Plan)
 	}
-	ref, err := RunOnWith(cur, stmt, Options{ForceScalar: true})
+	ref, err := runRef(cur, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestAdvanceRetentionRebase(t *testing.T) {
 	if advAll.Plan.Fallback == "" {
 		t.Fatalf("retention fallback reason missing: %+v", advAll.Plan)
 	}
-	refAll, err := RunOnWith(cur, all, Options{ForceScalar: true})
+	refAll, err := runRef(cur, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 	if adv.Plan.Incremental || adv.Plan.Fallback == "" {
 		t.Fatalf("expected recorded retention fallback, got %+v", adv.Plan)
 	}
-	ref, err := RunOnWith(cur, stmt, Options{ForceScalar: true})
+	ref, err := runRef(cur, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestSubSegmentSharding(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tbl := parityTable(rng, 1000) // default 64Ki segments: 1 partial tail
 	sql := `SELECT s, sum(f) AS x, count(*) AS c FROM p GROUP BY s`
-	one, err := RunOnWith(tbl, mustParse(t, sql), Options{Shards: 1})
+	one, err := runWith(tbl, mustParse(t, sql), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunOnWith(tbl, mustParse(t, sql), Options{Shards: 4})
+	many, err := runWith(tbl, mustParse(t, sql), Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSubSegmentSharding(t *testing.T) {
 	tablesEqual(t, sql, one.Table, many.Table)
 	groupsEqual(t, sql, one, many)
 	// Shard boundaries must sit on word boundaries.
-	for _, r := range shardRanges(1000, tbl.SegRows(), 4) {
+	for _, r := range shardRanges(1000, tbl.SegRows(), 4, nil) {
 		if r[0]%64 != 0 {
 			t.Fatalf("shard start %d not word-aligned", r[0])
 		}
@@ -395,25 +395,22 @@ func TestAdvanceRetentionSortCarry(t *testing.T) {
 	if !adv.Plan.Incremental || !adv.Plan.SortCarried || adv.Plan.Fallback != "" {
 		t.Fatalf("retention advance lost the ordered carry: %+v", adv.Plan)
 	}
-	ref, err := RunOnWith(cur, stmt, Options{ForceScalar: true})
+	ref, err := runRef(cur, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tablesEqual(t, "retention-order-carry", ref.Table, adv.Table)
 	groupsEqual(t, "retention-order-carry", ref, adv)
 
-	// Control: the carry is a pure optimization — a NoSortCarry advance
-	// over the same chain re-sorts and must produce the same rows.
-	res2, err := RunOn(tbl, stmt)
+	// Control: the carry is a pure optimization — a from-scratch ordered
+	// run over the retained table sorts in full and must produce the same
+	// rows.
+	fresh, err := RunOn(cur, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv2, err := AdvanceWith(context.Background(), res2, cur, Options{NoSortCarry: true})
-	if err != nil {
-		t.Fatal(err)
+	if fresh.Plan.SortCarried {
+		t.Fatalf("fresh run claims a carried sort: %+v", fresh.Plan)
 	}
-	if adv2.Plan.SortCarried {
-		t.Fatalf("NoSortCarry control still carried: %+v", adv2.Plan)
-	}
-	tablesEqual(t, "retention-order-resort", adv2.Table, adv.Table)
+	tablesEqual(t, "retention-order-fresh", fresh.Table, adv.Table)
 }

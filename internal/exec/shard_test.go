@@ -39,35 +39,41 @@ func checkRanges(t *testing.T, label string, ranges [][2]int, n, nshards int) {
 	}
 }
 
-// TestShardRangesEdges enumerates the boundary geometries: sub-word
-// tables, exact word multiples, one row over, fewer segments than
-// shards, and more shards than units.
+// TestShardRangesEdges enumerates the boundary geometries without a
+// filter (every row survives): sub-word tables, exact word multiples,
+// one row over, fewer segments than shards, and more shards than units.
 func TestShardRangesEdges(t *testing.T) {
 	const segRows = 64 // MinSegmentBits geometry
 	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097} {
 		for _, nshards := range []int{1, 4, 16} {
-			ranges := shardRanges(n, segRows, nshards)
+			ranges := shardRanges(n, segRows, nshards, nil)
 			checkRanges(t, fmt.Sprintf("shardRanges(n=%d, shards=%d)", n, nshards), ranges, n, nshards)
 		}
 	}
-	// Larger segment geometry: fewer segments than shards falls back to
-	// word units.
+	// Larger segment geometry: fewer segments than shards subdivides
+	// segments on word boundaries, and a nil filter splits exactly like
+	// an all-ones one.
 	for _, n := range []int{100, 65536, 65537, 200000} {
 		for _, nshards := range []int{1, 4, 16} {
-			ranges := shardRanges(n, 65536, nshards)
+			ranges := shardRanges(n, 65536, nshards, nil)
 			checkRanges(t, fmt.Sprintf("shardRanges(n=%d, seg=64Ki, shards=%d)", n, nshards), ranges, n, nshards)
+			ones := bitset.New(n)
+			ones.Fill()
+			if got := shardRanges(n, 65536, nshards, ones); fmt.Sprint(got) != fmt.Sprint(ranges) {
+				t.Fatalf("n=%d shards=%d: nil filter split %v, all-ones split %v", n, nshards, ranges, got)
+			}
 		}
 	}
 }
 
-// TestAdaptiveShardRangesEdges drives the popcount-balanced split
+// TestShardRangesFilterShapes drives the popcount-balanced split
 // through the same geometry grid under several filter shapes —
 // all-zero (every segment zone-skipped), all-ones, a single surviving
 // segment, a single surviving word, and random — checking the
 // structural invariants plus the balance property the split exists
 // for: when all survivors sit in one hot segment, the split still
 // produces more than one range (no degenerate one-busy-shard scan).
-func TestAdaptiveShardRangesEdges(t *testing.T) {
+func TestShardRangesFilterShapes(t *testing.T) {
 	const segRows = 64
 	rng := rand.New(rand.NewSource(11))
 	shapes := []struct {
@@ -107,7 +113,7 @@ func TestAdaptiveShardRangesEdges(t *testing.T) {
 				f := bitset.New(n)
 				shape.fill(f, n)
 				label := fmt.Sprintf("adaptive(n=%d, shards=%d, %s)", n, nshards, shape.name)
-				ranges := adaptiveShardRanges(n, segRows, nshards, f)
+				ranges := shardRanges(n, segRows, nshards, f)
 				checkRanges(t, label, ranges, n, nshards)
 			}
 		}
@@ -124,7 +130,7 @@ func TestAdaptiveShardRangesEdges(t *testing.T) {
 	for r := 5 * hotSegRows; r < 6*hotSegRows; r++ {
 		f.Set(r)
 	}
-	ranges := adaptiveShardRanges(n, hotSegRows, 4, f)
+	ranges := shardRanges(n, hotSegRows, 4, f)
 	checkRanges(t, "one-hot-segment", ranges, n, 4)
 	if len(ranges) < 2 {
 		t.Fatalf("one surviving segment not subdivided: %v", ranges)
@@ -140,7 +146,7 @@ func TestAdaptiveShardRangesEdges(t *testing.T) {
 
 	// All segments skipped: a single range, nothing to balance.
 	empty := bitset.New(n)
-	ranges = adaptiveShardRanges(n, segRows, 4, empty)
+	ranges = shardRanges(n, segRows, 4, empty)
 	if len(ranges) != 1 || ranges[0] != [2]int{0, n} {
 		t.Fatalf("all-skipped split = %v, want one full range", ranges)
 	}

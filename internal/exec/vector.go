@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/bits"
@@ -15,108 +16,88 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// This file is the vectorized, shard-parallel aggregate pipeline — the
-// fast path RunOn takes for grouped statements. Where the boxed
-// reference scan (runScalarGrouped) materializes every row, interprets
-// WHERE per row, builds string group keys, and feeds boxed values to
-// the aggregates, this pipeline:
+// This file is the grouped scan — the one pipeline every grouped
+// statement runs on:
 //
-//  1. evaluates WHERE once into a bitmap (filter.go: clause-mask
-//     lowering with a per-row EvalBool fallback),
-//  2. turns each group-by expression into an integer key slot per row —
+//  1. WHERE evaluates once into a bitmap (filter.go),
+//  2. each group-by expression becomes an integer key slot per row —
 //     dictionary codes for string columns, canonical float bits for
-//     numeric columns, a compiled zero-alloc evaluator for computed
-//     keys — with a dense slot table replacing the hash map for
-//     single string-column keys,
-//  3. streams numeric argument columns (engine.FloatView) straight into
+//     numeric columns, an evaluator for anything else (interned codes
+//     when it yields strings) — looked up through a dense slot table
+//     (one string column), a uint64 map (one key of any other kind) or
+//     a byte-string map (two or more keys),
+//  3. numeric argument columns (engine.FloatView) stream straight into
 //     the aggregate states through agg.FloatAdder, and
-//  4. splits the row space across a worker pool, each shard
+//  4. the row space splits across a worker pool, each shard
 //     accumulating private group states that merge in shard order via
 //     agg.Merger — which preserves the sequential scan's
 //     first-appearance group order, ascending lineage, and FirstRow.
+//     Aggregates without a Merge (DISTINCT) scan as one shard.
 //
-// Anything the pipeline cannot express exactly falls back to the boxed
-// reference scan (DISTINCT aggregates, more than four group-by columns,
-// computed group keys that turn out to be strings); the randomized
-// parity test pins the two paths to identical output.
+// RunReference (exec.go) is the boxed oracle the randomized parity
+// tests pin this pipeline to, bit for bit.
 
-// Options selects an execution strategy for RunOnWith. The zero value
-// means "choose automatically" and is what RunOn uses.
+// Options tunes an execution. The zero value is what every caller
+// outside the tests passes.
 type Options struct {
 	// Shards forces the number of scan partitions (0 = automatic:
 	// GOMAXPROCS capped so each shard keeps at least a few thousand
-	// rows). Ignored when the statement is not shardable.
+	// rows). Tests pin it on tables the automatic choice would not
+	// split. Ignored when the statement is not shardable.
 	Shards int
-	// ForceScalar routes execution through the boxed reference scan.
-	ForceScalar bool
-	// NoFilterLowering disables WHERE clause-mask lowering; the filter
-	// is built by per-row evaluation instead. For tests.
-	NoFilterLowering bool
-	// NoGreedyOrdering disables greedy selectivity ordering of lowered
-	// AND chains; conjuncts evaluate left-to-right through the full
-	// Kleene lowering instead. For tests and benchmarks.
-	NoGreedyOrdering bool
-	// NoSortCarry disables the incremental ORDER BY merge in Advance;
-	// every advance re-sorts the full group output. For tests and
-	// benchmarks.
-	NoSortCarry bool
 }
 
-// PlanInfo records which strategy an execution actually took; tests and
-// benchmarks read it to pin fast-path coverage and fallbacks.
+// PlanInfo records what an execution actually did; tests, the server's
+// stats and the benchmark's attribution read it.
 type PlanInfo struct {
-	// Vectorized is true when the vectorized grouped pipeline produced
-	// the result (false for the boxed reference scan and for
-	// aggregate-free projections).
+	// Vectorized is true when the grouped pipeline produced the result
+	// (false for aggregate-free projections and for RunReference).
 	Vectorized bool
-	// WhereLowered is true when the WHERE filter was evaluated through
-	// bitmap clause masks rather than per-row expression evaluation.
-	// Meaningful for projections too; true when there is no WHERE.
+	// WhereLowered is true when at least one WHERE conjunct was evaluated
+	// through bitmap clause masks rather than per row. Meaningful for
+	// projections too; true when there is no WHERE.
 	WhereLowered bool
-	// Shards is the number of scan partitions the vectorized pipeline
-	// used (0 when it did not run).
+	// Shards is the number of scan partitions the pipeline used (0 when
+	// it did not run).
 	Shards int
-	// Fallback names the reason the boxed reference scan ran instead of
-	// the vectorized pipeline ("" when it did not fall back).
+	// Fallback names the reason an Advance re-ran the statement over the
+	// whole table instead of folding in the suffix ("" otherwise; always
+	// "" on a fresh run).
 	Fallback string
 	// Incremental is true when Advance produced this result by folding
 	// only appended rows into the previous result's group states instead
 	// of rescanning the table.
 	Incremental bool
-	// SegsSkipped counts out-of-core segments the vectorized scan never
-	// touched because zone-map pruning left their filter words all zero
-	// — no rows scanned, no chunks faulted.
+	// SegsSkipped counts out-of-core segments the scan never touched
+	// because zone-map pruning left their filter words all zero — no
+	// rows scanned, no chunks faulted.
 	SegsSkipped int
 	// ChunksFaulted counts segment-cursor pins that missed to disk
-	// during the vectorized scan (out-of-core tables only).
+	// during the scan (out-of-core tables only).
 	ChunksFaulted int
 	// ChunksResident counts segment-cursor pins served from memory —
 	// resident chunks or buffer-pool hits.
 	ChunksResident int
-	// FilterConjuncts is the number of root AND-chain conjuncts the
-	// greedy filter planner ordered (0 when the WHERE was not an
-	// ordered chain — absent, single-conjunct, or not lowered).
+	// FilterConjuncts is the number of conjuncts in the WHERE's root AND
+	// chain (0 when there is no WHERE).
 	FilterConjuncts int
-	// FilterOrder is the greedy evaluation order as source-position
-	// indexes into the AND chain (nil when FilterConjuncts is 0). An
-	// entry of 2 first means the third conjunct in source order was
-	// estimated most selective and evaluated first.
+	// FilterOrder is the evaluation order as source-position indexes
+	// into the AND chain. An entry of 2 first means the third conjunct in
+	// source order was estimated most selective and evaluated first.
 	FilterOrder []int
-	// FilterShortCircuited counts trailing conjuncts never materialized
-	// because the running TRUE mask emptied first (AND chains) or
-	// disjuncts skipped because the running union filled (OR chains).
+	// FilterShortCircuited counts trailing conjuncts never evaluated
+	// because the running mask emptied first.
 	FilterShortCircuited int
-	// ResidualConjuncts counts WHERE conjuncts that did not lower but
-	// rode the vectorized path anyway: evaluated per row only on the
-	// bits surviving the lowered conjuncts' running mask.
+	// ResidualConjuncts counts WHERE conjuncts that did not lower and
+	// were evaluated per row, only on the bits the conjuncts before them
+	// had not ruled out.
 	ResidualConjuncts int
-	// ResidualRows is the total number of per-row residual evaluations
-	// — the EvalBool calls the lowered prefix did NOT save.
+	// ResidualRows is the total number of per-row residual evaluations.
 	ResidualRows int
-	// FilterFallback is the canonical reason the WHERE was evaluated by
-	// the per-row scan ("" when it lowered or there was no WHERE): one
-	// of "filter: non-lowerable predicate shape", "filter: predicate
-	// index geometry mismatch", "filter: lowering disabled".
+	// FilterFallback is the canonical reason every conjunct was residual
+	// ("" when something lowered or there was no WHERE): "filter:
+	// non-lowerable predicate shape" or "filter: predicate index geometry
+	// mismatch".
 	FilterFallback string
 	// MaskedAgg is true when a global (no GROUP BY) aggregation over
 	// float-fed arguments folded whole segment chunks under the filter
@@ -128,14 +109,7 @@ type PlanInfo struct {
 	SortCarried bool
 }
 
-// errVectorAbort signals mid-scan discovery that the statement needs
-// the boxed path (a computed group key evaluated to a string, or a
-// shard state refused to merge). The caller reruns the reference scan.
-var errVectorAbort = errors.New("exec: not vectorizable")
-
 const (
-	// maxVectorGroupCols bounds the packed group key width.
-	maxVectorGroupCols = 4
 	// minShardRows keeps shards coarse enough that per-shard setup and
 	// merge never dominate.
 	minShardRows = 4096
@@ -143,16 +117,23 @@ const (
 	// canonSlot never produces (canonSlot maps every NaN to one
 	// canonical pattern), so it cannot collide with a real value.
 	nullSlot = ^uint64(0)
-	// canonNaN is the canonical NaN slot. The boxed scan's string keys
-	// render every NaN as "NaN", so all NaNs must land in one group.
+	// canonNaN is the canonical NaN slot. The reference scan's string
+	// keys render every NaN as "NaN", so all NaNs must land in one group.
 	canonNaN = 0x7FF8000000000000
+	// strSlotBase is the slot of the first interned string key; later
+	// strings count up from it. These are positive quiet-NaN payloads:
+	// canonSlot emits no NaN pattern but canonNaN, and nullSlot is 2^51
+	// codes away, so a string can collide with neither a number nor NULL
+	// — the same separation Value.Key()'s type prefix gives the
+	// reference scan.
+	strSlotBase = canonNaN + 1
 )
 
 // canonSlot maps a float64 to its group key slot with the same equality
-// engine.Equal (and the boxed scan's Value.Key() strings) induce: every
-// NaN collapses to one slot, -0 canonicalizes to +0 (IEEE == treats
-// them as equal, so grouping must not split them), and all numeric
-// types compare through their float64 coercion.
+// engine.Equal (and the reference scan's Value.Key() strings) induce:
+// every NaN collapses to one slot, -0 canonicalizes to +0 (IEEE ==
+// treats them as equal, so grouping must not split them), and all
+// numeric types compare through their float64 coercion.
 func canonSlot(f float64) uint64 {
 	if f != f {
 		return canonNaN
@@ -163,15 +144,12 @@ func canonSlot(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// vKey is a packed group key: one slot per group-by column.
-type vKey [maxVectorGroupCols]uint64
-
 type keyKind int
 
 const (
-	kindDict     keyKind = iota // string column: dictionary code
-	kindFloat                   // numeric column: canonical float bits
-	kindComputed                // any other expression: compiled evaluator
+	kindDict  keyKind = iota // string column: dictionary code
+	kindFloat                // numeric column: canonical float bits
+	kindEval                 // anything else: per-row evaluator
 )
 
 // keySrc is one group-by column's per-row key source.
@@ -179,7 +157,7 @@ type keySrc struct {
 	kind keyKind
 	dict *engine.DictView  // kindDict: segment code chunks + Code lookups
 	fv   *engine.FloatView // kindFloat: segment value/NULL chunks
-	node expr.Expr         // kindComputed (compiled per shard)
+	node expr.Expr         // kindEval (evaluator built per shard)
 }
 
 type argKind int
@@ -188,7 +166,7 @@ const (
 	argConst1   argKind = iota // count(*): every row contributes 1
 	argFloat                   // numeric column via FloatView
 	argBoxedCol                // non-numeric column: boxed stored value
-	argEval                    // computed argument: compiled evaluator
+	argEval                    // computed argument: per-row evaluator
 )
 
 // argSrc is one aggregate's per-row argument source.
@@ -196,12 +174,12 @@ type argSrc struct {
 	kind     argKind
 	fv       *engine.FloatView // argFloat
 	col      int               // argFloat, argBoxedCol
-	node     expr.Expr         // argEval (compiled per shard)
+	node     expr.Expr         // argEval (evaluator built per shard)
 	floatFed bool              // state implements agg.FloatAdder and the source is float
 }
 
 // vectorPlan is the analyzed statement: everything the shard workers
-// share read-only.
+// share read-only (strCodes excepted, which strMu guards).
 type vectorPlan struct {
 	ctx       context.Context
 	src       *engine.Table
@@ -210,33 +188,50 @@ type vectorPlan struct {
 	keys      []keySrc
 	args      []argSrc
 	filter    *bitset.Bitset // nil: no WHERE
-	lowered   bool
 	fstats    filterStats
 	denseSize int // >0: single string group column, dense slot table
 	mergeable bool
 	// maskedAgg: global aggregate whose arguments all fold as floats
 	// (count(*) or numeric columns into FloatAdder states) under a
-	// lowered filter — the scan runs the batch mask kernels per segment
-	// chunk instead of per row.
+	// filter — the scan runs the batch mask kernels per segment chunk
+	// instead of per row.
 	maskedAgg bool
+	// strCodes interns the strings evaluated group keys yield (GROUP BY
+	// lower(s), or a string column of a snapshot too old for a DictView):
+	// plan-wide, so every shard maps equal strings to one slot and
+	// shard states merge on it.
+	strMu    sync.Mutex
+	strCodes map[string]uint64
 }
 
-// planVector analyzes the statement for the vectorized pipeline. A
-// non-empty reason means "run the reference scan instead"; err is a
-// real query error.
-// filterFrom is the first row the caller will consume from the WHERE
-// mask: fresh runs pass 0, Advance passes the old row count so the
-// per-row fallback for non-lowerable trees touches only the suffix.
-func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, protos []agg.Func, opts Options, filterFrom int) (*vectorPlan, string, error) {
-	if len(stmt.GroupBy) > maxVectorGroupCols {
-		return nil, "more than 4 group-by columns", nil
+// valueSlot is the key slot of an evaluated group key value.
+func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
+	switch {
+	case v.IsNull():
+		return nullSlot
+	case v.T != engine.TString:
+		return canonSlot(v.Float())
 	}
-	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos, mergeable: true}
-
-	for _, proto := range protos {
-		if _, ok := proto.(*agg.Distinct); ok {
-			return nil, "DISTINCT aggregate", nil
+	p.strMu.Lock()
+	defer p.strMu.Unlock()
+	slot, ok := p.strCodes[v.S]
+	if !ok {
+		if p.strCodes == nil {
+			p.strCodes = make(map[string]uint64)
 		}
+		slot = strSlotBase + uint64(len(p.strCodes))
+		p.strCodes[v.S] = slot
+	}
+	return slot
+}
+
+// planVector analyzes a grouped statement for the scan. filterFrom is
+// the first row the caller will consume from the WHERE mask: fresh runs
+// pass 0, Advance passes the old row count so residual conjuncts touch
+// only the suffix.
+func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
+	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos, mergeable: true}
+	for _, proto := range protos {
 		if _, ok := proto.(agg.Merger); !ok {
 			p.mergeable = false
 		}
@@ -244,58 +239,46 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 
 	p.keys = make([]keySrc, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
-		if col, ok := g.(*expr.Col); ok && col.Index >= 0 {
+		p.keys[i] = keySrc{kind: kindEval, node: g}
+		if col, ok := g.(*expr.Col); ok {
 			if dv := src.DictView(col.Index); dv != nil {
 				p.keys[i] = keySrc{kind: kindDict, dict: dv}
 				if len(stmt.GroupBy) == 1 {
 					p.denseSize = dv.NumValues() + 1
 				}
-				continue
-			}
-			if fv := src.FloatView(col.Index); fv != nil {
+			} else if fv := src.FloatView(col.Index); fv != nil {
 				p.keys[i] = keySrc{kind: kindFloat, fv: fv}
-				continue
 			}
-			return nil, "group-by column has no typed view", nil
 		}
-		if _, ok := expr.Compile(g, src); !ok {
-			return nil, "group-by expression not compilable", nil
-		}
-		p.keys[i] = keySrc{kind: kindComputed, node: g}
 	}
 
 	p.args = make([]argSrc, len(aggArgs))
 	for ai, arg := range aggArgs {
 		_, isFA := protos[ai].(agg.FloatAdder)
+		col, isCol := arg.(*expr.Col)
 		switch {
 		case arg == nil:
 			p.args[ai] = argSrc{kind: argConst1, floatFed: isFA}
-		default:
-			if col, ok := arg.(*expr.Col); ok && col.Index >= 0 {
-				if fv := src.FloatView(col.Index); fv != nil {
-					p.args[ai] = argSrc{kind: argFloat, fv: fv, col: col.Index, floatFed: isFA}
-					continue
-				}
-				p.args[ai] = argSrc{kind: argBoxedCol, col: col.Index}
-				continue
-			}
-			if _, ok := expr.Compile(arg, src); !ok {
-				return nil, "aggregate argument not compilable", nil
-			}
+		case !isCol:
 			p.args[ai] = argSrc{kind: argEval, node: arg}
+		default:
+			if fv := src.FloatView(col.Index); fv != nil {
+				p.args[ai] = argSrc{kind: argFloat, fv: fv, col: col.Index, floatFed: isFA}
+			} else {
+				p.args[ai] = argSrc{kind: argBoxedCol, col: col.Index}
+			}
 		}
 	}
 
-	filter, lowered, fstats, err := buildFilter(ctx, src, stmt.Where, opts.NoFilterLowering, opts.NoGreedyOrdering, filterFrom)
-	if err != nil {
-		return nil, "", err
+	var err error
+	if p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, filterFrom); err != nil {
+		return nil, err
 	}
-	p.filter, p.lowered, p.fstats = filter, lowered, fstats
 
 	// Global aggregation with every argument float-fed (count(*) or a
 	// numeric column feeding a FloatAdder) never needs per-row key or
-	// boxed reads: under a lowered filter the scan can fold whole
-	// segment chunks through the batch mask kernels.
+	// boxed reads: under a filter the scan can fold whole segment chunks
+	// through the batch mask kernels.
 	if len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 {
 		p.maskedAgg = true
 		for _, a := range p.args {
@@ -305,132 +288,28 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 			}
 		}
 	}
-	return p, "", nil
+	return p, nil
 }
 
-// vGroup is one shard-local (or merged) group with its packed key and
+// planInfo is the PlanInfo of a scan of this plan over the given number
+// of shards.
+func (p *vectorPlan) planInfo(shards int) PlanInfo {
+	plan := p.fstats.plan()
+	plan.Vectorized, plan.Shards, plan.MaskedAgg = true, shards, p.maskedAgg
+	return plan
+}
+
+// vGroup is one shard-local (or merged) group with its key slots and
 // the pre-asserted unboxed accumulation handles.
 type vGroup struct {
-	g   *Group
-	key vKey
-	fas []agg.FloatAdder // per aggregate ordinal; nil when boxed
+	g     *Group
+	slots []uint64         // one per group-by column
+	fas   []agg.FloatAdder // per aggregate ordinal; nil when boxed
 }
 
-// shardScan is one worker's private accumulation state over [lo, hi).
-type shardScan struct {
-	plan     *vectorPlan
-	lo, hi   int
-	keyEvals []expr.Evaluator
-	argEvals []expr.Evaluator
-	groups   []*vGroup
-	dense    []int32          // single-dict: code+1 → group index+1
-	h1       map[uint64]int32 // single non-dict column
-	hN       map[vKey]int32   // 2..4 columns
-	err      error
-
-	// Segment readers: one per column view the scan reads, pinning one
-	// chunk at a time (engine.FloatReader/DictReader) so out-of-core
-	// reads fault per segment, not per row. Indexed in parallel with
-	// plan.keys / plan.args; nil where the source kind doesn't apply.
-	keyFC []*engine.FloatReader
-	keyDC []*engine.DictReader
-	argFC []*engine.FloatReader
-	// rr serves the shard's boxed per-row reads (computed key/arg
-	// evaluators, non-float aggregate arguments) with per-segment
-	// pins — per-row transient pins re-decode over-budget chunks
-	// every row on out-of-core tables.
-	rr *engine.RowReader
-
-	segsSkipped    int // fully-pruned out-of-core segments never pinned
-	chunksFaulted  int
-	chunksResident int
-}
-
-func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
-	ss := &shardScan{plan: p, lo: lo, hi: hi}
-	switch {
-	case len(p.keys) == 0:
-		// global aggregate: at most one group, no lookup structure
-	case p.denseSize > 0:
-		ss.dense = make([]int32, p.denseSize)
-	case len(p.keys) == 1:
-		ss.h1 = make(map[uint64]int32)
-	default:
-		ss.hN = make(map[vKey]int32)
-	}
-	ss.rr = p.src.NewRowReader()
-	ss.keyEvals = make([]expr.Evaluator, len(p.keys))
-	for i := range p.keys {
-		if p.keys[i].kind == kindComputed {
-			ev, _ := expr.Compile(p.keys[i].node, ss.rr)
-			ss.keyEvals[i] = ev
-		}
-	}
-	ss.argEvals = make([]expr.Evaluator, len(p.args))
-	for ai := range p.args {
-		if p.args[ai].kind == argEval {
-			ev, _ := expr.Compile(p.args[ai].node, ss.rr)
-			ss.argEvals[ai] = ev
-		}
-	}
-	ss.keyFC = make([]*engine.FloatReader, len(p.keys))
-	ss.keyDC = make([]*engine.DictReader, len(p.keys))
-	for i := range p.keys {
-		switch p.keys[i].kind {
-		case kindDict:
-			ss.keyDC[i] = p.keys[i].dict.NewReader()
-		case kindFloat:
-			ss.keyFC[i] = p.keys[i].fv.NewReader()
-		}
-	}
-	ss.argFC = make([]*engine.FloatReader, len(p.args))
-	for ai := range p.args {
-		if p.args[ai].kind == argFloat {
-			ss.argFC[ai] = p.args[ai].fv.NewReader()
-		}
-	}
-	return ss
-}
-
-// closeCursors releases every pinned chunk and folds the cursors' pin
-// counters into the shard totals. Deferred from run() so error and
-// cancellation exits release pins too.
-func (ss *shardScan) closeCursors() {
-	for _, c := range ss.keyFC {
-		if c != nil {
-			c.Close()
-			f, res := c.Counters()
-			ss.chunksFaulted += f
-			ss.chunksResident += res
-		}
-	}
-	for _, c := range ss.keyDC {
-		if c != nil {
-			c.Close()
-			f, res := c.Counters()
-			ss.chunksFaulted += f
-			ss.chunksResident += res
-		}
-	}
-	for _, c := range ss.argFC {
-		if c != nil {
-			c.Close()
-			f, res := c.Counters()
-			ss.chunksFaulted += f
-			ss.chunksResident += res
-		}
-	}
-	if ss.rr != nil {
-		ss.rr.Close()
-		f, res := ss.rr.Counters()
-		ss.chunksFaulted += f
-		ss.chunksResident += res
-	}
-}
-
-func (p *vectorPlan) newGroup(key vKey, r int) *vGroup {
+func (p *vectorPlan) newGroup(slots []uint64, r int) *vGroup {
 	g := &Group{Aggs: make([]agg.Func, len(p.protos)), FirstRow: r}
-	vg := &vGroup{g: g, key: key, fas: make([]agg.FloatAdder, len(p.protos))}
+	vg := &vGroup{g: g, slots: append([]uint64(nil), slots...), fas: make([]agg.FloatAdder, len(p.protos))}
 	for i, proto := range p.protos {
 		g.Aggs[i] = proto.Clone()
 		if p.args[i].floatFed {
@@ -440,67 +319,180 @@ func (p *vectorPlan) newGroup(key vKey, r int) *vGroup {
 	return vg
 }
 
-// lookup finds or creates the group of key; r is the creating row.
-func (ss *shardScan) lookup(key vKey, r int) *vGroup {
+// groupIndex is a list of groups in first-appearance order with the
+// lookup structure that finds a group by its key slots: nothing for a
+// global aggregate, a dense code table for a single string column, a
+// uint64 map for any other single key, and a map keyed by the slots'
+// bytes for two or more.
+type groupIndex struct {
+	groups []*vGroup
+	dense  []int32          // code+1 → group index+1
+	h1     map[uint64]int32 // the one slot → group index
+	hN     map[string]int32 // 8 bytes per slot → group index
+	wide   []byte           // hN key scratch
+}
+
+func newGroupIndex(p *vectorPlan) groupIndex {
 	switch {
-	case ss.dense != nil:
-		if gi := ss.dense[key[0]]; gi != 0 {
-			return ss.groups[gi-1]
+	case p.denseSize > 0:
+		return groupIndex{dense: make([]int32, p.denseSize)}
+	case len(p.keys) == 1:
+		return groupIndex{h1: make(map[uint64]int32)}
+	case len(p.keys) > 1:
+		return groupIndex{hN: make(map[string]int32)}
+	}
+	return groupIndex{}
+}
+
+// index returns the position in groups of the group keyed by slots and
+// whether it exists yet; a new key is registered at len(groups), where
+// the caller must append its group before the next call.
+func (gx *groupIndex) index(slots []uint64) (int, bool) {
+	next := len(gx.groups)
+	switch {
+	case len(slots) == 0:
+		return 0, next > 0
+	case gx.dense != nil:
+		if gi := gx.dense[slots[0]]; gi != 0 {
+			return int(gi) - 1, true
 		}
-		ss.dense[key[0]] = int32(len(ss.groups)) + 1
-	case ss.h1 != nil:
-		if gi, ok := ss.h1[key[0]]; ok {
-			return ss.groups[gi]
+		gx.dense[slots[0]] = int32(next) + 1
+	case len(slots) == 1:
+		if gi, ok := gx.h1[slots[0]]; ok {
+			return int(gi), true
 		}
-		ss.h1[key[0]] = int32(len(ss.groups))
-	case ss.hN != nil:
-		if gi, ok := ss.hN[key]; ok {
-			return ss.groups[gi]
-		}
-		ss.hN[key] = int32(len(ss.groups))
+		gx.h1[slots[0]] = int32(next)
 	default:
-		if len(ss.groups) > 0 {
-			return ss.groups[0]
+		gx.wide = gx.wide[:0]
+		for _, s := range slots {
+			gx.wide = binary.LittleEndian.AppendUint64(gx.wide, s)
+		}
+		if gi, ok := gx.hN[string(gx.wide)]; ok {
+			return int(gi), true
+		}
+		gx.hN[string(gx.wide)] = int32(next)
+	}
+	return next, false
+}
+
+// cursor is what closeCursors needs of the engine's segment readers.
+type cursor interface {
+	Close()
+	Counters() (faulted, resident int)
+}
+
+// shardScan is one worker's private accumulation state over [lo, hi).
+type shardScan struct {
+	groupIndex
+	plan     *vectorPlan
+	lo, hi   int
+	slots    []uint64 // the current row's key
+	keyEvals []expr.Evaluator
+	argEvals []expr.Evaluator
+	err      error
+
+	// Segment readers: one per column view the scan reads, pinning one
+	// chunk at a time (engine.FloatReader/DictReader) so out-of-core
+	// reads fault per segment, not per row. Indexed in parallel with
+	// plan.keys / plan.args; nil where the source kind doesn't apply.
+	keyFC []*engine.FloatReader
+	keyDC []*engine.DictReader
+	argFC []*engine.FloatReader
+	// rr serves the shard's boxed per-row reads (key/arg evaluators,
+	// non-float aggregate arguments) with per-segment pins — per-row
+	// transient pins re-decode over-budget chunks every row on
+	// out-of-core tables.
+	rr *engine.RowReader
+	// cursors lists rr and every reader above, for closeCursors.
+	cursors []cursor
+
+	segsSkipped    int // fully-pruned out-of-core segments never pinned
+	chunksFaulted  int
+	chunksResident int
+}
+
+func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
+	ss := &shardScan{groupIndex: newGroupIndex(p), plan: p, lo: lo, hi: hi}
+	ss.rr = p.src.NewRowReader()
+	ss.cursors = append(ss.cursors, ss.rr)
+	ncols := p.src.NumCols()
+	// slots is rewritten on every row: give it a whole cache line, or the
+	// tiny allocator packs two shards' buffers into one and the shard
+	// goroutines spend a third of a grouped scan bouncing it.
+	ss.slots = make([]uint64, len(p.keys), max(len(p.keys), 8))
+	ss.keyEvals = make([]expr.Evaluator, len(p.keys))
+	ss.keyFC = make([]*engine.FloatReader, len(p.keys))
+	ss.keyDC = make([]*engine.DictReader, len(p.keys))
+	for i, k := range p.keys {
+		switch k.kind {
+		case kindDict:
+			ss.keyDC[i] = k.dict.NewReader()
+			ss.cursors = append(ss.cursors, ss.keyDC[i])
+		case kindFloat:
+			ss.keyFC[i] = k.fv.NewReader()
+			ss.cursors = append(ss.cursors, ss.keyFC[i])
+		default:
+			ss.keyEvals[i] = rowEval(k.node, ss.rr, ncols)
 		}
 	}
-	vg := ss.plan.newGroup(key, r)
-	ss.groups = append(ss.groups, vg)
-	return vg
+	ss.argEvals = make([]expr.Evaluator, len(p.args))
+	ss.argFC = make([]*engine.FloatReader, len(p.args))
+	for ai, a := range p.args {
+		switch a.kind {
+		case argFloat:
+			ss.argFC[ai] = a.fv.NewReader()
+			ss.cursors = append(ss.cursors, ss.argFC[ai])
+		case argEval:
+			ss.argEvals[ai] = rowEval(a.node, ss.rr, ncols)
+		}
+	}
+	return ss
+}
+
+// closeCursors releases every pinned chunk and folds the cursors' pin
+// counters into the shard totals. Deferred from run() so error and
+// cancellation exits release pins too.
+func (ss *shardScan) closeCursors() {
+	for _, c := range ss.cursors {
+		c.Close()
+		f, res := c.Counters()
+		ss.chunksFaulted += f
+		ss.chunksResident += res
+	}
+}
+
+// group finds or creates the group keyed by slots; r is the creating
+// row.
+func (ss *shardScan) group(slots []uint64, r int) *vGroup {
+	gi, ok := ss.index(slots)
+	if !ok {
+		ss.groups = append(ss.groups, ss.plan.newGroup(slots, r))
+	}
+	return ss.groups[gi]
 }
 
 // scanRow folds one passing row into the shard state.
 func (ss *shardScan) scanRow(r int) error {
 	p := ss.plan
-	var key vKey
 	for i := range p.keys {
-		k := &p.keys[i]
-		switch k.kind {
+		switch p.keys[i].kind {
 		case kindDict:
-			key[i] = uint64(ss.keyDC[i].CodeAt(r) + 1) // NULL code -1 → slot 0
+			ss.slots[i] = uint64(ss.keyDC[i].CodeAt(r) + 1) // NULL code -1 → slot 0
 		case kindFloat:
 			if f, isNull := ss.keyFC[i].At(r); isNull {
-				key[i] = nullSlot
+				ss.slots[i] = nullSlot
 			} else {
-				key[i] = canonSlot(f)
+				ss.slots[i] = canonSlot(f)
 			}
-		default: // kindComputed
+		default: // kindEval
 			v, err := ss.keyEvals[i](r)
 			if err != nil {
 				return err
 			}
-			switch {
-			case v.IsNull():
-				key[i] = nullSlot
-			case v.T == engine.TString:
-				// String-valued computed keys have no table-global
-				// code; the reference scan handles them.
-				return errVectorAbort
-			default:
-				key[i] = canonSlot(v.Float())
-			}
+			ss.slots[i] = p.valueSlot(v)
 		}
 	}
-	vg := ss.lookup(key, r)
+	vg := ss.group(ss.slots, r)
 	grp := vg.g
 	grp.Lineage = append(grp.Lineage, r)
 	for ai := range p.args {
@@ -553,9 +545,6 @@ func (ss *shardScan) run() {
 	defer engine.CatchSegmentLoad(&ss.err)
 	defer ss.closeCursors()
 	ctx := p.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if p.filter == nil {
 		for r := ss.lo; r < ss.hi; r++ {
 			if r%ctxCheckRows == 0 {
@@ -668,7 +657,7 @@ func (ss *shardScan) runMaskedGlobal(ctx context.Context, words []uint64) {
 				r := base + bits.TrailingZeros64(w)
 				w &= w - 1
 				if vg == nil {
-					vg = ss.lookup(vKey{}, r)
+					vg = ss.group(nil, r)
 				}
 				vg.g.Lineage = append(vg.g.Lineage, r)
 				segPass++
@@ -680,7 +669,7 @@ func (ss *shardScan) runMaskedGlobal(ctx context.Context, words []uint64) {
 			fa := vg.fas[ai]
 			if p.args[ai].kind == argConst1 {
 				// count(*): one AddFloat(1) per surviving row, exactly
-				// what scanRow feeds it — NULLs count, like the scalar
+				// what scanRow feeds it — NULLs count, like the
 				// reference.
 				for i := 0; i < segPass; i++ {
 					fa.AddFloat(1)
@@ -711,6 +700,11 @@ func (ss *shardScan) countSkips(words []uint64) {
 	}
 }
 
+// errShardMerge is the internal error of a Merge refusal between states
+// cloned from one prototype — unreachable unless an aggregate's Merge is
+// broken, and loud rather than silently re-run.
+var errShardMerge = errors.New("exec: internal: shard states of one prototype did not merge")
+
 // mergeShards combines per-shard group states in shard order. Because
 // shard row ranges are ascending and contiguous, visiting shard 0's
 // groups first (in their local first-appearance order), then each later
@@ -720,49 +714,24 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 	if len(states) == 1 {
 		return states[0].groups, nil
 	}
-	total := newShardScan(p, 0, 0) // reuse its lookup structures
-	var merged []*vGroup
+	total := newGroupIndex(p)
 	for _, ss := range states {
 		for _, vg := range ss.groups {
-			var tgt *vGroup
-			switch {
-			case total.dense != nil:
-				if gi := total.dense[vg.key[0]]; gi != 0 {
-					tgt = merged[gi-1]
-				} else {
-					total.dense[vg.key[0]] = int32(len(merged)) + 1
-				}
-			case total.h1 != nil:
-				if gi, ok := total.h1[vg.key[0]]; ok {
-					tgt = merged[gi]
-				} else {
-					total.h1[vg.key[0]] = int32(len(merged))
-				}
-			case total.hN != nil:
-				if gi, ok := total.hN[vg.key]; ok {
-					tgt = merged[gi]
-				} else {
-					total.hN[vg.key] = int32(len(merged))
-				}
-			default:
-				if len(merged) > 0 {
-					tgt = merged[0]
-				}
-			}
-			if tgt == nil {
-				merged = append(merged, vg)
+			gi, ok := total.index(vg.slots)
+			if !ok {
+				total.groups = append(total.groups, vg)
 				continue
 			}
-			tgt.g.Lineage = append(tgt.g.Lineage, vg.g.Lineage...)
-			for ai := range tgt.g.Aggs {
-				m, ok := tgt.g.Aggs[ai].(agg.Merger)
-				if !ok || !m.Merge(vg.g.Aggs[ai]) {
-					return nil, errVectorAbort
+			tgt := total.groups[gi].g
+			tgt.Lineage = append(tgt.Lineage, vg.g.Lineage...)
+			for ai := range tgt.Aggs {
+				if m, ok := tgt.Aggs[ai].(agg.Merger); !ok || !m.Merge(vg.g.Aggs[ai]) {
+					return nil, errShardMerge
 				}
 			}
 		}
 	}
-	return merged, nil
+	return total.groups, nil
 }
 
 // shardCount picks the scan partition count. An explicit Options.Shards
@@ -789,58 +758,38 @@ func shardCount(p *vectorPlan, n int, opts Options) int {
 	return shards
 }
 
-// shardRanges splits [0, n) into nshards contiguous ranges aligned to
-// segment boundaries when there are enough segments to go around —
-// each shard then owns a whole number of segments, so its filter
-// words, view chunks and mask chunks never straddle another shard's
-// cache lines and per-shard state is reusable across batches of the
-// same geometry. A table with fewer segments than shards (small tables
-// under the 64Ki default geometry) splits on bitset-word boundaries
-// instead: every invariant the scan relies on is word-level, so
-// 64-row-aligned sub-segment shards keep the pool busy without
-// straddling any mask word.
-func shardRanges(n, segRows, nshards int) [][2]int {
-	unit := segRows
-	if nsegs := (n + segRows - 1) / segRows; nsegs < nshards {
-		unit = 64
-	}
-	nunits := (n + unit - 1) / unit
-	if nshards > nunits {
-		nshards = nunits
-	}
-	per := (nunits + nshards - 1) / nshards
-	out := make([][2]int, 0, nshards)
-	for s := 0; s < nunits; s += per {
-		lo := s * unit
-		hi := (s + per) * unit
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// adaptiveShardRanges splits [0, n) into at most nshards contiguous,
+// shardRanges splits [0, n) into at most nshards contiguous,
 // 64-row-aligned ranges balanced by *surviving* filter popcount rather
-// than raw row count. shardRanges' fixed whole-segment split serializes
-// a scan whenever zone-map pruning zeroes all but one segment: every
-// surviving row lands in one shard while the rest count zeros. Here
-// skipped segments contribute nothing to the range math — they ride
-// along inside whichever range surrounds them (always whole, so
-// countSkips still sees them wholly inside one shard) — and a hot
-// segment carrying more than one shard's share of survivors is
-// subdivided on bitset-word boundaries, the finest granularity at which
-// shard ranges never straddle a mask word.
+// than raw row count (a nil filter counts every row). A fixed
+// whole-segment split serializes a scan whenever zone-map pruning
+// zeroes all but one segment: every surviving row lands in one shard
+// while the rest count zeros. Here skipped segments contribute nothing
+// to the range math — they ride along inside whichever range surrounds
+// them (always whole, so countSkips still sees them wholly inside one
+// shard) — cuts land on segment boundaries while segments are small
+// next to a shard's share, so a shard's filter words, view chunks and
+// mask chunks straddle no other shard's, and a hot segment carrying
+// more than one shard's share of survivors is subdivided on bitset-word
+// boundaries, the finest granularity at which shard ranges never
+// straddle a mask word.
 //
 // Every emitted cut closes a range holding at least
 // target = ceil(totalPop/nshards) surviving rows, so at most nshards
 // ranges come back, non-overlapping and exhaustive over [0, n).
-func adaptiveShardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]int {
-	words := filter.Words()
+func shardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]int {
 	nwords := (n + 63) / 64
-	words = words[:nwords]
-	total := bitset.CountWords(words)
+	// pop counts the surviving rows in words [lo, hi).
+	pop := func(lo, hi int) int {
+		if hi*64 > n {
+			return n - lo*64
+		}
+		return (hi - lo) * 64
+	}
+	if filter != nil {
+		words := filter.Words()
+		pop = func(lo, hi int) int { return bitset.CountWords(words[lo:hi]) }
+	}
+	total := pop(0, nwords)
 	if total == 0 || nshards <= 1 {
 		// Nothing survives the filter (or one shard): a single range —
 		// the scan only counts skips and touches no rows.
@@ -863,12 +812,12 @@ func adaptiveShardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]in
 		if segHi > nwords {
 			segHi = nwords
 		}
-		segPop := bitset.CountWords(words[segLo:segHi])
+		segPop := pop(segLo, segHi)
 		if segPop > target && len(out) < nshards-1 {
 			// Hot segment: more survivors than one shard's share.
 			// Subdivide on word boundaries, continuing the running range.
 			for wi := segLo; wi < segHi; wi++ {
-				acc += bits.OnesCount64(words[wi])
+				acc += pop(wi, wi+1)
 				if acc >= target && len(out) < nshards-1 {
 					cut(wi + 1)
 				}
@@ -886,35 +835,22 @@ func adaptiveShardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]in
 	return out
 }
 
-// runVector executes a grouped statement through the vectorized
-// pipeline. A non-empty reason (with nil Result and error) means the
-// caller should run the boxed reference scan instead.
-func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, opts Options) (*Result, string, error) {
-	p, reason, err := planVector(ctx, src, stmt, aggArgs, protos, opts, 0)
+// runVector executes a grouped statement: plan, sharded scan, merge,
+// materialize.
+func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, opts Options) (*Result, error) {
+	p, err := planVector(ctx, src, stmt, aggArgs, protos, 0)
 	if err != nil {
-		return nil, "", err
-	}
-	if reason != "" {
-		return nil, reason, nil
+		return nil, err
 	}
 
 	n := src.NumRows()
-	segRows := src.SegRows()
-	nshards := shardCount(p, n, opts)
-	states := make([]*shardScan, 0, nshards)
-	if nshards == 1 {
-		ss := newShardScan(p, 0, n)
-		ss.run()
-		states = append(states, ss)
+	var states []*shardScan
+	for _, r := range shardRanges(n, src.SegRows(), shardCount(p, n, opts), p.filter) {
+		states = append(states, newShardScan(p, r[0], r[1]))
+	}
+	if len(states) == 1 {
+		states[0].run()
 	} else {
-		ranges := shardRanges(n, segRows, nshards)
-		if p.filter != nil {
-			ranges = adaptiveShardRanges(n, segRows, nshards, p.filter)
-		}
-		for _, r := range ranges {
-			states = append(states, newShardScan(p, r[0], r[1]))
-		}
-		nshards = len(states)
 		var wg sync.WaitGroup
 		for _, ss := range states {
 			wg.Add(1)
@@ -929,56 +865,30 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	// erroring row — the error the sequential scan would have hit.
 	for _, ss := range states {
 		if ss.err != nil {
-			if errors.Is(ss.err, errVectorAbort) {
-				return nil, "computed group key produced a string", nil
-			}
-			return nil, "", ss.err
+			return nil, ss.err
 		}
 	}
-
 	merged, err := mergeShards(p, states)
 	if err != nil {
-		if errors.Is(err, errVectorAbort) {
-			return nil, "shard states did not merge", nil
-		}
-		return nil, "", err
+		return nil, err
 	}
 
 	// Materialize the boxed key values once per group (the reference
 	// scan evaluates them per row; per group is enough for output).
 	groups := make([]*Group, len(merged))
-	if len(stmt.GroupBy) > 0 {
-		row := make([]engine.Value, src.NumCols())
-		rr := src.NewRowReader()
-		defer rr.Close()
-		for i, vg := range merged {
-			rr.RowInto(vg.g.FirstRow, row)
-			vg.g.Key = make([]engine.Value, len(stmt.GroupBy))
-			for k, g := range stmt.GroupBy {
-				v, err := g.Eval(row)
-				if err != nil {
-					return nil, "", err
-				}
-				vg.g.Key[k] = v
-			}
-			groups[i] = vg.g
-		}
-	} else {
-		for i, vg := range merged {
-			groups[i] = vg.g
-		}
+	for i, vg := range merged {
+		groups[i] = vg.g
+	}
+	// rr stays open through materialize: its reads of the same first
+	// rows then hit the chunks still pinned here, where a tight pool
+	// would otherwise decode each boxed chunk a second time.
+	rr := src.NewRowReader()
+	defer rr.Close()
+	if err := boxGroupKeys(src, rr, stmt, groups); err != nil {
+		return nil, err
 	}
 
-	plan := PlanInfo{
-		Vectorized: true, WhereLowered: p.lowered, Shards: nshards,
-		FilterConjuncts:      p.fstats.conjuncts,
-		FilterOrder:          p.fstats.order,
-		FilterShortCircuited: p.fstats.shortCircuited,
-		ResidualConjuncts:    p.fstats.residualConjuncts,
-		ResidualRows:         p.fstats.residualRows,
-		FilterFallback:       p.fstats.fallback,
-		MaskedAgg:            p.maskedAgg,
-	}
+	plan := p.planInfo(len(states))
 	for _, ss := range states {
 		plan.SegsSkipped += ss.segsSkipped
 		plan.ChunksFaulted += ss.chunksFaulted
@@ -990,7 +900,32 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		Plan: plan,
 	}
 	if err := res.materialize(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return res, "", nil
+	return res, nil
+}
+
+// boxGroupKeys evaluates the GROUP BY expressions on each group's first
+// row, read through rr, into Group.Key, for groups that do not carry
+// one yet.
+func boxGroupKeys(src *engine.Table, rr *engine.RowReader, stmt *sqlparse.SelectStmt, groups []*Group) error {
+	if len(stmt.GroupBy) == 0 {
+		return nil
+	}
+	row := make([]engine.Value, src.NumCols())
+	for _, g := range groups {
+		if g.Key != nil {
+			continue
+		}
+		rr.RowInto(g.FirstRow, row)
+		g.Key = make([]engine.Value, len(stmt.GroupBy))
+		for k, ge := range stmt.GroupBy {
+			v, err := ge.Eval(row)
+			if err != nil {
+				return err
+			}
+			g.Key[k] = v
+		}
+	}
+	return nil
 }

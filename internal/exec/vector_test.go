@@ -1,17 +1,21 @@
 package exec
 
 import (
-	"strings"
+	"context"
+	"errors"
+	"math/rand"
 	"testing"
+
+	"repro/internal/agg"
 
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
 )
 
-// Plan coverage: these tests pin which execution path each statement
-// shape takes — vectorized with lowered WHERE, vectorized with the
-// scalar filter fallback, or the boxed reference scan — and that the
-// fallbacks produce output identical to the fast path's oracle.
+// Plan coverage: these tests pin that every grouped statement shape
+// runs the pipeline (Plan.Vectorized, no Plan.Fallback) — lowered or
+// all-residual WHERE, DISTINCT, string-valued computed keys, wide keys —
+// with output identical to the RunReference oracle.
 
 func vectorTestTable(t *testing.T) *engine.Table {
 	t.Helper()
@@ -50,18 +54,37 @@ func mustParse(t *testing.T, sql string) *sqlparse.SelectStmt {
 	return stmt
 }
 
-// runBoth executes the statement on the default path and on the forced
-// scalar reference, checks the outputs match, and returns the default
-// path's result for plan assertions.
+// runRef is the oracle side of every differential test in this package.
+func runRef(tbl *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
+	return RunReference(context.Background(), tbl, stmt)
+}
+
+// runWith runs the pipeline with pinned options.
+func runWith(tbl *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (*Result, error) {
+	return RunOnWithCtx(context.Background(), tbl, stmt, opts)
+}
+
+// assertPipeline fails unless res came from a fresh run of the grouped
+// pipeline — the only way a grouped statement may execute.
+func assertPipeline(t *testing.T, label string, res *Result) {
+	t.Helper()
+	if !res.Plan.Vectorized || res.Plan.Fallback != "" {
+		t.Fatalf("%s: grouped statement left the pipeline: %+v", label, res.Plan)
+	}
+}
+
+// runBoth executes the statement on the pipeline and on the reference
+// scan, checks the outputs match, and returns the pipeline's result for
+// plan assertions.
 func runBoth(t *testing.T, tbl *engine.Table, sql string) *Result {
 	t.Helper()
-	res, err := RunOnWith(tbl, mustParse(t, sql), Options{})
+	res, err := RunOn(tbl, mustParse(t, sql))
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	ref, err := RunOnWith(tbl, mustParse(t, sql), Options{ForceScalar: true})
+	ref, err := runRef(tbl, mustParse(t, sql))
 	if err != nil {
-		t.Fatalf("%s (scalar): %v", sql, err)
+		t.Fatalf("%s (reference): %v", sql, err)
 	}
 	tablesEqual(t, sql, ref.Table, res.Table)
 	groupsEqual(t, sql, ref, res)
@@ -84,38 +107,120 @@ func TestVectorPlanLoweredWhere(t *testing.T) {
 	}
 }
 
-func TestVectorPlanScalarFilterFallback(t *testing.T) {
+func TestVectorPlanAllResidualFilter(t *testing.T) {
 	tbl := vectorTestTable(t)
-	// length() has no clause-mask lowering: the filter must fall back to
-	// per-row evaluation while grouping stays vectorized.
+	// length() has no clause-mask lowering: the one conjunct is residual
+	// and evaluates per row, while grouping stays on the pipeline.
 	res := runBoth(t, tbl, `SELECT city, sum(pop) AS s FROM v WHERE length(city) > 2 GROUP BY city`)
-	if !res.Plan.Vectorized {
-		t.Fatalf("non-lowerable WHERE should still vectorize grouping, got %+v", res.Plan)
-	}
-	if res.Plan.WhereLowered {
-		t.Fatalf("length() WHERE must take the scalar filter fallback, got %+v", res.Plan)
+	assertPipeline(t, "all-residual WHERE", res)
+	if res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 1 || res.Plan.ResidualRows != tbl.NumRows() {
+		t.Fatalf("length() WHERE must be one residual over every row, got %+v", res.Plan)
 	}
 }
 
-func TestVectorPlanDistinctFallsBack(t *testing.T) {
+func TestVectorPlanDistinctRunsInPipeline(t *testing.T) {
 	tbl := vectorTestTable(t)
 	res := runBoth(t, tbl, `SELECT count(DISTINCT city) AS c FROM v`)
-	if res.Plan.Vectorized {
-		t.Fatalf("DISTINCT must run on the reference scan, got %+v", res.Plan)
+	assertPipeline(t, "DISTINCT", res)
+	res = runBoth(t, tbl, `SELECT pop, count(DISTINCT city) AS c, sum(DISTINCT temp) AS s FROM v GROUP BY pop`)
+	assertPipeline(t, "grouped DISTINCT", res)
+	// DISTINCT states have no Merge: however many shards are asked for,
+	// the scan stays one.
+	many, err := runWith(tbl, mustParse(t, `SELECT count(DISTINCT city) AS c FROM v`), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(res.Plan.Fallback, "DISTINCT") {
-		t.Fatalf("fallback reason should name DISTINCT, got %q", res.Plan.Fallback)
+	if many.Plan.Shards != 1 {
+		t.Fatalf("DISTINCT scanned on %d shards", many.Plan.Shards)
 	}
 }
 
-func TestVectorPlanStringComputedKeyFallsBack(t *testing.T) {
+func TestVectorPlanStringComputedKey(t *testing.T) {
 	tbl := vectorTestTable(t)
 	res := runBoth(t, tbl, `SELECT upper(city) AS u, count(*) AS c FROM v GROUP BY upper(city)`)
-	if res.Plan.Vectorized {
-		t.Fatalf("string-valued computed key must run on the reference scan, got %+v", res.Plan)
+	assertPipeline(t, "string-valued computed key", res)
+	// Mixed with numeric keys, and a string that spells a number next
+	// to that number: interned string slots must never meet numeric ones.
+	res = runBoth(t, tbl, `SELECT upper(city) AS u, pop, count(*) AS c FROM v GROUP BY upper(city), pop`)
+	assertPipeline(t, "string + numeric key", res)
+}
+
+// TestStringComputedKeySharded is the regression test for the mid-scan
+// abort: GROUP BY lower(s) used to scan every shard, hit the first
+// string key, throw the work away and re-run on the boxed scan,
+// reporting success. It now runs once, on the pipeline, across shards —
+// NULL keys included — with shard states merging on the interned slots.
+func TestStringComputedKeySharded(t *testing.T) {
+	tbl := tinySegTable(rand.New(rand.NewSource(5)), 900)
+	sql := `SELECT lower(s) AS k, i, count(*) AS c, sum(f) AS sf FROM p GROUP BY lower(s), i`
+	ref, err := runRef(tbl, mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Plan.Fallback == "" {
-		t.Fatal("fallback reason missing for string-valued computed key")
+	sawNull := false
+	for _, g := range ref.Groups {
+		sawNull = sawNull || g.Key[0].IsNull()
+	}
+	if !sawNull {
+		t.Fatal("fixture has no NULL string key")
+	}
+	for _, shards := range []int{2, 3, 4} {
+		res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPipeline(t, sql, res)
+		if res.Plan.Shards < 2 {
+			t.Fatalf("asked for %d shards, scanned on %d", shards, res.Plan.Shards)
+		}
+		tablesEqual(t, sql, ref.Table, res.Table)
+		groupsEqual(t, sql, ref, res)
+	}
+}
+
+// TestWideGroupKeys pins keys past the old four-column limit, and that
+// slots of different columns never alias inside the byte-string key.
+func TestWideGroupKeys(t *testing.T) {
+	tbl := parityTable(rand.New(rand.NewSource(6)), 700)
+	sql := `SELECT i, j, f, s, t, lower(s) AS ls, count(*) AS c FROM p GROUP BY i, j, f, s, t, lower(s)`
+	ref, err := runRef(tbl, mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPipeline(t, sql, res)
+		tablesEqual(t, sql, ref.Table, res.Table)
+		groupsEqual(t, sql, ref, res)
+	}
+}
+
+// refusingAgg is a Merger whose Merge always refuses — the broken
+// aggregate mergeShards must report instead of silently re-running.
+type refusingAgg struct{ agg.Sum }
+
+func (r *refusingAgg) Clone() agg.Func     { return &refusingAgg{} }
+func (r *refusingAgg) Merge(agg.Func) bool { return false }
+
+func TestMergeRefusalIsAnInternalError(t *testing.T) {
+	tbl := vectorTestTable(t)
+	stmt := mustParse(t, `SELECT count(*) AS c FROM v`)
+	aggArgs, _, _, err := prepare(tbl, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planVector(context.Background(), tbl, stmt, aggArgs, []agg.Func{&refusingAgg{}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newShardScan(p, 0, 3), newShardScan(p, 3, 6)
+	a.run()
+	b.run()
+	if _, err := mergeShards(p, []*shardScan{a, b}); !errors.Is(err, errShardMerge) {
+		t.Fatalf("merge refusal returned %v, want errShardMerge", err)
 	}
 }
 
@@ -132,8 +237,8 @@ func TestProjectionUsesLoweredFilter(t *testing.T) {
 		}
 	}
 	res = runBoth(t, tbl, `SELECT city FROM v WHERE length(city) = 3`)
-	if res.Plan.WhereLowered {
-		t.Fatalf("length() projection filter must fall back, got %+v", res.Plan)
+	if res.Plan.WhereLowered || res.Plan.FilterFallback != fallbackFilterShape {
+		t.Fatalf("length() projection filter must be all-residual, got %+v", res.Plan)
 	}
 }
 
@@ -157,11 +262,11 @@ func TestVectorShardedMatchesSingleShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := `SELECT city, sum(pop) AS s, min(temp) AS m FROM v GROUP BY city`
-	one, err := RunOnWith(tbl, mustParse(t, sql), Options{Shards: 1})
+	one, err := runWith(tbl, mustParse(t, sql), Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunOnWith(tbl, mustParse(t, sql), Options{Shards: 5})
+	many, err := runWith(tbl, mustParse(t, sql), Options{Shards: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

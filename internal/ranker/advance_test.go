@@ -1,6 +1,7 @@
 package ranker
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -197,7 +198,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			got, _, _, _ := st.Rescore(carriedCtx)
 
 			// The oracle: from-scratch result, scorer and candidates.
-			fresh, err := exec.RunOnWith(grown, stmt, exec.Options{Shards: 4})
+			fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
 			if err != nil {
 				t.Fatalf("fresh run: %v", err)
 			}

@@ -64,10 +64,10 @@ type Server struct {
 	filtersOrdered   atomic.Int64
 	conjunctsSkipped atomic.Int64
 	sortsCarried     atomic.Int64
-	// Residual accounting: queries whose WHERE kept non-lowerable
-	// conjuncts on the vectorized path (evaluated per row only on the
-	// lowered mask's survivors), and how many per-row evaluations those
-	// survivors amounted to.
+	// Residual accounting: queries whose WHERE held non-lowerable
+	// conjuncts (evaluated per row only on the rows the conjuncts before
+	// them had not ruled out), and how many per-row evaluations that
+	// amounted to.
 	filtersResidual atomic.Int64
 	residualRows    atomic.Int64
 
@@ -82,7 +82,7 @@ func (s *Server) recordScan(p exec.PlanInfo) {
 	s.segsSkipped.Add(int64(p.SegsSkipped))
 	s.chunksFaulted.Add(int64(p.ChunksFaulted))
 	s.chunksResident.Add(int64(p.ChunksResident))
-	if p.FilterConjuncts > 0 {
+	if p.FilterConjuncts > 1 { // a chain with something to order
 		s.filtersOrdered.Add(1)
 		s.conjunctsSkipped.Add(int64(p.FilterShortCircuited))
 	}
