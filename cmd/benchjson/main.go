@@ -1,12 +1,14 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
 // into a JSON document on stdout, so benchmark runs can be checked in
 // and diffed across PRs (the perf trajectory files BENCH_PR*.json at
-// the repo root). Lines that are not benchmark results pass through to
-// stderr untouched, keeping failures visible.
+// the repo root). Repeated lines of one benchmark (`-count N`) fold into
+// one entry: every figure is the median over the runs, and
+// ns_per_op_iqr carries the spread. Lines that are not benchmark results
+// pass through to stderr untouched, keeping failures visible.
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchmem . | go run ./cmd/benchjson
+//	go test -run='^$' -bench=. -benchmem -count 6 . | go run ./cmd/benchjson
 package main
 
 import (
@@ -14,18 +16,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Bench is one benchmark result line.
+// Bench is one benchmark: a single result line, or the fold of its
+// repeated runs.
 type Bench struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
 	// Iters is the measured iteration count.
 	Iters int64 `json:"iters"`
-	// NsPerOp is nanoseconds per operation.
+	// NsPerOp is nanoseconds per operation (median over Runs).
 	NsPerOp float64 `json:"ns_per_op"`
+	// NsPerOpIQR is the distance between the quartiles of the runs'
+	// ns/op — the run-to-run noise a difference must exceed to count.
+	NsPerOpIQR float64 `json:"ns_per_op_iqr,omitempty"`
+	// Runs is the number of result lines folded in (omitted for one).
+	Runs int `json:"runs,omitempty"`
 	// BytesPerOp is allocated bytes per operation (-benchmem).
 	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// AllocsPerOp is allocations per operation (-benchmem).
@@ -45,6 +54,8 @@ type Doc struct {
 
 func main() {
 	var doc Doc
+	runs := map[string][]Bench{} // result lines by benchmark name
+	var order []string           // names in first-appearance order
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -58,7 +69,10 @@ func main() {
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBench(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, b)
+				if _, seen := runs[b.Name]; !seen {
+					order = append(order, b.Name)
+				}
+				runs[b.Name] = append(runs[b.Name], b)
 			} else {
 				fmt.Fprintln(os.Stderr, line)
 			}
@@ -69,6 +83,9 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	for _, name := range order {
+		doc.Benchmarks = append(doc.Benchmarks, fold(runs[name]))
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -120,4 +137,53 @@ func parseBench(line string) (Bench, bool) {
 		}
 	}
 	return b, true
+}
+
+// fold merges the repeated runs of one benchmark: each figure becomes
+// its median over the runs, plus the interquartile distance of ns/op. A
+// single run is returned as is.
+func fold(runs []Bench) Bench {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	field := func(get func(Bench) float64) []float64 {
+		vals := make([]float64, len(runs))
+		for i, r := range runs {
+			vals[i] = get(r)
+		}
+		return vals
+	}
+	median := func(get func(Bench) float64) float64 {
+		_, med, _ := quartiles(field(get))
+		return med
+	}
+	q1, med, q3 := quartiles(field(func(b Bench) float64 { return b.NsPerOp }))
+	out := Bench{
+		Name: runs[0].Name, Runs: len(runs), NsPerOp: med, NsPerOpIQR: q3 - q1,
+		Iters:       int64(median(func(b Bench) float64 { return float64(b.Iters) })),
+		BytesPerOp:  int64(median(func(b Bench) float64 { return float64(b.BytesPerOp) })),
+		AllocsPerOp: int64(median(func(b Bench) float64 { return float64(b.AllocsPerOp) })),
+	}
+	for unit := range runs[0].Extra {
+		if out.Extra == nil {
+			out.Extra = make(map[string]float64)
+		}
+		out.Extra[unit] = median(func(b Bench) float64 { return b.Extra[unit] })
+	}
+	return out
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// two or more values by the rule bench/ judges its own runs with
+// (Python's statistics.quantiles(vals, n=4), "exclusive").
+func quartiles(vals []float64) (q1, med, q3 float64) {
+	n := len(vals)
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	at := func(i int) float64 { // the i-th of the three cut points
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := i*(n+1) - 4*j // outside [0,4] when j was clamped: extrapolate
+		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return at(1), at(2), at(3)
 }

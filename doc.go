@@ -38,8 +38,10 @@
 //     DictView): each column decoded once into per-segment chunks of
 //     float64s + NULL words or dictionary codes, shared by every
 //     downstream consumer.
-//   - internal/exec — Result.AggArgFloats evaluates an aggregate's
-//     argument expression once per source row into an ArgView;
+//   - internal/exec — Result.AggArgFloats builds an aggregate's
+//     ArgView once per result: a bare numeric column copies out of its
+//     typed view, any other argument evaluates once per source row;
+//     Advance extends it by the appended suffix through the same fill.
 //     Result.LineageBits/GroupLineageBits expose provenance as bitsets.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
@@ -51,7 +53,13 @@
 //     floats, ask the removable state", zero steady-state allocations.
 //   - internal/ranker — candidates score and prune in parallel across a
 //     worker pool; the prepared context is read-only shared state.
-//   - internal/dtree — split search streams the same typed views.
+//   - internal/feature — NewSpace gathers the learning population's
+//     columns once through the typed readers into a Frame (floats,
+//     dictionary codes, and an int16 matrix of threshold buckets / value
+//     slots) addressed by population position; internal/subgroup builds
+//     its selector masks from it and internal/dtree trains every
+//     candidate × criterion tree on the bucket matrix alone, so no
+//     learner touches the table.
 //
 // Future backends plug in underneath this layer: the segmented engine
 // below already demonstrates the contract — it produces the same views

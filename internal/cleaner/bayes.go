@@ -2,120 +2,108 @@ package cleaner
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/feature"
 )
 
-// NaiveBayes is a two-class naive Bayes classifier over a feature.Space:
-// Gaussian likelihoods for numeric attributes, Laplace-smoothed
-// frequency tables for categorical attributes. It is used two ways:
-// (a) to clean D' (train on D' vs a background sample, drop D' members
-// the model itself rejects), and (b) as a quick consistency check in
-// tests.
+// NaiveBayes is a two-class naive Bayes classifier over a gathered
+// feature.Frame: Gaussian likelihoods for numeric attributes,
+// Laplace-smoothed frequency tables for categorical attributes. It is
+// used two ways: (a) to clean D' (train on D' vs a background sample,
+// drop D' members the model itself rejects), and (b) as a quick
+// consistency check in tests.
 type NaiveBayes struct {
-	space *feature.Space
+	fr    *feature.Frame
 	prior [2]float64 // log priors
-	// numeric[attr][class] = (mean, std)
-	numMean, numStd map[int][2]float64
-	// categorical[attr][class][valueKey] = log P(value | class)
-	catLog map[int][2]map[string]float64
-	catDef [2]float64 // default log-prob for unseen categories
-	// attrs actually used (index into space.Attrs)
-	attrs []int
+	// numMean/numStd[attr][class] parameterize the numeric likelihoods.
+	numMean, numStd [][2]float64
+	// catLog[attr][class][code] = log P(value | class); values a class
+	// never saw hold a small default log-probability.
+	catLog [][2][]float64
 }
 
-// TrainNaiveBayes fits the classifier. pos and neg are row ids into the
-// space's table; both must be non-empty.
-func TrainNaiveBayes(sp *feature.Space, pos, neg []int) *NaiveBayes {
+// TrainNaiveBayes fits the classifier on a frame whose first npos
+// positions are the positive class and whose rest is the negative one;
+// both must be non-empty.
+func TrainNaiveBayes(fr *feature.Frame, npos int) *NaiveBayes {
+	sp, n := fr.Space, len(fr.Rows)
 	nb := &NaiveBayes{
-		space:   sp,
-		numMean: make(map[int][2]float64),
-		numStd:  make(map[int][2]float64),
-		catLog:  make(map[int][2]map[string]float64),
+		fr:      fr,
+		numMean: make([][2]float64, len(sp.Attrs)),
+		numStd:  make([][2]float64, len(sp.Attrs)),
+		catLog:  make([][2][]float64, len(sp.Attrs)),
 	}
-	total := float64(len(pos) + len(neg))
-	nb.prior[0] = math.Log(float64(len(neg)) / total)
-	nb.prior[1] = math.Log(float64(len(pos)) / total)
+	nb.prior[0] = math.Log(float64(n-npos) / float64(n))
+	nb.prior[1] = math.Log(float64(npos) / float64(n))
 
-	classRows := [2][]int{neg, pos}
+	classRange := [2][2]int{{npos, n}, {0, npos}}
 	for ai := range sp.Attrs {
-		attr := &sp.Attrs[ai]
-		nb.attrs = append(nb.attrs, ai)
-		switch attr.Kind {
-		case feature.Numeric:
-			var mean, std [2]float64
-			for cls := 0; cls < 2; cls++ {
+		if floats := fr.Floats[ai]; floats != nil {
+			for cls, r := range classRange {
 				var sum, sumsq float64
-				var n int
-				for _, r := range classRows[cls] {
-					v := sp.Table.Value(r, attr.Col)
-					if v.IsNull() {
-						continue
-					}
-					f := v.Float()
+				var cnt int
+				for _, f := range floats[r[0]:r[1]] {
 					if math.IsNaN(f) {
 						continue
 					}
 					sum += f
 					sumsq += f * f
-					n++
+					cnt++
 				}
-				if n == 0 {
-					mean[cls], std[cls] = 0, 1
+				if cnt == 0 {
+					nb.numMean[ai][cls], nb.numStd[ai][cls] = 0, 1
 					continue
 				}
-				m := sum / float64(n)
-				variance := sumsq/float64(n) - m*m
+				m := sum / float64(cnt)
+				variance := sumsq/float64(cnt) - m*m
 				if variance < 1e-9 {
 					variance = 1e-9
 				}
-				mean[cls], std[cls] = m, math.Sqrt(variance)
+				nb.numMean[ai][cls], nb.numStd[ai][cls] = m, math.Sqrt(variance)
 			}
-			nb.numMean[ai] = mean
-			nb.numStd[ai] = std
-		case feature.Categorical:
-			var tables [2]map[string]float64
-			for cls := 0; cls < 2; cls++ {
-				counts := make(map[string]int)
-				var n int
-				for _, r := range classRows[cls] {
-					v := sp.Table.Value(r, attr.Col)
-					if v.IsNull() {
-						continue
-					}
-					counts[v.Key()]++
-					n++
+			continue
+		}
+		codes := fr.Codes[ai]
+		ncodes := 0
+		for _, c := range codes {
+			ncodes = max(ncodes, int(c)+1)
+		}
+		// Laplace smoothing over the attribute's known values.
+		vocab := len(sp.Attrs[ai].Values) + 1
+		for cls, r := range classRange {
+			counts := make([]int, ncodes)
+			cnt := 0
+			for _, c := range codes[r[0]:r[1]] {
+				if c >= 0 {
+					counts[c]++
+					cnt++
 				}
-				// Laplace smoothing over the attribute's known values.
-				vocab := len(attr.Values) + 1
-				table := make(map[string]float64, len(counts))
-				den := float64(n + vocab)
-				for k, c := range counts {
-					table[k] = math.Log(float64(c+1) / den)
-				}
-				tables[cls] = table
 			}
-			nb.catLog[ai] = tables
+			table := make([]float64, ncodes)
+			for c, k := range counts {
+				table[c] = unseenLogProb
+				if k > 0 {
+					table[c] = math.Log(float64(k+1) / float64(cnt+vocab))
+				}
+			}
+			nb.catLog[ai][cls] = table
 		}
 	}
-	// Unseen categorical values get a small smoothed probability.
-	nb.catDef[0] = math.Log(1e-3)
-	nb.catDef[1] = math.Log(1e-3)
 	return nb
 }
 
-// LogOdds returns log P(pos|row) − log P(neg|row) up to a constant.
-func (nb *NaiveBayes) LogOdds(row int) float64 {
-	ll := [2]float64{nb.prior[0], nb.prior[1]}
-	for _, ai := range nb.attrs {
-		attr := &nb.space.Attrs[ai]
-		v := nb.space.Table.Value(row, attr.Col)
-		if v.IsNull() {
-			continue
-		}
-		switch attr.Kind {
-		case feature.Numeric:
-			f := v.Float()
+// unseenLogProb is the log-probability of a categorical value the class
+// never showed.
+var unseenLogProb = math.Log(1e-3)
+
+// LogOdds returns log P(pos|row) − log P(neg|row) up to a constant, for
+// the row at frame position i.
+func (nb *NaiveBayes) LogOdds(i int) float64 {
+	ll := nb.prior
+	for ai := range nb.catLog {
+		if floats := nb.fr.Floats[ai]; floats != nil {
+			f := floats[i]
 			if math.IsNaN(f) {
 				continue
 			}
@@ -124,23 +112,18 @@ func (nb *NaiveBayes) LogOdds(row int) float64 {
 				z := (f - mean[cls]) / std[cls]
 				ll[cls] += -0.5*z*z - math.Log(std[cls])
 			}
-		case feature.Categorical:
-			k := v.Key()
-			tables := nb.catLog[ai]
+		} else if c := nb.fr.Codes[ai][i]; c >= 0 {
 			for cls := 0; cls < 2; cls++ {
-				if lp, ok := tables[cls][k]; ok {
-					ll[cls] += lp
-				} else {
-					ll[cls] += nb.catDef[cls]
-				}
+				ll[cls] += nb.catLog[ai][cls][c]
 			}
 		}
 	}
 	return ll[1] - ll[0]
 }
 
-// Predict reports whether the row is classified positive.
-func (nb *NaiveBayes) Predict(row int) bool { return nb.LogOdds(row) > 0 }
+// Predict reports whether the row at frame position i is classified
+// positive.
+func (nb *NaiveBayes) Predict(i int) bool { return nb.LogOdds(i) > 0 }
 
 // ---------------------------------------------------------------------
 
@@ -199,10 +182,11 @@ func Clean(sp *feature.Space, dprime []int, opt Options) []int {
 		if len(opt.Background) == 0 {
 			return append([]int(nil), dprime...)
 		}
-		nb := TrainNaiveBayes(sp, dprime, opt.Background)
+		fr := sp.Gather(slices.Concat(dprime, opt.Background))
+		nb := TrainNaiveBayes(fr, len(dprime))
 		kept := make([]int, 0, len(dprime))
-		for _, r := range dprime {
-			if nb.Predict(r) {
+		for i, r := range dprime {
+			if nb.Predict(i) {
 				kept = append(kept, r)
 			}
 		}
@@ -214,9 +198,10 @@ func Clean(sp *feature.Space, dprime []int, opt Options) []int {
 		if sp.Dim() == 0 {
 			return append([]int(nil), dprime...)
 		}
+		fr := sp.Gather(dprime)
 		points := make([][]float64, len(dprime))
-		for i, r := range dprime {
-			points[i] = sp.Vector(r, nil)
+		for i := range dprime {
+			points[i] = fr.Vector(i, nil)
 		}
 		km := KMeans(points, opt.K, opt.MaxIters, opt.Seed)
 		if len(km.Sizes) == 0 {

@@ -173,7 +173,7 @@ func TestNaiveBayesPredict(t *testing.T) {
 	for i := 20; i < 50; i++ {
 		neg = append(neg, i)
 	}
-	nb := TrainNaiveBayes(sp, pos, neg)
+	nb := TrainNaiveBayes(sp.Gather(append(pos, neg...)), len(pos))
 	// A hot, low-voltage row is positive; a cool one negative.
 	if !nb.Predict(0) {
 		t.Error("anomalous row classified negative")

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/cleaner"
 	"repro/internal/dtree"
 	"repro/internal/engine"
@@ -326,12 +327,15 @@ type debugRun struct {
 	out *DebugResult
 
 	an            *influence.Analysis
-	inF           map[int]bool
+	fBits         *bitset.Bitset // F over the source rows
 	dprime        []int
 	highInfluence []int
-	extras        []int
-	pop, learnPop []int
-	sp            *feature.Space
+	// culpable is the cleaned D' ∪ the high-influence set over the source
+	// rows: the "dprime+influence" candidate and the ranker's Excess term.
+	culpable *bitset.Bitset
+	extras   []int
+	learnPop []int
+	sp       *feature.Space
 	// index is the clause-mask index the ranking stage scores through —
 	// fresh for a from-scratch Debug, carried (suffix-extending) for an
 	// advanced one.
@@ -361,13 +365,11 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 	}
 
 	start := time.Now()
-	d.inF = make(map[int]bool, len(an.F))
-	for _, r := range an.F {
-		d.inF[r] = true
-	}
+	n := req.Result.Source.NumRows()
+	d.fBits = bitset.FromRows(n, an.F)
 	d.dprime = nil
 	for _, r := range req.Examples {
-		if d.inF[r] {
+		if d.fBits.Get(r) {
 			d.dprime = append(d.dprime, r)
 		}
 	}
@@ -386,47 +388,30 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 	// non-suspect groups are error-free by construction — so that
 	// predicates can describe F itself when an entire group is bad, and
 	// so they generalize against the rest of the table.
-	d.pop = an.F
-	want := len(an.F)
-	if want > 20000 {
-		want = 20000
-	}
-	if want < 50 {
-		want = 50
-	}
-	d.extras = sampleOutside(req.Result.Source.NumRows(), d.inF, want)
+	pop := an.F
+	d.extras = sampleOutside(n, d.fBits, min(max(len(an.F), 50), 20000))
 	if len(d.extras) > 0 {
-		d.pop = append(append([]int(nil), an.F...), d.extras...)
+		pop = append(append(make([]int, 0, len(an.F)+len(d.extras)), an.F...), d.extras...)
 	}
 
 	// Learners see a capped population: all culpable tuples plus an
 	// evenly spaced sample of the rest. Scoring still runs on the full
 	// lineage, so this only trades learner variance for speed.
-	d.learnPop = d.pop
-	if opt.MaxLearnRows > 0 && len(d.pop) > opt.MaxLearnRows {
-		culpableSet := make(map[int]bool, len(d.dprime)+len(d.highInfluence))
-		for _, r := range d.dprime {
-			culpableSet[r] = true
-		}
-		for _, r := range d.highInfluence {
-			culpableSet[r] = true
-		}
+	d.learnPop = pop
+	if opt.MaxLearnRows > 0 && len(pop) > opt.MaxLearnRows {
+		culpable := d.culpableBits()
 		learnPop := make([]int, 0, opt.MaxLearnRows)
+		others := make([]int, 0, len(pop))
 		capCulp := opt.MaxLearnRows * 3 / 4
-		nCulp := 0
-		for _, r := range d.pop {
-			if culpableSet[r] && nCulp < capCulp {
+		for _, r := range pop {
+			switch {
+			case !culpable.Get(r):
+				others = append(others, r)
+			case len(learnPop) < capCulp:
 				learnPop = append(learnPop, r)
-				nCulp++
 			}
 		}
 		rest := opt.MaxLearnRows - len(learnPop)
-		others := make([]int, 0, len(d.pop)-nCulp)
-		for _, r := range d.pop {
-			if !culpableSet[r] {
-				others = append(others, r)
-			}
-		}
 		if rest >= len(others) {
 			learnPop = append(learnPop, others...)
 		} else {
@@ -440,6 +425,15 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 	}
 	d.out.Timings["enumerate"] = time.Since(start)
 	return nil
+}
+
+// culpableBits is D' (as it stands) ∪ the high-influence set over the
+// source rows.
+func (d *debugRun) culpableBits() *bitset.Bitset {
+	n := d.req.Result.Source.NumRows()
+	b := bitset.FromRows(n, d.dprime)
+	b.Or(bitset.FromRows(n, d.highInfluence))
+	return b
 }
 
 // featurize builds the feature space over the learning population.
@@ -463,14 +457,19 @@ func (d *debugRun) featurize() error {
 // examples (Dataset Enumerator step 2a). Requires featurize.
 func (d *debugRun) cleanExamples() {
 	start := time.Now()
+	n := d.req.Result.Source.NumRows()
 	if len(d.req.Examples) > 0 && len(d.dprime) > 0 {
-		background := difference(d.an.F, d.dprime)
-		d.dprime = cleaner.Clean(d.sp, d.dprime, cleaner.Options{
-			Method:     d.opt.CleanMethod,
-			Background: background,
-		})
+		copt := cleaner.Options{Method: d.opt.CleanMethod}
+		if copt.Method == "bayes" {
+			// Background: F − D' (only the classifier contrasts against it).
+			bg := d.fBits.Clone()
+			bg.AndNot(bitset.FromRows(n, d.dprime))
+			copt.Background = bg.Rows()
+		}
+		d.dprime = cleaner.Clean(d.sp, d.dprime, copt)
 	}
 	d.out.DPrime = d.dprime
+	d.culpable = d.culpableBits()
 	d.out.Timings["enumerate"] += time.Since(start)
 }
 
@@ -482,60 +481,66 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 	learnPop, dprime := d.learnPop, d.dprime
 
 	start := time.Now()
+	n := d.req.Result.Source.NumRows()
+	// labelsOf marks the learning population's members of a row set.
+	labelsOf := func(set *bitset.Bitset) []bool {
+		labels := make([]bool, len(learnPop))
+		for i, r := range learnPop {
+			labels[i] = set.Get(r)
+		}
+		return labels
+	}
 	type cand struct {
-		name string
-		rows map[int]bool
+		name   string
+		rows   *bitset.Bitset // over the source rows
+		n      int            // rows.Count()
+		labels []bool         // parallel to learnPop
 	}
 	var candidates []cand
-	addCandidate := func(name string, rows []int) {
-		if len(rows) == 0 || len(rows) == len(learnPop) {
+	// size is the candidate's row count as enumerated (a D' with repeated
+	// examples counts the repeats).
+	addCandidate := func(name string, rows *bitset.Bitset, size int) {
+		if size == 0 || size == len(learnPop) {
 			return
 		}
-		set := make(map[int]bool, len(rows))
-		for _, r := range rows {
-			set[r] = true
-		}
-		for _, c := range candidates {
-			if sameSet(c.rows, set) {
+		c := cand{name: name, rows: rows, n: rows.Count()}
+		for _, o := range candidates {
+			if o.n == c.n && bitset.AndCount(o.rows, c.rows) == c.n {
 				return
 			}
 		}
-		candidates = append(candidates, cand{name, set})
+		c.labels = labelsOf(rows)
+		candidates = append(candidates, c)
 	}
-	addCandidate("dprime", dprime)
+	dprimeBits := bitset.FromRows(n, dprime)
+	addCandidate("dprime", dprimeBits, len(dprime))
 	if len(d.highInfluence) > 0 {
-		addCandidate("dprime+influence", union(dprime, d.highInfluence))
+		addCandidate("dprime+influence", d.culpable, d.culpable.Count())
 	}
 	if len(d.extras) > 0 {
 		// With external contrast available, the full lineage is itself a
 		// describable candidate ("everything in these groups is bad").
-		addCandidate("lineage", d.an.F)
+		addCandidate("lineage", d.fBits, len(d.an.F))
 	}
 
 	// Subgroup discovery extends D' into self-consistent regions of the
 	// population.
-	labels := make([]bool, len(learnPop))
-	inDPrime := make(map[int]bool, len(dprime))
-	for _, r := range dprime {
-		inDPrime[r] = true
-	}
-	for i, r := range learnPop {
-		labels[i] = inDPrime[r]
-	}
-	sgRules := subgroup.Discover(d.sp, learnPop, labels, opt.Subgroup)
+	sgRules := subgroup.Discover(d.sp, labelsOf(dprimeBits), opt.Subgroup)
+	sgTargets := make([]*bitset.Bitset, len(sgRules))
 	for i, rule := range sgRules {
-		if i >= opt.MaxCandidates {
-			break
+		sgTargets[i] = bitset.FromRows(n, rule.Covered)
+		if i < opt.MaxCandidates {
+			addCandidate(fmt.Sprintf("subgroup%d", i), sgTargets[i], len(rule.Covered))
 		}
-		addCandidate(fmt.Sprintf("subgroup%d", i), rule.Covered)
 	}
 	out.Candidates = len(candidates)
 	out.Timings["enumerate"] += time.Since(start)
 
 	// --- Predicate Enumerator: trees per candidate per criterion. ---
 	// Each (candidate, criterion) training run is independent, so they
-	// run concurrently; results are collected by slot index to keep the
-	// output order — and therefore the final ranking — deterministic.
+	// run concurrently over the shared read-only learning frame; results
+	// are collected by slot index to keep the output order — and
+	// therefore the final ranking — deterministic.
 	start = time.Now()
 	type job struct {
 		cand cand
@@ -563,13 +568,9 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 				return
 			}
 			j := jobs[ji]
-			candLabels := make([]bool, len(learnPop))
-			for i, r := range learnPop {
-				candLabels[i] = j.cand.rows[r]
-			}
 			topt := opt.Tree
 			topt.Criterion = j.crit
-			tree, err := dtree.Train(d.sp, learnPop, candLabels, nil, topt)
+			tree, err := dtree.Train(d.sp, j.cand.labels, nil, topt)
 			if err != nil {
 				return
 			}
@@ -596,14 +597,10 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 		if p.IsTrue() {
 			continue
 		}
-		target := make(map[int]bool, len(rule.Covered))
-		for _, r := range rule.Covered {
-			target[r] = true
-		}
 		rcands = append(rcands, ranker.Candidate{
 			Pred:   p,
 			Origin: fmt.Sprintf("subgroup%d", i),
-			Target: target,
+			Target: sgTargets[i],
 		})
 	}
 	out.Timings["predicates"] = time.Since(start)
@@ -616,17 +613,10 @@ func (d *debugRun) context() *ranker.Context {
 	// Culpability: tuples in the user's cleaned D' or the high-influence
 	// set. The ranker's Excess term uses it to prefer surgical
 	// predicates over "delete the whole group" ones.
-	culpable := make(map[int]bool, len(d.dprime)+len(d.highInfluence))
-	for _, r := range d.dprime {
-		culpable[r] = true
-	}
-	for _, r := range d.highInfluence {
-		culpable[r] = true
-	}
 	ctx := &ranker.Context{
 		Ctx: d.req.Ctx,
 		Res: d.req.Result, Suspect: d.req.Suspect, Ord: d.ord,
-		Metric: d.req.Metric, F: d.an.F, Population: d.learnPop, Culpable: culpable,
+		Metric: d.req.Metric, F: d.an.F, Population: d.learnPop, Culpable: d.culpable,
 		Eps: d.an.Eps, Weights: d.opt.Weights,
 		DisablePrune: d.opt.DisablePrune, DisableMerge: d.opt.DisableMerge,
 	}
@@ -680,8 +670,11 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, st
 	out.state.examplesKey = rowsKey(d.req.Examples)
 }
 
-// Debug runs the ranked provenance pipeline.
-func Debug(req DebugRequest) (*DebugResult, error) {
+// Debug runs the ranked provenance pipeline. On an out-of-core source a
+// chunk-load failure at any stage surfaces as an error wrapping
+// *engine.SegmentLoadError, never as a panic.
+func Debug(req DebugRequest) (_ *DebugResult, err error) {
+	defer engine.CatchSegmentLoad(&err)
 	opt := req.Opt
 	opt.defaults()
 	ord, err := resolveDebug(req)
@@ -745,7 +738,8 @@ func Debug(req DebugRequest) (*DebugResult, error) {
 // metric, or aggregate, a non-advanceable aggregate state — fall back
 // to the full pipeline with Plan.Fallback saying why. DebugAdvance with
 // a nil prev is exactly Debug.
-func DebugAdvance(prev *DebugResult, req DebugRequest) (*DebugResult, error) {
+func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err error) {
+	defer engine.CatchSegmentLoad(&err)
 	opt := req.Opt
 	opt.defaults()
 	ord, err := resolveDebug(req)
@@ -957,8 +951,10 @@ func SuspectWhere(res *exec.Result, col string, keep func(v engine.Value) bool) 
 // ExamplesWhere selects D' from the lineage of the suspect groups: the
 // source rows satisfying the SQL condition cond (e.g.
 // "temperature > 100"). This mirrors zooming into the raw tuples and
-// highlighting outliers.
-func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) {
+// highlighting outliers. Like Debug, it reports a chunk-load failure as
+// an error.
+func ExamplesWhere(res *exec.Result, suspect []int, cond string) (_ []int, err error) {
+	defer engine.CatchSegmentLoad(&err)
 	e, err := sqlparse.ParseExpr(cond)
 	if err != nil {
 		return nil, err
@@ -968,8 +964,10 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) 
 	}
 	var out []int
 	row := make([]engine.Value, res.Source.NumCols())
+	rr := res.Source.NewRowReader() // one pin per column, not one per row
+	defer rr.Close()
 	for _, r := range res.Lineage(suspect) {
-		res.Source.RowInto(r, row)
+		rr.RowInto(r, row)
 		ok, err := expr.EvalBool(e, row)
 		if err != nil {
 			return nil, err
@@ -981,80 +979,25 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) 
 	return out, nil
 }
 
-// ---------------------------------------------------------------------
-// small set helpers
-
-func union(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	var out []int
-	for _, xs := range [][]int{a, b} {
-		for _, x := range xs {
-			if !seen[x] {
-				seen[x] = true
-				out = append(out, x)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func difference(a, b []int) []int {
-	inB := make(map[int]bool, len(b))
-	for _, x := range b {
-		inB[x] = true
-	}
-	var out []int
-	for _, x := range a {
-		if !inB[x] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func sameSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // sampleOutside returns up to want evenly spaced row ids in [0, n) not
-// present in exclude.
-func sampleOutside(n int, exclude map[int]bool, want int) []int {
-	outside := n - len(exclude)
+// in exclude.
+func sampleOutside(n int, exclude *bitset.Bitset, want int) []int {
+	outside := n - exclude.Count()
 	if outside <= 0 || want <= 0 {
 		return nil
 	}
-	if want > outside {
-		want = outside
-	}
-	candidates := make([]int, 0, outside)
-	for r := 0; r < n; r++ {
-		if !exclude[r] {
-			candidates = append(candidates, r)
-		}
-	}
-	if want >= len(candidates) {
-		return candidates
-	}
+	want = min(want, outside)
 	out := make([]int, 0, want)
-	step := float64(len(candidates)) / float64(want)
-	for i := 0; i < want; i++ {
-		out = append(out, candidates[int(float64(i)*step)])
+	step := float64(outside) / float64(want)
+	k := 0 // rank of r among the outside rows
+	for r := 0; r < n && len(out) < want; r++ {
+		if exclude.Get(r) {
+			continue
+		}
+		if k == int(float64(len(out))*step) {
+			out = append(out, r)
+		}
+		k++
 	}
 	return out
 }

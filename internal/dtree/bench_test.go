@@ -9,38 +9,36 @@ import (
 	"repro/internal/feature"
 )
 
-func benchFixture(b *testing.B, n int) (*feature.Space, []int, []bool) {
+func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	b.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"mote", engine.TInt, "volt", engine.TFloat, "hum", engine.TFloat, "city", engine.TString))
 	rng := rand.New(rand.NewSource(11))
-	rows := make([]int, 0, n)
 	labels := make([]bool, 0, n)
 	cities := []string{"A", "B", "C", "D"}
 	for i := 0; i < n; i++ {
 		volt := 2.2 + rng.Float64()*0.6
 		city := cities[rng.Intn(4)]
 		pos := volt <= 2.4 && city == "A"
-		id := tbl.MustAppendRow(
+		tbl.MustAppendRow(
 			engine.NewInt(rng.Int63n(54)),
 			engine.NewFloat(volt),
 			engine.NewFloat(30+rng.NormFloat64()*5),
 			engine.NewString(city))
-		rows = append(rows, id)
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{}), rows, labels
+	return feature.NewSpace(tbl, feature.Options{}), labels
 }
 
 // BenchmarkTrain measures one tree induction per criterion — the
 // Predicate Enumerator runs several of these per Debug call.
 func BenchmarkTrain(b *testing.B) {
-	sp, rows, labels := benchFixture(b, 16_000)
+	sp, labels := benchFixture(b, 16_000)
 	for _, crit := range []Criterion{Gini, Entropy, GainRatio} {
 		crit := crit
 		b.Run(crit.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(sp, rows, labels, nil, Options{Criterion: crit}); err != nil {
+				if _, err := Train(sp, labels, nil, Options{Criterion: crit}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,10 +50,10 @@ func BenchmarkTrainScaling(b *testing.B) {
 	for _, n := range []int{4_000, 16_000, 64_000} {
 		n := n
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			sp, rows, labels := benchFixture(b, n)
+			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(sp, rows, labels, nil, Options{}); err != nil {
+				if _, err := Train(sp, labels, nil, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

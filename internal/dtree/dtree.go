@@ -8,6 +8,13 @@
 // Each candidate dataset Dᶜᵢ is labeled positive against F − Dᶜᵢ; the
 // root-to-leaf paths of positive-majority leaves convert to conjunctive
 // predicates (internal/predicate) that become candidate explanations.
+//
+// Training never reads the table: examples are positions in the space's
+// learning frame, and split search, partitioning and routing all run on
+// the frame's int16 Bins matrix (threshold buckets and value slots,
+// resolved once by internal/feature), which every concurrent training
+// of one Debug pass shares read-only. Only PredictRow, which classifies
+// an arbitrary table row, reads boxed values.
 package dtree
 
 import (
@@ -97,9 +104,10 @@ type Split struct {
 	Numeric   bool
 	Threshold float64
 	Val       engine.Value
-	// code is Val's dictionary code in the attribute's column, letting
-	// categorical routing compare int32s instead of boxed values.
-	code int32
+	// bin is the split's place in the attribute's vocabulary — the
+	// threshold's index or the value's slot — which is what training
+	// routes by: feature.Frame.Bins <= bin (numeric) or == bin goes left.
+	bin int16
 }
 
 // Node is one tree node.
@@ -124,127 +132,67 @@ type Tree struct {
 	// TrainAccuracy is the weighted accuracy on the training set.
 	TrainAccuracy float64
 	nodes         int
-
-	// Typed column views (from the engine's shared cache), parallel to
-	// Space.Attrs: split search and row routing stream over flat
-	// float64/code slices instead of boxed Values.
-	fviews []*engine.FloatView
-	dviews []*engine.DictView
-	// attrCodes[ai][vi] is the dictionary code of Space.Attrs[ai].Values[vi]
-	// (-1 when the value does not occur in the column).
-	attrCodes [][]int32
-	// attrSlots[ai][code] maps a dictionary code back to its position in
-	// Space.Attrs[ai].Values (-1 for codes outside the attribute's
-	// capped value set), so split search accumulates into arrays sized
-	// by MaxCategories rather than the column's full cardinality.
-	attrSlots [][]int32
-	// buckets[ai][i] is population position i's threshold bucket for
-	// numeric attribute ai (sort.SearchFloat64s over the attribute's
-	// thresholds; the last bucket holds NULL/NaN and above-all values).
-	// A row's bucket never changes across nodes, so it is computed once
-	// per training run instead of once per node visit.
-	buckets [][]int16
-	// Per-tree segment readers over the views, live only while Train
-	// runs: on out-of-core tables the views' per-row V/CodeAt pin a
-	// chunk transiently per call, which degrades to re-decoding the
-	// chunk per row once it exceeds the pool budget. The readers hold
-	// one pin per attribute instead. Closed (and nil'd) at the end of
-	// Train so trained trees hold no pins; post-Train routing falls
-	// back to the views.
-	fcur []*engine.FloatReader
-	dcur []*engine.DictReader
-}
-
-// bindViews resolves the typed views of every attribute column once per
-// training run.
-func (t *Tree) bindViews() {
-	sp := t.Space
-	t.fviews = make([]*engine.FloatView, len(sp.Attrs))
-	t.dviews = make([]*engine.DictView, len(sp.Attrs))
-	t.fcur = make([]*engine.FloatReader, len(sp.Attrs))
-	t.dcur = make([]*engine.DictReader, len(sp.Attrs))
-	t.attrCodes = make([][]int32, len(sp.Attrs))
-	t.attrSlots = make([][]int32, len(sp.Attrs))
-	for ai := range sp.Attrs {
-		attr := &sp.Attrs[ai]
-		switch attr.Kind {
-		case feature.Numeric:
-			if fv := sp.Table.FloatView(attr.Col); fv != nil {
-				t.fviews[ai] = fv
-				t.fcur[ai] = fv.NewReader()
-			}
-		case feature.Categorical:
-			dv := sp.Table.DictView(attr.Col)
-			t.dviews[ai] = dv
-			if dv != nil {
-				t.dcur[ai] = dv.NewReader()
-				codes := make([]int32, len(attr.Values))
-				slots := make([]int32, dv.NumValues())
-				for i := range slots {
-					slots[i] = -1
-				}
-				for vi, v := range attr.Values {
-					codes[vi] = dv.Code(v.Str())
-					if codes[vi] >= 0 {
-						slots[codes[vi]] = int32(vi)
-					}
-				}
-				t.attrCodes[ai] = codes
-				t.attrSlots[ai] = slots
-			}
-		}
-	}
-}
-
-// closeReaders releases every training-time segment pin and drops the
-// readers, switching row routing back to the plain views. Deferred
-// from Train so pins release even when a chunk load panics.
-func (t *Tree) closeReaders() {
-	for _, r := range t.fcur {
-		if r != nil {
-			r.Close()
-		}
-	}
-	for _, r := range t.dcur {
-		if r != nil {
-			r.Close()
-		}
-	}
-	t.fcur, t.dcur = nil, nil
 }
 
 // NumNodes returns the node count.
 func (t *Tree) NumNodes() int { return t.nodes }
 
-// Train fits a tree on the population rows (ids into sp.Table) with
-// labels and optional weights (nil means uniform).
-func Train(sp *feature.Space, rows []int, labels []bool, weights []float64, opt Options) (*Tree, error) {
+// trainer is one training run's working state. Split search and routing
+// read only the learning frame's Bins matrix, which any number of
+// concurrent runs share read-only.
+type trainer struct {
+	*Tree
+	bins    [][]int16
+	labels  []bool
+	weights []float64
+	// spill is partition's scratch; tot and pos are bestSplit's
+	// per-vocabulary-entry accumulators.
+	spill    []int32
+	tot, pos []float64
+}
+
+// Train fits a tree on the space's learning frame: labels and optional
+// weights (nil means uniform) are parallel to sp.Frame.Rows.
+func Train(sp *feature.Space, labels []bool, weights []float64, opt Options) (*Tree, error) {
 	opt.defaults()
-	if len(rows) == 0 || len(labels) != len(rows) {
-		return nil, fmt.Errorf("dtree: %d rows with %d labels", len(rows), len(labels))
+	n := len(sp.Frame.Rows)
+	if n == 0 || len(labels) != n {
+		return nil, fmt.Errorf("dtree: %d rows with %d labels", n, len(labels))
 	}
 	if weights == nil {
-		weights = make([]float64, len(rows))
+		weights = make([]float64, n)
 		for i := range weights {
 			weights[i] = 1
 		}
-	} else if len(weights) != len(rows) {
-		return nil, fmt.Errorf("dtree: %d rows with %d weights", len(rows), len(weights))
+	} else if len(weights) != n {
+		return nil, fmt.Errorf("dtree: %d rows with %d weights", n, len(weights))
 	}
-	tr := &Tree{Space: sp, Opt: opt}
-	tr.bindViews()
-	defer tr.closeReaders()
-	tr.bucketize(rows)
-	idx := make([]int, len(rows))
+	vocab := 0
+	for ai := range sp.Attrs {
+		vocab = max(vocab, len(sp.Attrs[ai].Thresholds)+1, len(sp.Attrs[ai].Values))
+	}
+	tr := &trainer{
+		Tree: &Tree{Space: sp, Opt: opt}, bins: sp.Frame.Bins, labels: labels, weights: weights,
+		spill: make([]int32, n), tot: make([]float64, vocab), pos: make([]float64, vocab),
+	}
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	tr.Root = tr.build(rows, labels, weights, idx, 0)
+	tr.Root = tr.build(idx, 0)
 
 	// Training accuracy.
 	var correct, total float64
-	for i := range rows {
-		if tr.PredictRow(rows[i]) == labels[i] {
+	for i := range labels {
+		node := tr.Root
+		for !node.Leaf {
+			if tr.goesLeft(node.Split, int32(i)) {
+				node = node.Left
+			} else {
+				node = node.Right
+			}
+		}
+		if node.Positive == labels[i] {
 			correct += weights[i]
 		}
 		total += weights[i]
@@ -252,56 +200,7 @@ func Train(sp *feature.Space, rows []int, labels []bool, weights []float64, opt 
 	if total > 0 {
 		tr.TrainAccuracy = correct / total
 	}
-	return tr, nil
-}
-
-// bucketize precomputes, once per training run, each population
-// position's threshold bucket for every numeric attribute. bestSplit's
-// per-node pass then indexes an int16 slice instead of re-running a
-// binary search (and NaN test) for every row at every node.
-func (t *Tree) bucketize(rows []int) {
-	sp := t.Space
-	t.buckets = make([][]int16, len(sp.Attrs))
-	for ai := range sp.Attrs {
-		attr := &sp.Attrs[ai]
-		ths := attr.Thresholds
-		if attr.Kind != feature.Numeric || len(ths) == 0 || len(ths) >= 1<<15 {
-			continue
-		}
-		b := make([]int16, len(rows))
-		if fr := t.fcur[ai]; fr != nil {
-			for i, r := range rows {
-				k := len(ths)
-				if f := fr.V(r); !math.IsNaN(f) {
-					k = sort.SearchFloat64s(ths, f)
-				}
-				b[i] = int16(k)
-			}
-		} else {
-			for i, r := range rows {
-				k := len(ths)
-				if v := sp.Table.Value(r, attr.Col); !v.IsNull() {
-					if f := v.Float(); !math.IsNaN(f) {
-						k = sort.SearchFloat64s(ths, f)
-					}
-				}
-				b[i] = int16(k)
-			}
-		}
-		t.buckets[ai] = b
-	}
-}
-
-// counts returns (posW, totW, n) over idx.
-func counts(labels []bool, weights []float64, idx []int) (posW, totW float64, n int) {
-	for _, i := range idx {
-		totW += weights[i]
-		if labels[i] {
-			posW += weights[i]
-		}
-		n++
-	}
-	return
+	return tr.Tree, nil
 }
 
 func impurity(crit Criterion, posW, totW float64) float64 {
@@ -324,8 +223,7 @@ func entropyOf(p float64) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-func (t *Tree) leaf(labels []bool, weights []float64, idx []int) *Node {
-	posW, totW, n := counts(labels, weights, idx)
+func (t *trainer) leaf(posW, totW float64, n int) *Node {
 	t.nodes++
 	purity := 0.0
 	if totW > 0 {
@@ -334,56 +232,71 @@ func (t *Tree) leaf(labels []bool, weights []float64, idx []int) *Node {
 	return &Node{Leaf: true, Positive: purity >= 0.5, Purity: purity, Weight: totW, N: n}
 }
 
-func (t *Tree) build(rows []int, labels []bool, weights []float64, idx []int, depth int) *Node {
-	posW, totW, _ := counts(labels, weights, idx)
-	if depth >= t.Opt.MaxDepth || totW < 2*t.Opt.MinLeaf || posW == 0 || posW == totW {
-		return t.leaf(labels, weights, idx)
+// goesLeft routes frame position i through a split.
+func (t *trainer) goesLeft(s Split, i int32) bool {
+	b := t.bins[s.AttrIdx][i]
+	if s.Numeric {
+		return b <= s.bin
 	}
+	return b == s.bin
+}
 
-	parentImp := impurity(t.Opt.Criterion, posW, totW)
-	best, ok := t.bestSplit(rows, labels, weights, idx, parentImp, totW)
-	if !ok {
-		return t.leaf(labels, weights, idx)
-	}
-
-	var leftIdx, rightIdx []int
+// build grows the subtree over the frame positions idx (ascending, so
+// every weighted sum accumulates in position order). It reorders idx.
+func (t *trainer) build(idx []int32, depth int) *Node {
+	var posW, totW float64
 	for _, i := range idx {
-		if t.goesLeft(best, rows[i]) {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
+		totW += t.weights[i]
+		if t.labels[i] {
+			posW += t.weights[i]
 		}
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return t.leaf(labels, weights, idx)
+	if depth >= t.Opt.MaxDepth || totW < 2*t.Opt.MinLeaf || posW == 0 || posW == totW {
+		return t.leaf(posW, totW, len(idx))
+	}
+
+	best, ok := t.bestSplit(idx, impurity(t.Opt.Criterion, posW, totW), posW, totW)
+	if !ok {
+		return t.leaf(posW, totW, len(idx))
+	}
+
+	// Stable in-place partition: left rows compact to the front, right
+	// rows spill and copy back behind them, both still ascending.
+	nl, spill := 0, t.spill[:0]
+	for _, i := range idx {
+		if t.goesLeft(best, i) {
+			idx[nl] = i
+			nl++
+		} else {
+			spill = append(spill, i)
+		}
+	}
+	copy(idx[nl:], spill)
+	if nl == 0 || nl == len(idx) {
+		return t.leaf(posW, totW, len(idx))
 	}
 	t.nodes++
 	node := &Node{Split: best, Weight: totW, N: len(idx), Purity: posW / totW}
-	node.Left = t.build(rows, labels, weights, leftIdx, depth+1)
-	node.Right = t.build(rows, labels, weights, rightIdx, depth+1)
+	node.Left = t.build(idx[:nl], depth+1)
+	node.Right = t.build(idx[nl:], depth+1)
 
 	// Collapse: if both children are leaves with the same class, the
 	// split bought nothing human-readable.
 	if node.Left.Leaf && node.Right.Leaf && node.Left.Positive == node.Right.Positive {
-		return t.leaf(labels, weights, idx)
+		return t.leaf(posW, totW, len(idx))
 	}
 	return node
 }
 
 // bestSplit scans the space's selector vocabulary. For each attribute it
-// makes a single pass over the node's rows, bucketing weighted counts so
-// every threshold/value of the attribute is scored from prefix sums —
-// O(rows × attrs + splits) per node instead of O(rows × splits).
-func (t *Tree) bestSplit(rows []int, labels []bool, weights []float64, idx []int, parentImp, totW float64) (Split, bool) {
+// makes a single pass over the node's rows, accumulating weighted counts
+// per vocabulary entry so every threshold/value of the attribute is
+// scored from (prefix) sums — O(rows × attrs + splits) per node instead
+// of O(rows × splits).
+func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split, bool) {
 	var best Split
 	bestScore := t.Opt.MinGain
 	found := false
-	var totPos float64
-	for _, i := range idx {
-		if labels[i] {
-			totPos += weights[i]
-		}
-	}
 
 	consider := func(s Split, lPos, lTot float64) {
 		rTot := totW - lTot
@@ -410,168 +323,63 @@ func (t *Tree) bestSplit(rows []int, labels []bool, weights []float64, idx []int
 
 	for ai := range t.Space.Attrs {
 		attr := &t.Space.Attrs[ai]
-		switch attr.Kind {
-		case feature.Numeric:
-			ths := attr.Thresholds
-			if len(ths) == 0 {
+		bins := t.bins[ai]
+		if bins == nil {
+			continue // numeric without thresholds: nothing to split on
+		}
+		// tot[b]/pos[b] accumulate the rows in vocabulary entry b. Numeric:
+		// bucket b holds Thresholds[b-1] < v <= Thresholds[b], the last one
+		// everything above plus NULL/NaN (always right). Categorical: slot
+		// b holds v == Values[b]; NULLs and uncapped values are skipped.
+		tot, pos := t.tot[:len(attr.Thresholds)+1], t.pos[:len(attr.Thresholds)+1]
+		if attr.Kind == feature.Categorical {
+			tot, pos = t.tot[:len(attr.Values)], t.pos[:len(attr.Values)]
+		}
+		clear(tot)
+		clear(pos)
+		for _, i := range idx {
+			b := bins[i]
+			if b < 0 {
 				continue
 			}
-			// bucket[k] accumulates rows whose value v satisfies
-			// ths[k-1] < v <= ths[k] (bucket 0: v <= ths[0]; bucket
-			// len(ths): v > last or NULL/NaN → always right).
-			bTot := make([]float64, len(ths)+1)
-			bPos := make([]float64, len(ths)+1)
-			if bk := t.buckets[ai]; bk != nil {
-				// Precomputed path: the bucket of every population
-				// position was resolved once in bucketize.
-				for _, i := range idx {
-					bTot[bk[i]] += weights[i]
-					if labels[i] {
-						bPos[bk[i]] += weights[i]
-					}
-				}
-			} else if fr := t.fcur[ai]; fr != nil {
-				// Typed fast path: stream the flat float column through
-				// the segment-pinned reader.
-				for _, i := range idx {
-					r := rows[i]
-					k := len(ths)
-					if f := fr.V(r); !math.IsNaN(f) {
-						k = sort.SearchFloat64s(ths, f) // first th >= f
-					}
-					bTot[k] += weights[i]
-					if labels[i] {
-						bPos[k] += weights[i]
-					}
-				}
-			} else {
-				for _, i := range idx {
-					v := t.Space.Table.Value(rows[i], attr.Col)
-					k := len(ths)
-					if !v.IsNull() {
-						f := v.Float()
-						if !math.IsNaN(f) {
-							k = sort.SearchFloat64s(ths, f)
-						}
-					}
-					bTot[k] += weights[i]
-					if labels[i] {
-						bPos[k] += weights[i]
-					}
-				}
+			tot[b] += t.weights[i]
+			if t.labels[i] {
+				pos[b] += t.weights[i]
 			}
-			var lTot, lPos float64
-			for k, th := range ths {
-				lTot += bTot[k]
-				lPos += bPos[k]
-				consider(Split{AttrIdx: ai, Numeric: true, Threshold: th}, lPos, lTot)
+		}
+		if attr.Kind == feature.Categorical {
+			for vi, v := range attr.Values {
+				consider(Split{AttrIdx: ai, Val: v, bin: int16(vi)}, pos[vi], tot[vi])
 			}
-		case feature.Categorical:
-			if len(attr.Values) == 0 {
-				continue
-			}
-			if dr := t.dcur[ai]; dr != nil {
-				// Typed fast path: accumulate per attribute-value slot
-				// (≤ MaxCategories), not per full-dictionary code, so
-				// high-cardinality columns don't inflate per-node work.
-				slots := t.attrSlots[ai]
-				cTot := make([]float64, len(attr.Values))
-				cPos := make([]float64, len(attr.Values))
-				for _, i := range idx {
-					code := dr.CodeAt(rows[i])
-					if code < 0 {
-						continue
-					}
-					slot := slots[code]
-					if slot < 0 {
-						continue // value outside the capped selector set
-					}
-					cTot[slot] += weights[i]
-					if labels[i] {
-						cPos[slot] += weights[i]
-					}
-				}
-				for vi, v := range attr.Values {
-					code := t.attrCodes[ai][vi]
-					if code < 0 {
-						continue // value absent from the column: zero counts
-					}
-					consider(Split{AttrIdx: ai, Val: v, code: code}, cPos[vi], cTot[vi])
-				}
-				continue
-			}
-			cTot := make(map[string]float64, len(attr.Values))
-			cPos := make(map[string]float64, len(attr.Values))
-			for _, i := range idx {
-				v := t.Space.Table.Value(rows[i], attr.Col)
-				if v.IsNull() {
-					continue
-				}
-				k := v.Key()
-				cTot[k] += weights[i]
-				if labels[i] {
-					cPos[k] += weights[i]
-				}
-			}
-			for _, v := range attr.Values {
-				k := v.Key()
-				consider(Split{AttrIdx: ai, Val: v}, cPos[k], cTot[k])
-			}
+			continue
+		}
+		var lTot, lPos float64
+		for k, th := range attr.Thresholds {
+			lTot += tot[k]
+			lPos += pos[k]
+			consider(Split{AttrIdx: ai, Numeric: true, Threshold: th, bin: int16(k)}, lPos, lTot)
 		}
 	}
 	return best, found
 }
 
-func splitGoesLeft(sp *feature.Space, s Split, row int) bool {
-	attr := &sp.Attrs[s.AttrIdx]
-	v := sp.Table.Value(row, attr.Col)
-	if v.IsNull() {
-		return false
-	}
-	if s.Numeric {
-		f := v.Float()
-		return !math.IsNaN(f) && f <= s.Threshold
-	}
-	return engine.Equal(v, s.Val)
-}
-
-// goesLeft routes one row through a split using the typed views, with
-// the boxed splitGoesLeft as fallback.
-func (t *Tree) goesLeft(s Split, row int) bool {
-	if s.AttrIdx >= len(t.fviews) { // tree built without bindViews
-		return splitGoesLeft(t.Space, s, row)
-	}
-	// Views are bound at Train time; a row appended to the table since
-	// then is past their length and falls back to the live column read.
-	// While Train runs, reads go through the segment-pinned readers;
-	// afterwards (readers closed) they use the views directly.
-	if s.Numeric {
-		if fv := t.fviews[s.AttrIdx]; fv != nil && row < fv.Len() {
-			var f float64
-			if t.fcur != nil && t.fcur[s.AttrIdx] != nil {
-				f = t.fcur[s.AttrIdx].V(row)
-			} else {
-				f = fv.V(row) // NULL is stored as NaN and routes right
-			}
-			return !math.IsNaN(f) && f <= s.Threshold
-		}
-	} else if dv := t.dviews[s.AttrIdx]; dv != nil && row < dv.Len() {
-		var code int32
-		if t.dcur != nil && t.dcur[s.AttrIdx] != nil {
-			code = t.dcur[s.AttrIdx].CodeAt(row)
-		} else {
-			code = dv.CodeAt(row)
-		}
-		return code >= 0 && code == s.code
-	}
-	return splitGoesLeft(t.Space, s, row)
-}
-
-// PredictRow classifies one table row.
+// PredictRow classifies one table row — any row of the live table,
+// including ones appended after training — through boxed reads.
 func (t *Tree) PredictRow(row int) bool {
 	n := t.Root
 	for !n.Leaf {
-		if t.goesLeft(n.Split, row) {
+		s := n.Split
+		v := t.Space.Table.Value(row, t.Space.Attrs[s.AttrIdx].Col)
+		left := false
+		switch {
+		case v.IsNull():
+		case s.Numeric:
+			f := v.Float()
+			left = !math.IsNaN(f) && f <= s.Threshold
+		default:
+			left = engine.Equal(v, s.Val)
+		}
+		if left {
 			n = n.Left
 		} else {
 			n = n.Right

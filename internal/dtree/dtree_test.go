@@ -10,12 +10,11 @@ import (
 
 // plantedConcept builds a table whose positive class is exactly
 // (volt <= 2.4 AND city = 'LAB').
-func plantedConcept(t *testing.T, n int) (*feature.Space, []int, []bool) {
+func plantedConcept(t *testing.T, n int) (*feature.Space, []bool) {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"mote", engine.TInt, "volt", engine.TFloat, "city", engine.TString))
 	rng := rand.New(rand.NewSource(4))
-	rows := make([]int, 0, n)
 	labels := make([]bool, 0, n)
 	cities := []string{"LAB", "HALL", "ROOF"}
 	for i := 0; i < n; i++ {
@@ -23,19 +22,18 @@ func plantedConcept(t *testing.T, n int) (*feature.Space, []int, []bool) {
 		volt := 2.2 + rng.Float64()*0.6
 		mote := rng.Int63n(60)
 		pos := volt <= 2.4 && city == "LAB"
-		id := tbl.MustAppendRow(engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city))
-		rows = append(rows, id)
+		tbl.MustAppendRow(engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city))
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{NumThresholds: 20}), rows, labels
+	return feature.NewSpace(tbl, feature.Options{NumThresholds: 20}), labels
 }
 
 func TestTreeLearnsPlantedConcept(t *testing.T) {
 	for _, crit := range []Criterion{Gini, Entropy, GainRatio} {
 		crit := crit
 		t.Run(crit.String(), func(t *testing.T) {
-			sp, rows, labels := plantedConcept(t, 600)
-			tree, err := Train(sp, rows, labels, nil, Options{Criterion: crit})
+			sp, labels := plantedConcept(t, 600)
+			tree, err := Train(sp, labels, nil, Options{Criterion: crit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,13 +66,13 @@ func TestTreeLearnsPlantedConcept(t *testing.T) {
 // to a positive leaf, and the path's purity equals the leaf purity over
 // its matched training rows.
 func TestPathsConsistentWithPredictions(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 400)
-	tree, err := Train(sp, rows, labels, nil, Options{})
+	sp, labels := plantedConcept(t, 400)
+	tree, err := Train(sp, labels, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range tree.PositivePaths() {
-		matched := path.Pred.MatchingRows(sp.Table, rows)
+		matched := path.Pred.MatchingRows(sp.Table, sp.Frame.Rows)
 		if len(matched) == 0 {
 			t.Errorf("path %s matches nothing", path.Pred)
 			continue
@@ -89,8 +87,8 @@ func TestPathsConsistentWithPredictions(t *testing.T) {
 }
 
 func TestMaxDepthRespected(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, rows, labels, nil, Options{MaxDepth: 2})
+	sp, labels := plantedConcept(t, 300)
+	tree, err := Train(sp, labels, nil, Options{MaxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +100,8 @@ func TestMaxDepthRespected(t *testing.T) {
 }
 
 func TestMinLeaf(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 200)
-	tree, err := Train(sp, rows, labels, nil, Options{MinLeaf: 50})
+	sp, labels := plantedConcept(t, 200)
+	tree, err := Train(sp, labels, nil, Options{MinLeaf: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +120,12 @@ func TestMinLeaf(t *testing.T) {
 }
 
 func TestPureInputMakesLeaf(t *testing.T) {
-	sp, rows, _ := plantedConcept(t, 100)
-	all := make([]bool, len(rows))
+	sp, _ := plantedConcept(t, 100)
+	all := make([]bool, len(sp.Frame.Rows))
 	for i := range all {
 		all[i] = true
 	}
-	tree, err := Train(sp, rows, all, nil, Options{})
+	tree, err := Train(sp, all, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +142,8 @@ func TestPureInputMakesLeaf(t *testing.T) {
 
 func TestWeightsBias(t *testing.T) {
 	// Upweighting the positives of a weak concept should flip leaves.
-	sp, rows, labels := plantedConcept(t, 300)
-	weights := make([]float64, len(rows))
+	sp, labels := plantedConcept(t, 300)
+	weights := make([]float64, len(labels))
 	for i := range weights {
 		if labels[i] {
 			weights[i] = 10
@@ -153,7 +151,7 @@ func TestWeightsBias(t *testing.T) {
 			weights[i] = 0.1
 		}
 	}
-	tree, err := Train(sp, rows, labels, weights, Options{MinLeaf: 1})
+	tree, err := Train(sp, labels, weights, Options{MinLeaf: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +161,14 @@ func TestWeightsBias(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 10)
-	if _, err := Train(sp, nil, nil, nil, Options{}); err == nil {
+	sp, labels := plantedConcept(t, 10)
+	if _, err := Train(sp, nil, nil, Options{}); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Train(sp, rows, labels[:5], nil, Options{}); err == nil {
+	if _, err := Train(sp, labels[:5], nil, Options{}); err == nil {
 		t.Error("label mismatch accepted")
 	}
-	if _, err := Train(sp, rows, labels, []float64{1}, Options{}); err == nil {
+	if _, err := Train(sp, labels, []float64{1}, Options{}); err == nil {
 		t.Error("weight mismatch accepted")
 	}
 }
@@ -192,8 +190,8 @@ func TestParseCriterion(t *testing.T) {
 }
 
 func TestNumNodes(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, rows, labels, nil, Options{})
+	sp, labels := plantedConcept(t, 300)
+	tree, err := Train(sp, labels, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +208,8 @@ func TestNumNodes(t *testing.T) {
 // table afterwards must fall back to the live column read instead of
 // indexing past the bound slices.
 func TestPredictRowAfterAppend(t *testing.T) {
-	sp, rows, labels := plantedConcept(t, 600)
-	tree, err := Train(sp, rows, labels, nil, Options{})
+	sp, labels := plantedConcept(t, 600)
+	tree, err := Train(sp, labels, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,12 +303,7 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, dro
 				continue
 			}
 			ng := ss.groups[gi].g
-			var nb *bitset.Bitset
-			if drop > 0 {
-				nb = bitset.ShiftDownWords(newN, b.Words(), drop)
-			} else {
-				nb = bitset.SnapshotWords(newN, b.Words())
-			}
+			nb := bitset.ShiftDownWords(newN, b.Words(), drop)
 			for _, r := range ng.Lineage[oldLens[gi]:] {
 				nb.Set(r)
 			}
@@ -318,42 +313,17 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, dro
 
 	if len(oldAVs) > 0 {
 		out.argViews = make(map[int]*ArgView, len(oldAVs))
-		row := make([]engine.Value, out.Source.NumCols())
-		avr := out.Source.NewRowReader()
-		defer avr.Close()
-		for ord, av := range oldAVs {
-			vals := av.Vals // len oldN+drop; appends stay past published lengths
-			var nb *bitset.Bitset
+		for ord, old := range oldAVs {
+			// Vals has len oldN+drop; appends stay past published lengths.
+			av := &ArgView{Vals: old.Vals, Null: bitset.ShiftDownWords(newN, old.Null.Words(), drop)}
 			if drop > 0 {
-				// Rebase: drop the head values (fresh slice — the carried
-				// one belongs to the old window) and word-shift the NULLs.
-				vals = append(make([]float64, 0, newN), av.Vals[drop:]...)
-				nb = bitset.ShiftDownWords(newN, av.Null.Words(), drop)
-			} else {
-				nb = bitset.SnapshotWords(newN, av.Null.Words())
+				// Drop the head values into a fresh slice — the carried one
+				// belongs to the old window.
+				av.Vals = append(make([]float64, 0, newN), old.Vals[drop:]...)
 			}
-			arg := out.aggArgs[ord]
-			ok := true
-			for src := oldN; src < newN; src++ {
-				if arg == nil {
-					vals = append(vals, 1)
-					continue
-				}
-				avr.RowInto(src, row)
-				v, err := arg.Eval(row)
-				if err != nil {
-					ok = false // leave this ordinal to a lazy full build
-					break
-				}
-				if v.IsNull() {
-					vals = append(vals, nanFloat)
-					nb.Set(src)
-					continue
-				}
-				vals = append(vals, v.Float())
-			}
-			if ok {
-				out.argViews[ord] = &ArgView{Vals: vals, Null: nb}
+			// An evaluation error leaves this ordinal to a lazy full build.
+			if fillArgView(av, out.aggArgs[ord], out.Source, oldN, newN) == nil {
+				out.argViews[ord] = av
 			}
 		}
 	}

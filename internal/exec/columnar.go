@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/expr"
 )
 
 var nanFloat = math.NaN()
@@ -25,8 +26,9 @@ type ArgView struct {
 }
 
 // AggArgFloats returns the cached ArgView of the ord'th aggregate,
-// evaluating the argument expression once per source row on first call.
-// The returned view is shared and read-only. On out-of-core tables a
+// building it on first call: a bare numeric column copies out of its
+// typed view, any other argument evaluates once per source row. The
+// returned view is shared and read-only. On out-of-core tables a
 // chunk-load failure surfaces as an error, never a panic.
 func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 	defer engine.CatchSegmentLoad(&err)
@@ -39,35 +41,59 @@ func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 		return av, nil
 	}
 	n := r.Source.NumRows()
-	av = &ArgView{Vals: make([]float64, n), Null: bitset.New(n)}
-	arg := r.aggArgs[ord]
-	if arg == nil { // count(*): every row contributes 1
-		for i := range av.Vals {
-			av.Vals[i] = 1
-		}
-	} else {
-		row := make([]engine.Value, r.Source.NumCols())
-		rr := r.Source.NewRowReader()
-		defer rr.Close()
-		for src := 0; src < n; src++ {
-			rr.RowInto(src, row)
-			v, err := arg.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				av.Vals[src] = nanFloat
-				av.Null.Set(src)
-				continue
-			}
-			av.Vals[src] = v.Float()
-		}
+	av = &ArgView{Vals: make([]float64, 0, n), Null: bitset.New(n)}
+	if err := fillArgView(av, r.aggArgs[ord], r.Source, 0, n); err != nil {
+		return nil, err
 	}
 	if r.argViews == nil {
 		r.argViews = make(map[int]*ArgView)
 	}
 	r.argViews[ord] = av
 	return av, nil
+}
+
+// fillArgView appends arg's value on source rows [from, to) to av.Vals
+// (which must hold exactly the rows before from) and marks their NULLs
+// in av.Null: 1 for count(*)'s nil argument, the typed view's cells for
+// a bare numeric column, the boxed evaluation otherwise.
+func fillArgView(av *ArgView, arg expr.Expr, src *engine.Table, from, to int) error {
+	if arg == nil { // count(*): every row contributes 1
+		for i := from; i < to; i++ {
+			av.Vals = append(av.Vals, 1)
+		}
+		return nil
+	}
+	if col, ok := arg.(*expr.Col); ok {
+		if fv := src.FloatView(col.Index); fv != nil {
+			fr := fv.NewReader()
+			defer fr.Close()
+			for i := from; i < to; i++ {
+				f, null := fr.At(i)
+				av.Vals = append(av.Vals, f)
+				if null {
+					av.Null.Set(i)
+				}
+			}
+			return nil
+		}
+	}
+	rr := src.NewRowReader()
+	defer rr.Close()
+	row := make([]engine.Value, src.NumCols())
+	for i := from; i < to; i++ {
+		rr.RowInto(i, row)
+		v, err := arg.Eval(row)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			av.Vals = append(av.Vals, nanFloat)
+			av.Null.Set(i)
+			continue
+		}
+		av.Vals = append(av.Vals, v.Float())
+	}
+	return nil
 }
 
 // LineageBits returns the union of the given output rows' lineage as a

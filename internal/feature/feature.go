@@ -60,9 +60,39 @@ type Attr struct {
 type Space struct {
 	Table *engine.Table
 	Attrs []Attr
+	// Frame is the learning frame: the space's attributes gathered once
+	// over Options.Rows. Subgroup discovery and tree induction address
+	// rows by their position in it and never touch the table.
+	Frame *Frame
 	// numericIdx lists positions in Attrs that are numeric, defining the
-	// coordinate order of Vector.
+	// coordinate order of Frame.Vector.
 	numericIdx []int
+}
+
+// Frame is a space's attributes gathered over a list of table rows: one
+// flat column per attribute (parallel to Space.Attrs), addressed by
+// position in Rows. It is read through the typed column readers on the
+// calling goroutine and holds no pin afterwards, so any number of
+// goroutines may share it read-only.
+type Frame struct {
+	// Rows maps a position to its table row id.
+	Rows []int
+	// Floats[ai][i] is numeric attribute ai at position i (NaN when
+	// NULL); nil for categorical attributes.
+	Floats [][]float64
+	// Codes[ai][i] is categorical attribute ai's dictionary code at
+	// position i (-1 when NULL), in a code space private to the frame;
+	// nil for numeric attributes.
+	Codes [][]int32
+	// Bins[ai][i] is position i's place in attribute ai's vocabulary —
+	// the learning frame only. Numeric: the threshold bucket
+	// (sort.SearchFloat64s over Thresholds; NULL and NaN land in the
+	// last bucket, len(Thresholds)), so value <= Thresholds[k] is
+	// Bins <= k; nil without thresholds. Categorical: the index into
+	// Values, -1 for NULL and for values outside the capped set.
+	Bins [][]int16
+	// Space is the space the columns belong to.
+	Space *Space
 }
 
 // Options configures space construction.
@@ -77,7 +107,8 @@ type Options struct {
 	// NumThresholds is the number of quantile thresholds per numeric
 	// attribute (default 12).
 	NumThresholds int
-	// Rows restricts statistics to a subset of rows (default: all).
+	// Rows is the population the learning frame covers and statistics
+	// are taken over (default: all rows).
 	Rows []int
 	// SampleCap bounds how many rows are examined for statistics
 	// (default 50000, evenly spaced).
@@ -91,12 +122,17 @@ func (o *Options) defaults() {
 	if o.NumThresholds <= 0 {
 		o.NumThresholds = 12
 	}
+	// Frame.Bins holds vocabulary positions as int16.
+	o.MaxCategories = min(o.MaxCategories, math.MaxInt16)
+	o.NumThresholds = min(o.NumThresholds, math.MaxInt16-1)
 	if o.SampleCap <= 0 {
 		o.SampleCap = 50000
 	}
 }
 
-// NewSpace derives the attribute space of t.
+// NewSpace derives the attribute space of t and gathers its learning
+// frame. On an out-of-core table a chunk-load failure panics
+// engine.SegmentLoadError (see engine.CatchSegmentLoad).
 func NewSpace(t *engine.Table, opt Options) *Space {
 	opt.defaults()
 	excluded := make(map[string]bool, len(opt.Exclude))
@@ -111,51 +147,142 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 			rows[i] = i
 		}
 	}
+	// Statistics run over an evenly spaced sample of the frame's
+	// positions when it is larger than SampleCap.
+	var sample []int
 	if len(rows) > opt.SampleCap {
-		sampled := make([]int, 0, opt.SampleCap)
+		sample = make([]int, opt.SampleCap)
 		step := float64(len(rows)) / float64(opt.SampleCap)
-		for i := 0; i < opt.SampleCap; i++ {
-			sampled = append(sampled, rows[int(float64(i)*step)])
+		for i := range sample {
+			sample[i] = int(float64(i) * step)
 		}
-		rows = sampled
 	}
 
 	sp := &Space{Table: t}
-	// One reader serves every column profile below: on out-of-core
-	// tables Table.Value pins a chunk transiently per row, so profiling
-	// a faultable column through it would re-decode the chunk per row.
-	rr := t.NewRowReader()
-	defer rr.Close()
+	fr := &Frame{Rows: rows, Space: sp}
+	sp.Frame = fr
 	for c, col := range t.Schema() {
 		if excluded[strings.ToLower(col.Name)] {
 			continue
 		}
+		attr := Attr{Name: col.Name, Col: c, Type: col.Type}
+		var floats []float64
+		var codes []int32
+		var bins []int16
 		switch {
 		case col.Type.IsNumeric():
-			attr, ok := numericAttr(t, rr, c, col.Name, rows, opt.NumThresholds)
-			if ok {
-				sp.numericIdx = append(sp.numericIdx, len(sp.Attrs))
-				sp.Attrs = append(sp.Attrs, attr)
+			floats = gatherFloats(t, c, rows)
+			if !attr.profileNumeric(sampled(floats, sample), opt.NumThresholds) {
+				continue
 			}
+			bins = bucketize(floats, attr.Thresholds)
+			sp.numericIdx = append(sp.numericIdx, len(sp.Attrs))
 		case col.Type == engine.TString:
-			attr, ok := categoricalAttr(t, rr, c, col.Name, rows, opt.MaxCategories)
-			if ok {
-				sp.Attrs = append(sp.Attrs, attr)
+			var dict []string
+			codes, dict = gatherCodes(t, c, rows)
+			slot := attr.profileCategorical(sampled(codes, sample), dict, opt.MaxCategories)
+			if slot == nil {
+				continue
 			}
+			bins = make([]int16, len(codes))
+			for i, code := range codes {
+				bins[i] = -1
+				if code >= 0 {
+					bins[i] = slot[code]
+				}
+			}
+		default:
+			continue
 		}
+		sp.Attrs = append(sp.Attrs, attr)
+		fr.Floats = append(fr.Floats, floats)
+		fr.Codes = append(fr.Codes, codes)
+		fr.Bins = append(fr.Bins, bins)
 	}
 	return sp
 }
 
-func numericAttr(t *engine.Table, rr *engine.RowReader, c int, name string, rows []int, nThresh int) (Attr, bool) {
-	vals := make([]float64, 0, len(rows))
-	var sum, sumsq float64
-	for _, r := range rows {
-		v := rr.Value(r, c)
+// sampled returns col at the sample positions; all of it without a
+// sample.
+func sampled[T any](col []T, sample []int) []T {
+	if sample == nil {
+		return col
+	}
+	out := make([]T, len(sample))
+	for i, p := range sample {
+		out[i] = col[p]
+	}
+	return out
+}
+
+// Gather reads the space's attributes over rows into a frame of its
+// own (no Bins) — how a stage whose rows are not the learning
+// population (example cleaning) gets columnar access.
+func (s *Space) Gather(rows []int) *Frame {
+	fr := &Frame{Rows: rows, Space: s, Floats: make([][]float64, len(s.Attrs)), Codes: make([][]int32, len(s.Attrs))}
+	for ai := range s.Attrs {
+		if a := &s.Attrs[ai]; a.Kind == Numeric {
+			fr.Floats[ai] = gatherFloats(s.Table, a.Col, rows)
+		} else {
+			fr.Codes[ai], _ = gatherCodes(s.Table, a.Col, rows)
+		}
+	}
+	return fr
+}
+
+// gatherFloats reads numeric column c at rows through the typed view,
+// one pinned chunk at a time.
+func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
+	r := t.FloatView(c).NewReader()
+	defer r.Close()
+	out := make([]float64, len(rows))
+	for i, row := range rows {
+		out[i] = r.V(row)
+	}
+	return out
+}
+
+// gatherCodes reads string column c at rows as dictionary codes (-1 =
+// NULL) plus the code → string table. A table version the family has
+// moved past has no typed view; its values box through a RowReader into
+// a dictionary local to the call.
+func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
+	out := make([]int32, len(rows))
+	if dv := t.DictView(c); dv != nil {
+		r := dv.NewReader()
+		defer r.Close()
+		for i, row := range rows {
+			out[i] = r.CodeAt(row)
+		}
+		return out, dv.Values()
+	}
+	rr := t.NewRowReader()
+	defer rr.Close()
+	var dict []string
+	byStr := make(map[string]int32)
+	for i, row := range rows {
+		v := rr.Value(row, c)
 		if v.IsNull() {
+			out[i] = -1
 			continue
 		}
-		f := v.Float()
+		code, ok := byStr[v.S]
+		if !ok {
+			code = int32(len(dict))
+			byStr[v.S] = code
+			dict = append(dict, v.S)
+		}
+		out[i] = code
+	}
+	return out, dict
+}
+
+// profileNumeric fills a's numeric statistics from (a sample of) its
+// gathered column; false when no finite value remains.
+func (a *Attr) profileNumeric(floats []float64, nThresh int) bool {
+	vals := make([]float64, 0, len(floats))
+	var sum, sumsq float64
+	for _, f := range floats {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			continue
 		}
@@ -164,7 +291,7 @@ func numericAttr(t *engine.Table, rr *engine.RowReader, c int, name string, rows
 		sumsq += f * f
 	}
 	if len(vals) == 0 {
-		return Attr{}, false
+		return false
 	}
 	n := float64(len(vals))
 	mean := sum / n
@@ -177,11 +304,8 @@ func numericAttr(t *engine.Table, rr *engine.RowReader, c int, name string, rows
 		std = 1
 	}
 	sort.Float64s(vals)
-	attr := Attr{
-		Name: name, Col: c, Kind: Numeric, Type: t.Schema()[c].Type,
-		Mean: mean, Std: std,
-		Min: vals[0], Max: vals[len(vals)-1],
-	}
+	a.Kind, a.Mean, a.Std = Numeric, mean, std
+	a.Min, a.Max = vals[0], vals[len(vals)-1]
 	// Quantile midpoint thresholds, deduplicated. A constant column
 	// yields no thresholds but still standardizes.
 	prev := math.Inf(-1)
@@ -189,78 +313,88 @@ func numericAttr(t *engine.Table, rr *engine.RowReader, c int, name string, rows
 		idx := q * (len(vals) - 1) / (nThresh + 1)
 		cut := vals[idx]
 		if cut > prev {
-			attr.Thresholds = append(attr.Thresholds, cut)
+			a.Thresholds = append(a.Thresholds, cut)
 			prev = cut
 		}
 	}
-	return attr, true
+	return true
 }
 
-func categoricalAttr(t *engine.Table, rr *engine.RowReader, c int, name string, rows []int, maxCats int) (Attr, bool) {
-	counts := make(map[string]int)
-	repr := make(map[string]engine.Value)
-	for _, r := range rows {
-		v := rr.Value(r, c)
-		if v.IsNull() {
-			continue
+// bucketize resolves every position's threshold bucket once, so no
+// learner repeats the binary search per node, per tree or per selector.
+func bucketize(floats []float64, ths []float64) []int16 {
+	if len(ths) == 0 {
+		return nil
+	}
+	b := make([]int16, len(floats))
+	for i, f := range floats {
+		k := len(ths)
+		if !math.IsNaN(f) {
+			k = sort.SearchFloat64s(ths, f)
 		}
-		k := v.Key()
-		counts[k]++
-		if _, ok := repr[k]; !ok {
-			repr[k] = v
+		b[i] = int16(k)
+	}
+	return b
+}
+
+// profileCategorical picks a's most frequent values (ties by value) in
+// (a sample of) its gathered column and returns the code → Values index
+// table, -1 outside the capped set; nil when there is no value.
+func (a *Attr) profileCategorical(codes []int32, dict []string, maxCats int) []int16 {
+	counts := make([]int, len(dict))
+	var seen []int32
+	for _, c := range codes {
+		if c >= 0 {
+			if counts[c] == 0 {
+				seen = append(seen, c)
+			}
+			counts[c]++
 		}
 	}
-	if len(counts) == 0 {
-		return Attr{}, false
+	if len(seen) == 0 {
+		return nil
 	}
-	type kv struct {
-		k string
-		n int
-	}
-	all := make([]kv, 0, len(counts))
-	for k, n := range counts {
-		all = append(all, kv{k, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
+	sort.Slice(seen, func(i, j int) bool {
+		if counts[seen[i]] != counts[seen[j]] {
+			return counts[seen[i]] > counts[seen[j]]
 		}
-		return all[i].k < all[j].k
+		return dict[seen[i]] < dict[seen[j]]
 	})
-	if len(all) > maxCats {
-		all = all[:maxCats]
+	if len(seen) > maxCats {
+		seen = seen[:maxCats]
 	}
-	attr := Attr{Name: name, Col: c, Kind: Categorical, Type: t.Schema()[c].Type}
-	for _, e := range all {
-		attr.Values = append(attr.Values, repr[e.k])
+	a.Kind = Categorical
+	slot := make([]int16, len(dict))
+	for i := range slot {
+		slot[i] = -1
 	}
-	return attr, true
+	for vi, c := range seen {
+		a.Values = append(a.Values, engine.NewString(dict[c]))
+		slot[c] = int16(vi)
+	}
+	return slot
 }
 
 // Dim returns the numeric coordinate dimension of Vector.
 func (s *Space) Dim() int { return len(s.numericIdx) }
 
-// Vector writes the standardized numeric coordinates of a row into dst
-// (allocating when dst is too small) and returns it. NULLs map to 0
+// Vector writes the standardized numeric coordinates of position i into
+// dst (allocating when dst is too small) and returns it. NULLs map to 0
 // (the mean after standardization).
-func (s *Space) Vector(row int, dst []float64) []float64 {
+func (f *Frame) Vector(i int, dst []float64) []float64 {
+	s := f.Space
 	if cap(dst) < len(s.numericIdx) {
 		dst = make([]float64, len(s.numericIdx))
 	}
 	dst = dst[:len(s.numericIdx)]
-	for i, ai := range s.numericIdx {
+	for d, ai := range s.numericIdx {
 		a := &s.Attrs[ai]
-		v := s.Table.Value(row, a.Col)
-		if v.IsNull() {
-			dst[i] = 0
+		v := f.Floats[ai][i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			dst[d] = 0
 			continue
 		}
-		f := v.Float()
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = (f - a.Mean) / a.Std
+		dst[d] = (v - a.Mean) / a.Std
 	}
 	return dst
 }

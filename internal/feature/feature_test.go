@@ -91,7 +91,7 @@ func TestVectorStandardization(t *testing.T) {
 	sums := make([]float64, sp.Dim())
 	var v []float64
 	for r := 0; r < tbl.NumRows(); r++ {
-		v = sp.Vector(r, v)
+		v = sp.Frame.Vector(r, v)
 		for i, x := range v {
 			sums[i] += x
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -51,7 +52,7 @@ func rankerCtx(t *testing.T, res *exec.Result, suspect []int, metric errmetric.M
 
 // randCands draws candidate predicates over the testgen schema with
 // targets sampled from F.
-func randCands(rng *rand.Rand, F []int, n int) []Candidate {
+func randCands(rng *rand.Rand, res *exec.Result, F []int, n int) []Candidate {
 	ops := []predicate.Op{predicate.OpGe, predicate.OpLe, predicate.OpEq}
 	strs := []string{"a", "b", "c", ""}
 	var out []Candidate
@@ -71,10 +72,10 @@ func randCands(rng *rand.Rand, F []int, n int) []Candidate {
 					Col: "s", Op: predicate.OpEq, Val: engine.NewString(strs[rng.Intn(len(strs))])})
 			}
 		}
-		target := map[int]bool{}
+		target := bitset.New(res.Source.NumRows())
 		for _, r := range F {
 			if rng.Float64() < 0.4 {
-				target[r] = true
+				target.Set(r)
 			}
 		}
 		out = append(out, Candidate{Pred: p, Origin: fmt.Sprintf("rand%d", k), Target: target})
@@ -122,7 +123,7 @@ func TestRescoreStableContext(t *testing.T) {
 		ctx := &Context{Res: res, Suspect: suspect, Ord: 0, Metric: metric,
 			F: an.F, Eps: an.Eps, DisableMerge: true}
 		ctx.Scorer = an.Scorer
-		scored, st, _ := RankAllCarry(randCands(rng, an.F, 6), ctx)
+		scored, st, _ := RankAllCarry(randCands(rng, res, an.F, 6), ctx)
 		if st.Len() == 0 {
 			continue
 		}
@@ -172,7 +173,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			ctx := &Context{Res: res, Suspect: suspect, Ord: 0, Metric: metric,
 				F: an.F, Eps: an.Eps, DisableMerge: true}
 			ctx.Scorer = an.Scorer
-			cands := randCands(rng, an.F, 6)
+			cands := randCands(rng, res, an.F, 6)
 			_, st, _ := RankAllCarry(cands, ctx)
 			if st.Len() == 0 {
 				continue
@@ -241,12 +242,7 @@ func TestRescoreVacuousDrift(t *testing.T) {
 	metric := testgen.Metric(rand.New(rand.NewSource(1)))
 	ctx0, _ := rankerCtx(t, res, []int{0}, metric)
 	pred := predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")})
-	target := map[int]bool{}
-	for _, r := range res.Lineage([]int{0}) {
-		if res.Source.Value(r, 2).Str() == "BAD" {
-			target[r] = true
-		}
-	}
+	target := badTarget(res)
 	scored, st, _ := RankAllCarry([]Candidate{{Pred: pred, Origin: "test", Target: target}}, ctx0)
 	if len(scored) != 1 || st.Len() != 1 {
 		t.Fatalf("seed ranking: %d scored, %d carried", len(scored), st.Len())

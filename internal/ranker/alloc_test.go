@@ -25,7 +25,6 @@ func TestScoreFastZeroAlloc(t *testing.T) {
 	}
 	env := ctx.newEnv()
 	c := Candidate{Pred: memoPred(), Origin: "test", Target: badTarget(res)}
-	c.targetBits = targetBitsOf(c.Target, ctx.Res.Source.NumRows())
 	if _, ok := scoreWith(c, ctx, env); !ok { // warm clause masks + scratch
 		t.Fatal("candidate rejected")
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -36,14 +37,13 @@ func benchCtx(b *testing.B, fast bool) (*Context, []Candidate) {
 	suspect := res.AllRows()
 	metric := errmetric.TooHigh{C: 30}
 	F := res.Lineage(suspect)
-	target := map[int]bool{}
-	culpable := map[int]bool{}
+	target := bitset.New(tbl.NumRows())
 	for _, r := range F {
 		if tbl.Value(r, 2).Str() == "BAD" {
-			target[r] = true
-			culpable[r] = true
+			target.Set(r)
 		}
 	}
+	culpable := target
 	an, err := influence.Rank(res, suspect, 0, metric, influence.Options{MaxTuples: 1000})
 	if err != nil {
 		b.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -28,11 +29,10 @@ type Candidate struct {
 	Pred   predicate.Predicate
 	Origin string
 	// Target is the candidate dataset Dᶜᵢ this predicate was learned to
-	// describe (source row ids); accuracy is measured against it.
-	Target map[int]bool
-	// targetBits is Target as a bitset, populated once per candidate by
-	// RankAll so pruning variants don't re-hash the map.
-	targetBits *bitset.Bitset
+	// describe, as a bitset over source rows; accuracy is measured
+	// against it. Nil or empty skips the accuracy terms. A target carried
+	// from a shorter table version is widened to Res.Source on ranking.
+	Target *bitset.Bitset
 }
 
 // Weights are the mixing coefficients of the score terms.
@@ -74,9 +74,10 @@ type Context struct {
 	// tuples. Accuracy and tautology checks run over it. Nil means F.
 	Population []int
 	// Culpable marks the high-influence lineage tuples (from the
-	// preprocessor's leave-one-out analysis); the Excess term uses it.
-	// Nil disables the Excess term.
-	Culpable map[int]bool
+	// preprocessor's leave-one-out analysis) as a bitset over
+	// Res.Source's rows; the Excess term uses it. Nil disables the
+	// Excess term.
+	Culpable *bitset.Bitset
 	// Eps is ε before any removal.
 	Eps float64
 	// Weights mixes the score terms (zero value → DefaultWeights).
@@ -93,14 +94,13 @@ type Context struct {
 	// built automatically when nil and the fast path is active.
 	Index *predicate.Index
 
-	// prepared lazily by prepare(): bitset forms of Population, F and
-	// Culpable, shared read-only across scoring goroutines.
-	prepOnce     sync.Once
-	popBits      *bitset.Bitset
-	fBits        *bitset.Bitset
-	culpableBits *bitset.Bitset
-	popCount     int
-	fastOK       bool
+	// prepared lazily by prepare(): bitset forms of Population and F,
+	// shared read-only across scoring goroutines.
+	prepOnce sync.Once
+	popBits  *bitset.Bitset
+	fBits    *bitset.Bitset
+	popCount int
+	fastOK   bool
 }
 
 // prepare builds the shared read-only scoring state exactly once. Like
@@ -136,9 +136,6 @@ func (ctx *Context) prepare() {
 		ctx.popBits = bitset.FromRows(n, pop)
 		ctx.popCount = ctx.popBits.Count()
 		ctx.fBits = bitset.FromRows(n, ctx.F)
-		if len(ctx.Culpable) > 0 {
-			ctx.culpableBits = targetBitsOf(ctx.Culpable, n)
-		}
 		ctx.fastOK = true
 	})
 }
@@ -255,21 +252,17 @@ func scoreFast(c Candidate, ctx *Context, env *scoreEnv, w Weights) (Scored, boo
 			s.ErrImprovement = 1
 		}
 	}
-	if len(c.Target) > 0 {
-		tb := c.targetBits
-		if tb == nil {
-			tb = targetBitsOf(c.Target, ctx.Res.Source.NumRows())
-		}
-		hit := bitset.AndCount(pb, tb)
+	if nTarget := c.targetCount(); nTarget > 0 {
+		hit := bitset.AndCount(pb, c.Target)
 		s.Precision = float64(hit) / float64(nPop)
-		s.Recall = float64(hit) / float64(len(c.Target))
+		s.Recall = float64(hit) / float64(nTarget)
 		if s.Precision+s.Recall > 0 {
 			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
 		}
 	}
 	s.CulpableFrac = 1
-	if ctx.culpableBits != nil {
-		hit := bitset.AndCount(mb, ctx.culpableBits)
+	if ctx.Culpable != nil {
+		hit := bitset.AndCount(mb, ctx.Culpable)
 		s.CulpableFrac = float64(hit) / float64(nMatched)
 	}
 	s.Score = finalScore(&s, w)
@@ -315,24 +308,24 @@ func scoreSlow(c Candidate, ctx *Context, w Weights) (Scored, bool) {
 			s.ErrImprovement = 1
 		}
 	}
-	if len(c.Target) > 0 {
+	if nTarget := c.targetCount(); nTarget > 0 {
 		var hit int
 		for _, r := range matchedPop {
-			if c.Target[r] {
+			if c.Target.Get(r) {
 				hit++
 			}
 		}
 		s.Precision = float64(hit) / float64(len(matchedPop))
-		s.Recall = float64(hit) / float64(len(c.Target))
+		s.Recall = float64(hit) / float64(nTarget)
 		if s.Precision+s.Recall > 0 {
 			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
 		}
 	}
 	s.CulpableFrac = 1
-	if len(ctx.Culpable) > 0 {
+	if ctx.Culpable != nil {
 		hit := 0
 		for _, r := range matched {
-			if ctx.Culpable[r] {
+			if ctx.Culpable.Get(r) {
 				hit++
 			}
 		}
@@ -350,15 +343,12 @@ func finalScore(s *Scored, w Weights) float64 {
 	return w.Err*s.ErrImprovement + w.Acc*s.F1 - w.Complexity*comp - w.Excess*(1-s.CulpableFrac)
 }
 
-// targetBitsOf converts a target row set to a bitset over source rows.
-func targetBitsOf(target map[int]bool, n int) *bitset.Bitset {
-	b := bitset.New(n)
-	for r, ok := range target {
-		if ok {
-			b.Set(r)
-		}
+// targetCount is |Target| (0 without one).
+func (c Candidate) targetCount() int {
+	if c.Target == nil {
+		return 0
 	}
-	return b
+	return c.Target.Count()
 }
 
 // Prune greedily drops clauses that do not hurt the score: subgroup
@@ -379,7 +369,6 @@ func pruneWith(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, 
 			var variant Candidate
 			variant.Origin = c.Origin
 			variant.Target = c.Target
-			variant.targetBits = c.targetBits
 			variant.Pred.Clauses = make([]predicate.Clause, 0, len(c.Pred.Clauses)-1)
 			variant.Pred.Clauses = append(variant.Pred.Clauses, c.Pred.Clauses[:drop]...)
 			variant.Pred.Clauses = append(variant.Pred.Clauses, c.Pred.Clauses[drop+1:]...)
@@ -513,11 +502,10 @@ func mergeColumn(a, b []predicate.Clause) ([]predicate.Clause, bool) {
 // when the least-widening conjunction covering two predicates scores at
 // least as well as both, it replaces them. One pass over the top
 // results.
-func MergeAdjacent(scored []Scored, targets map[string]map[int]bool, ctx *Context) []Scored {
+func MergeAdjacent(scored []Scored, targets map[string]*bitset.Bitset, ctx *Context) []Scored {
 	const maxPairwise = 12
 	ctx.prepare()
 	env := ctx.newEnv() // one reusable env for every pairwise attempt
-	targetBits := map[string]*bitset.Bitset{}
 	n := len(scored)
 	if n > maxPairwise {
 		n = maxPairwise
@@ -536,15 +524,8 @@ func MergeAdjacent(scored []Scored, targets map[string]map[int]bool, ctx *Contex
 			if !ok {
 				continue
 			}
-			key := scored[i].Pred.Key()
-			target := targets[key]
+			target := targets[scored[i].Pred.Key()]
 			cand := Candidate{Pred: merged, Origin: scored[i].Origin + "+merge", Target: target}
-			if ctx.fastOK && len(target) > 0 {
-				if targetBits[key] == nil {
-					targetBits[key] = targetBitsOf(target, ctx.Res.Source.NumRows())
-				}
-				cand.targetBits = targetBits[key]
-			}
 			sc, ok := scoreWith(cand, ctx, env)
 			if !ok {
 				continue
@@ -615,20 +596,22 @@ func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, erro
 // pairwise merging. It additionally returns the target set per final
 // predicate key and, aligned with cands, each candidate's raw
 // (pre-prune) score — NaN for candidates that scored vacuous or
-// tautological — which Rescore turns into the drift signal.
-func rankCore(cands []Candidate, ctx *Context, provenance string) ([]Scored, map[string]map[int]bool, []float64, error) {
+// tautological — which Rescore turns into the drift signal. On an
+// out-of-core source a chunk-load failure — on this goroutine or in a
+// pool worker extending a clause mask — comes back as an error wrapping
+// *engine.SegmentLoadError once the pool has drained.
+func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _ map[string]*bitset.Bitset, _ []float64, err error) {
+	defer engine.CatchSegmentLoad(&err)
 	cctx := ctx.Ctx
 	if cctx == nil {
 		cctx = context.Background()
 	}
 	ctx.prepare()
-	if ctx.fastOK {
-		// Populate target bitsets up front so pruning variants and
-		// parallel workers share them instead of re-hashing the maps.
-		for i := range cands {
-			if len(cands[i].Target) > 0 && cands[i].targetBits == nil {
-				cands[i].targetBits = targetBitsOf(cands[i].Target, ctx.Res.Source.NumRows())
-			}
+	// Targets carried from a shorter table version widen to this one
+	// (appended rows are outside every carried target).
+	for i := range cands {
+		if t := cands[i].Target; t != nil && t.Len() != ctx.Res.Source.NumRows() {
+			cands[i].Target = bitset.SnapshotWords(ctx.Res.Source.NumRows(), t.Words())
 		}
 	}
 
@@ -646,32 +629,38 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) ([]Scored, map
 	if workers < 1 {
 		workers = 1
 	}
+	scoreOne := func(i int, env *scoreEnv) (err error) {
+		defer engine.CatchSegmentLoad(&err)
+		c := cands[i]
+		sc, ok := scoreWith(c, ctx, env)
+		if ok {
+			raw[i] = sc.Score
+		}
+		if ok && !ctx.DisablePrune {
+			c, sc = pruneWith(c, sc, ctx, env)
+		}
+		slots[i] = slot{c: c, sc: sc, ok: ok}
+		return nil
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[error] // the first worker's chunk-load failure
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			env := ctx.newEnv()
 			for i := range jobs {
-				// Cancellation check per candidate: remaining jobs drain
-				// unscored so the producer never blocks, and rankCore
-				// discards everything after the pool joins.
-				if cctx.Err() != nil {
-					raw[i] = math.NaN()
+				// Cancellation (and failure) check per candidate: remaining
+				// jobs drain unscored so the producer never blocks, and
+				// rankCore discards everything after the pool joins.
+				raw[i] = math.NaN()
+				if cctx.Err() != nil || failed.Load() != nil {
 					continue
 				}
-				c := cands[i]
-				sc, ok := scoreWith(c, ctx, env)
-				if ok {
-					raw[i] = sc.Score
-				} else {
-					raw[i] = math.NaN()
+				if err := scoreOne(i, env); err != nil {
+					failed.CompareAndSwap(nil, &err)
 				}
-				if ok && !ctx.DisablePrune {
-					c, sc = pruneWith(c, sc, ctx, env)
-				}
-				slots[i] = slot{c: c, sc: sc, ok: ok}
 			}
 		}()
 	}
@@ -683,9 +672,12 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) ([]Scored, map
 	if err := cctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("ranker: cancelled: %w", err)
 	}
+	if errp := failed.Load(); errp != nil {
+		return nil, nil, nil, fmt.Errorf("ranker: %w", *errp)
+	}
 
 	byKey := make(map[string]Scored)
-	targets := make(map[string]map[int]bool)
+	targets := make(map[string]*bitset.Bitset)
 	var order []string
 	for i := range slots {
 		if !slots[i].ok {
@@ -729,7 +721,7 @@ type RankerState struct {
 }
 
 // newRankerState snapshots the full ranked list (pre-truncation).
-func newRankerState(scored []Scored, targets map[string]map[int]bool) *RankerState {
+func newRankerState(scored []Scored, targets map[string]*bitset.Bitset) *RankerState {
 	st := &RankerState{
 		cands:  make([]Candidate, len(scored)),
 		scores: make([]float64, len(scored)),
@@ -761,8 +753,8 @@ func (st *RankerState) Len() int {
 // re-expand. A cancellation (ctx.Ctx) returns an error and leaves st
 // untouched and reusable — rankCore works on copies throughout.
 func (st *RankerState) Rescore(ctx *Context) ([]Scored, *RankerState, float64, error) {
-	// Work on copies: the state's candidates stay clean (targetBits are
-	// sized to a specific table version and must be rebuilt here).
+	// Work on copies: the state's candidates stay clean (rankCore widens
+	// their targets to ctx's table version).
 	cands := make([]Candidate, len(st.cands))
 	copy(cands, st.cands)
 	out, targets, raw, err := rankCore(cands, ctx, "carried")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -30,12 +31,10 @@ func fixture(t *testing.T) (*exec.Result, *Context) {
 		t.Fatal(err)
 	}
 	F := res.Lineage([]int{0})
-	target := map[int]bool{}
-	culpable := map[int]bool{}
+	culpable := bitset.New(tbl.NumRows())
 	for _, r := range F {
 		if tbl.Value(r, 2).Str() == "BAD" {
-			target[r] = true
-			culpable[r] = true
+			culpable.Set(r)
 		}
 	}
 	metric := errmetric.TooHigh{C: 15}
@@ -44,15 +43,14 @@ func fixture(t *testing.T) (*exec.Result, *Context) {
 		Res: res, Suspect: []int{0}, Ord: 0,
 		Metric: metric, F: F, Eps: eps, Culpable: culpable,
 	}
-	_ = target
 	return res, ctx
 }
 
-func badTarget(res *exec.Result) map[int]bool {
-	target := map[int]bool{}
+func badTarget(res *exec.Result) *bitset.Bitset {
+	target := bitset.New(res.Source.NumRows())
 	for _, r := range res.Lineage([]int{0}) {
 		if res.Source.Value(r, 2).Str() == "BAD" {
-			target[r] = true
+			target.Set(r)
 		}
 	}
 	return target

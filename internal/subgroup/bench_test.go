@@ -9,12 +9,11 @@ import (
 	"repro/internal/feature"
 )
 
-func benchFixture(b *testing.B, n int) (*feature.Space, []int, []bool) {
+func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	b.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"mote", engine.TInt, "volt", engine.TFloat, "hum", engine.TFloat, "city", engine.TString))
 	rng := rand.New(rand.NewSource(9))
-	rows := make([]int, 0, n)
 	labels := make([]bool, 0, n)
 	cities := []string{"A", "B", "C", "D", "E"}
 	for i := 0; i < n; i++ {
@@ -23,15 +22,14 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []int, []bool) {
 		if pos {
 			volt = 2.2 + rng.Float64()*0.15
 		}
-		id := tbl.MustAppendRow(
+		tbl.MustAppendRow(
 			engine.NewInt(rng.Int63n(54)),
 			engine.NewFloat(volt),
 			engine.NewFloat(30+rng.NormFloat64()*5),
 			engine.NewString(cities[i%5]))
-		rows = append(rows, id)
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{}), rows, labels
+	return feature.NewSpace(tbl, feature.Options{}), labels
 }
 
 // BenchmarkDiscover measures the CN2-SD covering loop at pipeline-like
@@ -40,10 +38,10 @@ func BenchmarkDiscover(b *testing.B) {
 	for _, n := range []int{4_000, 16_000} {
 		n := n
 		b.Run(fmt.Sprintf("pop=%d", n), func(b *testing.B) {
-			sp, rows, labels := benchFixture(b, n)
+			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rules := Discover(sp, rows, labels, Options{}); len(rules) == 0 {
+				if rules := Discover(sp, labels, Options{}); len(rules) == 0 {
 					b.Fatal("no rules")
 				}
 			}
@@ -52,12 +50,12 @@ func BenchmarkDiscover(b *testing.B) {
 }
 
 func BenchmarkDiscoverBeamWidth(b *testing.B) {
-	sp, rows, labels := benchFixture(b, 8_000)
+	sp, labels := benchFixture(b, 8_000)
 	for _, beam := range []int{1, 8, 32} {
 		beam := beam
 		b.Run(fmt.Sprintf("beam=%d", beam), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Discover(sp, rows, labels, Options{BeamWidth: beam})
+				Discover(sp, labels, Options{BeamWidth: beam})
 			}
 		})
 	}

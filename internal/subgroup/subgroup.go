@@ -10,6 +10,10 @@
 // are the cleaned D' (optionally widened with high-influence tuples), the
 // population is F (the suspect groups' lineage), and each discovered
 // rule's covered set becomes one candidate dataset Dᶜᵢ.
+//
+// The search runs over positions of the space's learning frame
+// (feature.Frame): selector match masks are built from its gathered
+// columns, and only Rule.Covered translates back to table row ids.
 package subgroup
 
 import (
@@ -27,6 +31,9 @@ type Selector struct {
 	AttrIdx int // index into the Space's Attrs
 	Op      predicate.Op
 	Val     engine.Value
+	// slot is Val's index in a categorical attribute's Values — what the
+	// learning frame's Bins hold.
+	slot int16
 }
 
 // Rule is a conjunction of selectors with its quality statistics.
@@ -96,11 +103,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// Discover runs CN2-SD over the population rows (ids into sp.Table) with
-// the given positive labels (parallel to rows). It returns rules sorted
+// Discover runs CN2-SD over the space's learning frame with the given
+// positive labels (parallel to sp.Frame.Rows). It returns rules sorted
 // by discovery order (best first by the covering loop's construction).
-func Discover(sp *feature.Space, rows []int, positive []bool, opt Options) []Rule {
+func Discover(sp *feature.Space, positive []bool, opt Options) []Rule {
 	opt.defaults()
+	rows := sp.Frame.Rows
 	n := len(rows)
 	if n == 0 || len(positive) != n {
 		return nil
@@ -115,10 +123,11 @@ func Discover(sp *feature.Space, rows []int, positive []bool, opt Options) []Rul
 		return nil
 	}
 
-	selectors, matches := enumerateSelectors(sp, rows)
+	selectors := Selectors(sp)
 	if len(selectors) == 0 {
 		return nil
 	}
+	matches := selectorMasks(sp, selectors)
 
 	weights := make([]float64, n)
 	coverCount := make([]int, n)
@@ -300,8 +309,8 @@ func Selectors(sp *feature.Space) []Selector {
 		attr := &sp.Attrs[ai]
 		switch attr.Kind {
 		case feature.Categorical:
-			for _, v := range attr.Values {
-				selectors = append(selectors, Selector{AttrIdx: ai, Op: predicate.OpEq, Val: v})
+			for vi, v := range attr.Values {
+				selectors = append(selectors, Selector{AttrIdx: ai, Op: predicate.OpEq, Val: v, slot: int16(vi)})
 			}
 		case feature.Numeric:
 			for _, t := range attr.Thresholds {
@@ -316,89 +325,39 @@ func Selectors(sp *feature.Space) []Selector {
 	return selectors
 }
 
-// enumerateSelectors builds the selector vocabulary and a match bitset
-// per selector over the population rows. Numeric columns are decoded to
-// float64 once per attribute so each selector's bitmap is a primitive
-// comparison loop rather than generic value comparison; the bitsets are
-// what lets beamSearch refine coverage with word-level ANDs.
-func enumerateSelectors(sp *feature.Space, rows []int) ([]Selector, []*bitset.Bitset) {
-	selectors := Selectors(sp)
+// selectorMasks builds one match bitset per selector over the learning
+// frame's positions, a word at a time from the gathered columns: float
+// comparison against the selector's value (NaN and NULL compare false)
+// for numeric selectors, slot equality for categorical ones. The
+// bitsets are what lets beamSearch refine coverage with word-level ANDs.
+func selectorMasks(sp *feature.Space, selectors []Selector) []*bitset.Bitset {
+	fr := sp.Frame
+	n := len(fr.Rows)
 	matches := make([]*bitset.Bitset, len(selectors))
-
-	// Decode each referenced attribute once, through a segment-pinned
-	// reader: Table.Value's per-row transient pin would re-decode
-	// over-budget chunks per row on out-of-core tables.
-	rr := sp.Table.NewRowReader()
-	defer rr.Close()
-	numVals := map[int][]float64{} // attrIdx -> per-row float (NaN = NULL)
-	catKeys := map[int][]string{}  // attrIdx -> per-row value key ("" = NULL)
-	for si := range selectors {
-		ai := selectors[si].AttrIdx
-		attr := &sp.Attrs[ai]
-		switch attr.Kind {
-		case feature.Numeric:
-			if _, ok := numVals[ai]; ok {
-				continue
-			}
-			vals := make([]float64, len(rows))
-			for i, r := range rows {
-				v := rr.Value(r, attr.Col)
-				if v.IsNull() {
-					vals[i] = math.NaN()
-				} else {
-					vals[i] = v.Float()
-				}
-			}
-			numVals[ai] = vals
-		case feature.Categorical:
-			if _, ok := catKeys[ai]; ok {
-				continue
-			}
-			keys := make([]string, len(rows))
-			for i, r := range rows {
-				v := rr.Value(r, attr.Col)
-				if v.IsNull() {
-					keys[i] = "\x00null"
-				} else {
-					keys[i] = v.Key()
-				}
-			}
-			catKeys[ai] = keys
-		}
-	}
-
 	for si, sel := range selectors {
-		attr := &sp.Attrs[sel.AttrIdx]
-		m := bitset.New(len(rows))
-		switch attr.Kind {
-		case feature.Numeric:
-			vals := numVals[sel.AttrIdx]
-			t := sel.Val.Float()
-			if sel.Op == predicate.OpLe {
-				for i, f := range vals {
-					if f <= t { // NaN compares false
-						m.Set(i)
-					}
-				}
-			} else {
-				for i, f := range vals {
-					if f >= t {
-						m.Set(i)
-					}
+		words := make([]uint64, (n+63)/64)
+		if sel.Op == predicate.OpEq {
+			for i, b := range fr.Bins[sel.AttrIdx] {
+				if b == sel.slot {
+					words[i>>6] |= 1 << (uint(i) & 63)
 				}
 			}
-		case feature.Categorical:
-			keys := catKeys[sel.AttrIdx]
-			want := sel.Val.Key()
-			for i, k := range keys {
-				if k == want {
-					m.Set(i)
+		} else if vals, t := fr.Floats[sel.AttrIdx], sel.Val.Float(); sel.Op == predicate.OpLe {
+			for i, f := range vals {
+				if f <= t {
+					words[i>>6] |= 1 << (uint(i) & 63)
+				}
+			}
+		} else {
+			for i, f := range vals {
+				if f >= t {
+					words[i>>6] |= 1 << (uint(i) & 63)
 				}
 			}
 		}
-		matches[si] = m
+		matches[si] = bitset.FromWords(n, words)
 	}
-	return selectors, matches
+	return matches
 }
 
 // numericThresholdValue renders a threshold as an engine value matching

@@ -12,14 +12,13 @@ import (
 
 // plantedTable builds a table where the positive class concentrates in
 // (mote >= 50 AND volt <= 2.4); other rows are negative.
-func plantedTable(t *testing.T, n int) (*feature.Space, []int, []bool) {
+func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"mote", engine.TInt, "volt", engine.TFloat, "city", engine.TString))
 	rng := rand.New(rand.NewSource(5))
 	cities := []string{"A", "B", "C"}
 	labels := make([]bool, 0, n)
-	rows := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		var mote int64
 		var volt float64
@@ -31,20 +30,19 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []int, []bool) {
 			mote = rng.Int63n(50)
 			volt = 2.5 + rng.Float64()*0.3
 		}
-		id := tbl.MustAppendRow(
+		tbl.MustAppendRow(
 			engine.NewInt(mote),
 			engine.NewFloat(volt),
 			engine.NewString(cities[i%3]))
-		rows = append(rows, id)
 		labels = append(labels, pos)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
-	return sp, rows, labels
+	return sp, labels
 }
 
 func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
-	sp, rows, labels := plantedTable(t, 400)
-	rules := Discover(sp, rows, labels, Options{})
+	sp, labels := plantedTable(t, 400)
+	rules := Discover(sp, labels, Options{})
 	if len(rules) == 0 {
 		t.Fatal("no rules found")
 	}
@@ -70,17 +68,16 @@ func TestWRAccComputation(t *testing.T) {
 	// maximum for this base rate.
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
 	labels := make([]bool, 10)
-	rows := make([]int, 10)
 	for i := 0; i < 10; i++ {
 		v := int64(0)
 		if i < 4 {
 			v = 1
 			labels[i] = true
 		}
-		rows[i] = tbl.MustAppendRow(engine.NewInt(v))
+		tbl.MustAppendRow(engine.NewInt(v))
 	}
 	sp := feature.NewSpace(tbl, feature.Options{NumThresholds: 4})
-	rules := Discover(sp, rows, labels, Options{MinCoverage: 2, MaxSelectors: 1, MaxRules: 1})
+	rules := Discover(sp, labels, Options{MinCoverage: 2, MaxSelectors: 1, MaxRules: 1})
 	if len(rules) == 0 {
 		t.Fatal("no rule")
 	}
@@ -97,7 +94,6 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 	// should emit rules for both.
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"mote", engine.TInt, "city", engine.TString))
-	var rows []int
 	var labels []bool
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 300; i++ {
@@ -115,12 +111,11 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 		default:
 			mote = rng.Int63n(40)
 		}
-		id := tbl.MustAppendRow(engine.NewInt(mote), engine.NewString(city))
-		rows = append(rows, id)
+		tbl.MustAppendRow(engine.NewInt(mote), engine.NewString(city))
 		labels = append(labels, pos)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
-	rules := Discover(sp, rows, labels, Options{MaxRules: 4})
+	rules := Discover(sp, labels, Options{MaxRules: 4})
 	if len(rules) < 2 {
 		t.Fatalf("expected >=2 rules, got %d", len(rules))
 	}
@@ -150,28 +145,28 @@ func containsCol(p predicate.Predicate, col string) bool {
 }
 
 func TestDiscoverDegenerateInputs(t *testing.T) {
-	sp, rows, labels := plantedTable(t, 100)
+	sp, labels := plantedTable(t, 100)
 	// All positive.
 	all := make([]bool, len(labels))
 	for i := range all {
 		all[i] = true
 	}
-	if rules := Discover(sp, rows, all, Options{}); rules != nil {
+	if rules := Discover(sp, all, Options{}); rules != nil {
 		t.Error("all-positive should yield no rules")
 	}
 	// All negative.
 	none := make([]bool, len(labels))
-	if rules := Discover(sp, rows, none, Options{}); rules != nil {
+	if rules := Discover(sp, none, Options{}); rules != nil {
 		t.Error("all-negative should yield no rules")
 	}
 	// Empty.
-	if rules := Discover(sp, nil, nil, Options{}); rules != nil {
+	if rules := Discover(sp, nil, Options{}); rules != nil {
 		t.Error("empty should yield no rules")
 	}
 }
 
 func TestSelectorsVocabulary(t *testing.T) {
-	sp, _, _ := plantedTable(t, 200)
+	sp, _ := plantedTable(t, 200)
 	sels := Selectors(sp)
 	if len(sels) == 0 {
 		t.Fatal("no selectors")
@@ -193,8 +188,8 @@ func TestSelectorsVocabulary(t *testing.T) {
 }
 
 func TestIntThresholdsRenderAsInts(t *testing.T) {
-	sp, rows, labels := plantedTable(t, 300)
-	rules := Discover(sp, rows, labels, Options{MaxRules: 1})
+	sp, labels := plantedTable(t, 300)
+	rules := Discover(sp, labels, Options{MaxRules: 1})
 	if len(rules) == 0 {
 		t.Fatal("no rules")
 	}
@@ -207,8 +202,8 @@ func TestIntThresholdsRenderAsInts(t *testing.T) {
 }
 
 func TestBeamWidthOne(t *testing.T) {
-	sp, rows, labels := plantedTable(t, 200)
-	rules := Discover(sp, rows, labels, Options{BeamWidth: 1, MaxRules: 2})
+	sp, labels := plantedTable(t, 200)
+	rules := Discover(sp, labels, Options{BeamWidth: 1, MaxRules: 2})
 	if len(rules) == 0 {
 		t.Error("beam=1 found nothing")
 	}
