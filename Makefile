@@ -45,9 +45,12 @@ test-chaos:
 # (including the bigger-than-cache differential and bounded-heap
 # checks) run with GOMEMLIMIT far below the decoded size of their
 # fixtures. A regression to eager residency fails the heap-growth
-# assertions — or stalls visibly in GC thrash under the limit.
+# assertions — or stalls visibly in GC thrash under the limit. The root
+# allocation guards ride along: an out-of-core query may allocate at
+# most twice what the resident one does.
 test-memcap:
 	GOMEMLIMIT=128MiB $(GO) test -count=1 ./internal/store/ ./internal/exec/
+	GOMEMLIMIT=128MiB $(GO) test -count=1 -run 'AllocSmoke' .
 
 vet:
 	$(GO) vet ./...
@@ -76,10 +79,13 @@ fuzz-smoke:
 # (feature, dtree, subgroup, core) decide what Debug answers. Thresholds
 # sit a few points under current coverage (influence 78%, ranker 92%,
 # feature 95%, dtree 94%, subgroup 95%, core 89%) — raise them when
-# coverage rises, never lower them.
+# coverage rises, never lower them. The storage and scan layers ride the
+# same ratchet (engine 73%, exec 91%, store 88%): their untested lines
+# would be fault, pin-release and carry paths.
 cover:
 	@for want in "./internal/influence:68" "./internal/ranker:88" "./internal/feature:92" \
-			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86"; do \
+			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
+			"./internal/engine:72" "./internal/exec:88" "./internal/store:86"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \
 		pct=$$($(GO) test -short -coverprofile=cover.out $$pkg | grep -o 'coverage: [0-9.]*' | cut -d' ' -f2); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg"; exit 1; fi; \

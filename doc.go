@@ -112,7 +112,13 @@
 //     where that refuses) for everything else, whose string results
 //     intern into NaN-payload slots no number can occupy. One key looks
 //     up through a dense code table or a uint64 map, two or more
-//     through a map keyed by the slots' bytes — any width. Aggregate
+//     through a map keyed by the slots' bytes — any width. A group's
+//     boxed Key is born with the group, from the row the shard has
+//     pinned; materialize takes a grouped statement's plain select
+//     items from it (they must BE group keys — expr.Equal) and reads no
+//     source row. Nothing on this path decodes a boxed chunk: out of
+//     core, a per-cell read (engine.RowReader) pins the float or code
+//     chunk the scan already pins and boxes that one cell. Aggregate
 //     arguments stream from engine.FloatView into the states through
 //     agg.FloatAdder. The row space splits across a worker pool on
 //     ranges balanced by SURVIVING-row popcount (zone-skipped segments

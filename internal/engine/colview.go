@@ -522,7 +522,7 @@ func (t *Table) FloatView(c int) *FloatView {
 // DictView returns the dictionary encoding of string column c at this
 // table version's window, or nil when the column is not a string
 // column — or when the version predates the family's current retention
-// base (callers then fall back to the boxed value path; such stale
+// base (callers then read cells through a RowReader; such stale
 // snapshots are already superseded). Codes are append-stable
 // (first-appearance order), which requires sequential decode: the
 // family decodes string columns in stream-row order regardless of

@@ -5,12 +5,14 @@ import "fmt"
 // This file is the engine half of the out-of-core segment contract.
 // A durability layer (internal/store) can attach SEALED segments to a
 // recovered table WITHOUT decoding them into memory: the segment keeps
-// no boxed values and no chunks, and every read faults the needed
+// no boxed values and no chunks, and every read faults the needed typed
 // column chunk in through a ChunkLoader — typically backed by a shared
 // buffer pool that pins chunks while scans read them and evicts cold
-// ones under a byte budget. In-memory (non-durable) tables never see
-// any of this: their segments stay always-resident and the pin calls
-// degrade to returning the resident slice with a no-op release.
+// ones under a byte budget. A boxed Value is only ever built for the one
+// cell a reader asked for (rowread.go), never per chunk. In-memory
+// (non-durable) tables never see any of this: their segments stay
+// always-resident and the pin calls degrade to returning the resident
+// slice with a no-op release.
 //
 // The pin/unpin contract: a Pin* call returns chunk data plus a
 // release func. The data stays VALID forever (Go's GC keeps it alive
@@ -38,9 +40,10 @@ type ChunkLoader interface {
 	// Codes index the dictionary the table was preloaded with
 	// (PreloadDict) — the loader and the engine share one code space.
 	PinCodes(seg, col int) (codes []int32, release func(), missed bool, err error)
-	// PinBoxed returns the boxed values of any column — the slow path
-	// behind Table.Value/RowInto for faultable segments.
-	PinBoxed(seg, col int) (vals []Value, release func(), missed bool, err error)
+	// PinInt returns the exact int64 cells of an int-like column (TInt,
+	// TBool, TTime; NULL cells hold 0) — what per-cell boxing reads where
+	// PinFloat's float64 coercion is lossy (|v| ≥ 2^53).
+	PinInt(seg, col int) (cells []int64, release func(), missed bool, err error)
 }
 
 // ZoneInfo is the per-segment-column zone map written at seal time:
@@ -124,22 +127,13 @@ func (s *segment) pinCodes(tname string, col int) (codes []int32, release func()
 	return codes, release, missed
 }
 
-// pinBoxed faults the segment's boxed values.
-func (s *segment) pinBoxed(tname string, col int) (vals []Value, release func()) {
-	vals, release, _, err := s.loader.PinBoxed(s.streamIdx, col)
+// pinInt faults the segment's exact int64 cell chunk.
+func (s *segment) pinInt(tname string, col int) (cells []int64, release func(), missed bool) {
+	cells, release, missed, err := s.loader.PinInt(s.streamIdx, col)
 	if err != nil {
 		panic(&SegmentLoadError{Table: tname, Seg: s.streamIdx, Col: col, Err: err})
 	}
-	return vals, release
-}
-
-// boxedAt reads one boxed value out of a faultable segment via a
-// transient pin.
-func (s *segment) boxedAt(tname string, col, off int) Value {
-	vals, release := s.pinBoxed(tname, col)
-	v := vals[off]
-	release()
-	return v
+	return cells, release, missed
 }
 
 // AttachLoadedSegment appends one sealed, faultable segment to the

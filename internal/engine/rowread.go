@@ -1,14 +1,16 @@
 package engine
 
 // RowReader serves per-row boxed reads (Value, RowInto) over a scan
-// loop. Table.Value and Table.RowInto are correct on faultable
-// segments but pin the boxed chunk transiently PER ROW — and a chunk
-// larger than the buffer pool's budget is evicted on every release, so
-// a row loop re-decodes the whole chunk each row. A RowReader instead
-// holds one pin per column and swaps it on segment crossings, exactly
-// like the typed views' PinSeg, making sequential row loops O(rows)
-// regardless of chunk and pool size. Resident segments and the tail
-// read straight from memory with no pin at all.
+// loop. Resident segments and the tail read straight from memory. A
+// faultable segment has no boxed cells anywhere: the reader pins the
+// typed chunk the buffer pool already serves the scan with — PinFloat
+// for numeric columns, PinCodes plus the family dictionary for strings
+// — and boxes the one cell it was asked for (cellCursor), so a read
+// costs what a typed-view read costs and shares its pool entry.
+// Table.Value and Table.RowInto do the same under a transient pin PER
+// ROW; a RowReader holds one pin per column and swaps it on segment
+// crossings, exactly like the typed views' PinSeg, making sequential
+// row loops O(rows) regardless of chunk and pool size.
 //
 // A RowReader is NOT safe for concurrent use — create one per
 // goroutine — and MUST be Closed (defer it) so held pins release on
@@ -17,22 +19,12 @@ package engine
 // surface errors run under CatchSegmentLoad.
 type RowReader struct {
 	t   *Table
-	cur []boxedCursor // one per column, lazily engaged
-
-	faulted  int // pins that missed to disk
-	resident int // pins served from memory (pool hit)
-}
-
-// boxedCursor is one column's pinned-chunk state.
-type boxedCursor struct {
-	seg     int // currently pinned segment (-1 = none)
-	vals    []Value
-	release func()
+	cur []cellCursor // one per column, lazily engaged
 }
 
 // NewRowReader returns a reader over the table's current rows.
 func (t *Table) NewRowReader() *RowReader {
-	rr := &RowReader{t: t, cur: make([]boxedCursor, len(t.schema))}
+	rr := &RowReader{t: t, cur: make([]cellCursor, len(t.schema))}
 	for c := range rr.cur {
 		rr.cur[c].seg = -1
 	}
@@ -47,28 +39,14 @@ func (rr *RowReader) Value(row, col int) Value {
 	if k < 0 || k >= len(t.sealed) {
 		return t.tail[col][row-len(t.sealed)<<t.bits]
 	}
-	s := t.sealed[k]
-	if s.cols != nil {
+	if s := t.sealed[k]; s.cols != nil {
 		return s.cols[col][row&t.mask]
 	}
 	cur := &rr.cur[col]
 	if cur.seg != k {
-		if cur.release != nil {
-			cur.release()
-			cur.release = nil
-		}
-		vals, release, missed, err := s.loader.PinBoxed(s.streamIdx, col)
-		if err != nil {
-			panic(&SegmentLoadError{Table: t.name, Seg: s.streamIdx, Col: col, Err: err})
-		}
-		cur.vals, cur.release, cur.seg = vals, release, k
-		if missed {
-			rr.faulted++
-		} else {
-			rr.resident++
-		}
+		cur.move(t, k, col)
 	}
-	return cur.vals[row&t.mask]
+	return cur.at(t, col, row&t.mask)
 }
 
 // RowInto copies row i into dst (len == NumCols); the RowReader
@@ -82,18 +60,127 @@ func (rr *RowReader) RowInto(i int, dst []Value) {
 // Counters reports how many chunk pins missed to disk vs were served
 // resident over the reader's lifetime so far.
 func (rr *RowReader) Counters() (faulted, resident int) {
-	return rr.faulted, rr.resident
+	for c := range rr.cur {
+		faulted += rr.cur[c].faulted
+		resident += rr.cur[c].resident
+	}
+	return faulted, resident
 }
 
 // Close releases every held pin. Idempotent.
 func (rr *RowReader) Close() {
 	for c := range rr.cur {
-		if rr.cur[c].release != nil {
-			rr.cur[c].release()
-			rr.cur[c].release = nil
-		}
-		rr.cur[c].seg = -1
+		rr.cur[c].close()
 	}
+}
+
+// exactInt bounds the int64 cells a float64 carries exactly: below it
+// int64(float64(v)) == v, at or past it the float chunk has rounded.
+const exactInt = 1 << 53
+
+// cellCursor boxes single cells of one column out of the typed chunks
+// of one faultable segment at a time.
+type cellCursor struct {
+	seg     int       // pinned segment (-1 = none)
+	vals    []float64 // numeric column: PinFloat's values…
+	null    []uint64  // …and NULL words
+	codes   []int32   // string column: PinCodes' codes…
+	dict    []string  // …and the family dictionary they index
+	ints    []int64   // exact cells, pinned on the segment's first |v| ≥ 2^53 read
+	release [2]func() // the typed chunk's pin, the exact chunk's
+
+	faulted, resident int
+}
+
+func (cur *cellCursor) count(missed bool) {
+	if missed {
+		cur.faulted++
+	} else {
+		cur.resident++
+	}
+}
+
+// move swaps the cursor's pin to col's typed chunk of faultable
+// segment k.
+func (cur *cellCursor) move(t *Table, k, col int) {
+	cur.close()
+	var missed bool
+	if s := t.sealed[k]; t.schema[col].Type == TString {
+		if cur.dict == nil {
+			cur.dict = t.dictValues(col)
+		}
+		cur.codes, cur.release[0], missed = s.pinCodes(t.name, col)
+	} else {
+		cur.vals, cur.null, cur.release[0], missed = s.pinFloat(t.name, col)
+	}
+	cur.seg = k
+	cur.count(missed)
+}
+
+// at boxes the cell at offset off of the pinned segment, bit for bit
+// the Value a resident segment would hold: a float cell is the chunk's
+// float64 itself (NaN payloads and -0.0 included), an int-like cell
+// converts back exactly while |v| < 2^53 and reads the exact int64
+// chunk past that.
+func (cur *cellCursor) at(t *Table, col, off int) Value {
+	typ := t.schema[col].Type
+	if typ == TString {
+		if code := cur.codes[off]; code >= 0 {
+			return NewString(cur.dict[code])
+		}
+		return Null
+	}
+	if cur.null[off>>6]&(1<<(uint(off)&63)) != 0 {
+		return Null
+	}
+	f := cur.vals[off]
+	switch {
+	case typ == TFloat:
+		return NewFloat(f)
+	case -exactInt < f && f < exactInt:
+		return Value{T: typ, I: int64(f)}
+	}
+	if cur.ints == nil {
+		var missed bool
+		cur.ints, cur.release[1], missed = t.sealed[cur.seg].pinInt(t.name, col)
+		cur.count(missed)
+	}
+	return Value{T: typ, I: cur.ints[off]}
+}
+
+// close releases the held pins. Idempotent.
+func (cur *cellCursor) close() {
+	for i, release := range cur.release {
+		if release != nil {
+			release()
+			cur.release[i] = nil
+		}
+	}
+	cur.seg, cur.ints = -1, nil
+}
+
+// faultedCell boxes one cell of faultable segment k under a transient
+// pin — Table.Value's arm; loops should hold a RowReader instead.
+func (t *Table) faultedCell(k, col, off int) Value {
+	cur := cellCursor{seg: -1}
+	defer cur.close()
+	cur.move(t, k, col)
+	return cur.at(t, col, off)
+}
+
+// dictValues returns string column c's family dictionary in code
+// order. The list is append-only, so the returned prefix never changes
+// under the caller; every code a faultable segment holds indexes it
+// (PreloadDict), whatever version asks — including one too stale for a
+// DictView.
+func (t *Table) dictValues(c int) []string {
+	vc := t.viewCache()
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	if ds := vc.dict[c]; ds != nil {
+		return ds.values
+	}
+	return nil
 }
 
 // FloatReader is the typed-view counterpart of RowReader: per-row

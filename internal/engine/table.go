@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrStaleAppend reports a mutation against a superseded table snapshot:
@@ -289,13 +288,14 @@ func (t *Table) MustAppendRow(row ...Value) int {
 
 // Value returns the value at (row, col). It panics when out of range,
 // like a slice index. Faultable segments (fault.go) are read through a
-// transient pin — correct everywhere, but per-row; bulk readers should
-// go through the typed views' PinSeg.
+// transient pin of the typed chunk — correct everywhere, but per-row;
+// row loops should hold a RowReader, bulk readers the typed views'
+// PinSeg.
 func (t *Table) Value(row, col int) Value {
 	if k := row >> t.bits; k >= 0 && k < len(t.sealed) {
 		s := t.sealed[k]
 		if s.cols == nil {
-			return s.boxedAt(t.name, col, row&t.mask)
+			return t.faultedCell(k, col, row&t.mask)
 		}
 		return s.cols[col][row&t.mask]
 	}
@@ -317,7 +317,7 @@ func (t *Table) RowInto(i int, dst []Value) {
 		off := i & t.mask
 		if s.cols == nil {
 			for c := range t.schema {
-				dst[c] = s.boxedAt(t.name, c, off)
+				dst[c] = t.faultedCell(k, c, off)
 			}
 			return
 		}
@@ -330,33 +330,6 @@ func (t *Table) RowInto(i int, dst []Value) {
 	off := i - len(t.sealed)<<t.bits
 	for c := range t.tail {
 		dst[c] = t.tail[c][off]
-	}
-}
-
-// forEachColValue streams column c's values of rows [0, nrows) in row
-// order — the segment-aware replacement for iterating a flat column
-// slice.
-func (t *Table) forEachColValue(c int, fn func(r int, v Value)) {
-	r := 0
-	for _, seg := range t.sealed {
-		col := seg.cols
-		if col == nil {
-			vals, release := seg.pinBoxed(t.name, c)
-			for _, v := range vals {
-				fn(r, v)
-				r++
-			}
-			release()
-			continue
-		}
-		for _, v := range col[c] {
-			fn(r, v)
-			r++
-		}
-	}
-	for off := 0; r < t.nrows; off++ {
-		fn(r, t.tail[c][off])
-		r++
 	}
 }
 
@@ -399,77 +372,6 @@ func (t *Table) Without(rows map[int]bool) *Table {
 		}
 	}
 	return t.Select(keep)
-}
-
-// DistinctValues returns the distinct non-NULL values of column c,
-// ordered by descending frequency (ties broken by value order), along
-// with their counts.
-func (t *Table) DistinctValues(c int) ([]Value, []int) {
-	type entry struct {
-		v Value
-		n int
-	}
-	byKey := make(map[string]*entry)
-	var order []string
-	t.forEachColValue(c, func(_ int, v Value) {
-		if v.IsNull() {
-			return
-		}
-		k := v.Key()
-		e, ok := byKey[k]
-		if !ok {
-			e = &entry{v: v}
-			byKey[k] = e
-			order = append(order, k)
-		}
-		e.n++
-	})
-	entries := make([]*entry, 0, len(order))
-	for _, k := range order {
-		entries = append(entries, byKey[k])
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].n != entries[j].n {
-			return entries[i].n > entries[j].n
-		}
-		c, _ := Compare(entries[i].v, entries[j].v)
-		return c < 0
-	})
-	vals := make([]Value, len(entries))
-	counts := make([]int, len(entries))
-	for i, e := range entries {
-		vals[i] = e.v
-		counts[i] = e.n
-	}
-	return vals, counts
-}
-
-// NumericStats returns min, max, mean and count of non-NULL values in a
-// numeric column. ok is false when the column has no non-NULL values.
-func (t *Table) NumericStats(c int) (min, max, mean float64, n int, ok bool) {
-	var sum float64
-	t.forEachColValue(c, func(_ int, v Value) {
-		if v.IsNull() {
-			return
-		}
-		f := v.Float()
-		if n == 0 {
-			min, max = f, f
-		} else {
-			if f < min {
-				min = f
-			}
-			if f > max {
-				max = f
-			}
-		}
-		sum += f
-		n++
-	})
-	if n == 0 {
-		return 0, 0, 0, 0, false
-	}
-	return min, max, sum / float64(n), n, true
 }
 
 // Rename returns the table under a new name, sharing storage.

@@ -106,25 +106,6 @@ func TestTableSelectAndWithout(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	tbl := testTable(t)
-	vals, counts := tbl.DistinctValues(1)
-	if len(vals) != 3 {
-		t.Fatalf("distinct: %v", vals)
-	}
-	if vals[0].Str() != "a" || counts[0] != 3 {
-		t.Errorf("most frequent: %v x%d", vals[0], counts[0])
-	}
-}
-
-func TestNumericStats(t *testing.T) {
-	tbl := testTable(t)
-	min, max, mean, n, ok := tbl.NumericStats(2)
-	if !ok || n != 5 || min != 1.5 || max != 5.5 || mean != 3.5 {
-		t.Errorf("stats: min=%v max=%v mean=%v n=%d ok=%v", min, max, mean, n, ok)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tbl := testTable(t)
 	var buf bytes.Buffer

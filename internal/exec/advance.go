@@ -62,6 +62,9 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	// CatchSegmentLoad so that it sees a chunk-load failure as err too.
 	claimed := false
 	defer func() {
+		if err != nil {
+			out = nil // a fault recovered below struck after out was built
+		}
 		if claimed && err != nil {
 			res.argMu.Lock()
 			res.advanced = false
@@ -183,15 +186,9 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		return nil, ss.err
 	}
 
-	// Suffix-born groups still need their boxed key values.
 	groups := make([]*Group, len(ss.groups))
 	for gi, vg := range ss.groups {
 		groups[gi] = vg.g
-	}
-	rr := grown.NewRowReader() // open through materialize, as in runVector
-	defer rr.Close()
-	if err := boxGroupKeys(grown, rr, stmt, groups); err != nil {
-		return nil, err
 	}
 
 	out = &Result{

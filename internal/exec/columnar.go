@@ -9,8 +9,6 @@ import (
 	"repro/internal/expr"
 )
 
-var nanFloat = math.NaN()
-
 // This file is the exec half of the columnar scoring fast path: instead
 // of re-evaluating an aggregate's argument expression through the boxed
 // expression interpreter for every (predicate, tuple) pair, a Debug run
@@ -55,7 +53,7 @@ func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 // fillArgView appends arg's value on source rows [from, to) to av.Vals
 // (which must hold exactly the rows before from) and marks their NULLs
 // in av.Null: 1 for count(*)'s nil argument, the typed view's cells for
-// a bare numeric column, the boxed evaluation otherwise.
+// a bare numeric column, the compiled evaluation otherwise.
 func fillArgView(av *ArgView, arg expr.Expr, src *engine.Table, from, to int) error {
 	if arg == nil { // count(*): every row contributes 1
 		for i := from; i < to; i++ {
@@ -79,15 +77,14 @@ func fillArgView(av *ArgView, arg expr.Expr, src *engine.Table, from, to int) er
 	}
 	rr := src.NewRowReader()
 	defer rr.Close()
-	row := make([]engine.Value, src.NumCols())
+	ev := rowEval(arg, rr, src.NumCols())
 	for i := from; i < to; i++ {
-		rr.RowInto(i, row)
-		v, err := arg.Eval(row)
+		v, err := ev(i)
 		if err != nil {
 			return err
 		}
 		if v.IsNull() {
-			av.Vals = append(av.Vals, nanFloat)
+			av.Vals = append(av.Vals, math.NaN())
 			av.Null.Set(i)
 			continue
 		}

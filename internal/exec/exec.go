@@ -49,8 +49,8 @@ type Group struct {
 	Lineage []int
 	// Aggs holds one live aggregate state per aggregate select item.
 	Aggs []agg.Func
-	// FirstRow is the first source row id of the group, used to evaluate
-	// non-aggregate select items.
+	// FirstRow is the first source row id of the group: the row Key was
+	// evaluated on (and a projection's select items are).
 	FirstRow int
 }
 
@@ -302,24 +302,29 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 	return res, nil
 }
 
-// checkPlainItemsGrouped verifies every non-aggregate select item
-// appears in GROUP BY (textually). This catches the classic
-// "column must appear in the GROUP BY clause" error early.
+// checkPlainItemsGrouped verifies every non-aggregate select item is one
+// of the GROUP BY expressions. This catches the classic "column must
+// appear in the GROUP BY clause" error early, and it is what lets
+// materialize take those items from Group.Key without reading a row.
 func checkPlainItemsGrouped(stmt *sqlparse.SelectStmt) error {
-	inGroup := make(map[string]bool, len(stmt.GroupBy))
-	for _, g := range stmt.GroupBy {
-		inGroup[strings.ToLower(g.String())] = true
-	}
 	for i := range stmt.Items {
-		item := &stmt.Items[i]
-		if item.IsAgg() {
-			continue
-		}
-		if !inGroup[strings.ToLower(item.Expr.String())] {
+		if item := &stmt.Items[i]; !item.IsAgg() && groupKeyIndex(stmt, item.Expr) < 0 {
 			return fmt.Errorf("exec: select item %q must appear in GROUP BY", item.Expr)
 		}
 	}
 	return nil
+}
+
+// groupKeyIndex returns the position of the GROUP BY expression e is
+// (expr.Equal: names fold case like the resolver, literals are exact),
+// or -1.
+func groupKeyIndex(stmt *sqlparse.SelectStmt, e expr.Expr) int {
+	for k, g := range stmt.GroupBy {
+		if expr.Equal(e, g) {
+			return k
+		}
+	}
+	return -1
 }
 
 // runProjection handles aggregate-free statements: each output row's
@@ -373,27 +378,37 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 		labels[i] = stmt.Items[i].Label()
 	}
 
+	// A grouped statement's plain items are its group keys
+	// (checkPlainItemsGrouped): Group.Key has them, no source row is read.
+	// A projection evaluates its items on each group's one row.
+	plain := make([]func(*Group) (engine.Value, error), len(stmt.Items))
+	var rr *engine.RowReader
+	if !isGrouped(stmt) {
+		rr = r.Source.NewRowReader()
+		defer rr.Close()
+	}
+	for i := range stmt.Items {
+		if item := &stmt.Items[i]; rr != nil {
+			ev := rowEval(item.Expr, rr, r.Source.NumCols())
+			plain[i] = func(g *Group) (engine.Value, error) { return ev(g.FirstRow) }
+		} else if !item.IsAgg() {
+			k := groupKeyIndex(stmt, item.Expr)
+			plain[i] = func(g *Group) (engine.Value, error) { return g.Key[k], nil }
+		}
+	}
+
 	// Evaluate all output rows first, then infer column types.
 	rows := make([][]engine.Value, len(r.Groups))
-	srcRow := make([]engine.Value, r.Source.NumCols())
-	rr := r.Source.NewRowReader()
-	defer rr.Close()
 	for gi, grp := range r.Groups {
 		out := make([]engine.Value, len(stmt.Items))
 		aggOrd := 0
-		var loaded bool
 		for i := range stmt.Items {
-			item := &stmt.Items[i]
-			if item.IsAgg() {
+			if stmt.Items[i].IsAgg() {
 				out[i] = grp.Aggs[aggOrd].Result()
 				aggOrd++
 				continue
 			}
-			if !loaded {
-				rr.RowInto(grp.FirstRow, srcRow)
-				loaded = true
-			}
-			v, err := item.Expr.Eval(srcRow)
+			v, err := plain[i](grp)
 			if err != nil {
 				return err
 			}

@@ -228,6 +228,30 @@ func TestUngroupedPlainItemRejected(t *testing.T) {
 	}
 }
 
+// TestGroupByMatchIsStructural: a plain select item must BE one of the
+// GROUP BY expressions — names fold case as the resolver folds them,
+// literals are values and compare exactly. The old check compared
+// lower-cased renderings, so coalesce(region, 'a') passed for GROUP BY
+// coalesce(region, 'A') although the two differ on every NULL row; since
+// materialize takes such an item from the group's key, accepting it
+// would silently output the key instead.
+func TestGroupByMatchIsStructural(t *testing.T) {
+	db := salesDB(t)
+	for _, sql := range []string{
+		"SELECT coalesce(region, 'a') AS r, count(*) AS n FROM sales GROUP BY coalesce(region, 'A')",
+		"SELECT region LIKE 'E%' AS r, count(*) AS n FROM sales GROUP BY region LIKE 'e%'",
+		"SELECT bucket(qty, 2) AS b, count(*) AS n FROM sales GROUP BY bucket(qty, 2.0)",
+	} {
+		if _, err := RunSQL(db, sql); err == nil || !strings.Contains(err.Error(), "must appear in GROUP BY") {
+			t.Errorf("%s: want the must-appear-in-GROUP-BY error, got %v", sql, err)
+		}
+	}
+	res := runSQL(t, db, "SELECT COALESCE(Region, 'a') AS r, count(*) AS n FROM sales GROUP BY coalesce(region, 'a') ORDER BY r")
+	if res.NumRows() != 3 || res.Table.Value(0, 0).S != "east" || res.Table.Value(2, 1).Int() != 3 {
+		t.Errorf("case-folded names: %d rows, first %v", res.NumRows(), res.Table.Row(0))
+	}
+}
+
 func TestErrors(t *testing.T) {
 	db := salesDB(t)
 	if _, err := RunSQL(db, "SELECT sum(amount) FROM missing"); err == nil {

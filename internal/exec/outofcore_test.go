@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/store"
 )
 
@@ -392,33 +394,13 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	}
 }
 
-// TestAdvanceReleasesClaimOnLoadFailure: a chunk-load failure after the
-// suffix scan — materialize faulting a carried group's first row out of
-// a segment file corrupted since the fresh run — must release the
-// advance claim like any other error, so the caller can retry instead
-// of being told the result was already advanced.
-func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	fs := store.NewMemFS()
-	buildOOCTable(t, fs, rng, 8)
-	st, tbl := reopen(t, fs, 4096)
-	defer st.Close()
-	res, err := RunOn(tbl, mustParse(t, "SELECT s, count(*) AS n FROM p GROUP BY s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append("p", oocBatch(rng, 10)); err != nil {
-		t.Fatal(err)
-	}
-	grown, err := st.Eng().Table("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a bit in the column sections of the first sealed segment: the
-	// suffix scan never reads it, materialize does.
-	corrupted := false
+// corruptSegments flips one bit in the column sections of every sealed
+// segment file on fs, so any later fault of any of them fails its CRC.
+func corruptSegments(t *testing.T, fs *store.MemFS) {
+	t.Helper()
+	n := 0
 	for _, f := range fs.Files() {
-		if strings.HasSuffix(f, "00000000.seg") {
+		if strings.HasSuffix(f, ".seg") {
 			size, err := fs.FileSize(f)
 			if err != nil {
 				t.Fatal(err)
@@ -426,19 +408,341 @@ func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
 			if err := fs.FlipBit(f, size/2, 5); err != nil {
 				t.Fatal(err)
 			}
-			corrupted = true
+			n++
 		}
 	}
-	if !corrupted {
-		t.Fatal("no first segment file to corrupt")
+	if n == 0 {
+		t.Fatal("no segment file to corrupt")
+	}
+}
+
+// TestAdvanceReleasesClaimOnLoadFailure: an error after the advance has
+// claimed the carried result — anything from the suffix scan on — must
+// release the claim, so the caller can retry instead of being told the
+// result was already advanced. A grouped advance reads no old row any
+// more (TestAdvanceReadsNoOldSegments), so the two failures still
+// reachable behind the suffix scan are pinned here: a chunk fault under
+// carryCaches' argument-view extension, injected on the suffix segment's
+// second pin (the scan takes the first), and a HAVING that only errors
+// on the advanced aggregates.
+func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
+	src := tinySegTable(rand.New(rand.NewSource(13)), 3*64+8) // three sealed segments and a tail
+	fCol := src.Schema().ColIndex("f")
+	twin, loader := enginetest.New(src)
+	twin = loader.Attach(loader.Attach(twin))
+	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n FROM p GROUP BY s")
+	res, err := RunOn(twin, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.AggArgFloats(0); err != nil { // the view the advance will extend
+		t.Fatal(err)
+	}
+	grown := loader.Attach(twin)
+	pins := 0
+	loader.Fail = func(seg, col int) error {
+		if seg == 2 && col == fCol {
+			if pins++; pins%2 == 0 {
+				return errors.New("injected")
+			}
+		}
+		return nil
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		_, err := Advance(res, grown)
-		if err == nil {
-			t.Fatal("advance over a corrupted segment succeeded")
+		out, err := Advance(res, grown)
+		var sle *engine.SegmentLoadError
+		if !errors.As(err, &sle) || out != nil {
+			t.Fatalf("attempt %d: want the injected chunk-load failure and no result, got %v, %v", attempt, out, err)
 		}
-		if strings.Contains(err.Error(), "already advanced") {
-			t.Fatalf("attempt %d: load failure leaked the advance claim: %v", attempt, err)
+		if _, _, _, pinned := loader.Counts(); pinned != 0 {
+			t.Fatalf("attempt %d: %d chunks still pinned", attempt, pinned)
 		}
+	}
+	loader.Fail = nil
+	adv, err := Advance(res, grown)
+	if err != nil {
+		t.Fatalf("retry after the fault cleared: %v", err)
+	}
+	sealedRows := make([]int, grown.NumRows())
+	for r := range sealedRows {
+		sealedRows[r] = r
+	}
+	ref, err := runRef(src.Select(sealedRows), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, "retry", ref.Table, adv.Table)
+	groupsEqual(t, "retry", ref, adv)
+	if !adv.Plan.Incremental {
+		t.Fatalf("retry did not carry: %+v", adv.Plan)
+	}
+
+	// HAVING over an aggregate that is NULL on the carried rows (i is
+	// NULL there) and an int once the batch lands: int > string errors.
+	tbl, err := engine.NewTableSeg("p", src.Schema(), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i engine.Value) [][]engine.Value {
+		return [][]engine.Value{{i, engine.NewInt(1), engine.NewFloat(1), engine.NewString("a"), engine.Null}}
+	}
+	if tbl, err = tbl.AppendBatch(row(engine.Null)); err != nil {
+		t.Fatal(err)
+	}
+	having := mustParse(t, "SELECT s, sum(i) AS v FROM p GROUP BY s HAVING v > 'x'")
+	if res, err = RunOn(tbl, having); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = tbl.AppendBatch(row(engine.NewInt(3))); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		if _, err := Advance(res, tbl); err == nil || strings.Contains(err.Error(), "already advanced") {
+			t.Fatalf("attempt %d: want the HAVING error with the claim released, got %v", attempt, err)
+		}
+	}
+}
+
+// TestAdvanceReadsNoOldSegments is the positive twin: with every old
+// segment file corrupted since the fresh run, an advance still returns
+// the reference's answer, because it faults none of them — group keys
+// are carried, materialize takes plain items from them, and the suffix
+// is all the scan reads.
+func TestAdvanceReadsNoOldSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	fs := store.NewMemFS()
+	buildOOCTable(t, fs, rng, 8)
+	oracleSt, oracle := reopen(t, fs, 0)
+	if err := oracleSt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, tbl := reopen(t, fs, 4096)
+	defer st.Close()
+	sqls := []string{
+		"SELECT s, count(*) AS n FROM p GROUP BY s",
+		"SELECT f, bucket(i, 3) AS b, sum(f) AS v FROM p WHERE j < 3 GROUP BY f, bucket(i, 3) ORDER BY v",
+	}
+	fresh := make([]*Result, len(sqls))
+	for i, sql := range sqls {
+		var err error
+		if fresh[i], err = RunOn(tbl, mustParse(t, sql)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := oocBatch(rng, 10)
+	if _, err := st.Append("p", batch); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := st.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle, err = oracle.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	corruptSegments(t, fs)
+	for i, sql := range sqls {
+		adv, err := Advance(fresh[i], grown)
+		if err != nil {
+			t.Fatalf("advance over corrupted-but-unread segments: %v [%s]", err, sql)
+		}
+		if !adv.Plan.Incremental || adv.Plan.ChunksFaulted != 0 {
+			t.Fatalf("advance faulted old segments: %+v [%s]", adv.Plan, sql)
+		}
+		ref, err := runRef(oracle, adv.Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, sql, ref.Table, adv.Table)
+		groupsEqual(t, sql, ref, adv)
+		if n := st.PoolPinned(); n != 0 {
+			t.Fatalf("%d chunks still pinned [%s]", n, sql)
+		}
+	}
+}
+
+// edgeFirstRows open every edge table: the rows whose cells a lossy read
+// path mangles come first, so each is some group's first row — the row
+// Group.Key is boxed from — in every statement of edgeKeySQL.
+func edgeFirstRows() [][]engine.Value {
+	big := int64(1<<53 + 1)
+	negNaN := engine.NewFloat(math.Float64frombits(0xFFF8000000000abc))
+	return [][]engine.Value{
+		{engine.NewInt(big), engine.NewFloat(math.Copysign(0, -1)), engine.Null, engine.Null, engine.NewTimeUnix(big)},
+		{engine.Null, negNaN, engine.NewBool(true), engine.NewString("A"), engine.Null},
+		{engine.NewInt(-big), engine.NewFloat(0), engine.NewBool(false), engine.NewString("a"), engine.NewTimeUnix(0)},
+		{engine.NewInt(1 << 53), engine.NewFloat(math.NaN()), engine.Null, engine.NewString(""), engine.NewTimeUnix(big - 1)},
+	}
+}
+
+// edgeKeySQL groups on every column kind and on computed keys. The
+// aggregates are order-insensitive (count, min, max): sums of ints past
+// 2^53 are not exact, and shard merges reorder them.
+var edgeKeySQL = []string{
+	"SELECT f, count(*) AS n, min(i) AS lo FROM p GROUP BY f",
+	"SELECT i, count(*) AS n, max(f) AS hi FROM p GROUP BY i",
+	"SELECT t, b, count(*) AS n FROM p GROUP BY t, b",
+	"SELECT s, count(f) AS n FROM p WHERE i IS NOT NULL GROUP BY s",
+	"SELECT coalesce(s, 'A') AS k, count(*) AS n FROM p GROUP BY coalesce(s, 'A')",
+	"SELECT i + 0 AS k, f, count(*) AS n FROM p GROUP BY i + 0, f ORDER BY n",
+	"SELECT b, i, s, f, t, count(*) AS n FROM p GROUP BY b, i, s, f, t",
+}
+
+// TestOutOfCoreTypedReaderCells: through 256-byte and 4 KiB pools —
+// either far smaller than one 64-row chunk set, so every read faults and
+// evicts — every cell of the edge table read through RowReader and
+// Table.Value is the resident table's bit for bit, grouped statements
+// whose first rows hold -0.0, a NaN payload, 2^53+1 and NULL box the
+// reference's keys at 1–4 shards, nothing stays pinned, and a mid-read
+// checksum failure releases its pins too.
+func TestOutOfCoreTypedReaderCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fs := store.NewMemFS()
+	st, err := store.Open("d", oocOpts(fs, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("p", enginetest.EdgeSchema(), engine.MinSegmentBits); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append("p", append(edgeFirstRows(), enginetest.EdgeRows(rng, 400)...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	oracleSt, oracle := reopen(t, fs, 0)
+	if err := oracleSt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []int64{256, 4096} {
+		lazySt, lazy := reopen(t, fs, pool)
+		if !lazy.SegmentFaultable(0) {
+			t.Fatal("lazy reopen is resident")
+		}
+		rr := lazy.NewRowReader()
+		row := make([]engine.Value, lazy.NumCols())
+		for r := 0; r < lazy.NumRows(); r++ {
+			rr.RowInto(r, row)
+			for c := range row {
+				if w := oracle.Value(r, c); !sameCell(w, row[c]) || !sameCell(w, lazy.Value(r, c)) {
+					t.Fatalf("pool %d: cell (%d, %d): reader %#v, table %#v, resident %#v", pool, r, c, row[c], lazy.Value(r, c), w)
+				}
+			}
+		}
+		rr.Close()
+		if n := lazySt.PoolPinned(); n != 0 {
+			t.Fatalf("pool %d: %d chunks pinned after Close", pool, n)
+		}
+
+		for _, sql := range edgeKeySQL {
+			stmt := mustParse(t, sql)
+			ref, err := runRef(oracle, stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			for shards := 1; shards <= 4; shards++ {
+				label := fmt.Sprintf("pool %d shards=%d [%s]", pool, shards, sql)
+				res, err := runWith(lazy, stmt, Options{Shards: shards})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				tablesEqual(t, label, ref.Table, res.Table)
+				groupsEqual(t, label, ref, res)
+				assertPipeline(t, label, res)
+			}
+			if n := lazySt.PoolPinned(); n != 0 {
+				t.Fatalf("pool %d: %d chunks pinned after [%s]", pool, n, sql)
+			}
+		}
+		if err := lazySt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A read that runs into a corrupted section fails as a
+	// SegmentLoadError part-way through and still releases every pin.
+	lazySt, lazy := reopen(t, fs, 256)
+	defer lazySt.Close()
+	corruptSegments(t, fs)
+	err = func() (err error) {
+		defer engine.CatchSegmentLoad(&err)
+		rr := lazy.NewRowReader()
+		defer rr.Close()
+		row := make([]engine.Value, lazy.NumCols())
+		for r := 0; r < lazy.NumRows(); r++ {
+			rr.RowInto(r, row)
+		}
+		return nil
+	}()
+	var sle *engine.SegmentLoadError
+	if !errors.As(err, &sle) {
+		t.Fatalf("read of a corrupted segment: want a SegmentLoadError, got %v", err)
+	}
+	if n := lazySt.PoolPinned(); n != 0 {
+		t.Fatalf("%d chunks pinned after the failed read", n)
+	}
+}
+
+// TestOutOfCoreGroupKeysAcrossAdvance carries the edge statements over a
+// three-step chain whose every suffix is a faultable segment, with a
+// retention pass on the way: each advanced result — keys carried from
+// the fresh run, keys born in a suffix scan, keys rebuilt by the re-run
+// retention forces — equals the reference over a resident copy of the
+// same window, Group.Key bit for bit.
+func TestOutOfCoreGroupKeysAcrossAdvance(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	src, err := engine.NewTableSeg("p", enginetest.EdgeSchema(), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err = src.AppendBatch(append(edgeFirstRows(), enginetest.EdgeRows(rng, 5*64)...)); err != nil {
+		t.Fatal(err)
+	}
+	// window is the resident copy of a twin version's rows.
+	window := func(twin *engine.Table) *engine.Table {
+		rows := make([]int, twin.NumRows())
+		for r := range rows {
+			rows[r] = twin.Base() + r
+		}
+		return src.Select(rows)
+	}
+	sawIncremental, sawFallback := false, false
+	for _, sql := range edgeKeySQL {
+		stmt := mustParse(t, sql)
+		twin, loader := enginetest.New(src)
+		twin = loader.Attach(loader.Attach(twin))
+		res, err := RunOn(twin, stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for step := 0; step < 3; step++ {
+			twin = loader.Attach(twin)
+			if step == 1 {
+				if twin, _, err = twin.RetainTail(engine.RetentionPolicy{MaxRows: 3 * 64}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			adv, err := Advance(res, twin)
+			if err != nil {
+				t.Fatalf("step %d [%s]: %v", step, sql, err)
+			}
+			sawIncremental = sawIncremental || adv.Plan.Incremental
+			sawFallback = sawFallback || adv.Plan.Fallback != ""
+			ref, err := runRef(window(twin), stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("step %d [%s]", step, sql)
+			tablesEqual(t, label, ref.Table, adv.Table)
+			groupsEqual(t, label, ref, adv)
+			if _, _, _, pinned := loader.Counts(); pinned != 0 {
+				t.Fatalf("%s: %d chunks still pinned", label, pinned)
+			}
+			res = adv
+		}
+	}
+	if !sawIncremental || !sawFallback {
+		t.Fatalf("harness coverage: sawIncremental=%v sawFallback=%v", sawIncremental, sawFallback)
 	}
 }

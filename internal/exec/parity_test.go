@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -169,7 +170,12 @@ func randGroupBy(rng *rand.Rand) []expr.Expr {
 	}
 	var out []expr.Expr
 	for k := 0; k < ng; k++ {
-		switch rng.Intn(9) {
+		switch rng.Intn(10) {
+		case 9:
+			// A string literal inside the key: the select item must match it
+			// exactly (the structural GROUP BY check), while the column
+			// names may differ in case (cloneGroupExpr upper-cases them).
+			out = append(out, expr.NewFunc("coalesce", expr.NewCol("s"), expr.Str([]string{"a", "A", "Xy"}[rng.Intn(3)])))
 		case 0:
 			out = append(out, expr.NewCol("s"))
 		case 1:
@@ -259,13 +265,47 @@ func randStmt(rng *rand.Rand) (*sqlparse.SelectStmt, bool) {
 }
 
 // cloneGroupExpr re-parses a group-by expression from its SQL rendering
-// so the plain select item is an independent, textually-equal tree.
+// so the plain select item is an independent, structurally-equal tree —
+// with every column name upper-cased, which the resolver and the GROUP
+// BY check must both see through (literals keep their case: they are
+// values, not names).
 func cloneGroupExpr(g expr.Expr) expr.Expr {
 	stmt, err := sqlparse.Parse("SELECT " + g.String() + " FROM x GROUP BY " + g.String())
 	if err != nil {
 		panic(fmt.Sprintf("cloneGroupExpr %q: %v", g, err))
 	}
-	return stmt.Items[0].Expr
+	return upperNames(stmt.Items[0].Expr)
+}
+
+func upperNames(e expr.Expr) expr.Expr {
+	switch n := e.(type) {
+	case *expr.Col:
+		n.Name = strings.ToUpper(n.Name)
+	case *expr.Func: // its name is already folded: NewFunc lower-cases
+		for _, a := range n.Args {
+			upperNames(a)
+		}
+	}
+	return e
+}
+
+// sameCell compares two values bit for bit: type, integer payload, float
+// bits (so -0.0, NaN payloads and ints past 2^53 count) and string.
+func sameCell(a, b engine.Value) bool {
+	return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// keysEqual compares two groups' boxed keys bit for bit.
+func keysEqual(t *testing.T, label string, gi int, a, b []engine.Value) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: group %d has %d vs %d key values", label, gi, len(a), len(b))
+	}
+	for k := range a {
+		if !sameCell(a[k], b[k]) {
+			t.Fatalf("%s: group %d key %d: %#v vs %#v", label, gi, k, a[k], b[k])
+		}
+	}
 }
 
 // groupsEqual compares two results' provenance exactly.
@@ -276,6 +316,7 @@ func groupsEqual(t *testing.T, label string, a, b *Result) {
 	}
 	for gi := range a.Groups {
 		ga, gb := a.Groups[gi], b.Groups[gi]
+		keysEqual(t, label, gi, ga.Key, gb.Key)
 		if ga.FirstRow != gb.FirstRow {
 			t.Fatalf("%s: group %d FirstRow %d vs %d", label, gi, ga.FirstRow, gb.FirstRow)
 		}

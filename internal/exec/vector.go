@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/agg"
@@ -157,23 +158,23 @@ type keySrc struct {
 	kind keyKind
 	dict *engine.DictView  // kindDict: segment code chunks + Code lookups
 	fv   *engine.FloatView // kindFloat: segment value/NULL chunks
+	col  int               // kindFloat: the column, for the group's boxed key
 	node expr.Expr         // kindEval (evaluator built per shard)
 }
 
 type argKind int
 
 const (
-	argConst1   argKind = iota // count(*): every row contributes 1
-	argFloat                   // numeric column via FloatView
-	argBoxedCol                // non-numeric column: boxed stored value
-	argEval                    // computed argument: per-row evaluator
+	argConst1 argKind = iota // count(*): every row contributes 1
+	argFloat                 // numeric column via FloatView
+	argEval                  // anything else: per-row evaluator
 )
 
 // argSrc is one aggregate's per-row argument source.
 type argSrc struct {
 	kind     argKind
 	fv       *engine.FloatView // argFloat
-	col      int               // argFloat, argBoxedCol
+	col      int               // argFloat
 	node     expr.Expr         // argEval (evaluator built per shard)
 	floatFed bool              // state implements agg.FloatAdder and the source is float
 }
@@ -247,7 +248,7 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 					p.denseSize = dv.NumValues() + 1
 				}
 			} else if fv := src.FloatView(col.Index); fv != nil {
-				p.keys[i] = keySrc{kind: kindFloat, fv: fv}
+				p.keys[i] = keySrc{kind: kindFloat, fv: fv, col: col.Index}
 			}
 		}
 	}
@@ -255,17 +256,12 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 	p.args = make([]argSrc, len(aggArgs))
 	for ai, arg := range aggArgs {
 		_, isFA := protos[ai].(agg.FloatAdder)
-		col, isCol := arg.(*expr.Col)
-		switch {
-		case arg == nil:
+		p.args[ai] = argSrc{kind: argEval, node: arg}
+		if arg == nil {
 			p.args[ai] = argSrc{kind: argConst1, floatFed: isFA}
-		case !isCol:
-			p.args[ai] = argSrc{kind: argEval, node: arg}
-		default:
+		} else if col, ok := arg.(*expr.Col); ok {
 			if fv := src.FloatView(col.Index); fv != nil {
 				p.args[ai] = argSrc{kind: argFloat, fv: fv, col: col.Index, floatFed: isFA}
-			} else {
-				p.args[ai] = argSrc{kind: argBoxedCol, col: col.Index}
 			}
 		}
 	}
@@ -305,6 +301,7 @@ type vGroup struct {
 	g     *Group
 	slots []uint64         // one per group-by column
 	fas   []agg.FloatAdder // per aggregate ordinal; nil when boxed
+	gain  int              // mergeShards: lineage rows later shards still add
 }
 
 func (p *vectorPlan) newGroup(slots []uint64, r int) *vGroup {
@@ -386,7 +383,8 @@ type shardScan struct {
 	groupIndex
 	plan     *vectorPlan
 	lo, hi   int
-	slots    []uint64 // the current row's key
+	slots    []uint64       // the current row's key
+	keyVals  []engine.Value // the values the current row's kindEval slots came from
 	keyEvals []expr.Evaluator
 	argEvals []expr.Evaluator
 	err      error
@@ -398,10 +396,8 @@ type shardScan struct {
 	keyFC []*engine.FloatReader
 	keyDC []*engine.DictReader
 	argFC []*engine.FloatReader
-	// rr serves the shard's boxed per-row reads (key/arg evaluators,
-	// non-float aggregate arguments) with per-segment pins — per-row
-	// transient pins re-decode over-budget chunks every row on
-	// out-of-core tables.
+	// rr boxes single cells — for evaluators, non-float arguments, a new
+	// group's column keys — off the same typed chunks, pinned per segment.
 	rr *engine.RowReader
 	// cursors lists rr and every reader above, for closeCursors.
 	cursors []cursor
@@ -420,6 +416,7 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 	// tiny allocator packs two shards' buffers into one and the shard
 	// goroutines spend a third of a grouped scan bouncing it.
 	ss.slots = make([]uint64, len(p.keys), max(len(p.keys), 8))
+	ss.keyVals = make([]engine.Value, len(p.keys))
 	ss.keyEvals = make([]expr.Evaluator, len(p.keys))
 	ss.keyFC = make([]*engine.FloatReader, len(p.keys))
 	ss.keyDC = make([]*engine.DictReader, len(p.keys))
@@ -462,13 +459,31 @@ func (ss *shardScan) closeCursors() {
 }
 
 // group finds or creates the group keyed by slots; r is the creating
-// row.
+// row, which the shard has pinned. A new group's Key is boxed here, once,
+// as what the reference evaluates GROUP BY to on that row: a code's
+// string, a numeric column's actual cell (its slot folded -0.0, NaN
+// payloads and ints past 2^53), a computed key's evaluated value.
 func (ss *shardScan) group(slots []uint64, r int) *vGroup {
 	gi, ok := ss.index(slots)
-	if !ok {
-		ss.groups = append(ss.groups, ss.plan.newGroup(slots, r))
+	if ok {
+		return ss.groups[gi]
 	}
-	return ss.groups[gi]
+	vg := ss.plan.newGroup(slots, r)
+	if len(slots) > 0 {
+		vg.g.Key = make([]engine.Value, len(slots))
+	}
+	for i, k := range ss.plan.keys {
+		switch {
+		case k.kind == kindFloat:
+			vg.g.Key[i] = ss.rr.Value(r, k.col)
+		case k.kind == kindEval:
+			vg.g.Key[i] = ss.keyVals[i]
+		case slots[i] != 0: // kindDict; slot 0 is NULL
+			vg.g.Key[i] = engine.NewString(k.dict.Value(int32(slots[i] - 1)))
+		}
+	}
+	ss.groups = append(ss.groups, vg)
+	return vg
 }
 
 // scanRow folds one passing row into the shard state.
@@ -489,7 +504,7 @@ func (ss *shardScan) scanRow(r int) error {
 			if err != nil {
 				return err
 			}
-			ss.slots[i] = p.valueSlot(v)
+			ss.keyVals[i], ss.slots[i] = v, p.valueSlot(v)
 		}
 	}
 	vg := ss.group(ss.slots, r)
@@ -514,8 +529,6 @@ func (ss *shardScan) scanRow(r int) error {
 			} else {
 				grp.Aggs[ai].Add(ss.rr.Value(r, a.col))
 			}
-		case argBoxedCol:
-			grp.Aggs[ai].Add(ss.rr.Value(r, a.col))
 		default: // argEval
 			v, err := ss.argEvals[ai](r)
 			if err != nil {
@@ -606,9 +619,13 @@ func (ss *shardScan) runMaskedGlobal(ctx context.Context, words []uint64) {
 	p := ss.plan
 	segRows := p.src.SegRows()
 	n := p.src.NumRows()
+	// The one group's lineage gains the shard's surviving rows: size it
+	// once, from the mask (the edge words round the count up by < 128).
+	survivors := bitset.CountWords(words[ss.lo/64 : (ss.hi+63)/64])
 	var vg *vGroup
 	if len(ss.groups) > 0 {
 		vg = ss.groups[0] // Advance-seeded carried group
+		vg.g.Lineage = slices.Grow(vg.g.Lineage, survivors)
 	}
 	var scratch []uint64
 	wtick := 0
@@ -658,6 +675,7 @@ func (ss *shardScan) runMaskedGlobal(ctx context.Context, words []uint64) {
 				w &= w - 1
 				if vg == nil {
 					vg = ss.group(nil, r)
+					vg.g.Lineage = make([]int, 0, survivors)
 				}
 				vg.g.Lineage = append(vg.g.Lineage, r)
 				segPass++
@@ -715,6 +733,7 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 		return states[0].groups, nil
 	}
 	total := newGroupIndex(p)
+	var later [][2]*vGroup // {the group an earlier shard opened, a later shard's part of it}
 	for _, ss := range states {
 		for _, vg := range ss.groups {
 			gi, ok := total.index(vg.slots)
@@ -722,12 +741,19 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 				total.groups = append(total.groups, vg)
 				continue
 			}
-			tgt := total.groups[gi].g
-			tgt.Lineage = append(tgt.Lineage, vg.g.Lineage...)
-			for ai := range tgt.Aggs {
-				if m, ok := tgt.Aggs[ai].(agg.Merger); !ok || !m.Merge(vg.g.Aggs[ai]) {
-					return nil, errShardMerge
-				}
+			total.groups[gi].gain += len(vg.g.Lineage)
+			later = append(later, [2]*vGroup{total.groups[gi], vg})
+		}
+	}
+	// gain is what a merged lineage still has coming, so the first append
+	// sizes it for all of them and the Grows after it find the room there.
+	for _, pr := range later {
+		tgt, part := pr[0], pr[1].g
+		tgt.g.Lineage = append(slices.Grow(tgt.g.Lineage, tgt.gain), part.Lineage...)
+		tgt.gain -= len(part.Lineage)
+		for ai := range tgt.g.Aggs {
+			if m, ok := tgt.g.Aggs[ai].(agg.Merger); !ok || !m.Merge(part.Aggs[ai]) {
+				return nil, errShardMerge
 			}
 		}
 	}
@@ -873,19 +899,9 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		return nil, err
 	}
 
-	// Materialize the boxed key values once per group (the reference
-	// scan evaluates them per row; per group is enough for output).
 	groups := make([]*Group, len(merged))
 	for i, vg := range merged {
 		groups[i] = vg.g
-	}
-	// rr stays open through materialize: its reads of the same first
-	// rows then hit the chunks still pinned here, where a tight pool
-	// would otherwise decode each boxed chunk a second time.
-	rr := src.NewRowReader()
-	defer rr.Close()
-	if err := boxGroupKeys(src, rr, stmt, groups); err != nil {
-		return nil, err
 	}
 
 	plan := p.planInfo(len(states))
@@ -903,29 +919,4 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		return nil, err
 	}
 	return res, nil
-}
-
-// boxGroupKeys evaluates the GROUP BY expressions on each group's first
-// row, read through rr, into Group.Key, for groups that do not carry
-// one yet.
-func boxGroupKeys(src *engine.Table, rr *engine.RowReader, stmt *sqlparse.SelectStmt, groups []*Group) error {
-	if len(stmt.GroupBy) == 0 {
-		return nil
-	}
-	row := make([]engine.Value, src.NumCols())
-	for _, g := range groups {
-		if g.Key != nil {
-			continue
-		}
-		rr.RowInto(g.FirstRow, row)
-		g.Key = make([]engine.Value, len(stmt.GroupBy))
-		for k, ge := range stmt.GroupBy {
-			v, err := ge.Eval(row)
-			if err != nil {
-				return err
-			}
-			g.Key[k] = v
-		}
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/engine"
@@ -681,6 +682,60 @@ func And(exprs ...Expr) Expr {
 		}
 	}
 	return out
+}
+
+// Equal reports whether a and b are the same expression, node for node:
+// column and function names compare case-insensitively, as Resolve binds
+// them; literals, LIKE patterns and operators compare exactly (a float
+// literal by its bits), so 'a' and 'A', or 1 and 1.0, differ. Equal
+// expressions evaluate to identical values on every row.
+func Equal(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Col:
+		y, ok := b.(*Col)
+		return ok && strings.EqualFold(x.Name, y.Name)
+	case *Lit:
+		y, ok := b.(*Lit)
+		return ok && x.Val.T == y.Val.T && x.Val.I == y.Val.I && x.Val.S == y.Val.S &&
+			math.Float64bits(x.Val.F) == math.Float64bits(y.Val.F)
+	case *Bin:
+		y, ok := b.(*Bin)
+		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case *Not:
+		y, ok := b.(*Not)
+		return ok && Equal(x.X, y.X)
+	case *Neg:
+		y, ok := b.(*Neg)
+		return ok && Equal(x.X, y.X)
+	case *In:
+		y, ok := b.(*In)
+		return ok && x.Invert == y.Invert && Equal(x.X, y.X) && equalAll(x.List, y.List)
+	case *Between:
+		y, ok := b.(*Between)
+		return ok && x.Invert == y.Invert && Equal(x.X, y.X) && Equal(x.Lo, y.Lo) && Equal(x.Hi, y.Hi)
+	case *IsNull:
+		y, ok := b.(*IsNull)
+		return ok && x.Invert == y.Invert && Equal(x.X, y.X)
+	case *Like:
+		y, ok := b.(*Like)
+		return ok && x.Invert == y.Invert && x.Pattern == y.Pattern && Equal(x.X, y.X)
+	case *Func:
+		y, ok := b.(*Func)
+		return ok && strings.EqualFold(x.Name, y.Name) && equalAll(x.Args, y.Args)
+	}
+	return false
+}
+
+func equalAll(a, b []Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // EvalBool evaluates e as a WHERE-clause predicate: NULL counts as false.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -304,3 +305,47 @@ func TestAndHelper(t *testing.T) {
 		t.Errorf("And(p,p): %T", combined)
 	}
 }
+
+// TestEqual: names fold case the way Resolve binds them, everything that
+// is a value — literals, LIKE patterns, operators, list order — is exact.
+func TestEqual(t *testing.T) {
+	col := func(n string) Expr { return NewCol(n) }
+	same := [][2]Expr{
+		{col("s"), col("S")},
+		{NewFunc("COALESCE", col("S"), Str("a")), NewFunc("coalesce", col("s"), Str("a"))},
+		{NewBin(OpAdd, col("a"), Int(1)), NewBin(OpAdd, col("A"), Int(1))},
+		{NewNot(&IsNull{X: col("n")}), NewNot(&IsNull{X: col("N")})},
+		{&In{X: col("a"), List: []Expr{Int(1), Int(2)}}, &In{X: col("a"), List: []Expr{Int(1), Int(2)}}},
+		{&Between{X: col("b"), Lo: Float(0), Hi: Float(1)}, &Between{X: col("B"), Lo: Float(0), Hi: Float(1)}},
+		{&Like{X: col("s"), Pattern: "a%"}, &Like{X: col("S"), Pattern: "a%"}},
+		{NewNeg(col("b")), NewNeg(col("b"))},
+	}
+	for _, p := range same {
+		if !Equal(p[0], p[1]) || !Equal(p[1], p[0]) {
+			t.Errorf("%s and %s should be equal", p[0], p[1])
+		}
+	}
+	differ := [][2]Expr{
+		{col("s"), col("n")},
+		{NewFunc("coalesce", col("s"), Str("a")), NewFunc("coalesce", col("s"), Str("A"))},
+		{NewFunc("lower", col("s")), NewFunc("upper", col("s"))},
+		{NewFunc("bucket", col("a"), Int(2)), NewFunc("bucket", col("a"), Float(2))},
+		{NewFunc("coalesce", col("s")), NewFunc("coalesce", col("s"), Str("a"))},
+		{Float(0), Float(negZero())},
+		{NewBin(OpAdd, col("a"), Int(1)), NewBin(OpSub, col("a"), Int(1))},
+		{NewBin(OpAdd, col("a"), Int(1)), NewBin(OpAdd, Int(1), col("a"))},
+		{&IsNull{X: col("n")}, &IsNull{X: col("n"), Invert: true}},
+		{&In{X: col("a"), List: []Expr{Int(1), Int(2)}}, &In{X: col("a"), List: []Expr{Int(2), Int(1)}}},
+		{&Between{X: col("b"), Lo: Float(0), Hi: Float(1)}, &Between{X: col("b"), Lo: Float(0), Hi: Float(2)}},
+		{&Like{X: col("s"), Pattern: "a%"}, &Like{X: col("s"), Pattern: "A%"}},
+		{NewNeg(Int(5)), Int(-5)},
+		{NewNot(col("a")), NewNeg(col("a"))},
+	}
+	for _, p := range differ {
+		if Equal(p[0], p[1]) || Equal(p[1], p[0]) {
+			t.Errorf("%s and %s should differ", p[0], p[1])
+		}
+	}
+}
+
+func negZero() float64 { return math.Copysign(0, -1) }

@@ -67,9 +67,12 @@
 // a store-wide buffer pool bounded to (about) MaxResidentBytes of
 // decoded chunks. The contract, bottom to top:
 //
-//   - Pin/unpin. A reader obtains a chunk via the engine's
-//     FloatView.PinSeg / DictView.PinSeg (or per-row reads, which pin
-//     transiently). A pinned chunk cannot be evicted; the release
+//   - Pin/unpin. Every chunk is typed — float values + NULL words,
+//     dictionary codes, or exact int64 cells: at most 8 bytes a row,
+//     no boxed engine.Value chunk exists. A reader obtains one via the
+//     engine's FloatView.PinSeg / DictView.PinSeg, or per cell through
+//     engine.RowReader / Table.Value, which pin the same chunk and box
+//     the one cell. A pinned chunk cannot be evicted; the release
 //     func MUST be called exactly once, on every path — scans hold at
 //     most one pin per column cursor and release via defer, so errors
 //     and cancellation cannot leak pins. At quiesce the pool's pinned

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"unsafe"
 
 	"repro/internal/engine"
 )
@@ -183,7 +182,6 @@ type tableLoader struct {
 	name    string
 	schema  engine.Schema
 	segBits uint
-	dict    *storeDict
 	metas   map[int]*segMeta // by stream segment index; immutable after Open
 	logf    func(string, ...any)
 
@@ -193,10 +191,6 @@ type tableLoader struct {
 }
 
 var _ engine.ChunkLoader = (*tableLoader)(nil)
-
-// valueBytes approximates the resident size of one boxed engine.Value
-// for pool accounting.
-const valueBytes = int64(unsafe.Sizeof(engine.Value{}))
 
 // readSection faults one column's raw section bytes and verifies its
 // framing and CRC. Corruption quarantines the segment file (rename +
@@ -342,48 +336,29 @@ func (l *tableLoader) PinCodes(seg, col int) (codes []int32, release func(), mis
 	return e.codes, release, missed, nil
 }
 
-// PinBoxed implements engine.ChunkLoader: the boxed engine.Value
-// decode of column col in stream segment seg (NULL = zero Value),
-// identical to what the eager open path would have built.
-func (l *tableLoader) PinBoxed(seg, col int) (vals []engine.Value, release func(), missed bool, err error) {
+// PinInt implements engine.ChunkLoader: the exact int64 cells of
+// int-like column col in stream segment seg (0 at NULL positions) — the
+// 8-byte arm behind per-cell boxing of values past float64's 2^53.
+func (l *tableLoader) PinInt(seg, col int) (cells []int64, release func(), missed bool, err error) {
 	m, err := l.meta(seg)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	colDef := l.schema[col]
-	e, release, missed, err := l.pool.acquire(chunkKey{table: l.name, seg: seg, col: col, kind: chunkBoxed}, func(e *poolEntry) (int64, error) {
+	e, release, missed, err := l.pool.acquire(chunkKey{table: l.name, seg: seg, col: col, kind: chunkInt}, func(e *poolEntry) (int64, error) {
 		section, err := l.readSection(m, col)
 		if err != nil {
 			return 0, err
 		}
 		segRows := 1 << l.segBits
-		segWords := segRows / 64
-		nulls := section[:segWords*8]
-		cells := section[segWords*8:]
-		bv := make([]engine.Value, segRows)
-		var strs []string
-		if colDef.Type == engine.TString {
-			strs = l.dict.snapshot(col, int(m.dictHW[col]))
+		raw := section[segRows/64*8:]
+		e.ints = make([]int64, segRows)
+		for i := range e.ints {
+			e.ints[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
-		for i := 0; i < segRows; i++ {
-			if binary.LittleEndian.Uint64(nulls[(i>>6)*8:])&(1<<(uint(i)&63)) != 0 {
-				continue // NULL: zero Value
-			}
-			if colDef.Type == engine.TString {
-				code := int32(binary.LittleEndian.Uint32(cells[i*4:]))
-				if code < 0 || int(code) >= len(strs) {
-					return 0, l.quarantine(m, fmt.Sprintf("column %d row %d: dictionary code %d out of range", col, i, code))
-				}
-				bv[i] = engine.Value{T: engine.TString, S: strs[code]}
-			} else {
-				bv[i] = cellFromBits(colDef.Type, binary.LittleEndian.Uint64(cells[i*8:]))
-			}
-		}
-		e.boxed = bv
-		return int64(len(bv)) * valueBytes, nil
+		return int64(segRows * 8), nil
 	})
 	if err != nil {
 		return nil, nil, missed, err
 	}
-	return e.boxed, release, missed, nil
+	return e.ints, release, missed, nil
 }

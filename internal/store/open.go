@@ -255,7 +255,6 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			name:    strings.ToLower(name),
 			schema:  schema,
 			segBits: segBits,
-			dict:    dict,
 			metas:   metas,
 			logf:    s.opts.Logf,
 		}

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/testgen"
 )
 
@@ -388,5 +390,81 @@ func TestOutOfCoreOpensV1Files(t *testing.T) {
 		}
 		requireRowsMatch(t, tb, oracle)
 		_ = st.Close()
+	}
+}
+
+// TestBenchShapesFaultTypedChunksOnly runs the benchmark's eight scan
+// statement shapes (bench/script.go) over faultable copies of its two
+// tables and then reads the pool — sized to evict nothing, so it holds
+// every chunk the statements ever faulted: all of them are float or
+// dictionary-code chunks of at most 8 bytes a row. No statement on the
+// production path decodes a boxed chunk (the kind is gone), and the
+// exact-int arm behind RowReader stays idle on data with no int past
+// 2^53.
+func TestBenchShapesFaultTypedChunksOnly(t *testing.T) {
+	const segBits = 12
+	fs := NewMemFS()
+	st, err := Open("d", quietOpts(fs, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, _ := datasets.Intel(datasets.IntelConfig{Rows: 6*(1<<segBits) + 500, Seed: 1})
+	donations, _ := datasets.FEC(datasets.FECConfig{Rows: 3*(1<<segBits) + 500, Seed: 1})
+	for _, tb := range []*engine.Table{readings, donations} {
+		if err := st.CreateTable(tb.Name(), tb.Schema(), segBits); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]engine.Value, tb.NumRows())
+		for r := range rows {
+			rows[r] = tb.Row(r)
+		}
+		if _, err := st.Append(tb.Name(), rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := Open("d", outOfCoreOpts(fs, 1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	faulted := 0
+	for shape, sql := range map[string]string{
+		"grouped":   "SELECT bucket(epoch(ts), 1800) AS w, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(epoch(ts), 1800) ORDER BY w",
+		"selective": "SELECT bucket(epoch(ts), 3600) AS w, avg(temperature) AS avg_temp, count(*) AS n FROM readings WHERE moteid = 17 AND temperature > 66.5 GROUP BY bucket(epoch(ts), 3600) ORDER BY w",
+		"global":    "SELECT count(*) AS n, sum(temperature) AS total, min(temperature) AS lo, max(temperature) AS hi FROM readings WHERE humidity > 38.25",
+		"orchain":   "SELECT moteid, count(*) AS n, avg(voltage) AS volts FROM readings WHERE moteid = 17 OR temperature > 101.5 OR humidity < -3.2 GROUP BY moteid ORDER BY moteid",
+		"zonemap":   "SELECT moteid, avg(temperature) AS avg_temp FROM readings WHERE epoch BETWEEN 100 AND 200 GROUP BY moteid ORDER BY moteid",
+		"fecdaily":  datasets.FECDailySQL("McCain"),
+		"residual":  "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' AND memo LIKE '%SPOUSE%' GROUP BY day ORDER BY day",
+		"distinct":  "SELECT count(DISTINCT epoch) AS n FROM readings WHERE moteid = 17",
+	} {
+		res, err := exec.RunSQL(lazy.Eng(), sql)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		if res.NumRows() == 0 || !res.Plan.Vectorized {
+			t.Fatalf("%s: %d rows, plan %+v", shape, res.NumRows(), res.Plan)
+		}
+		faulted += res.Plan.ChunksFaulted
+	}
+	if faulted == 0 || lazy.PoolPinned() != 0 {
+		t.Fatalf("%d chunks faulted, %d still pinned", faulted, lazy.PoolPinned())
+	}
+	lazy.pool.mu.Lock()
+	defer lazy.pool.mu.Unlock()
+	if lazy.pool.evictions != 0 || len(lazy.pool.entries) == 0 {
+		t.Fatalf("pool evicted %d chunks, holds %d: the census below would be partial", lazy.pool.evictions, len(lazy.pool.entries))
+	}
+	const maxChunk = (1<<segBits)*8 + (1<<segBits)/64*8 // 8-byte cells + NULL words
+	for key, e := range lazy.pool.entries {
+		if key.kind != chunkFloat && key.kind != chunkCodes {
+			t.Errorf("%s segment %d column %d: faulted a chunk of kind %d", key.table, key.seg, key.col, key.kind)
+		}
+		if e.size > maxChunk {
+			t.Errorf("%s segment %d column %d: chunk of %d bytes, a typed chunk is at most %d", key.table, key.seg, key.col, e.size, maxChunk)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"sync"
-
-	"repro/internal/engine"
-)
+import "sync"
 
 // bufferPool is the out-of-core chunk cache: a byte-budgeted,
 // single-flight, pin-counted LRU over decoded segment-column chunks.
@@ -31,13 +27,14 @@ type bufferPool struct {
 }
 
 // chunkKind distinguishes the decoded representations cached per
-// segment-column: float vals+nulls, dictionary codes, boxed values.
+// segment-column: float vals+nulls, dictionary codes, exact int64
+// cells — every one at most 8 bytes a row.
 type chunkKind uint8
 
 const (
 	chunkFloat chunkKind = iota
 	chunkCodes
-	chunkBoxed
+	chunkInt
 )
 
 // chunkKey identifies one cached chunk. seg is the STREAM segment
@@ -65,7 +62,7 @@ type poolEntry struct {
 	vals  []float64
 	null  []uint64
 	codes []int32
-	boxed []engine.Value
+	ints  []int64
 
 	prev, next *poolEntry // LRU links, valid only while refs == 0
 }

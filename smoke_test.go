@@ -7,13 +7,16 @@ package repro_test
 // and `make bench`.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/influence"
+	"repro/internal/store"
 )
 
 // TestInfluenceAllocSmoke pins the leave-one-out pass to a small,
@@ -62,6 +65,74 @@ func TestWindowQueryAllocSmoke(t *testing.T) {
 	})
 	if allocs > 2500 {
 		t.Errorf("window query allocates %.0f per run; the vectorized scan budget is 2500", allocs)
+	}
+}
+
+// TestOutOfCoreQueryAllocSmoke pins what out-of-core serving may cost in
+// allocation: the benchmark's `selective` and `grouped` statements over
+// a faultable 6-segment table, its working set of typed chunks resident
+// in the pool, allocate no more than twice what they allocate over the
+// same table fully resident. Before every production read went typed the
+// ratios were 1 000× and 25× — boxGroupKeys and materialize decoded whole
+// segments into 40-byte Values to read one row per group, and the pool
+// holds a third of those — so a boxed decode cannot creep back
+// unnoticed.
+func TestOutOfCoreQueryAllocSmoke(t *testing.T) {
+	const segBits = 12
+	fs := store.NewMemFS()
+	opts := func(cacheBytes int64) store.Options {
+		return store.Options{FS: fs, MaxResidentBytes: cacheBytes, Logf: func(string, ...any) {}}
+	}
+	st, err := store.Open("d", opts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, _ := datasets.Intel(datasets.IntelConfig{Rows: 6*(1<<segBits) + 500, Seed: 7})
+	if err := st.CreateTable("readings", readings.Schema(), segBits); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]engine.Value, readings.NumRows())
+	for r := range rows {
+		rows[r] = readings.Row(r)
+	}
+	if _, err := st.Append("readings", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// 1 MiB holds the statements' typed chunks (two columns × six
+	// segments × 32 KiB) and a third of the same chunks boxed.
+	allocated := func(cacheBytes int64, sql string) uint64 {
+		db, err := store.Open("d", opts(cacheBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		run := func() {
+			if res, err := exec.RunSQL(db.Eng(), sql); err != nil || res.NumRows() < 6 { // groups born in every segment
+				t.Fatalf("%v, %d rows", err, res.NumRows())
+			}
+		}
+		run() // column views, clause masks, pool
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for shape, sql := range map[string]string{
+		"selective": "SELECT bucket(epoch(ts), 600) AS w, avg(temperature) AS avg_temp, count(*) AS n FROM readings WHERE moteid = 17 AND temperature > 50 GROUP BY bucket(epoch(ts), 600) ORDER BY w",
+		"grouped":   "SELECT bucket(epoch(ts), 600) AS w, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(epoch(ts), 600) ORDER BY w",
+	} {
+		resident, outOfCore := allocated(0, sql), allocated(1<<20, sql)
+		t.Logf("%s: resident %d, out of core %d", shape, resident, outOfCore)
+		if outOfCore > 2*resident {
+			t.Errorf("%s: %d bytes allocated per query out of core, %d resident; the budget is 2×", shape, outOfCore, resident)
+		}
 	}
 }
 
