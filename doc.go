@@ -35,9 +35,9 @@
 //     lineage sets, predicate match sets and culpability sets intersect
 //     and count at word granularity.
 //   - internal/engine — per-table typed column views (FloatView,
-//     DictView): each column decoded once into per-segment chunks of
-//     float64s + NULL words or dictionary codes, shared by every
-//     downstream consumer.
+//     DictView): windows over the per-segment chunks of float64s + NULL
+//     words or dictionary codes that sealed segments are stored as,
+//     shared by every downstream consumer.
 //   - internal/exec — Result.AggArgFloats builds an aggregate's
 //     ArgView once per result: a bare numeric column copies out of its
 //     typed view, any other argument evaluates once per source row;
@@ -170,8 +170,8 @@
 //     in-flight queries keep an immutable snapshot, never observe a
 //     half-appended batch, and no append ever copies a whole column;
 //     DB.Append republishes the grown version atomically.
-//     FloatView/DictView decode sealed segments once into chunks owned
-//     by the segment and extend only the tail decoder by the appended
+//     FloatView/DictView alias the typed chunks a sealed segment is
+//     stored as and extend only the tail decoder by the appended
 //     suffix — dictionary codes are append-stable (first-appearance
 //     order) — and hand out immutable per-version snapshot windows.
 //   - internal/predicate — Index implements engine.RowSynced (the
@@ -268,11 +268,19 @@
 // by default, any power of two >= 64 (engine.MinSegmentBits), chosen so
 // a segment boundary is ALWAYS a bitset word boundary. A table version
 // is an ordered list of sealed segments (immutable, exactly SegRows
-// rows) plus a growable tail; appends only ever touch the tail, and
-// sealing hands the tail arrays to a new segment by reference. Decoded
-// column chunks (floats + NULL words, dictionary codes) and the
-// predicate index's mask chunks live per segment, so every derived
-// structure shares the segment's lifetime, and the executor cuts its
+// rows) plus a growable tail; appends only ever touch the tail. A
+// sealed segment has one representation — per column a typed chunk:
+// float values + NULL words, dictionary codes, exact int64 cells only
+// where a float64 has rounded; at most 8 bytes a row — and two holders
+// of it: the segment itself (sealed in this process, or decoded by a
+// resident store.Open) or a ChunkLoader's buffer pool (out of core).
+// Sealing types the full tail into those chunks and lets the boxed
+// arrays go, so the only boxed storage is the tail, bounded by one
+// segment, and the only boxed Value of a sealed row is the single cell
+// a caller asks for (Table.Value, RowReader). The typed views alias the
+// chunks and the predicate index's mask chunks live per segment, so
+// every derived structure shares the segment's lifetime, and the
+// executor cuts its
 // scan shards on segment boundaries wherever a segment is no more than
 // a shard's share of surviving rows, so shard state aligns with chunk
 // boundaries instead of re-partitioning flat arrays per call.

@@ -9,16 +9,14 @@ import (
 var nan = math.NaN()
 
 // This file implements the typed column views behind DBWipes' columnar
-// scoring fast path, maintained incrementally and — since the
-// segmented-storage work — chunked on the same fixed-size row segments
-// as the storage itself. A sealed segment's decode (floatChunk /
-// dictChunk, see segment.go) is built once, whole-segment-at-a-time,
-// and lives ON the segment: every table version that contains the
-// segment shares the chunk by pointer, and when retention drops the
-// segment the decode memory goes with it. The growable tail has one
-// incremental decoder per column (tailFloat / the dictState's tail
-// codes), extended by exactly the appended suffix; sealing the tail
-// migrates the finished decode into the new segment's chunks.
+// scoring fast path, chunked on the same fixed-size row segments as the
+// storage itself. A sealed segment IS its typed chunks (segment.go), so
+// a view over it aliases them (held) or records the segment and pins
+// through its loader at read time (faultable); nothing is decoded per
+// view. Only the growable tail, which is boxed, has incremental decoders
+// — one per column (tailFloat / the dictState's tail codes), extended by
+// exactly the appended suffix; sealing finishes them into the new
+// segment's chunks.
 //
 // Callers receive immutable per-version *snapshots* (FloatView /
 // DictView): a window of per-segment chunk slices. Sealed chunks are
@@ -31,10 +29,10 @@ var nan = math.NaN()
 // segment k covers rows k*SegRows + [64w, 64w+64).
 //
 // Dictionary codes are family-global and assigned in first-appearance
-// (row) order, which requires decoding string columns sequentially;
-// the dictState tracks the contiguous decode frontier in stream rows.
-// The dictionary itself (values, byStr) never shrinks — strings whose
-// rows were all dropped by retention keep their codes.
+// (stream row) order: a seal interns the rest of the tail, so every
+// sealed row is interned and the only frontier is inside the tail. The
+// dictionary itself (values, byStr) never shrinks — strings whose rows
+// were all dropped by retention keep their codes.
 
 // FloatView is a decoded numeric column over one table version: a
 // window of per-segment chunks. V(i) is row i's value coerced to
@@ -264,14 +262,50 @@ type tailFloat struct {
 	built int
 }
 
-func (tf *tailFloat) decodeOne(v Value) {
-	if v.IsNull() {
-		tf.vals = append(tf.vals, nan)
-		tf.null[tf.built>>6] |= 1 << (uint(tf.built) & 63)
-	} else {
-		tf.vals = append(tf.vals, v.Float())
+// extend decodes tail rows [built, len(boxed)). The first call sizes
+// vals for exactly its rows: a seal that starts from nothing allocates
+// the chunk it will keep, no more.
+func (tf *tailFloat) extend(boxed []Value) {
+	if tf.vals == nil {
+		tf.vals = make([]float64, 0, len(boxed))
 	}
-	tf.built++
+	for _, v := range boxed[tf.built:] {
+		if v.IsNull() {
+			tf.vals = append(tf.vals, nan)
+			tf.null[tf.built>>6] |= 1 << (uint(tf.built) & 63)
+		} else {
+			tf.vals = append(tf.vals, v.Float())
+		}
+		tf.built++
+	}
+}
+
+// tailFloatFor returns column c's tail decoder, creating it on first
+// use. Caller holds mu.
+func (vc *tableViews) tailFloatFor(c int) *tailFloat {
+	if vc.tailF == nil {
+		vc.tailF = make(map[int]*tailFloat)
+	}
+	tf := vc.tailF[c]
+	if tf == nil {
+		tf = &tailFloat{null: make([]uint64, segWordsOf(vc.segBits))}
+		vc.tailF[c] = tf
+	}
+	return tf
+}
+
+// dictFor returns string column c's family dictionary, creating it on
+// first use. Caller holds mu.
+func (vc *tableViews) dictFor(c int) *dictState {
+	if vc.dict == nil {
+		vc.dict = make(map[int]*dictState)
+	}
+	ds := vc.dict[c]
+	if ds == nil {
+		ds = &dictState{byStr: make(map[string]int32)}
+		vc.dict[c] = ds
+	}
+	return ds
 }
 
 // dictMark records the dictionary size right after a new string's
@@ -283,8 +317,8 @@ type dictMark struct {
 	nvals int32
 }
 
-// dictState is one string column's family-level dictionary plus its
-// sequential decode frontier.
+// dictState is one string column's family-level dictionary plus the
+// codes of the current tail epoch.
 type dictState struct {
 	values []string
 	byStr  map[string]int32
@@ -293,9 +327,8 @@ type dictState struct {
 	// snapshots never observe a map write.
 	shared bool
 	marks  []dictMark
-	// decoded is the contiguous stream-row decode frontier.
-	decoded int
-	// tailCodes holds the decoded codes of the current tail epoch.
+	// tailCodes holds the codes of the current tail epoch's first
+	// len(tailCodes) rows: the interning frontier.
 	tailCodes []int32
 }
 
@@ -322,11 +355,15 @@ func (ds *dictState) code(v Value, r int) int32 {
 	return c
 }
 
-// decodeOne interns one tail value at stream row r, advancing the
-// frontier.
-func (ds *dictState) decodeOne(v Value, r int) {
-	ds.tailCodes = append(ds.tailCodes, ds.code(v, r))
-	ds.decoded = r + 1
+// extendTail interns tail rows [len(tailCodes), len(boxed)); tailStart
+// is the stream row of the tail's first row. Sized like tailFloat.extend.
+func (ds *dictState) extendTail(boxed []Value, tailStart int) {
+	if ds.tailCodes == nil {
+		ds.tailCodes = make([]int32, 0, len(boxed))
+	}
+	for i := len(ds.tailCodes); i < len(boxed); i++ {
+		ds.tailCodes = append(ds.tailCodes, ds.code(boxed[i], tailStart+i))
+	}
 }
 
 // nvalsAt bounds the dictionary to the strings that had appeared by
@@ -401,31 +438,6 @@ func (t *Table) auxLoadOrStore(key any, build func() any) any {
 	return v
 }
 
-// ensureFloat builds (once) the whole-segment float decode of column c.
-// Caller holds the family views lock.
-func (s *segment) ensureFloat(c int, segWords int) *floatChunk {
-	if ch := s.fchunk[c]; ch != nil {
-		return ch
-	}
-	if s.faultable() {
-		panic("engine: ensureFloat on a faultable segment (pin through the loader instead)")
-	}
-	col := s.cols[c]
-	vals := make([]float64, len(col))
-	null := make([]uint64, segWords)
-	for i, v := range col {
-		if v.IsNull() {
-			vals[i] = nan
-			null[i>>6] |= 1 << (uint(i) & 63)
-		} else {
-			vals[i] = v.Float()
-		}
-	}
-	ch := &floatChunk{vals: vals, null: null}
-	s.fchunk[c] = ch
-	return ch
-}
-
 // liveTail reports whether this version's tail is the family's current
 // tail epoch (no newer version has sealed it yet).
 func (t *Table) liveTailLocked() bool {
@@ -434,8 +446,8 @@ func (t *Table) liveTailLocked() bool {
 
 // FloatView returns the float64 decoding of numeric column c at this
 // table version's window, or nil when the column is not numeric. The
-// returned view is an immutable snapshot; sealed-segment chunks are
-// shared across all versions containing the segment, and appended rows
+// returned view is an immutable snapshot; a held segment's chunk is
+// aliased by every version containing the segment, and appended rows
 // extend only the tail decoder.
 func (t *Table) FloatView(c int) *FloatView {
 	if c < 0 || c >= len(t.schema) || !t.schema[c].Type.IsNumeric() {
@@ -450,7 +462,6 @@ func (t *Table) FloatView(c int) *FloatView {
 	if s := vc.fsnap[c]; s != nil && s.n == t.nrows && vc.curBase == t.base {
 		return s
 	}
-	segWords := segWordsOf(t.bits)
 	nsegs := len(t.sealed)
 	tailLen := t.nrows - nsegs<<t.bits
 	fv := &FloatView{n: t.nrows, bits: t.bits, mask: t.mask, col: c, tname: t.name}
@@ -469,24 +480,16 @@ func (t *Table) FloatView(c int) *FloatView {
 			fv.nulls = append(fv.nulls, nil)
 			continue
 		}
-		ch := seg.ensureFloat(c, segWords)
-		fv.segs = append(fv.segs, ch.vals)
-		fv.nulls = append(fv.nulls, ch.null)
+		fv.segs = append(fv.segs, seg.chunks[c].Vals)
+		fv.nulls = append(fv.nulls, seg.chunks[c].Null)
 	}
 	if tailLen > 0 {
 		var vals []float64
 		null := make([]uint64, (tailLen+63)>>6)
 		if t.liveTailLocked() {
-			if vc.tailF == nil {
-				vc.tailF = make(map[int]*tailFloat)
-			}
-			tf := vc.tailF[c]
-			if tf == nil {
-				tf = &tailFloat{null: make([]uint64, segWords)}
-				vc.tailF[c] = tf
-			}
-			for tf.built < tailLen {
-				tf.decodeOne(t.tail[c][tf.built])
+			tf := vc.tailFloatFor(c)
+			if tf.built < tailLen {
+				tf.extend(t.tail[c][:tailLen])
 			}
 			vals = tf.vals[:tailLen:tailLen]
 			copy(null, tf.null)
@@ -524,9 +527,9 @@ func (t *Table) FloatView(c int) *FloatView {
 // column — or when the version predates the family's current retention
 // base (callers then read cells through a RowReader; such stale
 // snapshots are already superseded). Codes are append-stable
-// (first-appearance order), which requires sequential decode: the
-// family decodes string columns in stream-row order regardless of
-// which version asks first.
+// (first-appearance order): sealed rows were interned by their seal, and
+// the tail interns in stream-row order regardless of which version asks
+// first.
 func (t *Table) DictView(c int) *DictView {
 	if c < 0 || c >= len(t.schema) || t.schema[c].Type != TString {
 		return nil
@@ -540,53 +543,10 @@ func (t *Table) DictView(c int) *DictView {
 	if s := vc.dsnap[c]; s != nil && s.n == t.nrows {
 		return s
 	}
-	if vc.dict == nil {
-		vc.dict = make(map[int]*dictState)
-	}
-	ds := vc.dict[c]
-	if ds == nil {
-		ds = &dictState{byStr: make(map[string]int32)}
-		vc.dict[c] = ds
-	}
-	if ds.decoded < t.base {
-		ds.decoded = t.base // rows dropped before first decode never intern
-	}
+	ds := vc.dictFor(c)
 	end := t.base + t.nrows
 	nsegs := len(t.sealed)
 	tailLen := t.nrows - nsegs<<t.bits
-	segRows := 1 << t.bits
-	live := t.liveTailLocked()
-	// Advance the contiguous decode frontier to this version's end.
-	for ds.decoded < end {
-		sk := ds.decoded >> t.bits // stream segment of the frontier
-		k := sk - t.base>>t.bits   // local segment index in t
-		if k < nsegs {
-			seg := t.sealed[k]
-			if seg.faultable() {
-				// Out-of-core segment: its codes live in the loader's
-				// chunks, assigned by the dictionary this column was
-				// preloaded with — nothing to intern.
-				ds.decoded = (sk + 1) << t.bits
-				continue
-			}
-			codes := make([]int32, segRows)
-			for i, v := range seg.cols[c] {
-				codes[i] = ds.code(v, sk<<t.bits+i)
-			}
-			seg.dchunk[c] = &dictChunk{codes: codes}
-			ds.decoded = (sk + 1) << t.bits
-			continue
-		}
-		if !live {
-			// The rows live in a segment sealed by a newer version,
-			// unreachable from this one; the caller falls back to boxed
-			// values. The frontier is untouched, so a newer version's
-			// request decodes them in order.
-			return nil
-		}
-		off := ds.decoded - vc.epoch<<t.bits
-		ds.decodeOne(t.tail[c][off], ds.decoded)
-	}
 	dv := &DictView{n: t.nrows, bits: t.bits, mask: t.mask, col: c, tname: t.name}
 	dv.segs = make([][]int32, 0, nsegs+1)
 	for k, seg := range t.sealed {
@@ -598,24 +558,19 @@ func (t *Table) DictView(c int) *DictView {
 			dv.segs = append(dv.segs, nil)
 			continue
 		}
-		if seg.dchunk[c] == nil {
-			// Decoded before this version's base moved (pre-retention
-			// frontier skips): decode directly — all codes exist.
-			codes := make([]int32, segRows)
-			for i, v := range seg.cols[c] {
-				codes[i] = ds.lookup(v)
-			}
-			seg.dchunk[c] = &dictChunk{codes: codes}
-		}
-		dv.segs = append(dv.segs, seg.dchunk[c].codes)
+		dv.segs = append(dv.segs, seg.chunks[c].Codes)
 	}
 	if tailLen > 0 {
-		if live {
+		boxed, tailStart := t.tail[c][:tailLen], end-tailLen
+		if t.liveTailLocked() {
+			ds.extendTail(boxed, tailStart)
 			dv.segs = append(dv.segs, ds.tailCodes[:tailLen:tailLen])
 		} else {
+			// Superseded tail: a newer version sealed these rows, so every
+			// string is interned already and code only looks it up.
 			codes := make([]int32, tailLen)
-			for i := 0; i < tailLen; i++ {
-				codes[i] = ds.lookup(t.tail[c][i])
+			for i, v := range boxed {
+				codes[i] = ds.code(v, tailStart+i)
 			}
 			dv.segs = append(dv.segs, codes)
 		}
@@ -632,13 +587,4 @@ func (t *Table) DictView(c int) *DictView {
 		vc.dsnap[c] = dv
 	}
 	return dv
-}
-
-// lookup returns the code of an already-interned value (every row at or
-// below the decode frontier has one); NULL is -1.
-func (ds *dictState) lookup(v Value) int32 {
-	if v.IsNull() {
-		return -1
-	}
-	return ds.byStr[v.S]
 }

@@ -151,7 +151,7 @@ func TestDictViewExtendsIncrementally(t *testing.T) {
 	tbl.MustAppendRow(NewString("b"))
 
 	dv2 := tbl.DictView(0)
-	if tbl.views.dict[0] != e || e.decoded != 5 {
+	if tbl.views.dict[0] != e || len(e.tailCodes) != 5 {
 		t.Fatal("append replaced the canonical dict state instead of extending it")
 	}
 	if dv2.CodeAt(0) != dv1.CodeAt(0) || dv2.CodeAt(4) != dv1.CodeAt(1) {

@@ -2,17 +2,16 @@ package engine
 
 import "fmt"
 
-// This file is the engine half of the out-of-core segment contract.
-// A durability layer (internal/store) can attach SEALED segments to a
-// recovered table WITHOUT decoding them into memory: the segment keeps
-// no boxed values and no chunks, and every read faults the needed typed
-// column chunk in through a ChunkLoader — typically backed by a shared
-// buffer pool that pins chunks while scans read them and evicts cold
-// ones under a byte budget. A boxed Value is only ever built for the one
-// cell a reader asked for (rowread.go), never per chunk. In-memory
-// (non-durable) tables never see any of this: their segments stay
-// always-resident and the pin calls degrade to returning the resident
-// slice with a no-op release.
+// This file is the engine half of the out-of-core segment contract. A
+// sealed segment is its typed chunks (segment.go); a durability layer
+// (internal/store) attaches recovered segments either HOLDING the chunks
+// it decoded, or FAULTABLE: the segment keeps nothing and every read
+// pins the needed chunk through a ChunkLoader — typically backed by a
+// shared buffer pool that pins chunks while scans read them and evicts
+// cold ones under a byte budget. Either way a boxed Value is only ever
+// built for the one cell a reader asked for (rowread.go), never per
+// chunk. Readers of a held segment take the chunk slice with a no-op
+// release.
 //
 // The pin/unpin contract: a Pin* call returns chunk data plus a
 // release func. The data stays VALID forever (Go's GC keeps it alive
@@ -102,7 +101,7 @@ func CatchSegmentLoad(errp *error) {
 	}
 }
 
-// releaseNoop is the shared release for resident chunks.
+// releaseNoop is the shared release for held chunks.
 var releaseNoop = func() {}
 
 // faultable reports whether this segment's chunks load on demand.
@@ -136,22 +135,38 @@ func (s *segment) pinInt(tname string, col int) (cells []int64, release func(), 
 	return cells, release, missed
 }
 
-// AttachLoadedSegment appends one sealed, faultable segment to the
-// newest version of the table — the recovery-time counterpart of
-// sealing a tail. The segment's rows are the next SegRows stream rows;
-// its chunks load on demand through loader (stream segment index =
-// Base()/SegRows + sealed count at attach time). zones, when non-nil,
-// carries one ZoneInfo per schema column for predicate pruning; nil
-// means no zone maps (every clause faults). Like AppendBatch it is
+// AttachSegment appends one recovered sealed segment to the newest
+// version of the table — the recovery-time counterpart of sealing a
+// tail. The segment's rows are the next SegRows stream rows. With
+// chunks != nil the segment holds them (one per schema column, codes
+// indexing the dictionary PreloadDict seeded) and loader and zones are
+// ignored; otherwise its chunks load on demand through loader (stream
+// segment index = Base()/SegRows + sealed count at attach time) and
+// zones, when non-nil, carries one ZoneInfo per schema column for
+// predicate pruning (nil: every clause faults). Like AppendBatch it is
 // copy-on-write and linear: it returns a new version and refuses stale
 // snapshots. The tail must be empty (recovery attaches segments before
 // replaying tail rows); a tail that is exactly full is sealed first.
-func (t *Table) AttachLoadedSegment(loader ChunkLoader, zones []ZoneInfo) (*Table, error) {
-	if loader == nil {
-		return nil, fmt.Errorf("engine: table %s: attach with nil loader", t.name)
-	}
-	if zones != nil && len(zones) != len(t.schema) {
-		return nil, fmt.Errorf("engine: table %s: attach with %d zones, schema has %d columns", t.name, len(zones), len(t.schema))
+func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneInfo) (*Table, error) {
+	ncols := len(t.schema)
+	switch {
+	case chunks != nil && len(chunks) != ncols:
+		return nil, fmt.Errorf("engine: table %s: attach with %d chunks, schema has %d columns", t.name, len(chunks), ncols)
+	case chunks != nil:
+		loader, zones = nil, nil
+		for c, ch := range chunks {
+			n := len(ch.Vals)
+			if t.schema[c].Type == TString {
+				n = len(ch.Codes)
+			}
+			if n != 1<<t.bits || len(ch.Null) != len(ch.Vals)/64 || (ch.Ints != nil && len(ch.Ints) != n) {
+				return nil, fmt.Errorf("engine: table %s: attach: column %d chunk does not cover one segment", t.name, c)
+			}
+		}
+	case loader == nil:
+		return nil, fmt.Errorf("engine: table %s: attach with neither chunks nor loader", t.name)
+	case zones != nil && len(zones) != ncols:
+		return nil, fmt.Errorf("engine: table %s: attach with %d zones, schema has %d columns", t.name, len(zones), ncols)
 	}
 	vc := t.viewCache()
 	vc.mu.Lock()
@@ -159,7 +174,6 @@ func (t *Table) AttachLoadedSegment(loader ChunkLoader, zones []ZoneInfo) (*Tabl
 	if t.pub != vc.pub {
 		return nil, fmt.Errorf("engine: table %s: %w (attach to superseded version)", t.name, ErrStaleAppend)
 	}
-	ncols := len(t.schema)
 	nt := &Table{
 		name: t.name, schema: t.schema,
 		sealed: t.sealed, tail: make([][]Value, ncols),
@@ -174,11 +188,14 @@ func (t *Table) AttachLoadedSegment(loader ChunkLoader, zones []ZoneInfo) (*Tabl
 		return nil, fmt.Errorf("engine: table %s: attach with %d tail rows (segments attach only at segment boundaries)", t.name, tailLen)
 	}
 	seg := &segment{
-		fchunk:    make([]*floatChunk, ncols),
-		dchunk:    make([]*dictChunk, ncols),
+		chunks:    chunks,
+		dicts:     make([][]string, ncols),
 		loader:    loader,
 		streamIdx: nt.base>>nt.bits + len(nt.sealed),
 		zones:     zones,
+	}
+	for c, ds := range vc.dict {
+		seg.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
 	}
 	nt.sealed = append(nt.sealed, seg)
 	nt.nrows += 1 << nt.bits
@@ -186,22 +203,14 @@ func (t *Table) AttachLoadedSegment(loader ChunkLoader, zones []ZoneInfo) (*Tabl
 	vc.pub++
 	nt.pub = vc.pub
 	vc.hw = nt.base + nt.nrows
-	// The attached rows count as dict-decoded: their codes live in the
-	// loader's chunks, assigned by the same first-appearance rule the
-	// preloaded dictionary captured.
-	for _, ds := range vc.dict {
-		if ds.decoded < vc.hw {
-			ds.decoded = vc.hw
-		}
-	}
 	return nt, nil
 }
 
 // PreloadDict seeds string column c's dictionary with values in code
 // order — recovery calls it (on a still-empty table) with the
-// durability layer's persisted dictionary so that the int32 code
-// sections inside attached segment files mean the same strings the
-// engine's dictionary does, with no per-row remapping. The preloaded
+// durability layer's persisted dictionary so that the int32 codes of
+// the segments it attaches mean the same strings the engine's
+// dictionary does, with no per-row remapping. The preloaded
 // values are visible to every snapshot (an over-approximation when
 // some value's rows were all lost to retention or quarantine: a code
 // matching zero rows is harmless). Appends after preload keep
@@ -218,13 +227,10 @@ func (t *Table) PreloadDict(c int, values []string) error {
 	if t.nrows != 0 || len(t.sealed) != 0 {
 		return fmt.Errorf("engine: table %s: preload dict on non-empty table", t.name)
 	}
-	if vc.dict == nil {
-		vc.dict = make(map[int]*dictState)
-	}
-	if ds := vc.dict[c]; ds != nil && len(ds.values) != 0 {
+	ds := vc.dictFor(c)
+	if len(ds.values) != 0 {
 		return fmt.Errorf("engine: table %s: column %d dictionary already populated", t.name, c)
 	}
-	ds := &dictState{byStr: make(map[string]int32, len(values)), decoded: t.base}
 	ds.values = append([]string(nil), values...)
 	for i, s := range values {
 		ds.byStr[s] = int32(i)
@@ -235,13 +241,12 @@ func (t *Table) PreloadDict(c int, values []string) error {
 		// recovered window anyway).
 		ds.marks = []dictMark{{rows: 0, nvals: int32(len(values))}}
 	}
-	vc.dict[c] = ds
 	return nil
 }
 
 // SegmentZone returns sealed segment k's zone map for column c, when
-// one was attached. ok is false for resident segments, segments
-// attached without zones, and out-of-range indexes.
+// one was attached. ok is false for segments that hold their chunks,
+// segments attached without zones, and out-of-range indexes.
 func (t *Table) SegmentZone(k, c int) (ZoneInfo, bool) {
 	if k < 0 || k >= len(t.sealed) || c < 0 || c >= len(t.schema) {
 		return ZoneInfo{}, false
@@ -254,8 +259,7 @@ func (t *Table) SegmentZone(k, c int) (ZoneInfo, bool) {
 }
 
 // SegmentFaultable reports whether sealed segment k's chunks load on
-// demand (attached via AttachLoadedSegment) rather than being memory
-// resident.
+// demand (attached with a loader) rather than being held in memory.
 func (t *Table) SegmentFaultable(k int) bool {
 	return k >= 0 && k < len(t.sealed) && t.sealed[k].faultable()
 }

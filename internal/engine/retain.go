@@ -112,10 +112,9 @@ func (t *Table) dropCountLocked(pol RetentionPolicy) int {
 	if ci < 0 || !t.schema[ci].Type.IsNumeric() {
 		return 0
 	}
-	segWords := segWordsOf(t.bits)
 	drop := 0
 	for drop < max {
-		if !t.sealed[drop].allBelowCutoff(t.name, ci, segWords, pol.Cutoff) {
+		if !t.sealed[drop].allBelowCutoff(t.name, ci, pol.Cutoff) {
 			break
 		}
 		drop++
@@ -128,9 +127,8 @@ func (t *Table) dropCountLocked(pol RetentionPolicy) int {
 // NaN keeps the segment, conservatively. A faultable segment answers
 // from its zone map when one is attached — no disk touched — and
 // otherwise faults the chunk under a transient pin.
-func (s *segment) allBelowCutoff(tname string, ci, segWords int, cutoff float64) bool {
-	var vals []float64
-	var null []uint64
+func (s *segment) allBelowCutoff(tname string, ci int, cutoff float64) bool {
+	vals, null := []float64(nil), []uint64(nil)
 	if s.faultable() {
 		if s.zones != nil {
 			z := s.zones[ci]
@@ -147,8 +145,7 @@ func (s *segment) allBelowCutoff(tname string, ci, segWords int, cutoff float64)
 		vals, null, release, _ = s.pinFloat(tname, ci)
 		defer release()
 	} else {
-		ch := s.ensureFloat(ci, segWords)
-		vals, null = ch.vals, ch.null
+		vals, null = s.chunks[ci].Vals, s.chunks[ci].Null
 	}
 	for i, f := range vals {
 		if null[i>>6]&(1<<(uint(i)&63)) != 0 {
@@ -212,37 +209,22 @@ func (db *DB) Retain(name string, pol RetentionPolicy) (*Table, RetainStats, err
 // valueBytes is the in-memory size of one boxed Value.
 const valueBytes = int(unsafe.Sizeof(Value{}))
 
-// MemStats approximates this version's resident storage: boxed segment
-// and tail values plus whatever decode chunks have been built. It is
-// an estimate (string bodies and map overhead are not traversed), but
-// it moves faithfully with segment count, which is what retention
-// monitoring needs.
+// MemStats approximates this version's resident storage: the chunk
+// slices its segments hold plus the boxed tail. It is an estimate
+// (string bodies, the dictionary and the tail's decoders are not
+// traversed), but it moves faithfully with segment count, which is what
+// retention monitoring needs.
 func (t *Table) MemStats() (segments int, bytes int) {
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	ncols := len(t.schema)
-	segRows := 1 << t.bits
 	segments = len(t.sealed)
-	tailRows := t.nrows - segments<<t.bits
 	for _, seg := range t.sealed {
-		if seg.faultable() {
-			// Out-of-core segment: nothing resident here — its faulted
-			// chunks are accounted by the loader's pool, not the table.
-			continue
-		}
-		bytes += segRows * ncols * valueBytes
-		for c := 0; c < ncols; c++ {
-			if ch := seg.fchunk[c]; ch != nil {
-				bytes += len(ch.vals)*8 + len(ch.null)*8
-			}
-			if ch := seg.dchunk[c]; ch != nil {
-				bytes += len(ch.codes) * 4
-			}
+		// A faultable segment holds nothing here — its faulted chunks are
+		// accounted by the loader's pool, not the table.
+		for c := range seg.chunks {
+			bytes += seg.chunks[c].Bytes()
 		}
 	}
-	bytes += tailRows * ncols * valueBytes
-	if tailRows > 0 {
+	if tailRows := t.nrows - segments<<t.bits; tailRows > 0 {
+		bytes += tailRows * len(t.schema) * valueBytes
 		segments++
 	}
 	return segments, bytes

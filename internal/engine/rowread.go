@@ -1,16 +1,17 @@
 package engine
 
 // RowReader serves per-row boxed reads (Value, RowInto) over a scan
-// loop. Resident segments and the tail read straight from memory. A
-// faultable segment has no boxed cells anywhere: the reader pins the
-// typed chunk the buffer pool already serves the scan with — PinFloat
-// for numeric columns, PinCodes plus the family dictionary for strings
-// — and boxes the one cell it was asked for (cellCursor), so a read
-// costs what a typed-view read costs and shares its pool entry.
-// Table.Value and Table.RowInto do the same under a transient pin PER
-// ROW; a RowReader holds one pin per column and swaps it on segment
-// crossings, exactly like the typed views' PinSeg, making sequential
-// row loops O(rows) regardless of chunk and pool size.
+// loop. The tail reads straight from its boxed arrays; a sealed segment
+// has no boxed cells anywhere, so the reader boxes the one cell it was
+// asked for out of the column's typed chunk (cellCursor) — the chunk the
+// segment holds, or the one the buffer pool already serves the scan
+// with: PinFloat for numeric columns, PinCodes plus the segment's
+// dictionary for strings — so a read costs what a typed-view read costs
+// and shares its pool entry. Table.Value and Table.RowInto do the same
+// PER CELL, a faultable segment's under a transient pin; a RowReader
+// holds one cursor per column and moves it on segment crossings, exactly
+// like the typed views' PinSeg, making sequential row loops O(rows)
+// regardless of chunk and pool size.
 //
 // A RowReader is NOT safe for concurrent use — create one per
 // goroutine — and MUST be Closed (defer it) so held pins release on
@@ -39,14 +40,17 @@ func (rr *RowReader) Value(row, col int) Value {
 	if k < 0 || k >= len(t.sealed) {
 		return t.tail[col][row-len(t.sealed)<<t.bits]
 	}
-	if s := t.sealed[k]; s.cols != nil {
-		return s.cols[col][row&t.mask]
-	}
 	cur := &rr.cur[col]
 	if cur.seg != k {
 		cur.move(t, k, col)
 	}
-	return cur.at(t, col, row&t.mask)
+	// Spelled out here and in faultedCell, not shared: one more call level
+	// copies the 40-byte Value once more and doubles the cost of a read.
+	v, rounded := cur.ch.cell(t.schema[col].Type, cur.dict, row&t.mask)
+	if rounded {
+		v = cur.exact(t, col, row&t.mask)
+	}
+	return v
 }
 
 // RowInto copies row i into dst (len == NumCols); the RowReader
@@ -74,20 +78,14 @@ func (rr *RowReader) Close() {
 	}
 }
 
-// exactInt bounds the int64 cells a float64 carries exactly: below it
-// int64(float64(v)) == v, at or past it the float chunk has rounded.
-const exactInt = 1 << 53
-
-// cellCursor boxes single cells of one column out of the typed chunks
-// of one faultable segment at a time.
+// cellCursor boxes single cells of one column out of one sealed
+// segment's chunk at a time: the held chunk itself (no lock, no pin), or
+// a faultable segment's pinned one.
 type cellCursor struct {
-	seg     int       // pinned segment (-1 = none)
-	vals    []float64 // numeric column: PinFloat's values…
-	null    []uint64  // …and NULL words
-	codes   []int32   // string column: PinCodes' codes…
-	dict    []string  // …and the family dictionary they index
-	ints    []int64   // exact cells, pinned on the segment's first |v| ≥ 2^53 read
-	release [2]func() // the typed chunk's pin, the exact chunk's
+	seg     int       // current segment (-1 = none)
+	ch      Chunk     // its chunk; Ints pinned on the segment's first |v| ≥ 2^53 read
+	dict    []string  // the dictionary the chunk's codes index
+	release [2]func() // a faultable segment's pins: the typed chunk's, the exact chunk's
 
 	faulted, resident int
 }
@@ -100,52 +98,33 @@ func (cur *cellCursor) count(missed bool) {
 	}
 }
 
-// move swaps the cursor's pin to col's typed chunk of faultable
-// segment k.
+// move points the cursor at col's chunk of sealed segment k, pinning it
+// when the segment is faultable.
 func (cur *cellCursor) move(t *Table, k, col int) {
 	cur.close()
+	s := t.sealed[k]
+	cur.dict = s.dicts[col]
 	var missed bool
-	if s := t.sealed[k]; t.schema[col].Type == TString {
-		if cur.dict == nil {
-			cur.dict = t.dictValues(col)
-		}
-		cur.codes, cur.release[0], missed = s.pinCodes(t.name, col)
-	} else {
-		cur.vals, cur.null, cur.release[0], missed = s.pinFloat(t.name, col)
+	switch {
+	case s.chunks != nil:
+		cur.ch = s.chunks[col]
+	case t.schema[col].Type == TString:
+		cur.ch.Codes, cur.release[0], missed = s.pinCodes(t.name, col)
+	default:
+		cur.ch.Vals, cur.ch.Null, cur.release[0], missed = s.pinFloat(t.name, col)
 	}
 	cur.seg = k
 	cur.count(missed)
 }
 
-// at boxes the cell at offset off of the pinned segment, bit for bit
-// the Value a resident segment would hold: a float cell is the chunk's
-// float64 itself (NaN payloads and -0.0 included), an int-like cell
-// converts back exactly while |v| < 2^53 and reads the exact int64
-// chunk past that.
-func (cur *cellCursor) at(t *Table, col, off int) Value {
-	typ := t.schema[col].Type
-	if typ == TString {
-		if code := cur.codes[off]; code >= 0 {
-			return NewString(cur.dict[code])
-		}
-		return Null
-	}
-	if cur.null[off>>6]&(1<<(uint(off)&63)) != 0 {
-		return Null
-	}
-	f := cur.vals[off]
-	switch {
-	case typ == TFloat:
-		return NewFloat(f)
-	case -exactInt < f && f < exactInt:
-		return Value{T: typ, I: int64(f)}
-	}
-	if cur.ints == nil {
-		var missed bool
-		cur.ints, cur.release[1], missed = t.sealed[cur.seg].pinInt(t.name, col)
-		cur.count(missed)
-	}
-	return Value{T: typ, I: cur.ints[off]}
+// exact boxes an int-like cell whose float64 has rounded out of a
+// faultable segment's exact int64 chunk, pinned here the first time a
+// cell of the segment needs it.
+func (cur *cellCursor) exact(t *Table, col, off int) Value {
+	var missed bool
+	cur.ch.Ints, cur.release[1], missed = t.sealed[cur.seg].pinInt(t.name, col)
+	cur.count(missed)
+	return Value{T: t.schema[col].Type, I: cur.ch.Ints[off]}
 }
 
 // close releases the held pins. Idempotent.
@@ -156,7 +135,7 @@ func (cur *cellCursor) close() {
 			cur.release[i] = nil
 		}
 	}
-	cur.seg, cur.ints = -1, nil
+	cur.seg, cur.ch = -1, Chunk{}
 }
 
 // faultedCell boxes one cell of faultable segment k under a transient
@@ -165,22 +144,11 @@ func (t *Table) faultedCell(k, col, off int) Value {
 	cur := cellCursor{seg: -1}
 	defer cur.close()
 	cur.move(t, k, col)
-	return cur.at(t, col, off)
-}
-
-// dictValues returns string column c's family dictionary in code
-// order. The list is append-only, so the returned prefix never changes
-// under the caller; every code a faultable segment holds indexes it
-// (PreloadDict), whatever version asks — including one too stale for a
-// DictView.
-func (t *Table) dictValues(c int) []string {
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if ds := vc.dict[c]; ds != nil {
-		return ds.values
+	v, rounded := cur.ch.cell(t.schema[col].Type, cur.dict, off)
+	if rounded {
+		v = cur.exact(t, col, off)
 	}
-	return nil
+	return v
 }
 
 // FloatReader is the typed-view counterpart of RowReader: per-row

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,11 +13,12 @@ import (
 	"repro/internal/testgen"
 )
 
-// The typed reader against the resident boxed cells: a faultable twin of
-// a resident table (enginetest.Loader serves float, code and exact-int
-// chunks, never a boxed one) must hand back every cell bit for bit
-// through RowReader.Value/RowInto and Table.Value/RowInto/Row, and leave
-// no pin behind on any exit path.
+// The typed cell reader against the rows that were appended. A sealed
+// segment is typed chunks whoever holds them — the table that sealed it,
+// or a faultable twin (enginetest.Loader serves float, code and
+// exact-int chunks) — and must hand back every cell bit for bit through
+// RowReader.Value/RowInto, Table.Value/RowInto/Row and both typed views,
+// and leave no pin behind on any exit path.
 
 func sameCell(a, b engine.Value) bool {
 	return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
@@ -73,7 +76,8 @@ func TestTypedReaderMatchesResidentCells(t *testing.T) {
 		"edge":    edgeTable(t, rng, 300),
 	} {
 		twin, l := enginetest.Faultable(src)
-		if sealed, _ := twin.NumSegments(); sealed != 4 || !twin.SegmentFaultable(0) || twin.SegmentCols(0) != nil {
+		held, _ := twin.SegmentChunks(0)
+		if sealed, _ := twin.NumSegments(); sealed != 4 || !twin.SegmentFaultable(0) || held != nil {
 			t.Fatalf("%s: twin is not a 4-segment faultable table", name)
 		}
 		assertCells(t, name, src, twin, 0)
@@ -176,5 +180,257 @@ func TestTypedReaderReleasesPinsOnLoadFailure(t *testing.T) {
 		l.Fail = nil
 		assertCells(t, "after failure", src, twin, 0)
 		assertNoPins(t, "after failure", l)
+	}
+}
+
+// matrixSchema is EdgeSchema plus a numeric and a string column that are
+// NULL in every row.
+func matrixSchema() engine.Schema {
+	return append(enginetest.EdgeSchema(), engine.Column{Name: "zf", Type: engine.TFloat}, engine.Column{Name: "zs", Type: engine.TString})
+}
+
+// matrixRows cycles through every cell a lossy representation would
+// mangle — -0.0, NaN payloads, ±Inf, ints at ±(2^53−1), ±2^53, ±(2^53+1)
+// and MinInt64, both bools, times, NULLs, empty and repeated strings —
+// with periods that are coprime, so each segment sees most combinations,
+// then random edge rows on top.
+func matrixRows(rng *rand.Rand, n int) [][]engine.Value {
+	ints := []int64{1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1), math.MinInt64, 0, 42}
+	floats := []float64{math.Copysign(0, -1), 0, math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000abc), math.Inf(1), math.Inf(-1), 1.5}
+	strs := []string{"", "a", "a", "A", "", "xy"}
+	rows := make([][]engine.Value, n)
+	for r := range rows {
+		row := append(enginetest.EdgeRow(rng), engine.Null, engine.Null)
+		if r%2 == 0 {
+			row[0] = engine.NewInt(ints[r/2%len(ints)])
+			row[1] = engine.NewFloat(floats[r/2%len(floats)])
+			row[2] = engine.NewBool(r%4 == 0)
+			row[3] = engine.NewString(strs[r/2%len(strs)])
+			row[4] = engine.NewTimeUnix(ints[(r/2+3)%len(ints)])
+		}
+		if r%13 == 5 {
+			row[r%5] = engine.Null
+		}
+		rows[r] = row
+	}
+	return rows
+}
+
+// assertMatrix compares every cell of tbl, read through every accessor,
+// with the rows that were appended: want[r] is tbl's local row r. A
+// version retention has superseded has no DictView (staleBase); every
+// other one must.
+func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine.Value, staleBase bool) {
+	t.Helper()
+	if tbl.NumRows() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, tbl.NumRows(), len(want))
+	}
+	rr := tbl.NewRowReader()
+	defer rr.Close()
+	for c, col := range tbl.Schema() {
+		var fv *engine.FloatView
+		var fr *engine.FloatReader
+		var dv *engine.DictView
+		var dr *engine.DictReader
+		if col.Type.IsNumeric() {
+			fv = tbl.FloatView(c)
+			fr = fv.NewReader()
+			defer fr.Close()
+		} else if dv = tbl.DictView(c); (dv == nil) != staleBase {
+			t.Fatalf("%s: column %s: DictView nil = %v on a version with staleBase = %v", label, col.Name, dv == nil, staleBase)
+		} else if dv != nil {
+			dr = dv.NewReader()
+			defer dr.Close()
+		}
+		for r, row := range want {
+			w := row[c]
+			if v := tbl.Value(r, c); !sameCell(v, w) {
+				t.Fatalf("%s: Table.Value(%d, %s) = %#v, appended %#v", label, r, col.Name, v, w)
+			}
+			if v := rr.Value(r, c); !sameCell(v, w) {
+				t.Fatalf("%s: RowReader.Value(%d, %s) = %#v, appended %#v", label, r, col.Name, v, w)
+			}
+			if fv != nil {
+				f, null := fr.At(r)
+				for how, got := range map[string]float64{"FloatView.V": fv.V(r), "FloatReader.At": f, "FloatReader.V": fr.V(r)} {
+					if wantF := w.Float(); math.Float64bits(got) != math.Float64bits(wantF) && !(w.IsNull() && math.IsNaN(got)) {
+						t.Fatalf("%s: %s(%d) of %s = %x, want %x", label, how, r, col.Name, math.Float64bits(got), math.Float64bits(wantF))
+					}
+				}
+				if fv.IsNull(r) != w.IsNull() || null != w.IsNull() {
+					t.Fatalf("%s: NULL flag of (%d, %s) = %v/%v, want %v", label, r, col.Name, fv.IsNull(r), null, w.IsNull())
+				}
+			}
+			if dv != nil {
+				code := dv.CodeAt(r)
+				switch {
+				case code != dr.CodeAt(r):
+					t.Fatalf("%s: DictReader.CodeAt(%d) of %s = %d, view says %d", label, r, col.Name, dr.CodeAt(r), code)
+				case w.IsNull() != (code < 0):
+					t.Fatalf("%s: code %d at (%d, %s), appended %#v", label, code, r, col.Name, w)
+				case code >= 0 && (dv.Value(code) != w.S || dv.Code(w.S) != code):
+					t.Fatalf("%s: code %d at (%d, %s) is %q (Code(%q) = %d)", label, code, r, col.Name, dv.Value(code), w.S, dv.Code(w.S))
+				}
+			}
+		}
+	}
+}
+
+// TestCellMatrixThreeWay is the representation matrix: the appended row
+// slice is the oracle; a table that sealed its own segments and its
+// faultable twin are both compared with it cell by cell, at
+// MinSegmentBits with a partial tail, on a version whose tail a newer
+// one has sealed, after a retention rebase and on the version that
+// retention superseded.
+func TestCellMatrixThreeWay(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const seg = 1 << engine.MinSegmentBits
+	rows := matrixRows(rng, 5*seg+9)
+	first := rows[:3*seg+17]
+	build := func() *engine.Table {
+		tbl, err := engine.NewTableSeg("p", matrixSchema(), engine.MinSegmentBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl, err = tbl.AppendBatch(first); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	twin, l := enginetest.Faultable(build()) // its source family stays as built
+	for name, old := range map[string]*engine.Table{"held": build(), "faultable": twin} {
+		if sealed, tail := old.NumSegments(); sealed != 3 || tail != 17 || old.SegmentFaultable(0) != (name == "faultable") {
+			t.Fatalf("%s: %d sealed + %d tail rows, faultable %v", name, sealed, tail, old.SegmentFaultable(0))
+		}
+		assertMatrix(t, name, old, first, false)
+
+		grown, err := old.AppendBatch(rows[len(first):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatrix(t, name+" grown", grown, rows, false)
+		assertMatrix(t, name+" with a superseded tail", old, first, false)
+
+		retained, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 2 * seg})
+		if err != nil || stats.DroppedSegments != 3 {
+			t.Fatalf("%s: retain: %+v %v", name, stats, err)
+		}
+		assertMatrix(t, name+" retained", retained, rows[stats.DroppedRows:], false)
+		assertMatrix(t, name+" superseded by retention", grown, rows, true)
+		assertNoPins(t, name, l)
+	}
+	if floats, codes, ints, _ := l.Counts(); floats == 0 || codes == 0 || ints == 0 {
+		t.Fatalf("the twin served %d float, %d code and %d exact-int pins: some chunk kind went unread", floats, codes, ints)
+	}
+}
+
+// TestOldVersionReadsRaceAppends holds an old version — three sealed
+// segments and a partial tail — and reads every cell of it through
+// Table.Value, a RowReader and both typed views, again and again, while
+// the family's newest version appends past it, seals its tail and
+// retains its segments away. Boxing a sealed string cell reaches the
+// dictionary through the segment, not the family lock, so under -race
+// this is the proof that no reader shares unguarded state with the
+// appender, for a table that holds its chunks and for a faultable twin.
+func TestOldVersionReadsRaceAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const seg = 1 << engine.MinSegmentBits
+	first := matrixRows(rng, 3*seg+17)
+	more := matrixRows(rng, 40*seg)
+	build := func() *engine.Table {
+		tbl, err := engine.NewTableSeg("p", matrixSchema(), engine.MinSegmentBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl, err = tbl.AppendBatch(first); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	twin, _ := enginetest.Faultable(build())
+	for name, old := range map[string]*engine.Table{"held": build(), "faultable": twin} {
+		var wg sync.WaitGroup
+		var passes atomic.Int64
+		stop := make(chan struct{})
+		for reader := 0; reader < 2; reader++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer passes.Add(1 << 20) // a failed reader must not hang the appender
+				for ; ; passes.Add(1) {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rr := old.NewRowReader()
+					for c, col := range old.Schema() {
+						fv, dv := old.FloatView(c), old.DictView(c) // dv goes nil once retention moves the base
+						for r, row := range first {
+							w := row[c]
+							if v := old.Value(r, c); !sameCell(v, w) {
+								t.Errorf("%s: Table.Value(%d, %s) = %#v, appended %#v", name, r, col.Name, v, w)
+								return
+							}
+							if v := rr.Value(r, c); !sameCell(v, w) {
+								t.Errorf("%s: RowReader.Value(%d, %s) = %#v, appended %#v", name, r, col.Name, v, w)
+								return
+							}
+							if fv != nil && fv.IsNull(r) != w.IsNull() {
+								t.Errorf("%s: FloatView NULL flag of (%d, %s)", name, r, col.Name)
+								return
+							}
+							if dv != nil && (dv.CodeAt(r) < 0) != w.IsNull() {
+								t.Errorf("%s: DictView code of (%d, %s)", name, r, col.Name)
+								return
+							}
+						}
+					}
+					rr.Close()
+				}
+			}()
+		}
+		cur := old
+		for lo := 0; lo < len(more) || passes.Load() < 6; lo += 37 { // until the readers have overlapped it
+			var err error
+			at := lo % (len(more) - 37)
+			if cur, err = cur.AppendBatch(more[at : at+37]); err != nil {
+				t.Fatal(err)
+			}
+			if lo%5 == 0 {
+				if cur, _, err = cur.RetainTail(engine.RetentionPolicy{MaxRows: 2 * seg}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if cur.Base() == 0 {
+			t.Fatalf("%s: retention never moved the base", name)
+		}
+	}
+}
+
+// TestMemStatsCountsWhatSegmentsHold: a sealed 64Ki-row segment of seven
+// numeric columns is 8 bytes of float and an eighth of a byte of NULL
+// bitmap a cell — not the 40-byte boxed Value it was appended as.
+func TestMemStatsCountsWhatSegmentsHold(t *testing.T) {
+	schema := engine.NewSchema("a", engine.TFloat, "b", engine.TFloat, "c", engine.TInt, "d", engine.TInt, "e", engine.TTime, "f", engine.TBool, "g", engine.TFloat)
+	tbl, err := engine.NewTable("wide", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nrows := tbl.SegRows() + 1 // the first row of the next tail seals the segment
+	for r := 0; r < nrows; r++ {
+		f := engine.NewFloat(float64(r) * 0.5)
+		i := engine.NewInt(int64(r))
+		tbl.MustAppendRow(f, f, i, i, engine.NewTimeUnix(int64(r)), engine.NewBool(r%2 == 0), f)
+	}
+	segs, bytes := tbl.MemStats()
+	if sealed, tail := tbl.NumSegments(); sealed != 1 || tail != 1 || segs != 2 {
+		t.Fatalf("%d sealed + %d tail rows, MemStats says %d segments", sealed, tail, segs)
+	}
+	if cells := nrows * len(schema); bytes > 9*cells || bytes < 8*cells {
+		t.Fatalf("MemStats reports %d bytes for %d cells (%.1f a cell), want 8 to 9", bytes, cells, float64(bytes)/float64(cells))
 	}
 }

@@ -6,13 +6,13 @@ package engine
 // TAIL holding the newest < SegRows rows. Appends only ever touch the
 // tail: a batch fills the tail arrays in place (writes land past every
 // published version's row count, so older snapshots never observe
-// them), and when the tail reaches SegRows rows it is sealed — its
-// arrays become a segment shared by reference — and a fresh tail
-// starts. Copy-on-write versions therefore share all sealed segments
-// and the tail arrays; the per-version state is just the segment
-// pointer list, the tail slice headers, and the row count. No append
-// ever copies a whole column again: the worst-case copy is one tail
-// reallocation, bounded by the segment size.
+// them), and when the tail reaches SegRows rows it is sealed — typed
+// into a segment shared by reference — and a fresh tail starts.
+// Copy-on-write versions therefore share all sealed segments and the
+// tail arrays; the per-version state is just the segment pointer list,
+// the tail slice headers, and the row count. No append ever copies a
+// whole column again: the worst-case copy is one tail reallocation,
+// bounded by the segment size.
 //
 // Segments are also the unit of RETENTION (retain.go): dropping the
 // oldest k sealed segments produces a new version whose row ids are
@@ -22,9 +22,17 @@ package engine
 // every lineage bitset and clause mask, which is what lets carried
 // incremental state rebase by word-shift instead of rebuilding.
 //
-// Decoded column chunks (float values + NULL words, dictionary codes)
-// live ON the segment, so their memory is dropped together with the
-// segment when retention lets go of it.
+// A sealed segment has ONE representation: per column, a typed chunk
+// (Chunk) — float values + NULL words, dictionary codes, and exact
+// int64 cells only where a float64 has rounded — at most 8 bytes a
+// row. Sealing builds every column's chunk from the full tail and drops
+// the boxed arrays, so the tail (bounded by one segment) is the only
+// boxed storage in a table. A segment either HOLDS its chunks (sealed
+// in this process, or attached resident by recovery) or PINS them on
+// demand through a ChunkLoader (fault.go): two holders of one format.
+// Chunks a segment holds are dropped together with the segment when
+// retention lets go of it. A boxed Value of a sealed row exists only as
+// the single cell a caller asked for (Chunk.cell).
 
 const (
 	// DefaultSegmentBits sizes segments at 64Ki rows: large enough that
@@ -38,41 +46,88 @@ const (
 	MinSegmentBits = 6
 )
 
-// segment is one sealed run of exactly segRows rows. cols holds the
-// boxed values; fchunk/dchunk hold the lazily built typed decodings
-// (guarded by the family's views.mu). All fields are immutable once
-// built — a chunk is decoded whole-segment-at-once, so readers outside
-// the lock only ever see nil or a complete chunk.
-//
-// A FAULTABLE segment (attached by AttachLoadedSegment, fault.go) has
-// cols == nil and loader != nil: its chunks are pinned on demand
-// through the loader and are NEVER cached on the segment — the
-// loader's pool is the only cache, so evicting there actually frees
-// the memory. fchunk/dchunk stay all-nil for its lifetime.
+// Chunk is one column of one sealed segment. Which fields are set
+// follows the column's type; all slices are immutable once the segment
+// is published.
+type Chunk struct {
+	// Vals and Null are a numeric column's float64 coercion (NaN at
+	// NULL) and NULL bitmap words (SegRows/64 of them).
+	Vals []float64
+	Null []uint64
+	// Ints holds an int-like column's exact cells (0 at NULL), present
+	// only when RoundedInts says some cell's float64 has rounded.
+	Ints []int64
+	// Codes are a string column's dictionary codes (-1 = NULL).
+	Codes []int32
+}
+
+// Bytes is the memory the chunk's slices occupy.
+func (ch *Chunk) Bytes() int {
+	return 8*(len(ch.Vals)+len(ch.Null)+len(ch.Ints)) + 4*len(ch.Codes)
+}
+
+// exactInt bounds the int64 cells a float64 carries exactly: below it
+// int64(float64(v)) == v, at or past it the float chunk has rounded.
+const exactInt = 1 << 53
+
+// RoundedInts reports whether some non-NULL cell of an int-like
+// column's float chunk lies at or past ±2^53 — the one case in which a
+// held chunk needs Ints beside Vals.
+func RoundedInts(vals []float64, null []uint64) bool {
+	for i, f := range vals {
+		if !(-exactInt < f && f < exactInt) && null[i>>6]&(1<<(uint(i)&63)) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// cell boxes the cell at offset off of a column of type typ, bit for bit
+// the Value that was appended: a float cell is the chunk's float64
+// itself (NaN payloads and -0.0 included), an int-like cell converts
+// back exactly while |v| < 2^53 and reads Ints past that, a string cell
+// indexes dict. rounded reports a cell that needs Ints from a chunk
+// that has none — a faultable segment's cursor then pins the exact
+// chunk and asks again; a held chunk never does.
+func (ch *Chunk) cell(typ Type, dict []string, off int) (v Value, rounded bool) {
+	if typ == TString {
+		if code := ch.Codes[off]; code >= 0 {
+			return NewString(dict[code]), false
+		}
+		return Null, false
+	}
+	if ch.Null[off>>6]&(1<<(uint(off)&63)) != 0 {
+		return Null, false
+	}
+	f := ch.Vals[off]
+	switch {
+	case typ == TFloat:
+		return NewFloat(f), false
+	case -exactInt < f && f < exactInt:
+		return Value{T: typ, I: int64(f)}, false
+	case ch.Ints == nil:
+		return Null, true
+	}
+	return Value{T: typ, I: ch.Ints[off]}, false
+}
+
+// segment is one sealed run of exactly segRows rows, immutable once
+// built. It holds its chunks (chunks != nil) or pins them through
+// loader (chunks == nil, see fault.go) — never both, and a faultable
+// segment never caches what it pins: the loader's pool is the only
+// cache, so evicting there actually frees the memory.
 type segment struct {
-	cols   [][]Value
-	fchunk []*floatChunk
-	dchunk []*dictChunk
-	// loader/streamIdx/zones are the out-of-core state (immutable):
-	// loader faults chunks by (streamIdx, col); zones, when present,
-	// holds one per-column zone map for predicate pruning.
+	chunks []Chunk
+	// dicts[c] is string column c's family dictionary as of the seal or
+	// attach: an immutable prefix covering every code of the segment, so
+	// boxing a string cell takes no lock.
+	dicts [][]string
+	// loader/streamIdx/zones are the out-of-core state: loader faults
+	// chunks by (streamIdx, col); zones, when present, holds one
+	// per-column zone map for predicate pruning.
 	loader    ChunkLoader
 	streamIdx int
 	zones     []ZoneInfo
-}
-
-// floatChunk is one numeric column's decode of one sealed segment:
-// vals[i] is row i's float64 coercion (NaN for NULL), null the NULL
-// bitmap words (exactly segWords of them).
-type floatChunk struct {
-	vals []float64
-	null []uint64
-}
-
-// dictChunk is one string column's dictionary codes over one sealed
-// segment (codes index the family-level dictionary; -1 is NULL).
-type dictChunk struct {
-	codes []int32
 }
 
 // SegmentBits returns log2 of the table family's segment row count.
@@ -101,64 +156,53 @@ func (t *Table) NumSegments() (sealed int, tailRows int) {
 	return len(t.sealed), t.nrows - len(t.sealed)<<t.bits
 }
 
-// SegmentCols exposes sealed segment k's column value slices — the
-// spill hook a durability layer (internal/store) encodes segment files
-// from. Sealed segments are immutable, so the returned slices are safe
-// to read without holding any lock, and callers must not mutate them.
-// k indexes this version's sealed segments (stream segment index =
-// Base()/SegRows + k). For a faultable segment (one the store itself
-// attached, so one it already holds on disk) it returns nil.
-func (t *Table) SegmentCols(k int) [][]Value {
-	return t.sealed[k].cols
+// SegmentChunks exposes sealed segment k's chunks and the per-column
+// dictionaries their codes index — the spill hook a durability layer
+// (internal/store) encodes segment files from. Both are immutable; k
+// indexes this version's sealed segments (stream segment index =
+// Base()/SegRows + k). A faultable segment (one the store itself
+// attached, so one it already holds on disk) returns nil chunks.
+func (t *Table) SegmentChunks(k int) ([]Chunk, [][]string) {
+	return t.sealed[k].chunks, t.sealed[k].dicts
 }
 
 // sealTailLocked seals the current tail into a segment appended to
-// nt.sealed and starts a fresh tail. Caller holds views.mu and has
-// verified the tail is exactly full. nt must be the newest version (the
-// one being grown); older versions keep their own tail headers, which
-// alias the sealed arrays and stay valid.
+// nt.sealed and starts a fresh tail: every column's chunk is finished
+// from wherever the tail's incremental decoders stand — strings interned
+// in stream order — and the boxed arrays are let go (older versions'
+// tail headers keep them alive for as long as those versions live).
+// Caller holds views.mu and has verified the tail is exactly full. nt
+// must be the newest version (the one being grown).
 func (nt *Table) sealTailLocked() {
 	vc := nt.views
-	ncols := len(nt.schema)
 	segRows := 1 << nt.bits
-	seg := &segment{
-		cols:   make([][]Value, ncols),
-		fchunk: make([]*floatChunk, ncols),
-		dchunk: make([]*dictChunk, ncols),
-	}
-	for c := 0; c < ncols; c++ {
-		seg.cols[c] = nt.tail[c][:segRows:segRows]
-	}
-	// Migrate the tail's incremental decode state into the segment's
-	// chunks so the decode work done so far is kept, then reset the
-	// tail decoders for the new epoch. An untouched decoder (no view
-	// ever requested) migrates nothing; the chunk builds lazily later.
-	for c, tf := range vc.tailF {
-		if tf == nil || tf.built == 0 {
+	tailStart := vc.epoch << nt.bits
+	seg := &segment{chunks: make([]Chunk, len(nt.schema)), dicts: make([][]string, len(nt.schema))}
+	for c, col := range nt.schema {
+		boxed := nt.tail[c][:segRows]
+		if col.Type == TString {
+			ds := vc.dictFor(c)
+			ds.extendTail(boxed, tailStart)
+			seg.chunks[c].Codes = ds.tailCodes[:segRows:segRows]
+			seg.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
+			ds.tailCodes = nil
 			continue
 		}
-		for i := tf.built; i < segRows; i++ {
-			tf.decodeOne(seg.cols[c][i])
+		tf := vc.tailFloatFor(c)
+		tf.extend(boxed)
+		ch := Chunk{Vals: tf.vals[:segRows:segRows], Null: tf.null}
+		if col.Type != TFloat && RoundedInts(ch.Vals, ch.Null) {
+			ch.Ints = make([]int64, segRows)
+			for i, v := range boxed {
+				ch.Ints[i] = v.I
+			}
 		}
-		null := make([]uint64, segWordsOf(nt.bits))
-		copy(null, tf.null)
-		seg.fchunk[c] = &floatChunk{vals: tf.vals[:segRows:segRows], null: null}
-	}
-	for c, ds := range vc.dict {
-		tailStart := vc.epoch << nt.bits
-		if ds.decoded <= tailStart {
-			continue
-		}
-		for r := ds.decoded; r < tailStart+segRows; r++ {
-			ds.decodeOne(seg.cols[c][r-tailStart], r)
-		}
-		seg.dchunk[c] = &dictChunk{codes: ds.tailCodes[:segRows:segRows]}
-		ds.tailCodes = nil
+		seg.chunks[c] = ch
 	}
 	vc.tailF = nil
 	vc.epoch++
 	nt.sealed = append(nt.sealed, seg)
-	nt.tail = make([][]Value, ncols)
+	nt.tail = make([][]Value, len(nt.schema))
 }
 
 func segWordsOf(bits uint) int { return 1 << (bits - 6) }

@@ -14,11 +14,11 @@ var ErrStaleAppend = errors.New("append to stale snapshot")
 
 // Table is an append-only, in-memory columnar relation stored as
 // fixed-size row segments (see segment.go): sealed segments of exactly
-// SegRows rows plus a growable tail. Row identifiers are stable under
-// appends: row i is always the i'th appended row. Stable identifiers
-// are load-bearing for the provenance machinery — lineage sets and
-// ground-truth labels are both expressed as row ids into the source
-// table. Retention (retain.go) is the one operation that moves ids:
+// SegRows rows, each its typed chunks, plus a growable boxed tail. Row
+// identifiers are stable under appends: row i is always the i'th
+// appended row. Stable identifiers are load-bearing for the provenance
+// machinery — lineage sets and ground-truth labels are both expressed
+// as row ids into the source table. Retention (retain.go) is the one operation that moves ids:
 // dropping k head segments rebases every surviving id down by
 // k*SegRows, recorded in Base().
 type Table struct {
@@ -287,17 +287,17 @@ func (t *Table) MustAppendRow(row ...Value) int {
 }
 
 // Value returns the value at (row, col). It panics when out of range,
-// like a slice index. Faultable segments (fault.go) are read through a
-// transient pin of the typed chunk — correct everywhere, but per-row;
-// row loops should hold a RowReader, bulk readers the typed views'
-// PinSeg.
+// like a slice index. A sealed row is boxed out of its column's typed
+// chunk: the one the segment holds, or a faultable segment's under a
+// transient pin — correct everywhere, but per cell; row loops should hold
+// a RowReader, bulk readers the typed views' PinSeg.
 func (t *Table) Value(row, col int) Value {
 	if k := row >> t.bits; k >= 0 && k < len(t.sealed) {
-		s := t.sealed[k]
-		if s.cols == nil {
-			return t.faultedCell(k, col, row&t.mask)
+		if s := t.sealed[k]; s.chunks != nil {
+			v, _ := s.chunks[col].cell(t.schema[col].Type, s.dicts[col], row&t.mask)
+			return v
 		}
-		return s.cols[col][row&t.mask]
+		return t.faultedCell(k, col, row&t.mask)
 	}
 	return t.tail[col][row-len(t.sealed)<<t.bits]
 }
@@ -312,24 +312,8 @@ func (t *Table) Row(i int) []Value {
 // RowInto copies row i into dst, which must have len == NumCols. It
 // avoids per-row allocation in scan loops.
 func (t *Table) RowInto(i int, dst []Value) {
-	if k := i >> t.bits; k >= 0 && k < len(t.sealed) {
-		s := t.sealed[k]
-		off := i & t.mask
-		if s.cols == nil {
-			for c := range t.schema {
-				dst[c] = t.faultedCell(k, c, off)
-			}
-			return
-		}
-		cols := s.cols
-		for c := range cols {
-			dst[c] = cols[c][off]
-		}
-		return
-	}
-	off := i - len(t.sealed)<<t.bits
-	for c := range t.tail {
-		dst[c] = t.tail[c][off]
+	for c := range dst {
+		dst[c] = t.Value(i, c)
 	}
 }
 

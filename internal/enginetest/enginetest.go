@@ -75,7 +75,7 @@ func Faultable(src *engine.Table) (*engine.Table, *Loader) {
 // Attach returns t grown by the next sealed segment of src (the one at
 // t's own segment count), faultable through the loader, no zone maps.
 func (l *Loader) Attach(t *engine.Table) *engine.Table {
-	nt, err := t.AttachLoadedSegment(l, nil)
+	nt, err := t.AttachSegment(nil, l, nil)
 	if err != nil {
 		panic(err)
 	}

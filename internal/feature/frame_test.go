@@ -338,22 +338,27 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 }
 
 // TestFrameStaleVersionFallback covers the one boxed arm: a table
-// version whose tail the family has since sealed has no dictionary view,
-// and its string columns gather through a RowReader.
+// version retention has superseded has no dictionary view, and its
+// string columns gather through a RowReader — out of the typed chunks of
+// the segment it still holds, and its boxed tail.
 func TestFrameStaleVersionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	old, err := engine.NewTableSeg("p", frameSchema(), engine.MinSegmentBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range frameRows(rng, 40) {
+	for _, r := range frameRows(rng, 100) {
 		old.MustAppendRow(r...)
 	}
-	if _, err := old.AppendBatch(frameRows(rng, 100)); err != nil { // seals old's tail
+	grown, err := old.AppendBatch(frameRows(rng, 100)) // seals old's tail
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 70}); err != nil || stats.DroppedSegments == 0 {
+		t.Fatalf("retain: %+v %v", stats, err)
+	}
 	if old.DictView(2) != nil {
-		t.Skip("the superseded version still has a dictionary view")
+		t.Fatal("a version retention has superseded still has a dictionary view")
 	}
 	checkSpace(t, "stale version", old, nil, Options{})
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -60,9 +61,11 @@ func reopenFixture(t *testing.T, mem *MemFS) (*DB, *engine.Table, TableStats) {
 	return st, tab, st.Stats().Tables["p"]
 }
 
-// TestCorruptMidSegment flips one bit per section of an interior
-// segment file: every flavor must be caught and quarantined, and the
-// table served from the suffix above the damage.
+// TestCorruptMidSegment flips one bit per part of an interior segment
+// file — header, zone block, every column's section, the whole-file
+// checksum, the footer — and reopens RESIDENT: every flavor must be
+// caught before the table is served and quarantined, and the table
+// served from the suffix above the damage.
 func TestCorruptMidSegment(t *testing.T) {
 	const victim = "/db/p/seg-00000002.seg"
 	probe, _ := buildFixture(t)
@@ -70,11 +73,19 @@ func TestCorruptMidSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headerLen := segHeaderLen(t, probe, victim)
 	cases := map[string]int64{
-		"header":      10,       // inside the headerLen/header bytes
+		"header":      10, // inside the headerLen/header bytes
+		"zone-block":  int64(len(segMagic)+4+headerLen+4) + 4 + 16,
 		"column-data": size / 2, // inside some column section
 		"file-crc":    size - 10,
 		"end-magic":   size - 3,
+	}
+	secOff, _ := segLayout(headerLen, testgen.Schema(), engine.MinSegmentBits)
+	for _, col := range testgen.Schema() {
+		secLen := sectionBytes(col.Type, engine.MinSegmentBits)
+		cases["section-"+col.Name] = int64(secOff + 4 + secLen/2)
+		secOff += 4 + secLen + 4
 	}
 	for name, off := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -188,4 +199,64 @@ func TestCorruptDict(t *testing.T) {
 			requireRowsMatch(t, tab, oracle)
 		})
 	}
+}
+
+// restampFileCRC recomputes a segment file's whole-file checksum after a
+// test edited its bytes: what is left is damage only the edited part's
+// own checksum can catch.
+func restampFileCRC(t *testing.T, fs *MemFS, path string, edit func(image []byte)) {
+	t.Helper()
+	image, err := readFileAll(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(image)
+	end := len(image) - len(segEndMagic) - 4
+	copy(image[end:], appendU32(nil, crc(image[:end])))
+	if err := writeFileAtomic(fs, path, image); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResidentZoneDamageDegrades: a zone block that fails its own
+// checksum inside a file whose whole-file checksum holds (a bad block
+// written, not a bit rotted) costs a resident table nothing — it never
+// prunes by zone maps anyway. The segment is served, not quarantined,
+// the reason logged: losing pruning must never lose the table.
+func TestResidentZoneDamageDegrades(t *testing.T) {
+	const victim = "/db/p/seg-00000001.seg"
+	mem, oracle := buildFixture(t)
+	zoneBody := len(segMagic) + 4 + segHeaderLen(t, mem, victim) + 4 + 4
+	restampFileCRC(t, mem, victim, func(image []byte) { image[zoneBody+20] ^= 0x10 })
+
+	var logged []string
+	o := quietOpts(mem, 1)
+	o.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	st, err := Open("/db", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tab, err := st.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := st.Stats().Tables["p"]; len(ts.Quarantined) != 0 || ts.GapSegments != 0 || tab.Base() != 0 || tab.Version() != 266 {
+		t.Fatalf("zone damage cost data: %+v, base/version %d/%d", ts, tab.Base(), tab.Version())
+	}
+	if !strings.Contains(strings.Join(logged, "\n"), "zone block ignored") {
+		t.Fatalf("no zone degradation log; got %q", logged)
+	}
+	requireRowsMatch(t, tab, oracle)
+
+	// The same edit inside a column section is caught by the section's
+	// checksum, though the whole-file checksum holds.
+	mem2, oracle2 := buildFixture(t)
+	_, fileSize := segLayout(segHeaderLen(t, mem2, victim), testgen.Schema(), engine.MinSegmentBits)
+	restampFileCRC(t, mem2, victim, func(image []byte) { image[fileSize/2] ^= 0x10 })
+	_, tab2, ts2 := reopenFixture(t, mem2)
+	if len(ts2.Quarantined) != 1 || ts2.Quarantined[0] != "seg-00000001.seg" || tab2.Base() != 128 {
+		t.Fatalf("section damage under a valid file checksum: quarantined %v, base %d", ts2.Quarantined, tab2.Base())
+	}
+	requireRowsMatch(t, tab2, oracle2)
 }

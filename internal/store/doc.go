@@ -38,7 +38,9 @@
 // # Recovery
 //
 // Open re-lists every table directory, removes interrupted temp files,
-// verifies every checksum, and rebuilds each table from the longest
+// verifies every checksum (header, zone block, every column section,
+// the whole file) before a resident table is served, and rebuilds each
+// table from the longest
 // recoverable SUFFIX of its stream: sealed segment files where they
 // survive, WAL records where the crash hit between segment write and
 // WAL rewrite, plus the WAL tail. A torn final WAL record is the crash
@@ -53,6 +55,18 @@
 // only a table with neither a manifest nor one valid segment header is
 // skipped (Stats.Skipped).
 //
+// There is one reader of segment files and one recovery path. Every
+// file's envelope is validated by openSegMeta; every column section,
+// whenever it is read, passes the same check and the same decoder
+// (decodeSection) into a typed chunk — float values + NULL words,
+// dictionary codes, or exact int64 cells, at most 8 bytes a row. A
+// resident Open (MaxResidentBytes == 0) runs that decoder over every
+// section up front and attaches segments that HOLD their chunks; an
+// out-of-core Open attaches segments that PIN them on demand. The
+// engine's string dictionary is preloaded from dict.log either way, so
+// on-disk codes are engine codes. No path materializes a boxed
+// engine.Value per stored cell: the WAL tail is the only boxed replay.
+//
 // After the in-memory rebuild, Open finishes whatever the crash
 // interrupted — re-spilling sealed segments whose files were lost and
 // rewriting the WAL to exactly the current tail — so a second Open of
@@ -60,17 +74,15 @@
 //
 // # Out-of-core serving
 //
-// With Options.MaxResidentBytes > 0, Open stops decoding segment
-// files into memory. Recovery validates each file's header and zone
-// maps with a handful of small reads, attaches the segment to the
-// engine table as FAULTABLE, and serves chunk reads on demand through
-// a store-wide buffer pool bounded to (about) MaxResidentBytes of
-// decoded chunks. The contract, bottom to top:
+// With Options.MaxResidentBytes > 0, Open stops at the envelope: it
+// validates each file's header and zone maps with a handful of small
+// reads, attaches the segment to the engine table as FAULTABLE, and
+// serves chunk reads on demand through a store-wide buffer pool
+// bounded to (about) MaxResidentBytes of decoded chunks. The contract,
+// bottom to top:
 //
-//   - Pin/unpin. Every chunk is typed — float values + NULL words,
-//     dictionary codes, or exact int64 cells: at most 8 bytes a row,
-//     no boxed engine.Value chunk exists. A reader obtains one via the
-//     engine's FloatView.PinSeg / DictView.PinSeg, or per cell through
+//   - Pin/unpin. A reader obtains a chunk via the engine's
+//     FloatView.PinSeg / DictView.PinSeg, or per cell through
 //     engine.RowReader / Table.Value, which pin the same chunk and box
 //     the one cell. A pinned chunk cannot be evicted; the release
 //     func MUST be called exactly once, on every path — scans hold at
@@ -93,19 +105,22 @@
 //     size (the memcap CI job runs the suite under GOMEMLIMIT).
 //
 // Results are bit-identical to a fully resident open; the randomized
-// differential tests drive both through eviction thrash to pin that.
+// differential tests compare both with the acknowledged rows, the
+// faultable one through eviction thrash, to pin that.
 //
 // # Format versions
 //
-// Segment files and manifests carry formatVersion 2: v2 appends a
-// checksummed zone-map block between the header and the column
-// sections. The compatibility rule: the file MAGIC names the kind and
-// never changes; the header's formatVersion names the LAYOUT and may
-// grow. Readers accept every version they know (1 and 2 — v1 files
-// from older directories open fine, with no zones); writers always
-// write the newest. A version bump is required whenever the byte
-// layout changes; reusing a version number for a different layout is
-// forbidden — checksums detect corruption, not format confusion.
+// Segment files and manifests carry formatVersion 2: a checksummed
+// zone-map block sits between the header and the column sections. The
+// rule: the file MAGIC names the kind and never changes; the header's
+// formatVersion names the LAYOUT. This reader knows one layout; a file
+// or manifest of any other version — the retired zone-less version 1
+// included — is rejected with "unsupported format version N" and
+// handled like any undecodable one (segment file quarantined, manifest
+// rebuilt from a segment header). A version bump is required whenever
+// the byte layout changes; reusing a version number for a different
+// layout is forbidden — checksums detect corruption, not format
+// confusion.
 //
 // # Fault injection
 //

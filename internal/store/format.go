@@ -29,7 +29,7 @@ import (
 //	  {u16 nameLen, name, u8 type, u32 dictHW} — the schema echo lets
 //	  recovery rebuild a lost manifest, and dictHW is the number of
 //	  dictionary entries (per column) the code section requires.
-//	[format >= 2] u32 zoneLen | zoneBody | u32 crc(zoneBody)
+//	u32 zoneLen | zoneBody | u32 crc(zoneBody)
 //	  zoneBody: zoneRecBytes per column {u64 sectionOff (absolute file
 //	  offset of the column's u32 length prefix), u32 sectionLen,
 //	  u64 minBits, u64 maxBits (IEEE bits of the non-NULL non-NaN
@@ -45,12 +45,11 @@ import (
 //	  IEEE bits for float, i32 dictionary code (-1 = NULL) for string.
 //	u32 crc(whole file so far) | magic "DWSEGEND"
 //
-// Version compatibility rule: the file magic identifies the KIND, the
-// header's formatVersion the LAYOUT. Readers accept every version they
-// know (currently 1 = no zone block, 2 = zone block present); writers
-// always write the newest. Old directories therefore keep opening
-// after an upgrade — their segments simply carry no zone maps until
-// retention ages them out.
+// Version rule: the file magic identifies the KIND, the header's
+// formatVersion the LAYOUT. This reader knows exactly one layout (2);
+// any other version — the retired zone-less version 1 included — is
+// rejected with "unsupported format version N" and the file quarantined
+// like any undecodable one.
 //
 // Dictionary file (dict.log), append-only, one record per newly
 // interned string, fsync'd before any segment file that references it:
@@ -62,14 +61,12 @@ import (
 // wrapped with a crc32c of its raw bytes, replaced atomically.
 
 const (
-	// formatVersion is what new files are written as; formatVersionV1 is
-	// the oldest layout still accepted on read (see the compatibility
+	// formatVersion is the one layout written and read (see the version
 	// rule above).
-	formatVersion   = 2
-	formatVersionV1 = 1
+	formatVersion = 2
 
 	// zoneRecBytes is the fixed size of one column's zone record inside
-	// the v2 zone block: 8 (sectionOff) + 4 (sectionLen) + 8 + 8
+	// the zone block: 8 (sectionOff) + 4 (sectionLen) + 8 + 8
 	// (min/max bits) + 4 + 4 (null/nan counts) + 4 (flags) + 32
 	// (presence bitmap).
 	zoneRecBytes = 72
@@ -162,10 +159,10 @@ func (r *byteReader) u64() uint64 {
 
 // storeDict is the persisted family dictionary: per string column, the
 // distinct strings in on-disk interning order. It is the store's OWN
-// mapping — engine dictionary codes are process-local and never touch
-// disk (except in out-of-core mode, where the engine's dictionary is
-// PRELOADED from this one so the on-disk code sections can be served
-// directly) — and, like the engine's, it only ever grows: strings
+// mapping — a seal translates the engine's process-local codes into it
+// (remapCodes), and recovery PRELOADS the engine's dictionary from it so
+// the on-disk code sections serve directly — and, like the engine's, it
+// only ever grows: strings
 // whose rows were all dropped by retention keep their codes, so old
 // segment files never need rewriting.
 //
@@ -216,17 +213,6 @@ func (d *storeDict) count(c int) int {
 		return len(cd.values)
 	}
 	return 0
-}
-
-// lookup returns the string for code in column c.
-func (d *storeDict) lookup(c int, code int32) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cd := d.cols[c]
-	if cd == nil || code < 0 || int(code) >= len(cd.values) {
-		return "", false
-	}
-	return cd.values[code], true
 }
 
 // columns returns the sorted column indexes that have any entries.
@@ -303,14 +289,6 @@ func cellBits(v engine.Value) uint64 {
 	return uint64(v.I)
 }
 
-// cellFromBits rebuilds a non-NULL cell of type t from its payload.
-func cellFromBits(t engine.Type, bits uint64) engine.Value {
-	if t == engine.TFloat {
-		return engine.Value{T: engine.TFloat, F: math.Float64frombits(bits)}
-	}
-	return engine.Value{T: t, I: int64(bits)}
-}
-
 // ---- sealed segment files ----
 
 // cellWidth returns the fixed byte width of one cell of type t.
@@ -331,12 +309,9 @@ func sectionBytes(t engine.Type, segBits uint) int {
 }
 
 // segLayout returns the absolute offset of column 0's length prefix
-// for a given version and header length, and the total file size.
-func segLayout(version int, headerLen int, schema engine.Schema, segBits uint) (secBase, fileSize int) {
-	secBase = len(segMagic) + 4 + headerLen + 4
-	if version >= formatVersion {
-		secBase += 4 + zoneRecBytes*len(schema) + 4
-	}
+// for a given header length, and the total file size.
+func segLayout(headerLen int, schema engine.Schema, segBits uint) (secBase, fileSize int) {
+	secBase = len(segMagic) + 4 + headerLen + 4 + 4 + zoneRecBytes*len(schema) + 4
 	fileSize = secBase
 	for _, col := range schema {
 		fileSize += 4 + sectionBytes(col.Type, segBits) + 4
@@ -344,28 +319,27 @@ func segLayout(version int, headerLen int, schema engine.Schema, segBits uint) (
 	return secBase, fileSize + 4 + len(segEndMagic)
 }
 
-// computeZone builds one column's zone map from its boxed values (and
-// interned codes for string columns).
-func computeZone(col engine.Column, vals []engine.Value, codes []int32) engine.ZoneInfo {
-	z := engine.ZoneInfo{Rows: len(vals)}
+// computeZone builds one column's zone map from its chunk (and the
+// store codes of a string column).
+func computeZone(col engine.Column, ch engine.Chunk, codes []int32) engine.ZoneInfo {
 	if col.Type == engine.TString {
-		z.HasPresence = true
-		for i, v := range vals {
-			if v.IsNull() {
+		z := engine.ZoneInfo{Rows: len(codes), HasPresence: true}
+		for _, code := range codes {
+			if code < 0 {
 				z.NullCount++
 				continue
 			}
-			code := uint32(codes[i]) & 255
-			z.Presence[code>>6] |= 1 << (code & 63)
+			bit := uint32(code) & 255
+			z.Presence[bit>>6] |= 1 << (bit & 63)
 		}
 		return z
 	}
-	for _, v := range vals {
-		if v.IsNull() {
+	z := engine.ZoneInfo{Rows: len(ch.Vals)}
+	for i, f := range ch.Vals {
+		if ch.Null[i>>6]&(1<<(uint(i)&63)) != 0 {
 			z.NullCount++
 			continue
 		}
-		f := v.Float()
 		if math.IsNaN(f) {
 			z.NaNCount++
 			continue
@@ -435,41 +409,43 @@ func readZoneRec(r *byteReader, segRows int) (secOff uint64, secLen uint32, z en
 	return secOff, secLen, z
 }
 
-// encodeSegment serializes one sealed segment (cols from
-// engine.Table.SegmentCols) into a whole-file byte image at the
-// current format version. String cells are interned into dict; the
-// caller persists dict's new entries BEFORE writing the returned
-// image, so a durable segment never references a lost dictionary
-// entry.
-func encodeSegment(schema engine.Schema, segBits uint, segIdx int, cols [][]engine.Value, dict *storeDict) []byte {
-	return encodeSegmentV(formatVersion, schema, segBits, segIdx, cols, dict)
-}
-
-// encodeSegmentV is encodeSegment at an explicit format version —
-// version 1 (no zone block) exists for the backward-compat fixtures
-// and the zone-map benchmark baseline.
-func encodeSegmentV(version int, schema engine.Schema, segBits uint, segIdx int, cols [][]engine.Value, dict *storeDict) []byte {
-	segRows := 1 << segBits
-	segWords := segRows / 64
-
-	// Intern all strings first so the header's dictHW is final.
-	codes := make(map[int][]int32)
-	for c, col := range schema {
-		if col.Type != engine.TString {
+// remapCodes translates one string chunk's engine codes into store
+// codes through a per-seal remap: each distinct engine code's string is
+// interned once, in first-appearance order, and every row is a table
+// lookup.
+func (d *storeDict) remapCodes(c int, codes []int32, values []string) []int32 {
+	remap := make([]int32, len(values)) // engine code → store code + 1; 0 = not seen yet
+	out := make([]int32, len(codes))
+	for i, code := range codes {
+		if code < 0 {
+			out[i] = -1
 			continue
 		}
-		cc := make([]int32, segRows)
-		for i, v := range cols[c] {
-			if v.IsNull() {
-				cc[i] = -1
-			} else {
-				cc[i] = dict.intern(c, v.S)
-			}
+		if remap[code] == 0 {
+			remap[code] = d.intern(c, values[code]) + 1
 		}
-		codes[c] = cc
+		out[i] = remap[code] - 1
+	}
+	return out
+}
+
+// encodeSegment serializes one sealed segment (chunks and dicts from
+// engine.Table.SegmentChunks) into a whole-file byte image. String
+// cells are interned into dict; the caller persists dict's new entries
+// BEFORE writing the returned image, so a durable segment never
+// references a lost dictionary entry.
+func encodeSegment(schema engine.Schema, segBits uint, segIdx int, chunks []engine.Chunk, dicts [][]string, dict *storeDict) []byte {
+	segRows := 1 << segBits
+
+	// Intern all strings first so the header's dictHW is final.
+	codes := make([][]int32, len(schema))
+	for c, col := range schema {
+		if col.Type == engine.TString {
+			codes[c] = dict.remapCodes(c, chunks[c].Codes, dicts[c])
+		}
 	}
 
-	header := appendU32(nil, uint32(version))
+	header := appendU32(nil, formatVersion)
 	header = appendU32(header, uint32(segBits))
 	header = appendU64(header, uint64(segIdx))
 	header = appendU32(header, uint32(segRows))
@@ -490,45 +466,53 @@ func encodeSegmentV(version int, schema engine.Schema, segBits uint, segIdx int,
 	out = append(out, header...)
 	out = appendU32(out, crc(header))
 
-	if version >= formatVersion {
-		// Zone block: per-column zone maps plus the absolute section
-		// offsets (derivable from the schema, but echoed here so readers
-		// can cross-check the layout they computed).
-		secBase, _ := segLayout(version, len(header), schema, segBits)
-		zoneBody := make([]byte, 0, zoneRecBytes*len(schema))
-		off := secBase
-		for c, col := range schema {
-			secLen := sectionBytes(col.Type, segBits)
-			z := computeZone(col, cols[c], codes[c])
-			zoneBody = appendZoneRec(zoneBody, uint64(off), uint32(secLen), z)
-			off += 4 + secLen + 4
-		}
-		out = appendU32(out, uint32(len(zoneBody)))
-		out = append(out, zoneBody...)
-		out = appendU32(out, crc(zoneBody))
+	// Zone block: per-column zone maps plus the absolute section offsets
+	// (derivable from the schema, but echoed here so readers can
+	// cross-check the layout they computed).
+	secBase, _ := segLayout(len(header), schema, segBits)
+	zoneBody := make([]byte, 0, zoneRecBytes*len(schema))
+	off := secBase
+	for c, col := range schema {
+		secLen := sectionBytes(col.Type, segBits)
+		zoneBody = appendZoneRec(zoneBody, uint64(off), uint32(secLen), computeZone(col, chunks[c], codes[c]))
+		off += 4 + secLen + 4
 	}
+	out = appendU32(out, uint32(len(zoneBody)))
+	out = append(out, zoneBody...)
+	out = appendU32(out, crc(zoneBody))
 
 	for c, col := range schema {
-		// NULL bitmap words (make zeroes them), then fixed-width cells.
-		section := make([]byte, segWords*8, segWords*8+segRows*8)
-		for i, v := range cols[c] {
-			if v.IsNull() {
-				w := i >> 6
-				bit := uint(i) & 63
-				binary.LittleEndian.PutUint64(section[w*8:], binary.LittleEndian.Uint64(section[w*8:])|1<<bit)
+		// NULL bitmap words, then fixed-width cells (0 at NULL).
+		ch := chunks[c]
+		section := make([]byte, 0, sectionBytes(col.Type, segBits))
+		switch {
+		case col.Type == engine.TString:
+			null := make([]uint64, segRows/64)
+			for i, code := range codes[c] {
+				if code < 0 {
+					null[i>>6] |= 1 << (uint(i) & 63)
+				}
 			}
-		}
-		// Cells.
-		if col.Type == engine.TString {
+			for _, w := range null {
+				section = appendU64(section, w)
+			}
 			for _, code := range codes[c] {
 				section = appendU32(section, uint32(code))
 			}
-		} else {
-			for _, v := range cols[c] {
-				if v.IsNull() {
+		default:
+			for _, w := range ch.Null {
+				section = appendU64(section, w)
+			}
+			for i, f := range ch.Vals {
+				switch {
+				case ch.Null[i>>6]&(1<<(uint(i)&63)) != 0:
 					section = appendU64(section, 0)
-				} else {
-					section = appendU64(section, cellBits(v))
+				case col.Type == engine.TFloat:
+					section = appendU64(section, math.Float64bits(f))
+				case ch.Ints != nil:
+					section = appendU64(section, uint64(ch.Ints[i]))
+				default:
+					section = appendU64(section, uint64(int64(f)))
 				}
 			}
 		}
@@ -539,122 +523,6 @@ func encodeSegmentV(version int, schema engine.Schema, segBits uint, segIdx int,
 
 	out = appendU32(out, crc(out))
 	return append(out, segEndMagic...)
-}
-
-// decodeSegment validates a segment file image end to end (magic,
-// header CRC, per-section CRCs, whole-file CRC, footer magic, schema
-// echo, geometry, stream index, dictionary coverage) and reconstructs
-// the boxed column values. Any failure returns an error describing the
-// first mismatch — the caller quarantines the file.
-func decodeSegment(data []byte, schema engine.Schema, segBits uint, wantIdx int, dict *storeDict) ([][]engine.Value, error) {
-	segRows := 1 << segBits
-	segWords := segRows / 64
-	if len(data) < len(segMagic)+4 || string(data[:len(segMagic)]) != segMagic {
-		return nil, fmt.Errorf("bad magic")
-	}
-	if len(data) < len(segEndMagic)+4 || string(data[len(data)-len(segEndMagic):]) != segEndMagic {
-		return nil, fmt.Errorf("bad footer magic (truncated?)")
-	}
-	body := data[:len(data)-len(segEndMagic)]
-	fileCRC := binary.LittleEndian.Uint32(body[len(body)-4:])
-	if crc(body[:len(body)-4]) != fileCRC {
-		return nil, fmt.Errorf("file checksum mismatch")
-	}
-
-	r := &byteReader{b: body, off: len(segMagic)}
-	headerLen := r.u32()
-	header := r.take(int(headerLen))
-	headerCRC := r.u32()
-	if !r.ok() || crc(header) != headerCRC {
-		return nil, fmt.Errorf("header checksum mismatch")
-	}
-	h := &byteReader{b: header}
-	version := h.u32()
-	if version != formatVersion && version != formatVersionV1 {
-		return nil, fmt.Errorf("format version %d (want %d..%d)", version, formatVersionV1, formatVersion)
-	}
-	if sb := h.u32(); sb != uint32(segBits) {
-		return nil, fmt.Errorf("segment bits %d (want %d)", sb, segBits)
-	}
-	if idx := h.u64(); idx != uint64(wantIdx) {
-		return nil, fmt.Errorf("stream segment index %d (want %d)", idx, wantIdx)
-	}
-	if nr := h.u32(); nr != uint32(segRows) {
-		return nil, fmt.Errorf("row count %d (want %d)", nr, segRows)
-	}
-	ncols := h.u32()
-	if !h.ok() || ncols != uint32(len(schema)) {
-		return nil, fmt.Errorf("column count %d (want %d)", ncols, len(schema))
-	}
-	dictHW := make([]uint32, len(schema))
-	for c, col := range schema {
-		nameLen := h.u16()
-		name := h.take(int(nameLen))
-		typ := h.u8()
-		dictHW[c] = h.u32()
-		if !h.ok() || string(name) != col.Name || engine.Type(typ) != col.Type {
-			return nil, fmt.Errorf("schema mismatch at column %d (%q %d, want %q %s)", c, name, typ, col.Name, col.Type)
-		}
-		if col.Type == engine.TString && int(dictHW[c]) > dict.count(c) {
-			return nil, fmt.Errorf("column %s needs %d dictionary entries, only %d survive", col.Name, dictHW[c], dict.count(c))
-		}
-	}
-
-	if version >= formatVersion {
-		// Zone block. The eager decode path doesn't use the zone maps,
-		// but it still verifies their framing and CRC — a flipped bit
-		// here also fails the whole-file CRC above, so this is mostly a
-		// structural check that the block is where the layout says.
-		zoneLen := r.u32()
-		zoneBody := r.take(int(zoneLen))
-		zoneCRC := r.u32()
-		if !r.ok() || crc(zoneBody) != zoneCRC {
-			return nil, fmt.Errorf("zone block checksum mismatch")
-		}
-		if int(zoneLen) != zoneRecBytes*len(schema) {
-			return nil, fmt.Errorf("zone block is %d bytes, want %d", zoneLen, zoneRecBytes*len(schema))
-		}
-	}
-
-	out := make([][]engine.Value, len(schema))
-	for c, col := range schema {
-		sectionLen := r.u32()
-		section := r.take(int(sectionLen))
-		sectionCRC := r.u32()
-		if !r.ok() || crc(section) != sectionCRC {
-			return nil, fmt.Errorf("column %s section checksum mismatch", col.Name)
-		}
-		cellW := 8
-		if col.Type == engine.TString {
-			cellW = 4
-		}
-		if len(section) != segWords*8+segRows*cellW {
-			return nil, fmt.Errorf("column %s section is %d bytes, want %d", col.Name, len(section), segWords*8+segRows*cellW)
-		}
-		nulls := section[:segWords*8]
-		cells := section[segWords*8:]
-		vals := make([]engine.Value, segRows)
-		for i := 0; i < segRows; i++ {
-			if binary.LittleEndian.Uint64(nulls[(i>>6)*8:])&(1<<(uint(i)&63)) != 0 {
-				continue // NULL: zero Value
-			}
-			if col.Type == engine.TString {
-				code := int32(binary.LittleEndian.Uint32(cells[i*4:]))
-				s, ok := dict.lookup(c, code)
-				if !ok || code >= int32(dictHW[c]) {
-					return nil, fmt.Errorf("column %s row %d: dictionary code %d out of range", col.Name, i, code)
-				}
-				vals[i] = engine.Value{T: engine.TString, S: s}
-			} else {
-				vals[i] = cellFromBits(col.Type, binary.LittleEndian.Uint64(cells[i*8:]))
-			}
-		}
-		out[c] = vals
-	}
-	if r.off != len(body)-4 {
-		return nil, fmt.Errorf("%d trailing bytes", len(body)-4-r.off)
-	}
-	return out, nil
 }
 
 // readSegHeader extracts just the schema echo from a segment image —
@@ -672,8 +540,8 @@ func readSegHeader(data []byte) (schema engine.Schema, segBits uint, err error) 
 		return nil, 0, fmt.Errorf("header checksum mismatch")
 	}
 	h := &byteReader{b: header}
-	if v := h.u32(); v != formatVersion && v != formatVersionV1 {
-		return nil, 0, fmt.Errorf("format version %d", v)
+	if v := h.u32(); v != formatVersion {
+		return nil, 0, fmt.Errorf("unsupported format version %d", v)
 	}
 	sb := h.u32()
 	h.u64() // segIdx
@@ -762,8 +630,8 @@ func decodeManifest(data []byte) (manifest, error) {
 	if err := json.Unmarshal(env.Payload, &m); err != nil {
 		return manifest{}, fmt.Errorf("manifest payload: %w", err)
 	}
-	if m.Format != formatVersion && m.Format != formatVersionV1 {
-		return manifest{}, fmt.Errorf("manifest format %d (want %d..%d)", m.Format, formatVersionV1, formatVersion)
+	if m.Format != formatVersion {
+		return manifest{}, fmt.Errorf("manifest: unsupported format version %d", m.Format)
 	}
 	if err := m.engineSchema().Validate(); err != nil {
 		return manifest{}, fmt.Errorf("manifest schema: %w", err)

@@ -117,3 +117,69 @@ func TestOutOfCoreBoundedHeap(t *testing.T) {
 	t.Log(fmt.Sprintf("heap growth %d bytes for %d decoded bytes behind a %d-byte pool (pool: %+v)",
 		growth, decodedBytes, cacheBytes, *stats.Pool))
 }
+
+// TestResidentOpenHeapPerCell is the resident half of the memory guard:
+// a store of three 64Ki-row segments opened with MaxResidentBytes == 0
+// holds every sealed cell as a typed chunk — 8 bytes and a NULL bit for
+// a number, a 4-byte code for a string — so the heap it keeps after Open
+// and a GC is a few bytes a cell, where a boxed engine.Value is 40. The
+// memcap CI job runs it under GOMEMLIMIT with the rest of the package.
+func TestResidentOpenHeapPerCell(t *testing.T) {
+	dir := t.TempDir()
+	quiet := func(string, ...any) {}
+	const nrows = 3<<engine.DefaultSegmentBits + 1000
+	schema := engine.NewSchema("k", engine.TInt, "v", engine.TFloat, "w", engine.TFloat, "s", engine.TString)
+
+	st, err := Open(dir, Options{DisableWAL: true, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("big", schema, engine.DefaultSegmentBits); err != nil {
+		t.Fatal(err)
+	}
+	strs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for lo := 0; lo < nrows; lo += 8192 {
+		rows := make([][]engine.Value, min(8192, nrows-lo))
+		for i := range rows {
+			r := lo + i
+			rows[i] = []engine.Value{
+				engine.NewInt(int64(r)),
+				engine.NewFloat(float64(r%977) * 0.25),
+				engine.NewFloat(float64(r%131) * 0.5),
+				engine.NewString(strs[r%len(strs)]),
+			}
+		}
+		if _, err := st.Append("big", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = nil
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err = Open(dir, Options{Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	tbl, err := st.Eng().Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed, _ := tbl.NumSegments(); sealed != 3 || tbl.SegmentFaultable(0) {
+		t.Fatalf("%d sealed segments, faultable %v: not the resident open of the fixture", sealed, tbl.SegmentFaultable(0))
+	}
+	cells := int64(3<<engine.DefaultSegmentBits) * int64(len(schema))
+	perCell := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(cells)
+	if _, held := tbl.MemStats(); perCell > 12 || float64(held)/float64(cells) > 12 {
+		t.Fatalf("resident open keeps %.1f heap bytes a cell (MemStats: %.1f), want at most 12", perCell, float64(held)/float64(cells))
+	}
+	t.Logf("resident open: %.2f heap bytes a sealed cell", perCell)
+}

@@ -129,14 +129,15 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	// Dictionary.
 	dict, dictLen := s.recoverDict(name, dir, &quarantin)
 
-	// Validate segment files; quarantine failures. Resident mode decodes
-	// every file end to end; out-of-core mode validates only the
-	// envelope (header, zone block, footer) via openSegMeta and defers
-	// section reads to fault time — this is what makes Open O(segment
-	// count), not O(data).
+	// Validate segment files; quarantine failures. Every file's envelope
+	// (header, zone block, footer) is checked via openSegMeta. A resident
+	// open then decodes the file end to end into the chunks its segment
+	// will hold, verifying every checksum before the table is served;
+	// out of core the sections wait for their first fault — this is what
+	// makes that Open O(segment count), not O(data).
 	outOfCore := s.opts.MaxResidentBytes > 0
-	segCols := map[int][][]engine.Value{}
 	metas := map[int]*segMeta{}
+	chunks := map[int][]engine.Chunk{} // resident open only; empty out of core
 	idxs := make([]int, 0, len(segFiles))
 	for idx := range segFiles {
 		idxs = append(idxs, idx)
@@ -144,17 +145,9 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	sort.Ints(idxs)
 	for _, idx := range idxs {
 		fname := segFileName(idx)
-		var cols [][]engine.Value
-		var meta *segMeta
-		var err error
-		if outOfCore {
-			meta, err = openSegMeta(s.fs, join(dir, fname), schema, segBits, idx, dict, s.opts.Logf)
-		} else {
-			var data []byte
-			data, err = readFileAll(s.fs, join(dir, fname))
-			if err == nil {
-				cols, err = decodeSegment(data, schema, segBits, idx, dict)
-			}
+		meta, err := openSegMeta(s.fs, join(dir, fname), schema, segBits, idx, dict, s.opts.Logf)
+		if err == nil && !outOfCore {
+			chunks[idx], err = loadChunks(s.fs, meta, schema, segBits)
 		}
 		if err != nil {
 			s.opts.Logf("store: %s: quarantining segment %d: %v", name, idx, err)
@@ -163,11 +156,7 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			quarantin = append(quarantin, fname)
 			continue
 		}
-		if meta != nil {
-			metas[idx] = meta
-		} else {
-			segCols[idx] = cols
-		}
+		metas[idx] = meta
 	}
 
 	// WAL: valid record prefix, torn tail truncated.
@@ -185,14 +174,9 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	// at or above it exists, in which case the WAL is a stale leftover
 	// (DisableWAL runs) and the files win.
 	covered := func(idx int) bool {
-		return segCols[idx] != nil || metas[idx] != nil || (ws <= idx<<segBits && (idx+1)<<segBits <= we)
+		return metas[idx] != nil || (ws <= idx<<segBits && (idx+1)<<segBits <= we)
 	}
 	maxCov := -1
-	for idx := range segCols {
-		if idx > maxCov {
-			maxCov = idx
-		}
-	}
 	for idx := range metas {
 		if idx > maxCov {
 			maxCov = idx
@@ -231,24 +215,23 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			name, gap, m.Base, serveBase)
 	}
 
-	// Rebuild the engine table: sealed segments in order, then tail.
+	// Rebuild the engine table: sealed segments in order, then tail. The
+	// engine dictionaries are preloaded from the store dictionary so the
+	// on-disk code sections serve directly as engine codes.
 	t, err := engine.NewTableSegBase(m.Name, schema, segBits, serveBase)
 	if err != nil {
 		return nil, nil, err
 	}
+	for c, col := range schema {
+		if col.Type != engine.TString {
+			continue
+		}
+		if err := t.PreloadDict(c, dict.snapshot(c, dict.count(c))); err != nil {
+			return nil, nil, fmt.Errorf("preloading dictionary: %w", err)
+		}
+	}
 	var loader *tableLoader
 	if outOfCore {
-		// Preload the engine dictionaries from the store dictionary so
-		// the on-disk code sections serve directly as engine codes (the
-		// two intern in the same first-appearance order from here on).
-		for c, col := range schema {
-			if col.Type != engine.TString {
-				continue
-			}
-			if err := t.PreloadDict(c, dict.snapshot(c, dict.count(c))); err != nil {
-				return nil, nil, fmt.Errorf("preloading dictionary: %w", err)
-			}
-		}
 		loader = &tableLoader{
 			pool:    s.pool,
 			fs:      s.fs,
@@ -263,7 +246,10 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	filePrefix := true
 	for idx := serveBase >> segBits; idx <= e; idx++ {
 		if meta := metas[idx]; meta != nil {
-			if t, err = t.AttachLoadedSegment(loader, meta.zones); err != nil {
+			// One attach for both modes: the segment holds the chunks a
+			// resident open decoded (loader is nil then, and ignored), or
+			// pins them through the loader.
+			if t, err = t.AttachSegment(chunks[idx], loader, meta.zones); err != nil {
 				return nil, nil, fmt.Errorf("attaching segment %d: %w", idx, err)
 			}
 			if filePrefix {
@@ -271,17 +257,8 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			}
 			continue
 		}
-		var rows [][]engine.Value
-		if cols := segCols[idx]; cols != nil {
-			rows = transpose(cols, segRows)
-			if filePrefix {
-				nextSeg = idx + 1
-			}
-		} else {
-			rows = walRowRange(walRecs, idx<<segBits, (idx+1)<<segBits)
-			filePrefix = false
-		}
-		if t, err = t.AppendBatch(rows); err != nil {
+		filePrefix = false
+		if t, err = t.AppendBatch(walRowRange(walRecs, idx<<segBits, (idx+1)<<segBits)); err != nil {
 			return nil, nil, fmt.Errorf("replaying segment %d: %w", idx, err)
 		}
 	}
@@ -459,20 +436,6 @@ func walRowRange(recs []walRecord, lo, hi int) [][]engine.Value {
 		}
 	}
 	return out
-}
-
-// transpose converts columnar segment data to the row-major batches
-// engine.Table.AppendBatch consumes.
-func transpose(cols [][]engine.Value, nrows int) [][]engine.Value {
-	rows := make([][]engine.Value, nrows)
-	for i := range rows {
-		row := make([]engine.Value, len(cols))
-		for c := range cols {
-			row[c] = cols[c][i]
-		}
-		rows[i] = row
-	}
-	return rows
 }
 
 func allZero(m map[int]int) bool {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/testgen"
 )
@@ -22,7 +23,8 @@ func outOfCoreOpts(fs FS, cacheBytes int64) Options {
 }
 
 // buildStream appends nbatch random batches to table "p" on fs and
-// returns the oracle rows (coerced, in stream order).
+// returns the oracle: the rows the store acknowledged, in stream order
+// (testgen rows are already of their columns' types).
 func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Value {
 	t.Helper()
 	st, err := Open("d", quietOpts(fs, 1))
@@ -35,18 +37,10 @@ func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Val
 	var oracle [][]engine.Value
 	for i := 0; i < nbatch; i++ {
 		batch := testgen.Batch(rng, 40+rng.Intn(60))
-		nt, err := st.Append("p", batch)
-		if err != nil {
+		if _, err := st.Append("p", batch); err != nil {
 			t.Fatal(err)
 		}
-		for r := len(oracle); r < nt.Base()+nt.NumRows(); r++ {
-			local := r - nt.Base()
-			row := make([]engine.Value, nt.NumCols())
-			for c := range row {
-				row[c] = nt.Value(local, c)
-			}
-			oracle = append(oracle, row)
-		}
+		oracle = append(oracle, batch...)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -54,10 +48,11 @@ func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Val
 	return oracle
 }
 
-// TestOutOfCoreDifferential reopens the same directory resident and
-// out-of-core (with a pool far smaller than the data, forcing
-// eviction thrash) and requires bit-identical reads, matching dict
-// lockstep across post-open appends, and a quiesced pool.
+// TestOutOfCoreDifferential reopens the same directory out-of-core
+// (with a pool far smaller than the data, forcing eviction thrash) and
+// resident, and requires both to read bit-identically to the
+// acknowledged rows — not to each other: they share their decoders —
+// across post-open appends, and a quiesced pool.
 func TestOutOfCoreDifferential(t *testing.T) {
 	fs := NewMemFS()
 	rng := rand.New(rand.NewSource(42))
@@ -107,20 +102,24 @@ func TestOutOfCoreDifferential(t *testing.T) {
 		}
 	}
 
-	// Post-open appends must stay in dictionary lockstep with the store.
+	// Post-open appends seal segments this process holds next to the
+	// faultable ones; strings new to the table extend both dictionaries.
 	for i := 0; i < 6; i++ {
 		batch := testgen.Batch(rng, 50)
+		batch[0][3] = engine.NewString(fmt.Sprintf("late-%d", i))
 		if _, err := lazy.Append("p", batch); err != nil {
 			t.Fatal(err)
 		}
+		oracle = append(oracle, batch...)
 	}
 	tab2, err := lazy.Eng().Table("p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < tab2.NumRows(); r++ {
-		_ = tab2.Value(r, 3) // faults old segments, reads new ones
+	if tab2.Version() != len(oracle) {
+		t.Fatalf("lazy table ends at stream row %d, %d acknowledged", tab2.Version(), len(oracle))
 	}
+	requireRowsMatch(t, tab2, oracle) // faults old segments, reads new ones
 
 	ps := lazy.Stats().Pool
 	if ps == nil {
@@ -142,29 +141,67 @@ func TestOutOfCoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The appends above spilled new v2 segments; a fresh resident open
-	// must accept them (seal path writes the current version).
-	res, err := Open("d", quietOpts(fs, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := res.Eng().Table("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ltab := tab2
-	if rt.NumRows() != ltab.NumRows() || rt.Base() != ltab.Base() {
-		t.Fatalf("resident reopen window (%d,%d) != lazy window (%d,%d)",
-			rt.Base(), rt.NumRows(), ltab.Base(), ltab.NumRows())
-	}
-	for r := 0; r < rt.NumRows(); r++ {
-		for c := 0; c < rt.NumCols(); c++ {
-			if !valueEq(rt.Value(r, c), ltab.Value(r, c)) {
-				t.Fatalf("row %d col %d: resident %v != lazy %v", r, c, rt.Value(r, c), ltab.Value(r, c))
-			}
+	// The appends above spilled new segments; a fresh resident open and a
+	// fresh lazy one must both serve exactly what was acknowledged.
+	for _, cache := range []int64{0, 4096} {
+		re, err := Open("d", outOfCoreOpts(fs, cache))
+		if err != nil {
+			t.Fatal(err)
 		}
+		rt, err := re.Eng().Table("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Base() != 0 || rt.Version() != len(oracle) || rt.SegmentFaultable(0) != (cache > 0) {
+			t.Fatalf("cache=%d: reopened window (%d,%d), faultable %v; %d rows acknowledged",
+				cache, rt.Base(), rt.Version(), rt.SegmentFaultable(0), len(oracle))
+		}
+		requireRowsMatch(t, rt, oracle)
+		_ = re.Close()
 	}
-	_ = res.Close()
+}
+
+// TestStoreEdgeCellsBothReopens drives the cells a lossy codec mangles
+// — ints at and past ±2^53, NaN payloads, signed zeros, strings
+// differing only in case — through seal, spill and both reopens, twice
+// (the second round appends to a recovered table, whose dictionary was
+// preloaded), comparing every cell with the acknowledged rows.
+func TestStoreEdgeCellsBothReopens(t *testing.T) {
+	fs := NewMemFS()
+	rng := rand.New(rand.NewSource(23))
+	st, err := Open("d", quietOpts(fs, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("p", enginetest.EdgeSchema(), engine.MinSegmentBits); err != nil {
+		t.Fatal(err)
+	}
+	var oracle [][]engine.Value
+	for round, cache := range []int64{0, 1 << 20, 0} {
+		for i := 0; i < 4; i++ {
+			batch := enginetest.EdgeRows(rng, 70+rng.Intn(40))
+			batch[0][3] = engine.NewString(fmt.Sprintf("round-%d-%d", round, i))
+			if _, err := st.Append("p", batch); err != nil {
+				t.Fatal(err)
+			}
+			oracle = append(oracle, batch...)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Open("d", outOfCoreOpts(fs, cache)); err != nil {
+			t.Fatal(err)
+		}
+		tab, err := st.Eng().Table("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts := st.Stats().Tables["p"]; len(ts.Quarantined) != 0 || tab.Base() != 0 || tab.Version() != len(oracle) {
+			t.Fatalf("round %d (cache %d): %+v, window (%d,%d) of %d rows", round, cache, ts, tab.Base(), tab.Version(), len(oracle))
+		}
+		requireRowsMatch(t, tab, oracle)
+	}
+	_ = st.Close()
 }
 
 // TestOutOfCoreRetention runs a durable retention pass in out-of-core
@@ -339,58 +376,106 @@ func TestOutOfCoreSectionCorruptionFaults(t *testing.T) {
 	_ = lazy.Close()
 }
 
-// TestOutOfCoreOpensV1Files rewrites every segment file at format
-// version 1 (no zone block) and reopens the directory both resident
-// and out-of-core: the compatibility rule says old layouts keep
-// serving, just without pruning.
-func TestOutOfCoreOpensV1Files(t *testing.T) {
-	fs := NewMemFS()
-	rng := rand.New(rand.NewSource(5))
-	oracle := buildStream(t, fs, rng, 8)
+// toV1 rewrites a segment file image as the retired format version 1:
+// version field 1, no zone block, checksums recomputed — a faithful old
+// file, not a corrupt new one.
+func toV1(t *testing.T, image []byte) []byte {
+	t.Helper()
+	headerLen := int(binary.LittleEndian.Uint32(image[len(segMagic):]))
+	hOff := len(segMagic) + 4
+	header := append([]byte(nil), image[hOff:hOff+headerLen]...)
+	binary.LittleEndian.PutUint32(header, 1)
+	zoneOff := hOff + headerLen + 4
+	zoneLen := int(binary.LittleEndian.Uint32(image[zoneOff:]))
+	sections := image[zoneOff+4+zoneLen+4 : len(image)-4-len(segEndMagic)]
+	out := appendU32([]byte(segMagic), uint32(headerLen))
+	out = appendU32(append(out, header...), crc(header))
+	out = append(out, sections...)
+	return append(appendU32(out, crc(out)), segEndMagic...)
+}
 
-	// Recover the table once to get its decoded segments + dict, then
-	// rewrite each file at v1.
-	res, err := Open("d", quietOpts(fs, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := res.Eng().Table("p")
-	var ts *tableStore
-	for _, cand := range res.tables {
-		ts = cand
-	}
-	nsealed, _ := tab.NumSegments()
-	for k := 0; k < nsealed; k++ {
-		idx := tab.Base()>>ts.segBits + k
-		image := encodeSegmentV(formatVersionV1, ts.schema, ts.segBits, idx, tab.SegmentCols(k), ts.dict)
-		if err := writeFileAtomic(fs, join(ts.dir, segFileName(idx)), image); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = res.Close()
-
+// TestV1FilesRejected: format version 1 (no zone block) is retired.
+// Every v1 segment file is quarantined at Open, resident and out of
+// core alike, with a reason that names the version — and like any
+// undecodable file it costs the rows it held, not the table: the WAL
+// tail still serves. A v1 manifest is unreadable the same way and is
+// rebuilt from a (current) segment header, losing nothing.
+func TestV1FilesRejected(t *testing.T) {
 	for _, cache := range []int64{0, 1 << 20} {
-		st, err := Open("d", outOfCoreOpts(fs, cache))
+		fs := NewMemFS()
+		oracle := buildStream(t, fs, rand.New(rand.NewSource(5)), 8)
+		nseg := 0
+		for _, f := range fs.Files() {
+			if !strings.HasSuffix(f, ".seg") {
+				continue
+			}
+			image, err := readFileAll(fs, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFileAtomic(fs, f, toV1(t, image)); err != nil {
+				t.Fatal(err)
+			}
+			nseg++
+		}
+		var logged []string
+		o := outOfCoreOpts(fs, cache)
+		o.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		st, err := Open("d", o)
 		if err != nil {
 			t.Fatalf("cache=%d: %v", cache, err)
 		}
 		tb, err := st.Eng().Table("p")
 		if err != nil {
-			t.Fatalf("cache=%d: %v", cache, err)
+			t.Fatalf("cache=%d: v1 files lost the table: %v", cache, err)
 		}
-		for _, tstat := range st.Stats().Tables {
-			if len(tstat.Quarantined) != 0 {
-				t.Fatalf("cache=%d: v1 files quarantined: %v", cache, tstat.Quarantined)
+		ts := st.Stats().Tables["p"]
+		if len(ts.Quarantined) != nseg || ts.GapSegments != nseg {
+			t.Fatalf("cache=%d: quarantined %v, gap %d; want all %d v1 files set aside", cache, ts.Quarantined, ts.GapSegments, nseg)
+		}
+		named := 0
+		for _, l := range logged {
+			if strings.Contains(l, "unsupported format version 1") {
+				named++
 			}
 		}
-		if cache > 0 {
-			if _, ok := tb.SegmentZone(0, 0); ok {
-				t.Fatalf("cache=%d: v1 file grew a zone map", cache)
-			}
+		if named != nseg {
+			t.Fatalf("cache=%d: %d of %d quarantine reasons name the version: %q", cache, named, nseg, logged)
+		}
+		if sealed, tail := tb.NumSegments(); sealed != 0 || tail == 0 || tb.Base() != nseg<<engine.MinSegmentBits {
+			t.Fatalf("cache=%d: served %d segments + %d tail rows at base %d, want the WAL tail only", cache, sealed, tail, tb.Base())
 		}
 		requireRowsMatch(t, tb, oracle)
 		_ = st.Close()
 	}
+
+	fs := NewMemFS()
+	oracle := buildStream(t, fs, rand.New(rand.NewSource(5)), 8)
+	old := manifestFor("P", testgen.Schema(), engine.MinSegmentBits, 0)
+	old.Format = 1
+	enc, err := encodeManifest(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeManifest(enc); err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("v1 manifest: %v, want an explicit version rejection", err)
+	}
+	if err := writeFileAtomic(fs, "d/p/"+manifestName, enc); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open("d", quietOpts(fs, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := st.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := st.Stats().Tables["p"]; len(ts.Quarantined) != 0 || tb.Base() != 0 || tb.NumRows() != len(oracle) {
+		t.Fatalf("v1 manifest cost data: %+v, %d of %d rows from base %d", ts, tb.NumRows(), len(oracle), tb.Base())
+	}
+	requireRowsMatch(t, tb, oracle)
+	_ = st.Close()
 }
 
 // TestBenchShapesFaultTypedChunksOnly runs the benchmark's eight scan

@@ -1,6 +1,10 @@
 package store
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/engine"
+)
 
 // bufferPool is the out-of-core chunk cache: a byte-budgeted,
 // single-flight, pin-counted LRU over decoded segment-column chunks.
@@ -58,11 +62,8 @@ type poolEntry struct {
 	done    chan struct{}
 	err     error
 
-	// Exactly one representation is set, per key.kind.
-	vals  []float64
-	null  []uint64
-	codes []int32
-	ints  []int64
+	// chunk holds the one representation key.kind names.
+	chunk engine.Chunk
 
 	prev, next *poolEntry // LRU links, valid only while refs == 0
 }

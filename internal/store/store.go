@@ -56,8 +56,9 @@ type Options struct {
 	// validates only headers and zone maps, attaches segments as
 	// faultable, and serves chunk reads through a store-wide buffer
 	// pool bounded to (about) this many bytes of decoded chunks.
-	// 0 (the default) keeps the fully resident behavior: all segments
-	// decoded at Open, no pool, no faulting.
+	// 0 (the default) keeps the fully resident behavior: every segment
+	// file verified and decoded at Open into the typed chunks its
+	// segment holds, no pool, no faulting.
 	MaxResidentBytes int64
 	// Logf receives recovery and quarantine notices; defaults to
 	// log.Printf.
@@ -304,7 +305,8 @@ func (s *DB) spillLocked(ts *tableStore, nt *engine.Table) error {
 			ts.nextSeg = idx + 1
 			continue
 		}
-		image := encodeSegment(ts.schema, ts.segBits, idx, nt.SegmentCols(idx-first), ts.dict)
+		chunks, dicts := nt.SegmentChunks(idx - first)
+		image := encodeSegment(ts.schema, ts.segBits, idx, chunks, dicts, ts.dict)
 		// New dictionary entries must be durable BEFORE the segment
 		// file that references them exists under its final name.
 		if err := s.persistDictLocked(ts); err != nil {

@@ -359,3 +359,57 @@ func TestStoreCloseSurfacesSyncError(t *testing.T) {
 		t.Fatalf("close with failing fsync returned %v, want ErrInjected", err)
 	}
 }
+
+// TestEncodeSegmentRemapsCodes: engine dictionary codes are
+// process-local; a seal translates them into the store's own through one
+// remap, whatever order the two dictionaries grew in, and interns only
+// the strings the segment actually holds.
+func TestEncodeSegmentRemapsCodes(t *testing.T) {
+	schema := engine.NewSchema("s", engine.TString)
+	tbl, err := engine.NewTableSeg("p", schema, engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"never-sealed-again", "x", "y"} {
+		tbl.MustAppendRow(engine.NewString(s))
+	}
+	want := make([]engine.Value, 64)
+	for i := range want {
+		if want[i] = engine.NewString([]string{"y", "x", "z"}[i%3]); i%7 == 0 {
+			want[i] = engine.Null
+		}
+	}
+	for i := 3; i < 2*64+1; i++ {
+		tbl.MustAppendRow(want[i%64])
+	}
+	dict := newStoreDict()
+	dict.intern(0, "z")
+	dict.intern(0, "q")
+	chunks, dicts := tbl.SegmentChunks(1) // rows 64..127: y, x, z and NULLs under engine codes 2, 1, 3
+	image := encodeSegment(schema, engine.MinSegmentBits, 1, chunks, dicts, dict)
+	if got := dict.snapshot(0, dict.count(0)); len(got) != 4 || got[2] != "x" || got[3] != "y" {
+		t.Fatalf("store dictionary after the seal: %q, want z q x y (first appearance within the segment)", got)
+	}
+
+	mem := NewMemFS()
+	if err := mem.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(mem, "d/"+segFileName(1), image); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := openSegMeta(mem, "d/"+segFileName(1), schema, engine.MinSegmentBits, 1, dict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := loadChunks(mem, meta, schema, engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := dict.snapshot(0, dict.count(0))
+	for i, code := range back[0].Codes {
+		if w := want[i]; w.IsNull() != (code < 0) || (code >= 0 && values[code] != w.S) {
+			t.Fatalf("row %d: store code %d, appended %v", i, code, w)
+		}
+	}
+}

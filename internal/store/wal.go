@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/engine"
 )
@@ -124,8 +125,10 @@ func decodeWALBody(body []byte, schema engine.Schema) (walRecord, error) {
 						return walRecord{}, fmt.Errorf("truncated string cell")
 					}
 					row[c] = engine.Value{T: engine.TString, S: string(s)}
+				} else if bits := r.u64(); col.Type == engine.TFloat {
+					row[c] = engine.NewFloat(math.Float64frombits(bits))
 				} else {
-					row[c] = cellFromBits(col.Type, r.u64())
+					row[c] = engine.Value{T: col.Type, I: int64(bits)}
 				}
 			default:
 				return walRecord{}, fmt.Errorf("bad cell tag %d", tag)
