@@ -80,7 +80,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
-	fmt.Printf("query: %s\n%d groups\n\n", *sqlStr, res.NumRows())
+	fmt.Printf("query: %s\n%d groups (scan: %d shards, %d key kernels, masked agg %v)\n\n",
+		*sqlStr, res.NumRows(), res.Plan.Shards, res.Plan.KeyKernels, res.Plan.MaskedAgg)
 	if !*noPlot {
 		fmt.Println(plotResult(res, nil))
 	}

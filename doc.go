@@ -42,7 +42,8 @@
 //     ArgView once per result: a bare numeric column copies out of its
 //     typed view, any other argument evaluates once per source row;
 //     Advance extends it by the appended suffix through the same fill.
-//     Result.LineageBits/GroupLineageBits expose provenance as bitsets.
+//     Result.LineageBits/GroupLineageBitsShared expose provenance as
+//     bitsets.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
 //     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
@@ -106,30 +107,47 @@
 //     single conjunct lowered through the plain combinators.
 //     Plan.FilterConjuncts/FilterOrder/FilterShortCircuited and
 //     Plan.ResidualConjuncts/ResidualRows record the walk.
-//   - One scan (exec/vector.go). Group keys are integers, not strings:
-//     dictionary codes for string columns, canonical float bits for
-//     numeric columns, and per-row evaluators (expr.Compile, boxed Eval
-//     where that refuses) for everything else, whose string results
-//     intern into NaN-payload slots no number can occupy. One key looks
-//     up through a dense code table or a uint64 map, two or more
-//     through a map keyed by the slots' bytes — any width. A group's
-//     boxed Key is born with the group, from the row the shard has
-//     pinned; materialize takes a grouped statement's plain select
-//     items from it (they must BE group keys — expr.Equal) and reads no
-//     source row. Nothing on this path decodes a boxed chunk: out of
-//     core, a per-cell read (engine.RowReader) pins the float or code
-//     chunk the scan already pins and boxes that one cell. Aggregate
-//     arguments stream from engine.FloatView into the states through
-//     agg.FloatAdder. The row space splits across a worker pool on
-//     ranges balanced by SURVIVING-row popcount (zone-skipped segments
-//     contribute nothing; a hot segment subdivides on bitset-word
-//     boundaries), and per-shard states merge in shard order via
-//     agg.Merger, reproducing the sequential scan's group order,
-//     lineage order and FirstRow exactly. DISTINCT states have no Merge
-//     and scan as one shard. A GROUP BY-free statement whose arguments
-//     all fold as floats swaps the per-row inner loop for
-//     agg.FoldMasked over whole segment chunks (Plan.MaskedAgg) — the
-//     one choice the scan makes, from the statement's shape.
+//   - One scan (exec/vector.go), block-at-a-time. A shard walks its row
+//     range in blocks — its slice of one segment, at most 1024 rows, the
+//     ctx polled at least every 4096 — and turns a block's filter words
+//     into a selection vector. Group keys are integers, not strings, one
+//     slot vector per key per block: dictionary codes for string
+//     columns, canonical float bits for numeric columns, and for numeric
+//     computed keys (bucket(epoch(ts), w), arithmetic, the math1
+//     functions) the output of a typed chunk kernel — expr.CompileFloat
+//     lowers the expression to straight loops over the block's
+//     []float64 + NULL words, tracking each node's static type only to
+//     know where the interpreter computes in int64, and DECLINES a block
+//     whose float evaluation it cannot prove equal (an int-typed value
+//     at |v| ≥ 2^53; expr.FuzzKeyKernelParity). Everything else — a
+//     string-valued key, a declined block — is the per-row evaluator
+//     (expr.Compile, boxed Eval where that refuses), the single
+//     fallback arm, whose string results intern into NaN-payload slots
+//     no number can occupy (Plan.KeyKernels counts the keys planned as
+//     kernels). One key looks up through a dense code table or a uint64
+//     map, two or more through a map keyed by the slots' bytes — any
+//     width; a row whose slots repeat the previous row's skips the
+//     lookup. A group's boxed Key is born with the group, from the row
+//     the shard has pinned — a kernel key's from the boxed evaluator on
+//     that row, so it is the reference's value, type included, never
+//     the kernel's float; materialize takes a grouped statement's plain
+//     select items from it (they must BE group keys — expr.Equal) and
+//     reads no source row. Nothing on this path decodes a boxed chunk:
+//     out of core, a per-cell read (engine.RowReader) pins the float or
+//     code chunk the scan already pins and boxes that one cell.
+//     Aggregate arguments fold from the block's chunk slices into the
+//     states through agg.FloatAdder, column at a time (an evaluator
+//     error truncates the block, so the first error is still the
+//     reference's: lowest row, key before argument). The row space
+//     splits across a worker pool on ranges balanced by SURVIVING-row
+//     popcount (zone-skipped segments contribute nothing; a hot segment
+//     subdivides on bitset-word boundaries), and per-shard states merge
+//     in shard order via agg.Merger, reproducing the sequential scan's
+//     group order, lineage order and FirstRow exactly. DISTINCT states
+//     have no Merge and scan as one shard. A global aggregate is the
+//     zero-key block: its float-fed column arguments fold through
+//     agg.FoldMasked under the block mask (Plan.MaskedAgg reports a
+//     statement whose arguments all do).
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed
 //     accumulation. No production code path reaches it. The randomized
@@ -151,7 +169,7 @@
 //
 // /api/stats aggregates the plan counters across queries
 // (filters_ordered, conjuncts_skipped, filters_residual, residual_rows,
-// sorts_carried); BenchmarkSelectiveFilter, BenchmarkResidualFilter,
+// sorts_carried, key_kernels); BenchmarkSelectiveFilter, BenchmarkResidualFilter,
 // BenchmarkMaskedAggregation, BenchmarkAdvanceOrderBy and
 // BenchmarkRetentionOrderBy fail when the thing they time stops
 // engaging, not just when it slows.

@@ -210,6 +210,77 @@ func TestMatrixAdvance(t *testing.T) {
 	}
 }
 
+// TestMatrixKeyKernels runs both matrices over the computed-key shapes
+// the scan evaluates as chunk kernels, block-at-a-time: 8192-row segments
+// so a shard walks several blocks per segment, one of them
+// declined mid-scan (testgen.TableSegBigInt). Polling is per block: a
+// scan of n rows crosses at least n/4096 checkpoints, and cancelling at
+// each leaves nothing behind — the retry, and an advance retried on the
+// same carried result, match the uncancelled oracle.
+func TestMatrixKeyKernels(t *testing.T) {
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 1
+	}
+	const segBits = 13
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed * 307))
+		tbl := testgen.TableSegBigInt(rng, 20000+rng.Intn(8000), segBits)
+		stmt := testgen.KeyKernelStmt(rng)
+		opts := exec.Options{Shards: 2}
+		oracle, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+		if err != nil {
+			t.Fatalf("seed %d: oracle: %v", seed, err)
+		}
+		if oracle.Plan.KeyKernels == 0 {
+			t.Fatalf("seed %d: no key of %s planned as a kernel", seed, stmt)
+		}
+		n, err := CountPolls(func(ctx context.Context) error {
+			_, err := exec.RunOnWithCtx(ctx, tbl, stmt, opts)
+			return err
+		})
+		if err != nil || n < tbl.NumRows()/4096 {
+			t.Fatalf("seed %d: %d polls over %d rows (err %v): more than 4096 rows between checkpoints", seed, n, tbl.NumRows(), err)
+		}
+		for _, k := range matrixPoints(n) {
+			if res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt, opts); !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("seed %d k=%d: cancelled run returned %v, %v", seed, k, res, err)
+			}
+		}
+		retry, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEq(t, fmt.Sprintf("seed %d retry [%s]", seed, stmt), oracle, retry)
+
+		grown, err := tbl.AppendBatch(testgen.Batch(rng, 9000+rng.Intn(4000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oracle, err = exec.RunOnWithCtx(context.Background(), grown, stmt, opts); err != nil {
+			t.Fatal(err)
+		}
+		cancelled := 0
+		for k := 0; ; k++ {
+			adv, err := exec.AdvanceCtx(CancelAfter(k), retry, grown)
+			if err == nil {
+				resultsEq(t, fmt.Sprintf("seed %d advance after %d cancelled attempts [%s]", seed, cancelled, stmt), oracle, adv)
+				if !adv.Plan.Incremental {
+					t.Fatalf("seed %d: the advance re-ran: %+v", seed, adv.Plan)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("seed %d k=%d: advance error %v does not wrap Canceled", seed, k, err)
+			}
+			cancelled++
+		}
+		if cancelled < 2 {
+			t.Fatalf("seed %d: the suffix scan crossed only %d checkpoints", seed, cancelled)
+		}
+	}
+}
+
 // debugEq compares the fields of two debug results that pin analysis
 // identity: ε, lineage, D', candidate count and the ranked
 // explanations with their scores.

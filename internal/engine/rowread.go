@@ -251,23 +251,36 @@ func (d *DictView) NewReader() *DictReader {
 	return &DictReader{dv: d, shift: d.bits, mask: d.mask, seg: -1}
 }
 
+func (r *DictReader) load(k int) {
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+	codes, release, missed := r.dv.PinSeg(k)
+	r.codes, r.release, r.seg = codes, release, k
+	if missed {
+		r.faulted++
+	} else {
+		r.residentHit++
+	}
+}
+
 // CodeAt returns row i's dictionary code (-1 = NULL), like
 // DictView.CodeAt.
 func (r *DictReader) CodeAt(i int) int32 {
 	if k := i >> r.shift; k != r.seg {
-		if r.release != nil {
-			r.release()
-			r.release = nil
-		}
-		codes, release, missed := r.dv.PinSeg(k)
-		r.codes, r.release, r.seg = codes, release, k
-		if missed {
-			r.faulted++
-		} else {
-			r.residentHit++
-		}
+		r.load(k)
 	}
 	return r.codes[i&r.mask]
+}
+
+// Chunk pins segment k and returns its codes — FloatReader.Chunk's twin,
+// same validity contract.
+func (r *DictReader) Chunk(k int) []int32 {
+	if k != r.seg {
+		r.load(k)
+	}
+	return r.codes
 }
 
 // Counters reports chunk pins that missed to disk vs were resident.

@@ -237,7 +237,7 @@ func rebaseBlocker(res *Result, drop int) string {
 // in-flight readers), Key is shared (immutable), and Lineage is shared
 // as-is — suffix appends land past the old length, which old readers
 // never index. The key slots are rebuilt into slots (zeroed, one per key
-// column) from the boxed key values with the canonicalization scanRow
+// column) from the boxed key values with the canonicalization the scan
 // applies per row; append-stable dictionary codes make the dict slots
 // version-portable.
 func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
@@ -247,7 +247,7 @@ func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 		v := g.Key[i]
 		if k.kind != kindDict {
 			vg.slots[i] = p.valueSlot(v)
-		} else if !v.IsNull() { // scanRow: NULL code -1 → slot 0
+		} else if !v.IsNull() { // the scan: NULL code -1 → slot 0
 			code := k.dict.Code(v.S)
 			if code < 0 {
 				return nil, fmt.Errorf("exec: internal: carried group key %q missing from the grown dictionary", v.S)

@@ -24,9 +24,42 @@ func benchDB(rows int) *engine.DB {
 	return db
 }
 
+// computedBenchDB is a 100k-row table for the computed-key scan: ts
+// advances 31 s every repeat rows, so each source cell of the key
+// bucket(epoch(ts), 1800) occurs repeat times in a row (54 is the Intel
+// trace's motes per epoch; 1 is a source that never repeats).
+func computedBenchDB(repeat int) *engine.DB {
+	const rows = 100_000
+	tbl := engine.MustNewTable("t", engine.NewSchema("ts", engine.TTime, "v", engine.TFloat))
+	tbl.Grow(rows)
+	for i := 0; i < rows; i++ {
+		tbl.MustAppendRow(engine.NewTimeUnix(1_078_000_000+int64(i/repeat)*31), engine.NewFloat(float64(i%997)))
+	}
+	db := engine.NewDB()
+	db.Register(tbl)
+	return db
+}
+
 // BenchmarkGroupByScan measures the hash-aggregation scan with
-// provenance capture — the engine's core loop.
+// provenance capture — the engine's core loop. The computed sub-benchmarks
+// group on a kernel key whose source repeats 54× or never: a chunk
+// kernel must speed up both (a per-distinct-cell key cache only the
+// first).
 func BenchmarkGroupByScan(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		repeat int
+	}{{"computed/repeating", 54}, {"computed/unique", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			db := computedBenchDB(c.repeat)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunSQL(db, "SELECT bucket(epoch(ts), 1800) AS w, avg(v), stddev(v) FROM t GROUP BY bucket(epoch(ts), 1800)"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, rows := range []int{10_000, 100_000} {
 		rows := rows
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {

@@ -142,20 +142,3 @@ func (r *Result) GroupLineageBitsShared(ri int) *bitset.Bitset {
 	r.lineBits[g] = b
 	return b
 }
-
-// GroupLineageBits returns one lineage bitset per listed output row,
-// each over source rows.
-func (r *Result) GroupLineageBits(rowIdxs []int) []*bitset.Bitset {
-	out := make([]*bitset.Bitset, len(rowIdxs))
-	n := r.Source.NumRows()
-	for i, ri := range rowIdxs {
-		b := bitset.New(n)
-		if ri >= 0 && ri < len(r.Groups) {
-			for _, src := range r.Groups[ri].Lineage {
-				b.Set(src)
-			}
-		}
-		out[i] = b
-	}
-	return out
-}

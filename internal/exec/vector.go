@@ -21,16 +21,20 @@ import (
 // statement runs on:
 //
 //  1. WHERE evaluates once into a bitmap (filter.go),
-//  2. each group-by expression becomes an integer key slot per row —
+//  2. the row space splits across a worker pool, and each shard walks its
+//     range block-at-a-time (a block = its slice of one segment, at most
+//     blockRows rows), the block's passing rows as a selection vector,
+//  3. each group-by expression fills one key slot per selected row —
 //     dictionary codes for string columns, canonical float bits for
-//     numeric columns, an evaluator for anything else (interned codes
-//     when it yields strings) — looked up through a dense slot table
-//     (one string column), a uint64 map (one key of any other kind) or
-//     a byte-string map (two or more keys),
-//  3. numeric argument columns (engine.FloatView) stream straight into
-//     the aggregate states through agg.FloatAdder, and
-//  4. the row space splits across a worker pool, each shard
-//     accumulating private group states that merge in shard order via
+//     numeric columns and numeric computed keys (expr.FloatKernel: loops
+//     over the block's typed chunks), a per-row evaluator for anything
+//     else and for a block the kernel declines (interned codes when it
+//     yields strings) — looked up through a dense slot table (one string
+//     column), a uint64 map (one key of any other kind) or a byte-string
+//     map (two or more keys),
+//  4. arguments fold from the chunk slices into the aggregate states
+//     (agg.FloatAdder for numeric columns), and
+//  5. the shards' private group states merge in shard order via
 //     agg.Merger — which preserves the sequential scan's
 //     first-appearance group order, ascending lineage, and FirstRow.
 //     Aggregates without a Merge (DISTINCT) scan as one shard.
@@ -100,10 +104,15 @@ type PlanInfo struct {
 	// non-lowerable predicate shape" or "filter: predicate index geometry
 	// mismatch".
 	FilterFallback string
-	// MaskedAgg is true when a global (no GROUP BY) aggregation over
-	// float-fed arguments folded whole segment chunks under the filter
-	// mask (agg.FoldMasked) instead of visiting rows through scanRow.
+	// MaskedAgg is true when a global (no GROUP BY) aggregation under a
+	// WHERE folded every argument from chunk slices under the block mask
+	// (agg.FoldMasked): float-fed arguments only.
 	MaskedAgg bool
+	// KeyKernels counts the GROUP BY keys planned as typed chunk kernels
+	// (numeric computed keys, expr.CompileFloat). It counts keys, not
+	// blocks: a block the kernel declines at run time falls to the per-row
+	// evaluator without changing it.
+	KeyKernels int
 	// SortCarried is true when an incremental Advance merged changed and
 	// new groups into the carried ORDER BY order instead of re-sorting
 	// the full output.
@@ -114,6 +123,10 @@ const (
 	// minShardRows keeps shards coarse enough that per-shard setup and
 	// merge never dominate.
 	minShardRows = 4096
+	// blockRows bounds a scan block: small enough that a block's scratch
+	// (selection, slots, kernel buffers) stays in L1/L2 and a selective
+	// shard allocates little, large enough to amortize per-block setup.
+	blockRows = 1024
 	// nullSlot is the key slot of NULL. It is a NaN bit pattern
 	// canonSlot never produces (canonSlot maps every NaN to one
 	// canonical pattern), so it cannot collide with a real value.
@@ -148,54 +161,56 @@ func canonSlot(f float64) uint64 {
 type keyKind int
 
 const (
-	kindDict  keyKind = iota // string column: dictionary code
-	kindFloat                // numeric column: canonical float bits
-	kindEval                 // anything else: per-row evaluator
+	kindDict   keyKind = iota // string column: dictionary code
+	kindFloat                 // numeric column: canonical float bits
+	kindKernel                // numeric computed key: chunk kernel, evaluator on declined blocks
+	kindEval                  // anything else: per-row evaluator
 )
 
-// keySrc is one group-by column's per-row key source.
+// keySrc is one group-by column's key source.
 type keySrc struct {
 	kind keyKind
-	dict *engine.DictView  // kindDict: segment code chunks + Code lookups
-	fv   *engine.FloatView // kindFloat: segment value/NULL chunks
-	col  int               // kindFloat: the column, for the group's boxed key
-	node expr.Expr         // kindEval (evaluator built per shard)
+	dict *engine.DictView // kindDict: segment code chunks + Code lookups
+	col  int              // kindFloat: the column (values through plan.fviews)
+	node expr.Expr        // kindKernel, kindEval (kernel and evaluator built per shard)
 }
 
 type argKind int
 
 const (
 	argConst1 argKind = iota // count(*): every row contributes 1
-	argFloat                 // numeric column via FloatView
+	argFloat                 // numeric column via plan.fviews
 	argEval                  // anything else: per-row evaluator
 )
 
 // argSrc is one aggregate's per-row argument source.
 type argSrc struct {
 	kind     argKind
-	fv       *engine.FloatView // argFloat
-	col      int               // argFloat
-	node     expr.Expr         // argEval (evaluator built per shard)
-	floatFed bool              // state implements agg.FloatAdder and the source is float
+	col      int       // argFloat
+	node     expr.Expr // argEval (evaluator built per shard)
+	floatFed bool      // state implements agg.FloatAdder and the source is float
 }
 
 // vectorPlan is the analyzed statement: everything the shard workers
 // share read-only (strCodes excepted, which strMu guards).
 type vectorPlan struct {
-	ctx       context.Context
-	src       *engine.Table
-	stmt      *sqlparse.SelectStmt
-	protos    []agg.Func
-	keys      []keySrc
-	args      []argSrc
-	filter    *bitset.Bitset // nil: no WHERE
-	fstats    filterStats
-	denseSize int // >0: single string group column, dense slot table
-	mergeable bool
-	// maskedAgg: global aggregate whose arguments all fold as floats
-	// (count(*) or numeric columns into FloatAdder states) under a
-	// filter — the scan runs the batch mask kernels per segment chunk
-	// instead of per row.
+	ctx    context.Context
+	src    *engine.Table
+	stmt   *sqlparse.SelectStmt
+	protos []agg.Func
+	keys   []keySrc
+	args   []argSrc
+	// fviews holds the typed view of every numeric column a key, a key
+	// kernel or an argument reads, by column index (nil elsewhere); each
+	// shard opens one chunk reader per entry.
+	fviews     []*engine.FloatView
+	keyKernels int            // keys of kindKernel
+	filter     *bitset.Bitset // nil: no WHERE
+	fstats     filterStats
+	denseSize  int // >0: single string group column, dense slot table
+	mergeable  bool
+	// maskedAgg (PlanInfo.MaskedAgg): a global aggregate under a filter
+	// whose arguments are all count(*) or numeric columns into FloatAdders.
 	maskedAgg bool
 	// strCodes interns the strings evaluated group keys yield (GROUP BY
 	// lower(s), or a string column of a snapshot too old for a DictView):
@@ -237,6 +252,13 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 			p.mergeable = false
 		}
 	}
+	p.fviews = make([]*engine.FloatView, src.NumCols())
+	numeric := func(col int) bool {
+		if p.fviews[col] == nil {
+			p.fviews[col] = src.FloatView(col)
+		}
+		return p.fviews[col] != nil
+	}
 
 	p.keys = make([]keySrc, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
@@ -247,8 +269,14 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 				if len(stmt.GroupBy) == 1 {
 					p.denseSize = dv.NumValues() + 1
 				}
-			} else if fv := src.FloatView(col.Index); fv != nil {
-				p.keys[i] = keySrc{kind: kindFloat, fv: fv, col: col.Index}
+			} else if numeric(col.Index) {
+				p.keys[i] = keySrc{kind: kindFloat, col: col.Index}
+			}
+		} else if kern, ok := expr.CompileFloat(g, src.Schema()); ok {
+			p.keys[i].kind = kindKernel
+			p.keyKernels++
+			for _, col := range kern.Cols {
+				numeric(col)
 			}
 		}
 	}
@@ -259,10 +287,8 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		p.args[ai] = argSrc{kind: argEval, node: arg}
 		if arg == nil {
 			p.args[ai] = argSrc{kind: argConst1, floatFed: isFA}
-		} else if col, ok := arg.(*expr.Col); ok {
-			if fv := src.FloatView(col.Index); fv != nil {
-				p.args[ai] = argSrc{kind: argFloat, fv: fv, col: col.Index, floatFed: isFA}
-			}
+		} else if col, ok := arg.(*expr.Col); ok && numeric(col.Index) {
+			p.args[ai] = argSrc{kind: argFloat, col: col.Index, floatFed: isFA}
 		}
 	}
 
@@ -271,27 +297,15 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		return nil, err
 	}
 
-	// Global aggregation with every argument float-fed (count(*) or a
-	// numeric column feeding a FloatAdder) never needs per-row key or
-	// boxed reads: under a filter the scan can fold whole segment chunks
-	// through the batch mask kernels.
-	if len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 {
-		p.maskedAgg = true
-		for _, a := range p.args {
-			if (a.kind != argConst1 && a.kind != argFloat) || !a.floatFed {
-				p.maskedAgg = false
-				break
-			}
-		}
-	}
+	p.maskedAgg = len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 &&
+		!slices.ContainsFunc(p.args, func(a argSrc) bool { return a.kind == argEval || !a.floatFed })
 	return p, nil
 }
 
-// planInfo is the PlanInfo of a scan of this plan over the given number
-// of shards.
+// planInfo is the PlanInfo of a scan of this plan over shards partitions.
 func (p *vectorPlan) planInfo(shards int) PlanInfo {
 	plan := p.fstats.plan()
-	plan.Vectorized, plan.Shards, plan.MaskedAgg = true, shards, p.maskedAgg
+	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, shards, p.maskedAgg, p.keyKernels
 	return plan
 }
 
@@ -378,29 +392,50 @@ type cursor interface {
 	Counters() (faulted, resident int)
 }
 
+// keyScan is one shard's state for one group-by column.
+type keyScan struct {
+	dc    *engine.DictReader // kindDict
+	kern  *expr.FloatKernel  // kindKernel, with its Eval arguments below
+	kvals [][]float64
+	knull [][]uint64
+	// eval is the boxed evaluator of a kindKernel or kindEval key: every
+	// selected row of a string-valued key or a declined block, and the
+	// creating row of each group (Group.Key is the reference's value).
+	eval  expr.Evaluator
+	slots []uint64 // the current block's key slot per selected row
+}
+
 // shardScan is one worker's private accumulation state over [lo, hi).
 type shardScan struct {
 	groupIndex
 	plan     *vectorPlan
 	lo, hi   int
-	slots    []uint64       // the current row's key
-	keyVals  []engine.Value // the values the current row's kindEval slots came from
-	keyEvals []expr.Evaluator
-	argEvals []expr.Evaluator
+	keys     []keyScan
+	argEvals []expr.Evaluator // argEval arguments
 	err      error
 
-	// Segment readers: one per column view the scan reads, pinning one
-	// chunk at a time (engine.FloatReader/DictReader) so out-of-core
-	// reads fault per segment, not per row. Indexed in parallel with
-	// plan.keys / plan.args; nil where the source kind doesn't apply.
-	keyFC []*engine.FloatReader
-	keyDC []*engine.DictReader
-	argFC []*engine.FloatReader
-	// rr boxes single cells — for evaluators, non-float arguments, a new
-	// group's column keys — off the same typed chunks, pinned per segment.
+	// Segment readers pin one chunk at a time, so out-of-core reads fault
+	// per segment: fr by column (plan.fviews), keys[i].dc, and rr, which
+	// boxes single cells — for evaluators, non-float arguments, a new
+	// group's column keys — off the same typed chunks.
+	fr []*engine.FloatReader
 	rr *engine.RowReader
 	// cursors lists rr and every reader above, for closeCursors.
 	cursors []cursor
+
+	// Block scratch: the filter words, the selection vector (chunk offsets
+	// of the passing rows) and each one's group — grown to the densest
+	// block seen, so a selective scan stays small.
+	mask []uint64
+	sel  []int32
+	gis  []int32 // positions in groups: no pointer writes in the row loop
+	// slots is the current row's key. A whole cache line: the tiny
+	// allocator would pack two shards' buffers into one, and the shard
+	// goroutines would bounce it.
+	slots []uint64
+	// pending bounds the passing rows the shard has yet to scan; a global
+	// aggregate sizes its one lineage from it.
+	pending int
 
 	segsSkipped    int // fully-pruned out-of-core segments never pinned
 	chunksFaulted  int
@@ -411,35 +446,34 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 	ss := &shardScan{groupIndex: newGroupIndex(p), plan: p, lo: lo, hi: hi}
 	ss.rr = p.src.NewRowReader()
 	ss.cursors = append(ss.cursors, ss.rr)
+	ss.fr = make([]*engine.FloatReader, len(p.fviews))
+	for col, fv := range p.fviews {
+		if fv != nil {
+			ss.fr[col] = fv.NewReader()
+			ss.cursors = append(ss.cursors, ss.fr[col])
+		}
+	}
 	ncols := p.src.NumCols()
-	// slots is rewritten on every row: give it a whole cache line, or the
-	// tiny allocator packs two shards' buffers into one and the shard
-	// goroutines spend a third of a grouped scan bouncing it.
+	ss.mask = make([]uint64, blockRows/64)
 	ss.slots = make([]uint64, len(p.keys), max(len(p.keys), 8))
-	ss.keyVals = make([]engine.Value, len(p.keys))
-	ss.keyEvals = make([]expr.Evaluator, len(p.keys))
-	ss.keyFC = make([]*engine.FloatReader, len(p.keys))
-	ss.keyDC = make([]*engine.DictReader, len(p.keys))
+	ss.keys = make([]keyScan, len(p.keys))
 	for i, k := range p.keys {
+		ks := &ss.keys[i]
 		switch k.kind {
 		case kindDict:
-			ss.keyDC[i] = k.dict.NewReader()
-			ss.cursors = append(ss.cursors, ss.keyDC[i])
-		case kindFloat:
-			ss.keyFC[i] = k.fv.NewReader()
-			ss.cursors = append(ss.cursors, ss.keyFC[i])
-		default:
-			ss.keyEvals[i] = rowEval(k.node, ss.rr, ncols)
+			ks.dc = k.dict.NewReader()
+			ss.cursors = append(ss.cursors, ks.dc)
+		case kindKernel:
+			ks.kern, _ = expr.CompileFloat(k.node, p.src.Schema())
+			ks.kvals, ks.knull = make([][]float64, len(ks.kern.Cols)), make([][]uint64, len(ks.kern.Cols))
+			fallthrough
+		case kindEval:
+			ks.eval = rowEval(k.node, ss.rr, ncols)
 		}
 	}
 	ss.argEvals = make([]expr.Evaluator, len(p.args))
-	ss.argFC = make([]*engine.FloatReader, len(p.args))
 	for ai, a := range p.args {
-		switch a.kind {
-		case argFloat:
-			ss.argFC[ai] = a.fv.NewReader()
-			ss.cursors = append(ss.cursors, ss.argFC[ai])
-		case argEval:
+		if a.kind == argEval {
 			ss.argEvals[ai] = rowEval(a.node, ss.rr, ncols)
 		}
 	}
@@ -458,15 +492,21 @@ func (ss *shardScan) closeCursors() {
 	}
 }
 
-// group finds or creates the group keyed by slots; r is the creating
-// row, which the shard has pinned. A new group's Key is boxed here, once,
-// as what the reference evaluates GROUP BY to on that row: a code's
-// string, a numeric column's actual cell (its slot folded -0.0, NaN
-// payloads and ints past 2^53), a computed key's evaluated value.
-func (ss *shardScan) group(slots []uint64, r int) *vGroup {
+// errKernelSlot is the internal error of a key kernel whose slot is not
+// the slot of the value the interpreter computes on the same row —
+// unreachable unless CompileFloat's parity contract is broken.
+var errKernelSlot = errors.New("exec: internal: key kernel disagrees with the evaluator")
+
+// group finds or creates the group keyed by slots and returns its
+// position in groups; r is the creating row, which the shard has pinned.
+// A new group's Key is boxed here, once, as what the reference evaluates
+// GROUP BY to on that row: a code's string, a numeric column's actual
+// cell (its slot folded -0.0, NaN payloads and ints past 2^53), a
+// computed key's value from the boxed evaluator — never a kernel's float.
+func (ss *shardScan) group(slots []uint64, r int) (int, error) {
 	gi, ok := ss.index(slots)
 	if ok {
-		return ss.groups[gi]
+		return gi, nil
 	}
 	vg := ss.plan.newGroup(slots, r)
 	if len(slots) > 0 {
@@ -476,80 +516,30 @@ func (ss *shardScan) group(slots []uint64, r int) *vGroup {
 		switch {
 		case k.kind == kindFloat:
 			vg.g.Key[i] = ss.rr.Value(r, k.col)
-		case k.kind == kindEval:
-			vg.g.Key[i] = ss.keyVals[i]
+		case k.kind != kindDict:
+			v, err := ss.keys[i].eval(r)
+			if err == nil && ss.plan.valueSlot(v) != slots[i] {
+				err = errKernelSlot
+			}
+			if err != nil {
+				return 0, err
+			}
+			vg.g.Key[i] = v
 		case slots[i] != 0: // kindDict; slot 0 is NULL
 			vg.g.Key[i] = engine.NewString(k.dict.Value(int32(slots[i] - 1)))
 		}
 	}
 	ss.groups = append(ss.groups, vg)
-	return vg
+	return gi, nil
 }
 
-// scanRow folds one passing row into the shard state.
-func (ss *shardScan) scanRow(r int) error {
-	p := ss.plan
-	for i := range p.keys {
-		switch p.keys[i].kind {
-		case kindDict:
-			ss.slots[i] = uint64(ss.keyDC[i].CodeAt(r) + 1) // NULL code -1 → slot 0
-		case kindFloat:
-			if f, isNull := ss.keyFC[i].At(r); isNull {
-				ss.slots[i] = nullSlot
-			} else {
-				ss.slots[i] = canonSlot(f)
-			}
-		default: // kindEval
-			v, err := ss.keyEvals[i](r)
-			if err != nil {
-				return err
-			}
-			ss.keyVals[i], ss.slots[i] = v, p.valueSlot(v)
-		}
-	}
-	vg := ss.group(ss.slots, r)
-	grp := vg.g
-	grp.Lineage = append(grp.Lineage, r)
-	for ai := range p.args {
-		a := &p.args[ai]
-		switch a.kind {
-		case argConst1:
-			if fa := vg.fas[ai]; fa != nil {
-				fa.AddFloat(1)
-			} else {
-				grp.Aggs[ai].Add(engine.NewInt(1))
-			}
-		case argFloat:
-			f, isNull := ss.argFC[ai].At(r)
-			if isNull {
-				continue // Add ignores NULLs; so does skipping
-			}
-			if fa := vg.fas[ai]; fa != nil {
-				fa.AddFloat(f)
-			} else {
-				grp.Aggs[ai].Add(ss.rr.Value(r, a.col))
-			}
-		default: // argEval
-			v, err := ss.argEvals[ai](r)
-			if err != nil {
-				return err
-			}
-			grp.Aggs[ai].Add(v)
-		}
-	}
-	return nil
-}
-
-// run scans the shard's row range, restricted to the filter bitmap.
-// Each shard polls the plan's ctx once per ctxCheckRows rows (once per
-// 64 filter words on the bitmap path), so a cancelled query stops all
-// shards promptly; the first shard to observe cancellation records the
-// context error and runVector surfaces it.
+// run scans the shard's row range block by block, polling the plan's ctx
+// at least once per ctxCheckRows rows, so a cancelled query stops all shards
+// promptly; the first shard to observe cancellation records the context
+// error and runVector surfaces it. Advance's suffix scan rides the same
+// loop (its lo need not be word-aligned; block clips the first word).
 func (ss *shardScan) run() {
 	p := ss.plan
-	if ss.hi <= ss.lo {
-		return
-	}
 	// A chunk fault can fail (corrupt or vanished segment file); the
 	// loader surfaces that as a SegmentLoadError panic. Recover it into
 	// ss.err here — each shard runs on its own goroutine, so the
@@ -557,162 +547,207 @@ func (ss *shardScan) run() {
 	// cursors still hold on every exit path, including that one.
 	defer engine.CatchSegmentLoad(&ss.err)
 	defer ss.closeCursors()
-	ctx := p.ctx
-	if p.filter == nil {
-		for r := ss.lo; r < ss.hi; r++ {
-			if r%ctxCheckRows == 0 {
-				if err := ctx.Err(); err != nil {
-					ss.err = ctxErr(err)
-					return
-				}
-			}
-			if err := ss.scanRow(r); err != nil {
-				ss.err = err
-				return
-			}
-		}
-		return
+	var words []uint64
+	ss.pending = ss.hi - ss.lo
+	if p.filter != nil {
+		words = p.filter.Words()
+		ss.countSkips(words)
+		ss.pending = bitset.CountWords(words[ss.lo/64 : (ss.hi+63)/64])
 	}
-	words := p.filter.Words()
-	ss.countSkips(words)
-	if p.maskedAgg {
-		ss.runMaskedGlobal(ctx, words)
-		return
-	}
-	loWord, hiWord := ss.lo/64, (ss.hi-1)/64
-	for wi := loWord; wi <= hiWord; wi++ {
-		if wi%(ctxCheckRows/64) == 0 {
-			if err := ctx.Err(); err != nil {
+	segRows := p.src.SegRows()
+	unpolled := ctxCheckRows
+	for lo := ss.lo &^ 63; lo < ss.hi && ss.err == nil; {
+		hi := min(lo+blockRows, lo-lo%segRows+segRows, ss.hi)
+		if unpolled += hi - lo; unpolled > ctxCheckRows {
+			if err := p.ctx.Err(); err != nil {
 				ss.err = ctxErr(err)
 				return
 			}
+			unpolled = hi - lo
 		}
-		w := words[wi]
-		if wi == loWord {
-			w &= ^uint64(0) << (uint(ss.lo) % 64)
-		}
-		if wi == hiWord {
-			if rem := ss.hi - wi*64; rem < 64 {
-				w &= (1 << uint(rem)) - 1
-			}
-		}
-		for w != 0 {
-			r := wi*64 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if err := ss.scanRow(r); err != nil {
-				ss.err = err
-				return
-			}
-		}
+		ss.err = ss.block(words, lo, hi)
+		lo = hi
 	}
 }
 
-// runMaskedGlobal is the global-aggregate scan: instead of calling
-// scanRow per surviving bit, it folds each segment chunk through the
-// batch mask kernels (agg.FoldMasked), paying per word rather than per
-// row for the value reads. Lineage and FirstRow still come from set-bit
-// iteration, so the output is bit-identical to scanRow's: every
-// FloatAdder receives the same values in the same ascending row order.
-// Segments whose mask words are all zero are skipped without pinning
-// anything, preserving zone-map pruning on out-of-core tables.
-func (ss *shardScan) runMaskedGlobal(ctx context.Context, words []uint64) {
+// block folds the passing rows of [lo, hi) — rows of one segment, lo
+// word-aligned — into the shard state: filter words → selection vector →
+// one slot vector per key → groups and lineage → arguments, each a loop
+// over the block. A block whose mask is empty pins nothing, which keeps
+// zone-map pruning free on out-of-core tables.
+//
+// Column-at-a-time evaluation must still report the reference's error:
+// the lowest erroring row's, and within a row a key's before an
+// argument's. An evaluator error therefore truncates the block to the
+// rows before it, so a later column can only replace it with the error
+// of a lower row.
+func (ss *shardScan) block(words []uint64, lo, hi int) error {
 	p := ss.plan
-	segRows := p.src.SegRows()
-	n := p.src.NumRows()
-	// The one group's lineage gains the shard's surviving rows: size it
-	// once, from the mask (the edge words round the count up by < 128).
-	survivors := bitset.CountWords(words[ss.lo/64 : (ss.hi+63)/64])
-	var vg *vGroup
-	if len(ss.groups) > 0 {
-		vg = ss.groups[0] // Advance-seeded carried group
-		vg.g.Lineage = slices.Grow(vg.g.Lineage, survivors)
+	mask := ss.mask[:(hi-lo+63)/64]
+	if words != nil {
+		copy(mask, words[lo/64:])
+	} else {
+		for j := range mask {
+			mask[j] = ^uint64(0)
+		}
 	}
-	var scratch []uint64
-	wtick := 0
-	for segBase := ss.lo - ss.lo%segRows; segBase < ss.hi; segBase += segRows {
-		lo, hi := segBase, segBase+segRows
-		if lo < ss.lo {
-			lo = ss.lo
+	if lo < ss.lo {
+		mask[0] &= ^uint64(0) << uint(ss.lo-lo)
+	}
+	if r := hi % 64; r != 0 {
+		mask[len(mask)-1] &= 1<<uint(r) - 1
+	}
+	segRows := p.src.SegRows()
+	k, base := lo/segRows, lo-lo%segRows
+	sel := ss.sel[:0]
+	for j, w := range mask {
+		for o := int32(lo - base + j*64); w != 0; w &= w - 1 {
+			sel = append(sel, o+int32(bits.TrailingZeros64(w)))
 		}
-		if hi > ss.hi {
-			hi = ss.hi
-		}
-		mask := words[segBase/64 : (hi+63)/64]
-		// Clip shard-partial edge words: zero rows before lo, and drop
-		// bits at or past hi that belong to the neighbouring shard (at
-		// hi == n the bitset's trimmed ghost bits are already zero).
-		// Segment starts are word-aligned, so mask word j covers chunk
-		// rows [64j, 64j+64) — exactly FoldMasked's contract.
-		if lo != segBase || (hi%64 != 0 && hi != n) {
-			scratch = append(scratch[:0], mask...)
-			off := lo - segBase
-			for j := 0; j < off/64; j++ {
-				scratch[j] = 0
+	}
+	n := len(sel)
+	if ss.sel = sel; n == 0 {
+		return nil
+	}
+	var firstErr error
+
+	for i := range p.keys {
+		ks := &ss.keys[i]
+		ks.slots = scratch(ks.slots, n)
+		switch key := &p.keys[i]; key.kind {
+		case kindDict:
+			codes := ks.dc.Chunk(k)
+			for j, o := range sel[:n] {
+				ks.slots[j] = uint64(codes[o] + 1) // NULL code -1 → slot 0
 			}
-			if r := off % 64; r != 0 {
-				scratch[off/64] &= ^uint64(0) << uint(r)
+		case kindFloat:
+			vals, null := ss.fr[key.col].Chunk(k)
+			floatSlots(ks.slots[:n], vals, null, sel[:n])
+		case kindKernel:
+			for c, col := range ks.kern.Cols {
+				ks.kvals[c], ks.knull[c] = ss.fr[col].Chunk(k)
 			}
-			if r := hi % 64; r != 0 && hi != n {
-				scratch[len(scratch)-1] &= (1 << uint(r)) - 1
-			}
-			mask = scratch
-		}
-		if !bitset.AnyWords(mask) {
-			wtick += len(mask)
-			continue
-		}
-		segPass := 0
-		for j, w := range mask {
-			if (wtick+j)%(ctxCheckRows/64) == 0 {
-				if err := ctx.Err(); err != nil {
-					ss.err = ctxErr(err)
-					return
-				}
-			}
-			base := segBase + j*64
-			for w != 0 {
-				r := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if vg == nil {
-					vg = ss.group(nil, r)
-					vg.g.Lineage = make([]int, 0, survivors)
-				}
-				vg.g.Lineage = append(vg.g.Lineage, r)
-				segPass++
-			}
-		}
-		wtick += len(mask)
-		k := segBase / segRows
-		for ai := range p.args {
-			fa := vg.fas[ai]
-			if p.args[ai].kind == argConst1 {
-				// count(*): one AddFloat(1) per surviving row, exactly
-				// what scanRow feeds it — NULLs count, like the
-				// reference.
-				for i := 0; i < segPass; i++ {
-					fa.AddFloat(1)
-				}
+			if out, null, ok := ks.kern.Eval(ks.kvals, ks.knull, sel[:n]); ok {
+				floatSlots(ks.slots[:n], out, null, nil)
 				continue
 			}
-			vals, null := ss.argFC[ai].Chunk(k)
-			agg.FoldMasked(fa, vals, null, mask)
+			fallthrough // a declined block evaluates per row
+		default:
+			for j, o := range sel[:n] {
+				v, err := ks.eval(base + int(o))
+				if err != nil {
+					n, firstErr = j, err
+					break
+				}
+				ks.slots[j] = p.valueSlot(v)
+			}
+		}
+	}
+
+	// A row whose slots repeat the row before it stays in its group: time
+	// ordered data groups in runs, and a global aggregate is one run.
+	var g *Group
+	gi := 0
+	ss.gis = scratch(ss.gis, n)
+	for j, o := range sel[:n] {
+		r, same := base+int(o), j > 0
+		for i := range ss.keys {
+			s := ss.keys[i].slots
+			ss.slots[i] = s[j]
+			same = same && s[j] == s[j-1]
+		}
+		if !same {
+			var err error
+			if gi, err = ss.group(ss.slots, r); err != nil {
+				return err
+			}
+			if g = ss.groups[gi].g; len(p.keys) == 0 {
+				g.Lineage = slices.Grow(g.Lineage, ss.pending)
+			}
+		}
+		g.Lineage = append(g.Lineage, r)
+		ss.gis[j] = int32(gi)
+	}
+	ss.pending -= len(sel)
+
+	for ai := range p.args {
+		switch a := &p.args[ai]; a.kind {
+		case argConst1:
+			for _, gi := range ss.gis[:n] {
+				vg := ss.groups[gi]
+				if fa := vg.fas[ai]; fa != nil {
+					fa.AddFloat(1)
+				} else {
+					vg.g.Aggs[ai].Add(engine.NewInt(1))
+				}
+			}
+		case argFloat:
+			vals, null := ss.fr[a.col].Chunk(k)
+			if len(p.keys) == 0 && a.floatFed {
+				// One group takes the whole block: the batch mask kernel,
+				// same values in the same ascending order.
+				agg.FoldMasked(ss.groups[0].fas[ai], vals[lo-base:hi-base], null[(lo-base)/64:], mask)
+				continue
+			}
+			for j, o := range sel[:n] {
+				if null[o>>6]&(1<<(uint(o)&63)) != 0 {
+					continue // Add ignores NULLs; so does skipping
+				}
+				if vg := ss.groups[ss.gis[j]]; vg.fas[ai] != nil {
+					vg.fas[ai].AddFloat(vals[o])
+				} else {
+					vg.g.Aggs[ai].Add(ss.rr.Value(base+int(o), a.col))
+				}
+			}
+		default: // argEval
+			for j, o := range sel[:n] {
+				v, err := ss.argEvals[ai](base + int(o))
+				if err != nil {
+					n, firstErr = j, err
+					break
+				}
+				ss.groups[ss.gis[j]].g.Aggs[ai].Add(v)
+			}
+		}
+	}
+	return firstErr
+}
+
+// scratch returns buf resized to n ≤ blockRows, at least doubling it when
+// it must grow; the contents are not kept.
+func scratch[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, min(blockRows, max(n, 2*cap(buf))))
+	}
+	return buf[:n]
+}
+
+// floatSlots fills slots[j] with the key slot of the j'th cell sel picks
+// out of a float chunk (values + NULL words); a nil sel picks cell j
+// itself — a kernel's output is dense.
+func floatSlots(slots []uint64, vals []float64, null []uint64, sel []int32) {
+	for j := range slots {
+		o := j
+		if sel != nil {
+			o = int(sel[j])
+		}
+		if null[o>>6]&(1<<(uint(o)&63)) != 0 {
+			slots[j] = nullSlot
+		} else {
+			slots[j] = canonSlot(vals[o])
 		}
 	}
 }
 
-// countSkips counts the out-of-core segments wholly inside this
-// shard's range whose filter words are all zero. The bitmap loop below
-// never calls scanRow for them, so they are served entirely without
-// disk — typically because zone-map pruning zeroed their mask chunks.
-// A segment straddling a shard boundary (sub-segment sharding on small
-// tables) is not counted by either shard.
+// countSkips counts the out-of-core segments wholly inside this shard's
+// range whose filter words are all zero — typically because zone-map
+// pruning zeroed their mask chunks. No block of theirs pins anything, so
+// they are served without disk. A segment straddling a shard boundary
+// (sub-segment sharding on small tables) is counted by neither shard.
 func (ss *shardScan) countSkips(words []uint64) {
 	segRows := ss.plan.src.SegRows()
 	for k := (ss.lo + segRows - 1) / segRows; (k+1)*segRows <= ss.hi; k++ {
-		if !ss.plan.src.SegmentFaultable(k) {
-			continue
-		}
-		if !bitset.AnyWords(words[k*segRows/64 : (k+1)*segRows/64]) {
+		if ss.plan.src.SegmentFaultable(k) && !bitset.AnyWords(words[k*segRows/64:(k+1)*segRows/64]) {
 			ss.segsSkipped++
 		}
 	}
@@ -770,18 +805,9 @@ func shardCount(p *vectorPlan, n int, opts Options) int {
 	}
 	shards := opts.Shards
 	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if max := (n + minShardRows - 1) / minShardRows; shards > max {
-			shards = max
-		}
+		shards = min(runtime.GOMAXPROCS(0), (n+minShardRows-1)/minShardRows)
 	}
-	if max := (n + 63) / 64; shards > max {
-		shards = max
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
+	return max(1, min(shards, (n+63)/64))
 }
 
 // shardRanges splits [0, n) into at most nshards contiguous,
@@ -826,18 +852,11 @@ func shardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]int {
 	out := make([][2]int, 0, nshards)
 	lo, acc := 0, 0 // current range start (words) and its popcount
 	cut := func(hiWord int) {
-		hiRow := hiWord * 64
-		if hiRow > n {
-			hiRow = n
-		}
-		out = append(out, [2]int{lo * 64, hiRow})
+		out = append(out, [2]int{lo * 64, min(hiWord*64, n)})
 		lo, acc = hiWord, 0
 	}
 	for segLo := 0; segLo < nwords; segLo += segWords {
-		segHi := segLo + segWords
-		if segHi > nwords {
-			segHi = nwords
-		}
+		segHi := min(segLo+segWords, nwords)
 		segPop := pop(segLo, segHi)
 		if segPop > target && len(out) < nshards-1 {
 			// Hot segment: more survivors than one shard's share.
@@ -874,19 +893,16 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	for _, r := range shardRanges(n, src.SegRows(), shardCount(p, n, opts), p.filter) {
 		states = append(states, newShardScan(p, r[0], r[1]))
 	}
-	if len(states) == 1 {
-		states[0].run()
-	} else {
-		var wg sync.WaitGroup
-		for _, ss := range states {
-			wg.Add(1)
-			go func(ss *shardScan) {
-				defer wg.Done()
-				ss.run()
-			}(ss)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for _, ss := range states[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ss.run()
+		}()
 	}
+	states[0].run()
+	wg.Wait()
 	// The lowest-indexed shard's error corresponds to the earliest
 	// erroring row — the error the sequential scan would have hit.
 	for _, ss := range states {

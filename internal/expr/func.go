@@ -29,7 +29,7 @@ type scalarImpl struct {
 	fn               func(args []engine.Value) (engine.Value, error)
 }
 
-// nullIfAnyNull wraps a strict function: any NULL argument yields NULL.
+// strict wraps a strict function: any NULL argument yields NULL.
 func strict(fn func(args []engine.Value) (engine.Value, error)) func([]engine.Value) (engine.Value, error) {
 	return func(args []engine.Value) (engine.Value, error) {
 		for _, a := range args {
@@ -47,6 +47,20 @@ func math1(f func(float64) float64) scalarImpl {
 	})}
 }
 
+// math1Funcs are the strict float64 → float64 functions. init registers
+// each in scalarFuncs; the kernel compiler (kernel.go) loops the same
+// function over a chunk.
+var math1Funcs = map[string]func(float64) float64{
+	"floor": math.Floor, "ceil": math.Ceil, "round": math.Round, "sqrt": math.Sqrt,
+	"exp": math.Exp, "ln": math.Log, "log10": math.Log10,
+}
+
+func init() {
+	for name, f := range math1Funcs {
+		scalarFuncs[name] = math1(f)
+	}
+}
+
 var scalarFuncs = map[string]scalarImpl{
 	"abs": {1, 1, strict(func(a []engine.Value) (engine.Value, error) {
 		if a[0].T == engine.TInt {
@@ -58,13 +72,6 @@ var scalarFuncs = map[string]scalarImpl{
 		}
 		return engine.NewFloat(math.Abs(a[0].Float())), nil
 	})},
-	"floor": math1(math.Floor),
-	"ceil":  math1(math.Ceil),
-	"round": math1(math.Round),
-	"sqrt":  math1(math.Sqrt),
-	"exp":   math1(math.Exp),
-	"ln":    math1(math.Log),
-	"log10": math1(math.Log10),
 	"sign": {1, 1, strict(func(a []engine.Value) (engine.Value, error) {
 		f := a[0].Float()
 		switch {

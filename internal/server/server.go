@@ -70,6 +70,9 @@ type Server struct {
 	// amounted to.
 	filtersResidual atomic.Int64
 	residualRows    atomic.Int64
+	// keyKernels sums PlanInfo.KeyKernels: GROUP BY keys that ran as typed
+	// chunk kernels instead of the per-row evaluator.
+	keyKernels atomic.Int64
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -93,6 +96,7 @@ func (s *Server) recordScan(p exec.PlanInfo) {
 	if p.SortCarried {
 		s.sortsCarried.Add(1)
 	}
+	s.keyKernels.Add(int64(p.KeyKernels))
 }
 
 const (
@@ -1040,6 +1044,7 @@ func (s *Server) scanPayload() map[string]any {
 		// the lowered mask's survivors.
 		"filters_residual": s.filtersResidual.Load(),
 		"residual_rows":    s.residualRows.Load(),
+		"key_kernels":      s.keyKernels.Load(),
 	}
 	if queries > 0 {
 		out["segs_skipped_per_query"] = float64(skipped) / float64(queries)

@@ -353,6 +353,39 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestStatsKeyKernels pins /api/stats scan.key_kernels: the sum of
+// PlanInfo.KeyKernels over executed queries — one for a numeric computed
+// key, none for a string-valued one or a bare column.
+func TestStatsKeyKernels(t *testing.T) {
+	ts := testServer(t)
+	for _, sql := range []string{
+		"SELECT bucket(amount, 100) AS b, count(*) AS n FROM donations GROUP BY bucket(amount, 100)",
+		"SELECT lower(state) AS st, count(*) AS n FROM donations GROUP BY lower(state)",
+		"SELECT state, count(*) AS n FROM donations GROUP BY state",
+	} {
+		if resp := post(t, ts, "/api/query", map[string]any{"session": "kern", "sql": sql}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %q: status %d", sql, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Scan struct {
+			Queries    int64 `json:"queries"`
+			KeyKernels int64 `json:"key_kernels"`
+		} `json:"scan"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Scan.Queries != 3 || stats.Scan.KeyKernels != 1 {
+		t.Fatalf("scan = %+v, want 3 queries and 1 key kernel", stats.Scan)
+	}
+}
+
 // TestStatsResidualCounters pins the /api/stats planner view of the
 // residual filter path: a WHERE mixing a lowerable comparison with a
 // LIKE must count one residual-filtered query and a positive number of

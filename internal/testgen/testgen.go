@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/errmetric"
@@ -172,6 +173,38 @@ func DebugStmt(rng *rand.Rand) *sqlparse.SelectStmt {
 	return stmt
 }
 
+// keyKernelShapes are the computed-key GROUP BY lists the executor runs
+// as typed chunk kernels: one kernel key; a kernel key beside a
+// dictionary key and a per-row string key; int- and float-typed
+// arithmetic keys.
+var keyKernelShapes = [][]string{
+	{"bucket(epoch(t), 1800)"},
+	{"bucket(i, 3)", "s", "lower(s)"},
+	{"i * 2 - j", "floor(f / 2)"},
+}
+
+// KeyKernelStmt generates a grouped statement over one of the
+// computed-key shapes (keyKernelShapes) with a counting, a float-fed and
+// a computed argument, and half the time a WHERE.
+func KeyKernelStmt(rng *rand.Rand) *sqlparse.SelectStmt {
+	groupBy := keyKernelShapes[rng.Intn(len(keyKernelShapes))]
+	items := make([]string, len(groupBy))
+	for k, g := range groupBy {
+		items[k] = fmt.Sprintf("%s AS g%d", g, k)
+	}
+	where := ""
+	if rng.Intn(2) == 0 {
+		where = fmt.Sprintf(" WHERE j >= %d", rng.Intn(3))
+	}
+	sql := fmt.Sprintf("SELECT %s, count(*) AS a0, avg(f) AS a1, sum(f + j) AS a2 FROM p%s GROUP BY %s",
+		strings.Join(items, ", "), where, strings.Join(groupBy, ", "))
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		panic(fmt.Sprintf("testgen: KeyKernelStmt %q: %v", sql, err))
+	}
+	return stmt
+}
+
 // cloneExpr re-parses an expression from its SQL rendering so select
 // items and GROUP BY don't share nodes (matching the parser's output).
 func cloneExpr(g expr.Expr) expr.Expr {
@@ -244,6 +277,22 @@ func TableSeg(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
 		if _, err := t.AppendRow(Row(rng)); err != nil {
 			panic(err)
 		}
+	}
+	return t
+}
+
+// TableSegBigInt is TableSeg with one cell of i past 2^53 in the middle
+// row: the column's float chunk has rounded it, so a key kernel reading i
+// declines that row's block — mid-scan — and no other.
+func TableSegBigInt(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
+	t, err := engine.NewTableSeg("p", Schema(), segBits)
+	if err != nil {
+		panic(err)
+	}
+	rows := Batch(rng, nrows)
+	rows[nrows/2][0] = engine.NewInt(1<<53 + 1)
+	if t, err = t.AppendBatch(rows); err != nil {
+		panic(err)
 	}
 	return t
 }
