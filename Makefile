@@ -48,9 +48,10 @@ test-chaos:
 # assertions — or stalls visibly in GC thrash under the limit. The
 # resident-open guard rides in the same package
 # (TestResidentOpenHeapPerCell): a store opened resident may keep at most
-# 12 bytes of heap a cell — typed chunks, not boxed values. The root
-# allocation guards ride along: an out-of-core query may allocate at
-# most twice what the resident one does.
+# 12 bytes of heap a cell — typed chunks, not boxed values — and so may a
+# table grown by AppendBatch, tail included (TestAppendedTailHeapPerCell).
+# The root allocation guards ride along: an out-of-core query may
+# allocate at most twice what the resident one does.
 test-memcap:
 	GOMEMLIMIT=128MiB $(GO) test -count=1 ./internal/store/ ./internal/exec/
 	GOMEMLIMIT=128MiB $(GO) test -count=1 -run 'AllocSmoke' .

@@ -188,10 +188,10 @@
 //     in-flight queries keep an immutable snapshot, never observe a
 //     half-appended batch, and no append ever copies a whole column;
 //     DB.Append republishes the grown version atomically.
-//     FloatView/DictView alias the typed chunks a sealed segment is
-//     stored as and extend only the tail decoder by the appended
-//     suffix — dictionary codes are append-stable (first-appearance
-//     order) — and hand out immutable per-version snapshot windows.
+//     FloatView/DictView alias the typed chunks every segment, the
+//     tail included, is stored as — dictionary codes are assigned at
+//     append, in first-appearance order — and hand out immutable
+//     per-version snapshot windows.
 //   - internal/predicate — Index implements engine.RowSynced (the
 //     row-stamped invalidation hook of Table.AuxLoadOrStore): cached
 //     clause masks and non-NULL masks are per-segment word arrays
@@ -286,16 +286,15 @@
 // by default, any power of two >= 64 (engine.MinSegmentBits), chosen so
 // a segment boundary is ALWAYS a bitset word boundary. A table version
 // is an ordered list of sealed segments (immutable, exactly SegRows
-// rows) plus a growable tail; appends only ever touch the tail. A
-// sealed segment has one representation — per column a typed chunk:
-// float values + NULL words, dictionary codes, exact int64 cells only
-// where a float64 has rounded; at most 8 bytes a row — and two holders
-// of it: the segment itself (sealed in this process, or decoded by a
-// resident store.Open) or a ChunkLoader's buffer pool (out of core).
-// Sealing types the full tail into those chunks and lets the boxed
-// arrays go, so the only boxed storage is the tail, bounded by one
-// segment, and the only boxed Value of a sealed row is the single cell
-// a caller asks for (Table.Value, RowReader). The typed views alias the
+// rows) plus a growable tail; appends only ever touch the tail. Both
+// have one representation — per column a typed chunk: float values +
+// NULL words, dictionary codes, exact int64 cells only where a float64
+// has rounded; at most 8 bytes a row — written cell by cell at append,
+// so a seal hands the full tail over as it stands. A sealed segment has
+// two holders: itself (sealed in this process, or decoded by a resident
+// store.Open) or a ChunkLoader's buffer pool (out of core). Nothing is
+// stored boxed: an engine.Value is what a caller appends or the single
+// cell it asks for (Table.Value, RowReader). The typed views alias the
 // chunks and the predicate index's mask chunks live per segment, so
 // every derived structure shares the segment's lifetime, and the
 // executor cuts its

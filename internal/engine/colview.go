@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -10,29 +9,24 @@ var nan = math.NaN()
 
 // This file implements the typed column views behind DBWipes' columnar
 // scoring fast path, chunked on the same fixed-size row segments as the
-// storage itself. A sealed segment IS its typed chunks (segment.go), so
-// a view over it aliases them (held) or records the segment and pins
-// through its loader at read time (faultable); nothing is decoded per
-// view. Only the growable tail, which is boxed, has incremental decoders
-// — one per column (tailFloat / the dictState's tail codes), extended by
-// exactly the appended suffix; sealing finishes them into the new
-// segment's chunks.
+// storage itself. A segment — sealed or tail — IS its typed chunks
+// (segment.go), so a view aliases them (held) or records the segment
+// and pins through its loader at read time (faultable); nothing is
+// decoded, for any version of the family.
 //
 // Callers receive immutable per-version *snapshots* (FloatView /
-// DictView): a window of per-segment chunk slices. Sealed chunks are
-// aliased (immutable once built); the tail's value slice is aliased
-// with a capacity clamp (extension writes only past every published
-// snapshot's length) while tail NULL words are copied — a ≤
-// segWords memcpy, the price of keeping bitset word boundaries
-// immutable per snapshot. Segment sizes are ≥ 64 rows, so every
-// segment's NULL words align with global bitset words: word w of
+// DictView): a window of per-segment chunk slices under a capacity
+// clamp. Appends write only past every published length and each
+// version owns its tail NULL words, so a snapshot never changes and
+// carries no bits past its length. Segment sizes are ≥ 64 rows, so
+// every segment's NULL words align with global bitset words: word w of
 // segment k covers rows k*SegRows + [64w, 64w+64).
 //
-// Dictionary codes are family-global and assigned in first-appearance
-// (stream row) order: a seal interns the rest of the tail, so every
-// sealed row is interned and the only frontier is inside the tail. The
-// dictionary itself (values, byStr) never shrinks — strings whose rows
-// were all dropped by retention keep their codes.
+// Dictionary codes are family-global and assigned at append, in
+// first-appearance (stream row) order. The dictionary itself (values,
+// byStr) never shrinks — strings whose rows were all dropped by
+// retention keep their codes — and each version bounds it at the
+// strings its own rows had seen.
 
 // FloatView is a decoded numeric column over one table version: a
 // window of per-segment chunks. V(i) is row i's value coerced to
@@ -238,87 +232,26 @@ type tableViews struct {
 	// curBase the newest version's retention base.
 	hw      int
 	curBase int
-	// epoch is the stream segment index of the current tail: the number
-	// of segments ever sealed (retention never decrements it).
-	epoch   int
-	segBits uint
-	// tailF holds the incremental float decoders of the current tail
-	// epoch, dict the per-column family dictionary state.
-	tailF map[int]*tailFloat
-	dict  map[int]*dictState
+	// dict[c] is string column c's family dictionary (nil for the rest).
+	dict []*dictState
 	// fsnap/dsnap cache the most recently built snapshot per column.
 	fsnap map[int]*FloatView
 	dsnap map[int]*DictView
 	aux   map[any]any
 }
 
-// tailFloat incrementally decodes the current tail epoch of one
-// numeric column: rows [0, built) of the tail are decoded into vals
-// and the NULL words (sized for a full segment up front, so extension
-// never reallocates them).
-type tailFloat struct {
-	vals  []float64
-	null  []uint64
-	built int
-}
-
-// extend decodes tail rows [built, len(boxed)). The first call sizes
-// vals for exactly its rows: a seal that starts from nothing allocates
-// the chunk it will keep, no more.
-func (tf *tailFloat) extend(boxed []Value) {
-	if tf.vals == nil {
-		tf.vals = make([]float64, 0, len(boxed))
-	}
-	for _, v := range boxed[tf.built:] {
-		if v.IsNull() {
-			tf.vals = append(tf.vals, nan)
-			tf.null[tf.built>>6] |= 1 << (uint(tf.built) & 63)
-		} else {
-			tf.vals = append(tf.vals, v.Float())
+// newTableViews returns the family state of an empty table.
+func newTableViews(schema Schema) *tableViews {
+	vc := &tableViews{dict: make([]*dictState, len(schema))}
+	for c, col := range schema {
+		if col.Type == TString {
+			vc.dict[c] = &dictState{byStr: make(map[string]int32)}
 		}
-		tf.built++
 	}
+	return vc
 }
 
-// tailFloatFor returns column c's tail decoder, creating it on first
-// use. Caller holds mu.
-func (vc *tableViews) tailFloatFor(c int) *tailFloat {
-	if vc.tailF == nil {
-		vc.tailF = make(map[int]*tailFloat)
-	}
-	tf := vc.tailF[c]
-	if tf == nil {
-		tf = &tailFloat{null: make([]uint64, segWordsOf(vc.segBits))}
-		vc.tailF[c] = tf
-	}
-	return tf
-}
-
-// dictFor returns string column c's family dictionary, creating it on
-// first use. Caller holds mu.
-func (vc *tableViews) dictFor(c int) *dictState {
-	if vc.dict == nil {
-		vc.dict = make(map[int]*dictState)
-	}
-	ds := vc.dict[c]
-	if ds == nil {
-		ds = &dictState{byStr: make(map[string]int32)}
-		vc.dict[c] = ds
-	}
-	return ds
-}
-
-// dictMark records the dictionary size right after a new string's
-// first appearance: after stream row rows-1, nvals strings had been
-// seen. Snapshots at older lengths use the marks to bound Values/Code
-// exactly.
-type dictMark struct {
-	rows  int
-	nvals int32
-}
-
-// dictState is one string column's family-level dictionary plus the
-// codes of the current tail epoch.
+// dictState is one string column's family-level dictionary.
 type dictState struct {
 	values []string
 	byStr  map[string]int32
@@ -326,14 +259,10 @@ type dictState struct {
 	// insertion then clones the map first (copy-on-grow), so published
 	// snapshots never observe a map write.
 	shared bool
-	marks  []dictMark
-	// tailCodes holds the codes of the current tail epoch's first
-	// len(tailCodes) rows: the interning frontier.
-	tailCodes []int32
 }
 
-// code interns v (stream row r) and returns its dictionary code.
-func (ds *dictState) code(v Value, r int) int32 {
+// code interns v and returns its dictionary code (-1 for NULL).
+func (ds *dictState) code(v Value) int32 {
 	if v.IsNull() {
 		return -1
 	}
@@ -350,30 +279,8 @@ func (ds *dictState) code(v Value, r int) int32 {
 		c = int32(len(ds.values))
 		ds.byStr[v.S] = c
 		ds.values = append(ds.values, v.S)
-		ds.marks = append(ds.marks, dictMark{rows: r + 1, nvals: c + 1})
 	}
 	return c
-}
-
-// extendTail interns tail rows [len(tailCodes), len(boxed)); tailStart
-// is the stream row of the tail's first row. Sized like tailFloat.extend.
-func (ds *dictState) extendTail(boxed []Value, tailStart int) {
-	if ds.tailCodes == nil {
-		ds.tailCodes = make([]int32, 0, len(boxed))
-	}
-	for i := len(ds.tailCodes); i < len(boxed); i++ {
-		ds.tailCodes = append(ds.tailCodes, ds.code(boxed[i], tailStart+i))
-	}
-}
-
-// nvalsAt bounds the dictionary to the strings that had appeared by
-// stream row end (marks record each first appearance).
-func (ds *dictState) nvalsAt(end int) int32 {
-	i := sort.Search(len(ds.marks), func(i int) bool { return ds.marks[i].rows > end })
-	if i == 0 {
-		return 0
-	}
-	return ds.marks[i-1].nvals
 }
 
 func (t *Table) viewCache() *tableViews {
@@ -384,7 +291,7 @@ func (t *Table) viewCache() *tableViews {
 			t.bits = DefaultSegmentBits
 			t.mask = 1<<t.bits - 1
 		}
-		t.views = &tableViews{segBits: t.bits, hw: t.nrows}
+		t.views = newTableViews(t.schema)
 	}
 	return t.views
 }
@@ -438,17 +345,10 @@ func (t *Table) auxLoadOrStore(key any, build func() any) any {
 	return v
 }
 
-// liveTail reports whether this version's tail is the family's current
-// tail epoch (no newer version has sealed it yet).
-func (t *Table) liveTailLocked() bool {
-	return t.base>>t.bits+len(t.sealed) == t.views.epoch
-}
-
-// FloatView returns the float64 decoding of numeric column c at this
+// FloatView returns the float64 coercion of numeric column c at this
 // table version's window, or nil when the column is not numeric. The
-// returned view is an immutable snapshot; a held segment's chunk is
-// aliased by every version containing the segment, and appended rows
-// extend only the tail decoder.
+// returned view is an immutable snapshot aliasing the chunks of every
+// held segment, the tail included.
 func (t *Table) FloatView(c int) *FloatView {
 	if c < 0 || c >= len(t.schema) || !t.schema[c].Type.IsNumeric() {
 		return nil
@@ -462,56 +362,26 @@ func (t *Table) FloatView(c int) *FloatView {
 	if s := vc.fsnap[c]; s != nil && s.n == t.nrows && vc.curBase == t.base {
 		return s
 	}
-	nsegs := len(t.sealed)
-	tailLen := t.nrows - nsegs<<t.bits
+	nwin := (t.nrows + t.mask) >> t.bits
 	fv := &FloatView{n: t.nrows, bits: t.bits, mask: t.mask, col: c, tname: t.name}
-	fv.segs = make([][]float64, 0, nsegs+1)
-	fv.nulls = make([][]uint64, 0, nsegs+1)
-	for k, seg := range t.sealed {
+	fv.segs = make([][]float64, nwin)
+	fv.nulls = make([][]uint64, nwin)
+	for k := range fv.segs {
+		seg := t.segAt(k)
 		if seg.faultable() {
 			// Out-of-core segment: the snapshot records the segment, not
 			// the data — chunks pin in through the loader at read time and
 			// are never cached here (the pool is the only cache).
 			if fv.fsegs == nil {
-				fv.fsegs = make([]*segment, nsegs+1)
+				fv.fsegs = make([]*segment, nwin)
 			}
 			fv.fsegs[k] = seg
-			fv.segs = append(fv.segs, nil)
-			fv.nulls = append(fv.nulls, nil)
 			continue
 		}
-		fv.segs = append(fv.segs, seg.chunks[c].Vals)
-		fv.nulls = append(fv.nulls, seg.chunks[c].Null)
-	}
-	if tailLen > 0 {
-		var vals []float64
-		null := make([]uint64, (tailLen+63)>>6)
-		if t.liveTailLocked() {
-			tf := vc.tailFloatFor(c)
-			if tf.built < tailLen {
-				tf.extend(t.tail[c][:tailLen])
-			}
-			vals = tf.vals[:tailLen:tailLen]
-			copy(null, tf.null)
-			if rem := tailLen & 63; rem != 0 {
-				null[len(null)-1] &= 1<<uint(rem) - 1
-			}
-		} else {
-			// Superseded tail (the family has sealed past this version):
-			// decode the partial window directly, uncached. Rare — only
-			// versions already straddled by later appends land here.
-			vals = make([]float64, tailLen)
-			for i := 0; i < tailLen; i++ {
-				if v := t.tail[c][i]; v.IsNull() {
-					vals[i] = nan
-					null[i>>6] |= 1 << (uint(i) & 63)
-				} else {
-					vals[i] = v.Float()
-				}
-			}
-		}
-		fv.segs = append(fv.segs, vals)
-		fv.nulls = append(fv.nulls, null)
+		rows := min(t.nrows-k<<t.bits, 1<<t.bits)
+		words := (rows + 63) >> 6
+		fv.segs[k] = seg.chunks[c].Vals[:rows:rows]
+		fv.nulls[k] = seg.chunks[c].Null[:words:words]
 	}
 	if t.base == vc.curBase && t.base+t.nrows == vc.hw {
 		if vc.fsnap == nil {
@@ -524,12 +394,8 @@ func (t *Table) FloatView(c int) *FloatView {
 
 // DictView returns the dictionary encoding of string column c at this
 // table version's window, or nil when the column is not a string
-// column — or when the version predates the family's current retention
-// base (callers then read cells through a RowReader; such stale
-// snapshots are already superseded). Codes are append-stable
-// (first-appearance order): sealed rows were interned by their seal, and
-// the tail interns in stream-row order regardless of which version asks
-// first.
+// column. Codes are append-stable (first-appearance order, assigned at
+// append), so views of different versions agree on every shared code.
 func (t *Table) DictView(c int) *DictView {
 	if c < 0 || c >= len(t.schema) || t.schema[c].Type != TString {
 		return nil
@@ -537,50 +403,28 @@ func (t *Table) DictView(c int) *DictView {
 	vc := t.viewCache()
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	if t.base != vc.curBase {
-		return nil
-	}
-	if s := vc.dsnap[c]; s != nil && s.n == t.nrows {
+	if s := vc.dsnap[c]; s != nil && s.n == t.nrows && vc.curBase == t.base {
 		return s
 	}
-	ds := vc.dictFor(c)
-	end := t.base + t.nrows
-	nsegs := len(t.sealed)
-	tailLen := t.nrows - nsegs<<t.bits
-	dv := &DictView{n: t.nrows, bits: t.bits, mask: t.mask, col: c, tname: t.name}
-	dv.segs = make([][]int32, 0, nsegs+1)
-	for k, seg := range t.sealed {
+	nwin := (t.nrows + t.mask) >> t.bits
+	values := t.tail.dicts[c]
+	dv := &DictView{n: t.nrows, bits: t.bits, mask: t.mask, col: c, tname: t.name,
+		values: values, byStr: vc.dict[c].byStr, nvals: int32(len(values))}
+	vc.dict[c].shared = true
+	dv.segs = make([][]int32, nwin)
+	for k := range dv.segs {
+		seg := t.segAt(k)
 		if seg.faultable() {
 			if dv.dsegs == nil {
-				dv.dsegs = make([]*segment, nsegs+1)
+				dv.dsegs = make([]*segment, nwin)
 			}
 			dv.dsegs[k] = seg
-			dv.segs = append(dv.segs, nil)
 			continue
 		}
-		dv.segs = append(dv.segs, seg.chunks[c].Codes)
+		rows := min(t.nrows-k<<t.bits, 1<<t.bits)
+		dv.segs[k] = seg.chunks[c].Codes[:rows:rows]
 	}
-	if tailLen > 0 {
-		boxed, tailStart := t.tail[c][:tailLen], end-tailLen
-		if t.liveTailLocked() {
-			ds.extendTail(boxed, tailStart)
-			dv.segs = append(dv.segs, ds.tailCodes[:tailLen:tailLen])
-		} else {
-			// Superseded tail: a newer version sealed these rows, so every
-			// string is interned already and code only looks it up.
-			codes := make([]int32, tailLen)
-			for i, v := range boxed {
-				codes[i] = ds.code(v, tailStart+i)
-			}
-			dv.segs = append(dv.segs, codes)
-		}
-	}
-	nvals := ds.nvalsAt(end)
-	dv.values = ds.values[:nvals:nvals]
-	dv.byStr = ds.byStr
-	dv.nvals = nvals
-	ds.shared = true
-	if end == vc.hw {
+	if t.base == vc.curBase && t.base+t.nrows == vc.hw {
 		if vc.dsnap == nil {
 			vc.dsnap = make(map[int]*DictView)
 		}

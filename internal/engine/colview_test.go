@@ -93,38 +93,33 @@ func TestDictView(t *testing.T) {
 }
 
 // TestFloatViewExtendsIncrementally pins the streaming tentpole at the
-// engine layer: appending rows must extend the tail decoder in place
-// (suffix-only work), not discard and rebuild it, and views handed out
-// earlier must stay immutable.
+// engine layer: a view is the tail chunk itself, so two successive
+// versions' views alias one backing array over their shared prefix
+// (nothing is re-decoded), and views handed out earlier stay immutable.
 func TestFloatViewExtendsIncrementally(t *testing.T) {
 	tbl := MustNewTable("t", NewSchema("x", TFloat))
 	for i := 0; i < 100; i++ {
 		tbl.MustAppendRow(NewFloat(float64(i)))
 	}
+	tbl.Grow(2)
 	fv1 := tbl.FloatView(0)
-	e := tbl.views.tailF[0]
-	if e == nil || e.built != 100 {
-		t.Fatalf("tail decoder = %+v", e)
-	}
 	tbl.MustAppendRow(Null)
 	tbl.MustAppendRow(NewFloat(42))
 
 	fv2 := tbl.FloatView(0)
-	if tbl.views.tailF[0] != e {
-		t.Fatal("append replaced the tail decoder instead of extending it")
-	}
-	if e.built != 102 {
-		t.Fatalf("decoder built = %d, want 102", e.built)
+	if &fv1.Seg(0)[0] != &fv2.Seg(0)[0] {
+		t.Fatal("append re-decoded the tail instead of extending it")
 	}
 	if fv2.Len() != 102 || fv2.V(101) != 42 || !fv2.IsNull(100) || !math.IsNaN(fv2.V(100)) {
 		t.Fatalf("extended view wrong: len=%d", fv2.Len())
 	}
-	// The old snapshot is immutable: same length, same bits.
-	if fv1.Len() != 100 {
+	// The old snapshot is immutable: same length, same bits — row 100's
+	// NULL bit shares its last word.
+	if fv1.Len() != 100 || len(fv1.Seg(0)) != 100 {
 		t.Fatal("old snapshot changed length after append")
 	}
-	for i := 0; i < 100; i++ {
-		if fv1.IsNull(i) {
+	for _, w := range fv1.NullSeg(0) {
+		if w != 0 {
 			t.Fatal("old snapshot gained a NULL bit after append")
 		}
 	}
@@ -142,8 +137,8 @@ func TestDictViewExtendsIncrementally(t *testing.T) {
 	for _, s := range []string{"a", "b", "a"} {
 		tbl.MustAppendRow(NewString(s))
 	}
+	tbl.Grow(2)
 	dv1 := tbl.DictView(0)
-	e := tbl.views.dict[0]
 	if dv1.NumValues() != 2 {
 		t.Fatalf("Values = %v", dv1.Values())
 	}
@@ -151,8 +146,8 @@ func TestDictViewExtendsIncrementally(t *testing.T) {
 	tbl.MustAppendRow(NewString("b"))
 
 	dv2 := tbl.DictView(0)
-	if tbl.views.dict[0] != e || len(e.tailCodes) != 5 {
-		t.Fatal("append replaced the canonical dict state instead of extending it")
+	if &dv1.Seg(0)[0] != &dv2.Seg(0)[0] || len(dv2.Seg(0)) != 5 {
+		t.Fatal("append re-coded the tail instead of extending it")
 	}
 	if dv2.CodeAt(0) != dv1.CodeAt(0) || dv2.CodeAt(4) != dv1.CodeAt(1) {
 		t.Fatal("dictionary codes not append-stable")
@@ -198,8 +193,8 @@ func TestAppendBatchCopyOnWrite(t *testing.T) {
 	if fv.Len() != 10 {
 		t.Fatal("old snapshot grew")
 	}
-	if e := tbl.views.tailF[0]; e.built != 12 {
-		t.Fatalf("tail decoder not extended through the shared cache: built=%d", e.built)
+	if &fv.Seg(0)[0] != &nfv.Seg(0)[0] {
+		t.Fatal("the two versions' views do not share the tail array (room for 16 rows, 12 used)")
 	}
 	// Old view still servable at its own length.
 	if ofv := tbl.FloatView(0); ofv.Len() != 10 || ofv.V(9) != 9 {

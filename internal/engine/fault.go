@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the engine half of the out-of-core segment contract. A
 // sealed segment is its typed chunks (segment.go); a durability layer
@@ -174,34 +177,21 @@ func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneIn
 	if t.pub != vc.pub {
 		return nil, fmt.Errorf("engine: table %s: %w (attach to superseded version)", t.name, ErrStaleAppend)
 	}
-	nt := &Table{
-		name: t.name, schema: t.schema,
-		sealed: t.sealed, tail: make([][]Value, ncols),
-		nrows: t.nrows, base: t.base, bits: t.bits, mask: t.mask,
-		views: vc,
-	}
-	copy(nt.tail, t.tail)
-	if nt.nrows-len(nt.sealed)<<nt.bits == 1<<nt.bits {
-		nt.sealTailLocked()
-	}
-	if tailLen := nt.nrows - len(nt.sealed)<<nt.bits; tailLen != 0 {
+	if tailLen := t.nrows & t.mask; tailLen != 0 {
 		return nil, fmt.Errorf("engine: table %s: attach with %d tail rows (segments attach only at segment boundaries)", t.name, tailLen)
 	}
-	seg := &segment{
+	nt := t.forkLocked()
+	if nt.nrows != len(nt.sealed)<<nt.bits {
+		nt.sealTailLocked()
+	}
+	nt.sealed = append(nt.sealed, &segment{
 		chunks:    chunks,
-		dicts:     make([][]string, ncols),
+		dicts:     slices.Clone(nt.tail.dicts),
 		loader:    loader,
 		streamIdx: nt.base>>nt.bits + len(nt.sealed),
 		zones:     zones,
-	}
-	for c, ds := range vc.dict {
-		seg.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
-	}
-	nt.sealed = append(nt.sealed, seg)
+	})
 	nt.nrows += 1 << nt.bits
-	vc.epoch++
-	vc.pub++
-	nt.pub = vc.pub
 	vc.hw = nt.base + nt.nrows
 	return nt, nil
 }
@@ -227,7 +217,7 @@ func (t *Table) PreloadDict(c int, values []string) error {
 	if t.nrows != 0 || len(t.sealed) != 0 {
 		return fmt.Errorf("engine: table %s: preload dict on non-empty table", t.name)
 	}
-	ds := vc.dictFor(c)
+	ds := vc.dict[c]
 	if len(ds.values) != 0 {
 		return fmt.Errorf("engine: table %s: column %d dictionary already populated", t.name, c)
 	}
@@ -235,12 +225,8 @@ func (t *Table) PreloadDict(c int, values []string) error {
 	for i, s := range values {
 		ds.byStr[s] = int32(i)
 	}
-	if len(values) > 0 {
-		// One mark at row 0: every snapshot of this family sees all
-		// preloaded values (their true first-appearance rows predate the
-		// recovered window anyway).
-		ds.marks = []dictMark{{rows: 0, nvals: int32(len(values))}}
-	}
+	// Every version descends from this one and inherits the bound.
+	t.captureDictsLocked()
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"unsafe"
 )
 
 // Retention drops whole head segments from a table family so an
@@ -72,15 +71,8 @@ func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, 
 	if drop == 0 {
 		return t, stats, nil
 	}
-	nt = &Table{
-		name: t.name, schema: t.schema,
-		sealed: t.sealed[drop:], tail: t.tail,
-		nrows: stats.RetainedRows, base: stats.Base,
-		bits: t.bits, mask: t.mask,
-		views: vc,
-	}
-	vc.pub++
-	nt.pub = vc.pub
+	nt = t.forkLocked()
+	nt.sealed, nt.nrows, nt.base = t.sealed[drop:], stats.RetainedRows, stats.Base
 	vc.curBase = nt.base
 	// Snapshot caches are windows of the old base; drop them (they
 	// rebuild cheaply from the per-segment chunks, which survive).
@@ -206,26 +198,18 @@ func (db *DB) Retain(name string, pol RetentionPolicy) (*Table, RetainStats, err
 	}
 }
 
-// valueBytes is the in-memory size of one boxed Value.
-const valueBytes = int(unsafe.Sizeof(Value{}))
-
 // MemStats approximates this version's resident storage: the chunk
-// slices its segments hold plus the boxed tail. It is an estimate
-// (string bodies, the dictionary and the tail's decoders are not
-// traversed), but it moves faithfully with segment count, which is what
-// retention monitoring needs.
+// slices its segments and tail hold. It is an estimate (string bodies
+// and the dictionary are not traversed), but it moves faithfully with
+// row and segment count, which is what retention monitoring needs.
 func (t *Table) MemStats() (segments int, bytes int) {
-	segments = len(t.sealed)
-	for _, seg := range t.sealed {
+	segments = (t.nrows + t.mask) >> t.bits
+	for k := 0; k < segments; k++ {
 		// A faultable segment holds nothing here — its faulted chunks are
 		// accounted by the loader's pool, not the table.
-		for c := range seg.chunks {
-			bytes += seg.chunks[c].Bytes()
+		for _, ch := range t.segAt(k).chunks {
+			bytes += ch.Bytes()
 		}
-	}
-	if tailRows := t.nrows - segments<<t.bits; tailRows > 0 {
-		bytes += tailRows * len(t.schema) * valueBytes
-		segments++
 	}
 	return segments, bytes
 }

@@ -1,17 +1,17 @@
 package engine
 
 // RowReader serves per-row boxed reads (Value, RowInto) over a scan
-// loop. The tail reads straight from its boxed arrays; a sealed segment
-// has no boxed cells anywhere, so the reader boxes the one cell it was
-// asked for out of the column's typed chunk (cellCursor) — the chunk the
-// segment holds, or the one the buffer pool already serves the scan
-// with: PinFloat for numeric columns, PinCodes plus the segment's
-// dictionary for strings — so a read costs what a typed-view read costs
-// and shares its pool entry. Table.Value and Table.RowInto do the same
-// PER CELL, a faultable segment's under a transient pin; a RowReader
-// holds one cursor per column and moves it on segment crossings, exactly
-// like the typed views' PinSeg, making sequential row loops O(rows)
-// regardless of chunk and pool size.
+// loop. No segment, the tail included, has boxed cells anywhere, so the
+// reader boxes the one cell it was asked for out of the column's typed
+// chunk (cellCursor) — the chunk the segment holds, or the one the
+// buffer pool already serves the scan with: PinFloat for numeric
+// columns, PinCodes plus the segment's dictionary for strings — so a
+// read costs what a typed-view read costs and shares its pool entry.
+// Table.Value and Table.RowInto do the same PER CELL, a faultable
+// segment's under a transient pin; a RowReader holds one cursor per
+// column and moves it on segment crossings, exactly like the typed
+// views' PinSeg, making sequential row loops O(rows) regardless of chunk
+// and pool size.
 //
 // A RowReader is NOT safe for concurrent use — create one per
 // goroutine — and MUST be Closed (defer it) so held pins release on
@@ -37,9 +37,6 @@ func (t *Table) NewRowReader() *RowReader {
 func (rr *RowReader) Value(row, col int) Value {
 	t := rr.t
 	k := row >> t.bits
-	if k < 0 || k >= len(t.sealed) {
-		return t.tail[col][row-len(t.sealed)<<t.bits]
-	}
 	cur := &rr.cur[col]
 	if cur.seg != k {
 		cur.move(t, k, col)
@@ -78,9 +75,9 @@ func (rr *RowReader) Close() {
 	}
 }
 
-// cellCursor boxes single cells of one column out of one sealed
-// segment's chunk at a time: the held chunk itself (no lock, no pin), or
-// a faultable segment's pinned one.
+// cellCursor boxes single cells of one column out of one segment's
+// chunk at a time: the held chunk itself (no lock, no pin), or a
+// faultable segment's pinned one.
 type cellCursor struct {
 	seg     int       // current segment (-1 = none)
 	ch      Chunk     // its chunk; Ints pinned on the segment's first |v| ≥ 2^53 read
@@ -98,11 +95,11 @@ func (cur *cellCursor) count(missed bool) {
 	}
 }
 
-// move points the cursor at col's chunk of sealed segment k, pinning it
-// when the segment is faultable.
+// move points the cursor at col's chunk of segment k, pinning it when
+// the segment is faultable.
 func (cur *cellCursor) move(t *Table, k, col int) {
 	cur.close()
-	s := t.sealed[k]
+	s := t.segAt(k)
 	cur.dict = s.dicts[col]
 	var missed bool
 	switch {

@@ -2,8 +2,10 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,28 +95,27 @@ func TestTypedReaderMatchesResidentCells(t *testing.T) {
 		}
 
 		// One pin per (column, segment) for a RowReader, however many rows
-		// it serves, and its counters say so.
+		// it serves, and its counters say so: four faulted, the held tail.
 		rr := twin.NewRowReader()
 		for r := 0; r < twin.NumRows(); r++ {
 			rr.Value(r, 1)
 		}
-		if faulted, resident := rr.Counters(); faulted != 4 || resident != 0 {
-			t.Fatalf("%s: sequential read of one column pinned %d+%d chunks, want 4", name, faulted, resident)
+		if faulted, resident := rr.Counters(); faulted != 4 || resident != 1 {
+			t.Fatalf("%s: sequential read of one column pinned %d+%d chunks, want 4+1", name, faulted, resident)
 		}
 		rr.Close()
 		rr.Close() // idempotent
 		assertNoPins(t, name, l)
 
-		// A version retention has superseded gets no DictView, and still
-		// reads its strings through the code chunks and the family
-		// dictionary; the retained version reads the rebased window.
+		// A version retention has superseded keeps its DictView and its
+		// cells; the retained version reads the rebased window.
 		retained, stats, err := twin.RetainTail(engine.RetentionPolicy{MaxRows: twin.NumRows() - twin.SegRows()})
 		if err != nil || stats.DroppedSegments != 1 {
 			t.Fatalf("%s: retain: %+v %v", name, stats, err)
 		}
 		sCol := src.Schema().ColIndex("s")
-		if twin.DictView(sCol) != nil {
-			t.Fatalf("%s: superseded version still has a DictView", name)
+		if dv := twin.DictView(sCol); dv == nil || dv.Len() != twin.NumRows() {
+			t.Fatalf("%s: superseded version lost its DictView", name)
 		}
 		assertCells(t, name+" stale", src, twin, 0)
 		assertCells(t, name+" retained", src, retained, stats.DroppedRows)
@@ -217,10 +218,8 @@ func matrixRows(rng *rand.Rand, n int) [][]engine.Value {
 }
 
 // assertMatrix compares every cell of tbl, read through every accessor,
-// with the rows that were appended: want[r] is tbl's local row r. A
-// version retention has superseded has no DictView (staleBase); every
-// other one must.
-func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine.Value, staleBase bool) {
+// with the rows that were appended: want[r] is tbl's local row r.
+func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine.Value) {
 	t.Helper()
 	if tbl.NumRows() != len(want) {
 		t.Fatalf("%s: %d rows, want %d", label, tbl.NumRows(), len(want))
@@ -236,9 +235,9 @@ func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine
 			fv = tbl.FloatView(c)
 			fr = fv.NewReader()
 			defer fr.Close()
-		} else if dv = tbl.DictView(c); (dv == nil) != staleBase {
-			t.Fatalf("%s: column %s: DictView nil = %v on a version with staleBase = %v", label, col.Name, dv == nil, staleBase)
-		} else if dv != nil {
+		} else if dv = tbl.DictView(c); dv == nil {
+			t.Fatalf("%s: column %s: no DictView", label, col.Name)
+		} else {
 			dr = dv.NewReader()
 			defer dr.Close()
 		}
@@ -273,6 +272,17 @@ func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine
 				}
 			}
 		}
+		// The NULL words say the same, and carry no bit past Len.
+		for k := 0; fv != nil && k < fv.NumSegs(); k++ {
+			for i, word := range fv.NullSeg(k) {
+				for b := 0; b < 64; b++ {
+					r := fv.SegStart(k) + 64*i + b
+					if null := r < len(want) && want[r][c].IsNull(); null != (word>>uint(b)&1 == 1) {
+						t.Fatalf("%s: NullSeg(%d) word %d of %s: bit %d (row %d of %d) = %v", label, k, i, col.Name, b, r, len(want), !null)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -302,25 +312,103 @@ func TestCellMatrixThreeWay(t *testing.T) {
 		if sealed, tail := old.NumSegments(); sealed != 3 || tail != 17 || old.SegmentFaultable(0) != (name == "faultable") {
 			t.Fatalf("%s: %d sealed + %d tail rows, faultable %v", name, sealed, tail, old.SegmentFaultable(0))
 		}
-		assertMatrix(t, name, old, first, false)
+		assertMatrix(t, name, old, first)
 
 		grown, err := old.AppendBatch(rows[len(first):])
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertMatrix(t, name+" grown", grown, rows, false)
-		assertMatrix(t, name+" with a superseded tail", old, first, false)
+		assertMatrix(t, name+" grown", grown, rows)
+		assertMatrix(t, name+" with a superseded tail", old, first)
 
 		retained, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 2 * seg})
 		if err != nil || stats.DroppedSegments != 3 {
 			t.Fatalf("%s: retain: %+v %v", name, stats, err)
 		}
-		assertMatrix(t, name+" retained", retained, rows[stats.DroppedRows:], false)
-		assertMatrix(t, name+" superseded by retention", grown, rows, true)
+		assertMatrix(t, name+" retained", retained, rows[stats.DroppedRows:])
+		assertMatrix(t, name+" superseded by retention", grown, rows)
 		assertNoPins(t, name, l)
 	}
 	if floats, codes, ints, _ := l.Counts(); floats == 0 || codes == 0 || ints == 0 {
 		t.Fatalf("the twin served %d float, %d code and %d exact-int pins: some chunk kind went unread", floats, codes, ints)
+	}
+}
+
+// TestSegmentedRandomizedParity drives random single-row and batch
+// appends plus occasional retention through a tiny-segment table and a
+// boxed mirror of the stream, and after every step compares EVERY
+// version of the chain so far — the ones whose tail a later append has
+// sealed and the ones retention has moved past included — with the
+// mirror, cell for cell through every accessor (assertMatrix), plus the
+// dictionary bound: Values is what the version's own rows had seen, and
+// a string that first appears later has no Code. The rows are the
+// matrix's (NaN payloads, ±0.0, ints at and past ±2^53 arriving
+// mid-tail, all-NULL columns) with strings first seen mid-tail; batch
+// sizes fall on, beside and far from the 64-row boundaries.
+func TestSegmentedRandomizedParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	schema := matrixSchema()
+	for trial := 0; trial < 20; trial++ {
+		cur, err := engine.NewTableSeg("t", schema, engine.MinSegmentBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := matrixRows(rng, 13*130)
+		for r, row := range stream {
+			if r%11 >= 9 {
+				row[3] = engine.NewString(fmt.Sprintf("n%d", r/11)) // new at r%11 == 9, seen again right after
+			}
+		}
+		chain := []*engine.Table{cur}
+		for step, next := 0, 0; step < 12; step++ {
+			k := []int{1, 7, 63, 64, 65, 130, 1 + rng.Intn(40), testgen.BoundaryBatchSize(rng, cur)}[rng.Intn(8)]
+			if k == 1 && rng.Intn(2) == 0 {
+				if _, err := cur.AppendRow(stream[next]); err != nil { // in place: cur stays the chain's last
+					t.Fatal(err)
+				}
+			} else {
+				if cur, err = cur.AppendBatch(stream[next : next+k]); err != nil {
+					t.Fatal(err)
+				}
+				chain = append(chain, cur)
+			}
+			next += k
+			if rng.Intn(3) == 0 {
+				ret, _, err := cur.RetainTail(engine.RetentionPolicy{MaxRows: 100 + rng.Intn(100)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ret != cur {
+					cur = ret
+					chain = append(chain, cur)
+				}
+			}
+			for vi, v := range chain {
+				label := fmt.Sprintf("trial %d step %d version %d [%d, %d)", trial, step, vi, v.Base(), v.Version())
+				assertMatrix(t, label, v, stream[v.Base():v.Version()])
+				for c, col := range schema {
+					if col.Type != engine.TString {
+						continue
+					}
+					dv := v.DictView(c)
+					seen := map[string]bool{}
+					var values []string
+					for r, row := range stream[:next] {
+						if s := row[c]; !s.IsNull() && !seen[s.S] {
+							seen[s.S] = true
+							if r < v.Version() {
+								values = append(values, s.S)
+							} else if dv.Code(s.S) != -1 {
+								t.Fatalf("%s: %s has a code for %q, first appended at stream row %d", label, col.Name, s.S, r)
+							}
+						}
+					}
+					if !slices.Equal(dv.Values(), values) {
+						t.Fatalf("%s: %s Values = %q, the stream's first appearances are %q", label, col.Name, dv.Values(), values)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -365,7 +453,7 @@ func TestOldVersionReadsRaceAppends(t *testing.T) {
 					}
 					rr := old.NewRowReader()
 					for c, col := range old.Schema() {
-						fv, dv := old.FloatView(c), old.DictView(c) // dv goes nil once retention moves the base
+						fv, dv := old.FloatView(c), old.DictView(c)
 						for r, row := range first {
 							w := row[c]
 							if v := old.Value(r, c); !sameCell(v, w) {

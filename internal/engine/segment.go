@@ -1,18 +1,25 @@
 package engine
 
-// This file defines the fixed-size row segment that the storage spine
-// is built from. A table version is an ordered list of SEALED segments
-// (each exactly SegRows rows, immutable once sealed) plus a growable
-// TAIL holding the newest < SegRows rows. Appends only ever touch the
-// tail: a batch fills the tail arrays in place (writes land past every
-// published version's row count, so older snapshots never observe
-// them), and when the tail reaches SegRows rows it is sealed — typed
-// into a segment shared by reference — and a fresh tail starts.
-// Copy-on-write versions therefore share all sealed segments and the
-// tail arrays; the per-version state is just the segment pointer list,
-// the tail slice headers, and the row count. No append ever copies a
-// whole column again: the worst-case copy is one tail reallocation,
-// bounded by the segment size.
+import "slices"
+
+// This file defines the fixed-size row segment the storage spine is
+// built from. A table version is an ordered list of SEALED segments
+// (each exactly SegRows rows, immutable) plus a TAIL of the newest
+// < SegRows rows, and both are the same thing: per column one typed
+// chunk (Chunk) — float values + NULL words, dictionary codes, and
+// exact int64 cells only where a float64 has rounded — at most 8 bytes
+// a row. Chunk.put and Chunk.cell are the only two places a Value turns
+// into typed storage and back; a boxed Value exists only as the one
+// cell a caller handed in or asked for.
+//
+// Appends only ever touch the tail. Copy-on-write versions share all
+// sealed segments by pointer and the tail's value and code arrays by
+// aliasing: a batch lands past every published version's length, so no
+// published memory is ever written. The one exception would be a NULL
+// bit set inside a published version's last word, so each version owns
+// its tail NULL words (forkTail: a ≤ SegRows/64-word copy per numeric
+// column per version). A full tail is handed to the sealed list as it is
+// and a fresh one starts; no append copies more than one tail chunk.
 //
 // Segments are also the unit of RETENTION (retain.go): dropping the
 // oldest k sealed segments produces a new version whose row ids are
@@ -22,17 +29,10 @@ package engine
 // every lineage bitset and clause mask, which is what lets carried
 // incremental state rebase by word-shift instead of rebuilding.
 //
-// A sealed segment has ONE representation: per column, a typed chunk
-// (Chunk) — float values + NULL words, dictionary codes, and exact
-// int64 cells only where a float64 has rounded — at most 8 bytes a
-// row. Sealing builds every column's chunk from the full tail and drops
-// the boxed arrays, so the tail (bounded by one segment) is the only
-// boxed storage in a table. A segment either HOLDS its chunks (sealed
-// in this process, or attached resident by recovery) or PINS them on
-// demand through a ChunkLoader (fault.go): two holders of one format.
-// Chunks a segment holds are dropped together with the segment when
-// retention lets go of it. A boxed Value of a sealed row exists only as
-// the single cell a caller asked for (Chunk.cell).
+// A sealed segment either HOLDS its chunks (sealed in this process, or
+// attached resident by recovery) or PINS them on demand through a
+// ChunkLoader (fault.go): two holders of one format. Held chunks are
+// dropped together with the segment when retention lets go of it.
 
 const (
 	// DefaultSegmentBits sizes segments at 64Ki rows: large enough that
@@ -46,12 +46,12 @@ const (
 	MinSegmentBits = 6
 )
 
-// Chunk is one column of one sealed segment. Which fields are set
-// follows the column's type; all slices are immutable once the segment
-// is published.
+// Chunk is one column of one segment, sealed or tail. Which fields are
+// set follows the column's type; a published version's cells are never
+// rewritten.
 type Chunk struct {
 	// Vals and Null are a numeric column's float64 coercion (NaN at
-	// NULL) and NULL bitmap words (SegRows/64 of them).
+	// NULL) and NULL bitmap words (one per 64 cells).
 	Vals []float64
 	Null []uint64
 	// Ints holds an int-like column's exact cells (0 at NULL), present
@@ -111,16 +111,68 @@ func (ch *Chunk) cell(typ Type, dict []string, off int) (v Value, rounded bool) 
 	return Value{T: typ, I: ch.Ints[off]}, false
 }
 
-// segment is one sealed run of exactly segRows rows, immutable once
-// built. It holds its chunks (chunks != nil) or pins them through
-// loader (chunks == nil, see fault.go) — never both, and a faultable
-// segment never caches what it pins: the loader's pool is the only
-// cache, so evicting there actually frees the memory.
+// put appends v — NULL, or a value typeCompatible with typ — as the
+// chunk's next cell: the inverse of cell. A string interns through ds,
+// so codes follow stream order; Ints starts at the first int-like cell
+// whose float64 has rounded, back-filled exactly from Vals. The caller
+// has reserved the room (grow), so no append here reallocates a value
+// array.
+func (ch *Chunk) put(typ Type, ds *dictState, v Value) {
+	if typ == TString {
+		ch.Codes = append(ch.Codes, ds.code(v))
+		return
+	}
+	off := len(ch.Vals)
+	if off&63 == 0 {
+		ch.Null = append(ch.Null, 0)
+	}
+	f, i := nan, int64(0)
+	switch {
+	case v.IsNull():
+		ch.Null[off>>6] |= 1 << (uint(off) & 63)
+	case typ == TFloat:
+		f = v.Float()
+	default:
+		i = v.Int()
+		f = float64(i)
+		if ch.Ints == nil && !(-exactInt < f && f < exactInt) {
+			ch.Ints = make([]int64, off, cap(ch.Vals))
+			for j, fj := range ch.Vals {
+				if fj == fj { // NaN only at NULL, which stays 0
+					ch.Ints[j] = int64(fj)
+				}
+			}
+		}
+	}
+	ch.Vals = append(ch.Vals, f)
+	if ch.Ints != nil {
+		ch.Ints = append(ch.Ints, i)
+	}
+}
+
+// grow moves the chunk's cells into arrays of capacity n; the old
+// arrays stay with the versions that alias them.
+func (ch *Chunk) grow(typ Type, n int) {
+	if typ == TString {
+		ch.Codes = append(make([]int32, 0, n), ch.Codes...)
+		return
+	}
+	ch.Vals = append(make([]float64, 0, n), ch.Vals...)
+	if ch.Ints != nil {
+		ch.Ints = append(make([]int64, 0, n), ch.Ints...)
+	}
+}
+
+// segment is one run of rows: sealed (exactly segRows, immutable) or a
+// version's tail. It holds its chunks (chunks != nil) or pins them
+// through loader (chunks == nil, see fault.go) — never both, and a
+// faultable segment never caches what it pins: the loader's pool is the
+// only cache, so evicting there actually frees the memory.
 type segment struct {
 	chunks []Chunk
-	// dicts[c] is string column c's family dictionary as of the seal or
-	// attach: an immutable prefix covering every code of the segment, so
-	// boxing a string cell takes no lock.
+	// dicts[c] is string column c's family dictionary as of the seal,
+	// the attach or — the tail's — the version's last row: an immutable
+	// prefix covering every code, so boxing a string cell takes no lock.
 	dicts [][]string
 	// loader/streamIdx/zones are the out-of-core state: loader faults
 	// chunks by (streamIdx, col); zones, when present, holds one
@@ -166,43 +218,44 @@ func (t *Table) SegmentChunks(k int) ([]Chunk, [][]string) {
 	return t.sealed[k].chunks, t.sealed[k].dicts
 }
 
-// sealTailLocked seals the current tail into a segment appended to
-// nt.sealed and starts a fresh tail: every column's chunk is finished
-// from wherever the tail's incremental decoders stand — strings interned
-// in stream order — and the boxed arrays are let go (older versions'
-// tail headers keep them alive for as long as those versions live).
-// Caller holds views.mu and has verified the tail is exactly full. nt
-// must be the newest version (the one being grown).
-func (nt *Table) sealTailLocked() {
-	vc := nt.views
-	segRows := 1 << nt.bits
-	tailStart := vc.epoch << nt.bits
-	seg := &segment{chunks: make([]Chunk, len(nt.schema)), dicts: make([][]string, len(nt.schema))}
-	for c, col := range nt.schema {
-		boxed := nt.tail[c][:segRows]
-		if col.Type == TString {
-			ds := vc.dictFor(c)
-			ds.extendTail(boxed, tailStart)
-			seg.chunks[c].Codes = ds.tailCodes[:segRows:segRows]
-			seg.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
-			ds.tailCodes = nil
-			continue
-		}
-		tf := vc.tailFloatFor(c)
-		tf.extend(boxed)
-		ch := Chunk{Vals: tf.vals[:segRows:segRows], Null: tf.null}
-		if col.Type != TFloat && RoundedInts(ch.Vals, ch.Null) {
-			ch.Ints = make([]int64, segRows)
-			for i, v := range boxed {
-				ch.Ints[i] = v.I
-			}
-		}
-		seg.chunks[c] = ch
+// segAt returns segment k of this version's window: sealed[k], or the
+// tail right past the sealed list.
+func (t *Table) segAt(k int) *segment {
+	if k == len(t.sealed) {
+		return &t.tail
 	}
-	vc.tailF = nil
-	vc.epoch++
-	nt.sealed = append(nt.sealed, seg)
-	nt.tail = make([][]Value, len(nt.schema))
+	return t.sealed[k]
 }
 
-func segWordsOf(bits uint) int { return 1 << (bits - 6) }
+// forkTail returns the tail of a version about to succeed t: its own
+// chunk and dictionary headers over the shared arrays, and its own copy
+// of the NULL words — the one piece of the tail an append writes inside
+// a published length.
+func (t *Table) forkTail() segment {
+	s := segment{chunks: slices.Clone(t.tail.chunks), dicts: slices.Clone(t.tail.dicts)}
+	for c := range s.chunks {
+		s.chunks[c].Null = slices.Clone(s.chunks[c].Null)
+	}
+	return s
+}
+
+// captureDictsLocked bounds the tail's dictionaries at the family's
+// current ones: every string appended so far, in stream order.
+func (t *Table) captureDictsLocked() {
+	for c, ds := range t.views.dict {
+		if ds != nil {
+			t.tail.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
+		}
+	}
+}
+
+// sealTailLocked hands the full tail to the sealed list as it stands —
+// grow clamps capacities at the segment size, so the chunks are exact —
+// and starts a fresh one. Caller holds views.mu; nt is the version being
+// grown.
+func (nt *Table) sealTailLocked() {
+	nt.captureDictsLocked()
+	full := nt.tail
+	nt.sealed = append(nt.sealed, &full)
+	nt.tail = segment{chunks: make([]Chunk, len(nt.schema)), dicts: slices.Clone(full.dicts)}
+}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -153,10 +152,9 @@ func TestRetainTail(t *testing.T) {
 	if old.NumRows() != total || old.Value(0, 0).Float() != 0 {
 		t.Fatal("pre-retention version disturbed")
 	}
-	// Old version's dict view degrades to nil (superseded base), floats
-	// still serve.
-	if old.DictView(1) != nil {
-		t.Fatal("stale-base dict view should be nil")
+	// Old version's views still serve its window.
+	if odv := old.DictView(1); odv == nil || odv.Len() != total || odv.Value(odv.CodeAt(0)) != "s0" {
+		t.Fatal("stale-base dict view unusable")
 	}
 	if ofv := old.FloatView(0); ofv == nil || ofv.Len() != total {
 		t.Fatal("stale-base float view unusable")
@@ -235,6 +233,18 @@ func TestRetainBoundedMemory(t *testing.T) {
 	if segs == 0 || bytes == 0 {
 		t.Fatal("MemStats empty")
 	}
+	// The tail is priced like a sealed segment, by what its chunks hold:
+	// 8 bytes a float, 4 a code, one NULL word per 64 floats.
+	sealed, tailRows := cur.NumSegments()
+	for k := 0; k < sealed; k++ {
+		chunks, _ := cur.SegmentChunks(k)
+		for c := range chunks {
+			bytes -= chunks[c].Bytes()
+		}
+	}
+	if want := tailRows*(8+4) + (tailRows+63)/64*8; tailRows == 0 || bytes != want {
+		t.Fatalf("MemStats prices %d tail rows at %d bytes, want %d", tailRows, bytes, want)
+	}
 }
 
 // TestRetainTimeCutoff drops only segments entirely below the cutoff.
@@ -309,66 +319,6 @@ func TestDBRetainRepublish(t *testing.T) {
 	}
 }
 
-// TestSegmentedRandomizedParity drives random single-row and batch
-// appends plus occasional retention through a tiny-segment table and a
-// flat mirror, comparing every row and view value each step.
-func TestSegmentedRandomizedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		tbl, _ := NewTableSeg("t", segSchema(), MinSegmentBits)
-		cur := tbl
-		var mirror [][]Value // stream rows, never dropped
-		base := 0
-		next := 0
-		for step := 0; step < 12; step++ {
-			k := []int{1, 7, 63, 64, 65, 130}[rng.Intn(6)]
-			rows := make([][]Value, k)
-			for i := range rows {
-				rows[i] = segRow(next)
-				mirror = append(mirror, segRow(next))
-				next++
-			}
-			nt, err := cur.AppendBatch(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur = nt
-			if rng.Intn(3) == 0 {
-				nt, stats, err := cur.RetainTail(RetentionPolicy{MaxRows: 100 + rng.Intn(100)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cur = nt
-				base += stats.DroppedRows
-				if cur.Base() != base {
-					t.Fatalf("base = %d, want %d", cur.Base(), base)
-				}
-			}
-			fv := cur.FloatView(0)
-			dv := cur.DictView(1)
-			if fv.Len() != cur.NumRows() || dv.Len() != cur.NumRows() {
-				t.Fatal("view length mismatch")
-			}
-			for r := 0; r < cur.NumRows(); r++ {
-				want := mirror[base+r]
-				if cur.Value(r, 0).Key() != want[0].Key() || cur.Value(r, 1).Key() != want[1].Key() {
-					t.Fatalf("trial %d step %d row %d boxed mismatch", trial, step, r)
-				}
-				if want[0].IsNull() != fv.IsNull(r) || (!want[0].IsNull() && fv.V(r) != want[0].Float()) {
-					t.Fatalf("trial %d step %d row %d float mismatch", trial, step, r)
-				}
-				if want[1].IsNull() {
-					if dv.CodeAt(r) != -1 {
-						t.Fatalf("dict null mismatch")
-					}
-				} else if dv.Value(dv.CodeAt(r)) != want[1].S {
-					t.Fatalf("trial %d step %d row %d dict mismatch", trial, step, r)
-				}
-			}
-		}
-	}
-}
-
 // TestDBAppendRetainRace is a regression test: DB.Retain racing a
 // concurrent DB.Append used to surface the loser's ErrStaleAppend to
 // the caller instead of retrying against the republished version.
@@ -420,4 +370,64 @@ func TestDBAppendRetainRace(t *testing.T) {
 	if reg, _ := db.Table("t"); reg != cur {
 		t.Fatal("retained version not republished")
 	}
+}
+
+// TestTailWordReadsRaceAppends races the one word an append could write
+// inside a published version: readers fetch the newest version N and
+// hammer the cells of its last, partial NULL word through Value, IsNull,
+// NullSeg and CodeAt while the writer publishes N+1…N+k, each setting
+// NULL bits of that same word — in its own copy, which is what -race and
+// the "no bits past Len" check prove.
+func TestTailWordReadsRaceAppends(t *testing.T) {
+	db := NewDB()
+	tbl, _ := NewTableSeg("t", segSchema(), MinSegmentBits)
+	db.Register(tbl)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for reader := 0; reader < 2; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cur, _ := db.Table("t")
+				n := cur.NumRows()
+				if n == 0 {
+					continue
+				}
+				fv, dv := cur.FloatView(0), cur.DictView(1)
+				lo := (n - 1) &^ 63
+				var want uint64
+				for r := lo; r < n; r++ {
+					null := r%7 == 3 // segRow
+					if null {
+						want |= 1 << uint(r-lo)
+					}
+					if cur.Value(r, 0).IsNull() != null || fv.IsNull(r) != null || (dv.CodeAt(r) < 0) != null {
+						t.Errorf("version of %d rows: row %d NULL flags disagree", n, r)
+						return
+					}
+				}
+				if words := fv.NullSeg(fv.NumSegs() - 1); words[len(words)-1] != want {
+					t.Errorf("version of %d rows: last NULL word %b, want %b", n, words[len(words)-1], want)
+					return
+				}
+			}
+		}()
+	}
+	for next := 0; next < 2000; next += 5 {
+		rows := make([][]Value, 5)
+		for j := range rows {
+			rows[j] = segRow(next + j)
+		}
+		if _, err := db.Append("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

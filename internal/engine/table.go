@@ -14,7 +14,7 @@ var ErrStaleAppend = errors.New("append to stale snapshot")
 
 // Table is an append-only, in-memory columnar relation stored as
 // fixed-size row segments (see segment.go): sealed segments of exactly
-// SegRows rows, each its typed chunks, plus a growable boxed tail. Row
+// SegRows rows plus a growable tail, all of them typed chunks. Row
 // identifiers are stable under appends: row i is always the i'th
 // appended row. Stable identifiers are load-bearing for the provenance
 // machinery — lineage sets and ground-truth labels are both expressed
@@ -24,13 +24,13 @@ var ErrStaleAppend = errors.New("append to stale snapshot")
 type Table struct {
 	name   string
 	schema Schema
-	// sealed are the full segments; segs[k] covers local rows
-	// [k<<bits, (k+1)<<bits). tail holds the remaining newest rows,
-	// one slice header per column (headers are per-version; the
-	// backing arrays are shared with newer versions, which only ever
-	// write past this version's nrows).
+	// sealed are the full segments; sealed[k] covers local rows
+	// [k<<bits, (k+1)<<bits). tail holds the remaining newest rows and
+	// the dictionaries as of the last one: headers and NULL words are
+	// per-version, the value and code arrays are shared with newer
+	// versions, which only ever write past this version's nrows.
 	sealed []*segment
-	tail   [][]Value
+	tail   segment
 	nrows  int
 	// base counts stream rows dropped by retention before sealed[0];
 	// always a multiple of SegRows.
@@ -67,11 +67,11 @@ func NewTableSeg(name string, schema Schema, segBits uint) (*Table, error) {
 	t := &Table{
 		name:   name,
 		schema: schema.Clone(),
-		tail:   make([][]Value, len(schema)),
+		tail:   segment{chunks: make([]Chunk, len(schema)), dicts: make([][]string, len(schema))},
 		bits:   segBits,
 		mask:   1<<segBits - 1,
-		views:  &tableViews{segBits: segBits},
 	}
+	t.views = newTableViews(t.schema)
 	return t, nil
 }
 
@@ -93,7 +93,6 @@ func NewTableSegBase(name string, schema Schema, segBits uint, base int) (*Table
 	t.base = base
 	t.views.hw = base
 	t.views.curBase = base
-	t.views.epoch = base >> segBits
 	return t, nil
 }
 
@@ -119,19 +118,15 @@ func (t *Table) NumRows() int { return t.nrows }
 func (t *Table) NumCols() int { return len(t.schema) }
 
 // Grow pre-allocates tail capacity for n additional rows (capped at
-// the segment size — sealed segments are allocated as they fill).
+// the segment size — sealed segments are allocated as they fill). An
+// outgrown tail at least doubles, so row-at-a-time appends stay linear.
 func (t *Table) Grow(n int) {
 	segRows := 1 << t.bits
-	tailLen := t.nrows - len(t.sealed)<<t.bits
-	want := tailLen + n
-	if want > segRows {
-		want = segRows
-	}
-	for i := range t.tail {
-		if cap(t.tail[i]) < want {
-			grown := make([]Value, tailLen, want)
-			copy(grown, t.tail[i])
-			t.tail[i] = grown
+	need := min(t.nrows-len(t.sealed)<<t.bits+n, segRows)
+	for c := range t.tail.chunks {
+		ch := &t.tail.chunks[c]
+		if have := cap(ch.Vals) + cap(ch.Codes); have < need { // a chunk has one or the other
+			ch.grow(t.schema[c].Type, min(max(need, 2*have), segRows))
 		}
 	}
 }
@@ -154,53 +149,80 @@ func typeCompatible(v Value, ct Type) (Value, bool) {
 	}
 }
 
-// coerceRow type-checks row against the schema, returning the
-// column-coerced values. The input slice is not retained.
-func (t *Table) coerceRow(row []Value) ([]Value, error) {
+// coerceInto type-checks row against the schema and, when dst is
+// non-nil, stores the column-coerced values there. The input slice is
+// not retained.
+func (t *Table) coerceInto(dst, row []Value) error {
 	if len(row) != len(t.schema) {
-		return nil, fmt.Errorf("engine: table %s: row has %d values, schema has %d columns", t.name, len(row), len(t.schema))
+		return fmt.Errorf("engine: table %s: row has %d values, schema has %d columns", t.name, len(row), len(t.schema))
 	}
-	out := make([]Value, len(row))
 	for i, v := range row {
 		cv, ok := typeCompatible(v, t.schema[i].Type)
 		if !ok {
-			return nil, fmt.Errorf("engine: table %s: column %s is %s, got %s", t.name, t.schema[i].Name, t.schema[i].Type, v.T)
+			return fmt.Errorf("engine: table %s: column %s is %s, got %s", t.name, t.schema[i].Name, t.schema[i].Type, v.T)
 		}
-		out[i] = cv
+		if dst != nil {
+			dst[i] = cv
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // CoerceBatch type-checks a whole batch against the schema, returning
-// the column-coerced rows without appending anything. It is the
-// validation half of AppendBatch, exposed so a durability layer
-// (internal/store) can encode exactly the rows that will be published
-// into its write-ahead log BEFORE the in-memory publish: coercion is
-// deterministic, so the logged rows and the published rows cannot
-// diverge. The input rows are not retained.
+// the column-coerced rows without appending anything — the boxed form
+// of exactly the cells AppendBatch will store (Chunk.put coerces the
+// same way), exposed so a durability layer (internal/store) can encode
+// them into its write-ahead log BEFORE the in-memory publish. The input
+// rows are not retained.
 func (t *Table) CoerceBatch(rows [][]Value) ([][]Value, error) {
+	nc := len(t.schema)
+	flat := make([]Value, len(rows)*nc)
 	coerced := make([][]Value, len(rows))
 	for ri, row := range rows {
-		cr, err := t.coerceRow(row)
-		if err != nil {
+		coerced[ri] = flat[ri*nc : (ri+1)*nc : (ri+1)*nc]
+		if err := t.coerceInto(coerced[ri], row); err != nil {
 			return nil, err
 		}
-		coerced[ri] = cr
 	}
 	return coerced, nil
 }
 
-// appendCoercedLocked writes one already-coerced row into the tail,
-// sealing first when the tail is full. Caller holds views.mu and has
-// verified t is the newest version.
-func (t *Table) appendCoercedLocked(row []Value) {
-	if t.nrows-len(t.sealed)<<t.bits == 1<<t.bits {
-		t.sealTailLocked()
+// appendRowsLocked writes type-checked rows into the tail's chunks,
+// sealing whenever it is full. Caller holds views.mu and has verified t
+// is the newest version, owning its tail (forkTail).
+func (t *Table) appendRowsLocked(rows [][]Value) {
+	for len(rows) > 0 {
+		room := (len(t.sealed)+1)<<t.bits - t.nrows
+		if room == 0 {
+			t.sealTailLocked()
+			room = 1 << t.bits
+		}
+		n := min(len(rows), room)
+		t.Grow(n)
+		chunks, dict := t.tail.chunks, t.views.dict
+		for _, row := range rows[:n] {
+			for c, v := range row {
+				chunks[c].put(t.schema[c].Type, dict[c], v)
+			}
+		}
+		t.nrows += n
+		rows = rows[n:]
 	}
-	for i, v := range row {
-		t.tail[i] = append(t.tail[i], v)
+	t.captureDictsLocked()
+	t.views.hw = t.base + t.nrows
+}
+
+// forkLocked returns the next version of t, still equal to it: sealed
+// segments shared, the tail forked, the publication stamp bumped. Caller
+// holds views.mu and has verified t is the newest version.
+func (t *Table) forkLocked() *Table {
+	t.views.pub++
+	return &Table{
+		name: t.name, schema: t.schema,
+		sealed: t.sealed, tail: t.forkTail(),
+		nrows: t.nrows, base: t.base, bits: t.bits, mask: t.mask,
+		pub: t.views.pub, views: t.views,
 	}
-	t.nrows++
 }
 
 // AppendRow appends a row in place and returns its row id. The row
@@ -211,8 +233,7 @@ func (t *Table) appendCoercedLocked(row []Value) {
 // version already published. For concurrent ingest while queries are
 // in flight, use AppendBatch (copy-on-write) instead.
 func (t *Table) AppendRow(row []Value) (int, error) {
-	coerced, err := t.coerceRow(row)
-	if err != nil {
+	if err := t.coerceInto(nil, row); err != nil {
 		return 0, err
 	}
 	vc := t.viewCache()
@@ -221,8 +242,13 @@ func (t *Table) AppendRow(row []Value) (int, error) {
 	if t.pub != vc.pub {
 		return 0, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, vc.hw-t.base)
 	}
-	t.appendCoercedLocked(coerced)
-	vc.hw = t.base + t.nrows
+	if len(vc.fsnap) > 0 {
+		// A snapshot handed out may alias the NULL words this append
+		// writes in place: leave them to it.
+		t.tail = t.forkTail()
+		vc.fsnap = nil
+	}
+	t.appendRowsLocked([][]Value{row})
 	return t.nrows - 1, nil
 }
 
@@ -230,22 +256,23 @@ func (t *Table) AppendRow(row []Value) (int, error) {
 // version containing the appended batch, leaving the receiver — and
 // every view, mask, or query result derived from it — untouched and
 // valid. The two versions share every sealed segment by pointer and
-// the tail arrays by aliasing (the batch lands past the receiver's row
-// count, which its readers never index), so appends touch only the
-// tail segment: no whole-column copy-on-grow, worst case one tail
-// reallocation bounded by the segment size.
+// the tail's value arrays by aliasing (the batch lands past the
+// receiver's row count, which its readers never index), so appends
+// touch only the tail segment: no whole-column copy-on-grow, worst case
+// one tail reallocation bounded by the segment size.
 //
 // Appends are linear: only the newest version of a family may be
 // appended to. A batch against a superseded snapshot returns an error,
 // which is what makes concurrent ingest safe — two racing appenders
 // serialize on the family lock and the loser gets the stale error
 // instead of silently clobbering published rows. The whole batch is
-// type-checked before anything is published, so no version ever exposes
-// a half-appended batch.
+// type-checked before any cell is written or string interned, so no
+// version ever exposes a half-appended batch.
 func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
-	coerced, err := t.CoerceBatch(rows)
-	if err != nil {
-		return nil, err
+	for _, row := range rows {
+		if err := t.coerceInto(nil, row); err != nil {
+			return nil, err
+		}
 	}
 	vc := t.viewCache()
 	vc.mu.Lock()
@@ -253,19 +280,8 @@ func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
 	if t.pub != vc.pub {
 		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, vc.hw-t.base)
 	}
-	nt := &Table{
-		name: t.name, schema: t.schema,
-		sealed: t.sealed, tail: make([][]Value, len(t.tail)),
-		nrows: t.nrows, base: t.base, bits: t.bits, mask: t.mask,
-		views: vc,
-	}
-	copy(nt.tail, t.tail)
-	for _, row := range coerced {
-		nt.appendCoercedLocked(row)
-	}
-	vc.pub++
-	nt.pub = vc.pub
-	vc.hw = nt.base + nt.nrows
+	nt := t.forkLocked()
+	nt.appendRowsLocked(rows)
 	return nt, nil
 }
 
@@ -287,19 +303,18 @@ func (t *Table) MustAppendRow(row ...Value) int {
 }
 
 // Value returns the value at (row, col). It panics when out of range,
-// like a slice index. A sealed row is boxed out of its column's typed
+// like a slice index. The cell is boxed out of its column's typed
 // chunk: the one the segment holds, or a faultable segment's under a
 // transient pin — correct everywhere, but per cell; row loops should hold
 // a RowReader, bulk readers the typed views' PinSeg.
 func (t *Table) Value(row, col int) Value {
-	if k := row >> t.bits; k >= 0 && k < len(t.sealed) {
-		if s := t.sealed[k]; s.chunks != nil {
-			v, _ := s.chunks[col].cell(t.schema[col].Type, s.dicts[col], row&t.mask)
-			return v
-		}
+	k := row >> t.bits
+	s := t.segAt(k)
+	if s.chunks == nil {
 		return t.faultedCell(k, col, row&t.mask)
 	}
-	return t.tail[col][row-len(t.sealed)<<t.bits]
+	v, _ := s.chunks[col].cell(t.schema[col].Type, s.dicts[col], row&t.mask)
+	return v
 }
 
 // Row materializes row i into a fresh slice.
@@ -333,11 +348,8 @@ func (t *Table) Select(rows []int) *Table {
 	defer out.views.mu.Unlock()
 	for _, r := range rows {
 		rr.RowInto(r, buf)
-		row := make([]Value, len(buf))
-		copy(row, buf)
-		out.appendCoercedLocked(row)
+		out.appendRowsLocked([][]Value{buf})
 	}
-	out.views.hw = out.nrows
 	return out
 }
 

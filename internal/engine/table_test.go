@@ -160,3 +160,29 @@ func TestDB(t *testing.T) {
 		t.Error("dropped table still present")
 	}
 }
+
+// TestAppendBatchAllocatesPerColumn pins the append path's allocation
+// shape: a batch is type-checked in place and its cells go straight into
+// the tail's chunks, so appending 1,000 rows allocates a few arrays a
+// column — the new version's headers and NULL words, a grown tail — and
+// nothing a row.
+func TestAppendBatchAllocatesPerColumn(t *testing.T) {
+	schema := NewSchema("i", TInt, "f", TFloat, "g", TFloat, "b", TBool, "t", TTime, "s", TString, "h", TFloat)
+	cur := MustNewTable("wide", schema)
+	batch := make([][]Value, 1000)
+	for r := range batch {
+		batch[r] = []Value{NewInt(int64(r)), NewFloat(float64(r) / 4), Null, NewBool(r%2 == 0), NewTimeUnix(int64(r)), NewString([]string{"a", "b", "c"}[r%3]), NewInt(int64(r))}
+	}
+	perBatch := testing.AllocsPerRun(30, func() {
+		var err error
+		if cur, err = cur.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(4 * len(schema)); perBatch > limit {
+		t.Fatalf("a 1,000-row batch allocates %.0f times, want at most %.0f (4 a column)", perBatch, limit)
+	}
+	if cur.NumRows() != 31*len(batch) {
+		t.Fatalf("%d rows", cur.NumRows())
+	}
+}

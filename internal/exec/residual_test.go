@@ -213,8 +213,7 @@ func TestFilterFallbackVocabulary(t *testing.T) {
 // snapshot whose retention base the shared predicate index has already
 // rebased past gets no clause masks, so every conjunct — lowerable
 // shape or not — is walked as a residual, the plan says why, and the
-// rows still equal the reference scan's. (The superseded snapshot has
-// no DictView either, so GROUP BY s rides the interned string slots.)
+// rows still equal the reference scan's.
 func TestFilterGeometryMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	old := tinySegTable(rng, 300)

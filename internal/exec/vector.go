@@ -213,9 +213,8 @@ type vectorPlan struct {
 	// whose arguments are all count(*) or numeric columns into FloatAdders.
 	maskedAgg bool
 	// strCodes interns the strings evaluated group keys yield (GROUP BY
-	// lower(s), or a string column of a snapshot too old for a DictView):
-	// plan-wide, so every shard maps equal strings to one slot and
-	// shard states merge on it.
+	// lower(s)): plan-wide, so every shard maps equal strings to one slot
+	// and shard states merge on it.
 	strMu    sync.Mutex
 	strCodes map[string]uint64
 }

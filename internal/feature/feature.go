@@ -243,38 +243,16 @@ func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
 }
 
 // gatherCodes reads string column c at rows as dictionary codes (-1 =
-// NULL) plus the code → string table. A table version the family has
-// moved past has no typed view; its values box through a RowReader into
-// a dictionary local to the call.
+// NULL) plus the code → string table, one pinned chunk at a time.
 func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
+	dv := t.DictView(c)
+	r := dv.NewReader()
+	defer r.Close()
 	out := make([]int32, len(rows))
-	if dv := t.DictView(c); dv != nil {
-		r := dv.NewReader()
-		defer r.Close()
-		for i, row := range rows {
-			out[i] = r.CodeAt(row)
-		}
-		return out, dv.Values()
-	}
-	rr := t.NewRowReader()
-	defer rr.Close()
-	var dict []string
-	byStr := make(map[string]int32)
 	for i, row := range rows {
-		v := rr.Value(row, c)
-		if v.IsNull() {
-			out[i] = -1
-			continue
-		}
-		code, ok := byStr[v.S]
-		if !ok {
-			code = int32(len(dict))
-			byStr[v.S] = code
-			dict = append(dict, v.S)
-		}
-		out[i] = code
+		out[i] = r.CodeAt(row)
 	}
-	return out, dict
+	return out, dv.Values()
 }
 
 // profileNumeric fills a's numeric statistics from (a sample of) its

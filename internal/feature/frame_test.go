@@ -337,10 +337,9 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 	}
 }
 
-// TestFrameStaleVersionFallback covers the one boxed arm: a table
-// version retention has superseded has no dictionary view, and its
-// string columns gather through a RowReader — out of the typed chunks of
-// the segment it still holds, and its boxed tail.
+// TestFrameStaleVersionFallback pins the frame of a table version
+// retention has superseded: it gathers through the same typed views as
+// any other — out of the segment it still holds and its own tail.
 func TestFrameStaleVersionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	old, err := engine.NewTableSeg("p", frameSchema(), engine.MinSegmentBits)
@@ -357,8 +356,8 @@ func TestFrameStaleVersionFallback(t *testing.T) {
 	if _, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 70}); err != nil || stats.DroppedSegments == 0 {
 		t.Fatalf("retain: %+v %v", stats, err)
 	}
-	if old.DictView(2) != nil {
-		t.Fatal("a version retention has superseded still has a dictionary view")
+	if old.DictView(2) == nil {
+		t.Fatal("a version retention has superseded has no dictionary view")
 	}
 	checkSpace(t, "stale version", old, nil, Options{})
 }

@@ -446,34 +446,24 @@ func (ix *Index) extendNonNull(e *maskEntry, ci, n int) {
 		})
 		return
 	}
-	if dv := ix.t.DictView(ci); dv != nil {
-		ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
-			if z, ok := ix.segZone(k, ci, lo, hi); ok {
-				switch zoneNonNullVerdict(z) {
-				case zoneNone:
-					return
-				case zoneAll:
-					fillRange(ch.words, lo, hi)
-					return
-				}
-			}
-			codes, release, _ := dv.PinSeg(k)
-			for i := lo; i < hi; i++ {
-				if codes[i] >= 0 {
-					ch.words[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			release()
-		})
-		return
-	}
-	segRows := ix.t.SegRows()
+	dv := ix.t.DictView(ci) // every column is numeric or a string
 	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
+		if z, ok := ix.segZone(k, ci, lo, hi); ok {
+			switch zoneNonNullVerdict(z) {
+			case zoneNone:
+				return
+			case zoneAll:
+				fillRange(ch.words, lo, hi)
+				return
+			}
+		}
+		codes, release, _ := dv.PinSeg(k)
 		for i := lo; i < hi; i++ {
-			if !ix.t.Value(k*segRows+i, ci).IsNull() {
+			if codes[i] >= 0 {
 				ch.words[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
+		release()
 	})
 }
 
@@ -546,10 +536,6 @@ func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
 // then fans out by code.
 func (ix *Index) extendString(e *maskEntry, ci int, c Clause, n int) {
 	dv := ix.t.DictView(ci)
-	if dv == nil {
-		ix.forEachSegSpan(e, n, func(int, *maskChunk, int, int) {})
-		return
-	}
 	verdict := make([]bool, len(dv.Values()))
 	eqCode := -1 // the single matching code for OpEq (dict values are distinct)
 	for code, s := range dv.Values() {

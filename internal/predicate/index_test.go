@@ -69,17 +69,34 @@ func randomClause(rng *rand.Rand) Clause {
 // TestMatchingBitsetParity is the scalar/vector property test: over
 // random tables, subsets and predicates, the vectorized MatchingBitset
 // must return exactly the rows MatchingRows returns.
+//
+// Every third table is a version its family has since retained past
+// (tiny segments, head segments dropped by a newer version): its string
+// clauses once came back empty, so the four shapes of one lead each
+// trial's predicates.
 func TestMatchingBitsetParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for trial := 0; trial < 300; trial++ {
 		rows := 1 + rng.Intn(200)
 		tbl := randomTable(rng, rows)
+		if trial%3 == 0 {
+			tbl = retainedPast(t, tbl)
+		}
 		ix := NewIndex(tbl)
-		for p := 0; p < 10; p++ {
+		preds := []Predicate{
+			New(Clause{Col: "s", Op: OpEq, Val: engine.NewString("alpha")}),
+			New(Clause{Col: "s", Op: OpLt, Val: engine.NewString("beta")}),
+			New(Clause{Col: "s", Op: OpNeq, Val: engine.NewString("gamma")}),
+			New(Clause{Col: "s", Op: OpNeq, Val: engine.Null}), // IS NOT NULL
+		}
+		for len(preds) < 14 {
 			var pred Predicate
 			for nc := rng.Intn(4); nc > 0; nc-- {
 				pred.Clauses = append(pred.Clauses, randomClause(rng))
 			}
+			preds = append(preds, pred)
+		}
+		for _, pred := range preds {
 
 			var subset []int
 			var subsetBits *bitset.Bitset
@@ -123,6 +140,36 @@ func TestMatchingBitsetTruePredicate(t *testing.T) {
 	if got := pred.MatchingBitset(ix, sub).Rows(); !equalRows(got, []int{3, 7, 11}) {
 		t.Fatalf("TRUE over subset = %v", got)
 	}
+}
+
+// retainedPast returns tbl's rows as a version of a 64-row-segment
+// family that retention has moved past: 128 more rows were appended and
+// the head segments dropped, all on newer versions.
+func retainedPast(t *testing.T, tbl *engine.Table) *engine.Table {
+	t.Helper()
+	old, err := engine.NewTableSeg("t", tbl.Schema(), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]engine.Value, tbl.NumRows())
+	for r := range rows {
+		rows[r] = tbl.Row(r)
+	}
+	if old, err = old.AppendBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	more := make([][]engine.Value, 128)
+	for i := range more {
+		more[i] = rows[i%len(rows)]
+	}
+	grown, err := old.AppendBatch(more)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 64}); err != nil || stats.DroppedSegments == 0 {
+		t.Fatalf("retain: %+v %v", stats, err)
+	}
+	return old
 }
 
 func equalRows(a, b []int) bool {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/sqlparse"
@@ -182,4 +183,40 @@ func TestResidentOpenHeapPerCell(t *testing.T) {
 		t.Fatalf("resident open keeps %.1f heap bytes a cell (MemStats: %.1f), want at most 12", perCell, float64(held)/float64(cells))
 	}
 	t.Logf("resident open: %.2f heap bytes a sealed cell", perCell)
+}
+
+// TestAppendedTailHeapPerCell is the tail's twin of the guard above: the
+// 100k-row Intel table appended in 1,000-row batches — one sealed
+// segment and a 34k-row tail, the shape every in-memory session serves —
+// keeps its newest rows as typed chunks too, so the heap behind the
+// table is a few bytes a cell, not a boxed engine.Value's 40.
+func TestAppendedTailHeapPerCell(t *testing.T) {
+	src, _ := datasets.Intel(datasets.IntelConfig{Rows: 100_000})
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl := engine.MustNewTable("readings", src.Schema())
+	for lo := 0; lo < src.NumRows(); lo += 1000 {
+		rows := make([][]engine.Value, 1000)
+		for i := range rows {
+			rows[i] = src.Row(lo + i)
+		}
+		var err error
+		if tbl, err = tbl.AppendBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if sealed, tail := tbl.NumSegments(); sealed != 1 || tail != 100_000-1<<engine.DefaultSegmentBits {
+		t.Fatalf("%d sealed segments and %d tail rows: not the session's table", sealed, tail)
+	}
+	cells := float64(tbl.NumRows() * tbl.NumCols())
+	perCell := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / cells
+	if _, held := tbl.MemStats(); perCell > 12 || float64(held)/cells > 12 {
+		t.Fatalf("the appended table keeps %.1f heap bytes a cell (MemStats: %.1f), want at most 12", perCell, float64(held)/cells)
+	}
+	t.Logf("appended table: %.2f heap bytes a cell", perCell)
+	runtime.KeepAlive(src)
 }
