@@ -1,7 +1,6 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON document on stdout, so benchmark runs can be checked in
-// and diffed across PRs (the perf trajectory files BENCH_PR*.json at
-// the repo root). Repeated lines of one benchmark (`-count N`) fold into
+// into a JSON document on stdout, so two trees' microbenchmark runs can
+// be diffed (make bench-json). Repeated lines of one benchmark (`-count N`) fold into
 // one entry: every figure is the median over the runs, and
 // ns_per_op_iqr carries the spread. Lines that are not benchmark results
 // pass through to stderr untouched, keeping failures visible.

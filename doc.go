@@ -23,7 +23,7 @@
 // cmd/experiments (regenerates every figure + the quantitative
 // evaluation). Runnable walkthroughs live in examples/.
 //
-// # The columnar scoring fast path
+// # Columnar scoring
 //
 // Interactive latency rests on scoring thousands of candidate
 // predicates against the suspect lineage without re-touching boxed
@@ -39,19 +39,23 @@
 //     words or dictionary codes that sealed segments are stored as,
 //     shared by every downstream consumer.
 //   - internal/exec — Result.AggArgFloats builds an aggregate's
-//     ArgView once per result: a bare numeric column copies out of its
-//     typed view, any other argument evaluates once per source row;
-//     Advance extends it by the appended suffix through the same fill.
+//     ArgView once per result, the float the scan fed the state for
+//     each row: a bare column copies out of its typed view, any other
+//     argument evaluates once per source row; Advance extends it by the
+//     appended suffix through the same fill.
 //     Result.LineageBits/GroupLineageBitsShared expose provenance as
 //     bitsets.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
 //     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
-//   - internal/agg — FloatRemovable: leave-out aggregate evaluation fed
-//     straight from the flat argument column, no boxing.
+//   - internal/agg — one contract, agg.Func: every state (DISTINCT
+//     sets included) adds, merges and answers "the result without these
+//     values" from floats (ResultWithoutFloats), never mutating.
 //   - internal/influence — Scorer ties these together: ε-without-a-set
 //     is "intersect match mask with each group's lineage span, gather
-//     floats, ask the removable state", zero steady-state allocations.
+//     floats, ask the state", zero steady-state allocations for the
+//     algebraic aggregates. It is the only scorer: what it cannot score
+//     (a DISTINCT set keyed by string values) Debug refuses by name.
 //   - internal/ranker — candidates score and prune in parallel across a
 //     worker pool; the prepared context is read-only shared state.
 //   - internal/feature — NewSpace gathers the learning population's
@@ -66,7 +70,7 @@
 // below already demonstrates the contract — it produces the same views
 // (argument columns, lineage bitsets, clause masks) as per-segment
 // chunks, and the scoring algebra above composes by concatenating
-// word-aligned chunks, OR-ing bitsets and merging removable states.
+// word-aligned chunks, OR-ing bitsets and merging aggregate states.
 //
 // # The query executor: one pipeline
 //
@@ -136,24 +140,33 @@
 //     out of core, a per-cell read (engine.RowReader) pins the float or
 //     code chunk the scan already pins and boxes that one cell.
 //     Aggregate arguments fold from the block's chunk slices into the
-//     states through agg.FloatAdder, column at a time (an evaluator
-//     error truncates the block, so the first error is still the
-//     reference's: lowest row, key before argument). The row space
-//     splits across a worker pool on ranges balanced by SURVIVING-row
-//     popcount (zone-skipped segments contribute nothing; a hot segment
-//     subdivides on bitset-word boundaries), and per-shard states merge
-//     in shard order via agg.Merger, reproducing the sequential scan's
-//     group order, lineage order and FirstRow exactly. DISTINCT states
-//     have no Merge and scan as one shard. A global aggregate is the
-//     zero-key block: its float-fed column arguments fold through
+//     states (AddFloat), column at a time (an evaluator error truncates
+//     the block, so the first error is still the reference's: lowest
+//     row, key before argument). The row space splits across a worker
+//     pool on ranges balanced by SURVIVING-row popcount (zone-skipped
+//     segments contribute nothing; a hot segment subdivides on
+//     bitset-word boundaries), and per-shard states Merge in shard
+//     order, reproducing the sequential scan's group order, lineage
+//     order and FirstRow exactly — a DISTINCT set by replaying its
+//     unseen values in first-appearance order. A global aggregate is
+//     the zero-key block: its numeric column arguments fold through
 //     agg.FoldMasked under the block mask (Plan.MaskedAgg reports a
 //     statement whose arguments all do).
+//   - Who still boxes in production, and why the edge is there: argEval
+//     — an aggregate argument that is neither a numeric column nor
+//     count(DISTINCT)'s string column evaluates per row to a Value and
+//     is Added boxed (a string has no float; a computed number waits
+//     for a bench shape that shows it matters);
+//     rowEval's interpreter arm — the few nodes expr.Compile refuses
+//     evaluate over a whole boxed row, so every expression runs;
+//     dtree.PredictRow — reads Table.Value for rows appended after the
+//     tree's learning frame was gathered.
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed
 //     accumulation. No production code path reaches it. The randomized
 //     harnesses in internal/exec run generated statements — DISTINCT,
 //     0–6 keys, string computed keys, NULL/NaN/±0-heavy data, shards
-//     1–4, resident and out-of-core — through both and require
+//     1–5, resident and out-of-core — through both and require
 //     identical rows, group order, lineage, FirstRow and error
 //     presence, with Plan.Vectorized set and Plan.Fallback empty on
 //     every fresh run; FuzzResidualFilterParity drives arbitrary parsed
@@ -263,8 +276,8 @@
 //     < 0 (always re-expand) DebugAdvance is the differential-test
 //     oracle's equal.
 //   - full — conditions the carry cannot express: no carried state, a
-//     changed statement/metric/aggregate, a non-advanceable aggregate
-//     (DISTINCT), a non-grown table. Plan.Fallback says why.
+//     changed statement/metric/aggregate, a non-grown table.
+//     Plan.Fallback says why.
 //
 // Debug and DebugAdvance share their stage functions (preprocess,
 // featurize, clean, enumerate, rank), so the incremental path cannot
@@ -325,9 +338,7 @@
 //   - otherwise the carried state is unusable and Advance re-runs the
 //     statement over the retained window, recording why in
 //     Plan.Fallback ("retention: ...") — the only thing that field
-//     ever names is an Advance re-run: a retention blocker, or an
-//     aggregate state with no Merge to carry (DISTINCT, "advance:
-//     ..."). core.DebugAdvance never carries
+//     ever names. core.DebugAdvance never carries
 //     a RANKING across a horizon — the fingerprints that prove "same
 //     question" are written in row ids — so it re-expands (or falls
 //     back) with the reason recorded, while the scorer and result

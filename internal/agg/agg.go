@@ -1,14 +1,12 @@
 // Package agg implements the aggregate functions DBWipes supports
 // (avg, sum, count, min, max, stddev, var, median — the paper lists the
-// "common PostgreSQL aggregates").
+// "common PostgreSQL aggregates") and the DISTINCT wrapper over them.
 //
-// Every aggregate additionally implements a *removable* form: given the
-// accumulated state over a group, ResultWithout(v) returns the aggregate
-// value the group would have had if one occurrence of v had never been
-// added, without mutating the state. This is the primitive that makes
-// the Preprocessor's leave-one-out influence analysis O(1) per tuple for
-// the algebraic aggregates (sum/count/avg/stddev/var) and cheap for the
-// holistic ones (min/max/median keep a multiset).
+// DBWipes ranks a predicate by ε after the tuples it matches are removed
+// from the suspect groups' aggregates, so a state must add, merge and
+// answer "what if these values had never been added" — and every state
+// does all three, through the one interface below. Nothing outside this
+// package asks a state what it can do.
 package agg
 
 import (
@@ -20,35 +18,53 @@ import (
 	"repro/internal/engine"
 )
 
-// Func accumulates values of one group and produces a result.
-// Implementations ignore NULL inputs, per SQL semantics, and yield NULL
-// on empty input (except count, which yields 0).
+// Func is one group's aggregate state. Implementations ignore NULL
+// inputs, per SQL semantics, and yield NULL on empty input (except count,
+// which yields 0).
+//
+// Values come in two forms. The executor and the scorer work on typed
+// columns and use the float form: AddFloat(f) is exactly Add of a
+// non-NULL value whose Float() is f, and ResultWithoutFloats is exactly
+// ResultWithoutSet of such values — callers skip NULLs themselves
+// (adding or removing one never changes a state). The boxed form is the
+// edge: Add takes what an expression evaluated to (computed and string
+// arguments, and the reference scan), Removable is what the oracle
+// removes through.
 type Func interface {
 	// Name returns the aggregate's lowercase SQL name.
 	Name() string
 	// Add folds one value into the state.
 	Add(v engine.Value)
+	// AddFloat folds one non-NULL numeric value into the state.
+	AddFloat(f float64)
+	// Merge folds other's state into the receiver as if other's values
+	// had been added after the receiver's, in other's order — the combine
+	// step of a partitioned scan (shards merge in row order) and, onto a
+	// fresh Clone, a deep copy. It returns false, leaving the receiver
+	// unchanged, when other is not a state of the same kind; between
+	// states cloned from one prototype that cannot happen.
+	Merge(other Func) bool
 	// Result returns the aggregate of everything added so far.
 	Result() engine.Value
+	// ResultWithoutFloats returns the aggregate over the added multiset
+	// minus vals (each removed once); ok is false when that is NULL. It
+	// never mutates the state: one state is read by every scoring worker
+	// at once. vals is borrowed for the call.
+	ResultWithoutFloats(vals []float64) (result float64, ok bool)
 	// Count returns the number of non-NULL values added.
 	Count() int
 	// Clone returns a fresh, empty aggregate of the same kind.
 	Clone() Func
+	Removable
 }
 
-// Removable extends Func with non-mutating leave-one-out evaluation.
+// Removable is the boxed removal the reference scorer
+// (influence.EpsWithoutRows) evaluates through; production scoring uses
+// ResultWithoutFloats.
 type Removable interface {
-	Func
-	// ResultWithout returns the aggregate over the added multiset minus
-	// one occurrence of v. v must have been added (for the algebraic
-	// aggregates this is not checked — callers pass lineage values).
-	ResultWithout(v engine.Value) engine.Value
 	// ResultWithoutSet returns the aggregate excluding every value in vs
-	// (each removed once). Used to score predicate deletions without
-	// re-running the query.
+	// (each removed once), without mutating the state.
 	ResultWithoutSet(vs []engine.Value) engine.Value
-	// Remove permanently deletes one occurrence of v from the state.
-	Remove(v engine.Value)
 }
 
 // New returns a fresh aggregate by name, or an error for unknown names.
@@ -115,14 +131,6 @@ func (c *Count) Count() int { return c.n }
 // Clone implements Func.
 func (*Count) Clone() Func { return &Count{} }
 
-// ResultWithout implements Removable.
-func (c *Count) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return c.Result()
-	}
-	return engine.NewInt(int64(c.n - 1))
-}
-
 // ResultWithoutSet implements Removable.
 func (c *Count) ResultWithoutSet(vs []engine.Value) engine.Value {
 	n := c.n
@@ -132,13 +140,6 @@ func (c *Count) ResultWithoutSet(vs []engine.Value) engine.Value {
 		}
 	}
 	return engine.NewInt(int64(n))
-}
-
-// Remove implements Removable.
-func (c *Count) Remove(v engine.Value) {
-	if !v.IsNull() {
-		c.n--
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -176,17 +177,6 @@ func (s *Sum) Count() int { return s.n }
 // Clone implements Func.
 func (*Sum) Clone() Func { return &Sum{} }
 
-// ResultWithout implements Removable.
-func (s *Sum) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return s.Result()
-	}
-	if s.n <= 1 {
-		return engine.Null
-	}
-	return engine.NewFloat(s.sum - v.Float())
-}
-
 // ResultWithoutSet implements Removable.
 func (s *Sum) ResultWithoutSet(vs []engine.Value) engine.Value {
 	sum, n := s.sum, s.n
@@ -201,15 +191,6 @@ func (s *Sum) ResultWithoutSet(vs []engine.Value) engine.Value {
 		return engine.Null
 	}
 	return engine.NewFloat(sum)
-}
-
-// Remove implements Removable.
-func (s *Sum) Remove(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	s.sum -= v.Float()
-	s.n--
 }
 
 // ---------------------------------------------------------------------
@@ -247,17 +228,6 @@ func (a *Avg) Count() int { return a.n }
 // Clone implements Func.
 func (*Avg) Clone() Func { return &Avg{} }
 
-// ResultWithout implements Removable.
-func (a *Avg) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return a.Result()
-	}
-	if a.n <= 1 {
-		return engine.Null
-	}
-	return engine.NewFloat((a.sum - v.Float()) / float64(a.n-1))
-}
-
 // ResultWithoutSet implements Removable.
 func (a *Avg) ResultWithoutSet(vs []engine.Value) engine.Value {
 	sum, n := a.sum, a.n
@@ -272,15 +242,6 @@ func (a *Avg) ResultWithoutSet(vs []engine.Value) engine.Value {
 		return engine.Null
 	}
 	return engine.NewFloat(sum / float64(n))
-}
-
-// Remove implements Removable.
-func (a *Avg) Remove(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	a.sum -= v.Float()
-	a.n--
 }
 
 // ---------------------------------------------------------------------
@@ -342,15 +303,6 @@ func (v *Variance) Count() int { return v.n }
 // Clone implements Func.
 func (v *Variance) Clone() Func { return &Variance{sample: v.sample} }
 
-// ResultWithout implements Removable.
-func (v *Variance) ResultWithout(x engine.Value) engine.Value {
-	if x.IsNull() {
-		return v.Result()
-	}
-	f := x.Float()
-	return varianceOf(v.sum-f, v.sumsq-f*f, v.n-1, v.sample)
-}
-
 // ResultWithoutSet implements Removable.
 func (v *Variance) ResultWithoutSet(vs []engine.Value) engine.Value {
 	sum, sumsq, n := v.sum, v.sumsq, v.n
@@ -364,17 +316,6 @@ func (v *Variance) ResultWithoutSet(vs []engine.Value) engine.Value {
 		n--
 	}
 	return varianceOf(sum, sumsq, n, v.sample)
-}
-
-// Remove implements Removable.
-func (v *Variance) Remove(x engine.Value) {
-	if x.IsNull() {
-		return
-	}
-	f := x.Float()
-	v.sum -= f
-	v.sumsq -= f * f
-	v.n--
 }
 
 // Stddev is the square root of Variance.
@@ -404,15 +345,6 @@ func (s *Stddev) Result() engine.Value {
 
 // Clone implements Func.
 func (s *Stddev) Clone() Func { return &Stddev{Variance: Variance{sample: s.sample}} }
-
-// ResultWithout implements Removable.
-func (s *Stddev) ResultWithout(x engine.Value) engine.Value {
-	if x.IsNull() {
-		return s.Result()
-	}
-	f := x.Float()
-	return sqrtValue(varianceOf(s.sum-f, s.sumsq-f*f, s.n-1, s.sample))
-}
 
 // ResultWithoutSet implements Removable.
 func (s *Stddev) ResultWithoutSet(vs []engine.Value) engine.Value {
@@ -511,24 +443,6 @@ func (e *extremum) rescan(delta map[float64]int) (float64, bool) {
 	return best, have
 }
 
-// ResultWithout implements Removable.
-func (e *extremum) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() || !e.haveAny {
-		return e.Result()
-	}
-	f := v.Float()
-	if f != e.best || e.counts[f] > 1 {
-		// Removing a non-extremal (or duplicated extremal) value cannot
-		// change the extremum.
-		return engine.NewFloat(e.best)
-	}
-	best, have := e.rescan(map[float64]int{f: 1})
-	if !have {
-		return engine.Null
-	}
-	return engine.NewFloat(best)
-}
-
 // ResultWithoutSet implements Removable.
 func (e *extremum) ResultWithoutSet(vs []engine.Value) engine.Value {
 	delta := make(map[float64]int, len(vs))
@@ -542,23 +456,6 @@ func (e *extremum) ResultWithoutSet(vs []engine.Value) engine.Value {
 		return engine.Null
 	}
 	return engine.NewFloat(best)
-}
-
-// Remove implements Removable.
-func (e *extremum) Remove(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	f := v.Float()
-	if e.counts[f] <= 1 {
-		delete(e.counts, f)
-	} else {
-		e.counts[f]--
-	}
-	e.n--
-	if f == e.best {
-		e.best, e.haveAny = e.rescan(nil)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -613,14 +510,6 @@ func (m *Median) Count() int { return len(m.vals) }
 // Clone implements Func.
 func (*Median) Clone() Func { return &Median{} }
 
-// ResultWithout implements Removable.
-func (m *Median) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return m.Result()
-	}
-	return m.ResultWithoutSet([]engine.Value{v})
-}
-
 // ResultWithoutSet implements Removable. It deliberately avoids
 // ensureSorted: removal evaluation runs concurrently from the ranker's
 // scoring workers, so it must not mutate shared state — it filters into
@@ -660,18 +549,4 @@ func (m *Median) withoutSorted(drop map[float64]int, nd int) engine.Value {
 	// concurrent scoring starts.
 	sort.Float64s(kept)
 	return medianOfSorted(kept)
-}
-
-// Remove implements Removable.
-func (m *Median) Remove(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	f := v.Float()
-	for i, x := range m.vals {
-		if x == f {
-			m.vals = append(m.vals[:i], m.vals[i+1:]...)
-			return
-		}
-	}
 }

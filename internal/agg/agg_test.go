@@ -95,8 +95,9 @@ func brute(t *testing.T, name string, vals []float64) engine.Value {
 	return f.Result()
 }
 
-// Property: ResultWithout(v) == recompute without one occurrence of v,
-// for every aggregate, under random inputs.
+// Property: ResultWithoutFloats of one value (the leave-one-out shape) ==
+// recompute without one occurrence of it, for every aggregate, under
+// random inputs.
 func TestResultWithoutMatchesRecompute(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -113,8 +114,10 @@ func TestResultWithoutMatchesRecompute(t *testing.T) {
 
 				acc, _ := New(name)
 				feed(acc, vals...)
-				rm := acc.(Removable)
-				got := rm.ResultWithout(engine.NewFloat(vals[idx]))
+				got := engine.Null
+				if f, ok := acc.ResultWithoutFloats(vals[idx : idx+1]); ok {
+					got = engine.NewFloat(f)
+				}
 
 				rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
 				want := brute(t, name, rest)
@@ -151,7 +154,7 @@ func TestResultWithoutSetMatchesRecompute(t *testing.T) {
 				}
 				acc, _ := New(name)
 				feed(acc, vals...)
-				got := acc.(Removable).ResultWithoutSet(removed)
+				got := acc.ResultWithoutSet(removed)
 				want := brute(t, name, rest)
 				return valueClose(got, want)
 			}
@@ -162,7 +165,8 @@ func TestResultWithoutSetMatchesRecompute(t *testing.T) {
 	}
 }
 
-// Property: Remove(v) then Result == recompute without v.
+// Property: the boxed removal of one value == recompute without it, and
+// the state's own Result is untouched.
 func TestRemoveMatchesRecompute(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -178,10 +182,9 @@ func TestRemoveMatchesRecompute(t *testing.T) {
 				idx := int(removeIdx) % len(vals)
 				acc, _ := New(name)
 				feed(acc, vals...)
-				acc.(Removable).Remove(engine.NewFloat(vals[idx]))
+				got := acc.ResultWithoutSet([]engine.Value{engine.NewFloat(vals[idx])})
 				rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
-				want := brute(t, name, rest)
-				return valueClose(acc.Result(), want)
+				return valueClose(got, brute(t, name, rest)) && valueClose(acc.Result(), brute(t, name, vals))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 				t.Error(err)
@@ -208,18 +211,18 @@ func valueClose(a, b engine.Value) bool {
 func TestExtremumRemoveRescan(t *testing.T) {
 	f, _ := New("max")
 	feed(f, 5, 5, 3)
-	rm := f.(Removable)
 	// Removing one of two 5s keeps max at 5.
-	if got := rm.ResultWithout(engine.NewFloat(5)); got.Float() != 5 {
-		t.Errorf("max without one 5: %v", got)
+	if got, ok := f.ResultWithoutFloats([]float64{5}); !ok || got != 5 {
+		t.Errorf("max without one 5: %v %v", got, ok)
 	}
-	rm.Remove(engine.NewFloat(5))
-	rm.Remove(engine.NewFloat(5))
-	if got := f.Result(); got.Float() != 3 {
-		t.Errorf("max after removing both 5s: %v", got)
+	if got, ok := f.ResultWithoutFloats([]float64{5, 5}); !ok || got != 3 {
+		t.Errorf("max without both 5s: %v %v", got, ok)
 	}
-	rm.Remove(engine.NewFloat(3))
-	if !f.Result().IsNull() {
+	// Removing more copies of a value than exist must not hide the 5s.
+	if got, ok := f.ResultWithoutFloats([]float64{3, 3, 3, 3}); !ok || got != 5 {
+		t.Errorf("max without four 3s: %v %v", got, ok)
+	}
+	if _, ok := f.ResultWithoutFloats([]float64{5, 5, 3}); ok {
 		t.Error("empty max should be NULL")
 	}
 }
@@ -254,8 +257,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestSumOfAllRemovedIsNull(t *testing.T) {
 	f, _ := New("sum")
 	feed(f, 5)
-	rm := f.(Removable)
-	if got := rm.ResultWithout(engine.NewFloat(5)); !got.IsNull() {
+	if got, ok := f.ResultWithoutFloats([]float64{5}); ok {
 		t.Errorf("sum of nothing: %v", got)
 	}
 }

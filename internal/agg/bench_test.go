@@ -39,10 +39,13 @@ func BenchmarkResultWithout(b *testing.B) {
 			for _, v := range vals {
 				f.Add(v)
 			}
-			rm := f.(Removable)
+			floats := make([]float64, len(vals))
+			for i, v := range vals {
+				floats[i] = v.Float()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rm.ResultWithout(vals[i%len(vals)])
+				f.ResultWithoutFloats(floats[i%len(vals) : i%len(vals)+1])
 			}
 		})
 	}
@@ -55,9 +58,8 @@ func BenchmarkResultWithoutSet(b *testing.B) {
 	for _, v := range vals {
 		f.Add(v)
 	}
-	rm := f.(Removable)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rm.ResultWithoutSet(removed)
+		f.ResultWithoutSet(removed)
 	}
 }

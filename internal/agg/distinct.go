@@ -1,25 +1,93 @@
 package agg
 
-import "repro/internal/engine"
+import (
+	"math"
 
-// Distinct wraps an aggregate so each distinct value contributes once,
-// implementing COUNT(DISTINCT x) / SUM(DISTINCT x) / AVG(DISTINCT x).
-// It keeps a multiset of the values seen so removal stays exact: a
-// value only leaves the inner aggregate when its last occurrence is
-// removed.
+	"repro/internal/engine"
+)
+
+// Distinct wraps an aggregate so each distinct value contributes once:
+// COUNT(DISTINCT x) / SUM(DISTINCT x) / AVG(DISTINCT x).
+//
+// Identity is Value.Key()'s: a string is itself, and every numeric kind
+// is its float64 with -0 folded into +0 and all NaNs one value — so the
+// float form keys a set by those bits and is exact (an int past 2^53 has
+// the identity of the float it rounds to, as in Key). A caller may feed
+// any stand-in that is one-to-one with the values instead, as long as
+// everything that adds to or removes from the state uses the same one:
+// the executor feeds count(DISTINCT s) the column's dictionary codes.
+//
+// The state keeps first appearances in order with their multiplicities.
+// The inner aggregate sees each value once, as first seen (a -0.0 seen
+// before +0.0 reaches sum and min as -0.0), so a merged or copied state
+// is bit-identical to the sequential scan's: Merge replays the other
+// state's unseen values into the inner aggregate in their order instead
+// of merging inner states, which would reassociate float sums. A value
+// leaves the inner aggregate only when its last occurrence is removed.
 type Distinct struct {
-	inner  Func
-	counts map[string]int
-	reprs  map[string]engine.Value
+	inner Func
+	nums  map[uint64]int32 // numeric identity → position in seen
+	strs  map[string]int32 // string identity → position in seen
+	seen  []distinctValue
+}
+
+// distinctValue is one distinct value: what the inner aggregate was fed
+// (a string's Float(), as inner.Add would take it), the string when the
+// identity is one, and how many times it was added.
+type distinctValue struct {
+	f   float64
+	s   string
+	str bool
+	n   int
 }
 
 // NewDistinct wraps inner with distinct semantics.
 func NewDistinct(inner Func) *Distinct {
-	return &Distinct{
-		inner:  inner,
-		counts: make(map[string]int),
-		reprs:  make(map[string]engine.Value),
+	return &Distinct{inner: inner, nums: make(map[uint64]int32), strs: make(map[string]int32)}
+}
+
+// numKey is the numeric identity of f (engine.Value.Key's, as bits).
+func numKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return math.Float64bits(math.NaN())
+	case f == 0:
+		return 0
 	}
+	return math.Float64bits(f)
+}
+
+// find returns the position in seen of dv's identity, or -1.
+func (d *Distinct) find(dv distinctValue) int32 {
+	if dv.str {
+		if i, ok := d.strs[dv.s]; ok {
+			return i
+		}
+	} else if i, ok := d.nums[numKey(dv.f)]; ok {
+		return i
+	}
+	return -1
+}
+
+// add folds n occurrences of dv in.
+func (d *Distinct) add(dv distinctValue, n int) {
+	i := d.find(dv)
+	if i < 0 {
+		if i = int32(len(d.seen)); dv.str {
+			d.strs[dv.s] = i
+		} else {
+			d.nums[numKey(dv.f)] = i
+		}
+		dv.n = 0
+		d.seen = append(d.seen, dv)
+		d.inner.AddFloat(dv.f)
+	}
+	d.seen[i].n += n
+}
+
+// boxed is v as a distinctValue; ok is false for NULL.
+func boxed(v engine.Value) (dv distinctValue, ok bool) {
+	return distinctValue{f: v.Float(), s: v.S, str: v.T == engine.TString}, !v.IsNull()
 }
 
 // Name implements Func.
@@ -27,93 +95,79 @@ func (d *Distinct) Name() string { return d.inner.Name() + " distinct" }
 
 // Add implements Func.
 func (d *Distinct) Add(v engine.Value) {
-	if v.IsNull() {
-		return
+	if dv, ok := boxed(v); ok {
+		d.add(dv, 1)
 	}
-	k := v.Key()
-	d.counts[k]++
-	if d.counts[k] == 1 {
-		d.reprs[k] = v
-		d.inner.Add(v)
+}
+
+// AddFloat implements Func.
+func (d *Distinct) AddFloat(f float64) { d.add(distinctValue{f: f}, 1) }
+
+// Merge implements Func.
+func (d *Distinct) Merge(other Func) bool {
+	o, ok := other.(*Distinct)
+	if !ok || o.inner.Name() != d.inner.Name() {
+		return false
 	}
+	for _, dv := range o.seen {
+		d.add(dv, dv.n)
+	}
+	return true
 }
 
 // Result implements Func.
 func (d *Distinct) Result() engine.Value { return d.inner.Result() }
 
 // Count implements Func (number of distinct non-NULL values).
-func (d *Distinct) Count() int { return len(d.counts) }
+func (d *Distinct) Count() int { return len(d.seen) }
 
 // Clone implements Func.
 func (d *Distinct) Clone() Func { return NewDistinct(d.inner.Clone()) }
 
-// removedOnce reports whether removing one occurrence of v eliminates
-// its last copy (so the inner aggregate must forget it).
-func (d *Distinct) removedOnce(v engine.Value, delta map[string]int) bool {
-	k := v.Key()
-	return d.counts[k]-delta[k]-1 <= 0 && d.counts[k] > 0
+// gone returns, in the order their last copy goes, the inner values of
+// the distinct values that removing one occurrence per entry of pos — a
+// position in seen, or -1 for a value never added — eliminates. Removals
+// past a value's multiplicity are ignored.
+func (d *Distinct) gone(pos []int32) []float64 {
+	left := make(map[int32]int, len(pos))
+	var out []float64
+	for _, i := range pos {
+		if i < 0 {
+			continue
+		}
+		c, touched := left[i]
+		if !touched {
+			c = d.seen[i].n
+		}
+		if left[i] = c - 1; c == 1 {
+			out = append(out, d.seen[i].f)
+		}
+	}
+	return out
 }
 
-// ResultWithout implements Removable.
-func (d *Distinct) ResultWithout(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return d.Result()
+// ResultWithoutFloats implements Func.
+func (d *Distinct) ResultWithoutFloats(vals []float64) (float64, bool) {
+	pos := make([]int32, len(vals))
+	for j, f := range vals {
+		pos[j] = d.find(distinctValue{f: f})
 	}
-	k := v.Key()
-	if d.counts[k] != 1 {
-		// Other occurrences remain; the distinct set is unchanged.
-		return d.Result()
-	}
-	rm, ok := d.inner.(Removable)
-	if !ok {
-		return d.Result()
-	}
-	return rm.ResultWithout(v)
+	return d.inner.ResultWithoutFloats(d.gone(pos))
 }
 
 // ResultWithoutSet implements Removable.
 func (d *Distinct) ResultWithoutSet(vs []engine.Value) engine.Value {
-	delta := make(map[string]int, len(vs))
-	var gone []engine.Value
-	for _, v := range vs {
-		if v.IsNull() {
-			continue
-		}
-		k := v.Key()
-		if d.counts[k]-delta[k] <= 0 {
-			continue // removing more copies than exist; ignore extras
-		}
-		delta[k]++
-		if d.counts[k]-delta[k] == 0 {
-			gone = append(gone, d.reprs[k])
+	pos := make([]int32, len(vs))
+	for j, v := range vs {
+		pos[j] = -1
+		if dv, ok := boxed(v); ok {
+			pos[j] = d.find(dv)
 		}
 	}
-	if len(gone) == 0 {
-		return d.Result()
+	gone := d.gone(pos)
+	boxes := make([]engine.Value, len(gone))
+	for j, f := range gone {
+		boxes[j] = engine.NewFloat(f)
 	}
-	rm, ok := d.inner.(Removable)
-	if !ok {
-		return d.Result()
-	}
-	return rm.ResultWithoutSet(gone)
-}
-
-// Remove implements Removable.
-func (d *Distinct) Remove(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	k := v.Key()
-	if d.counts[k] == 0 {
-		return
-	}
-	d.counts[k]--
-	if d.counts[k] == 0 {
-		delete(d.counts, k)
-		repr := d.reprs[k]
-		delete(d.reprs, k)
-		if rm, ok := d.inner.(Removable); ok {
-			rm.Remove(repr)
-		}
-	}
+	return d.inner.ResultWithoutSet(boxes)
 }

@@ -2,36 +2,15 @@ package agg
 
 import "math"
 
-// FloatRemovable is the unboxed fast path of Removable: leave-out
-// evaluation fed directly from a flat []float64 of argument values
-// instead of boxed engine.Values. The columnar scoring pipeline
-// (internal/influence.Scorer) decodes each aggregate's argument column
-// once per Debug run and then scores every candidate predicate through
-// this interface with zero per-call boxing.
-//
-// Callers must pass only non-NULL argument values (removing a NULL never
-// changes any aggregate, since Add ignores NULLs). vals is borrowed for
-// the duration of the call and may be a reused scratch buffer.
-//
-// All shipped aggregates implement it except the Distinct wrapper, whose
-// removal semantics depend on the value multiset identity rather than
-// float coercion; callers detect that with a type assertion and fall
-// back to the boxed path.
-type FloatRemovable interface {
-	Removable
-	// ResultWithoutFloats returns the aggregate over the accumulated
-	// state minus the given values (each removed once). ok is false when
-	// the result is NULL.
-	ResultWithoutFloats(vals []float64) (result float64, ok bool)
-}
+// ResultWithoutFloats of every aggregate (the contract is on Func).
 
-// ResultWithoutFloats implements FloatRemovable. Count yields 0, not
+// ResultWithoutFloats implements Func. Count yields 0, not
 // NULL, on empty input, matching Result.
 func (c *Count) ResultWithoutFloats(vals []float64) (float64, bool) {
 	return float64(c.n - len(vals)), true
 }
 
-// ResultWithoutFloats implements FloatRemovable.
+// ResultWithoutFloats implements Func.
 func (s *Sum) ResultWithoutFloats(vals []float64) (float64, bool) {
 	sum, n := s.sum, s.n
 	for _, f := range vals {
@@ -44,7 +23,7 @@ func (s *Sum) ResultWithoutFloats(vals []float64) (float64, bool) {
 	return sum, true
 }
 
-// ResultWithoutFloats implements FloatRemovable.
+// ResultWithoutFloats implements Func.
 func (a *Avg) ResultWithoutFloats(vals []float64) (float64, bool) {
 	sum, n := a.sum, a.n
 	for _, f := range vals {
@@ -78,7 +57,7 @@ func varianceFloat(sum, sumsq float64, n int, sample bool) (float64, bool) {
 	return ss / den, true
 }
 
-// ResultWithoutFloats implements FloatRemovable.
+// ResultWithoutFloats implements Func.
 func (v *Variance) ResultWithoutFloats(vals []float64) (float64, bool) {
 	sum, sumsq, n := v.sum, v.sumsq, v.n
 	for _, f := range vals {
@@ -89,7 +68,7 @@ func (v *Variance) ResultWithoutFloats(vals []float64) (float64, bool) {
 	return varianceFloat(sum, sumsq, n, v.sample)
 }
 
-// ResultWithoutFloats implements FloatRemovable.
+// ResultWithoutFloats implements Func.
 func (s *Stddev) ResultWithoutFloats(vals []float64) (float64, bool) {
 	r, ok := s.Variance.ResultWithoutFloats(vals)
 	if !ok {
@@ -98,7 +77,7 @@ func (s *Stddev) ResultWithoutFloats(vals []float64) (float64, bool) {
 	return math.Sqrt(r), true
 }
 
-// ResultWithoutFloats implements FloatRemovable. The common case — no
+// ResultWithoutFloats implements Func. The common case — no
 // removed value ties the current extremum, or surviving copies remain —
 // is alloc-free; only the rare full rescan builds a delta map.
 func (e *extremum) ResultWithoutFloats(vals []float64) (float64, bool) {
@@ -112,12 +91,7 @@ func (e *extremum) ResultWithoutFloats(vals []float64) (float64, bool) {
 		}
 	}
 	if removedBest < e.counts[e.best] {
-		if e.n-len(vals) <= 0 {
-			// Every copy of every value is going (vals covers the whole
-			// multiset); the aggregate becomes NULL.
-			return 0, false
-		}
-		return e.best, true
+		return e.best, true // a copy of the extremum survives
 	}
 	delta := make(map[float64]int, len(vals))
 	for _, f := range vals {
@@ -130,7 +104,7 @@ func (e *extremum) ResultWithoutFloats(vals []float64) (float64, bool) {
 	return best, true
 }
 
-// ResultWithoutFloats implements FloatRemovable. Like ResultWithoutSet
+// ResultWithoutFloats implements Func. Like ResultWithoutSet
 // it never mutates the receiver (no lazy sort of the shared slice):
 // scoring workers call it concurrently on shared aggregate states.
 func (m *Median) ResultWithoutFloats(vals []float64) (float64, bool) {

@@ -19,10 +19,6 @@ func TestResultWithoutFloatsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, ok := f.(FloatRemovable)
-			if !ok {
-				t.Fatalf("%s does not implement FloatRemovable", name)
-			}
 			n := 1 + rng.Intn(30)
 			vals := make([]float64, n)
 			for i := range vals {
@@ -37,8 +33,8 @@ func TestResultWithoutFloatsParity(t *testing.T) {
 					rmFloat = append(rmFloat, v)
 				}
 			}
-			want := f.(Removable).ResultWithoutSet(rmBoxed)
-			got, gotOK := fr.ResultWithoutFloats(rmFloat)
+			want := f.ResultWithoutSet(rmBoxed)
+			got, gotOK := f.ResultWithoutFloats(rmFloat)
 			if want.IsNull() != !gotOK {
 				t.Fatalf("%s trial %d: null mismatch (boxed null=%v, float ok=%v)", name, trial, want.IsNull(), gotOK)
 			}
@@ -50,7 +46,7 @@ func TestResultWithoutFloatsParity(t *testing.T) {
 }
 
 // TestResultWithoutFloatsSingleton mirrors the leave-one-out shape: a
-// one-element removal must agree with ResultWithout.
+// one-element removal must agree with the boxed removal.
 func TestResultWithoutFloatsSingleton(t *testing.T) {
 	for _, name := range Names() {
 		f, err := New(name)
@@ -60,10 +56,9 @@ func TestResultWithoutFloatsSingleton(t *testing.T) {
 		for _, v := range []float64{5, 3, 9, 3, 7} {
 			f.Add(engine.NewFloat(v))
 		}
-		fr := f.(FloatRemovable)
 		for _, v := range []float64{5, 3, 9} {
-			want := f.(Removable).ResultWithout(engine.NewFloat(v))
-			got, ok := fr.ResultWithoutFloats([]float64{v})
+			want := f.ResultWithoutSet([]engine.Value{engine.NewFloat(v)})
+			got, ok := f.ResultWithoutFloats([]float64{v})
 			if want.IsNull() != !ok {
 				t.Fatalf("%s: null mismatch removing %g", name, v)
 			}

@@ -2,7 +2,7 @@ package agg
 
 import "math/bits"
 
-// FoldMasked folds one segment's float chunk into a FloatAdder under a
+// FoldMasked folds one segment's float chunk into an aggregate under a
 // filter mask: for every set bit j of mask (within [0, len(vals)) and
 // not NULL per the null bitmap), vals[j] is added in ascending row
 // order. It is the batch kernel behind the mask-guarded global
@@ -22,7 +22,7 @@ import "math/bits"
 // mask and null are word bitmaps over the chunk's rows (word j covers
 // rows [64j, 64j+64)); null may be nil when the chunk has no NULL
 // bitmap. Returns the number of values folded.
-func FoldMasked(fa FloatAdder, vals []float64, null, mask []uint64) int {
+func FoldMasked(fa Func, vals []float64, null, mask []uint64) int {
 	folded := 0
 	for wi := 0; wi*64 < len(vals); wi++ {
 		w := uint64(0)

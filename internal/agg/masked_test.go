@@ -68,9 +68,9 @@ func TestFoldMaskedParity(t *testing.T) {
 			for _, name := range names {
 				got, _ := New(name)
 				ref, _ := New(name)
-				folded := FoldMasked(got.(FloatAdder), vals, null, mask)
+				folded := FoldMasked(got, vals, null, mask)
 				want := 0
-				rfa := ref.(FloatAdder)
+				rfa := ref
 				for i := 0; i < nrows; i++ {
 					if mask[i/64]&(1<<(uint(i)%64)) == 0 {
 						continue
@@ -96,7 +96,7 @@ func TestFoldMaskedParity(t *testing.T) {
 			// CountMasked must agree with the fold row count ignoring
 			// values, and with null=nil count every in-range set bit.
 			sum, _ := New("sum")
-			folded := FoldMasked(sum.(FloatAdder), vals, null, mask)
+			folded := FoldMasked(sum, vals, null, mask)
 			if c := CountMasked(nrows, null, mask); c != folded {
 				t.Fatalf("nrows=%d density=%d: CountMasked=%d, FoldMasked folded %d", nrows, d, c, folded)
 			}
@@ -140,8 +140,8 @@ func TestFoldMaskedRandomized(t *testing.T) {
 		}
 		got, _ := New("sum")
 		ref, _ := New("sum")
-		FoldMasked(got.(FloatAdder), vals, null, mask)
-		rfa := ref.(FloatAdder)
+		FoldMasked(got, vals, null, mask)
+		rfa := ref
 		for i := 0; i < nrows; i++ {
 			if mask[i/64]&(1<<(uint(i)%64)) != 0 && null[i/64]&(1<<(uint(i)%64)) == 0 {
 				rfa.AddFloat(vals[i])
@@ -169,7 +169,7 @@ func BenchmarkFoldMasked(b *testing.B) {
 		mask := maskAt(rng, len(vals), d)
 		b.Run(fmt.Sprintf("density=%d", d), func(b *testing.B) {
 			sum, _ := New("sum")
-			fa := sum.(FloatAdder)
+			fa := sum
 			b.SetBytes(int64(len(vals) * 8))
 			for i := 0; i < b.N; i++ {
 				FoldMasked(fa, vals, null, mask)

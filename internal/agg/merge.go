@@ -1,50 +1,8 @@
 package agg
 
-// This file holds the two interfaces the executor (internal/exec)
-// accumulates through: FloatAdder, the unboxed
-// counterpart of Add for numeric argument columns, and Merger, the
-// shard-combine step of the partitioned scan.
+// AddFloat and Merge of every aggregate (the contract is on Func).
 
-// FloatAdder is the unboxed accumulation fast path: AddFloat folds one
-// non-NULL numeric value — exactly the float64 coercion Add would
-// compute via engine.Value.Float — into the state. The vectorized
-// executor feeds FloatView/ArgView float slices through this interface
-// so per-row accumulation never boxes.
-//
-// Callers must skip NULL rows themselves (Add ignores NULLs; AddFloat
-// has no way to represent one). All shipped aggregates implement it
-// except the Distinct wrapper, whose identity semantics need the boxed
-// value.
-type FloatAdder interface {
-	Func
-	// AddFloat folds one non-NULL numeric value into the state.
-	AddFloat(f float64)
-}
-
-// Merger is implemented by aggregate states that can absorb another
-// state of the same kind — the combine step of a partitioned scan: each
-// shard accumulates privately, then states merge pairwise in shard
-// order. Merge returns false (leaving the receiver unchanged) when
-// other is not a compatible state; between states cloned from one
-// prototype that cannot happen, and the executor reports it as an
-// internal error.
-//
-// Merging must be equivalent to having Added other's values after the
-// receiver's (Median concatenates in order so holistic results match
-// the sequential scan exactly; the algebraic aggregates sum partial
-// sums). The Distinct wrapper deliberately does not implement Merger —
-// its per-shard states would double-count values seen by multiple
-// shards — so a statement with a DISTINCT aggregate scans as a single
-// shard of the same pipeline, and exec.Advance re-runs it instead of
-// carrying its states.
-type Merger interface {
-	Func
-	// Merge folds other's accumulated state into the receiver. It
-	// reports whether other was a compatible state.
-	Merge(other Func) bool
-}
-
-// Merge implements Merger.
+// Merge implements Func.
 func (c *Count) Merge(other Func) bool {
 	o, ok := other.(*Count)
 	if !ok {
@@ -54,10 +12,10 @@ func (c *Count) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (c *Count) AddFloat(float64) { c.n++ }
 
-// Merge implements Merger.
+// Merge implements Func.
 func (s *Sum) Merge(other Func) bool {
 	o, ok := other.(*Sum)
 	if !ok {
@@ -68,13 +26,13 @@ func (s *Sum) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (s *Sum) AddFloat(f float64) {
 	s.sum += f
 	s.n++
 }
 
-// Merge implements Merger.
+// Merge implements Func.
 func (a *Avg) Merge(other Func) bool {
 	o, ok := other.(*Avg)
 	if !ok {
@@ -85,7 +43,7 @@ func (a *Avg) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (a *Avg) AddFloat(f float64) {
 	a.sum += f
 	a.n++
@@ -99,7 +57,7 @@ func (v *Variance) mergeFrom(o *Variance) {
 	v.n += o.n
 }
 
-// Merge implements Merger.
+// Merge implements Func.
 func (v *Variance) Merge(other Func) bool {
 	o, ok := other.(*Variance)
 	if !ok {
@@ -109,14 +67,14 @@ func (v *Variance) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (v *Variance) AddFloat(f float64) {
 	v.sum += f
 	v.sumsq += f * f
 	v.n++
 }
 
-// Merge implements Merger. Stddev states only merge with Stddev states
+// Merge implements Func. Stddev states only merge with Stddev states
 // (the embedded Variance.Merge would reject them).
 func (s *Stddev) Merge(other Func) bool {
 	o, ok := other.(*Stddev)
@@ -127,7 +85,7 @@ func (s *Stddev) Merge(other Func) bool {
 	return true
 }
 
-// Merge implements Merger.
+// Merge implements Func.
 func (e *extremum) Merge(other Func) bool {
 	o, ok := other.(*extremum)
 	if !ok || o.min != e.min {
@@ -144,7 +102,7 @@ func (e *extremum) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (e *extremum) AddFloat(f float64) {
 	e.counts[f]++
 	if !e.haveAny || e.displaces(f, e.best) {
@@ -154,7 +112,7 @@ func (e *extremum) AddFloat(f float64) {
 	e.n++
 }
 
-// Merge implements Merger. Appending other's values in shard order
+// Merge implements Func. Appending other's values in shard order
 // reproduces the sequential scan's multiset (order is irrelevant after
 // the sort, but keeping it makes the merged state bit-identical).
 func (m *Median) Merge(other Func) bool {
@@ -167,7 +125,7 @@ func (m *Median) Merge(other Func) bool {
 	return true
 }
 
-// AddFloat implements FloatAdder.
+// AddFloat implements Func.
 func (m *Median) AddFloat(f float64) {
 	m.vals = append(m.vals, f)
 	m.sorted = false

@@ -318,17 +318,24 @@ func debugEq(t *testing.T, label string, want, got *core.DebugResult) {
 // TestMatrixDebugAdvance cancels core.DebugAdvance at every learner
 // checkpoint. The carried prev must survive each cancelled attempt:
 // retrying uncancelled must produce the same analysis as a from-scratch
-// Debug over an independently executed fresh result.
+// Debug over an independently executed fresh result. Seed 0 is the trial
+// whose debugged aggregate is count(DISTINCT s): it redraws the statement
+// until it is one, and highlights examples (leaving one tuple out rarely
+// moves a distinct count, so there is little influence to stand in for
+// them).
 func TestMatrixDebugAdvance(t *testing.T) {
 	seeds := int64(5)
 	if testing.Short() {
 		seeds = 2
 	}
-	cases := 0
-	for seed := int64(1); seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed * 317))
+	cases, distinctCases := 0, 0
+	for seed := int64(0); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed*317 + 1))
 		tbl := testgen.TableSeg(rng, 150+rng.Intn(150), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
+		for seed == 0 && !stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
+			stmt = testgen.DebugStmt(rng)
+		}
 		res, err := exec.RunOn(tbl, stmt)
 		if err != nil {
 			continue
@@ -337,10 +344,15 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if len(suspect) == 0 {
 			continue
 		}
+		var examples []int
+		if seed == 0 {
+			F := res.Lineage(suspect)
+			examples = F[:len(F)/3+1]
+		}
 		metric := testgen.Metric(rng)
 		opt := core.Options{DriftThreshold: -1} // always re-expand: maximum carried machinery
 		prev, err := core.Debug(core.DebugRequest{
-			Result: res, AggItem: -1, Suspect: suspect, Metric: metric, Opt: opt,
+			Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt,
 		})
 		if err != nil {
 			continue
@@ -354,21 +366,27 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Advance: %v", seed, err)
 		}
+		if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
+			t.Fatalf("seed %d: Advance re-ran: %+v [%s]", seed, advRes.Plan, stmt)
+		}
 		fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
 		suspect2 := testgen.Suspects(rng, fresh)
+		if seed == 0 {
+			suspect2 = suspect // the examples are these groups' tuples (no ORDER BY: same rows)
+		}
 		if len(suspect2) == 0 {
 			continue
 		}
 		oracle, oerr := core.Debug(core.DebugRequest{
-			Result: fresh, AggItem: -1, Suspect: suspect2, Metric: metric, Opt: opt,
+			Result: fresh, AggItem: -1, Suspect: suspect2, Examples: examples, Metric: metric, Opt: opt,
 		})
 
 		req := func(ctx context.Context) core.DebugRequest {
 			return core.DebugRequest{
-				Ctx: ctx, Result: advRes, AggItem: -1, Suspect: suspect2, Metric: metric, Opt: opt,
+				Ctx: ctx, Result: advRes, AggItem: -1, Suspect: suspect2, Examples: examples, Metric: metric, Opt: opt,
 			}
 		}
 		n, cntErr := CountPolls(func(ctx context.Context) error {
@@ -393,16 +411,22 @@ func TestMatrixDebugAdvance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d k=%d: retry after cancel failed: %v", seed, k, err)
 			}
+			if retry.Plan.Mode == "full" {
+				t.Fatalf("seed %d k=%d: the advance fell back to a full Debug: %+v [%s]", seed, k, retry.Plan, stmt)
+			}
 			debugEq(t, fmt.Sprintf("seed %d k=%d [%s]", seed, k, stmt.String()), oracle, retry)
 			cases++
+			if seed == 0 {
+				distinctCases++
+			}
 		}
 	}
 	minCases := 10
 	if testing.Short() {
 		minCases = 3
 	}
-	if cases < minCases {
-		t.Fatalf("matrix degenerated: only %d cancelled cases", cases)
+	if cases < minCases || distinctCases == 0 {
+		t.Fatalf("matrix degenerated: only %d cancelled cases, %d debugging count(DISTINCT s)", cases, distinctCases)
 	}
 }
 

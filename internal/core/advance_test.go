@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/testgen"
 )
 
@@ -110,18 +111,30 @@ func drawRequest(rng *rand.Rand, res *exec.Result) (suspect, examples []int, ok 
 	return suspect, examples, true
 }
 
+// debugStmt draws a DebugStmt; with distinct set it redraws until the
+// debugged (first) aggregate is count(DISTINCT s), which the harnesses
+// below do on each seed's first chain so the shape is always among their
+// trials.
+func debugStmt(rng *rand.Rand, distinct bool) *sqlparse.SelectStmt {
+	for {
+		if stmt := testgen.DebugStmt(rng); !distinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
+			return stmt
+		}
+	}
+}
+
 func TestDebugAdvanceDifferential(t *testing.T) {
 	seeds := int64(5)
 	iters := 3
 	if testing.Short() {
-		seeds, iters = 3, 2
+		seeds = 4
 	}
-	compared, advanced := 0, 0
+	compared, advanced, distinct := 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 313))
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
 		for iter := 0; iter < iters; iter++ {
-			stmt := testgen.DebugStmt(rng)
+			stmt := debugStmt(rng, iter == 0)
 			advRes, err := exec.RunOn(tbl, stmt)
 			if err != nil {
 				continue
@@ -139,6 +152,9 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				advRes, err = exec.Advance(advRes, grown)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
+				}
+				if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
+					t.Fatalf("seed %d iter %d step %d: Advance re-ran: %+v [%s]", seed, iter, step, advRes.Plan, stmt)
 				}
 				// Fresh oracle at a forced shard count: shard-merged
 				// aggregate states feed the from-scratch Debug.
@@ -171,10 +187,10 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				}
 				debugResultsEqual(t, label, want, got)
 				compared++
-				if prev != nil && prev.state != nil && prev.state.scorer != nil {
+				if prev != nil {
 					// With carried state present, oracle mode must have
 					// taken the incremental re-expansion path, not a
-					// silent fallback.
+					// silent fallback — whatever the debugged aggregate.
 					if !got.Plan.Incremental {
 						t.Fatalf("%s: advance fell back: %+v", label, got.Plan)
 					}
@@ -182,6 +198,9 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 						t.Fatalf("%s: oracle mode ran %q", label, got.Plan.Mode)
 					}
 					advanced++
+					if stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
+						distinct++
+					}
 				}
 				prev = got
 				cur = grown
@@ -192,13 +211,13 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 	// Degeneracy guard: the harness must actually compare results, and
 	// a healthy share of the comparisons must have exercised the
 	// incremental path (not the nil-prev full fallback).
-	t.Logf("compared %d steps, %d via the incremental path", compared, advanced)
+	t.Logf("compared %d steps, %d via the incremental path, %d of those debugging count(DISTINCT s)", compared, advanced, distinct)
 	minCompared, minAdvanced := 15, 8
 	if testing.Short() {
 		minCompared, minAdvanced = 4, 2
 	}
-	if compared < minCompared || advanced < minAdvanced {
-		t.Fatalf("harness degenerated: %d comparisons (%d incremental)", compared, advanced)
+	if compared < minCompared || advanced < minAdvanced || distinct == 0 {
+		t.Fatalf("harness degenerated: %d comparisons (%d incremental, %d DISTINCT)", compared, advanced, distinct)
 	}
 }
 

@@ -168,9 +168,8 @@ type Explanation struct {
 // carried scores drifting past Options.DriftThreshold trigger
 // re-expansion (the learners re-run over the advanced state); and
 // conditions the incremental path cannot express at all — no carried
-// state, a changed statement or metric, a non-advanceable aggregate —
-// fall back to the full from-scratch pipeline, with the reason
-// recorded in Fallback.
+// state, a changed statement, metric or aggregate — fall back to the
+// full from-scratch pipeline, with the reason recorded in Fallback.
 type DebugPlan struct {
 	// Incremental is true when the pass advanced carried state from a
 	// previous Debug instead of rebuilding the scoring structures.
@@ -619,12 +618,8 @@ func (d *debugRun) context() *ranker.Context {
 		Metric: d.req.Metric, F: d.an.F, Population: d.learnPop, Culpable: d.culpable,
 		Eps: d.an.Eps, Weights: d.opt.Weights,
 		DisablePrune: d.opt.DisablePrune, DisableMerge: d.opt.DisableMerge,
+		Scorer: d.an.Scorer, // the preprocessor's: lineage bitsets + flat argument column
 	}
-	// Columnar fast path: reuse the Scorer the preprocessor already
-	// built (lineage bitsets + flat argument column) for every candidate
-	// scoring in this Debug call; the ranker falls back to the boxed
-	// path internally when the Scorer is nil (e.g. DISTINCT aggregates).
-	ctx.Scorer = d.an.Scorer
 	if d.index == nil {
 		d.index = predicate.NewIndex(d.req.Result.Source)
 	}
@@ -735,9 +730,9 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // over the advanced state ("reexpanded" — identical, stage for stage,
 // to what a from-scratch Debug would compute). Conditions the advance
 // cannot express at all — no carried state, a changed statement,
-// metric, or aggregate, a non-advanceable aggregate state — fall back
-// to the full pipeline with Plan.Fallback saying why. DebugAdvance with
-// a nil prev is exactly Debug.
+// metric, or aggregate — fall back to the full pipeline with
+// Plan.Fallback saying why. DebugAdvance with a nil prev is exactly
+// Debug.
 func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	opt := req.Opt
@@ -760,8 +755,6 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	st := prev.state
 	res := req.Result
 	switch {
-	case st.scorer == nil:
-		return fall("previous analysis has no columnar scorer")
 	case res.Stmt == nil || st.stmtKey != res.Stmt.String():
 		return fall("statement changed")
 	case !res.Source.SameFamily(st.src):
@@ -784,7 +777,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	start := time.Now()
 	sc, err := influence.AdvanceScorer(st.scorer, res, req.Suspect, ord, req.Metric)
 	if err != nil {
-		return fall("scorer not advanceable: " + err.Error())
+		return nil, err
 	}
 	an, err := influence.RankWithScorerCtx(req.ctx(), sc, influence.Options{MaxTuples: opt.MaxLOOTuples})
 	if err != nil {

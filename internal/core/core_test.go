@@ -168,3 +168,35 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestDebugRefusesDistinctOverStrings pins the one shape Debug declines
+// by name: a DISTINCT aggregate whose set is keyed by string values (a
+// computed string, or a string column under anything but count) has no
+// float argument view, and there is no second, boxed scorer to fall to.
+// The query itself runs, and count(DISTINCT <string column>) — scanned
+// and scored on dictionary codes — debugs.
+func TestDebugRefusesDistinctOverStrings(t *testing.T) {
+	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "s", engine.TString))
+	for i := 0; i < 60; i++ {
+		tbl.MustAppendRow(engine.NewInt(int64(i%2)), engine.NewString(string(rune('a'+i%(3+4*(i%2))))))
+	}
+	db := engine.NewDB()
+	db.Register(tbl)
+	for agg, refused := range map[string]bool{
+		"count(DISTINCT s)":        false,
+		"count(DISTINCT lower(s))": true,
+		"min(DISTINCT s)":          true,
+	} {
+		res, err := Run(db, "SELECT k, "+agg+" AS a FROM t GROUP BY k")
+		if err != nil {
+			t.Fatalf("%s: %v", agg, err)
+		}
+		dr, err := Debug(DebugRequest{Result: res, AggItem: -1, Suspect: []int{1}, Examples: []int{1, 3}, Metric: errmetric.TooHigh{C: 3}})
+		switch {
+		case refused && (err == nil || !strings.Contains(err.Error(), "DISTINCT aggregate over string values")):
+			t.Errorf("%s: Debug returned %v, %v; want the named refusal", agg, dr, err)
+		case !refused && err != nil:
+			t.Errorf("%s: %v", agg, err)
+		}
+	}
+}

@@ -25,12 +25,12 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds, iters = 2, 2
 	}
-	compared, horizons := 0, 0
+	compared, horizons, distinct := 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 919))
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
 		for iter := 0; iter < iters; iter++ {
-			stmt := testgen.DebugStmt(rng)
+			stmt := debugStmt(rng, iter == 0)
 			advRes, err := exec.RunOn(tbl, stmt)
 			if err != nil {
 				continue
@@ -86,17 +86,23 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 				if dropped > 0 && got.Plan.Incremental && got.Plan.Fallback == "" {
 					t.Fatalf("%s: crossed a retention horizon incrementally without recording it: %+v", label, got.Plan)
 				}
+				if prev != nil && got.Plan.Mode == "full" {
+					t.Fatalf("%s: advance fell back to a full Debug: %+v", label, got.Plan)
+				}
+				if prev != nil && stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
+					distinct++
+				}
 				prev = got
 			}
 			tbl = cur
 		}
 	}
-	t.Logf("compared %d steps across %d retention horizons", compared, horizons)
+	t.Logf("compared %d steps across %d retention horizons, %d advancing a count(DISTINCT s) debug", compared, horizons, distinct)
 	minCompared, minHorizons := 10, 3
 	if testing.Short() {
 		minCompared, minHorizons = 4, 1
 	}
-	if compared < minCompared || horizons < minHorizons {
-		t.Fatalf("harness degenerated: %d comparisons, %d horizons", compared, horizons)
+	if compared < minCompared || horizons < minHorizons || distinct == 0 {
+		t.Fatalf("harness degenerated: %d comparisons, %d horizons, %d DISTINCT", compared, horizons, distinct)
 	}
 }

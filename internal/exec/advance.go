@@ -36,11 +36,10 @@ import (
 // Advance executes res.Stmt against grown — a newer version of
 // res.Source's table family (see engine.Table.AppendBatch) — reusing
 // res's group states and folding in only the appended rows.
-// Plan.Incremental reports whether that happened; when the carried
-// state cannot be extended — a retention pass dropped rows it
-// references, or an aggregate state has no Merge to copy it with
-// (DISTINCT) — the statement re-runs over the whole of grown and
-// Plan.Fallback records why. Aggregate-free projections always re-run.
+// Plan.Incremental reports whether that happened; when a retention pass
+// dropped rows the carried state references, the statement re-runs over
+// the whole of grown and Plan.Fallback records why — the only thing that
+// field names. Aggregate-free projections always re-run.
 func Advance(res *Result, grown *engine.Table) (*Result, error) {
 	return AdvanceCtx(context.Background(), res, grown)
 }
@@ -136,12 +135,9 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	// extend their clause masks incrementally and residual ones evaluate
 	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
 	// reinstate the O(table)-per-batch rescan this path exists to avoid.
-	p, err := planVector(ctx, grown, stmt, res.aggArgs, protos, oldN)
+	p, err := planVector(ctx, grown, stmt, res.aggItems, protos, oldN)
 	if err != nil {
 		return nil, err
-	}
-	if !p.mergeable {
-		return rerun("advance: aggregate state has no Merge to carry it with")
 	}
 
 	// Claim the result for advancing before touching any shared slice.
@@ -242,7 +238,7 @@ func rebaseBlocker(res *Result, drop int) string {
 // version-portable.
 func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 	ng := &Group{Key: g.Key, Lineage: g.Lineage, Aggs: make([]agg.Func, len(g.Aggs)), FirstRow: g.FirstRow}
-	vg := &vGroup{g: ng, slots: slots, fas: make([]agg.FloatAdder, len(g.Aggs))}
+	vg := &vGroup{g: ng, slots: slots}
 	for i, k := range p.keys {
 		v := g.Key[i]
 		if k.kind != kindDict {
@@ -256,13 +252,8 @@ func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 		}
 	}
 	for i, a := range g.Aggs {
-		fresh := a.Clone()
-		if !fresh.(agg.Merger).Merge(a) { // every state is a Merger: p.mergeable
+		if ng.Aggs[i] = a.Clone(); !ng.Aggs[i].Merge(a) {
 			return nil, errShardMerge
-		}
-		ng.Aggs[i] = fresh
-		if p.args[i].floatFed {
-			vg.fas[i] = fresh.(agg.FloatAdder)
 		}
 	}
 	return vg, nil
@@ -319,7 +310,7 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, dro
 				av.Vals = append(make([]float64, 0, newN), old.Vals[drop:]...)
 			}
 			// An evaluation error leaves this ordinal to a lazy full build.
-			if fillArgView(av, out.aggArgs[ord], out.Source, oldN, newN) == nil {
+			if fillArgView(av, out.aggCall(ord), out.Source, oldN, newN) == nil {
 				out.argViews[ord] = av
 			}
 		}

@@ -44,6 +44,28 @@ func checkArgViews(t *testing.T, label string, res *Result) {
 			t.Fatalf("%s: aggregate %d: %v", label, ord, err)
 		}
 		vals, null := boxedArgView(t, res, ord)
+		if a := argSource(res.Source.Schema(), res.aggCall(ord)); a.kind == argDict {
+			// Dictionary codes stand in for the strings: the view must be
+			// one-to-one with them, whatever the codes are.
+			code, str := make(map[string]float64), make(map[float64]string)
+			for r := range vals {
+				vals[r] = av.Vals[r]
+				s := res.Source.Value(r, a.col)
+				if s.IsNull() {
+					continue
+				}
+				if c, ok := code[s.S]; ok && c != av.Vals[r] {
+					t.Fatalf("%s: aggregate %d row %d: %q has codes %v and %v", label, ord, r, s.S, c, av.Vals[r])
+				}
+				if o, ok := str[av.Vals[r]]; ok && o != s.S {
+					t.Fatalf("%s: aggregate %d row %d: code %v is %q and %q", label, ord, r, av.Vals[r], o, s.S)
+				}
+				code[s.S], str[av.Vals[r]] = av.Vals[r], s.S
+			}
+			if len(code) < 2 {
+				t.Fatalf("%s: aggregate %d: %d distinct codes, fixture has more strings", label, ord, len(code))
+			}
+		}
 		if len(av.Vals) != len(vals) || av.Null.Len() != len(vals) {
 			t.Fatalf("%s: aggregate %d: view covers %d rows (%d NULL bits), want %d", label, ord, len(av.Vals), av.Null.Len(), len(vals))
 		}
@@ -61,12 +83,12 @@ func checkArgViews(t *testing.T, label string, res *Result) {
 // TestArgViewMatchesBoxedEval pins fillArgView — fresh (AggArgFloats)
 // and as Advance's suffix extension — to the boxed evaluation, for a
 // bare float column, bare int and time columns, a bare string column
-// (no typed view: the evaluator arm), computed arguments and count(*),
-// on a resident table and on the same rows served out of core through a
-// pool smaller than one chunk.
+// (the evaluator arm; its dictionary codes under count(DISTINCT)),
+// computed arguments and count(*), on a resident table and on the same
+// rows served out of core through a pool smaller than one chunk.
 func TestArgViewMatchesBoxedEval(t *testing.T) {
 	stmt := mustParse(t, "SELECT j, avg(f) AS a, sum(i) AS b, max(t) AS c, count(s) AS d, "+
-		"sum(f + j) AS e, avg(f * 2 - i) AS g, count(*) AS n FROM p GROUP BY j")
+		"sum(f + j) AS e, avg(f * 2 - i) AS g, count(*) AS n, count(DISTINCT s) AS h FROM p GROUP BY j")
 	rng := rand.New(rand.NewSource(23))
 	fs := store.NewMemFS()
 	buildOOCTable(t, fs, rng, 7)

@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
-	"repro/internal/expr"
+	"repro/internal/sqlparse"
 )
 
 // This file is the exec half of the columnar scoring fast path: instead
@@ -15,19 +16,29 @@ import (
 // decodes the argument column once into a flat []float64 + NULL bitmap
 // and hands lineage sets out as bitsets.
 
-// ArgView is one aggregate's argument evaluated over every source row:
-// Vals[src] is the float64 coercion of the argument on row src (1 for
-// count(*)), NaN when NULL; Null marks the NULL rows.
+// ArgView is one aggregate's argument over every source row, as the
+// float the scan fed the aggregate's state for that row (argSource): the
+// argument's float64 coercion — 1 for count(*), the dictionary code for
+// count(DISTINCT string column) — and NaN when NULL; Null marks the NULL
+// rows. Vals[src] is therefore what ResultWithoutFloats removes row src
+// with.
 type ArgView struct {
 	Vals []float64
 	Null *bitset.Bitset
 }
 
+// errDistinctStrings is AggArgFloats' error for a DISTINCT aggregate whose
+// argument evaluates to strings (a computed string, or a string column
+// under anything but count). Its set is keyed by the strings and no float
+// stands in for them, so Debug refuses such an aggregate rather than
+// score it through a second, boxed implementation.
+var errDistinctStrings = errors.New("exec: a DISTINCT aggregate over string values has no float argument view (only count(DISTINCT <string column>) and numeric arguments can be debugged)")
+
 // AggArgFloats returns the cached ArgView of the ord'th aggregate,
-// building it on first call: a bare numeric column copies out of its
-// typed view, any other argument evaluates once per source row. The
-// returned view is shared and read-only. On out-of-core tables a
-// chunk-load failure surfaces as an error, never a panic.
+// building it on first call: a bare column copies out of its typed view,
+// any other argument evaluates once per source row. The returned view is
+// shared and read-only. On out-of-core tables a chunk-load failure
+// surfaces as an error, never a panic.
 func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	if ord < 0 || ord >= len(r.aggArgs) {
@@ -40,7 +51,7 @@ func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 	}
 	n := r.Source.NumRows()
 	av = &ArgView{Vals: make([]float64, 0, n), Null: bitset.New(n)}
-	if err := fillArgView(av, r.aggArgs[ord], r.Source, 0, n); err != nil {
+	if err := fillArgView(av, r.aggCall(ord), r.Source, 0, n); err != nil {
 		return nil, err
 	}
 	if r.argViews == nil {
@@ -50,45 +61,53 @@ func (r *Result) AggArgFloats(ord int) (av *ArgView, err error) {
 	return av, nil
 }
 
-// fillArgView appends arg's value on source rows [from, to) to av.Vals
-// (which must hold exactly the rows before from) and marks their NULLs
-// in av.Null: 1 for count(*)'s nil argument, the typed view's cells for
-// a bare numeric column, the compiled evaluation otherwise.
-func fillArgView(av *ArgView, arg expr.Expr, src *engine.Table, from, to int) error {
-	if arg == nil { // count(*): every row contributes 1
-		for i := from; i < to; i++ {
-			av.Vals = append(av.Vals, 1)
-		}
-		return nil
-	}
-	if col, ok := arg.(*expr.Col); ok {
-		if fv := src.FloatView(col.Index); fv != nil {
-			fr := fv.NewReader()
-			defer fr.Close()
-			for i := from; i < to; i++ {
-				f, null := fr.At(i)
-				av.Vals = append(av.Vals, f)
-				if null {
-					av.Null.Set(i)
-				}
-			}
-			return nil
-		}
-	}
-	rr := src.NewRowReader()
-	defer rr.Close()
-	ev := rowEval(arg, rr, src.NumCols())
-	for i := from; i < to; i++ {
-		v, err := ev(i)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			av.Vals = append(av.Vals, math.NaN())
+// aggCall is the ord'th aggregate's call in the statement.
+func (r *Result) aggCall(ord int) *sqlparse.AggCall { return r.Stmt.Items[r.aggItems[ord]].Agg }
+
+// fillArgView appends call's argument on source rows [from, to) to
+// av.Vals (which must hold exactly the rows before from) and marks their
+// NULLs in av.Null, reading it the way the scan does (argSource).
+func fillArgView(av *ArgView, call *sqlparse.AggCall, src *engine.Table, from, to int) error {
+	add := func(i int, f float64, null bool) {
+		if null {
+			f = math.NaN()
 			av.Null.Set(i)
-			continue
 		}
-		av.Vals = append(av.Vals, v.Float())
+		av.Vals = append(av.Vals, f)
+	}
+	switch a := argSource(src.Schema(), call); a.kind {
+	case argConst1:
+		for i := from; i < to; i++ {
+			add(i, 1, false)
+		}
+	case argFloat:
+		fr := src.FloatView(a.col).NewReader()
+		defer fr.Close()
+		for i := from; i < to; i++ {
+			f, null := fr.At(i)
+			add(i, f, null)
+		}
+	case argDict:
+		dr := src.DictView(a.col).NewReader()
+		defer dr.Close()
+		for i := from; i < to; i++ {
+			c := dr.CodeAt(i)
+			add(i, float64(c), c < 0)
+		}
+	default:
+		rr := src.NewRowReader()
+		defer rr.Close()
+		ev := rowEval(a.node, rr, src.NumCols())
+		for i := from; i < to; i++ {
+			v, err := ev(i)
+			if err != nil {
+				return err
+			}
+			if call.Distinct && v.T == engine.TString {
+				return errDistinctStrings
+			}
+			add(i, v.Float(), v.IsNull())
+		}
 	}
 	return nil
 }

@@ -7,9 +7,8 @@
 // The original DBWipes runs on PostgreSQL and reconstructs lineage with
 // rewritten queries; here lineage falls out of the hash-aggregation loop
 // for free. The Result type is the hand-off point to the ranked
-// provenance pipeline: it exposes lineage sets, live (removable)
-// aggregate states, and the means to re-evaluate an aggregate argument
-// on a source row.
+// provenance pipeline: it exposes lineage sets, the live aggregate
+// states, and each aggregate's argument as a flat column.
 package exec
 
 import (
@@ -671,14 +670,6 @@ func (r *Result) AggOrdinalOf(itemIdx int) int {
 	return -1
 }
 
-// AggState returns the live aggregate state for output row rowIdx and
-// aggregate ordinal ord. The second result is false when the state does
-// not support removal (all shipped aggregates do).
-func (r *Result) AggState(rowIdx, ord int) (agg.Removable, bool) {
-	rm, ok := r.Groups[rowIdx].Aggs[ord].(agg.Removable)
-	return rm, ok
-}
-
 // AggFloat returns the aggregate value at (output row, aggregate
 // ordinal) as float64; NaN-free NULLs come back as (0, false).
 func (r *Result) AggFloat(rowIdx, ord int) (float64, bool) {
@@ -689,12 +680,22 @@ func (r *Result) AggFloat(rowIdx, ord int) (float64, bool) {
 	return v.Float(), true
 }
 
-// AggArgValue evaluates the ord'th aggregate's argument on source row
-// src (count(*) yields 1). This is the value leave-one-out analysis
-// feeds to ResultWithout.
+// AggArgValue returns, boxed, what the scan fed the ord'th aggregate's
+// state for source row src: the argument evaluated on the whole boxed row
+// (count(*) yields 1) — or, where the pipeline fed count(DISTINCT s) the
+// column's dictionary codes (argSource), that code, so that what the
+// reference scorer (influence.EpsWithoutRows, this method's caller)
+// removes is in the state's identity domain. Production reads
+// AggArgFloats.
 func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 	if r.aggArgs[ord] == nil {
 		return engine.NewInt(1), nil
+	}
+	if a := argSource(r.Source.Schema(), r.aggCall(ord)); a.kind == argDict && r.Plan.Vectorized {
+		if c := r.Source.DictView(a.col).CodeAt(src); c >= 0 {
+			return engine.NewInt(int64(c)), nil
+		}
+		return engine.Null, nil
 	}
 	return r.aggArgs[ord].Eval(r.Source.Row(src))
 }
@@ -706,23 +707,6 @@ func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 func (r *Result) Lineage(rowIdxs []int) []int {
 	b := r.LineageBits(rowIdxs)
 	return b.AppendRows(make([]int, 0, b.Count()))
-}
-
-// GroupOf returns, for each listed output row, a map from source row id
-// to that output row index. Rows in multiple groups keep the first.
-func (r *Result) GroupOf(rowIdxs []int) map[int]int {
-	m := make(map[int]int)
-	for _, ri := range rowIdxs {
-		if ri < 0 || ri >= len(r.Groups) {
-			continue
-		}
-		for _, src := range r.Groups[ri].Lineage {
-			if _, ok := m[src]; !ok {
-				m[src] = ri
-			}
-		}
-	}
-	return m
 }
 
 // AllRows returns 0..NumRows-1, convenient for "every group is suspect".

@@ -105,11 +105,6 @@ func TestLineageCapture(t *testing.T) {
 	if len(all) != 6 {
 		t.Errorf("union lineage: %v", all)
 	}
-	// GroupOf maps each source row to its group.
-	m := res.GroupOf([]int{0, 1, 2})
-	if m[0] != 0 || m[5] != 1 || m[4] != 2 {
-		t.Errorf("GroupOf: %v", m)
-	}
 }
 
 // Property: lineage partitions the WHERE-passing rows — every passing
@@ -277,8 +272,8 @@ func TestAggStateAccessors(t *testing.T) {
 	if v, ok := res.AggFloat(0, 0); !ok || v != 30 {
 		t.Errorf("AggFloat: %v %v", v, ok)
 	}
-	if _, ok := res.AggState(0, 0); !ok {
-		t.Error("sum should be removable")
+	if got, ok := res.Groups[0].Aggs[0].ResultWithoutFloats([]float64{10}); !ok || got != 20 {
+		t.Errorf("live sum state without 10: %v %v", got, ok)
 	}
 	// AggArgValue evaluates the argument on a source row.
 	v, err := res.AggArgValue(0, 2) // amount of row 2 = 30

@@ -412,7 +412,7 @@ func TestBlockPollCadence(t *testing.T) {
 		const n = 5*ctxCheckRows + 777
 		tbl := poisonedTable(rand.New(rand.NewSource(5)), n, segBits, -1)
 		stmt := keyShapeStmt(t, "p", keyShapes[0].groupBy, "")
-		aggArgs, _, protos, err := prepare(tbl, stmt)
+		_, aggItems, protos, err := prepare(tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestBlockPollCadence(t *testing.T) {
 				}
 				last = at
 			}}
-			p, err := planVector(ctx, tbl, stmt, aggArgs, protos, lo)
+			p, err := planVector(ctx, tbl, stmt, aggItems, protos, lo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,11 +15,12 @@ import (
 // This file pins the pipeline to the boxed reference scan
 // (RunReference) with randomized statements: WHERE trees (lowerable and
 // not), GROUP BY lists of 0–6 keys (column, computed, string-valued
-// computed, mixed), aggregate mixes (including DISTINCT and computed
-// arguments), over tables with NULLs, NaNs and collision-heavy values.
-// Results must match exactly — cell values, group order, lineage,
-// FirstRow — at 1, 2, 3 and 4 shards, and every fresh grouped run must
-// report Plan.Vectorized with an empty Plan.Fallback.
+// computed, mixed), aggregate mixes (including computed arguments, and
+// DISTINCT over every argument source: numeric column, computed number,
+// string column, computed string), over tables with NULLs, NaNs and
+// collision-heavy values. Results must match exactly — cell values, group
+// order, lineage, FirstRow — at 1 to 5 shards, and every fresh grouped
+// run must report Plan.Vectorized with an empty Plan.Fallback.
 //
 // Shard merging adds partial float sums, which is only bit-exact when
 // the addends are; the generator therefore draws floats from multiples
@@ -199,9 +200,24 @@ func randGroupBy(rng *rand.Rand) []expr.Expr {
 	return out
 }
 
+// distinctNames × distinctArgs is what a random DISTINCT aggregate draws
+// from: an identity-only, two algebraic, an extremal and a holistic inner
+// aggregate, over each argument source the scan has (argFloat, argEval
+// yielding numbers, argDict under count and argEval under the rest,
+// argEval yielding strings).
+var (
+	distinctNames = []string{"count", "sum", "avg", "min", "median"}
+	distinctArgs  = []func() expr.Expr{
+		func() expr.Expr { return expr.NewCol("f") },
+		func() expr.Expr { return expr.NewBin(expr.OpAdd, expr.NewCol("f"), expr.NewCol("j")) },
+		func() expr.Expr { return expr.NewCol("s") },
+		func() expr.Expr { return expr.NewFunc("lower", expr.NewCol("s")) },
+	}
+)
+
 func randAggItem(rng *rand.Rand, alias string) sqlparse.SelectItem {
 	var call *sqlparse.AggCall
-	switch rng.Intn(12) {
+	switch rng.Intn(14) {
 	case 0:
 		call = &sqlparse.AggCall{Name: "count", Star: true}
 	case 1:
@@ -224,8 +240,12 @@ func randAggItem(rng *rand.Rand, alias string) sqlparse.SelectItem {
 	case 9:
 		// Aggregate over a string column (boxed column source).
 		call = &sqlparse.AggCall{Name: "count", Arg: expr.NewCol("s")}
-	case 10:
-		call = &sqlparse.AggCall{Name: "count", Arg: expr.NewCol("s"), Distinct: true}
+	case 10, 11, 12:
+		call = &sqlparse.AggCall{
+			Name:     distinctNames[rng.Intn(len(distinctNames))],
+			Arg:      distinctArgs[rng.Intn(len(distinctArgs))](),
+			Distinct: true,
+		}
 	default:
 		call = &sqlparse.AggCall{Name: "sum", Arg: expr.NewCol("f")}
 	}
@@ -355,7 +375,7 @@ func tablesEqual(t *testing.T, label string, a, b *engine.Table) {
 
 func TestVectorScalarParity(t *testing.T) {
 	widths := make(map[int]int)
-	sawDistinct, sawStringKey := false, false
+	sawDistinct, sawStringKey := make(map[string]bool), false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := parityTable(rng, rng.Intn(250))
@@ -364,7 +384,7 @@ func TestVectorScalarParity(t *testing.T) {
 			sql := stmt.String()
 
 			ref, refErr := runRef(tbl, stmt)
-			for shards := 1; shards <= 4; shards++ {
+			for shards := 1; shards <= 5; shards++ {
 				label := fmt.Sprintf("seed %d iter %d shards=%d [%s]", seed, iter, shards, sql)
 				vec, vecErr := runWith(tbl, stmt, Options{Shards: shards})
 				if (refErr != nil) != (vecErr != nil) {
@@ -381,7 +401,11 @@ func TestVectorScalarParity(t *testing.T) {
 				continue
 			}
 			widths[len(stmt.GroupBy)]++
-			sawDistinct = sawDistinct || hasDistinct
+			for _, item := range stmt.Items {
+				if hasDistinct && item.IsAgg() && item.Agg.Distinct {
+					sawDistinct[item.Agg.Name], sawDistinct[item.Agg.Arg.String()] = true, true
+				}
+			}
 			for _, g := range ref.Groups {
 				for k, v := range g.Key {
 					if _, isCol := stmt.GroupBy[k].(*expr.Col); !isCol && v.T == engine.TString {
@@ -396,7 +420,7 @@ func TestVectorScalarParity(t *testing.T) {
 			t.Fatalf("harness coverage: no statement with %d group keys ran (%v)", w, widths)
 		}
 	}
-	if !sawDistinct || !sawStringKey {
+	if len(sawDistinct) != len(distinctNames)+len(distinctArgs) || !sawStringKey {
 		t.Fatalf("harness coverage: sawDistinct=%v sawStringKey=%v", sawDistinct, sawStringKey)
 	}
 }

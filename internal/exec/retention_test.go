@@ -66,12 +66,12 @@ func boundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
 // batches with randomized retention passes and checks the advanced
 // result against the reference scan at every step.
 func TestAdvanceRetentionParity(t *testing.T) {
-	sawDrop, sawFallback := false, false
+	sawDrop, sawFallback, sawDistinct := false, false, false
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed * 733))
 		tbl := tinySegTable(rng, 100+rng.Intn(200))
 		for iter := 0; iter < 12; iter++ {
-			stmt, _ := randStmt(rng)
+			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
 			cur := tbl
 			res, err := RunOn(cur, stmt)
@@ -79,6 +79,7 @@ func TestAdvanceRetentionParity(t *testing.T) {
 				continue
 			}
 			assertPipeline(t, sql, res)
+			sawDistinct = sawDistinct || hasDistinct
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(batchRows(rng, boundaryBatchSize(rng, cur)))
 				if err != nil {
@@ -104,6 +105,9 @@ func TestAdvanceRetentionParity(t *testing.T) {
 				if !adv.Plan.Vectorized || adv.Plan.Incremental == (adv.Plan.Fallback != "") {
 					t.Fatalf("seed %d iter %d step %d: an advance either carries or re-runs on the pipeline with a recorded reason, got %+v\nsql: %s", seed, iter, step, adv.Plan, sql)
 				}
+				if dropped == 0 && !adv.Plan.Incremental {
+					t.Fatalf("seed %d iter %d step %d: only retention may force a re-run, got %+v\nsql: %s", seed, iter, step, adv.Plan, sql)
+				}
 				if dropped > 0 && !adv.Plan.Incremental {
 					sawFallback = true
 				}
@@ -119,8 +123,8 @@ func TestAdvanceRetentionParity(t *testing.T) {
 			tbl = cur
 		}
 	}
-	if !sawDrop || !sawFallback {
-		t.Fatalf("harness coverage: sawDrop=%v sawFallback=%v", sawDrop, sawFallback)
+	if !sawDrop || !sawFallback || !sawDistinct {
+		t.Fatalf("harness coverage: sawDrop=%v sawFallback=%v sawDistinct=%v", sawDrop, sawFallback, sawDistinct)
 	}
 }
 
@@ -149,7 +153,7 @@ func retentionRebaseFixture(t *testing.T, rows int) *engine.Table {
 func retentionStmt(t *testing.T, cutoff float64) *sqlparse.SelectStmt {
 	t.Helper()
 	stmt, err := sqlparse.Parse(fmt.Sprintf(
-		"SELECT j, sum(x) AS s, count(*) AS c FROM m WHERE x >= %v GROUP BY j", cutoff))
+		"SELECT j, sum(x) AS s, count(*) AS c, sum(DISTINCT x - j) AS d FROM m WHERE x >= %v GROUP BY j", cutoff))
 	if err != nil {
 		t.Fatal(err)
 	}

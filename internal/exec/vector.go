@@ -33,11 +33,10 @@ import (
 //     column), a uint64 map (one key of any other kind) or a byte-string
 //     map (two or more keys),
 //  4. arguments fold from the chunk slices into the aggregate states
-//     (agg.FloatAdder for numeric columns), and
-//  5. the shards' private group states merge in shard order via
-//     agg.Merger — which preserves the sequential scan's
-//     first-appearance group order, ascending lineage, and FirstRow.
-//     Aggregates without a Merge (DISTINCT) scan as one shard.
+//     (AddFloat; Add only for what a per-row evaluator yields), and
+//  5. the shards' private group states Merge in shard order — which
+//     preserves the sequential scan's first-appearance group order,
+//     ascending lineage, and FirstRow.
 //
 // RunReference (exec.go) is the boxed oracle the randomized parity
 // tests pin this pipeline to, bit for bit.
@@ -48,7 +47,7 @@ type Options struct {
 	// Shards forces the number of scan partitions (0 = automatic:
 	// GOMAXPROCS capped so each shard keeps at least a few thousand
 	// rows). Tests pin it on tables the automatic choice would not
-	// split. Ignored when the statement is not shardable.
+	// split.
 	Shards int
 }
 
@@ -106,7 +105,7 @@ type PlanInfo struct {
 	FilterFallback string
 	// MaskedAgg is true when a global (no GROUP BY) aggregation under a
 	// WHERE folded every argument from chunk slices under the block mask
-	// (agg.FoldMasked): float-fed arguments only.
+	// (agg.FoldMasked): count(*) and numeric-column arguments only.
 	MaskedAgg bool
 	// KeyKernels counts the GROUP BY keys planned as typed chunk kernels
 	// (numeric computed keys, expr.CompileFloat). It counts keys, not
@@ -180,15 +179,35 @@ type argKind int
 const (
 	argConst1 argKind = iota // count(*): every row contributes 1
 	argFloat                 // numeric column via plan.fviews
+	argDict                  // count(DISTINCT string column): dictionary codes
 	argEval                  // anything else: per-row evaluator
 )
 
-// argSrc is one aggregate's per-row argument source.
+// argSrc is one aggregate's per-row argument source: what the scan, a
+// later Advance's suffix scan and the scorer's argument view (fillArgView)
+// all feed the state, so a DISTINCT set has one identity domain for life.
 type argSrc struct {
-	kind     argKind
-	col      int       // argFloat
-	node     expr.Expr // argEval (evaluator built per shard)
-	floatFed bool      // state implements agg.FloatAdder and the source is float
+	kind argKind
+	col  int       // argFloat, argDict
+	node expr.Expr // argEval (evaluator built per shard)
+}
+
+// argSource picks call's argument source. A numeric column is its floats.
+// count(DISTINCT s) over a bare string column reads identity only, so the
+// family's dictionary codes — append-only, the same in every version of
+// the table — stand in for the strings. Everything else is evaluated per
+// row and boxed: Add takes it (strings keep string identity).
+func argSource(schema engine.Schema, call *sqlparse.AggCall) argSrc {
+	col, isCol := call.Arg.(*expr.Col)
+	switch {
+	case call.Arg == nil:
+		return argSrc{kind: argConst1}
+	case isCol && schema[col.Index].Type.IsNumeric():
+		return argSrc{kind: argFloat, col: col.Index}
+	case isCol && schema[col.Index].Type == engine.TString && call.Distinct && call.Name == "count":
+		return argSrc{kind: argDict, col: col.Index}
+	}
+	return argSrc{kind: argEval, node: call.Arg}
 }
 
 // vectorPlan is the analyzed statement: everything the shard workers
@@ -208,9 +227,8 @@ type vectorPlan struct {
 	filter     *bitset.Bitset // nil: no WHERE
 	fstats     filterStats
 	denseSize  int // >0: single string group column, dense slot table
-	mergeable  bool
 	// maskedAgg (PlanInfo.MaskedAgg): a global aggregate under a filter
-	// whose arguments are all count(*) or numeric columns into FloatAdders.
+	// whose arguments are all count(*) or numeric columns.
 	maskedAgg bool
 	// strCodes interns the strings evaluated group keys yield (GROUP BY
 	// lower(s)): plan-wide, so every shard maps equal strings to one slot
@@ -244,13 +262,8 @@ func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
 // the first row the caller will consume from the WHERE mask: fresh runs
 // pass 0, Advance passes the old row count so residual conjuncts touch
 // only the suffix.
-func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
-	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos, mergeable: true}
-	for _, proto := range protos {
-		if _, ok := proto.(agg.Merger); !ok {
-			p.mergeable = false
-		}
-	}
+func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggItems []int, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
+	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos}
 	p.fviews = make([]*engine.FloatView, src.NumCols())
 	numeric := func(col int) bool {
 		if p.fviews[col] == nil {
@@ -280,14 +293,10 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		}
 	}
 
-	p.args = make([]argSrc, len(aggArgs))
-	for ai, arg := range aggArgs {
-		_, isFA := protos[ai].(agg.FloatAdder)
-		p.args[ai] = argSrc{kind: argEval, node: arg}
-		if arg == nil {
-			p.args[ai] = argSrc{kind: argConst1, floatFed: isFA}
-		} else if col, ok := arg.(*expr.Col); ok && numeric(col.Index) {
-			p.args[ai] = argSrc{kind: argFloat, col: col.Index, floatFed: isFA}
+	p.args = make([]argSrc, len(aggItems))
+	for ai, item := range aggItems {
+		if p.args[ai] = argSource(src.Schema(), stmt.Items[item].Agg); p.args[ai].kind == argFloat {
+			numeric(p.args[ai].col)
 		}
 	}
 
@@ -297,7 +306,7 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 	}
 
 	p.maskedAgg = len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 &&
-		!slices.ContainsFunc(p.args, func(a argSrc) bool { return a.kind == argEval || !a.floatFed })
+		!slices.ContainsFunc(p.args, func(a argSrc) bool { return a.kind == argEval || a.kind == argDict })
 	return p, nil
 }
 
@@ -308,25 +317,19 @@ func (p *vectorPlan) planInfo(shards int) PlanInfo {
 	return plan
 }
 
-// vGroup is one shard-local (or merged) group with its key slots and
-// the pre-asserted unboxed accumulation handles.
+// vGroup is one shard-local (or merged) group with its key slots.
 type vGroup struct {
 	g     *Group
-	slots []uint64         // one per group-by column
-	fas   []agg.FloatAdder // per aggregate ordinal; nil when boxed
-	gain  int              // mergeShards: lineage rows later shards still add
+	slots []uint64 // one per group-by column
+	gain  int      // mergeShards: lineage rows later shards still add
 }
 
 func (p *vectorPlan) newGroup(slots []uint64, r int) *vGroup {
 	g := &Group{Aggs: make([]agg.Func, len(p.protos)), FirstRow: r}
-	vg := &vGroup{g: g, slots: append([]uint64(nil), slots...), fas: make([]agg.FloatAdder, len(p.protos))}
 	for i, proto := range p.protos {
 		g.Aggs[i] = proto.Clone()
-		if p.args[i].floatFed {
-			vg.fas[i] = g.Aggs[i].(agg.FloatAdder)
-		}
 	}
-	return vg
+	return &vGroup{g: g, slots: append([]uint64(nil), slots...)}
 }
 
 // groupIndex is a list of groups in first-appearance order with the
@@ -410,13 +413,14 @@ type shardScan struct {
 	plan     *vectorPlan
 	lo, hi   int
 	keys     []keyScan
-	argEvals []expr.Evaluator // argEval arguments
+	argEvals []expr.Evaluator     // argEval arguments
+	argDicts []*engine.DictReader // argDict arguments
 	err      error
 
 	// Segment readers pin one chunk at a time, so out-of-core reads fault
-	// per segment: fr by column (plan.fviews), keys[i].dc, and rr, which
-	// boxes single cells — for evaluators, non-float arguments, a new
-	// group's column keys — off the same typed chunks.
+	// per segment: fr by column (plan.fviews), keys[i].dc, argDicts, and
+	// rr, which boxes single cells — for evaluators and a new group's
+	// column keys — off the same typed chunks.
 	fr []*engine.FloatReader
 	rr *engine.RowReader
 	// cursors lists rr and every reader above, for closeCursors.
@@ -471,9 +475,14 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 		}
 	}
 	ss.argEvals = make([]expr.Evaluator, len(p.args))
+	ss.argDicts = make([]*engine.DictReader, len(p.args))
 	for ai, a := range p.args {
-		if a.kind == argEval {
+		switch a.kind {
+		case argEval:
 			ss.argEvals[ai] = rowEval(a.node, ss.rr, ncols)
+		case argDict:
+			ss.argDicts[ai] = p.src.DictView(a.col).NewReader()
+			ss.cursors = append(ss.cursors, ss.argDicts[ai])
 		}
 	}
 	return ss
@@ -673,29 +682,26 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 		switch a := &p.args[ai]; a.kind {
 		case argConst1:
 			for _, gi := range ss.gis[:n] {
-				vg := ss.groups[gi]
-				if fa := vg.fas[ai]; fa != nil {
-					fa.AddFloat(1)
-				} else {
-					vg.g.Aggs[ai].Add(engine.NewInt(1))
-				}
+				ss.groups[gi].g.Aggs[ai].AddFloat(1)
 			}
 		case argFloat:
 			vals, null := ss.fr[a.col].Chunk(k)
-			if len(p.keys) == 0 && a.floatFed {
+			if len(p.keys) == 0 {
 				// One group takes the whole block: the batch mask kernel,
 				// same values in the same ascending order.
-				agg.FoldMasked(ss.groups[0].fas[ai], vals[lo-base:hi-base], null[(lo-base)/64:], mask)
+				agg.FoldMasked(ss.groups[0].g.Aggs[ai], vals[lo-base:hi-base], null[(lo-base)/64:], mask)
 				continue
 			}
 			for j, o := range sel[:n] {
-				if null[o>>6]&(1<<(uint(o)&63)) != 0 {
-					continue // Add ignores NULLs; so does skipping
+				if null[o>>6]&(1<<(uint(o)&63)) == 0 { // Add ignores NULLs; so does skipping
+					ss.groups[ss.gis[j]].g.Aggs[ai].AddFloat(vals[o])
 				}
-				if vg := ss.groups[ss.gis[j]]; vg.fas[ai] != nil {
-					vg.fas[ai].AddFloat(vals[o])
-				} else {
-					vg.g.Aggs[ai].Add(ss.rr.Value(base+int(o), a.col))
+			}
+		case argDict:
+			codes := ss.argDicts[ai].Chunk(k)
+			for j, o := range sel[:n] {
+				if c := codes[o]; c >= 0 { // NULL code -1
+					ss.groups[ss.gis[j]].g.Aggs[ai].AddFloat(float64(c))
 				}
 			}
 		default: // argEval
@@ -786,7 +792,7 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 		tgt.g.Lineage = append(slices.Grow(tgt.g.Lineage, tgt.gain), part.Lineage...)
 		tgt.gain -= len(part.Lineage)
 		for ai := range tgt.g.Aggs {
-			if m, ok := tgt.g.Aggs[ai].(agg.Merger); !ok || !m.Merge(part.Aggs[ai]) {
+			if !tgt.g.Aggs[ai].Merge(part.Aggs[ai]) {
 				return nil, errShardMerge
 			}
 		}
@@ -798,10 +804,7 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 // is honored as given (capped at one bitset word — 64 rows — per
 // shard, the alignment floor); the automatic choice additionally keeps
 // every shard above minShardRows so setup and merge never dominate.
-func shardCount(p *vectorPlan, n int, opts Options) int {
-	if !p.mergeable {
-		return 1
-	}
+func shardCount(n int, opts Options) int {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = min(runtime.GOMAXPROCS(0), (n+minShardRows-1)/minShardRows)
@@ -882,14 +885,14 @@ func shardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]int {
 // runVector executes a grouped statement: plan, sharded scan, merge,
 // materialize.
 func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, opts Options) (*Result, error) {
-	p, err := planVector(ctx, src, stmt, aggArgs, protos, 0)
+	p, err := planVector(ctx, src, stmt, aggItems, protos, 0)
 	if err != nil {
 		return nil, err
 	}
 
 	n := src.NumRows()
 	var states []*shardScan
-	for _, r := range shardRanges(n, src.SegRows(), shardCount(p, n, opts), p.filter) {
+	for _, r := range shardRanges(n, src.SegRows(), shardCount(n, opts), p.filter) {
 		states = append(states, newShardScan(p, r[0], r[1]))
 	}
 	var wg sync.WaitGroup

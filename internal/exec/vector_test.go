@@ -124,14 +124,32 @@ func TestVectorPlanDistinctRunsInPipeline(t *testing.T) {
 	assertPipeline(t, "DISTINCT", res)
 	res = runBoth(t, tbl, `SELECT pop, count(DISTINCT city) AS c, sum(DISTINCT temp) AS s FROM v GROUP BY pop`)
 	assertPipeline(t, "grouped DISTINCT", res)
-	// DISTINCT states have no Merge: however many shards are asked for,
-	// the scan stays one.
-	many, err := runWith(tbl, mustParse(t, `SELECT count(DISTINCT city) AS c FROM v`), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	// A filtered global DISTINCT over a numeric column (the benchmark's
+	// `distinct` request) folds under the block mask like any other.
+	res = runBoth(t, tbl, `SELECT count(DISTINCT temp) AS c FROM v WHERE pop = 20`)
+	if !res.Plan.MaskedAgg {
+		t.Fatalf("filtered global DISTINCT left the masked fold: %+v", res.Plan)
 	}
-	if many.Plan.Shards != 1 {
-		t.Fatalf("DISTINCT scanned on %d shards", many.Plan.Shards)
+	// DISTINCT sets merge: the scan shards like any other, and the shards'
+	// sets union to the sequential scan's.
+	big := vectorTestTableSegs(t, 6)
+	for _, sql := range []string{
+		`SELECT count(DISTINCT city) AS c FROM v`,
+		`SELECT pop, count(DISTINCT city) AS c, sum(DISTINCT temp) AS s FROM v GROUP BY pop`,
+	} {
+		many, err := runWith(big, mustParse(t, sql), Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if many.Plan.Shards < 2 {
+			t.Fatalf("%s scanned on %d shards", sql, many.Plan.Shards)
+		}
+		ref, err := runRef(big, mustParse(t, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, sql, ref.Table, many.Table)
+		groupsEqual(t, sql, ref, many)
 	}
 }
 
@@ -198,7 +216,7 @@ func TestWideGroupKeys(t *testing.T) {
 	}
 }
 
-// refusingAgg is a Merger whose Merge always refuses — the broken
+// refusingAgg is a state whose Merge always refuses — the broken
 // aggregate mergeShards must report instead of silently re-running.
 type refusingAgg struct{ agg.Sum }
 
@@ -208,11 +226,11 @@ func (r *refusingAgg) Merge(agg.Func) bool { return false }
 func TestMergeRefusalIsAnInternalError(t *testing.T) {
 	tbl := vectorTestTable(t)
 	stmt := mustParse(t, `SELECT count(*) AS c FROM v`)
-	aggArgs, _, _, err := prepare(tbl, stmt)
+	_, aggItems, _, err := prepare(tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := planVector(context.Background(), tbl, stmt, aggArgs, []agg.Func{&refusingAgg{}}, 0)
+	p, err := planVector(context.Background(), tbl, stmt, aggItems, []agg.Func{&refusingAgg{}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,17 +260,18 @@ func TestProjectionUsesLoweredFilter(t *testing.T) {
 	}
 }
 
-func TestVectorShardedMatchesSingleShard(t *testing.T) {
-	// Shards are whole segments now, so a multi-shard scan needs a
-	// table spanning several segments: force the minimum segment size
-	// and enough rows for five of them.
-	tbl, err := engine.NewTableSeg("v", vectorTestTable(t).Schema(), engine.MinSegmentBits)
+// vectorTestTableSegs repeats vectorTestTable's rows into a table of the
+// minimum segment size until it spans segs segments: a multi-shard scan
+// needs more than one.
+func vectorTestTableSegs(t *testing.T, segs int) *engine.Table {
+	t.Helper()
+	src := vectorTestTable(t)
+	tbl, err := engine.NewTableSeg("v", src.Schema(), engine.MinSegmentBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := vectorTestTable(t)
-	rows := make([][]engine.Value, 0, 6*tbl.SegRows())
-	for len(rows) < 6*tbl.SegRows() {
+	rows := make([][]engine.Value, 0, segs*tbl.SegRows())
+	for len(rows) < segs*tbl.SegRows() {
 		for r := 0; r < src.NumRows(); r++ {
 			rows = append(rows, src.Row(r))
 		}
@@ -261,6 +280,11 @@ func TestVectorShardedMatchesSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tbl
+}
+
+func TestVectorShardedMatchesSingleShard(t *testing.T) {
+	tbl := vectorTestTableSegs(t, 6)
 	sql := `SELECT city, sum(pop) AS s, min(temp) AS m FROM v GROUP BY city`
 	one, err := runWith(tbl, mustParse(t, sql), Options{Shards: 1})
 	if err != nil {

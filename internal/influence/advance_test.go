@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/testgen"
 )
@@ -66,11 +67,31 @@ func scorersEqual(t *testing.T, label string, a, b *Scorer, rng *rand.Rand) {
 	}
 }
 
+// oracleEqual pins sc's ε-without on a random removal set to the boxed
+// reference over the same result.
+func oracleEqual(t *testing.T, label string, res *exec.Result, suspect []int, metric errmetric.Metric, sc *Scorer, rng *rand.Rand) {
+	t.Helper()
+	var rows []int
+	for r := 0; r < sc.nsrc; r++ {
+		if rng.Intn(3) == 0 {
+			rows = append(rows, r)
+		}
+	}
+	want, err := EpsWithoutRows(res, suspect, 0, metric, rows)
+	if err != nil {
+		t.Fatalf("%s: EpsWithoutRows: %v", label, err)
+	}
+	if got := sc.EpsWithoutBits(bitset.FromRows(sc.nsrc, rows), sc.NewScratch()); !floatsEqual(want, got) {
+		t.Fatalf("%s: EpsWithoutRows=%v EpsWithoutBits=%v", label, want, got)
+	}
+}
+
 func TestAdvanceScorerDifferential(t *testing.T) {
 	seeds := int64(8)
 	if testing.Short() {
 		seeds = 3
 	}
+	sawDistinct := false
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 977))
 		tbl := testgen.TableSeg(rng, 80+rng.Intn(150), engine.MinSegmentBits)
@@ -85,7 +106,13 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			if len(suspect) == 0 {
 				continue
 			}
-			prev, prevErr := NewScorer(res, suspect, 0, metric)
+			// DebugStmt's first aggregate is the debugged one; count(DISTINCT
+			// s) among them scores through the same Scorer as the rest.
+			sawDistinct = sawDistinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct
+			prev, err := NewScorer(res, suspect, 0, metric)
+			if err != nil {
+				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
+			}
 			cur := tbl
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
@@ -96,6 +123,9 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
+				if !adv.Plan.Incremental || adv.Plan.Fallback != "" {
+					t.Fatalf("seed %d iter %d step %d: Advance re-ran without retention: %+v [%s]", seed, iter, step, adv.Plan, stmt)
+				}
 				// Re-draw suspects half the time: the carried F union
 				// only applies to an unchanged suspect set, and the
 				// changed-set path must rebuild, not mis-carry.
@@ -104,20 +134,13 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
 				fresh, freshErr := NewScorer(adv, suspect, 0, metric)
-				var carried *Scorer
-				var carErr error
-				if prevErr == nil {
-					carried, carErr = AdvanceScorer(prev, adv, suspect, 0, metric)
-				} else {
-					carried, carErr = AdvanceScorer(nil, adv, suspect, 0, metric)
+				carried, carErr := AdvanceScorer(prev, adv, suspect, 0, metric)
+				if freshErr != nil || carErr != nil {
+					t.Fatalf("%s: fresh=%v carried=%v", label, freshErr, carErr)
 				}
-				if (freshErr != nil) != (carErr != nil) {
-					t.Fatalf("%s: error disagreement: fresh=%v carried=%v", label, freshErr, carErr)
-				}
-				if freshErr == nil {
-					scorersEqual(t, label, fresh, carried, rng)
-				}
-				prev, prevErr = carried, carErr
+				scorersEqual(t, label, fresh, carried, rng)
+				oracleEqual(t, label, adv, suspect, metric, carried, rng)
+				prev = carried
 				res, cur = adv, grown
 			}
 			// Next iteration draws a fresh statement (and a fresh result
@@ -125,6 +148,9 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			// over the grown table.
 			tbl = cur
 		}
+	}
+	if !sawDistinct {
+		t.Fatal("harness coverage: no trial debugged count(DISTINCT s)")
 	}
 }
 

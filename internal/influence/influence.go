@@ -3,20 +3,18 @@
 // user's error metric ε, it ranks every tuple in F by how much removing
 // it alone would reduce ε — leave-one-out (LOO) influence analysis.
 //
-// Thanks to the removable aggregates in internal/agg, each tuple's
-// counterfactual aggregate is O(1) for the algebraic aggregates
-// (sum/count/avg/stddev/var), so the whole pass is O(|F|). For very
-// large F a deterministic sampling mode bounds the work.
+// Every aggregate state in internal/agg answers "the result without
+// these values" (ResultWithoutFloats) — O(1) per tuple for the algebraic
+// aggregates (sum/count/avg/stddev/var) — so the whole pass is O(|F|).
+// For very large F a deterministic sampling mode bounds the work.
 package influence
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sync"
 
-	"repro/internal/agg"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -55,9 +53,8 @@ type Analysis struct {
 	Influences []TupleInfluence
 	// F is the full lineage of the suspect groups (sorted row ids).
 	F []int
-	// Scorer is the columnar scoring state built during ranking, ready
-	// for reuse by downstream predicate scoring (nil when the boxed
-	// fallback ran, e.g. for DISTINCT aggregates).
+	// Scorer is the columnar scoring state the ranking ran through, ready
+	// for reuse by downstream predicate scoring. Never nil.
 	Scorer *Scorer
 
 	// deltaByRow indexes Influences by row, built lazily on the first
@@ -74,94 +71,22 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt
 
 // RankCtx is Rank under a cancellable context: the O(|F|) LOO loop
 // polls ctx per ctxCheckRows tuples and returns an error wrapping the
-// context error on cancellation, leaving res untouched.
+// context error on cancellation, leaving res untouched. It is NewScorer
+// followed by RankWithScorerCtx; a suspect selection or aggregate
+// NewScorer refuses is an error here.
 func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt Options) (*Analysis, error) {
-	if len(suspect) == 0 {
-		return nil, fmt.Errorf("influence: no suspect groups")
+	sc, err := NewScorer(res, suspect, ord, metric)
+	if err != nil {
+		return nil, err
 	}
-	if ord < 0 || ord >= len(res.AggOrdinals()) {
-		return nil, fmt.Errorf("influence: aggregate ordinal %d out of range (%d aggregates)", ord, len(res.AggOrdinals()))
-	}
-
-	// Columnar fast path: when every aggregate state supports unboxed
-	// removal, rank through the Scorer (flat argument column + lineage
-	// bitsets) instead of the boxed interpreter. NewScorer failing for a
-	// reason other than a missing fast path (e.g. an out-of-range
-	// suspect) is fine too: the boxed path below re-detects the problem
-	// and reports the error.
-	if sc, scErr := NewScorer(res, suspect, ord, metric); scErr == nil {
-		return RankWithScorerCtx(ctx, sc, opt)
-	}
-
-	// Current aggregate values for the suspect groups, in suspect order.
-	vals := make([]float64, len(suspect))
-	states := make([]agg.Removable, len(suspect))
-	for i, ri := range suspect {
-		if ri < 0 || ri >= res.NumRows() {
-			return nil, fmt.Errorf("influence: suspect row %d out of range", ri)
-		}
-		if v, ok := res.AggFloat(ri, ord); ok {
-			vals[i] = v
-		} else {
-			vals[i] = math.NaN()
-		}
-		st, ok := res.AggState(ri, ord)
-		if !ok {
-			return nil, fmt.Errorf("influence: aggregate %d is not removable", ord)
-		}
-		states[i] = st
-	}
-	eps := metric.Eval(vals)
-
-	an := &Analysis{Eps: eps, F: res.Lineage(suspect)}
-
-	// Map each lineage tuple to its position in the suspect slice.
-	groupPos := make(map[int]int, len(suspect))
-	for i, ri := range suspect {
-		groupPos[ri] = i
-	}
-	rowGroup := res.GroupOf(suspect)
-
-	rows := sampleRows(an.F, opt.MaxTuples)
-
-	scratch := append([]float64(nil), vals...)
-	an.Influences = make([]TupleInfluence, 0, len(rows))
-	for i, src := range rows {
-		if i%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("influence: cancelled: %w", err)
-			}
-		}
-		gi, ok := rowGroup[src]
-		if !ok {
-			continue
-		}
-		pos := groupPos[gi]
-		v, err := res.AggArgValue(ord, src)
-		if err != nil {
-			return nil, err
-		}
-		without := states[pos].ResultWithout(v)
-		old := scratch[pos]
-		if without.IsNull() {
-			scratch[pos] = math.NaN()
-		} else {
-			scratch[pos] = without.Float()
-		}
-		delta := eps - metric.Eval(scratch)
-		scratch[pos] = old
-		an.Influences = append(an.Influences, TupleInfluence{Row: src, GroupRow: gi, Delta: delta})
-	}
-	sortInfluences(an.Influences)
-	return an, nil
+	return RankWithScorerCtx(ctx, sc, opt)
 }
 
 // RankWithScorer runs the columnar preprocessor pass over an
 // already-built scoring state — the entry point the incremental Debug
 // path uses after advancing a carried Scorer to a grown table version
 // (AdvanceScorer), so the LOO analysis never rebuilds what the carry
-// preserved. Rank's fast path routes through it too, keeping the two
-// bit-identical.
+// preserved. Rank routes through it too.
 func RankWithScorer(sc *Scorer, opt Options) *Analysis {
 	an, _ := RankWithScorerCtx(context.Background(), sc, opt)
 	return an
@@ -179,8 +104,7 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer, opt Options) (*Analysis,
 }
 
 // sampleRows returns rows, or an evenly spaced sample of max of them
-// when the cap is exceeded (max <= 0 means no cap). Shared by the boxed
-// and columnar Rank paths so their sampling stays identical.
+// when the cap is exceeded (max <= 0 means no cap).
 func sampleRows(rows []int, max int) []int {
 	if max <= 0 || len(rows) <= max {
 		return rows
@@ -265,20 +189,21 @@ func (a *Analysis) DeltaOf(row int) float64 {
 }
 
 // EpsWithoutRows evaluates ε with an arbitrary set of source rows
-// removed from their groups (the predicate-scoring primitive used by
-// the ranker). rows may contain rows outside the suspect lineage; they
+// removed from their groups, one boxed argument value at a time — the
+// reference Scorer.EpsWithoutBits is pinned to, and what the baselines
+// score with. rows may contain rows outside the suspect lineage; they
 // are ignored.
 func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, rows []int) (float64, error) {
+	if err := checkSelection(res, suspect, ord); err != nil {
+		return 0, err
+	}
 	inRemoval := make(map[int]bool, len(rows))
 	for _, r := range rows {
 		inRemoval[r] = true
 	}
 	vals := make([]float64, len(suspect))
 	for i, ri := range suspect {
-		st, ok := res.AggState(ri, ord)
-		if !ok {
-			return 0, fmt.Errorf("influence: aggregate %d is not removable", ord)
-		}
+		st := res.Groups[ri].Aggs[ord]
 		var removed []int
 		for _, src := range res.Groups[ri].Lineage {
 			if inRemoval[src] {

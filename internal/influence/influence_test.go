@@ -213,4 +213,14 @@ func TestRankErrors(t *testing.T) {
 	if _, err := Rank(res, []int{99}, 0, errmetric.TooHigh{}, Options{}); err == nil {
 		t.Error("out-of-range suspect accepted")
 	}
+	// The reference scorer checks its selection like NewScorer does: it
+	// used to index res.Groups blind and panic.
+	for _, suspect := range [][]int{nil, {99}, {-1}} {
+		if _, err := EpsWithoutRows(res, suspect, 0, errmetric.TooHigh{}, []int{0}); err == nil {
+			t.Errorf("EpsWithoutRows accepted suspects %v", suspect)
+		}
+	}
+	if _, err := EpsWithoutRows(res, []int{0}, 5, errmetric.TooHigh{}, nil); err == nil {
+		t.Error("EpsWithoutRows accepted a bad ordinal")
+	}
 }

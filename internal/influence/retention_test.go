@@ -3,6 +3,7 @@ package influence
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -22,7 +23,7 @@ func TestAdvanceScorerRetentionDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
-	horizons := 0
+	horizons, sawDistinct := 0, false
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 557))
 		tbl := testgen.TableSeg(rng, 80+rng.Intn(150), engine.MinSegmentBits)
@@ -37,7 +38,11 @@ func TestAdvanceScorerRetentionDifferential(t *testing.T) {
 			if len(suspect) == 0 {
 				continue
 			}
-			prev, prevErr := NewScorer(res, suspect, 0, metric)
+			sawDistinct = sawDistinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct
+			prev, err := NewScorer(res, suspect, 0, metric)
+			if err != nil {
+				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
+			}
 			cur := tbl
 			for step := 0; step < 3; step++ {
 				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
@@ -56,32 +61,28 @@ func TestAdvanceScorerRetentionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
+				if !adv.Plan.Incremental && !strings.HasPrefix(adv.Plan.Fallback, "retention:") {
+					t.Fatalf("seed %d iter %d step %d: only retention may force a re-run: %+v [%s]", seed, iter, step, adv.Plan, stmt)
+				}
 				if rng.Intn(2) == 0 {
 					suspect = testgen.Suspects(rng, adv)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
 				fresh, freshErr := NewScorer(adv, suspect, 0, metric)
-				var carried *Scorer
-				var carErr error
-				if prevErr == nil {
-					carried, carErr = AdvanceScorer(prev, adv, suspect, 0, metric)
-				} else {
-					carried, carErr = AdvanceScorer(nil, adv, suspect, 0, metric)
+				carried, carErr := AdvanceScorer(prev, adv, suspect, 0, metric)
+				if freshErr != nil || carErr != nil {
+					t.Fatalf("%s: fresh=%v carried=%v", label, freshErr, carErr)
 				}
-				if (freshErr != nil) != (carErr != nil) {
-					t.Fatalf("%s: error disagreement: fresh=%v carried=%v", label, freshErr, carErr)
-				}
-				if freshErr == nil {
-					scorersEqual(t, label, fresh, carried, rng)
-				}
-				prev, prevErr = carried, carErr
+				scorersEqual(t, label, fresh, carried, rng)
+				oracleEqual(t, label, adv, suspect, metric, carried, rng)
+				prev = carried
 				res = adv
 			}
 			tbl = cur
 		}
 	}
-	if horizons < 3 {
-		t.Fatalf("harness degenerated: only %d retention horizons crossed", horizons)
+	if horizons < 3 || !sawDistinct {
+		t.Fatalf("harness degenerated: %d retention horizons crossed, debugged count(DISTINCT s): %v", horizons, sawDistinct)
 	}
 }
 

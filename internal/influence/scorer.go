@@ -15,14 +15,14 @@ import (
 	"repro/internal/exec"
 )
 
-// Scorer is the columnar fast path for predicate scoring: everything a
+// Scorer is the state predicate scoring runs on: everything a
 // Debug run needs to evaluate ε-without-a-set-of-rows, decoded once.
 //
 //   - each suspect group's lineage as a bitset (plus its occupied word
 //     span, so intersection skips the rest of the table),
 //   - the aggregate's argument column as a flat []float64 + NULL bitmap
 //     (no boxed expression interpretation per tuple),
-//   - the live aggregate states through agg.FloatRemovable.
+//   - the live aggregate states (agg.Func.ResultWithoutFloats).
 //
 // After construction the Scorer is read-only and safe for concurrent
 // use; per-goroutine mutable state lives in Scratch. This is what lets
@@ -33,7 +33,7 @@ type Scorer struct {
 	eps     float64
 	// base[i] is suspect group i's current aggregate (NaN when NULL).
 	base   []float64
-	states []agg.FloatRemovable
+	states []agg.Func
 	groups []groupBits
 	fbits  *bitset.Bitset
 	args   *exec.ArgView
@@ -63,10 +63,10 @@ type Scratch struct {
 }
 
 // NewScorer builds the columnar scoring state for the ord'th aggregate
-// of res over the suspect output rows. It fails — and callers fall back
-// to the boxed path — when an aggregate state does not implement
-// agg.FloatRemovable (e.g. DISTINCT aggregates) or the argument column
-// cannot be decoded.
+// of res over the suspect output rows. It fails when the selection is
+// out of range or the argument has no float view (exec.AggArgFloats: an
+// evaluation error, or a DISTINCT aggregate over string values); there is
+// no other scorer to fall back to, so callers report the error.
 func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
 	s, err := newScorerBase(res, suspect, ord, metric)
 	if err != nil {
@@ -132,38 +132,41 @@ func sameSuspectGroups(prev, next *Scorer, drop int) bool {
 	return true
 }
 
-// newScorerBase builds everything except the lineage bitsets: base
-// aggregate values, removable states, the argument view, and ε.
-func newScorerBase(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
+// checkSelection validates a suspect selection and aggregate ordinal
+// against res.
+func checkSelection(res *exec.Result, suspect []int, ord int) error {
 	if len(suspect) == 0 {
-		return nil, fmt.Errorf("influence: no suspect groups")
+		return fmt.Errorf("influence: no suspect groups")
 	}
 	if ord < 0 || ord >= len(res.AggOrdinals()) {
-		return nil, fmt.Errorf("influence: aggregate ordinal %d out of range (%d aggregates)", ord, len(res.AggOrdinals()))
+		return fmt.Errorf("influence: aggregate ordinal %d out of range (%d aggregates)", ord, len(res.AggOrdinals()))
+	}
+	for _, ri := range suspect {
+		if ri < 0 || ri >= res.NumRows() {
+			return fmt.Errorf("influence: suspect row %d out of range", ri)
+		}
+	}
+	return nil
+}
+
+// newScorerBase builds everything except the lineage bitsets: base
+// aggregate values, the states, the argument view, and ε.
+func newScorerBase(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
+	if err := checkSelection(res, suspect, ord); err != nil {
+		return nil, err
 	}
 	s := &Scorer{
 		suspect:   suspect,
 		metric:    metric,
 		base:      make([]float64, len(suspect)),
-		states:    make([]agg.FloatRemovable, len(suspect)),
+		states:    make([]agg.Func, len(suspect)),
 		nsrc:      res.Source.NumRows(),
 		srcBase:   res.Source.Base(),
 		firstRows: make([]int, len(suspect)),
 	}
 	for i, ri := range suspect {
-		if ri < 0 || ri >= res.NumRows() {
-			return nil, fmt.Errorf("influence: suspect row %d out of range", ri)
-		}
 		s.firstRows[i] = res.Groups[ri].FirstRow
-		st, ok := res.AggState(ri, ord)
-		if !ok {
-			return nil, fmt.Errorf("influence: aggregate %d is not removable", ord)
-		}
-		fr, ok := st.(agg.FloatRemovable)
-		if !ok {
-			return nil, fmt.Errorf("influence: aggregate %d has no float fast path", ord)
-		}
-		s.states[i] = fr
+		s.states[i] = res.Groups[ri].Aggs[ord]
 		if v, ok := res.AggFloat(ri, ord); ok {
 			s.base[i] = v
 		} else {
@@ -316,15 +319,15 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 	return s.metric.Eval(sc.vals)
 }
 
-// rankFast is Rank's columnar path: per-tuple leave-one-out influence
-// without boxed argument evaluation or per-row map lookups. It polls
+// rankFast is the LOO pass: per-tuple leave-one-out influence without
+// boxed argument evaluation or per-row map lookups. It polls
 // ctx per ctxCheckRows tuples; the only possible error wraps the
 // context error, and the scorer stays valid for a retry.
 func rankFast(ctx context.Context, s *Scorer, opt Options) (*Analysis, error) {
 	an := &Analysis{Eps: s.eps, F: s.fbits.Rows()}
 
 	// rowPos[src] is the suspect position of src's group (-1 outside F;
-	// the first listed suspect group wins, matching Result.GroupOf).
+	// the first listed suspect group wins).
 	rowPos := make([]int32, s.nsrc)
 	for i := range rowPos {
 		rowPos[i] = -1

@@ -34,9 +34,10 @@ func scorerResult(t testing.TB, rows int, aggSQL string) *exec.Result {
 
 // TestEpsWithoutBitsParity checks the bitset scoring path returns the
 // same ε as the boxed EpsWithoutRows for random removal sets, across
-// aggregate kinds (algebraic, extremum, holistic).
+// aggregate kinds (algebraic, extremum, holistic) and DISTINCT over each.
 func TestEpsWithoutBitsParity(t *testing.T) {
-	for _, aggSQL := range []string{"avg(v)", "sum(v)", "count(v)", "stddev(v)", "min(v)", "max(v)", "median(v)", "count(*)"} {
+	for _, aggSQL := range []string{"avg(v)", "sum(v)", "count(v)", "stddev(v)", "min(v)", "max(v)", "median(v)", "count(*)",
+		"count(DISTINCT v)", "sum(DISTINCT v)", "avg(DISTINCT v + k)", "min(DISTINCT v)", "median(DISTINCT v)"} {
 		res := scorerResult(t, 500, aggSQL)
 		suspect := res.AllRows()
 		metric := errmetric.TooHigh{C: 90}

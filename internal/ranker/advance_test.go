@@ -152,6 +152,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
+	sawDistinct := false
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 131))
 		tbl := testgen.TableSeg(rng, 150+rng.Intn(100), engine.MinSegmentBits)
@@ -167,7 +168,10 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			}
 			metric := testgen.Metric(rng)
 			an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
-			if err != nil || len(an.F) == 0 || an.Scorer == nil {
+			if err != nil {
+				t.Fatalf("seed %d iter %d: Rank: %v [%s]", seed, iter, err, stmt)
+			}
+			if len(an.F) == 0 {
 				continue
 			}
 			ctx := &Context{Res: res, Suspect: suspect, Ord: 0, Metric: metric,
@@ -178,6 +182,9 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if st.Len() == 0 {
 				continue
 			}
+			// DebugStmt's first aggregate is the debugged one: count(DISTINCT
+			// s) among them carries and rescores like the rest.
+			sawDistinct = sawDistinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct
 
 			grown, err := tbl.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, tbl)))
 			if err != nil {
@@ -187,10 +194,13 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
+			if !adv.Plan.Incremental || adv.Plan.Fallback != "" {
+				t.Fatalf("seed %d iter %d: Advance re-ran: %+v [%s]", seed, iter, adv.Plan, stmt)
+			}
 			// The carried pass: advanced scorer + carried candidates.
 			advSc, err := influence.AdvanceScorer(an.Scorer, adv, suspect, 0, metric)
 			if err != nil {
-				continue // e.g. DISTINCT first aggregate: no fast path either way
+				t.Fatalf("seed %d iter %d: AdvanceScorer: %v [%s]", seed, iter, err, stmt)
 			}
 			advAn := influence.RankWithScorer(advSc, influence.Options{})
 			carriedCtx := &Context{Res: adv, Suspect: suspect, Ord: 0, Metric: metric,
@@ -218,6 +228,9 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			scoredListsEqual(t, fmt.Sprintf("seed %d iter %d [%s]", seed, iter, stmt.String()), want, got)
 			tbl = grown
 		}
+	}
+	if !sawDistinct {
+		t.Fatal("harness coverage: no trial debugged count(DISTINCT s)")
 	}
 }
 

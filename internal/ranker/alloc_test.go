@@ -1,6 +1,7 @@
 package ranker
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -19,21 +20,87 @@ import (
 // not just a slower benchmark.
 func TestScoreFastZeroAlloc(t *testing.T) {
 	res, ctx := fixture(t)
-	ctx.prepare()
-	if !ctx.fastOK {
-		t.Fatal("fast path unavailable for avg aggregate")
+	if err := ctx.prepare(); err != nil {
+		t.Fatal(err)
 	}
 	env := ctx.newEnv()
 	c := Candidate{Pred: memoPred(), Origin: "test", Target: badTarget(res)}
-	if _, ok := scoreWith(c, ctx, env); !ok { // warm clause masks + scratch
+	if _, ok := score(c, ctx, env); !ok { // warm clause masks + scratch
 		t.Fatal("candidate rejected")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		scoreWith(c, ctx, env)
+		score(c, ctx, env)
 	})
 	if allocs != 0 {
-		t.Fatalf("scoreWith allocates %v per run, want 0", allocs)
+		t.Fatalf("score allocates %v per run, want 0", allocs)
 	}
+}
+
+// scoreSlow is the parity reference of score: the same terms computed
+// row-at-a-time — boxed matching (Predicate.MatchingRows) and the boxed
+// ε re-evaluation (influence.EpsWithoutRows). ctx must be prepared.
+func scoreSlow(c Candidate, ctx *Context) (Scored, bool) {
+	pop := ctx.Population
+	if pop == nil {
+		pop = ctx.F
+	}
+	matchedPop := c.Pred.MatchingRows(ctx.Res.Source, pop)
+	// Vacuous and tautological predicates explain nothing.
+	if len(matchedPop) == 0 || len(matchedPop) == len(pop) {
+		return Scored{}, false
+	}
+	matched := c.Pred.MatchingRows(ctx.Res.Source, ctx.F)
+	if len(matched) == 0 {
+		return Scored{}, false
+	}
+	epsAfter, err := influence.EpsWithoutRows(ctx.Res, ctx.Suspect, ctx.Ord, ctx.Metric, matched)
+	if err != nil {
+		return Scored{}, false
+	}
+	if math.IsNaN(epsAfter) {
+		epsAfter = 0
+	}
+	s := Scored{
+		Pred:       c.Pred,
+		Origin:     c.Origin,
+		EpsAfter:   epsAfter,
+		Complexity: c.Pred.Len(),
+		NumTuples:  len(matched),
+	}
+	if ctx.Eps > 0 {
+		s.ErrImprovement = (ctx.Eps - epsAfter) / ctx.Eps
+		if s.ErrImprovement < 0 {
+			s.ErrImprovement = 0
+		}
+		if s.ErrImprovement > 1 {
+			s.ErrImprovement = 1
+		}
+	}
+	if nTarget := c.targetCount(); nTarget > 0 {
+		var hit int
+		for _, r := range matchedPop {
+			if c.Target.Get(r) {
+				hit++
+			}
+		}
+		s.Precision = float64(hit) / float64(len(matchedPop))
+		s.Recall = float64(hit) / float64(nTarget)
+		if s.Precision+s.Recall > 0 {
+			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
+		}
+	}
+	s.CulpableFrac = 1
+	if ctx.Culpable != nil {
+		hit := 0
+		for _, r := range matched {
+			if ctx.Culpable.Get(r) {
+				hit++
+			}
+		}
+		s.CulpableFrac = float64(hit) / float64(len(matched))
+	}
+	s.Score = finalScore(&s, ctx.Weights)
+	return s, true
 }
 
 // TestScoreFastMatchesSlow asserts the columnar and boxed scoring paths
@@ -51,20 +118,15 @@ func TestScoreFastMatchesSlow(t *testing.T) {
 				}
 			}
 		}
-		ctx.prepare()
-		if !ctx.fastOK {
-			t.Fatal("fast path unavailable")
-		}
-		w := ctx.Weights
-		if w == (Weights{}) {
-			w = DefaultWeights()
+		if err := ctx.prepare(); err != nil {
+			t.Fatal(err)
 		}
 		for _, c := range []Candidate{
 			{Pred: memoPred(), Origin: "test", Target: badTarget(res)},
 			{Pred: memoPred(), Origin: "test"}, // no target
 		} {
-			fastSc, fastOK := scoreFast(c, ctx, ctx.newEnv(), w)
-			slowSc, slowOK := scoreSlow(c, ctx, w)
+			fastSc, fastOK := score(c, ctx, ctx.newEnv())
+			slowSc, slowOK := scoreSlow(c, ctx)
 			if fastOK != slowOK {
 				t.Fatalf("sampledPop=%v: ok mismatch: fast=%v slow=%v", sampledPop, fastOK, slowOK)
 			}
@@ -75,11 +137,12 @@ func TestScoreFastMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestRankAllBoxedFallbackParallel ranks many candidates over a
-// DISTINCT aggregate, which has no float fast path: the parallel worker
-// pool must drive the boxed scoring path concurrently without racing on
-// the shared aggregate states (run under -race in CI to enforce it).
-func TestRankAllBoxedFallbackParallel(t *testing.T) {
+// TestRankAllDistinctSharedScorerParallel ranks many candidates over
+// sum(DISTINCT v): every worker of the pool evaluates
+// Distinct.ResultWithoutFloats on the one Scorer's shared states at once,
+// which must therefore never write them (run under -race in CI to
+// enforce it) — and each score must be the boxed reference's.
+func TestRankAllDistinctSharedScorerParallel(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString))
 	for i := 0; i < 2000; i++ {
@@ -110,11 +173,52 @@ func TestRankAllBoxedFallbackParallel(t *testing.T) {
 		})
 	}
 	cands = append(cands, Candidate{Pred: memoPred(), Origin: "test"})
-	out := RankAll(cands, ctx)
-	if ctx.fastOK {
-		t.Fatal("DISTINCT aggregate should not have a float fast path")
+	ctx.DisablePrune, ctx.DisableMerge = true, true // out[i] is a candidate's own score
+	out, _, err := RankAllCarry(cands, ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(out) == 0 {
 		t.Fatal("no candidates survived ranking")
+	}
+	for _, got := range out {
+		want, ok := scoreSlow(Candidate{Pred: got.Pred, Origin: got.Origin}, ctx)
+		if want.Provenance = got.Provenance; !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("score mismatch:\n pool:      %+v\n reference: %+v (ok %v)", got, want, ok)
+		}
+	}
+}
+
+// TestRankOutOfRangeSuspectIsAnError is the regression test for the
+// worker-goroutine panic: a suspect index past the result used to be
+// taken for "no columnar scorer", and the boxed path it selected indexed
+// res.Groups with it inside a pool worker, where no caller can recover.
+func TestRankOutOfRangeSuspectIsAnError(t *testing.T) {
+	_, good := fixture(t)
+	cands := []Candidate{{Pred: memoPred(), Origin: "test"}}
+	bad := func() *Context {
+		return &Context{Res: good.Res, Suspect: []int{7}, Metric: good.Metric, F: good.F, Eps: good.Eps}
+	}
+	if _, _, err := RankAllCarry(cands, bad()); err == nil {
+		t.Fatal("RankAllCarry accepted suspect 7 of a 1-row result")
+	}
+	if out := RankAll(cands, bad()); out != nil {
+		t.Fatalf("RankAll returned %v", out)
+	}
+	if _, ok := Score(cands[0], bad()); ok {
+		t.Fatal("Score accepted suspect 7 of a 1-row result")
+	}
+	if c, _ := Prune(cands[0], Scored{}, bad()); !reflect.DeepEqual(c, cands[0]) {
+		t.Fatalf("Prune rewrote a candidate it could not score: %v", c)
+	}
+	if out := MergeAdjacent([]Scored{{Score: 1}}, nil, bad()); len(out) != 1 {
+		t.Fatalf("MergeAdjacent rewrote a ranking it could not score: %v", out)
+	}
+	_, st, err := RankAllCarry(cands, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := st.Rescore(bad()); err == nil {
+		t.Fatal("Rescore accepted suspect 7 of a 1-row result")
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // benchCtx builds a 100k-row grouped result with a handful of candidate
 // predicates — the shape of one Debug call's ranking stage.
-func benchCtx(b *testing.B, fast bool) (*Context, []Candidate) {
+func benchCtx(b *testing.B) (*Context, []Candidate) {
 	b.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString, "site", engine.TInt))
@@ -52,14 +52,6 @@ func benchCtx(b *testing.B, fast bool) (*Context, []Candidate) {
 		Res: res, Suspect: suspect, Ord: 0,
 		Metric: metric, F: F, Eps: an.Eps, Culpable: culpable,
 	}
-	if fast {
-		sc, err := influence.NewScorer(res, suspect, 0, metric)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx.Scorer = sc
-		ctx.Index = predicate.NewIndex(res.Source)
-	}
 	var cands []Candidate
 	cands = append(cands, Candidate{
 		Pred:   predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")}),
@@ -78,30 +70,25 @@ func benchCtx(b *testing.B, fast bool) (*Context, []Candidate) {
 }
 
 // BenchmarkScorePredicate compares one candidate scoring through the
-// boxed row-at-a-time path against the columnar bitset path.
+// boxed row-at-a-time reference against the production bitset path.
 func BenchmarkScorePredicate(b *testing.B) {
-	for _, fast := range []bool{false, true} {
-		name := "boxed"
-		if fast {
-			name = "columnar"
-		}
+	ctx, cands := benchCtx(b)
+	if err := ctx.prepare(); err != nil {
+		b.Fatal(err)
+	}
+	env := ctx.newEnv()
+	for name, fn := range map[string]func(Candidate) (Scored, bool){
+		"boxed":    func(c Candidate) (Scored, bool) { return scoreSlow(c, ctx) },
+		"columnar": func(c Candidate) (Scored, bool) { return score(c, ctx, env) },
+	} {
 		b.Run(name, func(b *testing.B) {
-			ctx, cands := benchCtx(b, fast)
-			env := &scoreEnv{} // zero env: boxed path
-			if fast {
-				ctx.prepare()
-				if !ctx.fastOK {
-					b.Fatal("fast path unavailable")
-				}
-				env = ctx.newEnv()
-			}
-			if _, ok := scoreWith(cands[0], ctx, env); !ok {
+			if _, ok := fn(cands[0]); !ok {
 				b.Fatal("candidate rejected")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				scoreWith(cands[i%len(cands)], ctx, env)
+				fn(cands[i%len(cands)])
 			}
 		})
 	}
@@ -110,7 +97,7 @@ func BenchmarkScorePredicate(b *testing.B) {
 // BenchmarkRankAll measures the full ranking stage (score + prune +
 // dedup + merge) over the candidate set.
 func BenchmarkRankAll(b *testing.B) {
-	ctx, cands := benchCtx(b, true)
+	ctx, cands := benchCtx(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -86,21 +86,21 @@ type Context struct {
 	DisablePrune bool
 	// DisableMerge turns off pairwise predicate merging (ablation).
 	DisableMerge bool
-	// Scorer enables the columnar scoring fast path. Left nil, RankAll
-	// builds one automatically (and silently keeps the boxed path when
-	// the aggregate has no float fast path, e.g. DISTINCT).
+	// Scorer is the scoring state every candidate is evaluated through.
+	// Left nil, the first ranking call builds one; a selection or
+	// aggregate influence.NewScorer refuses is that call's error.
 	Scorer *influence.Scorer
 	// Index caches vectorized per-clause match masks over Res.Source;
-	// built automatically when nil and the fast path is active.
+	// built automatically when nil.
 	Index *predicate.Index
 
 	// prepared lazily by prepare(): bitset forms of Population and F,
 	// shared read-only across scoring goroutines.
 	prepOnce sync.Once
+	prepErr  error
 	popBits  *bitset.Bitset
 	fBits    *bitset.Bitset
 	popCount int
-	fastOK   bool
 }
 
 // prepare builds the shared read-only scoring state exactly once. Like
@@ -108,15 +108,14 @@ type Context struct {
 // prepare time: appending rows to the source table while reusing the
 // same Context is not supported (build a fresh Context after the table
 // changes — scoring a grown table against stale lineage would be wrong
-// even if the bitset sizes happened to line up).
-func (ctx *Context) prepare() {
+// even if the bitset sizes happened to line up). The error is
+// influence.NewScorer's, when the context came without a Scorer.
+func (ctx *Context) prepare() error {
 	ctx.prepOnce.Do(func() {
 		if ctx.Scorer == nil {
-			sc, err := influence.NewScorer(ctx.Res, ctx.Suspect, ctx.Ord, ctx.Metric)
-			if err != nil {
-				return // boxed fallback
+			if ctx.Scorer, ctx.prepErr = influence.NewScorer(ctx.Res, ctx.Suspect, ctx.Ord, ctx.Metric); ctx.prepErr != nil {
+				return
 			}
-			ctx.Scorer = sc
 		}
 		if ctx.Index == nil {
 			// Per-context index, collected with the ranking pass.
@@ -136,8 +135,11 @@ func (ctx *Context) prepare() {
 		ctx.popBits = bitset.FromRows(n, pop)
 		ctx.popCount = ctx.popBits.Count()
 		ctx.fBits = bitset.FromRows(n, ctx.F)
-		ctx.fastOK = true
+		if ctx.Weights == (Weights{}) {
+			ctx.Weights = DefaultWeights()
+		}
 	})
+	return ctx.prepErr
 }
 
 // scoreEnv is one goroutine's reusable scoring buffers.
@@ -147,9 +149,6 @@ type scoreEnv struct {
 }
 
 func (ctx *Context) newEnv() *scoreEnv {
-	if !ctx.fastOK {
-		return &scoreEnv{}
-	}
 	n := ctx.Res.Source.NumRows()
 	return &scoreEnv{
 		scratch: ctx.Scorer.NewScratch(),
@@ -191,33 +190,22 @@ func (s Scored) String() string {
 }
 
 // Score evaluates one candidate. ok is false when the predicate matches
-// no lineage tuples (vacuous) or matches all of them (tautological).
+// no lineage tuples (vacuous) or matches all of them (tautological) —
+// or when the context cannot be scored at all (see Context.Scorer).
 func Score(c Candidate, ctx *Context) (Scored, bool) {
-	ctx.prepare()
-	return scoreWith(c, ctx, ctx.newEnv())
+	if ctx.prepare() != nil {
+		return Scored{}, false
+	}
+	return score(c, ctx, ctx.newEnv())
 }
 
-// scoreWith evaluates one candidate using env's reusable buffers. When
-// the context has a columnar fast path, matching and ε re-evaluation run
-// entirely on bitsets and flat float columns; otherwise it falls back to
-// the boxed row-at-a-time path. Both paths produce identical Scored
-// values.
-func scoreWith(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
-	w := ctx.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
-	if ctx.fastOK && env.scratch != nil {
-		return scoreFast(c, ctx, env, w)
-	}
-	return scoreSlow(c, ctx, w)
-}
-
-// scoreFast is the vectorized scoring path: clause-mask ANDs for
-// matching, word-level intersection counting for accuracy/culpability,
-// and Scorer.EpsWithoutBits for the counterfactual ε. Steady state
-// (clause masks warm, target bits populated) it allocates nothing.
-func scoreFast(c Candidate, ctx *Context, env *scoreEnv, w Weights) (Scored, bool) {
+// score evaluates one candidate of a prepared context using env's
+// reusable buffers: clause-mask ANDs for matching, word-level
+// intersection counting for accuracy/culpability, and
+// Scorer.EpsWithoutBits for the counterfactual ε. Steady state (clause
+// masks warm, target bits populated) it allocates nothing for the
+// algebraic aggregates.
+func score(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
 	pb := ctx.Index.MatchInto(c.Pred, ctx.popBits, env.pb)
 	nPop := pb.Count()
 	// Vacuous and tautological predicates explain nothing.
@@ -265,73 +253,7 @@ func scoreFast(c Candidate, ctx *Context, env *scoreEnv, w Weights) (Scored, boo
 		hit := bitset.AndCount(mb, ctx.Culpable)
 		s.CulpableFrac = float64(hit) / float64(nMatched)
 	}
-	s.Score = finalScore(&s, w)
-	return s, true
-}
-
-// scoreSlow is the original boxed path, kept for aggregates without a
-// float fast path (e.g. DISTINCT) and as the parity reference.
-func scoreSlow(c Candidate, ctx *Context, w Weights) (Scored, bool) {
-	pop := ctx.Population
-	if pop == nil {
-		pop = ctx.F
-	}
-	matchedPop := c.Pred.MatchingRows(ctx.Res.Source, pop)
-	// Vacuous and tautological predicates explain nothing.
-	if len(matchedPop) == 0 || len(matchedPop) == len(pop) {
-		return Scored{}, false
-	}
-	matched := c.Pred.MatchingRows(ctx.Res.Source, ctx.F)
-	if len(matched) == 0 {
-		return Scored{}, false
-	}
-	epsAfter, err := influence.EpsWithoutRows(ctx.Res, ctx.Suspect, ctx.Ord, ctx.Metric, matched)
-	if err != nil {
-		return Scored{}, false
-	}
-	if math.IsNaN(epsAfter) {
-		epsAfter = 0
-	}
-	s := Scored{
-		Pred:       c.Pred,
-		Origin:     c.Origin,
-		EpsAfter:   epsAfter,
-		Complexity: c.Pred.Len(),
-		NumTuples:  len(matched),
-	}
-	if ctx.Eps > 0 {
-		s.ErrImprovement = (ctx.Eps - epsAfter) / ctx.Eps
-		if s.ErrImprovement < 0 {
-			s.ErrImprovement = 0
-		}
-		if s.ErrImprovement > 1 {
-			s.ErrImprovement = 1
-		}
-	}
-	if nTarget := c.targetCount(); nTarget > 0 {
-		var hit int
-		for _, r := range matchedPop {
-			if c.Target.Get(r) {
-				hit++
-			}
-		}
-		s.Precision = float64(hit) / float64(len(matchedPop))
-		s.Recall = float64(hit) / float64(nTarget)
-		if s.Precision+s.Recall > 0 {
-			s.F1 = 2 * s.Precision * s.Recall / (s.Precision + s.Recall)
-		}
-	}
-	s.CulpableFrac = 1
-	if ctx.Culpable != nil {
-		hit := 0
-		for _, r := range matched {
-			if ctx.Culpable.Get(r) {
-				hit++
-			}
-		}
-		s.CulpableFrac = float64(hit) / float64(len(matched))
-	}
-	s.Score = finalScore(&s, w)
+	s.Score = finalScore(&s, ctx.Weights)
 	return s, true
 }
 
@@ -358,7 +280,9 @@ func (c Candidate) targetCount() int {
 // one-clause-removed variant and keeps the best while it is at least as
 // good as the current predicate.
 func Prune(c Candidate, sc Scored, ctx *Context) (Candidate, Scored) {
-	ctx.prepare()
+	if ctx.prepare() != nil {
+		return c, sc
+	}
 	return pruneWith(c, sc, ctx, ctx.newEnv())
 }
 
@@ -372,7 +296,7 @@ func pruneWith(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, 
 			variant.Pred.Clauses = make([]predicate.Clause, 0, len(c.Pred.Clauses)-1)
 			variant.Pred.Clauses = append(variant.Pred.Clauses, c.Pred.Clauses[:drop]...)
 			variant.Pred.Clauses = append(variant.Pred.Clauses, c.Pred.Clauses[drop+1:]...)
-			vs, ok := scoreWith(variant, ctx, env)
+			vs, ok := score(variant, ctx, env)
 			if ok && vs.Score >= sc.Score {
 				c, sc = variant, vs
 				improved = true
@@ -504,7 +428,9 @@ func mergeColumn(a, b []predicate.Clause) ([]predicate.Clause, bool) {
 // results.
 func MergeAdjacent(scored []Scored, targets map[string]*bitset.Bitset, ctx *Context) []Scored {
 	const maxPairwise = 12
-	ctx.prepare()
+	if ctx.prepare() != nil {
+		return scored
+	}
 	env := ctx.newEnv() // one reusable env for every pairwise attempt
 	n := len(scored)
 	if n > maxPairwise {
@@ -526,7 +452,7 @@ func MergeAdjacent(scored []Scored, targets map[string]*bitset.Bitset, ctx *Cont
 			}
 			target := targets[scored[i].Pred.Key()]
 			cand := Candidate{Pred: merged, Origin: scored[i].Origin + "+merge", Target: target}
-			sc, ok := scoreWith(cand, ctx, env)
+			sc, ok := score(cand, ctx, env)
 			if !ok {
 				continue
 			}
@@ -566,7 +492,8 @@ func sortScored(out []Scored) {
 // RankAll scores every candidate, prunes incidental clauses,
 // deduplicates by canonical predicate key (keeping the best score), and
 // returns the survivors sorted by descending score (ties: fewer
-// clauses, then fewer tuples).
+// clauses, then fewer tuples) — nothing when RankAllCarry would return
+// an error.
 //
 // Scoring and pruning run in parallel across a worker pool: once the
 // context is prepared, the scoring inputs (clause masks, lineage
@@ -581,8 +508,10 @@ func RankAll(cands []Candidate, ctx *Context) []Scored {
 // RankAllCarry is RankAll plus the carryable state of the survivors:
 // the returned RankerState holds every ranked predicate with its frozen
 // target set and score, ready for an incremental Debug over a grown
-// table to rescore without re-running the learners. The only possible
-// error wraps ctx.Ctx's cancellation; nothing is published on error.
+// table to rescore without re-running the learners. An error is
+// ctx.Ctx's cancellation, a chunk-load failure, or influence.NewScorer's
+// refusal of the context (out-of-range suspect, an aggregate it cannot
+// score); nothing is published on error.
 func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, error) {
 	out, targets, _, err := rankCore(cands, ctx, "fresh")
 	if err != nil {
@@ -606,7 +535,9 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 	if cctx == nil {
 		cctx = context.Background()
 	}
-	ctx.prepare()
+	if err := ctx.prepare(); err != nil {
+		return nil, nil, nil, err
+	}
 	// Targets carried from a shorter table version widen to this one
 	// (appended rows are outside every carried target).
 	for i := range cands {
@@ -632,7 +563,7 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 	scoreOne := func(i int, env *scoreEnv) (err error) {
 		defer engine.CatchSegmentLoad(&err)
 		c := cands[i]
-		sc, ok := scoreWith(c, ctx, env)
+		sc, ok := score(c, ctx, env)
 		if ok {
 			raw[i] = sc.Score
 		}

@@ -177,16 +177,17 @@ func TestDefaultWeightsUsedOnZero(t *testing.T) {
 
 func TestMergeAdjacentWidensBounds(t *testing.T) {
 	res, ctx := fixture(t)
+	ctx.DisablePrune = true // keep both bounds of each range for the merge to widen
 	target := badTarget(res)
-	// Two halves of the anomaly by value range: v in [95,98] and
-	// v in (98,105]. Merged: v >= 95 AND v <= 105 — covers all of it and
+	// Two overlapping ranges around the anomaly (v = 100): [95,100] and
+	// [100,105]. Merged: v >= 95 AND v <= 105 — covers all of it and
 	// scores at least as well.
 	lowHalf := predicate.New(
 		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(95)},
-		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(98)},
+		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(100)},
 	)
 	highHalf := predicate.New(
-		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(98)},
+		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(100)},
 		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(105)},
 	)
 	cands := []Candidate{
@@ -201,10 +202,8 @@ func TestMergeAdjacentWidensBounds(t *testing.T) {
 	if top.NumTuples != 10 {
 		t.Errorf("merged predicate should cover all 10 anomalous tuples, got %d (%s)", top.NumTuples, top.Pred)
 	}
-	if !strings.Contains(top.Origin, "merge") && len(out) != 1 {
-		// Pruning may already collapse a half to the full set; either
-		// way the top result must cover everything.
-		t.Logf("top origin: %s", top.Origin)
+	if len(out) != 1 || !strings.Contains(top.Origin, "merge") || top.Pred.String() != "v >= 95.0 AND v <= 105.0" {
+		t.Errorf("the two ranges should merge into their envelope, got %v", out)
 	}
 }
 
