@@ -85,7 +85,7 @@ fuzz-smoke:
 # ranking layers carry state across batches, so untested carry paths
 # are where silent staleness bugs would live, and the learners
 # (feature, dtree, subgroup, core) decide what Debug answers. Thresholds
-# sit a few points under current coverage (influence 92%, ranker 93%,
+# sit a few points under current coverage (influence 93%, ranker 93%,
 # feature 95%, dtree 94%, subgroup 95%, core 89%) — raise them when
 # coverage rises, never lower them. The storage and scan layers ride the
 # same ratchet (engine 80%, exec 93%, store 90%): their untested lines
@@ -94,7 +94,7 @@ fuzz-smoke:
 # (99%): every layer above adds, merges and removes through its one
 # contract.
 cover:
-	@for want in "./internal/influence:88" "./internal/ranker:88" "./internal/feature:92" \
+	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
 			"./internal/expr:79" "./internal/agg:95"; do \
@@ -143,9 +143,11 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='BenchmarkFoldMasked' -benchmem ./internal/agg
 	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation' -benchmem .
 
-# Just the scoring hot path: the paper's interactivity claim lives here.
+# Just the scoring hot path: the paper's interactivity claim lives here —
+# one Debug, and the monitoring loop's carried re-Debug with user
+# examples (the path bench/'s stream_monitor measures end to end).
 bench-hot:
-	$(GO) test -run='^$$' -bench='BenchmarkInfluenceLOO|BenchmarkFigure6RankedPredicates' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkInfluenceLOO|BenchmarkFigure6RankedPredicates|BenchmarkStreamingDebug/examples/base=100000' -benchmem .
 	$(GO) test -run='^$$' -bench='BenchmarkRank|BenchmarkEpsWithout' -benchmem ./internal/influence
 	$(GO) test -run='^$$' -bench='BenchmarkScorePredicate|BenchmarkRankAll' -benchmem ./internal/ranker
 	$(GO) test -run='^$$' -bench='BenchmarkMatching' -benchmem ./internal/predicate

@@ -364,7 +364,11 @@ func BenchmarkStreamingAppendQuery(b *testing.B) {
 // bitsets, argument views, clause masks and scored candidates) against
 // the full re-Debug baseline (fresh run + fresh Debug over the grown
 // table). Incremental cost should stay roughly flat across base sizes
-// while the baseline grows with the table.
+// while the baseline grows with the table. The examples arm is the
+// incremental one as bench/'s stream_monitor drives /api/debug: the
+// suspects stay the base table's closed high-std windows, whose lineage
+// no batch grows, and D' is selected by ExamplesWhere each step, then
+// cleaned by the carried pass.
 func BenchmarkStreamingDebug(b *testing.B) {
 	const batchSize = 1_000
 	const poolBatches = 60
@@ -382,14 +386,14 @@ func BenchmarkStreamingDebug(b *testing.B) {
 	// Intel trace grows by adding windows — not rows per window — the
 	// debugged lineage stays roughly constant and the measured growth
 	// isolates the per-table costs the carry is supposed to remove.
-	suspectsOf := func(res *exec.Result) []int {
+	suspectsOf := func(res *exec.Result, windows int) []int {
 		ci := res.Table.Schema().ColIndex("std_temp")
 		type ws struct {
 			row int
 			std float64
 		}
 		var wins []ws
-		for r := 0; r < res.Table.NumRows(); r++ {
+		for r := 0; r < windows; r++ {
 			if v := res.Table.Value(r, ci); !v.IsNull() {
 				wins = append(wins, ws{r, v.Float()})
 			}
@@ -423,26 +427,41 @@ func BenchmarkStreamingDebug(b *testing.B) {
 			}
 			pool[bi] = rows
 		}
-		setup := func(b *testing.B) (*engine.Table, *exec.Result, *core.DebugResult) {
-			ids := make([]int, base)
-			for i := range ids {
-				ids[i] = i
-			}
-			tbl := full.Select(ids)
-			res, err := exec.RunOn(tbl, stmt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dbg, err := core.Debug(core.DebugRequest{
-				Result: res, AggItem: -1, Suspect: suspectsOf(res), Metric: metric,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return tbl, res, dbg
-		}
-		for _, mode := range []string{"incremental", "rebuild"} {
+		for _, mode := range []string{"incremental", "examples", "rebuild"} {
 			mode := mode
+			// request is what each step debugs; the examples arm picks its
+			// suspects once (output rows are append-stable under ORDER BY
+			// w30) and selects D' the way handleDebug does.
+			var closed []int
+			request := func(res *exec.Result) core.DebugRequest {
+				if mode != "examples" {
+					return core.DebugRequest{Result: res, AggItem: -1, Suspect: suspectsOf(res, res.NumRows()), Metric: metric}
+				}
+				if closed == nil {
+					closed = suspectsOf(res, res.NumRows()-1) // the last window is still filling
+				}
+				examples, err := core.ExamplesWhere(res, closed, "temperature > 100")
+				if err != nil {
+					b.Fatal(err)
+				}
+				return core.DebugRequest{Result: res, AggItem: -1, Suspect: closed, Examples: examples, Metric: metric}
+			}
+			setup := func(b *testing.B) (*engine.Table, *exec.Result, *core.DebugResult) {
+				ids := make([]int, base)
+				for i := range ids {
+					ids[i] = i
+				}
+				tbl := full.Select(ids)
+				res, err := exec.RunOn(tbl, stmt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dbg, err := core.Debug(request(res))
+				if err != nil {
+					b.Fatal(err)
+				}
+				return tbl, res, dbg
+			}
 			b.Run(fmt.Sprintf("%s/base=%d", mode, base), func(b *testing.B) {
 				tbl, res, dbg := setup(b)
 				bi := 0
@@ -461,14 +480,12 @@ func BenchmarkStreamingDebug(b *testing.B) {
 						b.Fatal(err)
 					}
 					bi++
-					if mode == "incremental" {
+					if mode != "rebuild" {
 						res, err = exec.Advance(res, grown)
 						if err != nil {
 							b.Fatal(err)
 						}
-						dbg, err = core.DebugAdvance(dbg, core.DebugRequest{
-							Result: res, AggItem: -1, Suspect: suspectsOf(res), Metric: metric,
-						})
+						dbg, err = core.DebugAdvance(dbg, request(res))
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -480,9 +497,7 @@ func BenchmarkStreamingDebug(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						dbg, err = core.Debug(core.DebugRequest{
-							Result: res, AggItem: -1, Suspect: suspectsOf(res), Metric: metric,
-						})
+						dbg, err = core.Debug(request(res))
 						if err != nil {
 							b.Fatal(err)
 						}

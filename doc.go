@@ -59,12 +59,14 @@
 //   - internal/ranker — candidates score and prune in parallel across a
 //     worker pool; the prepared context is read-only shared state.
 //   - internal/feature — NewSpace gathers the learning population's
-//     columns once through the typed readers into a Frame (floats,
-//     dictionary codes, and an int16 matrix of threshold buckets / value
-//     slots) addressed by population position; internal/subgroup builds
-//     its selector masks from it and internal/dtree trains every
-//     candidate × criterion tree on the bucket matrix alone, so no
-//     learner touches the table.
+//     columns once through the typed readers into a Frame (floats and
+//     dictionary codes, addressed by population position) and profiles
+//     them — all example cleaning reads; Space.Discretize, run by the
+//     stage that trains, adds the quantile thresholds and the int16
+//     matrix of threshold buckets / value slots. internal/subgroup
+//     builds its selector masks from the frame and internal/dtree trains
+//     every candidate × criterion tree on the bucket matrix alone, so no
+//     learner touches the table, and both refuse a profile-only space.
 //
 // Future backends plug in underneath this layer: the segmented engine
 // below already demonstrates the contract — it produces the same views
@@ -247,8 +249,15 @@
 //     argument view come from the advanced result's carried caches, and
 //     the F union reuses the previous words (appends only touch words
 //     from the old length on). The advanced Scorer is bit-identical to
-//     one built from scratch; influence.RankWithScorer re-ranks LOO
-//     influence through it.
+//     one built from scratch. RankAdvancedCtx ranks LOO influence
+//     through it — or, when no suspect group's lineage grew (a stream
+//     mostly adds groups), shares the previous pass's ranking as it
+//     stands: every aggregate state, so ε and every δ, is unchanged.
+//   - core.ExamplesWhere — the user's examples are the suspect lineage
+//     bitset ∧ the condition's WHERE mask (exec.FilterRows): a
+//     comparison reads the family's shared clause mask, which extends
+//     by the appended suffix; only LIKE/arithmetic conjuncts evaluate
+//     rows, and only lineage rows.
 //   - internal/predicate — the Debug chain owns one clause-mask Index,
 //     carried in the debug state and rebased onto each grown version
 //     (Index.SyncRows), so rescoring a carried candidate decodes only
@@ -268,13 +277,15 @@
 //   - carried — drift stayed within Options.DriftThreshold: the carried
 //     predicates, rescored exactly against the grown table, ARE the
 //     answer; the learners (subgroup discovery, tree induction) do not
-//     run at all.
+//     run at all, and the feature space is only profiled, for cleaning
+//     the user's examples. What such a pass still pays per
+//     learning-population row: the contrast sample, the gather, k-means.
 //   - reexpanded — drift exceeded the threshold (or a previously-ranked
 //     predicate became vacuous, which counts as infinite drift): the
-//     learners re-run over the advanced preprocessing — stage for
-//     stage identical to a from-scratch Debug, so with DriftThreshold
-//     < 0 (always re-expand) DebugAdvance is the differential-test
-//     oracle's equal.
+//     learners re-run over the advanced preprocessing, on the same
+//     space, discretized in place — stage for stage identical to a
+//     from-scratch Debug, so with DriftThreshold < 0 (always re-expand)
+//     DebugAdvance is the differential-test oracle's equal.
 //   - full — conditions the carry cannot express: no carried state, a
 //     changed statement/metric/aggregate, a non-grown table.
 //     Plan.Fallback says why.
@@ -291,7 +302,8 @@
 // BenchmarkStreamingDebug measures the append + advance + re-Debug
 // cycle against append + fresh run + fresh Debug: incremental cost
 // stays roughly flat across base table sizes while the rebuild
-// baseline grows with the table.
+// baseline grows with the table; its examples arm is the cycle as
+// /api/debug runs it for a monitoring session.
 //
 // # Segmented storage and retention (bounded-memory streams)
 //

@@ -92,7 +92,7 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 	}
 	fopt := opt.Feature
 	fopt.Rows = an.F
-	sp := feature.NewSpace(res.Source, fopt)
+	sp := feature.NewSpace(res.Source, fopt).Discretize()
 	selectors := subgroup.Selectors(sp)
 
 	type scoredPred struct {

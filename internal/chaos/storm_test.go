@@ -36,20 +36,34 @@ type epStats struct {
 	Cancelled int64 `json:"cancelled"`
 }
 
+// fetchEndpoints returns the lifecycle counters once the server is
+// quiescent. A client that aborted has returned before its handler has:
+// the handler notices at its next poll and departs a moment later, so
+// the audit waits (bounded) for in-flight to drain — a request that
+// never departs still fails it.
 func fetchEndpoints(t *testing.T, url string) map[string]epStats {
 	t.Helper()
-	resp, err := http.Get(url + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Endpoints map[string]epStats `json:"endpoints"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		resp, err := http.Get(url + "/api/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy := false
+		for name, c := range out.Endpoints {
+			busy = busy || (name != "stats" && c.InFlight != 0)
+		}
+		if !busy || time.Now().After(deadline) {
+			return out.Endpoints
+		}
 	}
-	return out.Endpoints
 }
 
 func postJSON(url, path string, body any, timeout time.Duration, cancelAfter time.Duration) (int, error) {

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/influence"
 	"repro/internal/sqlparse"
 	"repro/internal/testgen"
 )
@@ -221,102 +225,228 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 	}
 }
 
-// TestDebugAdvanceCarried pins the carried mode's structural
-// guarantees on a stable stream — the SAME suspect groups and examples
-// debugged across batches (a changed selection forces re-expansion by
-// design): the preprocessing (ε, lineage, influence) still matches the
-// from-scratch oracle exactly, the pass reports itself as carried with
-// zero fresh candidates, and the carried predicates are rescored —
-// scores reflect the grown table.
+// freshGroupBatch draws k rows whose s, i and j no generator has drawn
+// before (tag makes them unique): under every DebugStmt grouping they
+// found new groups, so the table grows and no existing group's lineage
+// does — how a monitored stream usually grows.
+func freshGroupBatch(rng *rand.Rand, k, tag int) [][]engine.Value {
+	rows := testgen.Batch(rng, k)
+	for _, r := range rows {
+		r[0] = engine.NewInt(int64(1000 + 3*tag)) // its own bucket(i, 3) too
+		r[1] = engine.NewInt(int64(100 + tag))
+		r[3] = engine.NewString(fmt.Sprintf("fresh%d", tag))
+	}
+	return rows
+}
+
+// carriedFixture draws a statement, a suspect selection with user
+// examples and a first Debug whose ranking a later pass can carry.
+func carriedFixture(t *testing.T, rng *rand.Rand, opt Options) (*engine.Table, *exec.Result, DebugRequest, *DebugResult) {
+	t.Helper()
+	for attempt := 0; attempt < 50; attempt++ {
+		tbl := testgen.Table(rng, 250)
+		res, err := exec.RunOn(tbl, testgen.DebugStmt(rng))
+		if err != nil {
+			continue
+		}
+		suspect := testgen.Suspects(rng, res)
+		if len(suspect) == 0 {
+			continue
+		}
+		// User-highlighted examples, so the carried pass cleans D' on the
+		// profile-only feature space.
+		var examples []int
+		for _, r := range res.Lineage(suspect) {
+			if rng.Float64() < 0.4 {
+				examples = append(examples, r)
+			}
+		}
+		req := DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: testgen.Metric(rng), Opt: opt}
+		if prev, err := Debug(req); err == nil && len(examples) >= 4 && prev.state.rstate.Len() > 0 {
+			return tbl, res, req, prev
+		}
+	}
+	t.Fatal("never drew a carriable Debug")
+	return nil, nil, DebugRequest{}, nil
+}
+
+// TestDebugAdvanceCarried pins the carried mode on a stable stream — the
+// SAME suspect groups and examples debugged across batches (a changed
+// selection forces re-expansion by design). The pass reports itself as
+// carried with zero fresh candidates and rescored predicates, and it is
+// exact: ε, lineage, every influence and the cleaned D' equal a
+// from-scratch Debug's over the grown table, on both arms of the
+// preprocessor — batches that grow a suspect group (the LOO pass runs
+// again) and batches that only add groups (the previous pass's ranking
+// is shared, not recomputed). Its last part is the path a carried pass
+// with examples leaves when drift forces re-expansion: the profile-only
+// space is completed in place and the result is Debug's.
 func TestDebugAdvanceCarried(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	tbl := testgen.Table(rng, 250)
-	var prev *DebugResult
-	var stmt = testgen.DebugStmt(rng)
-	advRes, err := exec.RunOn(tbl, stmt)
-	metric := testgen.Metric(rng)
 	opt := Options{DriftThreshold: math.Inf(1)} // always carry once seeded
 	// The fixed question: drawn once (DebugStmt emits no HAVING/ORDER
 	// BY/LIMIT, so output row indexes are append-stable).
-	var suspect, examples []int
-	carried := 0
-	for attempt := 0; attempt < 20 && carried < 3; attempt++ {
+	tbl, advRes, req, prev := carriedFixture(t, rng, opt)
+	shared, recomputed := 0, 0
+	for step := 0; step < 12; step++ {
+		batch := testgen.Batch(rng, 1+rng.Intn(30))
+		if step%2 == 1 {
+			batch = freshGroupBatch(rng, 1+rng.Intn(30), step)
+		}
+		grown, err := tbl.AppendBatch(batch)
 		if err != nil {
-			stmt = testgen.DebugStmt(rng)
-			advRes, err = exec.RunOn(tbl, stmt)
-			suspect = nil
-			continue
+			t.Fatal(err)
 		}
-		if suspect == nil {
-			var ok bool
-			suspect, examples, ok = drawRequest(rng, advRes)
-			if !ok {
-				err = fmt.Errorf("no suspects")
-				continue
-			}
-		}
-		grown, aerr := tbl.AppendBatch(testgen.Batch(rng, 1+rng.Intn(30)))
-		if aerr != nil {
-			t.Fatal(aerr)
-		}
-		advRes, err = exec.Advance(advRes, grown)
-		if err != nil {
+		grew := false
+		before := advRes
+		if advRes, err = exec.Advance(advRes, grown); err != nil {
 			t.Fatalf("Advance: %v", err)
 		}
+		for _, ri := range req.Suspect {
+			grew = grew || len(advRes.Groups[ri].Lineage) != len(before.Groups[ri].Lineage)
+		}
 		tbl = grown
-		fresh, ferr := exec.RunOn(grown, stmt)
-		if ferr != nil {
-			t.Fatal(ferr)
+		fresh, err := exec.RunOn(grown, advRes.Stmt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, gerr := DebugAdvance(prev, DebugRequest{
-			Result: advRes, AggItem: -1, Suspect: suspect, Examples: examples,
-			Metric: metric, Opt: opt,
-		})
-		if gerr != nil {
-			prev = nil
-			continue
+		req.Result = advRes
+		got, err := DebugAdvance(prev, req)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-		if prev != nil && prev.state != nil && prev.state.scorer != nil && prev.state.rstate.Len() > 0 {
-			if got.Plan.Mode != "carried" || !got.Plan.Incremental {
-				t.Fatalf("attempt %d: plan %+v, want carried", attempt, got.Plan)
+		if got.Plan.Mode != "carried" || !got.Plan.Incremental {
+			t.Fatalf("step %d: plan %+v, want carried", step, got.Plan)
+		}
+		if got.Plan.Fresh != 0 {
+			t.Fatalf("step %d: carried pass reports %d fresh candidates", step, got.Plan.Fresh)
+		}
+		if got.Plan.Carried < len(got.Explanations) {
+			t.Fatalf("step %d: carried count %d < %d explanations", step, got.Plan.Carried, len(got.Explanations))
+		}
+		for i, e := range got.Explanations {
+			if e.Provenance != "carried" {
+				t.Fatalf("step %d: explanation %d provenance %q", step, i, e.Provenance)
 			}
-			if got.Plan.Fresh != 0 {
-				t.Fatalf("attempt %d: carried pass reports %d fresh candidates", attempt, got.Plan.Fresh)
-			}
-			if got.Plan.Carried != len(got.Explanations) && got.Plan.Carried < len(got.Explanations) {
-				t.Fatalf("attempt %d: carried count %d < %d explanations", attempt, got.Plan.Carried, len(got.Explanations))
-			}
-			for i, e := range got.Explanations {
-				if e.Provenance != "carried" {
-					t.Fatalf("attempt %d: explanation %d provenance %q", attempt, i, e.Provenance)
-				}
-			}
-			// Preprocessing must still match the oracle exactly.
-			want, werr := Debug(DebugRequest{
-				Result: fresh, AggItem: -1, Suspect: suspect, Examples: examples,
-				Metric: metric, Opt: opt,
-			})
-			if werr != nil {
-				t.Fatalf("attempt %d: oracle errored (%v) where carried pass succeeded", attempt, werr)
-			}
-			if want.Eps != got.Eps && !(math.IsNaN(want.Eps) && math.IsNaN(got.Eps)) {
-				t.Fatalf("attempt %d: eps %v vs %v", attempt, want.Eps, got.Eps)
-			}
-			if len(want.F) != len(got.F) {
-				t.Fatalf("attempt %d: |F| %d vs %d", attempt, len(want.F), len(got.F))
-			}
-			for i := range want.F {
-				if want.F[i] != got.F[i] {
-					t.Fatalf("attempt %d: F[%d] differs", attempt, i)
-				}
-			}
-			carried++
+		}
+		// Everything but the ranking itself must match the oracle exactly.
+		oracleReq := req
+		oracleReq.Result = fresh
+		want, err := Debug(oracleReq)
+		if err != nil {
+			t.Fatalf("step %d: oracle errored (%v) where carried pass succeeded", step, err)
+		}
+		preprocess := *got
+		preprocess.Explanations, preprocess.Candidates = want.Explanations, want.Candidates
+		debugResultsEqual(t, fmt.Sprintf("step %d (grew %v)", step, grew), want, &preprocess)
+
+		sameArray := &got.Influence.Influences[0] == &prev.Influence.Influences[0]
+		switch {
+		case grew && sameArray:
+			t.Fatalf("step %d: a suspect group grew and the previous influence ranking was kept", step)
+		case grew:
+			recomputed++
+		case !sameArray:
+			t.Fatalf("step %d: no suspect group grew and the influence ranking was recomputed", step)
+		default:
+			shared++
 		}
 		prev = got
 	}
-	if carried == 0 {
-		t.Fatal("harness never reached a carried pass")
+	if shared == 0 || recomputed == 0 {
+		t.Fatalf("harness degenerated: %d passes shared the ranking, %d recomputed it", shared, recomputed)
 	}
+
+	// Drift past a small positive threshold, with examples: the carry is
+	// attempted (profile-only space, D' cleaned on it, candidates
+	// rescored), abandoned, and the learners re-run on that same space.
+	opt = Options{DriftThreshold: 1e-12}
+	reexpanded := 0
+	for attempt := 0; attempt < 10 && reexpanded < 2; attempt++ {
+		tbl, advRes, req, prev := carriedFixture(t, rng, opt)
+		for step := 0; step < 4; step++ {
+			grown, err := tbl.AppendBatch(testgen.Batch(rng, 20+rng.Intn(30)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if advRes, err = exec.Advance(advRes, grown); err != nil {
+				t.Fatalf("Advance: %v", err)
+			}
+			tbl = grown
+			fresh, err := exec.RunOn(grown, advRes.Stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Result = advRes
+			got, gerr := DebugAdvance(prev, req)
+			oracleReq := req
+			oracleReq.Result = fresh
+			want, werr := Debug(oracleReq)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("attempt %d step %d: error disagreement: %v vs the oracle's %v", attempt, step, gerr, werr)
+			}
+			if gerr != nil {
+				break
+			}
+			if got.Plan.Mode == "reexpanded" {
+				if got.Plan.Drift <= opt.DriftThreshold || got.Plan.Fallback != "" {
+					t.Fatalf("attempt %d step %d: re-expanded without a rescore drifting: %+v", attempt, step, got.Plan)
+				}
+				debugResultsEqual(t, fmt.Sprintf("attempt %d step %d re-expanded", attempt, step), want, got)
+				reexpanded++
+			}
+			prev = got
+		}
+	}
+	if reexpanded == 0 {
+		t.Fatal("no carried pass with examples ever drifted into re-expansion")
+	}
+}
+
+// TestDebugAdvanceChainRetainsNothing runs a long carried chain the way
+// a monitoring session does — only the latest DebugResult is kept — and
+// checks the early passes' scorers (each holds an argument view the
+// size of the table) are garbage: a carried analysis that linked back
+// to the pass it was carried from would keep every one of them alive.
+func TestDebugAdvanceChainRetainsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	tbl, advRes, req, prev := carriedFixture(t, rng, Options{DriftThreshold: math.Inf(1)})
+	const watched = 6
+	var collected atomic.Int32
+	for step := 0; step < 24; step++ {
+		// No suspect group ever grows: the ranking is shared down the whole
+		// chain, the arm on which a link could be kept.
+		grown, err := tbl.AppendBatch(freshGroupBatch(rng, 5, step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if advRes, err = exec.Advance(advRes, grown); err != nil {
+			t.Fatal(err)
+		}
+		tbl, req.Result = grown, advRes
+		got, err := DebugAdvance(prev, req)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got.Plan.Mode != "carried" {
+			t.Fatalf("step %d: plan %+v, want carried", step, got.Plan)
+		}
+		if &got.Influence.Influences[0] != &prev.Influence.Influences[0] {
+			t.Fatalf("step %d: the influence ranking was recomputed", step)
+		}
+		if step < watched {
+			runtime.SetFinalizer(got.Influence.Scorer, func(*influence.Scorer) { collected.Add(1) })
+		}
+		prev = got
+	}
+	for i := 0; i < 20 && collected.Load() < watched; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	if n := collected.Load(); n < watched {
+		t.Fatalf("%d of the first %d passes' scorers are still reachable from the latest DebugResult", watched-int(n), watched)
+	}
+	runtime.KeepAlive(prev)
 }
 
 // TestDebugAdvanceChangedSelectionReexpands: carried candidates were
@@ -340,7 +470,7 @@ func TestDebugAdvanceChangedSelectionReexpands(t *testing.T) {
 			continue
 		}
 		prev, err := Debug(DebugRequest{Result: res, AggItem: -1, Suspect: suspectA, Examples: examples, Metric: metric, Opt: opt})
-		if err != nil || prev.state == nil || prev.state.scorer == nil || prev.state.rstate.Len() == 0 {
+		if err != nil || prev.state == nil || prev.state.an == nil || prev.state.rstate.Len() == 0 {
 			continue
 		}
 		grown, err := tbl.AppendBatch(testgen.Batch(rng, 10))

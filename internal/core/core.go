@@ -214,8 +214,9 @@ type DebugResult struct {
 
 // debugState is what a later DebugAdvance needs to pick the analysis up
 // after the source table grew: the result and request shape the pass
-// ran under (to validate the advance applies), the columnar scorer (its
-// bitsets and argument view extend by suffix), and the ranker's scored
+// ran under (to validate the advance applies), the influence analysis
+// (its scorer's bitsets and argument view extend by suffix; its ranking
+// stands while no suspect group grows), and the ranker's scored
 // candidates (rescored instead of re-learned while drift stays low).
 type debugState struct {
 	src       *engine.Table // source table the pass ran over (family + length checks)
@@ -223,7 +224,7 @@ type debugState struct {
 	ord       int
 	metricKey string
 	opt       Options
-	scorer    *influence.Scorer
+	an        *influence.Analysis
 	rstate    *ranker.RankerState
 	// suspectKey and examplesKey fingerprint the question the carried
 	// candidates were learned for: suspect groups by version-stable
@@ -365,7 +366,7 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 
 	start := time.Now()
 	n := req.Result.Source.NumRows()
-	d.fBits = bitset.FromRows(n, an.F)
+	d.fBits = an.Scorer.FBits() // shared, read-only
 	d.dprime = nil
 	for _, r := range req.Examples {
 		if d.fBits.Get(r) {
@@ -435,7 +436,9 @@ func (d *debugRun) culpableBits() *bitset.Bitset {
 	return b
 }
 
-// featurize builds the feature space over the learning population.
+// featurize gathers and profiles the feature space over the learning
+// population — all cleanExamples reads. The learners' thresholds and
+// bins are enumerate's to add, so a carried pass never pays for them.
 func (d *debugRun) featurize() error {
 	start := time.Now()
 	fopt := d.opt.Feature
@@ -472,14 +475,19 @@ func (d *debugRun) cleanExamples() {
 	d.out.Timings["enumerate"] += time.Since(start)
 }
 
-// enumerate runs candidate dataset enumeration (Dataset Enumerator step
-// 2b) and the Predicate Enumerator (trees per candidate per criterion),
-// returning the ranker's candidate pool. Requires cleanExamples.
+// enumerate completes the feature space for the learners, then runs
+// candidate dataset enumeration (Dataset Enumerator step 2b) and the
+// Predicate Enumerator (trees per candidate per criterion), returning
+// the ranker's candidate pool. Requires cleanExamples.
 func (d *debugRun) enumerate() []ranker.Candidate {
 	opt, out := d.opt, d.out
 	learnPop, dprime := d.learnPop, d.dprime
 
 	start := time.Now()
+	d.sp.Discretize()
+	out.Timings["featurize"] += time.Since(start)
+
+	start = time.Now()
 	n := d.req.Result.Source.NumRows()
 	// labelsOf marks the learning population's members of a row set.
 	labelsOf := func(set *bitset.Bitset) []bool {
@@ -657,7 +665,7 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, st
 		ord:       d.ord,
 		metricKey: metricKey(d.req.Metric),
 		opt:       opt,
-		scorer:    d.an.Scorer,
+		an:        d.an,
 		rstate:    rstate,
 		index:     d.index,
 	}
@@ -716,12 +724,13 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 
 // DebugAdvance picks a Debug analysis up after the source table grew:
 // req.Result must be (a version of) the result prev was computed over,
-// advanced across one or more appended batches (exec.Advance). The
-// carried columnar state — per-group lineage bitsets, the flat argument
-// view, clause masks, the scored candidate set — extends by the
-// appended suffix instead of rebuilding, so a monitoring loop's
-// re-Debug costs O(batch + lineage + candidates) rather than
-// O(table × candidates).
+// advanced across one or more appended batches (exec.Advance). Every
+// carried structure — lineage bitsets, the argument view, clause masks,
+// the scored candidates — extends by the appended suffix, the influence
+// ranking stands as it is while no suspect group's lineage grew, and the
+// feature space is only profiled (for example cleaning) unless the
+// learners run. What a carried pass still pays per learning-population
+// row is the contrast sample, the gather and k-means.
 //
 // The carry/re-expand state machine (recorded in DebugResult.Plan):
 // carried candidates are rescored exactly against the advanced state;
@@ -775,11 +784,11 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// --- Preprocessor, incremental: advance the carried scorer by the
 	// appended suffix and re-rank influence through it. ---
 	start := time.Now()
-	sc, err := influence.AdvanceScorer(st.scorer, res, req.Suspect, ord, req.Metric)
+	sc, err := influence.AdvanceScorer(st.an.Scorer, res, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
 	}
-	an, err := influence.RankWithScorerCtx(req.ctx(), sc, influence.Options{MaxTuples: opt.MaxLOOTuples})
+	an, err := influence.RankAdvancedCtx(req.ctx(), st.an, sc, influence.Options{MaxTuples: opt.MaxLOOTuples})
 	if err != nil {
 		return nil, err
 	}
@@ -820,10 +829,9 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		st.suspectKey == suspectKeyOf(res, req.Suspect) &&
 		st.examplesKey == rowsKey(req.Examples)
 
-	// The feature space is needed for example cleaning and for the
-	// learners; a carried pass without user examples skips it.
-	needSpace := !carry || len(req.Examples) > 0
-	if needSpace {
+	// Example cleaning and the learners read the feature space; a carried
+	// pass without user examples skips it.
+	if !carry || len(req.Examples) > 0 {
 		if err := d.featurize(); err != nil {
 			return nil, err
 		}
@@ -943,11 +951,21 @@ func SuspectWhere(res *exec.Result, col string, keep func(v engine.Value) bool) 
 
 // ExamplesWhere selects D' from the lineage of the suspect groups: the
 // source rows satisfying the SQL condition cond (e.g.
-// "temperature > 100"). This mirrors zooming into the raw tuples and
-// highlighting outliers. Like Debug, it reports a chunk-load failure as
-// an error.
-func ExamplesWhere(res *exec.Result, suspect []int, cond string) (_ []int, err error) {
-	defer engine.CatchSegmentLoad(&err)
+// "temperature > 100"), ascending. This mirrors zooming into the raw
+// tuples and highlighting outliers. It is ExamplesWhereCtx under the
+// background context.
+func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) {
+	return ExamplesWhereCtx(context.Background(), res, suspect, cond)
+}
+
+// ExamplesWhereCtx is the suspect lineage ∧ cond's WHERE mask: the
+// groups' carried lineage bitsets (out-of-range suspects skipped) are
+// the universe exec.FilterRows walks cond over, so a comparison against
+// a constant reads a shared clause mask and anything else (LIKE,
+// arithmetic) is evaluated on lineage rows only — an error is one a
+// lineage row raises. The walk polls ctx; a chunk-load failure is an
+// error, as in Debug.
+func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond string) ([]int, error) {
 	e, err := sqlparse.ParseExpr(cond)
 	if err != nil {
 		return nil, err
@@ -955,21 +973,17 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) (_ []int, err e
 	if err := e.Resolve(res.Source.Schema()); err != nil {
 		return nil, err
 	}
-	var out []int
-	row := make([]engine.Value, res.Source.NumCols())
-	rr := res.Source.NewRowReader() // one pin per column, not one per row
-	defer rr.Close()
-	for _, r := range res.Lineage(suspect) {
-		rr.RowInto(r, row)
-		ok, err := expr.EvalBool(e, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
+	lineage := bitset.New(res.Source.NumRows())
+	for _, ri := range suspect {
+		if ri >= 0 && ri < len(res.Groups) {
+			lineage.Or(res.GroupLineageBitsShared(ri))
 		}
 	}
-	return out, nil
+	pass, _, err := exec.FilterRows(ctx, res.Source, e, lineage)
+	if err != nil {
+		return nil, err
+	}
+	return pass.Rows(), nil
 }
 
 // sampleOutside returns up to want evenly spaced row ids in [0, n) not

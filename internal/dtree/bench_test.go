@@ -27,7 +27,7 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 			engine.NewString(city))
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{}), labels
+	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
 // BenchmarkTrain measures one tree induction per criterion — the

@@ -152,9 +152,14 @@ type trainer struct {
 }
 
 // Train fits a tree on the space's learning frame: labels and optional
-// weights (nil means uniform) are parallel to sp.Frame.Rows.
+// weights (nil means uniform) are parallel to sp.Frame.Rows. The space
+// must have been discretized; a profile-only one is an error, not a tree
+// that found nothing to split on.
 func Train(sp *feature.Space, labels []bool, weights []float64, opt Options) (*Tree, error) {
 	opt.defaults()
+	if sp.Frame.Bins == nil {
+		return nil, fmt.Errorf("dtree: the feature space has no thresholds or bins (feature.Space.Discretize was not run)")
+	}
 	n := len(sp.Frame.Rows)
 	if n == 0 || len(labels) != n {
 		return nil, fmt.Errorf("dtree: %d rows with %d labels", n, len(labels))

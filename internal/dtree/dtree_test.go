@@ -25,7 +25,7 @@ func plantedConcept(t *testing.T, n int) (*feature.Space, []bool) {
 		tbl.MustAppendRow(engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city))
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{NumThresholds: 20}), labels
+	return feature.NewSpace(tbl, feature.Options{NumThresholds: 20}).Discretize(), labels
 }
 
 func TestTreeLearnsPlantedConcept(t *testing.T) {

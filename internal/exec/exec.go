@@ -330,7 +330,7 @@ func groupKeyIndex(stmt *sqlparse.SelectStmt, e expr.Expr) int {
 // lineage is exactly its one source row. The WHERE filter is the same
 // buildFilter mask the grouped scan consumes.
 func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
-	filter, fstats, err := buildFilter(ctx, src, stmt.Where, 0)
+	filter, fstats, err := buildFilter(ctx, src, stmt.Where, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -512,13 +512,14 @@ func rowEval(e expr.Expr, rr *engine.RowReader, ncols int) expr.Evaluator {
 	}
 }
 
-// walkConjuncts evaluates the AND chain parts over rows [from, n) of
-// lc.src; bits below from are left unset. With allResidual the index is
-// never consulted. geometry reports an index geometry mismatch (the
-// caller re-walks with allResidual); err carries residual evaluation
-// errors — genuine expression errors the scalar path would also have
-// surfaced — and context cancellation.
-func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, from int, allResidual bool) (pass *bitset.Bitset, stats filterStats, geometry bool, err error) {
+// walkConjuncts evaluates the AND chain parts over the rows of universe
+// (nil: every row of lc.src); the bits outside it are left unset, and no
+// residual is evaluated there. With allResidual the index is never
+// consulted. geometry reports an index geometry mismatch (the caller
+// re-walks with allResidual); err carries residual evaluation errors —
+// genuine expression errors the scalar path would also have surfaced on
+// a universe row — and context cancellation.
+func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe *bitset.Bitset, allResidual bool) (pass *bitset.Bitset, stats filterStats, geometry bool, err error) {
 	schema := lc.src.Schema()
 	conj := make([]conjunct, len(parts))
 	lastResidual := -1
@@ -579,9 +580,14 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, from int
 	// pass = rows TRUE under every conjunct so far; elig = rows not known
 	// FALSE under any source-earlier conjunct (pass ⊆ elig).
 	n := lc.src.NumRows()
-	pass = bitset.New(n)
-	pass.FillFrom(from)
-	passCount, eligCount := n-from, n-from
+	passCount := n
+	if universe != nil {
+		pass, passCount = universe.Clone(), universe.Count()
+	} else {
+		pass = bitset.New(n)
+		pass.Fill()
+	}
+	eligCount := passCount
 	var elig *bitset.Bitset
 	var rr *engine.RowReader
 	if lastResidual >= 0 {
@@ -603,7 +609,7 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, from int
 		switch {
 		case c.residual:
 			ev := rowEval(c.e, rr, lc.src.NumCols())
-			it := elig.Iter(from)
+			it := elig.Iter(0)
 			for r, more := it.Next(); more; r, more = it.Next() {
 				if ctxTick%ctxCheckRows == 0 {
 					if cerr := ctx.Err(); cerr != nil {
@@ -649,23 +655,36 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, from int
 // walkConjuncts. A nil where yields a nil mask: no filtering. When the
 // predicate index cannot serve this table version's geometry (a
 // superseded snapshot racing retention) the chain is walked again with
-// every conjunct residual. Bits below "from" may be left unset: callers
-// that only consume a suffix (exec.Advance) pass the first row they
-// will read, which keeps residual evaluation O(suffix) instead of
-// O(table); full scans pass 0.
-func buildFilter(ctx context.Context, src *engine.Table, where expr.Expr, from int) (*bitset.Bitset, filterStats, error) {
+// every conjunct residual. universe is the set of rows the caller will
+// read — Advance's appended suffix, FilterRows' lineage; nil, a full
+// scan's, is every row — and bounds residual evaluation: O(universe),
+// not O(table), with no error from a row outside it.
+func buildFilter(ctx context.Context, src *engine.Table, where expr.Expr, universe *bitset.Bitset) (*bitset.Bitset, filterStats, error) {
 	if where == nil {
 		return nil, filterStats{}, nil
 	}
 	lc := lowerCtx{ix: predicate.Shared(src), src: src, base: src.Base()}
 	parts := flattenAnd(where, nil)
-	pass, stats, geometry, err := walkConjuncts(ctx, parts, lc, from, false)
+	pass, stats, geometry, err := walkConjuncts(ctx, parts, lc, universe, false)
 	if geometry {
-		pass, stats, _, err = walkConjuncts(ctx, parts, lc, from, true)
+		pass, stats, _, err = walkConjuncts(ctx, parts, lc, universe, true)
 		stats.fallback = fallbackFilterGeometry
 	}
 	if err != nil {
 		return nil, filterStats{}, err
 	}
 	return pass, stats, nil
+}
+
+// FilterRows returns the rows of universe (nil: every row of src) on
+// which cond — resolved against src's schema — is TRUE, through the
+// statement WHERE pipeline: conjuncts that lower read the family's
+// shared clause masks (which extend by the appended suffix only), the
+// rest evaluate per row on universe rows alone, so an error is one the
+// scalar evaluator would raise on a universe row. The PlanInfo holds the
+// filter fields of the walk. A chunk-load failure is an error.
+func FilterRows(ctx context.Context, src *engine.Table, cond expr.Expr, universe *bitset.Bitset) (_ *bitset.Bitset, _ PlanInfo, err error) {
+	defer engine.CatchSegmentLoad(&err)
+	pass, stats, err := buildFilter(ctx, src, cond, universe)
+	return pass, stats.plan(), err
 }

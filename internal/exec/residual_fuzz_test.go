@@ -69,7 +69,7 @@ func FuzzResidualFilterParity(f *testing.F) {
 			want[r] = ok
 		}
 
-		mask, _, err := buildFilter(context.Background(), tbl, where, 0)
+		mask, _, err := buildFilter(context.Background(), tbl, where, nil)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("[%s]: error disagreement: buildFilter=%v oracle=%v", where, err, wantErr)
 		}

@@ -262,7 +262,7 @@ func TestResidualFilterCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := buildFilter(ctx, tbl, where, 0)
+	_, _, err := buildFilter(ctx, tbl, where, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context did not abort the residual filter: %v", err)
 	}

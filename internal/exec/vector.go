@@ -260,8 +260,8 @@ func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
 
 // planVector analyzes a grouped statement for the scan. filterFrom is
 // the first row the caller will consume from the WHERE mask: fresh runs
-// pass 0, Advance passes the old row count so residual conjuncts touch
-// only the suffix.
+// pass 0, Advance passes the old row count — the suffix is then the
+// filter's universe, so residual conjuncts touch nothing before it.
 func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggItems []int, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
 	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos}
 	p.fviews = make([]*engine.FloatView, src.NumCols())
@@ -300,8 +300,13 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		}
 	}
 
+	var universe *bitset.Bitset // nil: every row
+	if filterFrom > 0 && stmt.Where != nil {
+		universe = bitset.New(src.NumRows())
+		universe.FillFrom(filterFrom)
+	}
 	var err error
-	if p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, filterFrom); err != nil {
+	if p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, universe); err != nil {
 		return nil, err
 	}
 

@@ -4,7 +4,10 @@
 //
 // Numeric columns contribute standardized coordinates and a set of
 // quantile-derived split thresholds; string columns contribute their
-// most frequent values as equality selectors. The aggregate's input
+// most frequent values as equality selectors. Construction has two
+// steps: NewSpace gathers the columns and profiles them (all that
+// example cleaning reads), Space.Discretize adds the thresholds and the
+// bucket matrix the learners train on. The aggregate's input
 // column and group-by columns can be excluded so that explanations are
 // phrased over the remaining descriptive attributes — though the paper's
 // examples (moteid, voltage, memo) show that keeping most columns is
@@ -47,13 +50,11 @@ type Attr struct {
 	// attribute (most frequent first, capped at MaxCategories).
 	Values []engine.Value
 	// Thresholds holds candidate numeric split points (deduplicated
-	// quantile midpoints).
+	// quantile midpoints); nil until Space.Discretize.
 	Thresholds []float64
 	// Mean and Std standardize numeric attributes for k-means; Std is 1
 	// for constant columns.
 	Mean, Std float64
-	// Min and Max are the observed numeric range.
-	Min, Max float64
 }
 
 // Space is the derived attribute space over one table.
@@ -67,6 +68,13 @@ type Space struct {
 	// numericIdx lists positions in Attrs that are numeric, defining the
 	// coordinate order of Frame.Vector.
 	numericIdx []int
+	// What Discretize takes over from NewSpace: the statistics sample's
+	// frame positions (nil: every position), the threshold count, and per
+	// categorical attribute (parallel to Attrs) its dictionary code →
+	// Values index table.
+	sample        []int
+	numThresholds int
+	slots         [][]int16
 }
 
 // Frame is a space's attributes gathered over a list of table rows: one
@@ -85,11 +93,13 @@ type Frame struct {
 	// nil for numeric attributes.
 	Codes [][]int32
 	// Bins[ai][i] is position i's place in attribute ai's vocabulary —
-	// the learning frame only. Numeric: the threshold bucket
-	// (sort.SearchFloat64s over Thresholds; NULL and NaN land in the
-	// last bucket, len(Thresholds)), so value <= Thresholds[k] is
-	// Bins <= k; nil without thresholds. Categorical: the index into
-	// Values, -1 for NULL and for values outside the capped set.
+	// the learning frame only, and nil until Space.Discretize, which is
+	// how a learner tells a space it cannot train on. Numeric: the
+	// threshold bucket (sort.SearchFloat64s over Thresholds; NULL and NaN
+	// land in the last bucket, len(Thresholds)), so value <=
+	// Thresholds[k] is Bins <= k; nil without thresholds. Categorical:
+	// the index into Values, -1 for NULL and for values outside the
+	// capped set.
 	Bins [][]int16
 	// Space is the space the columns belong to.
 	Space *Space
@@ -130,9 +140,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// NewSpace derives the attribute space of t and gathers its learning
-// frame. On an out-of-core table a chunk-load failure panics
-// engine.SegmentLoadError (see engine.CatchSegmentLoad).
+// NewSpace derives the attribute space of t: it gathers the learning
+// frame's columns and profiles them (Mean/Std, the frequent categorical
+// Values) — everything example cleaning reads. Thresholds and Bins are
+// Discretize's, the step a stage that trains learners runs. On an
+// out-of-core table a chunk-load failure panics engine.SegmentLoadError
+// (see engine.CatchSegmentLoad).
 func NewSpace(t *engine.Table, opt Options) *Space {
 	opt.defaults()
 	excluded := make(map[string]bool, len(opt.Exclude))
@@ -147,18 +160,17 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 			rows[i] = i
 		}
 	}
+	sp := &Space{Table: t, numThresholds: opt.NumThresholds}
 	// Statistics run over an evenly spaced sample of the frame's
 	// positions when it is larger than SampleCap.
-	var sample []int
 	if len(rows) > opt.SampleCap {
-		sample = make([]int, opt.SampleCap)
+		sp.sample = make([]int, opt.SampleCap)
 		step := float64(len(rows)) / float64(opt.SampleCap)
-		for i := range sample {
-			sample[i] = int(float64(i) * step)
+		for i := range sp.sample {
+			sp.sample[i] = int(float64(i) * step)
 		}
 	}
 
-	sp := &Space{Table: t}
 	fr := &Frame{Rows: rows, Space: sp}
 	sp.Frame = fr
 	for c, col := range t.Schema() {
@@ -168,28 +180,19 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 		attr := Attr{Name: col.Name, Col: c, Type: col.Type}
 		var floats []float64
 		var codes []int32
-		var bins []int16
+		var slot []int16
 		switch {
 		case col.Type.IsNumeric():
 			floats = gatherFloats(t, c, rows)
-			if !attr.profileNumeric(sampled(floats, sample), opt.NumThresholds) {
+			if !attr.profileNumeric(sampled(floats, sp.sample)) {
 				continue
 			}
-			bins = bucketize(floats, attr.Thresholds)
 			sp.numericIdx = append(sp.numericIdx, len(sp.Attrs))
 		case col.Type == engine.TString:
 			var dict []string
 			codes, dict = gatherCodes(t, c, rows)
-			slot := attr.profileCategorical(sampled(codes, sample), dict, opt.MaxCategories)
-			if slot == nil {
+			if slot = attr.profileCategorical(sampled(codes, sp.sample), dict, opt.MaxCategories); slot == nil {
 				continue
-			}
-			bins = make([]int16, len(codes))
-			for i, code := range codes {
-				bins[i] = -1
-				if code >= 0 {
-					bins[i] = slot[code]
-				}
 			}
 		default:
 			continue
@@ -197,9 +200,41 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 		sp.Attrs = append(sp.Attrs, attr)
 		fr.Floats = append(fr.Floats, floats)
 		fr.Codes = append(fr.Codes, codes)
-		fr.Bins = append(fr.Bins, bins)
+		sp.slots = append(sp.slots, slot)
 	}
 	return sp
+}
+
+// Discretize is construction's second step, for the stage that trains
+// learners: the numeric attributes' quantile Thresholds (one sort of the
+// statistics sample each) and the learning frame's Bins. It works on the
+// columns NewSpace gathered — the table is not read again — changes
+// nothing a profile-only reader saw, and is idempotent; run it before
+// the space is shared between goroutines. It returns s.
+func (s *Space) Discretize() *Space {
+	fr := s.Frame
+	if fr.Bins != nil {
+		return s
+	}
+	fr.Bins = make([][]int16, len(s.Attrs))
+	for ai := range s.Attrs {
+		a := &s.Attrs[ai]
+		if a.Kind == Numeric {
+			a.Thresholds = quantileThresholds(sampled(fr.Floats[ai], s.sample), s.numThresholds)
+			fr.Bins[ai] = bucketize(fr.Floats[ai], a.Thresholds)
+			continue
+		}
+		bins := make([]int16, len(fr.Codes[ai]))
+		for i, code := range fr.Codes[ai] {
+			bins[i] = -1
+			if code >= 0 {
+				bins[i] = s.slots[ai][code]
+			}
+		}
+		fr.Bins[ai] = bins
+	}
+	s.sample, s.slots = nil, nil
+	return s
 }
 
 // sampled returns col at the sample positions; all of it without a
@@ -255,25 +290,26 @@ func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
 	return out, dv.Values()
 }
 
-// profileNumeric fills a's numeric statistics from (a sample of) its
-// gathered column; false when no finite value remains.
-func (a *Attr) profileNumeric(floats []float64, nThresh int) bool {
-	vals := make([]float64, 0, len(floats))
+// finite reports whether f takes part in the numeric statistics.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// profileNumeric fills a's Mean and Std from (a sample of) its gathered
+// column; false when no finite value remains.
+func (a *Attr) profileNumeric(floats []float64) bool {
 	var sum, sumsq float64
+	n := 0
 	for _, f := range floats {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			continue
+		if finite(f) {
+			sum += f
+			sumsq += f * f
+			n++
 		}
-		vals = append(vals, f)
-		sum += f
-		sumsq += f * f
 	}
-	if len(vals) == 0 {
+	if n == 0 {
 		return false
 	}
-	n := float64(len(vals))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
+	mean := sum / float64(n)
+	variance := sumsq/float64(n) - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -281,21 +317,30 @@ func (a *Attr) profileNumeric(floats []float64, nThresh int) bool {
 	if std == 0 {
 		std = 1
 	}
-	sort.Float64s(vals)
 	a.Kind, a.Mean, a.Std = Numeric, mean, std
-	a.Min, a.Max = vals[0], vals[len(vals)-1]
-	// Quantile midpoint thresholds, deduplicated. A constant column
-	// yields no thresholds but still standardizes.
+	return true
+}
+
+// quantileThresholds returns the deduplicated quantile midpoints of the
+// finite values in (a sample of) a numeric column. A constant column
+// yields none but still standardizes.
+func quantileThresholds(floats []float64, nThresh int) []float64 {
+	vals := make([]float64, 0, len(floats))
+	for _, f := range floats {
+		if finite(f) {
+			vals = append(vals, f)
+		}
+	}
+	sort.Float64s(vals)
+	var ths []float64
 	prev := math.Inf(-1)
 	for q := 1; q <= nThresh; q++ {
-		idx := q * (len(vals) - 1) / (nThresh + 1)
-		cut := vals[idx]
-		if cut > prev {
-			a.Thresholds = append(a.Thresholds, cut)
+		if cut := vals[q*(len(vals)-1)/(nThresh+1)]; cut > prev {
+			ths = append(ths, cut)
 			prev = cut
 		}
 	}
-	return true
+	return ths
 }
 
 // bucketize resolves every position's threshold bucket once, so no
@@ -368,7 +413,7 @@ func (f *Frame) Vector(i int, dst []float64) []float64 {
 	for d, ai := range s.numericIdx {
 		a := &s.Attrs[ai]
 		v := f.Floats[ai][i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			dst[d] = 0
 			continue
 		}

@@ -28,7 +28,7 @@ func mixedTable(t *testing.T, n int) *engine.Table {
 }
 
 func TestNewSpaceDetectsKinds(t *testing.T) {
-	sp := NewSpace(mixedTable(t, 100), Options{})
+	sp := NewSpace(mixedTable(t, 100), Options{}).Discretize()
 	if len(sp.Attrs) != 4 {
 		t.Fatalf("attrs: %d", len(sp.Attrs))
 	}
@@ -67,10 +67,13 @@ func TestExclusions(t *testing.T) {
 }
 
 func TestThresholdsSortedUnique(t *testing.T) {
-	sp := NewSpace(mixedTable(t, 500), Options{NumThresholds: 8})
+	sp := NewSpace(mixedTable(t, 500), Options{NumThresholds: 8}).Discretize()
 	for _, a := range sp.Attrs {
 		if a.Kind != Numeric {
 			continue
+		}
+		if a.Name != "constant" && len(a.Thresholds) == 0 {
+			t.Errorf("%s has no thresholds", a.Name)
 		}
 		for i := 1; i < len(a.Thresholds); i++ {
 			if a.Thresholds[i] <= a.Thresholds[i-1] {
@@ -107,7 +110,7 @@ func TestRowsSubset(t *testing.T) {
 	tbl := mixedTable(t, 100)
 	sp := NewSpace(tbl, Options{Rows: []int{0, 1, 2, 3}})
 	a := sp.AttrByName("id")
-	if a == nil || a.Max != 3 {
+	if a == nil || a.Mean != 1.5 {
 		t.Errorf("subset stats: %+v", a)
 	}
 }

@@ -1,9 +1,11 @@
 package influence
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -86,12 +88,32 @@ func oracleEqual(t *testing.T, label string, res *exec.Result, suspect []int, me
 	}
 }
 
+// analysesEqual pins an analysis to the one a full LOO pass over a
+// from-scratch scorer produces: ε, F and every influence, in order.
+func analysesEqual(t *testing.T, label string, want, got *Analysis) {
+	t.Helper()
+	if !floatsEqual(want.Eps, got.Eps) || !slices.Equal(want.F, got.F) || len(want.Influences) != len(got.Influences) {
+		t.Fatalf("%s: eps %v vs %v, |F| %d vs %d, %d vs %d influences", label,
+			want.Eps, got.Eps, len(want.F), len(got.F), len(want.Influences), len(got.Influences))
+	}
+	for i, w := range want.Influences {
+		if g := got.Influences[i]; w.Row != g.Row || w.GroupRow != g.GroupRow || !floatsEqual(w.Delta, g.Delta) {
+			t.Fatalf("%s: influence[%d] %+v vs %+v", label, i, g, w)
+		}
+	}
+}
+
+// TestAdvanceScorerDifferential also pins RankAdvancedCtx, the analysis
+// over the advanced scorer: whether it shares the previous pass's
+// ranking (no suspect group grew) or runs the LOO pass again, it equals
+// RankWithScorer over the from-scratch scorer — and it shares exactly
+// when the suspects and their lineages are the previous pass's.
 func TestAdvanceScorerDifferential(t *testing.T) {
 	seeds := int64(8)
 	if testing.Short() {
 		seeds = 3
 	}
-	sawDistinct := false
+	sawDistinct, shared, recomputed := false, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 977))
 		tbl := testgen.TableSeg(rng, 80+rng.Intn(150), engine.MinSegmentBits)
@@ -113,9 +135,20 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
 			}
+			opt := Options{MaxTuples: rng.Intn(2) * 40}
+			prevAn := RankWithScorer(prev, opt)
 			cur := tbl
-			for step := 0; step < 3; step++ {
-				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
+			for step := 0; step < 4; step++ {
+				batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur))
+				if step%2 == 1 {
+					// Keys no generator draws: the batch founds groups and
+					// grows none, whatever the statement groups by.
+					for _, r := range batch {
+						r[0], r[1] = engine.NewInt(int64(1000+3*step)), engine.NewInt(int64(100+step))
+						r[3] = engine.NewString(fmt.Sprintf("fresh%d", step))
+					}
+				}
+				grown, err := cur.AppendBatch(batch)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
@@ -126,11 +159,16 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if !adv.Plan.Incremental || adv.Plan.Fallback != "" {
 					t.Fatalf("seed %d iter %d step %d: Advance re-ran without retention: %+v [%s]", seed, iter, step, adv.Plan, stmt)
 				}
-				// Re-draw suspects half the time: the carried F union
+				// Re-draw suspects a third of the time: the carried F union
 				// only applies to an unchanged suspect set, and the
 				// changed-set path must rebuild, not mis-carry.
-				if rng.Intn(2) == 0 {
-					suspect = testgen.Suspects(rng, adv)
+				same := true
+				if rng.Intn(3) == 0 {
+					redrawn := testgen.Suspects(rng, adv)
+					same, suspect = slices.Equal(redrawn, suspect), redrawn
+				}
+				for _, ri := range suspect {
+					same = same && ri < len(res.Groups) && len(adv.Groups[ri].Lineage) == len(res.Groups[ri].Lineage)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
 				fresh, freshErr := NewScorer(adv, suspect, 0, metric)
@@ -140,7 +178,30 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				}
 				scorersEqual(t, label, fresh, carried, rng)
 				oracleEqual(t, label, adv, suspect, metric, carried, rng)
-				prev = carried
+
+				an, err := RankAdvancedCtx(context.Background(), prevAn, carried, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				analysesEqual(t, label, RankWithScorer(fresh, opt), an)
+				if an.Scorer != carried {
+					t.Fatalf("%s: the analysis is not over the advanced scorer", label)
+				}
+				if kept := len(an.Influences) > 0 && &an.Influences[0] == &prevAn.Influences[0]; kept != (same && len(an.Influences) > 0) {
+					t.Fatalf("%s: same suspects and lineages %v, previous ranking kept %v", label, same, kept)
+				} else if kept {
+					shared++
+				} else {
+					recomputed++
+				}
+				// A different cap is a different pass, whatever grew.
+				capped := Options{MaxTuples: opt.MaxTuples + 7}
+				if an2, _ := RankAdvancedCtx(context.Background(), prevAn, carried, capped); len(an2.Influences) > 0 && &an2.Influences[0] == &prevAn.Influences[0] {
+					t.Fatalf("%s: a ranking made under another MaxTuples was kept", label)
+				} else {
+					analysesEqual(t, label+" capped", RankWithScorer(fresh, capped), an2)
+				}
+				prev, prevAn = carried, an
 				res, cur = adv, grown
 			}
 			// Next iteration draws a fresh statement (and a fresh result
@@ -151,6 +212,9 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 	}
 	if !sawDistinct {
 		t.Fatal("harness coverage: no trial debugged count(DISTINCT s)")
+	}
+	if shared == 0 || recomputed == 0 {
+		t.Fatalf("harness coverage: %d analyses shared the previous ranking, %d recomputed it", shared, recomputed)
 	}
 }
 

@@ -49,7 +49,8 @@ type Analysis struct {
 	// Eps is ε over the suspect groups before any removal.
 	Eps float64
 	// Influences holds one entry per analyzed lineage tuple, sorted by
-	// descending Delta.
+	// descending Delta. Read-only, like F: the analyses of a carried
+	// chain share both (RankAdvancedCtx).
 	Influences []TupleInfluence
 	// F is the full lineage of the suspect groups (sorted row ids).
 	F []int
@@ -57,6 +58,9 @@ type Analysis struct {
 	// for reuse by downstream predicate scoring. Never nil.
 	Scorer *Scorer
 
+	// maxTuples is the Options.MaxTuples the pass ran under
+	// (RankAdvancedCtx carries an analysis only under the same cap).
+	maxTuples int
 	// deltaByRow indexes Influences by row, built lazily on the first
 	// DeltaOf call.
 	deltaOnce  sync.Once
@@ -99,8 +103,26 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer, opt Options) (*Analysis,
 	if err != nil {
 		return nil, err
 	}
-	an.Scorer = sc
+	an.Scorer, an.maxTuples = sc, opt.MaxTuples
 	return an, nil
+}
+
+// RankAdvancedCtx is RankWithScorerCtx for sc = AdvanceScorer(prev.Scorer,
+// …) under the aggregate and metric prev was ranked with — the step a
+// monitoring loop repeats. A stream mostly grows by adding groups, not
+// rows to old ones: when no suspect group's lineage grew since prev
+// (Scorer.sameLineage) and the cap is the same, every aggregate state,
+// hence ε and every δ, is what prev computed, and the analysis shares
+// prev's Influences and F read-only instead of re-deriving and
+// re-sorting them. One group growing moves ε and so every δ: the pass
+// then runs in full. The link to prev is this value comparison, made
+// once; the returned analysis does not reference prev or its Scorer, so
+// a chain of carried passes retains nothing of its history.
+func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer, opt Options) (*Analysis, error) {
+	if prev != nil && prev.maxTuples == opt.MaxTuples && sc.sameLineage(prev.Scorer) {
+		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc, maxTuples: opt.MaxTuples}, nil
+	}
+	return RankWithScorerCtx(ctx, sc, opt)
 }
 
 // sampleRows returns rows, or an evenly spaced sample of max of them

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +48,10 @@ type Scorer struct {
 	// carried F union still describes the same groups even when the
 	// materialized output order shifted.
 	firstRows []int
+	// lineLens[i] is suspect group i's lineage length. Lineage is
+	// append-only within a table family, so between two scorers of one
+	// chain an equal length is an equal row set.
+	lineLens []int
 }
 
 // groupBits is one suspect group's lineage with its non-zero word span.
@@ -132,6 +137,17 @@ func sameSuspectGroups(prev, next *Scorer, drop int) bool {
 	return true
 }
 
+// sameLineage reports whether s — advanced from prev within one table
+// family — scores exactly the rows prev scored: no retention rebase (row
+// ids mean the same), the same groups at the same output rows
+// (TupleInfluence.GroupRow), none of them grown, and ε unmoved to the
+// bit.
+func (s *Scorer) sameLineage(prev *Scorer) bool {
+	return s.srcBase == prev.srcBase && slices.Equal(s.suspect, prev.suspect) &&
+		sameSuspectGroups(prev, s, 0) && slices.Equal(s.lineLens, prev.lineLens) &&
+		math.Float64bits(s.eps) == math.Float64bits(prev.eps)
+}
+
 // checkSelection validates a suspect selection and aggregate ordinal
 // against res.
 func checkSelection(res *exec.Result, suspect []int, ord int) error {
@@ -163,9 +179,11 @@ func newScorerBase(res *exec.Result, suspect []int, ord int, metric errmetric.Me
 		nsrc:      res.Source.NumRows(),
 		srcBase:   res.Source.Base(),
 		firstRows: make([]int, len(suspect)),
+		lineLens:  make([]int, len(suspect)),
 	}
 	for i, ri := range suspect {
 		s.firstRows[i] = res.Groups[ri].FirstRow
+		s.lineLens[i] = len(res.Groups[ri].Lineage)
 		s.states[i] = res.Groups[ri].Aggs[ord]
 		if v, ok := res.AggFloat(ri, ord); ok {
 			s.base[i] = v

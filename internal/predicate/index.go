@@ -110,8 +110,10 @@ type sharedIndexKey struct{}
 // the appended suffix (or drop whole head chunks after retention).
 //
 // The shared index lives as long as the table family and never evicts,
-// so it is only for BOUNDED clause vocabularies — statement-driven
-// WHERE clauses (the executor's filter lowering). Analysis passes whose
+// so it is only for BOUNDED clause vocabularies — user-typed statement
+// text: WHERE clauses (the executor's filter lowering) and the
+// /api/debug examples condition, which core.ExamplesWhere routes through
+// the same lowering (exec.FilterRows). Analysis passes whose
 // clause thresholds are data-dependent and churn per run (the ranker's
 // candidate scoring) must own a NewIndex scoped to their own lifetime
 // instead, or every Debug pass would permanently grow this cache.

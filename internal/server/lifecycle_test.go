@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,5 +246,86 @@ func TestRetryAfterSeconds(t *testing.T) {
 		if got := lc.retryAfterSeconds(); got != tc.want {
 			t.Errorf("retryAfterSeconds(%v) = %q, want %q", tc.hint, got, tc.want)
 		}
+	}
+}
+
+// cancelAtPoll is a request context that reports Canceled from its nth
+// Err() poll on — a client going away at a chosen failpoint of the
+// handler (the chaos package's CancelAfter, which this package cannot
+// import).
+type cancelAtPoll struct {
+	context.Context
+	n     int64
+	polls atomic.Int64
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDebugExamplesCancellation pins that evaluating examplesCond
+// belongs to the request's lifecycle: a client that goes away while a
+// residual condition (LIKE) is walking a large suspect lineage stops the
+// walk at its next poll, is answered 499 and counted cancelled — not a
+// 400 that every counter misses — and the session's carried analysis is
+// left as it was.
+func TestDebugExamplesCancellation(t *testing.T) {
+	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 30_000, Seed: 2})
+	srv := New(db)
+	// No class deadline: the handler then runs under the request's own
+	// context, whose polls this test counts.
+	srv.SetLimits(Limits{DebugTimeout: -1})
+	h := srv.Handler()
+	var suspect []int // every group: the whole table is lineage
+	debug := func(ctx context.Context) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(map[string]any{
+			"session": "s", "suspect": suspect, "aggItem": -1,
+			"metric": "toolow", "metricParams": map[string]float64{"c": 0},
+			"examplesCond": "memo LIKE '%SPOUSE%'",
+		})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/debug", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	if resp := post(t, ts, "/api/query", map[string]any{"session": "s",
+		"sql": "SELECT candidate, sum(amount) AS total FROM donations GROUP BY candidate"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", resp.StatusCode)
+	}
+	sess := srv.session("s")
+	suspect = sess.res.AllRows()
+	if rec := debug(context.Background()); rec.Code != http.StatusOK {
+		t.Fatalf("debug: status %d: %s", rec.Code, rec.Body)
+	}
+	carried := sess.lastDbg
+	before := getStats(t, ts)["debug"]
+
+	// The residual walk is the handler's first poller here (the session
+	// lock and the admission slot are free, the table did not grow): its
+	// first poll passes, its second — 4096 lineage rows in — cancels.
+	ctx := &cancelAtPoll{Context: context.Background(), n: 2}
+	rec := debug(ctx)
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("cancelled mid-examples: status %d, want 499: %s", rec.Code, rec.Body)
+	}
+	// The walk's two polls and the departure classification's two; left
+	// to finish, the walk alone would poll 30,000/4096 times.
+	if polls := ctx.polls.Load(); polls != 4 {
+		t.Fatalf("the handler polled %d times, want 4: the walk did not stop at the cancellation", polls)
+	}
+	after := getStats(t, ts)["debug"]
+	if after.Cancelled != before.Cancelled+1 || after.Completed != before.Completed || after.Deadline != before.Deadline {
+		t.Fatalf("debug counters %+v -> %+v, want one more cancelled", before, after)
+	}
+	checkAccounted(t, "debug", after)
+	if sess.lastDbg != carried {
+		t.Fatal("a cancelled examples walk replaced the session's carried analysis")
+	}
+	if rec := debug(context.Background()); rec.Code != http.StatusOK {
+		t.Fatalf("debug after the cancellation: status %d: %s", rec.Code, rec.Body)
 	}
 }

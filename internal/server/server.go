@@ -690,9 +690,9 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	}
 	examples := req.ExampleRows
 	if len(examples) == 0 && strings.TrimSpace(req.ExamplesCond) != "" {
-		examples, err = core.ExamplesWhere(sess.res, req.Suspect, req.ExamplesCond)
+		examples, err = core.ExamplesWhereCtx(r.Context(), sess.res, req.Suspect, req.ExamplesCond)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeReqErr(s, w, err) // a bad condition is its plain 400
 			return
 		}
 	}

@@ -29,7 +29,7 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 			engine.NewString(cities[i%5]))
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{}), labels
+	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
 // BenchmarkDiscover measures the CN2-SD covering loop at pipeline-like

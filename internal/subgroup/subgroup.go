@@ -302,8 +302,13 @@ func beamSearch(selectors []Selector, matches []*bitset.Bitset, positive []bool,
 // Selectors enumerates the selector vocabulary of a space: one equality
 // selector per frequent categorical value and a <= / >= pair per numeric
 // quantile threshold. Exposed so the exhaustive baseline searches the
-// same vocabulary CN2-SD does.
+// same vocabulary CN2-SD does. The space must have been discretized: a
+// profile-only one has no numeric vocabulary yet, and searching the rest
+// would be a silently different answer, so it panics.
 func Selectors(sp *feature.Space) []Selector {
+	if sp.Frame.Bins == nil {
+		panic("subgroup: the feature space has no thresholds or bins (feature.Space.Discretize was not run)")
+	}
 	var selectors []Selector
 	for ai := range sp.Attrs {
 		attr := &sp.Attrs[ai]

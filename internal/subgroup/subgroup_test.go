@@ -36,7 +36,7 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 			engine.NewString(cities[i%3]))
 		labels = append(labels, pos)
 	}
-	sp := feature.NewSpace(tbl, feature.Options{})
+	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
 	return sp, labels
 }
 
@@ -76,7 +76,7 @@ func TestWRAccComputation(t *testing.T) {
 		}
 		tbl.MustAppendRow(engine.NewInt(v))
 	}
-	sp := feature.NewSpace(tbl, feature.Options{NumThresholds: 4})
+	sp := feature.NewSpace(tbl, feature.Options{NumThresholds: 4}).Discretize()
 	rules := Discover(sp, labels, Options{MinCoverage: 2, MaxSelectors: 1, MaxRules: 1})
 	if len(rules) == 0 {
 		t.Fatal("no rule")
@@ -114,7 +114,7 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 		tbl.MustAppendRow(engine.NewInt(mote), engine.NewString(city))
 		labels = append(labels, pos)
 	}
-	sp := feature.NewSpace(tbl, feature.Options{})
+	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
 	rules := Discover(sp, labels, Options{MaxRules: 4})
 	if len(rules) < 2 {
 		t.Fatalf("expected >=2 rules, got %d", len(rules))
