@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover
 
 all: build test
 
@@ -14,6 +14,15 @@ test: build
 # Short mode skips the full-scale (2.3M row) generators.
 short:
 	$(GO) test -short ./...
+
+# The quality table: what Debug's one configuration, each Options row and
+# the baselines answer on every scenario, against ground truth, printed
+# as markdown and as the Go rows the test checks against. It is an
+# ordinary tier-1 test (TestQualityTable, so `test` and `short` already
+# hold it to its checked-in floors); this target runs every variant on
+# every scenario and shows the numbers.
+quality:
+	$(GO) test -count=1 -run 'TestQualityTable' -v ./internal/core
 
 # Race-detector pass over the concurrent surfaces: the shard-parallel
 # executor, the copy-on-write append/serve path, and the server's
@@ -84,10 +93,11 @@ fuzz-smoke:
 # Coverage with a ratchet on the Debug pipeline: the scoring and
 # ranking layers carry state across batches, so untested carry paths
 # are where silent staleness bugs would live, and the learners
-# (feature, dtree, subgroup, core) decide what Debug answers. Thresholds
-# sit a few points under current coverage (influence 93%, ranker 93%,
-# feature 95%, dtree 94%, subgroup 95%, core 89%) — raise them when
-# coverage rises, never lower them. The storage and scan layers ride the
+# (feature, dtree, subgroup, cleaner, core) decide what Debug answers;
+# baseline is what the quality table measures them against. Thresholds
+# sit a few points under current coverage (influence 93%, ranker 94%,
+# feature 95%, dtree 94%, subgroup 95%, cleaner 96%, baseline 97%,
+# core 89%) — raise them when coverage rises, never lower them. The storage and scan layers ride the
 # same ratchet (engine 80%, exec 93%, store 90%): their untested lines
 # would be fault, pin-release and carry paths. So do expr (85%) — the
 # key kernels must agree with the interpreter on every arm — and agg
@@ -96,6 +106,7 @@ fuzz-smoke:
 cover:
 	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
+			"./internal/cleaner:92" "./internal/baseline:93" \
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
 			"./internal/expr:79" "./internal/agg:95"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \

@@ -1,9 +1,9 @@
 package repro_test
 
-// Figure/experiment benchmarks. One bench per paper artifact (the
-// experiment ids of cmd/experiments) plus scaling and ablation benches. They measure the system the
-// same way cmd/experiments does, but under testing.B so regressions are
-// visible in -bench output:
+// Figure/experiment benchmarks: one bench per paper artifact plus scaling
+// benches, under testing.B so regressions are visible in -bench output
+// (what the pipeline answers, as opposed to how fast, is internal/core's
+// quality table):
 //
 //	BenchmarkFigure4WindowQuery      — F4: the 30-min window query (Intel)
 //	BenchmarkFigure4ZoomLineage      — F4z: lineage fetch of suspect windows
@@ -12,7 +12,6 @@ package repro_test
 //	BenchmarkWalkthroughFEC          — W1: Debug + clean on FEC
 //	BenchmarkPipelineVsBaselines     — E1: ours vs top-k influence
 //	BenchmarkDebugScaling/*          — E2: Debug vs |D|
-//	BenchmarkSplitCriteria/*         — E3: per-criterion Debug
 //	BenchmarkInfluenceLOO            — E5: leave-one-out pass alone
 
 import (
@@ -25,7 +24,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -240,26 +238,6 @@ func BenchmarkDebugScaling(b *testing.B) {
 				if _, err := core.Debug(core.DebugRequest{
 					Result: e.res, AggItem: -1, Suspect: e.suspect,
 					Examples: e.dprime, Metric: errmetric.TooHigh{C: 70},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSplitCriteria measures Debug under each splitting strategy
-// alone (E3).
-func BenchmarkSplitCriteria(b *testing.B) {
-	e := intelBench(b, 100_000)
-	for _, crit := range []dtree.Criterion{dtree.Gini, dtree.Entropy, dtree.GainRatio} {
-		crit := crit
-		b.Run(crit.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Debug(core.DebugRequest{
-					Result: e.res, AggItem: -1, Suspect: e.suspect,
-					Examples: e.dprime, Metric: errmetric.TooHigh{C: 70},
-					Opt: core.Options{Criteria: []dtree.Criterion{crit}},
 				}); err != nil {
 					b.Fatal(err)
 				}

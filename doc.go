@@ -19,9 +19,28 @@
 //     search comparison points.
 //   - internal/server, viz — the web dashboard and plotting.
 //
-// Executables: cmd/dbwipes (web demo), cmd/dbwipes-cli, cmd/datagen,
-// cmd/experiments (regenerates every figure + the quantitative
-// evaluation). Runnable walkthroughs live in examples/.
+// Executables: cmd/dbwipes (web demo), cmd/dbwipes-cli (prints the
+// paper's figures for a query), cmd/datagen. Runnable walkthroughs live
+// in examples/.
+//
+// # One Debug configuration, judged by a quality table
+//
+// Debug has one configuration: the D' examples are cleaned by a naive
+// Bayes classifier trained on the learning frame, CN2-SD grows each rule
+// greedily, the first rule's region joins D', D' ∪ the high-influence
+// set and the lineage as a candidate dataset, one gini tree is trained
+// per candidate, and the ranker scores, prunes, dedups and sorts. Every
+// parameter of that is a named constant beside its use. What it answers
+// — top-1 F1, best-of-top-3 F1, the rank of the first good answer, the
+// first answer's length and how many of the first three answers select
+// different rows, on the paper's walkthroughs, on polluted
+// examples and on tables with a planted cause, next to the full
+// provenance, top-k influence and exhaustive search baselines — is
+// internal/core's TestQualityTable (`make quality` prints it), a tier-1
+// test with checked-in floors. core.Options keeps only what that table
+// has a row for (two ablation switches, two known-bad settings) and the
+// differential harnesses' DriftThreshold; a switch whose row stops
+// moving a cell fails the test until it is deleted with its code.
 //
 // # Columnar scoring
 //
@@ -65,8 +84,8 @@
 //     stage that trains, adds the quantile thresholds and the int16
 //     matrix of threshold buckets / value slots. internal/subgroup
 //     builds its selector masks from the frame and internal/dtree trains
-//     every candidate × criterion tree on the bucket matrix alone, so no
-//     learner touches the table, and both refuse a profile-only space.
+//     every candidate's tree on the bucket matrix alone, so no learner
+//     touches the table, and both refuse a profile-only space.
 //
 // Future backends plug in underneath this layer: the segmented engine
 // below already demonstrates the contract — it produces the same views
@@ -268,7 +287,7 @@
 //     lives and dies with the analysis chain, capped in size.
 //   - internal/ranker — RankAllCarry returns a RankerState: every
 //     ranked predicate with its frozen target set and score. A later
-//     Rescore runs the same worker-pool scoring/pruning/merge mechanics
+//     Rescore runs the same worker-pool scoring/pruning/dedup mechanics
 //     over the carried candidates against the advanced context and
 //     reports the score drift.
 //
@@ -279,7 +298,8 @@
 //     answer; the learners (subgroup discovery, tree induction) do not
 //     run at all, and the feature space is only profiled, for cleaning
 //     the user's examples. What such a pass still pays per
-//     learning-population row: the contrast sample, the gather, k-means.
+//     learning-population row: the contrast sample, the gather, and
+//     the classifier's one pass over the frame.
 //   - reexpanded — drift exceeded the threshold (or a previously-ranked
 //     predicate became vacuous, which counts as infinite drift): the
 //     learners re-run over the advanced preprocessing, on the same

@@ -17,6 +17,7 @@ package baseline
 import (
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/feature"
@@ -103,21 +104,24 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 	var all []scoredPred
 	evaluated := 0
 
+	// Candidates are scored as ranker.score scores them: clause-mask ANDs
+	// over the lineage bitset and the scorer's counterfactual ε.
+	// influence.EpsWithoutRows over boxed matches is the oracle
+	// (TestExhaustiveMatchesBoxedScoring).
+	ix := predicate.NewIndex(res.Source)
+	fBits, scratch := an.Scorer.FBits(), an.Scorer.NewScratch()
+	mb := bitset.New(res.Source.NumRows())
 	score := func(p predicate.Predicate) {
 		evaluated++
-		matched := p.MatchingRows(res.Source, an.F)
-		if len(matched) < opt.MinCoverage || len(matched) == len(an.F) {
+		matched := ix.MatchInto(p, fBits, mb).Count()
+		if matched < opt.MinCoverage || matched == len(an.F) {
 			return
 		}
-		epsAfter, err := influence.EpsWithoutRows(res, suspect, ord, metric, matched)
-		if err != nil {
+		imp := (an.Eps - an.Scorer.EpsWithoutBits(mb, scratch)) / an.Eps
+		if !(imp > 0) { // a NaN ε (every suspect group emptied) improves nothing
 			return
 		}
-		imp := (an.Eps - epsAfter) / an.Eps
-		if imp <= 0 {
-			return
-		}
-		all = append(all, scoredPred{pred: p, imp: imp, matched: len(matched)})
+		all = append(all, scoredPred{pred: p, imp: imp, matched: matched})
 	}
 
 	preds1 := make([]predicate.Predicate, 0, len(selectors))

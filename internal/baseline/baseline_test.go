@@ -9,6 +9,7 @@ import (
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/feature"
+	"repro/internal/influence"
 )
 
 func fecFixture(t *testing.T) (*exec.Result, []int, *datasets.Truth) {
@@ -93,6 +94,34 @@ func TestExhaustiveFindsMemoPredicate(t *testing.T) {
 	sc := best.AsScored()
 	if sc.Origin != "exhaustive" || sc.Score != best.ErrImprovement {
 		t.Errorf("AsScored: %+v", sc)
+	}
+}
+
+// TestExhaustiveMatchesBoxedScoring pins the search's scorer — clause
+// masks and Scorer.EpsWithoutBits, as ranker.score — to the boxed oracle:
+// every returned predicate's match count and improvement are what
+// Predicate.MatchingRows and influence.EpsWithoutRows compute, to the bit.
+func TestExhaustiveMatchesBoxedScoring(t *testing.T) {
+	res, suspect, _ := fecFixture(t)
+	metric := errmetric.TooLow{C: 0}
+	out, err := Exhaustive(res, suspect, 0, metric, ExhaustiveOptions{TopN: 200})
+	if err != nil || len(out) == 0 {
+		t.Fatalf("%d results, %v", len(out), err)
+	}
+	F := res.Lineage(suspect)
+	eps, err := influence.EpsWithoutRows(res, suspect, 0, metric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range out {
+		matched := r.Pred.MatchingRows(res.Source, F)
+		epsAfter, err := influence.EpsWithoutRows(res, suspect, 0, metric, matched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (eps - epsAfter) / eps; r.NumTuples != len(matched) || r.ErrImprovement != want {
+			t.Errorf("%s: %d tuples, improvement %v; boxed: %d, %v", r.Pred, r.NumTuples, r.ErrImprovement, len(matched), want)
+		}
 	}
 }
 

@@ -4,84 +4,30 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/feature"
 )
 
-func TestKMeansSeparatesClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var points [][]float64
-	for i := 0; i < 50; i++ {
-		points = append(points, []float64{rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1})
-	}
-	for i := 0; i < 50; i++ {
-		points = append(points, []float64{10 + rng.NormFloat64()*0.1, 10 + rng.NormFloat64()*0.1})
-	}
-	km := KMeans(points, 2, 50, 42)
-	if len(km.Sizes) != 2 {
-		t.Fatalf("clusters: %v", km.Sizes)
-	}
-	if km.Sizes[0] != 50 || km.Sizes[1] != 50 {
-		t.Errorf("sizes: %v", km.Sizes)
-	}
-	// All of the first 50 in one cluster, all of the second 50 in the other.
-	c0 := km.Assign[0]
-	for i := 0; i < 50; i++ {
-		if km.Assign[i] != c0 {
-			t.Fatalf("point %d in cluster %d", i, km.Assign[i])
-		}
-	}
-	for i := 50; i < 100; i++ {
-		if km.Assign[i] == c0 {
-			t.Fatalf("point %d mixed into cluster %d", i, km.Assign[i])
-		}
-	}
-}
-
-func TestKMeansDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var points [][]float64
-	for i := 0; i < 100; i++ {
-		points = append(points, []float64{rng.Float64(), rng.Float64()})
-	}
-	a := KMeans(points, 3, 30, 7)
-	b := KMeans(points, 3, 30, 7)
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("same seed, different assignment")
-		}
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	if km := KMeans(nil, 3, 10, 1); len(km.Assign) != 0 {
-		t.Error("empty input")
-	}
-	// Fewer points than k.
-	km := KMeans([][]float64{{1}, {2}}, 5, 10, 1)
-	if len(km.Centroids) > 2 {
-		t.Errorf("k capped: %d centroids", len(km.Centroids))
-	}
-	// All identical points.
-	same := [][]float64{{3, 3}, {3, 3}, {3, 3}}
-	km = KMeans(same, 2, 10, 1)
-	if km.Inertia != 0 {
-		t.Errorf("identical points inertia: %v", km.Inertia)
-	}
-}
-
-// cleanFixture: table whose rows 0..19 are tight (volt≈2.3, temp≈110)
-// and rows 20..24 are scattered inliers (the user's mis-clicks).
+// cleanFixture: table whose rows 0..19 are tight (volt≈2.3, temp≈110,
+// mostly in the lab) and rows 20..24 are scattered inliers (the user's
+// mis-clicks); every fifth site is NULL.
 func cleanFixture(t *testing.T) (*feature.Space, []int) {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
-		"temp", engine.TFloat, "volt", engine.TFloat))
+		"temp", engine.TFloat, "volt", engine.TFloat, "site", engine.TString))
 	rng := rand.New(rand.NewSource(3))
+	site := func(i int, name string) engine.Value {
+		if i%5 == 4 {
+			return engine.Null
+		}
+		return engine.NewString(name)
+	}
 	for i := 0; i < 20; i++ {
-		tbl.MustAppendRow(engine.NewFloat(110+rng.NormFloat64()), engine.NewFloat(2.3+rng.NormFloat64()*0.01))
+		tbl.MustAppendRow(engine.NewFloat(110+rng.NormFloat64()), engine.NewFloat(2.3+rng.NormFloat64()*0.01), site(i, "lab"))
 	}
 	for i := 0; i < 30; i++ {
-		tbl.MustAppendRow(engine.NewFloat(68+rng.NormFloat64()), engine.NewFloat(2.65+rng.NormFloat64()*0.01))
+		tbl.MustAppendRow(engine.NewFloat(68+rng.NormFloat64()), engine.NewFloat(2.65+rng.NormFloat64()*0.01), site(i, "hall"))
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 	dprime := make([]int, 0, 25)
@@ -95,90 +41,86 @@ func cleanFixture(t *testing.T) (*feature.Space, []int) {
 	return sp, dprime
 }
 
-func TestCleanKMeansDropsStragglers(t *testing.T) {
-	sp, dprime := cleanFixture(t)
-	kept := Clean(sp, dprime, Options{Method: "kmeans"})
-	if len(kept) != 20 {
-		t.Fatalf("kept %d of %d, want 20", len(kept), len(dprime))
+// lineageOf marks rows [0, n) as the suspect lineage.
+func lineageOf(sp *feature.Space, n int) *bitset.Bitset {
+	b := bitset.New(sp.Table.NumRows())
+	for r := 0; r < n; r++ {
+		b.Set(r)
 	}
-	for _, r := range kept {
-		if r >= 20 {
-			t.Errorf("straggler %d survived", r)
-		}
-	}
+	return b
 }
 
 func TestCleanBayes(t *testing.T) {
 	sp, dprime := cleanFixture(t)
-	var background []int
-	for i := 25; i < 50; i++ {
-		background = append(background, i)
-	}
-	kept := Clean(sp, dprime, Options{Method: "bayes", Background: background})
-	// Bayes should reject most accidental inliers (they look like
-	// background).
+	kept := Clean(sp.Frame, dprime, lineageOf(sp, 50))
+	// Bayes should reject most accidental inliers (they look like the
+	// rest of the lineage) and keep the tight cluster whole.
 	stragglers := 0
 	for _, r := range kept {
 		if r >= 20 {
 			stragglers++
 		}
 	}
-	if stragglers > 2 {
-		t.Errorf("bayes kept %d stragglers", stragglers)
+	if stragglers > 2 || len(kept)-stragglers != 20 {
+		t.Errorf("bayes kept %d of the 20 consistent rows and %d of the 5 stragglers", len(kept)-stragglers, stragglers)
 	}
-	// Without background, bayes is a no-op.
-	same := Clean(sp, dprime, Options{Method: "bayes"})
-	if len(same) != len(dprime) {
+	// Without contrast in the frame — the lineage is D' itself — bayes is
+	// a no-op.
+	if same := Clean(sp.Frame, dprime, lineageOf(sp, 25)); len(same) != len(dprime) {
 		t.Error("bayes without background should be a no-op")
 	}
 }
 
 func TestCleanNoneAndSmallInputs(t *testing.T) {
-	sp, dprime := cleanFixture(t)
-	if got := Clean(sp, dprime, Options{Method: "none"}); len(got) != len(dprime) {
-		t.Error("method none should keep everything")
-	}
+	sp, _ := cleanFixture(t)
 	small := []int{1, 2, 3}
-	if got := Clean(sp, small, Options{}); len(got) != 3 {
+	if got := Clean(sp.Frame, small, lineageOf(sp, 50)); len(got) != 3 {
 		t.Error("tiny D' should be kept whole")
+	}
+	// A D' row the frame does not hold is kept unjudged.
+	part := feature.NewSpace(sp.Table, feature.Options{Rows: []int{0, 1, 2, 3, 30, 31, 32, 33}})
+	if got := Clean(part.Frame, []int{0, 1, 2, 3, 24}, lineageOf(sp, 50)); len(got) != 5 {
+		t.Errorf("kept %v of a D' whose row 24 is outside the frame", got)
 	}
 }
 
 func TestCleanMinKeepGuard(t *testing.T) {
-	// A D' that is a 50/50 mix: the guard must refuse to discard half.
+	// A D' of which 12 rows look like the rest of the lineage and 8 do
+	// not: the model would discard more than half, so the guard keeps
+	// the user's selection whole.
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat))
-	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow(engine.NewFloat(0))
-	}
-	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow(engine.NewFloat(100))
+	for i := 0; i < 40; i++ {
+		x := 0.0
+		if i < 8 {
+			x = 100
+		}
+		tbl.MustAppendRow(engine.NewFloat(x + float64(i%3)))
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 	dprime := make([]int, 20)
 	for i := range dprime {
 		dprime[i] = i
 	}
-	kept := Clean(sp, dprime, Options{Method: "kmeans", MinKeepFrac: 0.75})
-	if len(kept) != 20 {
+	lineage := bitset.New(40)
+	lineage.Fill()
+	if kept := Clean(sp.Frame, dprime, lineage); len(kept) != 20 {
 		t.Errorf("guard failed: kept %d", len(kept))
 	}
 }
 
 func TestNaiveBayesPredict(t *testing.T) {
 	sp, _ := cleanFixture(t)
-	var pos, neg []int
+	class := make([]int8, 50)
 	for i := 0; i < 20; i++ {
-		pos = append(pos, i)
+		class[i] = 1
 	}
-	for i := 20; i < 50; i++ {
-		neg = append(neg, i)
-	}
-	nb := TrainNaiveBayes(sp.Gather(append(pos, neg...)), len(pos))
+	class[49] = -1 // left out of training, still classifiable
+	nb := TrainNaiveBayes(sp.Frame, class)
 	// A hot, low-voltage row is positive; a cool one negative.
 	if !nb.Predict(0) {
 		t.Error("anomalous row classified negative")
 	}
-	if nb.Predict(30) {
+	if nb.Predict(30) || nb.Predict(49) {
 		t.Error("clean row classified positive")
 	}
 }

@@ -11,10 +11,15 @@
 //	Preprocessor        → lineage F of S + leave-one-out influence (internal/influence)
 //	Dataset Enumerator  → clean D' (internal/cleaner), extend via subgroup
 //	                      discovery (internal/subgroup) into candidates Dᶜᵢ
-//	Predicate Enumerator→ decision trees per candidate per splitting
-//	                      criterion (internal/dtree), leaf paths → predicates
+//	Predicate Enumerator→ one decision tree per candidate (internal/dtree),
+//	                      leaf paths → predicates
 //	Predicate Ranker    → ε-improvement + separation accuracy − complexity
 //	                      (internal/ranker)
+//
+// There is one configuration. What it answers on the paper's walkthroughs
+// and on tables with a planted cause, next to the three baselines and to
+// each ablation, is the quality table (quality_test.go; `make quality`
+// prints it).
 package core
 
 import (
@@ -41,49 +46,26 @@ import (
 	"repro/internal/subgroup"
 )
 
-// Options tunes the pipeline. The zero value gives the defaults used in
-// the demo.
+// Options holds what is left of the pipeline's configuration once every
+// value no caller sets became a constant: two ablation switches and two
+// known-bad settings, each a row of the quality table (quality_test.go,
+// TestQualityTable) that shows what its component is for, and the one
+// knob the differential harnesses need. Production callers pass the zero
+// value.
 type Options struct {
-	// MaxLOOTuples caps leave-one-out analysis (0 = analyze all of F).
-	MaxLOOTuples int
-	// InfluenceQuantile selects the high-influence extension set: tuples
-	// with at least this fraction of the top influence (default 0.5).
-	InfluenceQuantile float64
-	// CleanMethod is the D' consistency technique: "kmeans" (default),
-	// "bayes", or "none".
-	CleanMethod string
-	// Subgroup tunes the CN2-SD search.
-	Subgroup subgroup.Options
-	// Criteria lists the decision-tree splitting strategies (default
-	// gini, entropy, gain ratio — the paper's "m standard strategies").
-	Criteria []dtree.Criterion
-	// Tree tunes tree induction.
-	Tree dtree.Options
-	// ExcludeCols removes attributes from the explanation vocabulary.
-	ExcludeCols []string
-	// KeepAggColumn retains the aggregated column as an explanation
-	// attribute. Off by default: "temperature > 100 explains high
-	// temperatures" is circular.
-	KeepAggColumn bool
-	// MaxCandidates caps the candidate datasets from subgroup discovery
-	// (default 4, plus the cleaned-D' and high-influence candidates).
-	MaxCandidates int
-	// MaxExplanations caps the returned ranking (default 10).
-	MaxExplanations int
-	// MaxLearnRows caps the population the learners (subgroup discovery,
-	// decision trees) see; culpable tuples are always kept and the rest
-	// is an evenly spaced sample (default 16000, 0 keeps everything).
-	// Predicates are still *scored* against the full lineage, so the
-	// reported ε-improvements are exact.
-	MaxLearnRows int
-	// Weights mixes the ranker's score terms.
-	Weights ranker.Weights
-	// DisablePrune turns off the ranker's greedy clause pruning
-	// (ablation).
+	// DisablePrune turns off the ranker's greedy clause pruning.
 	DisablePrune bool
-	// DisableMerge turns off the ranker's pairwise predicate merging
-	// (ablation).
-	DisableMerge bool
+	// DisableExcess drops the ranker's excess term, the penalty on
+	// predicates that match lineage tuples nobody suspects.
+	DisableExcess bool
+	// InfluenceQuantile selects the high-influence set: tuples with at
+	// least this fraction of the top influence. 0 takes
+	// influenceQuantile; the table keeps 0.9 as a known-bad row.
+	InfluenceQuantile float64
+	// MaxLearnRows caps the population the learners see. 0 takes
+	// maxLearnRows; negative keeps everything, the table's known-bad
+	// "uncapped" row.
+	MaxLearnRows int
 	// DriftThreshold governs DebugAdvance's carry/re-expand decision:
 	// carried candidates are rescored against the advanced state, and
 	// when the largest score movement exceeds the threshold the learners
@@ -91,34 +73,41 @@ type Options struct {
 	// re-expands, which makes DebugAdvance produce exactly what a
 	// from-scratch Debug would — the differential-test oracle mode.
 	DriftThreshold float64
-	// FeatureOpts overrides featurization (advanced).
-	Feature feature.Options
 }
 
-// defaultDriftThreshold is the score movement DebugAdvance tolerates
-// before re-running the learners. Scores live in roughly [0, 1]
-// (Err+Acc weights sum near 0.9), so 0.1 means "an explanation moved by
-// a tenth of the scale".
-const defaultDriftThreshold = 0.1
+// The pipeline's fixed parameters, each with the quality-table rows
+// (quality_test.go) that justify it.
+const (
+	// influenceQuantile is the default Options.InfluenceQuantile. On the
+	// table 0.5 answers no cell better and two worse (intel-100k seeds 1
+	// and 7 without examples: top-1 F1 0.977 and 0.956 against 0.978 and
+	// 0.963); 0.9, the known-bad row, leaves a D' too small to describe
+	// and answers "everything" (0.105) without examples.
+	influenceQuantile = 0.25
+	// maxLearnRows is the default Options.MaxLearnRows: culpable tuples
+	// are kept first (three quarters of the cap at most) and the rest is
+	// an evenly spaced sample. Predicates are still scored against the
+	// full lineage, so the reported ε-improvements are exact. The cap is
+	// not only for speed: the table's "uncapped" row answers `ts > …`
+	// (F1 0.105) on both intel-100k seed-1 cells and worse than the
+	// default on intel-50k and most planted tables — with every clean
+	// tuple in view the learners describe the window, not the fault.
+	maxLearnRows = 16000
+	// maxExplanations caps the returned ranking.
+	maxExplanations = 10
+	// defaultDriftThreshold is the score movement DebugAdvance tolerates
+	// before re-running the learners. Scores live in roughly [0, 1]
+	// (Err+Acc weights sum near 0.9), so 0.1 means "an explanation moved
+	// by a tenth of the scale".
+	defaultDriftThreshold = 0.1
+)
 
 func (o *Options) defaults() {
 	if o.InfluenceQuantile <= 0 || o.InfluenceQuantile > 1 {
-		o.InfluenceQuantile = 0.5
-	}
-	if o.CleanMethod == "" {
-		o.CleanMethod = "kmeans"
-	}
-	if len(o.Criteria) == 0 {
-		o.Criteria = []dtree.Criterion{dtree.Gini, dtree.Entropy, dtree.GainRatio}
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 4
-	}
-	if o.MaxExplanations <= 0 {
-		o.MaxExplanations = 10
+		o.InfluenceQuantile = influenceQuantile
 	}
 	if o.MaxLearnRows == 0 {
-		o.MaxLearnRows = 16000
+		o.MaxLearnRows = maxLearnRows
 	}
 	if o.DriftThreshold == 0 {
 		o.DriftThreshold = defaultDriftThreshold
@@ -394,9 +383,8 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 		pop = append(append(make([]int, 0, len(an.F)+len(d.extras)), an.F...), d.extras...)
 	}
 
-	// Learners see a capped population: all culpable tuples plus an
-	// evenly spaced sample of the rest. Scoring still runs on the full
-	// lineage, so this only trades learner variance for speed.
+	// Learners see a capped population (maxLearnRows): culpable tuples
+	// first, then an evenly spaced sample of the rest.
 	d.learnPop = pop
 	if opt.MaxLearnRows > 0 && len(pop) > opt.MaxLearnRows {
 		culpable := d.culpableBits()
@@ -441,13 +429,11 @@ func (d *debugRun) culpableBits() *bitset.Bitset {
 // bins are enumerate's to add, so a carried pass never pays for them.
 func (d *debugRun) featurize() error {
 	start := time.Now()
-	fopt := d.opt.Feature
-	fopt.Rows = d.learnPop
-	fopt.Exclude = append(append([]string(nil), fopt.Exclude...), d.opt.ExcludeCols...)
-	if !d.opt.KeepAggColumn {
-		fopt.Exclude = append(fopt.Exclude, aggColumns(d.req.Result, d.ord)...)
-	}
-	d.sp = feature.NewSpace(d.req.Result.Source, fopt)
+	// The aggregated column is not explanation vocabulary: "temperature >
+	// 100 explains high temperatures" is circular.
+	d.sp = feature.NewSpace(d.req.Result.Source, feature.Options{
+		Rows: d.learnPop, Exclude: aggColumns(d.req.Result, d.ord),
+	})
 	if len(d.sp.Attrs) == 0 {
 		return fmt.Errorf("core: no usable attributes remain after exclusions")
 	}
@@ -459,16 +445,8 @@ func (d *debugRun) featurize() error {
 // examples (Dataset Enumerator step 2a). Requires featurize.
 func (d *debugRun) cleanExamples() {
 	start := time.Now()
-	n := d.req.Result.Source.NumRows()
 	if len(d.req.Examples) > 0 && len(d.dprime) > 0 {
-		copt := cleaner.Options{Method: d.opt.CleanMethod}
-		if copt.Method == "bayes" {
-			// Background: F − D' (only the classifier contrasts against it).
-			bg := d.fBits.Clone()
-			bg.AndNot(bitset.FromRows(n, d.dprime))
-			copt.Background = bg.Rows()
-		}
-		d.dprime = cleaner.Clean(d.sp, d.dprime, copt)
+		d.dprime = cleaner.Clean(d.sp.Frame, d.dprime, d.fBits)
 	}
 	d.out.DPrime = d.dprime
 	d.culpable = d.culpableBits()
@@ -477,10 +455,10 @@ func (d *debugRun) cleanExamples() {
 
 // enumerate completes the feature space for the learners, then runs
 // candidate dataset enumeration (Dataset Enumerator step 2b) and the
-// Predicate Enumerator (trees per candidate per criterion), returning
-// the ranker's candidate pool. Requires cleanExamples.
+// Predicate Enumerator (one tree per candidate), returning the ranker's
+// candidate pool. Requires cleanExamples.
 func (d *debugRun) enumerate() []ranker.Candidate {
-	opt, out := d.opt, d.out
+	out := d.out
 	learnPop, dprime := d.learnPop, d.dprime
 
 	start := time.Now()
@@ -531,41 +509,33 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 	}
 
 	// Subgroup discovery extends D' into self-consistent regions of the
-	// population.
-	sgRules := subgroup.Discover(d.sp, labelsOf(dprimeBits), opt.Subgroup)
+	// population. Every rule is ranked as a predicate below; the first
+	// one's region is also a candidate dataset (taking the next three as
+	// well changed no cell of the quality table).
+	sgRules := subgroup.Discover(d.sp, labelsOf(dprimeBits))
 	sgTargets := make([]*bitset.Bitset, len(sgRules))
 	for i, rule := range sgRules {
 		sgTargets[i] = bitset.FromRows(n, rule.Covered)
-		if i < opt.MaxCandidates {
-			addCandidate(fmt.Sprintf("subgroup%d", i), sgTargets[i], len(rule.Covered))
-		}
+	}
+	if len(sgRules) > 0 {
+		addCandidate("subgroup0", sgTargets[0], len(sgRules[0].Covered))
 	}
 	out.Candidates = len(candidates)
 	out.Timings["enumerate"] += time.Since(start)
 
-	// --- Predicate Enumerator: trees per candidate per criterion. ---
-	// Each (candidate, criterion) training run is independent, so they
-	// run concurrently over the shared read-only learning frame; results
-	// are collected by slot index to keep the output order — and
-	// therefore the final ranking — deterministic.
+	// --- Predicate Enumerator: one tree per candidate. ---
+	// Each training run is independent, so they run concurrently over the
+	// shared read-only learning frame; results are collected by slot index
+	// to keep the output order — and therefore the final ranking —
+	// deterministic.
 	start = time.Now()
-	type job struct {
-		cand cand
-		crit dtree.Criterion
-	}
-	var jobs []job
-	for _, c := range candidates {
-		for _, crit := range opt.Criteria {
-			jobs = append(jobs, job{cand: c, crit: crit})
-		}
-	}
-	perJob := make([][]ranker.Candidate, len(jobs))
+	perCand := make([][]ranker.Candidate, len(candidates))
 	cctx := d.req.ctx()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for ji := range jobs {
+	for ci := range candidates {
 		wg.Add(1)
-		go func(ji int) {
+		go func(ci int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -574,10 +544,8 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 			if cctx.Err() != nil {
 				return
 			}
-			j := jobs[ji]
-			topt := opt.Tree
-			topt.Criterion = j.crit
-			tree, err := dtree.Train(d.sp, j.cand.labels, nil, topt)
+			c := candidates[ci]
+			tree, err := dtree.Train(d.sp, c.labels, nil)
 			if err != nil {
 				return
 			}
@@ -585,17 +553,17 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 				if leaf.Pred.IsTrue() {
 					continue
 				}
-				perJob[ji] = append(perJob[ji], ranker.Candidate{
+				perCand[ci] = append(perCand[ci], ranker.Candidate{
 					Pred:   leaf.Pred,
-					Origin: fmt.Sprintf("tree:%s:%s", j.crit, j.cand.name),
-					Target: j.cand.rows,
+					Origin: "tree:" + c.name,
+					Target: c.rows,
 				})
 			}
-		}(ji)
+		}(ci)
 	}
 	wg.Wait()
 	var rcands []ranker.Candidate
-	for _, rc := range perJob {
+	for _, rc := range perCand {
 		rcands = append(rcands, rc...)
 	}
 	// Subgroup rules are themselves compact predicates; rank them too.
@@ -624,8 +592,8 @@ func (d *debugRun) context() *ranker.Context {
 		Ctx: d.req.Ctx,
 		Res: d.req.Result, Suspect: d.req.Suspect, Ord: d.ord,
 		Metric: d.req.Metric, F: d.an.F, Population: d.learnPop, Culpable: d.culpable,
-		Eps: d.an.Eps, Weights: d.opt.Weights,
-		DisablePrune: d.opt.DisablePrune, DisableMerge: d.opt.DisableMerge,
+		Eps:          d.an.Eps,
+		DisablePrune: d.opt.DisablePrune, DisableExcess: d.opt.DisableExcess,
 		Scorer: d.an.Scorer, // the preprocessor's: lineage bitsets + flat argument column
 	}
 	if d.index == nil {
@@ -639,8 +607,8 @@ func (d *debugRun) context() *ranker.Context {
 // carry state for a later DebugAdvance.
 func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, start time.Time) {
 	out, opt := d.out, d.opt
-	if len(scored) > opt.MaxExplanations {
-		scored = scored[:opt.MaxExplanations]
+	if len(scored) > maxExplanations {
+		scored = scored[:maxExplanations]
 	}
 	for _, s := range scored {
 		e := Explanation{Scored: s}
@@ -690,7 +658,7 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 
 	// --- Preprocessor: lineage + leave-one-out influence. ---
 	start := time.Now()
-	an, err := influence.RankCtx(req.ctx(), req.Result, req.Suspect, ord, req.Metric, influence.Options{MaxTuples: opt.MaxLOOTuples})
+	an, err := influence.RankCtx(req.ctx(), req.Result, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +698,8 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // ranking stands as it is while no suspect group's lineage grew, and the
 // feature space is only profiled (for example cleaning) unless the
 // learners run. What a carried pass still pays per learning-population
-// row is the contrast sample, the gather and k-means.
+// row is the contrast sample, the profile-only featurize and the naive
+// Bayes pass that cleans the examples.
 //
 // The carry/re-expand state machine (recorded in DebugResult.Plan):
 // carried candidates are rescored exactly against the advanced state;
@@ -788,7 +757,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	if err != nil {
 		return nil, err
 	}
-	an, err := influence.RankAdvancedCtx(req.ctx(), st.an, sc, influence.Options{MaxTuples: opt.MaxLOOTuples})
+	an, err := influence.RankAdvancedCtx(req.ctx(), st.an, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -815,17 +784,17 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// candidates were learned from the previous suspect/example
 	// selection's lineage, so a changed selection re-expands (rescoring
 	// alone could silently miss selection-specific predicates even when
-	// the carried ones drift little). Same for a changed pipeline
-	// configuration, and there must be candidates to rescore. A moved
-	// retention base rebases every row id the fingerprints are written
-	// in, so the carried ranking never stands across a horizon: the
-	// scorer/result caches rebase (word-shift) but the ranking re-expands,
-	// with the reason recorded.
+	// the carried ones drift little). Same for changed Options — carried
+	// rankings never mix regimes — and there must be candidates to
+	// rescore. A moved retention base rebases every row id the
+	// fingerprints are written in, so the carried ranking never stands
+	// across a horizon: the scorer/result caches rebase (word-shift) but
+	// the ranking re-expands, with the reason recorded.
 	drop := res.Source.Base() - st.src.Base()
 	if drop > 0 {
 		out.Plan.Fallback = "retention: row ids rebased, carried ranking re-expands"
 	}
-	carry := drop == 0 && st.rstate.Len() > 0 && optionsCompatible(st.opt, opt) &&
+	carry := drop == 0 && st.rstate.Len() > 0 && st.opt == opt &&
 		st.suspectKey == suspectKeyOf(res, req.Suspect) &&
 		st.examplesKey == rowsKey(req.Examples)
 
@@ -880,15 +849,6 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	}
 	d.finish(scored, rstate, start)
 	return out, nil
-}
-
-// optionsCompatible reports whether two option sets configure the same
-// pipeline — a changed configuration forces re-expansion so carried
-// rankings never mix regimes. Compared textually: Options is a flat
-// bag of scalars, slices and learner sub-options with no reference
-// cycles, so the %+v rendering is a faithful identity.
-func optionsCompatible(a, b Options) bool {
-	return fmt.Sprintf("%+v", a) == fmt.Sprintf("%+v", b)
 }
 
 // aggColumns returns the source columns referenced by the ord'th

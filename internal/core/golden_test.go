@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,18 +12,17 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/engine"
 	"repro/internal/errmetric"
-	"repro/internal/exec"
-	"repro/internal/sqlparse"
 )
 
 // The golden rankings pin what Debug answers, bit for bit, across
 // commits: bench/'s oracle runs the same code as the server, so it
-// cannot see a ranking that changed on both sides. The file was
-// generated at commit 14b331e (before the learners moved onto the
-// shared learning frame) and is regenerated only with
-// `go test ./internal/core -run TestGoldenRankings -update`.
+// cannot see a ranking that changed on both sides. The file is
+// regenerated (`go test ./internal/core -run TestGoldenRankings -update`)
+// only by a change that moves a default or a summation order, with the
+// quality table's before and after rows as its justification
+// (CHANGES.md, PR 26: one criterion, one rule grown greedily, one region,
+// the classifier cleaner, quantile 0.25, no merge pass).
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_rankings.json from the current code")
 
 const goldenPath = "testdata/golden_rankings.json"
@@ -72,87 +70,59 @@ func goldenOf(dr *DebugResult) goldenCase {
 	return g
 }
 
-// goldenWalkthrough is one executed query with its suspect and example
-// selections.
+// goldenWalkthrough is one of the quality table's walkthrough questions
+// (two shards whatever the box, so the float bits do not follow
+// GOMAXPROCS).
 type goldenWalkthrough struct {
-	name     string
-	short    bool // also runs under -short (and therefore -race)
-	res      *exec.Result
-	suspect  []int
-	examples []int
-	metric   errmetric.Metric
+	qualityScenario
+	short bool // also runs under -short (and therefore -race)
 }
 
 func goldenWalkthroughs(t *testing.T) []goldenWalkthrough {
 	t.Helper()
-	build := func(name string, short bool, db *engine.DB, sql, suspectCol string, suspect func(float64) bool, examples string, metric errmetric.Metric) goldenWalkthrough {
-		// Two shards whatever the box: a float aggregate's last bits follow
-		// the shard geometry, which otherwise follows GOMAXPROCS.
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
-		}
-		src, err := db.Table(stmt.From)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		res, err := exec.RunOnWithCtx(context.Background(), src, stmt, exec.Options{Shards: 2})
-		if err != nil {
-			t.Fatalf("%s: run: %v", name, err)
-		}
-		s, err := SuspectWhere(res, suspectCol, func(v engine.Value) bool { return !v.IsNull() && suspect(v.Float()) })
-		if err != nil || len(s) == 0 {
-			t.Fatalf("%s: suspect: %v (%d groups)", name, err, len(s))
-		}
-		ex, err := ExamplesWhere(res, s, examples)
-		if err != nil || len(ex) == 0 {
-			t.Fatalf("%s: examples: %v (%d rows)", name, err, len(ex))
-		}
-		return goldenWalkthrough{name: name, short: short, res: res, suspect: s, examples: ex, metric: metric}
-	}
 	var out []goldenWalkthrough
 	for _, seed := range []int64{1, 7} {
 		if testing.Short() && seed != 1 {
 			continue
 		}
-		db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 100_000, Seed: seed})
-		out = append(out, build(fmt.Sprintf("intel-seed%d", seed), seed == 1, db, datasets.IntelWindowSQL,
-			"std_temp", func(f float64) bool { return f > 10 }, "temperature > 100", errmetric.TooHigh{C: 70}))
+		tbl, labels := datasets.Intel(datasets.IntelConfig{Rows: 100_000, Seed: seed})
+		out = append(out, goldenWalkthrough{short: seed == 1, qualityScenario: newQualityScenario(t,
+			fmt.Sprintf("intel-seed%d", seed), tbl, labels, datasets.IntelWindowSQL,
+			"std_temp", func(f float64) bool { return f > 10 }, "temperature > 100", errmetric.TooHigh{C: 70}, "temperature")})
 	}
-	db, _ := datasets.FECDB(datasets.FECConfig{Seed: 7})
-	out = append(out, build("fec-seed7", true, db, datasets.FECDailySQL("McCain"),
-		"total", func(f float64) bool { return f < 0 }, "amount < 0", errmetric.TooLow{C: 0}))
+	tbl, labels := datasets.FEC(datasets.FECConfig{Seed: 7})
+	out = append(out, goldenWalkthrough{short: true, qualityScenario: newQualityScenario(t,
+		"fec-seed7", tbl, labels, datasets.FECDailySQL("McCain"),
+		"total", func(f float64) bool { return f < 0 }, "amount < 0", errmetric.TooLow{C: 0}, "amount")})
 	return out
 }
 
 // TestGoldenRankings runs every walkthrough × {examples, no examples} ×
-// {kmeans, bayes, none} × {MaxLearnRows default, uncapped} and compares
-// predicate strings, score bits, |F|, D', the candidate count and ε
-// against the checked-in goldens. Short mode keeps the default-cap
-// cases of one Intel seed and FEC.
+// {MaxLearnRows default, uncapped} and compares predicate strings, score
+// bits, |F|, D', the candidate count and ε against the checked-in
+// goldens. Short mode keeps the default-cap cases of one Intel seed and
+// FEC.
 func TestGoldenRankings(t *testing.T) {
 	got := map[string]goldenCase{}
 	for _, w := range goldenWalkthroughs(t) {
 		for _, withExamples := range []bool{true, false} {
-			for _, method := range []string{"kmeans", "bayes", "none"} {
-				for _, learnRows := range []int{0, -1} { // 0 = default cap; -1 = keep everything
-					if testing.Short() && (!w.short || learnRows != 0) {
-						continue
-					}
-					name := fmt.Sprintf("%s/examples=%v/%s/maxlearn=%d", w.name, withExamples, method, learnRows)
-					req := DebugRequest{
-						Result: w.res, AggItem: -1, Suspect: w.suspect, Metric: w.metric,
-						Opt: Options{CleanMethod: method, MaxLearnRows: learnRows},
-					}
-					if withExamples {
-						req.Examples = w.examples
-					}
-					dr, err := Debug(req)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					got[name] = goldenOf(dr)
+			for _, learnRows := range []int{0, -1} { // 0 = default cap; -1 = keep everything
+				if testing.Short() && (!w.short || learnRows != 0) {
+					continue
 				}
+				name := fmt.Sprintf("%s/examples=%v/maxlearn=%d", w.name, withExamples, learnRows)
+				req := DebugRequest{
+					Result: w.res, AggItem: -1, Suspect: w.suspect, Metric: w.metric,
+					Opt: Options{MaxLearnRows: learnRows},
+				}
+				if withExamples {
+					req.Examples = w.examples
+				}
+				dr, err := Debug(req)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got[name] = goldenOf(dr)
 			}
 		}
 	}

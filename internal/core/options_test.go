@@ -1,22 +1,25 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datasets"
-	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
-	"repro/internal/ranker"
-	"repro/internal/subgroup"
+	"repro/internal/influence"
 )
 
-// smallIntel builds a fast fixture shared by the option-surface tests.
+// smallIntel builds a fast fixture shared by the option-surface tests:
+// the smallest Intel trace whose suspect windows exceed TooHigh{C: 70}
+// (ε = 0.905; at 20,000 and 30,000 rows ε is 0 and the influence stage
+// contributes nothing — see TestDebugZeroEps).
 func smallIntel(t *testing.T) (*exec.Result, []int, []int) {
 	t.Helper()
-	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 20_000, Seed: 7})
+	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 40_000, Seed: 1})
 	res, err := Run(db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +35,7 @@ func smallIntel(t *testing.T) (*exec.Result, []int, []int) {
 		t.Fatal(err)
 	}
 	if len(suspect) == 0 || len(dprime) == 0 {
-		t.Skip("fixture produced no anomaly at this size")
+		t.Fatal("fixture produced no anomaly at this size")
 	}
 	return res, suspect, dprime
 }
@@ -46,116 +49,115 @@ func debugWith(t *testing.T, res *exec.Result, suspect, dprime []int, opt Option
 	if err != nil {
 		t.Fatalf("debug: %v", err)
 	}
+	if dr.Eps <= 0 {
+		t.Fatalf("fixture has ε = %g: every influence is 0 and the options under test decide nothing", dr.Eps)
+	}
+	for _, e := range dr.Explanations {
+		if strings.Contains(strings.ToLower(e.Pred.String()), "temperature") {
+			t.Errorf("%s explains the aggregate by its own argument", e.Pred)
+		}
+	}
 	return dr
 }
 
-func TestOptionMaxExplanations(t *testing.T) {
-	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{MaxExplanations: 2})
-	if len(dr.Explanations) > 2 {
-		t.Errorf("explanations: %d", len(dr.Explanations))
-	}
-}
-
-func TestOptionSingleCriterion(t *testing.T) {
-	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{Criteria: []dtree.Criterion{dtree.Entropy}})
-	for _, e := range dr.Explanations {
-		if strings.HasPrefix(e.Origin, "tree:") && !strings.Contains(e.Origin, "entropy") {
-			t.Errorf("unexpected criterion in %s", e.Origin)
-		}
-	}
-}
-
-func TestOptionExcludeCols(t *testing.T) {
-	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{ExcludeCols: []string{"voltage", "humidity", "ts", "epoch", "light"}})
-	for _, e := range dr.Explanations {
-		for _, col := range e.Pred.Columns() {
-			lc := strings.ToLower(col)
-			if lc != "moteid" {
-				t.Errorf("excluded column %q appears in %s", col, e.Pred)
-			}
-		}
-	}
-}
-
-func TestOptionKeepAggColumn(t *testing.T) {
-	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{KeepAggColumn: true})
-	// With the aggregated column available the (circular) temperature
-	// predicate becomes expressible; it usually wins since D' was
-	// literally selected by temperature.
-	found := false
-	for _, e := range dr.Explanations {
-		if strings.Contains(strings.ToLower(e.Pred.String()), "temperature") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Log("temperature predicate not surfaced; acceptable but unusual")
-	}
-}
-
 func TestOptionInfluenceQuantile(t *testing.T) {
-	res, s, d := smallIntel(t)
-	// Extreme quantile: only the very top influencers count as culpable.
-	dr := debugWith(t, res, s, d, Options{InfluenceQuantile: 0.99})
-	if len(dr.Explanations) == 0 {
-		t.Error("no explanations at extreme quantile")
-	}
-}
-
-func TestOptionMaxLOOTuples(t *testing.T) {
-	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{MaxLOOTuples: 500})
-	if len(dr.Influence.Influences) > 500 {
-		t.Errorf("LOO cap ignored: %d", len(dr.Influence.Influences))
-	}
-	if len(dr.Explanations) == 0 {
-		t.Error("sampling broke the pipeline")
+	res, s, _ := smallIntel(t)
+	// Without examples the high-influence set is D': a stricter quantile
+	// shrinks it.
+	def := debugWith(t, res, s, nil, Options{})
+	strict := debugWith(t, res, s, nil, Options{InfluenceQuantile: 0.9})
+	if len(strict.DPrime) == 0 || len(strict.DPrime) >= len(def.DPrime) {
+		t.Errorf("D' is %d tuples at quantile 0.9, %d at the default %g", len(strict.DPrime), len(def.DPrime), influenceQuantile)
 	}
 }
 
 func TestOptionMaxLearnRows(t *testing.T) {
 	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{MaxLearnRows: 2000})
-	if len(dr.Explanations) == 0 {
-		t.Error("no explanations with tight learner cap")
-	}
-	// -1 disables the cap entirely (0 means default).
-	dr = debugWith(t, res, s, d, Options{MaxLearnRows: -1})
-	if len(dr.Explanations) == 0 {
-		t.Error("no explanations with cap disabled")
-	}
-}
-
-func TestOptionWeights(t *testing.T) {
-	res, s, d := smallIntel(t)
-	// All weight on error improvement: the top result must have the
-	// maximal ErrImprovement among returned explanations.
-	dr := debugWith(t, res, s, d, Options{Weights: ranker.Weights{Err: 1}})
-	top := dr.Explanations[0]
-	for _, e := range dr.Explanations[1:] {
-		if e.ErrImprovement > top.ErrImprovement+1e-9 {
-			t.Errorf("err-only weights: top has Δε=%.2f but %s has %.2f",
-				top.ErrImprovement, e.Pred, e.ErrImprovement)
+	// The cap bounds what the learners — and the ranker's accuracy terms —
+	// see; negative disables it (0 means the default).
+	for _, c := range []struct {
+		opt  Options
+		want func(n int) bool
+	}{
+		{Options{MaxLearnRows: 2000}, func(n int) bool { return n == 2000 }},
+		{Options{}, func(n int) bool { return n == maxLearnRows }},
+		{Options{MaxLearnRows: -1}, func(n int) bool { return n > maxLearnRows }},
+	} {
+		req := DebugRequest{Result: res, AggItem: -1, Suspect: s, Examples: d, Metric: errmetric.TooHigh{C: 70}, Opt: c.opt}
+		c.opt.defaults()
+		run := &debugRun{req: req, opt: c.opt, out: &DebugResult{Timings: map[string]time.Duration{}}}
+		an, err := influence.Rank(res, s, 0, req.Metric, influence.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.preprocess(an); err != nil {
+			t.Fatal(err)
+		}
+		if !c.want(len(run.learnPop)) {
+			t.Errorf("MaxLearnRows %d: the learners see %d rows", c.opt.MaxLearnRows, len(run.learnPop))
 		}
 	}
 }
 
-func TestOptionSubgroupTuning(t *testing.T) {
+// The ablation switches change what the ranker does, not only what it
+// returns: pruning shortens the first answer, and without the excess
+// term a predicate's score no longer depends on whom it matches.
+func TestOptionWeights(t *testing.T) {
 	res, s, d := smallIntel(t)
-	dr := debugWith(t, res, s, d, Options{
-		Subgroup:      subgroup.Options{BeamWidth: 2, MaxSelectors: 2, MaxRules: 2},
-		MaxCandidates: 1,
-	})
-	if dr.Candidates > 3 { // dprime, dprime+influence(, lineage) capped +1 subgroup
-		t.Logf("candidates: %d", dr.Candidates)
+	def := debugWith(t, res, s, d, Options{})
+	noPrune := debugWith(t, res, s, d, Options{DisablePrune: true})
+	if noPrune.Explanations[0].Complexity <= def.Explanations[0].Complexity {
+		t.Errorf("unpruned first answer %s is no longer than the pruned %s", noPrune.Explanations[0].Pred, def.Explanations[0].Pred)
 	}
-	if len(dr.Explanations) == 0 {
-		t.Error("no explanations with tight subgroup budget")
+	noExcess := debugWith(t, res, s, d, Options{DisableExcess: true})
+	for _, e := range noExcess.Explanations {
+		if want := 0.45*e.ErrImprovement + 0.45*e.F1 - 0.04*float64(e.Complexity-1); math.Abs(e.Score-want) > 1e-12 {
+			t.Errorf("%s scores %.4f without the excess term, want %.4f", e.Pred, e.Score, want)
+		}
+	}
+	penalized := false
+	for _, e := range def.Explanations {
+		penalized = penalized || e.CulpableFrac < 1
+	}
+	if !penalized {
+		t.Error("no default explanation pays the excess penalty: the fixture cannot tell the switch from its absence")
+	}
+}
+
+// TestDebugZeroEps pins what Debug does when the suspect groups do not
+// violate the metric at all (the Intel trace at 20,000 rows: avg_temp
+// stays under 70): without examples there is nothing to explain; with
+// examples every ε-improvement is 0 and the ranking is by how well a
+// predicate separates D' (less the complexity and excess penalties).
+func TestDebugZeroEps(t *testing.T) {
+	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 20_000, Seed: 7})
+	res, err := Run(db, datasets.IntelWindowSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspect, err := SuspectWhere(res, "std_temp", func(v engine.Value) bool { return !v.IsNull() && v.Float() > 10 })
+	if err != nil || len(suspect) == 0 {
+		t.Fatalf("suspect: %v (%d groups)", err, len(suspect))
+	}
+	req := DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Metric: errmetric.TooHigh{C: 70}}
+	if _, err := Debug(req); err == nil || !strings.Contains(err.Error(), "nothing to explain") {
+		t.Fatalf("Debug without examples at ε = 0: %v", err)
+	}
+	if req.Examples, err = ExamplesWhere(res, suspect, "temperature > 100"); err != nil || len(req.Examples) == 0 {
+		t.Fatalf("examples: %v (%d rows)", err, len(req.Examples))
+	}
+	dr, err := Debug(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr.Eps != 0 || len(dr.Explanations) == 0 {
+		t.Fatalf("ε = %g, %d explanations", dr.Eps, len(dr.Explanations))
+	}
+	for _, e := range dr.Explanations {
+		want := 0.45*e.F1 - 0.04*float64(e.Complexity-1) - 0.2*(1-e.CulpableFrac)
+		if e.ErrImprovement != 0 || math.Abs(e.Score-want) > 1e-12 {
+			t.Errorf("%s improves ε = 0 by %g and scores %.4f, want %.4f from separation alone", e.Pred, e.ErrImprovement, e.Score, want)
+		}
 	}
 }
 

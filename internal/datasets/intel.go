@@ -7,7 +7,8 @@
 // available offline, so this package synthesizes statistically faithful
 // stand-ins that reproduce the *anomalies the demo walkthroughs rely
 // on* — and, unlike the real data, label every anomalous row, enabling
-// the quantitative precision/recall evaluation of cmd/experiments.
+// the quantitative precision/recall evaluation of internal/core's quality
+// table.
 package datasets
 
 import (

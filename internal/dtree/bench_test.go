@@ -30,19 +30,14 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
-// BenchmarkTrain measures one tree induction per criterion — the
-// Predicate Enumerator runs several of these per Debug call.
+// BenchmarkTrain measures one tree induction — the Predicate Enumerator
+// runs one per candidate dataset of a Debug call.
 func BenchmarkTrain(b *testing.B) {
 	sp, labels := benchFixture(b, 16_000)
-	for _, crit := range []Criterion{Gini, Entropy, GainRatio} {
-		crit := crit
-		b.Run(crit.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Train(sp, labels, nil, Options{Criterion: crit}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(sp, labels, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -53,7 +48,7 @@ func BenchmarkTrainScaling(b *testing.B) {
 			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(sp, labels, nil, Options{}); err != nil {
+				if _, err := Train(sp, labels, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,6 @@
 // Package dtree implements the Predicate Enumerator's decision tree
 // learner: a CART-style binary tree over mixed numeric/categorical
-// attributes with selectable splitting criteria — gini impurity,
-// information gain (entropy), and gain ratio — exactly the "m standard
-// splitting and pruning strategies" the paper uses to construct several
-// trees per candidate dataset.
+// attributes, split on gini impurity — one tree per candidate dataset.
 //
 // Each candidate dataset Dᶜᵢ is labeled positive against F − Dᶜᵢ; the
 // root-to-leaf paths of positive-majority leaves convert to conjunctive
@@ -28,74 +25,23 @@ import (
 	"repro/internal/predicate"
 )
 
-// Criterion selects the split quality measure.
-type Criterion int
-
-// Split criteria.
+// Induction's fixed parameters. None is an option: nothing outside
+// tests ever set one, and the quality table (internal/core,
+// TestQualityTable) scores the pipeline as configured here. The split
+// criterion is gini impurity alone: on that table trees split on entropy
+// or gain ratio, alone or beside gini, answered every walkthrough alike
+// and no planted scenario better (CHANGES.md, PR 26).
 const (
-	Gini Criterion = iota
-	Entropy
-	GainRatio
+	// maxDepth bounds tree depth: explanations must stay human-readable,
+	// and the ranker penalizes long predicates anyway.
+	maxDepth = 4
+	// minLeaf is the minimum (weighted) examples per leaf.
+	minLeaf = 5
+	// minGain prunes splits whose impurity improvement is below this.
+	minGain = 1e-4
+	// minPurity is the positive fraction a leaf needs to emit a predicate.
+	minPurity = 0.6
 )
-
-// String returns the criterion name.
-func (c Criterion) String() string {
-	switch c {
-	case Gini:
-		return "gini"
-	case Entropy:
-		return "entropy"
-	case GainRatio:
-		return "gainratio"
-	default:
-		return fmt.Sprintf("criterion(%d)", int(c))
-	}
-}
-
-// ParseCriterion parses a criterion name.
-func ParseCriterion(s string) (Criterion, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "gini":
-		return Gini, nil
-	case "entropy", "infogain", "information":
-		return Entropy, nil
-	case "gainratio", "gain_ratio":
-		return GainRatio, nil
-	default:
-		return Gini, fmt.Errorf("dtree: unknown criterion %q", s)
-	}
-}
-
-// Options configures training.
-type Options struct {
-	Criterion Criterion
-	// MaxDepth bounds tree depth (default 4 — explanations must stay
-	// human-readable; the paper penalizes long predicates anyway).
-	MaxDepth int
-	// MinLeaf is the minimum (weighted) examples per leaf (default 5).
-	MinLeaf float64
-	// MinGain prunes splits whose quality improvement is below this
-	// (default 1e-4).
-	MinGain float64
-	// MinPurity is the positive fraction a leaf needs to emit a
-	// predicate (default 0.6).
-	MinPurity float64
-}
-
-func (o *Options) defaults() {
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 4
-	}
-	if o.MinLeaf <= 0 {
-		o.MinLeaf = 5
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 1e-4
-	}
-	if o.MinPurity <= 0 {
-		o.MinPurity = 0.6
-	}
-}
 
 // Split is an internal node's test. Numeric: value <= Threshold goes
 // left. Categorical: value == Val goes left.
@@ -128,7 +74,6 @@ type Node struct {
 type Tree struct {
 	Root  *Node
 	Space *feature.Space
-	Opt   Options
 	// TrainAccuracy is the weighted accuracy on the training set.
 	TrainAccuracy float64
 	nodes         int
@@ -155,8 +100,7 @@ type trainer struct {
 // weights (nil means uniform) are parallel to sp.Frame.Rows. The space
 // must have been discretized; a profile-only one is an error, not a tree
 // that found nothing to split on.
-func Train(sp *feature.Space, labels []bool, weights []float64, opt Options) (*Tree, error) {
-	opt.defaults()
+func Train(sp *feature.Space, labels []bool, weights []float64) (*Tree, error) {
 	if sp.Frame.Bins == nil {
 		return nil, fmt.Errorf("dtree: the feature space has no thresholds or bins (feature.Space.Discretize was not run)")
 	}
@@ -177,7 +121,7 @@ func Train(sp *feature.Space, labels []bool, weights []float64, opt Options) (*T
 		vocab = max(vocab, len(sp.Attrs[ai].Thresholds)+1, len(sp.Attrs[ai].Values))
 	}
 	tr := &trainer{
-		Tree: &Tree{Space: sp, Opt: opt}, bins: sp.Frame.Bins, labels: labels, weights: weights,
+		Tree: &Tree{Space: sp}, bins: sp.Frame.Bins, labels: labels, weights: weights,
 		spill: make([]int32, n), tot: make([]float64, vocab), pos: make([]float64, vocab),
 	}
 	idx := make([]int32, n)
@@ -208,24 +152,13 @@ func Train(sp *feature.Space, labels []bool, weights []float64, opt Options) (*T
 	return tr.Tree, nil
 }
 
-func impurity(crit Criterion, posW, totW float64) float64 {
+// impurity is the gini impurity of a node holding posW of totW weight.
+func impurity(posW, totW float64) float64 {
 	if totW == 0 {
 		return 0
 	}
 	p := posW / totW
-	switch crit {
-	case Gini:
-		return 2 * p * (1 - p)
-	default: // Entropy and GainRatio both use entropy for child impurity
-		return entropyOf(p)
-	}
-}
-
-func entropyOf(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+	return 2 * p * (1 - p)
 }
 
 func (t *trainer) leaf(posW, totW float64, n int) *Node {
@@ -256,11 +189,11 @@ func (t *trainer) build(idx []int32, depth int) *Node {
 			posW += t.weights[i]
 		}
 	}
-	if depth >= t.Opt.MaxDepth || totW < 2*t.Opt.MinLeaf || posW == 0 || posW == totW {
+	if depth >= maxDepth || totW < 2*minLeaf || posW == 0 || posW == totW {
 		return t.leaf(posW, totW, len(idx))
 	}
 
-	best, ok := t.bestSplit(idx, impurity(t.Opt.Criterion, posW, totW), posW, totW)
+	best, ok := t.bestSplit(idx, impurity(posW, totW), posW, totW)
 	if !ok {
 		return t.leaf(posW, totW, len(idx))
 	}
@@ -300,27 +233,18 @@ func (t *trainer) build(idx []int32, depth int) *Node {
 // of O(rows × splits).
 func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split, bool) {
 	var best Split
-	bestScore := t.Opt.MinGain
+	bestGain := minGain
 	found := false
 
 	consider := func(s Split, lPos, lTot float64) {
 		rTot := totW - lTot
 		rPos := totPos - lPos
-		if lTot < t.Opt.MinLeaf || rTot < t.Opt.MinLeaf {
+		if lTot < minLeaf || rTot < minLeaf {
 			return
 		}
-		childImp := (lTot*impurity(t.Opt.Criterion, lPos, lTot) + rTot*impurity(t.Opt.Criterion, rPos, rTot)) / totW
-		gain := parentImp - childImp
-		score := gain
-		if t.Opt.Criterion == GainRatio {
-			splitInfo := entropyOf(lTot / totW)
-			if splitInfo < 1e-9 {
-				return
-			}
-			score = gain / splitInfo
-		}
-		if score > bestScore {
-			bestScore = score
+		childImp := (lTot*impurity(lPos, lTot) + rTot*impurity(rPos, rTot)) / totW
+		if gain := parentImp - childImp; gain > bestGain {
+			bestGain = gain
 			best = s
 			found = true
 		}
@@ -402,7 +326,7 @@ type LeafPredicate struct {
 }
 
 // PositivePaths extracts the root-to-leaf conjunctions of every leaf
-// whose positive purity is at least the tree's MinPurity, best purity
+// whose positive purity is at least minPurity, best purity
 // first. Paths simplify (x<=5 AND x<=3 → x<=3) before returning; paths
 // that simplify to contradictions are dropped.
 func (t *Tree) PositivePaths() []LeafPredicate {
@@ -410,7 +334,7 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 	var walk func(n *Node, p predicate.Predicate)
 	walk = func(n *Node, p predicate.Predicate) {
 		if n.Leaf {
-			if n.Positive && n.Purity >= t.Opt.MinPurity {
+			if n.Positive && n.Purity >= minPurity {
 				simplified, ok := p.Simplify()
 				if ok {
 					out = append(out, LeafPredicate{Pred: simplified, Purity: n.Purity, Weight: n.Weight, N: n.N})

@@ -25,41 +25,38 @@ func plantedConcept(t *testing.T, n int) (*feature.Space, []bool) {
 		tbl.MustAppendRow(engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city))
 		labels = append(labels, pos)
 	}
-	return feature.NewSpace(tbl, feature.Options{NumThresholds: 20}).Discretize(), labels
+	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
 func TestTreeLearnsPlantedConcept(t *testing.T) {
-	for _, crit := range []Criterion{Gini, Entropy, GainRatio} {
-		crit := crit
-		t.Run(crit.String(), func(t *testing.T) {
-			sp, labels := plantedConcept(t, 600)
-			tree, err := Train(sp, labels, nil, Options{Criterion: crit})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("gini", func(t *testing.T) {
+		sp, labels := plantedConcept(t, 600)
+		tree, err := Train(sp, labels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.TrainAccuracy < 0.95 {
+			t.Errorf("train accuracy %.2f\n%s", tree.TrainAccuracy, tree)
+		}
+		paths := tree.PositivePaths()
+		if len(paths) == 0 {
+			t.Fatalf("no positive paths\n%s", tree)
+		}
+		// The best path should reference volt and city.
+		cols := paths[0].Pred.Columns()
+		hasVolt, hasCity := false, false
+		for _, c := range cols {
+			if c == "volt" {
+				hasVolt = true
 			}
-			if tree.TrainAccuracy < 0.95 {
-				t.Errorf("train accuracy %.2f\n%s", tree.TrainAccuracy, tree)
+			if c == "city" {
+				hasCity = true
 			}
-			paths := tree.PositivePaths()
-			if len(paths) == 0 {
-				t.Fatalf("no positive paths\n%s", tree)
-			}
-			// The best path should reference volt and city.
-			cols := paths[0].Pred.Columns()
-			hasVolt, hasCity := false, false
-			for _, c := range cols {
-				if c == "volt" {
-					hasVolt = true
-				}
-				if c == "city" {
-					hasCity = true
-				}
-			}
-			if !hasVolt || !hasCity {
-				t.Errorf("top path %s misses concept attrs", paths[0].Pred)
-			}
-		})
-	}
+		}
+		if !hasVolt || !hasCity {
+			t.Errorf("top path %s misses concept attrs", paths[0].Pred)
+		}
+	})
 }
 
 // Property-ish: every extracted positive path matches only rows routed
@@ -67,7 +64,7 @@ func TestTreeLearnsPlantedConcept(t *testing.T) {
 // its matched training rows.
 func TestPathsConsistentWithPredictions(t *testing.T) {
 	sp, labels := plantedConcept(t, 400)
-	tree, err := Train(sp, labels, nil, Options{})
+	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +85,12 @@ func TestPathsConsistentWithPredictions(t *testing.T) {
 
 func TestMaxDepthRespected(t *testing.T) {
 	sp, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, labels, nil, Options{MaxDepth: 2})
+	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range tree.PositivePaths() {
-		if p.Pred.Len() > 2 {
+		if p.Pred.Len() > maxDepth {
 			t.Errorf("path longer than depth: %s", p.Pred)
 		}
 	}
@@ -101,14 +98,14 @@ func TestMaxDepthRespected(t *testing.T) {
 
 func TestMinLeaf(t *testing.T) {
 	sp, labels := plantedConcept(t, 200)
-	tree, err := Train(sp, labels, nil, Options{MinLeaf: 50})
+	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Leaf {
-			if n.Weight < 50 {
+			if n.Weight < minLeaf {
 				t.Errorf("leaf with weight %.0f < MinLeaf", n.Weight)
 			}
 			return
@@ -125,7 +122,7 @@ func TestPureInputMakesLeaf(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	tree, err := Train(sp, all, nil, Options{})
+	tree, err := Train(sp, all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +145,10 @@ func TestWeightsBias(t *testing.T) {
 		if labels[i] {
 			weights[i] = 10
 		} else {
-			weights[i] = 0.1
+			weights[i] = 1
 		}
 	}
-	tree, err := Train(sp, labels, weights, Options{MinLeaf: 1})
+	tree, err := Train(sp, labels, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,36 +159,20 @@ func TestWeightsBias(t *testing.T) {
 
 func TestTrainErrors(t *testing.T) {
 	sp, labels := plantedConcept(t, 10)
-	if _, err := Train(sp, nil, nil, Options{}); err == nil {
+	if _, err := Train(sp, nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Train(sp, labels[:5], nil, Options{}); err == nil {
+	if _, err := Train(sp, labels[:5], nil); err == nil {
 		t.Error("label mismatch accepted")
 	}
-	if _, err := Train(sp, labels, []float64{1}, Options{}); err == nil {
+	if _, err := Train(sp, labels, []float64{1}); err == nil {
 		t.Error("weight mismatch accepted")
-	}
-}
-
-func TestParseCriterion(t *testing.T) {
-	cases := map[string]Criterion{
-		"gini": Gini, "entropy": Entropy, "infogain": Entropy,
-		"gainratio": GainRatio, "GAIN_RATIO": GainRatio,
-	}
-	for s, want := range cases {
-		got, err := ParseCriterion(s)
-		if err != nil || got != want {
-			t.Errorf("ParseCriterion(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseCriterion("bogus"); err == nil {
-		t.Error("bogus criterion accepted")
 	}
 }
 
 func TestNumNodes(t *testing.T) {
 	sp, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, labels, nil, Options{})
+	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +190,7 @@ func TestNumNodes(t *testing.T) {
 // indexing past the bound slices.
 func TestPredictRowAfterAppend(t *testing.T) {
 	sp, labels := plantedConcept(t, 600)
-	tree, err := Train(sp, labels, nil, Options{})
+	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

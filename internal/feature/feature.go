@@ -1,21 +1,21 @@
 // Package feature derives a shared attribute space from an engine table
-// for the three learners DBWipes uses (k-means/naive-Bayes cleaning,
-// CN2-SD subgroup discovery, decision trees).
+// for the three learners DBWipes uses (naive-Bayes cleaning, CN2-SD
+// subgroup discovery, decision trees).
 //
-// Numeric columns contribute standardized coordinates and a set of
-// quantile-derived split thresholds; string columns contribute their
-// most frequent values as equality selectors. Construction has two
-// steps: NewSpace gathers the columns and profiles them (all that
-// example cleaning reads), Space.Discretize adds the thresholds and the
-// bucket matrix the learners train on. The aggregate's input
-// column and group-by columns can be excluded so that explanations are
-// phrased over the remaining descriptive attributes — though the paper's
-// examples (moteid, voltage, memo) show that keeping most columns is
-// what yields the interesting predicates.
+// Numeric columns contribute a set of quantile-derived split thresholds;
+// string columns contribute their most frequent values as equality
+// selectors. Construction has two steps: NewSpace gathers the columns and
+// profiles them (all that example cleaning reads), Space.Discretize adds
+// the thresholds and the bucket matrix the learners train on. The
+// aggregate's input column is excluded so that explanations are phrased
+// over the remaining descriptive attributes; the paper's examples
+// (moteid, voltage, memo) show that keeping the rest is what yields the
+// interesting predicates.
 package feature
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,14 +47,11 @@ type Attr struct {
 	// Type is the underlying engine column type.
 	Type engine.Type
 	// Values holds the frequent distinct values of a categorical
-	// attribute (most frequent first, capped at MaxCategories).
+	// attribute (most frequent first, capped at maxCategories).
 	Values []engine.Value
 	// Thresholds holds candidate numeric split points (deduplicated
 	// quantile midpoints); nil until Space.Discretize.
 	Thresholds []float64
-	// Mean and Std standardize numeric attributes for k-means; Std is 1
-	// for constant columns.
-	Mean, Std float64
 }
 
 // Space is the derived attribute space over one table.
@@ -65,16 +62,11 @@ type Space struct {
 	// over Options.Rows. Subgroup discovery and tree induction address
 	// rows by their position in it and never touch the table.
 	Frame *Frame
-	// numericIdx lists positions in Attrs that are numeric, defining the
-	// coordinate order of Frame.Vector.
-	numericIdx []int
 	// What Discretize takes over from NewSpace: the statistics sample's
-	// frame positions (nil: every position), the threshold count, and per
-	// categorical attribute (parallel to Attrs) its dictionary code →
-	// Values index table.
-	sample        []int
-	numThresholds int
-	slots         [][]int16
+	// frame positions (nil: every position) and per categorical attribute
+	// (parallel to Attrs) its dictionary code → Values index table.
+	sample []int
+	slots  [][]int16
 }
 
 // Frame is a space's attributes gathered over a list of table rows: one
@@ -105,49 +97,40 @@ type Frame struct {
 	Space *Space
 }
 
-// Options configures space construction.
+// Options says which part of the table the space covers.
 type Options struct {
-	// Exclude lists column names to omit (case-insensitive) — typically
-	// the aggregated column when the user wants explanations independent
-	// of the measure, and synthetic ids.
+	// Exclude lists column names to omit (case-insensitive) — the
+	// aggregated column, so explanations are independent of the measure.
 	Exclude []string
-	// MaxCategories caps equality selectors per categorical attribute
-	// (default 20). Rarer values are not enumerated.
-	MaxCategories int
-	// NumThresholds is the number of quantile thresholds per numeric
-	// attribute (default 12).
-	NumThresholds int
 	// Rows is the population the learning frame covers and statistics
 	// are taken over (default: all rows).
 	Rows []int
-	// SampleCap bounds how many rows are examined for statistics
-	// (default 50000, evenly spaced).
-	SampleCap int
 }
 
-func (o *Options) defaults() {
-	if o.MaxCategories <= 0 {
-		o.MaxCategories = 20
-	}
-	if o.NumThresholds <= 0 {
-		o.NumThresholds = 12
-	}
-	// Frame.Bins holds vocabulary positions as int16.
-	o.MaxCategories = min(o.MaxCategories, math.MaxInt16)
-	o.NumThresholds = min(o.NumThresholds, math.MaxInt16-1)
-	if o.SampleCap <= 0 {
-		o.SampleCap = 50000
-	}
-}
+// The vocabulary's fixed sizes. None is an option: nothing outside tests
+// ever set one. Frame.Bins holds vocabulary positions as int16, which
+// both fit with room to spare.
+const (
+	// maxCategories caps equality selectors per categorical attribute;
+	// rarer values are not enumerated.
+	maxCategories = 20
+	// numThresholds is the number of quantile thresholds per numeric
+	// attribute — the resolution a numeric clause can have: on the
+	// quality table's planted scenarios (internal/core) a cause at the
+	// 99th percentile is answered with the nearest cut, the 92nd.
+	numThresholds = 12
+	// sampleCap bounds how many rows are examined for statistics
+	// (evenly spaced).
+	sampleCap = 50000
+)
 
 // NewSpace derives the attribute space of t: it gathers the learning
-// frame's columns and profiles them (Mean/Std, the frequent categorical
-// Values) — everything example cleaning reads. Thresholds and Bins are
-// Discretize's, the step a stage that trains learners runs. On an
-// out-of-core table a chunk-load failure panics engine.SegmentLoadError
-// (see engine.CatchSegmentLoad).
+// frame's columns and profiles them (which columns carry values, the
+// frequent categorical Values) — everything example cleaning reads.
+// Thresholds and Bins are Discretize's, the step a stage that trains
+// learners runs. On an out-of-core table a chunk-load failure panics
+// engine.SegmentLoadError (see engine.CatchSegmentLoad).
 func NewSpace(t *engine.Table, opt Options) *Space {
-	opt.defaults()
 	excluded := make(map[string]bool, len(opt.Exclude))
 	for _, e := range opt.Exclude {
 		excluded[strings.ToLower(e)] = true
@@ -160,12 +143,12 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 			rows[i] = i
 		}
 	}
-	sp := &Space{Table: t, numThresholds: opt.NumThresholds}
+	sp := &Space{Table: t}
 	// Statistics run over an evenly spaced sample of the frame's
-	// positions when it is larger than SampleCap.
-	if len(rows) > opt.SampleCap {
-		sp.sample = make([]int, opt.SampleCap)
-		step := float64(len(rows)) / float64(opt.SampleCap)
+	// positions when it is larger than sampleCap.
+	if len(rows) > sampleCap {
+		sp.sample = make([]int, sampleCap)
+		step := float64(len(rows)) / float64(sampleCap)
 		for i := range sp.sample {
 			sp.sample[i] = int(float64(i) * step)
 		}
@@ -184,14 +167,14 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 		switch {
 		case col.Type.IsNumeric():
 			floats = gatherFloats(t, c, rows)
-			if !attr.profileNumeric(sampled(floats, sp.sample)) {
+			if !slices.ContainsFunc(sampled(floats, sp.sample), finite) {
 				continue
 			}
-			sp.numericIdx = append(sp.numericIdx, len(sp.Attrs))
+			attr.Kind = Numeric
 		case col.Type == engine.TString:
 			var dict []string
 			codes, dict = gatherCodes(t, c, rows)
-			if slot = attr.profileCategorical(sampled(codes, sp.sample), dict, opt.MaxCategories); slot == nil {
+			if slot = attr.profileCategorical(sampled(codes, sp.sample), dict); slot == nil {
 				continue
 			}
 		default:
@@ -220,7 +203,7 @@ func (s *Space) Discretize() *Space {
 	for ai := range s.Attrs {
 		a := &s.Attrs[ai]
 		if a.Kind == Numeric {
-			a.Thresholds = quantileThresholds(sampled(fr.Floats[ai], s.sample), s.numThresholds)
+			a.Thresholds = quantileThresholds(sampled(fr.Floats[ai], s.sample))
 			fr.Bins[ai] = bucketize(fr.Floats[ai], a.Thresholds)
 			continue
 		}
@@ -250,21 +233,6 @@ func sampled[T any](col []T, sample []int) []T {
 	return out
 }
 
-// Gather reads the space's attributes over rows into a frame of its
-// own (no Bins) — how a stage whose rows are not the learning
-// population (example cleaning) gets columnar access.
-func (s *Space) Gather(rows []int) *Frame {
-	fr := &Frame{Rows: rows, Space: s, Floats: make([][]float64, len(s.Attrs)), Codes: make([][]int32, len(s.Attrs))}
-	for ai := range s.Attrs {
-		if a := &s.Attrs[ai]; a.Kind == Numeric {
-			fr.Floats[ai] = gatherFloats(s.Table, a.Col, rows)
-		} else {
-			fr.Codes[ai], _ = gatherCodes(s.Table, a.Col, rows)
-		}
-	}
-	return fr
-}
-
 // gatherFloats reads numeric column c at rows through the typed view,
 // one pinned chunk at a time.
 func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
@@ -290,41 +258,13 @@ func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
 	return out, dv.Values()
 }
 
-// finite reports whether f takes part in the numeric statistics.
+// finite reports whether f takes part in the numeric vocabulary.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// profileNumeric fills a's Mean and Std from (a sample of) its gathered
-// column; false when no finite value remains.
-func (a *Attr) profileNumeric(floats []float64) bool {
-	var sum, sumsq float64
-	n := 0
-	for _, f := range floats {
-		if finite(f) {
-			sum += f
-			sumsq += f * f
-			n++
-		}
-	}
-	if n == 0 {
-		return false
-	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	std := math.Sqrt(variance)
-	if std == 0 {
-		std = 1
-	}
-	a.Kind, a.Mean, a.Std = Numeric, mean, std
-	return true
-}
 
 // quantileThresholds returns the deduplicated quantile midpoints of the
 // finite values in (a sample of) a numeric column. A constant column
-// yields none but still standardizes.
-func quantileThresholds(floats []float64, nThresh int) []float64 {
+// yields none.
+func quantileThresholds(floats []float64) []float64 {
 	vals := make([]float64, 0, len(floats))
 	for _, f := range floats {
 		if finite(f) {
@@ -334,8 +274,8 @@ func quantileThresholds(floats []float64, nThresh int) []float64 {
 	sort.Float64s(vals)
 	var ths []float64
 	prev := math.Inf(-1)
-	for q := 1; q <= nThresh; q++ {
-		if cut := vals[q*(len(vals)-1)/(nThresh+1)]; cut > prev {
+	for q := 1; q <= numThresholds; q++ {
+		if cut := vals[q*(len(vals)-1)/(numThresholds+1)]; cut > prev {
 			ths = append(ths, cut)
 			prev = cut
 		}
@@ -363,7 +303,7 @@ func bucketize(floats []float64, ths []float64) []int16 {
 // profileCategorical picks a's most frequent values (ties by value) in
 // (a sample of) its gathered column and returns the code → Values index
 // table, -1 outside the capped set; nil when there is no value.
-func (a *Attr) profileCategorical(codes []int32, dict []string, maxCats int) []int16 {
+func (a *Attr) profileCategorical(codes []int32, dict []string) []int16 {
 	counts := make([]int, len(dict))
 	var seen []int32
 	for _, c := range codes {
@@ -383,8 +323,8 @@ func (a *Attr) profileCategorical(codes []int32, dict []string, maxCats int) []i
 		}
 		return dict[seen[i]] < dict[seen[j]]
 	})
-	if len(seen) > maxCats {
-		seen = seen[:maxCats]
+	if len(seen) > maxCategories {
+		seen = seen[:maxCategories]
 	}
 	a.Kind = Categorical
 	slot := make([]int16, len(dict))
@@ -396,30 +336,6 @@ func (a *Attr) profileCategorical(codes []int32, dict []string, maxCats int) []i
 		slot[c] = int16(vi)
 	}
 	return slot
-}
-
-// Dim returns the numeric coordinate dimension of Vector.
-func (s *Space) Dim() int { return len(s.numericIdx) }
-
-// Vector writes the standardized numeric coordinates of position i into
-// dst (allocating when dst is too small) and returns it. NULLs map to 0
-// (the mean after standardization).
-func (f *Frame) Vector(i int, dst []float64) []float64 {
-	s := f.Space
-	if cap(dst) < len(s.numericIdx) {
-		dst = make([]float64, len(s.numericIdx))
-	}
-	dst = dst[:len(s.numericIdx)]
-	for d, ai := range s.numericIdx {
-		a := &s.Attrs[ai]
-		v := f.Floats[ai][i]
-		if !finite(v) {
-			dst[d] = 0
-			continue
-		}
-		dst[d] = (v - a.Mean) / a.Std
-	}
-	return dst
 }
 
 // AttrByName returns the attribute with the given name, or nil.

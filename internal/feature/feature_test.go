@@ -1,7 +1,6 @@
 package feature
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -49,9 +48,6 @@ func TestNewSpaceDetectsKinds(t *testing.T) {
 	if byName["city"].Values[0].Str() != "BOSTON" {
 		t.Errorf("frequency order: %v", byName["city"].Values[0])
 	}
-	if byName["constant"].Std != 1 {
-		t.Errorf("constant column std should default to 1: %v", byName["constant"].Std)
-	}
 	if len(byName["constant"].Thresholds) > 1 {
 		t.Errorf("constant thresholds: %v", byName["constant"].Thresholds)
 	}
@@ -67,7 +63,7 @@ func TestExclusions(t *testing.T) {
 }
 
 func TestThresholdsSortedUnique(t *testing.T) {
-	sp := NewSpace(mixedTable(t, 500), Options{NumThresholds: 8}).Discretize()
+	sp := NewSpace(mixedTable(t, 500), Options{}).Discretize()
 	for _, a := range sp.Attrs {
 		if a.Kind != Numeric {
 			continue
@@ -84,43 +80,20 @@ func TestThresholdsSortedUnique(t *testing.T) {
 	}
 }
 
-func TestVectorStandardization(t *testing.T) {
-	tbl := mixedTable(t, 200)
-	sp := NewSpace(tbl, Options{})
-	if sp.Dim() != 3 { // id, temp, constant
-		t.Fatalf("dim: %d", sp.Dim())
-	}
-	// Mean of standardized coordinates should be ~0.
-	sums := make([]float64, sp.Dim())
-	var v []float64
-	for r := 0; r < tbl.NumRows(); r++ {
-		v = sp.Frame.Vector(r, v)
-		for i, x := range v {
-			sums[i] += x
-		}
-	}
-	for i, s := range sums {
-		if math.Abs(s/float64(tbl.NumRows())) > 1e-9 {
-			t.Errorf("dim %d mean %v", i, s/float64(tbl.NumRows()))
-		}
-	}
-}
-
 func TestRowsSubset(t *testing.T) {
 	tbl := mixedTable(t, 100)
-	sp := NewSpace(tbl, Options{Rows: []int{0, 1, 2, 3}})
+	sp := NewSpace(tbl, Options{Rows: []int{0, 1, 2, 3}}).Discretize()
 	a := sp.AttrByName("id")
-	if a == nil || a.Mean != 1.5 {
-		t.Errorf("subset stats: %+v", a)
+	if a == nil || len(sp.Frame.Rows) != 4 || len(a.Thresholds) == 0 || a.Thresholds[len(a.Thresholds)-1] > 3 {
+		t.Errorf("subset stats: %+v over %d rows", a, len(sp.Frame.Rows))
 	}
 }
 
+// Past sampleCap rows the statistics come from an evenly spaced sample;
+// the frame still covers every row, and the profile is the boxed one over
+// that sample.
 func TestSampleCap(t *testing.T) {
-	tbl := mixedTable(t, 1000)
-	sp := NewSpace(tbl, Options{SampleCap: 10})
-	if sp.AttrByName("id") == nil {
-		t.Fatal("id attr missing")
-	}
+	checkSpace(t, "sampled", mixedTable(t, sampleCap+sampleCap/3), nil, Options{})
 }
 
 func TestNullColumnSkipped(t *testing.T) {

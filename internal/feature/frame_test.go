@@ -26,7 +26,7 @@ func frameSchema() engine.Schema {
 
 // frameRow draws the values the typed decode could get wrong: NULLs in
 // every column, NaN, ±Inf, signed zeros, ints that float64 cannot hold
-// exactly, and more distinct strings than MaxCategories keeps.
+// exactly, and more distinct strings than maxCategories keeps.
 func frameRow(rng *rand.Rand) []engine.Value {
 	null := func(v engine.Value) engine.Value {
 		if rng.Float64() < 0.15 {
@@ -71,7 +71,7 @@ func frameRows(rng *rand.Rand, n int) [][]engine.Value {
 
 // boxedProfile is the profile (thresholds included) NewSpace computed
 // before the frame existed: statistics through boxed per-row reads.
-func boxedProfile(t *engine.Table, c int, rows []int, opt Options) (Attr, bool) {
+func boxedProfile(t *engine.Table, c int, rows []int) (Attr, bool) {
 	col := t.Schema()[c]
 	attr := Attr{Name: col.Name, Col: c, Type: col.Type}
 	if col.Type == engine.TString {
@@ -93,34 +93,25 @@ func boxedProfile(t *engine.Table, c int, rows []int, opt Options) (Attr, bool) 
 			}
 			return keys[i] < keys[j]
 		})
-		for _, k := range keys[:min(len(keys), opt.MaxCategories)] {
+		for _, k := range keys[:min(len(keys), maxCategories)] {
 			attr.Values = append(attr.Values, repr[k])
 		}
 		return attr, len(keys) > 0
 	}
 	var vals []float64
-	var sum, sumsq float64
 	for _, r := range rows {
 		v := t.Value(r, c)
 		if f := v.Float(); !v.IsNull() && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			vals = append(vals, f)
-			sum += f
-			sumsq += f * f
 		}
 	}
 	if len(vals) == 0 {
 		return attr, false
 	}
-	n := float64(len(vals))
-	attr.Mean = sum / n
-	attr.Std = math.Sqrt(math.Max(0, sumsq/n-attr.Mean*attr.Mean))
-	if attr.Std == 0 {
-		attr.Std = 1
-	}
 	sort.Float64s(vals)
 	prev := math.Inf(-1)
-	for q := 1; q <= opt.NumThresholds; q++ {
-		if cut := vals[q*(len(vals)-1)/(opt.NumThresholds+1)]; cut > prev {
+	for q := 1; q <= numThresholds; q++ {
+		if cut := vals[q*(len(vals)-1)/(numThresholds+1)]; cut > prev {
 			attr.Thresholds = append(attr.Thresholds, cut)
 			prev = cut
 		}
@@ -166,7 +157,6 @@ func checkSpace(t *testing.T, label string, tbl *engine.Table, rows []int, opt O
 	if bins := sp.Frame.Bins; len(bins) > 0 && &sp.Discretize().Frame.Bins[0] != &bins[0] {
 		t.Fatalf("%s: a second Discretize rebuilt the bins", label)
 	}
-	opt.defaults()
 	all := rows
 	if all == nil {
 		all = make([]int, tbl.NumRows())
@@ -175,10 +165,10 @@ func checkSpace(t *testing.T, label string, tbl *engine.Table, rows []int, opt O
 		}
 	}
 	sample := all
-	if len(all) > opt.SampleCap {
+	if len(all) > sampleCap {
 		sample = nil
-		step := float64(len(all)) / float64(opt.SampleCap)
-		for i := 0; i < opt.SampleCap; i++ {
+		step := float64(len(all)) / float64(sampleCap)
+		for i := 0; i < sampleCap; i++ {
 			sample = append(sample, all[int(float64(i)*step)])
 		}
 	}
@@ -188,7 +178,7 @@ func checkSpace(t *testing.T, label string, tbl *engine.Table, rows []int, opt O
 	}
 	ai := 0
 	for c, col := range tbl.Schema() {
-		want, ok := boxedProfile(tbl, c, sample, opt)
+		want, ok := boxedProfile(tbl, c, sample)
 		if !ok || slices.ContainsFunc(opt.Exclude, func(e string) bool { return strings.EqualFold(e, col.Name) }) {
 			continue
 		}
@@ -196,7 +186,7 @@ func checkSpace(t *testing.T, label string, tbl *engine.Table, rows []int, opt O
 			t.Fatalf("%s: attribute %d is not column %d: %+v", label, ai, c, sp.Attrs)
 		}
 		got := sp.Attrs[ai]
-		if got.Kind != want.Kind || !sameFloat(got.Mean, want.Mean) || !sameFloat(got.Std, want.Std) ||
+		if got.Kind != want.Kind ||
 			len(got.Thresholds) != len(want.Thresholds) || len(got.Values) != len(want.Values) {
 			t.Fatalf("%s: column %d profile\n got %+v\nwant %+v", label, c, got, want)
 		}
@@ -323,7 +313,6 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 		for name, tbl := range map[string]*engine.Table{"resident": resident, "out-of-core": faulted} {
 			label := fmt.Sprintf("%s n=%d", name, n)
 			checkSpace(t, label+" all rows", tbl, nil, Options{})
-			checkSpace(t, label+" sampled", tbl, nil, Options{SampleCap: 17, NumThresholds: 5, MaxCategories: 3})
 			// An unsorted subset with repeats, like F followed by contrast rows.
 			subset := make([]int, 0, n)
 			for i := 0; i < n; i++ {
@@ -331,25 +320,6 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 			}
 			checkSpace(t, label+" subset", tbl, subset, Options{Exclude: []string{"T"}})
 
-			sp := NewSpace(tbl, Options{})
-			fr := sp.Gather(subset)
-			for ai := range sp.Attrs {
-				checkColumn(t, label+" gather", tbl, fr, ai)
-			}
-			if fr.Bins != nil {
-				t.Fatalf("%s: a gathered frame carries bins", label)
-			}
-			v := fr.Vector(0, nil)
-			for d, ai := range sp.numericIdx {
-				a, x := sp.Attrs[ai], tbl.Value(subset[0], sp.Attrs[ai].Col)
-				want := 0.0
-				if f := x.Float(); !x.IsNull() && !math.IsNaN(f) && !math.IsInf(f, 0) {
-					want = (f - a.Mean) / a.Std
-				}
-				if !sameFloat(v[d], want) {
-					t.Fatalf("%s: vector[%d] = %v, want %v", label, d, v[d], want)
-				}
-			}
 		}
 		if pinned := st.PoolPinned(); pinned != 0 {
 			t.Fatalf("n=%d: %d chunks pinned after the frames were built", n, pinned)

@@ -24,7 +24,7 @@ func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 
-	if _, err := dtree.Train(sp, labels, nil, dtree.Options{}); err == nil || !strings.Contains(err.Error(), "Discretize") {
+	if _, err := dtree.Train(sp, labels, nil); err == nil || !strings.Contains(err.Error(), "Discretize") {
 		t.Fatalf("dtree.Train on a profile-only space: err = %v, want one naming Discretize", err)
 	}
 	func() {
@@ -33,15 +33,15 @@ func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 				t.Fatalf("subgroup.Discover on a profile-only space: recovered %q, want a panic naming Discretize", msg)
 			}
 		}()
-		subgroup.Discover(sp, labels, subgroup.Options{})
+		subgroup.Discover(sp, labels)
 	}()
 
 	sp.Discretize()
-	tree, err := dtree.Train(sp, labels, nil, dtree.Options{})
+	tree, err := dtree.Train(sp, labels, nil)
 	if err != nil || len(tree.PositivePaths()) == 0 {
 		t.Fatalf("dtree.Train on the discretized space: %v, %d positive paths", err, len(tree.PositivePaths()))
 	}
-	if rules := subgroup.Discover(sp, labels, subgroup.Options{}); len(rules) == 0 {
+	if rules := subgroup.Discover(sp, labels); len(rules) == 0 {
 		t.Fatal("subgroup.Discover on the discretized space found nothing")
 	}
 }

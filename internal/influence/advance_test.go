@@ -135,8 +135,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
 			}
-			opt := Options{MaxTuples: rng.Intn(2) * 40}
-			prevAn := RankWithScorer(prev, opt)
+			prevAn := RankWithScorer(prev)
 			cur := tbl
 			for step := 0; step < 4; step++ {
 				batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur))
@@ -179,11 +178,11 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				scorersEqual(t, label, fresh, carried, rng)
 				oracleEqual(t, label, adv, suspect, metric, carried, rng)
 
-				an, err := RankAdvancedCtx(context.Background(), prevAn, carried, opt)
+				an, err := RankAdvancedCtx(context.Background(), prevAn, carried)
 				if err != nil {
 					t.Fatal(err)
 				}
-				analysesEqual(t, label, RankWithScorer(fresh, opt), an)
+				analysesEqual(t, label, RankWithScorer(fresh), an)
 				if an.Scorer != carried {
 					t.Fatalf("%s: the analysis is not over the advanced scorer", label)
 				}
@@ -193,13 +192,6 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 					shared++
 				} else {
 					recomputed++
-				}
-				// A different cap is a different pass, whatever grew.
-				capped := Options{MaxTuples: opt.MaxTuples + 7}
-				if an2, _ := RankAdvancedCtx(context.Background(), prevAn, carried, capped); len(an2.Influences) > 0 && &an2.Influences[0] == &prevAn.Influences[0] {
-					t.Fatalf("%s: a ranking made under another MaxTuples was kept", label)
-				} else {
-					analysesEqual(t, label+" capped", RankWithScorer(fresh, capped), an2)
 				}
 				prev, prevAn = carried, an
 				res, cur = adv, grown

@@ -6,7 +6,6 @@
 // Every aggregate state in internal/agg answers "the result without
 // these values" (ResultWithoutFloats) — O(1) per tuple for the algebraic
 // aggregates (sum/count/avg/stddev/var) — so the whole pass is O(|F|).
-// For very large F a deterministic sampling mode bounds the work.
 package influence
 
 import (
@@ -36,21 +35,17 @@ type TupleInfluence struct {
 	Delta float64
 }
 
-// Options tunes the analysis.
-type Options struct {
-	// MaxTuples caps how many lineage tuples are analyzed; when the
-	// lineage is larger, an evenly spaced deterministic sample is used
-	// and the remaining tuples get Delta 0. Zero means no cap.
-	MaxTuples int
-}
+// Options is empty — every lineage tuple is analyzed — and remains only
+// as Rank's last parameter, which bench/ compiles against.
+type Options struct{}
 
 // Analysis is the result of the preprocessor pass.
 type Analysis struct {
 	// Eps is ε over the suspect groups before any removal.
 	Eps float64
-	// Influences holds one entry per analyzed lineage tuple, sorted by
-	// descending Delta. Read-only, like F: the analyses of a carried
-	// chain share both (RankAdvancedCtx).
+	// Influences holds one entry per lineage tuple, sorted by descending
+	// Delta. Read-only, like F: the analyses of a carried chain share
+	// both (RankAdvancedCtx).
 	Influences []TupleInfluence
 	// F is the full lineage of the suspect groups (sorted row ids).
 	F []int
@@ -58,9 +53,6 @@ type Analysis struct {
 	// for reuse by downstream predicate scoring. Never nil.
 	Scorer *Scorer
 
-	// maxTuples is the Options.MaxTuples the pass ran under
-	// (RankAdvancedCtx carries an analysis only under the same cap).
-	maxTuples int
 	// deltaByRow indexes Influences by row, built lazily on the first
 	// DeltaOf call.
 	deltaOnce  sync.Once
@@ -69,8 +61,8 @@ type Analysis struct {
 
 // Rank computes ε and per-tuple LOO influence for the ord'th aggregate
 // of res over the suspect output rows.
-func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt Options) (*Analysis, error) {
-	return RankCtx(context.Background(), res, suspect, ord, metric, opt)
+func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ Options) (*Analysis, error) {
+	return RankCtx(context.Background(), res, suspect, ord, metric)
 }
 
 // RankCtx is Rank under a cancellable context: the O(|F|) LOO loop
@@ -78,12 +70,12 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt
 // context error on cancellation, leaving res untouched. It is NewScorer
 // followed by RankWithScorerCtx; a suspect selection or aggregate
 // NewScorer refuses is an error here.
-func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt Options) (*Analysis, error) {
+func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Analysis, error) {
 	sc, err := NewScorer(res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
 	}
-	return RankWithScorerCtx(ctx, sc, opt)
+	return RankWithScorerCtx(ctx, sc)
 }
 
 // RankWithScorer runs the columnar preprocessor pass over an
@@ -91,19 +83,19 @@ func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metr
 // path uses after advancing a carried Scorer to a grown table version
 // (AdvanceScorer), so the LOO analysis never rebuilds what the carry
 // preserved. Rank routes through it too.
-func RankWithScorer(sc *Scorer, opt Options) *Analysis {
-	an, _ := RankWithScorerCtx(context.Background(), sc, opt)
+func RankWithScorer(sc *Scorer) *Analysis {
+	an, _ := RankWithScorerCtx(context.Background(), sc)
 	return an
 }
 
 // RankWithScorerCtx is RankWithScorer under a cancellable context; the
 // only possible error wraps the context error.
-func RankWithScorerCtx(ctx context.Context, sc *Scorer, opt Options) (*Analysis, error) {
-	an, err := rankFast(ctx, sc, opt)
+func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
+	an, err := rankFast(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	an.Scorer, an.maxTuples = sc, opt.MaxTuples
+	an.Scorer = sc
 	return an, nil
 }
 
@@ -111,32 +103,18 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer, opt Options) (*Analysis,
 // …) under the aggregate and metric prev was ranked with — the step a
 // monitoring loop repeats. A stream mostly grows by adding groups, not
 // rows to old ones: when no suspect group's lineage grew since prev
-// (Scorer.sameLineage) and the cap is the same, every aggregate state,
-// hence ε and every δ, is what prev computed, and the analysis shares
-// prev's Influences and F read-only instead of re-deriving and
-// re-sorting them. One group growing moves ε and so every δ: the pass
-// then runs in full. The link to prev is this value comparison, made
-// once; the returned analysis does not reference prev or its Scorer, so
-// a chain of carried passes retains nothing of its history.
-func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer, opt Options) (*Analysis, error) {
-	if prev != nil && prev.maxTuples == opt.MaxTuples && sc.sameLineage(prev.Scorer) {
-		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc, maxTuples: opt.MaxTuples}, nil
+// (Scorer.sameLineage), every aggregate state, hence ε and every δ, is
+// what prev computed, and the analysis shares prev's Influences and F
+// read-only instead of re-deriving and re-sorting them. One group
+// growing moves ε and so every δ: the pass then runs in full. The link
+// to prev is this value comparison, made once; the returned analysis
+// does not reference prev or its Scorer, so a chain of carried passes
+// retains nothing of its history.
+func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer) (*Analysis, error) {
+	if prev != nil && sc.sameLineage(prev.Scorer) {
+		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc}, nil
 	}
-	return RankWithScorerCtx(ctx, sc, opt)
-}
-
-// sampleRows returns rows, or an evenly spaced sample of max of them
-// when the cap is exceeded (max <= 0 means no cap).
-func sampleRows(rows []int, max int) []int {
-	if max <= 0 || len(rows) <= max {
-		return rows
-	}
-	sampled := make([]int, 0, max)
-	step := float64(len(rows)) / float64(max)
-	for i := 0; i < max; i++ {
-		sampled = append(sampled, rows[int(float64(i)*step)])
-	}
-	return sampled
+	return RankWithScorerCtx(ctx, sc)
 }
 
 // sortInfluences orders by descending Delta. Entries are appended in
@@ -195,8 +173,8 @@ func (a *Analysis) TopQuantileRows(q float64) []int {
 	return out
 }
 
-// DeltaOf returns the influence of a specific source row (0 when not
-// analyzed). The first call builds a row→delta index, so repeated
+// DeltaOf returns the influence of a specific source row (0 outside the
+// lineage). The first call builds a row→delta index, so repeated
 // lookups are O(1) rather than a linear scan of Influences.
 func (a *Analysis) DeltaOf(row int) float64 {
 	a.deltaOnce.Do(func() {
@@ -212,9 +190,8 @@ func (a *Analysis) DeltaOf(row int) float64 {
 
 // EpsWithoutRows evaluates ε with an arbitrary set of source rows
 // removed from their groups, one boxed argument value at a time — the
-// reference Scorer.EpsWithoutBits is pinned to, and what the baselines
-// score with. rows may contain rows outside the suspect lineage; they
-// are ignored.
+// reference Scorer.EpsWithoutBits is pinned to. rows may contain rows
+// outside the suspect lineage; they are ignored.
 func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, rows []int) (float64, error) {
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return 0, err

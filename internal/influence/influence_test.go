@@ -166,24 +166,6 @@ func TestEpsWithoutRowsMatchesRequery(t *testing.T) {
 	}
 }
 
-func TestSamplingCap(t *testing.T) {
-	rows := make([][2]float64, 500)
-	for i := range rows {
-		rows[i] = [2]float64{0, float64(i)}
-	}
-	res := buildResult(t, "avg", rows)
-	an, err := Rank(res, []int{0}, 0, errmetric.TooHigh{C: 0}, Options{MaxTuples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(an.Influences) != 50 {
-		t.Errorf("sampled influences: %d", len(an.Influences))
-	}
-	if len(an.F) != 500 {
-		t.Errorf("F should remain full: %d", len(an.F))
-	}
-}
-
 func TestTopQuantileRows(t *testing.T) {
 	res := buildResult(t, "avg", [][2]float64{{0, 0}, {0, 0}, {0, 100}, {0, 90}})
 	an, err := Rank(res, []int{0}, 0, errmetric.TooHigh{C: 10}, Options{})

@@ -341,7 +341,7 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 // boxed argument evaluation or per-row map lookups. It polls
 // ctx per ctxCheckRows tuples; the only possible error wraps the
 // context error, and the scorer stays valid for a retry.
-func rankFast(ctx context.Context, s *Scorer, opt Options) (*Analysis, error) {
+func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 	an := &Analysis{Eps: s.eps, F: s.fbits.Rows()}
 
 	// rowPos[src] is the suspect position of src's group (-1 outside F;
@@ -363,12 +363,10 @@ func rankFast(ctx context.Context, s *Scorer, opt Options) (*Analysis, error) {
 		})
 	}
 
-	rows := sampleRows(an.F, opt.MaxTuples)
-
 	scratch := append([]float64(nil), s.base...)
 	var buf1 [1]float64
-	an.Influences = make([]TupleInfluence, 0, len(rows))
-	for i, src := range rows {
+	an.Influences = make([]TupleInfluence, 0, len(an.F))
+	for i, src := range an.F {
 		if i%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("influence: cancelled: %w", err)

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +240,27 @@ func TestKeyDedup(t *testing.T) {
 	c := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(4)})
 	if a.Key() == c.Key() {
 		t.Error("different predicates share key")
+	}
+}
+
+// A strict bound on an integer value and the inclusive bound it equals
+// are one explanation; over floats they are not.
+func TestKeyFoldsIntegerBounds(t *testing.T) {
+	one := func(op Op, v engine.Value) string { return New(Clause{Col: "x", Op: op, Val: v}).Key() }
+	if gt, ge := one(OpGt, engine.NewInt(2)), one(OpGe, engine.NewInt(3)); gt != ge {
+		t.Errorf("x > 2 and x >= 3 key apart:\n  %s\n  %s", gt, ge)
+	}
+	if lt, le := one(OpLt, engine.NewInt(3)), one(OpLe, engine.NewInt(2)); lt != le {
+		t.Errorf("x < 3 and x <= 2 key apart:\n  %s\n  %s", lt, le)
+	}
+	if one(OpGt, engine.NewInt(2)) == one(OpGe, engine.NewInt(2)) {
+		t.Error("x > 2 and x >= 2 share a key")
+	}
+	if one(OpGt, engine.NewFloat(2)) == one(OpGe, engine.NewFloat(3)) {
+		t.Error("float bounds x > 2 and x >= 3 share a key")
+	}
+	if one(OpGt, engine.NewInt(math.MaxInt64)) == one(OpGe, engine.NewInt(math.MinInt64)) {
+		t.Error("x > MaxInt64 wrapped around")
 	}
 }
 

@@ -44,7 +44,7 @@ func rankerCtx(t *testing.T, res *exec.Result, suspect []int, metric errmetric.M
 	}
 	ctx := &Context{
 		Res: res, Suspect: suspect, Ord: 0, Metric: metric,
-		F: an.F, Eps: an.Eps, DisableMerge: true,
+		F: an.F, Eps: an.Eps,
 	}
 	ctx.Scorer = an.Scorer
 	return ctx, an
@@ -121,7 +121,7 @@ func TestRescoreStableContext(t *testing.T) {
 			continue
 		}
 		ctx := &Context{Res: res, Suspect: suspect, Ord: 0, Metric: metric,
-			F: an.F, Eps: an.Eps, DisableMerge: true}
+			F: an.F, Eps: an.Eps}
 		ctx.Scorer = an.Scorer
 		scored, st, _ := RankAllCarry(randCands(rng, res, an.F, 6), ctx)
 		if st.Len() == 0 {
@@ -175,7 +175,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 				continue
 			}
 			ctx := &Context{Res: res, Suspect: suspect, Ord: 0, Metric: metric,
-				F: an.F, Eps: an.Eps, DisableMerge: true}
+				F: an.F, Eps: an.Eps}
 			ctx.Scorer = an.Scorer
 			cands := randCands(rng, res, an.F, 6)
 			_, st, _ := RankAllCarry(cands, ctx)
@@ -202,9 +202,9 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d iter %d: AdvanceScorer: %v [%s]", seed, iter, err, stmt)
 			}
-			advAn := influence.RankWithScorer(advSc, influence.Options{})
+			advAn := influence.RankWithScorer(advSc)
 			carriedCtx := &Context{Res: adv, Suspect: suspect, Ord: 0, Metric: metric,
-				F: advAn.F, Eps: advAn.Eps, DisableMerge: true}
+				F: advAn.F, Eps: advAn.Eps}
 			carriedCtx.Scorer = advAn.Scorer
 			got, _, _, _ := st.Rescore(carriedCtx)
 
@@ -218,7 +218,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 				t.Fatalf("fresh rank: %v", err)
 			}
 			freshCtx := &Context{Res: fresh, Suspect: suspect, Ord: 0, Metric: metric,
-				F: fan.F, Eps: fan.Eps, DisableMerge: true}
+				F: fan.F, Eps: fan.Eps}
 			freshCtx.Scorer = fan.Scorer
 			oracleCands := make([]Candidate, st.Len())
 			for i := range st.cands {

@@ -99,7 +99,7 @@ func scoreSlow(c Candidate, ctx *Context) (Scored, bool) {
 		}
 		s.CulpableFrac = float64(hit) / float64(len(matched))
 	}
-	s.Score = finalScore(&s, ctx.Weights)
+	s.Score = finalScore(&s, ctx.DisableExcess)
 	return s, true
 }
 
@@ -173,7 +173,7 @@ func TestRankAllDistinctSharedScorerParallel(t *testing.T) {
 		})
 	}
 	cands = append(cands, Candidate{Pred: memoPred(), Origin: "test"})
-	ctx.DisablePrune, ctx.DisableMerge = true, true // out[i] is a candidate's own score
+	ctx.DisablePrune = true // out[i] is a candidate's own score
 	out, _, err := RankAllCarry(cands, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +210,6 @@ func TestRankOutOfRangeSuspectIsAnError(t *testing.T) {
 	}
 	if c, _ := Prune(cands[0], Scored{}, bad()); !reflect.DeepEqual(c, cands[0]) {
 		t.Fatalf("Prune rewrote a candidate it could not score: %v", c)
-	}
-	if out := MergeAdjacent([]Scored{{Score: 1}}, nil, bad()); len(out) != 1 {
-		t.Fatalf("MergeAdjacent rewrote a ranking it could not score: %v", out)
 	}
 	_, st, err := RankAllCarry(cands, good)
 	if err != nil {

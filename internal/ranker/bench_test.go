@@ -44,7 +44,7 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 		}
 	}
 	culpable := target
-	an, err := influence.Rank(res, suspect, 0, metric, influence.Options{MaxTuples: 1000})
+	an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func BenchmarkScorePredicate(b *testing.B) {
 }
 
 // BenchmarkRankAll measures the full ranking stage (score + prune +
-// dedup + merge) over the candidate set.
+// dedup) over the candidate set.
 func BenchmarkRankAll(b *testing.B) {
 	ctx, cands := benchCtx(b)
 	b.ReportAllocs()

@@ -11,7 +11,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -35,27 +34,27 @@ type Candidate struct {
 	Target *bitset.Bitset
 }
 
-// Weights are the mixing coefficients of the score terms.
-type Weights struct {
-	// Err weighs the relative error-metric improvement (0..1).
-	Err float64
-	// Acc weighs the F1 of the predicate at separating the candidate
+// The mixing coefficients of the score terms: error repair and
+// description accuracy balanced, with a mild parsimony pressure. None is
+// an option — nothing outside tests ever set one; Context.DisableExcess
+// is the quality table's ablation of the fourth.
+const (
+	// weightErr weighs the relative error-metric improvement (0..1).
+	weightErr = 0.45
+	// weightAcc weighs the F1 of the predicate at separating the candidate
 	// dataset from the rest of the lineage.
-	Acc float64
-	// Complexity is the penalty per clause beyond the first.
-	Complexity float64
-	// Excess penalizes indiscriminate predicates: it scales with the
+	weightAcc = 0.45
+	// weightComplexity is the penalty per clause beyond the first.
+	weightComplexity = 0.04
+	// weightExcess penalizes indiscriminate predicates: it scales with the
 	// fraction of matched lineage tuples that are NOT high-influence
 	// ("culpable"). Surgical predicates that remove only culpable tuples
 	// pay nothing; "delete everything" predicates pay the full weight.
-	Excess float64
-}
-
-// DefaultWeights balances error repair and description accuracy with a
-// mild parsimony pressure.
-func DefaultWeights() Weights {
-	return Weights{Err: 0.45, Acc: 0.45, Complexity: 0.04, Excess: 0.2}
-}
+	// Without it (internal/core's quality table, row no-excess) the first
+	// answer on the planted 2- and 3-clause tables is the whole lineage
+	// (F1 0.070 and 0.117 against 0.989 and 0.941).
+	weightExcess = 0.2
+)
 
 // Context carries everything scoring needs.
 type Context struct {
@@ -75,17 +74,15 @@ type Context struct {
 	Population []int
 	// Culpable marks the high-influence lineage tuples (from the
 	// preprocessor's leave-one-out analysis) as a bitset over
-	// Res.Source's rows; the Excess term uses it. Nil disables the
-	// Excess term.
+	// Res.Source's rows; the excess term uses it. Nil disables the
+	// excess term.
 	Culpable *bitset.Bitset
 	// Eps is ε before any removal.
 	Eps float64
-	// Weights mixes the score terms (zero value → DefaultWeights).
-	Weights Weights
-	// DisablePrune turns off greedy clause pruning (ablation).
-	DisablePrune bool
-	// DisableMerge turns off pairwise predicate merging (ablation).
-	DisableMerge bool
+	// DisablePrune turns off greedy clause pruning and DisableExcess the
+	// excess term: the ablations internal/core's quality table keeps a
+	// row for.
+	DisablePrune, DisableExcess bool
 	// Scorer is the scoring state every candidate is evaluated through.
 	// Left nil, the first ranking call builds one; a selection or
 	// aggregate influence.NewScorer refuses is that call's error.
@@ -135,9 +132,6 @@ func (ctx *Context) prepare() error {
 		ctx.popBits = bitset.FromRows(n, pop)
 		ctx.popCount = ctx.popBits.Count()
 		ctx.fBits = bitset.FromRows(n, ctx.F)
-		if ctx.Weights == (Weights{}) {
-			ctx.Weights = DefaultWeights()
-		}
 	})
 	return ctx.prepErr
 }
@@ -253,16 +247,18 @@ func score(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
 		hit := bitset.AndCount(mb, ctx.Culpable)
 		s.CulpableFrac = float64(hit) / float64(nMatched)
 	}
-	s.Score = finalScore(&s, ctx.Weights)
+	s.Score = finalScore(&s, ctx.DisableExcess)
 	return s, true
 }
 
-func finalScore(s *Scored, w Weights) float64 {
-	comp := float64(s.Complexity - 1)
-	if comp < 0 {
-		comp = 0
+// finalScore mixes the terms of a scored predicate.
+func finalScore(s *Scored, disableExcess bool) float64 {
+	comp := float64(max(s.Complexity-1, 0))
+	score := weightErr*s.ErrImprovement + weightAcc*s.F1 - weightComplexity*comp
+	if !disableExcess {
+		score -= weightExcess * (1 - s.CulpableFrac)
 	}
-	return w.Err*s.ErrImprovement + w.Acc*s.F1 - w.Complexity*comp - w.Excess*(1-s.CulpableFrac)
+	return score
 }
 
 // targetCount is |Target| (0 without one).
@@ -310,173 +306,6 @@ func pruneWith(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, 
 	return c, sc
 }
 
-// mergePredicates builds the least conjunction covering both inputs:
-// per column, numeric bounds widen to the union envelope, equalities on
-// the same value survive, and conflicting constraints drop. It returns
-// ok=false when the two predicates constrain different column sets
-// (merging those would be a semantic leap, not a widening).
-func mergePredicates(a, b predicate.Predicate) (predicate.Predicate, bool) {
-	colsOf := func(p predicate.Predicate) map[string]bool {
-		m := map[string]bool{}
-		for _, c := range p.Columns() {
-			m[strings.ToLower(c)] = true
-		}
-		return m
-	}
-	ca, cb := colsOf(a), colsOf(b)
-	if len(ca) != len(cb) {
-		return predicate.Predicate{}, false
-	}
-	for k := range ca {
-		if !cb[k] {
-			return predicate.Predicate{}, false
-		}
-	}
-	var out predicate.Predicate
-	for col := range ca {
-		ac := clausesFor(a, col)
-		bc := clausesFor(b, col)
-		merged, ok := mergeColumn(ac, bc)
-		if !ok {
-			// Unconstrained column in the merge — acceptable only if it
-			// leaves at least one clause overall; continue.
-			continue
-		}
-		out.Clauses = append(out.Clauses, merged...)
-	}
-	if out.IsTrue() {
-		return out, false
-	}
-	simplified, ok := out.Simplify()
-	if !ok {
-		return predicate.Predicate{}, false
-	}
-	return simplified, true
-}
-
-func clausesFor(p predicate.Predicate, colLower string) []predicate.Clause {
-	var out []predicate.Clause
-	for _, c := range p.Clauses {
-		if strings.ToLower(c.Col) == colLower {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// mergeColumn widens one column's constraints to cover both sides.
-func mergeColumn(a, b []predicate.Clause) ([]predicate.Clause, bool) {
-	// Same single equality on both sides survives.
-	if len(a) == 1 && len(b) == 1 && a[0].Op == predicate.OpEq && b[0].Op == predicate.OpEq {
-		if engine.Equal(a[0].Val, b[0].Val) {
-			return []predicate.Clause{a[0]}, true
-		}
-		return nil, false // would need IN; drop the constraint
-	}
-	// Bound envelope: keep the loosest lower and upper bounds present on
-	// BOTH sides (a bound present on only one side must drop, or the
-	// merge would not cover the other predicate).
-	lower := func(cs []predicate.Clause) (predicate.Clause, bool) {
-		for _, c := range cs {
-			if c.Op == predicate.OpGe || c.Op == predicate.OpGt {
-				return c, true
-			}
-		}
-		return predicate.Clause{}, false
-	}
-	upper := func(cs []predicate.Clause) (predicate.Clause, bool) {
-		for _, c := range cs {
-			if c.Op == predicate.OpLe || c.Op == predicate.OpLt {
-				return c, true
-			}
-		}
-		return predicate.Clause{}, false
-	}
-	var out []predicate.Clause
-	if la, okA := lower(a); okA {
-		if lb, okB := lower(b); okB {
-			if cmp, err := engine.Compare(la.Val, lb.Val); err == nil {
-				if cmp <= 0 {
-					out = append(out, la)
-				} else {
-					out = append(out, lb)
-				}
-			}
-		}
-	}
-	if ua, okA := upper(a); okA {
-		if ub, okB := upper(b); okB {
-			if cmp, err := engine.Compare(ua.Val, ub.Val); err == nil {
-				if cmp >= 0 {
-					out = append(out, ua)
-				} else {
-					out = append(out, ub)
-				}
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, true
-}
-
-// MergeAdjacent tries pairwise merges of the scored predicates (the
-// MERGER idea from Scorpion, the full-paper successor of this demo):
-// when the least-widening conjunction covering two predicates scores at
-// least as well as both, it replaces them. One pass over the top
-// results.
-func MergeAdjacent(scored []Scored, targets map[string]*bitset.Bitset, ctx *Context) []Scored {
-	const maxPairwise = 12
-	if ctx.prepare() != nil {
-		return scored
-	}
-	env := ctx.newEnv() // one reusable env for every pairwise attempt
-	n := len(scored)
-	if n > maxPairwise {
-		n = maxPairwise
-	}
-	dead := make([]bool, len(scored))
-	var added []Scored
-	for i := 0; i < n; i++ {
-		if dead[i] {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if dead[i] || dead[j] {
-				continue
-			}
-			merged, ok := mergePredicates(scored[i].Pred, scored[j].Pred)
-			if !ok {
-				continue
-			}
-			target := targets[scored[i].Pred.Key()]
-			cand := Candidate{Pred: merged, Origin: scored[i].Origin + "+merge", Target: target}
-			sc, ok := score(cand, ctx, env)
-			if !ok {
-				continue
-			}
-			if sc.Score >= scored[i].Score && sc.Score >= scored[j].Score {
-				dead[i] = true
-				dead[j] = true
-				added = append(added, sc)
-				// Record the merged predicate's target so the carry
-				// state (RankerState) can rescore it next batch.
-				targets[sc.Pred.Key()] = target
-			}
-		}
-	}
-	out := make([]Scored, 0, len(scored)+len(added))
-	for i, s := range scored {
-		if !dead[i] {
-			out = append(out, s)
-		}
-	}
-	out = append(out, added...)
-	sortScored(out)
-	return out
-}
-
 func sortScored(out []Scored) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -521,8 +350,8 @@ func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, erro
 }
 
 // rankCore is the shared ranking pass behind RankAll, RankAllCarry and
-// RankerState.Rescore: worker-pool scoring + pruning, key dedup, sort,
-// pairwise merging. It additionally returns the target set per final
+// RankerState.Rescore: worker-pool scoring + pruning, key dedup, sort.
+// It additionally returns the target set per final
 // predicate key and, aligned with cands, each candidate's raw
 // (pre-prune) score — NaN for candidates that scored vacuous or
 // tautological — which Rescore turns into the drift signal. On an
@@ -631,9 +460,6 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 		out = append(out, byKey[k])
 	}
 	sortScored(out)
-	if !ctx.DisableMerge {
-		out = MergeAdjacent(out, targets, ctx)
-	}
 	for i := range out {
 		out[i].Provenance = provenance
 	}
@@ -674,7 +500,7 @@ func (st *RankerState) Len() int {
 
 // Rescore scores the carried candidates against ctx — typically the
 // advanced context of a grown table — through the same worker pool,
-// pruning, dedup and merge mechanics as RankAll, and reports how far
+// pruning and dedup mechanics as RankAll, and reports how far
 // the carried predicates' raw scores moved since the previous pass:
 // drift is the largest |new−old| over the carried candidates, +Inf when
 // a previously-ranked predicate scored vacuous or tautological under

@@ -1,7 +1,7 @@
 package ranker
 
 import (
-	"strings"
+	"math"
 	"testing"
 
 	"repro/internal/bitset"
@@ -113,6 +113,13 @@ func TestExcessPenalty(t *testing.T) {
 	if bluntSc.CulpableFrac >= 0.99 {
 		t.Errorf("blunt culpable frac: %v", bluntSc.CulpableFrac)
 	}
+	// The ablation drops exactly that term.
+	_, noExcess := fixture(t)
+	noExcess.DisableExcess = true
+	free, ok := Score(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, noExcess)
+	if want := bluntSc.Score + weightExcess*(1-bluntSc.CulpableFrac); !ok || math.Abs(free.Score-want) > 1e-12 {
+		t.Errorf("DisableExcess: blunt scores %.4f, want %.4f", free.Score, want)
+	}
 }
 
 func TestComplexityPenalty(t *testing.T) {
@@ -154,56 +161,18 @@ func TestRankAllDedupsAndSorts(t *testing.T) {
 		{Pred: memoPred(), Origin: "a", Target: target},
 		{Pred: memoPred(), Origin: "b", Target: target}, // duplicate
 		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpEq, Val: engine.NewInt(3)}), Origin: "c", Target: target},
+		// A tree's and a subgroup rule's spelling of one integer bound.
+		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGt, Val: engine.NewInt(2)}), Origin: "tree", Target: target},
+		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(3)}), Origin: "subgroup", Target: target},
 	}
 	out := RankAll(cands, ctx)
-	if len(out) != 2 {
+	if len(out) != 3 {
 		t.Fatalf("dedup failed: %d results", len(out))
 	}
 	for i := 1; i < len(out); i++ {
 		if out[i].Score > out[i-1].Score {
 			t.Error("not sorted by score")
 		}
-	}
-}
-
-func TestDefaultWeightsUsedOnZero(t *testing.T) {
-	res, ctx := fixture(t)
-	ctx.Weights = Weights{}
-	sc, ok := Score(Candidate{Pred: memoPred(), Target: badTarget(res)}, ctx)
-	if !ok || sc.Score <= 0 {
-		t.Errorf("zero weights should fall back to defaults: %+v", sc)
-	}
-}
-
-func TestMergeAdjacentWidensBounds(t *testing.T) {
-	res, ctx := fixture(t)
-	ctx.DisablePrune = true // keep both bounds of each range for the merge to widen
-	target := badTarget(res)
-	// Two overlapping ranges around the anomaly (v = 100): [95,100] and
-	// [100,105]. Merged: v >= 95 AND v <= 105 — covers all of it and
-	// scores at least as well.
-	lowHalf := predicate.New(
-		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(95)},
-		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(100)},
-	)
-	highHalf := predicate.New(
-		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(100)},
-		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(105)},
-	)
-	cands := []Candidate{
-		{Pred: lowHalf, Origin: "lo", Target: target},
-		{Pred: highHalf, Origin: "hi", Target: target},
-	}
-	out := RankAll(cands, ctx)
-	if len(out) == 0 {
-		t.Fatal("no results")
-	}
-	top := out[0]
-	if top.NumTuples != 10 {
-		t.Errorf("merged predicate should cover all 10 anomalous tuples, got %d (%s)", top.NumTuples, top.Pred)
-	}
-	if len(out) != 1 || !strings.Contains(top.Origin, "merge") || top.Pred.String() != "v >= 95.0 AND v <= 105.0" {
-		t.Errorf("the two ranges should merge into their envelope, got %v", out)
 	}
 }
 
@@ -217,61 +186,6 @@ func TestDisablePruneKeepsClauses(t *testing.T) {
 	}
 	if out[0].Complexity != 2 {
 		t.Errorf("no-prune complexity: %d (%s)", out[0].Complexity, out[0].Pred)
-	}
-}
-
-func TestDisableMergeKeepsBoth(t *testing.T) {
-	res, ctx := fixture(t)
-	ctx.DisableMerge = true
-	ctx.DisablePrune = true
-	target := badTarget(res)
-	lowHalf := predicate.New(
-		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(95)},
-		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(98)},
-	)
-	highHalf := predicate.New(
-		predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(98)},
-		predicate.Clause{Col: "v", Op: predicate.OpLe, Val: engine.NewFloat(105)},
-	)
-	out := RankAll([]Candidate{
-		{Pred: lowHalf, Target: target},
-		{Pred: highHalf, Target: target},
-	}, ctx)
-	for _, s := range out {
-		if strings.Contains(s.Origin, "merge") {
-			t.Errorf("merge ran despite DisableMerge: %s", s.Origin)
-		}
-	}
-}
-
-func TestMergeColumnEnvelope(t *testing.T) {
-	// Both sides have lower and upper bounds: envelope takes the looser.
-	a := []predicate.Clause{
-		{Col: "x", Op: predicate.OpGe, Val: engine.NewInt(5)},
-		{Col: "x", Op: predicate.OpLe, Val: engine.NewInt(10)},
-	}
-	b := []predicate.Clause{
-		{Col: "x", Op: predicate.OpGe, Val: engine.NewInt(2)},
-		{Col: "x", Op: predicate.OpLe, Val: engine.NewInt(8)},
-	}
-	out, ok := mergeColumn(a, b)
-	if !ok || len(out) != 2 {
-		t.Fatalf("mergeColumn: %v %v", out, ok)
-	}
-	if out[0].Val.Int() != 2 || out[1].Val.Int() != 10 {
-		t.Errorf("envelope: %v", out)
-	}
-	// Bound on one side only: drops.
-	c := []predicate.Clause{{Col: "x", Op: predicate.OpGe, Val: engine.NewInt(5)}}
-	d := []predicate.Clause{{Col: "x", Op: predicate.OpLe, Val: engine.NewInt(8)}}
-	if _, ok := mergeColumn(c, d); ok {
-		t.Error("one-sided bounds should not merge")
-	}
-	// Different equalities: cannot merge.
-	e := []predicate.Clause{{Col: "x", Op: predicate.OpEq, Val: engine.NewInt(1)}}
-	f := []predicate.Clause{{Col: "x", Op: predicate.OpEq, Val: engine.NewInt(2)}}
-	if _, ok := mergeColumn(e, f); ok {
-		t.Error("different equalities merged")
 	}
 }
 
@@ -299,22 +213,6 @@ func TestScoreZeroEps(t *testing.T) {
 	}
 	if sc.ErrImprovement != 0 {
 		t.Errorf("zero-eps improvement: %v", sc.ErrImprovement)
-	}
-}
-
-func TestMergeRejectsDifferentColumns(t *testing.T) {
-	a := memoPred()
-	b := predicate.New(predicate.Clause{Col: "site", Op: predicate.OpEq, Val: engine.NewInt(3)})
-	if _, ok := mergePredicates(a, b); ok {
-		t.Error("merged predicates over different columns")
-	}
-}
-
-func TestMergeSameEquality(t *testing.T) {
-	a := memoPred()
-	m, ok := mergePredicates(a, a)
-	if !ok || m.Key() != a.Key() {
-		t.Errorf("self-merge: %v %v", m, ok)
 	}
 }
 

@@ -41,21 +41,9 @@ func BenchmarkDiscover(b *testing.B) {
 			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rules := Discover(sp, labels, Options{}); len(rules) == 0 {
+				if rules := Discover(sp, labels); len(rules) == 0 {
 					b.Fatal("no rules")
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkDiscoverBeamWidth(b *testing.B) {
-	sp, labels := benchFixture(b, 8_000)
-	for _, beam := range []int{1, 8, 32} {
-		beam := beam
-		b.Run(fmt.Sprintf("beam=%d", beam), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Discover(sp, labels, Options{BeamWidth: beam})
 			}
 		})
 	}

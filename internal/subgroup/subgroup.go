@@ -1,6 +1,6 @@
 // Package subgroup implements CN2-SD-style subgroup discovery (Lavrač,
 // Kavšek, Flach, Todorovski, JMLR 2004 — the paper's reference [4]): a
-// beam search over conjunctive selectors that finds compact descriptions
+// greedy search over conjunctive selectors that finds compact descriptions
 // of example subgroups with unusually high positive-class density, using
 // weighted relative accuracy (WRAcc) as the quality measure and weighted
 // covering so successive rules describe different parts of the positive
@@ -18,7 +18,6 @@ package subgroup
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -65,49 +64,24 @@ func (r *Rule) Predicate(sp *feature.Space) predicate.Predicate {
 	return simplified
 }
 
-// Options tunes the search.
-type Options struct {
-	// BeamWidth is the number of partial rules kept per level (default 8).
-	BeamWidth int
-	// MaxSelectors caps rule length (default 3).
-	MaxSelectors int
-	// MaxRules caps how many rules the covering loop emits (default 8).
-	MaxRules int
-	// MinCoverage discards rules covering fewer population rows
-	// (default 5).
-	MinCoverage int
-	// MinWRAcc discards rules at or below this quality (default 0:
-	// require better than random).
-	MinWRAcc float64
-	// CoverDecay is the additive weighted-covering parameter: after a
-	// positive example is covered k times its weight is 1/(1+k·CoverDecay)
-	// (default 1, the classic 1/(1+k)).
-	CoverDecay float64
-}
-
-func (o *Options) defaults() {
-	if o.BeamWidth <= 0 {
-		o.BeamWidth = 8
-	}
-	if o.MaxSelectors <= 0 {
-		o.MaxSelectors = 3
-	}
-	if o.MaxRules <= 0 {
-		o.MaxRules = 8
-	}
-	if o.MinCoverage <= 0 {
-		o.MinCoverage = 5
-	}
-	if o.CoverDecay <= 0 {
-		o.CoverDecay = 1
-	}
-}
+// The search's fixed parameters. None is an option: nothing outside
+// tests ever set one, and the quality table (internal/core,
+// TestQualityTable) scores the pipeline as configured here.
+const (
+	// maxSelectors caps rule length: explanations must stay readable.
+	maxSelectors = 3
+	// maxRules caps how many rules the covering loop emits.
+	maxRules = 8
+	// minCoverage discards rules covering fewer population rows.
+	minCoverage = 5
+)
 
 // Discover runs CN2-SD over the space's learning frame with the given
 // positive labels (parallel to sp.Frame.Rows). It returns rules sorted
 // by discovery order (best first by the covering loop's construction).
-func Discover(sp *feature.Space, positive []bool, opt Options) []Rule {
-	opt.defaults()
+// A rule must beat random (WRAcc > 0), and a positive example covered k
+// times weighs 1/(1+k) — the classic additive weighted covering.
+func Discover(sp *feature.Space, positive []bool) []Rule {
 	rows := sp.Frame.Rows
 	n := len(rows)
 	if n == 0 || len(positive) != n {
@@ -136,9 +110,9 @@ func Discover(sp *feature.Space, positive []bool, opt Options) []Rule {
 	}
 
 	var out []Rule
-	for len(out) < opt.MaxRules {
-		best, ok := beamSearch(selectors, matches, positive, weights, n, opt)
-		if !ok || best.wracc <= opt.MinWRAcc {
+	for len(out) < maxRules {
+		best, ok := search(selectors, matches, positive, weights, n)
+		if !ok || best.wracc <= 0 {
 			break
 		}
 		rule := Rule{
@@ -166,7 +140,7 @@ func Discover(sp *feature.Space, positive []bool, opt Options) []Rule {
 					newlyCovered = true
 				}
 				coverCount[i]++
-				weights[i] = 1 / (1 + opt.CoverDecay*float64(coverCount[i]))
+				weights[i] = 1 / (1 + float64(coverCount[i]))
 			}
 		})
 		if !newlyCovered {
@@ -176,20 +150,22 @@ func Discover(sp *feature.Space, positive []bool, opt Options) []Rule {
 	return out
 }
 
-// candidate is a partial rule in the beam. Coverage is kept as a bitset
-// over population positions so refinements are a word-level AND with the
+// candidate is a partial rule. Coverage is kept as a bitset over
+// population positions so a refinement is a word-level AND with the
 // selector's match mask instead of a scan of the parent's coverage.
 type candidate struct {
 	sels  []Selector
 	cover *bitset.Bitset // covered population positions
 	n     int            // cover.Count()
 	wracc float64
-	// used guards against stacking contradictory selectors; numeric
-	// attrs may contribute one <= and one >=.
-	used map[int]int // attrIdx -> bitmask 1:eq/le, 2:ge
 }
 
-func beamSearch(selectors []Selector, matches []*bitset.Bitset, positive []bool, weights []float64, n int, opt Options) (candidate, bool) {
+// search grows one rule greedily: at each depth the best refinement of
+// the current rule (ties: first in vocabulary order) becomes the rule to
+// refine next, and the best rule seen at any depth (ties: the shorter)
+// is returned. Keeping the best eight per depth instead of the best one
+// changed no cell of the quality table (internal/core; CHANGES.md, PR 26).
+func search(selectors []Selector, matches []*bitset.Bitset, positive []bool, weights []float64, n int) (candidate, bool) {
 	var totalW, posW float64
 	uniform := true
 	for i := 0; i < n; i++ {
@@ -214,89 +190,76 @@ func beamSearch(selectors []Selector, matches []*bitset.Bitset, positive []bool,
 	}
 
 	// Root: full coverage.
-	root := candidate{cover: bitset.New(n), n: n, used: map[int]int{}}
-	root.cover.Fill()
-	beam := []candidate{root}
+	cur := candidate{cover: bitset.New(n), n: n}
+	cur.cover.Fill()
+	// used guards against stacking contradictory selectors; numeric attrs
+	// may contribute one <= and one >=. attrIdx -> bitmask 1:eq/le, 2:ge.
+	used := map[int]int{}
 	var best candidate
 	bestOK := false
 
-	// Scratch bitset reused across refinements; successful refinements
-	// clone it out.
 	scratch := bitset.New(n)
-	for depth := 0; depth < opt.MaxSelectors; depth++ {
-		var next []candidate
-		for _, cand := range beam {
-			for si, sel := range selectors {
-				mask := 1
-				if sel.Op == predicate.OpGe {
-					mask = 2
-				}
-				if cand.used[sel.AttrIdx]&mask != 0 {
-					continue
-				}
-				scratch.IntersectOf(cand.cover, matches[si])
-				covN := scratch.Count()
-				if covN < opt.MinCoverage || covN == cand.n {
-					continue
-				}
-				var covW, covPosW float64
-				if uniform {
-					// All weights are exactly 1 (always true before the
-					// first covering pass): the weighted sums are plain
-					// cardinalities, computed by popcount alone.
-					covW = float64(covN)
-					covPosW = float64(bitset.AndCount(scratch, posBits))
-				} else {
-					scratch.ForEach(func(i int) {
-						covW += weights[i]
-						if positive[i] {
-							covPosW += weights[i]
-						}
-					})
-				}
-				if covW == 0 {
-					continue
-				}
-				wracc := (covW / totalW) * (covPosW/covW - baseRate)
-				// Prune refinements that cannot reach the beam: keep a
-				// shallow beam of the best so far per level.
-				if len(next) >= opt.BeamWidth*4 && wracc <= next[len(next)-1].wracc {
-					continue
-				}
-				used := make(map[int]int, len(cand.used)+1)
-				for k, v := range cand.used {
-					used[k] = v
-				}
-				used[sel.AttrIdx] |= mask
-				nc := candidate{
-					sels:  append(append([]Selector(nil), cand.sels...), sel),
-					cover: scratch.Clone(),
-					n:     covN,
-					wracc: wracc,
-					used:  used,
-				}
-				next = append(next, nc)
-				if len(next) > opt.BeamWidth*8 {
-					sort.SliceStable(next, func(a, b int) bool { return next[a].wracc > next[b].wracc })
-					next = next[:opt.BeamWidth*2]
-				}
-				if !bestOK || nc.wracc > best.wracc ||
-					(nc.wracc == best.wracc && len(nc.sels) < len(best.sels)) {
-					best = nc
-					bestOK = true
-				}
+	for depth := 0; depth < maxSelectors; depth++ {
+		var next candidate
+		nextSel := -1
+		for si, sel := range selectors {
+			if used[sel.AttrIdx]&opMask(sel.Op) != 0 {
+				continue
+			}
+			scratch.IntersectOf(cur.cover, matches[si])
+			covN := scratch.Count()
+			if covN < minCoverage || covN == cur.n {
+				continue
+			}
+			var covW, covPosW float64
+			if uniform {
+				// All weights are exactly 1 (always true before the
+				// first covering pass): the weighted sums are plain
+				// cardinalities, computed by popcount alone.
+				covW = float64(covN)
+				covPosW = float64(bitset.AndCount(scratch, posBits))
+			} else {
+				scratch.ForEach(func(i int) {
+					covW += weights[i]
+					if positive[i] {
+						covPosW += weights[i]
+					}
+				})
+			}
+			if covW == 0 {
+				continue
+			}
+			wracc := (covW / totalW) * (covPosW/covW - baseRate)
+			if nextSel >= 0 && wracc <= next.wracc {
+				continue
+			}
+			// The refinement it displaces lends its bitset as the next scratch.
+			spare := next.cover
+			next, nextSel = candidate{cover: scratch, n: covN, wracc: wracc}, si
+			if scratch = spare; scratch == nil {
+				scratch = bitset.New(n)
 			}
 		}
-		if len(next) == 0 {
+		if nextSel < 0 {
 			break
 		}
-		sort.SliceStable(next, func(a, b int) bool { return next[a].wracc > next[b].wracc })
-		if len(next) > opt.BeamWidth {
-			next = next[:opt.BeamWidth]
+		sel := selectors[nextSel]
+		next.sels = append(append([]Selector(nil), cur.sels...), sel)
+		used[sel.AttrIdx] |= opMask(sel.Op)
+		if !bestOK || next.wracc > best.wracc {
+			best, bestOK = next, true
 		}
-		beam = next
+		cur = next
 	}
 	return best, bestOK
+}
+
+// opMask is a selector's side of its attribute in search's used map.
+func opMask(op predicate.Op) int {
+	if op == predicate.OpGe {
+		return 2
+	}
+	return 1
 }
 
 // Selectors enumerates the selector vocabulary of a space: one equality
@@ -334,7 +297,7 @@ func Selectors(sp *feature.Space) []Selector {
 // frame's positions, a word at a time from the gathered columns: float
 // comparison against the selector's value (NaN and NULL compare false)
 // for numeric selectors, slot equality for categorical ones. The
-// bitsets are what lets beamSearch refine coverage with word-level ANDs.
+// bitsets are what lets search refine coverage with word-level ANDs.
 func selectorMasks(sp *feature.Space, selectors []Selector) []*bitset.Bitset {
 	fr := sp.Frame
 	n := len(fr.Rows)

@@ -42,7 +42,7 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 
 func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
 	sp, labels := plantedTable(t, 400)
-	rules := Discover(sp, labels, Options{})
+	rules := Discover(sp, labels)
 	if len(rules) == 0 {
 		t.Fatal("no rules found")
 	}
@@ -63,28 +63,28 @@ func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
 }
 
 func TestWRAccComputation(t *testing.T) {
-	// Hand-checkable case: 10 rows, 4 positive, one selector covering
-	// exactly the positives. WRAcc = (4/10)*(1 - 4/10) = 0.24, the
+	// Hand-checkable case: 20 rows, 8 positive, one selector covering
+	// exactly the positives. WRAcc = (8/20)*(1 - 8/20) = 0.24, the
 	// maximum for this base rate.
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
-	labels := make([]bool, 10)
-	for i := 0; i < 10; i++ {
+	labels := make([]bool, 20)
+	for i := 0; i < 20; i++ {
 		v := int64(0)
-		if i < 4 {
+		if i < 8 {
 			v = 1
 			labels[i] = true
 		}
 		tbl.MustAppendRow(engine.NewInt(v))
 	}
-	sp := feature.NewSpace(tbl, feature.Options{NumThresholds: 4}).Discretize()
-	rules := Discover(sp, labels, Options{MinCoverage: 2, MaxSelectors: 1, MaxRules: 1})
+	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
+	rules := Discover(sp, labels)
 	if len(rules) == 0 {
 		t.Fatal("no rule")
 	}
 	if math.Abs(rules[0].WRAcc-0.24) > 1e-9 {
 		t.Errorf("WRAcc = %v, want 0.24", rules[0].WRAcc)
 	}
-	if rules[0].Pos != 4 || len(rules[0].Covered) != 4 {
+	if rules[0].Pos != 8 || len(rules[0].Covered) != 8 {
 		t.Errorf("coverage: pos=%d covered=%d", rules[0].Pos, len(rules[0].Covered))
 	}
 }
@@ -115,7 +115,7 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 		labels = append(labels, pos)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
-	rules := Discover(sp, labels, Options{MaxRules: 4})
+	rules := Discover(sp, labels)
 	if len(rules) < 2 {
 		t.Fatalf("expected >=2 rules, got %d", len(rules))
 	}
@@ -151,16 +151,16 @@ func TestDiscoverDegenerateInputs(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	if rules := Discover(sp, all, Options{}); rules != nil {
+	if rules := Discover(sp, all); rules != nil {
 		t.Error("all-positive should yield no rules")
 	}
 	// All negative.
 	none := make([]bool, len(labels))
-	if rules := Discover(sp, none, Options{}); rules != nil {
+	if rules := Discover(sp, none); rules != nil {
 		t.Error("all-negative should yield no rules")
 	}
 	// Empty.
-	if rules := Discover(sp, nil, Options{}); rules != nil {
+	if rules := Discover(sp, nil); rules != nil {
 		t.Error("empty should yield no rules")
 	}
 }
@@ -189,7 +189,7 @@ func TestSelectorsVocabulary(t *testing.T) {
 
 func TestIntThresholdsRenderAsInts(t *testing.T) {
 	sp, labels := plantedTable(t, 300)
-	rules := Discover(sp, labels, Options{MaxRules: 1})
+	rules := Discover(sp, labels)
 	if len(rules) == 0 {
 		t.Fatal("no rules")
 	}
@@ -201,10 +201,15 @@ func TestIntThresholdsRenderAsInts(t *testing.T) {
 	}
 }
 
+// The search keeps one partial rule per depth (a beam of width one); it
+// must still reach the planted two-clause subgroup.
 func TestBeamWidthOne(t *testing.T) {
 	sp, labels := plantedTable(t, 200)
-	rules := Discover(sp, labels, Options{BeamWidth: 1, MaxRules: 2})
+	rules := Discover(sp, labels)
 	if len(rules) == 0 {
-		t.Error("beam=1 found nothing")
+		t.Fatal("the greedy search found nothing")
+	}
+	if rules[0].Precision < 0.95 || rules[0].Recall < 0.9 {
+		t.Errorf("first rule %s: precision %.2f recall %.2f", rules[0].Predicate(sp), rules[0].Precision, rules[0].Recall)
 	}
 }

@@ -1,6 +1,6 @@
 // Package viz renders the dashboard's scatterplots as SVG (for the web
-// frontend and figure regeneration) and as ASCII (for the CLI and the
-// experiments harness, which prints paper figures into the terminal).
+// frontend) and as ASCII (for the CLI, which prints the paper's figures
+// into the terminal).
 package viz
 
 import (
