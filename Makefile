@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover lines
 
 all: build test
 
@@ -117,6 +117,18 @@ cover:
 		fi; \
 		echo "cover: $$pkg $$pct% (ratchet $$min%)"; \
 	done
+
+# Non-test and test Go lines per package (plain `wc -l`), bench/ — its own
+# module — as one row, then the total: the table every PR reports in
+# CHANGES.md, before and after.
+lines:
+	@printf '%-26s %8s %8s\n' package non-test test; nt=0; tt=0; \
+	for d in $$($(GO) list -f '{{.Dir}}' ./...) $(CURDIR)/bench; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		t=$$(ls $$d/*.go | grep _test.go | xargs -r cat | wc -l); \
+		nt=$$((nt+n)); tt=$$((tt+t)); \
+		printf '%-26s %8d %8d\n' "$$(realpath --relative-to=$(CURDIR) $$d)" $$n $$t; \
+	done; printf '%-26s %8d %8d\n' total $$nt $$tt
 
 # bench/ is its own module, so `go build ./...` and `go test ./...` at
 # the root never compile it: an API slip in a package it imports would

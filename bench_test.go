@@ -262,7 +262,7 @@ func BenchmarkInfluenceLOO(b *testing.B) {
 // cycle — append one batch, re-run the Figure 4 window query — at
 // several base table sizes. The incremental path (copy-on-write
 // AppendBatch + exec.Advance folding in only the appended rows, with
-// column views and clause masks extending by suffix decode) must cost
+// clause masks extending by suffix decode) must cost
 // O(batch) per cycle regardless of table size; the rebuild variant
 // re-runs the full query after each append and scales O(table), the
 // cost every streaming re-query paid before incremental maintenance.

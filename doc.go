@@ -53,13 +53,14 @@
 //   - internal/bitset — dense []uint64 bitmaps over source row ids;
 //     lineage sets, predicate match sets and culpability sets intersect
 //     and count at word granularity.
-//   - internal/engine — per-table typed column views (FloatView,
-//     DictView): windows over the per-segment chunks of float64s + NULL
-//     words or dictionary codes that sealed segments are stored as,
-//     shared by every downstream consumer.
+//   - internal/engine — one column reader (Table.NewColReader): a
+//     cursor over the per-segment chunks of float64s + NULL words or
+//     dictionary codes that every segment is stored as, read in place
+//     by every downstream consumer, plus a per-version dictionary
+//     handle (Table.Dict).
 //   - internal/exec — Result.AggArgFloats builds an aggregate's
 //     ArgView once per result, the float the scan fed the state for
-//     each row: a bare column copies out of its typed view, any other
+//     each row: a bare column copies out of its typed chunks, any other
 //     argument evaluates once per source row; Advance extends it by the
 //     appended suffix through the same fill.
 //     Result.LineageBits/GroupLineageBitsShared expose provenance as
@@ -222,14 +223,15 @@
 //     in-flight queries keep an immutable snapshot, never observe a
 //     half-appended batch, and no append ever copies a whole column;
 //     DB.Append republishes the grown version atomically.
-//     FloatView/DictView alias the typed chunks every segment, the
-//     tail included, is stored as — dictionary codes are assigned at
-//     append, in first-appearance order — and hand out immutable
-//     per-version snapshot windows.
+//     A published version's memory is never written, so the version
+//     is its own snapshot: a ColReader walks the typed chunks every
+//     segment, the tail included, is stored as — dictionary codes are
+//     assigned at append, in first-appearance order — with no per-
+//     version index to build or cache.
 //   - internal/predicate — Index implements engine.RowSynced (the
 //     row-stamped invalidation hook of Table.AuxLoadOrStore): cached
 //     clause masks and non-NULL masks are per-segment word arrays
-//     extended independently from the matching view chunks, and queries
+//     extended independently from the matching column chunks, and queries
 //     request masks stamped to their own snapshot's length and base
 //     (ClauseBitsAtBase), so a scan mid-append — or racing a retention
 //     pass — never sees a mask of the wrong geometry.
@@ -339,7 +341,7 @@
 // two holders: itself (sealed in this process, or decoded by a resident
 // store.Open) or a ChunkLoader's buffer pool (out of core). Nothing is
 // stored boxed: an engine.Value is what a caller appends or the single
-// cell it asks for (Table.Value, RowReader). The typed views alias the
+// cell it asks for (Table.Value, RowReader). Column readers alias the
 // chunks and the predicate index's mask chunks live per segment, so
 // every derived structure shares the segment's lifetime, and the
 // executor cuts its
@@ -358,7 +360,7 @@
 // REBASE CONTRACT carried incremental state relies on:
 //
 //   - structures keyed by value, not row id — aggregate states, group
-//     keys, dictionary codes, per-segment view and mask chunks — carry
+//     keys, dictionary codes, per-segment column and mask chunks — carry
 //     unchanged (the predicate index just drops its head chunks);
 //   - row-id-bearing bitmaps (lineage bitsets, argument NULL words, the
 //     scorer's F union) rebase by dropping whole leading words
@@ -379,9 +381,9 @@
 //     suspect groups' identities survive the shift).
 //
 // Stale snapshots taken before a retention pass stay readable (their
-// segments are alive until the last reader drops them), but their
-// dictionary views degrade to evaluated string keys and the predicate
-// index refuses their base, leaving every WHERE conjunct residual —
+// segments are alive until the last reader drops them) through the same
+// readers, but the predicate index refuses their base, leaving every
+// WHERE conjunct residual —
 // correctness never depends on a superseded window. The differential harnesses drive append chains with batch
 // sizes landing exactly on, one under and one over segment boundaries,
 // interleaved with randomized retention, at the minimum segment size —

@@ -565,18 +565,6 @@ func ConcatWords(n int, segWords int, blocks [][]uint64) *Bitset {
 	return FromWords(n, words)
 }
 
-// SegWords returns the word window of segment k in a flat bitset
-// (read-only) — the inverse of ConcatWords. The last segment's window
-// may be short.
-func (b *Bitset) SegWords(k, segWords int) []uint64 {
-	lo := k * segWords
-	hi := lo + segWords
-	if hi > len(b.words) {
-		hi = len(b.words)
-	}
-	return b.words[lo:hi]
-}
-
 // ShiftDownWords stamps a length-n bitset whose bit i is words'
 // bit i + drop, where drop is a multiple of 64 — the row-id rebase of
 // a carried bitmap after retention dropped drop head rows. The input

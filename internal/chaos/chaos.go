@@ -93,13 +93,6 @@ func (c *Ctx) Polls() int {
 	return c.polls
 }
 
-// Tripped reports whether the cancellation fired.
-func (c *Ctx) Tripped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tripped
-}
-
 // CountPolls runs op under a never-cancelling counting context and
 // reports how many failpoints it crossed — the size of the matrix a
 // test must enumerate. The operation's own result is returned too so

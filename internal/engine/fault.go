@@ -12,21 +12,20 @@ import (
 // pins the needed chunk through a ChunkLoader — typically backed by a
 // shared buffer pool that pins chunks while scans read them and evicts
 // cold ones under a byte budget. Either way a boxed Value is only ever
-// built for the one cell a reader asked for (rowread.go), never per
-// chunk. Readers of a held segment take the chunk slice with a no-op
-// release.
+// built for the one cell a reader asked for (reader.go), never per
+// chunk. Readers of a held segment take the chunk slice as it stands.
 //
 // The pin/unpin contract: a Pin* call returns chunk data plus a
 // release func. The data stays VALID forever (Go's GC keeps it alive
 // while referenced — eviction only drops the pool's reference), so a
 // forgotten release is an accounting leak, never a use-after-free. But
-// the memory bound only holds if pins are short-lived: scans hold at
-// most one pinned chunk per column per shard (released when the shard
-// cursor moves to the next segment, and unconditionally — via defer —
-// when the shard exits, so cancellation never leaks a pin). Nothing in
-// the engine caches faulted data outside the pool: the view snapshots
-// keep nil slices for faultable segments, which is what makes a table
-// several times larger than the pool budget servable at bounded heap.
+// the memory bound only holds if pins are short-lived: ColReader
+// (reader.go) is the one type that pins, a scan holds at most one
+// pinned chunk per reader (released when it moves to the next segment,
+// and unconditionally — via defer — when the shard exits, so
+// cancellation never leaks a pin), and nothing in the engine caches
+// faulted data outside the pool, which is what makes a table several
+// times larger than the pool budget servable at bounded heap.
 
 // ChunkLoader faults one sealed segment's column chunk in from a
 // backing store. seg is the STREAM segment index (stable across
@@ -73,7 +72,7 @@ type ZoneInfo struct {
 
 // SegmentLoadError reports a chunk fault failure (I/O error, checksum
 // mismatch, segment quarantined). It travels as a panic from deep
-// inside view accessors — which have no error returns — and is
+// inside reader accessors — which have no error returns — and is
 // converted back to an error at the executor's entry points via
 // CatchSegmentLoad.
 type SegmentLoadError struct {
@@ -104,39 +103,8 @@ func CatchSegmentLoad(errp *error) {
 	}
 }
 
-// releaseNoop is the shared release for held chunks.
-var releaseNoop = func() {}
-
 // faultable reports whether this segment's chunks load on demand.
 func (s *segment) faultable() bool { return s.loader != nil }
-
-// pinFloat faults the segment's float chunk (panicking SegmentLoadError
-// on failure).
-func (s *segment) pinFloat(tname string, col int) (vals []float64, null []uint64, release func(), missed bool) {
-	vals, null, release, missed, err := s.loader.PinFloat(s.streamIdx, col)
-	if err != nil {
-		panic(&SegmentLoadError{Table: tname, Seg: s.streamIdx, Col: col, Err: err})
-	}
-	return vals, null, release, missed
-}
-
-// pinCodes faults the segment's dictionary-code chunk.
-func (s *segment) pinCodes(tname string, col int) (codes []int32, release func(), missed bool) {
-	codes, release, missed, err := s.loader.PinCodes(s.streamIdx, col)
-	if err != nil {
-		panic(&SegmentLoadError{Table: tname, Seg: s.streamIdx, Col: col, Err: err})
-	}
-	return codes, release, missed
-}
-
-// pinInt faults the segment's exact int64 cell chunk.
-func (s *segment) pinInt(tname string, col int) (cells []int64, release func(), missed bool) {
-	cells, release, missed, err := s.loader.PinInt(s.streamIdx, col)
-	if err != nil {
-		panic(&SegmentLoadError{Table: tname, Seg: s.streamIdx, Col: col, Err: err})
-	}
-	return cells, release, missed
-}
 
 // AttachSegment appends one recovered sealed segment to the newest
 // version of the table — the recovery-time counterpart of sealing a
@@ -171,10 +139,10 @@ func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneIn
 	case zones != nil && len(zones) != ncols:
 		return nil, fmt.Errorf("engine: table %s: attach with %d zones, schema has %d columns", t.name, len(zones), ncols)
 	}
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if t.pub != vc.pub {
+	fam := t.fam
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	if t.pub != fam.pub {
 		return nil, fmt.Errorf("engine: table %s: %w (attach to superseded version)", t.name, ErrStaleAppend)
 	}
 	if tailLen := t.nrows & t.mask; tailLen != 0 {
@@ -192,7 +160,7 @@ func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneIn
 		zones:     zones,
 	})
 	nt.nrows += 1 << nt.bits
-	vc.hw = nt.base + nt.nrows
+	fam.hw = nt.base + nt.nrows
 	return nt, nil
 }
 
@@ -211,13 +179,12 @@ func (t *Table) PreloadDict(c int, values []string) error {
 	if c < 0 || c >= len(t.schema) || t.schema[c].Type != TString {
 		return fmt.Errorf("engine: table %s: preload dict on non-string column %d", t.name, c)
 	}
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
+	t.fam.mu.Lock()
+	defer t.fam.mu.Unlock()
 	if t.nrows != 0 || len(t.sealed) != 0 {
 		return fmt.Errorf("engine: table %s: preload dict on non-empty table", t.name)
 	}
-	ds := vc.dict[c]
+	ds := t.fam.dict[c]
 	if len(ds.values) != 0 {
 		return fmt.Errorf("engine: table %s: column %d dictionary already populated", t.name, c)
 	}

@@ -19,8 +19,8 @@ import (
 // segment is typed chunks whoever holds them — the table that sealed it,
 // or a faultable twin (enginetest.Loader serves float, code and
 // exact-int chunks) — and must hand back every cell bit for bit through
-// RowReader.Value/RowInto, Table.Value/RowInto/Row and both typed views,
-// and leave no pin behind on any exit path.
+// RowReader.Value/RowInto, Table.Value/RowInto/Row and the column
+// reader, and leave no pin behind on any exit path.
 
 func sameCell(a, b engine.Value) bool {
 	return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
@@ -107,15 +107,15 @@ func TestTypedReaderMatchesResidentCells(t *testing.T) {
 		rr.Close() // idempotent
 		assertNoPins(t, name, l)
 
-		// A version retention has superseded keeps its DictView and its
+		// A version retention has superseded keeps its dictionary and its
 		// cells; the retained version reads the rebased window.
 		retained, stats, err := twin.RetainTail(engine.RetentionPolicy{MaxRows: twin.NumRows() - twin.SegRows()})
 		if err != nil || stats.DroppedSegments != 1 {
 			t.Fatalf("%s: retain: %+v %v", name, stats, err)
 		}
 		sCol := src.Schema().ColIndex("s")
-		if dv := twin.DictView(sCol); dv == nil || dv.Len() != twin.NumRows() {
-			t.Fatalf("%s: superseded version lost its DictView", name)
+		if !slices.Equal(twin.Dict(sCol).Values(), src.Dict(sCol).Values()) {
+			t.Fatalf("%s: superseded version lost its dictionary", name)
 		}
 		assertCells(t, name+" stale", src, twin, 0)
 		assertCells(t, name+" retained", src, retained, stats.DroppedRows)
@@ -226,21 +226,10 @@ func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine
 	}
 	rr := tbl.NewRowReader()
 	defer rr.Close()
+	segRows := tbl.SegRows()
 	for c, col := range tbl.Schema() {
-		var fv *engine.FloatView
-		var fr *engine.FloatReader
-		var dv *engine.DictView
-		var dr *engine.DictReader
-		if col.Type.IsNumeric() {
-			fv = tbl.FloatView(c)
-			fr = fv.NewReader()
-			defer fr.Close()
-		} else if dv = tbl.DictView(c); dv == nil {
-			t.Fatalf("%s: column %s: no DictView", label, col.Name)
-		} else {
-			dr = dv.NewReader()
-			defer dr.Close()
-		}
+		cr, dict := tbl.NewColReader(c), tbl.Dict(c)
+		defer cr.Close()
 		for r, row := range want {
 			w := row[c]
 			if v := tbl.Value(r, c); !sameCell(v, w) {
@@ -249,36 +238,46 @@ func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine
 			if v := rr.Value(r, c); !sameCell(v, w) {
 				t.Fatalf("%s: RowReader.Value(%d, %s) = %#v, appended %#v", label, r, col.Name, v, w)
 			}
-			if fv != nil {
-				f, null := fr.At(r)
-				for how, got := range map[string]float64{"FloatView.V": fv.V(r), "FloatReader.At": f, "FloatReader.V": fr.V(r)} {
+			if col.Type.IsNumeric() {
+				f, null := cr.Float(r)
+				vals, words := cr.Floats(r / segRows)
+				off := r % segRows
+				for how, got := range map[string]float64{"Float": f, "Floats": vals[off]} {
 					if wantF := w.Float(); math.Float64bits(got) != math.Float64bits(wantF) && !(w.IsNull() && math.IsNaN(got)) {
-						t.Fatalf("%s: %s(%d) of %s = %x, want %x", label, how, r, col.Name, math.Float64bits(got), math.Float64bits(wantF))
+						t.Fatalf("%s: ColReader.%s at (%d, %s) = %x, want %x", label, how, r, col.Name, math.Float64bits(got), math.Float64bits(wantF))
 					}
 				}
-				if fv.IsNull(r) != w.IsNull() || null != w.IsNull() {
-					t.Fatalf("%s: NULL flag of (%d, %s) = %v/%v, want %v", label, r, col.Name, fv.IsNull(r), null, w.IsNull())
+				if wordNull := words[off>>6]>>(uint(off)&63)&1 == 1; null != w.IsNull() || wordNull != w.IsNull() {
+					t.Fatalf("%s: NULL flag of (%d, %s) = %v/%v, want %v", label, r, col.Name, null, wordNull, w.IsNull())
 				}
+				continue
 			}
-			if dv != nil {
-				code := dv.CodeAt(r)
-				switch {
-				case code != dr.CodeAt(r):
-					t.Fatalf("%s: DictReader.CodeAt(%d) of %s = %d, view says %d", label, r, col.Name, dr.CodeAt(r), code)
-				case w.IsNull() != (code < 0):
-					t.Fatalf("%s: code %d at (%d, %s), appended %#v", label, code, r, col.Name, w)
-				case code >= 0 && (dv.Value(code) != w.S || dv.Code(w.S) != code):
-					t.Fatalf("%s: code %d at (%d, %s) is %q (Code(%q) = %d)", label, code, r, col.Name, dv.Value(code), w.S, dv.Code(w.S))
-				}
+			code := cr.Code(r)
+			switch {
+			case code != cr.Codes(r / segRows)[r%segRows]:
+				t.Fatalf("%s: ColReader.Code(%d) of %s = %d, its chunk says %d", label, r, col.Name, code, cr.Codes(r / segRows)[r%segRows])
+			case w.IsNull() != (code < 0):
+				t.Fatalf("%s: code %d at (%d, %s), appended %#v", label, code, r, col.Name, w)
+			case code >= 0 && (dict.Value(code) != w.S || dict.Code(w.S) != code):
+				t.Fatalf("%s: code %d at (%d, %s) is %q (Code(%q) = %d)", label, code, r, col.Name, dict.Value(code), w.S, dict.Code(w.S))
 			}
 		}
-		// The NULL words say the same, and carry no bit past Len.
-		for k := 0; fv != nil && k < fv.NumSegs(); k++ {
-			for i, word := range fv.NullSeg(k) {
+		// Every chunk is as long as the version's rows in its segment, and
+		// its NULL words carry no bit past them.
+		for k := 0; k*segRows < len(want); k++ {
+			rows := min(len(want)-k*segRows, segRows)
+			vals, words := cr.Floats(k)
+			if n := len(vals) + len(cr.Codes(k)); n != rows {
+				t.Fatalf("%s: segment %d of %s reads %d cells, the version has %d there", label, k, col.Name, n, rows)
+			}
+			if col.Type.IsNumeric() && len(words) != (rows+63)/64 {
+				t.Fatalf("%s: segment %d of %s has %d NULL words for %d rows", label, k, col.Name, len(words), rows)
+			}
+			for i, word := range words {
 				for b := 0; b < 64; b++ {
-					r := fv.SegStart(k) + 64*i + b
+					r := k*segRows + 64*i + b
 					if null := r < len(want) && want[r][c].IsNull(); null != (word>>uint(b)&1 == 1) {
-						t.Fatalf("%s: NullSeg(%d) word %d of %s: bit %d (row %d of %d) = %v", label, k, i, col.Name, b, r, len(want), !null)
+						t.Fatalf("%s: segment %d NULL word %d of %s: bit %d (row %d of %d) = %v", label, k, i, col.Name, b, r, len(want), !null)
 					}
 				}
 			}
@@ -288,7 +287,8 @@ func assertMatrix(t *testing.T, label string, tbl *engine.Table, want [][]engine
 
 // TestCellMatrixThreeWay is the representation matrix: the appended row
 // slice is the oracle; a table that sealed its own segments and its
-// faultable twin are both compared with it cell by cell, at
+// faultable twin are both compared with it cell by cell — boxed by the
+// table, boxed by a row reader, typed by a column reader — at
 // MinSegmentBits with a partial tail, on a version whose tail a newer
 // one has sealed, after a retention rebase and on the version that
 // retention superseded.
@@ -390,7 +390,7 @@ func TestSegmentedRandomizedParity(t *testing.T) {
 					if col.Type != engine.TString {
 						continue
 					}
-					dv := v.DictView(c)
+					dv := v.Dict(c)
 					seen := map[string]bool{}
 					var values []string
 					for r, row := range stream[:next] {
@@ -414,7 +414,7 @@ func TestSegmentedRandomizedParity(t *testing.T) {
 
 // TestOldVersionReadsRaceAppends holds an old version — three sealed
 // segments and a partial tail — and reads every cell of it through
-// Table.Value, a RowReader and both typed views, again and again, while
+// Table.Value, a RowReader and a column reader, again and again, while
 // the family's newest version appends past it, seals its tail and
 // retains its segments away. Boxing a sealed string cell reaches the
 // dictionary through the segment, not the family lock, so under -race
@@ -453,7 +453,7 @@ func TestOldVersionReadsRaceAppends(t *testing.T) {
 					}
 					rr := old.NewRowReader()
 					for c, col := range old.Schema() {
-						fv, dv := old.FloatView(c), old.DictView(c)
+						cr := old.NewColReader(c)
 						for r, row := range first {
 							w := row[c]
 							if v := old.Value(r, c); !sameCell(v, w) {
@@ -464,15 +464,18 @@ func TestOldVersionReadsRaceAppends(t *testing.T) {
 								t.Errorf("%s: RowReader.Value(%d, %s) = %#v, appended %#v", name, r, col.Name, v, w)
 								return
 							}
-							if fv != nil && fv.IsNull(r) != w.IsNull() {
-								t.Errorf("%s: FloatView NULL flag of (%d, %s)", name, r, col.Name)
-								return
+							null := false
+							if col.Type.IsNumeric() {
+								_, null = cr.Float(r)
+							} else {
+								null = cr.Code(r) < 0
 							}
-							if dv != nil && (dv.CodeAt(r) < 0) != w.IsNull() {
-								t.Errorf("%s: DictView code of (%d, %s)", name, r, col.Name)
+							if null != w.IsNull() {
+								t.Errorf("%s: ColReader NULL flag of (%d, %s)", name, r, col.Name)
 								return
 							}
 						}
+						cr.Close()
 					}
 					rr.Close()
 				}

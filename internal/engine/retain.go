@@ -54,10 +54,9 @@ func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, 
 	// A TimeCol policy over an out-of-core segment without a zone map
 	// faults its chunk; a load failure surfaces as the retention error.
 	defer CatchSegmentLoad(&err)
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if t.pub != vc.pub {
+	t.fam.mu.Lock()
+	defer t.fam.mu.Unlock()
+	if t.pub != t.fam.pub {
 		return nil, RetainStats{}, fmt.Errorf("engine: table %s: %w (retention on superseded version)", t.name, ErrStaleAppend)
 	}
 	drop := t.dropCountLocked(pol)
@@ -73,16 +72,11 @@ func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, 
 	}
 	nt = t.forkLocked()
 	nt.sealed, nt.nrows, nt.base = t.sealed[drop:], stats.RetainedRows, stats.Base
-	vc.curBase = nt.base
-	// Snapshot caches are windows of the old base; drop them (they
-	// rebuild cheaply from the per-segment chunks, which survive).
-	vc.fsnap = nil
-	vc.dsnap = nil
 	return nt, stats, nil
 }
 
 // dropCountLocked computes how many head segments the policy allows
-// dropping. Caller holds views.mu.
+// dropping. Caller holds fam.mu.
 func (t *Table) dropCountLocked(pol RetentionPolicy) int {
 	if pol.MaxRows <= 0 && pol.TimeCol == "" {
 		return 0 // the zero policy drops nothing
@@ -104,46 +98,29 @@ func (t *Table) dropCountLocked(pol RetentionPolicy) int {
 	if ci < 0 || !t.schema[ci].Type.IsNumeric() {
 		return 0
 	}
+	r := t.NewColReader(ci)
+	defer r.Close()
 	drop := 0
-	for drop < max {
-		if !t.sealed[drop].allBelowCutoff(t.name, ci, pol.Cutoff) {
-			break
-		}
+	for drop < max && r.allBelowCutoff(drop, pol.Cutoff) {
 		drop++
 	}
 	return drop
 }
 
-// allBelowCutoff reports whether every non-NULL value of numeric
-// column ci in the segment is < cutoff (the TimeCol retention test).
+// allBelowCutoff reports whether every non-NULL value of r's numeric
+// column in sealed segment k is < cutoff (the TimeCol retention test).
 // NaN keeps the segment, conservatively. A faultable segment answers
 // from its zone map when one is attached — no disk touched — and
-// otherwise faults the chunk under a transient pin.
-func (s *segment) allBelowCutoff(tname string, ci int, cutoff float64) bool {
-	vals, null := []float64(nil), []uint64(nil)
-	if s.faultable() {
-		if s.zones != nil {
-			z := s.zones[ci]
-			if z.NaNCount > 0 {
-				return false
-			}
-			if z.NullCount == z.Rows || !z.HasRange {
-				// No finite values (all NULL): vacuously old.
-				return z.NaNCount == 0
-			}
-			return z.Max < cutoff
-		}
-		var release func()
-		vals, null, release, _ = s.pinFloat(tname, ci)
-		defer release()
-	} else {
-		vals, null = s.chunks[ci].Vals, s.chunks[ci].Null
+// otherwise pins the chunk like any read.
+func (r *ColReader) allBelowCutoff(k int, cutoff float64) bool {
+	if s := r.t.sealed[k]; s.faultable() && s.zones != nil {
+		// No finite values (all NULL) is vacuously old.
+		z := s.zones[r.col]
+		return z.NaNCount == 0 && (z.NullCount == z.Rows || !z.HasRange || z.Max < cutoff)
 	}
+	vals, null := r.Floats(k)
 	for i, f := range vals {
-		if null[i>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		if !(f < cutoff) { // NaN keeps the segment, conservatively
+		if null[i>>6]&(1<<(uint(i)&63)) == 0 && !(f < cutoff) { // NaN keeps the segment, conservatively
 			return false
 		}
 	}

@@ -1,6 +1,9 @@
 package engine
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // This file defines the fixed-size row segment the storage spine is
 // built from. A table version is an ordered list of SEALED segments
@@ -65,6 +68,8 @@ type Chunk struct {
 func (ch *Chunk) Bytes() int {
 	return 8*(len(ch.Vals)+len(ch.Null)+len(ch.Ints)) + 4*len(ch.Codes)
 }
+
+var nan = math.NaN()
 
 // exactInt bounds the int64 cells a float64 carries exactly: below it
 // int64(float64(v)) == v, at or past it the float chunk has rounded.
@@ -242,7 +247,7 @@ func (t *Table) forkTail() segment {
 // captureDictsLocked bounds the tail's dictionaries at the family's
 // current ones: every string appended so far, in stream order.
 func (t *Table) captureDictsLocked() {
-	for c, ds := range t.views.dict {
+	for c, ds := range t.fam.dict {
 		if ds != nil {
 			t.tail.dicts[c] = ds.values[:len(ds.values):len(ds.values)]
 		}
@@ -251,7 +256,7 @@ func (t *Table) captureDictsLocked() {
 
 // sealTailLocked hands the full tail to the sealed list as it stands —
 // grow clamps capacities at the segment size, so the chunks are exact —
-// and starts a fresh one. Caller holds views.mu; nt is the version being
+// and starts a fresh one. Caller holds fam.mu; nt is the version being
 // grown.
 func (nt *Table) sealTailLocked() {
 	nt.captureDictsLocked()

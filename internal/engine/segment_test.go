@@ -16,9 +16,23 @@ func segRow(i int) []Value {
 	return []Value{NewFloat(float64(i)), NewString(fmt.Sprintf("s%d", i%5))}
 }
 
+// floatIs and strIs report whether row r, read through a column reader
+// (and the version's dictionary), is the appended cell want.
+func floatIs(fr *ColReader, r int, want Value) bool {
+	f, null := fr.Float(r)
+	return null == want.IsNull() && (null || f == want.Float())
+}
+
+func strIs(sr *ColReader, d Dict, r int, want Value) bool {
+	if c := sr.Code(r); c >= 0 {
+		return !want.IsNull() && d.Value(c) == want.S
+	}
+	return want.IsNull()
+}
+
 // TestSegmentBoundaryAppends drives a forced-tiny-segment table through
 // append batches sized exactly on, one under and one over the segment
-// boundary, checking values, views and version isolation at every step
+// boundary, checking values, readers and version isolation at every step
 // against a flat shadow copy.
 func TestSegmentBoundaryAppends(t *testing.T) {
 	tbl, err := NewTableSeg("t", segSchema(), MinSegmentBits)
@@ -61,36 +75,30 @@ func TestSegmentBoundaryAppends(t *testing.T) {
 		if sealed<<uint(MinSegmentBits)+tail != len(shadow) {
 			t.Fatalf("segment accounting: %d sealed + %d tail != %d", sealed, tail, len(shadow))
 		}
-		fv := cur.FloatView(0)
-		dv := cur.DictView(1)
+		fr, sr, d := cur.NewColReader(0), cur.NewColReader(1), cur.Dict(1)
 		for r, row := range shadow {
 			if got := cur.Value(r, 0); got.Key() != row[0].Key() {
 				t.Fatalf("Value(%d,0) = %v, want %v", r, got, row[0])
 			}
-			if row[0].IsNull() != fv.IsNull(r) || (!row[0].IsNull() && fv.V(r) != row[0].Float()) {
-				t.Fatalf("FloatView row %d mismatch", r)
+			if !floatIs(fr, r, row[0]) {
+				t.Fatalf("float reader row %d mismatch", r)
 			}
-			if row[1].IsNull() {
-				if dv.CodeAt(r) != -1 {
-					t.Fatalf("dict NULL row %d", r)
-				}
-			} else if dv.Value(dv.CodeAt(r)) != row[1].S {
-				t.Fatalf("dict row %d: %q", r, dv.Value(dv.CodeAt(r)))
+			if !strIs(sr, d, r, row[1]) {
+				t.Fatalf("code reader row %d mismatch", r)
 			}
 		}
 	}
-	// Every retained old version still serves its own window.
+	// Every retained old version still serves its own window, and no more.
 	for _, v := range versions {
 		n := v.NumRows()
-		fv := v.FloatView(0)
-		if fv.Len() != n {
-			t.Fatalf("old version view len %d, want %d", fv.Len(), n)
-		}
+		fr := v.NewColReader(0)
 		for r := 0; r < n; r++ {
-			want := shadow[r][0]
-			if want.IsNull() != fv.IsNull(r) || (!want.IsNull() && fv.V(r) != want.Float()) {
+			if !floatIs(fr, r, shadow[r][0]) {
 				t.Fatalf("old version row %d mismatch", r)
 			}
+		}
+		if vals, _ := fr.Floats((n - 1) >> v.SegmentBits()); n > 0 && len(vals) != (n-1)&(segRows-1)+1 {
+			t.Fatalf("old version of %d rows reads a last chunk of %d", n, len(vals))
 		}
 	}
 }
@@ -138,10 +146,10 @@ func TestRetainTail(t *testing.T) {
 		t.Fatal("retention must not move the stream end")
 	}
 	// Rebase: local row r of ret is stream row r+Base.
-	fv := ret.FloatView(0)
+	fr := ret.NewColReader(0)
 	for r := 0; r < ret.NumRows(); r++ {
 		want := segRow(r + ret.Base())[0]
-		if want.IsNull() != fv.IsNull(r) || (!want.IsNull() && fv.V(r) != want.Float()) {
+		if !floatIs(fr, r, want) {
 			t.Fatalf("rebased row %d mismatch", r)
 		}
 		if got := ret.Value(r, 0); got.Key() != want.Key() {
@@ -152,12 +160,12 @@ func TestRetainTail(t *testing.T) {
 	if old.NumRows() != total || old.Value(0, 0).Float() != 0 {
 		t.Fatal("pre-retention version disturbed")
 	}
-	// Old version's views still serve its window.
-	if odv := old.DictView(1); odv == nil || odv.Len() != total || odv.Value(odv.CodeAt(0)) != "s0" {
-		t.Fatal("stale-base dict view unusable")
+	// Readers of the old version still serve its window.
+	if !strIs(old.NewColReader(1), old.Dict(1), 0, NewString("s0")) {
+		t.Fatal("stale-base code reader unusable")
 	}
-	if ofv := old.FloatView(0); ofv == nil || ofv.Len() != total {
-		t.Fatal("stale-base float view unusable")
+	if !floatIs(old.NewColReader(0), total-1, segRow(total - 1)[0]) {
+		t.Fatal("stale-base float reader unusable")
 	}
 	// Retention is linear: the superseded version refuses mutation.
 	if _, err := old.AppendBatch([][]Value{segRow(0)}); err == nil {
@@ -175,14 +183,9 @@ func TestRetainTail(t *testing.T) {
 		t.Fatalf("post-retention append tail = %v, want %v", got, total-1)
 	}
 	// Dict codes remain append-stable across retention (family dict).
-	dv := cur.DictView(1)
+	sr, d := cur.NewColReader(1), cur.Dict(1)
 	for r := 0; r < cur.NumRows(); r++ {
-		want := segRow(r + cur.Base())[1]
-		if want.IsNull() {
-			if dv.CodeAt(r) != -1 {
-				t.Fatalf("dict NULL at %d", r)
-			}
-		} else if dv.Value(dv.CodeAt(r)) != want.S {
+		if !strIs(sr, d, r, segRow(r + cur.Base())[1]) {
 			t.Fatalf("dict mismatch at %d", r)
 		}
 	}
@@ -209,7 +212,6 @@ func TestRetainBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur = nt
-		cur.FloatView(0) // keep decode chunks warm so they count
 		nt2, _, err := cur.RetainTail(RetentionPolicy{MaxRows: 4 * segRows})
 		if err != nil {
 			t.Fatal(err)
@@ -374,10 +376,10 @@ func TestDBAppendRetainRace(t *testing.T) {
 
 // TestTailWordReadsRaceAppends races the one word an append could write
 // inside a published version: readers fetch the newest version N and
-// hammer the cells of its last, partial NULL word through Value, IsNull,
-// NullSeg and CodeAt while the writer publishes N+1…N+k, each setting
-// NULL bits of that same word — in its own copy, which is what -race and
-// the "no bits past Len" check prove.
+// hammer the cells of its last, partial NULL word through Value and a
+// float and a code reader while the writer publishes N+1…N+k, each
+// setting NULL bits of that same word — in its own copy, which is what
+// -race and the "no bits past the version's rows" check prove.
 func TestTailWordReadsRaceAppends(t *testing.T) {
 	db := NewDB()
 	tbl, _ := NewTableSeg("t", segSchema(), MinSegmentBits)
@@ -399,7 +401,7 @@ func TestTailWordReadsRaceAppends(t *testing.T) {
 				if n == 0 {
 					continue
 				}
-				fv, dv := cur.FloatView(0), cur.DictView(1)
+				fr, sr := cur.NewColReader(0), cur.NewColReader(1)
 				lo := (n - 1) &^ 63
 				var want uint64
 				for r := lo; r < n; r++ {
@@ -407,12 +409,12 @@ func TestTailWordReadsRaceAppends(t *testing.T) {
 					if null {
 						want |= 1 << uint(r-lo)
 					}
-					if cur.Value(r, 0).IsNull() != null || fv.IsNull(r) != null || (dv.CodeAt(r) < 0) != null {
+					if _, fnull := fr.Float(r); cur.Value(r, 0).IsNull() != null || fnull != null || (sr.Code(r) < 0) != null {
 						t.Errorf("version of %d rows: row %d NULL flags disagree", n, r)
 						return
 					}
 				}
-				if words := fv.NullSeg(fv.NumSegs() - 1); words[len(words)-1] != want {
+				if _, words := fr.Floats((n - 1) >> cur.SegmentBits()); words[len(words)-1] != want {
 					t.Errorf("version of %d rows: last NULL word %b, want %b", n, words[len(words)-1], want)
 					return
 				}

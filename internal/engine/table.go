@@ -41,9 +41,9 @@ type Table struct {
 	// pub is this version's publication stamp; mutations require it to
 	// match the family's counter (linear history).
 	pub uint64
-	// views caches typed column decodings and family state (see
-	// colview.go). Behind a pointer so shallow table copies share it.
-	views *tableViews
+	// fam is the state all versions share (family.go), behind a pointer
+	// so shallow table copies share it.
+	fam *family
 }
 
 // NewTable creates an empty table with the given name and schema and
@@ -71,7 +71,7 @@ func NewTableSeg(name string, schema Schema, segBits uint) (*Table, error) {
 		bits:   segBits,
 		mask:   1<<segBits - 1,
 	}
-	t.views = newTableViews(t.schema)
+	t.fam = newFamily(t.schema)
 	return t, nil
 }
 
@@ -91,8 +91,7 @@ func NewTableSegBase(name string, schema Schema, segBits uint, base int) (*Table
 		return nil, fmt.Errorf("engine: recovery base %d is not a multiple of the segment size %d", base, 1<<segBits)
 	}
 	t.base = base
-	t.views.hw = base
-	t.views.curBase = base
+	t.fam.hw = base
 	return t, nil
 }
 
@@ -188,7 +187,7 @@ func (t *Table) CoerceBatch(rows [][]Value) ([][]Value, error) {
 }
 
 // appendRowsLocked writes type-checked rows into the tail's chunks,
-// sealing whenever it is full. Caller holds views.mu and has verified t
+// sealing whenever it is full. Caller holds fam.mu and has verified t
 // is the newest version, owning its tail (forkTail).
 func (t *Table) appendRowsLocked(rows [][]Value) {
 	for len(rows) > 0 {
@@ -199,7 +198,7 @@ func (t *Table) appendRowsLocked(rows [][]Value) {
 		}
 		n := min(len(rows), room)
 		t.Grow(n)
-		chunks, dict := t.tail.chunks, t.views.dict
+		chunks, dict := t.tail.chunks, t.fam.dict
 		for _, row := range rows[:n] {
 			for c, v := range row {
 				chunks[c].put(t.schema[c].Type, dict[c], v)
@@ -209,19 +208,19 @@ func (t *Table) appendRowsLocked(rows [][]Value) {
 		rows = rows[n:]
 	}
 	t.captureDictsLocked()
-	t.views.hw = t.base + t.nrows
+	t.fam.hw = t.base + t.nrows
 }
 
 // forkLocked returns the next version of t, still equal to it: sealed
 // segments shared, the tail forked, the publication stamp bumped. Caller
-// holds views.mu and has verified t is the newest version.
+// holds fam.mu and has verified t is the newest version.
 func (t *Table) forkLocked() *Table {
-	t.views.pub++
+	t.fam.pub++
 	return &Table{
 		name: t.name, schema: t.schema,
 		sealed: t.sealed, tail: t.forkTail(),
 		nrows: t.nrows, base: t.base, bits: t.bits, mask: t.mask,
-		pub: t.views.pub, views: t.views,
+		pub: t.fam.pub, fam: t.fam,
 	}
 }
 
@@ -236,17 +235,17 @@ func (t *Table) AppendRow(row []Value) (int, error) {
 	if err := t.coerceInto(nil, row); err != nil {
 		return 0, err
 	}
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if t.pub != vc.pub {
-		return 0, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, vc.hw-t.base)
+	fam := t.fam
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	if t.pub != fam.pub {
+		return 0, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
 	}
-	if len(vc.fsnap) > 0 {
-		// A snapshot handed out may alias the NULL words this append
-		// writes in place: leave them to it.
+	if fam.read.Load() {
+		// A reader opened since the last fork may alias the NULL words
+		// this append writes in place: leave them to it.
 		t.tail = t.forkTail()
-		vc.fsnap = nil
+		fam.read.Store(false)
 	}
 	t.appendRowsLocked([][]Value{row})
 	return t.nrows - 1, nil
@@ -274,11 +273,11 @@ func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
 			return nil, err
 		}
 	}
-	vc := t.viewCache()
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if t.pub != vc.pub {
-		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, vc.hw-t.base)
+	fam := t.fam
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	if t.pub != fam.pub {
+		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
 	}
 	nt := t.forkLocked()
 	nt.appendRowsLocked(rows)
@@ -286,10 +285,10 @@ func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
 }
 
 // SameFamily reports whether o is a version of the same underlying
-// table (they share storage and the incremental view cache — the
-// relationship AppendBatch, RetainTail and Rename establish).
+// table (they share storage and the family state — the relationship
+// AppendBatch, RetainTail and Rename establish).
 func (t *Table) SameFamily(o *Table) bool {
-	return t != nil && o != nil && t.views != nil && t.views == o.views
+	return t != nil && o != nil && t.fam == o.fam
 }
 
 // MustAppendRow appends a row, panicking on type errors. Intended for
@@ -306,12 +305,11 @@ func (t *Table) MustAppendRow(row ...Value) int {
 // like a slice index. The cell is boxed out of its column's typed
 // chunk: the one the segment holds, or a faultable segment's under a
 // transient pin — correct everywhere, but per cell; row loops should hold
-// a RowReader, bulk readers the typed views' PinSeg.
+// a RowReader, typed loops a ColReader.
 func (t *Table) Value(row, col int) Value {
-	k := row >> t.bits
-	s := t.segAt(k)
+	s := t.segAt(row >> t.bits)
 	if s.chunks == nil {
-		return t.faultedCell(k, col, row&t.mask)
+		return t.faultedCell(row, col)
 	}
 	v, _ := s.chunks[col].cell(t.schema[col].Type, s.dicts[col], row&t.mask)
 	return v
@@ -344,8 +342,8 @@ func (t *Table) Select(rows []int) *Table {
 	buf := make([]Value, len(t.schema))
 	rr := t.NewRowReader()
 	defer rr.Close()
-	out.views.mu.Lock()
-	defer out.views.mu.Unlock()
+	out.fam.mu.Lock()
+	defer out.fam.mu.Unlock()
 	for _, r := range rows {
 		rr.RowInto(r, buf)
 		out.appendRowsLocked([][]Value{buf})

@@ -13,6 +13,7 @@ package enginetest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -44,7 +45,7 @@ func New(src *engine.Table) (*engine.Table, *Loader) {
 	}
 	for c, col := range src.Schema() {
 		if col.Type == engine.TString {
-			if err := twin.PreloadDict(c, src.DictView(c).Values()); err != nil {
+			if err := twin.PreloadDict(c, src.Dict(c).Values()); err != nil {
 				panic(err)
 			}
 		}
@@ -137,13 +138,9 @@ func (l *Loader) PinCodes(seg, col int) ([]int32, func(), bool, error) {
 	if err != nil {
 		return nil, nil, true, err
 	}
-	n := l.src.SegRows()
-	dv := l.src.DictView(col)
-	codes := make([]int32, n)
-	for i := range codes {
-		codes[i] = dv.CodeAt(seg*n + i)
-	}
-	return codes, release, true, nil
+	r := l.src.NewColReader(col)
+	defer r.Close()
+	return slices.Clone(r.Codes(seg)), release, true, nil
 }
 
 // PinInt implements engine.ChunkLoader.

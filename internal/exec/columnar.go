@@ -35,7 +35,7 @@ type ArgView struct {
 var errDistinctStrings = errors.New("exec: a DISTINCT aggregate over string values has no float argument view (only count(DISTINCT <string column>) and numeric arguments can be debugged)")
 
 // AggArgFloats returns the cached ArgView of the ord'th aggregate,
-// building it on first call: a bare column copies out of its typed view,
+// building it on first call: a bare column copies out of its typed chunks,
 // any other argument evaluates once per source row. The returned view is
 // shared and read-only. On out-of-core tables a chunk-load failure
 // surfaces as an error, never a panic.
@@ -81,17 +81,17 @@ func fillArgView(av *ArgView, call *sqlparse.AggCall, src *engine.Table, from, t
 			add(i, 1, false)
 		}
 	case argFloat:
-		fr := src.FloatView(a.col).NewReader()
-		defer fr.Close()
+		cr := src.NewColReader(a.col)
+		defer cr.Close()
 		for i := from; i < to; i++ {
-			f, null := fr.At(i)
+			f, null := cr.Float(i)
 			add(i, f, null)
 		}
 	case argDict:
-		dr := src.DictView(a.col).NewReader()
-		defer dr.Close()
+		cr := src.NewColReader(a.col)
+		defer cr.Close()
 		for i := from; i < to; i++ {
-			c := dr.CodeAt(i)
+			c := cr.Code(i)
 			add(i, float64(c), c < 0)
 		}
 	default:

@@ -692,7 +692,9 @@ func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 		return engine.NewInt(1), nil
 	}
 	if a := argSource(r.Source.Schema(), r.aggCall(ord)); a.kind == argDict && r.Plan.Vectorized {
-		if c := r.Source.DictView(a.col).CodeAt(src); c >= 0 {
+		cr := r.Source.NewColReader(a.col)
+		defer cr.Close()
+		if c := cr.Code(src); c >= 0 {
 			return engine.NewInt(int64(c)), nil
 		}
 		return engine.Null, nil

@@ -58,7 +58,7 @@ func (lc lowerCtx) clauseBits(c predicate.Clause) (*bitset.Bitset, bool) {
 }
 
 func (lc lowerCtx) nonNullBits(ci int) (*bitset.Bitset, bool) {
-	return lc.ix.NonNullBitsAtBase(ci, lc.base, lc.src.NumRows())
+	return lc.clauseBits(predicate.NonNull(lc.src.Schema()[ci].Name))
 }
 
 func (lc lowerCtx) clauseCount(c predicate.Clause) (int, bool) {
@@ -66,7 +66,7 @@ func (lc lowerCtx) clauseCount(c predicate.Clause) (int, bool) {
 }
 
 func (lc lowerCtx) nonNullCount(ci int) (int, bool) {
-	return lc.ix.NonNullCountAtBase(ci, lc.base, lc.src.NumRows())
+	return lc.clauseCount(predicate.NonNull(lc.src.Schema()[ci].Name))
 }
 
 // tfMask is a node's three-valued result: t holds the rows where it is

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/store"
@@ -745,4 +746,96 @@ func TestOutOfCoreGroupKeysAcrossAdvance(t *testing.T) {
 	if !sawIncremental || !sawFallback {
 		t.Fatalf("harness coverage: sawIncremental=%v sawFallback=%v", sawIncremental, sawFallback)
 	}
+}
+
+// scanMixWork is what one scan_mix shape costs on the faultable twins
+// below, in units no clock enters: the chunk pins its plan reports
+// (ChunksFaulted + ChunksResident) and the pins the loader served.
+type scanMixWork struct {
+	shape                string
+	planPins, loaderPins int
+}
+
+// TestScanMixShapesSameWork runs the benchmark's eight scan_mix statement
+// shapes (bench/script.go) in process, in a fixed order at 1 and 3
+// shards, over faultable twins of its two tables, and holds the pins
+// each one takes — as its plan reports them and as the loader counted
+// them — to the numbers recorded at the commit before the column readers
+// were unified (PR 26, 0274026): the one reader pins exactly what the
+// five it replaced pinned, and every pin is released.
+func TestScanMixShapesSameWork(t *testing.T) {
+	const segBits = 10
+	twin := func(src *engine.Table) (*engine.Table, *enginetest.Loader) {
+		small, err := engine.NewTableSeg(src.Name(), src.Schema(), segBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]engine.Value, src.NumRows())
+		for r := range rows {
+			rows[r] = src.Row(r)
+		}
+		if small, err = small.AppendBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		return enginetest.Faultable(small)
+	}
+	intel, _ := datasets.Intel(datasets.IntelConfig{Rows: 5*(1<<segBits) + 300, Seed: 1})
+	fec, _ := datasets.FEC(datasets.FECConfig{Rows: 3*(1<<segBits) + 200, Seed: 1})
+	readings, rl := twin(intel)
+	donations, dl := twin(fec)
+	pins := func() int {
+		rf, rc, ri, rp := rl.Counts()
+		df, dc, di, dp := dl.Counts()
+		if rp != 0 || dp != 0 {
+			t.Fatalf("%d + %d chunks still pinned", rp, dp)
+		}
+		return rf + rc + ri + df + dc + di
+	}
+	shapes := []struct {
+		shape string
+		tbl   *engine.Table
+		sql   string
+	}{
+		{"grouped", readings, "SELECT bucket(epoch(ts), 1800) AS w, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(epoch(ts), 1800) ORDER BY w"},
+		{"selective", readings, "SELECT bucket(epoch(ts), 3600) AS w, avg(temperature) AS avg_temp, count(*) AS n FROM readings WHERE moteid = 17 AND temperature > 20.5 GROUP BY bucket(epoch(ts), 3600) ORDER BY w"},
+		{"global", readings, "SELECT count(*) AS n, sum(temperature) AS total, min(temperature) AS lo, max(temperature) AS hi FROM readings WHERE humidity > 38.25"},
+		{"orchain", readings, "SELECT moteid, count(*) AS n, avg(voltage) AS volts FROM readings WHERE moteid = 17 OR temperature > 101.5 OR humidity < -3.2 GROUP BY moteid ORDER BY moteid"},
+		{"zonemap", readings, "SELECT moteid, avg(temperature) AS avg_temp FROM readings WHERE epoch BETWEEN 10 AND 60 GROUP BY moteid ORDER BY moteid"},
+		{"fecdaily", donations, datasets.FECDailySQL("McCain")},
+		{"residual", donations, "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' AND memo LIKE '%SPOUSE%' GROUP BY day ORDER BY day"},
+		{"distinct", readings, "SELECT count(DISTINCT epoch) AS n FROM readings WHERE moteid = 17"},
+	}
+	var got []scanMixWork
+	for _, shards := range []int{1, 3} {
+		for _, s := range shapes {
+			before := pins()
+			res, err := runWith(s.tbl, mustParse(t, s.sql), Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("%s: %v", s.shape, err)
+			}
+			assertPipeline(t, s.shape, res)
+			if res.NumRows() == 0 {
+				t.Fatalf("%s: no rows", s.shape)
+			}
+			got = append(got, scanMixWork{s.shape, res.Plan.ChunksFaulted + res.Plan.ChunksResident, pins() - before})
+		}
+	}
+	for i, w := range scanMixWorkAtParent {
+		if got[i] != w {
+			t.Errorf("run %d: %+v, the parent commit did %+v", i, got[i], w)
+		}
+	}
+	if t.Failed() {
+		t.Logf("measured: %#v", got)
+	}
+}
+
+// scanMixWorkAtParent is TestScanMixShapesSameWork's table as measured at
+// 0274026: the eight shapes at one shard (the first statement to name a
+// clause also builds its mask), then at three.
+var scanMixWorkAtParent = []scanMixWork{
+	{"grouped", 14, 12}, {"selective", 13, 21}, {"global", 6, 10}, {"orchain", 15, 38},
+	{"zonemap", 9, 19}, {"fecdaily", 11, 12}, {"residual", 5, 9}, {"distinct", 6, 5},
+	{"grouped", 16, 14}, {"selective", 15, 13}, {"global", 6, 5}, {"orchain", 16, 13},
+	{"zonemap", 15, 15}, {"fecdaily", 12, 9}, {"residual", 11, 9}, {"distinct", 6, 5},
 }

@@ -169,16 +169,16 @@ const (
 // keySrc is one group-by column's key source.
 type keySrc struct {
 	kind keyKind
-	dict *engine.DictView // kindDict: segment code chunks + Code lookups
-	col  int              // kindFloat: the column (values through plan.fviews)
-	node expr.Expr        // kindKernel, kindEval (kernel and evaluator built per shard)
+	col  int         // kindDict, kindFloat: the column
+	dict engine.Dict // kindDict: the version's code ↔ string table
+	node expr.Expr   // kindKernel, kindEval (kernel and evaluator built per shard)
 }
 
 type argKind int
 
 const (
 	argConst1 argKind = iota // count(*): every row contributes 1
-	argFloat                 // numeric column via plan.fviews
+	argFloat                 // numeric column: its float chunks
 	argDict                  // count(DISTINCT string column): dictionary codes
 	argEval                  // anything else: per-row evaluator
 )
@@ -219,10 +219,10 @@ type vectorPlan struct {
 	protos []agg.Func
 	keys   []keySrc
 	args   []argSrc
-	// fviews holds the typed view of every numeric column a key, a key
-	// kernel or an argument reads, by column index (nil elsewhere); each
-	// shard opens one chunk reader per entry.
-	fviews     []*engine.FloatView
+	// floatCols marks, by column index, every numeric column a key, a key
+	// kernel or an argument reads; each shard opens one chunk reader per
+	// marked column.
+	floatCols  []bool
 	keyKernels int            // keys of kindKernel
 	filter     *bitset.Bitset // nil: no WHERE
 	fstats     filterStats
@@ -264,39 +264,35 @@ func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
 // filter's universe, so residual conjuncts touch nothing before it.
 func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggItems []int, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
 	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos}
-	p.fviews = make([]*engine.FloatView, src.NumCols())
-	numeric := func(col int) bool {
-		if p.fviews[col] == nil {
-			p.fviews[col] = src.FloatView(col)
-		}
-		return p.fviews[col] != nil
-	}
+	schema := src.Schema()
+	p.floatCols = make([]bool, len(schema))
 
 	p.keys = make([]keySrc, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
 		p.keys[i] = keySrc{kind: kindEval, node: g}
 		if col, ok := g.(*expr.Col); ok {
-			if dv := src.DictView(col.Index); dv != nil {
-				p.keys[i] = keySrc{kind: kindDict, dict: dv}
+			if schema[col.Index].Type == engine.TString {
+				p.keys[i] = keySrc{kind: kindDict, col: col.Index, dict: src.Dict(col.Index)}
 				if len(stmt.GroupBy) == 1 {
-					p.denseSize = dv.NumValues() + 1
+					p.denseSize = p.keys[i].dict.NumValues() + 1
 				}
-			} else if numeric(col.Index) {
+			} else { // every column is a string or numeric
 				p.keys[i] = keySrc{kind: kindFloat, col: col.Index}
+				p.floatCols[col.Index] = true
 			}
-		} else if kern, ok := expr.CompileFloat(g, src.Schema()); ok {
+		} else if kern, ok := expr.CompileFloat(g, schema); ok {
 			p.keys[i].kind = kindKernel
 			p.keyKernels++
 			for _, col := range kern.Cols {
-				numeric(col)
+				p.floatCols[col] = true
 			}
 		}
 	}
 
 	p.args = make([]argSrc, len(aggItems))
 	for ai, item := range aggItems {
-		if p.args[ai] = argSource(src.Schema(), stmt.Items[item].Agg); p.args[ai].kind == argFloat {
-			numeric(p.args[ai].col)
+		if p.args[ai] = argSource(schema, stmt.Items[item].Agg); p.args[ai].kind == argFloat {
+			p.floatCols[p.args[ai].col] = true
 		}
 	}
 
@@ -393,16 +389,10 @@ func (gx *groupIndex) index(slots []uint64) (int, bool) {
 	return next, false
 }
 
-// cursor is what closeCursors needs of the engine's segment readers.
-type cursor interface {
-	Close()
-	Counters() (faulted, resident int)
-}
-
 // keyScan is one shard's state for one group-by column.
 type keyScan struct {
-	dc    *engine.DictReader // kindDict
-	kern  *expr.FloatKernel  // kindKernel, with its Eval arguments below
+	dc    *engine.ColReader // kindDict
+	kern  *expr.FloatKernel // kindKernel, with its Eval arguments below
 	kvals [][]float64
 	knull [][]uint64
 	// eval is the boxed evaluator of a kindKernel or kindEval key: every
@@ -418,18 +408,18 @@ type shardScan struct {
 	plan     *vectorPlan
 	lo, hi   int
 	keys     []keyScan
-	argEvals []expr.Evaluator     // argEval arguments
-	argDicts []*engine.DictReader // argDict arguments
+	argEvals []expr.Evaluator    // argEval arguments
+	argDicts []*engine.ColReader // argDict arguments
 	err      error
 
-	// Segment readers pin one chunk at a time, so out-of-core reads fault
-	// per segment: fr by column (plan.fviews), keys[i].dc, argDicts, and
+	// Column readers pin one chunk at a time, so out-of-core reads fault
+	// per segment: fr by column (plan.floatCols), keys[i].dc, argDicts, and
 	// rr, which boxes single cells — for evaluators and a new group's
 	// column keys — off the same typed chunks.
-	fr []*engine.FloatReader
+	fr []*engine.ColReader
 	rr *engine.RowReader
-	// cursors lists rr and every reader above, for closeCursors.
-	cursors []cursor
+	// cursors lists every column reader above, for closeCursors.
+	cursors []*engine.ColReader
 
 	// Block scratch: the filter words, the selection vector (chunk offsets
 	// of the passing rows) and each one's group — grown to the densest
@@ -453,12 +443,14 @@ type shardScan struct {
 func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 	ss := &shardScan{groupIndex: newGroupIndex(p), plan: p, lo: lo, hi: hi}
 	ss.rr = p.src.NewRowReader()
-	ss.cursors = append(ss.cursors, ss.rr)
-	ss.fr = make([]*engine.FloatReader, len(p.fviews))
-	for col, fv := range p.fviews {
-		if fv != nil {
-			ss.fr[col] = fv.NewReader()
-			ss.cursors = append(ss.cursors, ss.fr[col])
+	open := func(col int) *engine.ColReader {
+		ss.cursors = append(ss.cursors, p.src.NewColReader(col))
+		return ss.cursors[len(ss.cursors)-1]
+	}
+	ss.fr = make([]*engine.ColReader, len(p.floatCols))
+	for col, read := range p.floatCols {
+		if read {
+			ss.fr[col] = open(col)
 		}
 	}
 	ncols := p.src.NumCols()
@@ -469,8 +461,7 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 		ks := &ss.keys[i]
 		switch k.kind {
 		case kindDict:
-			ks.dc = k.dict.NewReader()
-			ss.cursors = append(ss.cursors, ks.dc)
+			ks.dc = open(k.col)
 		case kindKernel:
 			ks.kern, _ = expr.CompileFloat(k.node, p.src.Schema())
 			ks.kvals, ks.knull = make([][]float64, len(ks.kern.Cols)), make([][]uint64, len(ks.kern.Cols))
@@ -480,14 +471,13 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 		}
 	}
 	ss.argEvals = make([]expr.Evaluator, len(p.args))
-	ss.argDicts = make([]*engine.DictReader, len(p.args))
+	ss.argDicts = make([]*engine.ColReader, len(p.args))
 	for ai, a := range p.args {
 		switch a.kind {
 		case argEval:
 			ss.argEvals[ai] = rowEval(a.node, ss.rr, ncols)
 		case argDict:
-			ss.argDicts[ai] = p.src.DictView(a.col).NewReader()
-			ss.cursors = append(ss.cursors, ss.argDicts[ai])
+			ss.argDicts[ai] = open(a.col)
 		}
 	}
 	return ss
@@ -497,12 +487,14 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 // counters into the shard totals. Deferred from run() so error and
 // cancellation exits release pins too.
 func (ss *shardScan) closeCursors() {
+	ss.rr.Close()
+	faulted, resident := ss.rr.Counters()
 	for _, c := range ss.cursors {
 		c.Close()
 		f, res := c.Counters()
-		ss.chunksFaulted += f
-		ss.chunksResident += res
+		faulted, resident = faulted+f, resident+res
 	}
+	ss.chunksFaulted, ss.chunksResident = faulted, resident
 }
 
 // errKernelSlot is the internal error of a key kernel whose slot is not
@@ -629,16 +621,16 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 		ks.slots = scratch(ks.slots, n)
 		switch key := &p.keys[i]; key.kind {
 		case kindDict:
-			codes := ks.dc.Chunk(k)
+			codes := ks.dc.Codes(k)
 			for j, o := range sel[:n] {
 				ks.slots[j] = uint64(codes[o] + 1) // NULL code -1 → slot 0
 			}
 		case kindFloat:
-			vals, null := ss.fr[key.col].Chunk(k)
+			vals, null := ss.fr[key.col].Floats(k)
 			floatSlots(ks.slots[:n], vals, null, sel[:n])
 		case kindKernel:
 			for c, col := range ks.kern.Cols {
-				ks.kvals[c], ks.knull[c] = ss.fr[col].Chunk(k)
+				ks.kvals[c], ks.knull[c] = ss.fr[col].Floats(k)
 			}
 			if out, null, ok := ks.kern.Eval(ks.kvals, ks.knull, sel[:n]); ok {
 				floatSlots(ks.slots[:n], out, null, nil)
@@ -690,7 +682,7 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 				ss.groups[gi].g.Aggs[ai].AddFloat(1)
 			}
 		case argFloat:
-			vals, null := ss.fr[a.col].Chunk(k)
+			vals, null := ss.fr[a.col].Floats(k)
 			if len(p.keys) == 0 {
 				// One group takes the whole block: the batch mask kernel,
 				// same values in the same ascending order.
@@ -703,7 +695,7 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 				}
 			}
 		case argDict:
-			codes := ss.argDicts[ai].Chunk(k)
+			codes := ss.argDicts[ai].Codes(k)
 			for j, o := range sel[:n] {
 				if c := codes[o]; c >= 0 { // NULL code -1
 					ss.groups[ss.gis[j]].g.Aggs[ai].AddFloat(float64(c))
@@ -826,7 +818,7 @@ func shardCount(n int, opts Options) int {
 // to the range math — they ride along inside whichever range surrounds
 // them (always whole, so countSkips still sees them wholly inside one
 // shard) — cuts land on segment boundaries while segments are small
-// next to a shard's share, so a shard's filter words, view chunks and
+// next to a shard's share, so a shard's filter words, column chunks and
 // mask chunks straddle no other shard's, and a hot segment carrying
 // more than one shard's share of survivors is subdivided on bitset-word
 // boundaries, the finest granularity at which shard ranges never

@@ -231,20 +231,3 @@ func Compile(e Expr, src ColumnSource) (Evaluator, bool) {
 		return nil, false
 	}
 }
-
-// CompileBool wraps Compile for WHERE-style evaluation: NULL counts as
-// false, matching EvalBool.
-func CompileBool(e Expr, src ColumnSource) (func(row int) (bool, error), bool) {
-	ev, ok := Compile(e, src)
-	if !ok {
-		return nil, false
-	}
-	return func(row int) (bool, error) {
-		v, err := ev(row)
-		if err != nil {
-			return false, err
-		}
-		b, known := boolValue(v)
-		return known && b, nil
-	}, true
-}

@@ -233,14 +233,14 @@ func sampled[T any](col []T, sample []int) []T {
 	return out
 }
 
-// gatherFloats reads numeric column c at rows through the typed view,
-// one pinned chunk at a time.
+// gatherFloats reads numeric column c at rows (NaN at NULL), one pinned
+// chunk at a time.
 func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
-	r := t.FloatView(c).NewReader()
+	r := t.NewColReader(c)
 	defer r.Close()
 	out := make([]float64, len(rows))
 	for i, row := range rows {
-		out[i] = r.V(row)
+		out[i], _ = r.Float(row)
 	}
 	return out
 }
@@ -248,14 +248,13 @@ func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
 // gatherCodes reads string column c at rows as dictionary codes (-1 =
 // NULL) plus the code → string table, one pinned chunk at a time.
 func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
-	dv := t.DictView(c)
-	r := dv.NewReader()
+	r := t.NewColReader(c)
 	defer r.Close()
 	out := make([]int32, len(rows))
 	for i, row := range rows {
-		out[i] = r.CodeAt(row)
+		out[i] = r.Code(row)
 	}
-	return out, dv.Values()
+	return out, t.Dict(c).Values()
 }
 
 // finite reports whether f takes part in the numeric vocabulary.

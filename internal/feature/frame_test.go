@@ -336,7 +336,7 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 }
 
 // TestFrameStaleVersionFallback pins the frame of a table version
-// retention has superseded: it gathers through the same typed views as
+// retention has superseded: it gathers through the same column readers as
 // any other — out of the segment it still holds and its own tail.
 func TestFrameStaleVersionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -354,8 +354,8 @@ func TestFrameStaleVersionFallback(t *testing.T) {
 	if _, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 70}); err != nil || stats.DroppedSegments == 0 {
 		t.Fatalf("retain: %+v %v", stats, err)
 	}
-	if old.DictView(2) == nil {
-		t.Fatal("a version retention has superseded has no dictionary view")
+	if old.Dict(2).NumValues() == 0 {
+		t.Fatal("a version retention has superseded has no dictionary")
 	}
 	checkSpace(t, "stale version", old, nil, Options{})
 }

@@ -289,10 +289,6 @@ func (s *Scorer) Eps() float64 { return s.eps }
 // Shared and read-only.
 func (s *Scorer) FBits() *bitset.Bitset { return s.fbits }
 
-// NumSourceRows returns the source table's row count — the length every
-// bitset handed to EpsWithoutBits must have.
-func (s *Scorer) NumSourceRows() int { return s.nsrc }
-
 // NewScratch returns a fresh per-goroutine scratch.
 func (s *Scorer) NewScratch() *Scratch {
 	return &Scratch{vals: make([]float64, len(s.suspect)), buf: make([]float64, 0, 256)}

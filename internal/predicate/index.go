@@ -18,11 +18,11 @@ import (
 // hit rate is high and steady-state matching allocates nothing.
 //
 // Masks are stored the way the engine stores rows: as per-segment word
-// arrays, each extended independently from the matching column-view
-// chunk. Appends extend only the tail segment's chunk (suffix decode,
-// prefix bits immutable); retention rebases the index by dropping
-// whole head chunks — no mask is ever rebuilt or shifted, because
-// segment boundaries are bitset-word-aligned (engine.MinSegmentBits).
+// arrays, each extended independently from the matching column chunk.
+// Appends extend only the tail segment's chunk (suffix decode, prefix
+// bits immutable); retention rebases the index by dropping whole head
+// chunks — no mask is ever rebuilt or shifted, because segment
+// boundaries are bitset-word-aligned (engine.MinSegmentBits).
 // Callers receive immutable flat snapshots stamped by concatenating
 // the chunk words (bitset.ConcatWords), at exactly the requested
 // length, so queries running against an older same-base table version
@@ -43,11 +43,14 @@ type Index struct {
 	// clauses caches canonical match masks keyed by the clause value
 	// itself (Clause is comparable), so cache hits allocate nothing.
 	clauses map[Clause]*maskEntry
-	// nonNull caches the non-NULL row mask per column index — the
-	// complement half the executor's 3VL filter lowering needs to turn
-	// "comparison is FALSE" into a mask.
-	nonNull map[int]*maskEntry
 }
+
+// NonNull is the clause every non-NULL row of col matches, and no other:
+// engine.Compare places a NULL clause value below everything, so `col !=
+// NULL` is TRUE exactly there. Its mask — the complement half the
+// executor's 3VL filter lowering needs to turn "comparison is FALSE"
+// into a mask — is cached, extended and counted like any other clause's.
+func NonNull(col string) Clause { return Clause{Col: col, Op: OpNeq, Val: engine.Null} }
 
 // maskEntry is one mask's canonical chunked state: chunks[k] covers the
 // current window's segment k, all chunks before the last fully built.
@@ -92,11 +95,7 @@ func (e *maskEntry) built(segRows int) int {
 
 // NewIndex returns an index over t.
 func NewIndex(t *engine.Table) *Index {
-	return &Index{
-		t:       t,
-		clauses: make(map[Clause]*maskEntry),
-		nonNull: make(map[int]*maskEntry),
-	}
+	return &Index{t: t, clauses: make(map[Clause]*maskEntry)}
 }
 
 // sharedIndexKey keys the table family's shared index in the engine's
@@ -157,9 +156,6 @@ func (ix *Index) SyncRows(t *engine.Table) {
 		return
 	}
 	for _, e := range ix.clauses {
-		e.dropHead(dropSegs)
-	}
-	for _, e := range ix.nonNull {
 		e.dropHead(dropSegs)
 	}
 }
@@ -255,65 +251,6 @@ func (ix *Index) ClauseCountAtBase(c Clause, base, n int) (int, bool) {
 		return e.countSnap(b), true
 	}
 	return b.Count(), true
-}
-
-// NonNullCountAtBase is ClauseCountAtBase for a column's non-NULL mask.
-func (ix *Index) NonNullCountAtBase(ci, base, n int) (int, bool) {
-	b, ok := ix.NonNullBitsAtBase(ci, base, n)
-	if !ok {
-		return 0, false
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if e, ok := ix.nonNull[ci]; ok {
-		return e.countSnap(b), true
-	}
-	return b.Count(), true
-}
-
-// NonNullBits returns the mask of rows where column ci is not NULL at
-// the newest synced length (empty for out-of-range columns). The
-// returned bitset is shared and read-only.
-func (ix *Index) NonNullBits(ci int) *bitset.Bitset {
-	return ix.NonNullBitsAt(ci, ix.Table().NumRows())
-}
-
-// NonNullBitsAt is NonNullBits over the first n rows; see ClauseBitsAt.
-func (ix *Index) NonNullBitsAt(ci int, n int) *bitset.Bitset {
-	b, _ := ix.NonNullBitsAtBase(ci, -1, n)
-	return b
-}
-
-// NonNullBitsAtBase is NonNullBitsAt with the same base check as
-// ClauseBitsAtBase.
-func (ix *Index) NonNullBitsAtBase(ci, base, n int) (*bitset.Bitset, bool) {
-	ix.mu.RLock()
-	if base >= 0 && ix.t.Base() != base {
-		ix.mu.RUnlock()
-		return nil, false
-	}
-	e, ok := ix.nonNull[ci]
-	if ok && e.built(ix.t.SegRows()) >= n {
-		if s := e.snap; s != nil && s.Len() == n {
-			ix.mu.RUnlock()
-			return s, true
-		}
-	}
-	ix.mu.RUnlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if base >= 0 && ix.t.Base() != base {
-		return nil, false
-	}
-	e, ok = ix.nonNull[ci]
-	if !ok {
-		e = &maskEntry{}
-		ix.nonNull[ci] = e
-	}
-	if ci >= 0 && ci < len(ix.t.Schema()) {
-		ix.extendNonNull(e, ci, n)
-	}
-	return e.snapshot(n, ix.t), true
 }
 
 // snapshot stamps an immutable length-n bitset by concatenating the
@@ -429,26 +366,9 @@ func (ix *Index) extendClause(e *maskEntry, c Clause, n int) {
 // Out-of-core segments answer from their zone maps when the NULL count
 // is decisive, and otherwise scan under a pin.
 func (ix *Index) extendNonNull(e *maskEntry, ci, n int) {
-	if fv := ix.t.FloatView(ci); fv != nil {
-		ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
-			if z, ok := ix.segZone(k, ci, lo, hi); ok {
-				switch zoneNonNullVerdict(z) {
-				case zoneNone:
-					return
-				case zoneAll:
-					fillRange(ch.words, lo, hi)
-					return
-				}
-			}
-			// Word-level Fill+AndNot over the segment span: ~64x fewer
-			// operations than per-bit sets on a full-segment build.
-			_, null, release, _ := fv.PinSeg(k)
-			orRangeAndNot(ch.words, lo, hi, null)
-			release()
-		})
-		return
-	}
-	dv := ix.t.DictView(ci) // every column is numeric or a string
+	r := ix.t.NewColReader(ci)
+	defer r.Close()
+	numeric := ix.t.Schema()[ci].Type.IsNumeric() // every column is numeric or a string
 	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
 		if z, ok := ix.segZone(k, ci, lo, hi); ok {
 			switch zoneNonNullVerdict(z) {
@@ -459,13 +379,19 @@ func (ix *Index) extendNonNull(e *maskEntry, ci, n int) {
 				return
 			}
 		}
-		codes, release, _ := dv.PinSeg(k)
+		if numeric {
+			// Word-level Fill+AndNot over the segment span: ~64x fewer
+			// operations than per-bit sets on a full-segment build.
+			_, null := r.Floats(k)
+			orRangeAndNot(ch.words, lo, hi, null)
+			return
+		}
+		codes := r.Codes(k)
 		for i := lo; i < hi; i++ {
 			if codes[i] >= 0 {
 				ch.words[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		release()
 	})
 }
 
@@ -488,11 +414,10 @@ func orRangeAndNot(words []uint64, lo, hi int, not []uint64) {
 }
 
 // extendNumeric evaluates a numeric clause against the missing rows of
-// the float view. The comparisons are written so NaN values yield
+// the float chunks. The comparisons are written so NaN values yield
 // cmp==0 (both f<cv and f>cv false), matching engine.Compare's behavior
 // exactly.
 func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
-	fv := ix.t.FloatView(ci)
 	cv := c.Val.Float()
 	var match func(f float64) bool
 	switch c.Op {
@@ -511,6 +436,8 @@ func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
 	default:
 		return
 	}
+	r := ix.t.NewColReader(ci)
+	defer r.Close()
 	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
 		if z, ok := ix.segZone(k, ci, lo, hi); ok {
 			switch zoneNumericVerdict(z, c.Op, cv) {
@@ -523,42 +450,42 @@ func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
 				return
 			}
 		}
-		vals, null, release, _ := fv.PinSeg(k)
+		vals, null := r.Floats(k)
 		for i := lo; i < hi; i++ {
 			if match(vals[i]) && null[i>>6]&(1<<(uint(i)&63)) == 0 {
 				ch.words[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		release()
 	})
 }
 
 // extendString evaluates a string clause against the missing rows of
-// the dictionary view: the comparison runs once per distinct value,
+// the dictionary codes: the comparison runs once per distinct value,
 // then fans out by code.
 func (ix *Index) extendString(e *maskEntry, ci int, c Clause, n int) {
-	dv := ix.t.DictView(ci)
-	verdict := make([]bool, len(dv.Values()))
+	values := ix.t.Dict(ci).Values()
+	verdict := make([]bool, len(values))
 	eqCode := -1 // the single matching code for OpEq (dict values are distinct)
-	for code, s := range dv.Values() {
+	for code, s := range values {
 		verdict[code] = opMatchesCmp(c.Op, strings.Compare(s, c.Val.S))
 		if verdict[code] && c.Op == OpEq {
 			eqCode = code
 		}
 	}
+	r := ix.t.NewColReader(ci)
+	defer r.Close()
 	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
 		if c.Op == OpEq {
 			if z, ok := ix.segZone(k, ci, lo, hi); ok && zoneEqStringVerdict(z, eqCode) == zoneNone {
 				return // code provably absent from the segment: no fault
 			}
 		}
-		codes, release, _ := dv.PinSeg(k)
+		codes := r.Codes(k)
 		for i := lo; i < hi; i++ {
 			if code := codes[i]; code >= 0 && verdict[code] {
 				ch.words[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
-		release()
 	})
 }
 

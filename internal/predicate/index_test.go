@@ -267,7 +267,7 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 			t.Fatalf("clause %d built = %d", k, entries[k].built(tbl.SegRows()))
 		}
 	}
-	oldNonNull := ix.NonNullBits(1)
+	oldNonNull := ix.ClauseBits(NonNull("f"))
 
 	// Grow the table in place (the single-owner form) by 60 rows.
 	grown := randomTable(rng, 60)
@@ -306,7 +306,7 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 			t.Fatalf("clause %d: ClauseBitsAt(150) = len %d count %d", k, s.Len(), s.Count())
 		}
 	}
-	if nn := ix.NonNullBits(1); nn.Len() != 210 || oldNonNull.Len() != 150 {
+	if nn := ix.ClauseBits(NonNull("f")); nn.Len() != 210 || oldNonNull.Len() != 150 {
 		t.Fatalf("non-NULL masks: new %d old %d", nn.Len(), oldNonNull.Len())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -275,10 +276,26 @@ func (s *Server) session(id string) *session {
 	return sess
 }
 
+// writeJSON encodes before it commits to a status: a value the encoder
+// refuses is a JSON 500, never a 200 with half a body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+	_, _ = w.Write([]byte("\n")) // as json.Encoder ends a value
+}
+
+// finiteJSON is f as JSON can carry it: NaN and ±Inf become null.
+func finiteJSON(f float64) any {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil
+	}
+	return f
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -319,7 +336,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // queryPayload is the shared response shape of /api/query and
-// /api/clean.
+// /api/clean. A non-finite float cell (avg(sqrt(x - 1000)), sum(ln(x)),
+// max(exp(100*x))) serializes as null, like NULL: JSON has no NaN or ±Inf.
 type queryPayload struct {
 	SQL       string   `json:"sql"`
 	Columns   []string `json:"columns"`
@@ -387,7 +405,7 @@ func valueJSON(v engine.Value) any {
 	case engine.TInt:
 		return v.I
 	case engine.TFloat:
-		return v.F
+		return finiteJSON(v.F)
 	case engine.TTime:
 		return v.Time().Format("2006-01-02T15:04:05Z")
 	default:
@@ -578,9 +596,12 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	for _, c := range src.Schema() {
 		cols = append(cols, c.Name)
 	}
+	rr := src.NewRowReader() // one pin per column per segment crossing, not one per cell
+	defer rr.Close()
+	row := make([]engine.Value, src.NumCols())
 	rows := make([][]any, 0, len(lineage))
 	for _, ri := range lineage {
-		row := src.Row(ri)
+		rr.RowInto(ri, row)
 		jsRow := make([]any, 0, len(row)+1)
 		jsRow = append(jsRow, ri) // row id first, so D' selections can reference it
 		for _, v := range row {
@@ -595,15 +616,16 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// explanationJSON is one ranked predicate over the wire.
+// explanationJSON is one ranked predicate over the wire; its floats pass
+// through finiteJSON.
 type explanationJSON struct {
-	Predicate      string  `json:"predicate"`
-	Score          float64 `json:"score"`
-	ErrImprovement float64 `json:"errImprovement"`
-	F1             float64 `json:"f1"`
-	NumTuples      int     `json:"numTuples"`
-	Origin         string  `json:"origin"`
-	CleanedSQL     string  `json:"cleanedSql"`
+	Predicate      string `json:"predicate"`
+	Score          any    `json:"score"` // the three floats through finiteJSON
+	ErrImprovement any    `json:"errImprovement"`
+	F1             any    `json:"f1"`
+	NumTuples      int    `json:"numTuples"`
+	Origin         string `json:"origin"`
+	CleanedSQL     string `json:"cleanedSql"`
 }
 
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
@@ -719,18 +741,18 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.lastDbg = dr
 	out := struct {
-		Eps          float64           `json:"eps"`
+		Eps          any               `json:"eps"`
 		LineageSize  int               `json:"lineageSize"`
 		Incremental  bool              `json:"incremental"`
 		Mode         string            `json:"mode"`
 		Explanations []explanationJSON `json:"explanations"`
-	}{Eps: dr.Eps, LineageSize: len(dr.F), Incremental: dr.Plan.Incremental, Mode: dr.Plan.Mode}
+	}{Eps: finiteJSON(dr.Eps), LineageSize: len(dr.F), Incremental: dr.Plan.Incremental, Mode: dr.Plan.Mode}
 	for _, e := range dr.Explanations {
 		out.Explanations = append(out.Explanations, explanationJSON{
 			Predicate:      e.Pred.String(),
-			Score:          e.Score,
-			ErrImprovement: e.ErrImprovement,
-			F1:             e.F1,
+			Score:          finiteJSON(e.Score),
+			ErrImprovement: finiteJSON(e.ErrImprovement),
+			F1:             finiteJSON(e.F1),
 			NumTuples:      e.NumTuples,
 			Origin:         e.Origin,
 			CleanedSQL:     core.CleanedSQL(sess.res.Stmt, e.Pred),

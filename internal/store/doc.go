@@ -81,12 +81,13 @@
 // bounded to (about) MaxResidentBytes of decoded chunks. The contract,
 // bottom to top:
 //
-//   - Pin/unpin. A reader obtains a chunk via the engine's
-//     FloatView.PinSeg / DictView.PinSeg, or per cell through
-//     engine.RowReader / Table.Value, which pin the same chunk and box
-//     the one cell. A pinned chunk cannot be evicted; the release
-//     func MUST be called exactly once, on every path — scans hold at
-//     most one pin per column cursor and release via defer, so errors
+//   - Pin/unpin. A reader obtains a chunk via the engine's one column
+//     reader (engine.ColReader: Floats / Codes per segment, Float / Code
+//     per row), or per cell through engine.RowReader / Table.Value,
+//     which pin the same chunk through the same reader and box the one
+//     cell. A pinned chunk cannot be evicted; its release is called
+//     exactly once, on every path, when the reader moves on or closes —
+//     scans hold at most one pin per reader and Close via defer, so errors
 //     and cancellation cannot leak pins. At quiesce the pool's pinned
 //     count is zero (asserted by the chaos soak and the cancellation
 //     matrix).

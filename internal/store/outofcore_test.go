@@ -80,27 +80,31 @@ func TestOutOfCoreDifferential(t *testing.T) {
 	}
 	requireRowsMatch(t, tab, oracle)
 
-	// Column views fault through the pool; spot-check them too.
-	fv := tab.FloatView(2)
-	dv := tab.DictView(3)
+	// Column readers fault through the pool; spot-check them too.
+	fr, sr, dict := tab.NewColReader(2), tab.NewColReader(3), tab.Dict(3)
+	defer fr.Close()
+	defer sr.Close()
 	for r := 0; r < tab.NumRows(); r++ {
 		want := oracle[tab.Base()+r]
-		got := engine.Value{T: engine.TFloat, F: fv.V(r)}
-		if fv.IsNull(r) {
+		f, null := fr.Float(r)
+		got := engine.Value{T: engine.TFloat, F: f}
+		if null {
 			got = engine.Null
 		}
 		if want[2].IsNull() != got.IsNull() || (!want[2].IsNull() && !valueEq(got, want[2])) {
-			t.Fatalf("float view row %d: got %v want %v", r, got, want[2])
+			t.Fatalf("float reader row %d: got %v want %v", r, got, want[2])
 		}
-		code := dv.CodeAt(r)
+		code := sr.Code(r)
 		if want[3].IsNull() {
 			if code >= 0 {
-				t.Fatalf("dict view row %d: got code %d, want NULL", r, code)
+				t.Fatalf("code reader row %d: got code %d, want NULL", r, code)
 			}
-		} else if dv.Values()[code] != want[3].S {
-			t.Fatalf("dict view row %d: got %q want %q", r, dv.Values()[code], want[3].S)
+		} else if dict.Value(code) != want[3].S {
+			t.Fatalf("code reader row %d: got %q want %q", r, dict.Value(code), want[3].S)
 		}
 	}
+	fr.Close()
+	sr.Close()
 
 	// Post-open appends seal segments this process holds next to the
 	// faultable ones; strings new to the table extend both dictionaries.

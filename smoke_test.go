@@ -50,7 +50,7 @@ func TestInfluenceAllocSmoke(t *testing.T) {
 // vectorized scan's allocations are per *group*, not per row.
 func TestWindowQueryAllocSmoke(t *testing.T) {
 	e := intelBench(t, 20_000)
-	// Warm the table's column views, then measure the steady state.
+	// Warm up once, then measure the steady state.
 	res, err := exec.RunSQL(e.db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestOutOfCoreQueryAllocSmoke(t *testing.T) {
 				t.Fatalf("%v, %d rows", err, res.NumRows())
 			}
 		}
-		run() // column views, clause masks, pool
+		run() // clause masks, pool
 		const runs = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
