@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels fuzz-smoke cover lines
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels profile-debug fuzz-smoke cover lines
 
 all: build test
 
@@ -75,8 +75,8 @@ fmt-check:
 	fi
 
 # Short fuzz sessions over the parser round-trip, the compiled
-# evaluator and key kernel parity targets, the aggregate contract and the
-# segment-file section decoder (one -fuzz target per invocation is a Go
+# evaluator and key kernel parity targets, the aggregate contract, the
+# segment-file section decoder and the quantile-threshold selection (one -fuzz target per invocation is a Go
 # toolchain constraint). The checked-in corpora under testdata/fuzz replay on
 # every plain `go test`; this additionally explores new inputs for a
 # few seconds each.
@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAggContract -fuzztime=$(FUZZTIME) ./internal/agg
 	$(GO) test -run='^$$' -fuzz=FuzzResidualFilterParity -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentSection -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzQuantileThresholds -fuzztime=$(FUZZTIME) ./internal/feature
 
 # Coverage with a ratchet on the Debug pipeline: the scoring and
 # ranking layers carry state across batches, so untested carry paths
@@ -165,6 +166,17 @@ bench-kernels:
 	$(GO) test -run='^$$' -bench='BenchmarkIter|BenchmarkAndCountWith' -benchmem ./internal/bitset
 	$(GO) test -run='^$$' -bench='BenchmarkFoldMasked' -benchmem ./internal/agg
 	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation' -benchmem .
+
+# Where one full Debug spends its CPU: BenchmarkFigure6RankedPredicates
+# (100k Intel rows, two CPUs) under the CPU profiler, written to a
+# temporary directory, then the cumulative table of the program's own
+# functions — the stage-by-stage profile CHANGES.md records.
+profile-debug:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run='^$$' -bench='BenchmarkFigure6RankedPredicates$$' -benchmem -cpu 2 -count 3 \
+		-o $$dir/repro.test -cpuprofile $$dir/cpu.prof . && \
+	$(GO) tool pprof -top -cum $$dir/repro.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -50; \
+	echo "profile: $$dir/cpu.prof"
 
 # Just the scoring hot path: the paper's interactivity claim lives here —
 # one Debug, and the monitoring loop's carried re-Debug with user

@@ -75,18 +75,22 @@
 //     is "intersect match mask with each group's lineage span, gather
 //     floats, ask the state", zero steady-state allocations for the
 //     algebraic aggregates. It is the only scorer: what it cannot score
-//     (a DISTINCT set keyed by string values) Debug refuses by name.
+//     (a DISTINCT set keyed by string values) Debug refuses by name. The
+//     LOO pass leaves its influences in F order; only what a reader
+//     returns (TopQuantileRows, TopRows) is sorted.
 //   - internal/ranker — candidates score and prune in parallel across a
 //     worker pool; the prepared context is read-only shared state.
 //   - internal/feature — NewSpace gathers the learning population's
 //     columns once through the typed readers into a Frame (floats and
 //     dictionary codes, addressed by population position) and profiles
 //     them — all example cleaning reads; Space.Discretize, run by the
-//     stage that trains, adds the quantile thresholds and the int16
-//     matrix of threshold buckets / value slots. internal/subgroup
-//     builds its selector masks from the frame and internal/dtree trains
-//     every candidate's tree on the bucket matrix alone, so no learner
-//     touches the table, and both refuse a profile-only space.
+//     stage that trains, adds the quantile thresholds (order statistics
+//     by selection, not a sort) and the int16 matrix of threshold
+//     buckets / value slots. internal/subgroup builds every selector
+//     mask of an attribute from one pass over that matrix and sums its
+//     covering weights by popcount; internal/dtree trains every
+//     candidate's tree on the matrix alone, so no learner touches the
+//     table, and both refuse a profile-only space.
 //
 // Future backends plug in underneath this layer: the segmented engine
 // below already demonstrates the contract — it produces the same views

@@ -187,7 +187,8 @@ type DebugResult struct {
 	F []int
 	// DPrime is the cleaned example set actually used.
 	DPrime []int
-	// Influence is the preprocessor's analysis (top tuples first).
+	// Influence is the preprocessor's analysis (influences in F order;
+	// TopQuantileRows reads the top).
 	Influence *influence.Analysis
 	// Candidates counts the candidate datasets enumerated.
 	Candidates int

@@ -12,8 +12,8 @@ import (
 // its two largest principal components — the visualization the paper
 // proposes for queries whose group-by has more than two attributes.
 // All numeric result columns participate (standardized so no column
-// dominates by unit); the second return value reports the variance
-// explained by the two components.
+// dominates by unit; a NULL, NaN or ±Inf cell sits at its column's mean);
+// the second return value reports the variance explained by the two.
 func PCAGroups(res *exec.Result) ([][2]float64, [2]float64, error) {
 	var explained [2]float64
 	schema := res.Table.Schema()
@@ -44,7 +44,7 @@ func PCAGroups(res *exec.Result) ([][2]float64, [2]float64, error) {
 				continue
 			}
 			f := v.Float()
-			if math.IsNaN(f) {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
 				continue
 			}
 			sum += f
@@ -75,7 +75,7 @@ func PCAGroups(res *exec.Result) ([][2]float64, [2]float64, error) {
 				continue
 			}
 			f := v.Float()
-			if math.IsNaN(f) {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
 				p[i] = 0
 				continue
 			}

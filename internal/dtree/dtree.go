@@ -74,9 +74,7 @@ type Node struct {
 type Tree struct {
 	Root  *Node
 	Space *feature.Space
-	// TrainAccuracy is the weighted accuracy on the training set.
-	TrainAccuracy float64
-	nodes         int
+	nodes int
 }
 
 // NumNodes returns the node count.
@@ -129,26 +127,6 @@ func Train(sp *feature.Space, labels []bool, weights []float64) (*Tree, error) {
 		idx[i] = int32(i)
 	}
 	tr.Root = tr.build(idx, 0)
-
-	// Training accuracy.
-	var correct, total float64
-	for i := range labels {
-		node := tr.Root
-		for !node.Leaf {
-			if tr.goesLeft(node.Split, int32(i)) {
-				node = node.Left
-			} else {
-				node = node.Right
-			}
-		}
-		if node.Positive == labels[i] {
-			correct += weights[i]
-		}
-		total += weights[i]
-	}
-	if total > 0 {
-		tr.TrainAccuracy = correct / total
-	}
 	return tr.Tree, nil
 }
 
@@ -344,7 +322,7 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 		}
 		attr := &t.Space.Attrs[n.Split.AttrIdx]
 		if n.Split.Numeric {
-			tv := thresholdValue(attr, n.Split.Threshold)
+			tv := attr.ThresholdValue(n.Split.Threshold)
 			walk(n.Left, p.And(predicate.Clause{Col: attr.Name, Op: predicate.OpLe, Val: tv}))
 			walk(n.Right, p.And(predicate.Clause{Col: attr.Name, Op: predicate.OpGt, Val: tv}))
 		} else {
@@ -360,16 +338,6 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 		return out[i].Weight > out[j].Weight
 	})
 	return out
-}
-
-func thresholdValue(attr *feature.Attr, th float64) engine.Value {
-	if attr.Type == engine.TInt && th == math.Trunc(th) {
-		return engine.NewInt(int64(th))
-	}
-	if attr.Type == engine.TTime {
-		return engine.NewTimeUnix(int64(th))
-	}
-	return engine.NewFloat(th)
 }
 
 // String renders the tree for debugging.

@@ -342,9 +342,13 @@ func (b *Bin) apply(lv, rv engine.Value) (engine.Value, error) {
 	return engine.Null, fmt.Errorf("expr: unsupported operator %v", b.Op)
 }
 
-// String implements Expr.
+// String implements Expr. AND and OR take any operand; arithmetic and
+// comparison operands are additive terms (operand).
 func (b *Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+	if b.Op == OpAnd || b.Op == OpOr {
+		return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+	}
+	return fmt.Sprintf("(%s %s %s)", operand(b.L), b.Op, operand(b.R))
 }
 
 // Columns implements Expr.
@@ -414,13 +418,12 @@ func (n *Neg) Eval(row []engine.Value) (engine.Value, error) {
 
 // String implements Expr.
 func (n *Neg) String() string {
-	// A nested unary must parenthesize: "--f" lexes as two operators
+	// A nested negation must parenthesize: "--f" lexes as two operators
 	// (and fails to parse), not as negate-twice.
-	switch n.X.(type) {
-	case *Neg, *Not:
+	if _, ok := n.X.(*Neg); ok {
 		return fmt.Sprintf("-(%s)", n.X)
 	}
-	return fmt.Sprintf("-%s", n.X)
+	return "-" + operand(n.X)
 }
 
 // Columns implements Expr.
@@ -495,7 +498,7 @@ func (in *In) String() string {
 	if in.Invert {
 		op = "NOT IN"
 	}
-	return fmt.Sprintf("%s %s (%s)", in.X, op, strings.Join(parts, ", "))
+	return fmt.Sprintf("%s %s (%s)", operand(in.X), op, strings.Join(parts, ", "))
 }
 
 // Columns implements Expr.
@@ -564,7 +567,7 @@ func (b *Between) String() string {
 	if b.Invert {
 		op = "NOT BETWEEN"
 	}
-	return fmt.Sprintf("%s %s %s AND %s", b.X, op, b.Lo, b.Hi)
+	return fmt.Sprintf("%s %s %s AND %s", operand(b.X), op, operand(b.Lo), operand(b.Hi))
 }
 
 // Columns implements Expr.
@@ -593,9 +596,9 @@ func (n *IsNull) Eval(row []engine.Value) (engine.Value, error) {
 // String implements Expr.
 func (n *IsNull) String() string {
 	if n.Invert {
-		return fmt.Sprintf("%s IS NOT NULL", n.X)
+		return fmt.Sprintf("%s IS NOT NULL", operand(n.X))
 	}
-	return fmt.Sprintf("%s IS NULL", n.X)
+	return fmt.Sprintf("%s IS NULL", operand(n.X))
 }
 
 // Columns implements Expr.
@@ -658,7 +661,7 @@ func (l *Like) String() string {
 	if l.Invert {
 		op = "NOT LIKE"
 	}
-	return fmt.Sprintf("%s %s '%s'", l.X, op, strings.ReplaceAll(l.Pattern, "'", "''"))
+	return fmt.Sprintf("%s %s '%s'", operand(l.X), op, strings.ReplaceAll(l.Pattern, "'", "''"))
 }
 
 // Columns implements Expr.
@@ -666,6 +669,20 @@ func (l *Like) Columns(dst []string) []string { return l.X.Columns(dst) }
 
 // ---------------------------------------------------------------------
 // Helpers
+
+// operand renders e where the grammar wants an additive term: the
+// operand of IN, LIKE, BETWEEN (its bounds too), IS NULL, unary minus and
+// the arithmetic and comparison operators. A predicate or NOT there is
+// parenthesized; bare, it would re-parse as a different tree ("-a IS
+// NULL") or not at all ("a IS NULL IS NULL"). Every other node already
+// prints as a term (Bin parenthesizes itself).
+func operand(e Expr) string {
+	switch e.(type) {
+	case *Not, *In, *Between, *IsNull, *Like:
+		return "(" + e.String() + ")"
+	}
+	return e.String()
+}
 
 // And combines expressions with AND; it returns nil for no arguments and
 // skips nil arguments.

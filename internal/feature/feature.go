@@ -6,7 +6,8 @@
 // string columns contribute their most frequent values as equality
 // selectors. Construction has two steps: NewSpace gathers the columns and
 // profiles them (all that example cleaning reads), Space.Discretize adds
-// the thresholds and the bucket matrix the learners train on. The
+// the thresholds (order statistics by selection, not a sort) and the
+// bucket matrix the learners train on, which encodes every comparison. The
 // aggregate's input column is excluded so that explanations are phrased
 // over the remaining descriptive attributes; the paper's examples
 // (moteid, voltage, memo) show that keeping the rest is what yields the
@@ -15,6 +16,7 @@ package feature
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -189,8 +191,8 @@ func NewSpace(t *engine.Table, opt Options) *Space {
 }
 
 // Discretize is construction's second step, for the stage that trains
-// learners: the numeric attributes' quantile Thresholds (one sort of the
-// statistics sample each) and the learning frame's Bins. It works on the
+// learners: the numeric attributes' quantile Thresholds (one selection
+// over the statistics sample each) and the learning frame's Bins. It works on the
 // columns NewSpace gathered — the table is not read again — changes
 // nothing a profile-only reader saw, and is idempotent; run it before
 // the space is shared between goroutines. It returns s.
@@ -260,27 +262,85 @@ func gatherCodes(t *engine.Table, c int, rows []int) ([]int32, []string) {
 // finite reports whether f takes part in the numeric vocabulary.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// quantileThresholds returns the deduplicated quantile midpoints of the
-// finite values in (a sample of) a numeric column. A constant column
-// yields none.
+// quantileThresholds returns the deduplicated quantile cuts of the finite
+// values in (a sample of) a numeric column, −0 read as +0: the order
+// statistics at ranks q·(m−1)/(numThresholds+1) of its m finite values,
+// by selection — one linear check when the column is already in order, as
+// one gathered in row order (a timestamp) often is. A constant column
+// yields one cut.
 func quantileThresholds(floats []float64) []float64 {
 	vals := make([]float64, 0, len(floats))
 	for _, f := range floats {
 		if finite(f) {
-			vals = append(vals, f)
+			vals = append(vals, f+0) // −0 + 0 is +0
 		}
 	}
-	sort.Float64s(vals)
+	var ranks [numThresholds]int
+	for q := range ranks {
+		ranks[q] = (q + 1) * (len(vals) - 1) / (numThresholds + 1)
+	}
+	if !slices.IsSorted(vals) {
+		selectRanks(vals, 0, len(vals), ranks[:], 2*bits.Len(uint(len(vals))))
+	}
 	var ths []float64
 	prev := math.Inf(-1)
-	for q := 1; q <= numThresholds; q++ {
-		if cut := vals[q*(len(vals)-1)/(numThresholds+1)]; cut > prev {
+	for _, r := range ranks {
+		if cut := vals[r]; cut > prev {
 			ths = append(ths, cut)
 			prev = cut
 		}
 	}
 	return ths
 }
+
+// selectRanks rearranges v[lo:hi] (no NaN, no −0) so that v[r] is what a
+// sort would put there for every r in ranks (ascending, in [lo, hi)): a
+// quickselect over a ninther pivot that descends only into parts holding
+// a rank. A pivot that is its range's least value splits off its copies
+// instead, resolving a class of duplicates at once; past depth
+// partitions a range is sorted, so no input is quadratic.
+func selectRanks(v []float64, lo, hi int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if hi-lo <= 16 || depth == 0 {
+			slices.Sort(v[lo:hi])
+			return
+		}
+		depth--
+		p := ninther(v, lo, hi)
+		mid := lo + partitionBelow(v[lo:hi], p)
+		if mid == lo {
+			mid += partitionBelow(v[lo:hi], math.Nextafter(p, math.Inf(1)))
+		} else {
+			selectRanks(v, lo, mid, ranks[:sort.SearchInts(ranks, mid)], depth)
+		}
+		lo, ranks = mid, ranks[sort.SearchInts(ranks, mid):]
+	}
+}
+
+// partitionBelow moves the values of v below p to its front and returns
+// their count: a Lomuto pass whose one data-dependent step compiles to
+// SETcc, not a branch, so a random column costs no mispredictions.
+func partitionBelow(v []float64, p float64) int {
+	mid := 0
+	for i, x := range v {
+		v[i], v[mid] = v[mid], x
+		below := 0
+		if p > x {
+			below = 1
+		}
+		mid += below
+	}
+	return mid
+}
+
+// ninther is the median of three medians of three, from the start, middle
+// and end of v[lo:hi] (hi−lo > 16).
+func ninther(v []float64, lo, hi int) float64 {
+	s, m, e := (hi-lo)/8, lo+(hi-lo)/2, hi-1
+	return median3(median3(v[lo], v[lo+s], v[lo+2*s]), median3(v[m-s], v[m], v[m+s]), median3(v[e-2*s], v[e-s], v[e]))
+}
+
+func median3(a, b, c float64) float64 { return max(min(a, b), min(max(a, b), c)) }
 
 // bucketize resolves every position's threshold bucket once, so no
 // learner repeats the binary search per node, per tree or per selector.
@@ -335,6 +395,21 @@ func (a *Attr) profileCategorical(codes []int32, dict []string) []int16 {
 		slot[c] = int16(vi)
 	}
 	return slot
+}
+
+// ThresholdValue renders threshold t in the attribute's type ("moteid <=
+// 15", not "moteid <= 15.0"). Its float is t itself, the cut Bins holds:
+// a cut no int64 holds stays a float.
+func (a *Attr) ThresholdValue(t float64) engine.Value {
+	if i := int64(t); float64(i) == t {
+		switch a.Type {
+		case engine.TInt:
+			return engine.NewInt(i)
+		case engine.TTime:
+			return engine.NewTimeUnix(i)
+		}
+	}
+	return engine.NewFloat(t)
 }
 
 // AttrByName returns the attribute with the given name, or nil.

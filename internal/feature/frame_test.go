@@ -102,6 +102,9 @@ func boxedProfile(t *engine.Table, c int, rows []int) (Attr, bool) {
 	for _, r := range rows {
 		v := t.Value(r, c)
 		if f := v.Float(); !v.IsNull() && !math.IsNaN(f) && !math.IsInf(f, 0) {
+			if f == 0 {
+				f = 0 // a cut at zero is +0, whichever zero the sort left there
+			}
 			vals = append(vals, f)
 		}
 	}

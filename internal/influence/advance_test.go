@@ -106,7 +106,7 @@ func analysesEqual(t *testing.T, label string, want, got *Analysis) {
 // TestAdvanceScorerDifferential also pins RankAdvancedCtx, the analysis
 // over the advanced scorer: whether it shares the previous pass's
 // ranking (no suspect group grew) or runs the LOO pass again, it equals
-// RankWithScorer over the from-scratch scorer — and it shares exactly
+// the LOO pass over the from-scratch scorer — and it shares exactly
 // when the suspects and their lineages are the previous pass's.
 func TestAdvanceScorerDifferential(t *testing.T) {
 	seeds := int64(8)
@@ -135,7 +135,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
 			}
-			prevAn := RankWithScorer(prev)
+			prevAn, _ := RankWithScorerCtx(context.Background(), prev)
 			cur := tbl
 			for step := 0; step < 4; step++ {
 				batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur))
@@ -182,7 +182,8 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				analysesEqual(t, label, RankWithScorer(fresh), an)
+				want, _ := RankWithScorerCtx(context.Background(), fresh)
+				analysesEqual(t, label, want, an)
 				if an.Scorer != carried {
 					t.Fatalf("%s: the analysis is not over the advanced scorer", label)
 				}

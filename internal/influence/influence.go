@@ -12,7 +12,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/errmetric"
@@ -43,20 +42,16 @@ type Options struct{}
 type Analysis struct {
 	// Eps is ε over the suspect groups before any removal.
 	Eps float64
-	// Influences holds one entry per lineage tuple, sorted by descending
-	// Delta. Read-only, like F: the analyses of a carried chain share
-	// both (RankAdvancedCtx).
+	// Influences holds one entry per lineage tuple, in F (row) order:
+	// nothing is sorted until a reader asks for the top (TopQuantileRows,
+	// TopRows), and then only what it returns. Read-only, like F: the
+	// analyses of a carried chain share both (RankAdvancedCtx).
 	Influences []TupleInfluence
 	// F is the full lineage of the suspect groups (sorted row ids).
 	F []int
 	// Scorer is the columnar scoring state the ranking ran through, ready
 	// for reuse by downstream predicate scoring. Never nil.
 	Scorer *Scorer
-
-	// deltaByRow indexes Influences by row, built lazily on the first
-	// DeltaOf call.
-	deltaOnce  sync.Once
-	deltaByRow map[int]float64
 }
 
 // Rank computes ε and per-tuple LOO influence for the ord'th aggregate
@@ -78,18 +73,12 @@ func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metr
 	return RankWithScorerCtx(ctx, sc)
 }
 
-// RankWithScorer runs the columnar preprocessor pass over an
+// RankWithScorerCtx runs the columnar preprocessor pass over an
 // already-built scoring state — the entry point the incremental Debug
 // path uses after advancing a carried Scorer to a grown table version
 // (AdvanceScorer), so the LOO analysis never rebuilds what the carry
-// preserved. Rank routes through it too.
-func RankWithScorer(sc *Scorer) *Analysis {
-	an, _ := RankWithScorerCtx(context.Background(), sc)
-	return an
-}
-
-// RankWithScorerCtx is RankWithScorer under a cancellable context; the
-// only possible error wraps the context error.
+// preserved. Rank routes through it too. The only possible error wraps
+// the context error.
 func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 	an, err := rankFast(ctx, sc)
 	if err != nil {
@@ -105,7 +94,7 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 // rows to old ones: when no suspect group's lineage grew since prev
 // (Scorer.sameLineage), every aggregate state, hence ε and every δ, is
 // what prev computed, and the analysis shares prev's Influences and F
-// read-only instead of re-deriving and re-sorting them. One group
+// read-only instead of re-deriving them. One group
 // growing moves ε and so every δ: the pass then runs in full. The link
 // to prev is this value comparison, made once; the returned analysis
 // does not reference prev or its Scorer, so a chain of carried passes
@@ -117,75 +106,70 @@ func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer) (*Analysis
 	return RankWithScorerCtx(ctx, sc)
 }
 
-// sortInfluences orders by descending Delta. Entries are appended in
-// ascending row order, so breaking ties on Row reproduces the stable
-// order while letting the generic (reflection-free) sort run — stable
-// sorting via sort.SliceStable was the dominant cost of the whole LOO
-// pass at |F|=100k.
-func sortInfluences(infs []TupleInfluence) {
-	slices.SortFunc(infs, func(a, b TupleInfluence) int {
-		switch {
-		case a.Delta > b.Delta:
-			return -1
-		case a.Delta < b.Delta:
-			return 1
-		case a.Row < b.Row:
-			return -1
-		case a.Row > b.Row:
-			return 1
-		default:
-			return 0
+// byInfluence orders by descending Delta, ties by Row — a total order on
+// entries without a NaN Delta, so a sort by it does not depend on the
+// sort algorithm.
+func byInfluence(a, b TupleInfluence) int {
+	switch {
+	case a.Delta > b.Delta:
+		return -1
+	case a.Delta < b.Delta:
+		return 1
+	case a.Row < b.Row:
+		return -1
+	case a.Row > b.Row:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// topRows returns the rows whose influence is at least floor and
+// positive, most influential first (byInfluence). A NaN Delta is never
+// selected. Only the selected entries are sorted, by their index into
+// Influences.
+func (a *Analysis) topRows(floor float64) []int {
+	var idx []int32
+	for i, ti := range a.Influences {
+		if ti.Delta >= floor && ti.Delta > 0 {
+			idx = append(idx, int32(i))
 		}
-	})
+	}
+	slices.SortFunc(idx, func(i, j int32) int { return byInfluence(a.Influences[i], a.Influences[j]) })
+	rows := make([]int, len(idx))
+	for k, i := range idx {
+		rows[k] = a.Influences[i].Row
+	}
+	return rows
 }
 
 // TopRows returns the rows of the k most influential tuples (Delta > 0
-// only). k <= 0 means all positive-influence tuples.
+// only), most influential first. k <= 0 means all positive-influence
+// tuples.
 func (a *Analysis) TopRows(k int) []int {
-	out := make([]int, 0, len(a.Influences))
-	for _, ti := range a.Influences {
-		if ti.Delta <= 0 {
-			break
-		}
-		out = append(out, ti.Row)
-		if k > 0 && len(out) >= k {
-			break
-		}
+	rows := a.topRows(0)
+	if k > 0 && len(rows) > k {
+		rows = rows[:k]
 	}
-	return out
+	return rows
 }
 
 // TopQuantileRows returns the rows whose influence is at least q times
-// the maximum positive influence (0 < q <= 1). This is the adaptive
+// the maximum positive influence (0 < q <= 1), most influential first
+// (descending Delta, ties by Row); nil when no influence is positive. A
+// NaN Delta is neither the maximum nor selected. This is the adaptive
 // high-influence set the Dataset Enumerator extends D' with.
 func (a *Analysis) TopQuantileRows(q float64) []int {
-	if len(a.Influences) == 0 || a.Influences[0].Delta <= 0 {
+	top := math.Inf(-1)
+	for _, ti := range a.Influences {
+		if ti.Delta > top {
+			top = ti.Delta
+		}
+	}
+	if top <= 0 {
 		return nil
 	}
-	threshold := a.Influences[0].Delta * q
-	var out []int
-	for _, ti := range a.Influences {
-		if ti.Delta < threshold || ti.Delta <= 0 {
-			break
-		}
-		out = append(out, ti.Row)
-	}
-	return out
-}
-
-// DeltaOf returns the influence of a specific source row (0 outside the
-// lineage). The first call builds a row→delta index, so repeated
-// lookups are O(1) rather than a linear scan of Influences.
-func (a *Analysis) DeltaOf(row int) float64 {
-	a.deltaOnce.Do(func() {
-		a.deltaByRow = make(map[int]float64, len(a.Influences))
-		for _, ti := range a.Influences {
-			if _, ok := a.deltaByRow[ti.Row]; !ok {
-				a.deltaByRow[ti.Row] = ti.Delta
-			}
-		}
-	})
-	return a.deltaByRow[row]
+	return a.topRows(top * q)
 }
 
 // EpsWithoutRows evaluates ε with an arbitrary set of source rows

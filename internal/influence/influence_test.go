@@ -2,6 +2,8 @@ package influence
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,11 +41,11 @@ func TestRankAvgAnalytic(t *testing.T) {
 	}
 	// Removing the 100: avg(10,10)=10 → ε'=0, delta=20.
 	// Removing a 10: avg(10,100)=55 → ε'=35, delta=-15.
-	if an.Influences[0].Row != 2 || math.Abs(an.Influences[0].Delta-20) > 1e-9 {
-		t.Errorf("top influence: %+v", an.Influences[0])
-	}
-	if math.Abs(an.Influences[1].Delta-(-15)) > 1e-9 {
-		t.Errorf("second influence: %+v", an.Influences[1])
+	// Influences are in F (row) order.
+	for i, want := range []float64{-15, -15, 20} {
+		if ti := an.Influences[i]; ti.Row != i || math.Abs(ti.Delta-want) > 1e-9 {
+			t.Errorf("influence %d: %+v, want delta %g", i, ti, want)
+		}
 	}
 	top := an.TopRows(0)
 	if len(top) != 1 || top[0] != 2 {
@@ -63,12 +65,23 @@ func TestRankMultiGroup(t *testing.T) {
 		t.Fatalf("eps: %v", an.Eps)
 	}
 	// Removing row 1 (-8): g0 = 5 → ε = 2; delta = 3.
-	if an.Influences[0].Row != 1 || math.Abs(an.Influences[0].Delta-3) > 1e-9 {
-		t.Errorf("top: %+v", an.Influences[0])
+	if top := an.TopRows(1); len(top) != 1 || top[0] != 1 || math.Abs(deltaOf(an, 1)-3) > 1e-9 {
+		t.Errorf("top: %v, delta %g", top, deltaOf(an, 1))
 	}
 	if len(an.F) != 4 {
 		t.Errorf("F: %v", an.F)
 	}
+}
+
+// deltaOf returns the influence of source row row (0 outside the
+// lineage).
+func deltaOf(an *Analysis, row int) float64 {
+	for _, ti := range an.Influences {
+		if ti.Row == row {
+			return ti.Delta
+		}
+	}
+	return 0
 }
 
 // Property: for every aggregate, the LOO delta matches re-running the
@@ -102,7 +115,7 @@ func TestLOOMatchesRequery(t *testing.T) {
 					after = metric.Eval(nil)
 				}
 				wantDelta := an.Eps - after
-				return math.Abs(an.DeltaOf(idx)-wantDelta) < 1e-6*math.Max(1, math.Abs(wantDelta))
+				return math.Abs(deltaOf(an, idx)-wantDelta) < 1e-6*math.Max(1, math.Abs(wantDelta))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 				t.Error(err)
@@ -181,6 +194,101 @@ func TestTopQuantileRows(t *testing.T) {
 		if r != 2 && r != 3 {
 			t.Errorf("unexpected quantile row %d", r)
 		}
+	}
+}
+
+// topOracle is the two readers as they were while the LOO pass sorted
+// every influence: one stable sort by descending δ of the F-ordered list,
+// then a walk from the top. A NaN δ has no place in that order; the
+// readers pin it as never selected, so the oracle drops it first.
+func topOracle(infs []TupleInfluence, q float64, k int) (quantile, topK []int) {
+	var sorted []TupleInfluence
+	for _, ti := range infs {
+		if !math.IsNaN(ti.Delta) {
+			sorted = append(sorted, ti)
+		}
+	}
+	slices.SortStableFunc(sorted, func(a, b TupleInfluence) int {
+		switch {
+		case a.Delta > b.Delta:
+			return -1
+		case a.Delta < b.Delta:
+			return 1
+		}
+		return 0
+	})
+	if len(sorted) > 0 && sorted[0].Delta > 0 {
+		threshold := sorted[0].Delta * q
+		for _, ti := range sorted {
+			if ti.Delta < threshold || ti.Delta <= 0 {
+				break
+			}
+			quantile = append(quantile, ti.Row)
+		}
+	}
+	for _, ti := range sorted {
+		if ti.Delta <= 0 {
+			break
+		}
+		topK = append(topK, ti.Row)
+		if k > 0 && len(topK) >= k {
+			break
+		}
+	}
+	return quantile, topK
+}
+
+// TestTopReadersMatchFullSort: TopQuantileRows and TopRows over the
+// unsorted (F-ordered) influences answer exactly what a full sort did, on
+// random deltas drawn from a small set (ties) with NaN and ±Inf mixed in.
+func TestTopReadersMatchFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pool := []float64{-3, -1, 0, 0.25, 0.5, 1, 1, 2, 4, 4, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(60)
+		if trial%100 == 0 {
+			n = 5000
+		}
+		infs := make([]TupleInfluence, n)
+		row := 0
+		for i := range infs {
+			row += 1 + rng.Intn(3)
+			d := pool[rng.Intn(len(pool))]
+			if trial%2 == 0 {
+				d = pool[rng.Intn(len(pool)-3)] + float64(rng.Intn(4))/8
+			}
+			infs[i] = TupleInfluence{Row: row, Delta: d}
+		}
+		an := &Analysis{Influences: infs}
+		q := []float64{0.25, 0.5, 0.9, 1}[rng.Intn(4)]
+		k := []int{0, 1, 3, 10}[rng.Intn(4)]
+		wantQ, wantK := topOracle(infs, q, k)
+		if got := an.TopQuantileRows(q); !slices.Equal(got, wantQ) {
+			t.Fatalf("trial %d: TopQuantileRows(%g) = %v, want %v", trial, q, got, wantQ)
+		}
+		if got := an.TopRows(k); !slices.Equal(got, wantK) {
+			t.Fatalf("trial %d: TopRows(%d) = %v, want %v", trial, k, got, wantK)
+		}
+	}
+}
+
+// TestTopReadersNeverSelectNaN pins the NaN rule: a NaN δ is neither the
+// maximum TopQuantileRows scales by nor a selected row, wherever it sits.
+func TestTopReadersNeverSelectNaN(t *testing.T) {
+	nan := math.NaN()
+	an := &Analysis{Influences: []TupleInfluence{{Row: 0, Delta: nan}, {Row: 1, Delta: 2}, {Row: 2, Delta: 1}, {Row: 3, Delta: nan}}}
+	if got := an.TopQuantileRows(0.25); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("TopQuantileRows = %v, want [1 2]", got)
+	}
+	if got := an.TopRows(0); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("TopRows = %v, want [1 2]", got)
+	}
+	an = &Analysis{Influences: []TupleInfluence{{Row: 0, Delta: nan}, {Row: 1, Delta: -1}}}
+	if got := an.TopQuantileRows(0.25); got != nil {
+		t.Errorf("TopQuantileRows with no positive δ = %v, want nil", got)
+	}
+	if got := an.TopRows(3); len(got) != 0 {
+		t.Errorf("TopRows with no positive δ = %v, want none", got)
 	}
 }
 

@@ -334,9 +334,10 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 }
 
 // rankFast is the LOO pass: per-tuple leave-one-out influence without
-// boxed argument evaluation or per-row map lookups. It polls
-// ctx per ctxCheckRows tuples; the only possible error wraps the
-// context error, and the scorer stays valid for a retry.
+// boxed argument evaluation or per-row map lookups, in F order (no sort:
+// the readers of Analysis order what they return). It polls ctx per
+// ctxCheckRows tuples; the only possible error wraps the context error,
+// and the scorer stays valid for a retry.
 func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 	an := &Analysis{Eps: s.eps, F: s.fbits.Rows()}
 
@@ -390,6 +391,5 @@ func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 		}
 		an.Influences = append(an.Influences, TupleInfluence{Row: src, GroupRow: gi, Delta: delta})
 	}
-	sortInfluences(an.Influences)
 	return an, nil
 }

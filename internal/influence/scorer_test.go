@@ -92,10 +92,16 @@ func TestRankFastParity(t *testing.T) {
 			t.Fatalf("row %d: delta=%g want %g", ti.Row, ti.Delta, want)
 		}
 	}
-	// Deltas must be sorted descending.
-	for i := 1; i < len(an.Influences); i++ {
-		if an.Influences[i].Delta > an.Influences[i-1].Delta {
-			t.Fatal("Influences not sorted by descending delta")
+	// Influences are in F order; the top readers order what they return.
+	for i, ti := range an.Influences {
+		if ti.Row != an.F[i] {
+			t.Fatalf("Influences[%d].Row = %d, want F[%d] = %d", i, ti.Row, i, an.F[i])
+		}
+	}
+	top := an.TopRows(0)
+	for i := 1; i < len(top); i++ {
+		if deltaOf(an, top[i]) > deltaOf(an, top[i-1]) {
+			t.Fatal("TopRows not sorted by descending delta")
 		}
 	}
 }
@@ -122,24 +128,6 @@ func TestEpsWithoutBitsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EpsWithoutBits allocates %v per run, want 0", allocs)
-	}
-}
-
-// TestDeltaOfIndexed covers the lazily built row→delta index.
-func TestDeltaOfIndexed(t *testing.T) {
-	an := &Analysis{Influences: []TupleInfluence{
-		{Row: 7, Delta: 3.5},
-		{Row: 2, Delta: 1.25},
-		{Row: 9, Delta: -0.5},
-	}}
-	if got := an.DeltaOf(2); got != 1.25 {
-		t.Fatalf("DeltaOf(2) = %g", got)
-	}
-	if got := an.DeltaOf(7); got != 3.5 {
-		t.Fatalf("DeltaOf(7) = %g", got)
-	}
-	if got := an.DeltaOf(1000); got != 0 {
-		t.Fatalf("DeltaOf(1000) = %g, want 0", got)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d iter %d: AdvanceScorer: %v [%s]", seed, iter, err, stmt)
 			}
-			advAn := influence.RankWithScorer(advSc)
+			advAn, _ := influence.RankWithScorerCtx(context.Background(), advSc)
 			carriedCtx := &Context{Res: adv, Suspect: suspect, Ord: 0, Metric: metric,
 				F: advAn.F, Eps: advAn.Eps}
 			carriedCtx.Scorer = advAn.Scorer

@@ -89,6 +89,42 @@ func TestNonFiniteCellsSerializeAsNull(t *testing.T) {
 	}
 }
 
+// TestPCAOverNonFiniteCells is the regression test for the PCA view of a
+// result with 3+ numeric columns holding ±Inf: the projection turned the
+// cells into NaN coordinates and the whole answer into a JSON 500. A ±Inf
+// cell now sits at its column's mean, as NaN and NULL do, so the view is
+// served; a projection that is still not finite (finite cells whose sum
+// overflows) is left out of a well-formed 200.
+func TestPCAOverNonFiniteCells(t *testing.T) {
+	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 3000, Seed: 1})
+	ts := httptest.NewServer(New(db).Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		sql     string
+		wantPCA bool
+	}{
+		{"SELECT moteid, avg(humidity) AS h, max(exp(temperature*100)) AS e, min(light) AS l FROM readings GROUP BY moteid", true},
+		{"SELECT moteid, avg(humidity) AS h, max(humidity * 1e306) AS big, min(light) AS l FROM readings GROUP BY moteid", false},
+	} {
+		status, body := postBody(t, ts, "/api/query", map[string]any{"session": "pca", "sql": c.sql})
+		var p map[string]json.RawMessage
+		if err := json.Unmarshal(body, &p); status != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, body %.300q: %v", c.sql, status, body, err)
+		}
+		var proj [][2]float64
+		if raw, ok := p["pca"]; ok != c.wantPCA {
+			t.Fatalf("%s: pca present = %v, want %v", c.sql, ok, c.wantPCA)
+		} else if ok {
+			if err := json.Unmarshal(raw, &proj); err != nil || len(proj) == 0 {
+				t.Fatalf("%s: pca = %s: %v", c.sql, raw, err)
+			}
+		}
+		if _, ok := p["pcaExplained"]; ok != c.wantPCA {
+			t.Fatalf("%s: pcaExplained present = %v, want %v", c.sql, ok, c.wantPCA)
+		}
+	}
+}
+
 // TestWriteJSONEncodeFailure: a value the encoder refuses is answered as
 // a JSON 500, whatever status the handler had in mind.
 func TestWriteJSONEncodeFailure(t *testing.T) {

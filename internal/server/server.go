@@ -298,6 +298,16 @@ func finiteJSON(f float64) any {
 	return f
 }
 
+// finitePoints reports whether every coordinate is finite.
+func finitePoints(pts [][2]float64) bool {
+	for _, p := range pts {
+		if finiteJSON(p[0]) == nil || finiteJSON(p[1]) == nil {
+			return false
+		}
+	}
+	return true
+}
+
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -348,10 +358,10 @@ type queryPayload struct {
 	Truncated bool     `json:"truncated"`
 	// PCA holds the two-principal-component projection of the groups
 	// (paper §2.2.1's proposed multi-attribute visualization), present
-	// when the result has 3+ numeric columns; PCAExplained reports the
-	// variance ratio captured by each axis.
+	// when the result has 3+ numeric columns and the projection is finite;
+	// PCAExplained reports the variance ratio captured by each axis.
 	PCA          [][2]float64 `json:"pca,omitempty"`
-	PCAExplained [2]float64   `json:"pcaExplained,omitempty"`
+	PCAExplained *[2]float64  `json:"pcaExplained,omitempty"`
 }
 
 const maxRowsOut = 5000
@@ -388,9 +398,11 @@ func (s *Server) buildPayload(sess *session) *queryPayload {
 		}
 	}
 	if numeric >= 3 && !p.Truncated {
-		if proj, explained, err := core.PCAGroups(res); err == nil {
+		// Finite cells can still overflow the projection: JSON carries no
+		// NaN or ±Inf, so such a view is left out.
+		if proj, explained, err := core.PCAGroups(res); err == nil && finitePoints(proj) && finitePoints([][2]float64{explained}) {
 			p.PCA = proj
-			p.PCAExplained = explained
+			p.PCAExplained = &explained
 		}
 	}
 	return p

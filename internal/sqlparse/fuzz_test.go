@@ -3,6 +3,8 @@ package sqlparse
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/expr"
 )
 
 // FuzzParseRoundTrip pins the parser/printer pair: any statement the
@@ -75,6 +77,11 @@ func FuzzParseExprRoundTrip(f *testing.F) {
 		}
 		if s2 := e2.String(); s1 != s2 {
 			t.Fatalf("expression String not a fixpoint\n input: %q\n first: %q\nsecond: %q", in, s1, s2)
+		}
+		// A fixpoint can still be a different expression: "-(a IS NULL)"
+		// printed bare re-parses as (-a) IS NULL.
+		if !expr.Equal(e, e2) {
+			t.Fatalf("expression printer changed the tree\n input: %q\noutput: %q", in, s1)
 		}
 		// Guard against printers that blow up the term (each round-trip
 		// adding parens would OOM under the fuzzer eventually).

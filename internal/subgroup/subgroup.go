@@ -30,8 +30,9 @@ type Selector struct {
 	AttrIdx int // index into the Space's Attrs
 	Op      predicate.Op
 	Val     engine.Value
-	// slot is Val's index in a categorical attribute's Values — what the
-	// learning frame's Bins hold.
+	// slot is Val's index in the attribute's vocabulary: a categorical
+	// attribute's Values (what the learning frame's Bins hold), a numeric
+	// one's Thresholds.
 	slot int16
 }
 
@@ -87,12 +88,8 @@ func Discover(sp *feature.Space, positive []bool) []Rule {
 	if n == 0 || len(positive) != n {
 		return nil
 	}
-	totalPos := 0
-	for _, p := range positive {
-		if p {
-			totalPos++
-		}
-	}
+	w := newWeighting(positive)
+	totalPos := w.pos.Count()
 	if totalPos == 0 || totalPos == n {
 		return nil
 	}
@@ -103,15 +100,9 @@ func Discover(sp *feature.Space, positive []bool) []Rule {
 	}
 	matches := selectorMasks(sp, selectors)
 
-	weights := make([]float64, n)
-	coverCount := make([]int, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-
 	var out []Rule
 	for len(out) < maxRules {
-		best, ok := search(selectors, matches, positive, weights, n)
+		best, ok := search(selectors, matches, w, n)
 		if !ok || best.wracc <= 0 {
 			break
 		}
@@ -125,29 +116,65 @@ func Discover(sp *feature.Space, positive []bool) []Rule {
 				rule.Pos++
 			}
 		})
-		if len(rule.Covered) == 0 {
-			break
-		}
 		rule.Precision = float64(rule.Pos) / float64(len(rule.Covered))
 		rule.Recall = float64(rule.Pos) / float64(totalPos)
 		out = append(out, rule)
 
-		// Weighted covering: decay covered positives' weights.
-		newlyCovered := false
-		best.cover.ForEach(func(i int) {
-			if positive[i] {
-				if coverCount[i] == 0 {
-					newlyCovered = true
-				}
-				coverCount[i]++
-				weights[i] = 1 / (1 + float64(coverCount[i]))
-			}
-		})
-		if !newlyCovered {
+		if !w.cover(best.cover) {
 			break // no progress: every positive the rule covers was already covered
 		}
 	}
 	return out
+}
+
+// weighting is the covering loop's example weights as bitsets: a
+// position weighs 1 until rules cover it, a positive covered by k rules
+// 1/(1+k). There are at most maxRules+1 distinct weights, so a weighted
+// count is Σₖ wₖ·popcount(set ∧ layerₖ).
+type weighting struct {
+	pos    *bitset.Bitset   // the positive positions
+	layers []*bitset.Bitset // layers[k]: the positives covered by k rules
+}
+
+func newWeighting(positive []bool) *weighting {
+	pos := bitset.New(len(positive))
+	for i, p := range positive {
+		if p {
+			pos.Set(i)
+		}
+	}
+	return &weighting{pos: pos, layers: []*bitset.Bitset{pos.Clone()}}
+}
+
+// sums returns the weight of set's positions and of its positives, given
+// their counts n and npos.
+func (w *weighting) sums(set *bitset.Bitset, n, npos int) (all, pos float64) {
+	var decayed float64
+	for k, layer := range w.layers[1:] {
+		c := bitset.AndCount(set, layer)
+		n, npos = n-c, npos-c
+		decayed += float64(c) / float64(k+2)
+	}
+	return float64(n) + decayed, float64(npos) + decayed
+}
+
+// cover records one more rule covering set: each covered positive moves
+// up a layer. It reports whether the rule covered a positive no rule had.
+func (w *weighting) cover(set *bitset.Bitset) bool {
+	moved, up := bitset.New(set.Len()), bitset.New(set.Len())
+	moved.IntersectOf(set, w.pos)
+	progress := bitset.AndCount(moved, w.layers[0]) > 0
+	w.layers = append(w.layers, bitset.New(set.Len()))
+	for k := len(w.layers) - 1; k > 0; k-- {
+		up.IntersectOf(w.layers[k-1], moved)
+		w.layers[k].AndNot(moved)
+		w.layers[k].Or(up)
+	}
+	w.layers[0].AndNot(moved)
+	if top := len(w.layers) - 1; !w.layers[top].Any() {
+		w.layers = w.layers[:top]
+	}
+	return progress
 }
 
 // candidate is a partial rule. Coverage is kept as a bitset over
@@ -165,33 +192,14 @@ type candidate struct {
 // refine next, and the best rule seen at any depth (ties: the shorter)
 // is returned. Keeping the best eight per depth instead of the best one
 // changed no cell of the quality table (internal/core; CHANGES.md, PR 26).
-func search(selectors []Selector, matches []*bitset.Bitset, positive []bool, weights []float64, n int) (candidate, bool) {
-	var totalW, posW float64
-	uniform := true
-	for i := 0; i < n; i++ {
-		totalW += weights[i]
-		if weights[i] != 1 {
-			uniform = false
-		}
-		if positive[i] {
-			posW += weights[i]
-		}
-	}
-	if totalW == 0 {
-		return candidate{}, false
-	}
-	baseRate := posW / totalW
-
-	posBits := bitset.New(n)
-	for i, p := range positive {
-		if p {
-			posBits.Set(i)
-		}
-	}
-
+// Every weighted sum is popcounts (weighting.sums).
+func search(selectors []Selector, matches []*bitset.Bitset, w *weighting, n int) (candidate, bool) {
 	// Root: full coverage.
 	cur := candidate{cover: bitset.New(n), n: n}
 	cur.cover.Fill()
+	totalW, posW := w.sums(cur.cover, n, w.pos.Count())
+	baseRate := posW / totalW
+
 	// used guards against stacking contradictory selectors; numeric attrs
 	// may contribute one <= and one >=. attrIdx -> bitmask 1:eq/le, 2:ge.
 	used := map[int]int{}
@@ -211,24 +219,7 @@ func search(selectors []Selector, matches []*bitset.Bitset, positive []bool, wei
 			if covN < minCoverage || covN == cur.n {
 				continue
 			}
-			var covW, covPosW float64
-			if uniform {
-				// All weights are exactly 1 (always true before the
-				// first covering pass): the weighted sums are plain
-				// cardinalities, computed by popcount alone.
-				covW = float64(covN)
-				covPosW = float64(bitset.AndCount(scratch, posBits))
-			} else {
-				scratch.ForEach(func(i int) {
-					covW += weights[i]
-					if positive[i] {
-						covPosW += weights[i]
-					}
-				})
-			}
-			if covW == 0 {
-				continue
-			}
+			covW, covPosW := w.sums(scratch, covN, bitset.AndCount(scratch, w.pos))
 			wracc := (covW / totalW) * (covPosW/covW - baseRate)
 			if nextSel >= 0 && wracc <= next.wracc {
 				continue
@@ -281,11 +272,11 @@ func Selectors(sp *feature.Space) []Selector {
 				selectors = append(selectors, Selector{AttrIdx: ai, Op: predicate.OpEq, Val: v, slot: int16(vi)})
 			}
 		case feature.Numeric:
-			for _, t := range attr.Thresholds {
-				tv := numericThresholdValue(attr, t)
+			for k, t := range attr.Thresholds {
+				tv := attr.ThresholdValue(t)
 				selectors = append(selectors,
-					Selector{AttrIdx: ai, Op: predicate.OpLe, Val: tv},
-					Selector{AttrIdx: ai, Op: predicate.OpGe, Val: tv},
+					Selector{AttrIdx: ai, Op: predicate.OpLe, Val: tv, slot: int16(k)},
+					Selector{AttrIdx: ai, Op: predicate.OpGe, Val: tv, slot: int16(k)},
 				)
 			}
 		}
@@ -294,49 +285,62 @@ func Selectors(sp *feature.Space) []Selector {
 }
 
 // selectorMasks builds one match bitset per selector over the learning
-// frame's positions, a word at a time from the gathered columns: float
-// comparison against the selector's value (NaN and NULL compare false)
-// for numeric selectors, slot equality for categorical ones. The
-// bitsets are what lets search refine coverage with word-level ANDs.
+// frame's positions, every selector of an attribute from one pass over
+// its Bins (attrMasks). The bitsets are what lets search refine coverage
+// with word-level ANDs.
 func selectorMasks(sp *feature.Space, selectors []Selector) []*bitset.Bitset {
-	fr := sp.Frame
-	n := len(fr.Rows)
 	matches := make([]*bitset.Bitset, len(selectors))
+	masks := make([][]*bitset.Bitset, len(sp.Attrs))
 	for si, sel := range selectors {
-		words := make([]uint64, (n+63)/64)
-		if sel.Op == predicate.OpEq {
-			for i, b := range fr.Bins[sel.AttrIdx] {
-				if b == sel.slot {
-					words[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		} else if vals, t := fr.Floats[sel.AttrIdx], sel.Val.Float(); sel.Op == predicate.OpLe {
-			for i, f := range vals {
-				if f <= t {
-					words[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		} else {
-			for i, f := range vals {
-				if f >= t {
-					words[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
+		ai, k := sel.AttrIdx, int(sel.slot)
+		if masks[ai] == nil {
+			masks[ai] = attrMasks(sp.Frame, ai)
 		}
-		matches[si] = bitset.FromWords(n, words)
+		if sel.Op == predicate.OpGe {
+			k += len(sp.Attrs[ai].Thresholds)
+		}
+		matches[si] = masks[ai][k]
 	}
 	return matches
 }
 
-// numericThresholdValue renders a threshold as an engine value matching
-// the column's type (integral thresholds on int columns stay ints so
-// predicates read naturally: "moteid <= 15", not "moteid <= 15.0").
-func numericThresholdValue(attr *feature.Attr, t float64) engine.Value {
-	if attr.Type == engine.TInt && t == math.Trunc(t) {
-		return engine.NewInt(int64(t))
+// attrMasks returns attribute ai's selector masks over the frame: value =
+// Values[k] at k (categorical); value <= Thresholds[k] at k and >= at T+k
+// (numeric, T thresholds; NaN/NULL compare false). A value in bucket b <
+// T seeds le[b], and ge[b] if it is cut b, else ge[b−1]; one above every
+// cut seeds ge[T−1]. Prefix ORs of le and suffix ORs of ge finish them.
+func attrMasks(fr *feature.Frame, ai int) []*bitset.Bitset {
+	a, vals, n := &fr.Space.Attrs[ai], fr.Floats[ai], len(fr.Rows)
+	T, nw := len(a.Thresholds), (n+63)/64
+	words := make([]uint64, (len(a.Values)+2*T)*nw)
+	w := func(k int) []uint64 { return words[k*nw : (k+1)*nw : (k+1)*nw] }
+	for i, b := range fr.Bins[ai] {
+		wi, bit := i>>6, uint64(1)<<(uint(i)&63)
+		switch k := int(b); {
+		case a.Kind == feature.Categorical:
+			if k >= 0 {
+				w(k)[wi] |= bit
+			}
+		case k < T:
+			w(k)[wi] |= bit
+			if vals[i] == a.Thresholds[k] {
+				w(T + k)[wi] |= bit
+			} else if k > 0 {
+				w(T + k - 1)[wi] |= bit
+			}
+		case !math.IsNaN(vals[i]):
+			w(2*T - 1)[wi] |= bit
+		}
 	}
-	if attr.Type == engine.TTime {
-		return engine.NewTimeUnix(int64(t))
+	masks := make([]*bitset.Bitset, len(a.Values)+2*T)
+	for k := range masks {
+		masks[k] = bitset.FromWords(n, w(k))
 	}
-	return engine.NewFloat(t)
+	for k := 1; k < T; k++ {
+		masks[k].Or(masks[k-1])
+	}
+	for k := 2*T - 2; k >= T; k-- {
+		masks[k].Or(masks[k+1])
+	}
+	return masks
 }
