@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels profile-debug fuzz-smoke cover lines
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels profile-debug profile-append fuzz-smoke cover lines
 
 all: build test
 
@@ -76,10 +76,11 @@ fmt-check:
 
 # Short fuzz sessions over the parser round-trip, the compiled
 # evaluator and key kernel parity targets, the aggregate contract, the
-# segment-file section decoder and the quantile-threshold selection (one -fuzz target per invocation is a Go
-# toolchain constraint). The checked-in corpora under testdata/fuzz replay on
-# every plain `go test`; this additionally explores new inputs for a
-# few seconds each.
+# segment-file section decoder, the quantile-threshold selection and the
+# /api/append body decoder against the [][]any path it replaced (one
+# -fuzz target per invocation is a Go toolchain constraint). The
+# checked-in corpora under testdata/fuzz replay on every plain `go test`;
+# this additionally explores new inputs for a few seconds each.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRoundTrip -fuzztime=$(FUZZTIME) ./internal/sqlparse
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzResidualFilterParity -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentSection -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileThresholds -fuzztime=$(FUZZTIME) ./internal/feature
+	$(GO) test -run='^$$' -fuzz=FuzzAppendBody -fuzztime=$(FUZZTIME) ./internal/server
 
 # Coverage with a ratchet on the Debug pipeline: the scoring and
 # ranking layers carry state across batches, so untested carry paths
@@ -176,6 +178,18 @@ profile-debug:
 	$(GO) test -run='^$$' -bench='BenchmarkFigure6RankedPredicates$$' -benchmem -cpu 2 -count 3 \
 		-o $$dir/repro.test -cpuprofile $$dir/cpu.prof . && \
 	$(GO) tool pprof -top -cum $$dir/repro.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -50; \
+	echo "profile: $$dir/cpu.prof"
+
+# Where one durable 1,000-row append spends its CPU: BenchmarkAppendBody
+# (an Intel body through Handler() into a store on MemFS) under the CPU
+# profiler, the twin of profile-debug. Envelope decode, the body scan,
+# the WAL record and the chunk append should lead; MemFS's Sync copies
+# the whole log, which a real disk does not.
+profile-append:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run='^$$' -bench='BenchmarkAppendBody$$' -benchmem -count 3 \
+		-o $$dir/server.test -cpuprofile $$dir/cpu.prof ./internal/server && \
+	$(GO) tool pprof -top -cum $$dir/server.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -40; \
 	echo "profile: $$dir/cpu.prof"
 
 # Just the scoring hot path: the paper's interactivity claim lives here —

@@ -221,12 +221,16 @@
 // incrementally under appends instead of being rebuilt from row 0:
 //
 //   - internal/engine — storage is SEGMENTED (see the next section):
-//     sealed fixed-size segments plus a growable tail. Table.AppendBatch
-//     is copy-on-write: it returns a new table version sharing every
-//     sealed segment by pointer and the tail arrays by aliasing, so
-//     in-flight queries keep an immutable snapshot, never observe a
-//     half-appended batch, and no append ever copies a whole column;
-//     DB.Append republishes the grown version atomically.
+//     sealed fixed-size segments plus a growable tail. Every append
+//     takes one shape, an engine.Batch (per column NULL words plus
+//     float64s, exact int64s or strings), and Table.AppendCols writes it
+//     into the tail's chunks a column at a time, copy-on-write: it
+//     returns a new table version sharing every sealed segment by
+//     pointer and the tail arrays by aliasing, so in-flight queries keep
+//     an immutable snapshot, never observe a half-appended batch, and no
+//     append ever copies a whole column; DB.AppendCols republishes the
+//     grown version atomically. AppendBatch / DB.Append over boxed rows
+//     are converters into the same path (BatchOf).
 //     A published version's memory is never written, so the version
 //     is its own snapshot: a ColReader walks the typed chunks every
 //     segment, the tail included, is stored as — dictionary codes are
@@ -247,11 +251,14 @@
 //     an O(n) rescan. Lineage bitsets and argument views carry across
 //     the advance with prefix reuse, so a following Debug
 //     (influence.Scorer) also skips the unchanged prefix.
-//   - internal/server — POST /api/append ingests JSON row batches
-//     through the copy-on-write path, and a repeated query on an
-//     unchanged statement advances the session's cached result
-//     incrementally. Sessions hold a per-session mutex across handler
-//     bodies and the session map is bounded (LRU cap + idle TTL).
+//   - internal/server — POST /api/append decodes its envelope with
+//     encoding/json and scans the rows straight into a Batch (numbers
+//     by strconv, integer literals exact for int and time columns), which
+//     the store logs to its WAL and publishes through the copy-on-write
+//     path; a repeated query on an unchanged statement advances the
+//     session's cached result incrementally. Sessions hold a per-session
+//     mutex across handler bodies and the session map is bounded (LRU
+//     cap + idle TTL).
 //
 // Group-key equality is pinned to engine.Equal everywhere: Value.Key
 // and the executor's canonical float slots both collapse -0.0 into
@@ -340,12 +347,12 @@
 // rows) plus a growable tail; appends only ever touch the tail. Both
 // have one representation — per column a typed chunk: float values +
 // NULL words, dictionary codes, exact int64 cells only where a float64
-// has rounded; at most 8 bytes a row — written cell by cell at append,
-// so a seal hands the full tail over as it stands. A sealed segment has
+// has rounded; at most 8 bytes a row — written a batch column at a time
+// at append, so a seal hands the full tail over as it stands. A sealed segment has
 // two holders: itself (sealed in this process, or decoded by a resident
 // store.Open) or a ChunkLoader's buffer pool (out of core). Nothing is
-// stored boxed: an engine.Value is what a caller appends or the single
-// cell it asks for (Table.Value, RowReader). Column readers alias the
+// stored boxed: an engine.Value is what a boxed-row caller appends or
+// the single cell it asks for (Table.Value, RowReader). Column readers alias the
 // chunks and the predicate index's mask chunks live per segment, so
 // every derived structure shares the segment's lifetime, and the
 // executor cuts its

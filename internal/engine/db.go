@@ -38,35 +38,32 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Append appends a batch of rows to the named table through the
-// copy-on-write path (Table.AppendBatch) and atomically republishes the
-// grown version under the same name. Queries that already fetched the
-// table keep their immutable snapshot and never observe a half-appended
-// batch; queries started after Append returns see all of it. Appends to
-// one table serialize on the catalog lock, so concurrent ingest is safe.
-// The grown table version is returned.
-func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
+// AppendCols appends a batch to the named table through the
+// copy-on-write path (Table.AppendCols) and atomically republishes the
+// grown version under the same name: queries that already fetched the
+// table keep their snapshot, queries started after AppendCols returns
+// see the whole batch. The grown version is returned.
+func (db *DB) AppendCols(name string, b *Batch) (*Table, error) {
+	return db.republish(name, func(t *Table) (*Table, error) { return t.AppendCols(b, 0, b.Len()) })
+}
+
+// republish applies mut to the named table's newest version outside the
+// catalog lock — a large ingest never blocks query starts — and swaps
+// the result in. Mutations of one family serialize on its lock; one
+// that lost to a concurrent republish (ErrStaleAppend) or landed on a
+// family Register/Drop replaced meanwhile retries against the table
+// registered now. If the stale version is still the registered one, the
+// family was mutated outside the catalog and retrying would never
+// converge: the error is returned for the caller to retry.
+func (db *DB) republish(name string, mut func(*Table) (*Table, error)) (*Table, error) {
 	key := strings.ToLower(name)
 	for {
-		db.mu.RLock()
-		t, ok := db.tables[key]
-		db.mu.RUnlock()
-		if !ok {
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			return nil, fmt.Errorf("engine: no table %q (have: %s)", name, strings.Join(db.names(), ", "))
+		t, err := db.Table(name)
+		if err != nil {
+			return nil, err
 		}
-		// The batch coercion and copy run outside the catalog lock so
-		// concurrent query starts (db.Table) are never blocked behind a
-		// large ingest; the family high-water mark serializes appenders.
-		nt, err := t.AppendBatch(rows)
+		nt, err := mut(t)
 		if errors.Is(err, ErrStaleAppend) {
-			// A concurrent DB.Append republishes a newer version, so a
-			// retry sees a different table and makes progress. If the
-			// registered pointer is unchanged, the family was grown
-			// outside the catalog (direct AppendBatch without Register);
-			// spinning would never converge — surface the error, the
-			// caller may retry.
 			db.mu.RLock()
 			cur := db.tables[key]
 			db.mu.RUnlock()
@@ -75,8 +72,8 @@ func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
 			}
 			continue
 		}
-		if err != nil {
-			return nil, err
+		if err != nil || nt == t {
+			return nt, err
 		}
 		db.mu.Lock()
 		if db.tables[key] == t {
@@ -85,10 +82,20 @@ func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
 			return nt, nil
 		}
 		db.mu.Unlock()
-		// The catalog changed underneath (Register/Drop during the
-		// append): the batch landed in an orphaned family, so retry
-		// against whatever is registered now.
 	}
+}
+
+// Append is AppendCols over boxed rows (BatchOf).
+func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
+	t, err := db.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	b, err := BatchOf(t.schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %w", t.name, err)
+	}
+	return db.AppendCols(name, b)
 }
 
 // Drop removes the named table; it is a no-op when absent.

@@ -1,18 +1,19 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // family is the state every version of one table shares: the linear
 // history check, the string dictionaries and the auxiliary cache. It
-// lives behind a pointer so Rename's, AppendBatch's and RetainTail's
+// lives behind a pointer so Rename's, AppendCols' and RetainTail's
 // shallow copies share it and the Table struct stays copyable without
 // copying a lock.
 type family struct {
 	mu sync.Mutex
-	// pub is the family's publication counter: each AppendBatch or
+	// pub is the family's publication counter: each AppendCols or
 	// RetainTail bumps it, and mutations require the acting version to
 	// carry the current stamp — the linear-history check.
 	pub uint64
@@ -25,6 +26,8 @@ type family struct {
 	// mutator that writes a version in place, then leaves the tail NULL
 	// words it would write to the readers that alias them.
 	read atomic.Bool
+	// row is AppendRow's one-row batch, reused under mu.
+	row *Batch
 }
 
 // newFamily returns the family state of an empty table.
@@ -52,12 +55,10 @@ type dictState struct {
 	shared bool
 }
 
-// code interns v and returns its dictionary code (-1 for NULL).
-func (ds *dictState) code(v Value) int32 {
-	if v.IsNull() {
-		return -1
-	}
-	c, ok := ds.byStr[v.S]
+// code interns s and returns its dictionary code. A new string is
+// cloned, so the dictionary never pins the buffer a caller sliced s from.
+func (ds *dictState) code(s string) int32 {
+	c, ok := ds.byStr[s]
 	if !ok {
 		if ds.shared {
 			clone := make(map[string]int32, len(ds.byStr)+1)
@@ -67,9 +68,10 @@ func (ds *dictState) code(v Value) int32 {
 			ds.byStr = clone
 			ds.shared = false
 		}
+		s = strings.Clone(s)
 		c = int32(len(ds.values))
-		ds.byStr[v.S] = c
-		ds.values = append(ds.values, v.S)
+		ds.byStr[s] = c
+		ds.values = append(ds.values, s)
 	}
 	return c
 }
@@ -128,7 +130,7 @@ type RowSynced interface {
 
 // AuxLoadOrStore returns the per-table auxiliary cache entry for key,
 // building it with build on first request. Entries share the table
-// family's lifetime (and its Rename/AppendBatch/RetainTail copies),
+// family's lifetime (and its Rename/AppendCols/RetainTail copies),
 // which lets higher layers — the executor's predicate index, for
 // instance — cache derived structures per table without a
 // process-global map that outlives the table. build may run more than

@@ -114,7 +114,7 @@ func (s *segment) faultable() bool { return s.loader != nil }
 // ignored; otherwise its chunks load on demand through loader (stream
 // segment index = Base()/SegRows + sealed count at attach time) and
 // zones, when non-nil, carries one ZoneInfo per schema column for
-// predicate pruning (nil: every clause faults). Like AppendBatch it is
+// predicate pruning (nil: every clause faults). Like AppendCols it is
 // copy-on-write and linear: it returns a new version and refuses stale
 // snapshots. The tail must be empty (recovery attaches segments before
 // replaying tail rows); a tail that is exactly full is sealed first.

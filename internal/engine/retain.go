@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Retention drops whole head segments from a table family so an
 // unbounded append stream runs at bounded memory. Only sealed segments
@@ -46,7 +42,7 @@ type RetainStats struct {
 
 // RetainTail applies the policy to this table version, returning a new
 // version with the dropped head segments removed and row ids rebased
-// (see Base). Like AppendBatch it is copy-on-write and linear: the
+// (see Base). Like AppendCols it is copy-on-write and linear: the
 // receiver and everything derived from it stay valid, and only the
 // newest version may be retained (ErrStaleAppend otherwise). When the
 // policy drops nothing the receiver itself is returned.
@@ -134,45 +130,15 @@ func (r *ColReader) allBelowCutoff(k int, cutoff float64) bool {
 // until those readers finish); queries started after Retain returns
 // see the rebased window.
 func (db *DB) Retain(name string, pol RetentionPolicy) (*Table, RetainStats, error) {
-	key := strings.ToLower(name)
-	for {
-		db.mu.RLock()
-		t, ok := db.tables[key]
-		db.mu.RUnlock()
-		if !ok {
-			return nil, RetainStats{}, fmt.Errorf("engine: no table %q", name)
-		}
-		nt, stats, err := t.RetainTail(pol)
-		if errors.Is(err, ErrStaleAppend) {
-			// A concurrent DB.Append/Retain republished a newer version;
-			// retry against it (same recovery as DB.Append). If the
-			// registered pointer is unchanged, the family was mutated
-			// outside the catalog — surface the error, retrying would
-			// never converge.
-			db.mu.RLock()
-			cur := db.tables[key]
-			db.mu.RUnlock()
-			if cur == t {
-				return nil, RetainStats{}, err
-			}
-			continue
-		}
-		if err != nil {
-			return nil, RetainStats{}, err
-		}
-		if nt == t {
-			return t, stats, nil
-		}
-		db.mu.Lock()
-		if db.tables[key] == t {
-			db.tables[key] = nt
-			db.mu.Unlock()
-			return nt, stats, nil
-		}
-		db.mu.Unlock()
-		// Lost a race with a concurrent Append/Retain republish; the
-		// family moved on, so retry against the newest version.
+	var stats RetainStats
+	nt, err := db.republish(name, func(t *Table) (nt *Table, err error) {
+		nt, stats, err = t.RetainTail(pol)
+		return nt, err
+	})
+	if err != nil {
+		return nil, RetainStats{}, err
 	}
+	return nt, stats, nil
 }
 
 // MemStats approximates this version's resident storage: the chunk

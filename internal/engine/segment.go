@@ -11,9 +11,9 @@ import (
 // < SegRows rows, and both are the same thing: per column one typed
 // chunk (Chunk) — float values + NULL words, dictionary codes, and
 // exact int64 cells only where a float64 has rounded — at most 8 bytes
-// a row. Chunk.put and Chunk.cell are the only two places a Value turns
-// into typed storage and back; a boxed Value exists only as the one
-// cell a caller handed in or asked for.
+// a row. Chunk.append (batch.go) writes a Batch column into it and
+// Chunk.cell boxes one cell back out; a boxed Value exists only as the
+// one cell a caller handed in or asked for.
 //
 // Appends only ever touch the tail. Copy-on-write versions share all
 // sealed segments by pointer and the tail's value and code arrays by
@@ -114,45 +114,6 @@ func (ch *Chunk) cell(typ Type, dict []string, off int) (v Value, rounded bool) 
 		return Null, true
 	}
 	return Value{T: typ, I: ch.Ints[off]}, false
-}
-
-// put appends v — NULL, or a value typeCompatible with typ — as the
-// chunk's next cell: the inverse of cell. A string interns through ds,
-// so codes follow stream order; Ints starts at the first int-like cell
-// whose float64 has rounded, back-filled exactly from Vals. The caller
-// has reserved the room (grow), so no append here reallocates a value
-// array.
-func (ch *Chunk) put(typ Type, ds *dictState, v Value) {
-	if typ == TString {
-		ch.Codes = append(ch.Codes, ds.code(v))
-		return
-	}
-	off := len(ch.Vals)
-	if off&63 == 0 {
-		ch.Null = append(ch.Null, 0)
-	}
-	f, i := nan, int64(0)
-	switch {
-	case v.IsNull():
-		ch.Null[off>>6] |= 1 << (uint(off) & 63)
-	case typ == TFloat:
-		f = v.Float()
-	default:
-		i = v.Int()
-		f = float64(i)
-		if ch.Ints == nil && !(-exactInt < f && f < exactInt) {
-			ch.Ints = make([]int64, off, cap(ch.Vals))
-			for j, fj := range ch.Vals {
-				if fj == fj { // NaN only at NULL, which stays 0
-					ch.Ints[j] = int64(fj)
-				}
-			}
-		}
-	}
-	ch.Vals = append(ch.Vals, f)
-	if ch.Ints != nil {
-		ch.Ints = append(ch.Ints, i)
-	}
 }
 
 // grow moves the chunk's cells into arrays of capacity n; the old

@@ -130,87 +130,6 @@ func (t *Table) Grow(n int) {
 	}
 }
 
-// typeCompatible reports whether value v may be stored in a column of
-// type ct. NULLs are storable everywhere; ints are storable in float
-// columns (widened); everything else must match exactly.
-func typeCompatible(v Value, ct Type) (Value, bool) {
-	switch {
-	case v.IsNull():
-		return v, true
-	case v.T == ct:
-		return v, true
-	case v.T == TInt && ct == TFloat:
-		return NewFloat(float64(v.I)), true
-	case v.T == TFloat && ct == TInt && v.F == float64(int64(v.F)):
-		return NewInt(int64(v.F)), true
-	default:
-		return v, false
-	}
-}
-
-// coerceInto type-checks row against the schema and, when dst is
-// non-nil, stores the column-coerced values there. The input slice is
-// not retained.
-func (t *Table) coerceInto(dst, row []Value) error {
-	if len(row) != len(t.schema) {
-		return fmt.Errorf("engine: table %s: row has %d values, schema has %d columns", t.name, len(row), len(t.schema))
-	}
-	for i, v := range row {
-		cv, ok := typeCompatible(v, t.schema[i].Type)
-		if !ok {
-			return fmt.Errorf("engine: table %s: column %s is %s, got %s", t.name, t.schema[i].Name, t.schema[i].Type, v.T)
-		}
-		if dst != nil {
-			dst[i] = cv
-		}
-	}
-	return nil
-}
-
-// CoerceBatch type-checks a whole batch against the schema, returning
-// the column-coerced rows without appending anything — the boxed form
-// of exactly the cells AppendBatch will store (Chunk.put coerces the
-// same way), exposed so a durability layer (internal/store) can encode
-// them into its write-ahead log BEFORE the in-memory publish. The input
-// rows are not retained.
-func (t *Table) CoerceBatch(rows [][]Value) ([][]Value, error) {
-	nc := len(t.schema)
-	flat := make([]Value, len(rows)*nc)
-	coerced := make([][]Value, len(rows))
-	for ri, row := range rows {
-		coerced[ri] = flat[ri*nc : (ri+1)*nc : (ri+1)*nc]
-		if err := t.coerceInto(coerced[ri], row); err != nil {
-			return nil, err
-		}
-	}
-	return coerced, nil
-}
-
-// appendRowsLocked writes type-checked rows into the tail's chunks,
-// sealing whenever it is full. Caller holds fam.mu and has verified t
-// is the newest version, owning its tail (forkTail).
-func (t *Table) appendRowsLocked(rows [][]Value) {
-	for len(rows) > 0 {
-		room := (len(t.sealed)+1)<<t.bits - t.nrows
-		if room == 0 {
-			t.sealTailLocked()
-			room = 1 << t.bits
-		}
-		n := min(len(rows), room)
-		t.Grow(n)
-		chunks, dict := t.tail.chunks, t.fam.dict
-		for _, row := range rows[:n] {
-			for c, v := range row {
-				chunks[c].put(t.schema[c].Type, dict[c], v)
-			}
-		}
-		t.nrows += n
-		rows = rows[n:]
-	}
-	t.captureDictsLocked()
-	t.fam.hw = t.base + t.nrows
-}
-
 // forkLocked returns the next version of t, still equal to it: sealed
 // segments shared, the tail forked, the publication stamp bumped. Caller
 // holds fam.mu and has verified t is the newest version.
@@ -228,16 +147,20 @@ func (t *Table) forkLocked() *Table {
 // length must match the schema and each value must be type-compatible
 // with its column. AppendRow is the single-owner build-phase mutator;
 // it refuses to append to a stale snapshot (one superseded by
-// AppendBatch or RetainTail), since that would clobber rows a newer
+// AppendCols or RetainTail), since that would clobber rows a newer
 // version already published. For concurrent ingest while queries are
-// in flight, use AppendBatch (copy-on-write) instead.
+// in flight, use AppendCols (copy-on-write) instead.
 func (t *Table) AppendRow(row []Value) (int, error) {
-	if err := t.coerceInto(nil, row); err != nil {
-		return 0, err
-	}
 	fam := t.fam
 	fam.mu.Lock()
 	defer fam.mu.Unlock()
+	if fam.row == nil {
+		fam.row = NewBatch(t.schema, 1)
+	}
+	fam.row.reset()
+	if err := fam.row.appendRow(row); err != nil {
+		return 0, fmt.Errorf("engine: table %s: row: %w", t.name, err)
+	}
 	if t.pub != fam.pub {
 		return 0, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
 	}
@@ -247,31 +170,27 @@ func (t *Table) AppendRow(row []Value) (int, error) {
 		t.tail = t.forkTail()
 		fam.read.Store(false)
 	}
-	t.appendRowsLocked([][]Value{row})
+	t.appendLocked(fam.row, 0, 1)
 	return t.nrows - 1, nil
 }
 
-// AppendBatch appends rows copy-on-write: it returns a NEW table
-// version containing the appended batch, leaving the receiver — and
-// every view, mask, or query result derived from it — untouched and
-// valid. The two versions share every sealed segment by pointer and
-// the tail's value arrays by aliasing (the batch lands past the
-// receiver's row count, which its readers never index), so appends
-// touch only the tail segment: no whole-column copy-on-grow, worst case
-// one tail reallocation bounded by the segment size.
+// AppendCols appends rows [lo, hi) of a batch copy-on-write: it returns
+// a NEW table version holding them, leaving the receiver — and every
+// view, mask, or query result derived from it — untouched and valid.
+// The two versions share every sealed segment by pointer and the tail's
+// value arrays by aliasing (the rows land past the receiver's row
+// count, which its readers never index), so appends touch only the tail
+// segment: worst case one tail reallocation bounded by the segment size.
 //
 // Appends are linear: only the newest version of a family may be
 // appended to. A batch against a superseded snapshot returns an error,
 // which is what makes concurrent ingest safe — two racing appenders
 // serialize on the family lock and the loser gets the stale error
-// instead of silently clobbering published rows. The whole batch is
-// type-checked before any cell is written or string interned, so no
-// version ever exposes a half-appended batch.
-func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
-	for _, row := range rows {
-		if err := t.coerceInto(nil, row); err != nil {
-			return nil, err
-		}
+// instead of silently clobbering published rows. A batch is typed by
+// construction, so no version ever exposes a half-appended one.
+func (t *Table) AppendCols(b *Batch, lo, hi int) (*Table, error) {
+	if err := b.Fits(t.schema, hi); err != nil {
+		return nil, fmt.Errorf("engine: table %s: %w", t.name, err)
 	}
 	fam := t.fam
 	fam.mu.Lock()
@@ -280,13 +199,23 @@ func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
 		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
 	}
 	nt := t.forkLocked()
-	nt.appendRowsLocked(rows)
+	nt.appendLocked(b, lo, hi)
 	return nt, nil
+}
+
+// AppendBatch is AppendCols over boxed rows (BatchOf): the whole batch
+// is type-checked before anything is written.
+func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
+	b, err := BatchOf(t.schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: table %s: %w", t.name, err)
+	}
+	return t.AppendCols(b, 0, b.Len())
 }
 
 // SameFamily reports whether o is a version of the same underlying
 // table (they share storage and the family state — the relationship
-// AppendBatch, RetainTail and Rename establish).
+// AppendCols, RetainTail and Rename establish).
 func (t *Table) SameFamily(o *Table) bool {
 	return t != nil && o != nil && t.fam == o.fam
 }
@@ -338,16 +267,17 @@ func (t *Table) Select(rows []int) *Table {
 	if err != nil {
 		panic(err)
 	}
-	out.Grow(len(rows))
+	b := NewBatch(t.schema, len(rows))
 	buf := make([]Value, len(t.schema))
 	rr := t.NewRowReader()
 	defer rr.Close()
-	out.fam.mu.Lock()
-	defer out.fam.mu.Unlock()
 	for _, r := range rows {
 		rr.RowInto(r, buf)
-		out.appendRowsLocked([][]Value{buf})
+		_ = b.appendRow(buf) // a stored row always fits its schema
 	}
+	out.fam.mu.Lock()
+	defer out.fam.mu.Unlock()
+	out.appendLocked(b, 0, b.Len())
 	return out
 }
 

@@ -75,10 +75,8 @@ var sqlReserved = map[string]bool{
 // QuoteIdent renders an identifier as SQL: bare when it is a plain
 // unreserved word ([A-Za-z_][A-Za-z0-9_]*), double-quoted otherwise —
 // names with spaces, punctuation, a leading digit, or a reserved
-// spelling would otherwise re-parse as different syntax. Names
-// containing a double quote cannot be represented in this dialect (the
-// lexer has no quote escape); the parser can never produce one, so
-// they only arise from programmatic construction and render best-effort.
+// spelling would otherwise re-parse as different syntax. A double quote
+// inside a quoted name is doubled, as the lexer reads it.
 func QuoteIdent(name string) string {
 	plain := name != ""
 	for i, r := range name {
@@ -98,7 +96,7 @@ func QuoteIdent(name string) string {
 	if plain && !sqlReserved[strings.ToLower(name)] {
 		return name
 	}
-	return `"` + name + `"`
+	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 }
 
 // Columns implements Expr.

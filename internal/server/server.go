@@ -832,65 +832,6 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// handleAppend is the streaming ingest endpoint: it appends a batch of
-// rows to a table through the engine's copy-on-write path (engine.DB
-// Append), so queries in flight keep their snapshot and later queries
-// see the whole batch. Cell values follow JSON typing: null, bool,
-// number (int columns require integral numbers; time columns take unix
-// seconds), or string (parsed per column type, so timestamps may also
-// be RFC 3339 strings).
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Table string  `json:"table"`
-		Rows  [][]any `json:"rows"`
-	}
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Table == "" || len(req.Rows) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("append needs a table and at least one row"))
-		return
-	}
-	t, err := s.db.Table(req.Table)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	schema := t.Schema()
-	rows := make([][]engine.Value, len(req.Rows))
-	for ri, raw := range req.Rows {
-		if len(raw) != len(schema) {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("row %d has %d values, schema has %d columns", ri, len(raw), len(schema)))
-			return
-		}
-		row := make([]engine.Value, len(raw))
-		for ci, cell := range raw {
-			v, err := jsonValue(cell, schema[ci].Type)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("row %d column %s: %w", ri, schema[ci].Name, err))
-				return
-			}
-			row[ci] = v
-		}
-		rows[ri] = row
-	}
-	nt, durable, err := s.appendRows(r.Context(), req.Table, rows)
-	if err != nil {
-		// Fail-stopped tables answer 503 + Retry-After here (the batch
-		// is safe to retry: nothing was acknowledged), deadline/cancel
-		// map to 504/499 — see writeReqErr.
-		writeReqErr(s, w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"table":    nt.Name(),
-		"appended": len(rows),
-		"rows":     nt.NumRows(),
-		"version":  nt.Version(),
-		"durable":  durable,
-	})
-}
-
 // handleRetention applies a retention policy to a table through the
 // engine's whole-segment drop path (engine.DB.Retain) and atomically
 // republishes the retained version. In-flight queries keep their
@@ -933,29 +874,7 @@ func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// appendRows routes an ingest batch through the durable store when one
-// is attached (falling back to the plain engine path for tables the
-// store does not manage), reporting whether the append was durable.
-func (s *Server) appendRows(ctx context.Context, table string, rows [][]engine.Value) (*engine.Table, bool, error) {
-	if s.st != nil {
-		nt, err := s.st.AppendCtx(ctx, table, rows)
-		if err == nil {
-			return nt, true, nil
-		}
-		if !errors.Is(err, store.ErrUnknownTable) {
-			return nil, false, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Mirror the store's contract on the in-memory path: cancel
-		// before publishing or not at all.
-		return nil, false, fmt.Errorf("server: append %s: %w", table, err)
-	}
-	nt, err := s.db.Append(table, rows)
-	return nt, false, err
-}
-
-// retainRows is appendRows' retention twin: durable (manifested,
+// retainRows is appendBatch's retention twin: durable (manifested,
 // segment files unlinked) through the store, in-memory otherwise.
 func (s *Server) retainRows(ctx context.Context, table string, pol engine.RetentionPolicy) (*engine.Table, engine.RetainStats, error) {
 	if s.st != nil {
@@ -1087,39 +1006,4 @@ func (s *Server) scanPayload() map[string]any {
 		out["fault_rate"] = float64(faulted) / float64(pins)
 	}
 	return out
-}
-
-// jsonValue converts one decoded JSON cell to an engine value of the
-// column's type.
-func jsonValue(cell any, ct engine.Type) (engine.Value, error) {
-	switch c := cell.(type) {
-	case nil:
-		return engine.Null, nil
-	case bool:
-		if ct != engine.TBool {
-			return engine.Null, fmt.Errorf("bool value for %s column", ct)
-		}
-		return engine.NewBool(c), nil
-	case float64:
-		switch ct {
-		case engine.TFloat:
-			return engine.NewFloat(c), nil
-		case engine.TInt:
-			if c != float64(int64(c)) {
-				return engine.Null, fmt.Errorf("non-integral value %v for int column", c)
-			}
-			return engine.NewInt(int64(c)), nil
-		case engine.TTime:
-			if c != float64(int64(c)) {
-				return engine.Null, fmt.Errorf("non-integral unix seconds %v", c)
-			}
-			return engine.NewTimeUnix(int64(c)), nil
-		default:
-			return engine.Null, fmt.Errorf("numeric value for %s column", ct)
-		}
-	case string:
-		return engine.ParseValue(c, ct)
-	default:
-		return engine.Null, fmt.Errorf("unsupported JSON value %T", cell)
-	}
 }

@@ -121,6 +121,11 @@ func lex(input string) ([]token, error) {
 			closed := false
 			for i < n {
 				if input[i] == '"' {
+					if i+1 < n && input[i+1] == '"' { // escaped quote
+						b.WriteByte('"')
+						i += 2
+						continue
+					}
 					closed = true
 					i++
 					break

@@ -128,6 +128,21 @@ func TestParseStringEscapes(t *testing.T) {
 	}
 }
 
+// TestParseQuotedIdentEscapes: "" inside a quoted identifier is one ",
+// and the printer doubles it back, so such a name round-trips.
+func TestParseQuotedIdentEscapes(t *testing.T) {
+	e, err := ParseExpr(`"a""b" + 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Columns(nil); len(got) != 1 || got[0] != `a"b` {
+		t.Fatalf("columns %q, want [a\"b]", got)
+	}
+	if s := e.String(); s != `("a""b" + 1)` {
+		t.Errorf("printed %s", s)
+	}
+}
+
 func TestParseComments(t *testing.T) {
 	s, err := Parse("SELECT a FROM t -- trailing comment\nWHERE a > 1")
 	if err != nil {

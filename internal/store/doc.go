@@ -20,12 +20,13 @@
 //
 // # Durability contract
 //
-// DB.Append logs the coerced batch to the WAL BEFORE publishing it to
-// the engine. With Options.SyncEvery = 1 (default) the WAL is fsync'd
-// per batch: an acknowledged Append is durable. With SyncEvery = N > 1
-// a crash may lose up to the most recent N-1 acknowledged batches, but
-// recovery always restores a clean batch PREFIX of the acknowledged
-// sequence — never a torn, reordered, or partially applied batch.
+// DB.AppendColsCtx logs the engine.Batch to the WAL BEFORE publishing it
+// to the engine (Append and AppendCtx convert boxed rows into one). With
+// Options.SyncEvery = 1 (default) the WAL is fsync'd per batch: an
+// acknowledged append is durable. With SyncEvery = N > 1 a crash may
+// lose up to the most recent N-1 acknowledged batches, but recovery
+// always restores a clean batch PREFIX of the acknowledged sequence —
+// never a torn, reordered, or partially applied batch.
 // With Options.DisableWAL only sealed segments are durable and a crash
 // loses the in-memory tail (bounded by one segment of rows).
 //
@@ -65,7 +66,8 @@
 // out-of-core Open attaches segments that PIN them on demand. The
 // engine's string dictionary is preloaded from dict.log either way, so
 // on-disk codes are engine codes. No path materializes a boxed
-// engine.Value per stored cell: the WAL tail is the only boxed replay.
+// engine.Value per stored cell: the WAL replays into one engine.Batch,
+// whose segment-sized windows are appended in stream order.
 //
 // After the in-memory rebuild, Open finishes whatever the crash
 // interrupted — re-spilling sealed segments whose files were lost and

@@ -279,16 +279,6 @@ func decodeDict(data []byte) (dict *storeDict, goodOff int, magicOK bool) {
 	return dict, off, true
 }
 
-// ---- cell codecs shared by segment and WAL encodings ----
-
-// cellBits returns the fixed-width payload of a non-NULL numeric cell.
-func cellBits(v engine.Value) uint64 {
-	if v.T == engine.TFloat {
-		return math.Float64bits(v.F)
-	}
-	return uint64(v.I)
-}
-
 // ---- sealed segment files ----
 
 // cellWidth returns the fixed byte width of one cell of type t.

@@ -160,13 +160,8 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	}
 
 	// WAL: valid record prefix, torn tail truncated.
-	walRecs := s.recoverWAL(name, dir, schema)
-	ws, we := 0, 0
-	if len(walRecs) > 0 {
-		ws = walRecs[0].startRow
-		last := walRecs[len(walRecs)-1]
-		we = last.startRow + len(last.rows)
-	}
+	wal := s.recoverWAL(name, dir, schema)
+	ws, we := wal.start, wal.start+wal.n
 
 	// Assemble the served suffix. Coverage per stream segment index:
 	// a valid file, or full containment in the WAL's row range. The
@@ -188,7 +183,7 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	if lastFull := we>>segBits - 1; we > ws && lastFull >= ws>>segBits && lastFull > maxCov {
 		maxCov = lastFull
 	}
-	var tailRows [][]engine.Value
+	tailLo, tailHi := 0, 0
 	e := maxCov
 	if we&(segRows-1) != 0 && we>>segBits > maxCov {
 		// The WAL's partial last segment extends past every sealed
@@ -197,10 +192,10 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 		// it exists instead, the WAL is a stale leftover of a
 		// DisableWAL run and the files win.)
 		e = we>>segBits - 1
-		tailRows = walRowRange(walRecs, we>>segBits<<segBits, we)
+		tailLo, tailHi = wal.window(we>>segBits<<segBits, we)
 	}
 	serveBase := m.Base
-	if e >= baseSeg || len(tailRows) > 0 {
+	if e >= baseSeg || tailHi > tailLo {
 		// Walk down from the newest recoverable point while coverage
 		// stays contiguous; the served suffix starts where it breaks.
 		st := e + 1
@@ -258,12 +253,13 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			continue
 		}
 		filePrefix = false
-		if t, err = t.AppendBatch(walRowRange(walRecs, idx<<segBits, (idx+1)<<segBits)); err != nil {
+		lo, hi := wal.window(idx<<segBits, (idx+1)<<segBits)
+		if t, err = t.AppendCols(wal.rows, lo, hi); err != nil {
 			return nil, nil, fmt.Errorf("replaying segment %d: %w", idx, err)
 		}
 	}
-	if len(tailRows) > 0 {
-		if t, err = t.AppendBatch(tailRows); err != nil {
+	if tailHi > tailLo {
+		if t, err = t.AppendCols(wal.rows, tailLo, tailHi); err != nil {
 			return nil, nil, fmt.Errorf("replaying wal tail: %w", err)
 		}
 	}
@@ -382,14 +378,14 @@ func (s *DB) recoverDict(name, dir string, quarantin *[]string) (*storeDict, map
 }
 
 // recoverWAL loads the valid record prefix of wal.log, truncating a
-// torn tail in place. Any unreadable state simply yields no records.
-func (s *DB) recoverWAL(name, dir string, schema engine.Schema) []walRecord {
+// torn tail in place. Any unreadable state simply yields no rows.
+func (s *DB) recoverWAL(name, dir string, schema engine.Schema) walLog {
 	path := join(dir, walFileName)
 	data, err := readFileAll(s.fs, path)
 	if err != nil {
-		return nil
+		return walLog{}
 	}
-	recs, goodOff := decodeWAL(data, schema)
+	wal, goodOff := decodeWAL(data, schema)
 	if goodOff < len(data) {
 		s.opts.Logf("store: %s: truncating torn wal tail (%d of %d bytes valid)", name, goodOff, len(data))
 		if goodOff < len(walMagic) {
@@ -397,7 +393,7 @@ func (s *DB) recoverWAL(name, dir string, schema engine.Schema) []walRecord {
 		}
 		_ = s.fs.Truncate(path, int64(goodOff))
 	}
-	return recs
+	return wal
 }
 
 // ensureDictMagic makes a fresh dict.log carry its magic; called when
@@ -420,22 +416,6 @@ func (s *DB) ensureDictMagic(ts *tableStore) error {
 		return err
 	}
 	return ts.dictF.Sync()
-}
-
-// walRowRange concatenates the WAL rows covering stream ids [lo, hi).
-// decodeWAL guarantees the records are contiguous, so this is a simple
-// window over the concatenation.
-func walRowRange(recs []walRecord, lo, hi int) [][]engine.Value {
-	out := make([][]engine.Value, 0, hi-lo)
-	for _, rec := range recs {
-		for i, row := range rec.rows {
-			id := rec.startRow + i
-			if id >= lo && id < hi {
-				out = append(out, row)
-			}
-		}
-	}
-	return out
 }
 
 func allZero(m map[int]int) bool {

@@ -217,27 +217,43 @@ func createLogFile(fs FS, name, magic string) (File, error) {
 	return f, nil
 }
 
-// Append durably appends a batch: WAL first (fsync per SyncEvery),
-// then publish through the engine, then spill any segment the batch
-// sealed. The returned table is the published post-append version.
-//
-// On any I/O error the table goes FAIL-STOP: the error is returned,
-// recorded, and every later Append/Retain on the table fails until the
-// process restarts and recovers — acknowledging writes the disk may
-// not hold would break the recovery contract. Reads keep serving the
-// last published version.
+// Append is AppendCtx without a cancellation point.
 func (s *DB) Append(name string, rows [][]engine.Value) (*engine.Table, error) {
 	return s.AppendCtx(context.Background(), name, rows)
 }
 
-// AppendCtx is Append with a cancellation point strictly BEFORE the
-// WAL write. Once the record is handed to the WAL the append runs to
-// completion regardless of ctx: abandoning between the WAL write and
-// the engine publish would leave the WAL ahead of the published table,
-// and replay after restart would re-apply a batch the client was told
-// failed — breaking the acked-batch-prefix recovery contract. A
-// cancelled append therefore either happened entirely or not at all.
+// AppendCtx is AppendColsCtx over boxed rows (engine.BatchOf).
 func (s *DB) AppendCtx(ctx context.Context, name string, rows [][]engine.Value) (*engine.Table, error) {
+	ts, err := s.table(name)
+	if err != nil {
+		return nil, err
+	}
+	b, err := engine.BatchOf(ts.schema, rows)
+	if err != nil {
+		return nil, fmt.Errorf("store: append %s: %w", ts.name, err) // bad input, not an I/O fault
+	}
+	return s.AppendColsCtx(ctx, name, b)
+}
+
+// AppendColsCtx durably appends a batch: WAL first (fsync per
+// SyncEvery), then publish through the engine, then spill any segment
+// the batch sealed. The returned table is the published post-append
+// version.
+//
+// On any I/O error the table goes FAIL-STOP: the error is returned,
+// recorded, and every later append or retention on the table fails
+// until the process restarts and recovers — acknowledging writes the
+// disk may not hold would break the recovery contract. Reads keep
+// serving the last published version.
+//
+// ctx is polled strictly BEFORE the WAL write. Once the record is handed
+// to the WAL the append runs to completion regardless of ctx: abandoning
+// between the WAL write and the engine publish would leave the WAL ahead
+// of the published table, and replay after restart would re-apply a
+// batch the client was told failed — breaking the acked-batch-prefix
+// recovery contract. A cancelled append therefore either happened
+// entirely or not at all.
+func (s *DB) AppendColsCtx(ctx context.Context, name string, b *engine.Batch) (*engine.Table, error) {
 	ts, err := s.table(name)
 	if err != nil {
 		return nil, err
@@ -251,9 +267,8 @@ func (s *DB) AppendCtx(ctx context.Context, name string, rows [][]engine.Value) 
 	if err != nil {
 		return nil, err
 	}
-	coerced, err := cur.CoerceBatch(rows)
-	if err != nil {
-		return nil, err // bad input, not an I/O fault
+	if err := b.Fits(ts.schema, b.Len()); err != nil {
+		return nil, fmt.Errorf("store: append %s: %w", ts.name, err) // bad input, not an I/O fault
 	}
 	// Last cancellation point: nothing has been written yet, so bailing
 	// here leaves the table exactly as it was.
@@ -261,8 +276,7 @@ func (s *DB) AppendCtx(ctx context.Context, name string, rows [][]engine.Value) 
 		return nil, fmt.Errorf("store: append %s: %w", ts.name, err)
 	}
 	if ts.walF != nil {
-		rec := encodeWALRecord(ts.schema, cur.Version(), coerced)
-		if _, err := ts.walF.Write(rec); err != nil {
+		if _, err := ts.walF.Write(encodeWALRecord(cur.Version(), b)); err != nil {
 			return nil, ts.fail(fmt.Errorf("wal append: %w", err))
 		}
 		ts.walBatches++
@@ -273,7 +287,7 @@ func (s *DB) AppendCtx(ctx context.Context, name string, rows [][]engine.Value) 
 			ts.walBatches = 0
 		}
 	}
-	nt, err := s.eng.Append(name, coerced)
+	nt, err := s.eng.AppendCols(name, b)
 	if err != nil {
 		// The WAL record is ahead of the published table; replay after
 		// restart would re-apply it, so fail-stop here too.
@@ -363,16 +377,7 @@ func (s *DB) rewriteWALLocked(ts *tableStore, nt *engine.Table, nsealed, tailRow
 	tailStart := nt.Base() + nsealed<<ts.segBits
 	image := []byte(walMagic)
 	if tailRows > 0 {
-		rows := make([][]engine.Value, tailRows)
-		local := tailStart - nt.Base()
-		for i := 0; i < tailRows; i++ {
-			row := make([]engine.Value, len(ts.schema))
-			for c := range ts.schema {
-				row[c] = nt.Value(local+i, c)
-			}
-			rows[i] = row
-		}
-		image = append(image, encodeWALRecord(ts.schema, tailStart, rows)...)
+		image = append(image, encodeWALRecord(tailStart, nt.TailBatch())...)
 	}
 	path := join(ts.dir, walFileName)
 	tmp := path + ".tmp"
