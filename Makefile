@@ -76,8 +76,9 @@ fmt-check:
 
 # Short fuzz sessions over the parser round-trip, the compiled
 # evaluator and key kernel parity targets, the aggregate contract, the
-# segment-file section decoder, the quantile-threshold selection and the
-# /api/append body decoder against the [][]any path it replaced (one
+# segment-file section decoder, the WAL replay parser, the
+# quantile-threshold selection and the /api/append body decoder against
+# the [][]any path it replaced (one
 # -fuzz target per invocation is a Go toolchain constraint). The
 # checked-in corpora under testdata/fuzz replay on every plain `go test`;
 # this additionally explores new inputs for a few seconds each.
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAggContract -fuzztime=$(FUZZTIME) ./internal/agg
 	$(GO) test -run='^$$' -fuzz=FuzzResidualFilterParity -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentSection -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzReplayWAL -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileThresholds -fuzztime=$(FUZZTIME) ./internal/feature
 	$(GO) test -run='^$$' -fuzz=FuzzAppendBody -fuzztime=$(FUZZTIME) ./internal/server
 
@@ -105,13 +107,15 @@ fuzz-smoke:
 # would be fault, pin-release and carry paths. So do expr (85%) — the
 # key kernels must agree with the interpreter on every arm — and agg
 # (99%): every layer above adds, merges and removes through its one
-# contract.
+# contract. predicate (74%) and bitset (81%) ride it too: every WHERE
+# mask and every lineage set above is one of their bitmaps.
 cover:
 	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
 			"./internal/cleaner:92" "./internal/baseline:93" \
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
-			"./internal/expr:79" "./internal/agg:95"; do \
+			"./internal/expr:79" "./internal/agg:95" \
+			"./internal/predicate:70" "./internal/bitset:78"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \
 		pct=$$($(GO) test -short -coverprofile=cover.out $$pkg | grep -o 'coverage: [0-9.]*' | cut -d' ' -f2); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg"; exit 1; fi; \

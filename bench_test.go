@@ -1057,84 +1057,3 @@ func BenchmarkMaskedAggregation(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRetentionOrderBy measures ORDER BY carry across retention:
-// a windowed ordered statement advanced over append+retain steps keeps
-// both its group states (rebase) and its sort order (incremental
-// merge). The bench fails if either the rebase or the sort merge stops
-// engaging.
-func BenchmarkRetentionOrderBy(b *testing.B) {
-	const base = 16_384 // retained row budget (256 min-size segments)
-	const ngroups = 2_000
-	const batchSize = 128 // two segments appended (and dropped) per step
-	schema := engine.NewSchema("g", engine.TInt, "x", engine.TFloat)
-	stmt, err := sqlparse.Parse(fmt.Sprintf(
-		"SELECT g, sum(x) AS s, count(*) AS n FROM t WHERE x >= %d GROUP BY g ORDER BY s DESC", base/2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	makeRows := func(x0, k int) [][]engine.Value {
-		rows := make([][]engine.Value, k)
-		for r := range rows {
-			rows[r] = []engine.Value{
-				engine.NewInt(int64(1 + rng.Intn(ngroups))),
-				engine.NewFloat(float64(x0 + r)),
-			}
-		}
-		return rows
-	}
-	// Each restart rebuilds the family: the fixed cutoff stays ahead of
-	// the retention horizon for (base/2)/batchSize steps, after which
-	// dropped rows would enter the carried window.
-	setup := func() (*engine.Table, *exec.Result, int) {
-		tbl, err := engine.NewTableSeg("t", schema, engine.MinSegmentBits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for x := 0; x < base; x += 4096 {
-			if tbl, err = tbl.AppendBatch(makeRows(x, 4096)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := exec.RunOn(tbl, stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return tbl, res, base
-	}
-	tbl, res, next := setup()
-	steps, carried := 0, 0
-	maxSteps := (base / 2) / batchSize / 2 // halfway to the cutoff: comfortably rebasable
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if steps == maxSteps {
-			b.StopTimer()
-			tbl, res, next = setup()
-			steps = 0
-			b.StartTimer()
-		}
-		grown, err := tbl.AppendBatch(makeRows(next, batchSize))
-		if err != nil {
-			b.Fatal(err)
-		}
-		next += batchSize
-		retained, _, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: base})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err = advanceOrderByStep(res, retained)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Plan.SortCarried {
-			carried++
-		}
-		tbl = retained
-		steps++
-	}
-	if carried == 0 {
-		b.Fatal("ordered retention advance never carried the sort")
-	}
-	b.ReportMetric(float64(carried)/float64(b.N), "carried/op")
-}

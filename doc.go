@@ -276,15 +276,13 @@
 // picks a previous Debug's analysis up on an advanced result instead of
 // rebuilding the scoring state from row 0:
 //
-//   - internal/influence — AdvanceScorer extends the carried Scorer by
-//     the appended suffix: per-group lineage bitsets and the flat
-//     argument view come from the advanced result's carried caches, and
-//     the F union reuses the previous words (appends only touch words
-//     from the old length on). The advanced Scorer is bit-identical to
-//     one built from scratch. RankAdvancedCtx ranks LOO influence
-//     through it — or, when no suspect group's lineage grew (a stream
-//     mostly adds groups), shares the previous pass's ranking as it
-//     stands: every aggregate state, so ε and every δ, is unchanged.
+//   - internal/influence — NewScorer over the advanced result reads the
+//     per-group lineage bitsets and the flat argument view that
+//     exec.Advance carried, so only the F union is rebuilt, a word OR
+//     per suspect group. RankAdvancedCtx ranks LOO influence through it
+//     — or, when no suspect group's lineage grew (a stream mostly adds
+//     groups), shares the previous pass's ranking as it stands: every
+//     aggregate state, so ε and every δ, is unchanged.
 //   - core.ExamplesWhere — the user's examples are the suspect lineage
 //     bitset ∧ the condition's WHERE mask (exec.FilterRows): a
 //     comparison reads the family's shared clause mask, which extends
@@ -367,29 +365,17 @@
 // (examples/sensor_stream runs the monitoring loop forever at a
 // retained-segment plateau; Table.MemStats and the server's /api/stats
 // report the footprint). Dropping k segments rebases every surviving
-// row id down by k*SegRows — a multiple of 64, which is the ROW-ID
-// REBASE CONTRACT carried incremental state relies on:
+// row id down by k*SegRows — a multiple of 64 — and moves Base(). ONE
+// RETENTION RULE governs carried state:
 //
-//   - structures keyed by value, not row id — aggregate states, group
-//     keys, dictionary codes, per-segment column and mask chunks — carry
-//     unchanged (the predicate index just drops its head chunks);
-//   - row-id-bearing bitmaps (lineage bitsets, argument NULL words, the
-//     scorer's F union) rebase by dropping whole leading words
-//     (bitset.ShiftDownWords) when nothing they reference was dropped:
-//     exec.Advance verifies every carried group's first row and
-//     earliest lineage row sit past the horizon (true whenever the
-//     statement's WHERE excludes the dropped window) and then rebases
-//     by pure id translation, keeping Plan.Incremental;
-//   - otherwise the carried state is unusable and Advance re-runs the
+//   - the predicate index, keyed by clause over per-segment mask
+//     chunks, outlives versions: it just drops its head chunks;
+//   - a carried result, scorer or ranking is valid only at the base it
+//     was computed at. exec.Advance across a moved base re-runs the
 //     statement over the retained window, recording why in
-//     Plan.Fallback ("retention: ...") — the only thing that field
-//     ever names. core.DebugAdvance never carries
-//     a RANKING across a horizon — the fingerprints that prove "same
-//     question" are written in row ids — so it re-expands (or falls
-//     back) with the reason recorded, while the scorer and result
-//     caches underneath still rebase where legal
-//     (influence.AdvanceScorer word-shifts its carried F union when the
-//     suspect groups' identities survive the shift).
+//     Plan.Fallback ("retention: ...") — the only thing that field ever
+//     names — and core.DebugAdvance across one runs a full Debug with
+//     the reason in its Plan.Fallback. Within one base both carry.
 //
 // Stale snapshots taken before a retention pass stay readable (their
 // segments are alive until the last reader drops them) through the same

@@ -8,19 +8,19 @@
 // path (engine.DB.Append), advances the cached query result by folding
 // in only the appended rows (exec.Advance — no rescan), and advances
 // the previous Debug analysis the same way (core.DebugAdvance): the
-// carried scorer, lineage bitsets, argument view and scored predicates
-// all extend by the appended suffix, and the learners only re-run when
-// a carried predicate's score drifts.
+// carried lineage bitsets, argument view and scored predicates all
+// extend by the appended suffix, and the learners only re-run when a
+// carried predicate's score drifts.
 //
 // On top of the streaming loop, a retention policy (engine.DB.Retain)
 // drops whole head segments past a row horizon every few batches, so
 // the retained segment count — and with it resident memory — plateaus
-// while the stream keeps growing. Crossing a retention horizon rebases
-// row ids; carried results either rebase (the WHERE-bounded case) or
-// re-run over the retained window with the reason recorded in the
-// plan, and the loop keeps advancing either way. The printed per-batch
-// latency stays flat as the STREAM grows because the WINDOW doesn't:
-// the cycle costs O(batch + window), not O(stream).
+// while the stream keeps growing. A carried answer is valid only at the
+// retention base it was computed at, so the batch that crosses a
+// horizon re-runs the query and Debug over the retained window with the
+// reason recorded in the plan, and the loop carries again from there.
+// The printed per-batch latency stays flat as the STREAM grows because
+// the WINDOW doesn't: the cycle costs O(batch + window), not O(stream).
 //
 // PR 6 makes the stream durable: every batch goes through
 // internal/store's write-ahead log before it is acknowledged, sealed
@@ -125,7 +125,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Between horizons every batch must advance incrementally;
-		// crossing one may rebase or re-run (reason recorded).
+		// crossing one re-runs (reason recorded).
 		if !res.Plan.Incremental && res.Plan.Fallback == "" {
 			log.Fatalf("batch %d fell back without a reason: %+v", b, res.Plan)
 		}

@@ -61,28 +61,6 @@ func FoldMasked(fa Func, vals []float64, null, mask []uint64) int {
 	return folded
 }
 
-// CountMasked returns the number of rows a FoldMasked call over the
-// same inputs would fold — set filter bits that are in range and not
-// NULL — without touching the values. count(*) uses it with null=nil
-// (a COUNT(*) row needs no non-NULL value).
-func CountMasked(nrows int, null, mask []uint64) int {
-	c := 0
-	for wi := 0; wi*64 < nrows; wi++ {
-		w := uint64(0)
-		if wi < len(mask) {
-			w = mask[wi]
-		}
-		if null != nil && wi < len(null) {
-			w &^= null[wi]
-		}
-		if lanes := nrows - wi*64; lanes < 64 {
-			w &= (1 << uint(lanes)) - 1
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // denseCutover is the per-word popcount at which FoldMasked switches
 // from set-bit iteration to the dense 64-lane scan. At half density the
 // find-first-set loop's data-dependent updates cost more than testing

@@ -48,18 +48,7 @@ func FromWords(n int, words []uint64) *Bitset {
 	return b
 }
 
-// SetInWords sets bit i in a growable canonical word slice (the raw
-// form the incremental view/mask builders extend before stamping
-// snapshots with FromWords), growing the slice as needed.
-func SetInWords(words *[]uint64, i int) {
-	wi := i >> 6
-	for len(*words) <= wi {
-		*words = append(*words, 0)
-	}
-	(*words)[wi] |= 1 << (uint(i) & 63)
-}
-
-// SnapshotWords stamps an immutable length-n bitset out of a canonical
+// SnapshotWords stamps an immutable length-n bitset out of a growable
 // word slice: prefix copy, zero-padded or truncated to n's word count,
 // ghost bits cleared. The input is not retained.
 func SnapshotWords(n int, words []uint64) *Bitset {
@@ -74,34 +63,6 @@ func SnapshotWords(n int, words []uint64) *Bitset {
 		copy(w, words[:nw])
 	}
 	return FromWords(n, w)
-}
-
-// OrRangeAndNot sets bits [lo, n) of the canonical word slice to the
-// complement of not's corresponding bits, word-at-a-time — the
-// builder-side form of Fill+AndNot used when extending a non-NULL mask
-// by an appended suffix. not must cover at least n bits.
-func OrRangeAndNot(words *[]uint64, lo, n int, not []uint64) {
-	if lo >= n {
-		return
-	}
-	nw := (n + wordBits - 1) / wordBits
-	for len(*words) < nw {
-		*words = append(*words, 0)
-	}
-	w := *words
-	loWord := lo >> 6
-	for wi := loWord; wi < nw; wi++ {
-		m := ^uint64(0)
-		if wi == loWord {
-			m &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == nw-1 {
-			if rem := n - wi*wordBits; rem < wordBits {
-				m &= (1 << uint(rem)) - 1
-			}
-		}
-		w[wi] |= m &^ not[wi]
-	}
 }
 
 // FromRows returns a bitset of length n with the given rows set. Rows
@@ -143,13 +104,6 @@ func (b *Bitset) Get(i int) bool {
 		return false
 	}
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Reset clears every bit, keeping capacity.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // Fill sets every bit in [0, Len()).
@@ -424,28 +378,6 @@ func AndCount(x, y *Bitset) int {
 	return c
 }
 
-// NextSetBit returns the position of the first set bit at or after i,
-// or -1 when no such bit exists. Negative i starts from bit 0.
-func (b *Bitset) NextSetBit(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if w := b.words[wi]; w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
 // Iter is a resumable set-bit cursor. Unlike ForEach it needs no
 // callback (so the surrounding loop can return errors and poll a
 // context), and it stays valid when the *current or an earlier* bit is
@@ -540,9 +472,8 @@ func (b *Bitset) WordRange() (lo, hi int, ok bool) {
 // The storage engine chunks rows into fixed-size segments of at least
 // 64 rows (a power of two), so a segment boundary is always a word
 // boundary in every bitmap over row ids. These helpers exploit that:
-// a flat bitset decomposes into per-segment word windows, per-segment
-// word blocks concatenate into a flat bitset, and dropping whole head
-// segments (retention) becomes a word-shift.
+// a flat bitset decomposes into per-segment word windows and
+// per-segment word blocks concatenate into a flat bitset.
 
 // ConcatWords stamps a length-n bitset out of per-segment word blocks:
 // block k covers bits [k*segWords*64, ...), and each block may be
@@ -563,19 +494,4 @@ func ConcatWords(n int, segWords int, blocks [][]uint64) *Bitset {
 		}
 	}
 	return FromWords(n, words)
-}
-
-// ShiftDownWords stamps a length-n bitset whose bit i is words'
-// bit i + drop, where drop is a multiple of 64 — the row-id rebase of
-// a carried bitmap after retention dropped drop head rows. The input
-// is not retained.
-func ShiftDownWords(n int, words []uint64, drop int) *Bitset {
-	if drop%wordBits != 0 {
-		panic("bitset: ShiftDownWords drop not word-aligned")
-	}
-	dw := drop / wordBits
-	if dw >= len(words) {
-		return New(n)
-	}
-	return SnapshotWords(n, words[dw:])
 }

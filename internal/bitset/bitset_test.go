@@ -48,10 +48,6 @@ func TestFillAndTrim(t *testing.T) {
 	if b.Get(70) {
 		t.Fatal("ghost bit beyond Len")
 	}
-	b.Reset()
-	if b.Any() {
-		t.Fatal("Reset left bits")
-	}
 }
 
 func TestSetAlgebra(t *testing.T) {
@@ -203,17 +199,11 @@ func BenchmarkAndCount(b *testing.B) {
 	}
 }
 
-// TestCanonicalWordHelpers covers the growable-word builders behind the
-// incremental view/mask maintenance: SetInWords growth, SnapshotWords
-// padding/truncation/ghost-trim, and OrRangeAndNot's boundary masking.
+// TestCanonicalWordHelpers covers SnapshotWords, the stamp behind the
+// carried lineage bitsets and argument NULL masks: padding, truncation
+// and ghost-bit trim.
 func TestCanonicalWordHelpers(t *testing.T) {
-	var words []uint64
-	SetInWords(&words, 3)
-	SetInWords(&words, 64)
-	SetInWords(&words, 200)
-	if len(words) != 4 || words[0] != 1<<3 || words[1] != 1 || words[3] != 1<<(200-192) {
-		t.Fatalf("SetInWords words = %v", words)
-	}
+	words := []uint64{1 << 3, 1, 0, 1 << (200 - 192)} // bits 3, 64, 200
 
 	// Truncating snapshot: bit 64 survives at n=70, bit 200 is trimmed.
 	s := SnapshotWords(70, words)
@@ -228,30 +218,9 @@ func TestCanonicalWordHelpers(t *testing.T) {
 	if s := SnapshotWords(200, words); s.Get(200) || s.Count() != 2 {
 		t.Fatal("SnapshotWords(200) kept a ghost bit")
 	}
-
-	// OrRangeAndNot against a NULL mask, with unaligned lo and n.
-	null := New(300)
-	null.Set(70)
-	null.Set(128)
-	var nn []uint64
-	OrRangeAndNot(&nn, 65, 131, null.Words())
-	got := SnapshotWords(131, nn)
-	want := 0
-	for r := 65; r < 131; r++ {
-		inRange := r != 70 && r != 128
-		if got.Get(r) != inRange {
-			t.Fatalf("OrRangeAndNot bit %d = %v", r, got.Get(r))
-		}
-		if inRange {
-			want++
-		}
-	}
-	if got.Count() != want {
-		t.Fatalf("OrRangeAndNot count=%d want %d (bits outside [65,131) leaked)", got.Count(), want)
-	}
-	// Extending the same canonical words continues past the old range.
-	OrRangeAndNot(&nn, 131, 300, null.Words())
-	if s := SnapshotWords(300, nn); s.Get(64) || !s.Get(131) || !s.Get(299) || s.Get(70) {
-		t.Fatal("OrRangeAndNot extension wrong")
+	// The input is not retained.
+	words[0] = 0
+	if !s.Get(3) {
+		t.Fatal("SnapshotWords aliased its input")
 	}
 }

@@ -45,33 +45,6 @@ func seqRows(n int) []int {
 	return out
 }
 
-func TestNextSetBitGrid(t *testing.T) {
-	for _, tc := range iterGrid() {
-		b := FromRows(tc.n, tc.rows)
-		// Walk via NextSetBit and compare against the sorted row list.
-		var got []int
-		for i := b.NextSetBit(0); i >= 0; i = b.NextSetBit(i + 1) {
-			got = append(got, i)
-		}
-		if !equalInts(got, b.Rows()) {
-			t.Fatalf("%s: NextSetBit walk = %v, Rows = %v", tc.name, got, b.Rows())
-		}
-		// Every start position must land on the first row >= start.
-		for start := -1; start <= tc.n+1; start++ {
-			want := -1
-			for _, r := range b.Rows() {
-				if r >= start {
-					want = r
-					break
-				}
-			}
-			if got := b.NextSetBit(start); got != want {
-				t.Fatalf("%s: NextSetBit(%d) = %d, want %d", tc.name, start, got, want)
-			}
-		}
-	}
-}
-
 func TestIterGrid(t *testing.T) {
 	for _, tc := range iterGrid() {
 		b := FromRows(tc.n, tc.rows)
@@ -146,14 +119,6 @@ func TestIterRandomizedParity(t *testing.T) {
 		}
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d (n=%d start=%d): iter=%v want=%v", trial, n, start, got, want)
-		}
-		// NextSetBit resumption must agree with the cursor.
-		var hop []int
-		for i := b.NextSetBit(start); i >= 0; i = b.NextSetBit(i + 1) {
-			hop = append(hop, i)
-		}
-		if !equalInts(hop, want) {
-			t.Fatalf("trial %d: NextSetBit=%v want=%v", trial, hop, want)
 		}
 	}
 }

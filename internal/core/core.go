@@ -157,8 +157,9 @@ type Explanation struct {
 // carried scores drifting past Options.DriftThreshold trigger
 // re-expansion (the learners re-run over the advanced state); and
 // conditions the incremental path cannot express at all — no carried
-// state, a changed statement, metric or aggregate — fall back to the
-// full from-scratch pipeline, with the reason recorded in Fallback.
+// state, a changed statement, metric or aggregate, a moved retention
+// base — fall back to the full from-scratch pipeline, with the reason
+// recorded in Fallback.
 type DebugPlan struct {
 	// Incremental is true when the pass advanced carried state from a
 	// previous Debug instead of rebuilding the scoring structures.
@@ -205,11 +206,11 @@ type DebugResult struct {
 // debugState is what a later DebugAdvance needs to pick the analysis up
 // after the source table grew: the result and request shape the pass
 // ran under (to validate the advance applies), the influence analysis
-// (its scorer's bitsets and argument view extend by suffix; its ranking
-// stands while no suspect group grows), and the ranker's scored
-// candidates (rescored instead of re-learned while drift stays low).
+// (its ranking stands while no suspect group grows), and the ranker's
+// scored candidates (rescored instead of re-learned while drift stays
+// low).
 type debugState struct {
-	src       *engine.Table // source table the pass ran over (family + length checks)
+	src       *engine.Table // source table the pass ran over (family, base and length checks)
 	stmtKey   string
 	ord       int
 	metricKey string
@@ -709,9 +710,9 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // over the advanced state ("reexpanded" — identical, stage for stage,
 // to what a from-scratch Debug would compute). Conditions the advance
 // cannot express at all — no carried state, a changed statement,
-// metric, or aggregate — fall back to the full pipeline with
-// Plan.Fallback saying why. DebugAdvance with a nil prev is exactly
-// Debug.
+// metric, or aggregate, a moved retention base — fall back to the full
+// pipeline with Plan.Fallback saying why. DebugAdvance with a nil prev
+// is exactly Debug.
 func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	opt := req.Opt
@@ -738,23 +739,23 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		return fall("statement changed")
 	case !res.Source.SameFamily(st.src):
 		return fall("source table changed")
-	case res.Source.Version() < st.src.Version():
-		// Version is the stream high-water mark, unchanged by retention;
-		// fewer LOCAL rows with an advanced base is a retained window,
-		// not a shrink.
+	case res.Source.Base() != st.src.Base():
+		// The carried analysis, its fingerprints and its ranking are
+		// written in row ids local to the base they were computed at.
+		return fall(fmt.Sprintf("retention: base moved from %d to %d", st.src.Base(), res.Source.Base()))
+	case res.Source.NumRows() < st.src.NumRows():
 		return fall("source table shrank")
-	case res.Source.Base() < st.src.Base():
-		return fall("source retention base regressed")
 	case st.ord != ord:
 		return fall("debugged aggregate changed")
 	case st.metricKey != metricKey(req.Metric):
 		return fall("error metric changed")
 	}
 
-	// --- Preprocessor, incremental: advance the carried scorer by the
-	// appended suffix and re-rank influence through it. ---
+	// --- Preprocessor, incremental: score the advanced result (its
+	// lineage bitsets and argument view were carried by exec.Advance) and
+	// share the previous ranking when no suspect group grew. ---
 	start := time.Now()
-	sc, err := influence.AdvanceScorer(st.an.Scorer, res, req.Suspect, ord, req.Metric)
+	sc, err := influence.NewScorer(res, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -787,15 +788,8 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// alone could silently miss selection-specific predicates even when
 	// the carried ones drift little). Same for changed Options — carried
 	// rankings never mix regimes — and there must be candidates to
-	// rescore. A moved retention base rebases every row id the
-	// fingerprints are written in, so the carried ranking never stands
-	// across a horizon: the scorer/result caches rebase (word-shift) but
-	// the ranking re-expands, with the reason recorded.
-	drop := res.Source.Base() - st.src.Base()
-	if drop > 0 {
-		out.Plan.Fallback = "retention: row ids rebased, carried ranking re-expands"
-	}
-	carry := drop == 0 && st.rstate.Len() > 0 && st.opt == opt &&
+	// rescore.
+	carry := st.rstate.Len() > 0 && st.opt == opt &&
 		st.suspectKey == suspectKeyOf(res, req.Suspect) &&
 		st.examplesKey == rowsKey(req.Examples)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -15,17 +16,13 @@ import (
 // across retention horizons: append chains on a minimum-segment table
 // with interleaved whole-segment drops, every step comparing
 // DebugAdvance over the carried chain against a from-scratch Debug of
-// the retained window (oracle mode, forced shard count). The chain's
-// exec.Advance may rebase or fall back per statement; either way the
-// Debug output must be bit-identical, and a step across a horizon must
-// record the retention reason when it kept the incremental path.
+// the retained window (oracle mode, forced shard count). The Debug
+// output must be bit-identical either way; a step across a horizon
+// (the base moved since the carried pass) must be a full Debug with a
+// "retention:" reason, and a step within one base must not be.
 func TestDebugAdvanceRetentionDifferential(t *testing.T) {
-	seeds := int64(4)
-	iters := 3
-	if testing.Short() {
-		seeds, iters = 2, 2
-	}
-	compared, horizons, distinct := 0, 0, 0
+	const seeds, iters = 4, 3
+	compared, horizons, within, distinct := 0, 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 919))
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
@@ -38,6 +35,7 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 			metric := testgen.Metric(rng)
 			opt := Options{DriftThreshold: -1} // oracle mode: always re-expand
 			var prev *DebugResult
+			prevBase := 0
 			cur := tbl
 			for step := 0; step < 4; step++ {
 				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
@@ -83,26 +81,26 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 				}
 				debugResultsEqual(t, label, want, got)
 				compared++
-				if dropped > 0 && got.Plan.Incremental && got.Plan.Fallback == "" {
-					t.Fatalf("%s: crossed a retention horizon incrementally without recording it: %+v", label, got.Plan)
+				crossed := prev != nil && cur.Base() != prevBase
+				if crossed && (got.Plan.Mode != "full" || !strings.HasPrefix(got.Plan.Fallback, "retention:")) {
+					t.Fatalf("%s: crossed a retention horizon without a full Debug and a retention reason: %+v", label, got.Plan)
 				}
-				if prev != nil && got.Plan.Mode == "full" {
-					t.Fatalf("%s: advance fell back to a full Debug: %+v", label, got.Plan)
+				if prev != nil && !crossed && got.Plan.Mode == "full" {
+					t.Fatalf("%s: advance within one base fell back to a full Debug: %+v", label, got.Plan)
+				}
+				if prev != nil && !crossed {
+					within++
 				}
 				if prev != nil && stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
 					distinct++
 				}
-				prev = got
+				prev, prevBase = got, cur.Base()
 			}
 			tbl = cur
 		}
 	}
-	t.Logf("compared %d steps across %d retention horizons, %d advancing a count(DISTINCT s) debug", compared, horizons, distinct)
-	minCompared, minHorizons := 10, 3
-	if testing.Short() {
-		minCompared, minHorizons = 4, 1
-	}
-	if compared < minCompared || horizons < minHorizons || distinct == 0 {
-		t.Fatalf("harness degenerated: %d comparisons, %d horizons, %d DISTINCT", compared, horizons, distinct)
+	t.Logf("compared %d steps across %d retention horizons, %d advancing within one base, %d advancing a count(DISTINCT s) debug", compared, horizons, within, distinct)
+	if compared < 10 || horizons < 3 || within == 0 || distinct == 0 {
+		t.Fatalf("harness degenerated: %d comparisons, %d horizons, %d within one base, %d DISTINCT", compared, horizons, within, distinct)
 	}
 }

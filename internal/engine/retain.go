@@ -6,15 +6,13 @@ import "fmt"
 // unbounded append stream runs at bounded memory. Only sealed segments
 // are droppable (the tail always survives), and drops are whole
 // segments, so the dropped row count is a multiple of SegRows — and,
-// because SegRows >= 64, of the bitset word size. That is the row-id
-// rebase contract the incremental layers build on: local row id r of
-// the retained version corresponds to id r + dropped of the old
-// version, and any carried bitmap (lineage bitsets, clause masks,
-// argument NULL words) rebases by dropping whole leading words.
-// Carried state that still references dropped rows cannot rebase;
-// those consumers (exec.Advance, core.DebugAdvance) detect the base
-// change and fall back to a full recompute with a recorded plan
-// reason.
+// because SegRows >= 64, of the bitset word size. Local row id r of the
+// retained version is id r + dropped of the old version; the shared
+// predicate index rebases its clause masks by dropping whole leading
+// chunks. Everything carried across versions above it follows one
+// rule: a carried result, scorer or ranking is valid only at the base
+// it was computed at, so exec.Advance and core.DebugAdvance rebuild
+// when the base moved and record the reason in their plan.
 
 // RetentionPolicy selects how many head segments RetainTail may drop.
 // The zero policy drops nothing. Both bounds may be combined; a

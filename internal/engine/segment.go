@@ -29,8 +29,8 @@ import (
 // rebased down by k*SegRows. Segment sizes are powers of two and at
 // least 64 rows, so a segment boundary is always a bitset word
 // boundary — dropped head rows correspond to whole []uint64 words in
-// every lineage bitset and clause mask, which is what lets carried
-// incremental state rebase by word-shift instead of rebuilding.
+// every clause mask, which is what lets the predicate index rebase by
+// dropping head chunks instead of rebuilding.
 //
 // A sealed segment either HOLDS its chunks (sealed in this process, or
 // attached resident by recovery) or PINS them on demand through a
@@ -156,8 +156,9 @@ func (t *Table) SegRows() int { return 1 << t.bits }
 
 // Base returns the number of stream rows dropped from the head of this
 // version by retention — always a multiple of SegRows. Local row id r
-// of this version is stream row r + Base(); carried state from an
-// older version rebases ids down by the base delta.
+// of this version is stream row r + Base(). Results, scorers and
+// rankings carried from a version at another base are rebuilt, not
+// translated.
 func (t *Table) Base() int { return t.base }
 
 // Version returns this version's stream high-water mark: Base() +

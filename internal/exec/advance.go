@@ -32,14 +32,19 @@ import (
 // are never rewritten). That makes advancing linear — a result can be
 // advanced once; branching would clobber the shared suffix, so a second
 // Advance returns an error.
+//
+// Carried state is valid only at the retention base it was computed at:
+// its row ids are local to that base. When a retention pass moved the
+// base, Advance re-runs the statement over the retained window instead
+// and says so in Plan.Fallback ("retention: …").
 
 // Advance executes res.Stmt against grown — a newer version of
 // res.Source's table family (see engine.Table.AppendBatch) — reusing
 // res's group states and folding in only the appended rows.
-// Plan.Incremental reports whether that happened; when a retention pass
-// dropped rows the carried state references, the statement re-runs over
-// the whole of grown and Plan.Fallback records why — the only thing that
-// field names. Aggregate-free projections always re-run.
+// Plan.Incremental reports whether that happened; when grown's retention
+// base differs from res.Source's, the statement re-runs over the whole
+// of grown and Plan.Fallback records why — the only thing that field
+// names. Aggregate-free projections always re-run.
 func Advance(res *Result, grown *engine.Table) (*Result, error) {
 	return AdvanceCtx(context.Background(), res, grown)
 }
@@ -80,17 +85,6 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	if !res.Source.SameFamily(grown) {
 		return nil, fmt.Errorf("exec: Advance target is not a version of the result's source table")
 	}
-	// drop is the retention delta: stream rows removed from the head of
-	// the window since the carried result was computed. Surviving old
-	// rows occupy [0, oldN) in the NEW version's (rebased) ids.
-	drop := grown.Base() - res.Source.Base()
-	if drop < 0 {
-		return nil, fmt.Errorf("exec: Advance target's retention base %d predates the result's %d", grown.Base(), res.Source.Base())
-	}
-	oldN, newN := res.Source.NumRows()-drop, grown.NumRows()
-	if newN < oldN {
-		return nil, fmt.Errorf("exec: Advance target has %d rows, result's source has %d surviving", newN, oldN)
-	}
 	stmt := res.Stmt
 	// rerun executes the statement over the whole of grown, recording why
 	// the carried state could not be extended.
@@ -102,24 +96,14 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		out.Plan.Fallback = reason
 		return out, nil
 	}
-	if drop > 0 {
-		// The rebase contract (engine retention): carried group states
-		// survive id translation only when nothing they reference was
-		// dropped — every group's first row and earliest lineage row
-		// must be at or past the horizon — and the horizon must be
-		// word-aligned so carried bitmaps rebase by word-shift (always
-		// true for whole-segment drops). Otherwise the carried state is
-		// unusable and the statement re-runs over the retained window.
-		reason := rebaseBlocker(res, drop)
-		if oldN < 0 {
-			// The horizon moved past the carried result's whole window
-			// (every row it saw was dropped) — nothing to rebase, and the
-			// group checks above are vacuous for a groupless result.
-			reason = "retention: horizon beyond carried window"
-		}
-		if reason != "" {
-			return rerun(reason)
-		}
+	// The one retention rule: carried state is valid only at the retention
+	// base it was computed at, because its row ids are local to that base.
+	if grown.Base() != res.Source.Base() {
+		return rerun(fmt.Sprintf("retention: base moved from %d to %d", res.Source.Base(), grown.Base()))
+	}
+	oldN, newN := res.Source.NumRows(), grown.NumRows()
+	if newN < oldN {
+		return nil, fmt.Errorf("exec: Advance target has %d rows, result's source has %d", newN, oldN)
 	}
 	if !isGrouped(stmt) {
 		// Projection: every output row is one source row; a re-run is
@@ -161,18 +145,6 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		if err != nil {
 			return nil, err
 		}
-		if drop > 0 {
-			// Rebase the carried ids: rebaseBlocker proved every
-			// reference is past the horizon, so this is pure
-			// translation — aggregate states are id-free and carry
-			// unchanged.
-			vg.g.FirstRow -= drop
-			nl := make([]int, len(vg.g.Lineage))
-			for i, r := range vg.g.Lineage {
-				nl[i] = r - drop
-			}
-			vg.g.Lineage = nl
-		}
 		ss.index(vg.slots)
 		ss.groups = append(ss.groups, vg)
 	}
@@ -196,36 +168,8 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	if err := out.materializeCarry(res, oldLens); err != nil {
 		return nil, err
 	}
-	carryCaches(res, out, ss, oldLens, oldN, newN, drop)
+	carryCaches(res, out, ss, oldLens, oldN, newN)
 	return out, nil
-}
-
-// rebaseBlocker reports why a carried result cannot rebase across a
-// retention horizon of drop rows ("" when it can): a group still
-// references dropped rows, or the horizon is not bitset-word-aligned
-// (impossible for whole-segment drops, kept as a guard).
-//
-// When rebase succeeds, everything downstream carries too — including
-// an ORDER BY's incremental merge (materializeCarry), so a windowed
-// ordered statement advances across retention without a full re-sort
-// (TestAdvanceRetentionSortCarry pins this). That is the full extent of
-// ORDER BY carry across retention by design: a statement whose groups
-// reference dropped rows has aggregate states that are simply wrong for
-// the retained table, so the carried sort keys are wrong too, and the
-// only correct answer is the full fallback run this function triggers.
-func rebaseBlocker(res *Result, drop int) string {
-	if drop%64 != 0 {
-		return "retention: horizon not word-aligned"
-	}
-	for _, g := range res.allGroups {
-		if g.FirstRow < drop {
-			return "retention: carried group first row below horizon"
-		}
-		if len(g.Lineage) > 0 && g.Lineage[0] < drop {
-			return "retention: carried lineage references dropped rows"
-		}
-	}
-	return ""
 }
 
 // copyGroup makes the advanced copy of one group: aggregate states are
@@ -265,10 +209,7 @@ func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 // unchanged prefix instead of rebuilding it: the prefix is a word-level
 // memcpy plus amortized slice growth, and only the appended suffix is
 // decoded or set bit-by-bit.
-// When drop > 0 the carried bitmaps rebase by word-shift and the
-// argument values by re-slicing — the dropped head words/values are
-// exactly the dropped segments.
-func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, drop int) {
+func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN int) {
 	// Snapshot the cache maps under the lock: concurrent readers of the
 	// old result (a Debug in flight calls GroupLineageBitsShared /
 	// AggArgFloats, which insert) may grow them while we carry.
@@ -291,7 +232,7 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, dro
 				continue
 			}
 			ng := ss.groups[gi].g
-			nb := bitset.ShiftDownWords(newN, b.Words(), drop)
+			nb := bitset.SnapshotWords(newN, b.Words())
 			for _, r := range ng.Lineage[oldLens[gi]:] {
 				nb.Set(r)
 			}
@@ -302,13 +243,8 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN, dro
 	if len(oldAVs) > 0 {
 		out.argViews = make(map[int]*ArgView, len(oldAVs))
 		for ord, old := range oldAVs {
-			// Vals has len oldN+drop; appends stay past published lengths.
-			av := &ArgView{Vals: old.Vals, Null: bitset.ShiftDownWords(newN, old.Null.Words(), drop)}
-			if drop > 0 {
-				// Drop the head values into a fresh slice — the carried one
-				// belongs to the old window.
-				av.Vals = append(make([]float64, 0, newN), old.Vals[drop:]...)
-			}
+			// Vals has len oldN; appends stay past published lengths.
+			av := &ArgView{Vals: old.Vals, Null: bitset.SnapshotWords(newN, old.Null.Words())}
 			// An evaluation error leaves this ordinal to a lazy full build.
 			if fillArgView(av, out.aggCall(ord), out.Source, oldN, newN) == nil {
 				out.argViews[ord] = av

@@ -194,60 +194,6 @@ func TestKeyKernelAdvance(t *testing.T) {
 	}
 }
 
-// TestKeyKernelAdvanceRebase carries kernel keys across a retention
-// rebase: x is the stream row index, so WHERE x >= cutoff keeps every
-// group clear of the dropped head and Advance translates ids instead of
-// re-running — the carried groups' slots are rebuilt from their boxed
-// keys (copyGroup) and must meet the kernel's slots for the suffix rows.
-func TestKeyKernelAdvanceRebase(t *testing.T) {
-	schema := engine.NewSchema("x", engine.TFloat, "i", engine.TInt, "j", engine.TInt, "f", engine.TFloat, "s", engine.TString, "t", engine.TTime)
-	row := func(r int) []engine.Value {
-		return []engine.Value{engine.NewFloat(float64(r)), engine.NewInt(int64(r)), engine.NewInt(int64(r % 3)), engine.NewFloat(float64(r%8) * 0.25),
-			engine.NewString([]string{"a", "B", "b"}[r%3]), engine.NewTimeUnix(int64(r) * 40)}
-	}
-	rows := func(lo, hi int) (out [][]engine.Value) {
-		for r := lo; r < hi; r++ {
-			out = append(out, row(r))
-		}
-		return out
-	}
-	for _, shape := range keyShapes {
-		tbl, err := engine.NewTableSeg("m", schema, engine.MinSegmentBits)
-		if err == nil {
-			tbl, err = tbl.AppendBatch(rows(0, 5*64+10))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		stmt := keyShapeStmt(t, "m", shape.groupBy, "x >= 256")
-		res, err := RunOn(tbl, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grown, err := tbl.AppendBatch(rows(5*64+10, 6*64+30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 3 * 64})
-		if err != nil || stats.DroppedRows == 0 || stats.DroppedRows > 256 {
-			t.Fatalf("fixture: dropped %d rows, err %v", stats.DroppedRows, err)
-		}
-		adv, err := Advance(res, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !adv.Plan.Incremental || adv.Plan.KeyKernels != shape.kernels {
-			t.Fatalf("%s: expected the rebase path on %d kernels, got %+v", shape.name, shape.kernels, adv.Plan)
-		}
-		ref, err := runRef(cur, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesEqual(t, shape.name, ref.Table, adv.Table)
-		groupsEqual(t, shape.name, ref, adv)
-	}
-}
-
 // TestKeyKernelFirstError pins the error a column-at-a-time block
 // reports to the row-at-a-time reference's: the lowest erroring row's,
 // and on one row a key's before an argument's. epoch(i) errs on every

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -54,19 +55,19 @@ func boundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
 }
 
 // These tests pin Advance across retention horizons: dropping head
-// segments rebases row ids, and a carried result must either rebase
-// its state by pure id translation (when nothing it references was
-// dropped) or fall back to a full re-run over the retained window with
-// a recorded plan reason — and in both cases the produced result must
-// be bit-identical to a from-scratch reference scan of the retained
-// table. Tables are forced to the minimum segment size so the short
-// chains straddle many seal and retention boundaries.
+// segments moves the table's base, and a carried result is valid only
+// at the base it was computed at — so an advance across a moved base
+// re-runs over the retained window with a "retention:" plan reason, and
+// the produced result must be bit-identical to a from-scratch reference
+// scan of the retained table. Tables are forced to the minimum segment
+// size so the short chains straddle many seal and retention boundaries.
 
 // TestAdvanceRetentionParity interleaves boundary-straddling append
 // batches with randomized retention passes and checks the advanced
-// result against the reference scan at every step.
+// result against the reference scan at every step: a step that dropped
+// rows re-runs with a retention reason, every other step carries.
 func TestAdvanceRetentionParity(t *testing.T) {
-	sawDrop, sawFallback, sawDistinct := false, false, false
+	sawDrop, sawDistinct := false, false
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed * 733))
 		tbl := tinySegTable(rng, 100+rng.Intn(200))
@@ -108,8 +109,8 @@ func TestAdvanceRetentionParity(t *testing.T) {
 				if dropped == 0 && !adv.Plan.Incremental {
 					t.Fatalf("seed %d iter %d step %d: only retention may force a re-run, got %+v\nsql: %s", seed, iter, step, adv.Plan, sql)
 				}
-				if dropped > 0 && !adv.Plan.Incremental {
-					sawFallback = true
+				if dropped > 0 && (adv.Plan.Incremental || !strings.HasPrefix(adv.Plan.Fallback, "retention:")) {
+					t.Fatalf("seed %d iter %d step %d: an advance across a moved base must re-run with a retention reason, got %+v\nsql: %s", seed, iter, step, adv.Plan, sql)
 				}
 				ref, err := runRef(cur, stmt)
 				if err != nil {
@@ -123,17 +124,15 @@ func TestAdvanceRetentionParity(t *testing.T) {
 			tbl = cur
 		}
 	}
-	if !sawDrop || !sawFallback || !sawDistinct {
-		t.Fatalf("harness coverage: sawDrop=%v sawFallback=%v sawDistinct=%v", sawDrop, sawFallback, sawDistinct)
+	if !sawDrop || !sawDistinct {
+		t.Fatalf("harness coverage: sawDrop=%v sawDistinct=%v", sawDrop, sawDistinct)
 	}
 }
 
-// retentionRebaseFixture builds a tiny-segment table whose float
-// column x equals the row's stream index, so a WHERE x >= cutoff
-// statement provably never touches rows an aligned retention pass
-// drops — the case where carried state rebases instead of falling
-// back.
-func retentionRebaseFixture(t *testing.T, rows int) *engine.Table {
+// retentionFixture builds a tiny-segment table whose float column x
+// equals the row's stream index, so a WHERE x >= cutoff statement
+// selects rows by stream position.
+func retentionFixture(t *testing.T, rows int) *engine.Table {
 	t.Helper()
 	tbl, err := engine.NewTableSeg("m", engine.NewSchema("x", engine.TFloat, "j", engine.TInt), engine.MinSegmentBits)
 	if err != nil {
@@ -160,125 +159,13 @@ func retentionStmt(t *testing.T, cutoff float64) *sqlparse.SelectStmt {
 	return stmt
 }
 
-// TestAdvanceRetentionRebase drives the pure-translation path: the
-// statement's WHERE excludes every dropped row, so Advance keeps the
-// carried group states (Plan.Incremental) and just shifts ids — and
-// the rebased result, its lineage bitsets and its argument views must
-// all equal fresh builds over the retained table.
-func TestAdvanceRetentionRebase(t *testing.T) {
-	tbl := retentionRebaseFixture(t, 5*64+10)
-	stmt := retentionStmt(t, 4*64) // only the newest segment-and-a-bit matches
-	res, err := RunOn(tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the carried caches so the rebase path has something to carry.
-	for ri := range res.Groups {
-		res.GroupLineageBitsShared(ri)
-	}
-	if _, err := res.AggArgFloats(0); err != nil {
-		t.Fatal(err)
-	}
-
-	grown, err := tbl.AppendBatch([][]engine.Value{
-		{engine.NewFloat(5*64 + 10), engine.NewInt(1)},
-		{engine.NewFloat(5*64 + 11), engine.NewInt(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 2 * 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DroppedRows == 0 || stats.DroppedRows >= 4*64 {
-		t.Fatalf("fixture drop = %d rows, want (0, %d)", stats.DroppedRows, 4*64)
-	}
-
-	adv, err := Advance(res, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adv.Plan.Incremental {
-		t.Fatalf("expected the rebase path, got plan %+v", adv.Plan)
-	}
-	ref, err := runRef(cur, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "rebase", ref.Table, adv.Table)
-	groupsEqual(t, "rebase", ref, adv)
-
-	// Carried caches: rebased lineage bitsets and argument views must
-	// equal fresh builds over the retained table.
-	fresh, err := RunOn(cur, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri := range adv.Groups {
-		got, want := adv.GroupLineageBitsShared(ri), fresh.GroupLineageBitsShared(ri)
-		if got.Len() != want.Len() || got.Count() != want.Count() {
-			t.Fatalf("group %d lineage bits: len %d/%d count %d/%d", ri, got.Len(), want.Len(), got.Count(), want.Count())
-		}
-		for r := 0; r < got.Len(); r++ {
-			if got.Get(r) != want.Get(r) {
-				t.Fatalf("group %d lineage bit %d differs", ri, r)
-			}
-		}
-	}
-	gotAV, err := adv.AggArgFloats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAV, err := fresh.AggArgFloats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotAV.Vals) != len(wantAV.Vals) {
-		t.Fatalf("rebased ArgView length %d, want %d", len(gotAV.Vals), len(wantAV.Vals))
-	}
-	for i := range gotAV.Vals {
-		same := gotAV.Vals[i] == wantAV.Vals[i] || (gotAV.Vals[i] != gotAV.Vals[i] && wantAV.Vals[i] != wantAV.Vals[i])
-		if !same || gotAV.Null.Get(i) != wantAV.Null.Get(i) {
-			t.Fatalf("rebased ArgView row %d differs", i)
-		}
-	}
-
-	// A statement whose groups DO reference dropped rows must fall back
-	// with a retention reason.
-	all, err := sqlparse.Parse("SELECT j, sum(x) AS s FROM m GROUP BY j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resAll, err := RunOn(tbl, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	advAll, err := Advance(resAll, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if advAll.Plan.Incremental {
-		t.Fatal("full-window statement must not rebase across retention")
-	}
-	if advAll.Plan.Fallback == "" {
-		t.Fatalf("retention fallback reason missing: %+v", advAll.Plan)
-	}
-	refAll, err := runRef(cur, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "fallback", refAll.Table, advAll.Table)
-	groupsEqual(t, "fallback", refAll, advAll)
-}
-
 // TestAdvanceRetentionBeyondWindow is a regression test: a carried
 // result with NO groups (WHERE matched nothing) whose entire window is
-// dropped by retention used to slip past the rebase checks with a
-// negative suffix start and panic in the shard scan. It must fall back
-// with a retention reason instead.
+// dropped by retention once slipped past the horizon checks with a
+// negative suffix start and panicked in the shard scan. It must fall
+// back with a retention reason instead.
 func TestAdvanceRetentionBeyondWindow(t *testing.T) {
-	tbl := retentionRebaseFixture(t, 64)
+	tbl := retentionFixture(t, 64)
 	stmt := retentionStmt(t, 1e9) // matches nothing: zero groups
 	res, err := RunOn(tbl, stmt)
 	if err != nil {
@@ -309,7 +196,7 @@ func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adv.Plan.Incremental || adv.Plan.Fallback == "" {
+	if adv.Plan.Incremental || !strings.HasPrefix(adv.Plan.Fallback, "retention:") {
 		t.Fatalf("expected recorded retention fallback, got %+v", adv.Plan)
 	}
 	ref, err := runRef(cur, stmt)
@@ -345,76 +232,4 @@ func TestSubSegmentSharding(t *testing.T) {
 			t.Fatalf("shard start %d not word-aligned", r[0])
 		}
 	}
-}
-
-// TestAdvanceRetentionSortCarry pins ORDER BY carry across a retention
-// pass: a windowed statement that rebases (its WHERE provably excludes
-// every dropped row) must also carry its ORDER BY — merging changed and
-// suffix-born groups into the carried order instead of re-sorting — and
-// stay identical to a fresh ordered run over the retained table.
-// Extending the carry to full-window statements is ruled out by
-// TestAdvanceRetentionRebase: those must NOT rebase in the first place.
-func TestAdvanceRetentionSortCarry(t *testing.T) {
-	tbl := retentionRebaseFixture(t, 5*64+10)
-	stmt, err := sqlparse.Parse(
-		"SELECT j, sum(x) AS s, count(*) AS c FROM m WHERE x >= 256 GROUP BY j ORDER BY s DESC, j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunOn(tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) != 3 {
-		t.Fatalf("fixture expected 3 ordered groups, got %d", len(res.Groups))
-	}
-
-	// Append rows skewed toward j=0 so the carried order must move a
-	// changed group, not just keep the old permutation.
-	base := tbl.NumRows()
-	batch := make([][]engine.Value, 40)
-	for i := range batch {
-		j := int64(0)
-		if i%4 == 0 {
-			j = int64(i % 3)
-		}
-		batch[i] = []engine.Value{engine.NewFloat(float64(base + i)), engine.NewInt(j)}
-	}
-	grown, err := tbl.AppendBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 2 * 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DroppedRows == 0 {
-		t.Fatal("fixture dropped nothing: retention not exercised")
-	}
-
-	adv, err := Advance(res, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adv.Plan.Incremental || !adv.Plan.SortCarried || adv.Plan.Fallback != "" {
-		t.Fatalf("retention advance lost the ordered carry: %+v", adv.Plan)
-	}
-	ref, err := runRef(cur, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "retention-order-carry", ref.Table, adv.Table)
-	groupsEqual(t, "retention-order-carry", ref, adv)
-
-	// Control: the carry is a pure optimization — a from-scratch ordered
-	// run over the retained table sorts in full and must produce the same
-	// rows.
-	fresh, err := RunOn(cur, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Plan.SortCarried {
-		t.Fatalf("fresh run claims a carried sort: %+v", fresh.Plan)
-	}
-	tablesEqual(t, "retention-order-fresh", fresh.Table, adv.Table)
 }

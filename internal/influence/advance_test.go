@@ -15,11 +15,11 @@ import (
 	"repro/internal/testgen"
 )
 
-// These tests pin AdvanceScorer to NewScorer: a scorer advanced across
-// a chain of append batches must be bit-identical to one built from
-// scratch over the grown result — F union, per-group spans, base
-// aggregates, ε, and every EpsWithoutBits evaluation. The generator's
-// floats are exactly representable, so equality is exact.
+// These tests pin a scorer over an advanced result — built from the
+// lineage bitsets and argument view exec.Advance carried — to one built
+// over a from-scratch run of the grown table: F union, per-group spans,
+// base aggregates, ε, and every EpsWithoutBits evaluation. The
+// generator's floats are exactly representable, so equality is exact.
 
 func scorersEqual(t *testing.T, label string, a, b *Scorer, rng *rand.Rand) {
 	t.Helper()
@@ -104,10 +104,10 @@ func analysesEqual(t *testing.T, label string, want, got *Analysis) {
 }
 
 // TestAdvanceScorerDifferential also pins RankAdvancedCtx, the analysis
-// over the advanced scorer: whether it shares the previous pass's
-// ranking (no suspect group grew) or runs the LOO pass again, it equals
-// the LOO pass over the from-scratch scorer — and it shares exactly
-// when the suspects and their lineages are the previous pass's.
+// over the advanced result's scorer: whether it shares the previous
+// pass's ranking (no suspect group grew) or runs the LOO pass again, it
+// equals the LOO pass over the from-scratch scorer — and it shares
+// exactly when the suspects and their lineages are the previous pass's.
 func TestAdvanceScorerDifferential(t *testing.T) {
 	seeds := int64(8)
 	if testing.Short() {
@@ -131,11 +131,10 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			// DebugStmt's first aggregate is the debugged one; count(DISTINCT
 			// s) among them scores through the same Scorer as the rest.
 			sawDistinct = sawDistinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct
-			prev, err := NewScorer(res, suspect, 0, metric)
+			prevAn, err := RankCtx(context.Background(), res, suspect, 0, metric)
 			if err != nil {
-				t.Fatalf("seed %d iter %d: NewScorer: %v [%s]", seed, iter, err, stmt)
+				t.Fatalf("seed %d iter %d: RankCtx: %v [%s]", seed, iter, err, stmt)
 			}
-			prevAn, _ := RankWithScorerCtx(context.Background(), prev)
 			cur := tbl
 			for step := 0; step < 4; step++ {
 				batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur))
@@ -158,9 +157,9 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if !adv.Plan.Incremental || adv.Plan.Fallback != "" {
 					t.Fatalf("seed %d iter %d step %d: Advance re-ran without retention: %+v [%s]", seed, iter, step, adv.Plan, stmt)
 				}
-				// Re-draw suspects a third of the time: the carried F union
-				// only applies to an unchanged suspect set, and the
-				// changed-set path must rebuild, not mis-carry.
+				// Re-draw suspects a third of the time: the previous ranking
+				// is shared only for an unchanged suspect set, and a changed
+				// set must re-rank, not mis-share.
 				same := true
 				if rng.Intn(3) == 0 {
 					redrawn := testgen.Suspects(rng, adv)
@@ -170,8 +169,12 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 					same = same && ri < len(res.Groups) && len(adv.Groups[ri].Lineage) == len(res.Groups[ri].Lineage)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
-				fresh, freshErr := NewScorer(adv, suspect, 0, metric)
-				carried, carErr := AdvanceScorer(prev, adv, suspect, 0, metric)
+				ref, err := exec.RunOn(grown, stmt)
+				if err != nil {
+					t.Fatalf("%s: fresh run: %v", label, err)
+				}
+				fresh, freshErr := NewScorer(ref, suspect, 0, metric)
+				carried, carErr := NewScorer(adv, suspect, 0, metric)
 				if freshErr != nil || carErr != nil {
 					t.Fatalf("%s: fresh=%v carried=%v", label, freshErr, carErr)
 				}
@@ -194,7 +197,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				} else {
 					recomputed++
 				}
-				prev, prevAn = carried, an
+				prevAn = an
 				res, cur = adv, grown
 			}
 			// Next iteration draws a fresh statement (and a fresh result
@@ -208,30 +211,5 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 	}
 	if shared == 0 || recomputed == 0 {
 		t.Fatalf("harness coverage: %d analyses shared the previous ranking, %d recomputed it", shared, recomputed)
-	}
-}
-
-// TestAdvanceScorerNilPrev pins the nil-prev convenience: it must be
-// exactly NewScorer.
-func TestAdvanceScorerNilPrev(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tbl := testgen.Table(rng, 120)
-	stmt := testgen.DebugStmt(rng)
-	res, err := exec.RunOn(tbl, stmt)
-	if err != nil {
-		t.Skip("generated statement rejected")
-	}
-	metric := testgen.Metric(rng)
-	suspect := testgen.Suspects(rng, res)
-	if len(suspect) == 0 {
-		t.Skip("no output rows")
-	}
-	fresh, freshErr := NewScorer(res, suspect, 0, metric)
-	adv, advErr := AdvanceScorer(nil, res, suspect, 0, metric)
-	if (freshErr != nil) != (advErr != nil) {
-		t.Fatalf("error disagreement: %v vs %v", freshErr, advErr)
-	}
-	if freshErr == nil {
-		scorersEqual(t, "nil prev", fresh, adv, rng)
 	}
 }

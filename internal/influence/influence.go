@@ -74,11 +74,8 @@ func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metr
 }
 
 // RankWithScorerCtx runs the columnar preprocessor pass over an
-// already-built scoring state — the entry point the incremental Debug
-// path uses after advancing a carried Scorer to a grown table version
-// (AdvanceScorer), so the LOO analysis never rebuilds what the carry
-// preserved. Rank routes through it too. The only possible error wraps
-// the context error.
+// already-built scoring state. Rank and RankAdvancedCtx route through
+// it. The only possible error wraps the context error.
 func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 	an, err := rankFast(ctx, sc)
 	if err != nil {
@@ -88,9 +85,9 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 	return an, nil
 }
 
-// RankAdvancedCtx is RankWithScorerCtx for sc = AdvanceScorer(prev.Scorer,
-// …) under the aggregate and metric prev was ranked with — the step a
-// monitoring loop repeats. A stream mostly grows by adding groups, not
+// RankAdvancedCtx is RankWithScorerCtx for sc = NewScorer over an
+// advanced result (exec.Advance), under the aggregate and metric prev
+// was ranked with — the step a monitoring loop repeats. A stream mostly grows by adding groups, not
 // rows to old ones: when no suspect group's lineage grew since prev
 // (Scorer.sameLineage), every aggregate state, hence ε and every δ, is
 // what prev computed, and the analysis shares prev's Influences and F

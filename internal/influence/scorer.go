@@ -39,13 +39,13 @@ type Scorer struct {
 	fbits  *bitset.Bitset
 	args   *exec.ArgView
 	nsrc   int
-	// srcBase is the source table's retention base: carried F words
-	// rebase by word-shift when the base moved (whole-segment drops are
-	// always word-aligned).
+	// srcBase is the source table's retention base: row ids, and so
+	// firstRows and the lineage, mean the same only between scorers of
+	// one base.
 	srcBase int
 	// firstRows[i] identifies suspect group i by its first source row —
-	// stable across table versions, so AdvanceScorer can verify that a
-	// carried F union still describes the same groups even when the
+	// stable across the versions of one base, so RankAdvancedCtx can tell
+	// that a previous analysis scored the same groups even when the
 	// materialized output order shifted.
 	firstRows []int
 	// lineLens[i] is suspect group i's lineage length. Lineage is
@@ -73,101 +73,6 @@ type Scratch struct {
 // evaluation error, or a DISTINCT aggregate over string values); there is
 // no other scorer to fall back to, so callers report the error.
 func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
-	s, err := newScorerBase(res, suspect, ord, metric)
-	if err != nil {
-		return nil, err
-	}
-	s.buildGroupBits(res, suspect)
-	return s, nil
-}
-
-// AdvanceScorer builds the scoring state for res — an incrementally
-// advanced result over a grown version of prev's source table — by
-// extending prev's carried state by the appended suffix instead of
-// rebuilding it. Per-group lineage bitsets and the argument view come
-// from the advanced result's carried caches (exec.Advance extends both
-// by suffix), the removable aggregate states are the advanced result's
-// own, and the F union reuses prev's words: appended rows can only set
-// bits from the old length on, so the prefix is a word-level copy and
-// only the suffix words are OR-ed. The produced Scorer is bit-identical
-// to NewScorer over the same result.
-//
-// When the source table's retention base moved since prev, the carried
-// F union rebases by a word-shift (dropped head segments are whole
-// words) as long as the suspect groups' identities survive the id
-// translation; group first rows are compared with the drop offset
-// applied. When the suspect groups changed since prev (or prev is nil,
-// or the rebase precondition fails), the F union is rebuilt from the
-// per-group bitsets — still cheap, since those were carried — so
-// callers can advance unconditionally.
-func AdvanceScorer(prev *Scorer, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
-	if prev == nil {
-		return NewScorer(res, suspect, ord, metric)
-	}
-	s, err := newScorerBase(res, suspect, ord, metric)
-	if err != nil {
-		return nil, err
-	}
-	drop := s.srcBase - prev.srcBase
-	prevLocal := prev.nsrc - drop
-	if drop < 0 || drop%64 != 0 || s.nsrc < prevLocal || !sameSuspectGroups(prev, s, drop) {
-		s.buildGroupBits(res, suspect)
-		return s, nil
-	}
-	s.advanceGroupBits(prev, res, suspect, drop)
-	return s, nil
-}
-
-// sameSuspectGroups reports whether next names the same groups, in the
-// same order, as prev — by first source row, the version-stable group
-// identity (shifted by the retention drop) — so prev's F union is a
-// valid prefix of next's after rebase. A suspect group whose first row
-// fell below the retention horizon can never match, so a shifted match
-// also proves every suspect lineage survived the drop (a group's first
-// row is its earliest lineage row).
-func sameSuspectGroups(prev, next *Scorer, drop int) bool {
-	if len(prev.suspect) != len(next.suspect) {
-		return false
-	}
-	for i := range prev.suspect {
-		if prev.firstRows[i]-drop != next.firstRows[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameLineage reports whether s — advanced from prev within one table
-// family — scores exactly the rows prev scored: no retention rebase (row
-// ids mean the same), the same groups at the same output rows
-// (TupleInfluence.GroupRow), none of them grown, and ε unmoved to the
-// bit.
-func (s *Scorer) sameLineage(prev *Scorer) bool {
-	return s.srcBase == prev.srcBase && slices.Equal(s.suspect, prev.suspect) &&
-		sameSuspectGroups(prev, s, 0) && slices.Equal(s.lineLens, prev.lineLens) &&
-		math.Float64bits(s.eps) == math.Float64bits(prev.eps)
-}
-
-// checkSelection validates a suspect selection and aggregate ordinal
-// against res.
-func checkSelection(res *exec.Result, suspect []int, ord int) error {
-	if len(suspect) == 0 {
-		return fmt.Errorf("influence: no suspect groups")
-	}
-	if ord < 0 || ord >= len(res.AggOrdinals()) {
-		return fmt.Errorf("influence: aggregate ordinal %d out of range (%d aggregates)", ord, len(res.AggOrdinals()))
-	}
-	for _, ri := range suspect {
-		if ri < 0 || ri >= res.NumRows() {
-			return fmt.Errorf("influence: suspect row %d out of range", ri)
-		}
-	}
-	return nil
-}
-
-// newScorerBase builds everything except the lineage bitsets: base
-// aggregate values, the states, the argument view, and ε.
-func newScorerBase(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return nil, err
 	}
@@ -198,35 +103,36 @@ func newScorerBase(res *exec.Result, suspect []int, ord int, metric errmetric.Me
 		return nil, err
 	}
 	s.args = args
+	s.buildGroupBits(res, suspect)
 	return s, nil
 }
 
-// advanceGroupBits extends prev's F union by the appended suffix,
-// first rebasing it across a retention horizon when drop > 0. The
-// advanced result's per-group bitsets share their (shifted) prefix
-// with the ones prev unioned (lineage is append-only; exec.Advance
-// carries the bitsets by prefix copy — or word-shift — plus suffix
-// sets), so the union over the surviving prefix is exactly prev.fbits
-// rebased: the word-block concatenation is prefix words ++ suffix
-// words, and only words appended rows can touch need OR-ing.
-func (s *Scorer) advanceGroupBits(prev *Scorer, res *exec.Result, suspect []int, drop int) {
-	s.groups = make([]groupBits, len(suspect))
-	if drop > 0 {
-		s.fbits = bitset.ShiftDownWords(s.nsrc, prev.fbits.Words(), drop)
-	} else {
-		s.fbits = bitset.SnapshotWords(s.nsrc, prev.fbits.Words())
+// sameLineage reports whether s — built over a result advanced from
+// prev's within one table family — scores exactly the rows prev scored:
+// the same retention base (row ids mean the same), the same groups by
+// first source row at the same output rows (TupleInfluence.GroupRow),
+// none of them grown, and ε unmoved to the bit.
+func (s *Scorer) sameLineage(prev *Scorer) bool {
+	return s.srcBase == prev.srcBase && slices.Equal(s.suspect, prev.suspect) &&
+		slices.Equal(s.firstRows, prev.firstRows) && slices.Equal(s.lineLens, prev.lineLens) &&
+		math.Float64bits(s.eps) == math.Float64bits(prev.eps)
+}
+
+// checkSelection validates a suspect selection and aggregate ordinal
+// against res.
+func checkSelection(res *exec.Result, suspect []int, ord int) error {
+	if len(suspect) == 0 {
+		return fmt.Errorf("influence: no suspect groups")
 	}
-	fw := s.fbits.Words()
-	lo0 := (prev.nsrc - drop) >> 6
-	for i := range suspect {
-		b := res.GroupLineageBitsShared(suspect[i])
-		lo, hi, ok := b.WordRange()
-		s.groups[i] = groupBits{bits: b, lo: lo, hi: hi, empty: !ok}
-		gw := b.Words()
-		for wi := lo0; wi < len(gw); wi++ {
-			fw[wi] |= gw[wi]
+	if ord < 0 || ord >= len(res.AggOrdinals()) {
+		return fmt.Errorf("influence: aggregate ordinal %d out of range (%d aggregates)", ord, len(res.AggOrdinals()))
+	}
+	for _, ri := range suspect {
+		if ri < 0 || ri >= res.NumRows() {
+			return fmt.Errorf("influence: suspect row %d out of range", ri)
 		}
 	}
+	return nil
 }
 
 // buildGroupBits fetches each suspect group's lineage bitset (from the

@@ -197,12 +197,12 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if !adv.Plan.Incremental || adv.Plan.Fallback != "" {
 				t.Fatalf("seed %d iter %d: Advance re-ran: %+v [%s]", seed, iter, adv.Plan, stmt)
 			}
-			// The carried pass: advanced scorer + carried candidates.
-			advSc, err := influence.AdvanceScorer(an.Scorer, adv, suspect, 0, metric)
+			// The carried pass: the advanced result's scorer + carried
+			// candidates.
+			advAn, err := influence.RankCtx(context.Background(), adv, suspect, 0, metric)
 			if err != nil {
-				t.Fatalf("seed %d iter %d: AdvanceScorer: %v [%s]", seed, iter, err, stmt)
+				t.Fatalf("seed %d iter %d: RankCtx: %v [%s]", seed, iter, err, stmt)
 			}
-			advAn, _ := influence.RankWithScorerCtx(context.Background(), advSc)
 			carriedCtx := &Context{Res: adv, Suspect: suspect, Ord: 0, Metric: metric,
 				F: advAn.F, Eps: advAn.Eps}
 			carriedCtx.Scorer = advAn.Scorer

@@ -194,3 +194,87 @@ func TestAppendQueryRetentionLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestDebugAfterRetentionRefreshes pins /api/debug across a retention
+// pass that dropped more rows than were appended since: the table has
+// fewer local rows than the session's result, yet it is a newer
+// version, so the debug must explain the table as it is — the appended
+// rows in F, the dropped ones gone — as a full Debug (the carried
+// analysis never crosses a horizon). A suspect group that lost its
+// first row to retention answers 409.
+func TestDebugAfterRetentionRefreshes(t *testing.T) {
+	ts, db := segServer(t, 5*64+10)
+	debug := func(session string, out any) *http.Response {
+		return post(t, ts, "/api/debug", map[string]any{
+			"session": session, "suspect": []int{0}, "aggItem": -1,
+			"metric": "toohigh", "metricParams": map[string]float64{"c": 0},
+		}, out)
+	}
+	appendRows := func(n int) {
+		cur, err := db.Table("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]any, n)
+		for i := range rows {
+			x := cur.Version() + i
+			rows[i] = []any{float64(x), float64(x % 3)}
+		}
+		if resp := post(t, ts, "/api/append", map[string]any{"table": "m", "rows": rows}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append status %d", resp.StatusCode)
+		}
+	}
+	retain := func(maxRows, wantDropped int) {
+		var out struct {
+			DroppedRows int `json:"dropped_rows"`
+		}
+		if resp := post(t, ts, "/api/retention", map[string]any{"table": "m", "max_rows": maxRows}, &out); resp.StatusCode != http.StatusOK || out.DroppedRows != wantDropped {
+			t.Fatalf("retention status %d dropped %d, want %d", resp.StatusCode, out.DroppedRows, wantDropped)
+		}
+	}
+	type debugResp struct {
+		LineageSize int    `json:"lineageSize"`
+		Mode        string `json:"mode"`
+		Error       string `json:"error"`
+	}
+
+	// Suspect 0 is the group of x = 64 (j = 1); WHERE x >= 64 keeps every
+	// group clear of the segment retention drops.
+	post(t, ts, "/api/query", map[string]any{"session": "s", "sql": "SELECT j, sum(x) AS s FROM m WHERE x >= 64 GROUP BY j"}, nil)
+	var d1 debugResp
+	if resp := debug("s", &d1); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first debug: status %d (%s)", resp.StatusCode, d1.Error)
+	}
+	retain(4*64, 64)
+	appendRows(10) // fewer than the 64 dropped
+	var d2 debugResp
+	if resp := debug("s", &d2); resp.StatusCode != http.StatusOK {
+		t.Fatalf("debug after retention: status %d (%s)", resp.StatusCode, d2.Error)
+	}
+	cur, err := db.Table("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for x := cur.Base(); x < cur.Version(); x++ {
+		if x >= 64 && x%3 == 1 {
+			want++
+		}
+	}
+	if d2.LineageSize != want || d2.LineageSize == d1.LineageSize {
+		t.Fatalf("debug after retention explains %d lineage rows, the retained table has %d (before: %d)", d2.LineageSize, want, d1.LineageSize)
+	}
+	if d2.Mode != "full" {
+		t.Fatalf("debug across a retention horizon ran %q, want a full Debug", d2.Mode)
+	}
+
+	// Without the WHERE, every group's first row is in the next dropped
+	// segment.
+	post(t, ts, "/api/query", map[string]any{"session": "t", "sql": "SELECT j, sum(x) AS s FROM m GROUP BY j"}, nil)
+	retain(3*64, 64)
+	appendRows(5)
+	var d3 debugResp
+	if resp := debug("t", &d3); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("debug of a group that lost rows: status %d (%+v), want 409", resp.StatusCode, d3)
+	}
+}

@@ -440,21 +440,22 @@ func cleanKey(sql string, applied []predicate.Predicate) string {
 
 // runWithCleaning executes sql with the session's cleaning predicates
 // appended as WHERE NOT (...) conjuncts. When the statement and
-// cleaning set are unchanged and the source table has only grown (the
-// streaming /api/append path), the cached result is advanced by folding
-// in just the appended rows (exec.Advance) instead of rescanning.
+// cleaning set are unchanged and the source table is another version of
+// the cached result's (the streaming /api/append and /api/retention
+// path), the cached result is advanced (exec.Advance): it folds in just
+// the appended rows, or re-runs when retention moved the base.
 func (s *Server) runWithCleaning(ctx context.Context, sess *session, sql string) error {
 	key := cleanKey(sql, sess.applied)
 	if sess.res != nil && sess.resKey == key {
-		if src, err := s.db.Table(sess.res.Stmt.From); err == nil &&
-			src.SameFamily(sess.res.Source) && src.NumRows() >= sess.res.Source.NumRows() {
+		if src, err := s.db.Table(sess.res.Stmt.From); err == nil && src.SameFamily(sess.res.Source) {
 			res, err := exec.AdvanceCtx(ctx, sess.res, src)
 			if err == nil {
 				s.recordScan(res.Plan)
 				sess.sql = sql
 				sess.res = res
 				// lastDbg survives: its carried analysis advances with
-				// the result (core.DebugAdvance), closing the
+				// the result (core.DebugAdvance, which runs a full Debug
+				// across a retention horizon), closing the
 				// append → advance → re-debug monitoring loop.
 				return nil
 			}
@@ -666,30 +667,35 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("no query executed yet"))
 		return
 	}
-	// Streaming sessions: when the source table grew since the cached
-	// result (an /api/append landed), advance the result first so the
-	// debug sees the appended rows — runWithCleaning folds in only the
-	// appended batch and keeps lastDbg's carried analysis alive.
+	// Streaming sessions: when the source table moved since the cached
+	// result (an /api/append landed, or /api/retention dropped head
+	// segments), refresh the result first so the debug explains the
+	// table as it is — runWithCleaning folds in only the appended batch
+	// and keeps lastDbg's carried analysis alive, or re-runs across a
+	// retention horizon.
 	//
 	// The client's suspect indexes point into the result it SAW; after
-	// the refresh re-materializes HAVING/ORDER BY/LIMIT over the grown
+	// the refresh re-materializes HAVING/ORDER BY/LIMIT over the new
 	// table, the same output row number can be a different group. The
-	// indexes are therefore remapped by group identity (first source
-	// row) across the refresh; a selected group that no longer
-	// materializes is an error asking the client to re-query, never a
-	// silent answer about a different group.
+	// indexes are therefore remapped by group identity — the stream row
+	// id of its first row, FirstRow + Base(), which retention does not
+	// move — across the refresh; a selected group that no longer
+	// materializes, or lost its first row to retention, is an error
+	// asking the client to re-query, never a silent answer about a
+	// different group.
 	if sess.sql != "" {
-		if src, err := s.db.Table(sess.res.Stmt.From); err == nil &&
-			src.SameFamily(sess.res.Source) && src.NumRows() > sess.res.Source.NumRows() {
+		old := sess.res
+		if src, err := s.db.Table(old.Stmt.From); err == nil && src.SameFamily(old.Source) &&
+			(src.Version() != old.Source.Version() || src.Base() != old.Source.Base()) {
 			var firstRows []int
-			if oldRes := sess.res; len(req.Suspect) > 0 {
+			if len(req.Suspect) > 0 {
 				firstRows = make([]int, 0, len(req.Suspect))
 				for _, ri := range req.Suspect {
-					if ri < 0 || ri >= len(oldRes.Groups) {
+					if ri < 0 || ri >= len(old.Groups) {
 						firstRows = nil // let Debug report the bad index
 						break
 					}
-					firstRows = append(firstRows, oldRes.Groups[ri].FirstRow)
+					firstRows = append(firstRows, old.Groups[ri].FirstRow+old.Source.Base())
 				}
 			}
 			if err := s.runWithCleaning(r.Context(), sess, sess.sql); err != nil {
@@ -697,10 +703,11 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if firstRows != nil {
+				base := sess.res.Source.Base()
 				byFirst := make(map[int]int, len(sess.res.Groups))
 				for ri, g := range sess.res.Groups {
-					if _, dup := byFirst[g.FirstRow]; !dup {
-						byFirst[g.FirstRow] = ri
+					if _, dup := byFirst[g.FirstRow+base]; !dup {
+						byFirst[g.FirstRow+base] = ri
 					}
 				}
 				remapped := make([]int, len(firstRows))

@@ -1,7 +1,7 @@
 // Package testgen generates randomized tables, append batches,
 // statements, suspect selections and error metrics for the
 // differential test harnesses that pin the incremental paths
-// (exec.Advance, influence.AdvanceScorer, core.DebugAdvance) to their
+// (exec.Advance, influence.RankAdvancedCtx, core.DebugAdvance) to their
 // from-scratch oracles.
 //
 // The value distribution deliberately reuses the PR 3 parity
@@ -293,7 +293,7 @@ func TableSegBigInt(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
 
 // BoundaryBatchSize draws an append batch size biased to land exactly
 // on, one under, or one over the table's next segment boundary —
-// where every off-by-one in the seal/rebase plumbing would live — and
+// where every off-by-one in the seal and suffix plumbing would live — and
 // otherwise a small random size.
 func BoundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
 	segRows := t.SegRows()
@@ -317,8 +317,8 @@ func BoundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
 
 // RetainStep applies a randomized row-bound retention policy to the
 // newest version, returning it (possibly unchanged) plus the stream
-// rows dropped. Harnesses interleave it with append batches to
-// exercise the carried-state rebase/fallback paths.
+// rows dropped. Harnesses interleave it with append batches to check
+// that carried state is rebuilt across every moved base.
 func RetainStep(rng *rand.Rand, t *engine.Table) (*engine.Table, int) {
 	keep := t.SegRows() * (1 + rng.Intn(4))
 	nt, stats, err := t.RetainTail(engine.RetentionPolicy{MaxRows: keep})

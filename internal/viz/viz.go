@@ -1,6 +1,5 @@
-// Package viz renders the dashboard's scatterplots as SVG (for the web
-// frontend) and as ASCII (for the CLI, which prints the paper's figures
-// into the terminal).
+// Package viz renders the dashboard's scatterplots as ASCII, for the CLI
+// and the examples, which print the paper's figures into the terminal.
 package viz
 
 import (
@@ -23,11 +22,7 @@ type Plot struct {
 	XLabel string
 	YLabel string
 	Points []Point
-	// Lines connects consecutive points of each class when true
-	// (Figure 7's daily series reads better as a line).
-	Lines bool
-	// Width and Height are output dimensions: pixels for SVG, runes for
-	// ASCII (defaults 720x400 / 100x28).
+	// Width and Height are output dimensions in runes (default 100x24).
 	Width, Height int
 }
 
@@ -60,80 +55,6 @@ func (p *Plot) bounds() (xmin, xmax, ymin, ymax float64) {
 	// 5% padding.
 	xpad, ypad := (xmax-xmin)*0.05, (ymax-ymin)*0.05
 	return xmin - xpad, xmax + xpad, ymin - ypad, ymax + ypad
-}
-
-var svgColors = []string{"#4477aa", "#ee6677", "#228833"}
-
-// SVG renders the plot as a standalone SVG document.
-func (p *Plot) SVG() string {
-	w, h := p.Width, p.Height
-	if w <= 0 {
-		w = 720
-	}
-	if h <= 0 {
-		h = 400
-	}
-	const mL, mR, mT, mB = 60, 15, 30, 40
-	plotW, plotH := float64(w-mL-mR), float64(h-mT-mB)
-	xmin, xmax, ymin, ymax := p.bounds()
-	sx := func(x float64) float64 { return float64(mL) + (x-xmin)/(xmax-xmin)*plotW }
-	sy := func(y float64) float64 { return float64(mT) + (1-(y-ymin)/(ymax-ymin))*plotH }
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`, w, h, w, h)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>`)
-	// Axes.
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`, mL, h-mB, w-mR, h-mB)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#333"/>`, mL, mT, mL, h-mB)
-	// Ticks.
-	for i := 0; i <= 5; i++ {
-		xv := xmin + (xmax-xmin)*float64(i)/5
-		yv := ymin + (ymax-ymin)*float64(i)/5
-		fmt.Fprintf(&b, `<text x="%.0f" y="%d" font-size="10" text-anchor="middle" fill="#555">%s</text>`,
-			sx(xv), h-mB+14, trimNum(xv))
-		fmt.Fprintf(&b, `<text x="%d" y="%.0f" font-size="10" text-anchor="end" fill="#555">%s</text>`,
-			mL-4, sy(yv)+3, trimNum(yv))
-		fmt.Fprintf(&b, `<line x1="%.0f" y1="%d" x2="%.0f" y2="%d" stroke="#ccc"/>`, sx(xv), h-mB, sx(xv), h-mB+3)
-	}
-	// Title and labels.
-	if p.Title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="18" font-size="13" text-anchor="middle" fill="#111">%s</text>`, w/2, escape(p.Title))
-	}
-	if p.XLabel != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="%d" font-size="11" text-anchor="middle" fill="#333">%s</text>`, w/2, h-8, escape(p.XLabel))
-	}
-	if p.YLabel != "" {
-		fmt.Fprintf(&b, `<text x="14" y="%d" font-size="11" text-anchor="middle" fill="#333" transform="rotate(-90 14 %d)">%s</text>`, h/2, h/2, escape(p.YLabel))
-	}
-	// Lines per class.
-	if p.Lines {
-		byClass := map[int][]Point{}
-		for _, pt := range p.Points {
-			byClass[pt.Class] = append(byClass[pt.Class], pt)
-		}
-		for cls, pts := range byClass {
-			var path strings.Builder
-			for i, pt := range pts {
-				cmd := "L"
-				if i == 0 {
-					cmd = "M"
-				}
-				fmt.Fprintf(&path, "%s%.1f %.1f", cmd, sx(pt.X), sy(pt.Y))
-			}
-			fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.2"/>`, path.String(), svgColors[cls%len(svgColors)])
-		}
-	}
-	// Marks.
-	for _, pt := range p.Points {
-		r := 2.2
-		if pt.Class == 1 {
-			r = 3.2
-		}
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s" fill-opacity="0.75"/>`,
-			sx(pt.X), sy(pt.Y), r, svgColors[pt.Class%len(svgColors)])
-	}
-	b.WriteString(`</svg>`)
-	return b.String()
 }
 
 // ASCII renders the plot as a text grid with axes, one character per
@@ -218,11 +139,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, ">", "&gt;")
-	return s
 }

@@ -16,38 +16,6 @@ func samplePlot() *Plot {
 	}
 }
 
-func TestSVGWellFormed(t *testing.T) {
-	svg := samplePlot().SVG()
-	for _, want := range []string{"<svg", "</svg>", "circle", "test plot"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("SVG missing %q", want)
-		}
-	}
-	if strings.Count(svg, "<circle") != 4 {
-		t.Errorf("circles: %d", strings.Count(svg, "<circle"))
-	}
-}
-
-func TestSVGEscapesTitle(t *testing.T) {
-	p := samplePlot()
-	p.Title = "a < b & c"
-	svg := p.SVG()
-	if strings.Contains(svg, "a < b & c") {
-		t.Error("unescaped title in SVG")
-	}
-	if !strings.Contains(svg, "a &lt; b &amp; c") {
-		t.Error("escaped title missing")
-	}
-}
-
-func TestSVGLines(t *testing.T) {
-	p := samplePlot()
-	p.Lines = true
-	if !strings.Contains(p.SVG(), "<path") {
-		t.Error("line mode missing path")
-	}
-}
-
 func TestASCIIBasics(t *testing.T) {
 	out := samplePlot().ASCII()
 	if !strings.Contains(out, "test plot") {
@@ -70,17 +38,13 @@ func TestASCIIBasics(t *testing.T) {
 
 func TestEmptyPlot(t *testing.T) {
 	p := &Plot{}
-	if p.SVG() == "" || p.ASCII() == "" {
+	if p.ASCII() == "" {
 		t.Error("empty plot should still render axes")
 	}
 }
 
 func TestSinglePointNoDivZero(t *testing.T) {
 	p := &Plot{Points: []Point{{X: 5, Y: 5}}}
-	svg := p.SVG()
-	if strings.Contains(svg, "NaN") {
-		t.Error("NaN in SVG for degenerate bounds")
-	}
 	if strings.Contains(p.ASCII(), "NaN") {
 		t.Error("NaN in ASCII")
 	}
