@@ -76,9 +76,9 @@ fmt-check:
 
 # Short fuzz sessions over the parser round-trip, the compiled
 # evaluator and key kernel parity targets, the aggregate contract, the
-# segment-file section decoder, the WAL replay parser, the
-# quantile-threshold selection and the /api/append body decoder against
-# the [][]any path it replaced (one
+# segment-file section decoder, the WAL replay parser, the dict.log and
+# manifest decoders, the quantile-threshold selection and the /api/append
+# body decoder against the [][]any path it replaced (one
 # -fuzz target per invocation is a Go toolchain constraint). The
 # checked-in corpora under testdata/fuzz replay on every plain `go test`;
 # this additionally explores new inputs for a few seconds each.
@@ -92,6 +92,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzResidualFilterParity -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentSection -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReplayWAL -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDictLog -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileThresholds -fuzztime=$(FUZZTIME) ./internal/feature
 	$(GO) test -run='^$$' -fuzz=FuzzAppendBody -fuzztime=$(FUZZTIME) ./internal/server
 

@@ -38,8 +38,9 @@
 // provenance, top-k influence and exhaustive search baselines — is
 // internal/core's TestQualityTable (`make quality` prints it), a tier-1
 // test with checked-in floors. core.Options keeps only what that table
-// has a row for (two ablation switches, two known-bad settings) and the
-// differential harnesses' DriftThreshold; a switch whose row stops
+// has a row for (two ablation switches, two known-bad settings) and
+// DriftThreshold, which the differential harnesses set to +Inf to drive
+// the carried pass; a switch whose row stops
 // moving a cell fails the test until it is deleted with its code.
 //
 // # Columnar scoring
@@ -184,9 +185,7 @@
 //     is Added boxed (a string has no float; a computed number waits
 //     for a bench shape that shows it matters);
 //     rowEval's interpreter arm — the few nodes expr.Compile refuses
-//     evaluate over a whole boxed row, so every expression runs;
-//     dtree.PredictRow — reads Table.Value for rows appended after the
-//     tree's learning frame was gathered.
+//     evaluate over a whole boxed row, so every expression runs.
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed
 //     accumulation. No production code path reaches it. The randomized
@@ -198,19 +197,10 @@
 //     every fresh run; FuzzResidualFilterParity drives arbitrary parsed
 //     predicates through buildFilter against per-row EvalBool.
 //
-// Advance keeps sorted output incrementally: the carried result's order
-// merges with a re-sort of only the groups whose lineage grew. The merge
-// engages only when the sort keys are totally ordered — any NaN key or
-// incomparable pair in either result forces the full sort, because
-// sort.SliceStable's comparator is intransitive exactly there — and
-// ties break by group scan position, matching the stable sort bit for
-// bit (Plan.SortCarried).
-//
 // /api/stats aggregates the plan counters across queries
 // (filters_ordered, conjuncts_skipped, filters_residual, residual_rows,
-// sorts_carried, key_kernels); BenchmarkSelectiveFilter, BenchmarkResidualFilter,
-// BenchmarkMaskedAggregation, BenchmarkAdvanceOrderBy and
-// BenchmarkRetentionOrderBy fail when the thing they time stops
+// key_kernels); BenchmarkSelectiveFilter, BenchmarkResidualFilter and
+// BenchmarkMaskedAggregation fail when the thing they time stops
 // engaging, not just when it slows.
 //
 // # Incremental maintenance and streaming ingest
@@ -247,8 +237,9 @@
 //     grown table version by folding only the appended rows into copies
 //     of the previous result's group states (Clone+Merge state copy,
 //     shared lineage prefixes), then re-materializing HAVING/ORDER
-//     BY/LIMIT over the groups: O(batch + groups) per cycle instead of
-//     an O(n) rescan. Lineage bitsets and argument views carry across
+//     BY/LIMIT over the groups — a full re-sort, which at the tens of
+//     groups a monitoring query has costs less than carrying an order:
+//     O(batch + groups) per cycle instead of an O(n) rescan. Lineage bitsets and argument views carry across
 //     the advance with prefix reuse, so a following Debug
 //     (influence.Scorer) also skips the unchanged prefix.
 //   - internal/server — POST /api/append decodes its envelope with
@@ -293,8 +284,8 @@
 //     (Index.SyncRows), so rescoring a carried candidate decodes only
 //     the appended rows into its masks. It is deliberately NOT the
 //     family-shared predicate.Shared index (which the executor's
-//     bounded WHERE lowering uses): candidate thresholds churn per
-//     re-expansion and that cache never evicts, so the carried index
+//     bounded WHERE lowering uses): candidate thresholds churn with
+//     every full Debug and that cache never evicts, so the carried index
 //     lives and dies with the analysis chain, capped in size.
 //   - internal/ranker — RankAllCarry returns a RankerState: every
 //     ranked predicate with its frozen target set and score. A later
@@ -302,32 +293,32 @@
 //     over the carried candidates against the advanced context and
 //     reports the score drift.
 //
-// The carry/re-expand state machine (recorded in DebugResult.Plan):
+// A DebugAdvance pass is one of two modes (DebugResult.Plan.Mode):
 //
-//   - carried — drift stayed within Options.DriftThreshold: the carried
-//     predicates, rescored exactly against the grown table, ARE the
-//     answer; the learners (subgroup discovery, tree induction) do not
-//     run at all, and the feature space is only profiled, for cleaning
+//   - carried — the same question (statement, metric, aggregate,
+//     Options, suspect groups and examples) on a grown table within one
+//     retention base, and the carried predicates, rescored exactly
+//     against it, drift no further than Options.DriftThreshold: they
+//     ARE the answer. The learners (subgroup discovery, tree induction)
+//     do not run, and the feature space is only profiled, for cleaning
 //     the user's examples. What such a pass still pays per
-//     learning-population row: the contrast sample, the gather, and
-//     the classifier's one pass over the frame.
-//   - reexpanded — drift exceeded the threshold (or a previously-ranked
-//     predicate became vacuous, which counts as infinite drift): the
-//     learners re-run over the advanced preprocessing, on the same
-//     space, discretized in place — stage for stage identical to a
-//     from-scratch Debug, so with DriftThreshold < 0 (always re-expand)
-//     DebugAdvance is the differential-test oracle's equal.
-//   - full — conditions the carry cannot express: no carried state, a
-//     changed statement/metric/aggregate, a non-grown table.
-//     Plan.Fallback says why.
+//     learning-population row: the contrast sample and, with examples,
+//     the gather and the classifier's one pass over the frame.
+//   - full — everything else runs Debug from scratch, with
+//     Plan.Fallback saying why: no carried state, a changed question or
+//     Options, a moved retention base, a negative threshold, an empty
+//     carried ranking, or drift past the threshold (a previously-ranked
+//     predicate turning vacuous counts as infinite drift). Plan.Drift
+//     keeps the drift that sent a pass there.
 //
 // Debug and DebugAdvance share their stage functions (preprocess,
 // featurize, clean, enumerate, rank), so the incremental path cannot
 // drift from the full pipeline; the randomized differential harness in
-// internal/core/advance_test.go pins DebugAdvance to from-scratch
-// Debug — ε, lineage, influence ranking, candidate counts, ranked
-// explanations and scores — at every step of random append chains, at
-// forced shard counts, with the carried structures differentially
+// internal/core/advance_test.go pins every DebugAdvance pass at every
+// step of random append chains, at forced shard counts: a full pass to
+// from-scratch Debug entirely, a carried pass to Debug's ε, lineage,
+// influence ranking and D' and to its carried candidates rescored
+// against a fresh result — with the carried structures differentially
 // tested one layer down (influence, ranker) as well.
 //
 // BenchmarkStreamingDebug measures the append + advance + re-Debug

@@ -23,7 +23,6 @@ import (
 	"repro/internal/feature"
 	"repro/internal/influence"
 	"repro/internal/predicate"
-	"repro/internal/ranker"
 	"repro/internal/subgroup"
 )
 
@@ -161,16 +160,4 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 		out[i] = ExhaustiveResult{Pred: s.pred, ErrImprovement: s.imp, NumTuples: s.matched, Evaluated: evaluated}
 	}
 	return out, nil
-}
-
-// AsScored adapts an ExhaustiveResult for the common reporting path.
-func (e ExhaustiveResult) AsScored() ranker.Scored {
-	return ranker.Scored{
-		Pred:           e.Pred,
-		Origin:         "exhaustive",
-		ErrImprovement: e.ErrImprovement,
-		Complexity:     e.Pred.Len(),
-		NumTuples:      e.NumTuples,
-		Score:          e.ErrImprovement,
-	}
 }

@@ -91,10 +91,6 @@ func TestExhaustiveFindsMemoPredicate(t *testing.T) {
 	if p < 0.9 || r < 0.9 {
 		t.Errorf("exhaustive quality: P=%.2f R=%.2f", p, r)
 	}
-	sc := best.AsScored()
-	if sc.Origin != "exhaustive" || sc.Score != best.ErrImprovement {
-		t.Errorf("AsScored: %+v", sc)
-	}
 }
 
 // TestExhaustiveMatchesBoxedScoring pins the search's scorer — clause

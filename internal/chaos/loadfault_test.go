@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -172,17 +173,30 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 			continue
 		}
 		metric := testgen.Metric(prng)
-		opt := core.Options{DriftThreshold: -1} // always re-expand: every stage runs
+		opt := core.Options{DriftThreshold: math.Inf(1)} // an advance always carries
+		// Highlighted examples: the carried pass then gathers the learning
+		// frame to clean them, so it reads sealed segments, not only the
+		// resident tail.
+		F := oracleRes.Lineage(suspect)
+		examples := F[:len(F)/3+1]
 		req := func(res *exec.Result) core.DebugRequest {
-			return core.DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Metric: metric, Opt: opt}
+			return core.DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt}
 		}
 		oracle, err := core.Debug(req(oracleRes))
 		if err != nil || len(oracle.Explanations) == 0 {
 			continue
 		}
-		oracleAdv, err := core.Debug(req(run(oracleGrown, seed)))
+		// The carried pass's oracle is the same pass over the resident table.
+		oracleAdvRes, err := exec.Advance(oracleRes, oracleGrown)
+		if err != nil {
+			t.Fatalf("seed %d: oracle advance: %v", seed, err)
+		}
+		oracleAdv, err := core.DebugAdvance(oracle, req(oracleAdvRes))
 		if err != nil {
 			continue
+		}
+		if oracleAdv.Plan.Mode != "carried" {
+			t.Fatalf("seed %d: the oracle advance was not carried: %+v", seed, oracleAdv.Plan)
 		}
 		cases++
 

@@ -315,11 +315,12 @@ func debugEq(t *testing.T, label string, want, got *core.DebugResult) {
 	}
 }
 
-// TestMatrixDebugAdvance cancels core.DebugAdvance at every learner
-// checkpoint. The carried prev must survive each cancelled attempt:
-// retrying uncancelled must produce the same analysis as a from-scratch
-// Debug over an independently executed fresh result. Seed 0 is the trial
-// whose debugged aggregate is count(DISTINCT s): it redraws the statement
+// TestMatrixDebugAdvance cancels the carried core.DebugAdvance pass at
+// every checkpoint. The carried prev must survive each cancelled
+// attempt: retrying uncancelled must produce what the same carried pass
+// produces over an independently executed fresh result (fresh lineage
+// bitsets, argument views and scorer). Seed 0 is the trial whose
+// debugged aggregate is count(DISTINCT s): it redraws the statement
 // until it is one, and highlights examples (leaving one tuple out rarely
 // moves a distinct count, so there is little influence to stand in for
 // them).
@@ -350,7 +351,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 			examples = F[:len(F)/3+1]
 		}
 		metric := testgen.Metric(rng)
-		opt := core.Options{DriftThreshold: -1} // always re-expand: maximum carried machinery
+		opt := core.Options{DriftThreshold: math.Inf(1)} // an advance always carries
 		prev, err := core.Debug(core.DebugRequest{
 			Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt,
 		})
@@ -373,21 +374,18 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}
-		suspect2 := testgen.Suspects(rng, fresh)
-		if seed == 0 {
-			suspect2 = suspect // the examples are these groups' tuples (no ORDER BY: same rows)
-		}
-		if len(suspect2) == 0 {
-			continue
-		}
-		oracle, oerr := core.Debug(core.DebugRequest{
-			Result: fresh, AggItem: -1, Suspect: suspect2, Examples: examples, Metric: metric, Opt: opt,
-		})
-
+		// The same question on the grown table (no ORDER BY: the suspect
+		// groups keep their output rows), so the advance carries.
 		req := func(ctx context.Context) core.DebugRequest {
 			return core.DebugRequest{
-				Ctx: ctx, Result: advRes, AggItem: -1, Suspect: suspect2, Examples: examples, Metric: metric, Opt: opt,
+				Ctx: ctx, Result: advRes, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt,
 			}
+		}
+		freshReq := req(context.Background())
+		freshReq.Result = fresh
+		oracle, oerr := core.DebugAdvance(prev, freshReq)
+		if oerr == nil && oracle.Plan.Mode != "carried" {
+			t.Fatalf("seed %d: the oracle advance was not carried: %+v [%s]", seed, oracle.Plan, stmt)
 		}
 		n, cntErr := CountPolls(func(ctx context.Context) error {
 			_, err := core.DebugAdvance(prev, req(ctx))
@@ -411,8 +409,8 @@ func TestMatrixDebugAdvance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d k=%d: retry after cancel failed: %v", seed, k, err)
 			}
-			if retry.Plan.Mode == "full" {
-				t.Fatalf("seed %d k=%d: the advance fell back to a full Debug: %+v [%s]", seed, k, retry.Plan, stmt)
+			if retry.Plan.Mode != "carried" {
+				t.Fatalf("seed %d k=%d: the advance was not carried: %+v [%s]", seed, k, retry.Plan, stmt)
 			}
 			debugEq(t, fmt.Sprintf("seed %d k=%d [%s]", seed, k, stmt.String()), oracle, retry)
 			cases++

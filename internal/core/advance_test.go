@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,27 +22,30 @@ import (
 // Debug: random schemas, statements, suspect selections and append
 // batches over 3–5-step chains, asserting at EVERY step that
 // DebugAdvance — advanced exec result, advanced scorer, carried clause
-// masks and argument views — produces exactly what a from-scratch
-// Debug over an independently executed fresh result (at a forced shard
-// count, so shard merging is in the loop) produces: ε, lineage,
-// influence ranking, D', candidate counts, and the ranked explanations
-// with their scores.
+// masks and argument views — answers what the same pass computes from
+// scratch over an independently executed fresh result (at a forced
+// shard count, so shard merging is in the loop). A full pass must equal
+// Debug's: ε, lineage, influence ranking, D', candidate counts, and the
+// ranked explanations with their scores. A carried pass must equal
+// Debug's ε, lineage, influences and D', and its ranking must be the
+// carried candidates rescored against the fresh result (rescoreOracle;
+// ranker's advance tests pin Rescore itself).
 //
-// Oracle mode pins the maintenance exactly: DriftThreshold < 0 forces
-// the learners to re-run each step ("reexpanded"), so any divergence is
-// a carried-structure bug, not a heuristic choice. The generator draws
-// NULL-heavy, NaN and ±0.0 columns with exactly-representable floats
-// (multiples of 0.25), so scores must agree to the last bit; the
-// comparison still allows a vanishing tolerance per the advertised
-// contract. Carried mode (DriftThreshold +Inf) is exercised separately
-// for its structural guarantees.
+// The harnesses run with DriftThreshold +Inf, so a carried pass is never
+// abandoned for drift and any divergence is a carried-structure bug, not
+// a heuristic choice. The generator draws NULL-heavy, NaN and ±0.0
+// columns with exactly-representable floats (multiples of 0.25), so
+// scores must agree to the last bit; the comparison still allows a
+// vanishing tolerance per the advertised contract.
 
 // scoreTol is the advertised floating-point tolerance for score
 // comparisons. With the exact-representable generator the observed
 // difference is 0.
 const scoreTol = 1e-9
 
-func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
+// analysisEqual compares what the preprocessor and example cleaning
+// produced: ε, F, D' and the influence ranking.
+func analysisEqual(t *testing.T, label string, want, got *DebugResult) {
 	t.Helper()
 	if want.Eps != got.Eps && !(math.IsNaN(want.Eps) && math.IsNaN(got.Eps)) {
 		t.Fatalf("%s: eps %v vs %v", label, want.Eps, got.Eps)
@@ -62,9 +66,6 @@ func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
 			t.Fatalf("%s: D'[%d] %d vs %d", label, i, want.DPrime[i], got.DPrime[i])
 		}
 	}
-	if want.Candidates != got.Candidates {
-		t.Fatalf("%s: candidates %d vs %d", label, want.Candidates, got.Candidates)
-	}
 	wi, gi := want.Influence.Influences, got.Influence.Influences
 	if len(wi) != len(gi) {
 		t.Fatalf("%s: influence entries %d vs %d", label, len(wi), len(gi))
@@ -74,6 +75,16 @@ func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
 			(wi[i].Delta != gi[i].Delta && !(math.IsNaN(wi[i].Delta) && math.IsNaN(gi[i].Delta))) {
 			t.Fatalf("%s: influence[%d] %+v vs %+v", label, i, wi[i], gi[i])
 		}
+	}
+}
+
+// debugResultsEqual compares two passes entirely: the analysis, the
+// candidate count and the ranked explanations with their scores.
+func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
+	t.Helper()
+	analysisEqual(t, label, want, got)
+	if want.Candidates != got.Candidates {
+		t.Fatalf("%s: candidates %d vs %d", label, want.Candidates, got.Candidates)
 	}
 	if len(want.Explanations) != len(got.Explanations) {
 		t.Fatalf("%s: %d vs %d explanations:\nwant %v\ngot  %v",
@@ -95,8 +106,81 @@ func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
 	}
 }
 
-// chainStep holds one step's shared request inputs, drawn once so the
-// oracle and the incremental pass debug the same question.
+// rescoreOracle is what a carried pass over req must answer, computed
+// from scratch: Debug's own preprocessing and example cleaning over req's
+// result, then prev's carried candidates rescored through a fresh
+// scorer and a fresh clause-mask index.
+func rescoreOracle(t *testing.T, prev *DebugResult, req DebugRequest) *DebugResult {
+	t.Helper()
+	opt := req.Opt
+	opt.defaults()
+	ord, err := resolveDebug(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := influence.RankCtx(context.Background(), req.Result, req.Suspect, ord, req.Metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &DebugResult{Timings: make(map[string]time.Duration)}
+	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
+	if err := d.preprocess(an); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Examples) > 0 {
+		if err := d.featurize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.cleanExamples()
+	scored, rstate, _, err := prev.state.rstate.Rescore(d.context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.finish(scored, rstate, time.Now())
+	return out
+}
+
+// advanceStep runs DebugAdvance(prev, req) and checks it against the
+// oracles over fresh, an independently executed result of req.Result's
+// table version: a full pass equals Debug entirely, a carried pass
+// equals Debug's analysis and rescoreOracle's ranking. Errors must agree
+// with Debug's; the pass is nil when both errored.
+func advanceStep(t *testing.T, label string, prev *DebugResult, req DebugRequest, fresh *exec.Result) *DebugResult {
+	t.Helper()
+	freshReq := req
+	freshReq.Result = fresh
+	want, wantErr := Debug(freshReq)
+	got, gotErr := DebugAdvance(prev, req)
+	if (wantErr != nil) != (gotErr != nil) {
+		t.Fatalf("%s: error disagreement:\nfresh: %v\nincremental: %v", label, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		return nil
+	}
+	switch got.Plan.Mode {
+	case "full":
+		debugResultsEqual(t, label, want, got)
+	case "carried":
+		analysisEqual(t, label, want, got)
+		debugResultsEqual(t, label+" (rescored)", rescoreOracle(t, prev, freshReq), got)
+	default:
+		t.Fatalf("%s: mode %q", label, got.Plan.Mode)
+	}
+	return got
+}
+
+// carries reports whether prev holds a carried ranking for exactly the
+// question req asks — the one case DebugAdvance must carry.
+func carries(prev *DebugResult, req DebugRequest) bool {
+	return prev != nil && prev.state.rstate.Len() > 0 &&
+		prev.state.suspectKey == suspectKeyOf(req.Result, req.Suspect) &&
+		prev.state.examplesKey == rowsKey(req.Examples)
+}
+
+// drawRequest draws one question — suspect groups and, sometimes, user
+// examples from their lineage — for the oracle and the incremental pass
+// to debug alike.
 func drawRequest(rng *rand.Rand, res *exec.Result) (suspect, examples []int, ok bool) {
 	suspect = testgen.Suspects(rng, res)
 	if len(suspect) == 0 {
@@ -133,7 +217,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	compared, advanced, distinct := 0, 0, 0
+	compared, carried, reasked, distinct := 0, 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed * 313))
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
@@ -144,8 +228,9 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				continue
 			}
 			metric := testgen.Metric(rng)
-			opt := Options{DriftThreshold: -1} // oracle mode: always re-expand
+			opt := Options{DriftThreshold: math.Inf(1)} // always carry once seeded
 			var prev *DebugResult
+			var suspect, examples []int
 			steps := 3 + rng.Intn(3)
 			cur := tbl
 			for step := 0; step < steps; step++ {
@@ -153,6 +238,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
+				cur = grown
 				advRes, err = exec.Advance(advRes, grown)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
@@ -166,62 +252,54 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}
-				suspect, examples, ok := drawRequest(rng, fresh)
-				if !ok {
-					cur = grown
-					continue
+				// The question stands across the chain, as in a monitoring
+				// session; now and then the user asks a new one.
+				if suspect == nil || rng.Float64() < 0.2 {
+					var ok bool
+					if suspect, examples, ok = drawRequest(rng, fresh); !ok {
+						continue
+					}
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
-
-				want, wantErr := Debug(DebugRequest{
-					Result: fresh, AggItem: -1, Suspect: suspect, Examples: examples,
-					Metric: metric, Opt: opt,
-				})
-				got, gotErr := DebugAdvance(prev, DebugRequest{
+				req := DebugRequest{
 					Result: advRes, AggItem: -1, Suspect: suspect, Examples: examples,
 					Metric: metric, Opt: opt,
-				})
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("%s: error disagreement:\nfresh: %v\nincremental: %v", label, wantErr, gotErr)
 				}
-				if wantErr != nil {
-					prev = nil
-					cur = grown
+				same := carries(prev, req)
+				got := advanceStep(t, label, prev, req, fresh)
+				if got == nil {
+					prev, suspect = nil, nil
 					continue
 				}
-				debugResultsEqual(t, label, want, got)
 				compared++
-				if prev != nil {
-					// With carried state present, oracle mode must have
-					// taken the incremental re-expansion path, not a
-					// silent fallback — whatever the debugged aggregate.
-					if !got.Plan.Incremental {
-						t.Fatalf("%s: advance fell back: %+v", label, got.Plan)
-					}
-					if got.Plan.Mode != "reexpanded" {
-						t.Fatalf("%s: oracle mode ran %q", label, got.Plan.Mode)
-					}
-					advanced++
+				switch {
+				case same && (got.Plan.Mode != "carried" || got.Plan.Fallback != ""):
+					t.Fatalf("%s: the same question was not carried: %+v", label, got.Plan)
+				case same:
+					carried++
 					if stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
 						distinct++
 					}
+				case prev != nil && (got.Plan.Mode != "full" || !strings.HasSuffix(got.Plan.Fallback, "selection changed")):
+					t.Fatalf("%s: a new question was not a full Debug: %+v", label, got.Plan)
+				case prev != nil:
+					reasked++
 				}
 				prev = got
-				cur = grown
 			}
 			tbl = cur
 		}
 	}
 	// Degeneracy guard: the harness must actually compare results, and
-	// a healthy share of the comparisons must have exercised the
-	// incremental path (not the nil-prev full fallback).
-	t.Logf("compared %d steps, %d via the incremental path, %d of those debugging count(DISTINCT s)", compared, advanced, distinct)
-	minCompared, minAdvanced := 15, 8
+	// a healthy share of the comparisons must have exercised the carried
+	// pass (not the nil-prev full fallback).
+	t.Logf("compared %d steps: %d carried (%d debugging count(DISTINCT s)), %d full on a new question", compared, carried, distinct, reasked)
+	minCompared, minCarried := 15, 8
 	if testing.Short() {
-		minCompared, minAdvanced = 4, 2
+		minCompared, minCarried = 4, 2
 	}
-	if compared < minCompared || advanced < minAdvanced || distinct == 0 {
-		t.Fatalf("harness degenerated: %d comparisons (%d incremental, %d DISTINCT)", compared, advanced, distinct)
+	if compared < minCompared || carried < minCarried || distinct == 0 || reasked == 0 {
+		t.Fatalf("harness degenerated: %d comparisons (%d carried, %d DISTINCT, %d new questions)", compared, carried, distinct, reasked)
 	}
 }
 
@@ -272,15 +350,15 @@ func carriedFixture(t *testing.T, rng *rand.Rand, opt Options) (*engine.Table, *
 
 // TestDebugAdvanceCarried pins the carried mode on a stable stream — the
 // SAME suspect groups and examples debugged across batches (a changed
-// selection forces re-expansion by design). The pass reports itself as
-// carried with zero fresh candidates and rescored predicates, and it is
-// exact: ε, lineage, every influence and the cleaned D' equal a
-// from-scratch Debug's over the grown table, on both arms of the
-// preprocessor — batches that grow a suspect group (the LOO pass runs
-// again) and batches that only add groups (the previous pass's ranking
-// is shared, not recomputed). Its last part is the path a carried pass
-// with examples leaves when drift forces re-expansion: the profile-only
-// space is completed in place and the result is Debug's.
+// selection runs a full Debug by design). The pass reports itself as
+// carried with rescored predicates, and it is exact: ε, lineage, every
+// influence and the cleaned D' equal a from-scratch Debug's over the
+// grown table, on both arms of the preprocessor — batches that grow a
+// suspect group (the LOO pass runs again) and batches that only add
+// groups (the previous pass's ranking is shared, not recomputed). Its
+// last part is drift past the threshold: the carry is attempted,
+// abandoned, and the answer is a full Debug's, with the drift and the
+// reason recorded.
 func TestDebugAdvanceCarried(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	opt := Options{DriftThreshold: math.Inf(1)} // always carry once seeded
@@ -315,14 +393,8 @@ func TestDebugAdvanceCarried(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		if got.Plan.Mode != "carried" || !got.Plan.Incremental {
+		if got.Plan.Mode != "carried" || got.Plan.Fallback != "" {
 			t.Fatalf("step %d: plan %+v, want carried", step, got.Plan)
-		}
-		if got.Plan.Fresh != 0 {
-			t.Fatalf("step %d: carried pass reports %d fresh candidates", step, got.Plan.Fresh)
-		}
-		if got.Plan.Carried < len(got.Explanations) {
-			t.Fatalf("step %d: carried count %d < %d explanations", step, got.Plan.Carried, len(got.Explanations))
 		}
 		for i, e := range got.Explanations {
 			if e.Provenance != "carried" {
@@ -336,9 +408,7 @@ func TestDebugAdvanceCarried(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: oracle errored (%v) where carried pass succeeded", step, err)
 		}
-		preprocess := *got
-		preprocess.Explanations, preprocess.Candidates = want.Explanations, want.Candidates
-		debugResultsEqual(t, fmt.Sprintf("step %d (grew %v)", step, grew), want, &preprocess)
+		analysisEqual(t, fmt.Sprintf("step %d (grew %v)", step, grew), want, got)
 
 		sameArray := &got.Influence.Influences[0] == &prev.Influence.Influences[0]
 		switch {
@@ -359,10 +429,10 @@ func TestDebugAdvanceCarried(t *testing.T) {
 
 	// Drift past a small positive threshold, with examples: the carry is
 	// attempted (profile-only space, D' cleaned on it, candidates
-	// rescored), abandoned, and the learners re-run on that same space.
+	// rescored), abandoned, and a full Debug answers.
 	opt = Options{DriftThreshold: 1e-12}
-	reexpanded := 0
-	for attempt := 0; attempt < 10 && reexpanded < 2; attempt++ {
+	drifted := 0
+	for attempt := 0; attempt < 10 && drifted < 2; attempt++ {
 		tbl, advRes, req, prev := carriedFixture(t, rng, opt)
 		for step := 0; step < 4; step++ {
 			grown, err := tbl.AppendBatch(testgen.Batch(rng, 20+rng.Intn(30)))
@@ -388,18 +458,18 @@ func TestDebugAdvanceCarried(t *testing.T) {
 			if gerr != nil {
 				break
 			}
-			if got.Plan.Mode == "reexpanded" {
-				if got.Plan.Drift <= opt.DriftThreshold || got.Plan.Fallback != "" {
-					t.Fatalf("attempt %d step %d: re-expanded without a rescore drifting: %+v", attempt, step, got.Plan)
+			if got.Plan.Mode == "full" {
+				if got.Plan.Drift <= opt.DriftThreshold || !strings.HasPrefix(got.Plan.Fallback, "drift ") {
+					t.Fatalf("attempt %d step %d: full Debug without a rescore drifting: %+v", attempt, step, got.Plan)
 				}
-				debugResultsEqual(t, fmt.Sprintf("attempt %d step %d re-expanded", attempt, step), want, got)
-				reexpanded++
+				debugResultsEqual(t, fmt.Sprintf("attempt %d step %d drifted", attempt, step), want, got)
+				drifted++
 			}
 			prev = got
 		}
 	}
-	if reexpanded == 0 {
-		t.Fatal("no carried pass with examples ever drifted into re-expansion")
+	if drifted == 0 {
+		t.Fatal("no carried pass with examples ever drifted past the threshold")
 	}
 }
 
@@ -449,12 +519,12 @@ func TestDebugAdvanceChainRetainsNothing(t *testing.T) {
 	runtime.KeepAlive(prev)
 }
 
-// TestDebugAdvanceChangedSelectionReexpands: carried candidates were
+// TestDebugAdvanceChangedSelectionRunsFull: carried candidates were
 // learned for one suspect/example selection; debugging a different
-// selection must re-run the learners even when the carried predicates'
-// scores barely move — rescoring alone could silently omit
+// selection must run a full Debug even when the carried predicates'
+// scores would barely move — rescoring alone could silently omit
 // selection-specific predicates.
-func TestDebugAdvanceChangedSelectionReexpands(t *testing.T) {
+func TestDebugAdvanceChangedSelectionRunsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	opt := Options{DriftThreshold: math.Inf(1)} // carry would always win on drift alone
 	for attempt := 0; attempt < 30; attempt++ {
@@ -490,11 +560,8 @@ func TestDebugAdvanceChangedSelectionReexpands(t *testing.T) {
 		if err != nil {
 			continue // e.g. the new selection has empty lineage — fine
 		}
-		if got.Plan.Mode == "carried" {
-			t.Fatalf("attempt %d: changed suspect selection was served a carried ranking: %+v", attempt, got.Plan)
-		}
-		if !got.Plan.Incremental {
-			t.Fatalf("attempt %d: changed selection should still advance (re-expand), got %+v", attempt, got.Plan)
+		if got.Plan.Mode != "full" || got.Plan.Fallback != "suspect selection changed" {
+			t.Fatalf("attempt %d: changed suspect selection was not a full Debug: %+v", attempt, got.Plan)
 		}
 		return
 	}
@@ -555,15 +622,39 @@ func TestDebugAdvanceFallbacks(t *testing.T) {
 	}
 	metric := testgen.Metric(rng)
 	var prev *DebugResult
+	var asked DebugRequest
 	for attempt := 0; attempt < 30 && prev == nil; attempt++ {
 		suspect, examples, ok := drawRequest(rng, res)
 		if !ok {
 			t.Fatal("no suspects")
 		}
-		prev, _ = Debug(DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric})
+		asked = DebugRequest{Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric}
+		prev, _ = Debug(asked)
 	}
 	if prev == nil {
 		t.Skip("could not seed a Debug result on this statement")
+	}
+
+	// The same question under other Options, or under a threshold that
+	// never carries → full before any work starts.
+	again := asked
+	again.Opt.DisablePrune = true
+	if dr, err := DebugAdvance(prev, again); err != nil || dr.Plan.Mode != "full" || dr.Plan.Fallback != "options changed" {
+		t.Fatalf("changed options: %v, %+v", err, dr.Plan)
+	}
+	again.Opt = Options{DriftThreshold: -1}
+	never, err := Debug(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr, err := DebugAdvance(never, again); err != nil || dr.Plan.Mode != "full" || dr.Plan.Fallback != "negative drift threshold: never carry" {
+		t.Fatalf("negative threshold: %v, %+v", err, dr.Plan)
+	}
+	// An out-of-range suspect is an error, not a fingerprint.
+	again = asked
+	again.Suspect = []int{res.NumRows()}
+	if _, err := DebugAdvance(prev, again); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range suspect: %v", err)
 	}
 	suspect, _, _ := drawRequest(rng, res)
 

@@ -66,12 +66,12 @@ type Options struct {
 	// maxLearnRows; negative keeps everything, the table's known-bad
 	// "uncapped" row.
 	MaxLearnRows int
-	// DriftThreshold governs DebugAdvance's carry/re-expand decision:
-	// carried candidates are rescored against the advanced state, and
-	// when the largest score movement exceeds the threshold the learners
-	// re-run (re-expansion). 0 takes the default (0.1); negative always
-	// re-expands, which makes DebugAdvance produce exactly what a
-	// from-scratch Debug would — the differential-test oracle mode.
+	// DriftThreshold governs DebugAdvance's carry decision: carried
+	// candidates are rescored against the advanced state, and when the
+	// largest score movement exceeds the threshold DebugAdvance runs a
+	// full Debug instead. 0 takes the default (0.1); negative never
+	// carries; +Inf always carries once seeded, which is how the
+	// differential harnesses drive the carried pass.
 	DriftThreshold float64
 }
 
@@ -96,7 +96,7 @@ const (
 	// maxExplanations caps the returned ranking.
 	maxExplanations = 10
 	// defaultDriftThreshold is the score movement DebugAdvance tolerates
-	// before re-running the learners. Scores live in roughly [0, 1]
+	// before running a full Debug instead. Scores live in roughly [0, 1]
 	// (Err+Acc weights sum near 0.9), so 0.1 means "an explanation moved
 	// by a tenth of the scale".
 	defaultDriftThreshold = 0.1
@@ -151,30 +151,18 @@ type Explanation struct {
 }
 
 // DebugPlan records how a Debug pass was produced — the explanation
-// pipeline's counterpart of exec.PlanInfo. The carry/re-expand state
-// machine: a DebugAdvance call first tries to carry (rescore the
-// previous pass's predicates against the advanced scoring state);
-// carried scores drifting past Options.DriftThreshold trigger
-// re-expansion (the learners re-run over the advanced state); and
-// conditions the incremental path cannot express at all — no carried
-// state, a changed statement, metric or aggregate, a moved retention
-// base — fall back to the full from-scratch pipeline, with the reason
-// recorded in Fallback.
+// pipeline's counterpart of exec.PlanInfo. A DebugAdvance pass is one of
+// two modes: "carried" (the previous pass's predicates rescored against
+// the advanced scoring state, learners skipped) or "full" (Debug from
+// scratch), with Fallback saying why the carry did not apply.
 type DebugPlan struct {
-	// Incremental is true when the pass advanced carried state from a
-	// previous Debug instead of rebuilding the scoring structures.
-	Incremental bool
-	// Mode is "full" (from-scratch pipeline), "carried" (previous
-	// candidates rescored, learners skipped), or "reexpanded"
-	// (incremental preprocessing, learners re-run after drift).
+	// Mode is "full" or "carried".
 	Mode string
 	// Fallback is why a requested advance ran the full pipeline.
 	Fallback string
-	// Carried and Fresh count the ranked candidates by provenance.
-	Carried, Fresh int
 	// Drift is the largest carried-candidate score movement observed
 	// (set whenever carried candidates were rescored, even when the
-	// result re-expanded).
+	// drift sent the pass to a full Debug).
 	Drift float64
 }
 
@@ -195,8 +183,7 @@ type DebugResult struct {
 	Candidates int
 	// Timings records per-stage wall time.
 	Timings map[string]time.Duration
-	// Plan records how this pass was produced (full / carried /
-	// re-expanded) and why.
+	// Plan records how this pass was produced (full / carried) and why.
 	Plan DebugPlan
 
 	// state is the carryable analysis for DebugAdvance chains.
@@ -220,7 +207,7 @@ type debugState struct {
 	// suspectKey and examplesKey fingerprint the question the carried
 	// candidates were learned for: suspect groups by version-stable
 	// identity (first source row), examples by row id. A changed
-	// selection forces re-expansion — rescoring would be numerically
+	// selection runs a full Debug — rescoring would be numerically
 	// honest, but the learners never saw the new selection's lineage,
 	// so selection-specific predicates could be silently missing.
 	suspectKey  string
@@ -228,15 +215,18 @@ type debugState struct {
 	// index is the pass's clause-mask index, carried so rescoring a
 	// candidate over the grown table extends masks by suffix decode
 	// only. Owned by the Debug chain (NOT the family-shared aux index):
-	// candidate thresholds churn per re-expansion, and an unevictable
-	// family-lifetime cache would grow without bound under streaming.
+	// candidate thresholds churn with every full Debug, and an
+	// unevictable family-lifetime cache would grow without bound under
+	// streaming.
 	index *predicate.Index
 }
 
-// maxCarriedClauseMasks bounds the carried index: re-expansions add
-// data-dependent thresholds that rarely recur, so past this many cached
-// masks the chain starts over with a fresh index rather than keep
-// paying rows/8 bytes per dead mask.
+// maxCarriedClauseMasks bounds the carried index: a full Debug caches a
+// mask for every clause of every candidate and prune variant it scored,
+// most of which no carried candidate reads, so past this many cached
+// masks a carried pass starts a fresh index holding only the carried
+// candidates' clauses rather than keep paying rows/8 bytes per dead
+// mask.
 const maxCarriedClauseMasks = 256
 
 // metricKey canonicalizes a metric for change detection across Debug
@@ -249,7 +239,7 @@ func metricKey(m errmetric.Metric) string {
 // suspectKeyOf fingerprints a suspect selection by the selected groups'
 // first source rows — stable across table versions and output
 // re-materialization, unlike the output row indexes themselves. All
-// indexes must be in range (callers validate via the scorer first).
+// indexes must be in range (resolveDebug validates them).
 func suspectKeyOf(res *exec.Result, suspect []int) string {
 	frs := make([]int, len(suspect))
 	for i, ri := range suspect {
@@ -291,6 +281,11 @@ func resolveDebug(req DebugRequest) (int, error) {
 	}
 	if len(req.Suspect) == 0 {
 		return 0, fmt.Errorf("core: no suspect groups selected")
+	}
+	for _, ri := range req.Suspect {
+		if ri < 0 || ri >= len(res.Groups) {
+			return 0, fmt.Errorf("core: suspect row %d out of range", ri)
+		}
 	}
 	if len(res.AggOrdinals()) == 0 {
 		return 0, fmt.Errorf("core: query has no aggregates to debug")
@@ -621,13 +616,6 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, st
 		}
 		out.Explanations = append(out.Explanations, e)
 	}
-	for _, s := range scored {
-		if s.Provenance == "carried" {
-			out.Plan.Carried++
-		} else {
-			out.Plan.Fresh++
-		}
-	}
 	out.Timings["rank"] = time.Since(start)
 	out.state = &debugState{
 		src:       d.req.Result.Source,
@@ -698,21 +686,19 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // carried structure — lineage bitsets, the argument view, clause masks,
 // the scored candidates — extends by the appended suffix, the influence
 // ranking stands as it is while no suspect group's lineage grew, and the
-// feature space is only profiled (for example cleaning) unless the
-// learners run. What a carried pass still pays per learning-population
-// row is the contrast sample, the profile-only featurize and the naive
-// Bayes pass that cleans the examples.
+// feature space is only profiled (for example cleaning) when the
+// request has examples. What a carried pass still pays per
+// learning-population row is the contrast sample and, with examples,
+// the profile-only featurize and the naive Bayes pass that cleans them.
 //
-// The carry/re-expand state machine (recorded in DebugResult.Plan):
-// carried candidates are rescored exactly against the advanced state;
-// when the largest score movement stays within Options.DriftThreshold
-// the carried ranking stands ("carried"), otherwise the learners re-run
-// over the advanced state ("reexpanded" — identical, stage for stage,
-// to what a from-scratch Debug would compute). Conditions the advance
-// cannot express at all — no carried state, a changed statement,
-// metric, or aggregate, a moved retention base — fall back to the full
-// pipeline with Plan.Fallback saying why. DebugAdvance with a nil prev
-// is exactly Debug.
+// A pass is "carried" or "full" (recorded in DebugResult.Plan): the
+// carried candidates are rescored exactly against the advanced state and
+// stand while the largest score movement stays within
+// Options.DriftThreshold. Everything else runs Debug from scratch with
+// Plan.Fallback saying why — no carried state, a changed statement,
+// metric, aggregate, Options or suspect/example selection, an empty
+// carried ranking, a moved retention base, or drift past the threshold.
+// DebugAdvance with a nil prev is exactly Debug.
 func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	opt := req.Opt
@@ -749,6 +735,19 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		return fall("debugged aggregate changed")
 	case st.metricKey != metricKey(req.Metric):
 		return fall("error metric changed")
+	// The carried candidates answer one question under one configuration:
+	// the learners never saw a new selection's lineage, and carried
+	// rankings never mix regimes.
+	case st.opt != opt:
+		return fall("options changed")
+	case opt.DriftThreshold < 0:
+		return fall("negative drift threshold: never carry")
+	case st.rstate.Len() == 0:
+		return fall("no carried ranking")
+	case st.suspectKey != suspectKeyOf(res, req.Suspect):
+		return fall("suspect selection changed")
+	case st.examplesKey != rowsKey(req.Examples):
+		return fall("example selection changed")
 	}
 
 	// --- Preprocessor, incremental: score the advanced result (its
@@ -764,12 +763,10 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		return nil, err
 	}
 
-	out := &DebugResult{Timings: make(map[string]time.Duration), Plan: DebugPlan{Incremental: true}}
+	out := &DebugResult{Timings: make(map[string]time.Duration), Plan: DebugPlan{Mode: "carried"}}
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
 	// Carry the clause-mask index: rescoring a carried candidate then
-	// only decodes the appended rows into its masks. Past the size cap
-	// (dead data-dependent thresholds from many re-expansions) the
-	// chain starts a fresh index instead.
+	// only decodes the appended rows into its masks.
 	if st.index != nil && st.index.NumClauses() <= maxCarriedClauseMasks {
 		st.index.SyncRows(res.Source)
 		d.index = st.index
@@ -781,67 +778,31 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	if err := d.checkCtx(); err != nil {
 		return nil, err
 	}
-
-	// Carry is only meaningful for the SAME question: the carried
-	// candidates were learned from the previous suspect/example
-	// selection's lineage, so a changed selection re-expands (rescoring
-	// alone could silently miss selection-specific predicates even when
-	// the carried ones drift little). Same for changed Options — carried
-	// rankings never mix regimes — and there must be candidates to
-	// rescore.
-	carry := st.rstate.Len() > 0 && st.opt == opt &&
-		st.suspectKey == suspectKeyOf(res, req.Suspect) &&
-		st.examplesKey == rowsKey(req.Examples)
-
-	// Example cleaning and the learners read the feature space; a carried
-	// pass without user examples skips it.
-	if !carry || len(req.Examples) > 0 {
+	// Example cleaning reads the feature space; without examples there is
+	// nothing to clean.
+	if len(req.Examples) > 0 {
 		if err := d.featurize(); err != nil {
 			return nil, err
 		}
 	}
 	d.cleanExamples()
-	ctx := d.context()
 
-	var scored []ranker.Scored
-	var rstate *ranker.RankerState
 	start = time.Now()
-	if carry {
-		s2, ns, drift, err := st.rstate.Rescore(ctx)
-		if err != nil {
-			// Cancellation mid-rescore: st.rstate is untouched (Rescore
-			// works on copies), so prev carries forward for a retry.
-			return nil, err
-		}
-		out.Plan.Drift = drift
-		if opt.DriftThreshold >= 0 && drift <= opt.DriftThreshold {
-			scored, rstate = s2, ns
-			out.Plan.Mode = "carried"
-		}
+	scored, rstate, drift, err := st.rstate.Rescore(d.context())
+	if err != nil {
+		// Cancellation mid-rescore: st.rstate is untouched (Rescore works
+		// on copies), so prev carries forward for a retry.
+		return nil, err
 	}
-	if scored == nil {
-		// Re-expand: the learners re-run over the advanced state — the
-		// same stages, in the same order, as a from-scratch Debug.
-		if d.sp == nil {
-			if err := d.featurize(); err != nil {
-				return nil, err
-			}
-		}
-		if err := d.checkCtx(); err != nil {
-			return nil, err
-		}
-		rcands := d.enumerate()
-		if err := d.checkCtx(); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		var err error
-		scored, rstate, err = ranker.RankAllCarry(rcands, ctx)
+	if drift > opt.DriftThreshold {
+		full, err := fall(fmt.Sprintf("drift %.3g past threshold %.3g", drift, opt.DriftThreshold))
 		if err != nil {
 			return nil, err
 		}
-		out.Plan.Mode = "reexpanded"
+		full.Plan.Drift = drift
+		return full, nil
 	}
+	out.Plan.Drift = drift
 	d.finish(scored, rstate, start)
 	return out, nil
 }

@@ -10,13 +10,11 @@
 // learning frame, and split search, partitioning and routing all run on
 // the frame's int16 Bins matrix (threshold buckets and value slots,
 // resolved once by internal/feature), which every concurrent training
-// of one Debug pass shares read-only. Only PredictRow, which classifies
-// an arbitrary table row, reads boxed values.
+// of one Debug pass shares read-only.
 package dtree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -268,31 +266,6 @@ func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split
 		}
 	}
 	return best, found
-}
-
-// PredictRow classifies one table row — any row of the live table,
-// including ones appended after training — through boxed reads.
-func (t *Tree) PredictRow(row int) bool {
-	n := t.Root
-	for !n.Leaf {
-		s := n.Split
-		v := t.Space.Table.Value(row, t.Space.Attrs[s.AttrIdx].Col)
-		left := false
-		switch {
-		case v.IsNull():
-		case s.Numeric:
-			f := v.Float()
-			left = !math.IsNaN(f) && f <= s.Threshold
-		default:
-			left = engine.Equal(v, s.Val)
-		}
-		if left {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Positive
 }
 
 // LeafPredicate describes one positive leaf as a predicate.

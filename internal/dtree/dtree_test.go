@@ -28,8 +28,19 @@ func plantedConcept(t *testing.T, n int) (*feature.Space, []bool) {
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
-// trainAccuracy is the tree's weighted accuracy on the frame it was
-// trained on (nil weights: uniform).
+// predictsPositive reports whether one of the tree's positive paths —
+// what Debug ranks — matches the table row.
+func predictsPositive(tree *Tree, row int) bool {
+	for _, path := range tree.PositivePaths() {
+		if path.Pred.MatchesRow(tree.Space.Table, row) {
+			return true
+		}
+	}
+	return false
+}
+
+// trainAccuracy is the weighted accuracy of the tree's positive paths on
+// the frame it was trained on (nil weights: uniform).
 func trainAccuracy(tree *Tree, labels []bool, weights []float64) float64 {
 	var correct, total float64
 	for i, r := range tree.Space.Frame.Rows {
@@ -37,7 +48,7 @@ func trainAccuracy(tree *Tree, labels []bool, weights []float64) float64 {
 		if weights != nil {
 			w = weights[i]
 		}
-		if tree.PredictRow(r) == labels[i] {
+		if predictsPositive(tree, r) == labels[i] {
 			correct += w
 		}
 		total += w
@@ -76,26 +87,38 @@ func TestTreeLearnsPlantedConcept(t *testing.T) {
 	})
 }
 
-// Property-ish: every extracted positive path matches only rows routed
-// to a positive leaf, and the path's purity equals the leaf purity over
-// its matched training rows.
+// Property-ish: the positive paths describe their leaves exactly — on
+// the training rows each path matches the rows routed to its leaf (its
+// count and its purity), and no row matches two paths.
 func TestPathsConsistentWithPredictions(t *testing.T) {
 	sp, labels := plantedConcept(t, 400)
 	tree, err := Train(sp, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	posOf := make(map[int]int, len(sp.Frame.Rows))
+	for i, r := range sp.Frame.Rows {
+		posOf[r] = i
+	}
+	claimed := make(map[int]bool)
 	for _, path := range tree.PositivePaths() {
 		matched := path.Pred.MatchingRows(sp.Table, sp.Frame.Rows)
-		if len(matched) == 0 {
-			t.Errorf("path %s matches nothing", path.Pred)
+		if len(matched) != path.N {
+			t.Errorf("path %s matches %d training rows, its leaf holds %d", path.Pred, len(matched), path.N)
 			continue
 		}
+		pos := 0
 		for _, r := range matched {
-			if !tree.PredictRow(r) {
-				t.Errorf("path %s matched row %d predicted negative", path.Pred, r)
-				break
+			if claimed[r] {
+				t.Errorf("row %d matches two positive paths", r)
 			}
+			claimed[r] = true
+			if labels[posOf[r]] {
+				pos++
+			}
+		}
+		if purity := float64(pos) / float64(len(matched)); purity != path.Purity {
+			t.Errorf("path %s: purity %v over its matched rows, leaf says %v", path.Pred, purity, path.Purity)
 		}
 	}
 }
@@ -198,25 +221,5 @@ func TestNumNodes(t *testing.T) {
 	}
 	if tree.String() == "" {
 		t.Error("empty rendering")
-	}
-}
-
-// TestPredictRowAfterAppend is a regression test: the typed column
-// views are bound at Train time, so classifying a row appended to the
-// table afterwards must fall back to the live column read instead of
-// indexing past the bound slices.
-func TestPredictRowAfterAppend(t *testing.T) {
-	sp, labels := plantedConcept(t, 600)
-	tree, err := Train(sp, labels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := sp.Table.MustAppendRow(engine.NewInt(1), engine.NewFloat(2.25), engine.NewString("LAB"))
-	neg := sp.Table.MustAppendRow(engine.NewInt(2), engine.NewFloat(2.75), engine.NewString("ROOF"))
-	if !tree.PredictRow(pos) {
-		t.Error("appended positive row misclassified")
-	}
-	if tree.PredictRow(neg) {
-		t.Error("appended negative row misclassified")
 	}
 }

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-// TestWithoutOutOfRangeIDs is a regression test: Without used to
-// pre-size its keep slice as nrows-len(rows), which panics with a
-// negative capacity when the removal set contains more ids than the
-// table has rows (e.g. ids from a different, larger table).
-func TestWithoutOutOfRangeIDs(t *testing.T) {
-	tbl := testTable(t) // 5 rows
-	rm := map[int]bool{0: true, 2: true}
-	for id := 100; id < 110; id++ { // more out-of-range ids than rows
-		rm[id] = true
-	}
-	wo := tbl.Without(rm)
-	if wo.NumRows() != 3 {
-		t.Fatalf("Without rows = %d, want 3", wo.NumRows())
-	}
-	for i := 0; i < wo.NumRows(); i++ {
-		if id := wo.Value(i, 0).Int(); id == 1 || id == 3 {
-			t.Errorf("Without kept excluded id %d", id)
-		}
-	}
-	// Negative ids must be ignored too.
-	if got := tbl.Without(map[int]bool{-1: true}).NumRows(); got != 5 {
-		t.Errorf("Without with negative id dropped rows: %d", got)
-	}
-}
-
 func TestColReaderFloats(t *testing.T) {
 	tbl := MustNewTable("t", NewSchema("x", TFloat, "s", TString))
 	tbl.MustAppendRow(NewFloat(1.5), NewString("a"))

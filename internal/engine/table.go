@@ -281,23 +281,6 @@ func (t *Table) Select(rows []int) *Table {
 	return out
 }
 
-// Without materializes a new table excluding the given row ids. Ids
-// outside [0, NumRows) are ignored, so rows may safely contain more
-// entries than the table has rows.
-func (t *Table) Without(rows map[int]bool) *Table {
-	capHint := t.nrows - len(rows)
-	if capHint < 0 {
-		capHint = 0
-	}
-	keep := make([]int, 0, capHint)
-	for i := 0; i < t.nrows; i++ {
-		if !rows[i] {
-			keep = append(keep, i)
-		}
-	}
-	return t.Select(keep)
-}
-
 // Rename returns the table under a new name, sharing storage.
 func (t *Table) Rename(name string) *Table {
 	out := *t

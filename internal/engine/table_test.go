@@ -88,21 +88,11 @@ func TestTableTypeChecking(t *testing.T) {
 	}
 }
 
-func TestTableSelectAndWithout(t *testing.T) {
+func TestTableSelect(t *testing.T) {
 	tbl := testTable(t)
 	sel := tbl.Select([]int{4, 0})
 	if sel.NumRows() != 2 || sel.Value(0, 0).Int() != 5 || sel.Value(1, 0).Int() != 1 {
 		t.Errorf("Select: %v", sel)
-	}
-	wo := tbl.Without(map[int]bool{1: true, 3: true})
-	if wo.NumRows() != 3 {
-		t.Errorf("Without rows: %d", wo.NumRows())
-	}
-	for i := 0; i < wo.NumRows(); i++ {
-		id := wo.Value(i, 0).Int()
-		if id == 2 || id == 4 {
-			t.Errorf("Without kept excluded id %d", id)
-		}
 	}
 }
 

@@ -165,7 +165,7 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		Plan: p.planInfo(1),
 	}
 	out.Plan.Incremental = true
-	if err := out.materializeCarry(res, oldLens); err != nil {
+	if err := out.materialize(); err != nil {
 		return nil, err
 	}
 	carryCaches(res, out, ss, oldLens, oldN, newN)

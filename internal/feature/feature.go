@@ -411,13 +411,3 @@ func (a *Attr) ThresholdValue(t float64) engine.Value {
 	}
 	return engine.NewFloat(t)
 }
-
-// AttrByName returns the attribute with the given name, or nil.
-func (s *Space) AttrByName(name string) *Attr {
-	for i := range s.Attrs {
-		if strings.EqualFold(s.Attrs[i].Name, name) {
-			return &s.Attrs[i]
-		}
-	}
-	return nil
-}

@@ -83,7 +83,12 @@ func TestThresholdsSortedUnique(t *testing.T) {
 func TestRowsSubset(t *testing.T) {
 	tbl := mixedTable(t, 100)
 	sp := NewSpace(tbl, Options{Rows: []int{0, 1, 2, 3}}).Discretize()
-	a := sp.AttrByName("id")
+	var a *Attr
+	for i := range sp.Attrs {
+		if sp.Attrs[i].Name == "id" {
+			a = &sp.Attrs[i]
+		}
+	}
 	if a == nil || len(sp.Frame.Rows) != 4 || len(a.Thresholds) == 0 || a.Thresholds[len(a.Thresholds)-1] > 3 {
 		t.Errorf("subset stats: %+v over %d rows", a, len(sp.Frame.Rows))
 	}
@@ -104,15 +109,5 @@ func TestNullColumnSkipped(t *testing.T) {
 	sp := NewSpace(tbl, Options{})
 	if len(sp.Attrs) != 1 || sp.Attrs[0].Name != "y" {
 		t.Errorf("all-null column should be skipped: %+v", sp.Attrs)
-	}
-}
-
-func TestAttrByName(t *testing.T) {
-	sp := NewSpace(mixedTable(t, 10), Options{})
-	if sp.AttrByName("CITY") == nil {
-		t.Error("case-insensitive AttrByName failed")
-	}
-	if sp.AttrByName("nope") != nil {
-		t.Error("missing attr found")
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // These tests pin RankerState.Rescore — the incremental ranking pass —
-// to the from-scratch RankAll mechanics it reuses: rescoring carried
+// to the from-scratch RankAllCarry mechanics it reuses: rescoring carried
 // candidates on an unchanged context moves nothing (drift 0), rescoring
 // them over an advanced (grown) context produces exactly what ranking
 // the same candidate set against an independently built fresh context
@@ -236,7 +236,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 
 // TestRescoreVacuousDrift: a carried predicate whose matches dissolve
 // under the new suspect selection registers as unbounded drift, so the
-// caller re-expands no matter the threshold.
+// caller abandons the carried ranking no matter the threshold.
 func TestRescoreVacuousDrift(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString))

@@ -101,7 +101,7 @@ func BenchmarkRankAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := RankAll(cands, ctx); len(got) == 0 {
+		if got, _, err := RankAllCarry(cands, ctx); err != nil || len(got) == 0 {
 			b.Fatal("no results")
 		}
 	}

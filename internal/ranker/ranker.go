@@ -269,20 +269,13 @@ func (c Candidate) targetCount() int {
 	return c.Target.Count()
 }
 
-// Prune greedily drops clauses that do not hurt the score: subgroup
+// prune greedily drops clauses that do not hurt the score: subgroup
 // rules and deep tree paths often carry incidental conjuncts (an
 // arbitrary timestamp bound, a humidity range that merely correlates),
 // and the paper wants *compact* predicates. Each round re-scores every
 // one-clause-removed variant and keeps the best while it is at least as
 // good as the current predicate.
-func Prune(c Candidate, sc Scored, ctx *Context) (Candidate, Scored) {
-	if ctx.prepare() != nil {
-		return c, sc
-	}
-	return pruneWith(c, sc, ctx, ctx.newEnv())
-}
-
-func pruneWith(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, Scored) {
+func prune(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, Scored) {
 	for len(c.Pred.Clauses) > 1 {
 		improved := false
 		for drop := range c.Pred.Clauses {
@@ -318,26 +311,19 @@ func sortScored(out []Scored) {
 	})
 }
 
-// RankAll scores every candidate, prunes incidental clauses,
+// RankAllCarry scores every candidate, prunes incidental clauses,
 // deduplicates by canonical predicate key (keeping the best score), and
 // returns the survivors sorted by descending score (ties: fewer
-// clauses, then fewer tuples) — nothing when RankAllCarry would return
-// an error.
+// clauses, then fewer tuples), with their carryable state: the returned
+// RankerState holds every ranked predicate with its frozen target set
+// and score, ready for an incremental Debug over a grown table to
+// rescore without re-running the learners.
 //
 // Scoring and pruning run in parallel across a worker pool: once the
 // context is prepared, the scoring inputs (clause masks, lineage
 // bitsets, flat argument columns) are read-only shared state, so each
 // candidate is independent. Results are collected by slot index, keeping
-// the final ranking deterministic.
-func RankAll(cands []Candidate, ctx *Context) []Scored {
-	out, _, _ := RankAllCarry(cands, ctx)
-	return out
-}
-
-// RankAllCarry is RankAll plus the carryable state of the survivors:
-// the returned RankerState holds every ranked predicate with its frozen
-// target set and score, ready for an incremental Debug over a grown
-// table to rescore without re-running the learners. An error is
+// the final ranking deterministic. An error is
 // ctx.Ctx's cancellation, a chunk-load failure, or influence.NewScorer's
 // refusal of the context (out-of-range suspect, an aggregate it cannot
 // score); nothing is published on error.
@@ -349,7 +335,7 @@ func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, erro
 	return out, newRankerState(out, targets), nil
 }
 
-// rankCore is the shared ranking pass behind RankAll, RankAllCarry and
+// rankCore is the shared ranking pass behind RankAllCarry and
 // RankerState.Rescore: worker-pool scoring + pruning, key dedup, sort.
 // It additionally returns the target set per final
 // predicate key and, aligned with cands, each candidate's raw
@@ -397,7 +383,7 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 			raw[i] = sc.Score
 		}
 		if ok && !ctx.DisablePrune {
-			c, sc = pruneWith(c, sc, ctx, env)
+			c, sc = prune(c, sc, ctx, env)
 		}
 		slots[i] = slot{c: c, sc: sc, ok: ok}
 		return nil
@@ -500,14 +486,14 @@ func (st *RankerState) Len() int {
 
 // Rescore scores the carried candidates against ctx — typically the
 // advanced context of a grown table — through the same worker pool,
-// pruning and dedup mechanics as RankAll, and reports how far
+// pruning and dedup mechanics as RankAllCarry, and reports how far
 // the carried predicates' raw scores moved since the previous pass:
 // drift is the largest |new−old| over the carried candidates, +Inf when
 // a previously-ranked predicate scored vacuous or tautological under
 // the new data (its anomaly dissolved — a material change no score
 // delta can bound). The caller compares drift against its threshold to
-// decide whether the carried ranking stands or the learners must
-// re-expand. A cancellation (ctx.Ctx) returns an error and leaves st
+// decide whether the carried ranking stands or the learners must run
+// again. A cancellation (ctx.Ctx) returns an error and leaves st
 // untouched and reusable — rankCore works on copies throughout.
 func (st *RankerState) Rescore(ctx *Context) ([]Scored, *RankerState, float64, error) {
 	// Work on copies: the state's candidates stay clean (rankCore widens

@@ -145,7 +145,7 @@ func TestPruneDropsJunkClauses(t *testing.T) {
 	if !ok {
 		t.Fatal("junky rejected")
 	}
-	pruned, prunedSc := Prune(cand, sc, ctx)
+	pruned, prunedSc := prune(cand, sc, ctx, ctx.newEnv())
 	if pruned.Pred.Len() != 1 {
 		t.Errorf("pruned to %s", pruned.Pred)
 	}
@@ -165,8 +165,11 @@ func TestRankAllDedupsAndSorts(t *testing.T) {
 		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGt, Val: engine.NewInt(2)}), Origin: "tree", Target: target},
 		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(3)}), Origin: "subgroup", Target: target},
 	}
-	out := RankAll(cands, ctx)
-	if len(out) != 3 {
+	out, st, err := RankAllCarry(cands, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 || st.Len() != 3 {
 		t.Fatalf("dedup failed: %d results", len(out))
 	}
 	for i := 1; i < len(out); i++ {
@@ -180,8 +183,8 @@ func TestDisablePruneKeepsClauses(t *testing.T) {
 	res, ctx := fixture(t)
 	ctx.DisablePrune = true
 	junky := memoPred().And(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(50)})
-	out := RankAll([]Candidate{{Pred: junky, Target: badTarget(res)}}, ctx)
-	if len(out) == 0 {
+	out, _, err := RankAllCarry([]Candidate{{Pred: junky, Target: badTarget(res)}}, ctx)
+	if err != nil || len(out) == 0 {
 		t.Fatal("no results")
 	}
 	if out[0].Complexity != 2 {

@@ -59,12 +59,9 @@ type Server struct {
 	chunksResident atomic.Int64
 	// Planner accounting: queries whose WHERE was a greedily reordered
 	// AND chain, and conjuncts never materialized because the running
-	// mask emptied first (filter.go greedy ordering), plus advances
-	// that merged into the carried ORDER BY order instead of
-	// re-sorting.
+	// mask emptied first (filter.go greedy ordering).
 	filtersOrdered   atomic.Int64
 	conjunctsSkipped atomic.Int64
-	sortsCarried     atomic.Int64
 	// Residual accounting: queries whose WHERE held non-lowerable
 	// conjuncts (evaluated per row only on the rows the conjuncts before
 	// them had not ruled out), and how many per-row evaluations that
@@ -93,9 +90,6 @@ func (s *Server) recordScan(p exec.PlanInfo) {
 	if p.ResidualConjuncts > 0 {
 		s.filtersResidual.Add(1)
 		s.residualRows.Add(int64(p.ResidualRows))
-	}
-	if p.SortCarried {
-		s.sortsCarried.Add(1)
 	}
 	s.keyKernels.Add(int64(p.KeyKernels))
 }
@@ -765,7 +759,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Incremental  bool              `json:"incremental"`
 		Mode         string            `json:"mode"`
 		Explanations []explanationJSON `json:"explanations"`
-	}{Eps: finiteJSON(dr.Eps), LineageSize: len(dr.F), Incremental: dr.Plan.Incremental, Mode: dr.Plan.Mode}
+	}{Eps: finiteJSON(dr.Eps), LineageSize: len(dr.F), Incremental: dr.Plan.Mode == "carried", Mode: dr.Plan.Mode}
 	for _, e := range dr.Explanations {
 		out.Explanations = append(out.Explanations, explanationJSON{
 			Predicate:      e.Pred.String(),
@@ -993,12 +987,10 @@ func (s *Server) scanPayload() map[string]any {
 		"segs_skipped":    skipped,
 		"chunks_faulted":  faulted,
 		"chunks_resident": resident,
-		// Planner counters: how often greedy clause ordering ran, how
-		// many conjuncts its short-circuit never materialized, and how
-		// many advances kept their sorted output by incremental merge.
+		// Planner counters: how often greedy clause ordering ran and how
+		// many conjuncts its short-circuit never materialized.
 		"filters_ordered":   s.filtersOrdered.Load(),
 		"conjuncts_skipped": s.conjunctsSkipped.Load(),
-		"sorts_carried":     s.sortsCarried.Load(),
 		// Residual counters: queries that rode the vectorized scan with
 		// non-lowerable conjuncts, and the per-row evaluations paid on
 		// the lowered mask's survivors.

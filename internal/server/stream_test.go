@@ -207,11 +207,8 @@ func TestDebugAdvanceAfterAppend(t *testing.T) {
 	if resp := post(t, ts, "/api/debug", debugReq, &d2); resp.StatusCode != 200 {
 		t.Fatalf("second debug: status %d", resp.StatusCode)
 	}
-	if !d2.Incremental {
-		t.Fatalf("debug after append did not advance: %+v", d2)
-	}
-	if d2.Mode != "carried" && d2.Mode != "reexpanded" {
-		t.Fatalf("debug after append mode %q", d2.Mode)
+	if d2.Mode != "carried" || !d2.Incremental {
+		t.Fatalf("debug after append did not carry: %+v", d2)
 	}
 	if d2.LineageSize <= d1.LineageSize {
 		t.Fatalf("debug after append is blind to the batch: lineage %d → %d", d1.LineageSize, d2.LineageSize)

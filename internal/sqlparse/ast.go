@@ -106,17 +106,6 @@ func (s *SelectStmt) HasAggregates() bool {
 	return false
 }
 
-// AggItems returns the indexes of aggregate select items.
-func (s *SelectStmt) AggItems() []int {
-	var out []int
-	for i := range s.Items {
-		if s.Items[i].IsAgg() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Clone returns a shallow copy of the statement with copied slices, so
 // the caller can append WHERE conjuncts without disturbing the original.
 // Expression nodes are shared (they are immutable after Resolve aside

@@ -237,9 +237,8 @@ func TestAggItemsHelpers(t *testing.T) {
 	if !s.HasAggregates() {
 		t.Error("HasAggregates false")
 	}
-	idx := s.AggItems()
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 2 {
-		t.Errorf("AggItems: %v", idx)
+	if s.Items[0].IsAgg() || !s.Items[1].IsAgg() || !s.Items[2].IsAgg() {
+		t.Errorf("IsAgg: %+v", s.Items)
 	}
 	plain := MustParse("SELECT a FROM t")
 	if plain.HasAggregates() {

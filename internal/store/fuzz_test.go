@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -217,6 +220,144 @@ func FuzzReplayWAL(f *testing.F) {
 		again, off := decodeWAL(reimg, walSchema)
 		if off != len(reimg) || again.start != wal.start || again.n != wal.n || !walCellsEqual(wal.rows, again.rows, wal.n) {
 			t.Fatalf("%d rows from stream row %d re-encode to %d rows from %d (valid to %d)", wal.n, wal.start, again.n, again.start, off)
+		}
+	})
+}
+
+// dictPair is one dict.log entry: a column and the string it interned.
+type dictPair struct {
+	col int
+	s   string
+}
+
+// dictRecords walks a dict.log image's framing from the magic — u16
+// column, u32 length, the string, then a CRC32C of those three — and
+// returns the entries of the CRC-valid record prefix and the offset just
+// past its last record.
+func dictRecords(img []byte) (pairs []dictPair, end int) {
+	end = len(dictMagic)
+	for end+6 <= len(img) {
+		n := int(binary.LittleEndian.Uint32(img[end+2:]))
+		stop := end + 6 + n + 4
+		if stop > len(img) || crc(img[end:stop-4]) != binary.LittleEndian.Uint32(img[stop-4:]) {
+			break
+		}
+		pairs = append(pairs, dictPair{int(binary.LittleEndian.Uint16(img[end:])), string(img[end+6 : stop-4])})
+		end = stop
+	}
+	return pairs, end
+}
+
+// FuzzDictLog feeds raw dict.log bytes to decodeDict, the parser
+// recovery preloads the store dictionary through and truncates the file
+// by. Whatever the bytes, it must not panic; goodOff must be exactly the
+// end of the last CRC-valid record (the truncation point); and every
+// interned (column, string) pair must come from a CRC-covered record,
+// per column in first-appearance order.
+func FuzzDictLog(f *testing.F) {
+	img := []byte(dictMagic)
+	for _, p := range []dictPair{{0, "LAB"}, {3, "日本語 ✓"}, {0, ""}, {0, "HALL"}, {3, "LAB"}, {0, "LAB"}} {
+		img = append(img, encodeDictRecord(p.col, p.s)...)
+	}
+	last := encodeDictRecord(1, "ROOF")
+	flipped := append([]byte(nil), last...)
+	flipped[len(flipped)-6] ^= 0x20 // a byte of the string, under the CRC
+	tornLen := append([]byte(nil), last...)
+	binary.LittleEndian.PutUint32(tornLen[2:], math.MaxUint32) // a length past the file
+
+	f.Add(img)
+	f.Add(append(append([]byte(nil), img...), last[:len(last)-3]...)) // torn final record
+	f.Add(append(append([]byte(nil), img...), flipped...))            // bit flip in the tail
+	f.Add(append(append([]byte(nil), img...), tornLen...))            // implausible length
+	f.Add(append(append(append([]byte(nil), img...), flipped...), last...))
+	f.Add([]byte(dictMagic))
+	f.Add([]byte("DWDIC02\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, img []byte) {
+		dict, goodOff, magicOK := decodeDict(img)
+		if len(img) < len(dictMagic) || string(img[:len(dictMagic)]) != dictMagic {
+			if magicOK || goodOff != 0 || len(dict.columns()) != 0 {
+				t.Fatalf("bad magic decoded: ok %v, valid to %d, %d columns", magicOK, goodOff, len(dict.columns()))
+			}
+			return
+		}
+		pairs, end := dictRecords(img)
+		if !magicOK || goodOff != end {
+			t.Fatalf("valid prefix ends at %d (magic ok %v); the last CRC-valid record ends at %d", goodOff, magicOK, end)
+		}
+		want := make(map[int][]string)
+		seen := make(map[dictPair]bool)
+		for _, p := range pairs {
+			if !seen[p] {
+				seen[p] = true
+				want[p.col] = append(want[p.col], p.s)
+			}
+		}
+		cols := dict.columns()
+		if len(cols) != len(want) {
+			t.Fatalf("%d dictionary columns, the covered records name %d", len(cols), len(want))
+		}
+		for _, c := range cols {
+			got := dict.snapshot(c, dict.count(c))
+			if len(got) != len(want[c]) {
+				t.Fatalf("column %d: %q, the covered records hold %q", c, got, want[c])
+			}
+			for i := range got {
+				if got[i] != want[c][i] {
+					t.Fatalf("column %d: %q, the covered records hold %q", c, got, want[c])
+				}
+			}
+		}
+	})
+}
+
+// FuzzManifest feeds raw bytes to decodeManifest, the one reader of a
+// table's manifest.json. Whatever the bytes, it must not panic, and a
+// manifest it accepts must come from an envelope whose CRC32C is the
+// checksum of the exact payload bytes it decoded, must pass the checks
+// recovery relies on (format version, schema, segment geometry, a
+// segment-aligned base) and must survive encodeManifest unchanged.
+func FuzzManifest(f *testing.F) {
+	const segBits = engine.MinSegmentBits
+	good, err := encodeManifest(manifestFor("p", walSchema, segBits, 3<<segBits))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[bytes.Index(flipped, []byte(`"p"`))+1] ^= 0x01                     // the table name, under the CRC
+	misaligned, err := encodeManifest(manifestFor("p", walSchema, segBits, 1)) // a correct CRC over a bad base
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add(flipped)
+	f.Add(misaligned)
+	f.Add([]byte(`{"payload":{"format":2,"name":"p","seg_bits":6,"base":0,"schema":[{"name":"x","type":1}]},"crc32c":0}`))
+	f.Add([]byte(`{"payload":null,"crc32c":343841484}`)) // a correct CRC over no manifest
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		var env manifestEnvelope
+		if json.Unmarshal(data, &env) != nil || crc(env.Payload) != env.CRC32C {
+			t.Fatalf("accepted an envelope whose CRC32C does not cover its payload: %q", data)
+		}
+		if m.Format != formatVersion || m.engineSchema().Validate() != nil ||
+			m.SegBits < engine.MinSegmentBits || m.SegBits > 30 || m.Base < 0 || m.Base%(1<<m.SegBits) != 0 {
+			t.Fatalf("accepted a manifest recovery cannot trust: %+v", m)
+		}
+		enc, err := encodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := decodeManifest(enc); err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("%+v re-encodes to %+v (%v)", m, again, err)
 		}
 	})
 }
