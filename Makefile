@@ -74,8 +74,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Short fuzz sessions over the parser round-trip, the compiled
-# evaluator and key kernel parity targets, the aggregate contract, the
+# Short fuzz sessions over the parser round-trip, the interpreter's
+# named-cells contract and key kernel parity targets, the aggregate contract, the
 # segment-file section decoder, the WAL replay parser, the dict.log and
 # manifest decoders, the quantile-threshold selection and the /api/append
 # body decoder against the [][]any path it replaced (one

@@ -26,6 +26,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -168,33 +169,36 @@ func ingestStore(dir, table string, t *engine.Table, baseRows, batches, batchRow
 	if err := st.CreateTable(table, t.Schema(), engine.DefaultSegmentBits); err != nil {
 		log.Fatalf("create %s: %v", table, err)
 	}
-	appendRange := func(lo, hi int) {
-		const chunk = 8192
-		for ; lo < hi; lo += chunk {
-			end := lo + chunk
-			if end > hi {
-				end = hi
-			}
-			rows := make([][]engine.Value, 0, end-lo)
-			for r := lo; r < end; r++ {
-				rows = append(rows, t.Row(r))
-			}
-			if _, err := st.Append(table, rows); err != nil {
-				log.Fatalf("ingest %s rows [%d,%d): %v", table, lo, end, err)
-			}
-		}
-	}
-	appendRange(0, baseRows)
+	appendRows(st, table, t, 0, baseRows)
 	fmt.Printf("ingested %s base (%d rows) into %s\n", table, baseRows, dir)
 	for b := 0; b < batches; b++ {
 		lo := baseRows + b*batchRows
-		appendRange(lo, lo+batchRows)
+		appendRows(st, table, t, lo, lo+batchRows)
 		fmt.Printf("ingested batch %d (%d rows)\n", b, batchRows)
 	}
 	// Close flushes any batched WAL syncs; an error here means the tail
 	// may not be on the platter, so it must not exit 0.
 	if err := st.Close(); err != nil {
 		log.Fatalf("close store: %v", err)
+	}
+}
+
+// appendRows durably appends rows [lo, hi) of t to table, 8,192 rows to
+// an append, each an engine.Batch filled a column at a time from t's
+// cells.
+func appendRows(st *store.DB, table string, t *engine.Table, lo, hi int) {
+	const chunk = 8192
+	for ; lo < hi; lo += chunk {
+		end := min(lo+chunk, hi)
+		b := engine.NewBatch(t.Schema(), end-lo)
+		for c := range t.Schema() {
+			for r := lo; r < end; r++ {
+				_ = b.AppendValue(c, t.Value(r, c)) // a stored cell always fits its column
+			}
+		}
+		if _, err := st.AppendColsCtx(context.Background(), table, b); err != nil {
+			log.Fatalf("ingest %s rows [%d,%d): %v", table, lo, end, err)
+		}
 	}
 }
 
@@ -239,20 +243,7 @@ func fixtureStore(dir, table, dataset string, seed, target int64) {
 			}
 			created = true
 		}
-		const chunk = 8192
-		for lo := 0; lo < t.NumRows(); lo += chunk {
-			end := lo + chunk
-			if end > t.NumRows() {
-				end = t.NumRows()
-			}
-			rows := make([][]engine.Value, 0, end-lo)
-			for r := lo; r < end; r++ {
-				rows = append(rows, t.Row(r))
-			}
-			if _, err := st.Append(table, rows); err != nil {
-				log.Fatalf("ingest %s rows [%d,%d): %v", table, lo, end, err)
-			}
-		}
+		appendRows(st, table, t, 0, t.NumRows())
 		fmt.Printf("fixture round %d: %d rows appended (%d bytes on disk so far)\n", round, t.NumRows(), size)
 	}
 }

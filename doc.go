@@ -3,8 +3,8 @@
 // end-to-end ranked provenance system for interactively detecting,
 // understanding, and cleaning errors in aggregate query results.
 //
-// The system lives in internal/ (ROADMAP.md's architecture map is the
-// full inventory):
+// The system lives in internal/; each package's doc comment (`go doc
+// ./internal/<pkg>`) describes it beside its code:
 //
 //   - internal/core — the ranked provenance pipeline (the paper's
 //     contribution): Debug(query, S, D', ε) → ranked predicates,
@@ -113,8 +113,12 @@
 //     bitmap pair, so NOT/NULL semantics survive; one function
 //     (classify) decides which node lowers to what, and a leaf's
 //     selectivity estimate and masks both derive from that one
-//     description. Any other conjunct (LIKE, arithmetic, function
-//     calls) is residual: evaluated per row, only on its eligibility
+//     description — LIKE on a string column included: its verdict is
+//     computed once per dictionary code (expr.LikeMatch, the
+//     interpreter's own matcher) and fanned out by code, so the mask
+//     extends with the dictionary as rows are appended. Any other
+//     conjunct (arithmetic, function calls, LIKE over a computed value)
+//     is residual: interpreted per row, only on its eligibility
 //     mask — the rows with no source-earlier known-FALSE conjunct,
 //     exactly the rows the scalar evaluator's AND short-circuit would
 //     reach (FALSE short-circuits, NULL does not), so error presence is
@@ -152,13 +156,13 @@
 //     whose float evaluation it cannot prove equal (an int-typed value
 //     at |v| ≥ 2^53; expr.FuzzKeyKernelParity). Everything else — a
 //     string-valued key, a declined block — is the per-row evaluator
-//     (expr.Compile, boxed Eval where that refuses), the single
-//     fallback arm, whose string results intern into NaN-payload slots
-//     no number can occupy (Plan.KeyKernels counts the keys planned as
-//     kernels). One key looks up through a dense code table or a uint64
-//     map, two or more through a map keyed by the slots' bytes — any
-//     width; a row whose slots repeat the previous row's skips the
-//     lookup. A group's boxed Key is born with the group, from the row
+//     (rowEval: the interpreter over the cells of the columns the key
+//     names), the single fallback arm, whose string results intern into
+//     NaN-payload slots no number can occupy (Plan.KeyKernels counts the
+//     keys planned as kernels). One key looks up through a dense code
+//     table or a uint64 map, two or more through a map keyed by the
+//     slots' bytes — any width; a row whose slots repeat the previous
+//     row's skips the lookup. A group's boxed Key is born with the group, from the row
 //     the shard has pinned — a kernel key's from the boxed evaluator on
 //     that row, so it is the reference's value, type included, never
 //     the kernel's float; materialize takes a grouped statement's plain
@@ -183,9 +187,13 @@
 //     — an aggregate argument that is neither a numeric column nor
 //     count(DISTINCT)'s string column evaluates per row to a Value and
 //     is Added boxed (a string has no float; a computed number waits
-//     for a bench shape that shows it matters);
-//     rowEval's interpreter arm — the few nodes expr.Compile refuses
-//     evaluate over a whole boxed row, so every expression runs.
+//     for a bench shape that shows it matters). rowEval is the one
+//     per-row evaluator: the interpreter over a row buffer holding only
+//     the cells of the columns the expression names
+//     (expr.FuzzCompileParity pins that Eval reads no other). It runs
+//     residual WHERE conjuncts, argEval arguments, string and declined
+//     keys, projections and each new group's key — no benchmark
+//     workload's WHERE reaches it.
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed
 //     accumulation. No production code path reaches it. The randomized
@@ -277,8 +285,9 @@
 //   - core.ExamplesWhere — the user's examples are the suspect lineage
 //     bitset ∧ the condition's WHERE mask (exec.FilterRows): a
 //     comparison reads the family's shared clause mask, which extends
-//     by the appended suffix; only LIKE/arithmetic conjuncts evaluate
-//     rows, and only lineage rows.
+//     by the appended suffix, and so does a LIKE on a string column;
+//     only arithmetic and function-call conjuncts evaluate rows, and
+//     only lineage rows.
 //   - internal/predicate — the Debug chain owns one clause-mask Index,
 //     carried in the debug state and rebased onto each grown version
 //     (Index.SyncRows), so rescoring a carried candidate decodes only

@@ -877,9 +877,9 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) 
 // ExamplesWhereCtx is the suspect lineage ∧ cond's WHERE mask: the
 // groups' carried lineage bitsets (out-of-range suspects skipped) are
 // the universe exec.FilterRows walks cond over, so a comparison against
-// a constant reads a shared clause mask and anything else (LIKE,
-// arithmetic) is evaluated on lineage rows only — an error is one a
-// lineage row raises. The walk polls ctx; a chunk-load failure is an
+// a constant or a LIKE on a string column reads a shared clause mask and
+// anything else (arithmetic, function calls) is evaluated on lineage
+// rows only — an error is one a lineage row raises. The walk polls ctx; a chunk-load failure is an
 // error, as in Debug.
 func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond string) ([]int, error) {
 	e, err := sqlparse.ParseExpr(cond)

@@ -53,11 +53,12 @@ var (
 		"f > 1", "i >= 0 AND j < 3", "s = 'a' OR j = 2", "f IS NULL", "i BETWEEN -2 AND 2",
 		"s IN ('a', 'xy')", "NOT (j = 1)", "f IS NULL OR s IS NULL", "i IS NOT NULL AND f = 0",
 		"s IS NULL AND i IS NULL", "j <> 0 AND NOT (s = '')", "f = 0 OR NOT (i > 1)",
+		"s LIKE 'a%'", "i >= 0 AND s NOT LIKE '%y'", "s LIKE '_' OR f IS NULL",
 	}
 	examplesResidual = []string{
-		"s LIKE 'a%'", "f + 0.25 > 1", "i * j > 2", "i >= 0 AND s LIKE '%y'",
-		"s LIKE '_' AND f < 1 AND j <> 2", "f / i > 0.5 OR s IS NULL", "j", "f - i",
-		"s LIKE '%' AND f IS NULL",
+		"lower(s) LIKE 'a%'", "f + 0.25 > 1", "i * j > 2", "i >= 0 AND lower(s) LIKE '%y'",
+		"lower(s) LIKE '_' AND f < 1 AND j <> 2", "f / i > 0.5 OR s IS NULL", "j", "f - i",
+		"lower(s) LIKE '%' AND f IS NULL",
 		"j > 100 AND s + 1 > 0", // FALSE on every row: the error is unreachable
 		"i > 100 AND s + 1 > 0", // FALSE or NULL: reachable where i IS NULL and s is not
 	}
@@ -222,7 +223,7 @@ func TestExamplesWhereLoadFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cond := range []string{"i > 1", "s LIKE 'a%'"} { // a mask build, a residual read
+	for _, cond := range []string{"i > 1", "lower(s) LIKE 'a%'"} { // a mask build, a residual read
 		fs.armed.Store(true)
 		_, err := ExamplesWhere(res, res.AllRows(), cond)
 		fs.armed.Store(false)

@@ -185,7 +185,8 @@ func (t *Table) NewRowReader() *RowReader {
 }
 
 // Value returns the value at (row, col); the RowReader counterpart of
-// Table.Value (and like it, an expr.ColumnSource).
+// Table.Value. The executor's per-row evaluator reads the cells of the
+// columns an expression names through it.
 func (rr *RowReader) Value(row, col int) Value {
 	r := &rr.cols[col]
 	if k := row >> r.t.bits; k != r.seg {

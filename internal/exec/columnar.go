@@ -97,7 +97,7 @@ func fillArgView(av *ArgView, call *sqlparse.AggCall, src *engine.Table, from, t
 	default:
 		rr := src.NewRowReader()
 		defer rr.Close()
-		ev := rowEval(a.node, rr, src.NumCols())
+		ev := rowEval(a.node, rr, src.Schema())
 		for i := from; i < to; i++ {
 			v, err := ev(i)
 			if err != nil {

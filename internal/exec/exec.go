@@ -362,7 +362,7 @@ func (r *Result) materialize() error {
 	}
 	for i := range stmt.Items {
 		if item := &stmt.Items[i]; rr != nil {
-			ev := rowEval(item.Expr, rr, r.Source.NumCols())
+			ev := rowEval(item.Expr, rr, r.Source.Schema())
 			plain[i] = func(g *Group) (engine.Value, error) { return ev(g.FirstRow) }
 		} else if !item.IsAgg() {
 			k := groupKeyIndex(stmt, item.Expr)

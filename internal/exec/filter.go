@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -15,11 +16,12 @@ import (
 // walker: the tree is a chain of one or more AND conjuncts, and each
 // conjunct either *lowers* onto the cached clause masks of
 // predicate.Index (comparisons between a column and a constant, IS
-// NULL, BETWEEN and IN over constants, combined with AND/OR/NOT) or is
-// *residual* (LIKE, arithmetic, function calls, column-to-column
-// comparisons) and is evaluated per row, only on the rows the
-// conjuncts before it have not already ruled out. A WHERE where nothing
-// lowers is the same walk with every conjunct residual.
+// NULL, BETWEEN and IN over constants, LIKE on a string column,
+// combined with AND/OR/NOT) or is *residual* (arithmetic, function
+// calls, column-to-column comparisons, LIKE on a computed value) and is
+// interpreted per row, only on the rows the conjuncts before it have
+// not already ruled out. A WHERE where nothing lowers is the same walk
+// with every conjunct residual.
 //
 // SQL WHERE is three-valued: a row passes only when the expression is
 // TRUE, and NOT must map NULL to NULL, not to TRUE. Lowering therefore
@@ -90,8 +92,8 @@ const (
 
 // leaf is a WHERE node that lowers directly onto the predicate index,
 // normalized so its selectivity estimate and its masks derive from one
-// description: a comparison is one clause, BETWEEN the AND of two, IN
-// the OR of one equality clause per literal.
+// description: a comparison or a LIKE is one clause, BETWEEN the AND of
+// two, IN the OR of one equality clause per literal.
 type leaf struct {
 	kind    leafKind
 	verdict int8 // leafConst: +1 TRUE, -1 FALSE, 0 NULL
@@ -99,7 +101,7 @@ type leaf struct {
 	clauses []predicate.Clause
 	all     bool // leafClauses: T is the AND of the clause masks, not the OR
 	openF   bool // IN list holding a NULL literal: a non-matching row is NULL, never FALSE
-	invert  bool // IS NOT NULL / NOT BETWEEN / NOT IN: T and F swap
+	invert  bool // IS NOT NULL / NOT BETWEEN / NOT IN / NOT LIKE: T and F swap
 }
 
 // classify reports whether e is a leaf, and which. The checks are pure
@@ -189,6 +191,17 @@ func classify(e expr.Expr, schema engine.Schema) (leaf, bool) {
 			l.clauses = append(l.clauses, predicate.Clause{Col: name, Op: predicate.OpEq, Val: lit.Val})
 		}
 		return l, true
+
+	case *expr.Like:
+		// The interpreter matches a non-string value's rendering, which no
+		// dictionary holds: only a string column lowers.
+		name, ci, ok := column(node.X)
+		if !ok || schema[ci].Type != engine.TString {
+			return leaf{}, false
+		}
+		return leaf{kind: leafClauses, ci: ci, invert: node.Invert, clauses: []predicate.Clause{
+			{Col: name, Op: predicate.OpLike, Val: engine.NewString(node.Pattern)},
+		}}, true
 	}
 	return leaf{}, false
 }
@@ -498,16 +511,25 @@ type conjunct struct {
 	m        tfMask // every other lowered conjunct, materialized up front
 }
 
-// rowEval returns e's per-row evaluator over rr: the compiled
-// zero-alloc form when expr.Compile accepts e, a boxed Eval over a row
-// buffer otherwise.
-func rowEval(e expr.Expr, rr *engine.RowReader, ncols int) expr.Evaluator {
-	if ev, ok := expr.Compile(e, rr); ok {
-		return ev
+// evaluator is an expression evaluated on one source row by id. It
+// reuses a row buffer, so it is not safe for concurrent use.
+type evaluator func(row int) (engine.Value, error)
+
+// rowEval returns e's per-row evaluator over rr: the interpreter over a
+// row buffer into which only the cells of the columns e names are read
+// (Eval reads no other; expr.FuzzCompileParity holds it to that).
+func rowEval(e expr.Expr, rr *engine.RowReader, schema engine.Schema) evaluator {
+	var cols []int
+	for _, name := range e.Columns(nil) {
+		if c := schema.ColIndex(name); c >= 0 && !slices.Contains(cols, c) {
+			cols = append(cols, c)
+		}
 	}
-	row := make([]engine.Value, ncols)
+	row := make([]engine.Value, len(schema))
 	return func(r int) (engine.Value, error) {
-		rr.RowInto(r, row)
+		for _, c := range cols {
+			row[c] = rr.Value(r, c)
+		}
 		return e.Eval(row)
 	}
 }
@@ -608,7 +630,7 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 		}
 		switch {
 		case c.residual:
-			ev := rowEval(c.e, rr, lc.src.NumCols())
+			ev := rowEval(c.e, rr, schema)
 			it := elig.Iter(0)
 			for r, more := it.Next(); more; r, more = it.Next() {
 				if ctxTick%ctxCheckRows == 0 {

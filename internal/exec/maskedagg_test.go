@@ -26,11 +26,12 @@ func TestMaskedAggDensities(t *testing.T) {
 		name  string
 		where string
 	}{
-		{"empty", "i > 100"},                   // zero survivors: no group at all
-		{"sparse", "f = 3.25"},                 // ~1/64 of rows: one bit per word territory
-		{"half", "i >= 0"},                     // ~half the rows survive
-		{"full", "j >= 0"},                     // j has no NULLs: the mask fills
-		{"residual", "i >= 2 AND s LIKE 'a%'"}, // lowered prefix + residual conjunct
+		{"empty", "i > 100"},                          // zero survivors: no group at all
+		{"sparse", "f = 3.25"},                        // ~1/64 of rows: one bit per word territory
+		{"half", "i >= 0"},                            // ~half the rows survive
+		{"full", "j >= 0"},                            // j has no NULLs: the mask fills
+		{"like", "i >= 2 AND s LIKE 'a%'"},            // two lowered conjuncts
+		{"residual", "i >= 2 AND lower(s) LIKE 'a%'"}, // lowered prefix + residual conjunct
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,7 +186,7 @@ func TestMaskedAggOutOfCore(t *testing.T) {
 	lazySt, lazy := reopen(t, fs, 4096)
 	defer lazySt.Close()
 
-	wheres := []string{"i > 100", "f = 3.25", "i >= 0", "j >= 0", "i >= 2 AND s LIKE 'a%'"}
+	wheres := []string{"i > 100", "f = 3.25", "i >= 0", "j >= 0", "i >= 2 AND s LIKE 'a%'", "i >= 2 AND lower(s) LIKE 'a%'"}
 	for _, where := range wheres {
 		sql := maskedAggSQL + " WHERE " + where
 		ref, err := runRef(oracle, mustParse(t, sql))

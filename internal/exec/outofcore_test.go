@@ -762,7 +762,9 @@ type scanMixWork struct {
 // each one takes — as its plan reports them and as the loader counted
 // them — to the numbers recorded at the commit before the column readers
 // were unified (PR 26, 0274026): the one reader pins exactly what the
-// five it replaced pinned, and every pin is released.
+// five it replaced pinned, and every pin is released. No shape
+// evaluates a WHERE row by row: the residual shape's LIKE on a string
+// column lowers to a clause mask like its comparison.
 func TestScanMixShapesSameWork(t *testing.T) {
 	const segBits = 10
 	twin := func(src *engine.Table) (*engine.Table, *enginetest.Loader) {
@@ -817,6 +819,9 @@ func TestScanMixShapesSameWork(t *testing.T) {
 			if res.NumRows() == 0 {
 				t.Fatalf("%s: no rows", s.shape)
 			}
+			if res.Plan.ResidualConjuncts != 0 || res.Plan.ResidualRows != 0 {
+				t.Fatalf("%s: a WHERE conjunct was evaluated per row: %+v", s.shape, res.Plan)
+			}
 			got = append(got, scanMixWork{s.shape, res.Plan.ChunksFaulted + res.Plan.ChunksResident, pins() - before})
 		}
 	}
@@ -832,10 +837,15 @@ func TestScanMixShapesSameWork(t *testing.T) {
 
 // scanMixWorkAtParent is TestScanMixShapesSameWork's table as measured at
 // 0274026: the eight shapes at one shard (the first statement to name a
-// clause also builds its mask), then at three.
+// clause also builds its mask), then at three. The two residual cells
+// are the one exception, re-measured when LIKE on a string column began
+// to lower: its loader pins went 9 → 6. Building the memo mask pins memo
+// once a segment, as the per-row walk did, but with no residual after
+// it the candidate comparison needs no FALSE mask, so the three pins
+// that built candidate's non-NULL mask are gone.
 var scanMixWorkAtParent = []scanMixWork{
 	{"grouped", 14, 12}, {"selective", 13, 21}, {"global", 6, 10}, {"orchain", 15, 38},
-	{"zonemap", 9, 19}, {"fecdaily", 11, 12}, {"residual", 5, 9}, {"distinct", 6, 5},
+	{"zonemap", 9, 19}, {"fecdaily", 11, 12}, {"residual", 5, 6}, {"distinct", 6, 5},
 	{"grouped", 16, 14}, {"selective", 15, 13}, {"global", 6, 5}, {"orchain", 16, 13},
-	{"zonemap", 15, 15}, {"fecdaily", 12, 9}, {"residual", 11, 9}, {"distinct", 6, 5},
+	{"zonemap", 15, 15}, {"fecdaily", 12, 9}, {"residual", 11, 6}, {"distinct", 6, 5},
 }

@@ -116,6 +116,10 @@ func randLit(rng *rand.Rand, col string) expr.Expr {
 
 var cmpOps = []expr.BinOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
 
+// likePatterns covers both wildcards, a bare '%', no wildcard at all and
+// the empty pattern (which matches only the empty string).
+var likePatterns = []string{"a%", "%y", "_", "%", "", "b", "x_", "_%_", "%a%"}
+
 func randWhere(rng *rand.Rand, depth int) expr.Expr {
 	if depth > 0 && rng.Float64() < 0.55 {
 		switch rng.Intn(3) {
@@ -143,8 +147,13 @@ func randWhere(rng *rand.Rand, depth int) expr.Expr {
 		}
 		return in
 	case 3:
-		// Not lowerable: LIKE is a residual conjunct.
-		return &expr.Like{X: expr.NewCol("s"), Pattern: []string{"a%", "%y", "_"}[rng.Intn(3)], Invert: rng.Intn(2) == 0}
+		// LIKE on the string column lowers to a clause mask; over a
+		// computed value it is a residual conjunct.
+		var x expr.Expr = expr.NewCol("s")
+		if rng.Intn(3) == 0 {
+			x = expr.NewFunc("lower", x)
+		}
+		return &expr.Like{X: x, Pattern: likePatterns[rng.Intn(len(likePatterns))], Invert: rng.Intn(2) == 0}
 	case 4:
 		// Not lowerable: arithmetic inside the comparison.
 		lhs := expr.NewBin(expr.OpAdd, expr.NewCol("f"), expr.Float(0.25))
@@ -235,7 +244,7 @@ func randAggItem(rng *rand.Rand, alias string) sqlparse.SelectItem {
 	case 7:
 		call = &sqlparse.AggCall{Name: "median", Arg: expr.NewCol("f")}
 	case 8:
-		// Computed argument: exercises the compiled-evaluator source.
+		// Computed argument: exercises the per-row evaluator source.
 		call = &sqlparse.AggCall{Name: "sum", Arg: expr.NewBin(expr.OpAdd, expr.NewCol("f"), expr.NewCol("j"))}
 	case 9:
 		// Aggregate over a string column (boxed column source).

@@ -24,8 +24,8 @@ import (
 // conjuncts — the shape the greedy planner orders. Conjuncts are
 // randWhere subtrees at depth 1, so the chain mixes simple probeable
 // leaves, nested OR/NOT subtrees (eagerly lowered), further ANDs
-// (flattened into the chain), and non-lowerable nodes (LIKE,
-// arithmetic) that ride as residuals.
+// (flattened into the chain), and non-lowerable nodes (LIKE over a
+// computed value, arithmetic) that ride as residuals.
 func randAndChain(rng *rand.Rand) expr.Expr {
 	e := randWhere(rng, 1)
 	for k := 1 + rng.Intn(4); k > 0; k-- {

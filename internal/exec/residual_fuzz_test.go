@@ -38,8 +38,14 @@ func FuzzResidualFilterParity(f *testing.F) {
 		"f = 0 AND i IS NOT NULL AND s LIKE '%'",
 		"i / 0 > 1 AND s LIKE 'a%'",
 		"i > 3 AND f / i > 0.5",
-		"s LIKE 'a%'",          // all-residual root
-		"j = 1 OR s LIKE '%y'", // OR root with a non-lowerable arm
+		"s LIKE 'a%'",          // a lowered LIKE alone
+		"j = 1 OR s LIKE '%y'", // OR root, every arm lowered
+		"i >= 2 AND lower(s) LIKE 'a%'",
+		"lower(s) LIKE '%y' AND s NOT LIKE 'x_' AND f + 0.25 > 1",
+		"(i > 0 AND lower(s) LIKE '_') OR j = 2",
+		"i IS NULL AND lower(s) LIKE ''",
+		"lower(s) NOT LIKE '%'",       // all-residual root
+		"j = 1 OR lower(s) LIKE '%y'", // OR root with a non-lowerable arm
 	} {
 		f.Add(s)
 	}

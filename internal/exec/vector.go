@@ -398,7 +398,7 @@ type keyScan struct {
 	// eval is the boxed evaluator of a kindKernel or kindEval key: every
 	// selected row of a string-valued key or a declined block, and the
 	// creating row of each group (Group.Key is the reference's value).
-	eval  expr.Evaluator
+	eval  evaluator
 	slots []uint64 // the current block's key slot per selected row
 }
 
@@ -408,7 +408,7 @@ type shardScan struct {
 	plan     *vectorPlan
 	lo, hi   int
 	keys     []keyScan
-	argEvals []expr.Evaluator    // argEval arguments
+	argEvals []evaluator         // argEval arguments
 	argDicts []*engine.ColReader // argDict arguments
 	err      error
 
@@ -453,7 +453,7 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 			ss.fr[col] = open(col)
 		}
 	}
-	ncols := p.src.NumCols()
+	schema := p.src.Schema()
 	ss.mask = make([]uint64, blockRows/64)
 	ss.slots = make([]uint64, len(p.keys), max(len(p.keys), 8))
 	ss.keys = make([]keyScan, len(p.keys))
@@ -463,19 +463,19 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 		case kindDict:
 			ks.dc = open(k.col)
 		case kindKernel:
-			ks.kern, _ = expr.CompileFloat(k.node, p.src.Schema())
+			ks.kern, _ = expr.CompileFloat(k.node, schema)
 			ks.kvals, ks.knull = make([][]float64, len(ks.kern.Cols)), make([][]uint64, len(ks.kern.Cols))
 			fallthrough
 		case kindEval:
-			ks.eval = rowEval(k.node, ss.rr, ncols)
+			ks.eval = rowEval(k.node, ss.rr, schema)
 		}
 	}
-	ss.argEvals = make([]expr.Evaluator, len(p.args))
+	ss.argEvals = make([]evaluator, len(p.args))
 	ss.argDicts = make([]*engine.ColReader, len(p.args))
 	for ai, a := range p.args {
 		switch a.kind {
 		case argEval:
-			ss.argEvals[ai] = rowEval(a.node, ss.rr, ncols)
+			ss.argEvals[ai] = rowEval(a.node, ss.rr, schema)
 		case argDict:
 			ss.argDicts[ai] = open(a.col)
 		}

@@ -1,16 +1,21 @@
 // Package expr defines the scalar expression AST shared by the SQL
-// parser, the query executor, and the predicate machinery, together with
-// a NULL-aware (three-valued logic) evaluator.
+// parser, the query executor, and the predicate machinery, and its two
+// evaluators: a NULL-aware (three-valued logic) interpreter over one
+// []engine.Value row, and CompileFloat's block kernels over typed
+// chunks (kernel.go), which decline any block they cannot prove equal to
+// the interpreter.
 //
 // Expressions are resolved against a schema once (binding column names
-// to positions) and then evaluated row-at-a-time against []engine.Value
-// slices, which is how the executor scans tables.
+// to positions) and then evaluated. Eval reads only the cells of the
+// columns the expression names (Columns), so a caller may fill just
+// those.
 package expr
 
 import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/engine"
 )
@@ -199,17 +204,12 @@ func boolValue(v engine.Value) (bool, bool) {
 // Eval implements Expr with SQL three-valued logic for comparisons and
 // AND/OR, and NULL-propagating arithmetic.
 func (b *Bin) Eval(row []engine.Value) (engine.Value, error) {
-	if b.Op.IsLogic() {
-		lv, err := b.L.Eval(row)
-		if err != nil {
-			return engine.Null, err
-		}
-		return b.applyLogic(lv, func() (engine.Value, error) { return b.R.Eval(row) })
-	}
-
 	lv, err := b.L.Eval(row)
 	if err != nil {
 		return engine.Null, err
+	}
+	if b.Op.IsLogic() {
+		return b.evalLogic(lv, row)
 	}
 	rv, err := b.R.Eval(row)
 	if err != nil {
@@ -218,20 +218,18 @@ func (b *Bin) Eval(row []engine.Value) (engine.Value, error) {
 	return b.apply(lv, rv)
 }
 
-// applyLogic evaluates AND/OR with SQL three-valued logic over an
-// already-evaluated left operand and a lazily-evaluated right operand
-// (preserving short-circuit behavior). Shared by Eval and the compiled
-// evaluator.
-func (b *Bin) applyLogic(lv engine.Value, evalR func() (engine.Value, error)) (engine.Value, error) {
+// evalLogic evaluates AND/OR with SQL three-valued logic over an
+// already-evaluated left operand, evaluating the right one only where
+// 3VL does not short-circuit.
+func (b *Bin) evalLogic(lv engine.Value, row []engine.Value) (engine.Value, error) {
 	lb, lk := boolValue(lv)
-	// Short-circuit where 3VL permits.
 	if b.Op == OpAnd && lk && !lb {
 		return engine.NewBool(false), nil
 	}
 	if b.Op == OpOr && lk && lb {
 		return engine.NewBool(true), nil
 	}
-	rv, err := evalR()
+	rv, err := b.R.Eval(row)
 	if err != nil {
 		return engine.Null, err
 	}
@@ -259,9 +257,7 @@ func (b *Bin) applyLogic(lv engine.Value, evalR func() (engine.Value, error)) (e
 }
 
 // apply evaluates the non-logic operators over already-evaluated
-// operands. It is shared by Eval and the compiled evaluator (compile.go)
-// so both paths have one source of truth for comparison and arithmetic
-// semantics.
+// operands.
 func (b *Bin) apply(lv, rv engine.Value) (engine.Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return engine.Null, nil
@@ -453,22 +449,12 @@ func (in *In) Resolve(schema engine.Schema) error {
 // Eval implements Expr.
 func (in *In) Eval(row []engine.Value) (engine.Value, error) {
 	xv, err := in.X.Eval(row)
-	if err != nil {
+	if err != nil || xv.IsNull() {
 		return engine.Null, err
 	}
-	return in.apply(xv, func(i int) (engine.Value, error) { return in.List[i].Eval(row) })
-}
-
-// apply evaluates the membership test over an already-evaluated operand
-// and lazily-evaluated list elements (preserving the early exit on
-// match). Shared by Eval and the compiled evaluator.
-func (in *In) apply(xv engine.Value, evalElem func(i int) (engine.Value, error)) (engine.Value, error) {
-	if xv.IsNull() {
-		return engine.Null, nil
-	}
 	sawNull := false
-	for i := range in.List {
-		ev, err := evalElem(i)
+	for _, e := range in.List {
+		ev, err := e.Eval(row)
 		if err != nil {
 			return engine.Null, err
 		}
@@ -538,12 +524,6 @@ func (b *Between) Eval(row []engine.Value) (engine.Value, error) {
 	if err != nil {
 		return engine.Null, err
 	}
-	return b.apply(xv, lo, hi)
-}
-
-// apply evaluates the range test over already-evaluated operands.
-// Shared by Eval and the compiled evaluator.
-func (b *Between) apply(xv, lo, hi engine.Value) (engine.Value, error) {
 	if xv.IsNull() || lo.IsNull() || hi.IsNull() {
 		return engine.Null, nil
 	}
@@ -612,25 +592,32 @@ type Like struct {
 // Resolve implements Expr.
 func (l *Like) Resolve(schema engine.Schema) error { return l.X.Resolve(schema) }
 
-// likeMatch implements LIKE with memoization-free backtracking; patterns
-// in this system are short (predicates over memo fields).
-func likeMatch(s, pat string) bool {
-	// Iterative two-pointer algorithm with backtracking on '%'.
+// LikeMatch reports whether s matches the LIKE pattern pat: '%' matches
+// any run of characters, '_' exactly one, and any other byte itself. A
+// character is a UTF-8 rune, and a byte that is not valid UTF-8 counts
+// as one character. It is the one matcher behind Like.Eval and the
+// executor's LIKE clause masks (predicate.OpLike). The iterative
+// two-pointer walk backtracks to the last '%'; patterns in this system
+// are short (predicates over memo fields).
+func LikeMatch(s, pat string) bool {
 	si, pi := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
+		case pi < len(pat) && pat[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(pat) && pat[pi] == '_':
+			_, w := utf8.DecodeRuneInString(s[si:])
+			si += w
+			pi++
+		case pi < len(pat) && pat[pi] == s[si]:
 			si++
 			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star = pi
-			mark = si
-			pi++
 		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
+			_, w := utf8.DecodeRuneInString(s[mark:])
+			mark += w
+			pi, si = star+1, mark
 		default:
 			return false
 		}
@@ -650,7 +637,7 @@ func (l *Like) Eval(row []engine.Value) (engine.Value, error) {
 	if v.IsNull() {
 		return engine.Null, nil
 	}
-	return engine.NewBool(likeMatch(v.Str(), l.Pattern) != l.Invert), nil
+	return engine.NewBool(LikeMatch(v.Str(), l.Pattern) != l.Invert), nil
 }
 
 // String implements Expr.

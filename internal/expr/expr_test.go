@@ -175,10 +175,43 @@ func TestLikeMatch(t *testing.T) {
 		{"", "_", false},
 		{"aaa", "a%a", true},
 		{"mississippi", "%iss%ppi", true},
+		{"abc", "", false},
+		{"", "", true},
+		// A '%' in the pattern is always the wildcard, also where the
+		// value holds a literal '%'.
+		{"%x", "%", true},
+		{"a%b", "a%", true},
 	}
 	for _, c := range cases {
-		if got := likeMatch(c.s, c.pat); got != c.want {
-			t.Errorf("likeMatch(%q,%q) = %v", c.s, c.pat, got)
+		if got := LikeMatch(c.s, c.pat); got != c.want {
+			t.Errorf("LikeMatch(%q,%q) = %v", c.s, c.pat, got)
+		}
+	}
+}
+
+// TestLikeMatchCharacters pins '_' to one character, not one byte: a
+// multibyte rune is one character, and so is each byte that is not
+// valid UTF-8.
+func TestLikeMatchCharacters(t *testing.T) {
+	cases := []struct {
+		s, pat string
+		want   bool
+	}{
+		{"é", "_", true},
+		{"é", "__", false},
+		{"日本", "_本", true},
+		{"日本", "%_", true},
+		{"日本語", "_%_", true},
+		{"xé", "%é", true},
+		{"éé", "%_é", true},
+		{"\xff", "_", true},
+		{"\xffa", "__", true},
+		{"\xffa", "_", false},
+		{"a\xc3", "a_", true}, // a truncated 2-byte rune is one invalid byte
+	}
+	for _, c := range cases {
+		if got := LikeMatch(c.s, c.pat); got != c.want {
+			t.Errorf("LikeMatch(%q,%q) = %v, want %v", c.s, c.pat, got, c.want)
 		}
 	}
 }

@@ -8,17 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/expr"
 	"repro/internal/sqlparse"
 )
 
-// FuzzCompileParity pins the compiled evaluator (the vectorized
-// executor's group-key and argument source) to the boxed interpreter:
-// for any expression the parser accepts and the schema resolves, both
-// must produce the same value — or fail — on every row, including NULL,
-// NaN and ±0.0 cells. The two paths share their value-level operator
-// helpers by construction; this guards the parts that are NOT shared
-// (column access, argument buffers, short-circuiting).
+// FuzzCompileParity pins the contract the executor's per-row evaluator
+// (exec's rowEval) relies on: Eval reads only the cells of the columns
+// the expression names. For any expression the parser accepts and the
+// schema resolves, Eval over a buffer holding only the cells of
+// e.Columns(nil) — every other cell a poison value — must produce the
+// same value as Eval over the full row, or fail on both, on every row,
+// including NULL, NaN and ±0.0 cells.
 //
 // The fuzzer drives the expression text and one row's cell values; the
 // fixed rows below keep the edge cases (NULLs everywhere, NaN, -0.0,
@@ -41,19 +40,24 @@ func FuzzCompileParity(f *testing.F) {
 	} {
 		f.Add(s.expr, s.i, s.fv, s.s)
 	}
+	schema := engine.Schema{
+		{Name: "i", Type: engine.TInt},
+		{Name: "f", Type: engine.TFloat},
+		{Name: "s", Type: engine.TString},
+		{Name: "t", Type: engine.TTime},
+	}
+	poison := engine.NewString("\x00poison")
 	f.Fuzz(func(t *testing.T, exprText string, iv int64, fv float64, sv string) {
 		e, err := sqlparse.ParseExpr(exprText)
 		if err != nil {
 			return
 		}
-		tbl, err := engine.NewTable("p", engine.Schema{
-			{Name: "i", Type: engine.TInt},
-			{Name: "f", Type: engine.TFloat},
-			{Name: "s", Type: engine.TString},
-			{Name: "t", Type: engine.TTime},
-		})
-		if err != nil {
-			t.Fatal(err)
+		if err := e.Resolve(schema); err != nil {
+			return // unknown column/function: no row is ever evaluated
+		}
+		named := make([]bool, len(schema))
+		for _, name := range e.Columns(nil) {
+			named[schema.ColIndex(name)] = true
 		}
 		rows := [][]engine.Value{
 			{engine.NewInt(iv), engine.NewFloat(fv), engine.NewString(sv), engine.NewTimeUnix(iv & 0xffff)},
@@ -61,33 +65,24 @@ func FuzzCompileParity(f *testing.F) {
 			{engine.NewInt(0), engine.NewFloat(math.NaN()), engine.NewString(""), engine.NewTimeUnix(0)},
 			{engine.NewInt(-1), engine.NewFloat(math.Copysign(0, -1)), engine.Null, engine.NewTimeUnix(3600)},
 		}
-		for _, r := range rows {
-			if _, err := tbl.AppendRow(r); err != nil {
-				t.Fatal(err)
+		buf := make([]engine.Value, len(schema))
+		for r, row := range rows {
+			for c := range buf {
+				buf[c] = poison
+				if named[c] {
+					buf[c] = row[c]
+				}
 			}
-		}
-		if err := e.Resolve(tbl.Schema()); err != nil {
-			return // unknown column/function: both paths are unreachable
-		}
-		ev, ok := expr.Compile(e, tbl)
-		if !ok {
-			// Compile documents full coverage of parser output; a
-			// resolved expression it refuses is a lowering gap.
-			t.Fatalf("Compile refused resolved expression %q", e)
-		}
-		row := make([]engine.Value, tbl.NumCols())
-		for r := 0; r < tbl.NumRows(); r++ {
-			tbl.RowInto(r, row)
 			want, wantErr := e.Eval(row)
-			got, gotErr := ev(r)
+			got, gotErr := e.Eval(buf)
 			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("expr %q row %d: error disagreement: interpreter=%v compiled=%v", e, r, wantErr, gotErr)
+				t.Fatalf("expr %q row %d: error disagreement: full row=%v named cells=%v", e, r, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				continue
 			}
 			if want.Key() != got.Key() {
-				t.Fatalf("expr %q row %d: interpreter=%s compiled=%s", e, r, want, got)
+				t.Fatalf("expr %q row %d: full row=%s named cells=%s", e, r, want, got)
 			}
 		}
 	})

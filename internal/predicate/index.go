@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/expr"
 )
 
 // Index evaluates predicates against one table column-at-a-time. Each
@@ -33,7 +34,8 @@ import (
 // never matches, comparisons follow engine.Compare (numeric coercion
 // across int/float/bool/time, string ordering for strings, incomparable
 // types never match, NULL clause values compare below everything, NaN
-// compares equal to everything).
+// compares equal to everything), and a LIKE clause follows
+// expr.LikeMatch.
 type Index struct {
 	mu sync.RWMutex
 	// t is the newest table version the index has been synced to; suffix
@@ -459,15 +461,25 @@ func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
 	})
 }
 
+// matchString is a string clause's verdict on one non-NULL value of its
+// string column: a comparison, or a LIKE pattern match.
+func (c Clause) matchString(s string) bool {
+	if c.Op == OpLike {
+		return expr.LikeMatch(s, c.Val.S)
+	}
+	return opMatchesCmp(c.Op, strings.Compare(s, c.Val.S))
+}
+
 // extendString evaluates a string clause against the missing rows of
-// the dictionary codes: the comparison runs once per distinct value,
-// then fans out by code.
+// the dictionary codes: the verdict is computed once per distinct value
+// — the whole dictionary, so codes an append added since the last
+// extension get theirs — then fans out by code.
 func (ix *Index) extendString(e *maskEntry, ci int, c Clause, n int) {
 	values := ix.t.Dict(ci).Values()
 	verdict := make([]bool, len(values))
 	eqCode := -1 // the single matching code for OpEq (dict values are distinct)
 	for code, s := range values {
-		verdict[code] = opMatchesCmp(c.Op, strings.Compare(s, c.Val.S))
+		verdict[code] = c.matchString(s)
 		if verdict[code] && c.Op == OpEq {
 			eqCode = code
 		}

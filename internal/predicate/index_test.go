@@ -72,8 +72,8 @@ func randomClause(rng *rand.Rand) Clause {
 //
 // Every third table is a version its family has since retained past
 // (tiny segments, head segments dropped by a newer version): its string
-// clauses once came back empty, so the four shapes of one lead each
-// trial's predicates.
+// clauses once came back empty, so the string shapes — LIKE among them —
+// lead each trial's predicates.
 func TestMatchingBitsetParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for trial := 0; trial < 300; trial++ {
@@ -88,8 +88,13 @@ func TestMatchingBitsetParity(t *testing.T) {
 			New(Clause{Col: "s", Op: OpLt, Val: engine.NewString("beta")}),
 			New(Clause{Col: "s", Op: OpNeq, Val: engine.NewString("gamma")}),
 			New(Clause{Col: "s", Op: OpNeq, Val: engine.Null}), // IS NOT NULL
+			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("%ta")}),
+			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("")},
+				Clause{Col: "i", Op: OpGe, Val: engine.NewInt(0)}),
+			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("_e%")}),
+			New(Clause{Col: "f", Op: OpLike, Val: engine.NewString("%")}), // not a string column
 		}
-		for len(preds) < 14 {
+		for len(preds) < 18 {
 			var pred Predicate
 			for nc := rng.Intn(4); nc > 0; nc-- {
 				pred.Clauses = append(pred.Clauses, randomClause(rng))

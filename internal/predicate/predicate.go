@@ -9,6 +9,7 @@ package predicate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,26 +28,21 @@ const (
 	OpGe
 	OpLt
 	OpGt
+	// OpLike matches a string column against the LIKE pattern its Val
+	// holds, which must be a string, through expr.LikeMatch; on any other
+	// column it matches nothing. It is the executor's lowering of `col
+	// LIKE 'p'`; the learners never produce it.
+	OpLike
 )
+
+var opNames = [...]string{OpEq: "=", OpNeq: "!=", OpLe: "<=", OpGe: ">=", OpLt: "<", OpGt: ">", OpLike: "LIKE"}
 
 // String returns the SQL spelling.
 func (o Op) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNeq:
-		return "!="
-	case OpLe:
-		return "<="
-	case OpGe:
-		return ">="
-	case OpLt:
-		return "<"
-	case OpGt:
-		return ">"
-	default:
+	if o < 0 || int(o) >= len(opNames) {
 		return "?"
 	}
+	return opNames[o]
 }
 
 // Clause is one atomic condition on a column.
@@ -63,11 +59,14 @@ func (c Clause) String() string {
 
 // Matches evaluates the clause against a value of its column. NULL never
 // matches (SQL semantics). The op dispatch lives in opMatchesCmp
-// (index.go) so the vectorized clause masks and this row-at-a-time path
-// share one source of truth.
+// (index.go) and a string verdict in matchString, so the vectorized
+// clause masks and this row-at-a-time path share one source of truth.
 func (c Clause) Matches(v engine.Value) bool {
 	if v.IsNull() {
 		return false
+	}
+	if c.Op == OpLike {
+		return v.T == engine.TString && c.Val.T == engine.TString && c.matchString(v.S)
 	}
 	cmp, err := engine.Compare(v, c.Val)
 	if err != nil {
@@ -205,26 +204,18 @@ func (p Predicate) ToExpr() expr.Expr {
 	}
 	var e expr.Expr
 	for _, c := range p.Clauses {
-		var op expr.BinOp
-		switch c.Op {
-		case OpEq:
-			op = expr.OpEq
-		case OpNeq:
-			op = expr.OpNeq
-		case OpLe:
-			op = expr.OpLe
-		case OpGe:
-			op = expr.OpGe
-		case OpLt:
-			op = expr.OpLt
-		case OpGt:
-			op = expr.OpGt
+		var clause expr.Expr
+		if c.Op == OpLike {
+			clause = &expr.Like{X: expr.NewCol(c.Col), Pattern: c.Val.S}
+		} else {
+			clause = expr.NewBin(exprOps[c.Op], expr.NewCol(c.Col), expr.NewLit(c.Val))
 		}
-		clause := expr.NewBin(op, expr.NewCol(c.Col), expr.NewLit(c.Val))
 		e = expr.And(e, clause)
 	}
 	return e
 }
+
+var exprOps = [...]expr.BinOp{OpEq: expr.OpEq, OpNeq: expr.OpNeq, OpLe: expr.OpLe, OpGe: expr.OpGe, OpLt: expr.OpLt, OpGt: expr.OpGt}
 
 // NegationExpr returns NOT (p), the filter that *removes* the
 // predicate's tuples — what clicking a predicate in the dashboard adds
@@ -240,12 +231,14 @@ func (p Predicate) NegationExpr() expr.Expr { return expr.NewNot(p.ToExpr()) }
 //   - an equality on a column supersedes consistent range bounds on it
 //   - contradictions yield (false, since an always-false explanation is
 //     useless) — reported via the second return value
+//   - a LIKE clause is kept verbatim, only its exact duplicates drop
 //
 // Clauses are ordered by column name, then operator, for stable Keys.
 func (p Predicate) Simplify() (Predicate, bool) {
 	type bounds struct {
 		eq      *engine.Value
 		neqs    []engine.Value
+		likes   []engine.Value
 		lo      *engine.Value // strictest lower bound
 		loIncl  bool
 		hi      *engine.Value // strictest upper bound
@@ -271,6 +264,10 @@ func (p Predicate) Simplify() (Predicate, bool) {
 			b.eq = &v
 		case OpNeq:
 			b.neqs = append(b.neqs, c.Val)
+		case OpLike:
+			if !slices.Contains(b.likes, c.Val) {
+				b.likes = append(b.likes, c.Val)
+			}
 		case OpGe, OpGt:
 			incl := c.Op == OpGe
 			if b.lo == nil {
@@ -300,6 +297,9 @@ func (p Predicate) Simplify() (Predicate, bool) {
 	sort.Strings(order)
 	for _, key := range order {
 		b := byCol[key]
+		for _, pat := range b.likes {
+			out.Clauses = append(out.Clauses, Clause{Col: b.colName, Op: OpLike, Val: pat})
+		}
 		if b.eq != nil {
 			// Check consistency with bounds and neqs.
 			if b.lo != nil {

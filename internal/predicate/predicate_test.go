@@ -46,6 +46,45 @@ func TestClauseMatches(t *testing.T) {
 	if eq.Matches(engine.NewInt(5)) {
 		t.Error("string clause matched int")
 	}
+	like := Clause{Col: "m", Op: OpLike, Val: engine.NewString("_AD%")}
+	if !like.Matches(engine.NewString("BAD")) || like.Matches(engine.NewString("ABAD")) || like.Matches(engine.Null) {
+		t.Error("OpLike wrong")
+	}
+	if like.Matches(engine.NewInt(5)) {
+		t.Error("LIKE clause matched a number")
+	}
+}
+
+// A LIKE clause survives Simplify, Key and ToExpr as it was written:
+// only an exact duplicate drops, and it evaluates like the clause.
+func TestLikeClauseVerbatim(t *testing.T) {
+	like := Clause{Col: "memo", Op: OpLike, Val: engine.NewString("%UN%")}
+	p := New(like, Clause{Col: "mote", Op: OpGe, Val: engine.NewInt(2)}, like,
+		Clause{Col: "memo", Op: OpNeq, Val: engine.NewString("")})
+	s, ok := p.Simplify()
+	if !ok || s.Len() != 3 || s.Clauses[0] != like {
+		t.Fatalf("Simplify(%s) = %s, %v: want the LIKE kept once", p, s, ok)
+	}
+	if got, want := like.String(), "memo LIKE '%UN%'"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	other := New(Clause{Col: "memo", Op: OpLike, Val: engine.NewString("%UN")})
+	if p.Key() == New(p.Clauses[1], p.Clauses[3]).Key() || New(like).Key() == other.Key() {
+		t.Error("a LIKE clause is missing from its predicate's key")
+	}
+	tbl := sampleTable(t)
+	if got := p.MatchingRows(tbl, nil); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("MatchingRows = %v, want [4] (REFUND)", got)
+	}
+	e := p.ToExpr()
+	if err := e.Resolve(tbl.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < tbl.NumRows(); r++ {
+		if ok, err := expr.EvalBool(e, tbl.Row(r)); err != nil || ok != p.MatchesRow(tbl, r) {
+			t.Errorf("row %d: ToExpr %s = %v (%v), MatchesRow %v", r, e, ok, err, p.MatchesRow(tbl, r))
+		}
+	}
 }
 
 func TestPredicateMatchingRows(t *testing.T) {

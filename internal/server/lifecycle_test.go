@@ -268,10 +268,10 @@ func (c *cancelAtPoll) Err() error {
 
 // TestDebugExamplesCancellation pins that evaluating examplesCond
 // belongs to the request's lifecycle: a client that goes away while a
-// residual condition (LIKE) is walking a large suspect lineage stops the
-// walk at its next poll, is answered 499 and counted cancelled — not a
-// 400 that every counter misses — and the session's carried analysis is
-// left as it was.
+// residual condition (LIKE over lower()) is walking a large suspect
+// lineage stops the walk at its next poll, is answered 499 and counted
+// cancelled — not a 400 that every counter misses — and the session's
+// carried analysis is left as it was.
 func TestDebugExamplesCancellation(t *testing.T) {
 	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 30_000, Seed: 2})
 	srv := New(db)
@@ -284,7 +284,7 @@ func TestDebugExamplesCancellation(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{
 			"session": "s", "suspect": suspect, "aggItem": -1,
 			"metric": "toolow", "metricParams": map[string]float64{"c": 0},
-			"examplesCond": "memo LIKE '%SPOUSE%'",
+			"examplesCond": "lower(memo) LIKE '%spouse%'",
 		})
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/debug", bytes.NewReader(body)).WithContext(ctx))

@@ -388,13 +388,14 @@ func TestStatsKeyKernels(t *testing.T) {
 
 // TestStatsResidualCounters pins the /api/stats planner view of the
 // residual filter path: a WHERE mixing a lowerable comparison with a
-// LIKE must count one residual-filtered query and a positive number of
-// per-row residual evaluations, and a global float aggregation must
-// ride the masked kernels without inflating either counter.
+// LIKE over a computed value must count one residual-filtered query and
+// a positive number of per-row residual evaluations, and a global float
+// aggregation must ride the masked kernels without inflating either
+// counter.
 func TestStatsResidualCounters(t *testing.T) {
 	ts := testServer(t)
 	for _, sql := range []string{
-		"SELECT state, sum(amount) AS s FROM donations WHERE amount > 100 AND city LIKE 'a%' GROUP BY state",
+		"SELECT state, sum(amount) AS s FROM donations WHERE amount > 100 AND lower(city) LIKE 'a%' GROUP BY state",
 		"SELECT sum(amount) AS s, count(*) AS n FROM donations WHERE amount > 100",
 	} {
 		resp := post(t, ts, "/api/query", map[string]any{"session": "resid", "sql": sql}, nil)
