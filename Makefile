@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-json bench-kernels profile-debug profile-append fuzz-smoke cover lines
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines
 
 all: build test
 
@@ -155,24 +155,12 @@ check: build vet fmt-check short check-bench fuzz-smoke test-crash test-chaos te
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Run the root figure benchmarks six times and write, per bench, the
-# median ns/op with its interquartile spread plus B/op and allocs/op as
-# JSON (cmd/benchjson folds the repeats) — a scratch file for diffing two
-# trees on one box, not checked in: the perf trajectory is bench/'s
-# results (CHANGES.md). BENCH_OUT=file.json names the output.
-BENCH_OUT ?= bench-micro.json
-bench-json:
-	@out=$$(mktemp); \
-	$(GO) test -run='^$$' -bench=. -benchmem -short -count 6 . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
-	$(GO) run ./cmd/benchjson < $$out > $(BENCH_OUT); rm -f $$out
-	@echo "wrote $(BENCH_OUT)"
-
-# The hardware-bound scan kernels: unrolled bitset word loops, the
-# masked float-fold crossover, and the end-to-end residual/masked
-# filter benchmarks that ride on them.
+# The hardware-bound scan kernels: unrolled bitset word loops, each
+# aggregate's AddFloats over one block, and the end-to-end residual and
+# masked filter benchmarks that ride on them.
 bench-kernels:
 	$(GO) test -run='^$$' -bench='BenchmarkIter|BenchmarkAndCountWith' -benchmem ./internal/bitset
-	$(GO) test -run='^$$' -bench='BenchmarkFoldMasked' -benchmem ./internal/agg
+	$(GO) test -run='^$$' -bench='BenchmarkAddFloats' -benchmem ./internal/agg
 	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation' -benchmem .
 
 # Where one full Debug spends its CPU: BenchmarkFigure6RankedPredicates
@@ -196,6 +184,18 @@ profile-append:
 	$(GO) test -run='^$$' -bench='BenchmarkAppendBody$$' -benchmem -count 3 \
 		-o $$dir/server.test -cpuprofile $$dir/cpu.prof ./internal/server && \
 	$(GO) tool pprof -top -cum $$dir/server.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -40; \
+	echo "profile: $$dir/cpu.prof"
+
+# Where a scan spends its CPU: BenchmarkScanMix (the benchmark's scan_mix
+# grouped and global statements over 400k Intel rows, two CPUs) under the
+# CPU profiler, the twin of profile-debug. The key kernel, the argument
+# folds (AddFloats) and lineage growth should lead; a map assign under
+# min/max or one interface call per row means a fold went per value again.
+profile-scan:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run='^$$' -bench='BenchmarkScanMix' -benchmem -cpu 2 -count 3 \
+		-o $$dir/exec.test -cpuprofile $$dir/cpu.prof ./internal/exec && \
+	$(GO) tool pprof -top -cum $$dir/exec.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -40; \
 	echo "profile: $$dir/cpu.prof"
 
 # Just the scoring hot path: the paper's interactivity claim lives here —

@@ -920,11 +920,12 @@ func BenchmarkResidualFilter(b *testing.B) {
 	b.ReportMetric(float64(residualRows)/float64(b.N), "residualrows/op")
 }
 
-// BenchmarkMaskedAggregation measures the mask-guarded global
-// aggregation kernels: a GROUP BY-free statement whose aggregates all
-// fold as floats runs FoldMasked over whole segment chunks instead of
-// per-row scanRow calls. The boxed reference scan (the test oracle) is
-// the baseline. The bench fails if the masked path stops engaging.
+// BenchmarkMaskedAggregation measures a filtered global aggregate whose
+// arguments all fold as floats: each block of the scan is one run, one
+// AddFloats per argument over the block's selected rows, and min/max
+// fold into a summary without allocating. The boxed reference scan (the
+// test oracle) is the baseline. The bench fails if Plan.MaskedAgg stops
+// reporting the statement.
 func BenchmarkMaskedAggregation(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 200_000, Seed: 7})
 	stmt, err := sqlparse.Parse(

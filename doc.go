@@ -70,8 +70,11 @@
 //     clause; a predicate match is the AND of its clause masks
 //     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
 //   - internal/agg — one contract, agg.Func: every state (DISTINCT
-//     sets included) adds, merges and answers "the result without these
-//     values" from floats (ResultWithoutFloats), never mutating.
+//     sets included) folds a run of rows in one call (AddFloats), merges
+//     and answers "the result without these values" from floats
+//     (ResultWithoutFloats), never mutating. min and max keep their
+//     extremum and its copy count, not the values: the caller yields the
+//     survivors (kept), read only when every copy of the extremum goes.
 //   - internal/influence — Scorer ties these together: ε-without-a-set
 //     is "intersect match mask with each group's lineage span, gather
 //     floats, ask the state", zero steady-state allocations for the
@@ -161,8 +164,10 @@
 //     NaN-payload slots no number can occupy (Plan.KeyKernels counts the
 //     keys planned as kernels). One key looks up through a dense code
 //     table or a uint64 map, two or more through a map keyed by the
-//     slots' bytes — any width; a row whose slots repeat the previous
-//     row's skips the lookup. A group's boxed Key is born with the group, from the row
+//     slots' bytes — any width. The block then walks runs, consecutive
+//     selected rows with equal slots: one lookup, one lineage growth and
+//     one AddFloats per numeric argument per run. A group's boxed Key is
+//     born with the group, from the row
 //     the shard has pinned — a kernel key's from the boxed evaluator on
 //     that row, so it is the reference's value, type included, never
 //     the kernel's float; materialize takes a grouped statement's plain
@@ -171,18 +176,18 @@
 //     out of core, a per-cell read (engine.RowReader) pins the float or
 //     code chunk the scan already pins and boxes that one cell.
 //     Aggregate arguments fold from the block's chunk slices into the
-//     states (AddFloat), column at a time (an evaluator error truncates
-//     the block, so the first error is still the reference's: lowest
-//     row, key before argument). The row space splits across a worker
+//     states, column at a time (an evaluator error truncates the block,
+//     so the first error is still the reference's: lowest row, key
+//     before argument). The row space splits across a worker
 //     pool on ranges balanced by SURVIVING-row popcount (zone-skipped
 //     segments contribute nothing; a hot segment subdivides on
 //     bitset-word boundaries), and per-shard states Merge in shard
 //     order, reproducing the sequential scan's group order, lineage
 //     order and FirstRow exactly — a DISTINCT set by replaying its
 //     unseen values in first-appearance order. A global aggregate is
-//     the zero-key block: its numeric column arguments fold through
-//     agg.FoldMasked under the block mask (Plan.MaskedAgg reports a
-//     statement whose arguments all do).
+//     the zero-key block, one run a block, on the same fold: there is no
+//     second fold path (Plan.MaskedAgg still reports a filtered global
+//     statement whose arguments are all count(*) or numeric columns).
 //   - Who still boxes in production, and why the edge is there: argEval
 //     — an aggregate argument that is neither a numeric column nor
 //     count(DISTINCT)'s string column evaluates per row to a Value and

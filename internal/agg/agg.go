@@ -7,10 +7,17 @@
 // answer "what if these values had never been added" — and every state
 // does all three, through the one interface below. Nothing outside this
 // package asks a state what it can do.
+//
+// The scan folds a run of rows in one AddFloats call, whatever the
+// statement: a global aggregate's block is one run. Removal support
+// costs nothing on that path: min and max keep their extremum and how
+// many copies of it were added, not the values, and a removal that takes
+// every copy recomputes over the survivors the caller yields (kept).
 package agg
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -24,12 +31,19 @@ import (
 //
 // Values come in two forms. The executor and the scorer work on typed
 // columns and use the float form: AddFloat(f) is exactly Add of a
-// non-NULL value whose Float() is f, and ResultWithoutFloats is exactly
+// non-NULL value whose Float() is f, AddFloats is AddFloat of each
+// selected non-NULL cell, and ResultWithoutFloats is exactly
 // ResultWithoutSet of such values — callers skip NULLs themselves
 // (adding or removing one never changes a state). The boxed form is the
 // edge: Add takes what an expression evaluated to (computed and string
-// arguments, and the reference scan), Removable is what the oracle
-// removes through.
+// arguments, and the reference scan), ResultWithoutSet is what the
+// oracle removes through.
+//
+// A removal names the values removed (each removes one added copy; a
+// value never added removes nothing) and passes kept, which yields the
+// added multiset minus them. Only min and max read kept, and only when
+// every copy of their extremum goes; kept may be nil for every other
+// state.
 type Func interface {
 	// Name returns the aggregate's lowercase SQL name.
 	Name() string
@@ -37,6 +51,9 @@ type Func interface {
 	Add(v engine.Value)
 	// AddFloat folds one non-NULL numeric value into the state.
 	AddFloat(f float64)
+	// AddFloats folds vals[o] for each o in sel whose bit in the NULL
+	// words null is clear, in sel order: exactly AddFloat of each.
+	AddFloats(vals []float64, null []uint64, sel []int32)
 	// Merge folds other's state into the receiver as if other's values
 	// had been added after the receiver's, in other's order — the combine
 	// step of a partitioned scan (shards merge in row order) and, onto a
@@ -47,25 +64,22 @@ type Func interface {
 	// Result returns the aggregate of everything added so far.
 	Result() engine.Value
 	// ResultWithoutFloats returns the aggregate over the added multiset
-	// minus vals (each removed once); ok is false when that is NULL. It
-	// never mutates the state: one state is read by every scoring worker
-	// at once. vals is borrowed for the call.
-	ResultWithoutFloats(vals []float64) (result float64, ok bool)
+	// minus vals; ok is false when that is NULL. It never mutates the
+	// state: one state is read by every scoring worker at once. vals is
+	// borrowed for the call.
+	ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (result float64, ok bool)
+	// ResultWithoutSet is ResultWithoutFloats of boxed values: the
+	// aggregate excluding every value in vs, NULLs removing nothing. The
+	// reference scorer (influence.EpsWithoutRows) evaluates through it.
+	ResultWithoutSet(vs []engine.Value, kept iter.Seq[engine.Value]) engine.Value
 	// Count returns the number of non-NULL values added.
 	Count() int
 	// Clone returns a fresh, empty aggregate of the same kind.
 	Clone() Func
-	Removable
 }
 
-// Removable is the boxed removal the reference scorer
-// (influence.EpsWithoutRows) evaluates through; production scoring uses
-// ResultWithoutFloats.
-type Removable interface {
-	// ResultWithoutSet returns the aggregate excluding every value in vs
-	// (each removed once), without mutating the state.
-	ResultWithoutSet(vs []engine.Value) engine.Value
-}
+// isNull reports whether cell o is NULL in the word bitmap null.
+func isNull(null []uint64, o int32) bool { return null[o>>6]&(1<<(uint(o)&63)) != 0 }
 
 // New returns a fresh aggregate by name, or an error for unknown names.
 func New(name string) (Func, error) {
@@ -131,8 +145,8 @@ func (c *Count) Count() int { return c.n }
 // Clone implements Func.
 func (*Count) Clone() Func { return &Count{} }
 
-// ResultWithoutSet implements Removable.
-func (c *Count) ResultWithoutSet(vs []engine.Value) engine.Value {
+// ResultWithoutSet implements Func.
+func (c *Count) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	n := c.n
 	for _, v := range vs {
 		if !v.IsNull() {
@@ -177,8 +191,8 @@ func (s *Sum) Count() int { return s.n }
 // Clone implements Func.
 func (*Sum) Clone() Func { return &Sum{} }
 
-// ResultWithoutSet implements Removable.
-func (s *Sum) ResultWithoutSet(vs []engine.Value) engine.Value {
+// ResultWithoutSet implements Func.
+func (s *Sum) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	sum, n := s.sum, s.n
 	for _, v := range vs {
 		if v.IsNull() {
@@ -228,8 +242,8 @@ func (a *Avg) Count() int { return a.n }
 // Clone implements Func.
 func (*Avg) Clone() Func { return &Avg{} }
 
-// ResultWithoutSet implements Removable.
-func (a *Avg) ResultWithoutSet(vs []engine.Value) engine.Value {
+// ResultWithoutSet implements Func.
+func (a *Avg) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	sum, n := a.sum, a.n
 	for _, v := range vs {
 		if v.IsNull() {
@@ -303,8 +317,8 @@ func (v *Variance) Count() int { return v.n }
 // Clone implements Func.
 func (v *Variance) Clone() Func { return &Variance{sample: v.sample} }
 
-// ResultWithoutSet implements Removable.
-func (v *Variance) ResultWithoutSet(vs []engine.Value) engine.Value {
+// ResultWithoutSet implements Func.
+func (v *Variance) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	sum, sumsq, n := v.sum, v.sumsq, v.n
 	for _, x := range vs {
 		if x.IsNull() {
@@ -346,72 +360,71 @@ func (s *Stddev) Result() engine.Value {
 // Clone implements Func.
 func (s *Stddev) Clone() Func { return &Stddev{Variance: Variance{sample: s.sample}} }
 
-// ResultWithoutSet implements Removable.
-func (s *Stddev) ResultWithoutSet(vs []engine.Value) engine.Value {
-	return sqrtValue(s.Variance.ResultWithoutSet(vs))
+// ResultWithoutSet implements Func.
+func (s *Stddev) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
+	return sqrtValue(s.Variance.ResultWithoutSet(vs, nil))
 }
 
 // ---------------------------------------------------------------------
-// min / max — holistic; keep a float multiset so removal is exact.
+// min / max — the extremum, how many added values equal it, and how many
+// values were added. Removal keeps the extremum while a copy survives and
+// otherwise recomputes over the survivors the caller yields.
 
 type extremum struct {
-	name    string
-	min     bool
-	counts  map[float64]int
-	best    float64
-	haveAny bool
-	n       int
+	name   string
+	min    bool
+	best   float64 // meaningful when n > 0
+	copies int     // added values == best
+	n      int
 }
 
-func newExtremum(name string, min bool) *extremum {
-	return &extremum{name: name, min: min, counts: make(map[float64]int)}
-}
+func newExtremum(name string, min bool) *extremum { return &extremum{name: name, min: min} }
 
 // Name implements Func.
 func (e *extremum) Name() string { return e.name }
-
-func (e *extremum) better(a, b float64) bool {
-	if e.min {
-		return a < b
-	}
-	return a > b
-}
 
 // displaces reports whether a newly seen value f should replace the
 // current best. engine.Compare treats NaN as equal to everything, so
 // any element of a NaN-containing multiset is a valid extremum; this
 // picks the deterministic, order-independent one: NaN never displaces a
 // real value and a real value always displaces NaN, so best is NaN only
-// when every value is NaN. (A plain e.better here made the result
+// when every value is NaN. (A plain comparison here made the result
 // depend on arrival order — first value NaN stuck forever — which also
 // broke the shard-merge equivalence Merge needs.)
 func (e *extremum) displaces(f, best float64) bool {
-	if math.IsNaN(f) {
+	switch {
+	case f != f:
 		return false
-	}
-	if math.IsNaN(best) {
+	case best != best:
 		return true
+	case e.min:
+		return f < best
 	}
-	return e.better(f, best)
+	return f > best
+}
+
+// fold takes in copies values equal to f (n is the caller's to count).
+// Equal is ==, so -0 and +0 are copies of one another, and the first
+// seen stays best.
+func (e *extremum) fold(f float64, copies int) {
+	switch {
+	case e.n == 0 || e.displaces(f, e.best):
+		e.best, e.copies = f, copies
+	case f == e.best:
+		e.copies += copies
+	}
 }
 
 // Add implements Func.
 func (e *extremum) Add(v engine.Value) {
-	if v.IsNull() {
-		return
+	if !v.IsNull() {
+		e.AddFloat(v.Float())
 	}
-	f := v.Float()
-	e.counts[f]++
-	if !e.haveAny || e.displaces(f, e.best) {
-		e.best = f
-		e.haveAny = true
-	}
-	e.n++
 }
 
 // Result implements Func.
 func (e *extremum) Result() engine.Value {
-	if !e.haveAny {
+	if e.n == 0 {
 		return engine.Null
 	}
 	return engine.NewFloat(e.best)
@@ -423,36 +436,40 @@ func (e *extremum) Count() int { return e.n }
 // Clone implements Func.
 func (e *extremum) Clone() Func { return newExtremum(e.name, e.min) }
 
-// rescan recomputes the extremum over the multiset, optionally with a
-// temporary decrement applied (delta maps value→count to subtract).
-func (e *extremum) rescan(delta map[float64]int) (float64, bool) {
-	var best float64
-	have := false
-	for f, c := range e.counts {
-		if delta != nil {
-			c -= delta[f]
-		}
-		if c <= 0 {
-			continue
-		}
-		if !have || e.displaces(f, best) {
-			best = f
-			have = true
-		}
+// without is the extremum once gone copies of best are removed: best
+// while a copy survives, otherwise the extremum of kept. A NaN best
+// means every value is NaN, and it survives any removal.
+func (e *extremum) without(gone int, kept iter.Seq[float64]) (float64, bool) {
+	if gone < e.copies || e.best != e.best {
+		return e.best, true
 	}
-	return best, have
+	left := extremum{min: e.min}
+	for f := range kept {
+		left.fold(f, 1)
+		left.n++
+	}
+	return left.best, left.n > 0
 }
 
-// ResultWithoutSet implements Removable.
-func (e *extremum) ResultWithoutSet(vs []engine.Value) engine.Value {
-	delta := make(map[float64]int, len(vs))
+// ResultWithoutSet implements Func.
+func (e *extremum) ResultWithoutSet(vs []engine.Value, kept iter.Seq[engine.Value]) engine.Value {
+	if e.n == 0 {
+		return engine.Null
+	}
+	gone := 0
 	for _, v := range vs {
-		if !v.IsNull() {
-			delta[v.Float()]++
+		if !v.IsNull() && v.Float() == e.best {
+			gone++
 		}
 	}
-	best, have := e.rescan(delta)
-	if !have {
+	best, ok := e.without(gone, func(yield func(float64) bool) {
+		for v := range kept {
+			if !v.IsNull() && !yield(v.Float()) {
+				return
+			}
+		}
+	})
+	if !ok {
 		return engine.Null
 	}
 	return engine.NewFloat(best)
@@ -510,11 +527,11 @@ func (m *Median) Count() int { return len(m.vals) }
 // Clone implements Func.
 func (*Median) Clone() Func { return &Median{} }
 
-// ResultWithoutSet implements Removable. It deliberately avoids
+// ResultWithoutSet implements Func. It deliberately avoids
 // ensureSorted: removal evaluation runs concurrently from the ranker's
 // scoring workers, so it must not mutate shared state — it filters into
 // a local slice and sorts that instead.
-func (m *Median) ResultWithoutSet(vs []engine.Value) engine.Value {
+func (m *Median) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	drop := make(map[float64]int, len(vs))
 	nd := 0
 	for _, v := range vs {

@@ -1,7 +1,9 @@
 package agg
 
 import (
+	"iter"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,6 +18,29 @@ func feed(f Func, vals ...float64) {
 }
 
 func res(f Func) float64 { return f.Result().Float() }
+
+// keptAfter is what removing rm from the added vals leaves: vals minus
+// one == copy per entry of rm, in add order.
+func keptAfter(vals, rm []float64) iter.Seq[float64] {
+	left := slices.Clone(vals)
+	for _, r := range rm {
+		if i := slices.Index(left, r); i >= 0 {
+			left = slices.Delete(left, i, i+1)
+		}
+	}
+	return slices.Values(left)
+}
+
+// boxedSeq yields vals boxed.
+func boxedSeq(vals iter.Seq[float64]) iter.Seq[engine.Value] {
+	return func(yield func(engine.Value) bool) {
+		for f := range vals {
+			if !yield(engine.NewFloat(f)) {
+				return
+			}
+		}
+	}
+}
 
 func TestAggregateBasics(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 10}
@@ -115,11 +140,10 @@ func TestResultWithoutMatchesRecompute(t *testing.T) {
 				acc, _ := New(name)
 				feed(acc, vals...)
 				got := engine.Null
-				if f, ok := acc.ResultWithoutFloats(vals[idx : idx+1]); ok {
+				rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
+				if f, ok := acc.ResultWithoutFloats(vals[idx:idx+1], slices.Values(rest)); ok {
 					got = engine.NewFloat(f)
 				}
-
-				rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
 				want := brute(t, name, rest)
 				return valueClose(got, want)
 			}
@@ -154,7 +178,7 @@ func TestResultWithoutSetMatchesRecompute(t *testing.T) {
 				}
 				acc, _ := New(name)
 				feed(acc, vals...)
-				got := acc.ResultWithoutSet(removed)
+				got := acc.ResultWithoutSet(removed, boxedSeq(slices.Values(rest)))
 				want := brute(t, name, rest)
 				return valueClose(got, want)
 			}
@@ -182,8 +206,8 @@ func TestRemoveMatchesRecompute(t *testing.T) {
 				idx := int(removeIdx) % len(vals)
 				acc, _ := New(name)
 				feed(acc, vals...)
-				got := acc.ResultWithoutSet([]engine.Value{engine.NewFloat(vals[idx])})
 				rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
+				got := acc.ResultWithoutSet([]engine.Value{engine.NewFloat(vals[idx])}, boxedSeq(slices.Values(rest)))
 				return valueClose(got, brute(t, name, rest)) && valueClose(acc.Result(), brute(t, name, vals))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -210,20 +234,46 @@ func valueClose(a, b engine.Value) bool {
 
 func TestExtremumRemoveRescan(t *testing.T) {
 	f, _ := New("max")
-	feed(f, 5, 5, 3)
+	added := []float64{5, 5, 3}
+	feed(f, added...)
+	without := func(rm ...float64) (float64, bool) { return f.ResultWithoutFloats(rm, keptAfter(added, rm)) }
 	// Removing one of two 5s keeps max at 5.
-	if got, ok := f.ResultWithoutFloats([]float64{5}); !ok || got != 5 {
+	if got, ok := without(5); !ok || got != 5 {
 		t.Errorf("max without one 5: %v %v", got, ok)
 	}
-	if got, ok := f.ResultWithoutFloats([]float64{5, 5}); !ok || got != 3 {
+	if got, ok := without(5, 5); !ok || got != 3 {
 		t.Errorf("max without both 5s: %v %v", got, ok)
 	}
 	// Removing more copies of a value than exist must not hide the 5s.
-	if got, ok := f.ResultWithoutFloats([]float64{3, 3, 3, 3}); !ok || got != 5 {
+	if got, ok := without(3, 3, 3, 3); !ok || got != 5 {
 		t.Errorf("max without four 3s: %v %v", got, ok)
 	}
-	if _, ok := f.ResultWithoutFloats([]float64{5, 5, 3}); ok {
+	if _, ok := without(5, 5, 3); ok {
 		t.Error("empty max should be NULL")
+	}
+}
+
+// TestExtremumFoldsWithoutAllocating pins min and max to a summary state:
+// AddFloat, AddFloats and Merge over 4,096 distinct values allocate
+// nothing (a per-value multiset would grow with them).
+func TestExtremumFoldsWithoutAllocating(t *testing.T) {
+	vals, null, sel := make([]float64, 4096), make([]uint64, 4096/64), make([]int32, 4096)
+	for i := range vals {
+		vals[i], sel[i] = float64(i)*1.5-1000, int32(i)
+	}
+	for _, name := range []string{"min", "max"} {
+		a, _ := New(name)
+		b := a.Clone()
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, f := range vals {
+				a.AddFloat(f)
+			}
+			b.AddFloats(vals, null, sel)
+			a.Merge(b)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: folding 4,096 distinct values allocates %v times, want 0", name, allocs)
+		}
 	}
 }
 
@@ -257,7 +307,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestSumOfAllRemovedIsNull(t *testing.T) {
 	f, _ := New("sum")
 	feed(f, 5)
-	if got, ok := f.ResultWithoutFloats([]float64{5}); ok {
+	if got, ok := f.ResultWithoutFloats([]float64{5}, nil); ok {
 		t.Errorf("sum of nothing: %v", got)
 	}
 }

@@ -2,8 +2,11 @@ package agg
 
 import (
 	"fmt"
+	"hash/fnv"
+	"iter"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -12,12 +15,15 @@ import (
 // The contract on Func, checked for every aggregate × {plain, DISTINCT}
 // on one multiset of adds and one multiset of removals:
 //
-//  1. AddFloat ≡ Add;
+//  1. AddFloat ≡ Add, and AddFloats over a selection with NULL words ≡
+//     AddFloat of each selected non-NULL cell, in Result() and Count();
 //  2. adds split at every point, each half accumulated alone, then merged
-//     ≡ the sequential state (and Clone+Merge is a copy), Result()
-//     bit-equal;
-//  3. ResultWithoutFloats ≡ the boxed ResultWithoutSet, and neither moves
-//     the state's next Result().
+//     ≡ the sequential state (and Clone+Merge is a copy), Result() and
+//     removal bit-equal;
+//  3. ResultWithoutFloats ≡ the boxed ResultWithoutSet, given the same
+//     kept, and neither moves the state's next Result(); min and max (and
+//     every DISTINCT state over an exact inner one) ≡ a recompute over
+//     what is left.
 //
 // contractPool is what the inputs draw from. The inexact entries make a
 // float sum depend on association — 0.1 + 1e16 - 1e16 — so plain sum,
@@ -70,8 +76,7 @@ func decodeContract(adds, rms []byte) (addIdx, rmIdx []int) {
 }
 
 // sameFloat is bit equality, except that any two NaNs are equal: which
-// payload a NaN result carries is the hardware's choice (and for min/max
-// over only NaNs, map iteration's).
+// payload a NaN result carries is the hardware's choice.
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
@@ -83,12 +88,57 @@ func sameValue(a, b engine.Value) bool {
 	return sameFloat(a.Float(), b.Float())
 }
 
+// batchOf lays the adds out as a chunk for AddFloats: the add values in
+// random cells among NULL ones (whose values are junk), and a selection
+// listing every add's cell in add order plus some NULL cells. The layout
+// is a function of the fuzz bytes.
+func batchOf(adds, rms []byte, addIdx []int) (vals []float64, null []uint64, sel []int32) {
+	h := fnv.New64a()
+	h.Write(adds)
+	h.Write([]byte{0xff})
+	h.Write(rms)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	vals = make([]float64, 2*len(addIdx)+rng.Intn(70))
+	null = make([]uint64, (len(vals)+63)/64)
+	cells := rng.Perm(len(vals))
+	for j, c := range cells {
+		if j < len(addIdx) {
+			vals[c] = contractPool[addIdx[j]].v.Float()
+			continue
+		}
+		vals[c], null[c/64] = 1e300, null[c/64]|1<<(c%64)
+	}
+	for j := range addIdx {
+		for rng.Intn(3) == 0 { // a NULL cell before the add's
+			sel = append(sel, int32(cells[len(addIdx)+rng.Intn(len(vals)-len(addIdx))]))
+		}
+		sel = append(sel, int32(cells[j]))
+	}
+	return vals, null, sel
+}
+
+// keptAfterRemoval is what removing rmIdx from addIdx leaves, in add
+// order: each removal takes the first remaining add of its identity
+// (Value.Key: -0 is +0, every NaN one value), and one never added takes
+// nothing.
+func keptAfterRemoval(addIdx, rmIdx []int) []int {
+	kept := slices.Clone(addIdx)
+	for _, r := range rmIdx {
+		if i := slices.IndexFunc(kept, func(a int) bool { return contractPool[a].v.Key() == contractPool[r].v.Key() }); i >= 0 {
+			kept = slices.Delete(kept, i, i+1)
+		}
+	}
+	return kept
+}
+
 func checkContract(t testing.TB, adds, rms []byte) {
 	addIdx, rmIdx := decodeContract(adds, rms)
 	exact := true
 	for _, i := range addIdx {
 		exact = exact && contractPool[i].exact
 	}
+	vals, null, sel := batchOf(adds, rms, addIdx)
+	keptIdx := keptAfterRemoval(addIdx, rmIdx)
 	for i := 0; i < 2*len(Names()); i++ {
 		inner, distinct := Names()[i/2], i%2 == 1
 		fresh := func() Func {
@@ -99,7 +149,8 @@ func checkContract(t testing.TB, adds, rms []byte) {
 			return f
 		}
 		name := fresh().Name()
-		exactInner := inner == "count" || inner == "min" || inner == "max" || inner == "median"
+		extremum := inner == "min" || inner == "max"
+		exactInner := inner == "count" || extremum || inner == "median"
 		orderFree := distinct || exactInner
 		fail := func(format string, args ...any) {
 			t.Helper()
@@ -116,13 +167,41 @@ func checkContract(t testing.TB, adds, rms []byte) {
 			return f
 		}
 
-		// 1. AddFloat ≡ Add.
+		// 1. AddFloat ≡ Add; AddFloats ≡ AddFloat per selected non-NULL cell,
+		// whether the selection comes as one run or two.
 		seq := fill(fresh(), addIdx, false)
 		want := seq.Result()
 		if got := fill(fresh(), addIdx, true); !sameValue(got.Result(), want) || got.Count() != seq.Count() {
 			fail("AddFloat state = %v (count %d), Add state = %v (count %d)", got.Result(), got.Count(), want, seq.Count())
 		}
+		for _, cut := range []int{len(sel), len(sel) / 2} {
+			batch := fresh()
+			batch.AddFloats(vals, null, sel[:cut])
+			batch.AddFloats(vals, null, sel[cut:])
+			if !sameValue(batch.Result(), want) || batch.Count() != seq.Count() {
+				fail("AddFloats (runs cut at %d of %d) = %v (count %d), AddFloat state = %v (count %d)", cut, len(sel), batch.Result(), batch.Count(), want, seq.Count())
+			}
+		}
 
+		// What clauses 2 and 3 remove.
+		rmF, rmV := make([]float64, len(rmIdx)), make([]engine.Value, len(rmIdx))
+		for j, i := range rmIdx {
+			rmV[j], rmF[j] = contractPool[i].v, contractPool[i].v.Float()
+		}
+		keptV := func(yield func(engine.Value) bool) {
+			for _, i := range keptIdx {
+				if !yield(contractPool[i].v) {
+					return
+				}
+			}
+		}
+		var keptF iter.Seq[float64] = func(yield func(float64) bool) {
+			for v := range keptV {
+				if !yield(v.Float()) {
+					return
+				}
+			}
+		}
 		// 2. Split + Merge ≡ sequential; Clone + Merge is a copy.
 		for k := 0; k <= len(addIdx); k++ {
 			left, right := fill(fresh(), addIdx[:k], k%2 == 0), fill(fresh(), addIdx[k:], k%2 == 1)
@@ -135,6 +214,10 @@ func checkContract(t testing.TB, adds, rms []byte) {
 			if got := left.Result(); (orderFree || exact) && !sameValue(got, want) {
 				fail("split %d: merged = %v, sequential = %v", k, got, want)
 			}
+			lf, lok := left.ResultWithoutFloats(rmF, keptF)
+			if sf, sok := seq.ResultWithoutFloats(rmF, keptF); (orderFree || exact) && (lok != sok || (lok && !sameFloat(lf, sf))) {
+				fail("split %d: merged state's removal = %v,%v, sequential's = %v,%v", k, lf, lok, sf, sok)
+			}
 		}
 		dup := seq.Clone()
 		if dup.Count() != 0 || !dup.Merge(seq) || !sameValue(dup.Result(), want) || dup.Count() != seq.Count() {
@@ -145,45 +228,27 @@ func checkContract(t testing.TB, adds, rms []byte) {
 		}
 
 		// 3. Float removal ≡ boxed removal, and neither mutates.
-		rmF, rmV := make([]float64, len(rmIdx)), make([]engine.Value, len(rmIdx))
-		for j, i := range rmIdx {
-			rmV[j], rmF[j] = contractPool[i].v, contractPool[i].v.Float()
-		}
-		// (Equal as numbers, not bits: min/max's boxed rescan reads a zero's
-		// sign off a map key, which Go rewrites on every insert.)
-		boxed := seq.ResultWithoutSet(append(rmV, engine.Null)) // a NULL removes nothing
-		f, ok := seq.ResultWithoutFloats(rmF)
-		if ok == boxed.IsNull() || (ok && f != boxed.Float() && !sameFloat(f, boxed.Float())) {
+		boxed := seq.ResultWithoutSet(append(rmV, engine.Null), keptV) // a NULL removes nothing
+		f, ok := seq.ResultWithoutFloats(rmF, keptF)
+		if ok == boxed.IsNull() || (ok && !sameFloat(f, boxed.Float())) {
 			fail("ResultWithoutFloats = %v,%v, ResultWithoutSet = %v", f, ok, boxed)
 		}
 		if got := seq.Result(); !sameValue(got, want) {
 			fail("removal evaluation moved Result() from %v to %v", want, got)
 		}
-		if !distinct {
+		// Removal ≡ a recompute over what is left, as numbers: for min and
+		// max, and for DISTINCT over an exact inner aggregate (DISTINCT
+		// removal is defined for any multiset: unknown values and copies
+		// past a value's multiplicity are ignored). Two exceptions keep
+		// the old answers: a NaN extremum — every value NaN — survives any
+		// removal, and median's removal never matches a NaN.
+		nan := slices.ContainsFunc(addIdx, func(i int) bool { f := contractPool[i].v.Float(); return f != f })
+		if !exactInner || !(distinct || extremum) || (extremum && want.Float() != want.Float()) || (inner == "median" && nan) {
 			continue
 		}
-		// DISTINCT removal is defined for any multiset (unknown values and
-		// copies past a value's multiplicity are ignored): where the inner
-		// aggregate is exact and order-free, it must equal a recompute over
-		// what is left. (A NaN can be removed from the set but not from
-		// min/max/median, whose float maps never match one: skip those.)
-		left := make(map[string]int)
-		for _, i := range addIdx {
-			left[contractPool[i].v.Key()]++
-		}
-		for _, i := range rmIdx {
-			left[contractPool[i].v.Key()]--
-		}
-		re, nan := fresh(), false
-		for _, i := range addIdx {
-			v := contractPool[i].v
-			nan = nan || v.Float() != v.Float()
-			if left[v.Key()] > 0 {
-				re.Add(v)
-			}
-		}
-		if want := re.Result(); exactInner && !nan && (ok == want.IsNull() || (ok && want.Float() != f)) {
-			fail("ResultWithoutFloats = %v,%v, recompute over what is left = %v", f, ok, want)
+		re := fill(fresh(), keptIdx, false).Result()
+		if ok == re.IsNull() || (ok && f != re.Float() && !sameFloat(f, re.Float())) {
+			fail("ResultWithoutFloats = %v,%v, recompute over what is left = %v", f, ok, re)
 		}
 	}
 }
@@ -191,17 +256,21 @@ func checkContract(t testing.TB, adds, rms []byte) {
 // contractEdges are the inputs no random draw is trusted to hit; the same
 // bytes are FuzzAggContract's checked-in corpus (testdata/fuzz).
 var contractEdges = []struct{ adds, rms []byte }{
-	{nil, nil},                                  // the empty state
-	{nil, []byte{0, 5}},                         // removing from it
-	{[]byte{0, 1, 2}, []byte{0x80}},             // 0.1 + 1e16 - 1e16: order-sensitive sum
-	{[]byte{2, 0, 1, 0, 2, 1}, []byte{0x81}},    // the same with duplicates straddling every split
-	{[]byte{6, 5, 12}, []byte{0x80}},            // -0.0 before +0.0: sum and min see -0.0
-	{[]byte{5, 6, 12}, []byte{0x81, 0x80}},      // +0.0 before -0.0
-	{[]byte{3, 4, 12, 3}, []byte{0x80, 4}},      // two NaN payloads
-	{[]byte{7, 8, 9, 10, 11}, []byte{8, 0x83}},  // ints at and past ±2^53
-	{[]byte{12, 13, 12, 18}, []byte{0x80, 12}},  // all duplicates (1, int 1, true): removing some
-	{[]byte{14, 14, 14}, []byte{14, 14, 14}},    // … removing the last copy
-	{[]byte{14, 15}, []byte{14, 14, 14, 16, 0}}, // … more copies than exist, and values never added
+	{nil, nil},                                   // the empty state
+	{nil, []byte{0, 5}},                          // removing from it
+	{[]byte{0, 1, 2}, []byte{0x80}},              // 0.1 + 1e16 - 1e16: order-sensitive sum
+	{[]byte{2, 0, 1, 0, 2, 1}, []byte{0x81}},     // the same with duplicates straddling every split
+	{[]byte{6, 5, 12}, []byte{0x80}},             // -0.0 before +0.0: sum and min see -0.0
+	{[]byte{5, 6, 12}, []byte{0x81, 0x80}},       // +0.0 before -0.0
+	{[]byte{3, 4, 12, 3}, []byte{0x80, 4}},       // two NaN payloads
+	{[]byte{7, 8, 9, 10, 11}, []byte{8, 0x83}},   // ints at and past ±2^53
+	{[]byte{12, 13, 12, 18}, []byte{0x80, 12}},   // all duplicates (1, int 1, true): removing some
+	{[]byte{14, 14, 14}, []byte{14, 14, 14}},     // … removing the last copy
+	{[]byte{14, 15}, []byte{14, 14, 14, 16, 0}},  // … more copies than exist, and values never added
+	{[]byte{16, 16, 14, 15}, []byte{16, 16, 15}}, // every copy of max and of min: both recompute
+	{[]byte{6, 5, 15}, []byte{0x80, 0x81}},       // both signed zeros, max's tie, go
+	{[]byte{3, 4}, []byte{0x80, 0x81}},           // every NaN goes: a NaN extremum survives
+	{[]byte{3, 14}, []byte{14}},                  // the real extremum goes, a NaN is left
 }
 
 func TestAggContract(t *testing.T) {

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"iter"
 	"math"
 
 	"repro/internal/engine"
@@ -103,6 +104,15 @@ func (d *Distinct) Add(v engine.Value) {
 // AddFloat implements Func.
 func (d *Distinct) AddFloat(f float64) { d.add(distinctValue{f: f}, 1) }
 
+// AddFloats implements Func.
+func (d *Distinct) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			d.add(distinctValue{f: vals[o]}, 1)
+		}
+	}
+}
+
 // Merge implements Func.
 func (d *Distinct) Merge(other Func) bool {
 	o, ok := other.(*Distinct)
@@ -124,13 +134,13 @@ func (d *Distinct) Count() int { return len(d.seen) }
 // Clone implements Func.
 func (d *Distinct) Clone() Func { return NewDistinct(d.inner.Clone()) }
 
-// gone returns, in the order their last copy goes, the inner values of
-// the distinct values that removing one occurrence per entry of pos — a
-// position in seen, or -1 for a value never added — eliminates. Removals
-// past a value's multiplicity are ignored.
-func (d *Distinct) gone(pos []int32) []float64 {
+// without removes one occurrence per entry of pos — a position in seen,
+// or -1 for a value never added; removals past a value's multiplicity are
+// ignored. It returns the inner values of the distinct values that go,
+// in the order their last copy goes, and the inner values of those left,
+// in first-appearance order: the inner state's removal and its kept.
+func (d *Distinct) without(pos []int32) (gone []float64, kept iter.Seq[float64]) {
 	left := make(map[int32]int, len(pos))
-	var out []float64
 	for _, i := range pos {
 		if i < 0 {
 			continue
@@ -140,23 +150,30 @@ func (d *Distinct) gone(pos []int32) []float64 {
 			c = d.seen[i].n
 		}
 		if left[i] = c - 1; c == 1 {
-			out = append(out, d.seen[i].f)
+			gone = append(gone, d.seen[i].f)
 		}
 	}
-	return out
+	return gone, func(yield func(float64) bool) {
+		for i, dv := range d.seen {
+			if c, touched := left[int32(i)]; (!touched || c > 0) && !yield(dv.f) {
+				return
+			}
+		}
+	}
 }
 
-// ResultWithoutFloats implements Func.
-func (d *Distinct) ResultWithoutFloats(vals []float64) (float64, bool) {
+// ResultWithoutFloats implements Func. The caller's kept is not read:
+// the inner state's survivors are the distinct values left.
+func (d *Distinct) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	pos := make([]int32, len(vals))
 	for j, f := range vals {
 		pos[j] = d.find(distinctValue{f: f})
 	}
-	return d.inner.ResultWithoutFloats(d.gone(pos))
+	return d.inner.ResultWithoutFloats(d.without(pos))
 }
 
-// ResultWithoutSet implements Removable.
-func (d *Distinct) ResultWithoutSet(vs []engine.Value) engine.Value {
+// ResultWithoutSet implements Func, like ResultWithoutFloats.
+func (d *Distinct) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
 	pos := make([]int32, len(vs))
 	for j, v := range vs {
 		pos[j] = -1
@@ -164,10 +181,16 @@ func (d *Distinct) ResultWithoutSet(vs []engine.Value) engine.Value {
 			pos[j] = d.find(dv)
 		}
 	}
-	gone := d.gone(pos)
+	gone, kept := d.without(pos)
 	boxes := make([]engine.Value, len(gone))
 	for j, f := range gone {
 		boxes[j] = engine.NewFloat(f)
 	}
-	return d.inner.ResultWithoutSet(boxes)
+	return d.inner.ResultWithoutSet(boxes, func(yield func(engine.Value) bool) {
+		for f := range kept {
+			if !yield(engine.NewFloat(f)) {
+				return
+			}
+		}
+	})
 }

@@ -34,12 +34,12 @@ func TestDistinctRemoveLastOccurrence(t *testing.T) {
 	d := NewDistinct(&Sum{})
 	feed(d, 5, 5, 7)
 	// Removing one 5 keeps the distinct set {5, 7}.
-	if got, _ := d.ResultWithoutFloats([]float64{5}); got != 12 {
+	if got, _ := d.ResultWithoutFloats([]float64{5}, nil); got != 12 {
 		t.Errorf("without one of two 5s: %v", got)
 	}
 	// Removing the second 5 drops it from the distinct set; a value not
 	// present is a no-op.
-	if got, _ := d.ResultWithoutFloats([]float64{5, 99, 5}); got != 7 {
+	if got, _ := d.ResultWithoutFloats([]float64{5, 99, 5}, nil); got != 7 {
 		t.Errorf("without both 5s: %v", got)
 	}
 	if got := d.Result().Float(); got != 12 {
@@ -51,11 +51,11 @@ func TestDistinctResultWithout(t *testing.T) {
 	d := NewDistinct(&Count{})
 	feed(d, 1, 1, 2)
 	// One of two 1s: distinct set unchanged.
-	if got, _ := d.ResultWithoutFloats([]float64{1}); got != 2 {
+	if got, _ := d.ResultWithoutFloats([]float64{1}, nil); got != 2 {
 		t.Errorf("without one 1: %v", got)
 	}
 	// The only 2: distinct count drops.
-	if got, _ := d.ResultWithoutFloats([]float64{2}); got != 1 {
+	if got, _ := d.ResultWithoutFloats([]float64{2}, nil); got != 1 {
 		t.Errorf("without the 2: %v", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestDistinctWithoutSetMatchesRecompute(t *testing.T) {
 				for _, v := range vals {
 					d.Add(engine.NewFloat(v))
 				}
-				got := d.ResultWithoutSet(removed)
+				got := d.ResultWithoutSet(removed, nil)
 
 				inner2, _ := New(name)
 				want := NewDistinct(inner2)
@@ -121,7 +121,7 @@ func TestDistinctRemoveMatchesRecompute(t *testing.T) {
 			d.Add(engine.NewFloat(v))
 		}
 		got := engine.Null
-		if f, ok := d.ResultWithoutFloats(vals[idx : idx+1]); ok {
+		if f, ok := d.ResultWithoutFloats(vals[idx:idx+1], nil); ok {
 			got = engine.NewFloat(f)
 		}
 

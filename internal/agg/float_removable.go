@@ -1,17 +1,20 @@
 package agg
 
-import "math"
+import (
+	"iter"
+	"math"
+)
 
 // ResultWithoutFloats of every aggregate (the contract is on Func).
 
 // ResultWithoutFloats implements Func. Count yields 0, not
 // NULL, on empty input, matching Result.
-func (c *Count) ResultWithoutFloats(vals []float64) (float64, bool) {
+func (c *Count) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	return float64(c.n - len(vals)), true
 }
 
 // ResultWithoutFloats implements Func.
-func (s *Sum) ResultWithoutFloats(vals []float64) (float64, bool) {
+func (s *Sum) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	sum, n := s.sum, s.n
 	for _, f := range vals {
 		sum -= f
@@ -24,7 +27,7 @@ func (s *Sum) ResultWithoutFloats(vals []float64) (float64, bool) {
 }
 
 // ResultWithoutFloats implements Func.
-func (a *Avg) ResultWithoutFloats(vals []float64) (float64, bool) {
+func (a *Avg) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	sum, n := a.sum, a.n
 	for _, f := range vals {
 		sum -= f
@@ -58,7 +61,7 @@ func varianceFloat(sum, sumsq float64, n int, sample bool) (float64, bool) {
 }
 
 // ResultWithoutFloats implements Func.
-func (v *Variance) ResultWithoutFloats(vals []float64) (float64, bool) {
+func (v *Variance) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	sum, sumsq, n := v.sum, v.sumsq, v.n
 	for _, f := range vals {
 		sum -= f
@@ -69,45 +72,33 @@ func (v *Variance) ResultWithoutFloats(vals []float64) (float64, bool) {
 }
 
 // ResultWithoutFloats implements Func.
-func (s *Stddev) ResultWithoutFloats(vals []float64) (float64, bool) {
-	r, ok := s.Variance.ResultWithoutFloats(vals)
+func (s *Stddev) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+	r, ok := s.Variance.ResultWithoutFloats(vals, nil)
 	if !ok {
 		return 0, false
 	}
 	return math.Sqrt(r), true
 }
 
-// ResultWithoutFloats implements Func. The common case — no
-// removed value ties the current extremum, or surviving copies remain —
-// is alloc-free; only the rare full rescan builds a delta map.
-func (e *extremum) ResultWithoutFloats(vals []float64) (float64, bool) {
-	if !e.haveAny {
+// ResultWithoutFloats implements Func. It allocates nothing unless
+// every copy of the extremum goes and kept must be read.
+func (e *extremum) ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (float64, bool) {
+	if e.n == 0 {
 		return 0, false
 	}
-	removedBest := 0
+	gone := 0
 	for _, f := range vals {
 		if f == e.best {
-			removedBest++
+			gone++
 		}
 	}
-	if removedBest < e.counts[e.best] {
-		return e.best, true // a copy of the extremum survives
-	}
-	delta := make(map[float64]int, len(vals))
-	for _, f := range vals {
-		delta[f]++
-	}
-	best, have := e.rescan(delta)
-	if !have {
-		return 0, false
-	}
-	return best, true
+	return e.without(gone, kept)
 }
 
 // ResultWithoutFloats implements Func. Like ResultWithoutSet
 // it never mutates the receiver (no lazy sort of the shared slice):
 // scoring workers call it concurrently on shared aggregate states.
-func (m *Median) ResultWithoutFloats(vals []float64) (float64, bool) {
+func (m *Median) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	drop := make(map[float64]int, len(vals))
 	for _, f := range vals {
 		drop[f]++

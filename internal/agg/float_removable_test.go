@@ -3,6 +3,7 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -26,15 +27,17 @@ func TestResultWithoutFloatsParity(t *testing.T) {
 				f.Add(engine.NewFloat(vals[i]))
 			}
 			var rmBoxed []engine.Value
-			var rmFloat []float64
+			var rmFloat, kept []float64
 			for _, v := range vals {
 				if rng.Intn(3) == 0 {
 					rmBoxed = append(rmBoxed, engine.NewFloat(v))
 					rmFloat = append(rmFloat, v)
+				} else {
+					kept = append(kept, v)
 				}
 			}
-			want := f.ResultWithoutSet(rmBoxed)
-			got, gotOK := f.ResultWithoutFloats(rmFloat)
+			want := f.ResultWithoutSet(rmBoxed, boxedSeq(slices.Values(kept)))
+			got, gotOK := f.ResultWithoutFloats(rmFloat, slices.Values(kept))
 			if want.IsNull() != !gotOK {
 				t.Fatalf("%s trial %d: null mismatch (boxed null=%v, float ok=%v)", name, trial, want.IsNull(), gotOK)
 			}
@@ -53,12 +56,12 @@ func TestResultWithoutFloatsSingleton(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range []float64{5, 3, 9, 3, 7} {
-			f.Add(engine.NewFloat(v))
-		}
+		added := []float64{5, 3, 9, 3, 7}
+		feed(f, added...)
 		for _, v := range []float64{5, 3, 9} {
-			want := f.ResultWithoutSet([]engine.Value{engine.NewFloat(v)})
-			got, ok := f.ResultWithoutFloats([]float64{v})
+			kept := keptAfter(added, []float64{v})
+			want := f.ResultWithoutSet([]engine.Value{engine.NewFloat(v)}, boxedSeq(kept))
+			got, ok := f.ResultWithoutFloats([]float64{v}, kept)
 			if want.IsNull() != !ok {
 				t.Fatalf("%s: null mismatch removing %g", name, v)
 			}

@@ -1,6 +1,8 @@
 package agg
 
-// AddFloat and Merge of every aggregate (the contract is on Func).
+// AddFloat, AddFloats and Merge of every aggregate (the contract is on
+// Func). Each AddFloats is its own loop, so the per-value fold is a
+// direct call, not one through the interface.
 
 // Merge implements Func.
 func (c *Count) Merge(other Func) bool {
@@ -14,6 +16,15 @@ func (c *Count) Merge(other Func) bool {
 
 // AddFloat implements Func.
 func (c *Count) AddFloat(float64) { c.n++ }
+
+// AddFloats implements Func.
+func (c *Count) AddFloats(_ []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			c.n++
+		}
+	}
+}
 
 // Merge implements Func.
 func (s *Sum) Merge(other Func) bool {
@@ -32,6 +43,15 @@ func (s *Sum) AddFloat(f float64) {
 	s.n++
 }
 
+// AddFloats implements Func.
+func (s *Sum) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			s.AddFloat(vals[o])
+		}
+	}
+}
+
 // Merge implements Func.
 func (a *Avg) Merge(other Func) bool {
 	o, ok := other.(*Avg)
@@ -47,6 +67,15 @@ func (a *Avg) Merge(other Func) bool {
 func (a *Avg) AddFloat(f float64) {
 	a.sum += f
 	a.n++
+}
+
+// AddFloats implements Func.
+func (a *Avg) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			a.AddFloat(vals[o])
+		}
+	}
 }
 
 // mergeFrom folds another variance state in, shared by Variance and the
@@ -74,6 +103,15 @@ func (v *Variance) AddFloat(f float64) {
 	v.n++
 }
 
+// AddFloats implements Func (and, embedded, for Stddev).
+func (v *Variance) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			v.AddFloat(vals[o])
+		}
+	}
+}
+
 // Merge implements Func. Stddev states only merge with Stddev states
 // (the embedded Variance.Merge would reject them).
 func (s *Stddev) Merge(other Func) bool {
@@ -91,25 +129,26 @@ func (e *extremum) Merge(other Func) bool {
 	if !ok || o.min != e.min {
 		return false
 	}
-	for f, c := range o.counts {
-		e.counts[f] += c
+	if o.n > 0 {
+		e.fold(o.best, o.copies)
+		e.n += o.n
 	}
-	if o.haveAny && (!e.haveAny || e.displaces(o.best, e.best)) {
-		e.best = o.best
-		e.haveAny = true
-	}
-	e.n += o.n
 	return true
 }
 
 // AddFloat implements Func.
 func (e *extremum) AddFloat(f float64) {
-	e.counts[f]++
-	if !e.haveAny || e.displaces(f, e.best) {
-		e.best = f
-		e.haveAny = true
-	}
+	e.fold(f, 1)
 	e.n++
+}
+
+// AddFloats implements Func.
+func (e *extremum) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			e.AddFloat(vals[o])
+		}
+	}
 }
 
 // Merge implements Func. Appending other's values in shard order
@@ -128,5 +167,15 @@ func (m *Median) Merge(other Func) bool {
 // AddFloat implements Func.
 func (m *Median) AddFloat(f float64) {
 	m.vals = append(m.vals, f)
+	m.sorted = false
+}
+
+// AddFloats implements Func.
+func (m *Median) AddFloats(vals []float64, null []uint64, sel []int32) {
+	for _, o := range sel {
+		if !isNull(null, o) {
+			m.vals = append(m.vals, vals[o])
+		}
+	}
 	m.sorted = false
 }

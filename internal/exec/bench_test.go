@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/engine"
+	"repro/internal/sqlparse"
 )
 
 func benchDB(rows int) *engine.DB {
@@ -97,5 +99,30 @@ func BenchmarkLineageUnion(b *testing.B) {
 		if got := res.Lineage(suspects); len(got) == 0 {
 			b.Fatal("empty")
 		}
+	}
+}
+
+// BenchmarkScanMix runs two of the benchmark's scan_mix statements over
+// 400k Intel rows: grouped (a computed window key, avg and stddev: runs
+// of one window) and global (count/sum/min/max under a WHERE: one run a
+// block). make profile-scan profiles it.
+func BenchmarkScanMix(b *testing.B) {
+	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
+	for _, c := range []struct{ name, sql string }{
+		{"grouped", "SELECT bucket(epoch(ts), 1800) AS w, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(epoch(ts), 1800) ORDER BY w"},
+		{"global", "SELECT count(*) AS n, sum(temperature) AS total, min(temperature) AS lo, max(temperature) AS hi FROM readings WHERE humidity > 39.5"},
+	} {
+		stmt, err := sqlparse.Parse(c.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunOn(tbl, stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

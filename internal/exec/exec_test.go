@@ -272,7 +272,7 @@ func TestAggStateAccessors(t *testing.T) {
 	if v, ok := res.AggFloat(0, 0); !ok || v != 30 {
 		t.Errorf("AggFloat: %v %v", v, ok)
 	}
-	if got, ok := res.Groups[0].Aggs[0].ResultWithoutFloats([]float64{10}); !ok || got != 20 {
+	if got, ok := res.Groups[0].Aggs[0].ResultWithoutFloats([]float64{10}, nil); !ok || got != 20 {
 		t.Errorf("live sum state without 10: %v %v", got, ok)
 	}
 	// AggArgValue evaluates the argument on a source row.

@@ -32,8 +32,11 @@ import (
 //     yields strings) — looked up through a dense slot table (one string
 //     column), a uint64 map (one key of any other kind) or a byte-string
 //     map (two or more keys),
-//  4. arguments fold from the chunk slices into the aggregate states
-//     (AddFloat; Add only for what a per-row evaluator yields), and
+//  4. the selection splits into runs of equal key slots — a global
+//     aggregate's block is one run — and each run takes one group lookup,
+//     one lineage growth and, per numeric argument, one AddFloats call
+//     over the chunk slices (Add per row only for what a per-row
+//     evaluator yields), and
 //  5. the shards' private group states Merge in shard order — which
 //     preserves the sequential scan's first-appearance group order,
 //     ascending lineage, and FirstRow.
@@ -104,8 +107,10 @@ type PlanInfo struct {
 	// mismatch".
 	FilterFallback string
 	// MaskedAgg is true when a global (no GROUP BY) aggregation under a
-	// WHERE folded every argument from chunk slices under the block mask
-	// (agg.FoldMasked): count(*) and numeric-column arguments only.
+	// WHERE has only count(*) and numeric-column arguments, so every
+	// argument folds from chunk slices, one AddFloats a block. That fold
+	// is every statement's; the field is kept because the benchmark
+	// module (bench/) reads it.
 	MaskedAgg bool
 	// KeyKernels counts the GROUP BY keys planned as typed chunk kernels
 	// (numeric computed keys, expr.CompileFloat). It counts keys, not
@@ -422,12 +427,12 @@ type shardScan struct {
 	cursors []*engine.ColReader
 
 	// Block scratch: the filter words, the selection vector (chunk offsets
-	// of the passing rows) and each one's group — grown to the densest
-	// block seen, so a selective scan stays small.
+	// of the passing rows) and its runs — grown to the densest block seen,
+	// so a selective scan stays small.
 	mask []uint64
 	sel  []int32
-	gis  []int32 // positions in groups: no pointer writes in the row loop
-	// slots is the current row's key. A whole cache line: the tiny
+	runs []run
+	// slots is the current run's key. A whole cache line: the tiny
 	// allocator would pack two shards' buffers into one, and the shard
 	// goroutines would bounce it.
 	slots []uint64
@@ -577,9 +582,9 @@ func (ss *shardScan) run() {
 
 // block folds the passing rows of [lo, hi) — rows of one segment, lo
 // word-aligned — into the shard state: filter words → selection vector →
-// one slot vector per key → groups and lineage → arguments, each a loop
-// over the block. A block whose mask is empty pins nothing, which keeps
-// zone-map pruning free on out-of-core tables.
+// one slot vector per key → runs, each with its group and lineage →
+// arguments, one fold per run. A block whose mask is empty pins nothing,
+// which keeps zone-map pruning free on out-of-core tables.
 //
 // Column-at-a-time evaluation must still report the reference's error:
 // the lowest erroring row's, and within a row a key's before an
@@ -649,70 +654,102 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 		}
 	}
 
-	// A row whose slots repeat the row before it stays in its group: time
-	// ordered data groups in runs, and a global aggregate is one run.
-	var g *Group
-	gi := 0
-	ss.gis = scratch(ss.gis, n)
-	for j, o := range sel[:n] {
-		r, same := base+int(o), j > 0
+	// A run is consecutive selected rows with equal key slots — time
+	// ordered data groups in runs, and a global aggregate's block is one —
+	// and takes one group lookup, one lineage growth and one fold call per
+	// numeric argument.
+	runs := ss.runs[:0]
+	for j := 0; j < n; {
+		end := ss.runEnd(j, n)
 		for i := range ss.keys {
-			s := ss.keys[i].slots
-			ss.slots[i] = s[j]
-			same = same && s[j] == s[j-1]
+			ss.slots[i] = ss.keys[i].slots[j]
 		}
-		if !same {
-			var err error
-			if gi, err = ss.group(ss.slots, r); err != nil {
-				return err
-			}
-			if g = ss.groups[gi].g; len(p.keys) == 0 {
-				g.Lineage = slices.Grow(g.Lineage, ss.pending)
-			}
+		gi, err := ss.group(ss.slots, base+int(sel[j]))
+		if err != nil {
+			return err
 		}
-		g.Lineage = append(g.Lineage, r)
-		ss.gis[j] = int32(gi)
+		g, grow := ss.groups[gi].g, end-j
+		if len(p.keys) == 0 {
+			grow = ss.pending // the one group's whole lineage, once
+		}
+		at := len(g.Lineage)
+		g.Lineage = slices.Grow(g.Lineage, grow)[:at+end-j]
+		for i, o := range sel[j:end] {
+			g.Lineage[at+i] = base + int(o)
+		}
+		runs = append(runs, run{end: int32(end), gi: int32(gi)})
+		j = end
 	}
+	ss.runs = runs
 	ss.pending -= len(sel)
 
 	for ai := range p.args {
-		switch a := &p.args[ai]; a.kind {
-		case argConst1:
-			for _, gi := range ss.gis[:n] {
-				ss.groups[gi].g.Aggs[ai].AddFloat(1)
-			}
+		a := &p.args[ai]
+		var vals []float64
+		var null []uint64
+		var codes []int32
+		switch a.kind {
 		case argFloat:
-			vals, null := ss.fr[a.col].Floats(k)
-			if len(p.keys) == 0 {
-				// One group takes the whole block: the batch mask kernel,
-				// same values in the same ascending order.
-				agg.FoldMasked(ss.groups[0].g.Aggs[ai], vals[lo-base:hi-base], null[(lo-base)/64:], mask)
-				continue
-			}
-			for j, o := range sel[:n] {
-				if null[o>>6]&(1<<(uint(o)&63)) == 0 { // Add ignores NULLs; so does skipping
-					ss.groups[ss.gis[j]].g.Aggs[ai].AddFloat(vals[o])
-				}
-			}
+			vals, null = ss.fr[a.col].Floats(k)
 		case argDict:
-			codes := ss.argDicts[ai].Codes(k)
-			for j, o := range sel[:n] {
-				if c := codes[o]; c >= 0 { // NULL code -1
-					ss.groups[ss.gis[j]].g.Aggs[ai].AddFloat(float64(c))
+			codes = ss.argDicts[ai].Codes(k)
+		}
+		j := 0
+		for _, rn := range runs {
+			end := min(int(rn.end), n) // an argument error cut the block short
+			if j >= end {
+				break
+			}
+			st := ss.groups[rn.gi].g.Aggs[ai]
+			switch a.kind {
+			case argConst1:
+				for range end - j {
+					st.AddFloat(1)
+				}
+			case argFloat:
+				st.AddFloats(vals, null, sel[j:end])
+			case argDict:
+				for _, o := range sel[j:end] {
+					if c := codes[o]; c >= 0 { // NULL code -1
+						st.AddFloat(float64(c))
+					}
+				}
+			default: // argEval
+				for i, o := range sel[j:end] {
+					v, err := ss.argEvals[ai](base + int(o))
+					if err != nil {
+						n, firstErr = j+i, err
+						break
+					}
+					st.Add(v)
 				}
 			}
-		default: // argEval
-			for j, o := range sel[:n] {
-				v, err := ss.argEvals[ai](base + int(o))
-				if err != nil {
-					n, firstErr = j, err
-					break
-				}
-				ss.groups[ss.gis[j]].g.Aggs[ai].Add(v)
-			}
+			j = end
 		}
 	}
 	return firstErr
+}
+
+// run is a block's selected rows up to end (exclusive, a selection
+// index) since the previous run, all of the group at groups[gi].
+type run struct{ end, gi int32 }
+
+// runEnd returns the end of the run that starts at selected row j: the
+// first row after it whose key slots differ, or n.
+func (ss *shardScan) runEnd(j, n int) int {
+	if len(ss.keys) == 0 {
+		return n
+	}
+	first := ss.keys[0].slots[:n]
+	end := j + 1
+	for ; end < n && first[end] == first[j]; end++ {
+		for i := 1; i < len(ss.keys); i++ {
+			if s := ss.keys[i].slots; s[end] != s[j] {
+				return end
+			}
+		}
+	}
+	return end
 }
 
 // scratch returns buf resized to n ≤ blockRows, at least doubling it when

@@ -4,8 +4,10 @@
 // it alone would reduce ε — leave-one-out (LOO) influence analysis.
 //
 // Every aggregate state in internal/agg answers "the result without
-// these values" (ResultWithoutFloats) — O(1) per tuple for the algebraic
-// aggregates (sum/count/avg/stddev/var) — so the whole pass is O(|F|).
+// these values" (ResultWithoutFloats) — O(1) per tuple for sum, count,
+// avg, stddev and var, and for min and max unless the tuple is the last
+// copy of the extremum, when they recompute over the group's survivors —
+// so the whole pass is O(|F|) plus one group scan per such tuple.
 package influence
 
 import (
@@ -206,7 +208,25 @@ func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.M
 			}
 			removedVals[j] = v
 		}
-		without := st.ResultWithoutSet(removedVals)
+		var keptErr error
+		without := st.ResultWithoutSet(removedVals, func(yield func(engine.Value) bool) {
+			for _, src := range res.Groups[ri].Lineage {
+				if inRemoval[src] {
+					continue
+				}
+				v, err := res.AggArgValue(ord, src)
+				if err != nil {
+					keptErr = err
+					return
+				}
+				if !yield(v) {
+					return
+				}
+			}
+		})
+		if keptErr != nil {
+			return 0, keptErr
+		}
 		if without.IsNull() {
 			vals[i] = math.NaN()
 		} else {

@@ -3,6 +3,7 @@ package influence
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"runtime"
@@ -23,7 +24,9 @@ import (
 //     span, so intersection skips the rest of the table),
 //   - the aggregate's argument column as a flat []float64 + NULL bitmap
 //     (no boxed expression interpretation per tuple),
-//   - the live aggregate states (agg.Func.ResultWithoutFloats).
+//   - the live aggregate states (agg.Func.ResultWithoutFloats), with
+//     each group's surviving argument values yielded from its lineage
+//     words when min or max must recompute.
 //
 // After construction the Scorer is read-only and safe for concurrent
 // use; per-goroutine mutable state lives in Scratch. This is what lets
@@ -65,6 +68,13 @@ type groupBits struct {
 type Scratch struct {
 	vals []float64
 	buf  []float64
+	// kept yields the argument values of the rows in gw[lo:hi+1] &^ rm
+	// &^ NULL: a group's survivors of a removal, which min and max read
+	// when every copy of their extremum goes. It is bound once, in
+	// NewScratch, so handing it to a state allocates nothing.
+	kept   iter.Seq[float64]
+	gw, rm []uint64
+	lo, hi int
 }
 
 // NewScorer builds the columnar scoring state for the ord'th aggregate
@@ -197,7 +207,29 @@ func (s *Scorer) FBits() *bitset.Bitset { return s.fbits }
 
 // NewScratch returns a fresh per-goroutine scratch.
 func (s *Scorer) NewScratch() *Scratch {
-	return &Scratch{vals: make([]float64, len(s.suspect)), buf: make([]float64, 0, 256)}
+	sc := &Scratch{vals: make([]float64, len(s.suspect)), buf: make([]float64, 0, 256)}
+	vals, nw := s.args.Vals, s.args.Null.Words()
+	sc.kept = func(yield func(float64) bool) {
+		for wi := sc.lo; wi <= sc.hi; wi++ {
+			for w := sc.gw[wi] &^ sc.rm[wi] &^ nw[wi]; w != 0; w &= w - 1 {
+				if !yield(vals[wi*64+bits.TrailingZeros64(w)]) {
+					return
+				}
+			}
+		}
+	}
+	return sc
+}
+
+// without is suspect group i's aggregate with the values vals of the
+// rows rm removed (NaN when NULL).
+func (s *Scorer) without(i int, vals []float64, rm []uint64, sc *Scratch) float64 {
+	g := &s.groups[i]
+	sc.gw, sc.rm, sc.lo, sc.hi = g.bits.Words(), rm, g.lo, g.hi
+	if v, ok := s.states[i].ResultWithoutFloats(vals, sc.kept); ok {
+		return v
+	}
+	return math.NaN()
 }
 
 // EpsWithoutBits evaluates ε with the matched source rows removed from
@@ -227,13 +259,8 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 			}
 		}
 		sc.buf = buf[:0]
-		if len(buf) == 0 {
-			continue
-		}
-		if v, ok := s.states[i].ResultWithoutFloats(buf); ok {
-			sc.vals[i] = v
-		} else {
-			sc.vals[i] = math.NaN()
+		if len(buf) > 0 {
+			sc.vals[i] = s.without(i, buf, mw, sc)
 		}
 	}
 	return s.metric.Eval(sc.vals)
@@ -268,6 +295,7 @@ func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 
 	scratch := append([]float64(nil), s.base...)
 	var buf1 [1]float64
+	sc, one := s.NewScratch(), make([]uint64, len(rowPos)/64+1) // one: the row left out
 	an.Influences = make([]TupleInfluence, 0, len(an.F))
 	for i, src := range an.F {
 		if i%ctxCheckRows == 0 {
@@ -287,11 +315,9 @@ func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 		} else {
 			buf1[0] = s.args.Vals[src]
 			old := scratch[pos]
-			if v, ok := s.states[pos].ResultWithoutFloats(buf1[:1]); ok {
-				scratch[pos] = v
-			} else {
-				scratch[pos] = math.NaN()
-			}
+			one[src/64] = 1 << (src % 64)
+			scratch[pos] = s.without(int(pos), buf1[:1], one, sc)
+			one[src/64] = 0
 			delta = s.eps - s.metric.Eval(scratch)
 			scratch[pos] = old
 		}

@@ -106,6 +106,30 @@ func TestRankFastParity(t *testing.T) {
 	}
 }
 
+// TestRankFastExtremumParity checks every LOO delta of min and max, where
+// leaving out the last copy of a group's extremum recomputes over the
+// group's other rows, against the boxed one-row removal.
+func TestRankFastExtremumParity(t *testing.T) {
+	for _, aggSQL := range []string{"min(v)", "max(v)", "max(DISTINCT v)"} {
+		res := scorerResult(t, 300, aggSQL)
+		suspect := res.AllRows()
+		metric := errmetric.NotEqual{C: 1}
+		an, err := Rank(res, suspect, 0, metric, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ti := range an.Influences {
+			epsWithout, err := EpsWithoutRows(res, suspect, 0, metric, []int{ti.Row})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := an.Eps - epsWithout; !floatsEqual(want, ti.Delta) {
+				t.Fatalf("%s row %d: delta=%g want %g", aggSQL, ti.Row, ti.Delta, want)
+			}
+		}
+	}
+}
+
 // TestEpsWithoutBitsZeroAlloc pins the per-predicate scoring primitive
 // to zero steady-state allocations for algebraic aggregates — the
 // property the whole columnar layer exists to provide.

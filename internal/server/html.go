@@ -226,7 +226,7 @@ async function suggestMetric() {
   if (!S.sel.size) return;
   try {
     const j = await api('/api/suggest', { suspect: [...S.sel], aggItem: -1 });
-    $('mc').value = +j.suggestedC.toFixed(3);
+    if (j.suggestedC !== null) $('mc').value = +j.suggestedC.toFixed(3);
     if (j.recommended) $('metric').value = j.recommended;
   } catch (e) { /* suggestion is best-effort */ }
 }

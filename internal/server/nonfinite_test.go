@@ -89,6 +89,28 @@ func TestNonFiniteCellsSerializeAsNull(t *testing.T) {
 	}
 }
 
+// TestSuggestOverNonFiniteAggregate: the suggested c is the median of the
+// other groups' aggregate, which is +Inf when those cells are. It used to
+// answer a JSON 500 ("unsupported value: +Inf"); now it is null, like
+// every other non-finite float on the wire.
+func TestSuggestOverNonFiniteAggregate(t *testing.T) {
+	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 3000, Seed: 1})
+	ts := httptest.NewServer(New(db).Handler())
+	defer ts.Close()
+	sql := "SELECT day, max(exp(amount * 100)) AS m FROM donations GROUP BY day"
+	if status, body := postBody(t, ts, "/api/query", map[string]any{"session": "inf", "sql": sql}); status != http.StatusOK {
+		t.Fatalf("query: status %d, body %q", status, body)
+	}
+	status, body := postBody(t, ts, "/api/suggest", map[string]any{"session": "inf", "suspect": []int{0}, "aggItem": 1})
+	var p map[string]any
+	if err := json.Unmarshal(body, &p); status != http.StatusOK || err != nil {
+		t.Fatalf("suggest: status %d, body %q: %v", status, body, err)
+	}
+	if c, ok := p["suggestedC"]; !ok || c != nil {
+		t.Fatalf("suggestedC = %v (present %v), want null", c, ok)
+	}
+}
+
 // TestPCAOverNonFiniteCells is the regression test for the PCA view of a
 // result with 3+ numeric columns holding ±Inf: the projection turned the
 // cells into NaN coordinates and the whole answer into a JSON 500. A ±Inf

@@ -564,7 +564,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"metrics":     errmetric.Specs(),
-		"suggestedC":  suggested,
+		"suggestedC":  finiteJSON(suggested),
 		"recommended": recommended,
 	})
 }
