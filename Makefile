@@ -55,10 +55,12 @@ test-chaos:
 # checks) run with GOMEMLIMIT far below the decoded size of their
 # fixtures. A regression to eager residency fails the heap-growth
 # assertions — or stalls visibly in GC thrash under the limit. The
-# resident-open guard rides in the same package
-# (TestResidentOpenHeapPerCell): a store opened resident may keep at most
-# 12 bytes of heap a cell — typed chunks, not boxed values — and so may a
-# table grown by AppendBatch, tail included (TestAppendedTailHeapPerCell).
+# uncapped-pool guard rides in the same package
+# (TestResidentOpenHeapPerCell): a store opened with no cap keeps under a
+# byte of heap a sealed cell after Open, and at most 12 bytes a cell once
+# every column has been read — typed chunks, not boxed values — and so
+# may a table grown by AppendBatch, tail included
+# (TestAppendedTailHeapPerCell).
 # The root allocation guards ride along: an out-of-core query may
 # allocate at most twice what the resident one does.
 test-memcap:

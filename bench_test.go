@@ -637,8 +637,7 @@ func BenchmarkRetention(b *testing.B) {
 // BenchmarkDurableAppend prices durability: the same 1k-row batch
 // append as BenchmarkSegmentedAppend, but acknowledged through
 // internal/store's crash-safe path. mem is the in-RAM PR 5 baseline;
-// nowal spills sealed segments but skips the tail log; wal/sync=1
-// fsyncs the WAL per batch (the acked⇒durable contract); wal/sync=64
+// wal/sync=1 fsyncs the WAL per batch (the acked⇒durable contract); wal/sync=64
 // amortizes the fsync over 64 batches (may lose a bounded acked
 // suffix, never a torn batch). Two base sizes pin the flatness claim:
 // per-batch cost must not grow with what is already on disk.
@@ -650,7 +649,6 @@ func BenchmarkDurableAppend(b *testing.B) {
 		opts *store.Options // nil = in-memory engine baseline
 	}{
 		{"mem", nil},
-		{"nowal", &store.Options{DisableWAL: true}},
 		{"wal-sync=1", &store.Options{SyncEvery: 1}},
 		{"wal-sync=64", &store.Options{SyncEvery: 64}},
 	}
@@ -784,7 +782,8 @@ func oocOpen(b *testing.B, dir string, cacheBytes int64) (*store.DB, *engine.Tab
 // BenchmarkColdScan measures a full aggregation scan over an
 // out-of-core table served through a pool ~1/10 its decoded size —
 // every iteration re-faults most chunks from disk (cold) — against the
-// same table fully resident. The chunks-faulted/resident extras make
+// same table behind an uncapped pool, every chunk cached after the first
+// pass ("resident"). The chunks-faulted/resident extras make
 // the fault traffic visible in BENCH json.
 func BenchmarkColdScan(b *testing.B) {
 	const nrows = 98_304 // 24 sealed 4096-row segments

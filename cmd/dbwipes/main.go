@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	dataDir := flag.String("data", "", "durable data directory (empty = in-memory only)")
 	syncEvery := flag.Int("sync-every", 1, "with -data: fsync the WAL every N append batches")
-	cacheBytes := flag.Int64("cache-bytes", 0, "with -data: serve sealed segments out-of-core through a buffer pool of about this many bytes (0 = fully resident)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "with -data: cap the buffer pool that serves stored segments at about this many bytes (0 = no cap)")
 	queryTimeout := flag.Duration("query-timeout", 0, "default deadline for query-class requests (0 = built-in default, negative = none)")
 	debugTimeout := flag.Duration("debug-timeout", 0, "default deadline for /api/debug (0 = built-in default, negative = none)")
 	maxHeavy := flag.Int("max-heavy", 0, "concurrent heavy operations (query/debug); 0 = built-in default")

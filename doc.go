@@ -352,8 +352,8 @@
 // NULL words, dictionary codes, exact int64 cells only where a float64
 // has rounded; at most 8 bytes a row — written a batch column at a time
 // at append, so a seal hands the full tail over as it stands. A sealed segment has
-// two holders: itself (sealed in this process, or decoded by a resident
-// store.Open) or a ChunkLoader's buffer pool (out of core). Nothing is
+// two holders: itself (sealed in this process) or a ChunkLoader's buffer
+// pool (every segment store.Open recovers, the pool capped or not). Nothing is
 // stored boxed: an engine.Value is what a boxed-row caller appends or
 // the single cell it asks for (Table.Value, RowReader). Column readers alias the
 // chunks and the predicate index's mask chunks live per segment, so

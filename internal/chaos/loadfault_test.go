@@ -9,7 +9,8 @@ package chaos
 // worker goroutine would kill this test binary), leave zero chunks
 // pinned and no goroutine behind (TestMain's leakcheck), and leave the
 // carried state reusable: the same call on the healed filesystem
-// produces what the resident oracle does.
+// produces what the oracle — the same table behind an uncapped pool on
+// the undamaged filesystem — does.
 
 import (
 	"context"
@@ -186,7 +187,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		if err != nil || len(oracle.Explanations) == 0 {
 			continue
 		}
-		// The carried pass's oracle is the same pass over the resident table.
+		// The carried pass's oracle is the same pass over the oracle table.
 		oracleAdvRes, err := exec.Advance(oracleRes, oracleGrown)
 		if err != nil {
 			t.Fatalf("seed %d: oracle advance: %v", seed, err)

@@ -7,7 +7,7 @@ package chaos
 // pinned — a shard killed between faulting a chunk and finishing its
 // range must still release its segment cursors — and (c) leaves the
 // table fully usable: an uncancelled retry is bit-identical to the
-// fully resident oracle.
+// oracle, the same table behind an uncapped pool.
 
 import (
 	"context"
@@ -45,7 +45,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resident oracle first, then the out-of-core table under test.
+	// Uncapped oracle first, then the capped table under test.
 	oracleSt, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
 	if err != nil {
 		t.Fatal(err)

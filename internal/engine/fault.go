@@ -6,14 +6,14 @@ import (
 )
 
 // This file is the engine half of the out-of-core segment contract. A
-// sealed segment is its typed chunks (segment.go); a durability layer
-// (internal/store) attaches recovered segments either HOLDING the chunks
-// it decoded, or FAULTABLE: the segment keeps nothing and every read
-// pins the needed chunk through a ChunkLoader — typically backed by a
-// shared buffer pool that pins chunks while scans read them and evicts
-// cold ones under a byte budget. Either way a boxed Value is only ever
-// built for the one cell a reader asked for (reader.go), never per
-// chunk. Readers of a held segment take the chunk slice as it stands.
+// segment sealed in this process holds its typed chunks (segment.go); a
+// durability layer (internal/store) attaches every recovered segment
+// FAULTABLE: the segment keeps nothing and every read pins the needed
+// chunk through a ChunkLoader — typically backed by a shared buffer pool
+// that pins chunks while scans read them and evicts cold ones under a
+// byte budget. Either way a boxed Value is only ever built for the one
+// cell a reader asked for (reader.go), never per chunk. Readers of a
+// held segment take the chunk slice as it stands.
 //
 // The pin/unpin contract: a Pin* call returns chunk data plus a
 // release func. The data stays VALID forever (Go's GC keeps it alive
@@ -108,36 +108,21 @@ func (s *segment) faultable() bool { return s.loader != nil }
 
 // AttachSegment appends one recovered sealed segment to the newest
 // version of the table — the recovery-time counterpart of sealing a
-// tail. The segment's rows are the next SegRows stream rows. With
-// chunks != nil the segment holds them (one per schema column, codes
-// indexing the dictionary PreloadDict seeded) and loader and zones are
-// ignored; otherwise its chunks load on demand through loader (stream
-// segment index = Base()/SegRows + sealed count at attach time) and
-// zones, when non-nil, carries one ZoneInfo per schema column for
-// predicate pruning (nil: every clause faults). Like AppendCols it is
-// copy-on-write and linear: it returns a new version and refuses stale
-// snapshots. The tail must be empty (recovery attaches segments before
-// replaying tail rows); a tail that is exactly full is sealed first.
-func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneInfo) (*Table, error) {
-	ncols := len(t.schema)
+// tail. The segment's rows are the next SegRows stream rows, and its
+// chunks load on demand through loader (stream segment index =
+// Base()/SegRows + sealed count at attach time; string codes index the
+// dictionary PreloadDict seeded). zones, when non-nil, carries one
+// ZoneInfo per schema column for predicate pruning (nil: every clause
+// faults). Like AppendCols it is copy-on-write and linear: it returns a
+// new version and refuses stale snapshots. The tail must be empty
+// (recovery attaches segments before replaying tail rows); a tail that
+// is exactly full is sealed first.
+func (t *Table) AttachSegment(loader ChunkLoader, zones []ZoneInfo) (*Table, error) {
 	switch {
-	case chunks != nil && len(chunks) != ncols:
-		return nil, fmt.Errorf("engine: table %s: attach with %d chunks, schema has %d columns", t.name, len(chunks), ncols)
-	case chunks != nil:
-		loader, zones = nil, nil
-		for c, ch := range chunks {
-			n := len(ch.Vals)
-			if t.schema[c].Type == TString {
-				n = len(ch.Codes)
-			}
-			if n != 1<<t.bits || len(ch.Null) != len(ch.Vals)/64 || (ch.Ints != nil && len(ch.Ints) != n) {
-				return nil, fmt.Errorf("engine: table %s: attach: column %d chunk does not cover one segment", t.name, c)
-			}
-		}
 	case loader == nil:
-		return nil, fmt.Errorf("engine: table %s: attach with neither chunks nor loader", t.name)
-	case zones != nil && len(zones) != ncols:
-		return nil, fmt.Errorf("engine: table %s: attach with %d zones, schema has %d columns", t.name, len(zones), ncols)
+		return nil, fmt.Errorf("engine: table %s: attach without a loader", t.name)
+	case zones != nil && len(zones) != len(t.schema):
+		return nil, fmt.Errorf("engine: table %s: attach with %d zones, schema has %d columns", t.name, len(zones), len(t.schema))
 	}
 	fam := t.fam
 	fam.mu.Lock()
@@ -153,7 +138,6 @@ func (t *Table) AttachSegment(chunks []Chunk, loader ChunkLoader, zones []ZoneIn
 		nt.sealTailLocked()
 	}
 	nt.sealed = append(nt.sealed, &segment{
-		chunks:    chunks,
 		dicts:     slices.Clone(nt.tail.dicts),
 		loader:    loader,
 		streamIdx: nt.base>>nt.bits + len(nt.sealed),
@@ -198,7 +182,7 @@ func (t *Table) PreloadDict(c int, values []string) error {
 }
 
 // SegmentZone returns sealed segment k's zone map for column c, when
-// one was attached. ok is false for segments that hold their chunks,
+// one was attached. ok is false for segments sealed in this process,
 // segments attached without zones, and out-of-range indexes.
 func (t *Table) SegmentZone(k, c int) (ZoneInfo, bool) {
 	if k < 0 || k >= len(t.sealed) || c < 0 || c >= len(t.schema) {

@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Retention drops whole head segments from a table family so an
 // unbounded append stream runs at bounded memory. Only sealed segments
@@ -65,7 +68,10 @@ func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, 
 		return t, stats, nil
 	}
 	nt = t.forkLocked()
-	nt.sealed, nt.nrows, nt.base = t.sealed[drop:], stats.RetainedRows, stats.Base
+	// A fresh array, not a subslice: sharing t's would keep the dropped
+	// segments reachable for as long as nt lives, and with them what
+	// they hold (chunks, or a loader's retired file handle).
+	nt.sealed, nt.nrows, nt.base = slices.Clone(t.sealed[drop:]), stats.RetainedRows, stats.Base
 	return nt, stats, nil
 }
 
@@ -103,11 +109,11 @@ func (t *Table) dropCountLocked(pol RetentionPolicy) int {
 
 // allBelowCutoff reports whether every non-NULL value of r's numeric
 // column in sealed segment k is < cutoff (the TimeCol retention test).
-// NaN keeps the segment, conservatively. A faultable segment answers
-// from its zone map when one is attached — no disk touched — and
-// otherwise pins the chunk like any read.
+// NaN keeps the segment, conservatively. A segment with a zone map (only
+// a faultable one has one) answers from it — no disk touched — and
+// otherwise reads the chunk like any read.
 func (r *ColReader) allBelowCutoff(k int, cutoff float64) bool {
-	if s := r.t.sealed[k]; s.faultable() && s.zones != nil {
+	if s := r.t.sealed[k]; s.zones != nil {
 		// No finite values (all NULL) is vacuously old.
 		z := s.zones[r.col]
 		return z.NaNCount == 0 && (z.NullCount == z.Rows || !z.HasRange || z.Max < cutoff)

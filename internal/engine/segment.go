@@ -32,9 +32,9 @@ import (
 // every clause mask, which is what lets the predicate index rebase by
 // dropping head chunks instead of rebuilding.
 //
-// A sealed segment either HOLDS its chunks (sealed in this process, or
-// attached resident by recovery) or PINS them on demand through a
-// ChunkLoader (fault.go): two holders of one format. Held chunks are
+// A sealed segment either HOLDS its chunks (sealed in this process) or
+// PINS them on demand through a ChunkLoader (fault.go; every segment
+// recovery attaches): two holders of one format. Held chunks are
 // dropped together with the segment when retention lets go of it.
 
 const (

@@ -92,8 +92,7 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	fs := store.NewMemFS()
 	buildOOCTable(t, fs, rng, 7)
-	st0, resident := reopen(t, fs, 0)
-	defer st0.Close()
+	resident := residentReopen(t, fs)
 	st, faulted := reopen(t, fs, 512)
 	defer st.Close()
 

@@ -181,8 +181,7 @@ func TestMaskedAggOutOfCore(t *testing.T) {
 	fs := store.NewMemFS()
 	buildOOCTable(t, fs, rng, 10)
 
-	oracleSt, oracle := reopen(t, fs, 0)
-	defer oracleSt.Close()
+	oracle := residentReopen(t, fs)
 	lazySt, lazy := reopen(t, fs, 4096)
 	defer lazySt.Close()
 

@@ -14,9 +14,8 @@ import (
 	"repro/internal/store"
 )
 
-// End-to-end out-of-core query tests: the same on-disk table opened
-// fully resident is the oracle for the lazily-attached, buffer-pooled
-// reopen. A deliberately tiny pool forces constant eviction, so every
+// End-to-end out-of-core query tests: an in-memory copy of the same
+// on-disk table is the oracle for the faultable, buffer-pooled reopen. A deliberately tiny pool forces constant eviction, so every
 // statement exercises fault → pin → release across shard boundaries,
 // and the parity requirement is the same bit-exact one the pipeline
 // already owes the reference scan.
@@ -97,7 +96,8 @@ func buildOOCTable(t *testing.T, fs store.FS, rng *rand.Rand, nbatch int) {
 }
 
 // reopen opens the store over fs with the given pool size and returns
-// the recovered table. cacheBytes == 0 is the fully resident oracle.
+// the recovered table, every sealed segment faultable (cacheBytes == 0:
+// an uncapped pool).
 func reopen(t *testing.T, fs store.FS, cacheBytes int64) (*store.DB, *engine.Table) {
 	t.Helper()
 	st, err := store.Open("d", oocOpts(fs, cacheBytes))
@@ -111,16 +111,35 @@ func reopen(t *testing.T, fs store.FS, cacheBytes int64) (*store.DB, *engine.Tab
 	return st, tbl
 }
 
+// residentReopen reopens the store on fs uncapped, copies table p into
+// an in-memory table of the same name, schema and segment size, and
+// closes the store: the oracle, whose segments hold their chunks and
+// read no file, for a store whose every recovered segment is faultable.
+func residentReopen(t *testing.T, fs store.FS) *engine.Table {
+	t.Helper()
+	st, tbl := reopen(t, fs, 0)
+	defer st.Close()
+	cp, err := engine.NewTableSeg(tbl.Name(), tbl.Schema(), tbl.SegmentBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]engine.Value, tbl.NumRows())
+	for r := range rows {
+		rows[r] = tbl.Row(r)
+	}
+	if cp, err = cp.AppendBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 func TestOutOfCoreQueryParity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := store.NewMemFS()
 		buildOOCTable(t, fs, rng, 6+rng.Intn(6))
 
-		oracleSt, oracle := reopen(t, fs, 0)
-		if err := oracleSt.Close(); err != nil {
-			t.Fatal(err)
-		}
+		oracle := residentReopen(t, fs)
 		// 4 KiB: a fraction of one decoded segment column set, so every
 		// scan faults and evicts continuously.
 		lazySt, lazy := reopen(t, fs, 4096)
@@ -201,10 +220,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracleSt, oracle := reopen(t, fs, 0)
-	if err := oracleSt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	oracle := residentReopen(t, fs)
 	lazySt, lazy := reopen(t, fs, 1<<20)
 	defer lazySt.Close()
 
@@ -324,10 +340,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracleSt, oracle := reopen(t, fs, 0)
-	if err := oracleSt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	oracle := residentReopen(t, fs)
 	lazySt, lazy := reopen(t, fs, 4096)
 	defer lazySt.Close()
 
@@ -513,10 +526,7 @@ func TestAdvanceReadsNoOldSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	fs := store.NewMemFS()
 	buildOOCTable(t, fs, rng, 8)
-	oracleSt, oracle := reopen(t, fs, 0)
-	if err := oracleSt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	oracle := residentReopen(t, fs)
 	st, tbl := reopen(t, fs, 4096)
 	defer st.Close()
 	sqls := []string{
@@ -612,10 +622,7 @@ func TestOutOfCoreTypedReaderCells(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	oracleSt, oracle := reopen(t, fs, 0)
-	if err := oracleSt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	oracle := residentReopen(t, fs)
 	for _, pool := range []int64{256, 4096} {
 		lazySt, lazy := reopen(t, fs, pool)
 		if !lazy.SegmentFaultable(0) {

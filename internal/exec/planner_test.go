@@ -46,10 +46,7 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 		fs := store.NewMemFS()
 		buildOOCTable(t, fs, rng, 6+rng.Intn(4))
 
-		oracleSt, oracle := reopen(t, fs, 0)
-		if err := oracleSt.Close(); err != nil {
-			t.Fatal(err)
-		}
+		oracle := residentReopen(t, fs)
 		lazySt, lazy := reopen(t, fs, 4096)
 
 		for iter := 0; iter < 30; iter++ {

@@ -142,14 +142,12 @@ func fillRange(words []uint64, lo, hi int) {
 	}
 }
 
-// segZone returns segment k's zone map for column ci when the segment
-// is out-of-core AND the span covers the whole segment — partial spans
-// must scan (the zone summarizes all rows, the span only some).
+// segZone returns segment k's zone map for column ci when it has one
+// (only a faultable segment does) AND the span covers the whole segment
+// — partial spans must scan (the zone summarizes all rows, the span only
+// some).
 func (ix *Index) segZone(k, ci, lo, hi int) (engine.ZoneInfo, bool) {
 	if lo != 0 || hi != ix.t.SegRows() {
-		return engine.ZoneInfo{}, false
-	}
-	if !ix.t.SegmentFaultable(k) {
 		return engine.ZoneInfo{}, false
 	}
 	return ix.t.SegmentZone(k, ci)

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -322,15 +323,34 @@ func (s *Server) withLifecycle(name string, class requestClass, h http.HandlerFu
 // a fired deadline is 504, a client that went away is 499 (recorded,
 // never seen), a fail-stopped table is 503 with Retry-After and a
 // machine-readable reason (the table is wedged until an operator
-// intervenes — clients should back off, not fail the batch), anything
-// else is the handler's plain 400.
+// intervenes — clients should back off, not fail the batch). A stored
+// segment that failed to load answers in the same shape: a damaged one
+// (a column section that failed its checksum on first read, and was
+// quarantined) is a 500 "segment-unreadable" that no retry cures; any
+// other load failure is an I/O error on an undamaged file, a 503
+// "segment-load-failed" worth retrying. Anything else is the handler's
+// plain 400.
 func writeReqErr(s *Server, w http.ResponseWriter, err error) {
+	var sle *engine.SegmentLoadError
 	switch {
 	case errors.Is(err, store.ErrFailStopped):
 		w.Header().Set("Retry-After", s.lc.retryAfterSeconds())
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error":     err.Error(),
 			"reason":    "fail-stopped",
+			"retryable": true,
+		})
+	case errors.As(err, &sle) && errors.Is(err, store.ErrQuarantined):
+		writeJSON(w, http.StatusInternalServerError, map[string]any{
+			"error":     err.Error(),
+			"reason":    "segment-unreadable",
+			"retryable": false,
+		})
+	case errors.As(err, &sle):
+		w.Header().Set("Retry-After", s.lc.retryAfterSeconds())
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"error":     err.Error(),
+			"reason":    "segment-load-failed",
 			"retryable": true,
 		})
 	case errors.Is(err, context.DeadlineExceeded):

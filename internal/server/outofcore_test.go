@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -15,8 +14,11 @@ import (
 // serving: the store section reports buffer-pool occupancy and
 // hit/miss/eviction counters, and the scan section reports per-query
 // zone-map skip and chunk-fault totals.
-func TestStatsOutOfCore(t *testing.T) {
-	fs := store.NewMemFS()
+// serveSegments writes table p — columns k, v, s; nseg 64-row segments,
+// k = 100 × the segment index — to a store on fs, reopens it with a pool
+// of cacheBytes, and serves it.
+func serveSegments(t *testing.T, fs *store.MemFS, nseg int, cacheBytes int64) (*store.DB, *httptest.Server) {
+	t.Helper()
 	quiet := func(string, ...any) {}
 	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
 	if err != nil {
@@ -26,7 +28,7 @@ func TestStatsOutOfCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	strs := []string{"a", "b", "c"}
-	for seg := 0; seg < 8; seg++ {
+	for seg := 0; seg < nseg; seg++ {
 		rows := make([][]engine.Value, 64)
 		for r := range rows {
 			rows[r] = []engine.Value{
@@ -42,17 +44,23 @@ func TestStatsOutOfCore(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen out-of-core with a pool far smaller than the table.
-	st, err = store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet, MaxResidentBytes: 4096})
-	if err != nil {
+	if st, err = store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet, MaxResidentBytes: cacheBytes}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(st.Eng())
 	srv.AttachStore(st)
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		st.Close()
+	})
+	return st, ts
+}
+
+func TestStatsOutOfCore(t *testing.T) {
+	// Reopen with a pool far smaller than the table.
+	st, ts := serveSegments(t, store.NewMemFS(), 8, 4096)
 
 	// A full scan (faults chunks) and a zone-prunable point query
 	// (skips segments).
@@ -103,12 +111,103 @@ func TestStatsOutOfCore(t *testing.T) {
 	if stats.Store.Pool.Pinned != 0 {
 		t.Fatalf("%d chunks still pinned at quiesce: %+v", stats.Store.Pool.Pinned, *stats.Store.Pool)
 	}
-	if err := func() error {
-		if n := st.PoolPinned(); n != 0 {
-			return fmt.Errorf("PoolPinned = %d", n)
+	if n := st.PoolPinned(); n != 0 {
+		t.Fatalf("PoolPinned = %d", n)
+	}
+}
+
+// TestSegmentUnreadable500 makes a stored segment fail to load after a
+// query that never read it, on every endpoint that then reads it. A
+// column section that fails its checksum quarantines the file and
+// answers a 500 with reason "segment-unreadable", not retryable; a file
+// gone from under the reader is an I/O error on an undamaged file, a
+// retryable 503 "segment-load-failed" that quarantines nothing. Neither
+// is a recovered panic's bare 500 or a bad request's 400.
+func TestSegmentUnreadable500(t *testing.T) {
+	const victim = "/db/p/seg-00000001.seg"
+	for _, tc := range []struct {
+		name        string
+		damage      func(fs *store.MemFS) error
+		status      int
+		reason      string
+		retryable   bool
+		quarantined int
+	}{
+		{"flipped", func(fs *store.MemFS) error {
+			// Column s's section is the file's last, just before its
+			// checksum and end magic.
+			size, err := fs.FileSize(victim)
+			if err != nil {
+				return err
+			}
+			return fs.FlipBit(victim, size-150, 3)
+		}, http.StatusInternalServerError, "segment-unreadable", false, 1},
+		{"unlinked", func(fs *store.MemFS) error { return fs.Remove(victim) },
+			http.StatusServiceUnavailable, "segment-load-failed", true, 0},
+	} {
+		for path, body := range map[string]map[string]any{
+			// Group 1 is k = 100: its lineage is segment 1, every column read.
+			"/api/zoom":  {"session": "s", "suspect": []int{1}},
+			"/api/query": {"session": "s", "sql": "SELECT s, count(*) AS n FROM p GROUP BY s"},
+		} {
+			t.Run(tc.name+path, func(t *testing.T) {
+				fs := store.NewMemFS()
+				st, ts := serveSegments(t, fs, 4, 1<<20)
+				if resp := post(t, ts, "/api/query", map[string]any{"session": "s", "sql": "SELECT k, count(*) AS n FROM p GROUP BY k"}, nil); resp.StatusCode != http.StatusOK {
+					t.Fatalf("query reading only k: status %d", resp.StatusCode)
+				}
+				if err := tc.damage(fs); err != nil {
+					t.Fatal(err)
+				}
+				var out struct {
+					Error     string `json:"error"`
+					Reason    string `json:"reason"`
+					Retryable bool   `json:"retryable"`
+				}
+				resp := post(t, ts, path, body, &out)
+				if resp.StatusCode != tc.status || out.Reason != tc.reason || out.Retryable != tc.retryable || out.Error == "" {
+					t.Fatalf("status %d, body %+v; want %d %s", resp.StatusCode, out, tc.status, tc.reason)
+				}
+				if q := st.Stats().Tables["p"].Quarantined; len(q) != tc.quarantined {
+					t.Fatalf("quarantined %v, want %d file(s)", q, tc.quarantined)
+				}
+			})
 		}
-		return nil
-	}(); err != nil {
-		t.Fatal(err)
+	}
+}
+
+// TestZoomAcrossRetention zooms on a session's cached result after a
+// retention pass dropped the group's lineage, on a store-backed server
+// reopened with the default (uncapped) pool: the result still points at
+// the version from before the pass, which must answer the rows it
+// answered before — though the segment file is gone.
+func TestZoomAcrossRetention(t *testing.T) {
+	const victim = "/db/p/seg-00000001.seg"
+	fs := store.NewMemFS()
+	_, ts := serveSegments(t, fs, 4, 0)
+	if resp := post(t, ts, "/api/query", map[string]any{"session": "s", "sql": "SELECT k, count(*) AS n FROM p GROUP BY k"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", resp.StatusCode)
+	}
+	zoom := func() (int, string) {
+		t.Helper()
+		var out json.RawMessage
+		resp := post(t, ts, "/api/zoom", map[string]any{"session": "s", "suspect": []int{1}}, &out)
+		return resp.StatusCode, string(out)
+	}
+	status, before := zoom()
+	if status != http.StatusOK {
+		t.Fatalf("zoom before retention: status %d: %s", status, before)
+	}
+	var ret struct {
+		Base int `json:"base"`
+	}
+	if resp := post(t, ts, "/api/retention", map[string]any{"table": "p", "max_rows": 128}, &ret); resp.StatusCode != http.StatusOK || ret.Base < 128 {
+		t.Fatalf("retention: status %d, base %d; want segment 1 dropped", resp.StatusCode, ret.Base)
+	}
+	if _, err := fs.FileSize(victim); err == nil {
+		t.Fatalf("%s survived retention", victim)
+	}
+	if status, after := zoom(); status != http.StatusOK || after != before {
+		t.Fatalf("zoom after retention: status %d\n%s\nwant\n%s", status, after, before)
 	}
 }

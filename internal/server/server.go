@@ -603,24 +603,38 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	for _, c := range src.Schema() {
 		cols = append(cols, c.Name)
 	}
-	rr := src.NewRowReader() // one pin per column per segment crossing, not one per cell
-	defer rr.Close()
-	row := make([]engine.Value, src.NumCols())
-	rows := make([][]any, 0, len(lineage))
-	for _, ri := range lineage {
-		rr.RowInto(ri, row)
-		jsRow := make([]any, 0, len(row)+1)
-		jsRow = append(jsRow, ri) // row id first, so D' selections can reference it
-		for _, v := range row {
-			jsRow = append(jsRow, valueJSON(v))
-		}
-		rows = append(rows, jsRow)
+	rows, err := zoomRows(src, lineage)
+	if err != nil {
+		writeReqErr(s, w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"columns":   append([]string{"_rowid"}, cols...),
 		"rows":      rows,
 		"truncated": truncated,
 	})
+}
+
+// zoomRows renders the lineage rows of src as JSON rows, row id first
+// (so D' selections can reference it). A segment that fails to load
+// (a read-time checksum failure, a quarantined file) is its error, not
+// a panic.
+func zoomRows(src *engine.Table, lineage []int) (rows [][]any, err error) {
+	defer engine.CatchSegmentLoad(&err)
+	rr := src.NewRowReader() // one pin per column per segment crossing, not one per cell
+	defer rr.Close()
+	row := make([]engine.Value, src.NumCols())
+	rows = make([][]any, 0, len(lineage))
+	for _, ri := range lineage {
+		rr.RowInto(ri, row)
+		jsRow := make([]any, 0, len(row)+1)
+		jsRow = append(jsRow, ri)
+		for _, v := range row {
+			jsRow = append(jsRow, valueJSON(v))
+		}
+		rows = append(rows, jsRow)
+	}
+	return rows, nil
 }
 
 // explanationJSON is one ranked predicate over the wire; its floats pass

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -61,11 +62,66 @@ func reopenFixture(t *testing.T, mem *MemFS) (*DB, *engine.Table, TableStats) {
 	return st, tab, st.Stats().Tables["p"]
 }
 
+// requireSetAside asserts the damaged file is set aside, not deleted,
+// and the stranded valid segment 0 below it is left untouched.
+func requireSetAside(t *testing.T, mem *MemFS, victim string) {
+	t.Helper()
+	var aside, stranded bool
+	for _, f := range mem.Files() {
+		if f == victim+".quarantined" {
+			aside = true
+		}
+		if strings.HasSuffix(f, "seg-00000000.seg") {
+			stranded = true
+		}
+		if f == victim {
+			t.Fatalf("damaged file still present under its live name")
+		}
+	}
+	if !aside || !stranded {
+		t.Fatalf("quarantine was destructive: aside=%v stranded-kept=%v", aside, stranded)
+	}
+}
+
+// requireReadQuarantines holds a fixture whose segment file victim has
+// a damaged column section to the read-time half of the corruption
+// contract: Open serves the whole table, the first read of the damaged
+// section fails with a *engine.SegmentLoadError and quarantines the
+// file, and a reopen serves the suffix above the gap — base, version
+// and gap as given — every row matching the oracle.
+func requireReadQuarantines(t *testing.T, mem *MemFS, victim string, oracle [][]engine.Value, base, version, gap int) {
+	t.Helper()
+	st, tab, ts := reopenFixture(t, mem)
+	if len(ts.Quarantined) != 0 || tab.Base() != 0 || tab.Version() != len(oracle) {
+		t.Fatalf("Open checked a column section: quarantined %v, base/version %d/%d", ts.Quarantined, tab.Base(), tab.Version())
+	}
+	var sle *engine.SegmentLoadError
+	if err := readRows(t, tab, oracle); !errors.As(err, &sle) {
+		t.Fatalf("first read of the damaged section: %v, want a *engine.SegmentLoadError", err)
+	}
+	if q := st.Stats().Tables["p"].Quarantined; len(q) != 1 || !strings.HasPrefix(q[0], victim+": ") {
+		t.Fatalf("read-time quarantine recorded %v, want %s", q, victim)
+	}
+	requireSetAside(t, mem, victim)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, tab, ts = reopenFixture(t, mem)
+	if ts.GapSegments != gap || tab.Base() != base || tab.Version() != version {
+		t.Fatalf("reopen serves base/version %d/%d with a %d-segment gap, want %d/%d and %d",
+			tab.Base(), tab.Version(), ts.GapSegments, base, version, gap)
+	}
+	requireRowsMatch(t, tab, oracle)
+}
+
 // TestCorruptMidSegment flips one bit per part of an interior segment
 // file — header, zone block, every column's section, the whole-file
-// checksum, the footer — and reopens RESIDENT: every flavor must be
-// caught before the table is served and quarantined, and the table
-// served from the suffix above the damage.
+// checksum, the footer. Envelope damage (header, footer) is caught at
+// Open, which quarantines the file and serves the suffix above it;
+// section damage is caught by the first read of that section, and the
+// next Open serves the same suffix. A zone-block flip only costs
+// pruning, and nothing reads the whole-file checksum: both serve every
+// row.
 func TestCorruptMidSegment(t *testing.T) {
 	const victim = "/db/p/seg-00000002.seg"
 	probe, _ := buildFixture(t)
@@ -74,72 +130,158 @@ func TestCorruptMidSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	headerLen := segHeaderLen(t, probe, victim)
-	cases := map[string]int64{
-		"header":      10, // inside the headerLen/header bytes
-		"zone-block":  int64(len(segMagic)+4+headerLen+4) + 4 + 16,
-		"column-data": size / 2, // inside some column section
-		"file-crc":    size - 10,
-		"end-magic":   size - 3,
+	type flavor struct {
+		off    int64
+		caught string // "open", "read" or "" (harmless)
+	}
+	cases := map[string]flavor{
+		"header":      {10, "open"}, // inside the headerLen/header bytes
+		"zone-block":  {int64(len(segMagic)+4+headerLen+4) + 4 + 16, ""},
+		"column-data": {size / 2, "read"}, // inside some column section
+		"file-crc":    {size - 10, ""},
+		"end-magic":   {size - 3, "open"},
 	}
 	secOff, _ := segLayout(headerLen, testgen.Schema(), engine.MinSegmentBits)
 	for _, col := range testgen.Schema() {
 		secLen := sectionBytes(col.Type, engine.MinSegmentBits)
-		cases["section-"+col.Name] = int64(secOff + 4 + secLen/2)
+		cases["section-"+col.Name] = flavor{int64(secOff + 4 + secLen/2), "read"}
 		secOff += 4 + secLen + 4
 	}
-	for name, off := range cases {
+	for name, fl := range cases {
 		t.Run(name, func(t *testing.T) {
 			mem, oracle := buildFixture(t)
-			if err := mem.FlipBit(victim, off, uint(off)%8); err != nil {
+			if err := mem.FlipBit(victim, fl.off, uint(fl.off)%8); err != nil {
 				t.Fatal(err)
 			}
-			_, tab, ts := reopenFixture(t, mem)
-			if len(ts.Quarantined) != 1 || ts.Quarantined[0] != "seg-00000002.seg" {
-				t.Fatalf("quarantined %v, want exactly seg-00000002.seg", ts.Quarantined)
-			}
-			if ts.GapSegments != 3 {
-				t.Fatalf("gap of %d segments reported, want 3", ts.GapSegments)
-			}
-			if tab.Base() != 192 || tab.Version() != 266 {
-				t.Fatalf("served base/version %d/%d, want the 192/266 suffix", tab.Base(), tab.Version())
-			}
-			requireRowsMatch(t, tab, oracle)
-			// The damaged file is set aside, not deleted; the stranded
-			// valid segments below it are left untouched.
-			var aside, stranded bool
-			for _, f := range mem.Files() {
-				if strings.HasSuffix(f, "seg-00000002.seg.quarantined") {
-					aside = true
+			switch fl.caught {
+			case "read":
+				requireReadQuarantines(t, mem, victim, oracle, 192, 266, 3)
+			case "open":
+				_, tab, ts := reopenFixture(t, mem)
+				if len(ts.Quarantined) != 1 || ts.Quarantined[0] != "seg-00000002.seg" {
+					t.Fatalf("quarantined %v, want exactly seg-00000002.seg", ts.Quarantined)
 				}
-				if strings.HasSuffix(f, "seg-00000000.seg") {
-					stranded = true
+				if ts.GapSegments != 3 || tab.Base() != 192 || tab.Version() != 266 {
+					t.Fatalf("served base/version %d/%d with a %d-segment gap, want the 192/266 suffix and 3",
+						tab.Base(), tab.Version(), ts.GapSegments)
 				}
-				if f == victim {
-					t.Fatalf("damaged file still present under its live name")
+				requireRowsMatch(t, tab, oracle)
+				requireSetAside(t, mem, victim)
+			default:
+				st, tab, ts := reopenFixture(t, mem)
+				if len(ts.Quarantined) != 0 || ts.GapSegments != 0 || tab.Base() != 0 || tab.Version() != 266 {
+					t.Fatalf("harmless flip cost data: %+v, base/version %d/%d", ts, tab.Base(), tab.Version())
 				}
-			}
-			if !aside || !stranded {
-				t.Fatalf("quarantine was destructive: aside=%v stranded-kept=%v", aside, stranded)
+				requireRowsMatch(t, tab, oracle)
+				if q := st.Stats().Tables["p"].Quarantined; len(q) != 0 {
+					t.Fatalf("harmless flip quarantined %v on read", q)
+				}
 			}
 		})
 	}
 }
 
-// TestCorruptNewestSegment damages the newest sealed segment: the
-// served suffix is then just the WAL tail.
-func TestCorruptNewestSegment(t *testing.T) {
-	mem, oracle := buildFixture(t)
-	if err := mem.FlipBit("/db/p/seg-00000003.seg", 200, 5); err != nil {
+// cloneMemFS copies m's live files and directories into a fresh MemFS,
+// every file durable.
+func cloneMemFS(m *MemFS) *MemFS {
+	c := NewMemFS()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for d := range m.dirs {
+		c.dirs[d] = true
+	}
+	for p, f := range m.cur {
+		data := append([]byte(nil), f.data...)
+		nf := &memFile{data: data, synced: append([]byte(nil), data...)}
+		c.cur[p], c.durable[p] = nf, nf
+	}
+	return c
+}
+
+// TestEveryFlippedByteCaughtOrHarmless flips one bit of every byte of an
+// interior segment file in turn, opens the store with default options
+// and reads every cell. Each flip must end one way: Open quarantines the
+// file; or a read fails with a *engine.SegmentLoadError and quarantines
+// it; or every cell matches the oracle — allowed only inside the
+// whole-file CRC field, which nothing reads, and the zone block, whose
+// damage costs only pruning. Every other byte is under a header, zone,
+// section-length or section CRC check, which is what the whole-file CRC
+// used to guarantee. No outcome may serve a wrong cell. Under -short
+// every 7th byte is flipped.
+func TestEveryFlippedByteCaughtOrHarmless(t *testing.T) {
+	const victim = "/db/p/seg-00000002.seg"
+	fixture, oracle := buildFixture(t)
+	size, err := fixture.FileSize(victim)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, tab, ts := reopenFixture(t, mem)
-	if len(ts.Quarantined) != 1 || ts.GapSegments != 4 {
-		t.Fatalf("quarantined=%v gap=%d, want 1 file and a 4-segment gap", ts.Quarantined, ts.GapSegments)
+	zoneLo := int64(len(segMagic) + 4 + segHeaderLen(t, fixture, victim) + 4)
+	zoneHi := zoneLo + int64(4+zoneRecBytes*len(testgen.Schema())+4)
+	crcLo := size - int64(len(segEndMagic)+4)
+	harmless := func(off int64) bool { return zoneLo <= off && off < zoneHi || crcLo <= off && off < crcLo+4 }
+	stride := int64(1)
+	if testing.Short() {
+		stride = 7
 	}
-	if tab.Base() != 256 || tab.Version() != 266 {
-		t.Fatalf("served base/version %d/%d, want tail-only 256/266", tab.Base(), tab.Version())
+	var atOpen, atRead, served int
+	for off := int64(0); off < size; off += stride {
+		mem := cloneMemFS(fixture)
+		if err := mem.FlipBit(victim, off, uint(off)%8); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open("/db", quietOpts(mem, 1))
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		tab, err := st.Eng().Table("p")
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		openQ := st.Stats().Tables["p"].Quarantined
+		readErr := readRows(t, tab, oracle)
+		readQ := st.Stats().Tables["p"].Quarantined
+		var sle *engine.SegmentLoadError
+		switch {
+		case len(openQ) > 0:
+			if len(openQ) != 1 || openQ[0] != "seg-00000002.seg" || readErr != nil {
+				t.Fatalf("offset %d: Open quarantined %v, then the suffix read %v", off, openQ, readErr)
+			}
+			atOpen++
+		case errors.As(readErr, &sle):
+			if len(readQ) != 1 || !strings.HasPrefix(readQ[0], victim+": ") {
+				t.Fatalf("offset %d: read failed (%v) but quarantined %v", off, readErr, readQ)
+			}
+			atRead++
+		case readErr != nil:
+			t.Fatalf("offset %d: read failed with %v, want a *engine.SegmentLoadError", off, readErr)
+		case !harmless(off):
+			t.Fatalf("offset %d: the flip went unchecked — outside the file CRC and the zone block, every cell served", off)
+		case tab.Base() != 0 || tab.Version() != len(oracle):
+			t.Fatalf("offset %d: harmless flip served base/version %d/%d", off, tab.Base(), tab.Version())
+		default:
+			served++
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	requireRowsMatch(t, tab, oracle)
+	t.Logf("%d-byte file, stride %d: %d caught at Open, %d at first read, %d harmless", size, stride, atOpen, atRead, served)
+}
+
+// TestCorruptNewestSegment damages a column section of the newest
+// sealed segment: once the first read has quarantined it, the served
+// suffix is just the WAL tail.
+func TestCorruptNewestSegment(t *testing.T) {
+	const victim = "/db/p/seg-00000003.seg"
+	mem, oracle := buildFixture(t)
+	size, err := mem.FileSize(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.FlipBit(victim, size/2, 5); err != nil {
+		t.Fatal(err)
+	}
+	requireReadQuarantines(t, mem, victim, oracle, 256, 266, 4)
 }
 
 // TestCorruptManifest flips a bit in the manifest: recovery rebuilds
@@ -220,9 +362,9 @@ func restampFileCRC(t *testing.T, fs *MemFS, path string, edit func(image []byte
 
 // TestResidentZoneDamageDegrades: a zone block that fails its own
 // checksum inside a file whose whole-file checksum holds (a bad block
-// written, not a bit rotted) costs a resident table nothing — it never
-// prunes by zone maps anyway. The segment is served, not quarantined,
-// the reason logged: losing pruning must never lose the table.
+// written, not a bit rotted) costs an uncapped open only its pruning.
+// The segment is served, not quarantined, the reason logged: losing
+// pruning must never lose the table.
 func TestResidentZoneDamageDegrades(t *testing.T) {
 	const victim = "/db/p/seg-00000001.seg"
 	mem, oracle := buildFixture(t)
@@ -247,16 +389,15 @@ func TestResidentZoneDamageDegrades(t *testing.T) {
 	if !strings.Contains(strings.Join(logged, "\n"), "zone block ignored") {
 		t.Fatalf("no zone degradation log; got %q", logged)
 	}
+	if _, ok := tab.SegmentZone(1, 0); ok {
+		t.Fatal("damaged zone block still served")
+	}
 	requireRowsMatch(t, tab, oracle)
 
 	// The same edit inside a column section is caught by the section's
-	// checksum, though the whole-file checksum holds.
+	// checksum on first read, though the whole-file checksum holds.
 	mem2, oracle2 := buildFixture(t)
 	_, fileSize := segLayout(segHeaderLen(t, mem2, victim), testgen.Schema(), engine.MinSegmentBits)
 	restampFileCRC(t, mem2, victim, func(image []byte) { image[fileSize/2] ^= 0x10 })
-	_, tab2, ts2 := reopenFixture(t, mem2)
-	if len(ts2.Quarantined) != 1 || ts2.Quarantined[0] != "seg-00000001.seg" || tab2.Base() != 128 {
-		t.Fatalf("section damage under a valid file checksum: quarantined %v, base %d", ts2.Quarantined, tab2.Base())
-	}
-	requireRowsMatch(t, tab2, oracle2)
+	requireReadQuarantines(t, mem2, victim, oracle2, 128, 266, 2)
 }

@@ -15,7 +15,7 @@
 // Sealed segment files are written with the atomic protocol
 // (write-temp → fsync → rename → dir-fsync) so each is either whole or
 // absent; every section carries a CRC32C and the file ends with a
-// whole-file checksum and footer magic. The manifest is replaced
+// whole-file checksum (written, not read) and footer magic. The manifest is replaced
 // atomically and changes only at creation and retention.
 //
 // # Durability contract
@@ -27,8 +27,6 @@
 // lose up to the most recent N-1 acknowledged batches, but recovery
 // always restores a clean batch PREFIX of the acknowledged sequence —
 // never a torn, reordered, or partially applied batch.
-// With Options.DisableWAL only sealed segments are durable and a crash
-// loses the in-memory tail (bounded by one segment of rows).
 //
 // Any I/O error during Append or Retain fail-stops the table: the
 // error is recorded, subsequent mutations are refused, and reads keep
@@ -36,52 +34,63 @@
 // Acknowledging a write the disk may not hold would silently break the
 // contract above, so the store refuses instead.
 //
-// # Recovery
+// # Recovery and serving
 //
 // Open re-lists every table directory, removes interrupted temp files,
-// verifies every checksum (header, zone block, every column section,
-// the whole file) before a resident table is served, and rebuilds each
-// table from the longest
-// recoverable SUFFIX of its stream: sealed segment files where they
-// survive, WAL records where the crash hit between segment write and
-// WAL rewrite, plus the WAL tail. A torn final WAL record is the crash
-// point, not corruption — the file is truncated there. A segment file
-// that fails validation (bit rot, truncation) is QUARANTINED: renamed
-// to <name>.quarantined, logged, reported in Stats, never silently
-// served and never deleted. Valid segments stranded below a
-// quarantined gap stay on disk untouched and the served range starts
-// above the gap (Stats.GapSegments reports the loss) — graceful
-// degradation in preference to refusing to start. A corrupt manifest
-// is rebuilt from the schema echo carried in every segment header;
-// only a table with neither a manifest nor one valid segment header is
-// skipped (Stats.Skipped).
+// and rebuilds each table from the longest recoverable SUFFIX of its
+// stream: sealed segment files where they survive, WAL records where
+// the crash hit between segment write and WAL rewrite, plus the WAL
+// tail. A torn final WAL record is the crash point, not corruption —
+// the file is truncated there. A corrupt manifest is rebuilt from the
+// schema echo carried in every segment header; only a table with
+// neither a manifest nor one valid segment header is skipped
+// (Stats.Skipped).
 //
-// There is one reader of segment files and one recovery path. Every
-// file's envelope is validated by openSegMeta; every column section,
-// whenever it is read, passes the same check and the same decoder
-// (decodeSection) into a typed chunk — float values + NULL words,
-// dictionary codes, or exact int64 cells, at most 8 bytes a row. A
-// resident Open (MaxResidentBytes == 0) runs that decoder over every
-// section up front and attaches segments that HOLD their chunks; an
-// out-of-core Open attaches segments that PIN them on demand. The
-// engine's string dictionary is preloaded from dict.log either way, so
-// on-disk codes are engine codes. No path materializes a boxed
-// engine.Value per stored cell: the WAL replays into one engine.Batch,
-// whose segment-sized windows are appended in stream order.
+// There is one reader of segment files and one attach path. Open
+// checks each file's envelope with a handful of small reads
+// (openSegMeta) and attaches every recovered segment to the engine
+// table as FAULTABLE, with its zone maps: the segment holds nothing,
+// and each chunk read pins the column section through one store-wide
+// buffer pool, which reads it, checks it and decodes it (decodeSection)
+// into a typed chunk — float values + NULL words, dictionary codes, or
+// exact int64 cells, at most 8 bytes a row. Open therefore costs
+// O(segments), not O(data). Options.MaxResidentBytes caps the pool
+// (0: no cap). Segments sealed in this process hold their chunks. The
+// engine's string dictionary is preloaded from dict.log, so on-disk
+// codes are engine codes. No path materializes a boxed engine.Value per
+// stored cell: the WAL replays into one engine.Batch, whose
+// segment-sized windows are appended in stream order.
+//
+// When corruption is caught, and what it costs:
+//
+//   - The envelope is checked at Open: magic, header CRC, schema echo,
+//     computed layout, footer. A file that fails is QUARANTINED —
+//     renamed to <name>.quarantined, logged, reported in Stats, never
+//     deleted — and the table is served from the suffix above it.
+//     Valid segments stranded below a quarantined gap stay on disk
+//     untouched (Stats.GapSegments reports the loss) — graceful
+//     degradation in preference to refusing to start.
+//   - A column section is checked when it is first read: its length
+//     prefix and CRC. Damage quarantines the file then (renamed,
+//     recorded in Stats) and the query gets a *engine.SegmentLoadError
+//     wrapping ErrQuarantined, never wrong rows. The next Open serves
+//     the suffix above the gap, as an Open that had caught it would
+//     have. Any other load failure is an I/O error on an undamaged file:
+//     it quarantines nothing and a retry may succeed.
+//   - A damaged zone block degrades to no pruning, logged: zone maps
+//     are an optimization and may never change results or lose the
+//     table.
+//   - The whole-file CRC stays in the format, but nothing reads it:
+//     every other byte of a segment file is under a header, zone,
+//     section-length or section CRC check
+//     (TestEveryFlippedByteCaughtOrHarmless flips each one).
 //
 // After the in-memory rebuild, Open finishes whatever the crash
 // interrupted — re-spilling sealed segments whose files were lost and
 // rewriting the WAL to exactly the current tail — so a second Open of
 // the same directory performs no repair at all.
 //
-// # Out-of-core serving
-//
-// With Options.MaxResidentBytes > 0, Open stops at the envelope: it
-// validates each file's header and zone maps with a handful of small
-// reads, attaches the segment to the engine table as FAULTABLE, and
-// serves chunk reads on demand through a store-wide buffer pool
-// bounded to (about) MaxResidentBytes of decoded chunks. The contract,
-// bottom to top:
+// The serving contract, bottom to top:
 //
 //   - Pin/unpin. A reader obtains a chunk via the engine's one column
 //     reader (engine.ColReader: Floats / Codes per segment, Float / Code
@@ -93,23 +102,28 @@
 //     and cancellation cannot leak pins. At quiesce the pool's pinned
 //     count is zero (asserted by the chaos soak and the cancellation
 //     matrix).
-//   - Faults verify. A chunk load re-reads the column section from
-//     the segment file and verifies its CRC then; a mismatch
-//     quarantines the file (same rename + log + Stats path as at
-//     Open) and surfaces as a query error — never as wrong data.
+//   - Faults verify: a chunk load that misses the pool re-reads the
+//     column section and checks it, as above.
 //   - Zone maps prune. Seal time writes per-column min/max, NULL/NaN
 //     counts and a dictionary-code presence bitmap; scans consult
-//     them to skip provably empty segments without touching disk. A
-//     damaged zone block is ignored with a logged reason (the segment
-//     just scans) — zone maps are an optimization and may never
-//     change results.
+//     them to skip provably empty segments without touching disk.
 //   - Eviction is LRU over unpinned chunks; the pool is the ONLY
-//     chunk cache, so resident bytes stay bounded regardless of table
-//     size (the memcap CI job runs the suite under GOMEMLIMIT).
+//     chunk cache of recovered segments, so under a cap resident bytes
+//     stay bounded regardless of table size (the memcap CI job runs the
+//     suite under GOMEMLIMIT).
+//   - Retention never strands a reader. Before it unlinks a recovered
+//     segment's file it opens a read handle on it, so a table version
+//     from before the pass — a session's cached result, a query still
+//     running — reads the rows it read before, uncached, through that
+//     handle. Each recovered segment is attached with its own loader,
+//     reachable only through the table versions that hold the segment;
+//     when the last of them is collected, the handle closes and the
+//     disk space goes.
 //
-// Results are bit-identical to a fully resident open; the randomized
-// differential tests compare both with the acknowledged rows, the
-// faultable one through eviction thrash, to pin that.
+// Results are bit-identical whatever the cap; the randomized
+// differential tests compare a capped and an uncapped reopen with the
+// acknowledged rows, the capped one through eviction thrash, and the
+// executor's tests compare the faultable table with an in-memory copy.
 //
 // # Format versions
 //

@@ -167,20 +167,11 @@ func (m *MemFS) Truncate(name string, size int64) error {
 // ReadAt reads from the live image at an offset (the buffer pool's
 // chunk-fault read path).
 func (m *MemFS) ReadAt(name string, off int64, p []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.cur[filepath.Clean(name)]
-	if !ok {
-		return 0, fmt.Errorf("memfs: readat %s: no such file", name)
+	h, err := m.Open(name)
+	if err != nil {
+		return 0, err
 	}
-	if off < 0 || off > int64(len(f.data)) {
-		return 0, fmt.Errorf("memfs: readat %s: offset %d out of range %d", name, off, len(f.data))
-	}
-	n := copy(p, f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return h.ReadAt(p, off)
 }
 
 // SyncDir commits dir's pending namespace operations: after it
@@ -326,6 +317,21 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	}
 	n := copy(p, h.f.data[h.off:])
 	h.off += n
+	return n, nil
+}
+
+// ReadAt reads the file's live image at an offset, whether or not a
+// name still refers to it.
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	if off < 0 || off > int64(len(h.f.data)) {
+		return 0, fmt.Errorf("memfs: readat: offset %d out of range %d", off, len(h.f.data))
+	}
+	n := copy(p, h.f.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
 	return n, nil
 }
 
@@ -538,6 +544,8 @@ type faultHandle struct {
 }
 
 func (h *faultHandle) Read(p []byte) (int, error) { return h.inner.Read(p) }
+
+func (h *faultHandle) ReadAt(p []byte, off int64) (int, error) { return h.inner.ReadAt(p, off) }
 
 func (h *faultHandle) Write(p []byte) (int, error) {
 	if inject, apply, err := h.fs.step(); inject {

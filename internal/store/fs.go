@@ -47,12 +47,16 @@ type DirEnt struct {
 	Dir  bool
 }
 
-// File is the store's handle abstraction: sequential reads, appending
-// writes, fsync, close. The store never seeks or overwrites in place —
-// every on-disk structure is append-only or whole-file-replaced — so
-// the interface stays small enough to fault-inject exhaustively.
+// File is the store's handle abstraction: sequential and positioned
+// reads, appending writes, fsync, close. The store never seeks or
+// overwrites in place — every on-disk structure is append-only or
+// whole-file-replaced — so the interface stays small enough to
+// fault-inject exhaustively. A handle keeps reading its file after the
+// name is removed (POSIX unlink semantics): retention relies on that to
+// leave a dropped segment readable to the versions that still hold it.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	Sync() error

@@ -12,8 +12,8 @@ import (
 )
 
 // FuzzSegmentSection feeds raw bytes to decodeSection, the one decoder
-// behind every read of a segment file's column data (per fault out of
-// core, per column at a resident Open): whatever the bytes, the column
+// behind every read of a segment file's column data (once per fault):
+// whatever the bytes, the column
 // type, the chunk kind asked for and the dictionary high-water, it
 // returns an error or a whole chunk — never a panic, never a dictionary
 // code at or past the high-water, never a slice of the wrong length.

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/engine"
@@ -11,27 +13,59 @@ import (
 
 // The one reader of segment files. Open validates every file's envelope
 // with openSegMeta (header, zone block, footer — a handful of small
-// reads) and then either decodes all of it at once (loadChunks: the
-// resident open, MaxResidentBytes == 0, which also verifies the
-// whole-file checksum) or attaches the segment faultable and lets
-// tableLoader decode sections on demand into the shared buffer pool,
-// their checksums verified at fault time. Both run the same section
-// check (checkSection) and the same section decoder (decodeSection), so
-// a file reads the same either way; corruption quarantines the file
-// whenever it is found.
+// reads) and attaches the segment faultable behind its segLoader, which
+// then reads, checks (checkSection) and decodes (decodeSection) one
+// column section per fault into the shared buffer pool. Corruption
+// quarantines the file whenever it is found: at Open for the envelope,
+// at the first read for a section. Retention unlinks a file only after
+// handing its segment a read handle (segMeta.retire), so a table version
+// from before the retention pass reads on until it is dropped.
 
 // segMeta is everything needed to serve one sealed segment file without
 // re-reading its header: the per-column section layout (computed from
 // the schema, cross-checked against the zone block) and the decoded
-// zone maps. Immutable after openSegMeta.
+// zone maps, immutable after openSegMeta; plus the handle retire opens.
 type segMeta struct {
-	path     string
-	segIdx   int
-	fileSize int
-	secOff   []int64 // absolute offset of each column's u32 length prefix
-	secLen   []int   // section payload bytes (excluding prefix and CRC)
-	dictHW   []uint32
-	zones    []engine.ZoneInfo // nil when the zone block is damaged
+	path   string
+	segIdx int
+	secOff []int64 // absolute offset of each column's u32 length prefix
+	secLen []int   // section payload bytes (excluding prefix and CRC)
+	dictHW []uint32
+	zones  []engine.ZoneInfo // nil when the zone block is damaged
+
+	mu   sync.Mutex
+	held File // nil while the file is live under path
+	bad  bool // quarantined at fault time
+}
+
+// retire opens the read handle stale readers fault through once
+// retention unlinks the file; call it before the unlink, while a version
+// holding the segment is reachable (so drop has not run). Best effort:
+// without a handle a stale read fails like any I/O error.
+func (m *segMeta) retire(fs FS) {
+	if f, err := fs.Open(m.path); err == nil {
+		m.mu.Lock()
+		m.held = f
+		m.mu.Unlock()
+	}
+}
+
+// handle returns the retired file's read handle, nil while it is live.
+func (m *segMeta) handle() File {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.held
+}
+
+// drop closes the retired handle, if any — the cleanup of the segment's
+// segLoader, run once no table version holds the segment.
+func (m *segMeta) drop() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.held != nil {
+		_ = m.held.Close()
+		m.held = nil
+	}
 }
 
 // maxSegHeaderLen bounds the header allocation before trusting the
@@ -109,7 +143,6 @@ func openSegMeta(fs FS, path string, schema engine.Schema, segBits uint, wantIdx
 	}
 
 	secBase, fileSize := segLayout(headerLen, schema, segBits)
-	m.fileSize = fileSize
 	off := int64(secBase)
 	for c, col := range schema {
 		m.secOff[c] = off
@@ -185,10 +218,9 @@ func checkSection(buf []byte, secLen int) ([]byte, error) {
 // decodeSection decodes one checked column section into the typed chunk
 // of the given kind: float values (NaN at NULL) + NULL words, dictionary
 // codes (-1 at NULL, every other one below dictHW), or exact int64
-// cells. It is the only decoder of column data — run per fault out of
-// core, for every column at a resident Open — and trusts nothing about
-// its input: wrong-sized or out-of-range bytes are an error, never a
-// panic.
+// cells. It is the only decoder of column data — run once per fault —
+// and trusts nothing about its input: wrong-sized or out-of-range bytes
+// are an error, never a panic.
 func decodeSection(section []byte, typ engine.Type, segBits uint, kind chunkKind, dictHW uint32) (engine.Chunk, error) {
 	segRows := 1 << segBits
 	if kind > chunkInt || (kind == chunkCodes) != (typ == engine.TString) || len(section) != sectionBytes(typ, segBits) {
@@ -234,88 +266,86 @@ func decodeSection(section []byte, typ engine.Type, segBits uint, kind chunkKind
 	return ch, nil
 }
 
-// loadChunks is the resident half of Open: it reads m's whole file,
-// verifies the whole-file checksum on top of what openSegMeta checked,
-// and decodes every column section into the chunk the engine will hold
-// (an int-like column's exact cells only where its floats have rounded).
-func loadChunks(fs FS, m *segMeta, schema engine.Schema, segBits uint) ([]engine.Chunk, error) {
-	data, err := readFileAll(fs, m.path)
-	if err != nil {
-		return nil, err
-	}
-	crcEnd := m.fileSize - len(segEndMagic) - 4
-	if len(data) != m.fileSize || crc(data[:crcEnd]) != binary.LittleEndian.Uint32(data[crcEnd:]) {
-		return nil, fmt.Errorf("file checksum mismatch")
-	}
-	chunks := make([]engine.Chunk, len(schema))
-	for c, col := range schema {
-		kind := chunkFloat
-		if col.Type == engine.TString {
-			kind = chunkCodes
-		}
-		section, err := checkSection(data[m.secOff[c]:m.secOff[c]+int64(4+m.secLen[c]+4)], m.secLen[c])
-		if err == nil {
-			chunks[c], err = decodeSection(section, col.Type, segBits, kind, m.dictHW[c])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", col.Name, err)
-		}
-		if kind == chunkFloat && col.Type != engine.TFloat && engine.RoundedInts(chunks[c].Vals, chunks[c].Null) {
-			exact, _ := decodeSection(section, col.Type, segBits, chunkInt, 0) // same section: cannot fail now
-			chunks[c].Ints = exact.Ints
-		}
-	}
-	return chunks, nil
-}
-
-// tableLoader serves one table's chunk faults: it implements
-// engine.ChunkLoader over the segment files indexed by metas, caching
-// decoded chunks in the DB-wide buffer pool.
+// tableLoader is one table's fault-time state, shared by its
+// segLoaders: the DB-wide buffer pool decoded chunks are cached in, the
+// segment files still live (metas), and the fault-time quarantine
+// record.
 //
 // It deliberately holds NO reference to the tableStore and takes no
 // table lock: faults happen under the engine's view lock (which
 // RetainCtx acquires while holding the table lock), so touching the
-// table lock here would deadlock. The only mutable state — the
-// fault-time quarantine record — has its own leaf mutex.
+// table lock here would deadlock. The quarantine record has its own
+// leaf mutex; metas changes only under the table lock (Open, RetainCtx)
+// and is never read on the fault path.
 type tableLoader struct {
 	pool    *bufferPool
 	fs      FS
 	name    string
 	schema  engine.Schema
 	segBits uint
-	metas   map[int]*segMeta // by stream segment index; immutable after Open
+	metas   map[int]*segMeta // live segment files by stream segment index
 	logf    func(string, ...any)
 
-	mu             sync.Mutex
-	quarantined    []string
-	quarantinedSet map[int]bool
+	mu          sync.Mutex
+	quarantined []string
 }
 
-var _ engine.ChunkLoader = (*tableLoader)(nil)
+// newLoader builds table name's loader, faulting through the store's
+// pool; it serves no segment until Open attaches one (segment).
+func (s *DB) newLoader(name string, schema engine.Schema, segBits uint) *tableLoader {
+	return &tableLoader{
+		pool:    s.pool,
+		fs:      s.fs,
+		name:    name,
+		schema:  schema,
+		segBits: segBits,
+		metas:   make(map[int]*segMeta),
+		logf:    s.opts.Logf,
+	}
+}
+
+// segment registers the segment file m and returns its
+// engine.ChunkLoader, to attach it with. The engine segment holds the
+// only lasting reference to that loader, so once no table version holds
+// the segment it is collected and m's retired handle closed.
+func (l *tableLoader) segment(m *segMeta) engine.ChunkLoader {
+	l.metas[m.segIdx] = m
+	sl := &segLoader{l: l, m: m}
+	runtime.AddCleanup(sl, (*segMeta).drop, m)
+	return sl
+}
+
+// retireBelow prepares the live segment files below stream segment
+// firstKept for retention's unlink: each gets its read handle and
+// leaves metas. Caller holds the table lock.
+func (l *tableLoader) retireBelow(firstKept int) {
+	for idx, m := range l.metas {
+		if idx < firstKept {
+			m.retire(l.fs)
+			delete(l.metas, idx)
+		}
+	}
+}
 
 // quarantine renames a segment file whose section failed verification
 // at fault time — same containment as recovery-time quarantine — and
-// returns the error to surface to the faulting query.
+// returns the error to surface to the faulting query, wrapping
+// ErrQuarantined.
 func (l *tableLoader) quarantine(m *segMeta, why string) error {
-	l.mu.Lock()
-	first := !l.quarantinedSet[m.segIdx]
+	m.mu.Lock()
+	first := !m.bad
+	m.bad = true
+	m.mu.Unlock()
 	if first {
-		if l.quarantinedSet == nil {
-			l.quarantinedSet = make(map[int]bool)
-		}
-		l.quarantinedSet[m.segIdx] = true
+		l.mu.Lock()
 		l.quarantined = append(l.quarantined, fmt.Sprintf("%s: %s", m.path, why))
-	}
-	l.mu.Unlock()
-	if first {
+		l.mu.Unlock()
 		if err := l.fs.Rename(m.path, m.path+".quarantined"); err == nil {
 			_ = l.fs.SyncDir(dirOf(m.path))
 		}
-		if l.logf != nil {
-			l.logf("store: %s: quarantined at fault time: %s", m.path, why)
-		}
+		l.logf("store: %s: quarantined at fault time: %s", m.path, why)
 	}
-	return fmt.Errorf("store: %s: %s", m.path, why)
+	return fmt.Errorf("store: %s: %s: %w", m.path, why, ErrQuarantined)
 }
 
 // quarantineRecords returns the fault-time quarantine log, merged into
@@ -326,57 +356,78 @@ func (l *tableLoader) quarantineRecords() []string {
 	return append([]string(nil), l.quarantined...)
 }
 
-// pin faults column col's chunk of the given kind in stream segment seg
-// through the pool: read the section, check it, decode it. Corruption
-// quarantines the segment file (rename + record, once) and returns the
-// error; plain I/O failures — including a file unlinked by retention
-// under a stale reader — do not.
-func (l *tableLoader) pin(seg, col int, kind chunkKind) (engine.Chunk, func(), bool, error) {
-	m := l.metas[seg]
-	if m == nil {
-		return engine.Chunk{}, nil, false, fmt.Errorf("store: %s: no segment file for stream segment %d", l.name, seg)
+// load reads column col's section of m through read, checks it and
+// decodes the chunk of the given kind. Corruption quarantines the
+// segment file (rename + record, once); plain I/O failures do not.
+func (l *tableLoader) load(m *segMeta, read func(p []byte, off int64) (int, error), col int, kind chunkKind) (engine.Chunk, error) {
+	buf := make([]byte, 4+m.secLen[col]+4)
+	if _, err := read(buf, m.secOff[col]); err != nil {
+		return engine.Chunk{}, fmt.Errorf("read section: %w", err)
 	}
-	e, release, missed, err := l.pool.acquire(chunkKey{table: l.name, seg: seg, col: col, kind: kind}, func(e *poolEntry) (int64, error) {
-		buf := make([]byte, 4+m.secLen[col]+4)
-		if _, err := l.fs.ReadAt(m.path, m.secOff[col], buf); err != nil {
-			return 0, fmt.Errorf("read section: %w", err)
-		}
-		section, err := checkSection(buf, m.secLen[col])
-		if err == nil {
-			e.chunk, err = decodeSection(section, l.schema[col].Type, l.segBits, kind, m.dictHW[col])
-		}
-		if err != nil {
-			return 0, l.quarantine(m, fmt.Sprintf("column %d %v", col, err))
-		}
-		return int64(e.chunk.Bytes()), nil
+	section, err := checkSection(buf, m.secLen[col])
+	var ch engine.Chunk
+	if err == nil {
+		ch, err = decodeSection(section, l.schema[col].Type, l.segBits, kind, m.dictHW[col])
+	}
+	if err != nil {
+		return engine.Chunk{}, l.quarantine(m, fmt.Sprintf("column %d %v", col, err))
+	}
+	return ch, nil
+}
+
+// segLoader serves one recovered segment's chunk faults: it implements
+// engine.ChunkLoader over the segment file m. A live file is read by
+// path and its chunks cached in the buffer pool; a retired one (its
+// file unlinked by retention, its pool entries dropped) is read through
+// its handle, uncached, for the stale versions still reading it.
+type segLoader struct {
+	l *tableLoader
+	m *segMeta
+}
+
+var _ engine.ChunkLoader = (*segLoader)(nil)
+
+// pin faults column col's chunk of the given kind.
+func (sl *segLoader) pin(col int, kind chunkKind) (engine.Chunk, func(), bool, error) {
+	l, m := sl.l, sl.m
+	if h := m.handle(); h != nil {
+		ch, err := l.load(m, h.ReadAt, col, kind)
+		return ch, func() {}, true, err
+	}
+	e, release, missed, err := l.pool.acquire(chunkKey{table: l.name, seg: m.segIdx, col: col, kind: kind}, func(e *poolEntry) (int64, error) {
+		var err error
+		e.chunk, err = l.load(m, func(p []byte, off int64) (int, error) { return l.fs.ReadAt(m.path, off, p) }, col, kind)
+		return int64(e.chunk.Bytes()), err
 	})
 	if err != nil {
+		if !errors.Is(err, ErrQuarantined) && m.handle() != nil {
+			return sl.pin(col, kind) // retention unlinked the file mid-read
+		}
 		return engine.Chunk{}, nil, missed, err
 	}
 	return e.chunk, release, missed, nil
 }
 
 // PinFloat implements engine.ChunkLoader: the float64 decode (NaN at
-// NULL positions) plus NULL bitmap words of numeric column col in
-// stream segment seg.
-func (l *tableLoader) PinFloat(seg, col int) ([]float64, []uint64, func(), bool, error) {
-	ch, release, missed, err := l.pin(seg, col, chunkFloat)
+// NULL positions) plus NULL bitmap words of numeric column col.
+func (sl *segLoader) PinFloat(_, col int) ([]float64, []uint64, func(), bool, error) {
+	ch, release, missed, err := sl.pin(col, chunkFloat)
 	return ch.Vals, ch.Null, release, missed, err
 }
 
 // PinCodes implements engine.ChunkLoader: the i32 dictionary codes
-// (-1 = NULL) of string column col in stream segment seg, served
-// directly from the on-disk code section (the engine dictionary was
-// preloaded from the store dictionary, so the code spaces coincide).
-func (l *tableLoader) PinCodes(seg, col int) ([]int32, func(), bool, error) {
-	ch, release, missed, err := l.pin(seg, col, chunkCodes)
+// (-1 = NULL) of string column col, served directly from the on-disk
+// code section (the engine dictionary was preloaded from the store
+// dictionary, so the code spaces coincide).
+func (sl *segLoader) PinCodes(_, col int) ([]int32, func(), bool, error) {
+	ch, release, missed, err := sl.pin(col, chunkCodes)
 	return ch.Codes, release, missed, err
 }
 
 // PinInt implements engine.ChunkLoader: the exact int64 cells of
-// int-like column col in stream segment seg (0 at NULL positions) — the
-// 8-byte arm behind per-cell boxing of values past float64's 2^53.
-func (l *tableLoader) PinInt(seg, col int) ([]int64, func(), bool, error) {
-	ch, release, missed, err := l.pin(seg, col, chunkInt)
+// int-like column col (0 at NULL positions) — the 8-byte arm behind
+// per-cell boxing of values past float64's 2^53.
+func (sl *segLoader) PinInt(_, col int) ([]int64, func(), bool, error) {
+	ch, release, missed, err := sl.pin(col, chunkInt)
 	return ch.Ints, release, missed, err
 }

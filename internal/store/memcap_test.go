@@ -119,19 +119,22 @@ func TestOutOfCoreBoundedHeap(t *testing.T) {
 		growth, decodedBytes, cacheBytes, *stats.Pool))
 }
 
-// TestResidentOpenHeapPerCell is the resident half of the memory guard:
-// a store of three 64Ki-row segments opened with MaxResidentBytes == 0
-// holds every sealed cell as a typed chunk — 8 bytes and a NULL bit for
-// a number, a 4-byte code for a string — so the heap it keeps after Open
-// and a GC is a few bytes a cell, where a boxed engine.Value is 40. The
-// memcap CI job runs it under GOMEMLIMIT with the rest of the package.
+// TestResidentOpenHeapPerCell is the uncapped-pool half of the memory
+// guard: a store of three 64Ki-row segments opened with the default
+// options (MaxResidentBytes == 0, no cap) costs O(segments) at Open —
+// under a byte of heap a sealed cell after a GC, so a regression to
+// eager decode fails here — and once every column has been read, the
+// pool holds each sealed cell as a typed chunk (8 bytes and a NULL bit
+// for a number, a 4-byte code for a string): a few bytes a cell, where a
+// boxed engine.Value is 40. The memcap CI job runs it under GOMEMLIMIT
+// with the rest of the package.
 func TestResidentOpenHeapPerCell(t *testing.T) {
 	dir := t.TempDir()
 	quiet := func(string, ...any) {}
 	const nrows = 3<<engine.DefaultSegmentBits + 1000
 	schema := engine.NewSchema("k", engine.TInt, "v", engine.TFloat, "w", engine.TFloat, "s", engine.TString)
 
-	st, err := Open(dir, Options{DisableWAL: true, Logf: quiet})
+	st, err := Open(dir, Options{Logf: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +177,35 @@ func TestResidentOpenHeapPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sealed, _ := tbl.NumSegments(); sealed != 3 || tbl.SegmentFaultable(0) {
-		t.Fatalf("%d sealed segments, faultable %v: not the resident open of the fixture", sealed, tbl.SegmentFaultable(0))
+	sealed, _ := tbl.NumSegments()
+	if sealed != 3 || !tbl.SegmentFaultable(0) || tbl.NumRows() != nrows {
+		t.Fatalf("%d sealed segments (faultable %v), %d rows: not the reopened fixture", sealed, tbl.SegmentFaultable(0), tbl.NumRows())
 	}
-	cells := int64(3<<engine.DefaultSegmentBits) * int64(len(schema))
-	perCell := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(cells)
-	if _, held := tbl.MemStats(); perCell > 12 || float64(held)/float64(cells) > 12 {
-		t.Fatalf("resident open keeps %.1f heap bytes a cell (MemStats: %.1f), want at most 12", perCell, float64(held)/float64(cells))
+	sealedCells := float64(sealed<<engine.DefaultSegmentBits) * float64(len(schema))
+	openPerCell := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / sealedCells
+	if openPerCell >= 1 {
+		t.Fatalf("Open keeps %.2f heap bytes a sealed cell, want under 1: it decoded sections", openPerCell)
 	}
-	t.Logf("resident open: %.2f heap bytes a sealed cell", perCell)
+
+	for c := range schema {
+		r := tbl.NewColReader(c)
+		for k := 0; k < sealed; k++ {
+			if schema[c].Type == engine.TString {
+				r.Codes(k)
+			} else {
+				r.Floats(k)
+			}
+		}
+		r.Close()
+	}
+	cells := float64(tbl.NumRows() * len(schema))
+	_, held := tbl.MemStats()
+	pool := st.Stats().Pool
+	if perCell := float64(pool.UsedBytes+int64(held)) / cells; perCell > 12 {
+		t.Fatalf("every column read: pool %d + table %d bytes is %.1f a cell, want at most 12", pool.UsedBytes, held, perCell)
+	}
+	t.Logf("Open: %.3f heap bytes a sealed cell; every column read: pool %d + table %d bytes for %.0f cells",
+		openPerCell, pool.UsedBytes, held, cells)
 }
 
 // TestAppendedTailHeapPerCell is the tail's twin of the guard above: the

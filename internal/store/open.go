@@ -14,9 +14,12 @@ import (
 //
 //   - Stray *.tmp files (interrupted atomic writes) are removed.
 //   - A torn WAL tail is truncated at the last whole record.
-//   - A segment file that fails any of its checksums is QUARANTINED —
-//     renamed to <name>.quarantined, logged, and counted in Stats —
-//     never silently served and never deleted.
+//   - A segment file whose envelope (header, layout, footer) fails its
+//     checks is QUARANTINED — renamed to <name>.quarantined, logged, and
+//     counted in Stats — never silently served and never deleted. Every
+//     recovered segment is attached faultable through the one buffer
+//     pool: its column sections are checked on first read, and a bad one
+//     quarantines the file then (see doc.go, "Recovery and serving").
 //   - The table is served from the longest recoverable SUFFIX of the
 //     stream: the newest contiguous run of segments (from files, or
 //     from the WAL when the crash hit between segment write and WAL
@@ -39,9 +42,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		eng:     engine.NewDB(),
 		tables:  make(map[string]*tableStore),
 		skipped: make(map[string]string),
-	}
-	if opts.MaxResidentBytes > 0 {
-		s.pool = newBufferPool(opts.MaxResidentBytes)
+		pool:    newBufferPool(opts.MaxResidentBytes),
 	}
 	if err := s.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -129,15 +130,11 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	// Dictionary.
 	dict, dictLen := s.recoverDict(name, dir, &quarantin)
 
-	// Validate segment files; quarantine failures. Every file's envelope
-	// (header, zone block, footer) is checked via openSegMeta. A resident
-	// open then decodes the file end to end into the chunks its segment
-	// will hold, verifying every checksum before the table is served;
-	// out of core the sections wait for their first fault — this is what
-	// makes that Open O(segment count), not O(data).
-	outOfCore := s.opts.MaxResidentBytes > 0
+	// Validate segment files; quarantine failures. Only each file's
+	// envelope (header, zone block, footer) is checked here, via
+	// openSegMeta; the column sections wait for their first fault, which
+	// checks them — this is what makes Open O(segment count), not O(data).
 	metas := map[int]*segMeta{}
-	chunks := map[int][]engine.Chunk{} // resident open only; empty out of core
 	idxs := make([]int, 0, len(segFiles))
 	for idx := range segFiles {
 		idxs = append(idxs, idx)
@@ -146,9 +143,6 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	for _, idx := range idxs {
 		fname := segFileName(idx)
 		meta, err := openSegMeta(s.fs, join(dir, fname), schema, segBits, idx, dict, s.opts.Logf)
-		if err == nil && !outOfCore {
-			chunks[idx], err = loadChunks(s.fs, meta, schema, segBits)
-		}
 		if err != nil {
 			s.opts.Logf("store: %s: quarantining segment %d: %v", name, idx, err)
 			_ = s.fs.Rename(join(dir, fname), join(dir, fname+".quarantined"))
@@ -167,7 +161,8 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 	// a valid file, or full containment in the WAL's row range. The
 	// WAL's partial last segment is the tail — unless a segment file
 	// at or above it exists, in which case the WAL is a stale leftover
-	// (DisableWAL runs) and the files win.
+	// (of earlier builds, which could run without a WAL) and the files
+	// win.
 	covered := func(idx int) bool {
 		return metas[idx] != nil || (ws <= idx<<segBits && (idx+1)<<segBits <= we)
 	}
@@ -189,8 +184,8 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 		// The WAL's partial last segment extends past every sealed
 		// segment: serve it as the tail, with the sealed run required
 		// to reach it contiguously. (When a segment file at or above
-		// it exists instead, the WAL is a stale leftover of a
-		// DisableWAL run and the files win.)
+		// it exists instead, the WAL is a stale leftover and the files
+		// win.)
 		e = we>>segBits - 1
 		tailLo, tailHi = wal.window(we>>segBits<<segBits, we)
 	}
@@ -225,26 +220,12 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 			return nil, nil, fmt.Errorf("preloading dictionary: %w", err)
 		}
 	}
-	var loader *tableLoader
-	if outOfCore {
-		loader = &tableLoader{
-			pool:    s.pool,
-			fs:      s.fs,
-			name:    strings.ToLower(name),
-			schema:  schema,
-			segBits: segBits,
-			metas:   metas,
-			logf:    s.opts.Logf,
-		}
-	}
+	loader := s.newLoader(strings.ToLower(name), schema, segBits)
 	nextSeg := serveBase >> segBits
 	filePrefix := true
 	for idx := serveBase >> segBits; idx <= e; idx++ {
 		if meta := metas[idx]; meta != nil {
-			// One attach for both modes: the segment holds the chunks a
-			// resident open decoded (loader is nil then, and ignored), or
-			// pins them through the loader.
-			if t, err = t.AttachSegment(chunks[idx], loader, meta.zones); err != nil {
+			if t, err = t.AttachSegment(loader.segment(meta), meta.zones); err != nil {
 				return nil, nil, fmt.Errorf("attaching segment %d: %w", idx, err)
 			}
 			if filePrefix {
@@ -304,12 +285,10 @@ func (s *DB) recoverTable(name string) (*tableStore, *engine.Table, error) {
 		_ = ts.dictF.Close()
 		return nil, nil, fmt.Errorf("completing interrupted seal: %w", err)
 	}
-	if !s.opts.DisableWAL {
-		ns, tr := t.NumSegments()
-		if err := s.rewriteWALLocked(ts, t, ns, tr); err != nil {
-			_ = ts.dictF.Close()
-			return nil, nil, fmt.Errorf("resetting wal: %w", err)
-		}
+	ns, tr := t.NumSegments()
+	if err := s.rewriteWALLocked(ts, t, ns, tr); err != nil {
+		_ = ts.dictF.Close()
+		return nil, nil, fmt.Errorf("resetting wal: %w", err)
 	}
 	return ts, t, nil
 }

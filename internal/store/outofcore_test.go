@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datasets"
 	"repro/internal/engine"
@@ -48,11 +50,11 @@ func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Val
 	return oracle
 }
 
-// TestOutOfCoreDifferential reopens the same directory out-of-core
-// (with a pool far smaller than the data, forcing eviction thrash) and
-// resident, and requires both to read bit-identically to the
-// acknowledged rows — not to each other: they share their decoders —
-// across post-open appends, and a quiesced pool.
+// TestOutOfCoreDifferential reopens the same directory with a pool far
+// smaller than the data (forcing eviction thrash) and with no cap, and
+// requires both to read bit-identically to the acknowledged rows — not
+// to each other: they share their decoders — across post-open appends,
+// and a quiesced pool.
 func TestOutOfCoreDifferential(t *testing.T) {
 	fs := NewMemFS()
 	rng := rand.New(rand.NewSource(42))
@@ -145,8 +147,9 @@ func TestOutOfCoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The appends above spilled new segments; a fresh resident open and a
-	// fresh lazy one must both serve exactly what was acknowledged.
+	// The appends above spilled new segments; a fresh uncapped open and a
+	// fresh capped one both attach every segment faultable and must both
+	// serve exactly what was acknowledged.
 	for _, cache := range []int64{0, 4096} {
 		re, err := Open("d", outOfCoreOpts(fs, cache))
 		if err != nil {
@@ -156,7 +159,7 @@ func TestOutOfCoreDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Base() != 0 || rt.Version() != len(oracle) || rt.SegmentFaultable(0) != (cache > 0) {
+		if rt.Base() != 0 || rt.Version() != len(oracle) || !rt.SegmentFaultable(0) {
 			t.Fatalf("cache=%d: reopened window (%d,%d), faultable %v; %d rows acknowledged",
 				cache, rt.Base(), rt.Version(), rt.SegmentFaultable(0), len(oracle))
 		}
@@ -250,6 +253,94 @@ func TestOutOfCoreRetention(t *testing.T) {
 	}
 	requireRowsMatch(t, rt, oracle)
 	_ = re.Close()
+}
+
+// TestRetentionKeepsStaleVersionsReadable reads a table version from
+// before a retention pass, during and after the pass that unlinked its
+// recovered segment files. It must read every row it did before —
+// through the handles retention left behind, without caching the
+// dropped segments' chunks again — and once no version holds the
+// dropped segments, the handles close.
+func TestRetentionKeepsStaleVersionsReadable(t *testing.T) {
+	for _, cache := range []int64{0, 4096} {
+		fs := NewMemFS()
+		oracle := buildStream(t, fs, rand.New(rand.NewSource(11)), 10)
+		st, err := Open("d", outOfCoreOpts(fs, cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := st.Eng().Table("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var metas []*segMeta
+		for _, m := range st.tables["p"].loader.metas {
+			metas = append(metas, m)
+		}
+		// A scan in flight across the pass completes too.
+		inflight := make(chan error, 1)
+		go func() {
+			var err error
+			defer func() { inflight <- err }()
+			defer engine.CatchSegmentLoad(&err)
+			for pass := 0; pass < 20; pass++ {
+				fr := old.NewColReader(2)
+				for r := 0; r < old.NumRows(); r++ {
+					fr.Float(r)
+				}
+				fr.Close()
+			}
+		}()
+		nt, stats, err := st.Retain("p", engine.RetentionPolicy{MaxRows: 3 << engine.MinSegmentBits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-inflight; err != nil {
+			t.Fatalf("cache=%d: scan in flight across retention: %v", cache, err)
+		}
+		if stats.DroppedSegments == 0 {
+			t.Fatalf("cache=%d: retention dropped nothing", cache)
+		}
+		first := nt.Base() >> engine.MinSegmentBits
+		var retired []*segMeta
+		for _, m := range metas {
+			if _, err := fs.FileSize(m.path); (err != nil) != (m.segIdx < first) || (m.handle() != nil) != (m.segIdx < first) {
+				t.Fatalf("cache=%d: segment %d (first kept %d): file error %v, handle %v", cache, m.segIdx, first, err, m.handle() != nil)
+			}
+			if m.segIdx < first {
+				retired = append(retired, m)
+			}
+		}
+
+		requireRowsMatch(t, old, oracle)
+		requireRowsMatch(t, nt, oracle)
+		st.pool.mu.Lock()
+		for key := range st.pool.entries {
+			if key.seg < first {
+				t.Errorf("cache=%d: pool caches dropped segment %d's chunk %+v", cache, key.seg, key)
+			}
+		}
+		st.pool.mu.Unlock()
+
+		old, nt = nil, nil
+		for tries := 0; ; tries++ {
+			runtime.GC()
+			open := 0
+			for _, m := range retired {
+				if m.handle() != nil {
+					open++
+				}
+			}
+			if open == 0 {
+				break
+			}
+			if tries == 100 {
+				t.Fatalf("cache=%d: %d retired handles still open after every version holding them went", cache, open)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		_ = st.Close()
+	}
 }
 
 // segHeaderLen reads the header length field of a segment file image.

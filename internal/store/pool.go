@@ -6,11 +6,12 @@ import (
 	"repro/internal/engine"
 )
 
-// bufferPool is the out-of-core chunk cache: a byte-budgeted,
-// single-flight, pin-counted LRU over decoded segment-column chunks.
-// It is the ONLY place faulted chunks are cached — segments never hold
-// them — so MaxResidentBytes genuinely bounds what the store keeps
-// resident (pinned chunks excepted: a pin is a promise to the scanner
+// bufferPool is the chunk cache of every recovered segment: a
+// byte-budgeted (or, with max 0, unbounded), single-flight, pin-counted
+// LRU over decoded segment-column chunks. It is the ONLY place faulted
+// chunks are cached — segments never hold them — so MaxResidentBytes
+// genuinely bounds what the store keeps of them resident (pinned
+// chunks excepted: a pin is a promise to the scanner
 // that the slices stay accounted until released, so the pool may
 // transiently exceed its budget while pins are out).
 //

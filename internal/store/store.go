@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -41,24 +42,23 @@ var ErrFailStopped = errors.New("fail-stopped")
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("store: closed")
 
+// ErrQuarantined marks a chunk fault that found a segment file damaged
+// and quarantined it: the rows it held are unreadable until an operator
+// intervenes, and retrying will not help. Any other fault error is a
+// plain I/O failure on an undamaged file.
+var ErrQuarantined = errors.New("segment quarantined")
+
 // Options configures a store.
 type Options struct {
 	// SyncEvery is the number of appended batches between WAL fsyncs.
 	// 0 or 1 syncs every batch (acknowledged ⇒ durable); larger values
 	// trade the durability window for ingest throughput.
 	SyncEvery int
-	// DisableWAL turns the tail WAL off entirely: only sealed segments
-	// are durable, and a crash loses the in-memory tail. For bulk loads
-	// that re-drive from source on failure.
-	DisableWAL bool
-	// MaxResidentBytes, when > 0, switches Open to OUT-OF-CORE serving:
-	// instead of decoding every segment file into memory, recovery
-	// validates only headers and zone maps, attaches segments as
-	// faultable, and serves chunk reads through a store-wide buffer
-	// pool bounded to (about) this many bytes of decoded chunks.
-	// 0 (the default) keeps the fully resident behavior: every segment
-	// file verified and decoded at Open into the typed chunks its
-	// segment holds, no pool, no faulting.
+	// MaxResidentBytes caps the store-wide buffer pool that serves every
+	// recovered segment's chunk reads: about this many bytes of decoded
+	// chunks stay cached, least recently used evicted first. 0 (the
+	// default) means no cap — a chunk once read stays cached. Segments
+	// sealed in this process hold their own chunks and are not counted.
 	MaxResidentBytes int64
 	// Logf receives recovery and quarantine notices; defaults to
 	// log.Printf.
@@ -90,7 +90,7 @@ type DB struct {
 	dir  string
 	opts Options
 	eng  *engine.DB
-	pool *bufferPool // non-nil iff MaxResidentBytes > 0 (out-of-core)
+	pool *bufferPool // caches every recovered segment's chunks, capped by MaxResidentBytes
 
 	mu      sync.Mutex
 	tables  map[string]*tableStore
@@ -111,7 +111,7 @@ type tableStore struct {
 	dict          *storeDict
 	dictPersisted map[int]int // per column: entries already in dict.log
 	dictF         File
-	walF          File // nil when DisableWAL
+	walF          File // nil only during recovery and after Close
 	walBatches    int  // batches appended since the last WAL fsync
 
 	nextSeg     int // stream segment index of the next segment to spill
@@ -120,9 +120,10 @@ type tableStore struct {
 	quarantined []string
 	gapSegments int // segments lost to quarantine at the last Open
 
-	// loader serves this table's chunk faults in out-of-core mode; nil
-	// for resident tables and tables created after Open. It is read
-	// WITHOUT ts.mu on the fault path (see tableLoader's doc).
+	// loader serves the chunk faults of every segment recovered at Open
+	// (none for a table created after Open: segments sealed in this
+	// process hold their chunks). It is read WITHOUT ts.mu on the fault
+	// path (see tableLoader's doc).
 	loader *tableLoader
 }
 
@@ -181,15 +182,14 @@ func (s *DB) CreateTable(name string, schema engine.Schema, segBits uint) error 
 		segBits:       segBits,
 		dict:          newStoreDict(),
 		dictPersisted: make(map[int]int),
+		loader:        s.newLoader(key, schema, segBits),
 	}
 	if ts.dictF, err = createLogFile(s.fs, join(dir, dictFileName), dictMagic); err != nil {
 		return err
 	}
-	if !s.opts.DisableWAL {
-		if ts.walF, err = createLogFile(s.fs, join(dir, walFileName), walMagic); err != nil {
-			_ = ts.dictF.Close()
-			return err
-		}
+	if ts.walF, err = createLogFile(s.fs, join(dir, walFileName), walMagic); err != nil {
+		_ = ts.dictF.Close()
+		return err
 	}
 	if err := s.fs.SyncDir(dir); err != nil {
 		return err
@@ -314,7 +314,7 @@ func (s *DB) spillLocked(ts *tableStore, nt *engine.Table) error {
 	spilled := false
 	for idx := ts.nextSeg; idx < end; idx++ {
 		if nt.SegmentFaultable(idx - first) {
-			// Out-of-core recovery attached this segment from its (valid,
+			// Recovery attached this segment from its (valid,
 			// durable) file behind a WAL-covered gap; nothing to rewrite.
 			ts.nextSeg = idx + 1
 			continue
@@ -447,6 +447,11 @@ func (s *DB) RetainCtx(ctx context.Context, name string, pol engine.RetentionPol
 	if err := ctx.Err(); err != nil {
 		return nil, engine.RetainStats{}, fmt.Errorf("store: retain %s: %w", ts.name, err)
 	}
+	old, err := s.eng.Table(name) // keeps the dropped segments reachable until retired
+	if err != nil {
+		return nil, engine.RetainStats{}, err
+	}
+	defer runtime.KeepAlive(old)
 	nt, stats, err := s.eng.Retain(name, pol)
 	if err != nil {
 		return nil, stats, err
@@ -464,6 +469,9 @@ func (s *DB) RetainCtx(ctx context.Context, name string, pol engine.RetentionPol
 		return nil, stats, ts.fail(fmt.Errorf("manifest: %w", err))
 	}
 	ts.base = nt.Base()
+	// Versions from before this pass may still read the dropped
+	// segments: each recovered one gets a read handle before its file goes.
+	ts.loader.retireBelow(newFirst)
 	for idx := oldFirst; idx < newFirst; idx++ {
 		// The files may legitimately be absent (segment was never
 		// spilled before being retained, or a previous crash already
@@ -476,12 +484,11 @@ func (s *DB) RetainCtx(ctx context.Context, name string, pol engine.RetentionPol
 	if err := s.fs.SyncDir(ts.dir); err != nil {
 		return nil, stats, ts.fail(fmt.Errorf("retention dir fsync: %w", err))
 	}
-	if ts.loader != nil {
-		// Drop the retained segments' cached chunks. Pinned entries are
-		// doomed, not freed — scans running on a pre-retention version
-		// keep their slices until they release.
-		s.pool.invalidateBelow(ts.name, newFirst)
-	}
+	// Drop the retained segments' cached chunks. Pinned entries are
+	// doomed, not freed — scans running on a pre-retention version keep
+	// their slices until they release, and fault anything else through
+	// the retired handles, uncached.
+	s.pool.invalidateBelow(ts.name, newFirst)
 	return nt, stats, nil
 }
 
@@ -543,8 +550,8 @@ type Stats struct {
 	Dir     string                `json:"dir"`
 	Tables  map[string]TableStats `json:"tables"`
 	Skipped map[string]string     `json:"skipped,omitempty"`
-	// Pool is the buffer pool snapshot; present only in out-of-core
-	// mode (Options.MaxResidentBytes > 0).
+	// Pool is the buffer pool snapshot: the chunks of recovered
+	// segments, capped by Options.MaxResidentBytes (0: no cap).
 	Pool *PoolStats `json:"pool,omitempty"`
 }
 
@@ -571,29 +578,20 @@ func (s *DB) Stats() Stats {
 		if ts.failed != nil {
 			st.Failed = ts.failed.Error()
 		}
-		loader := ts.loader
 		ts.mu.Unlock()
-		if loader != nil {
-			// Fault-time quarantines live on the loader (it must not take
-			// ts.mu from the read path); merge them into the report.
-			st.Quarantined = append(st.Quarantined, loader.quarantineRecords()...)
-		}
+		// Fault-time quarantines live on the loader (it must not take
+		// ts.mu from the read path); merge them into the report.
+		st.Quarantined = append(st.Quarantined, ts.loader.quarantineRecords()...)
 		out.Tables[n] = st
 	}
-	if s.pool != nil {
-		ps := s.pool.stats()
-		out.Pool = &ps
-	}
+	ps := s.pool.stats()
+	out.Pool = &ps
 	return out
 }
 
 // PoolPinned returns the number of currently pinned buffer-pool
-// entries (0 when the store is resident) — the chaos harness's quiesce
-// invariant: after every scan has finished, nothing may still be
-// pinned.
+// entries — the chaos harness's quiesce invariant: after every scan has
+// finished, nothing may still be pinned.
 func (s *DB) PoolPinned() int {
-	if s.pool == nil {
-		return 0
-	}
 	return s.pool.pinnedCount()
 }

@@ -35,18 +35,33 @@ func valueEq(a, b engine.Value) bool {
 // bit-identical to the stream-indexed oracle rows.
 func requireRowsMatch(t *testing.T, tab *engine.Table, oracle [][]engine.Value) {
 	t.Helper()
+	if err := readRows(t, tab, oracle); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readRows reads every cell of tab through one RowReader, each checked
+// against the stream-indexed oracle rows — a cell that differs fails t
+// — and returns the chunk-load failure that stopped the read, if any.
+func readRows(t *testing.T, tab *engine.Table, oracle [][]engine.Value) (err error) {
+	t.Helper()
+	defer engine.CatchSegmentLoad(&err)
+	rr := tab.NewRowReader()
+	defer rr.Close()
+	row := make([]engine.Value, tab.NumCols())
 	for r := 0; r < tab.NumRows(); r++ {
 		id := tab.Base() + r
 		if id >= len(oracle) {
 			t.Fatalf("recovered stream row %d beyond oracle end %d", id, len(oracle))
 		}
-		for c := 0; c < tab.NumCols(); c++ {
-			got, want := tab.Value(r, c), oracle[id][c]
-			if !valueEq(got, want) {
+		rr.RowInto(r, row)
+		for c, got := range row {
+			if want := oracle[id][c]; !valueEq(got, want) {
 				t.Fatalf("stream row %d col %d: got %v want %v", id, c, got, want)
 			}
 		}
 	}
+	return nil
 }
 
 func TestStoreRoundtripOSFS(t *testing.T) {
@@ -161,47 +176,6 @@ func TestStoreRetentionDurable(t *testing.T) {
 	}
 	if tab.Base() != wantBase || tab.Version() != len(oracle) {
 		t.Fatalf("recovered base/version %d/%d, want %d/%d", tab.Base(), tab.Version(), wantBase, len(oracle))
-	}
-	requireRowsMatch(t, tab, oracle)
-}
-
-func TestStoreDisableWAL(t *testing.T) {
-	mem := NewMemFS()
-	opts := quietOpts(mem, 1)
-	opts.DisableWAL = true
-	st, err := Open("/db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CreateTable("p", testgen.Schema(), engine.MinSegmentBits); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	var oracle [][]engine.Value
-	for i := 0; i < 3; i++ {
-		batch := testgen.Batch(rng, 64) // seals exactly one segment each
-		if _, err := st.Append("p", batch); err != nil {
-			t.Fatal(err)
-		}
-		oracle = append(oracle, batch...)
-	}
-	if _, err := st.Append("p", testgen.Batch(rng, 10)); err != nil { // tail, volatile
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open("/db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	tab, err := st2.Eng().Table("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Version() != 192 {
-		t.Fatalf("DisableWAL recovery has %d rows, want the 192 sealed ones", tab.Version())
 	}
 	requireRowsMatch(t, tab, oracle)
 }
@@ -402,12 +376,20 @@ func TestEncodeSegmentRemapsCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadChunks(mem, meta, schema, engine.MinSegmentBits)
+	buf := make([]byte, 4+meta.secLen[0]+4)
+	if _, err := mem.ReadAt(meta.path, meta.secOff[0], buf); err != nil {
+		t.Fatal(err)
+	}
+	section, err := checkSection(buf, meta.secLen[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeSection(section, engine.TString, engine.MinSegmentBits, chunkCodes, meta.dictHW[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	values := dict.snapshot(0, dict.count(0))
-	for i, code := range back[0].Codes {
+	for i, code := range back.Codes {
 		if w := want[i]; w.IsNull() != (code < 0) || (code >= 0 && values[code] != w.S) {
 			t.Fatalf("row %d: store code %d, appended %v", i, code, w)
 		}

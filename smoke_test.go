@@ -72,7 +72,8 @@ func TestWindowQueryAllocSmoke(t *testing.T) {
 // allocation: the benchmark's `selective` and `grouped` statements over
 // a faultable 6-segment table, its working set of typed chunks resident
 // in the pool, allocate no more than twice what they allocate over the
-// same table fully resident. Before every production read went typed the
+// same table behind an uncapped pool, where every chunk stays cached
+// after the first run. Before every production read went typed the
 // ratios were 1 000× and 25× — boxGroupKeys and materialize decoded whole
 // segments into 40-byte Values to read one row per group, and the pool
 // holds a third of those — so a boxed decode cannot creep back
