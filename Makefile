@@ -24,9 +24,10 @@ short:
 quality:
 	$(GO) test -count=1 -run 'TestQualityTable' -v ./internal/core
 
-# Race-detector pass over the concurrent surfaces: the shard-parallel
-# executor, the copy-on-write append/serve path, and the server's
-# per-session state. CI runs this as its own job.
+# Race-detector pass over the concurrent surfaces: par's helpers (the
+# scan shards, tree learners, F build and ranker scoring they run), the
+# copy-on-write append/serve path, and the server's per-session state.
+# CI runs this as its own job.
 test-race:
 	$(GO) test -race -short ./...
 
@@ -112,14 +113,16 @@ fuzz-smoke:
 # key kernels must agree with the interpreter on every arm — and agg
 # (99%): every layer above adds, merges and removes through its one
 # contract. predicate (74%) and bitset (81%) ride it too: every WHERE
-# mask and every lineage set above is one of their bitmaps.
+# mask and every lineage set above is one of their bitmaps. par (95%)
+# too: every fan-out above runs on its helpers and its panic re-raise.
 cover:
 	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
 			"./internal/cleaner:92" "./internal/baseline:93" \
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
 			"./internal/expr:79" "./internal/agg:95" \
-			"./internal/predicate:70" "./internal/bitset:78"; do \
+			"./internal/predicate:70" "./internal/bitset:78" \
+			"./internal/par:95"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \
 		pct=$$($(GO) test -short -coverprofile=cover.out $$pkg | grep -o 'coverage: [0-9.]*' | cut -d' ' -f2); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg"; exit 1; fi; \

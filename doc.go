@@ -82,8 +82,8 @@
 //     (a DISTINCT set keyed by string values) Debug refuses by name. The
 //     LOO pass leaves its influences in F order; only what a reader
 //     returns (TopQuantileRows, TopRows) is sorted.
-//   - internal/ranker — candidates score and prune in parallel across a
-//     worker pool; the prepared context is read-only shared state.
+//   - internal/ranker — candidates score and prune in parallel through
+//     par.Do; the prepared context is read-only shared state.
 //   - internal/feature — NewSpace gathers the learning population's
 //     columns once through the typed readers into a Frame (floats and
 //     dictionary codes, addressed by population position) and profiles
@@ -178,8 +178,8 @@
 //     Aggregate arguments fold from the block's chunk slices into the
 //     states, column at a time (an evaluator error truncates the block,
 //     so the first error is still the reference's: lowest row, key
-//     before argument). The row space splits across a worker
-//     pool on ranges balanced by SURVIVING-row popcount (zone-skipped
+//     before argument). The row space splits into shards that par.Do
+//     spreads, on ranges balanced by SURVIVING-row popcount (zone-skipped
 //     segments contribute nothing; a hot segment subdivides on
 //     bitset-word boundaries), and per-shard states Merge in shard
 //     order, reproducing the sequential scan's group order, lineage
@@ -303,7 +303,7 @@
 //     lives and dies with the analysis chain, capped in size.
 //   - internal/ranker — RankAllCarry returns a RankerState: every
 //     ranked predicate with its frozen target set and score. A later
-//     Rescore runs the same worker-pool scoring/pruning/dedup mechanics
+//     Rescore runs the same par.Do scoring/pruning/dedup mechanics
 //     over the carried candidates against the advanced context and
 //     reports the score drift.
 //
@@ -403,7 +403,7 @@
 // under load instead of stalling. A context.Context threads from the
 // HTTP request down through the whole stack, polled at bounded
 // granularity (every 4096 rows per scan shard, per candidate in the
-// ranker's scoring pool, per group in the LOO influence pass, at every
+// ranker's scoring, per group in the LOO influence pass, at every
 // stage boundary of core.Debug/DebugAdvance, and before — never after —
 // the store's WAL write acknowledges an append).
 //
@@ -445,6 +445,12 @@
 // dbwipes flags (-query-timeout, -debug-timeout, -max-heavy,
 // -max-queue); cmd/datagen's feeder honors the shed responses with
 // jittered exponential backoff under a retry budget.
+//
+// Below admission, every intra-request fan-out runs through
+// internal/par's Do: the caller and up to GOMAXPROCS-1 helpers share
+// the items, and a helper's panic re-raises on the request's goroutine
+// with the helper's stack, where engine.CatchSegmentLoad and
+// withRecovery see it.
 //
 // The benchmarks in bench_test.go regenerate the data behaviour behind
 // each figure of the paper; run them with

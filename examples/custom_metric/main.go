@@ -17,6 +17,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
+	"repro/internal/exec"
 )
 
 // relDeviation is a user-defined ε: the summed *relative* deviation of
@@ -54,7 +55,7 @@ func main() {
 	// generating a spike with an unusual occupation signature.
 	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 100_000, Seed: 9})
 
-	res, err := core.Run(db, `SELECT day, count(*) AS n FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day`)
+	res, err := exec.RunSQL(db, `SELECT day, count(*) AS n FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day`)
 	if err != nil {
 		log.Fatal(err)
 	}

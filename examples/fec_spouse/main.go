@@ -24,7 +24,7 @@ func main() {
 	sql := datasets.FECDailySQL("McCain")
 	fmt.Println("query:", sql)
 
-	res, err := core.Run(db, sql)
+	res, err := exec.RunSQL(db, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
+	"repro/internal/exec"
 	"repro/internal/viz"
 )
 
@@ -28,7 +29,7 @@ func main() {
 	               stddev(temperature) AS std_temp
 	        FROM readings
 	        GROUP BY moteid, bucket(epoch(ts), 3600)`
-	res, err := core.Run(db, sql)
+	res, err := exec.RunSQL(db, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
+	"repro/internal/exec"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 	db.Register(readings)
 
 	// 1. Run an aggregate query (provenance is captured automatically).
-	res, err := core.Run(db, "SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
+	res, err := exec.RunSQL(db, "SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
 	if err != nil {
 		log.Fatal(err)
 	}

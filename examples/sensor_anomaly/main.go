@@ -32,7 +32,7 @@ func main() {
 	fmt.Println("synthetic Intel Lab trace loaded; query:")
 	fmt.Println(" ", datasets.IntelWindowSQL)
 
-	res, err := core.Run(db, datasets.IntelWindowSQL)
+	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
 	if err != nil {
 		log.Fatal(err)
 	}

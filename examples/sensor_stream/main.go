@@ -92,7 +92,7 @@ func main() {
 	fmt.Printf("monitoring %d motes; base trace %d rows; %d-row segments, retain ~%d rows; durable dir %s; query:\n  %s\n\n",
 		54, baseRows, 1<<segBits, retainRows, dir, datasets.IntelWindowSQL)
 
-	res, err := core.Run(db, datasets.IntelWindowSQL)
+	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 // The instrument is CancelAfter, a context whose Err() trips Canceled
 // on the nth poll. Every cancellable loop in the system (exec's scan
-// shards, influence's LOO pass, ranker's scoring pool, core's learner
+// shards, influence's LOO pass, ranker's scoring, core's learner
 // stages, the store's pre-WAL gate) polls ctx.Err() at its failpoints,
 // so "cancel at the nth poll" lands a cancellation at the nth failpoint
 // deterministically — the cancellation twin of FaultFS.FailAt. A first
@@ -26,7 +26,8 @@
 // CancelAfter is poll-driven: code that waits on Done() instead of
 // polling Err() will not observe the trip until the next Err() call
 // closes the channel. The repo's cancellable loops all poll, which is
-// exactly what the harness counts.
+// exactly what the harness counts; a par.Do fan-out polls once per
+// item, so the count does not depend on how many helpers it got.
 package chaos
 
 import (

@@ -4,13 +4,13 @@ package chaos
 // over an out-of-core table whose backing reads fail, once for every
 // read a clean pass issues. A failed chunk load — whether it lands in
 // the argument-view build, the learning-frame gather, or a ranker
-// worker extending a clause mask — must come back as an error wrapping
-// *engine.SegmentLoadError (never a panic: an unrecovered one in a
-// worker goroutine would kill this test binary), leave zero chunks
-// pinned and no goroutine behind (TestMain's leakcheck), and leave the
-// carried state reusable: the same call on the healed filesystem
-// produces what the oracle — the same table behind an uncapped pool on
-// the undamaged filesystem — does.
+// helper extending a clause mask — must come back as an error wrapping
+// *engine.SegmentLoadError, never a panic (par.Do re-raises a helper's
+// on the calling goroutine, where the ranker's catch turns it into that
+// error), leave zero chunks pinned and no goroutine behind (TestMain's
+// leakcheck), and leave the carried state reusable: the same call on
+// the healed filesystem produces what the oracle — the same table
+// behind an uncapped pool on the undamaged filesystem — does.
 
 import (
 	"context"

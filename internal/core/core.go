@@ -25,10 +25,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -40,6 +38,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/feature"
 	"repro/internal/influence"
+	"repro/internal/par"
 	"repro/internal/predicate"
 	"repro/internal/ranker"
 	"repro/internal/sqlparse"
@@ -118,12 +117,12 @@ func (o *Options) defaults() {
 // wrong?".
 type DebugRequest struct {
 	// Ctx cancels the pipeline between stages and inside every
-	// long-running one (the LOO loop, the per-tree learner pool, the
-	// ranker's worker pool). A cancelled Debug/DebugAdvance returns an
-	// error wrapping the context error and publishes nothing: carried
-	// state from a previous pass stays exactly as usable as before, so
-	// retrying the same request (or falling back to a from-scratch run)
-	// yields bit-identical results. Nil means context.Background.
+	// long-running one (the LOO loop, the per-tree learners, the ranker's
+	// scoring). A cancelled Debug/DebugAdvance returns an error wrapping
+	// the context error and publishes nothing: carried state from a
+	// previous pass stays exactly as usable as before, so retrying the
+	// same request (or falling back to a from-scratch run) yields
+	// bit-identical results. Nil means context.Background.
 	Ctx context.Context
 	// Result is the executed query (with provenance).
 	Result *exec.Result
@@ -256,11 +255,6 @@ func rowsKey(rows []int) string {
 	return fmt.Sprint(s)
 }
 
-// Run parses and executes sql against db with provenance capture.
-func Run(db *engine.DB, sql string) (*exec.Result, error) {
-	return exec.RunSQL(db, sql)
-}
-
 // ctx returns the request's context, Background when unset.
 func (req DebugRequest) ctx() context.Context {
 	if req.Ctx != nil {
@@ -290,12 +284,19 @@ func resolveDebug(req DebugRequest) (int, error) {
 	if len(res.AggOrdinals()) == 0 {
 		return 0, fmt.Errorf("core: query has no aggregates to debug")
 	}
-	ord := 0
-	if req.AggItem >= 0 {
-		ord = res.AggOrdinalOf(req.AggItem)
-		if ord < 0 {
-			return 0, fmt.Errorf("core: select item %d is not an aggregate", req.AggItem)
-		}
+	return AggOrdinal(res, req.AggItem)
+}
+
+// AggOrdinal resolves a select-item index to its aggregate ordinal the
+// way Debug reads DebugRequest.AggItem: a negative item is the first
+// aggregate, any other must name an aggregate select item.
+func AggOrdinal(res *exec.Result, item int) (int, error) {
+	if item < 0 {
+		return 0, nil
+	}
+	ord := res.AggOrdinalOf(item)
+	if ord < 0 {
+		return 0, fmt.Errorf("core: select item %d is not an aggregate", item)
 	}
 	return ord, nil
 }
@@ -528,37 +529,28 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 	start = time.Now()
 	perCand := make([][]ranker.Candidate, len(candidates))
 	cctx := d.req.ctx()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for ci := range candidates {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Cancellation check per tree training job; the caller's next
-			// stage boundary discards the partial pool.
-			if cctx.Err() != nil {
-				return
+	par.Do(len(candidates), func(_, ci int) {
+		// Cancellation check per tree training job; the caller's next
+		// stage boundary discards the partial slots.
+		if cctx.Err() != nil {
+			return
+		}
+		c := candidates[ci]
+		tree, err := dtree.Train(d.sp, c.labels, nil)
+		if err != nil {
+			return
+		}
+		for _, leaf := range tree.PositivePaths() {
+			if leaf.Pred.IsTrue() {
+				continue
 			}
-			c := candidates[ci]
-			tree, err := dtree.Train(d.sp, c.labels, nil)
-			if err != nil {
-				return
-			}
-			for _, leaf := range tree.PositivePaths() {
-				if leaf.Pred.IsTrue() {
-					continue
-				}
-				perCand[ci] = append(perCand[ci], ranker.Candidate{
-					Pred:   leaf.Pred,
-					Origin: "tree:" + c.name,
-					Target: c.rows,
-				})
-			}
-		}(ci)
-	}
-	wg.Wait()
+			perCand[ci] = append(perCand[ci], ranker.Candidate{
+				Pred:   leaf.Pred,
+				Origin: "tree:" + c.name,
+				Target: c.rows,
+			})
+		}
+	})
 	var rcands []ranker.Candidate
 	for _, rc := range perCand {
 		rcands = append(rcands, rc...)

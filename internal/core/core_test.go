@@ -22,7 +22,7 @@ type intelFixture struct {
 func debugIntel(t *testing.T, rows int) *intelFixture {
 	t.Helper()
 	db, labels := datasets.IntelDB(datasets.IntelConfig{Rows: rows, Seed: 7})
-	res, err := Run(db, datasets.IntelWindowSQL)
+	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDebugIntelFindsFailingMotes(t *testing.T) {
 
 func TestDebugFECFindsReattribution(t *testing.T) {
 	db, labels := datasets.FECDB(datasets.FECConfig{Rows: 60_000, Seed: 3})
-	res, err := Run(db, datasets.FECDailySQL("McCain"))
+	res, err := exec.RunSQL(db, datasets.FECDailySQL("McCain"))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestDebugRefusesDistinctOverStrings(t *testing.T) {
 		"count(DISTINCT lower(s))": true,
 		"min(DISTINCT s)":          true,
 	} {
-		res, err := Run(db, "SELECT k, "+agg+" AS a FROM t GROUP BY k")
+		res, err := exec.RunSQL(db, "SELECT k, "+agg+" AS a FROM t GROUP BY k")
 		if err != nil {
 			t.Fatalf("%s: %v", agg, err)
 		}

@@ -20,7 +20,7 @@ import (
 func smallIntel(t *testing.T) (*exec.Result, []int, []int) {
 	t.Helper()
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 40_000, Seed: 1})
-	res, err := Run(db, datasets.IntelWindowSQL)
+	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestOptionWeights(t *testing.T) {
 // predicate separates D' (less the complexity and excess penalties).
 func TestDebugZeroEps(t *testing.T) {
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 20_000, Seed: 7})
-	res, err := Run(db, datasets.IntelWindowSQL)
+	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDebugErrorCases(t *testing.T) {
 	_ = d
 	// Non-aggregate query.
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 1_000, Seed: 1})
-	plain, err := Run(db, "SELECT moteid, temperature FROM readings LIMIT 10")
+	plain, err := exec.RunSQL(db, "SELECT moteid, temperature FROM readings LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCleanedSQLRendersNegation(t *testing.T) {
 	// The rendered SQL must reparse and run.
 	db := engine.NewDB()
 	db.Register(res.Source)
-	if _, err := Run(db, sql); err != nil {
+	if _, err := exec.RunSQL(db, sql); err != nil {
 		t.Errorf("cleaned SQL does not run: %v\n%s", err, sql)
 	}
 }
@@ -262,7 +262,7 @@ func TestDebugWithNullHeavyData(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := Run(db, "SELECT k, avg(v) AS a FROM t GROUP BY k ORDER BY k")
+	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k ORDER BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -92,10 +93,12 @@ func (e *SegmentLoadError) Unwrap() error { return e.Err }
 // re-panicking anything else. Deferred at every public entry point
 // that can reach a faultable segment (exec.RunOnWithCtx,
 // exec.AdvanceCtx, the stats accessors) so a failed chunk load is a
-// query error, not a crash.
+// query error, not a crash. The panic may wrap the SegmentLoadError (a
+// par.Do helper's re-raised panic does); *errp gets it bare.
 func CatchSegmentLoad(errp *error) {
 	if r := recover(); r != nil {
-		if sle, ok := r.(*SegmentLoadError); ok {
+		var sle *SegmentLoadError
+		if err, ok := r.(error); ok && errors.As(err, &sle) {
 			*errp = sle
 			return
 		}

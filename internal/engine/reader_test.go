@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/enginetest"
+	"repro/internal/par"
 	"repro/internal/testgen"
 )
 
@@ -523,5 +524,30 @@ func TestMemStatsCountsWhatSegmentsHold(t *testing.T) {
 	}
 	if cells := nrows * len(schema); bytes > 9*cells || bytes < 8*cells {
 		t.Fatalf("MemStats reports %d bytes for %d cells (%.1f a cell), want 8 to 9", bytes, cells, float64(bytes)/float64(cells))
+	}
+}
+
+// A load error raised on a par.Do helper reaches the caller wrapped with
+// the helper's stack; CatchSegmentLoad still turns it into the bare error.
+func TestCatchSegmentLoadFromHelper(t *testing.T) {
+	if par.Width(2) < 2 {
+		t.Skip("GOMAXPROCS 1: par.Do starts no helper")
+	}
+	want := &engine.SegmentLoadError{Table: "t", Seg: 1, Col: 2, Err: errors.New("injected")}
+	helperRan := make(chan struct{})
+	err := func() (err error) {
+		defer engine.CatchSegmentLoad(&err)
+		par.Do(2, func(w, _ int) {
+			if w == 0 {
+				<-helperRan
+				return
+			}
+			close(helperRan)
+			panic(want)
+		})
+		return nil
+	}()
+	if err != want {
+		t.Fatalf("CatchSegmentLoad returned %v, want the helper's *SegmentLoadError bare", err)
 	}
 }

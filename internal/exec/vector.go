@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/par"
 	"repro/internal/sqlparse"
 )
 
@@ -21,8 +21,9 @@ import (
 // statement runs on:
 //
 //  1. WHERE evaluates once into a bitmap (filter.go),
-//  2. the row space splits across a worker pool, and each shard walks its
-//     range block-at-a-time (a block = its slice of one segment, at most
+//  2. the row space splits into shards that par.Do spreads over
+//     GOMAXPROCS workers, and each shard walks its range
+//     block-at-a-time (a block = its slice of one segment, at most
 //     blockRows rows), the block's passing rows as a selection vector,
 //  3. each group-by expression fills one key slot per selected row —
 //     dictionary codes for string columns, canonical float bits for
@@ -48,7 +49,7 @@ import (
 // outside the tests passes.
 type Options struct {
 	// Shards forces the number of scan partitions (0 = automatic:
-	// GOMAXPROCS capped so each shard keeps at least a few thousand
+	// par.Width, capped so each shard keeps at least a few thousand
 	// rows). Tests pin it on tables the automatic choice would not
 	// split.
 	Shards int
@@ -552,9 +553,10 @@ func (ss *shardScan) run() {
 	p := ss.plan
 	// A chunk fault can fail (corrupt or vanished segment file); the
 	// loader surfaces that as a SegmentLoadError panic. Recover it into
-	// ss.err here — each shard runs on its own goroutine, so the
-	// RunOnWithCtx-level catch can't see it — and release any pins the
-	// cursors still hold on every exit path, including that one.
+	// ss.err here rather than letting par.Do re-raise it — runVector
+	// reports the lowest-indexed shard's error, the one a sequential scan
+	// would hit — and release any pins the cursors still hold on every
+	// exit path, including that one.
 	defer engine.CatchSegmentLoad(&ss.err)
 	defer ss.closeCursors()
 	var words []uint64
@@ -841,7 +843,7 @@ func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
 func shardCount(n int, opts Options) int {
 	shards := opts.Shards
 	if shards <= 0 {
-		shards = min(runtime.GOMAXPROCS(0), (n+minShardRows-1)/minShardRows)
+		shards = par.Width((n + minShardRows - 1) / minShardRows)
 	}
 	return max(1, min(shards, (n+63)/64))
 }
@@ -929,16 +931,7 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	for _, r := range shardRanges(n, src.SegRows(), shardCount(n, opts), p.filter) {
 		states = append(states, newShardScan(p, r[0], r[1]))
 	}
-	var wg sync.WaitGroup
-	for _, ss := range states[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss.run()
-		}()
-	}
-	states[0].run()
-	wg.Wait()
+	par.Do(len(states), func(_, i int) { states[i].run() })
 	// The lowest-indexed shard's error corresponds to the earliest
 	// erroring row — the error the sequential scan would have hit.
 	for _, ss := range states {

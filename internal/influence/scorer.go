@@ -6,15 +6,13 @@ import (
 	"iter"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/bitset"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/par"
 )
 
 // Scorer is the state predicate scoring runs on: everything a
@@ -148,52 +146,24 @@ func checkSelection(res *exec.Result, suspect []int, ord int) error {
 // buildGroupBits fetches each suspect group's lineage bitset (from the
 // result's shared per-group cache — for incrementally advanced results
 // the unchanged prefix was carried over rather than rebuilt) and unions
-// them into F. The per-group work is independent, so it shards across a
-// worker pool when there are enough groups and CPUs to pay for it;
-// per-worker partial F bitmaps merge at the end, keeping the result
-// identical to the sequential build.
+// them into F. The per-group work is independent, so par.Do spreads it;
+// each worker ORs into a partial F of its own (the caller's is F), and
+// the partials merge at the end, keeping the result identical to the
+// sequential build.
 func (s *Scorer) buildGroupBits(res *exec.Result, suspect []int) {
 	s.groups = make([]groupBits, len(suspect))
-	s.fbits = bitset.New(s.nsrc)
-
-	build := func(i int) *bitset.Bitset {
+	partial := make([]*bitset.Bitset, par.Width(len(suspect)))
+	for w := range partial {
+		partial[w] = bitset.New(s.nsrc)
+	}
+	par.Do(len(suspect), func(w, i int) {
 		b := res.GroupLineageBitsShared(suspect[i])
 		lo, hi, ok := b.WordRange()
 		s.groups[i] = groupBits{bits: b, lo: lo, hi: hi, empty: !ok}
-		return b
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(suspect) {
-		workers = len(suspect)
-	}
-	if workers <= 1 || len(suspect) < 4 {
-		for i := range suspect {
-			s.fbits.Or(build(i))
-		}
-		return
-	}
-
-	partial := make([]*bitset.Bitset, workers)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f := bitset.New(s.nsrc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(suspect) {
-					break
-				}
-				f.Or(build(i))
-			}
-			partial[w] = f
-		}(w)
-	}
-	wg.Wait()
-	for _, f := range partial {
+		partial[w].Or(b)
+	})
+	s.fbits = partial[0]
+	for _, f := range partial[1:] {
 		s.fbits.Or(f)
 	}
 }

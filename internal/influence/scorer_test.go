@@ -3,6 +3,7 @@ package influence
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -63,6 +64,40 @@ func TestEpsWithoutBitsParity(t *testing.T) {
 			if !floatsEqual(want, got) {
 				t.Fatalf("%s trial %d: EpsWithoutRows=%g EpsWithoutBits=%g", aggSQL, trial, want, got)
 			}
+		}
+	}
+}
+
+// TestFBitsIsLineageUnion checks the fanned-out F build: whichever
+// workers OR the groups in, F is the suspect groups' lineage and ε is
+// the metric over them with nothing removed. Hundreds of groups give
+// par.Do's helpers items to take.
+func TestFBitsIsLineageUnion(t *testing.T) {
+	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
+	for i := range 50_000 {
+		tbl.MustAppendRow(engine.NewInt(int64(i%500)), engine.NewFloat(float64(i%193)))
+	}
+	db := engine.NewDB()
+	db.Register(tbl)
+	res, err := exec.RunSQL(db, "SELECT k, avg(v) FROM t GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := errmetric.TooHigh{C: 90}
+	for _, suspect := range [][]int{{3}, {0, 6}, res.AllRows()[100:400], res.AllRows()} {
+		sc, err := NewScorer(res, suspect, 0, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sc.FBits().Rows(), res.Lineage(suspect); !slices.Equal(got, want) {
+			t.Errorf("%d suspect groups: F has %d rows, the lineage %d", len(suspect), len(got), len(want))
+		}
+		want, err := EpsWithoutRows(res, suspect, 0, metric, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !floatsEqual(sc.Eps(), want) {
+			t.Errorf("%d suspect groups: Eps %g, want %g", len(suspect), sc.Eps(), want)
 		}
 	}
 }

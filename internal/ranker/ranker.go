@@ -9,16 +9,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/influence"
+	"repro/internal/par"
 	"repro/internal/predicate"
 )
 
@@ -58,7 +57,7 @@ const (
 
 // Context carries everything scoring needs.
 type Context struct {
-	// Ctx cancels a ranking pass: the worker pool polls it before every
+	// Ctx cancels a ranking pass: scoring polls it before every
 	// candidate, and RankAllCarry/Rescore return an error wrapping the
 	// context error instead of a truncated ranking. Nil means
 	// context.Background (never cancelled).
@@ -319,14 +318,14 @@ func sortScored(out []Scored) {
 // and score, ready for an incremental Debug over a grown table to
 // rescore without re-running the learners.
 //
-// Scoring and pruning run in parallel across a worker pool: once the
-// context is prepared, the scoring inputs (clause masks, lineage
-// bitsets, flat argument columns) are read-only shared state, so each
-// candidate is independent. Results are collected by slot index, keeping
-// the final ranking deterministic. An error is
-// ctx.Ctx's cancellation, a chunk-load failure, or influence.NewScorer's
-// refusal of the context (out-of-range suspect, an aggregate it cannot
-// score); nothing is published on error.
+// Scoring and pruning fan out through par.Do: once the context is
+// prepared, the scoring inputs (clause masks, lineage bitsets, flat
+// argument columns) are read-only shared state, so each candidate is
+// independent. Results are collected by slot index, keeping the final
+// ranking deterministic. An error is ctx.Ctx's cancellation, a
+// chunk-load failure, or influence.NewScorer's refusal of the context
+// (out-of-range suspect, an aggregate it cannot score); nothing is
+// published on error.
 func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, error) {
 	out, targets, _, err := rankCore(cands, ctx, "fresh")
 	if err != nil {
@@ -336,14 +335,14 @@ func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, erro
 }
 
 // rankCore is the shared ranking pass behind RankAllCarry and
-// RankerState.Rescore: worker-pool scoring + pruning, key dedup, sort.
+// RankerState.Rescore: par.Do scoring + pruning, key dedup, sort.
 // It additionally returns the target set per final
 // predicate key and, aligned with cands, each candidate's raw
 // (pre-prune) score — NaN for candidates that scored vacuous or
 // tautological — which Rescore turns into the drift signal. On an
 // out-of-core source a chunk-load failure — on this goroutine or in a
-// pool worker extending a clause mask — comes back as an error wrapping
-// *engine.SegmentLoadError once the pool has drained.
+// par.Do helper extending a clause mask, which Do re-raises here once
+// its helpers are done — comes back as *engine.SegmentLoadError.
 func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _ map[string]*bitset.Bitset, _ []float64, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	cctx := ctx.Ctx
@@ -368,58 +367,29 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 	}
 	slots := make([]slot, len(cands))
 	raw := make([]float64, len(cands))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scoreOne := func(i int, env *scoreEnv) (err error) {
-		defer engine.CatchSegmentLoad(&err)
+	envs := make([]*scoreEnv, par.Width(len(cands))) // one per worker, built on first use
+	par.Do(len(cands), func(w, i int) {
+		// Cancellation check per candidate: the rest are skipped unscored
+		// and the pass returns the context error below.
+		raw[i] = math.NaN()
+		if cctx.Err() != nil {
+			return
+		}
+		if envs[w] == nil {
+			envs[w] = ctx.newEnv()
+		}
 		c := cands[i]
-		sc, ok := score(c, ctx, env)
+		sc, ok := score(c, ctx, envs[w])
 		if ok {
 			raw[i] = sc.Score
 		}
 		if ok && !ctx.DisablePrune {
-			c, sc = prune(c, sc, ctx, env)
+			c, sc = prune(c, sc, ctx, envs[w])
 		}
 		slots[i] = slot{c: c, sc: sc, ok: ok}
-		return nil
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var failed atomic.Pointer[error] // the first worker's chunk-load failure
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env := ctx.newEnv()
-			for i := range jobs {
-				// Cancellation (and failure) check per candidate: remaining
-				// jobs drain unscored so the producer never blocks, and
-				// rankCore discards everything after the pool joins.
-				raw[i] = math.NaN()
-				if cctx.Err() != nil || failed.Load() != nil {
-					continue
-				}
-				if err := scoreOne(i, env); err != nil {
-					failed.CompareAndSwap(nil, &err)
-				}
-			}
-		}()
-	}
-	for i := range cands {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	if err := cctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("ranker: cancelled: %w", err)
-	}
-	if errp := failed.Load(); errp != nil {
-		return nil, nil, nil, fmt.Errorf("ranker: %w", *errp)
 	}
 
 	byKey := make(map[string]Scored)
@@ -485,7 +455,7 @@ func (st *RankerState) Len() int {
 }
 
 // Rescore scores the carried candidates against ctx — typically the
-// advanced context of a grown table — through the same worker pool,
+// advanced context of a grown table — through the same par.Do scoring,
 // pruning and dedup mechanics as RankAllCarry, and reports how far
 // the carried predicates' raw scores moved since the previous pass:
 // drift is the largest |new−old| over the carried candidates, +Inf when

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -531,10 +532,14 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("query has no aggregates"))
 		return
 	}
-	col := ords[0]
-	if req.AggItem > 0 && req.AggItem < sess.res.Table.NumCols() {
-		col = req.AggItem
+	// aggItem reads as /api/debug reads it: 0 (the JSON default) or
+	// negative is the first aggregate, and a group key is refused.
+	ord, err := core.AggOrdinal(sess.res, cmp.Or(req.AggItem, -1))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	col := ords[ord]
 	inS := make(map[int]bool, len(req.Suspect))
 	for _, i := range req.Suspect {
 		inS[i] = true
@@ -745,17 +750,13 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	aggItem := req.AggItem
-	if aggItem == 0 {
-		aggItem = -1
-	}
 	// DebugAdvance carries the previous debug's analysis forward when
 	// the session's result advanced incrementally (nil lastDbg or any
 	// incompatibility falls back to a full Debug internally).
 	dr, err := core.DebugAdvance(sess.lastDbg, core.DebugRequest{
 		Ctx:      r.Context(),
 		Result:   sess.res,
-		AggItem:  aggItem,
+		AggItem:  cmp.Or(req.AggItem, -1), // 0, the JSON default, is the first aggregate
 		Suspect:  req.Suspect,
 		Examples: examples,
 		Metric:   metric,

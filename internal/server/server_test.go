@@ -247,6 +247,52 @@ func TestSessionsAreIsolated(t *testing.T) {
 	}
 }
 
+// TestSuggestAggItemAsDebug: /api/suggest reads aggItem as /api/debug
+// does. It used to summarize any column index it was given, so a group
+// key answered a "median" of day numbers or of string cells where debug
+// answered 400.
+func TestSuggestAggItemAsDebug(t *testing.T) {
+	ts := testServer(t)
+	suggest := func(item int) (int, map[string]any) {
+		t.Helper()
+		status, body := postBody(t, ts, "/api/suggest", map[string]any{"suspect": []int{0}, "aggItem": item})
+		var p map[string]any
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatalf("suggest aggItem %d: %v in %q", item, err, body)
+		}
+		return status, p
+	}
+	for _, c := range []struct {
+		sql     string
+		agg     int   // the aggregate's select item
+		refused []int // items both endpoints refuse
+	}{
+		{"SELECT day, candidate, sum(amount) AS total FROM donations GROUP BY day, candidate", 2, []int{1, 3, 99}},
+		{"SELECT sum(amount) AS total, day FROM donations GROUP BY day", 0, []int{1, 2}},
+	} {
+		if resp := post(t, ts, "/api/query", map[string]any{"sql": c.sql}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %q: status %d", c.sql, resp.StatusCode)
+		}
+		_, want := suggest(c.agg)
+		for _, item := range []int{0, -1} {
+			if status, got := suggest(item); status != http.StatusOK || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%q: aggItem %d answered %d %v, want %v", c.sql, item, status, got, want)
+			}
+		}
+		for _, item := range c.refused {
+			status, got := suggest(item)
+			dstatus, dbody := postBody(t, ts, "/api/debug", map[string]any{
+				"suspect": []int{0}, "aggItem": item, "metric": "toohigh", "metricParams": map[string]float64{"c": 0},
+			})
+			var dbg map[string]any
+			_ = json.Unmarshal(dbody, &dbg)
+			if status != http.StatusBadRequest || dstatus != http.StatusBadRequest || got["error"] != dbg["error"] {
+				t.Errorf("%q: aggItem %d: suggest %d %v, debug %d %v; want the same 400", c.sql, item, status, got, dstatus, dbg)
+			}
+		}
+	}
+}
+
 func TestQueryTruncation(t *testing.T) {
 	ts := testServer(t)
 	var q struct {
