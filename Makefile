@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines
+.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples
 
 all: build test
 
@@ -151,10 +151,19 @@ check-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
+# Every example under examples/ runs end to end and exits 0. They are
+# the documented entry points and build their tables through the same
+# append paths as everything else, and no test executes them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
+
 # The CI gate: build, vet, formatting, the short test suite, the
-# benchmark module, a fuzz smoke pass, and the durability and
-# request-lifecycle fault suites.
-check: build vet fmt-check short check-bench fuzz-smoke test-crash test-chaos test-memcap
+# benchmark module, the examples, a fuzz smoke pass, and the durability
+# and request-lifecycle fault suites.
+check: build vet fmt-check short check-bench examples fuzz-smoke test-crash test-chaos test-memcap
 
 # Full benchmark sweep with allocation counts.
 bench:

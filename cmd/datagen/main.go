@@ -184,19 +184,12 @@ func ingestStore(dir, table string, t *engine.Table, baseRows, batches, batchRow
 }
 
 // appendRows durably appends rows [lo, hi) of t to table, 8,192 rows to
-// an append, each an engine.Batch filled a column at a time from t's
-// cells.
+// an append, each one t.Batch.
 func appendRows(st *store.DB, table string, t *engine.Table, lo, hi int) {
 	const chunk = 8192
 	for ; lo < hi; lo += chunk {
 		end := min(lo+chunk, hi)
-		b := engine.NewBatch(t.Schema(), end-lo)
-		for c := range t.Schema() {
-			for r := lo; r < end; r++ {
-				_ = b.AppendValue(c, t.Value(r, c)) // a stored cell always fits its column
-			}
-		}
-		if _, err := st.AppendColsCtx(context.Background(), table, b); err != nil {
+		if _, err := st.AppendColsCtx(context.Background(), table, t.Batch(lo, end)); err != nil {
 			log.Fatalf("ingest %s rows [%d,%d): %v", table, lo, end, err)
 		}
 	}

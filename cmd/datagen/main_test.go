@@ -22,12 +22,12 @@ func testTable(n int) *engine.Table {
 	if err != nil {
 		panic(err)
 	}
-	for r := 0; r < n; r++ {
-		if _, err := t.AppendRow([]engine.Value{
-			engine.NewInt(int64(r % 7)), engine.NewFloat(float64(r) * 0.25),
-		}); err != nil {
-			panic(err)
-		}
+	rows := make([][]engine.Value, n)
+	for r := range rows {
+		rows[r] = []engine.Value{engine.NewInt(int64(r % 7)), engine.NewFloat(float64(r) * 0.25)}
+	}
+	if t, err = t.AppendBatch(rows); err != nil {
+		panic(err)
 	}
 	return t
 }

@@ -86,15 +86,15 @@ func main() {
 		_, err := db.Table(name)
 		return err == nil
 	}
-	if *intelRows > 0 {
-		if t, _ := datasets.Intel(datasets.IntelConfig{Rows: *intelRows, Seed: *seed}); !have(t.Name()) {
-			load(t)
-		}
+	// A table recovered from -data is served as stored, not generated
+	// again and thrown away.
+	if *intelRows > 0 && !have("readings") {
+		t, _ := datasets.Intel(datasets.IntelConfig{Rows: *intelRows, Seed: *seed})
+		load(t)
 	}
-	if *fecRows > 0 {
-		if t, _ := datasets.FEC(datasets.FECConfig{Rows: *fecRows, Seed: *seed}); !have(t.Name()) {
-			load(t)
-		}
+	if *fecRows > 0 && !have("donations") {
+		t, _ := datasets.FEC(datasets.FECConfig{Rows: *fecRows, Seed: *seed})
+		load(t)
 	}
 	for _, spec := range csvs {
 		name, path, ok := strings.Cut(spec, "=")
@@ -177,15 +177,8 @@ func ingestDurable(st *store.DB, db *engine.DB, t *engine.Table) bool {
 	}
 	const chunk = 8192 // one WAL record (and fsync) per chunk, not per row
 	for lo := 0; lo < t.NumRows(); lo += chunk {
-		hi := lo + chunk
-		if hi > t.NumRows() {
-			hi = t.NumRows()
-		}
-		rows := make([][]engine.Value, 0, hi-lo)
-		for r := lo; r < hi; r++ {
-			rows = append(rows, t.Row(r))
-		}
-		if _, err := st.Append(t.Name(), rows); err != nil {
+		hi := min(lo+chunk, t.NumRows())
+		if _, err := st.AppendColsCtx(context.Background(), t.Name(), t.Batch(lo, hi)); err != nil {
 			log.Fatalf("ingest %s: %v", t.Name(), err)
 		}
 	}

@@ -224,22 +224,28 @@
 // incrementally under appends instead of being rebuilt from row 0:
 //
 //   - internal/engine — storage is SEGMENTED (see the next section):
-//     sealed fixed-size segments plus a growable tail. Every append
-//     takes one shape, an engine.Batch (per column NULL words plus
-//     float64s, exact int64s or strings), and Table.AppendCols writes it
-//     into the tail's chunks a column at a time, copy-on-write: it
+//     sealed fixed-size segments plus a growable tail. Table.AppendCols
+//     is the only mutation, and every append takes its one shape, an
+//     engine.Batch (per column NULL words plus float64s, exact int64s or
+//     strings) — the generators, CSV load, query results and Select
+//     build through it too. It writes the batch into the tail's chunks
+//     a column at a time, copy-on-write: it
 //     returns a new table version sharing every sealed segment by
 //     pointer and the tail arrays by aliasing, so in-flight queries keep
 //     an immutable snapshot, never observe a half-appended batch, and no
 //     append ever copies a whole column; DB.AppendCols republishes the
-//     grown version atomically. AppendBatch / DB.Append over boxed rows
-//     are converters into the same path (BatchOf).
-//     A published version's memory is never written, so the version
-//     is its own snapshot: a ColReader walks the typed chunks every
+//     grown version atomically. AppendBatch over boxed rows is a
+//     converter into the same path (BatchOf). Rows leave a table in bulk
+//     the one way too: Table.Batch(lo, hi) reads rows [lo, hi) through
+//     the readers a scan uses into a Batch, which is what the store's
+//     WAL rewrite logs and what a copy appends elsewhere.
+//     A published version's memory is never written, with no exception,
+//     so the version is its own snapshot and a reader writes no shared
+//     state: a ColReader walks the typed chunks every
 //     segment, the tail included, is stored as — dictionary codes are
 //     assigned at append, in first-appearance order — with no per-
 //     version index to build or cache.
-//   - internal/predicate — Index implements engine.RowSynced (the
+//   - internal/predicate — Index has a SyncRows method (the
 //     row-stamped invalidation hook of Table.AuxLoadOrStore): cached
 //     clause masks and non-NULL masks are per-segment word arrays
 //     extended independently from the matching column chunks, and queries
@@ -347,7 +353,8 @@
 // by default, any power of two >= 64 (engine.MinSegmentBits), chosen so
 // a segment boundary is ALWAYS a bitset word boundary. A table version
 // is an ordered list of sealed segments (immutable, exactly SegRows
-// rows) plus a growable tail; appends only ever touch the tail. Both
+// rows) plus a growable tail; appends (Table.AppendCols, the only
+// mutation) only ever touch the tail, in a new version. Both
 // have one representation — per column a typed chunk: float values +
 // NULL words, dictionary codes, exact int64 cells only where a float64
 // has rounded; at most 8 bytes a row — written a batch column at a time
@@ -355,7 +362,8 @@
 // two holders: itself (sealed in this process) or a ChunkLoader's buffer
 // pool (every segment store.Open recovers, the pool capped or not). Nothing is
 // stored boxed: an engine.Value is what a boxed-row caller appends or
-// the single cell it asks for (Table.Value, RowReader). Column readers alias the
+// the single cell it asks for (Table.Value, RowReader); rows leave in
+// bulk as a Batch (Table.Batch). Column readers alias the
 // chunks and the predicate index's mask chunks live per segment, so
 // every derived structure shares the segment's lifetime, and the
 // executor cuts its

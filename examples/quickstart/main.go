@@ -21,7 +21,7 @@ func main() {
 		"room", engine.TString,
 		"temp", engine.TFloat,
 	)
-	readings := engine.MustNewTable("readings", schema)
+	rows := make([][]engine.Value, 0, 200)
 	for i := 0; i < 200; i++ {
 		sensor := int64(1 + i%3)
 		room := []string{"kitchen", "lab", "lounge"}[i%3]
@@ -29,11 +29,15 @@ func main() {
 		if sensor == 3 {
 			temp = 120 + float64(i%5) // the broken sensor
 		}
-		readings.MustAppendRow(
+		rows = append(rows, []engine.Value{
 			engine.NewInt(sensor),
 			engine.NewString(room),
 			engine.NewFloat(temp),
-		)
+		})
+	}
+	readings, err := engine.MustNewTable("readings", schema).AppendBatch(rows)
+	if err != nil {
+		log.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(readings)

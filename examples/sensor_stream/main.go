@@ -4,9 +4,10 @@
 // forever, at bounded memory.
 //
 // This is the streaming counterpart of examples/sensor_anomaly. Each
-// cycle appends one batch through the engine's copy-on-write ingest
-// path (engine.DB.Append), advances the cached query result by folding
-// in only the appended rows (exec.Advance — no rescan), and advances
+// cycle appends one batch of rows (Table.Batch) through the
+// copy-on-write ingest path (store.DB.AppendColsCtx), advances the
+// cached query result by folding in only the appended rows
+// (exec.Advance — no rescan), and advances
 // the previous Debug analysis the same way (core.DebugAdvance): the
 // carried lineage bitsets, argument view and scored predicates all
 // extend by the appended suffix, and the learners only re-run when a
@@ -34,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -80,11 +82,7 @@ func main() {
 	if err := st.CreateTable("readings", full.Schema(), segBits); err != nil {
 		log.Fatal(err)
 	}
-	seed := make([][]engine.Value, baseRows)
-	for i := range seed {
-		seed[i] = full.Row(i)
-	}
-	if _, err := st.Append("readings", seed); err != nil {
+	if _, err := st.AppendColsCtx(context.Background(), "readings", full.Batch(0, baseRows)); err != nil {
 		log.Fatal(err)
 	}
 	db := st.Eng()
@@ -100,12 +98,10 @@ func main() {
 	dbg = report(res, dbg, 0, 0, "")
 
 	for b := 0; b < batches; b++ {
-		batch := make([][]engine.Value, 0, batchRows)
-		for r := baseRows + b*batchRows; r < baseRows+(b+1)*batchRows; r++ {
-			batch = append(batch, full.Row(r))
-		}
+		lo := baseRows + b*batchRows
+		batch := full.Batch(lo, lo+batchRows)
 		start := time.Now()
-		grown, err := st.Append("readings", batch)
+		grown, err := st.AppendColsCtx(context.Background(), "readings", batch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -150,8 +150,13 @@ func TestExhaustiveSingleClauseOnly(t *testing.T) {
 func TestExhaustiveZeroEps(t *testing.T) {
 	// A result with no error: Exhaustive should return nothing.
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
+	var rows [][]engine.Value
 	for i := 0; i < 20; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i%2)), engine.NewFloat(1))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i % 2)), engine.NewFloat(1)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -430,9 +430,10 @@ func (b *Bitset) ForEach(fn func(i int)) {
 	}
 }
 
-// AppendRows appends the set bit positions to dst in ascending order and
-// returns it — the bridge back to the []int row-list world.
-func (b *Bitset) AppendRows(dst []int) []int {
+// Rows returns the set bit positions as a fresh sorted slice — the
+// bridge back to the []int row-list world.
+func (b *Bitset) Rows() []int {
+	dst := make([]int, 0, b.Count())
 	for wi, w := range b.words {
 		base := wi * wordBits
 		for w != 0 {
@@ -441,11 +442,6 @@ func (b *Bitset) AppendRows(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Rows returns the set bit positions as a fresh sorted slice.
-func (b *Bitset) Rows() []int {
-	return b.AppendRows(make([]int, 0, b.Count()))
 }
 
 // WordRange returns the index of the first and last non-zero words,

@@ -23,11 +23,16 @@ func cleanFixture(t *testing.T) (*feature.Space, []int) {
 		}
 		return engine.NewString(name)
 	}
+	var rows [][]engine.Value
 	for i := 0; i < 20; i++ {
-		tbl.MustAppendRow(engine.NewFloat(110+rng.NormFloat64()), engine.NewFloat(2.3+rng.NormFloat64()*0.01), site(i, "lab"))
+		rows = append(rows, []engine.Value{engine.NewFloat(110 + rng.NormFloat64()), engine.NewFloat(2.3 + rng.NormFloat64()*0.01), site(i, "lab")})
 	}
 	for i := 0; i < 30; i++ {
-		tbl.MustAppendRow(engine.NewFloat(68+rng.NormFloat64()), engine.NewFloat(2.65+rng.NormFloat64()*0.01), site(i, "hall"))
+		rows = append(rows, []engine.Value{engine.NewFloat(68 + rng.NormFloat64()), engine.NewFloat(2.65 + rng.NormFloat64()*0.01), site(i, "hall")})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 	dprime := make([]int, 0, 25)
@@ -89,12 +94,17 @@ func TestCleanMinKeepGuard(t *testing.T) {
 	// not: the model would discard more than half, so the guard keeps
 	// the user's selection whole.
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat))
+	var rows [][]engine.Value
 	for i := 0; i < 40; i++ {
 		x := 0.0
 		if i < 8 {
 			x = 100
 		}
-		tbl.MustAppendRow(engine.NewFloat(x + float64(i%3)))
+		rows = append(rows, []engine.Value{engine.NewFloat(x + float64(i%3))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 	dprime := make([]int, 20)

@@ -177,8 +177,13 @@ func min(a, b int) int {
 // and scored on dictionary codes — debugs.
 func TestDebugRefusesDistinctOverStrings(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "s", engine.TString))
+	var rows [][]engine.Value
 	for i := 0; i < 60; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i%2)), engine.NewString(string(rune('a'+i%(3+4*(i%2))))))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i % 2)), engine.NewString(string(rune('a' + i%(3+4*(i%2)))))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -14,6 +14,7 @@ import (
 func TestHomogeneousGroup(t *testing.T) {
 	schema := engine.NewSchema("sensor", engine.TInt, "room", engine.TString, "temp", engine.TFloat)
 	readings := engine.MustNewTable("readings", schema)
+	var rows [][]engine.Value
 	for i := 0; i < 200; i++ {
 		sensor := int64(1 + i%3)
 		room := []string{"kitchen", "lab", "lounge"}[i%3]
@@ -21,7 +22,11 @@ func TestHomogeneousGroup(t *testing.T) {
 		if sensor == 3 {
 			temp = 120 + float64(i%5)
 		}
-		readings.MustAppendRow(engine.NewInt(sensor), engine.NewString(room), engine.NewFloat(temp))
+		rows = append(rows, []engine.Value{engine.NewInt(sensor), engine.NewString(room), engine.NewFloat(temp)})
+	}
+	readings, err := readings.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(readings)

@@ -240,6 +240,7 @@ func TestDebugIsDeterministic(t *testing.T) {
 func TestDebugWithNullHeavyData(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "tag", engine.TString, "aux", engine.TFloat))
+	var rows [][]engine.Value
 	for i := 0; i < 900; i++ {
 		k := engine.NewInt(int64(i % 3))
 		v := engine.NewFloat(10)
@@ -258,7 +259,11 @@ func TestDebugWithNullHeavyData(t *testing.T) {
 		if i%11 == 0 {
 			v = engine.Null
 		}
-		tbl.MustAppendRow(k, v, tag, aux)
+		rows = append(rows, []engine.Value{k, v, tag, aux})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

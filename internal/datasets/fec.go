@@ -129,8 +129,7 @@ var (
 func FEC(cfg FECConfig) (*engine.Table, []bool) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := engine.MustNewTable("donations", FECSchema())
-	t.Grow(cfg.Rows)
+	w := newSegWriter(engine.MustNewTable("donations", FECSchema()), cfg.Rows)
 	truth := make([]bool, 0, cfg.Rows)
 
 	// Candidate popularity weights and per-candidate campaign ramp.
@@ -174,17 +173,10 @@ func FEC(cfg FECConfig) (*engine.Table, []bool) {
 			amount = -amount
 			memo = MemoRefund
 		}
-		t.MustAppendRow(
-			engine.NewString(cand),
-			engine.NewString(state),
-			engine.NewString(cities[rng.Intn(len(cities))]),
-			engine.NewString(fecOccupations[rng.Intn(len(fecOccupations))]),
-			engine.NewString(fecEmployers[rng.Intn(len(fecEmployers))]),
-			engine.NewFloat(round2(amount)),
-			engine.NewTime(cfg.Start.AddDate(0, 0, day)),
-			engine.NewInt(int64(day)),
-			engine.NewString(memo),
-		)
+		fecRow(w.next(), cand, state, cities[rng.Intn(len(cities))],
+			fecOccupations[rng.Intn(len(fecOccupations))],
+			fecEmployers[rng.Intn(len(fecEmployers))],
+			round2(amount), cfg.Start.AddDate(0, 0, day), day, memo)
 		truth = append(truth, false)
 	}
 
@@ -203,20 +195,23 @@ func FEC(cfg FECConfig) (*engine.Table, []bool) {
 		cities := fecCities[state]
 		amount := -(1000 + rng.Float64()*1300) // −1000..−2300, legal-max scale
 		occ := []string{"CEO", "EXECUTIVE", "INVESTOR"}[rng.Intn(3)]
-		t.MustAppendRow(
-			engine.NewString(cfg.SpikeCandidate),
-			engine.NewString(state),
-			engine.NewString(cities[rng.Intn(len(cities))]),
-			engine.NewString(occ),
-			engine.NewString(fecEmployers[rng.Intn(len(fecEmployers))]),
-			engine.NewFloat(round2(amount)),
-			engine.NewTime(cfg.Start.AddDate(0, 0, day)),
-			engine.NewInt(int64(day)),
-			engine.NewString(MemoReattribution),
-		)
+		fecRow(w.next(), cfg.SpikeCandidate, state, cities[rng.Intn(len(cities))], occ,
+			fecEmployers[rng.Intn(len(fecEmployers))],
+			round2(amount), cfg.Start.AddDate(0, 0, day), day, MemoReattribution)
 		truth = append(truth, true)
 	}
-	return t, truth
+	return w.done(), truth
+}
+
+// fecRow appends one donations row to b in FECSchema's column order.
+func fecRow(b *engine.Batch, cand, state, city, occ, employer string, amount float64, date time.Time, day int, memo string) {
+	for c, s := range [...]string{0: cand, 1: state, 2: city, 3: occ, 4: employer} {
+		_ = b.AppendValue(c, engine.NewString(s)) // a string always fits a string column
+	}
+	b.AppendFloat(5, amount)
+	b.AppendInt(6, date.Unix())
+	b.AppendInt(7, int64(day))
+	_ = b.AppendValue(8, engine.NewString(memo))
 }
 
 // FECDB wraps FEC in a one-table database.

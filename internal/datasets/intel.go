@@ -91,8 +91,7 @@ func IntelSchema() engine.Schema {
 func Intel(cfg IntelConfig) (*engine.Table, []bool) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := engine.MustNewTable("readings", IntelSchema())
-	t.Grow(cfg.Rows)
+	w := newSegWriter(engine.MustNewTable("readings", IntelSchema()), cfg.Rows)
 	truth := make([]bool, 0, cfg.Rows)
 
 	// Pick the failing motes deterministically: spread across the range.
@@ -152,20 +151,19 @@ func Intel(cfg IntelConfig) (*engine.Table, []bool) {
 				hum = -4 + rng.NormFloat64()*2 // humidity also goes haywire
 				anomalous = true
 			}
-			t.MustAppendRow(
-				engine.NewTime(ts),
-				engine.NewInt(int64(e)),
-				engine.NewInt(int64(m)),
-				engine.NewFloat(round2(temp)),
-				engine.NewFloat(round2(hum)),
-				engine.NewFloat(round2(light)),
-				engine.NewFloat(round4(volt)),
-			)
+			b := w.next()
+			b.AppendInt(0, ts.Unix())
+			b.AppendInt(1, int64(e))
+			b.AppendInt(2, int64(m))
+			b.AppendFloat(3, round2(temp))
+			b.AppendFloat(4, round2(hum))
+			b.AppendFloat(5, round2(light))
+			b.AppendFloat(6, round4(volt))
 			truth = append(truth, anomalous)
 			rowCount++
 		}
 	}
-	return t, truth
+	return w.done(), truth
 }
 
 // IntelDB wraps Intel in a one-table database.
@@ -182,12 +180,37 @@ func IntelDB(cfg IntelConfig) (*engine.DB, []bool) {
 // the ts unix seconds is simpler and exact.
 const IntelWindowSQL = `SELECT bucket(epoch(ts), 1800) AS w30, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(epoch(ts), 1800) ORDER BY w30`
 
+// segWriter builds a generated table a segment at a time: typed cells
+// go into a batch of at most SegRows rows, appended through AppendCols
+// when it fills, so transient memory stays at one segment.
+type segWriter struct {
+	t    *engine.Table
+	b    *engine.Batch
+	rows int // rows the table should hold when done: a capacity hint
+}
+
+func newSegWriter(t *engine.Table, rows int) *segWriter {
+	return &segWriter{t: t, b: engine.NewBatch(t.Schema(), min(rows, t.SegRows())), rows: rows}
+}
+
+// next returns the batch the next row's cells go into, appending a full
+// one first.
+func (w *segWriter) next() *engine.Batch {
+	if w.b.Len() == w.t.SegRows() {
+		w.t = w.done()
+		w.b = engine.NewBatch(w.t.Schema(), min(max(w.rows-w.t.NumRows(), 0), w.t.SegRows()))
+	}
+	return w.b
+}
+
+// done appends the rows still in the batch and returns the table.
+func (w *segWriter) done() *engine.Table {
+	t, err := w.t.AppendCols(w.b, 0, w.b.Len())
+	if err != nil {
+		panic(err) // a generator's cells are typed by its static schema
+	}
+	return t
+}
+
 func round2(f float64) float64 { return math.Round(f*100) / 100 }
 func round4(f float64) float64 { return math.Round(f*10000) / 10000 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

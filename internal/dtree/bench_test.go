@@ -16,16 +16,21 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	rng := rand.New(rand.NewSource(11))
 	labels := make([]bool, 0, n)
 	cities := []string{"A", "B", "C", "D"}
+	var rows [][]engine.Value
 	for i := 0; i < n; i++ {
 		volt := 2.2 + rng.Float64()*0.6
 		city := cities[rng.Intn(4)]
 		pos := volt <= 2.4 && city == "A"
-		tbl.MustAppendRow(
+		rows = append(rows, []engine.Value{
 			engine.NewInt(rng.Int63n(54)),
 			engine.NewFloat(volt),
-			engine.NewFloat(30+rng.NormFloat64()*5),
-			engine.NewString(city))
+			engine.NewFloat(30 + rng.NormFloat64()*5),
+			engine.NewString(city)})
 		labels = append(labels, pos)
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }

@@ -17,13 +17,18 @@ func plantedConcept(t *testing.T, n int) (*feature.Space, []bool) {
 	rng := rand.New(rand.NewSource(4))
 	labels := make([]bool, 0, n)
 	cities := []string{"LAB", "HALL", "ROOF"}
+	var rows [][]engine.Value
 	for i := 0; i < n; i++ {
 		city := cities[rng.Intn(3)]
 		volt := 2.2 + rng.Float64()*0.6
 		mote := rng.Int63n(60)
 		pos := volt <= 2.4 && city == "LAB"
-		tbl.MustAppendRow(engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city))
+		rows = append(rows, []engine.Value{engine.NewInt(mote), engine.NewFloat(volt), engine.NewString(city)})
 		labels = append(labels, pos)
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }

@@ -4,12 +4,14 @@ import "fmt"
 
 // Batch is a run of rows in a schema, held as columns: the one shape
 // every append takes into a table — decoded from an /api/append body,
-// replayed from the write-ahead log, or converted from boxed rows — and
-// the one a durability layer logs. Per column it holds NULL words and
-// the cells in the column's own representation: float64s for a float
-// column (NaN at NULL), exact int64s for an int-like one (int, time,
-// bool; 0 at NULL), strings for a string one ("" at NULL). A batch is
-// typed by construction, so appending it checks nothing per cell.
+// replayed from the write-ahead log, filled by a generator or a CSV
+// load, or converted from boxed rows — and the one rows leave a table in
+// (Table.Batch), which is what a durability layer logs. Per column it
+// holds NULL words and the cells in the column's own representation:
+// float64s for a float column (NaN at NULL), exact int64s for an
+// int-like one (int, time, bool; 0 at NULL), strings for a string one
+// ("" at NULL). A batch is typed by construction, so appending it
+// checks nothing per cell.
 type Batch struct {
 	schema Schema
 	cols   []batchCol
@@ -94,14 +96,6 @@ func (b *Batch) Fits(schema Schema, hi int) error {
 	return nil
 }
 
-// reset empties the batch, keeping its capacity.
-func (b *Batch) reset() {
-	for c := range b.cols {
-		bc := &b.cols[c]
-		bc.n, bc.null, bc.f, bc.i, bc.s = 0, bc.null[:0], bc.f[:0], bc.i[:0], bc.s[:0]
-	}
-}
-
 // next reserves the column's next cell, growing its NULL words.
 func (bc *batchCol) next() int {
 	if bc.n&63 == 0 {
@@ -142,6 +136,12 @@ func (b *Batch) AppendInt(c int, i int64) {
 	bc.i = append(bc.i, i)
 }
 
+func (b *Batch) appendString(c int, s string) {
+	bc := &b.cols[c]
+	bc.next()
+	bc.s = append(bc.s, s)
+}
+
 // AppendValue appends v to column c when it is storable there: NULL in
 // any column, a value of the column's type, an int widened into a float
 // column, an integral float narrowed into an int column.
@@ -150,9 +150,7 @@ func (b *Batch) AppendValue(c int, v Value) error {
 	case v.T == TNull:
 		b.AppendNull(c)
 	case v.T == typ && typ == TString:
-		bc := &b.cols[c]
-		bc.next()
-		bc.s = append(bc.s, v.S)
+		b.appendString(c, v.S)
 	case v.T == typ && typ == TFloat:
 		b.AppendFloat(c, v.F)
 	case v.T == typ:
@@ -236,7 +234,7 @@ func (t *Table) appendLocked(b *Batch, lo, hi int) {
 			room = 1 << t.bits
 		}
 		n := min(hi-lo, room)
-		t.Grow(n)
+		t.grow(n)
 		for c := range t.tail.chunks {
 			t.tail.chunks[c].append(t.fam.dict[c], &b.cols[c], lo, lo+n)
 		}
@@ -247,17 +245,20 @@ func (t *Table) appendLocked(b *Batch, lo, hi int) {
 	t.fam.hw = t.base + t.nrows
 }
 
-// TailBatch returns the version's tail — the rows past its last sealed
-// segment — as a batch: what a durability layer logs when it rewrites
-// its WAL down to the tail.
-func (t *Table) TailBatch() *Batch {
-	n := t.nrows - len(t.sealed)<<t.bits
-	b := NewBatch(t.schema, n)
-	for c, col := range t.schema {
-		for off := 0; off < n; off++ {
-			v, _ := t.tail.chunks[c].cell(col.Type, t.tail.dicts[c], off)
-			_ = b.AppendValue(c, v) // a stored cell always fits its column
-		}
+// Batch returns rows [lo, hi) of the version as a batch: the one way
+// rows leave a table in bulk — what a durability layer logs when it
+// rewrites its WAL down to the tail, or what a copy appends elsewhere.
+// It reads each column a segment at a time through the ColReader a scan
+// uses, so a faultable segment's cells come back bit for bit, int-like
+// cells past 2^53 included, and no cell is boxed.
+func (t *Table) Batch(lo, hi int) *Batch {
+	b := NewBatch(t.schema, hi-lo)
+	var r ColReader
+	defer r.Close()
+	for c := range t.schema {
+		r.Close()
+		r.open(t, c)
+		r.appendTo(b, c, lo, hi)
 	}
 	return b
 }

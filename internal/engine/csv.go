@@ -7,11 +7,11 @@ import (
 	"os"
 )
 
-// ReadCSV loads a table from CSV. The first record must be a header of
+// readCSV loads a table from CSV. The first record must be a header of
 // column names. When schema is nil, column types are inferred from (up
 // to) the first 200 data rows; otherwise the given schema is used and
 // must match the header's column count and names positionally.
-func ReadCSV(r io.Reader, name string, schema Schema) (*Table, error) {
+func readCSV(r io.Reader, name string, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = false
 	header, err := cr.Read()
@@ -42,7 +42,7 @@ func ReadCSV(r io.Reader, name string, schema Schema) (*Table, error) {
 					samples = append(samples, records[i][c])
 				}
 			}
-			schema[c] = Column{Name: h, Type: InferType(samples)}
+			schema[c] = Column{Name: h, Type: inferType(samples)}
 		}
 	} else if len(schema) != len(header) {
 		return nil, fmt.Errorf("engine: csv has %d columns, schema has %d", len(header), len(schema))
@@ -51,29 +51,27 @@ func ReadCSV(r io.Reader, name string, schema Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Grow(len(records))
-	row := make([]Value, len(schema))
+	b := NewBatch(schema, len(records))
 	for i, rec := range records {
 		if len(rec) != len(schema) {
 			return nil, fmt.Errorf("engine: csv row %d has %d fields, want %d", i+1, len(rec), len(schema))
 		}
 		for c, field := range rec {
 			v, err := ParseValue(field, schema[c].Type)
+			if err == nil {
+				err = b.AppendValue(c, v)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("engine: csv row %d col %s: %w", i+1, schema[c].Name, err)
 			}
-			row[c] = v
-		}
-		if _, err := t.AppendRow(row); err != nil {
-			return nil, err
 		}
 	}
-	return t, nil
+	return t.AppendCols(b, 0, b.Len())
 }
 
-// WriteCSV writes the table as CSV with a header row. NULLs render as
+// writeCSV writes the table as CSV with a header row. NULLs render as
 // empty fields.
-func WriteCSV(w io.Writer, t *Table) error {
+func writeCSV(w io.Writer, t *Table) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.Schema().Names()); err != nil {
 		return err
@@ -103,7 +101,7 @@ func LoadCSVFile(path, name string) (*Table, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadCSV(f, name, nil)
+	return readCSV(f, name, nil)
 }
 
 // SaveCSVFile writes the table to a CSV file on disk.
@@ -112,7 +110,7 @@ func SaveCSVFile(path string, t *Table) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteCSV(f, t); err != nil {
+	if err := writeCSV(f, t); err != nil {
 		f.Close()
 		return err
 	}

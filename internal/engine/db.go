@@ -50,7 +50,7 @@ func (db *DB) AppendCols(name string, b *Batch) (*Table, error) {
 // republish applies mut to the named table's newest version outside the
 // catalog lock — a large ingest never blocks query starts — and swaps
 // the result in. Mutations of one family serialize on its lock; one
-// that lost to a concurrent republish (ErrStaleAppend) or landed on a
+// that lost to a concurrent republish (errStaleAppend) or landed on a
 // family Register/Drop replaced meanwhile retries against the table
 // registered now. If the stale version is still the registered one, the
 // family was mutated outside the catalog and retrying would never
@@ -63,7 +63,7 @@ func (db *DB) republish(name string, mut func(*Table) (*Table, error)) (*Table, 
 			return nil, err
 		}
 		nt, err := mut(t)
-		if errors.Is(err, ErrStaleAppend) {
+		if errors.Is(err, errStaleAppend) {
 			db.mu.RLock()
 			cur := db.tables[key]
 			db.mu.RUnlock()
@@ -85,7 +85,8 @@ func (db *DB) republish(name string, mut func(*Table) (*Table, error)) (*Table, 
 	}
 }
 
-// Append is AppendCols over boxed rows (BatchOf).
+// Append is AppendCols over boxed rows (BatchOf), kept for bench/;
+// everything else appends a Batch.
 func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
 	t, err := db.Table(name)
 	if err != nil {

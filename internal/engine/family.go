@@ -3,14 +3,14 @@ package engine
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // family is the state every version of one table shares: the linear
-// history check, the string dictionaries and the auxiliary cache. It
-// lives behind a pointer so Rename's, AppendCols' and RetainTail's
-// shallow copies share it and the Table struct stays copyable without
-// copying a lock.
+// history check, the string dictionaries and the auxiliary cache.
+// Mutations (AppendCols, RetainTail, AttachSegment) write it under mu;
+// a column reader never touches it. It lives behind a pointer so
+// Rename's, AppendCols' and RetainTail's shallow copies share it and the
+// Table struct stays copyable without copying a lock.
 type family struct {
 	mu sync.Mutex
 	// pub is the family's publication counter: each AppendCols or
@@ -22,12 +22,6 @@ type family struct {
 	// dict[c] is string column c's family dictionary (nil for the rest).
 	dict []*dictState
 	aux  map[any]any
-	// read is set when a reader opens (reader.go). AppendRow, the one
-	// mutator that writes a version in place, then leaves the tail NULL
-	// words it would write to the readers that alias them.
-	read atomic.Bool
-	// row is AppendRow's one-row batch, reused under mu.
-	row *Batch
 }
 
 // newFamily returns the family state of an empty table.
@@ -117,14 +111,14 @@ func (d Dict) Code(s string) int32 {
 	return -1
 }
 
-// RowSynced is implemented by aux cache values (AuxLoadOrStore) that
+// rowSynced is implemented by aux cache values (AuxLoadOrStore) that
 // maintain per-row derived state — e.g. the executor's predicate index
 // with its cached clause masks. AuxLoadOrStore calls SyncRows with the
 // requesting table version on every access, so the value can extend
 // itself to a grown snapshot (decoding only the appended suffix) — or
 // rebase itself after retention by dropping whole head segments —
 // instead of being rebuilt from row 0.
-type RowSynced interface {
+type rowSynced interface {
 	SyncRows(t *Table)
 }
 
@@ -135,11 +129,11 @@ type RowSynced interface {
 // instance — cache derived structures per table without a
 // process-global map that outlives the table. build may run more than
 // once under a race; exactly one result wins. Values implementing
-// RowSynced are notified of the requesting table version before being
+// rowSynced are notified of the requesting table version before being
 // returned.
 func (t *Table) AuxLoadOrStore(key any, build func() any) any {
 	v := t.auxLoadOrStore(key, build)
-	if rs, ok := v.(RowSynced); ok {
+	if rs, ok := v.(rowSynced); ok {
 		rs.SyncRows(t)
 	}
 	return v

@@ -6,10 +6,10 @@ import (
 )
 
 func TestColReaderFloats(t *testing.T) {
-	tbl := MustNewTable("t", NewSchema("x", TFloat, "s", TString))
-	tbl.MustAppendRow(NewFloat(1.5), NewString("a"))
-	tbl.MustAppendRow(Null, NewString("b"))
-	tbl.MustAppendRow(NewFloat(-2), Null)
+	tbl := mustAppend(t, MustNewTable("t", NewSchema("x", TFloat, "s", TString)),
+		[]Value{NewFloat(1.5), NewString("a")},
+		[]Value{Null, NewString("b")},
+		[]Value{NewFloat(-2), Null})
 
 	r := tbl.NewColReader(0)
 	defer r.Close()
@@ -36,7 +36,7 @@ func TestColReaderFloats(t *testing.T) {
 	}
 
 	// A reader opened after an append reads the grown table.
-	tbl.MustAppendRow(NewFloat(7), NewString("c"))
+	tbl = mustAppend(t, tbl, []Value{NewFloat(7), NewString("c")})
 	r2 := tbl.NewColReader(0)
 	defer r2.Close()
 	if vals, _ := r2.Floats(0); len(vals) != 4 || vals[3] != 7 {
@@ -46,10 +46,11 @@ func TestColReaderFloats(t *testing.T) {
 
 func TestDict(t *testing.T) {
 	tbl := MustNewTable("t", NewSchema("s", TString, "x", TInt))
+	var rows [][]Value
 	for _, s := range []string{"a", "b", "a", "", "c"} {
-		tbl.MustAppendRow(NewString(s), NewInt(1))
+		rows = append(rows, []Value{NewString(s), NewInt(1)})
 	}
-	tbl.MustAppendRow(Null, NewInt(1))
+	tbl = mustAppend(t, tbl, append(rows, []Value{Null, NewInt(1)})...)
 
 	d := tbl.Dict(0)
 	if d.NumValues() != 4 { // a, b, "", c
@@ -71,74 +72,30 @@ func TestDict(t *testing.T) {
 	}
 }
 
-// TestReaderSurvivesInPlaceAppend pins the streaming tentpole at the
-// engine layer: a reader aliases the tail chunk itself, so readers of two
-// successive states of the table share one backing array over their
-// common prefix (nothing is copied or re-decoded), and a reader opened
-// before an in-place AppendRow keeps reading the table as it stood —
-// chunks it had already handed out and chunks it reaches afterwards.
-func TestReaderSurvivesInPlaceAppend(t *testing.T) {
-	tbl := MustNewTable("t", NewSchema("x", TFloat))
-	for i := 0; i < 100; i++ {
-		tbl.MustAppendRow(NewFloat(float64(i)))
-	}
-	tbl.Grow(2)
-	early, late := tbl.NewColReader(0), tbl.NewColReader(0)
-	defer early.Close()
-	defer late.Close()
-	vals1, null1 := early.Floats(0)
-	tbl.MustAppendRow(Null)
-	tbl.MustAppendRow(NewFloat(42))
-
-	r2 := tbl.NewColReader(0)
-	defer r2.Close()
-	vals2, _ := r2.Floats(0)
-	if &vals1[0] != &vals2[0] {
-		t.Fatal("append copied the tail instead of extending it")
-	}
-	if v, null := r2.Float(101); len(vals2) != 102 || v != 42 || null {
-		t.Fatalf("grown table wrong: %d rows", len(vals2))
-	}
-	if v, null := r2.Float(100); !null || !math.IsNaN(v) {
-		t.Fatal("appended NULL not marked")
-	}
-	// The old readers are snapshots: same length, same bits — row 100's
-	// NULL bit shares their last word.
-	vals3, null3 := late.Floats(0)
-	if len(vals1) != 100 || len(vals3) != 100 {
-		t.Fatal("an open reader changed length after append")
-	}
-	for _, null := range [][]uint64{null1, null3} {
-		for _, w := range null {
-			if w != 0 {
-				t.Fatal("an open reader gained a NULL bit after append")
-			}
-		}
-	}
-}
-
 // TestDictBoundedPerVersion checks append-stable dictionary codes,
 // copy-on-grow of the shared code map, and that an older handle bounds
 // its dictionary at the rows it was taken over.
 func TestDictBoundedPerVersion(t *testing.T) {
+	// Two batches leave the tail room for four codes, so the next
+	// one-row append extends the array the first version reads.
 	tbl := MustNewTable("t", NewSchema("s", TString))
-	for _, s := range []string{"a", "b", "a"} {
-		tbl.MustAppendRow(NewString(s))
-	}
-	tbl.Grow(2)
+	tbl = mustAppend(t, tbl, []Value{NewString("a")}, []Value{NewString("b")})
+	tbl = mustAppend(t, tbl, []Value{NewString("a")})
 	d1, r1 := tbl.Dict(0), tbl.NewColReader(0)
 	defer r1.Close()
 	if d1.NumValues() != 2 {
 		t.Fatalf("Values = %v", d1.Values())
 	}
-	tbl.MustAppendRow(NewString("zz")) // new string: first appearance at row 3
-	tbl.MustAppendRow(NewString("b"))
-
-	d2, r2 := tbl.Dict(0), tbl.NewColReader(0)
-	defer r2.Close()
-	if &r1.Codes(0)[0] != &r2.Codes(0)[0] || len(r2.Codes(0)) != 5 || len(r1.Codes(0)) != 3 {
+	grown := mustAppend(t, tbl, []Value{NewString("zz")}) // new string: first appearance at row 3
+	rg := grown.NewColReader(0)
+	defer rg.Close()
+	if &r1.Codes(0)[0] != &rg.Codes(0)[0] || len(rg.Codes(0)) != 4 || len(r1.Codes(0)) != 3 {
 		t.Fatal("append re-coded the tail instead of extending it")
 	}
+	grown = mustAppend(t, grown, []Value{NewString("b")})
+
+	d2, r2 := grown.Dict(0), grown.NewColReader(0)
+	defer r2.Close()
 	if r2.Code(0) != r1.Code(0) || r2.Code(4) != r1.Code(1) {
 		t.Fatal("dictionary codes not append-stable")
 	}
@@ -156,9 +113,12 @@ func TestDictBoundedPerVersion(t *testing.T) {
 // both read the one tail array, and stale appends error.
 func TestAppendBatchCopyOnWrite(t *testing.T) {
 	tbl := MustNewTable("t", NewSchema("x", TFloat, "s", TString))
+	var rows [][]Value
 	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow(NewFloat(float64(i)), NewString("a"))
+		rows = append(rows, []Value{NewFloat(float64(i)), NewString("a")})
 	}
+	// Eight rows, then two: the second batch doubles the tail to 16.
+	tbl = mustAppend(t, mustAppend(t, tbl, rows[:8]...), rows[8:]...)
 	old := tbl.NewColReader(0) // opened pre-append
 	defer old.Close()
 	nt, err := tbl.AppendBatch([][]Value{
@@ -197,12 +157,9 @@ func TestAppendBatchCopyOnWrite(t *testing.T) {
 		t.Fatal("old version's rows wrong after family growth")
 	}
 
-	// Appends are linear: the superseded snapshot refuses both forms.
+	// Appends are linear: the superseded snapshot refuses them.
 	if _, err := tbl.AppendBatch([][]Value{{NewFloat(1), NewString("x")}}); err == nil {
 		t.Fatal("AppendBatch to stale snapshot should error")
-	}
-	if _, err := tbl.AppendRow([]Value{NewFloat(1), NewString("x")}); err == nil {
-		t.Fatal("AppendRow to stale snapshot should error")
 	}
 	// A half-bad batch publishes nothing.
 	if _, err := nt.AppendBatch([][]Value{{NewFloat(1), NewString("x")}, {NewString("oops"), NewString("y")}}); err == nil {

@@ -131,7 +131,7 @@ func (t *Table) AttachSegment(loader ChunkLoader, zones []ZoneInfo) (*Table, err
 	fam.mu.Lock()
 	defer fam.mu.Unlock()
 	if t.pub != fam.pub {
-		return nil, fmt.Errorf("engine: table %s: %w (attach to superseded version)", t.name, ErrStaleAppend)
+		return nil, fmt.Errorf("engine: table %s: %w (attach to superseded version)", t.name, errStaleAppend)
 	}
 	if tailLen := t.nrows & t.mask; tailLen != 0 {
 		return nil, fmt.Errorf("engine: table %s: attach with %d tail rows (segments attach only at segment boundaries)", t.name, tailLen)

@@ -43,9 +43,6 @@ func (t *Table) NewColReader(c int) *ColReader {
 }
 
 func (r *ColReader) open(t *Table, c int) {
-	if !t.fam.read.Load() {
-		t.fam.read.Store(true)
-	}
 	r.t, r.col, r.typ, r.seg = *t, c, t.schema[c].Type, -1
 }
 
@@ -136,6 +133,40 @@ func (r *ColReader) pinned(s *segment, slot int, release func(), missed bool, er
 		r.faulted++
 	} else {
 		r.resident++
+	}
+}
+
+// appendTo appends rows [lo, hi) of the reader's column to column c of
+// b, a segment at a time: the typed cells as Chunk.cell reads them.
+func (r *ColReader) appendTo(b *Batch, c, lo, hi int) {
+	for lo < hi {
+		k := lo >> r.t.bits
+		if k != r.seg {
+			r.move(k)
+		}
+		off, end := lo&r.t.mask, min(hi-k<<r.t.bits, 1<<r.t.bits)
+		for i := off; i < end; i++ {
+			switch {
+			case r.typ == TString:
+				if code := r.ch.Codes[i]; code >= 0 {
+					b.appendString(c, r.dict[code])
+				} else {
+					b.AppendNull(c)
+				}
+			case r.ch.Null[i>>6]&(1<<(uint(i)&63)) != 0:
+				b.AppendNull(c)
+			case r.typ == TFloat:
+				b.AppendFloat(c, r.ch.Vals[i])
+			case -exactInt < r.ch.Vals[i] && r.ch.Vals[i] < exactInt:
+				b.AppendInt(c, int64(r.ch.Vals[i]))
+			default:
+				if r.ch.Ints == nil {
+					r.exact(i) // pins the faultable segment's exact chunk into r.ch.Ints
+				}
+				b.AppendInt(c, r.ch.Ints[i])
+			}
+		}
+		lo += end - off
 	}
 }
 

@@ -335,8 +335,8 @@ func TestCellMatrixThreeWay(t *testing.T) {
 	}
 }
 
-// TestSegmentedRandomizedParity drives random single-row and batch
-// appends plus occasional retention through a tiny-segment table and a
+// TestSegmentedRandomizedParity drives random batch appends (one row
+// and up) plus occasional retention through a tiny-segment table and a
 // boxed mirror of the stream, and after every step compares EVERY
 // version of the chain so far — the ones whose tail a later append has
 // sealed and the ones retention has moved past included — with the
@@ -363,16 +363,10 @@ func TestSegmentedRandomizedParity(t *testing.T) {
 		chain := []*engine.Table{cur}
 		for step, next := 0, 0; step < 12; step++ {
 			k := []int{1, 7, 63, 64, 65, 130, 1 + rng.Intn(40), testgen.BoundaryBatchSize(rng, cur)}[rng.Intn(8)]
-			if k == 1 && rng.Intn(2) == 0 {
-				if _, err := cur.AppendRow(stream[next]); err != nil { // in place: cur stays the chain's last
-					t.Fatal(err)
-				}
-			} else {
-				if cur, err = cur.AppendBatch(stream[next : next+k]); err != nil {
-					t.Fatal(err)
-				}
-				chain = append(chain, cur)
+			if cur, err = cur.AppendBatch(stream[next : next+k]); err != nil {
+				t.Fatal(err)
 			}
+			chain = append(chain, cur)
 			next += k
 			if rng.Intn(3) == 0 {
 				ret, _, err := cur.RetainTail(engine.RetentionPolicy{MaxRows: 100 + rng.Intn(100)})
@@ -513,10 +507,19 @@ func TestMemStatsCountsWhatSegmentsHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	nrows := tbl.SegRows() + 1 // the first row of the next tail seals the segment
+	b := engine.NewBatch(schema, nrows)
 	for r := 0; r < nrows; r++ {
-		f := engine.NewFloat(float64(r) * 0.5)
-		i := engine.NewInt(int64(r))
-		tbl.MustAppendRow(f, f, i, i, engine.NewTimeUnix(int64(r)), engine.NewBool(r%2 == 0), f)
+		f, i := float64(r)*0.5, int64(r)
+		b.AppendFloat(0, f)
+		b.AppendFloat(1, f)
+		b.AppendInt(2, i)
+		b.AppendInt(3, i)
+		b.AppendInt(4, i)
+		b.AppendInt(5, i&1^1)
+		b.AppendFloat(6, f)
+	}
+	if tbl, err = tbl.AppendCols(b, 0, nrows); err != nil {
+		t.Fatal(err)
 	}
 	segs, bytes := tbl.MemStats()
 	if sealed, tail := tbl.NumSegments(); sealed != 1 || tail != 1 || segs != 2 {

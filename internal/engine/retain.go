@@ -45,7 +45,7 @@ type RetainStats struct {
 // version with the dropped head segments removed and row ids rebased
 // (see Base). Like AppendCols it is copy-on-write and linear: the
 // receiver and everything derived from it stay valid, and only the
-// newest version may be retained (ErrStaleAppend otherwise). When the
+// newest version may be retained (errStaleAppend otherwise). When the
 // policy drops nothing the receiver itself is returned.
 func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, err error) {
 	// A TimeCol policy over an out-of-core segment without a zone map
@@ -54,7 +54,7 @@ func (t *Table) RetainTail(pol RetentionPolicy) (nt *Table, stats0 RetainStats, 
 	t.fam.mu.Lock()
 	defer t.fam.mu.Unlock()
 	if t.pub != t.fam.pub {
-		return nil, RetainStats{}, fmt.Errorf("engine: table %s: %w (retention on superseded version)", t.name, ErrStaleAppend)
+		return nil, RetainStats{}, fmt.Errorf("engine: table %s: %w (retention on superseded version)", t.name, errStaleAppend)
 	}
 	drop := t.dropCountLocked(pol)
 	stats := RetainStats{

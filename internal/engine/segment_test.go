@@ -322,7 +322,7 @@ func TestDBRetainRepublish(t *testing.T) {
 }
 
 // TestDBAppendRetainRace is a regression test: DB.Retain racing a
-// concurrent DB.Append used to surface the loser's ErrStaleAppend to
+// concurrent DB.Append used to surface the loser's errStaleAppend to
 // the caller instead of retrying against the republished version.
 func TestDBAppendRetainRace(t *testing.T) {
 	db := NewDB()

@@ -5,12 +5,12 @@ import (
 	"fmt"
 )
 
-// ErrStaleAppend reports a mutation against a superseded table snapshot:
+// errStaleAppend reports a mutation against a superseded table snapshot:
 // a newer version of the family has already been published (by an
 // append or a retention pass). Callers that lost a publish race
 // (engine.DB.Append, DB.Retain) match on it to retry against the
 // newest version.
-var ErrStaleAppend = errors.New("append to stale snapshot")
+var errStaleAppend = errors.New("append to stale snapshot")
 
 // Table is an append-only, in-memory columnar relation stored as
 // fixed-size row segments (see segment.go): sealed segments of exactly
@@ -21,6 +21,10 @@ var ErrStaleAppend = errors.New("append to stale snapshot")
 // as row ids into the source table. Retention (retain.go) is the one operation that moves ids:
 // dropping k head segments rebases every surviving id down by
 // k*SegRows, recorded in Base().
+//
+// A version never changes once published: AppendCols is the only way
+// rows enter a family, and it (like RetainTail) returns a new version.
+// Rows leave in bulk through Batch.
 type Table struct {
 	name   string
 	schema Schema
@@ -116,10 +120,10 @@ func (t *Table) NumRows() int { return t.nrows }
 // NumCols returns the number of columns.
 func (t *Table) NumCols() int { return len(t.schema) }
 
-// Grow pre-allocates tail capacity for n additional rows (capped at
-// the segment size — sealed segments are allocated as they fill). An
-// outgrown tail at least doubles, so row-at-a-time appends stay linear.
-func (t *Table) Grow(n int) {
+// grow reserves tail capacity for n additional rows (capped at the
+// segment size — sealed segments are allocated as they fill). An
+// outgrown tail at least doubles, so small appends stay linear.
+func (t *Table) grow(n int) {
 	segRows := 1 << t.bits
 	need := min(t.nrows-len(t.sealed)<<t.bits+n, segRows)
 	for c := range t.tail.chunks {
@@ -141,37 +145,6 @@ func (t *Table) forkLocked() *Table {
 		nrows: t.nrows, base: t.base, bits: t.bits, mask: t.mask,
 		pub: t.fam.pub, fam: t.fam,
 	}
-}
-
-// AppendRow appends a row in place and returns its row id. The row
-// length must match the schema and each value must be type-compatible
-// with its column. AppendRow is the single-owner build-phase mutator;
-// it refuses to append to a stale snapshot (one superseded by
-// AppendCols or RetainTail), since that would clobber rows a newer
-// version already published. For concurrent ingest while queries are
-// in flight, use AppendCols (copy-on-write) instead.
-func (t *Table) AppendRow(row []Value) (int, error) {
-	fam := t.fam
-	fam.mu.Lock()
-	defer fam.mu.Unlock()
-	if fam.row == nil {
-		fam.row = NewBatch(t.schema, 1)
-	}
-	fam.row.reset()
-	if err := fam.row.appendRow(row); err != nil {
-		return 0, fmt.Errorf("engine: table %s: row: %w", t.name, err)
-	}
-	if t.pub != fam.pub {
-		return 0, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
-	}
-	if fam.read.Load() {
-		// A reader opened since the last fork may alias the NULL words
-		// this append writes in place: leave them to it.
-		t.tail = t.forkTail()
-		fam.read.Store(false)
-	}
-	t.appendLocked(fam.row, 0, 1)
-	return t.nrows - 1, nil
 }
 
 // AppendCols appends rows [lo, hi) of a batch copy-on-write: it returns
@@ -196,7 +169,7 @@ func (t *Table) AppendCols(b *Batch, lo, hi int) (*Table, error) {
 	fam.mu.Lock()
 	defer fam.mu.Unlock()
 	if t.pub != fam.pub {
-		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, ErrStaleAppend, t.nrows, fam.hw-t.base)
+		return nil, fmt.Errorf("engine: table %s: %w (%d rows, family has %d)", t.name, errStaleAppend, t.nrows, fam.hw-t.base)
 	}
 	nt := t.forkLocked()
 	nt.appendLocked(b, lo, hi)
@@ -218,16 +191,6 @@ func (t *Table) AppendBatch(rows [][]Value) (*Table, error) {
 // AppendCols, RetainTail and Rename establish).
 func (t *Table) SameFamily(o *Table) bool {
 	return t != nil && o != nil && t.fam == o.fam
-}
-
-// MustAppendRow appends a row, panicking on type errors. Intended for
-// generators whose schemas are static.
-func (t *Table) MustAppendRow(row ...Value) int {
-	id, err := t.AppendRow(row)
-	if err != nil {
-		panic(err)
-	}
-	return id
 }
 
 // Value returns the value at (row, col). It panics when out of range,
@@ -275,9 +238,10 @@ func (t *Table) Select(rows []int) *Table {
 		rr.RowInto(r, buf)
 		_ = b.appendRow(buf) // a stored row always fits its schema
 	}
-	out.fam.mu.Lock()
-	defer out.fam.mu.Unlock()
-	out.appendLocked(b, 0, b.Len())
+	out, err = out.AppendCols(b, 0, b.Len())
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 

@@ -16,10 +16,22 @@ func testTable(t *testing.T) *Table {
 	}{
 		{1, "a", 1.5}, {2, "b", 2.5}, {3, "a", 3.5}, {4, "c", 4.5}, {5, "a", 5.5},
 	}
+	var vals [][]Value
 	for _, r := range rows {
-		tbl.MustAppendRow(NewInt(r.id), NewString(r.name), NewFloat(r.score))
+		vals = append(vals, []Value{NewInt(r.id), NewString(r.name), NewFloat(r.score)})
 	}
-	return tbl
+	return mustAppend(t, tbl, vals...)
+}
+
+// mustAppend appends rows to tbl as one batch and returns the grown
+// version.
+func mustAppend(t *testing.T, tbl *Table, rows ...[]Value) *Table {
+	t.Helper()
+	nt, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nt
 }
 
 func TestSchemaValidate(t *testing.T) {
@@ -68,20 +80,20 @@ func TestTableAppendAndAccess(t *testing.T) {
 
 func TestTableTypeChecking(t *testing.T) {
 	tbl := MustNewTable("t", NewSchema("x", TInt))
-	if _, err := tbl.AppendRow([]Value{NewString("no")}); err == nil {
+	if _, err := tbl.AppendBatch([][]Value{{NewString("no")}}); err == nil {
 		t.Error("string into int column accepted")
 	}
-	if _, err := tbl.AppendRow([]Value{NewInt(1), NewInt(2)}); err == nil {
+	if _, err := tbl.AppendBatch([][]Value{{NewInt(1), NewInt(2)}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 	// NULL is storable everywhere.
-	if _, err := tbl.AppendRow([]Value{Null}); err != nil {
+	if _, err := tbl.AppendBatch([][]Value{{Null}}); err != nil {
 		t.Errorf("null rejected: %v", err)
 	}
 	// Int widens into float columns.
-	ft := MustNewTable("f", NewSchema("x", TFloat))
-	if _, err := ft.AppendRow([]Value{NewInt(3)}); err != nil {
-		t.Errorf("int into float rejected: %v", err)
+	ft, err := MustNewTable("f", NewSchema("x", TFloat)).AppendBatch([][]Value{{NewInt(3)}})
+	if err != nil {
+		t.Fatalf("int into float rejected: %v", err)
 	}
 	if ft.Value(0, 0).T != TFloat {
 		t.Errorf("widening type: %v", ft.Value(0, 0).T)
@@ -99,10 +111,10 @@ func TestTableSelect(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	tbl := testTable(t)
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tbl); err != nil {
+	if err := writeCSV(&buf, tbl); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, "t2", tbl.Schema())
+	back, err := readCSV(&buf, "t2", tbl.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVInference(t *testing.T) {
 	in := "id,name,score\n1,a,1.5\n2,b,\n"
-	tbl, err := ReadCSV(strings.NewReader(in), "t", nil)
+	tbl, err := readCSV(strings.NewReader(in), "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,10 +313,10 @@ func ParseValue(s string, t Type) (Value, error) {
 	}
 }
 
-// InferType guesses the narrowest type able to represent every sample.
+// inferType guesses the narrowest type able to represent every sample.
 // Preference order: int, float, time, bool, string. Empty strings are
 // ignored (treated as NULL).
-func InferType(samples []string) Type {
+func inferType(samples []string) Type {
 	isInt, isFloat, isBool, isTime := true, true, true, true
 	seen := false
 	for _, s := range samples {

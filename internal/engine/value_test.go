@@ -171,8 +171,8 @@ func TestInferType(t *testing.T) {
 		{[]string{"1", ""}, TInt},
 	}
 	for _, c := range cases {
-		if got := InferType(c.samples); got != c.want {
-			t.Errorf("InferType(%v) = %v, want %v", c.samples, got, c.want)
+		if got := inferType(c.samples); got != c.want {
+			t.Errorf("inferType(%v) = %v, want %v", c.samples, got, c.want)
 		}
 	}
 }

@@ -62,11 +62,7 @@ func Faultable(src *engine.Table) (*engine.Table, *Loader) {
 	for k := 0; k < sealed; k++ {
 		twin = l.Attach(twin)
 	}
-	rows := make([][]engine.Value, tail)
-	for i := range rows {
-		rows[i] = src.Row(sealed*src.SegRows() + i)
-	}
-	twin, err := twin.AppendBatch(rows)
+	twin, err := twin.AppendCols(src.Batch(src.NumRows()-tail, src.NumRows()), 0, tail)
 	if err != nil {
 		panic(err)
 	}

@@ -14,8 +14,9 @@ import (
 // yield over the grown table by folding ONLY the appended suffix rows
 // into copies of the previous result's group states — O(batch + groups)
 // instead of the O(n) rescan a fresh run costs. It is the top of the
-// incremental stack: the engine's tail chunks grow in place, the
-// predicate index extends clause masks by suffix decode, and Advance
+// incremental stack: the engine's appends extend the tail's arrays past
+// every published length, the predicate index extends clause masks by
+// suffix decode, and Advance
 // extends group aggregates, lineage, lineage bitsets, and argument
 // views, so a continuous-monitoring loop (append batch, re-run query,
 // re-Debug) does per-batch work independent of total table size.

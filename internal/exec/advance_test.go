@@ -89,8 +89,12 @@ func streamFixture(t *testing.T, rows int) (*engine.Table, *sqlparse.SelectStmt)
 	}
 	rng := rand.New(rand.NewSource(42))
 	strs := []string{"a", "b", "c"}
-	for i := 0; i < rows; i++ {
-		tbl.MustAppendRow(engine.NewString(strs[rng.Intn(3)]), engine.NewFloat(float64(rng.Intn(40))*0.25))
+	vals := make([][]engine.Value, rows)
+	for i := range vals {
+		vals[i] = []engine.Value{engine.NewString(strs[rng.Intn(3)]), engine.NewFloat(float64(rng.Intn(40)) * 0.25)}
+	}
+	if tbl, err = tbl.AppendBatch(vals); err != nil {
+		t.Fatal(err)
 	}
 	stmt, err := sqlparse.Parse("SELECT s, sum(f) AS total, count(*) AS n FROM p WHERE f >= 1 GROUP BY s")
 	if err != nil {

@@ -12,14 +12,18 @@ import (
 func benchDB(rows int) *engine.DB {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "cat", engine.TString, "v", engine.TFloat))
-	tbl.Grow(rows)
 	cats := []string{"a", "b", "c", "d"}
-	for i := 0; i < rows; i++ {
-		tbl.MustAppendRow(
-			engine.NewInt(int64(i%100)),
+	vals := make([][]engine.Value, rows)
+	for i := range vals {
+		vals[i] = []engine.Value{
+			engine.NewInt(int64(i % 100)),
 			engine.NewString(cats[i%len(cats)]),
-			engine.NewFloat(float64(i%997)),
-		)
+			engine.NewFloat(float64(i % 997)),
+		}
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		panic(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
@@ -33,9 +37,13 @@ func benchDB(rows int) *engine.DB {
 func computedBenchDB(repeat int) *engine.DB {
 	const rows = 100_000
 	tbl := engine.MustNewTable("t", engine.NewSchema("ts", engine.TTime, "v", engine.TFloat))
-	tbl.Grow(rows)
-	for i := 0; i < rows; i++ {
-		tbl.MustAppendRow(engine.NewTimeUnix(1_078_000_000+int64(i/repeat)*31), engine.NewFloat(float64(i%997)))
+	vals := make([][]engine.Value, rows)
+	for i := range vals {
+		vals[i] = []engine.Value{engine.NewTimeUnix(1_078_000_000 + int64(i/repeat)*31), engine.NewFloat(float64(i % 997))}
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		panic(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

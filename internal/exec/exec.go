@@ -487,11 +487,8 @@ func (r *Result) materialize() error {
 	if err != nil {
 		return err
 	}
-	out.Grow(len(rows))
-	for _, row := range rows {
-		if _, err := out.AppendRow(row); err != nil {
-			return err
-		}
+	if out, err = out.AppendBatch(rows); err != nil {
+		return err
 	}
 	r.Table = out
 	return nil
@@ -553,8 +550,7 @@ func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 // fine-grained provenance of the suspect groups S. The union runs
 // through a bitmap, so dedup and sort order fall out of bit position.
 func (r *Result) Lineage(rowIdxs []int) []int {
-	b := r.LineageBits(rowIdxs)
-	return b.AppendRows(make([]int, 0, b.Count()))
+	return r.LineageBits(rowIdxs).Rows()
 }
 
 // AllRows returns 0..NumRows-1, convenient for "every group is suspect".

@@ -31,10 +31,15 @@ func salesDB(t *testing.T) *engine.DB {
 		{"west", "a", 50, 5},
 		{"north", "c", -5, 1},
 	}
+	var vals [][]engine.Value
 	for _, r := range rows {
-		tbl.MustAppendRow(
+		vals = append(vals, []engine.Value{
 			engine.NewString(r.region), engine.NewString(r.product),
-			engine.NewFloat(r.amount), engine.NewInt(r.qty))
+			engine.NewFloat(r.amount), engine.NewInt(r.qty)})
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
@@ -114,9 +119,13 @@ func TestLineagePartitionProperty(t *testing.T) {
 		if len(amounts) == 0 {
 			return true
 		}
-		tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
+		vals := make([][]engine.Value, len(amounts))
 		for i, a := range amounts {
-			tbl.MustAppendRow(engine.NewInt(int64(i%5)), engine.NewFloat(float64(a)))
+			vals[i] = []engine.Value{engine.NewInt(int64(i % 5)), engine.NewFloat(float64(a))}
+		}
+		tbl, err := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat)).AppendBatch(vals)
+		if err != nil {
+			return false
 		}
 		db := engine.NewDB()
 		db.Register(tbl)
@@ -350,8 +359,11 @@ func TestSumDistinct(t *testing.T) {
 }
 
 func TestNullAggregateResult(t *testing.T) {
-	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
-	tbl.MustAppendRow(engine.NewInt(1), engine.Null)
+	tbl, err := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat)).
+		AppendBatch([][]engine.Value{{engine.NewInt(1), engine.Null}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := engine.NewDB()
 	db.Register(tbl)
 	res := runSQL(t, db, "SELECT k, sum(v) AS s FROM t GROUP BY k")

@@ -38,10 +38,10 @@ import (
 // test) and F = nonNull(column) \ T.
 
 // lowerCtx carries the table family's shared predicate index
-// (predicate.Shared — one set of clause masks per family; it implements
-// engine.RowSynced, so requesting it through a grown copy-on-write
-// version rebases it and cached masks extend by decoding only the
-// appended suffix) together with the exact table version the statement
+// (predicate.Shared — one set of clause masks per family; the engine's
+// aux cache calls its SyncRows, so requesting it through a grown
+// copy-on-write version rebases it and cached masks extend by decoding
+// only the appended suffix) together with the exact table version the statement
 // is executing against. Masks are always requested at
 // src.NumRows() AND src.Base(), never at the index's own (possibly
 // newer) geometry, so a query running mid-append sees masks of exactly

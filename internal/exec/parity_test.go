@@ -44,8 +44,10 @@ func parityTable(rng *rand.Rand, nrows int) *engine.Table {
 		panic(err)
 	}
 	strs := []string{"a", "b", "c", "", "xy"}
-	row := make([]engine.Value, len(schema))
-	for r := 0; r < nrows; r++ {
+	rows := make([][]engine.Value, nrows)
+	for r := range rows {
+		row := make([]engine.Value, len(schema))
+		rows[r] = row
 		row[0] = engine.NewInt(int64(rng.Intn(11) - 5))
 		if rng.Float64() < 0.15 {
 			row[0] = engine.Null
@@ -76,9 +78,9 @@ func parityTable(rng *rand.Rand, nrows int) *engine.Table {
 		} else {
 			row[4] = engine.NewTimeUnix(int64(rng.Intn(7200)))
 		}
-		if _, err := t.AppendRow(row); err != nil {
-			panic(err)
-		}
+	}
+	if t, err = t.AppendBatch(rows); err != nil {
+		panic(err)
 	}
 	return t
 }

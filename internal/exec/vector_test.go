@@ -39,8 +39,12 @@ func vectorTestTable(t *testing.T) *engine.Table {
 		{engine.NewString("cam"), engine.Null, engine.NewFloat(4)},
 		{engine.NewString("bos"), engine.NewInt(60), engine.NewFloat(0.25)},
 	}
+	var vals [][]engine.Value
 	for _, r := range rows {
-		tbl.MustAppendRow(r.city, r.pop, r.temp)
+		vals = append(vals, []engine.Value{r.city, r.pop, r.temp})
+	}
+	if tbl, err = tbl.AppendBatch(vals); err != nil {
+		t.Fatal(err)
 	}
 	return tbl
 }

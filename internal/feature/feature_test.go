@@ -15,13 +15,18 @@ func mixedTable(t *testing.T, n int) *engine.Table {
 		"constant", engine.TFloat,
 	))
 	cities := []string{"BOSTON", "NYC", "BOSTON", "LA"}
+	var rows [][]engine.Value
 	for i := 0; i < n; i++ {
-		tbl.MustAppendRow(
+		rows = append(rows, []engine.Value{
 			engine.NewInt(int64(i)),
-			engine.NewFloat(float64(i%50)),
+			engine.NewFloat(float64(i % 50)),
 			engine.NewString(cities[i%len(cities)]),
 			engine.NewFloat(7),
-		)
+		})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tbl
 }
@@ -103,8 +108,13 @@ func TestSampleCap(t *testing.T) {
 
 func TestNullColumnSkipped(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat, "y", engine.TFloat))
+	var rows [][]engine.Value
 	for i := 0; i < 10; i++ {
-		tbl.MustAppendRow(engine.Null, engine.NewFloat(float64(i)))
+		rows = append(rows, []engine.Value{engine.Null, engine.NewFloat(float64(i))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := NewSpace(tbl, Options{})
 	if len(sp.Attrs) != 1 || sp.Attrs[0].Name != "y" {

@@ -284,8 +284,8 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rows {
-			resident.MustAppendRow(r...)
+		if resident, err = resident.AppendBatch(rows); err != nil {
+			t.Fatal(err)
 		}
 
 		// The same rows served out of core through a pool smaller than
@@ -347,8 +347,8 @@ func TestFrameStaleVersionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range frameRows(rng, 100) {
-		old.MustAppendRow(r...)
+	if old, err = old.AppendBatch(frameRows(rng, 100)); err != nil {
+		t.Fatal(err)
 	}
 	grown, err := old.AppendBatch(frameRows(rng, 100)) // seals old's tail
 	if err != nil {

@@ -18,9 +18,14 @@ import (
 func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat, "s", engine.TString))
 	labels := make([]bool, 40)
+	var rows [][]engine.Value
 	for i := range labels {
-		tbl.MustAppendRow(engine.NewFloat(float64(i)), engine.NewString([]string{"a", "b"}[i%2]))
+		rows = append(rows, []engine.Value{engine.NewFloat(float64(i)), engine.NewString([]string{"a", "b"}[i%2])})
 		labels[i] = i >= 30
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 

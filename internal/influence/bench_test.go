@@ -12,9 +12,13 @@ import (
 func benchResult(b *testing.B, rows int) *exec.Result {
 	b.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
-	tbl.Grow(rows)
+	var vals [][]engine.Value
 	for i := 0; i < rows; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i%10)), engine.NewFloat(float64(i%503)))
+		vals = append(vals, []engine.Value{engine.NewInt(int64(i % 10)), engine.NewFloat(float64(i % 503))})
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		b.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

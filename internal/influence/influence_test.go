@@ -17,8 +17,13 @@ import (
 func buildResult(t *testing.T, agg string, rows [][2]float64) *exec.Result {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
+	var vals [][]engine.Value
 	for _, r := range rows {
-		tbl.MustAppendRow(engine.NewInt(int64(r[0])), engine.NewFloat(r[1]))
+		vals = append(vals, []engine.Value{engine.NewInt(int64(r[0])), engine.NewFloat(r[1])})
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -17,12 +17,17 @@ func scorerResult(t testing.TB, rows int, aggSQL string) *exec.Result {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < rows; i++ {
+	vals := make([][]engine.Value, rows)
+	for i := range vals {
 		v := engine.NewFloat(float64(rng.Intn(200)))
 		if rng.Intn(10) == 0 {
 			v = engine.Null
 		}
-		tbl.MustAppendRow(engine.NewInt(int64(i%7)), v)
+		vals[i] = []engine.Value{engine.NewInt(int64(i % 7)), v}
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
@@ -74,8 +79,13 @@ func TestEpsWithoutBitsParity(t *testing.T) {
 // par.Do's helpers items to take.
 func TestFBitsIsLineageUnion(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
+	var rows [][]engine.Value
 	for i := range 50_000 {
-		tbl.MustAppendRow(engine.NewInt(int64(i%500)), engine.NewFloat(float64(i%193)))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i % 500)), engine.NewFloat(float64(i % 193))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -105,8 +105,8 @@ func NewIndex(t *engine.Table) *Index {
 type sharedIndexKey struct{}
 
 // Shared returns the table family's shared index, creating it on first
-// request through the engine's aux cache. The index implements
-// engine.RowSynced, so requesting it through a grown copy-on-write
+// request through the engine's aux cache. The cache calls the index's
+// SyncRows, so requesting it through a grown copy-on-write
 // version rebases it: cached clause masks then extend by decoding only
 // the appended suffix (or drop whole head chunks after retention).
 //
@@ -139,7 +139,8 @@ func (ix *Index) Table() *engine.Table {
 	return ix.t
 }
 
-// SyncRows implements engine.RowSynced: it rebases the index onto t
+// SyncRows is the hook the engine's aux cache calls with the requesting
+// version (Table.AuxLoadOrStore): it rebases the index onto t
 // when t is a newer version of the indexed table family — longer, or
 // equal-length with a larger retention base. Appends extend cached
 // masks lazily on their next request; retention drops whole head

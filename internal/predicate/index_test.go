@@ -20,6 +20,7 @@ func randomTable(rng *rand.Rand, rows int) *engine.Table {
 		"b", engine.TBool,
 	))
 	strs := []string{"alpha", "beta", "gamma", "delta", ""}
+	var vals [][]engine.Value
 	for r := 0; r < rows; r++ {
 		iv := engine.NewInt(int64(rng.Intn(10) - 5))
 		fv := engine.NewFloat(float64(rng.Intn(20))/2 - 4)
@@ -39,7 +40,11 @@ func randomTable(rng *rand.Rand, rows int) *engine.Table {
 		if rng.Intn(8) == 0 {
 			bv = engine.Null
 		}
-		tbl.MustAppendRow(iv, fv, sv, bv)
+		vals = append(vals, []engine.Value{iv, fv, sv, bv})
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		panic(err)
 	}
 	return tbl
 }
@@ -221,8 +226,13 @@ func BenchmarkMatchingBitsetVector(b *testing.B) {
 
 func ExamplePredicate_MatchingBitset() {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
+	var rows [][]engine.Value
 	for i := 0; i < 6; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i)))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		panic(err)
 	}
 	ix := NewIndex(tbl)
 	p := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(4)})
@@ -234,15 +244,23 @@ func ExamplePredicate_MatchingBitset() {
 // must rebuild instead of panicking on a bitset length mismatch.
 func TestIndexAfterAppend(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
+	var rows [][]engine.Value
 	for i := 0; i < 5; i++ {
-		tbl.MustAppendRow(engine.NewInt(int64(i)))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ix := NewIndex(tbl)
 	p := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)})
 	if got := p.MatchingBitset(ix, nil).Rows(); !equalRows(got, []int{3, 4}) {
 		t.Fatalf("before append: %v", got)
 	}
-	tbl.MustAppendRow(engine.NewInt(9))
+	if tbl, err = tbl.AppendBatch([][]engine.Value{{engine.NewInt(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	ix.SyncRows(tbl)
 	if got := p.MatchingBitset(ix, nil).Rows(); !equalRows(got, []int{3, 4, 5}) {
 		t.Fatalf("after append: %v", got)
 	}
@@ -274,13 +292,13 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 	}
 	oldNonNull := ix.ClauseBits(NonNull("f"))
 
-	// Grow the table in place (the single-owner form) by 60 rows.
+	// Grow the table by 60 rows and sync the index to the new version.
 	grown := randomTable(rng, 60)
-	for r := 0; r < grown.NumRows(); r++ {
-		if _, err := tbl.AppendRow(grown.Row(r)); err != nil {
-			t.Fatal(err)
-		}
+	tbl, err := tbl.AppendCols(grown.Batch(0, 60), 0, 60)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ix.SyncRows(tbl)
 
 	for k, c := range clauses {
 		nb := ix.ClauseBits(c)
@@ -317,12 +335,17 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 }
 
 // TestIndexSyncRows checks the copy-on-write form: the index follows
-// the table family to the newest version through SyncRows (the
-// engine.RowSynced hook) and serves masks at the grown length.
+// the table family to the newest version through SyncRows (the hook
+// engine's aux cache calls) and serves masks at the grown length.
 func TestIndexSyncRows(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat))
+	var rows [][]engine.Value
 	for i := 0; i < 30; i++ {
-		tbl.MustAppendRow(engine.NewFloat(float64(i)))
+		rows = append(rows, []engine.Value{engine.NewFloat(float64(i))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ix := NewIndex(tbl)
 	c := Clause{Col: "x", Op: OpGe, Val: engine.NewFloat(10)}

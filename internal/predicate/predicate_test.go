@@ -20,8 +20,13 @@ func sampleTable(t *testing.T) *engine.Table {
 	}{
 		{1, 2.7, ""}, {2, 2.6, ""}, {15, 2.3, "BAD"}, {15, 2.2, "BAD"}, {3, 2.65, "REFUND"},
 	}
+	var vals [][]engine.Value
 	for _, r := range rows {
-		tbl.MustAppendRow(engine.NewInt(r.mote), engine.NewFloat(r.volt), engine.NewString(r.memo))
+		vals = append(vals, []engine.Value{engine.NewInt(r.mote), engine.NewFloat(r.volt), engine.NewString(r.memo)})
+	}
+	tbl, err := tbl.AppendBatch(vals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tbl
 }

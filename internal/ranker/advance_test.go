@@ -240,13 +240,18 @@ func TestRescoreAdvancedContext(t *testing.T) {
 func TestRescoreVacuousDrift(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString))
+	var rows [][]engine.Value
 	for i := 0; i < 40; i++ {
 		k := int64(i % 2)
 		memo, v := "", 10.0
 		if k == 0 && i%4 == 0 { // anomaly only in group 0
 			memo, v = "BAD", 100.0
 		}
-		tbl.MustAppendRow(engine.NewInt(k), engine.NewFloat(v), engine.NewString(memo))
+		rows = append(rows, []engine.Value{engine.NewInt(k), engine.NewFloat(v), engine.NewString(memo)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := exec.RunOn(tbl, mustParse(t, "SELECT k, avg(v) AS a FROM t GROUP BY k"))
 	if err != nil {

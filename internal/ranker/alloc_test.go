@@ -145,12 +145,17 @@ func TestScoreFastMatchesSlow(t *testing.T) {
 func TestRankAllDistinctSharedScorerParallel(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString))
+	var rows [][]engine.Value
 	for i := 0; i < 2000; i++ {
 		memo, v := "", float64(i%40)
 		if i%5 == 3 {
 			memo, v = "BAD", 100+float64(i%7)
 		}
-		tbl.MustAppendRow(engine.NewInt(0), engine.NewFloat(v), engine.NewString(memo))
+		rows = append(rows, []engine.Value{engine.NewInt(0), engine.NewFloat(v), engine.NewString(memo)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -19,14 +19,18 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString, "site", engine.TInt))
 	rng := rand.New(rand.NewSource(3))
-	tbl.Grow(100_000)
+	var rows [][]engine.Value
 	for i := 0; i < 100_000; i++ {
 		memo, v := "ok", float64(rng.Intn(40))
 		if i%11 == 3 {
 			memo, v = "BAD", 150+float64(rng.Intn(20))
 		}
-		tbl.MustAppendRow(engine.NewInt(int64(i%20)), engine.NewFloat(v),
-			engine.NewString(memo), engine.NewInt(int64(i%8)))
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i % 20)), engine.NewFloat(v),
+			engine.NewString(memo), engine.NewInt(int64(i % 8))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		b.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

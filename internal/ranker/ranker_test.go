@@ -16,13 +16,18 @@ func fixture(t *testing.T) (*exec.Result, *Context) {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
 		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString, "site", engine.TInt))
+	var rows [][]engine.Value
 	for i := 0; i < 40; i++ {
 		memo, v := "", 10.0
 		site := int64(i % 4)
 		if i%4 == 3 { // 10 rows: the anomaly, all at site 3
 			memo, v = "BAD", 100.0
 		}
-		tbl.MustAppendRow(engine.NewInt(0), engine.NewFloat(v), engine.NewString(memo), engine.NewInt(site))
+		rows = append(rows, []engine.Value{engine.NewInt(0), engine.NewFloat(v), engine.NewString(memo), engine.NewInt(site)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

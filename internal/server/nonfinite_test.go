@@ -41,9 +41,13 @@ func TestNonFiniteCellsSerializeAsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nan.MustAppendRow(engine.NewInt(1), engine.NewFloat(math.NaN()))
-	nan.MustAppendRow(engine.NewInt(1), engine.NewFloat(math.Inf(-1)))
-	nan.MustAppendRow(engine.NewInt(1), engine.NewFloat(2.5))
+	if nan, err = nan.AppendBatch([][]engine.Value{
+		{engine.NewInt(1), engine.NewFloat(math.NaN())},
+		{engine.NewInt(1), engine.NewFloat(math.Inf(-1))},
+		{engine.NewInt(1), engine.NewFloat(2.5)},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	db.Register(nan)
 	ts := httptest.NewServer(New(db).Handler())
 	defer ts.Close()

@@ -19,9 +19,13 @@ import (
 // ingest tests.
 func streamDB(t *testing.T) *engine.DB {
 	t.Helper()
-	tbl := engine.MustNewTable("readings", engine.NewSchema("mote", engine.TString, "temp", engine.TFloat))
-	for i := 0; i < 200; i++ {
-		tbl.MustAppendRow(engine.NewString(fmt.Sprintf("m%d", i%4)), engine.NewFloat(float64(i%30)))
+	rows := make([][]engine.Value, 200)
+	for i := range rows {
+		rows[i] = []engine.Value{engine.NewString(fmt.Sprintf("m%d", i%4)), engine.NewFloat(float64(i % 30))}
+	}
+	tbl, err := engine.MustNewTable("readings", engine.NewSchema("mote", engine.TString, "temp", engine.TFloat)).AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := engine.NewDB()
 	db.Register(tbl)

@@ -217,12 +217,13 @@ func createLogFile(fs FS, name, magic string) (File, error) {
 	return f, nil
 }
 
-// Append is AppendCtx without a cancellation point.
+// Append is AppendCtx without a cancellation point, kept for bench/.
 func (s *DB) Append(name string, rows [][]engine.Value) (*engine.Table, error) {
 	return s.AppendCtx(context.Background(), name, rows)
 }
 
-// AppendCtx is AppendColsCtx over boxed rows (engine.BatchOf).
+// AppendCtx is AppendColsCtx over boxed rows (engine.BatchOf), kept for
+// bench/; everything else appends a Batch.
 func (s *DB) AppendCtx(ctx context.Context, name string, rows [][]engine.Value) (*engine.Table, error) {
 	ts, err := s.table(name)
 	if err != nil {
@@ -377,7 +378,7 @@ func (s *DB) rewriteWALLocked(ts *tableStore, nt *engine.Table, nsealed, tailRow
 	tailStart := nt.Base() + nsealed<<ts.segBits
 	image := []byte(walMagic)
 	if tailRows > 0 {
-		image = append(image, encodeWALRecord(tailStart, nt.TailBatch())...)
+		image = append(image, encodeWALRecord(tailStart, nt.Batch(nt.NumRows()-tailRows, nt.NumRows()))...)
 	}
 	path := join(ts.dir, walFileName)
 	tmp := path + ".tmp"

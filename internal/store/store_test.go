@@ -344,8 +344,9 @@ func TestEncodeSegmentRemapsCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rows [][]engine.Value
 	for _, s := range []string{"never-sealed-again", "x", "y"} {
-		tbl.MustAppendRow(engine.NewString(s))
+		rows = append(rows, []engine.Value{engine.NewString(s)})
 	}
 	want := make([]engine.Value, 64)
 	for i := range want {
@@ -354,7 +355,10 @@ func TestEncodeSegmentRemapsCodes(t *testing.T) {
 		}
 	}
 	for i := 3; i < 2*64+1; i++ {
-		tbl.MustAppendRow(want[i%64])
+		rows = append(rows, []engine.Value{want[i%64]})
+	}
+	if tbl, err = tbl.AppendBatch(rows); err != nil {
+		t.Fatal(err)
 	}
 	dict := newStoreDict()
 	dict.intern(0, "z")

@@ -16,18 +16,23 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	rng := rand.New(rand.NewSource(9))
 	labels := make([]bool, 0, n)
 	cities := []string{"A", "B", "C", "D", "E"}
+	var rows [][]engine.Value
 	for i := 0; i < n; i++ {
 		pos := i%10 == 0
 		volt := 2.5 + rng.Float64()*0.3
 		if pos {
 			volt = 2.2 + rng.Float64()*0.15
 		}
-		tbl.MustAppendRow(
+		rows = append(rows, []engine.Value{
 			engine.NewInt(rng.Int63n(54)),
 			engine.NewFloat(volt),
-			engine.NewFloat(30+rng.NormFloat64()*5),
-			engine.NewString(cities[i%5]))
+			engine.NewFloat(30 + rng.NormFloat64()*5),
+			engine.NewString(cities[i%5])})
 		labels = append(labels, pos)
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }

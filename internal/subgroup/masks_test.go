@@ -50,6 +50,7 @@ func TestSelectorMasksFromBins(t *testing.T) {
 		"f", engine.TFloat, "few", engine.TFloat, "i", engine.TInt, "ts", engine.TTime, "s", engine.TString))
 	specials := []engine.Value{engine.Null, engine.NewFloat(math.NaN()), engine.NewFloat(0),
 		engine.NewFloat(math.Copysign(0, -1)), engine.NewFloat(math.Inf(1)), engine.NewFloat(math.Inf(-1))}
+	var rows [][]engine.Value
 	for r := 0; r < 3000; r++ {
 		f := engine.NewFloat(rng.NormFloat64())
 		if rng.Intn(4) == 0 {
@@ -63,7 +64,11 @@ func TestSelectorMasksFromBins(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			i = engine.Null
 		}
-		tbl.MustAppendRow(f, few, i, engine.NewTimeUnix(int64(1e9+r*30)), engine.NewString(string(rune('a'+rng.Intn(4)))))
+		rows = append(rows, []engine.Value{f, few, i, engine.NewTimeUnix(int64(1e9 + r*30)), engine.NewString(string(rune('a' + rng.Intn(4))))})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	subset := make([]int, 2000)
 	for k := range subset {

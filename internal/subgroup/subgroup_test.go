@@ -19,6 +19,7 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 	rng := rand.New(rand.NewSource(5))
 	cities := []string{"A", "B", "C"}
 	labels := make([]bool, 0, n)
+	var rows [][]engine.Value
 	for i := 0; i < n; i++ {
 		var mote int64
 		var volt float64
@@ -30,11 +31,15 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 			mote = rng.Int63n(50)
 			volt = 2.5 + rng.Float64()*0.3
 		}
-		tbl.MustAppendRow(
+		rows = append(rows, []engine.Value{
 			engine.NewInt(mote),
 			engine.NewFloat(volt),
-			engine.NewString(cities[i%3]))
+			engine.NewString(cities[i%3])})
 		labels = append(labels, pos)
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
 	return sp, labels
@@ -68,13 +73,18 @@ func TestWRAccComputation(t *testing.T) {
 	// maximum for this base rate.
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
 	labels := make([]bool, 20)
+	var rows [][]engine.Value
 	for i := 0; i < 20; i++ {
 		v := int64(0)
 		if i < 8 {
 			v = 1
 			labels[i] = true
 		}
-		tbl.MustAppendRow(engine.NewInt(v))
+		rows = append(rows, []engine.Value{engine.NewInt(v)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
 	rules := Discover(sp, labels)
@@ -96,6 +106,7 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 		"mote", engine.TInt, "city", engine.TString))
 	var labels []bool
 	rng := rand.New(rand.NewSource(8))
+	var rows [][]engine.Value
 	for i := 0; i < 300; i++ {
 		var mote int64
 		city := "Y"
@@ -111,8 +122,12 @@ func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
 		default:
 			mote = rng.Int63n(40)
 		}
-		tbl.MustAppendRow(engine.NewInt(mote), engine.NewString(city))
+		rows = append(rows, []engine.Value{engine.NewInt(mote), engine.NewString(city)})
 		labels = append(labels, pos)
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
 	rules := Discover(sp, labels)

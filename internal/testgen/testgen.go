@@ -87,10 +87,8 @@ func Table(rng *rand.Rand, nrows int) *engine.Table {
 	if err != nil {
 		panic(err)
 	}
-	for r := 0; r < nrows; r++ {
-		if _, err := t.AppendRow(Row(rng)); err != nil {
-			panic(err)
-		}
+	if t, err = t.AppendBatch(Batch(rng, nrows)); err != nil {
+		panic(err)
 	}
 	return t
 }
@@ -267,10 +265,8 @@ func TableSeg(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
 	if err != nil {
 		panic(err)
 	}
-	for r := 0; r < nrows; r++ {
-		if _, err := t.AppendRow(Row(rng)); err != nil {
-			panic(err)
-		}
+	if t, err = t.AppendBatch(Batch(rng, nrows)); err != nil {
+		panic(err)
 	}
 	return t
 }
