@@ -115,6 +115,8 @@ fuzz-smoke:
 # contract. predicate (74%) and bitset (81%) ride it too: every WHERE
 # mask and every lineage set above is one of their bitmaps. par (95%)
 # too: every fan-out above runs on its helpers and its panic re-raise.
+# server (93%) and obs (100%) too: the request lifecycle's exactly-once
+# accounting and every stage timing the running server reports.
 cover:
 	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
@@ -122,7 +124,7 @@ cover:
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
 			"./internal/expr:79" "./internal/agg:95" \
 			"./internal/predicate:70" "./internal/bitset:78" \
-			"./internal/par:95"; do \
+			"./internal/par:95" "./internal/server:90" "./internal/obs:95"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \
 		pct=$$($(GO) test -short -coverprofile=cover.out $$pkg | grep -o 'coverage: [0-9.]*' | cut -d' ' -f2); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg"; exit 1; fi; \

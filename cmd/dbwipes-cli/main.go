@@ -136,7 +136,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("clean: %v", err)
 	}
-	fmt.Printf("\nafter cleaning with NOT(%s):\n%s\n", pred, core.CleanedSQL(res.Stmt, pred))
+	fmt.Printf("\nafter cleaning with NOT(%s):\n%s\n", pred, core.Cleaned(res.Stmt, pred).String())
 	if !*noPlot {
 		fmt.Println(plotResult(cleaned, nil))
 	}
@@ -144,19 +144,12 @@ func main() {
 
 // runCleaned parses sql, appends NOT (p) for every applied predicate,
 // and executes it.
-func runCleaned(db *engine.DB, sql string, applied []predicate.Predicate) (*sqlparse.SelectStmt, *exec.Result, error) {
+func runCleaned(db *engine.DB, sql string, applied []predicate.Predicate) (*exec.Result, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, p := range applied {
-		stmt.Where = expr.And(stmt.Where, p.NegationExpr())
-	}
-	res, err := exec.RunCtx(context.Background(), db, stmt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stmt, res, nil
+	return exec.RunCtx(context.Background(), db, core.Cleaned(stmt, applied...))
 }
 
 func selectSuspect(res *exec.Result, cond string) ([]int, error) {

@@ -109,11 +109,10 @@ func (r *repl) query(sql string) error {
 	if sql == "" {
 		return fmt.Errorf("usage: q <sql>")
 	}
-	stmt, res, err := runCleaned(r.db, sql, r.applied)
+	res, err := runCleaned(r.db, sql, r.applied)
 	if err != nil {
 		return err
 	}
-	_ = stmt
 	r.sql = sql
 	r.res = res
 	r.suspect = nil

@@ -210,11 +210,10 @@
 //     every fresh run; FuzzResidualFilterParity drives arbitrary parsed
 //     predicates through buildFilter against per-row EvalBool.
 //
-// /api/stats aggregates the plan counters across queries
-// (filters_ordered, conjuncts_skipped, filters_residual, residual_rows,
-// key_kernels); BenchmarkSelectiveFilter, BenchmarkResidualFilter and
-// BenchmarkMaskedAggregation fail when the thing they time stops
-// engaging, not just when it slows.
+// /api/stats sums the plan counters (scan.filters_ordered, …,
+// key_kernels) and each stage's time (stages.<endpoint>.<stage>); the
+// Benchmark{SelectiveFilter,ResidualFilter,MaskedAggregation} benchmarks
+// fail when the thing they time stops engaging, not just when it slows.
 //
 // # Incremental maintenance and streaming ingest
 //
@@ -445,14 +444,15 @@
 // and overload sheds with 429 + Retry-After rather than queuing
 // without bound; a fail-stopped durable table sheds ingest with 503 +
 // Retry-After while queries keep serving. Deadline expiry maps to 504,
-// client disconnect to 499, and per-endpoint counters
-// (in-flight/completed/shed/deadline-exceeded/cancelled, exposed at
-// /api/stats) classify every request exactly once. Session locks are
-// acquired with the request context, so a slow session holder turns
-// into a 504 for the next request, not a pile-up. The knobs surface as
-// dbwipes flags (-query-timeout, -debug-timeout, -max-heavy,
-// -max-queue); cmd/datagen's feeder honors the shed responses with
-// jittered exponential backoff under a retry budget.
+// client disconnect to 499, and per-endpoint counters at /api/stats
+// classify every request exactly once. Each request carries an
+// obs.Record: every layer adds its stages' time (the vocabulary is
+// internal/obs's), the response's Server-Timing header renders it, and
+// /api/stats folds it into stages. Session locks honor the request
+// context: a slow holder is a 504 for the next request, not a pile-up.
+// The knobs surface as dbwipes flags (-query-timeout, -debug-timeout,
+// -max-heavy, -max-queue); cmd/datagen's feeder honors the shed
+// responses with jittered exponential backoff under a retry budget.
 //
 // Below admission, every intra-request fan-out runs through
 // internal/par's Do: the caller and up to GOMAXPROCS-1 helpers share

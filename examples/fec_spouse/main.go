@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("updated query:", core.CleanedSQL(res.Stmt, pred))
+	fmt.Println("updated query:", core.Cleaned(res.Stmt, pred).String())
 	plotDaily(cleaned, "after cleaning: the negative spike is gone")
 }
 

@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nafter cleaning:")
-	fmt.Println(core.CleanedSQL(res.Stmt, dr.Explanations[0].Pred))
+	fmt.Println(core.Cleaned(res.Stmt, dr.Explanations[0].Pred).String())
 	for i := 0; i < cleaned.Table.NumRows(); i++ {
 		fmt.Printf("%-10s  %.1f\n", cleaned.Table.Value(i, 0).Str(), cleaned.Table.Value(i, 1).Float())
 	}

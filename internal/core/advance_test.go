@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/influence"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/testgen"
 )
@@ -137,7 +138,7 @@ func rescoreOracle(t *testing.T, prev *DebugResult, req DebugRequest) *DebugResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.finish(scored, rstate, time.Now())
+	d.finish(scored, rstate, obs.Span{})
 	return out
 }
 
@@ -429,7 +430,9 @@ func TestDebugAdvanceCarried(t *testing.T) {
 
 	// Drift past a small positive threshold, with examples: the carry is
 	// attempted (profile-only space, D' cleaned on it, candidates
-	// rescored), abandoned, and a full Debug answers.
+	// rescored), abandoned, and a full Debug answers. The request's
+	// stage record counts both: a drifted pass preprocesses and ranks
+	// twice, a carried one once.
 	opt = Options{DriftThreshold: 1e-12}
 	drifted := 0
 	for attempt := 0; attempt < 10 && drifted < 2; attempt++ {
@@ -448,8 +451,11 @@ func TestDebugAdvanceCarried(t *testing.T) {
 				t.Fatal(err)
 			}
 			req.Result = advRes
+			rec := new(obs.Record)
+			req.Ctx = obs.With(context.Background(), rec)
 			got, gerr := DebugAdvance(prev, req)
 			oracleReq := req
+			oracleReq.Ctx = nil
 			oracleReq.Result = fresh
 			want, werr := Debug(oracleReq)
 			if (gerr == nil) != (werr == nil) {
@@ -464,6 +470,16 @@ func TestDebugAdvanceCarried(t *testing.T) {
 				}
 				debugResultsEqual(t, fmt.Sprintf("attempt %d step %d drifted", attempt, step), want, got)
 				drifted++
+			}
+			passes := map[string]int64{"full": 2, "carried": 1}[got.Plan.Mode]
+			for _, st := range []obs.Stage{obs.Preprocess, obs.Rank} {
+				if rec.Count(st) != passes {
+					t.Fatalf("attempt %d step %d (%s): stage %d entered %d times, want %d",
+						attempt, step, got.Plan.Mode, st, rec.Count(st), passes)
+				}
+			}
+			if got.Timings["preprocess"] <= 0 || got.Timings["rank"] <= 0 {
+				t.Fatalf("attempt %d step %d: Timings %v", attempt, step, got.Timings)
 			}
 			prev = got
 		}

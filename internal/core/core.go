@@ -38,6 +38,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/feature"
 	"repro/internal/influence"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/predicate"
 	"repro/internal/ranker"
@@ -122,7 +123,8 @@ type DebugRequest struct {
 	// the context error and publishes nothing: carried state from a
 	// previous pass stays exactly as usable as before, so retrying the
 	// same request (or falling back to a from-scratch run) yields
-	// bit-identical results. Nil means context.Background.
+	// bit-identical results. Nil means context.Background. Stage times go
+	// to the obs.Record it carries; Debug attaches one when it has none.
 	Ctx context.Context
 	// Result is the executed query (with provenance).
 	Result *exec.Result
@@ -180,7 +182,8 @@ type DebugResult struct {
 	Influence *influence.Analysis
 	// Candidates counts the candidate datasets enumerated.
 	Candidates int
-	// Timings records per-stage wall time.
+	// Timings is each Debug stage's wall time, a view of the request's
+	// obs.Record: a drift fallback counts its carried attempt too.
 	Timings map[string]time.Duration
 	// Plan records how this pass was produced (full / carried) and why.
 	Plan DebugPlan
@@ -351,7 +354,7 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 		return fmt.Errorf("core: suspect groups have empty lineage")
 	}
 
-	start := time.Now()
+	defer obs.Start(req.ctx(), obs.Enumerate).End()
 	n := req.Result.Source.NumRows()
 	d.fBits = an.Scorer.FBits() // shared, read-only
 	d.dprime = nil
@@ -409,7 +412,6 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 		sort.Ints(learnPop)
 		d.learnPop = learnPop
 	}
-	d.out.Timings["enumerate"] = time.Since(start)
 	return nil
 }
 
@@ -426,7 +428,7 @@ func (d *debugRun) culpableBits() *bitset.Bitset {
 // population — all cleanExamples reads. The learners' thresholds and
 // bins are enumerate's to add, so a carried pass never pays for them.
 func (d *debugRun) featurize() error {
-	start := time.Now()
+	defer obs.Start(d.req.ctx(), obs.Featurize).End()
 	// The aggregated column is not explanation vocabulary: "temperature >
 	// 100 explains high temperatures" is circular.
 	d.sp = feature.NewSpace(d.req.Result.Source, feature.Options{
@@ -435,20 +437,18 @@ func (d *debugRun) featurize() error {
 	if len(d.sp.Attrs) == 0 {
 		return fmt.Errorf("core: no usable attributes remain after exclusions")
 	}
-	d.out.Timings["featurize"] += time.Since(start)
 	return nil
 }
 
 // cleanExamples runs the D' consistency technique over user-supplied
 // examples (Dataset Enumerator step 2a). Requires featurize.
 func (d *debugRun) cleanExamples() {
-	start := time.Now()
+	defer obs.Start(d.req.ctx(), obs.Enumerate).End()
 	if len(d.req.Examples) > 0 && len(d.dprime) > 0 {
 		d.dprime = cleaner.Clean(d.sp.Frame, d.dprime, d.fBits)
 	}
 	d.out.DPrime = d.dprime
 	d.culpable = d.culpableBits()
-	d.out.Timings["enumerate"] += time.Since(start)
 }
 
 // enumerate completes the feature space for the learners, then runs
@@ -458,12 +458,13 @@ func (d *debugRun) cleanExamples() {
 func (d *debugRun) enumerate() []ranker.Candidate {
 	out := d.out
 	learnPop, dprime := d.learnPop, d.dprime
+	ctx := d.req.ctx()
 
-	start := time.Now()
+	span := obs.Start(ctx, obs.Featurize)
 	d.sp.Discretize()
-	out.Timings["featurize"] += time.Since(start)
+	span.End()
 
-	start = time.Now()
+	span = obs.Start(ctx, obs.Enumerate)
 	n := d.req.Result.Source.NumRows()
 	// labelsOf marks the learning population's members of a row set.
 	labelsOf := func(set *bitset.Bitset) []bool {
@@ -519,20 +520,19 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 		addCandidate("subgroup0", sgTargets[0], len(sgRules[0].Covered))
 	}
 	out.Candidates = len(candidates)
-	out.Timings["enumerate"] += time.Since(start)
+	span.End()
 
 	// --- Predicate Enumerator: one tree per candidate. ---
 	// Each training run is independent, so they run concurrently over the
 	// shared read-only learning frame; results are collected by slot index
 	// to keep the output order — and therefore the final ranking —
 	// deterministic.
-	start = time.Now()
+	span = obs.Start(ctx, obs.Predicates)
 	perCand := make([][]ranker.Candidate, len(candidates))
-	cctx := d.req.ctx()
 	par.Do(len(candidates), func(_, ci int) {
 		// Cancellation check per tree training job; the caller's next
 		// stage boundary discards the partial slots.
-		if cctx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		c := candidates[ci]
@@ -567,7 +567,7 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 			Target: sgTargets[i],
 		})
 	}
-	out.Timings["predicates"] = time.Since(start)
+	span.End()
 	return rcands
 }
 
@@ -592,9 +592,9 @@ func (d *debugRun) context() *ranker.Context {
 	return ctx
 }
 
-// finish truncates, renders the explanation list, and snapshots the
-// carry state for a later DebugAdvance.
-func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, start time.Time) {
+// finish truncates, renders the explanation list, ends the rank span,
+// and snapshots Timings and the carry state for a later DebugAdvance.
+func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, rank obs.Span) {
 	out, opt := d.out, d.opt
 	if len(scored) > maxExplanations {
 		scored = scored[:maxExplanations]
@@ -608,7 +608,8 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, st
 		}
 		out.Explanations = append(out.Explanations, e)
 	}
-	out.Timings["rank"] = time.Since(start)
+	rank.End()
+	out.Timings = obs.From(d.req.ctx()).Durations(obs.Preprocess, obs.Rank)
 	out.state = &debugState{
 		src:       d.req.Result.Source,
 		stmtKey:   d.req.Result.Stmt.String(),
@@ -628,6 +629,9 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, st
 // *engine.SegmentLoadError, never as a panic.
 func Debug(req DebugRequest) (_ *DebugResult, err error) {
 	defer engine.CatchSegmentLoad(&err)
+	if obs.From(req.ctx()) == nil {
+		req.Ctx = obs.With(req.ctx(), new(obs.Record)) // what Timings views
+	}
 	opt := req.Opt
 	opt.defaults()
 	ord, err := resolveDebug(req)
@@ -635,16 +639,16 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 		return nil, err
 	}
 
-	out := &DebugResult{Timings: make(map[string]time.Duration), Plan: DebugPlan{Mode: "full"}}
+	out := &DebugResult{Plan: DebugPlan{Mode: "full"}}
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
 
 	// --- Preprocessor: lineage + leave-one-out influence. ---
-	start := time.Now()
-	an, err := influence.RankCtx(req.ctx(), req.Result, req.Suspect, ord, req.Metric)
+	span := obs.Start(req.Ctx, obs.Preprocess)
+	an, err := influence.RankCtx(req.Ctx, req.Result, req.Suspect, ord, req.Metric)
+	span.End()
 	if err != nil {
 		return nil, err
 	}
-	out.Timings["preprocess"] = time.Since(start)
 	if err := d.preprocess(an); err != nil {
 		return nil, err
 	}
@@ -663,12 +667,12 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 		return nil, err
 	}
 
-	start = time.Now()
+	span = obs.Start(req.Ctx, obs.Rank)
 	scored, rstate, err := ranker.RankAllCarry(rcands, d.context())
 	if err != nil {
 		return nil, err
 	}
-	d.finish(scored, rstate, start)
+	d.finish(scored, rstate, span)
 	return out, nil
 }
 
@@ -693,6 +697,9 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // DebugAdvance with a nil prev is exactly Debug.
 func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err error) {
 	defer engine.CatchSegmentLoad(&err)
+	if obs.From(req.ctx()) == nil {
+		req.Ctx = obs.With(req.ctx(), new(obs.Record)) // shared with a fallback's Debug
+	}
 	opt := req.Opt
 	opt.defaults()
 	ord, err := resolveDebug(req)
@@ -745,17 +752,17 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// --- Preprocessor, incremental: score the advanced result (its
 	// lineage bitsets and argument view were carried by exec.Advance) and
 	// share the previous ranking when no suspect group grew. ---
-	start := time.Now()
+	span := obs.Start(req.Ctx, obs.Preprocess)
 	sc, err := influence.NewScorer(res, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
 	}
-	an, err := influence.RankAdvancedCtx(req.ctx(), st.an, sc)
+	an, err := influence.RankAdvancedCtx(req.Ctx, st.an, sc)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &DebugResult{Timings: make(map[string]time.Duration), Plan: DebugPlan{Mode: "carried"}}
+	out := &DebugResult{Plan: DebugPlan{Mode: "carried"}}
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
 	// Carry the clause-mask index: rescoring a carried candidate then
 	// only decodes the appended rows into its masks.
@@ -763,7 +770,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		st.index.SyncRows(res.Source)
 		d.index = st.index
 	}
-	out.Timings["preprocess"] = time.Since(start)
+	span.End()
 	if err := d.preprocess(an); err != nil {
 		return nil, err
 	}
@@ -779,7 +786,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	}
 	d.cleanExamples()
 
-	start = time.Now()
+	span = obs.Start(req.Ctx, obs.Rank)
 	scored, rstate, drift, err := st.rstate.Rescore(d.context())
 	if err != nil {
 		// Cancellation mid-rescore: st.rstate is untouched (Rescore works
@@ -787,6 +794,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		return nil, err
 	}
 	if drift > opt.DriftThreshold {
+		span.End()
 		full, err := fall(fmt.Sprintf("drift %.3g past threshold %.3g", drift, opt.DriftThreshold))
 		if err != nil {
 			return nil, err
@@ -795,7 +803,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 		return full, nil
 	}
 	out.Plan.Drift = drift
-	d.finish(scored, rstate, start)
+	d.finish(scored, rstate, span)
 	return out, nil
 }
 
@@ -824,17 +832,18 @@ func aggColumns(res *exec.Result, ord int) []string {
 // action. The returned result carries fresh provenance, so the user can
 // immediately debug the cleaned view again.
 func CleanAndRequery(res *exec.Result, pred predicate.Predicate) (*exec.Result, error) {
-	stmt := res.Stmt.Clone()
-	stmt.Where = expr.And(stmt.Where, pred.NegationExpr())
-	return exec.RunOn(res.Source, stmt)
+	return exec.RunOn(res.Source, Cleaned(res.Stmt, pred))
 }
 
-// CleanedSQL renders the SQL the dashboard shows after a predicate is
-// applied.
-func CleanedSQL(stmt *sqlparse.SelectStmt, pred predicate.Predicate) string {
+// Cleaned is a copy of stmt with AND NOT (p) appended to its WHERE for
+// each applied predicate, in order: the statement a cleaned view runs,
+// and (rendered) the SQL the dashboard shows.
+func Cleaned(stmt *sqlparse.SelectStmt, preds ...predicate.Predicate) *sqlparse.SelectStmt {
 	s := stmt.Clone()
-	s.Where = expr.And(s.Where, pred.NegationExpr())
-	return s.String()
+	for _, p := range preds {
+		s.Where = expr.And(s.Where, p.NegationExpr())
+	}
+	return s
 }
 
 // ---------------------------------------------------------------------

@@ -210,7 +210,7 @@ func TestDebugErrorCases(t *testing.T) {
 func TestCleanedSQLRendersNegation(t *testing.T) {
 	res, s, d := smallIntel(t)
 	dr := debugWith(t, res, s, d, Options{})
-	sql := CleanedSQL(res.Stmt, dr.Explanations[0].Pred)
+	sql := Cleaned(res.Stmt, dr.Explanations[0].Pred).String()
 	if !strings.Contains(sql, "NOT (") {
 		t.Errorf("cleaned SQL lacks negation: %s", sql)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // This file implements incremental result maintenance for streaming
@@ -150,7 +151,9 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		ss.groups = append(ss.groups, vg)
 	}
 
+	span := obs.Start(ctx, obs.Scan)
 	ss.run()
+	span.End()
 	if ss.err != nil {
 		return nil, ss.err
 	}
@@ -166,7 +169,10 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		Plan: p.planInfo(1),
 	}
 	out.Plan.Incremental = true
-	if err := out.materialize(); err != nil {
+	span = obs.Start(ctx, obs.Materialize)
+	err = out.materialize()
+	span.End()
+	if err != nil {
 		return nil, err
 	}
 	carryCaches(res, out, ss, oldLens, oldN, newN)

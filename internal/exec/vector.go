@@ -13,6 +13,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sqlparse"
 )
@@ -307,8 +308,11 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		universe = bitset.New(src.NumRows())
 		universe.FillFrom(filterFrom)
 	}
+	span := obs.Start(ctx, obs.Filter)
 	var err error
-	if p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, universe); err != nil {
+	p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, universe)
+	span.End()
+	if err != nil {
 		return nil, err
 	}
 
@@ -931,7 +935,9 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	for _, r := range shardRanges(n, src.SegRows(), shardCount(n, opts), p.filter) {
 		states = append(states, newShardScan(p, r[0], r[1]))
 	}
+	span := obs.Start(ctx, obs.Scan)
 	par.Do(len(states), func(_, i int) { states[i].run() })
+	span.End()
 	// The lowest-indexed shard's error corresponds to the earliest
 	// erroring row — the error the sequential scan would have hit.
 	for _, ss := range states {
@@ -939,7 +945,9 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 			return nil, ss.err
 		}
 	}
+	span = obs.Start(ctx, obs.Merge)
 	merged, err := mergeShards(p, states)
+	span.End()
 	if err != nil {
 		return nil, err
 	}
@@ -960,6 +968,7 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		aggArgs: aggArgs, aggItems: aggItems,
 		Plan: plan,
 	}
+	defer obs.Start(ctx, obs.Materialize).End()
 	if err := res.materialize(); err != nil {
 		return nil, err
 	}

@@ -4,20 +4,22 @@ package server
 // admission control for heavy operations, load shedding with
 // Retry-After hints, and per-endpoint accounting. Handlers themselves
 // stay oblivious — Handler() wraps each route in withLifecycle, and the
-// request's context carries the deadline down through exec, influence,
-// ranker, core and store (see their *Ctx entry points).
+// request's context carries the deadline and its obs.Record down through
+// exec, influence, ranker, core and store (see their *Ctx entry points).
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -102,91 +104,72 @@ const (
 	classIngest                     // append/retention: deadline only
 )
 
-// endpointCounters is one endpoint's lifecycle accounting. Every
-// request increments total on arrival and exactly one of completed,
-// shed, deadline or cancelled on departure, so at any quiescent point
-// total == completed + shed + deadline + cancelled.
-type endpointCounters struct {
-	inFlight  atomic.Int64
-	total     atomic.Int64
-	completed atomic.Int64
-	shed      atomic.Int64
-	deadline  atomic.Int64
-	cancelled atomic.Int64
-}
-
-// endpointStats is endpointCounters over the wire (/api/stats).
-type endpointStats struct {
-	InFlight  int64 `json:"in_flight"`
-	Total     int64 `json:"total"`
-	Completed int64 `json:"completed"`
-	Shed      int64 `json:"shed"`
-	Deadline  int64 `json:"deadline_exceeded"`
-	Cancelled int64 `json:"cancelled"`
-}
-
-func (c *endpointCounters) stats() endpointStats {
-	return endpointStats{
-		InFlight:  c.inFlight.Load(),
-		Total:     c.total.Load(),
-		Completed: c.completed.Load(),
-		Shed:      c.shed.Load(),
-		Deadline:  c.deadline.Load(),
-		Cancelled: c.cancelled.Load(),
-	}
-}
-
-// lifecycle holds the server's admission state: the heavy-op semaphore,
-// the queue depth, and the per-endpoint counters.
+// lifecycle holds the server's admission state: the heavy-op semaphore
+// and the queue depth.
 type lifecycle struct {
 	limits Limits
 	sem    chan struct{}
 	queued atomic.Int64
-
-	mu  sync.Mutex
-	eps map[string]*endpointCounters
 }
 
 func newLifecycle(l Limits) *lifecycle {
 	l = l.withDefaults()
-	return &lifecycle{
-		limits: l,
-		sem:    make(chan struct{}, l.MaxHeavy),
-		eps:    make(map[string]*endpointCounters),
-	}
+	return &lifecycle{limits: l, sem: make(chan struct{}, l.MaxHeavy)}
 }
 
 // SetLimits replaces the lifecycle limits (zero fields take defaults).
 // Call before Handler() is serving traffic: it swaps the admission
 // semaphore, so slots held across the swap would not be returned to
 // the new one.
-func (s *Server) SetLimits(l Limits) {
-	counters := s.lc.eps
-	s.lc = newLifecycle(l)
-	s.lc.eps = counters // keep any counters wired into existing handlers
+func (s *Server) SetLimits(l Limits) { s.lc = newLifecycle(l) }
+
+// scanCounters are the registry's scan section, summed by recordScan from
+// each query's exec.PlanInfo: zone-map segment skips, chunk pins split
+// into faults and memory hits, greedy clause orderings and the conjuncts
+// they never materialized, residual filters and their per-row
+// evaluations, and GROUP BY keys run as typed chunk kernels.
+var scanCounters = []string{"queries", "segs_skipped", "chunks_faulted", "chunks_resident",
+	"filters_ordered", "conjuncts_skipped", "filters_residual", "residual_rows", "key_kernels"}
+
+// newStats makes the server's one counter registry, which /api/stats
+// renders whole. endpoints.<name> is lifecycle accounting: a request adds
+// to total on arrival and to one of completed, shed, deadline_exceeded or
+// cancelled on departure, so at any quiescent point total is their sum.
+// stages.<name> folds in each request's obs.Record at departure; scan
+// holds scanCounters and two rates read off them. Nothing goes through
+// expvar.Publish: the counters are this server's, not the process's.
+func newStats() *expvar.Map {
+	scan := new(expvar.Map).Init()
+	for _, k := range scanCounters {
+		scan.Add(k, 0)
+	}
+	// An empty denominator's numerator is 0 too, so max(…, 1) reads 0.
+	get := func(k string) float64 { return float64(scan.Get(k).(*expvar.Int).Value()) }
+	scan.Set("segs_skipped_per_query", expvar.Func(func() any { return get("segs_skipped") / max(get("queries"), 1) }))
+	scan.Set("fault_rate", expvar.Func(func() any {
+		return get("chunks_faulted") / max(get("chunks_faulted")+get("chunks_resident"), 1)
+	}))
+	stats := new(expvar.Map).Init()
+	stats.Set("scan", scan)
+	stats.Set("endpoints", new(expvar.Map).Init())
+	stats.Set("stages", new(expvar.Map).Init())
+	return stats
 }
 
-// counters returns (creating if needed) the named endpoint's counters.
-func (lc *lifecycle) counters(name string) *endpointCounters {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	c, ok := lc.eps[name]
-	if !ok {
-		c = &endpointCounters{}
-		lc.eps[name] = c
+// endpoint returns name's lifecycle counters and stage totals in the
+// registry, made on first use with every counter at zero.
+func (s *Server) endpoint(name string) (*expvar.Map, *obs.Record) {
+	eps, stages := s.stats.Get("endpoints").(*expvar.Map), s.stats.Get("stages").(*expvar.Map)
+	if c, ok := eps.Get(name).(*expvar.Map); ok {
+		return c, stages.Get(name).(*obs.Record)
 	}
-	return c
-}
-
-// endpointStats snapshots every endpoint's counters for /api/stats.
-func (lc *lifecycle) endpointStats() map[string]endpointStats {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	out := make(map[string]endpointStats, len(lc.eps))
-	for name, c := range lc.eps {
-		out[name] = c.stats()
+	c, rec := new(expvar.Map).Init(), new(obs.Record)
+	for _, k := range []string{"in_flight", "total", "completed", "shed", "deadline_exceeded", "cancelled"} {
+		c.Add(k, 0)
 	}
-	return out
+	eps.Set(name, c)
+	stages.Set(name, rec)
+	return c, rec
 }
 
 // admit takes a heavy-op slot, waiting in the bounded queue when all
@@ -257,21 +240,36 @@ func (lc *lifecycle) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
-// withLifecycle wraps one endpoint: it stamps the request context with
-// the class deadline, runs heavy requests through admission control
-// (shedding with 429 + Retry-After when the wait queue is full), and
-// classifies every request exactly once on the way out — completed,
-// shed, deadline_exceeded or cancelled — so the /api/stats counters
-// account for the whole request stream.
+// timedWriter is a lifecycle-wrapped response: it carries the request's
+// obs.Record to writeJSON, and writing the status stamps the record on
+// the response as its Server-Timing header.
+type timedWriter struct {
+	http.ResponseWriter
+	rec *obs.Record
+}
+
+func (w timedWriter) WriteHeader(status int) {
+	w.Header().Set("Server-Timing", w.rec.ServerTiming())
+	w.ResponseWriter.WriteHeader(status)
+}
+
+// withLifecycle wraps one endpoint: it puts a fresh obs.Record (its
+// Server-Timing header) and the class deadline on the request context,
+// runs heavy requests through admission control (shedding with 429 +
+// Retry-After when the wait queue is full), and classifies every request
+// exactly once on the way out — completed, shed, deadline_exceeded or
+// cancelled — so /api/stats accounts for the whole request stream.
 func (s *Server) withLifecycle(name string, class requestClass, h http.HandlerFunc) http.HandlerFunc {
-	c := s.lc.counters(name)
+	c, stages := s.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		lc := s.lc
-		c.total.Add(1)
-		c.inFlight.Add(1)
-		defer c.inFlight.Add(-1)
+		c.Add("total", 1)
+		c.Add("in_flight", 1)
+		r.Body = http.MaxBytesReader(w, r.Body, cmp.Or(s.maxBodyBytes, defaultMaxBodyBytes))
+		rec := new(obs.Record)
+		w = timedWriter{w, rec}
 
-		ctx := r.Context()
+		ctx := obs.With(r.Context(), rec)
 		if d := lc.timeoutFor(class, r); d > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
@@ -285,20 +283,24 @@ func (s *Server) withLifecycle(name string, class requestClass, h http.HandlerFu
 			// counts as shed even if its deadline also fired while it was
 			// being rejected; otherwise the context's state at departure
 			// decides.
+			outcome := "completed"
 			switch {
 			case shed:
-				c.shed.Add(1)
+				outcome = "shed"
 			case errors.Is(ctx.Err(), context.DeadlineExceeded):
-				c.deadline.Add(1)
+				outcome = "deadline_exceeded"
 			case errors.Is(ctx.Err(), context.Canceled):
-				c.cancelled.Add(1)
-			default:
-				c.completed.Add(1)
+				outcome = "cancelled"
 			}
+			c.Add(outcome, 1)
+			c.Add("in_flight", -1)
+			stages.Add(rec)
 		}()
 
 		if class == classHeavy {
+			span := rec.Start(obs.Admit)
 			release, ok, err := lc.admit(ctx)
+			span.End()
 			if err != nil {
 				writeReqErr(s, w, fmt.Errorf("server: queued for admission: %w", err))
 				return
@@ -366,6 +368,7 @@ func writeReqErr(s *Server, w http.ResponseWriter, err error) {
 // whose deadline expires while a slow debug holds its session must
 // return 504, not pile up on the mutex. Pair with release.
 func (sess *session) acquire(ctx context.Context) error {
+	defer obs.Start(ctx, obs.Lock).End()
 	select {
 	case sess.lockCh <- struct{}{}:
 		return nil

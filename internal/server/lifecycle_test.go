@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +18,16 @@ import (
 	"repro/internal/engine"
 	"repro/internal/store"
 )
+
+// endpointStats is one endpoint's lifecycle counters in /api/stats.
+type endpointStats struct {
+	InFlight  int64 `json:"in_flight"`
+	Total     int64 `json:"total"`
+	Completed int64 `json:"completed"`
+	Shed      int64 `json:"shed"`
+	Deadline  int64 `json:"deadline_exceeded"`
+	Cancelled int64 `json:"cancelled"`
+}
 
 // getStats fetches the per-endpoint lifecycle counters.
 func getStats(t *testing.T, ts *httptest.Server) map[string]endpointStats {
@@ -155,6 +168,7 @@ func TestAdmissionShed429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
 		t.Fatalf("Retry-After %q, want \"2\"", ra)
 	}
+	hasStages(t, "429", resp.Header, "admit", "encode")
 	<-srv.lc.sem
 	if resp := post(t, ts, "/api/query",
 		map[string]any{"sql": "SELECT memo, avg(amount) AS a FROM donations GROUP BY memo"}, nil); resp.StatusCode != http.StatusOK {
@@ -167,6 +181,84 @@ func TestAdmissionShed429(t *testing.T) {
 	}
 	for name, c := range eps {
 		checkAccounted(t, name, c)
+	}
+}
+
+// hasStages fails unless h's Server-Timing header is well formed and
+// names every one of stages.
+func hasStages(t *testing.T, label string, h http.Header, stages ...string) {
+	t.Helper()
+	st := h.Get("Server-Timing")
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`([a-z]+);dur=\d+\.\d{3}(, |$)`).FindAllStringSubmatch(st, -1) {
+		named[m[1]] = true
+	}
+	for _, s := range stages {
+		if !named[s] {
+			t.Errorf("%s: Server-Timing %q does not name %s", label, st, s)
+		}
+	}
+}
+
+// TestServerTiming pins the per-request stage record on the wire: each
+// response's Server-Timing header names the stages its request ran — a
+// query's pipeline, a debug's five stages, a durable append's WAL write
+// — and /api/stats folds every request's record into stages.<endpoint>.
+func TestServerTiming(t *testing.T) {
+	ts := testServer(t)
+	const n = 3
+	var q struct {
+		Rows [][]any `json:"rows"`
+	}
+	for i := range n {
+		resp := post(t, ts, "/api/query", map[string]any{"session": fmt.Sprint("timing", i),
+			"sql": "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day"}, &q)
+		hasStages(t, "query", resp.Header, "admit", "lock", "decode", "parse", "filter", "scan", "merge", "materialize", "encode")
+	}
+	var suspect []int
+	for i, row := range q.Rows {
+		if tot, ok := row[1].(float64); ok && tot < 0 {
+			suspect = append(suspect, i)
+		}
+	}
+	resp := post(t, ts, "/api/debug", map[string]any{"session": fmt.Sprint("timing", n-1), "suspect": suspect,
+		"metric": "toolow", "metricParams": map[string]float64{"c": 0}, "examplesCond": "amount < 0"}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("debug: status %d", resp.StatusCode)
+	}
+	hasStages(t, "debug", resp.Header, "preprocess", "featurize", "enumerate", "predicates", "rank")
+	if strings.Contains(resp.Header.Get("Server-Timing"), "parse") {
+		t.Errorf("debug over a cached result parsed: %q", resp.Header.Get("Server-Timing"))
+	}
+
+	h, body := appendFixture(t)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/append", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d", rec.Code)
+	}
+	hasStages(t, "durable append", rec.Header(), "decode", "wal", "fsync", "seal", "encode")
+
+	sresp, err := http.Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	hasStages(t, "stats", sresp.Header, "encode")
+	var stats struct {
+		Stages map[string]map[string]struct {
+			Count int64   `json:"count"`
+			Ms    float64 `json:"ms"`
+		} `json:"stages"`
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if parse := stats.Stages["query"]["parse"]; parse.Count != n || parse.Ms <= 0 {
+		t.Fatalf("stages.query.parse = %+v after %d queries", parse, n)
+	}
+	if rank := stats.Stages["debug"]["rank"]; rank.Count != 1 {
+		t.Fatalf("stages.debug.rank = %+v after one debug", rank)
 	}
 }
 

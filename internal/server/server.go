@@ -3,7 +3,8 @@
 // query input form, result scatterplot with suspect/example selection,
 // error metric form, and the ranked predicate list whose entries can be
 // clicked to clean the database and automatically re-run the query
-// (Figure 2 of the paper).
+// (Figure 2 of the paper). Every /api response carries a Server-Timing
+// header: the request's time per obs stage (lifecycle.go).
 package server
 
 import (
@@ -11,20 +12,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
-	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sqlparse"
 	"repro/internal/store"
@@ -47,31 +48,12 @@ type Server struct {
 	maxBodyBytes int64
 	now          func() time.Time // test hook; defaults to time.Now
 
-	// lc is the request-lifecycle layer: deadlines, admission control,
-	// shedding and per-endpoint counters (lifecycle.go).
+	// lc is the request-lifecycle layer: deadlines, admission control
+	// and shedding (lifecycle.go).
 	lc *lifecycle
-
-	// Out-of-core scan accounting, accumulated from each executed
-	// query's Result.Plan and reported by /api/stats alongside the
-	// store's buffer-pool counters.
-	scanQueries    atomic.Int64
-	segsSkipped    atomic.Int64
-	chunksFaulted  atomic.Int64
-	chunksResident atomic.Int64
-	// Planner accounting: queries whose WHERE was a greedily reordered
-	// AND chain, and conjuncts never materialized because the running
-	// mask emptied first (filter.go greedy ordering).
-	filtersOrdered   atomic.Int64
-	conjunctsSkipped atomic.Int64
-	// Residual accounting: queries whose WHERE held non-lowerable
-	// conjuncts (evaluated per row only on the rows the conjuncts before
-	// them had not ruled out), and how many per-row evaluations that
-	// amounted to.
-	filtersResidual atomic.Int64
-	residualRows    atomic.Int64
-	// keyKernels sums PlanInfo.KeyKernels: GROUP BY keys that ran as typed
-	// chunk kernels instead of the per-row evaluator.
-	keyKernels atomic.Int64
+	// stats is the one counter registry /api/stats renders: per-endpoint
+	// lifecycle counters and stage times, and scan totals (newStats).
+	stats *expvar.Map
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -80,25 +62,29 @@ type Server struct {
 // recordScan folds one executed query's plan counters into the
 // server-wide scan totals.
 func (s *Server) recordScan(p exec.PlanInfo) {
-	s.scanQueries.Add(1)
-	s.segsSkipped.Add(int64(p.SegsSkipped))
-	s.chunksFaulted.Add(int64(p.ChunksFaulted))
-	s.chunksResident.Add(int64(p.ChunksResident))
+	scan := s.stats.Get("scan").(*expvar.Map)
+	scan.Add("queries", 1)
+	scan.Add("segs_skipped", int64(p.SegsSkipped))
+	scan.Add("chunks_faulted", int64(p.ChunksFaulted))
+	scan.Add("chunks_resident", int64(p.ChunksResident))
 	if p.FilterConjuncts > 1 { // a chain with something to order
-		s.filtersOrdered.Add(1)
-		s.conjunctsSkipped.Add(int64(p.FilterShortCircuited))
+		scan.Add("filters_ordered", 1)
+		scan.Add("conjuncts_skipped", int64(p.FilterShortCircuited))
 	}
 	if p.ResidualConjuncts > 0 {
-		s.filtersResidual.Add(1)
-		s.residualRows.Add(int64(p.ResidualRows))
+		scan.Add("filters_residual", 1)
+		scan.Add("residual_rows", int64(p.ResidualRows))
 	}
-	s.keyKernels.Add(int64(p.KeyKernels))
+	scan.Add("key_kernels", int64(p.KeyKernels))
 }
 
 const (
 	defaultMaxSessions  = 1024
 	defaultSessionTTL   = 2 * time.Hour
 	defaultMaxBodyBytes = 8 << 20 // generous for row batches, stops runaways
+	// maxSessionID bounds a session id, which the session map keeps: one
+	// request could otherwise pin a body's worth of memory per session.
+	maxSessionID = 256
 )
 
 // session is one browser's interactive state. Handlers hold the
@@ -126,7 +112,7 @@ func newSession() *session { return &session{lockCh: make(chan struct{}, 1)} }
 
 // New creates a server over db.
 func New(db *engine.DB) *Server {
-	return &Server{db: db, sessions: make(map[string]*session), lc: newLifecycle(Limits{})}
+	return &Server{db: db, sessions: make(map[string]*session), lc: newLifecycle(Limits{}), stats: newStats()}
 }
 
 // AttachStore routes ingest mutations through st: /api/append and
@@ -191,16 +177,15 @@ func (s *Server) Handler() http.Handler {
 	return withRecovery(mux)
 }
 
-// decodeJSON decodes a POST body into v under the server's size cap,
-// writing the error response (413 on an oversized body, 400 otherwise)
-// and returning false when the request cannot proceed.
+// decodeJSON decodes a POST body into v under the server's size cap
+// (withLifecycle sets it), writing the error response (413 on an
+// oversized body, 400 otherwise) and returning false when the request
+// cannot proceed.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	limit := s.maxBodyBytes
-	if limit <= 0 {
-		limit = defaultMaxBodyBytes
-	}
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	span := obs.Start(r.Context(), obs.Decode)
+	err := json.NewDecoder(r.Body).Decode(v)
+	span.End()
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, http.StatusRequestEntityTooLarge,
@@ -211,6 +196,22 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		return false
 	}
 	return true
+}
+
+// lockedSession returns id's session with its lock held, or writes the
+// error response and returns nil: an over-long id is a 400 before any
+// session exists, a deadline fired while waiting for the lock a 504.
+func (s *Server) lockedSession(w http.ResponseWriter, r *http.Request, id string) *session {
+	if len(id) > maxSessionID {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("session id longer than %d bytes", maxSessionID))
+		return nil
+	}
+	sess := s.session(id)
+	if err := sess.acquire(r.Context()); err != nil {
+		writeReqErr(s, w, err)
+		return nil
+	}
+	return sess
 }
 
 // session returns (creating if needed) the session for id, stamping its
@@ -272,13 +273,17 @@ func (s *Server) session(id string) *session {
 }
 
 // writeJSON encodes before it commits to a status: a value the encoder
-// refuses is a JSON 500, never a 200 with half a body.
+// refuses is a JSON 500, never a 200 with half a body. The encode is the
+// request's last stage, so the Server-Timing header includes it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	tw, _ := w.(timedWriter)
+	span := tw.rec.Start(obs.Encode)
 	body, err := json.Marshal(v)
 	if err != nil {
 		status = http.StatusInternalServerError
 		body, _ = json.Marshal(map[string]string{"error": "encoding the response: " + err.Error()})
 	}
+	span.End()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
@@ -464,14 +469,13 @@ func (s *Server) runWithCleaning(ctx context.Context, sess *session, sql string)
 			// unexpected shape) falls through to the full run below.
 		}
 	}
+	span := obs.Start(ctx, obs.Parse)
 	stmt, err := sqlparse.Parse(sql)
+	span.End()
 	if err != nil {
 		return err
 	}
-	for _, p := range sess.applied {
-		stmt.Where = expr.And(stmt.Where, p.NegationExpr())
-	}
-	res, err := exec.RunCtx(ctx, s.db, stmt)
+	res, err := exec.RunCtx(ctx, s.db, core.Cleaned(stmt, sess.applied...))
 	if err != nil {
 		return err
 	}
@@ -491,9 +495,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -517,9 +520,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -583,9 +585,8 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -670,9 +671,8 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -783,7 +783,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 			F1:             finiteJSON(e.F1),
 			NumTuples:      e.NumTuples,
 			Origin:         e.Origin,
-			CleanedSQL:     core.CleanedSQL(sess.res.Stmt, e.Pred),
+			CleanedSQL:     core.Cleaned(sess.res.Stmt, e.Pred).String(),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -798,9 +798,8 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -829,9 +828,8 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	sess := s.session(req.Session)
-	if err := sess.acquire(r.Context()); err != nil {
-		writeReqErr(s, w, err)
+	sess := s.lockedSession(w, r, req.Session)
+	if sess == nil {
 		return
 	}
 	defer sess.release()
@@ -969,18 +967,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Session < out[j].Session })
-	payload := map[string]any{
-		"tables":   tables,
-		"sessions": out,
-		// Lifecycle accounting: per endpoint, total == completed + shed
-		// + deadline_exceeded + cancelled at any quiescent point.
-		"endpoints": s.lc.endpointStats(),
-		// Out-of-core scan accounting: how much of the query load the
-		// zone maps answered without disk (segments skipped) and how
-		// chunk pins split between faults and memory hits. Rates are
-		// per executed query.
-		"scan": s.scanPayload(),
-	}
+	payload := map[string]any{"tables": tables, "sessions": out}
+	// The registry's sections: endpoints, stages and scan (newStats).
+	s.stats.Do(func(kv expvar.KeyValue) { payload[kv.Key] = json.RawMessage(kv.Value.String()) })
 	if s.st != nil {
 		// Durability report: per-table on-disk segment counts plus any
 		// quarantined files, recovery gaps or fail-stops — the operator's
@@ -988,36 +977,4 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		payload["store"] = s.st.Stats()
 	}
 	writeJSON(w, http.StatusOK, payload)
-}
-
-// scanPayload summarizes the accumulated per-query scan counters for
-// /api/stats.
-func (s *Server) scanPayload() map[string]any {
-	queries := s.scanQueries.Load()
-	skipped := s.segsSkipped.Load()
-	faulted := s.chunksFaulted.Load()
-	resident := s.chunksResident.Load()
-	out := map[string]any{
-		"queries":         queries,
-		"segs_skipped":    skipped,
-		"chunks_faulted":  faulted,
-		"chunks_resident": resident,
-		// Planner counters: how often greedy clause ordering ran and how
-		// many conjuncts its short-circuit never materialized.
-		"filters_ordered":   s.filtersOrdered.Load(),
-		"conjuncts_skipped": s.conjunctsSkipped.Load(),
-		// Residual counters: queries that rode the vectorized scan with
-		// non-lowerable conjuncts, and the per-row evaluations paid on
-		// the lowered mask's survivors.
-		"filters_residual": s.filtersResidual.Load(),
-		"residual_rows":    s.residualRows.Load(),
-		"key_kernels":      s.keyKernels.Load(),
-	}
-	if queries > 0 {
-		out["segs_skipped_per_query"] = float64(skipped) / float64(queries)
-	}
-	if pins := faulted + resident; pins > 0 {
-		out["fault_rate"] = float64(faulted) / float64(pins)
-	}
-	return out
 }

@@ -399,6 +399,34 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestSessionIDBounded: an over-long session id is refused with 400
+// before any session is kept under it; one at the bound still serves.
+func TestSessionIDBounded(t *testing.T) {
+	ts := testServer(t)
+	id := strings.Repeat("s", 1<<20)
+	if resp := post(t, ts, "/api/zoom", map[string]any{"session": id, "suspect": []int{0}}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1 MiB session id: status %d, want 400", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Sessions []sessionStats `json:"sessions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Sessions) != 0 {
+		t.Fatalf("a refused id left %d sessions", len(stats.Sessions))
+	}
+	if resp := post(t, ts, "/api/query", map[string]any{"session": id[:maxSessionID],
+		"sql": "SELECT state, count(*) AS n FROM donations GROUP BY state"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("session id at the bound: status %d", resp.StatusCode)
+	}
+}
+
 // TestStatsKeyKernels pins /api/stats scan.key_kernels: the sum of
 // PlanInfo.KeyKernels over executed queries — one for a numeric computed
 // key, none for a string-valued one or a bare column.

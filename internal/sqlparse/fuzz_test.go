@@ -12,7 +12,7 @@ import (
 // re-parsed statement must render identically (String is a fixpoint
 // after one round). A failure here means the printer emits SQL the
 // parser rejects or reinterprets — exactly the class of bug that
-// silently corrupts CleanedSQL, statement cloning (cloneGroupExpr-style
+// silently corrupts the cleaned SQL, statement cloning (cloneGroupExpr-style
 // re-parsing), and the server's session keys, all of which round-trip
 // statements through text.
 func FuzzParseRoundTrip(f *testing.F) {

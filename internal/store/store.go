@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // Package store makes the engine's segmented tables crash-safe. Layout
@@ -277,14 +278,19 @@ func (s *DB) AppendColsCtx(ctx context.Context, name string, b *engine.Batch) (*
 		return nil, fmt.Errorf("store: append %s: %w", ts.name, err)
 	}
 	if ts.walF != nil {
-		if _, err := ts.walF.Write(encodeWALRecord(cur.Version(), b)); err != nil {
+		span := obs.Start(ctx, obs.Wal)
+		_, err = ts.walF.Write(encodeWALRecord(cur.Version(), b))
+		span.End()
+		if err != nil {
 			return nil, ts.fail(fmt.Errorf("wal append: %w", err))
 		}
 		ts.walBatches++
 		if ts.walBatches >= s.opts.SyncEvery {
+			span = obs.Start(ctx, obs.Fsync)
 			if err := ts.walF.Sync(); err != nil {
 				return nil, ts.fail(fmt.Errorf("wal fsync: %w", err))
 			}
+			span.End()
 			ts.walBatches = 0
 		}
 	}
@@ -294,6 +300,7 @@ func (s *DB) AppendColsCtx(ctx context.Context, name string, b *engine.Batch) (*
 		// restart would re-apply it, so fail-stop here too.
 		return nil, ts.fail(fmt.Errorf("engine append: %w", err))
 	}
+	defer obs.Start(ctx, obs.Seal).End()
 	if err := s.spillLocked(ts, nt); err != nil {
 		return nil, ts.fail(err)
 	}
