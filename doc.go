@@ -26,10 +26,10 @@
 // # One Debug configuration, judged by a quality table
 //
 // Debug has one configuration: the D' examples are cleaned by a naive
-// Bayes classifier trained on the learning frame, CN2-SD grows each rule
-// greedily, the first rule's region joins D', D' ∪ the high-influence
-// set and the lineage as a candidate dataset, one gini tree is trained
-// per candidate, and the ranker scores, prunes, dedups and sorts. Every
+// Bayes classifier trained on the learning frame, CN2-SD grows one rule
+// greedily, its region joins D' and the lineage as a candidate dataset,
+// one gini tree is trained per candidate (three at most), and the ranker
+// scores, prunes, keeps one answer per row set of F, and sorts. Every
 // parameter of that is a named constant beside its use. What it answers
 // — top-1 F1, best-of-top-3 F1, the rank of the first good answer, the
 // first answer's length and how many of the first three answers select
@@ -91,8 +91,8 @@
 //     stage that trains, adds the quantile thresholds (order statistics
 //     by selection, not a sort) and the int16 matrix of threshold
 //     buckets / value slots. internal/subgroup builds every selector
-//     mask of an attribute from one pass over that matrix and sums its
-//     covering weights by popcount; internal/dtree trains every
+//     mask of an attribute from one pass over that matrix and counts
+//     its rule's WRAcc by popcount; internal/dtree trains every
 //     candidate's tree on the matrix alone, so no learner touches the
 //     table, and both refuse a profile-only space.
 //

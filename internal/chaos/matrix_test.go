@@ -306,7 +306,7 @@ func debugEq(t *testing.T, label string, want, got *core.DebugResult) {
 	}
 	for i := range want.Explanations {
 		we, ge := want.Explanations[i], got.Explanations[i]
-		if we.Pred.Key() != ge.Pred.Key() {
+		if we.Pred.String() != ge.Pred.String() {
 			t.Fatalf("%s: explanation %d pred %s vs %s", label, i, we.Pred, ge.Pred)
 		}
 		if we.Score != ge.Score && !(math.IsNaN(we.Score) && math.IsNaN(ge.Score)) {

@@ -93,7 +93,7 @@ func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
 	}
 	for i := range want.Explanations {
 		we, ge := want.Explanations[i], got.Explanations[i]
-		if we.Pred.Key() != ge.Pred.Key() {
+		if we.Pred.String() != ge.Pred.String() {
 			t.Fatalf("%s: explanation %d pred %s vs %s", label, i, we.Pred, ge.Pred)
 		}
 		if math.Abs(we.Score-ge.Score) > scoreTol ||

@@ -9,11 +9,13 @@
 // The pipeline mirrors Figure 1 of the paper:
 //
 //	Preprocessor        → lineage F of S + leave-one-out influence (internal/influence)
-//	Dataset Enumerator  → clean D' (internal/cleaner), extend via subgroup
-//	                      discovery (internal/subgroup) into candidates Dᶜᵢ
+//	Dataset Enumerator  → clean D' (internal/cleaner); candidates Dᶜᵢ are
+//	                      D', the lineage (with contrast) and the region of
+//	                      one subgroup rule (internal/subgroup)
 //	Predicate Enumerator→ one decision tree per candidate (internal/dtree),
-//	                      leaf paths → predicates
+//	                      leaf paths → predicates, plus the subgroup rule
 //	Predicate Ranker    → ε-improvement + separation accuracy − complexity
+//	                      − excess, one answer per row set of F
 //	                      (internal/ranker)
 //
 // There is one configuration. What it answers on the paper's walkthroughs
@@ -321,7 +323,7 @@ type debugRun struct {
 	dprime        []int
 	highInfluence []int
 	// culpable is the cleaned D' ∪ the high-influence set over the source
-	// rows: the "dprime+influence" candidate and the ranker's Excess term.
+	// rows: the ranker's Excess term.
 	culpable *bitset.Bitset
 	extras   []int
 	learnPop []int
@@ -498,26 +500,20 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 	}
 	dprimeBits := bitset.FromRows(n, dprime)
 	addCandidate("dprime", dprimeBits, len(dprime))
-	if len(d.highInfluence) > 0 {
-		addCandidate("dprime+influence", d.culpable, d.culpable.Count())
-	}
 	if len(d.extras) > 0 {
 		// With external contrast available, the full lineage is itself a
 		// describable candidate ("everything in these groups is bad").
 		addCandidate("lineage", d.fBits, len(d.an.F))
 	}
 
-	// Subgroup discovery extends D' into self-consistent regions of the
-	// population. Every rule is ranked as a predicate below; the first
-	// one's region is also a candidate dataset (taking the next three as
-	// well changed no cell of the quality table).
-	sgRules := subgroup.Discover(d.sp, labelsOf(dprimeBits))
-	sgTargets := make([]*bitset.Bitset, len(sgRules))
-	for i, rule := range sgRules {
-		sgTargets[i] = bitset.FromRows(n, rule.Covered)
-	}
-	if len(sgRules) > 0 {
-		addCandidate("subgroup0", sgTargets[0], len(sgRules[0].Covered))
+	// Subgroup discovery extends D' into a self-consistent region of the
+	// population. The rule is ranked as a predicate below, and its region
+	// is a candidate dataset.
+	sgRule, sgOK := subgroup.Discover(d.sp, labelsOf(dprimeBits))
+	var sgTarget *bitset.Bitset
+	if sgOK {
+		sgTarget = bitset.FromRows(n, sgRule.Covered)
+		addCandidate("subgroup0", sgTarget, len(sgRule.Covered))
 	}
 	out.Candidates = len(candidates)
 	span.End()
@@ -555,17 +551,11 @@ func (d *debugRun) enumerate() []ranker.Candidate {
 	for _, rc := range perCand {
 		rcands = append(rcands, rc...)
 	}
-	// Subgroup rules are themselves compact predicates; rank them too.
-	for i, rule := range sgRules {
-		p := rule.Predicate(d.sp)
-		if p.IsTrue() {
-			continue
+	// The subgroup rule is itself a compact predicate; rank it too.
+	if sgOK {
+		if p := sgRule.Predicate(d.sp); !p.IsTrue() {
+			rcands = append(rcands, ranker.Candidate{Pred: p, Origin: "subgroup0", Target: sgTarget})
 		}
-		rcands = append(rcands, ranker.Candidate{
-			Pred:   p,
-			Origin: fmt.Sprintf("subgroup%d", i),
-			Target: sgTargets[i],
-		})
 	}
 	span.End()
 	return rcands

@@ -230,7 +230,7 @@ func TestDebugIsDeterministic(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", len(a.Explanations), len(b.Explanations))
 	}
 	for i := range a.Explanations {
-		if a.Explanations[i].Pred.Key() != b.Explanations[i].Pred.Key() {
+		if a.Explanations[i].Pred.String() != b.Explanations[i].Pred.String() {
 			t.Errorf("rank %d differs: %s vs %s", i, a.Explanations[i].Pred, b.Explanations[i].Pred)
 		}
 	}

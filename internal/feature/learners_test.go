@@ -46,7 +46,7 @@ func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 	if err != nil || len(tree.PositivePaths()) == 0 {
 		t.Fatalf("dtree.Train on the discretized space: %v, %d positive paths", err, len(tree.PositivePaths()))
 	}
-	if rules := subgroup.Discover(sp, labels); len(rules) == 0 {
+	if _, ok := subgroup.Discover(sp, labels); !ok {
 		t.Fatal("subgroup.Discover on the discretized space found nothing")
 	}
 }

@@ -65,20 +65,20 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ O
 // RankCtx is Rank under a cancellable context: the O(|F|) LOO loop
 // polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
-// followed by RankWithScorerCtx; a suspect selection or aggregate
+// followed by rankWithScorerCtx; a suspect selection or aggregate
 // NewScorer refuses is an error here.
 func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Analysis, error) {
 	sc, err := NewScorer(res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
 	}
-	return RankWithScorerCtx(ctx, sc)
+	return rankWithScorerCtx(ctx, sc)
 }
 
-// RankWithScorerCtx runs the columnar preprocessor pass over an
+// rankWithScorerCtx runs the columnar preprocessor pass over an
 // already-built scoring state. Rank and RankAdvancedCtx route through
 // it. The only possible error wraps the context error.
-func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
+func rankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 	an, err := rankFast(ctx, sc)
 	if err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func RankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
 	return an, nil
 }
 
-// RankAdvancedCtx is RankWithScorerCtx for sc = NewScorer over an
+// RankAdvancedCtx is rankWithScorerCtx for sc = NewScorer over an
 // advanced result (exec.Advance), under the aggregate and metric prev
 // was ranked with — the step a monitoring loop repeats. A stream mostly grows by adding groups, not
 // rows to old ones: when no suspect group's lineage grew since prev
@@ -102,7 +102,7 @@ func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer) (*Analysis
 	if prev != nil && sc.sameLineage(prev.Scorer) {
 		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc}, nil
 	}
-	return RankWithScorerCtx(ctx, sc)
+	return rankWithScorerCtx(ctx, sc)
 }
 
 // byInfluence orders by descending Delta, ties by Row — a total order on

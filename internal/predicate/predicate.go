@@ -8,7 +8,6 @@ package predicate
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -233,7 +232,7 @@ func (p Predicate) NegationExpr() expr.Expr { return expr.NewNot(p.ToExpr()) }
 //     useless) — reported via the second return value
 //   - a LIKE clause is kept verbatim, only its exact duplicates drop
 //
-// Clauses are ordered by column name, then operator, for stable Keys.
+// Clauses are ordered by column name, then operator.
 func (p Predicate) Simplify() (Predicate, bool) {
 	type bounds struct {
 		eq      *engine.Value
@@ -364,31 +363,4 @@ func (p Predicate) Simplify() (Predicate, bool) {
 		}
 	}
 	return out, true
-}
-
-// Key returns a canonical identity string; two predicates with the same
-// simplified form share a Key. Used to deduplicate candidate
-// explanations across trees and subgroup rules. A strict bound on an
-// integer value is keyed as the inclusive bound it equals (a tree's
-// "sensor > 2" and a subgroup rule's "sensor >= 3" are one explanation):
-// the learners give a clause an integer value only on an integer column.
-func (p Predicate) Key() string {
-	s, ok := p.Simplify()
-	if !ok {
-		return "<false>"
-	}
-	parts := make([]string, len(s.Clauses))
-	for i, c := range s.Clauses {
-		if v := c.Val; v.T == engine.TInt {
-			switch {
-			case c.Op == OpGt && v.I < math.MaxInt64:
-				c.Op, c.Val = OpGe, engine.NewInt(v.I+1)
-			case c.Op == OpLt && v.I > math.MinInt64:
-				c.Op, c.Val = OpLe, engine.NewInt(v.I-1)
-			}
-		}
-		parts[i] = strings.ToLower(c.Col) + "\x1f" + c.Op.String() + "\x1f" + c.Val.Key()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "\x1e")
 }

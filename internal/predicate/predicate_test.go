@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +59,7 @@ func TestClauseMatches(t *testing.T) {
 	}
 }
 
-// A LIKE clause survives Simplify, Key and ToExpr as it was written:
+// A LIKE clause survives Simplify and ToExpr as it was written:
 // only an exact duplicate drops, and it evaluates like the clause.
 func TestLikeClauseVerbatim(t *testing.T) {
 	like := Clause{Col: "memo", Op: OpLike, Val: engine.NewString("%UN%")}
@@ -72,10 +71,6 @@ func TestLikeClauseVerbatim(t *testing.T) {
 	}
 	if got, want := like.String(), "memo LIKE '%UN%'"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-	other := New(Clause{Col: "memo", Op: OpLike, Val: engine.NewString("%UN")})
-	if p.Key() == New(p.Clauses[1], p.Clauses[3]).Key() || New(like).Key() == other.Key() {
-		t.Error("a LIKE clause is missing from its predicate's key")
 	}
 	tbl := sampleTable(t)
 	if got := p.MatchingRows(tbl, nil); len(got) != 1 || got[0] != 4 {
@@ -265,46 +260,6 @@ func TestNegationExpr(t *testing.T) {
 	}
 	if kept != 3 {
 		t.Errorf("negation kept %d rows, want 3", kept)
-	}
-}
-
-func TestKeyDedup(t *testing.T) {
-	a := New(
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
-		Clause{Col: "y", Op: OpEq, Val: engine.NewString("z")},
-	)
-	b := New( // same clauses, different order + redundant bound
-		Clause{Col: "y", Op: OpEq, Val: engine.NewString("z")},
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(2)},
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
-	)
-	if a.Key() != b.Key() {
-		t.Errorf("keys differ:\n  %s\n  %s", a.Key(), b.Key())
-	}
-	c := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(4)})
-	if a.Key() == c.Key() {
-		t.Error("different predicates share key")
-	}
-}
-
-// A strict bound on an integer value and the inclusive bound it equals
-// are one explanation; over floats they are not.
-func TestKeyFoldsIntegerBounds(t *testing.T) {
-	one := func(op Op, v engine.Value) string { return New(Clause{Col: "x", Op: op, Val: v}).Key() }
-	if gt, ge := one(OpGt, engine.NewInt(2)), one(OpGe, engine.NewInt(3)); gt != ge {
-		t.Errorf("x > 2 and x >= 3 key apart:\n  %s\n  %s", gt, ge)
-	}
-	if lt, le := one(OpLt, engine.NewInt(3)), one(OpLe, engine.NewInt(2)); lt != le {
-		t.Errorf("x < 3 and x <= 2 key apart:\n  %s\n  %s", lt, le)
-	}
-	if one(OpGt, engine.NewInt(2)) == one(OpGe, engine.NewInt(2)) {
-		t.Error("x > 2 and x >= 2 share a key")
-	}
-	if one(OpGt, engine.NewFloat(2)) == one(OpGe, engine.NewFloat(3)) {
-		t.Error("float bounds x > 2 and x >= 3 share a key")
-	}
-	if one(OpGt, engine.NewInt(math.MaxInt64)) == one(OpGe, engine.NewInt(math.MinInt64)) {
-		t.Error("x > MaxInt64 wrapped around")
 	}
 }
 

@@ -90,7 +90,7 @@ func scoredListsEqual(t *testing.T, label string, a, b []Scored) {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Pred.Key() != y.Pred.Key() {
+		if x.Pred.String() != y.Pred.String() {
 			t.Fatalf("%s: rank %d pred %s vs %s", label, i, x.Pred, y.Pred)
 		}
 		if x.Score != y.Score || x.EpsAfter != y.EpsAfter || x.F1 != y.F1 ||
@@ -220,11 +220,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			freshCtx := &Context{Res: fresh, Suspect: suspect, Ord: 0, Metric: metric,
 				F: fan.F, Eps: fan.Eps}
 			freshCtx.Scorer = fan.Scorer
-			oracleCands := make([]Candidate, st.Len())
-			for i := range st.cands {
-				oracleCands[i] = Candidate{Pred: st.cands[i].Pred, Origin: st.cands[i].Origin, Target: st.cands[i].Target}
-			}
-			want, _, _ := RankAllCarry(oracleCands, freshCtx)
+			want, _, _ := RankAllCarry(st.candidates(), freshCtx)
 			scoredListsEqual(t, fmt.Sprintf("seed %d iter %d [%s]", seed, iter, stmt.String()), want, got)
 			tbl = grown
 		}

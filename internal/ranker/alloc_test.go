@@ -207,7 +207,7 @@ func TestRankOutOfRangeSuspectIsAnError(t *testing.T) {
 	if _, _, err := RankAllCarry(cands, bad()); err == nil {
 		t.Fatal("RankAllCarry accepted suspect 7 of a 1-row result")
 	}
-	if _, ok := Score(cands[0], bad()); ok {
+	if _, ok := scoreOne(cands[0], bad()); ok {
 		t.Fatal("Score accepted suspect 7 of a 1-row result")
 	}
 	_, st, err := RankAllCarry(cands, good)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -182,22 +183,13 @@ func (s Scored) String() string {
 		s.Score, s.Pred, 100*s.ErrImprovement, s.F1, s.NumTuples, s.Origin)
 }
 
-// Score evaluates one candidate. ok is false when the predicate matches
-// no lineage tuples (vacuous) or matches all of them (tautological) —
-// or when the context cannot be scored at all (see Context.Scorer).
-func Score(c Candidate, ctx *Context) (Scored, bool) {
-	if ctx.prepare() != nil {
-		return Scored{}, false
-	}
-	return score(c, ctx, ctx.newEnv())
-}
-
 // score evaluates one candidate of a prepared context using env's
 // reusable buffers: clause-mask ANDs for matching, word-level
 // intersection counting for accuracy/culpability, and
-// Scorer.EpsWithoutBits for the counterfactual ε. Steady state (clause
-// masks warm, target bits populated) it allocates nothing for the
-// algebraic aggregates.
+// Scorer.EpsWithoutBits for the counterfactual ε. ok is false when the
+// predicate matches no lineage tuples (vacuous) or matches all of them
+// (tautological). Steady state (clause masks warm, target bits
+// populated) it allocates nothing for the algebraic aggregates.
 func score(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
 	pb := ctx.Index.MatchInto(c.Pred, ctx.popBits, env.pb)
 	nPop := pb.Count()
@@ -298,25 +290,52 @@ func prune(c Candidate, sc Scored, ctx *Context, env *scoreEnv) (Candidate, Scor
 	return c, sc
 }
 
-func sortScored(out []Scored) {
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].Complexity != out[j].Complexity {
-			return out[i].Complexity < out[j].Complexity
-		}
-		return out[i].NumTuples < out[j].NumTuples
-	})
+// ahead orders answers: the higher score, then fewer clauses, then
+// fewer tuples.
+func ahead(a, b *Scored) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Complexity != b.Complexity {
+		return a.Complexity < b.Complexity
+	}
+	return a.NumTuples < b.NumTuples
 }
 
-// RankAllCarry scores every candidate, prunes incidental clauses,
-// deduplicates by canonical predicate key (keeping the best score), and
-// returns the survivors sorted by descending score (ties: fewer
-// clauses, then fewer tuples), with their carryable state: the returned
-// RankerState holds every ranked predicate with its frozen target set
-// and score, ready for an incremental Debug over a grown table to
-// rescore without re-running the learners.
+// rowSet identifies the lineage rows an answer matches: their count and
+// a hash of the words of their bitset over the source rows. Two answers
+// with one rowSet remove the same tuples from F, however they are
+// spelled (v > t and v >= t' on a column with no value between).
+type rowSet struct {
+	n    int
+	hash uint64
+}
+
+// rowsOf matches c over F into env.mb (which prune leaves holding a
+// rejected variant's rows) and returns its rowSet.
+func rowsOf(c Candidate, ctx *Context, env *scoreEnv) rowSet {
+	mb := ctx.Index.MatchInto(c.Pred, ctx.fBits, env.mb)
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range mb.Words() {
+		h = bits.RotateLeft64(h^w, 29) * 0xbf58476d1ce4e5b9
+	}
+	return rowSet{n: mb.Count(), hash: h}
+}
+
+// answer is one survivor of a ranking pass with the target it was
+// learned to describe, which a RankerState carries to the next pass.
+type answer struct {
+	Scored
+	target *bitset.Bitset
+}
+
+// RankAllCarry scores every candidate, prunes incidental clauses, keeps
+// one answer per set of lineage rows matched (the higher score, then
+// fewer clauses, then the first seen), and returns the survivors sorted
+// by descending score (ties: fewer clauses, then fewer tuples), with
+// their carryable state: the returned RankerState holds every answer
+// with its frozen target set and score, ready for an incremental Debug
+// over a grown table to rescore without re-running the learners.
 //
 // Scoring and pruning fan out through par.Do: once the context is
 // prepared, the scoring inputs (clause masks, lineage bitsets, flat
@@ -327,30 +346,29 @@ func sortScored(out []Scored) {
 // (out-of-range suspect, an aggregate it cannot score); nothing is
 // published on error.
 func RankAllCarry(cands []Candidate, ctx *Context) ([]Scored, *RankerState, error) {
-	out, targets, _, err := rankCore(cands, ctx, "fresh")
+	answers, _, err := rankCore(cands, ctx, "fresh")
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, newRankerState(out, targets), nil
+	return scoredOf(answers), &RankerState{answers: answers}, nil
 }
 
 // rankCore is the shared ranking pass behind RankAllCarry and
-// RankerState.Rescore: par.Do scoring + pruning, key dedup, sort.
-// It additionally returns the target set per final
-// predicate key and, aligned with cands, each candidate's raw
-// (pre-prune) score — NaN for candidates that scored vacuous or
-// tautological — which Rescore turns into the drift signal. On an
-// out-of-core source a chunk-load failure — on this goroutine or in a
-// par.Do helper extending a clause mask, which Do re-raises here once
-// its helpers are done — comes back as *engine.SegmentLoadError.
-func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _ map[string]*bitset.Bitset, _ []float64, err error) {
+// RankerState.Rescore: par.Do scoring + pruning, one answer per row set
+// in F, sort. It additionally returns, aligned with cands, each
+// candidate's raw (pre-prune) score — NaN for candidates that scored
+// vacuous or tautological — which Rescore turns into the drift signal.
+// On an out-of-core source a chunk-load failure — on this goroutine or
+// in a par.Do helper extending a clause mask, which Do re-raises here
+// once its helpers are done — comes back as *engine.SegmentLoadError.
+func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []answer, _ []float64, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	cctx := ctx.Ctx
 	if cctx == nil {
 		cctx = context.Background()
 	}
 	if err := ctx.prepare(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Targets carried from a shorter table version widen to this one
 	// (appended rows are outside every carried target).
@@ -361,9 +379,9 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 	}
 
 	type slot struct {
-		c  Candidate
-		sc Scored
-		ok bool
+		a    answer
+		rows rowSet
+		ok   bool
 	}
 	slots := make([]slot, len(cands))
 	raw := make([]float64, len(cands))
@@ -380,70 +398,58 @@ func rankCore(cands []Candidate, ctx *Context, provenance string) (_ []Scored, _
 		}
 		c := cands[i]
 		sc, ok := score(c, ctx, envs[w])
-		if ok {
-			raw[i] = sc.Score
+		if !ok {
+			return
 		}
-		if ok && !ctx.DisablePrune {
+		raw[i] = sc.Score
+		if !ctx.DisablePrune {
 			c, sc = prune(c, sc, ctx, envs[w])
 		}
-		slots[i] = slot{c: c, sc: sc, ok: ok}
+		slots[i] = slot{a: answer{Scored: sc, target: c.Target}, rows: rowsOf(c, ctx, envs[w]), ok: true}
 	})
 	if err := cctx.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("ranker: cancelled: %w", err)
+		return nil, nil, fmt.Errorf("ranker: cancelled: %w", err)
 	}
 
-	byKey := make(map[string]Scored)
-	targets := make(map[string]*bitset.Bitset)
-	var order []string
+	// One answer per row set: within one, ahead decides on score and
+	// clauses alone (the tuple counts are equal), and a tie keeps the
+	// first seen.
+	var out []answer
+	at := make(map[rowSet]int)
 	for i := range slots {
 		if !slots[i].ok {
 			continue
 		}
-		c, sc := slots[i].c, slots[i].sc
-		key := c.Pred.Key()
-		prev, seen := byKey[key]
-		if !seen {
-			order = append(order, key)
-			byKey[key] = sc
-			targets[key] = c.Target
-		} else if sc.Score > prev.Score {
-			byKey[key] = sc
-			targets[key] = c.Target
+		a := slots[i].a
+		a.Provenance = provenance
+		if j, seen := at[slots[i].rows]; !seen {
+			at[slots[i].rows] = len(out)
+			out = append(out, a)
+		} else if ahead(&a.Scored, &out[j].Scored) {
+			out[j] = a
 		}
 	}
-	out := make([]Scored, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
-	}
-	sortScored(out)
-	for i := range out {
-		out[i].Provenance = provenance
-	}
-	return out, targets, raw, nil
+	sort.SliceStable(out, func(i, j int) bool { return ahead(&out[i].Scored, &out[j].Scored) })
+	return out, raw, nil
 }
 
-// RankerState carries one ranking pass's survivors — predicates, their
+// scoredOf is the ranked list of a pass's answers.
+func scoredOf(answers []answer) []Scored {
+	out := make([]Scored, len(answers))
+	for i := range answers {
+		out[i] = answers[i].Scored
+	}
+	return out
+}
+
+// RankerState carries one ranking pass's answers — predicates, their
 // frozen target sets, and the scores they were reported with — so a
 // following incremental Debug over a grown table can rescore exactly
 // these candidates against the advanced scoring state instead of
 // re-running the learners. The state is immutable; Rescore returns a
 // fresh state for the next step of the chain.
 type RankerState struct {
-	cands  []Candidate
-	scores []float64
-}
-
-// newRankerState snapshots the full ranked list (pre-truncation).
-func newRankerState(scored []Scored, targets map[string]*bitset.Bitset) *RankerState {
-	st := &RankerState{
-		cands:  make([]Candidate, len(scored)),
-		scores: make([]float64, len(scored)),
-	}
-	for i, s := range scored {
-		st.cands[i] = Candidate{Pred: s.Pred, Origin: s.Origin, Target: targets[s.Pred.Key()]}
-		st.scores[i] = s.Score
-	}
-	return st
+	answers []answer // the full ranked list (pre-truncation)
 }
 
 // Len returns the number of carried candidates.
@@ -451,7 +457,17 @@ func (st *RankerState) Len() int {
 	if st == nil {
 		return 0
 	}
-	return len(st.cands)
+	return len(st.answers)
+}
+
+// candidates are the carried answers as fresh candidates: rankCore
+// widens their targets to its table version without touching st.
+func (st *RankerState) candidates() []Candidate {
+	cands := make([]Candidate, len(st.answers))
+	for i, a := range st.answers {
+		cands[i] = Candidate{Pred: a.Pred, Origin: a.Origin, Target: a.target}
+	}
+	return cands
 }
 
 // Rescore scores the carried candidates against ctx — typically the
@@ -464,13 +480,9 @@ func (st *RankerState) Len() int {
 // delta can bound). The caller compares drift against its threshold to
 // decide whether the carried ranking stands or the learners must run
 // again. A cancellation (ctx.Ctx) returns an error and leaves st
-// untouched and reusable — rankCore works on copies throughout.
+// untouched and reusable.
 func (st *RankerState) Rescore(ctx *Context) ([]Scored, *RankerState, float64, error) {
-	// Work on copies: the state's candidates stay clean (rankCore widens
-	// their targets to ctx's table version).
-	cands := make([]Candidate, len(st.cands))
-	copy(cands, st.cands)
-	out, targets, raw, err := rankCore(cands, ctx, "carried")
+	answers, raw, err := rankCore(st.candidates(), ctx, "carried")
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -480,9 +492,9 @@ func (st *RankerState) Rescore(ctx *Context) ([]Scored, *RankerState, float64, e
 			drift = math.Inf(1)
 			break
 		}
-		if d := math.Abs(raw[i] - st.scores[i]); d > drift {
+		if d := math.Abs(raw[i] - st.answers[i].Score); d > drift {
 			drift = d
 		}
 	}
-	return out, newRankerState(out, targets), drift, nil
+	return scoredOf(answers), &RankerState{answers: answers}, drift, nil
 }

@@ -65,9 +65,18 @@ func memoPred() predicate.Predicate {
 	return predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")})
 }
 
+// scoreOne scores one candidate on a fresh prepared context; ok is also
+// false when the context cannot be scored.
+func scoreOne(c Candidate, ctx *Context) (Scored, bool) {
+	if ctx.prepare() != nil {
+		return Scored{}, false
+	}
+	return score(c, ctx, ctx.newEnv())
+}
+
 func TestScoreGoodPredicate(t *testing.T) {
 	res, ctx := fixture(t)
-	sc, ok := Score(Candidate{Pred: memoPred(), Origin: "test", Target: badTarget(res)}, ctx)
+	sc, ok := scoreOne(Candidate{Pred: memoPred(), Origin: "test", Target: badTarget(res)}, ctx)
 	if !ok {
 		t.Fatal("good predicate rejected")
 	}
@@ -88,11 +97,11 @@ func TestScoreGoodPredicate(t *testing.T) {
 func TestScoreRejectsVacuousAndTautological(t *testing.T) {
 	res, ctx := fixture(t)
 	empty := predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("NOPE")})
-	if _, ok := Score(Candidate{Pred: empty, Target: badTarget(res)}, ctx); ok {
+	if _, ok := scoreOne(Candidate{Pred: empty, Target: badTarget(res)}, ctx); ok {
 		t.Error("vacuous predicate accepted")
 	}
 	taut := predicate.New(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(-1e9)})
-	if _, ok := Score(Candidate{Pred: taut, Target: badTarget(res)}, ctx); ok {
+	if _, ok := scoreOne(Candidate{Pred: taut, Target: badTarget(res)}, ctx); ok {
 		t.Error("tautological predicate accepted")
 	}
 }
@@ -104,11 +113,11 @@ func TestExcessPenalty(t *testing.T) {
 	blunt := predicate.New(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(9)})
 	// matches rows with v >= 9 → all 40 → tautology. Use site-based:
 	blunt = predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(2)})
-	bluntSc, ok := Score(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, ctx)
+	bluntSc, ok := scoreOne(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, ctx)
 	if !ok {
 		t.Fatal("blunt predicate rejected")
 	}
-	surgical, ok := Score(Candidate{Pred: memoPred(), Target: badTarget(res), Origin: "surgical"}, ctx)
+	surgical, ok := scoreOne(Candidate{Pred: memoPred(), Target: badTarget(res), Origin: "surgical"}, ctx)
 	if !ok {
 		t.Fatal("surgical predicate rejected")
 	}
@@ -121,7 +130,7 @@ func TestExcessPenalty(t *testing.T) {
 	// The ablation drops exactly that term.
 	_, noExcess := fixture(t)
 	noExcess.DisableExcess = true
-	free, ok := Score(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, noExcess)
+	free, ok := scoreOne(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, noExcess)
 	if want := bluntSc.Score + weightExcess*(1-bluntSc.CulpableFrac); !ok || math.Abs(free.Score-want) > 1e-12 {
 		t.Errorf("DisableExcess: blunt scores %.4f, want %.4f", free.Score, want)
 	}
@@ -132,11 +141,11 @@ func TestComplexityPenalty(t *testing.T) {
 	long := memoPred().
 		And(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(50)}).
 		And(predicate.Clause{Col: "site", Op: predicate.OpEq, Val: engine.NewInt(3)})
-	longSc, ok := Score(Candidate{Pred: long, Target: badTarget(res)}, ctx)
+	longSc, ok := scoreOne(Candidate{Pred: long, Target: badTarget(res)}, ctx)
 	if !ok {
 		t.Fatal("long predicate rejected")
 	}
-	short, _ := Score(Candidate{Pred: memoPred(), Target: badTarget(res)}, ctx)
+	short, _ := scoreOne(Candidate{Pred: memoPred(), Target: badTarget(res)}, ctx)
 	if longSc.Score >= short.Score {
 		t.Errorf("complexity not penalized: %.3f vs %.3f", longSc.Score, short.Score)
 	}
@@ -146,7 +155,7 @@ func TestPruneDropsJunkClauses(t *testing.T) {
 	res, ctx := fixture(t)
 	junky := memoPred().And(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(50)})
 	cand := Candidate{Pred: junky, Target: badTarget(res)}
-	sc, ok := Score(cand, ctx)
+	sc, ok := scoreOne(cand, ctx)
 	if !ok {
 		t.Fatal("junky rejected")
 	}
@@ -159,28 +168,101 @@ func TestPruneDropsJunkClauses(t *testing.T) {
 	}
 }
 
+// TestRankAllDedupsAndSorts: one set of lineage rows gives one answer,
+// however it is spelled, and the answers come out sorted. The group
+// under suspicion is fixture's; a second group of 26 contrast rows joins
+// the population, so spellings of one row set in F can differ on it.
 func TestRankAllDedupsAndSorts(t *testing.T) {
-	res, ctx := fixture(t)
-	target := badTarget(res)
+	tbl := engine.MustNewTable("t", engine.NewSchema(
+		"k", engine.TInt, "v", engine.TFloat, "memo", engine.TString, "site", engine.TInt))
+	var rows [][]engine.Value
+	add := func(k, site int64, v float64, memo string, n int) {
+		for range n {
+			rows = append(rows, []engine.Value{engine.NewInt(k), engine.NewFloat(v), engine.NewString(memo), engine.NewInt(site)})
+		}
+	}
+	for i := range 40 {
+		if i%4 == 3 {
+			add(0, 3, 100, "BAD", 1)
+		} else {
+			add(0, int64(i%4), 10, "", 1)
+		}
+	}
+	add(1, 0, 60, "", 4)  // v > 50 only
+	add(1, 1, 10, "", 3)  // site = 1, with or without v <= 50
+	add(1, 1, 60, "", 6)  // site = 1 without v <= 50, and v > 50
+	add(1, 2, 10, "", 13) // target rows neither site-1 spelling matches
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.NewDB()
+	db.Register(tbl)
+	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	F, contrast := res.Lineage([]int{0}), res.Lineage([]int{1})
+	site := func(r int) int64 { return tbl.Value(r, 3).Int() }
+	bad, site1 := bitset.New(tbl.NumRows()), bitset.New(tbl.NumRows())
+	for _, r := range F {
+		switch site(r) {
+		case 3:
+			bad.Set(r)
+		case 1:
+			site1.Set(r)
+		}
+	}
+	for _, r := range contrast {
+		if site(r) == 2 || (site(r) == 1 && tbl.Value(r, 1).Float() == 10) {
+			site1.Set(r)
+		}
+	}
+	metric := errmetric.TooHigh{C: 15}
+	ctx := &Context{
+		Res: res, Suspect: []int{0}, Ord: 0, Metric: metric,
+		F: F, Population: append(append([]int(nil), F...), contrast...),
+		Eps: metric.Eval([]float64{32.5}), Culpable: bad,
+		// Pruning would itself cut the two-clause spelling below to the
+		// one-clause one; with it off, the dedup has to choose.
+		DisablePrune: true,
+	}
+	clause := func(col string, op predicate.Op, v engine.Value) predicate.Clause {
+		return predicate.Clause{Col: col, Op: op, Val: v}
+	}
+	// v > 50 and v >= 100 both match F's ten BAD rows (no value lies
+	// between), but v > 50 also matches ten contrast rows outside its
+	// target: the higher-scoring v >= 100 is the answer.
+	gt := predicate.New(clause("v", predicate.OpGt, engine.NewFloat(50)))
+	ge := predicate.New(clause("v", predicate.OpGe, engine.NewFloat(100)))
+	// site = 1 AND v <= 50 and site = 1 both match F's ten site-1 rows;
+	// the second clause buys exactly the F1 its complexity costs, so the
+	// scores tie and the one-clause spelling is the answer.
+	long := predicate.New(clause("site", predicate.OpEq, engine.NewInt(1)), clause("v", predicate.OpLe, engine.NewFloat(50)))
+	short := predicate.New(clause("site", predicate.OpEq, engine.NewInt(1)))
 	cands := []Candidate{
-		{Pred: memoPred(), Origin: "a", Target: target},
-		{Pred: memoPred(), Origin: "b", Target: target}, // duplicate
-		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpEq, Val: engine.NewInt(3)}), Origin: "c", Target: target},
-		// A tree's and a subgroup rule's spelling of one integer bound.
-		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGt, Val: engine.NewInt(2)}), Origin: "tree", Target: target},
-		{Pred: predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(3)}), Origin: "subgroup", Target: target},
+		{Pred: gt, Origin: "gt", Target: bad},
+		{Pred: long, Origin: "long", Target: site1},
+		{Pred: ge, Origin: "ge", Target: bad},
+		{Pred: short, Origin: "short", Target: site1},
+	}
+	longSc, _ := scoreOne(cands[1], ctx)
+	if shortSc, _ := scoreOne(cands[3], ctx); longSc.Score != shortSc.Score {
+		t.Fatalf("the fixture lost its tie: %s scores %v, %s %v", long, longSc.Score, short, shortSc.Score)
 	}
 	out, st, err := RankAllCarry(cands, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 || st.Len() != 3 {
-		t.Fatalf("dedup failed: %d results", len(out))
+	if len(out) != 2 || st.Len() != len(out) {
+		t.Fatalf("%d answers, %d carried, want 2 of each: %v", len(out), st.Len(), out)
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Score > out[i-1].Score {
-			t.Error("not sorted by score")
-		}
+	got := map[string]bool{out[0].Origin: true, out[1].Origin: true}
+	if !got["ge"] || !got["short"] {
+		t.Errorf("answers %v, want the ge and short spellings", out)
+	}
+	if out[1].Score > out[0].Score {
+		t.Error("not sorted by score")
 	}
 }
 
@@ -200,7 +282,7 @@ func TestDisablePruneKeepsClauses(t *testing.T) {
 func TestScoreWithoutTargetSkipsAccuracy(t *testing.T) {
 	res, ctx := fixture(t)
 	_ = res
-	sc, ok := Score(Candidate{Pred: memoPred()}, ctx)
+	sc, ok := scoreOne(Candidate{Pred: memoPred()}, ctx)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -215,7 +297,7 @@ func TestScoreWithoutTargetSkipsAccuracy(t *testing.T) {
 func TestScoreZeroEps(t *testing.T) {
 	res, ctx := fixture(t)
 	ctx.Eps = 0
-	sc, ok := Score(Candidate{Pred: memoPred(), Target: badTarget(res)}, ctx)
+	sc, ok := scoreOne(Candidate{Pred: memoPred(), Target: badTarget(res)}, ctx)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -226,7 +308,7 @@ func TestScoreZeroEps(t *testing.T) {
 
 func TestScoredString(t *testing.T) {
 	res, ctx := fixture(t)
-	sc, _ := Score(Candidate{Pred: memoPred(), Target: badTarget(res), Origin: "o"}, ctx)
+	sc, _ := scoreOne(Candidate{Pred: memoPred(), Target: badTarget(res), Origin: "o"}, ctx)
 	if sc.String() == "" {
 		t.Error("empty String()")
 	}

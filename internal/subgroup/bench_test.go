@@ -37,7 +37,7 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 	return feature.NewSpace(tbl, feature.Options{}).Discretize(), labels
 }
 
-// BenchmarkDiscover measures the CN2-SD covering loop at pipeline-like
+// BenchmarkDiscover measures the rule search at pipeline-like
 // population sizes.
 func BenchmarkDiscover(b *testing.B) {
 	for _, n := range []int{4_000, 16_000} {
@@ -46,8 +46,8 @@ func BenchmarkDiscover(b *testing.B) {
 			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rules := Discover(sp, labels); len(rules) == 0 {
-					b.Fatal("no rules")
+				if _, ok := Discover(sp, labels); !ok {
+					b.Fatal("no rule")
 				}
 			}
 		})

@@ -93,62 +93,3 @@ func TestSelectorMasksFromBins(t *testing.T) {
 		}
 	}
 }
-
-// TestWeightingMatchesPerRowWeights holds the popcount weighting to the
-// per-row weights it replaced: after any sequence of covers, every layer
-// holds exactly the positives covered that many times, cover reports
-// progress exactly when a fresh positive was covered, and the weighted
-// sums of a random set agree with summing 1/(1+k) row by row.
-func TestWeightingMatchesPerRowWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 700
-	positive := make([]bool, n)
-	for i := range positive {
-		positive[i] = rng.Intn(3) == 0
-	}
-	w := newWeighting(positive)
-	coverCount := make([]int, n)
-	for step := 0; step < 12; step++ {
-		set := bitset.New(n)
-		lo := rng.Intn(n / 3)
-		for i := lo; i < min(n, lo+100+rng.Intn(400)); i++ {
-			set.Set(i)
-		}
-		wantProgress := false
-		set.ForEach(func(i int) {
-			if positive[i] {
-				wantProgress = wantProgress || coverCount[i] == 0
-				coverCount[i]++
-			}
-		})
-		if got := w.cover(set); got != wantProgress {
-			t.Fatalf("step %d: cover reported progress %v, want %v", step, got, wantProgress)
-		}
-		for i := 0; i < n; i++ {
-			for k, layer := range w.layers {
-				if layer.Get(i) != (positive[i] && coverCount[i] == k) {
-					t.Fatalf("step %d: position %d (covered %d times) in layer %d: %v", step, i, coverCount[i], k, layer.Get(i))
-				}
-			}
-		}
-		probe := bitset.New(n)
-		var wantAll, wantPos float64
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				probe.Set(i)
-				wt := 1 / (1 + float64(coverCount[i]))
-				wantAll += wt
-				if positive[i] {
-					wantPos += wt
-				}
-			}
-		}
-		all, pos := w.sums(probe, probe.Count(), bitset.AndCount(probe, w.pos))
-		if math.Abs(all-wantAll) > 1e-9 || math.Abs(pos-wantPos) > 1e-9 {
-			t.Fatalf("step %d: sums (%v, %v), per row (%v, %v)", step, all, pos, wantAll, wantPos)
-		}
-	}
-	if len(w.layers) < 4 {
-		t.Fatalf("%d layers after twelve covers: the test lost its subject", len(w.layers))
-	}
-}

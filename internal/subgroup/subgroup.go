@@ -1,15 +1,20 @@
 // Package subgroup implements CN2-SD-style subgroup discovery (Lavrač,
 // Kavšek, Flach, Todorovski, JMLR 2004 — the paper's reference [4]): a
-// greedy search over conjunctive selectors that finds compact descriptions
-// of example subgroups with unusually high positive-class density, using
-// weighted relative accuracy (WRAcc) as the quality measure and weighted
-// covering so successive rules describe different parts of the positive
-// class.
+// greedy search over conjunctive selectors that finds a compact
+// description of an example subgroup with unusually high positive-class
+// density, using weighted relative accuracy (WRAcc) as the quality
+// measure.
+//
+// It departs from CN2-SD in returning one rule, not a weighted covering
+// of the positive class. In DBWipes the covering added nothing: on 20 of
+// the quality table's 22 scenarios (internal/core) its second search
+// found the first rule again, and on the other two (polluted=30%,
+// two-causes) its extra rules changed no default cell.
 //
 // In DBWipes this is the second half of the Dataset Enumerator: positives
-// are the cleaned D' (optionally widened with high-influence tuples), the
-// population is F (the suspect groups' lineage), and each discovered
-// rule's covered set becomes one candidate dataset Dᶜᵢ.
+// are the cleaned D', the population is F (the suspect groups' lineage)
+// plus any contrast, and the rule's covered set becomes one candidate
+// dataset Dᶜᵢ.
 //
 // The search runs over positions of the space's learning frame
 // (feature.Frame): selector match masks are built from its gathered
@@ -39,8 +44,8 @@ type Selector struct {
 // Rule is a conjunction of selectors with its quality statistics.
 type Rule struct {
 	Selectors []Selector
-	// WRAcc is the weighted relative accuracy at discovery time (with
-	// example weights from the covering loop).
+	// WRAcc is the rule's weighted relative accuracy:
+	// coverage × (precision − the population's positive rate).
 	WRAcc float64
 	// Covered lists the population rows matching the rule.
 	Covered []int
@@ -71,110 +76,48 @@ func (r *Rule) Predicate(sp *feature.Space) predicate.Predicate {
 const (
 	// maxSelectors caps rule length: explanations must stay readable.
 	maxSelectors = 3
-	// maxRules caps how many rules the covering loop emits.
-	maxRules = 8
 	// minCoverage discards rules covering fewer population rows.
 	minCoverage = 5
 )
 
-// Discover runs CN2-SD over the space's learning frame with the given
-// positive labels (parallel to sp.Frame.Rows). It returns rules sorted
-// by discovery order (best first by the covering loop's construction).
-// A rule must beat random (WRAcc > 0), and a positive example covered k
-// times weighs 1/(1+k) — the classic additive weighted covering.
-func Discover(sp *feature.Space, positive []bool) []Rule {
+// Discover runs CN2-SD's rule search over the space's learning frame
+// with the given positive labels (parallel to sp.Frame.Rows) and returns
+// the one best rule. ok is false when no rule beats random (WRAcc > 0),
+// or when the labels are empty, all positive or all negative.
+func Discover(sp *feature.Space, positive []bool) (Rule, bool) {
 	rows := sp.Frame.Rows
 	n := len(rows)
 	if n == 0 || len(positive) != n {
-		return nil
+		return Rule{}, false
 	}
-	w := newWeighting(positive)
-	totalPos := w.pos.Count()
-	if totalPos == 0 || totalPos == n {
-		return nil
-	}
-
-	selectors := Selectors(sp)
-	if len(selectors) == 0 {
-		return nil
-	}
-	matches := selectorMasks(sp, selectors)
-
-	var out []Rule
-	for len(out) < maxRules {
-		best, ok := search(selectors, matches, w, n)
-		if !ok || best.wracc <= 0 {
-			break
-		}
-		rule := Rule{
-			Selectors: append([]Selector(nil), best.sels...),
-			WRAcc:     best.wracc,
-		}
-		best.cover.ForEach(func(i int) {
-			rule.Covered = append(rule.Covered, rows[i])
-			if positive[i] {
-				rule.Pos++
-			}
-		})
-		rule.Precision = float64(rule.Pos) / float64(len(rule.Covered))
-		rule.Recall = float64(rule.Pos) / float64(totalPos)
-		out = append(out, rule)
-
-		if !w.cover(best.cover) {
-			break // no progress: every positive the rule covers was already covered
-		}
-	}
-	return out
-}
-
-// weighting is the covering loop's example weights as bitsets: a
-// position weighs 1 until rules cover it, a positive covered by k rules
-// 1/(1+k). There are at most maxRules+1 distinct weights, so a weighted
-// count is Σₖ wₖ·popcount(set ∧ layerₖ).
-type weighting struct {
-	pos    *bitset.Bitset   // the positive positions
-	layers []*bitset.Bitset // layers[k]: the positives covered by k rules
-}
-
-func newWeighting(positive []bool) *weighting {
-	pos := bitset.New(len(positive))
+	pos := bitset.New(n)
 	for i, p := range positive {
 		if p {
 			pos.Set(i)
 		}
 	}
-	return &weighting{pos: pos, layers: []*bitset.Bitset{pos.Clone()}}
-}
-
-// sums returns the weight of set's positions and of its positives, given
-// their counts n and npos.
-func (w *weighting) sums(set *bitset.Bitset, n, npos int) (all, pos float64) {
-	var decayed float64
-	for k, layer := range w.layers[1:] {
-		c := bitset.AndCount(set, layer)
-		n, npos = n-c, npos-c
-		decayed += float64(c) / float64(k+2)
+	totalPos := pos.Count()
+	if totalPos == 0 || totalPos == n {
+		return Rule{}, false
 	}
-	return float64(n) + decayed, float64(npos) + decayed
-}
-
-// cover records one more rule covering set: each covered positive moves
-// up a layer. It reports whether the rule covered a positive no rule had.
-func (w *weighting) cover(set *bitset.Bitset) bool {
-	moved, up := bitset.New(set.Len()), bitset.New(set.Len())
-	moved.IntersectOf(set, w.pos)
-	progress := bitset.AndCount(moved, w.layers[0]) > 0
-	w.layers = append(w.layers, bitset.New(set.Len()))
-	for k := len(w.layers) - 1; k > 0; k-- {
-		up.IntersectOf(w.layers[k-1], moved)
-		w.layers[k].AndNot(moved)
-		w.layers[k].Or(up)
+	selectors := Selectors(sp)
+	if len(selectors) == 0 {
+		return Rule{}, false
 	}
-	w.layers[0].AndNot(moved)
-	if top := len(w.layers) - 1; !w.layers[top].Any() {
-		w.layers = w.layers[:top]
+	best, ok := search(selectors, selectorMasks(sp, selectors), pos)
+	if !ok || best.wracc <= 0 {
+		return Rule{}, false
 	}
-	return progress
+	rule := Rule{Selectors: best.sels, WRAcc: best.wracc}
+	best.cover.ForEach(func(i int) {
+		rule.Covered = append(rule.Covered, rows[i])
+		if positive[i] {
+			rule.Pos++
+		}
+	})
+	rule.Precision = float64(rule.Pos) / float64(len(rule.Covered))
+	rule.Recall = float64(rule.Pos) / float64(totalPos)
+	return rule, true
 }
 
 // candidate is a partial rule. Coverage is kept as a bitset over
@@ -192,13 +135,13 @@ type candidate struct {
 // refine next, and the best rule seen at any depth (ties: the shorter)
 // is returned. Keeping the best eight per depth instead of the best one
 // changed no cell of the quality table (internal/core; CHANGES.md, PR 26).
-// Every weighted sum is popcounts (weighting.sums).
-func search(selectors []Selector, matches []*bitset.Bitset, w *weighting, n int) (candidate, bool) {
+// WRAcc counts every position once, so it is popcounts over pos.
+func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) (candidate, bool) {
+	n := pos.Len()
 	// Root: full coverage.
 	cur := candidate{cover: bitset.New(n), n: n}
 	cur.cover.Fill()
-	totalW, posW := w.sums(cur.cover, n, w.pos.Count())
-	baseRate := posW / totalW
+	baseRate := float64(pos.Count()) / float64(n)
 
 	// used guards against stacking contradictory selectors; numeric attrs
 	// may contribute one <= and one >=. attrIdx -> bitmask 1:eq/le, 2:ge.
@@ -219,8 +162,8 @@ func search(selectors []Selector, matches []*bitset.Bitset, w *weighting, n int)
 			if covN < minCoverage || covN == cur.n {
 				continue
 			}
-			covW, covPosW := w.sums(scratch, covN, bitset.AndCount(scratch, w.pos))
-			wracc := (covW / totalW) * (covPosW/covW - baseRate)
+			cov, covPos := float64(covN), float64(bitset.AndCount(scratch, pos))
+			wracc := (cov / float64(n)) * (covPos/cov - baseRate)
 			if nextSel >= 0 && wracc <= next.wracc {
 				continue
 			}

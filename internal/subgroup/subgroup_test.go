@@ -47,11 +47,10 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 
 func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
 	sp, labels := plantedTable(t, 400)
-	rules := Discover(sp, labels)
-	if len(rules) == 0 {
-		t.Fatal("no rules found")
+	best, ok := Discover(sp, labels)
+	if !ok {
+		t.Fatal("no rule found")
 	}
-	best := rules[0]
 	if best.Precision < 0.95 {
 		t.Errorf("best rule precision %.2f: %s", best.Precision, best.Predicate(sp))
 	}
@@ -87,76 +86,16 @@ func TestWRAccComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
-	rules := Discover(sp, labels)
-	if len(rules) == 0 {
+	rule, ok := Discover(sp, labels)
+	if !ok {
 		t.Fatal("no rule")
 	}
-	if math.Abs(rules[0].WRAcc-0.24) > 1e-9 {
-		t.Errorf("WRAcc = %v, want 0.24", rules[0].WRAcc)
+	if math.Abs(rule.WRAcc-0.24) > 1e-9 {
+		t.Errorf("WRAcc = %v, want 0.24", rule.WRAcc)
 	}
-	if rules[0].Pos != 8 || len(rules[0].Covered) != 8 {
-		t.Errorf("coverage: pos=%d covered=%d", rules[0].Pos, len(rules[0].Covered))
+	if rule.Pos != 8 || len(rule.Covered) != 8 {
+		t.Errorf("coverage: pos=%d covered=%d", rule.Pos, len(rule.Covered))
 	}
-}
-
-func TestWeightedCoveringProducesDiverseRules(t *testing.T) {
-	// Two disjoint positive clusters: mote>=80 and city='X'. Covering
-	// should emit rules for both.
-	tbl := engine.MustNewTable("t", engine.NewSchema(
-		"mote", engine.TInt, "city", engine.TString))
-	var labels []bool
-	rng := rand.New(rand.NewSource(8))
-	var rows [][]engine.Value
-	for i := 0; i < 300; i++ {
-		var mote int64
-		city := "Y"
-		pos := false
-		switch {
-		case i%6 == 0: // cluster 1
-			mote = 80 + rng.Int63n(10)
-			pos = true
-		case i%6 == 1: // cluster 2
-			mote = rng.Int63n(40)
-			city = "X"
-			pos = true
-		default:
-			mote = rng.Int63n(40)
-		}
-		rows = append(rows, []engine.Value{engine.NewInt(mote), engine.NewString(city)})
-		labels = append(labels, pos)
-	}
-	tbl, err := tbl.AppendBatch(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
-	rules := Discover(sp, labels)
-	if len(rules) < 2 {
-		t.Fatalf("expected >=2 rules, got %d", len(rules))
-	}
-	foundMote, foundCity := false, false
-	for _, r := range rules {
-		p := r.Predicate(sp).String()
-		if containsCol(r.Predicate(sp), "mote") {
-			foundMote = true
-		}
-		if containsCol(r.Predicate(sp), "city") {
-			foundCity = true
-		}
-		_ = p
-	}
-	if !foundMote || !foundCity {
-		t.Errorf("covering missed a cluster: mote=%v city=%v", foundMote, foundCity)
-	}
-}
-
-func containsCol(p predicate.Predicate, col string) bool {
-	for _, c := range p.Columns() {
-		if c == col {
-			return true
-		}
-	}
-	return false
 }
 
 func TestDiscoverDegenerateInputs(t *testing.T) {
@@ -166,17 +105,17 @@ func TestDiscoverDegenerateInputs(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	if rules := Discover(sp, all); rules != nil {
-		t.Error("all-positive should yield no rules")
+	if _, ok := Discover(sp, all); ok {
+		t.Error("all-positive should yield no rule")
 	}
 	// All negative.
 	none := make([]bool, len(labels))
-	if rules := Discover(sp, none); rules != nil {
-		t.Error("all-negative should yield no rules")
+	if _, ok := Discover(sp, none); ok {
+		t.Error("all-negative should yield no rule")
 	}
 	// Empty.
-	if rules := Discover(sp, nil); rules != nil {
-		t.Error("empty should yield no rules")
+	if _, ok := Discover(sp, nil); ok {
+		t.Error("empty should yield no rule")
 	}
 }
 
@@ -204,11 +143,11 @@ func TestSelectorsVocabulary(t *testing.T) {
 
 func TestIntThresholdsRenderAsInts(t *testing.T) {
 	sp, labels := plantedTable(t, 300)
-	rules := Discover(sp, labels)
-	if len(rules) == 0 {
-		t.Fatal("no rules")
+	rule, ok := Discover(sp, labels)
+	if !ok {
+		t.Fatal("no rule")
 	}
-	for _, sel := range rules[0].Selectors {
+	for _, sel := range rule.Selectors {
 		attr := sp.Attrs[sel.AttrIdx]
 		if attr.Name == "mote" && sel.Val.T != engine.TInt {
 			t.Errorf("mote threshold type %v", sel.Val.T)
@@ -220,11 +159,11 @@ func TestIntThresholdsRenderAsInts(t *testing.T) {
 // must still reach the planted two-clause subgroup.
 func TestBeamWidthOne(t *testing.T) {
 	sp, labels := plantedTable(t, 200)
-	rules := Discover(sp, labels)
-	if len(rules) == 0 {
+	rule, ok := Discover(sp, labels)
+	if !ok {
 		t.Fatal("the greedy search found nothing")
 	}
-	if rules[0].Precision < 0.95 || rules[0].Recall < 0.9 {
-		t.Errorf("first rule %s: precision %.2f recall %.2f", rules[0].Predicate(sp), rules[0].Precision, rules[0].Recall)
+	if rule.Precision < 0.95 || rule.Recall < 0.9 {
+		t.Errorf("rule %s: precision %.2f recall %.2f", rule.Predicate(sp), rule.Precision, rule.Recall)
 	}
 }
