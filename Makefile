@@ -25,7 +25,7 @@ quality:
 	$(GO) test -count=1 -run 'TestQualityTable' -v ./internal/core
 
 # Race-detector pass over the concurrent surfaces: par's helpers (the
-# scan shards, tree learners, F build and ranker scoring they run), the
+# scan shards, F build and ranker scoring they run), the
 # copy-on-write append/serve path, and the server's per-session state.
 # CI runs this as its own job.
 test-race:

@@ -27,9 +27,9 @@
 //
 // Debug has one configuration: the D' examples are cleaned by a naive
 // Bayes classifier trained on the learning frame, CN2-SD grows one rule
-// greedily, its region joins D' and the lineage as a candidate dataset,
-// one gini tree is trained per candidate (three at most), and the ranker
-// scores, prunes, keeps one answer per row set of F, and sorts. Every
+// greedily and adds up to three one-selector alternatives, all ranked
+// against the rule's region, one gini tree is trained on D', and the
+// ranker scores, prunes, keeps one answer per row set of F, and sorts. Every
 // parameter of that is a named constant beside its use. What it answers
 // — top-1 F1, best-of-top-3 F1, the rank of the first good answer, the
 // first answer's length and how many of the first three answers select
@@ -92,8 +92,8 @@
 //     by selection, not a sort) and the int16 matrix of threshold
 //     buckets / value slots. internal/subgroup builds every selector
 //     mask of an attribute from one pass over that matrix and counts
-//     its rule's WRAcc by popcount; internal/dtree trains every
-//     candidate's tree on the matrix alone, so no learner touches the
+//     its rules' WRAcc by popcount; internal/dtree trains its one
+//     tree on D' from the matrix alone, so no learner touches the
 //     table, and both refuse a profile-only space.
 //
 // Future backends plug in underneath this layer: the segmented engine

@@ -9,11 +9,11 @@
 // The pipeline mirrors Figure 1 of the paper:
 //
 //	Preprocessor        → lineage F of S + leave-one-out influence (internal/influence)
-//	Dataset Enumerator  → clean D' (internal/cleaner); candidates Dᶜᵢ are
-//	                      D', the lineage (with contrast) and the region of
-//	                      one subgroup rule (internal/subgroup)
-//	Predicate Enumerator→ one decision tree per candidate (internal/dtree),
-//	                      leaf paths → predicates, plus the subgroup rule
+//	Dataset Enumerator  → clean D' (internal/cleaner); one subgroup rule
+//	                      extends D' into a region, with up to three
+//	                      one-selector alternatives (internal/subgroup)
+//	Predicate Enumerator→ one decision tree on D' (internal/dtree), its
+//	                      leaf paths → predicates, plus the subgroup rules
 //	Predicate Ranker    → ε-improvement + separation accuracy − complexity
 //	                      − excess, one answer per row set of F
 //	                      (internal/ranker)
@@ -41,7 +41,6 @@ import (
 	"repro/internal/feature"
 	"repro/internal/influence"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/predicate"
 	"repro/internal/ranker"
 	"repro/internal/sqlparse"
@@ -83,24 +82,27 @@ const (
 	// influenceQuantile is the default Options.InfluenceQuantile. On the
 	// table 0.5 answers no cell better and two worse (intel-100k seeds 1
 	// and 7 without examples: top-1 F1 0.977 and 0.956 against 0.978 and
-	// 0.963); 0.9, the known-bad row, leaves a D' too small to describe
-	// and answers "everything" (0.105) without examples.
+	// 0.963); 0.9, the known-bad row, leaves a D' too small to describe:
+	// without examples its first answer on intel-100k scores 0.214 and
+	// 0.227.
 	influenceQuantile = 0.25
 	// maxLearnRows is the default Options.MaxLearnRows: culpable tuples
 	// are kept first (three quarters of the cap at most) and the rest is
 	// an evenly spaced sample. Predicates are still scored against the
 	// full lineage, so the reported ε-improvements are exact. The cap is
-	// not only for speed: the table's "uncapped" row answers `ts > …`
-	// (F1 0.105) on both intel-100k seed-1 cells and worse than the
-	// default on intel-50k and most planted tables — with every clean
-	// tuple in view the learners describe the window, not the fault.
+	// not only for speed: the table's "uncapped" row answers worse than
+	// the default on intel-50k-seed3 (top-1 F1 0.811 and 0.465 against
+	// 0.992 and 0.658), numeric-10% (0.783 against 0.826) and null-heavy
+	// (0.930 against 0.976), where with every clean tuple in view the
+	// learners drift off the fault; on intel-100k it answers better
+	// (0.986 and 0.983 against 0.978 and 0.963).
 	maxLearnRows = 16000
 	// maxExplanations caps the returned ranking.
 	maxExplanations = 10
 	// defaultDriftThreshold is the score movement DebugAdvance tolerates
 	// before running a full Debug instead. Scores live in roughly [0, 1]
-	// (Err+Acc weights sum near 0.9), so 0.1 means "an explanation moved
-	// by a tenth of the scale".
+	// (the Err and Acc terms weigh near 0.9 together), so 0.1 means "an
+	// explanation moved by a tenth of the scale".
 	defaultDriftThreshold = 0.1
 )
 
@@ -120,13 +122,13 @@ func (o *Options) defaults() {
 // wrong?".
 type DebugRequest struct {
 	// Ctx cancels the pipeline between stages and inside every
-	// long-running one (the LOO loop, the per-tree learners, the ranker's
-	// scoring). A cancelled Debug/DebugAdvance returns an error wrapping
-	// the context error and publishes nothing: carried state from a
-	// previous pass stays exactly as usable as before, so retrying the
-	// same request (or falling back to a from-scratch run) yields
-	// bit-identical results. Nil means context.Background. Stage times go
-	// to the obs.Record it carries; Debug attaches one when it has none.
+	// long-running one (the LOO loop, the ranker's scoring). A cancelled
+	// Debug/DebugAdvance returns an error wrapping the context error and
+	// publishes nothing: carried state from a previous pass stays exactly
+	// as usable as before, so retrying the same request (or falling back
+	// to a from-scratch run) yields bit-identical results. Nil means
+	// context.Background. Stage times go to the obs.Record it carries;
+	// Debug attaches one when it has none.
 	Ctx context.Context
 	// Result is the executed query (with provenance).
 	Result *exec.Result
@@ -148,8 +150,9 @@ type DebugRequest struct {
 // Explanation is one ranked predicate.
 type Explanation struct {
 	ranker.Scored
-	// Candidate identifies which candidate dataset the predicate was
-	// learned from (diagnostic).
+	// Candidate identifies which learner target the predicate was
+	// learned for (diagnostic): "dprime" for the tree, "subgroup0" for
+	// the subgroup rules.
 	Candidate string
 }
 
@@ -182,7 +185,8 @@ type DebugResult struct {
 	// Influence is the preprocessor's analysis (influences in F order;
 	// TopQuantileRows reads the top).
 	Influence *influence.Analysis
-	// Candidates counts the candidate datasets enumerated.
+	// Candidates counts the learner targets: 1 (D'), or 2 when subgroup
+	// discovery found a rule (D' and its region).
 	Candidates int
 	// Timings is each Debug stage's wall time, a view of the request's
 	// obs.Record: a drift fallback counts its carried attempt too.
@@ -454,110 +458,50 @@ func (d *debugRun) cleanExamples() {
 }
 
 // enumerate completes the feature space for the learners, then runs
-// candidate dataset enumeration (Dataset Enumerator step 2b) and the
-// Predicate Enumerator (one tree per candidate), returning the ranker's
+// the Dataset Enumerator's subgroup discovery (step 2b) and the
+// Predicate Enumerator's one tree on D', returning the ranker's
 // candidate pool. Requires cleanExamples.
 func (d *debugRun) enumerate() []ranker.Candidate {
-	out := d.out
-	learnPop, dprime := d.learnPop, d.dprime
 	ctx := d.req.ctx()
-
 	span := obs.Start(ctx, obs.Featurize)
 	d.sp.Discretize()
 	span.End()
 
 	span = obs.Start(ctx, obs.Enumerate)
-	n := d.req.Result.Source.NumRows()
-	// labelsOf marks the learning population's members of a row set.
-	labelsOf := func(set *bitset.Bitset) []bool {
-		labels := make([]bool, len(learnPop))
-		for i, r := range learnPop {
-			labels[i] = set.Get(r)
-		}
-		return labels
+	dprimeBits := bitset.FromRows(d.req.Result.Source.NumRows(), d.dprime)
+	labels := make([]bool, len(d.learnPop))
+	for i, r := range d.learnPop {
+		labels[i] = dprimeBits.Get(r)
 	}
-	type cand struct {
-		name   string
-		rows   *bitset.Bitset // over the source rows
-		n      int            // rows.Count()
-		labels []bool         // parallel to learnPop
-	}
-	var candidates []cand
-	// size is the candidate's row count as enumerated (a D' with repeated
-	// examples counts the repeats).
-	addCandidate := func(name string, rows *bitset.Bitset, size int) {
-		if size == 0 || size == len(learnPop) {
-			return
-		}
-		c := cand{name: name, rows: rows, n: rows.Count()}
-		for _, o := range candidates {
-			if o.n == c.n && bitset.AndCount(o.rows, c.rows) == c.n {
-				return
-			}
-		}
-		c.labels = labelsOf(rows)
-		candidates = append(candidates, c)
-	}
-	dprimeBits := bitset.FromRows(n, dprime)
-	addCandidate("dprime", dprimeBits, len(dprime))
-	if len(d.extras) > 0 {
-		// With external contrast available, the full lineage is itself a
-		// describable candidate ("everything in these groups is bad").
-		addCandidate("lineage", d.fBits, len(d.an.F))
-	}
-
 	// Subgroup discovery extends D' into a self-consistent region of the
-	// population. The rule is ranked as a predicate below, and its region
-	// is a candidate dataset.
-	sgRule, sgOK := subgroup.Discover(d.sp, labelsOf(dprimeBits))
-	var sgTarget *bitset.Bitset
-	if sgOK {
-		sgTarget = bitset.FromRows(n, sgRule.Covered)
-		addCandidate("subgroup0", sgTarget, len(sgRule.Covered))
-	}
-	out.Candidates = len(candidates)
+	// population: its best rule and the one-selector alternatives are all
+	// ranked against that region. Scored against its own cover, every
+	// alternative would be a perfect separator.
+	rules := subgroup.Discover(d.sp, labels)
 	span.End()
 
-	// --- Predicate Enumerator: one tree per candidate. ---
-	// Each training run is independent, so they run concurrently over the
-	// shared read-only learning frame; results are collected by slot index
-	// to keep the output order — and therefore the final ranking —
-	// deterministic.
+	// --- Predicate Enumerator: the tree's positive leaves first, then the
+	// subgroup rules; the ranker breaks ties in this order. ---
 	span = obs.Start(ctx, obs.Predicates)
-	perCand := make([][]ranker.Candidate, len(candidates))
-	par.Do(len(candidates), func(_, ci int) {
-		// Cancellation check per tree training job; the caller's next
-		// stage boundary discards the partial slots.
-		if ctx.Err() != nil {
-			return
-		}
-		c := candidates[ci]
-		tree, err := dtree.Train(d.sp, c.labels, nil)
-		if err != nil {
-			return
-		}
-		for _, leaf := range tree.PositivePaths() {
-			if leaf.Pred.IsTrue() {
-				continue
-			}
-			perCand[ci] = append(perCand[ci], ranker.Candidate{
-				Pred:   leaf.Pred,
-				Origin: "tree:" + c.name,
-				Target: c.rows,
-			})
-		}
-	})
+	defer span.End()
 	var rcands []ranker.Candidate
-	for _, rc := range perCand {
-		rcands = append(rcands, rc...)
-	}
-	// The subgroup rule is itself a compact predicate; rank it too.
-	if sgOK {
-		if p := sgRule.Predicate(d.sp); !p.IsTrue() {
-			rcands = append(rcands, ranker.Candidate{Pred: p, Origin: "subgroup0", Target: sgTarget})
+	if tree, err := dtree.Train(d.sp, labels); err == nil {
+		for _, leaf := range tree.PositivePaths() {
+			if !leaf.Pred.IsTrue() {
+				rcands = append(rcands, ranker.Candidate{Pred: leaf.Pred, Origin: "tree:dprime", Target: dprimeBits})
+			}
 		}
 	}
-	span.End()
+	d.out.Candidates = 1
+	if len(rules) > 0 {
+		d.out.Candidates = 2
+		region := bitset.FromRows(dprimeBits.Len(), rules[0].Covered)
+		for _, r := range rules {
+			if p := r.Predicate(d.sp); !p.IsTrue() {
+				rcands = append(rcands, ranker.Candidate{Pred: p, Origin: "subgroup0", Target: region})
+			}
+		}
+	}
 	return rcands
 }
 

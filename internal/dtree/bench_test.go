@@ -36,11 +36,11 @@ func benchFixture(b *testing.B, n int) (*feature.Space, []bool) {
 }
 
 // BenchmarkTrain measures one tree induction — the Predicate Enumerator
-// runs one per candidate dataset of a Debug call.
+// runs one per Debug call.
 func BenchmarkTrain(b *testing.B) {
 	sp, labels := benchFixture(b, 16_000)
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(sp, labels, nil); err != nil {
+		if _, err := Train(sp, labels); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func BenchmarkTrainScaling(b *testing.B) {
 			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(sp, labels, nil); err != nil {
+				if _, err := Train(sp, labels); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,16 +1,16 @@
 // Package dtree implements the Predicate Enumerator's decision tree
 // learner: a CART-style binary tree over mixed numeric/categorical
-// attributes, split on gini impurity — one tree per candidate dataset.
+// attributes, split on gini impurity — one tree per Debug, on D'.
 //
-// Each candidate dataset Dᶜᵢ is labeled positive against F − Dᶜᵢ; the
-// root-to-leaf paths of positive-majority leaves convert to conjunctive
-// predicates (internal/predicate) that become candidate explanations.
+// D' is labeled positive against the rest of the learning population;
+// the root-to-leaf paths of positive-majority leaves convert to
+// conjunctive predicates (internal/predicate) that become candidate
+// explanations.
 //
 // Training never reads the table: examples are positions in the space's
 // learning frame, and split search, partitioning and routing all run on
 // the frame's int16 Bins matrix (threshold buckets and value slots,
-// resolved once by internal/feature), which every concurrent training
-// of one Debug pass shares read-only.
+// resolved once by internal/feature), which it only reads.
 package dtree
 
 import (
@@ -33,7 +33,7 @@ const (
 	// maxDepth bounds tree depth: explanations must stay human-readable,
 	// and the ranker penalizes long predicates anyway.
 	maxDepth = 4
-	// minLeaf is the minimum (weighted) examples per leaf.
+	// minLeaf is the minimum examples per leaf.
 	minLeaf = 5
 	// minGain prunes splits whose impurity improvement is below this.
 	minGain = 1e-4
@@ -60,8 +60,7 @@ type Node struct {
 	Leaf     bool
 	Positive bool    // majority class
 	Purity   float64 // positive fraction
-	Weight   float64 // weighted examples reaching the node
-	N        int     // unweighted examples
+	N        int     // examples reaching the node
 
 	// Internal fields.
 	Split       Split
@@ -79,24 +78,21 @@ type Tree struct {
 func (t *Tree) NumNodes() int { return t.nodes }
 
 // trainer is one training run's working state. Split search and routing
-// read only the learning frame's Bins matrix, which any number of
-// concurrent runs share read-only.
+// read only the learning frame's Bins matrix.
 type trainer struct {
 	*Tree
-	bins    [][]int16
-	labels  []bool
-	weights []float64
+	bins   [][]int16
+	labels []bool
 	// spill is partition's scratch; tot and pos are bestSplit's
-	// per-vocabulary-entry accumulators.
+	// per-vocabulary-entry counts.
 	spill    []int32
-	tot, pos []float64
+	tot, pos []int
 }
 
-// Train fits a tree on the space's learning frame: labels and optional
-// weights (nil means uniform) are parallel to sp.Frame.Rows. The space
-// must have been discretized; a profile-only one is an error, not a tree
-// that found nothing to split on.
-func Train(sp *feature.Space, labels []bool, weights []float64) (*Tree, error) {
+// Train fits a tree on the space's learning frame: labels are parallel
+// to sp.Frame.Rows. The space must have been discretized; a profile-only
+// one is an error, not a tree that found nothing to split on.
+func Train(sp *feature.Space, labels []bool) (*Tree, error) {
 	if sp.Frame.Bins == nil {
 		return nil, fmt.Errorf("dtree: the feature space has no thresholds or bins (feature.Space.Discretize was not run)")
 	}
@@ -104,21 +100,13 @@ func Train(sp *feature.Space, labels []bool, weights []float64) (*Tree, error) {
 	if n == 0 || len(labels) != n {
 		return nil, fmt.Errorf("dtree: %d rows with %d labels", n, len(labels))
 	}
-	if weights == nil {
-		weights = make([]float64, n)
-		for i := range weights {
-			weights[i] = 1
-		}
-	} else if len(weights) != n {
-		return nil, fmt.Errorf("dtree: %d rows with %d weights", n, len(weights))
-	}
 	vocab := 0
 	for ai := range sp.Attrs {
 		vocab = max(vocab, len(sp.Attrs[ai].Thresholds)+1, len(sp.Attrs[ai].Values))
 	}
 	tr := &trainer{
-		Tree: &Tree{Space: sp}, bins: sp.Frame.Bins, labels: labels, weights: weights,
-		spill: make([]int32, n), tot: make([]float64, vocab), pos: make([]float64, vocab),
+		Tree: &Tree{Space: sp}, bins: sp.Frame.Bins, labels: labels,
+		spill: make([]int32, n), tot: make([]int, vocab), pos: make([]int, vocab),
 	}
 	idx := make([]int32, n)
 	for i := range idx {
@@ -128,22 +116,22 @@ func Train(sp *feature.Space, labels []bool, weights []float64) (*Tree, error) {
 	return tr.Tree, nil
 }
 
-// impurity is the gini impurity of a node holding posW of totW weight.
-func impurity(posW, totW float64) float64 {
-	if totW == 0 {
+// impurity is the gini impurity of a node holding pos positives of tot.
+func impurity(pos, tot int) float64 {
+	if tot == 0 {
 		return 0
 	}
-	p := posW / totW
+	p := float64(pos) / float64(tot)
 	return 2 * p * (1 - p)
 }
 
-func (t *trainer) leaf(posW, totW float64, n int) *Node {
+func (t *trainer) leaf(pos, tot int) *Node {
 	t.nodes++
 	purity := 0.0
-	if totW > 0 {
-		purity = posW / totW
+	if tot > 0 {
+		purity = float64(pos) / float64(tot)
 	}
-	return &Node{Leaf: true, Positive: purity >= 0.5, Purity: purity, Weight: totW, N: n}
+	return &Node{Leaf: true, Positive: purity >= 0.5, Purity: purity, N: tot}
 }
 
 // goesLeft routes frame position i through a split.
@@ -155,23 +143,22 @@ func (t *trainer) goesLeft(s Split, i int32) bool {
 	return b == s.bin
 }
 
-// build grows the subtree over the frame positions idx (ascending, so
-// every weighted sum accumulates in position order). It reorders idx.
+// build grows the subtree over the frame positions idx (ascending). It
+// reorders idx.
 func (t *trainer) build(idx []int32, depth int) *Node {
-	var posW, totW float64
+	pos, tot := 0, len(idx)
 	for _, i := range idx {
-		totW += t.weights[i]
 		if t.labels[i] {
-			posW += t.weights[i]
+			pos++
 		}
 	}
-	if depth >= maxDepth || totW < 2*minLeaf || posW == 0 || posW == totW {
-		return t.leaf(posW, totW, len(idx))
+	if depth >= maxDepth || tot < 2*minLeaf || pos == 0 || pos == tot {
+		return t.leaf(pos, tot)
 	}
 
-	best, ok := t.bestSplit(idx, impurity(posW, totW), posW, totW)
+	best, ok := t.bestSplit(idx, impurity(pos, tot), pos, tot)
 	if !ok {
-		return t.leaf(posW, totW, len(idx))
+		return t.leaf(pos, tot)
 	}
 
 	// Stable in-place partition: left rows compact to the front, right
@@ -186,39 +173,39 @@ func (t *trainer) build(idx []int32, depth int) *Node {
 		}
 	}
 	copy(idx[nl:], spill)
-	if nl == 0 || nl == len(idx) {
-		return t.leaf(posW, totW, len(idx))
+	if nl == 0 || nl == tot {
+		return t.leaf(pos, tot)
 	}
 	t.nodes++
-	node := &Node{Split: best, Weight: totW, N: len(idx), Purity: posW / totW}
+	node := &Node{Split: best, N: tot, Purity: float64(pos) / float64(tot)}
 	node.Left = t.build(idx[:nl], depth+1)
 	node.Right = t.build(idx[nl:], depth+1)
 
 	// Collapse: if both children are leaves with the same class, the
 	// split bought nothing human-readable.
 	if node.Left.Leaf && node.Right.Leaf && node.Left.Positive == node.Right.Positive {
-		return t.leaf(posW, totW, len(idx))
+		return t.leaf(pos, tot)
 	}
 	return node
 }
 
 // bestSplit scans the space's selector vocabulary. For each attribute it
-// makes a single pass over the node's rows, accumulating weighted counts
-// per vocabulary entry so every threshold/value of the attribute is
+// makes a single pass over the node's rows, accumulating counts per
+// vocabulary entry so every threshold/value of the attribute is
 // scored from (prefix) sums — O(rows × attrs + splits) per node instead
 // of O(rows × splits).
-func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split, bool) {
+func (t *trainer) bestSplit(idx []int32, parentImp float64, totPos, totN int) (Split, bool) {
 	var best Split
 	bestGain := minGain
 	found := false
 
-	consider := func(s Split, lPos, lTot float64) {
-		rTot := totW - lTot
+	consider := func(s Split, lPos, lTot int) {
+		rTot := totN - lTot
 		rPos := totPos - lPos
 		if lTot < minLeaf || rTot < minLeaf {
 			return
 		}
-		childImp := (lTot*impurity(lPos, lTot) + rTot*impurity(rPos, rTot)) / totW
+		childImp := (float64(lTot)*impurity(lPos, lTot) + float64(rTot)*impurity(rPos, rTot)) / float64(totN)
 		if gain := parentImp - childImp; gain > bestGain {
 			bestGain = gain
 			best = s
@@ -247,9 +234,9 @@ func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split
 			if b < 0 {
 				continue
 			}
-			tot[b] += t.weights[i]
+			tot[b]++
 			if t.labels[i] {
-				pos[b] += t.weights[i]
+				pos[b]++
 			}
 		}
 		if attr.Kind == feature.Categorical {
@@ -258,7 +245,7 @@ func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split
 			}
 			continue
 		}
-		var lTot, lPos float64
+		var lTot, lPos int
 		for k, th := range attr.Thresholds {
 			lTot += tot[k]
 			lPos += pos[k]
@@ -272,7 +259,6 @@ func (t *trainer) bestSplit(idx []int32, parentImp, totPos, totW float64) (Split
 type LeafPredicate struct {
 	Pred   predicate.Predicate
 	Purity float64
-	Weight float64
 	N      int
 }
 
@@ -288,7 +274,7 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 			if n.Positive && n.Purity >= minPurity {
 				simplified, ok := p.Simplify()
 				if ok {
-					out = append(out, LeafPredicate{Pred: simplified, Purity: n.Purity, Weight: n.Weight, N: n.N})
+					out = append(out, LeafPredicate{Pred: simplified, Purity: n.Purity, N: n.N})
 				}
 			}
 			return
@@ -308,7 +294,7 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 		if out[i].Purity != out[j].Purity {
 			return out[i].Purity > out[j].Purity
 		}
-		return out[i].Weight > out[j].Weight
+		return out[i].N > out[j].N
 	})
 	return out
 }

@@ -44,31 +44,26 @@ func predictsPositive(tree *Tree, row int) bool {
 	return false
 }
 
-// trainAccuracy is the weighted accuracy of the tree's positive paths on
-// the frame it was trained on (nil weights: uniform).
-func trainAccuracy(tree *Tree, labels []bool, weights []float64) float64 {
-	var correct, total float64
+// trainAccuracy is the accuracy of the tree's positive paths on the
+// frame it was trained on.
+func trainAccuracy(tree *Tree, labels []bool) float64 {
+	correct := 0
 	for i, r := range tree.Space.Frame.Rows {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
 		if predictsPositive(tree, r) == labels[i] {
-			correct += w
+			correct++
 		}
-		total += w
 	}
-	return correct / total
+	return float64(correct) / float64(len(labels))
 }
 
 func TestTreeLearnsPlantedConcept(t *testing.T) {
 	t.Run("gini", func(t *testing.T) {
 		sp, labels := plantedConcept(t, 600)
-		tree, err := Train(sp, labels, nil)
+		tree, err := Train(sp, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acc := trainAccuracy(tree, labels, nil); acc < 0.95 {
+		if acc := trainAccuracy(tree, labels); acc < 0.95 {
 			t.Errorf("train accuracy %.2f\n%s", acc, tree)
 		}
 		paths := tree.PositivePaths()
@@ -97,7 +92,7 @@ func TestTreeLearnsPlantedConcept(t *testing.T) {
 // count and its purity), and no row matches two paths.
 func TestPathsConsistentWithPredictions(t *testing.T) {
 	sp, labels := plantedConcept(t, 400)
-	tree, err := Train(sp, labels, nil)
+	tree, err := Train(sp, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +125,7 @@ func TestPathsConsistentWithPredictions(t *testing.T) {
 
 func TestMaxDepthRespected(t *testing.T) {
 	sp, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, labels, nil)
+	tree, err := Train(sp, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +138,15 @@ func TestMaxDepthRespected(t *testing.T) {
 
 func TestMinLeaf(t *testing.T) {
 	sp, labels := plantedConcept(t, 200)
-	tree, err := Train(sp, labels, nil)
+	tree, err := Train(sp, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Leaf {
-			if n.Weight < minLeaf {
-				t.Errorf("leaf with weight %.0f < MinLeaf", n.Weight)
+			if n.N < minLeaf {
+				t.Errorf("leaf with %d examples < minLeaf", n.N)
 			}
 			return
 		}
@@ -167,7 +162,7 @@ func TestPureInputMakesLeaf(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	tree, err := Train(sp, all, nil)
+	tree, err := Train(sp, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,42 +177,19 @@ func TestPureInputMakesLeaf(t *testing.T) {
 	}
 }
 
-func TestWeightsBias(t *testing.T) {
-	// Upweighting the positives of a weak concept should flip leaves.
-	sp, labels := plantedConcept(t, 300)
-	weights := make([]float64, len(labels))
-	for i := range weights {
-		if labels[i] {
-			weights[i] = 10
-		} else {
-			weights[i] = 1
-		}
-	}
-	tree, err := Train(sp, labels, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := trainAccuracy(tree, labels, weights); acc < 0.9 {
-		t.Errorf("weighted accuracy %.2f", acc)
-	}
-}
-
 func TestTrainErrors(t *testing.T) {
 	sp, labels := plantedConcept(t, 10)
-	if _, err := Train(sp, nil, nil); err == nil {
+	if _, err := Train(sp, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Train(sp, labels[:5], nil); err == nil {
+	if _, err := Train(sp, labels[:5]); err == nil {
 		t.Error("label mismatch accepted")
-	}
-	if _, err := Train(sp, labels, []float64{1}); err == nil {
-		t.Error("weight mismatch accepted")
 	}
 }
 
 func TestNumNodes(t *testing.T) {
 	sp, labels := plantedConcept(t, 300)
-	tree, err := Train(sp, labels, nil)
+	tree, err := Train(sp, labels)
 	if err != nil {
 		t.Fatal(err)
 	}

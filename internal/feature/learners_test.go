@@ -29,7 +29,7 @@ func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 	}
 	sp := feature.NewSpace(tbl, feature.Options{})
 
-	if _, err := dtree.Train(sp, labels, nil); err == nil || !strings.Contains(err.Error(), "Discretize") {
+	if _, err := dtree.Train(sp, labels); err == nil || !strings.Contains(err.Error(), "Discretize") {
 		t.Fatalf("dtree.Train on a profile-only space: err = %v, want one naming Discretize", err)
 	}
 	func() {
@@ -42,11 +42,11 @@ func TestLearnersRefuseProfileOnlySpace(t *testing.T) {
 	}()
 
 	sp.Discretize()
-	tree, err := dtree.Train(sp, labels, nil)
+	tree, err := dtree.Train(sp, labels)
 	if err != nil || len(tree.PositivePaths()) == 0 {
 		t.Fatalf("dtree.Train on the discretized space: %v, %d positive paths", err, len(tree.PositivePaths()))
 	}
-	if _, ok := subgroup.Discover(sp, labels); !ok {
+	if subgroup.Discover(sp, labels) == nil {
 		t.Fatal("subgroup.Discover on the discretized space found nothing")
 	}
 }

@@ -46,7 +46,7 @@ func BenchmarkDiscover(b *testing.B) {
 			sp, labels := benchFixture(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := Discover(sp, labels); !ok {
+				if Discover(sp, labels) == nil {
 					b.Fatal("no rule")
 				}
 			}

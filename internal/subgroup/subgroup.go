@@ -6,15 +6,16 @@
 // measure.
 //
 // It departs from CN2-SD in returning one rule, not a weighted covering
-// of the positive class. In DBWipes the covering added nothing: on 20 of
-// the quality table's 22 scenarios (internal/core) its second search
-// found the first rule again, and on the other two (polluted=30%,
-// two-causes) its extra rules changed no default cell.
+// of the positive class, followed by the search's best one-selector
+// refinements as alternatives. In DBWipes the covering added nothing: on
+// 20 of the quality table's 22 scenarios (internal/core) its second
+// search found the first rule again. The alternatives are what fills the
+// ranking's later places.
 //
 // In DBWipes this is the second half of the Dataset Enumerator: positives
 // are the cleaned D', the population is F (the suspect groups' lineage)
-// plus any contrast, and the rule's covered set becomes one candidate
-// dataset Dᶜᵢ.
+// plus any contrast, and the best rule's covered set is the region every
+// returned rule is ranked against.
 //
 // The search runs over positions of the space's learning frame
 // (feature.Frame): selector match masks are built from its gathered
@@ -23,6 +24,7 @@ package subgroup
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -49,12 +51,6 @@ type Rule struct {
 	WRAcc float64
 	// Covered lists the population rows matching the rule.
 	Covered []int
-	// Pos counts covered positives (unweighted).
-	Pos int
-	// Precision is Pos / |Covered|.
-	Precision float64
-	// Recall is Pos / total positives.
-	Recall float64
 }
 
 // Predicate converts the rule to a predicate over the space's table.
@@ -78,17 +74,22 @@ const (
 	maxSelectors = 3
 	// minCoverage discards rules covering fewer population rows.
 	minCoverage = 5
+	// alternatives caps the one-selector rules returned after the best.
+	alternatives = 3
 )
 
 // Discover runs CN2-SD's rule search over the space's learning frame
-// with the given positive labels (parallel to sp.Frame.Rows) and returns
-// the one best rule. ok is false when no rule beats random (WRAcc > 0),
-// or when the labels are empty, all positive or all negative.
-func Discover(sp *feature.Space, positive []bool) (Rule, bool) {
+// with the given positive labels (parallel to sp.Frame.Rows). It returns
+// the best rule, then up to alternatives one-selector rules: the best
+// single selectors by WRAcc, each beating random (WRAcc > 0), no two
+// covering the same rows and none covering the best rule's rows. It
+// returns nil when no rule beats random, or when the labels are empty,
+// all positive or all negative.
+func Discover(sp *feature.Space, positive []bool) []Rule {
 	rows := sp.Frame.Rows
 	n := len(rows)
 	if n == 0 || len(positive) != n {
-		return Rule{}, false
+		return nil
 	}
 	pos := bitset.New(n)
 	for i, p := range positive {
@@ -96,28 +97,20 @@ func Discover(sp *feature.Space, positive []bool) (Rule, bool) {
 			pos.Set(i)
 		}
 	}
-	totalPos := pos.Count()
-	if totalPos == 0 || totalPos == n {
-		return Rule{}, false
+	if totalPos := pos.Count(); totalPos == 0 || totalPos == n {
+		return nil
 	}
 	selectors := Selectors(sp)
 	if len(selectors) == 0 {
-		return Rule{}, false
+		return nil
 	}
-	best, ok := search(selectors, selectorMasks(sp, selectors), pos)
-	if !ok || best.wracc <= 0 {
-		return Rule{}, false
+	found := search(selectors, selectorMasks(sp, selectors), pos)
+	out := make([]Rule, len(found))
+	for i, c := range found {
+		out[i] = Rule{Selectors: c.sels, WRAcc: c.wracc}
+		c.cover.ForEach(func(p int) { out[i].Covered = append(out[i].Covered, rows[p]) })
 	}
-	rule := Rule{Selectors: best.sels, WRAcc: best.wracc}
-	best.cover.ForEach(func(i int) {
-		rule.Covered = append(rule.Covered, rows[i])
-		if positive[i] {
-			rule.Pos++
-		}
-	})
-	rule.Precision = float64(rule.Pos) / float64(len(rule.Covered))
-	rule.Recall = float64(rule.Pos) / float64(totalPos)
-	return rule, true
+	return out
 }
 
 // candidate is a partial rule. Coverage is kept as a bitset over
@@ -133,10 +126,13 @@ type candidate struct {
 // search grows one rule greedily: at each depth the best refinement of
 // the current rule (ties: first in vocabulary order) becomes the rule to
 // refine next, and the best rule seen at any depth (ties: the shorter)
-// is returned. Keeping the best eight per depth instead of the best one
+// comes first in what it returns, nothing when its WRAcc is not
+// positive. Keeping the best eight per depth instead of the best one
 // changed no cell of the quality table (internal/core; CHANGES.md, PR 26).
-// WRAcc counts every position once, so it is popcounts over pos.
-func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) (candidate, bool) {
+// The alternatives that follow are depth 0's refinements as kept by
+// keepSingle, less any covering the best rule's rows. WRAcc counts every
+// position once, so it is popcounts over pos.
+func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) []candidate {
 	n := pos.Len()
 	// Root: full coverage.
 	cur := candidate{cover: bitset.New(n), n: n}
@@ -146,8 +142,8 @@ func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) 
 	// used guards against stacking contradictory selectors; numeric attrs
 	// may contribute one <= and one >=. attrIdx -> bitmask 1:eq/le, 2:ge.
 	used := map[int]int{}
-	var best candidate
-	bestOK := false
+	var best candidate // WRAcc 0 until a rule beats random
+	var singles []candidate
 
 	scratch := bitset.New(n)
 	for depth := 0; depth < maxSelectors; depth++ {
@@ -164,6 +160,11 @@ func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) 
 			}
 			cov, covPos := float64(covN), float64(bitset.AndCount(scratch, pos))
 			wracc := (cov / float64(n)) * (covPos/cov - baseRate)
+			if depth == 0 && wracc > 0 {
+				// Under the full root cover a refinement's cover is its
+				// selector's mask, which the kept rule shares.
+				singles = keepSingle(singles, candidate{sels: selectors[si : si+1 : si+1], cover: matches[si], n: covN, wracc: wracc})
+			}
 			if nextSel >= 0 && wracc <= next.wracc {
 				continue
 			}
@@ -180,12 +181,50 @@ func search(selectors []Selector, matches []*bitset.Bitset, pos *bitset.Bitset) 
 		sel := selectors[nextSel]
 		next.sels = append(append([]Selector(nil), cur.sels...), sel)
 		used[sel.AttrIdx] |= opMask(sel.Op)
-		if !bestOK || next.wracc > best.wracc {
-			best, bestOK = next, true
+		if next.wracc > best.wracc {
+			best = next
 		}
 		cur = next
 	}
-	return best, bestOK
+	if best.wracc <= 0 {
+		return nil
+	}
+	out := []candidate{best}
+	for _, c := range singles {
+		if len(out) > alternatives {
+			break
+		}
+		if !sameCover(c, best) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// keepSingle inserts the depth-0 refinement c into singles, best WRAcc
+// first (ties: vocabulary order), keeping alternatives+1 (the best rule
+// may be one) and one per cover: a later selector with a kept cover has
+// its WRAcc too and is dropped.
+func keepSingle(singles []candidate, c candidate) []candidate {
+	if len(singles) > alternatives && c.wracc <= singles[alternatives].wracc {
+		return singles
+	}
+	i := len(singles)
+	for j, o := range singles {
+		if sameCover(o, c) {
+			return singles
+		}
+		if i == len(singles) && c.wracc > o.wracc {
+			i = j
+		}
+	}
+	singles = slices.Insert(singles, i, c)
+	return singles[:min(len(singles), alternatives+1)]
+}
+
+// sameCover reports whether a and b cover the same positions.
+func sameCover(a, b candidate) bool {
+	return a.n == b.n && bitset.AndCount(a.cover, b.cover) == a.n
 }
 
 // opMask is a selector's side of its attribute in search's used map.

@@ -3,6 +3,7 @@ package subgroup
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,11 +12,12 @@ import (
 )
 
 // plantedTable builds a table where the positive class concentrates in
-// (mote >= 50 AND volt <= 2.4); other rows are negative.
+// (mote >= 50 AND volt <= 2.4); other rows are negative. twin copies
+// volt, so every volt selector has a twin covering the same rows.
 func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema(
-		"mote", engine.TInt, "volt", engine.TFloat, "city", engine.TString))
+		"mote", engine.TInt, "volt", engine.TFloat, "city", engine.TString, "twin", engine.TFloat))
 	rng := rand.New(rand.NewSource(5))
 	cities := []string{"A", "B", "C"}
 	labels := make([]bool, 0, n)
@@ -34,7 +36,8 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 		rows = append(rows, []engine.Value{
 			engine.NewInt(mote),
 			engine.NewFloat(volt),
-			engine.NewString(cities[i%3])})
+			engine.NewString(cities[i%3]),
+			engine.NewFloat(volt)})
 		labels = append(labels, pos)
 	}
 	tbl, err := tbl.AppendBatch(rows)
@@ -45,22 +48,76 @@ func plantedTable(t *testing.T, n int) (*feature.Space, []bool) {
 	return sp, labels
 }
 
+// precisionRecall scores a rule's cover against the labels.
+func precisionRecall(sp *feature.Space, labels []bool, r Rule) (precision, recall float64) {
+	covered := make(map[int]bool, len(r.Covered))
+	for _, row := range r.Covered {
+		covered[row] = true
+	}
+	pos, total := 0, 0
+	for i, l := range labels {
+		if l {
+			total++
+			if covered[sp.Frame.Rows[i]] {
+				pos++
+			}
+		}
+	}
+	return float64(pos) / float64(len(r.Covered)), float64(pos) / float64(total)
+}
+
+// checkRules holds Discover's answer to its contract: a best rule, then
+// at most alternatives one-selector rules, every rule's WRAcc positive
+// and as its cover and the labels give it, and no two rules covering the
+// same rows.
+func checkRules(t *testing.T, sp *feature.Space, labels []bool, rules []Rule) {
+	t.Helper()
+	if len(rules) == 0 || len(rules) > 1+alternatives {
+		t.Fatalf("%d rules, want 1 to %d", len(rules), 1+alternatives)
+	}
+	n, base := float64(len(labels)), 0.0
+	for _, l := range labels {
+		if l {
+			base++
+		}
+	}
+	base /= n
+	for i, r := range rules {
+		precision, _ := precisionRecall(sp, labels, r)
+		cov := float64(len(r.Covered))
+		if want := cov / n * (precision - base); r.WRAcc <= 0 || math.Abs(r.WRAcc-want) > 1e-12 {
+			t.Errorf("rule %d %s: WRAcc %v, its cover gives %v", i, r.Predicate(sp), r.WRAcc, want)
+		}
+		if i > 0 && len(r.Selectors) != 1 {
+			t.Errorf("alternative %d %s has %d selectors", i, r.Predicate(sp), len(r.Selectors))
+		}
+		for j, o := range rules[:i] {
+			if slices.Equal(o.Covered, r.Covered) {
+				t.Errorf("rules %d %s and %d %s cover the same rows", j, o.Predicate(sp), i, r.Predicate(sp))
+			}
+		}
+	}
+}
+
 func TestDiscoverFindsPlantedSubgroup(t *testing.T) {
 	sp, labels := plantedTable(t, 400)
-	best, ok := Discover(sp, labels)
-	if !ok {
-		t.Fatal("no rule found")
+	rules := Discover(sp, labels)
+	checkRules(t, sp, labels, rules)
+	// The best rule is the search's answer before alternatives existed:
+	// mote >= 50 covers exactly the positive quarter.
+	best := rules[0]
+	if got := best.Predicate(sp).String(); got != "mote >= 50" || best.WRAcc != 0.1875 {
+		t.Errorf("best rule %s, WRAcc %v; want mote >= 50, 0.1875", got, best.WRAcc)
 	}
-	if best.Precision < 0.95 {
-		t.Errorf("best rule precision %.2f: %s", best.Precision, best.Predicate(sp))
+	if precision, recall := precisionRecall(sp, labels, best); precision != 1 || recall != 1 {
+		t.Errorf("best rule precision %.2f recall %.2f: %s", precision, recall, best.Predicate(sp))
 	}
-	if best.Recall < 0.9 {
-		t.Errorf("best rule recall %.2f", best.Recall)
+	if len(rules) != 1+alternatives {
+		t.Errorf("%d alternatives to %s, want %d", len(rules)-1, best.Predicate(sp), alternatives)
 	}
-	// The rule should reference mote and/or volt, not city.
-	pred := best.Predicate(sp)
-	for _, col := range pred.Columns() {
-		if col == "city" {
+	// No rule should reference the irrelevant city.
+	for _, r := range rules {
+		if pred := r.Predicate(sp); slices.Contains(pred.Columns(), "city") {
 			t.Errorf("rule references irrelevant city: %s", pred)
 		}
 	}
@@ -86,15 +143,14 @@ func TestWRAccComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := feature.NewSpace(tbl, feature.Options{}).Discretize()
-	rule, ok := Discover(sp, labels)
-	if !ok {
-		t.Fatal("no rule")
-	}
+	rules := Discover(sp, labels)
+	checkRules(t, sp, labels, rules)
+	rule := rules[0]
 	if math.Abs(rule.WRAcc-0.24) > 1e-9 {
 		t.Errorf("WRAcc = %v, want 0.24", rule.WRAcc)
 	}
-	if rule.Pos != 8 || len(rule.Covered) != 8 {
-		t.Errorf("coverage: pos=%d covered=%d", rule.Pos, len(rule.Covered))
+	if precision, _ := precisionRecall(sp, labels, rule); precision != 1 || len(rule.Covered) != 8 {
+		t.Errorf("coverage: precision=%v covered=%d", precision, len(rule.Covered))
 	}
 }
 
@@ -105,17 +161,17 @@ func TestDiscoverDegenerateInputs(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	if _, ok := Discover(sp, all); ok {
-		t.Error("all-positive should yield no rule")
+	if rules := Discover(sp, all); rules != nil {
+		t.Errorf("all-positive should yield nil, got %d rules", len(rules))
 	}
 	// All negative.
 	none := make([]bool, len(labels))
-	if _, ok := Discover(sp, none); ok {
-		t.Error("all-negative should yield no rule")
+	if rules := Discover(sp, none); rules != nil {
+		t.Errorf("all-negative should yield nil, got %d rules", len(rules))
 	}
 	// Empty.
-	if _, ok := Discover(sp, nil); ok {
-		t.Error("empty should yield no rule")
+	if rules := Discover(sp, nil); rules != nil {
+		t.Errorf("empty should yield nil, got %d rules", len(rules))
 	}
 }
 
@@ -143,11 +199,11 @@ func TestSelectorsVocabulary(t *testing.T) {
 
 func TestIntThresholdsRenderAsInts(t *testing.T) {
 	sp, labels := plantedTable(t, 300)
-	rule, ok := Discover(sp, labels)
-	if !ok {
+	rules := Discover(sp, labels)
+	if len(rules) == 0 {
 		t.Fatal("no rule")
 	}
-	for _, sel := range rule.Selectors {
+	for _, sel := range rules[0].Selectors {
 		attr := sp.Attrs[sel.AttrIdx]
 		if attr.Name == "mote" && sel.Val.T != engine.TInt {
 			t.Errorf("mote threshold type %v", sel.Val.T)
@@ -159,11 +215,11 @@ func TestIntThresholdsRenderAsInts(t *testing.T) {
 // must still reach the planted two-clause subgroup.
 func TestBeamWidthOne(t *testing.T) {
 	sp, labels := plantedTable(t, 200)
-	rule, ok := Discover(sp, labels)
-	if !ok {
+	rules := Discover(sp, labels)
+	if len(rules) == 0 {
 		t.Fatal("the greedy search found nothing")
 	}
-	if rule.Precision < 0.95 || rule.Recall < 0.9 {
-		t.Errorf("rule %s: precision %.2f recall %.2f", rule.Predicate(sp), rule.Precision, rule.Recall)
+	if precision, recall := precisionRecall(sp, labels, rules[0]); precision < 0.95 || recall < 0.9 {
+		t.Errorf("rule %s: precision %.2f recall %.2f", rules[0].Predicate(sp), precision, recall)
 	}
 }
