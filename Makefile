@@ -111,7 +111,7 @@ fuzz-smoke:
 # same ratchet (engine 80%, exec 93%, store 90%): their untested lines
 # would be fault, pin-release and carry paths. So do expr (85%) — the
 # key kernels must agree with the interpreter on every arm — and agg
-# (99%): every layer above adds, merges and removes through its one
+# (99.6%): every layer above adds, merges and removes through its one
 # contract. predicate (74%) and bitset (81%) ride it too: every WHERE
 # mask and every lineage set above is one of their bitmaps. par (95%)
 # too: every fan-out above runs on its helpers and its panic re-raise.

@@ -29,19 +29,23 @@
 // Bayes classifier trained on the learning frame, CN2-SD grows one rule
 // greedily and adds up to three one-selector alternatives, all ranked
 // against the rule's region, one gini tree is trained on D', and the
-// ranker scores, prunes, keeps one answer per row set of F, and sorts. Every
-// parameter of that is a named constant beside its use. What it answers
-// — top-1 F1, best-of-top-3 F1, the rank of the first good answer, the
-// first answer's length and how many of the first three answers select
-// different rows, on the paper's walkthroughs, on polluted
-// examples and on tables with a planted cause, next to the full
-// provenance, top-k influence and exhaustive search baselines — is
-// internal/core's TestQualityTable (`make quality` prints it), a tier-1
-// test with checked-in floors. core.Options keeps only what that table
-// has a row for (two ablation switches, two known-bad settings) and
+// ranker scores, prunes, keeps one answer per row set of F, and sorts.
+// The paper's Predicate Enumerator trains a classifier per candidate
+// dataset; this trains one, on D', because subgroup's alternatives in
+// place of the other two raised six quality scenarios (two-causes top-1
+// 0.272 → 0.579) and lowered two best-of-3 cells by 0.001. Every
+// parameter is a named constant beside its use. What it answers — top-1
+// F1, best-of-top-3 F1, the rank of the first good answer, the first
+// answer's length and how many of the first three answers select
+// different rows, on the paper's walkthroughs, on polluted examples and
+// on tables with a planted cause, next to the full provenance, top-k
+// influence and exhaustive search baselines — is internal/core's
+// TestQualityTable (`make quality` prints it), a tier-1 test with
+// checked-in floors. core.Options keeps only what that table has a row
+// for (two ablation switches, two known-bad settings) and
 // DriftThreshold, which the differential harnesses set to +Inf to drive
-// the carried pass; a switch whose row stops
-// moving a cell fails the test until it is deleted with its code.
+// the carried pass; a switch whose row stops moving a cell fails the
+// test until it is deleted with its code.
 //
 // # Columnar scoring
 //
@@ -63,18 +67,17 @@
 //     ArgView once per result, the float the scan fed the state for
 //     each row: a bare column copies out of its typed chunks, any other
 //     argument evaluates once per source row; Advance extends it by the
-//     appended suffix through the same fill.
-//     Result.LineageBits/GroupLineageBitsShared expose provenance as
-//     bitsets.
+//     appended suffix through the same fill. Result.LineageBits and
+//     GroupLineageBitsShared expose provenance as bitsets.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
 //     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
-//   - internal/agg — one contract, agg.Func: every state (DISTINCT
-//     sets included) folds a run of rows in one call (AddFloats), merges
-//     and answers "the result without these values" from floats
-//     (ResultWithoutFloats), never mutating. min and max keep their
-//     extremum and its copy count, not the values: the caller yields the
-//     survivors (kept), read only when every copy of the extremum goes.
+//   - internal/agg — one contract, agg.Func, on float64s: every state
+//     (DISTINCT sets included) folds a run of rows in one call
+//     (AddFloats), merges and answers "the result without these values"
+//     (ResultWithoutFloats), never mutating; agg.Add is the one boxed
+//     entry. min and max keep their extremum and copy count, not the
+//     values, and read the survivors (kept) only when every copy goes.
 //   - internal/influence — Scorer ties these together: ε-without-a-set
 //     is "intersect match mask with each group's lineage span, gather
 //     floats, ask the state", zero steady-state allocations for the
@@ -167,10 +170,9 @@
 //     slots' bytes — any width. The block then walks runs, consecutive
 //     selected rows with equal slots: one lookup, one lineage growth and
 //     one AddFloats per numeric argument per run. A group's boxed Key is
-//     born with the group, from the row
-//     the shard has pinned — a kernel key's from the boxed evaluator on
-//     that row, so it is the reference's value, type included, never
-//     the kernel's float; materialize takes a grouped statement's plain
+//     born with the group, from the row the shard has pinned — a kernel
+//     key's from the boxed evaluator on that row, so it is the
+//     reference's value, type included, never the kernel's float; materialize takes a grouped statement's plain
 //     select items from it (they must BE group keys — expr.Equal) and
 //     reads no source row. Nothing on this path decodes a boxed chunk:
 //     out of core, a per-cell read (engine.RowReader) pins the float or
@@ -191,8 +193,8 @@
 //   - Who still boxes in production, and why the edge is there: argEval
 //     — an aggregate argument that is neither a numeric column nor
 //     count(DISTINCT)'s string column evaluates per row to a Value and
-//     is Added boxed (a string has no float; a computed number waits
-//     for a bench shape that shows it matters). rowEval is the one
+//     enters its state through agg.Add (a string has no float; a
+//     computed number waits for a bench shape that shows it matters). rowEval is the one
 //     per-row evaluator: the interpreter over a row buffer holding only
 //     the cells of the columns the expression names
 //     (expr.FuzzCompileParity pins that Eval reads no other). It runs
@@ -200,8 +202,8 @@
 //     keys, projections and each new group's key — no benchmark
 //     workload's WHERE reaches it.
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
-//     per-row WHERE interpretation, string group keys, boxed
-//     accumulation. No production code path reaches it. The randomized
+//     per-row WHERE interpretation, string group keys, boxed arguments
+//     through agg.Add. No production code path reaches it. The randomized
 //     harnesses in internal/exec run generated statements — DISTINCT,
 //     0–6 keys, string computed keys, NULL/NaN/±0-heavy data, shards
 //     1–5, resident and out-of-core — through both and require
@@ -228,22 +230,21 @@
 //     engine.Batch (per column NULL words plus float64s, exact int64s or
 //     strings) — the generators, CSV load, query results and Select
 //     build through it too. It writes the batch into the tail's chunks
-//     a column at a time, copy-on-write: it
-//     returns a new table version sharing every sealed segment by
-//     pointer and the tail arrays by aliasing, so in-flight queries keep
-//     an immutable snapshot, never observe a half-appended batch, and no
-//     append ever copies a whole column; DB.AppendCols republishes the
-//     grown version atomically. AppendBatch over boxed rows is a
-//     converter into the same path (BatchOf). Rows leave a table in bulk
-//     the one way too: Table.Batch(lo, hi) reads rows [lo, hi) through
-//     the readers a scan uses into a Batch, which is what the store's
-//     WAL rewrite logs and what a copy appends elsewhere.
-//     A published version's memory is never written, with no exception,
-//     so the version is its own snapshot and a reader writes no shared
-//     state: a ColReader walks the typed chunks every
-//     segment, the tail included, is stored as — dictionary codes are
-//     assigned at append, in first-appearance order — with no per-
-//     version index to build or cache.
+//     a column at a time, copy-on-write: it returns a new table version
+//     sharing every sealed segment by pointer and the tail arrays by
+//     aliasing, so in-flight queries keep an immutable snapshot, never
+//     observe a half-appended batch, and no append ever copies a whole
+//     column; DB.AppendCols republishes the grown version atomically.
+//     AppendBatch over boxed rows is a converter into the same path
+//     (BatchOf). Rows leave a table in bulk the one way too:
+//     Table.Batch(lo, hi) reads rows [lo, hi) through the readers a scan
+//     uses into a Batch, which is what the store's WAL rewrite logs and
+//     what a copy appends elsewhere. A published version's memory is
+//     never written, with no exception, so the version is its own
+//     snapshot and a reader writes no shared state: a ColReader walks the
+//     typed chunks every segment, the tail included, is stored as —
+//     dictionary codes are assigned at append, in first-appearance order
+//     — with no per-version index to build or cache.
 //   - internal/predicate — Index has a SyncRows method (the
 //     row-stamped invalidation hook of Table.AuxLoadOrStore): cached
 //     clause masks and non-NULL masks are per-segment word arrays
@@ -362,10 +363,9 @@
 // pool (every segment store.Open recovers, the pool capped or not). Nothing is
 // stored boxed: an engine.Value is what a boxed-row caller appends or
 // the single cell it asks for (Table.Value, RowReader); rows leave in
-// bulk as a Batch (Table.Batch). Column readers alias the
-// chunks and the predicate index's mask chunks live per segment, so
-// every derived structure shares the segment's lifetime, and the
-// executor cuts its
+// bulk as a Batch (Table.Batch). Column readers alias the chunks and the
+// predicate index's mask chunks live per segment, so every derived
+// structure shares the segment's lifetime, and the executor cuts its
 // scan shards on segment boundaries wherever a segment is no more than
 // a shard's share of surviving rows, so shard state aligns with chunk
 // boundaries instead of re-partitioning flat arrays per call.

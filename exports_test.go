@@ -21,7 +21,7 @@ import (
 // longer than deadExportsCap.
 const (
 	deadExportsFile = "testdata/dead_exports.txt"
-	deadExportsCap  = 44
+	deadExportsCap  = 37
 )
 
 // TestNoDeadExports is the guard against exports nobody outside the

@@ -5,8 +5,9 @@
 // DBWipes ranks a predicate by ε after the tuples it matches are removed
 // from the suspect groups' aggregates, so a state must add, merge and
 // answer "what if these values had never been added" — and every state
-// does all three, through the one interface below. Nothing outside this
-// package asks a state what it can do.
+// does all three, through the one interface below, on float64s. A boxed
+// value enters a state only through Add. Nothing outside this package
+// asks a state what it can do.
 //
 // The scan folds a run of rows in one AddFloats call, whatever the
 // statement: a global aggregate's block is one run. Removal support
@@ -18,26 +19,16 @@ package agg
 import (
 	"fmt"
 	"iter"
-	"math"
 	"sort"
 	"strings"
 
 	"repro/internal/engine"
 )
 
-// Func is one group's aggregate state. Implementations ignore NULL
-// inputs, per SQL semantics, and yield NULL on empty input (except count,
-// which yields 0).
-//
-// Values come in two forms. The executor and the scorer work on typed
-// columns and use the float form: AddFloat(f) is exactly Add of a
-// non-NULL value whose Float() is f, AddFloats is AddFloat of each
-// selected non-NULL cell, and ResultWithoutFloats is exactly
-// ResultWithoutSet of such values — callers skip NULLs themselves
-// (adding or removing one never changes a state). The boxed form is the
-// edge: Add takes what an expression evaluated to (computed and string
-// arguments, and the reference scan), ResultWithoutSet is what the
-// oracle removes through.
+// Func is one group's aggregate state. It takes and removes non-NULL
+// values as float64s — callers skip NULLs themselves (adding or removing
+// one never changes a state) — and yields NULL on empty input (except
+// count, which yields 0). Add is the boxed entry.
 //
 // A removal names the values removed (each removes one added copy; a
 // value never added removes nothing) and passes kept, which yields the
@@ -47,8 +38,6 @@ import (
 type Func interface {
 	// Name returns the aggregate's lowercase SQL name.
 	Name() string
-	// Add folds one value into the state.
-	Add(v engine.Value)
 	// AddFloat folds one non-NULL numeric value into the state.
 	AddFloat(f float64)
 	// AddFloats folds vals[o] for each o in sel whose bit in the NULL
@@ -68,14 +57,32 @@ type Func interface {
 	// state: one state is read by every scoring worker at once. vals is
 	// borrowed for the call.
 	ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (result float64, ok bool)
-	// ResultWithoutSet is ResultWithoutFloats of boxed values: the
-	// aggregate excluding every value in vs, NULLs removing nothing. The
-	// reference scorer (influence.EpsWithoutRows) evaluates through it.
-	ResultWithoutSet(vs []engine.Value, kept iter.Seq[engine.Value]) engine.Value
 	// Count returns the number of non-NULL values added.
 	Count() int
 	// Clone returns a fresh, empty aggregate of the same kind.
 	Clone() Func
+}
+
+// Add folds one boxed value — what an expression evaluated to — into f:
+// NULL adds nothing, a DISTINCT state keys a string by the string, and
+// anything else is f.AddFloat(v.Float()).
+func Add(f Func, v engine.Value) {
+	d, distinct := f.(*Distinct)
+	switch {
+	case v.IsNull():
+	case distinct && v.T == engine.TString:
+		d.add(distinctValue{f: v.Float(), s: v.S, str: true}, 1)
+	default:
+		f.AddFloat(v.Float())
+	}
+}
+
+// value boxes a float result; !ok is NULL.
+func value(f float64, ok bool) engine.Value {
+	if !ok {
+		return engine.Null
+	}
+	return engine.NewFloat(f)
 }
 
 // isNull reports whether cell o is NULL in the word bitmap null.
@@ -85,25 +92,25 @@ func isNull(null []uint64, o int32) bool { return null[o>>6]&(1<<(uint(o)&63)) !
 func New(name string) (Func, error) {
 	switch strings.ToLower(name) {
 	case "count":
-		return &Count{}, nil
+		return &count{}, nil
 	case "sum":
 		return &Sum{}, nil
 	case "avg", "mean":
-		return &Avg{}, nil
+		return &avg{}, nil
 	case "min":
 		return newExtremum("min", true), nil
 	case "max":
 		return newExtremum("max", false), nil
 	case "stddev", "stdev", "std":
-		return &Stddev{Variance: Variance{sample: true}}, nil
+		return &stddev{variance: variance{sample: true}}, nil
 	case "stddev_pop":
-		return &Stddev{}, nil
+		return &stddev{}, nil
 	case "var", "variance":
-		return &Variance{sample: true}, nil
+		return &variance{sample: true}, nil
 	case "var_pop":
-		return &Variance{}, nil
+		return &variance{}, nil
 	case "median":
-		return &Median{}, nil
+		return &median{}, nil
 	default:
 		return nil, fmt.Errorf("agg: unknown aggregate %q", name)
 	}
@@ -115,46 +122,29 @@ func IsAggregate(name string) bool {
 	return err == nil
 }
 
-// Names returns the canonical aggregate names.
-func Names() []string {
-	return []string{"count", "sum", "avg", "min", "max", "stddev", "var", "median"}
+// names returns the canonical aggregate names: one per kind of state,
+// the name it reports.
+func names() []string {
+	return []string{"count", "sum", "avg", "min", "max", "stddev", "stddev_pop", "var", "var_pop", "median"}
 }
 
 // ---------------------------------------------------------------------
 // count
 
-// Count counts non-NULL values.
-type Count struct{ n int }
+// count counts non-NULL values.
+type count struct{ n int }
 
 // Name implements Func.
-func (*Count) Name() string { return "count" }
-
-// Add implements Func.
-func (c *Count) Add(v engine.Value) {
-	if !v.IsNull() {
-		c.n++
-	}
-}
+func (*count) Name() string { return "count" }
 
 // Result implements Func.
-func (c *Count) Result() engine.Value { return engine.NewInt(int64(c.n)) }
+func (c *count) Result() engine.Value { return engine.NewInt(int64(c.n)) }
 
 // Count implements Func.
-func (c *Count) Count() int { return c.n }
+func (c *count) Count() int { return c.n }
 
 // Clone implements Func.
-func (*Count) Clone() Func { return &Count{} }
-
-// ResultWithoutSet implements Func.
-func (c *Count) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	n := c.n
-	for _, v := range vs {
-		if !v.IsNull() {
-			n--
-		}
-	}
-	return engine.NewInt(int64(n))
-}
+func (*count) Clone() Func { return &count{} }
 
 // ---------------------------------------------------------------------
 // sum
@@ -168,22 +158,8 @@ type Sum struct {
 // Name implements Func.
 func (*Sum) Name() string { return "sum" }
 
-// Add implements Func.
-func (s *Sum) Add(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	s.sum += v.Float()
-	s.n++
-}
-
 // Result implements Func.
-func (s *Sum) Result() engine.Value {
-	if s.n == 0 {
-		return engine.Null
-	}
-	return engine.NewFloat(s.sum)
-}
+func (s *Sum) Result() engine.Value { return value(s.sum, s.n > 0) }
 
 // Count implements Func.
 func (s *Sum) Count() int { return s.n }
@@ -191,110 +167,49 @@ func (s *Sum) Count() int { return s.n }
 // Clone implements Func.
 func (*Sum) Clone() Func { return &Sum{} }
 
-// ResultWithoutSet implements Func.
-func (s *Sum) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	sum, n := s.sum, s.n
-	for _, v := range vs {
-		if v.IsNull() {
-			continue
-		}
-		sum -= v.Float()
-		n--
-	}
-	if n <= 0 {
-		return engine.Null
-	}
-	return engine.NewFloat(sum)
-}
-
 // ---------------------------------------------------------------------
-// avg
+// avg — the Sum state, divided.
 
-// Avg averages numeric values.
-type Avg struct {
-	sum float64
-	n   int
-}
+// avg averages numeric values.
+type avg struct{ Sum }
 
 // Name implements Func.
-func (*Avg) Name() string { return "avg" }
-
-// Add implements Func.
-func (a *Avg) Add(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	a.sum += v.Float()
-	a.n++
-}
+func (*avg) Name() string { return "avg" }
 
 // Result implements Func.
-func (a *Avg) Result() engine.Value {
-	if a.n == 0 {
-		return engine.Null
-	}
-	return engine.NewFloat(a.sum / float64(a.n))
-}
-
-// Count implements Func.
-func (a *Avg) Count() int { return a.n }
+func (a *avg) Result() engine.Value { return value(a.ResultWithoutFloats(nil, nil)) }
 
 // Clone implements Func.
-func (*Avg) Clone() Func { return &Avg{} }
-
-// ResultWithoutSet implements Func.
-func (a *Avg) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	sum, n := a.sum, a.n
-	for _, v := range vs {
-		if v.IsNull() {
-			continue
-		}
-		sum -= v.Float()
-		n--
-	}
-	if n <= 0 {
-		return engine.Null
-	}
-	return engine.NewFloat(sum / float64(n))
-}
+func (*avg) Clone() Func { return &avg{} }
 
 // ---------------------------------------------------------------------
 // variance / stddev (Welford-free: sum and sum-of-squares; fine for the
 // magnitudes in this system and exactly removable)
 
-// Variance computes population or sample variance.
-type Variance struct {
+// variance computes population or sample variance.
+type variance struct {
 	sum, sumsq float64
 	n          int
 	sample     bool
 }
 
 // Name implements Func.
-func (v *Variance) Name() string {
+func (v *variance) Name() string {
 	if v.sample {
 		return "var"
 	}
 	return "var_pop"
 }
 
-// Add implements Func.
-func (v *Variance) Add(x engine.Value) {
-	if x.IsNull() {
-		return
-	}
-	f := x.Float()
-	v.sum += f
-	v.sumsq += f * f
-	v.n++
-}
-
-func varianceOf(sum, sumsq float64, n int, sample bool) engine.Value {
+// varianceFloat is the variance of n values with the given sum and sum
+// of squares; ok is false below the sample size it needs.
+func varianceFloat(sum, sumsq float64, n int, sample bool) (float64, bool) {
 	minN := 1
 	if sample {
 		minN = 2
 	}
 	if n < minN {
-		return engine.Null
+		return 0, false
 	}
 	mean := sum / float64(n)
 	ss := sumsq - float64(n)*mean*mean
@@ -305,65 +220,38 @@ func varianceOf(sum, sumsq float64, n int, sample bool) engine.Value {
 	if sample {
 		den = float64(n - 1)
 	}
-	return engine.NewFloat(ss / den)
+	return ss / den, true
 }
 
 // Result implements Func.
-func (v *Variance) Result() engine.Value { return varianceOf(v.sum, v.sumsq, v.n, v.sample) }
-
-// Count implements Func.
-func (v *Variance) Count() int { return v.n }
-
-// Clone implements Func.
-func (v *Variance) Clone() Func { return &Variance{sample: v.sample} }
-
-// ResultWithoutSet implements Func.
-func (v *Variance) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	sum, sumsq, n := v.sum, v.sumsq, v.n
-	for _, x := range vs {
-		if x.IsNull() {
-			continue
-		}
-		f := x.Float()
-		sum -= f
-		sumsq -= f * f
-		n--
-	}
-	return varianceOf(sum, sumsq, n, v.sample)
+func (v *variance) Result() engine.Value {
+	return value(varianceFloat(v.sum, v.sumsq, v.n, v.sample))
 }
 
-// Stddev is the square root of Variance.
-type Stddev struct {
-	Variance
+// Count implements Func.
+func (v *variance) Count() int { return v.n }
+
+// Clone implements Func.
+func (v *variance) Clone() Func { return &variance{sample: v.sample} }
+
+// stddev is the square root of variance.
+type stddev struct {
+	variance
 }
 
 // Name implements Func.
-func (s *Stddev) Name() string {
+func (s *stddev) Name() string {
 	if s.sample {
 		return "stddev"
 	}
 	return "stddev_pop"
 }
 
-func sqrtValue(v engine.Value) engine.Value {
-	if v.IsNull() {
-		return engine.Null
-	}
-	return engine.NewFloat(math.Sqrt(v.Float()))
-}
-
 // Result implements Func.
-func (s *Stddev) Result() engine.Value {
-	return sqrtValue(varianceOf(s.sum, s.sumsq, s.n, s.sample))
-}
+func (s *stddev) Result() engine.Value { return value(s.ResultWithoutFloats(nil, nil)) }
 
 // Clone implements Func.
-func (s *Stddev) Clone() Func { return &Stddev{Variance: Variance{sample: s.sample}} }
-
-// ResultWithoutSet implements Func.
-func (s *Stddev) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	return sqrtValue(s.Variance.ResultWithoutSet(vs, nil))
-}
+func (s *stddev) Clone() Func { return &stddev{variance: variance{sample: s.sample}} }
 
 // ---------------------------------------------------------------------
 // min / max — the extremum, how many added values equal it, and how many
@@ -415,20 +303,8 @@ func (e *extremum) fold(f float64, copies int) {
 	}
 }
 
-// Add implements Func.
-func (e *extremum) Add(v engine.Value) {
-	if !v.IsNull() {
-		e.AddFloat(v.Float())
-	}
-}
-
 // Result implements Func.
-func (e *extremum) Result() engine.Value {
-	if e.n == 0 {
-		return engine.Null
-	}
-	return engine.NewFloat(e.best)
-}
+func (e *extremum) Result() engine.Value { return value(e.best, e.n > 0) }
 
 // Count implements Func.
 func (e *extremum) Count() int { return e.n }
@@ -451,119 +327,45 @@ func (e *extremum) without(gone int, kept iter.Seq[float64]) (float64, bool) {
 	return left.best, left.n > 0
 }
 
-// ResultWithoutSet implements Func.
-func (e *extremum) ResultWithoutSet(vs []engine.Value, kept iter.Seq[engine.Value]) engine.Value {
-	if e.n == 0 {
-		return engine.Null
-	}
-	gone := 0
-	for _, v := range vs {
-		if !v.IsNull() && v.Float() == e.best {
-			gone++
-		}
-	}
-	best, ok := e.without(gone, func(yield func(float64) bool) {
-		for v := range kept {
-			if !v.IsNull() && !yield(v.Float()) {
-				return
-			}
-		}
-	})
-	if !ok {
-		return engine.Null
-	}
-	return engine.NewFloat(best)
-}
-
 // ---------------------------------------------------------------------
 // median — holistic; keeps all values, sorts lazily.
 
-// Median computes the median (mean of the two middle elements for even
+// median computes the median (mean of the two middle elements for even
 // counts).
-type Median struct {
+type median struct {
 	vals   []float64
 	sorted bool
 }
 
 // Name implements Func.
-func (*Median) Name() string { return "median" }
+func (*median) Name() string { return "median" }
 
-// Add implements Func.
-func (m *Median) Add(v engine.Value) {
-	if v.IsNull() {
-		return
-	}
-	m.vals = append(m.vals, v.Float())
-	m.sorted = false
-}
-
-func (m *Median) ensureSorted() {
+func (m *median) ensureSorted() {
 	if !m.sorted {
 		sort.Float64s(m.vals)
 		m.sorted = true
 	}
 }
 
-func medianOfSorted(vals []float64) engine.Value {
+func medianOfSorted(vals []float64) (float64, bool) {
 	n := len(vals)
 	if n == 0 {
-		return engine.Null
+		return 0, false
 	}
 	if n%2 == 1 {
-		return engine.NewFloat(vals[n/2])
+		return vals[n/2], true
 	}
-	return engine.NewFloat((vals[n/2-1] + vals[n/2]) / 2)
+	return (vals[n/2-1] + vals[n/2]) / 2, true
 }
 
 // Result implements Func.
-func (m *Median) Result() engine.Value {
+func (m *median) Result() engine.Value {
 	m.ensureSorted()
-	return medianOfSorted(m.vals)
+	return value(medianOfSorted(m.vals))
 }
 
 // Count implements Func.
-func (m *Median) Count() int { return len(m.vals) }
+func (m *median) Count() int { return len(m.vals) }
 
 // Clone implements Func.
-func (*Median) Clone() Func { return &Median{} }
-
-// ResultWithoutSet implements Func. It deliberately avoids
-// ensureSorted: removal evaluation runs concurrently from the ranker's
-// scoring workers, so it must not mutate shared state — it filters into
-// a local slice and sorts that instead.
-func (m *Median) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	drop := make(map[float64]int, len(vs))
-	nd := 0
-	for _, v := range vs {
-		if !v.IsNull() {
-			drop[v.Float()]++
-			nd++
-		}
-	}
-	return m.withoutSorted(drop, nd)
-}
-
-// withoutSorted returns the median of vals minus the drop multiset,
-// without touching the receiver's slice or sorted flag.
-func (m *Median) withoutSorted(drop map[float64]int, nd int) engine.Value {
-	capHint := len(m.vals) - nd
-	if capHint < 0 {
-		capHint = 0
-	}
-	kept := make([]float64, 0, capHint)
-	for _, f := range m.vals {
-		if drop[f] > 0 {
-			drop[f]--
-			continue
-		}
-		kept = append(kept, f)
-	}
-	// Always sort the local copy rather than consulting the lazily
-	// written sorted flag, so this path never writes shared state. It
-	// still reads m.vals: concurrent removal calls are safe with each
-	// other, and safe alongside Result() because exec.materialize
-	// calls Result() on every aggregate (sorting it) before any
-	// concurrent scoring starts.
-	sort.Float64s(kept)
-	return medianOfSorted(kept)
-}
+func (*median) Clone() Func { return &median{} }

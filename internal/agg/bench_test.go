@@ -17,13 +17,13 @@ func benchValues(n int) []engine.Value {
 
 func BenchmarkAdd(b *testing.B) {
 	vals := benchValues(1024)
-	for _, name := range Names() {
+	for _, name := range names() {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			f, _ := New(name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.Add(vals[i%len(vals)])
+				Add(f, vals[i%len(vals)])
 			}
 		})
 	}
@@ -43,7 +43,7 @@ func BenchmarkAddFloats(b *testing.B) {
 			sel = append(sel, int32(i))
 		}
 	}
-	for _, name := range Names() {
+	for _, name := range names() {
 		b.Run(name, func(b *testing.B) {
 			f, _ := New(name)
 			b.SetBytes(int64(len(sel) * 8))
@@ -61,34 +61,19 @@ func BenchmarkAddFloats(b *testing.B) {
 // influence analysis calls once per lineage tuple.
 func BenchmarkResultWithout(b *testing.B) {
 	vals := benchValues(4096)
-	for _, name := range Names() {
+	for _, name := range names() {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			f, _ := New(name)
-			for _, v := range vals {
-				f.Add(v)
-			}
 			floats := make([]float64, len(vals))
 			for i, v := range vals {
 				floats[i] = v.Float()
+				f.AddFloat(floats[i])
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.ResultWithoutFloats(floats[i%len(vals):i%len(vals)+1], slices.Values(floats))
 			}
 		})
-	}
-}
-
-func BenchmarkResultWithoutSet(b *testing.B) {
-	vals := benchValues(4096)
-	removed := vals[:64]
-	f, _ := New("stddev")
-	for _, v := range vals {
-		f.Add(v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ResultWithoutSet(removed, nil)
 	}
 }

@@ -10,13 +10,14 @@ import (
 // Distinct wraps an aggregate so each distinct value contributes once:
 // COUNT(DISTINCT x) / SUM(DISTINCT x) / AVG(DISTINCT x).
 //
-// Identity is Value.Key()'s: a string is itself, and every numeric kind
-// is its float64 with -0 folded into +0 and all NaNs one value — so the
-// float form keys a set by those bits and is exact (an int past 2^53 has
-// the identity of the float it rounds to, as in Key). A caller may feed
-// any stand-in that is one-to-one with the values instead, as long as
-// everything that adds to or removes from the state uses the same one:
-// the executor feeds count(DISTINCT s) the column's dictionary codes.
+// Identity is Value.Key()'s: a string is itself (Add keys it so), and
+// every numeric kind is its float64 with -0 folded into +0 and all NaNs
+// one value — so AddFloat keys a set by those bits and is exact (an int
+// past 2^53 has the identity of the float it rounds to, as in Key). A
+// caller may feed any stand-in that is one-to-one with the values
+// instead, as long as everything that adds to or removes from the state
+// uses the same one: the executor feeds count(DISTINCT s) the column's
+// dictionary codes.
 //
 // The state keeps first appearances in order with their multiplicities.
 // The inner aggregate sees each value once, as first seen (a -0.0 seen
@@ -33,7 +34,7 @@ type Distinct struct {
 }
 
 // distinctValue is one distinct value: what the inner aggregate was fed
-// (a string's Float(), as inner.Add would take it), the string when the
+// (a string's Float(), as Add would take it), the string when the
 // identity is one, and how many times it was added.
 type distinctValue struct {
 	f   float64
@@ -86,20 +87,8 @@ func (d *Distinct) add(dv distinctValue, n int) {
 	d.seen[i].n += n
 }
 
-// boxed is v as a distinctValue; ok is false for NULL.
-func boxed(v engine.Value) (dv distinctValue, ok bool) {
-	return distinctValue{f: v.Float(), s: v.S, str: v.T == engine.TString}, !v.IsNull()
-}
-
 // Name implements Func.
 func (d *Distinct) Name() string { return d.inner.Name() + " distinct" }
-
-// Add implements Func.
-func (d *Distinct) Add(v engine.Value) {
-	if dv, ok := boxed(v); ok {
-		d.add(dv, 1)
-	}
-}
 
 // AddFloat implements Func.
 func (d *Distinct) AddFloat(f float64) { d.add(distinctValue{f: f}, 1) }
@@ -170,27 +159,4 @@ func (d *Distinct) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (flo
 		pos[j] = d.find(distinctValue{f: f})
 	}
 	return d.inner.ResultWithoutFloats(d.without(pos))
-}
-
-// ResultWithoutSet implements Func, like ResultWithoutFloats.
-func (d *Distinct) ResultWithoutSet(vs []engine.Value, _ iter.Seq[engine.Value]) engine.Value {
-	pos := make([]int32, len(vs))
-	for j, v := range vs {
-		pos[j] = -1
-		if dv, ok := boxed(v); ok {
-			pos[j] = d.find(dv)
-		}
-	}
-	gone, kept := d.without(pos)
-	boxes := make([]engine.Value, len(gone))
-	for j, f := range gone {
-		boxes[j] = engine.NewFloat(f)
-	}
-	return d.inner.ResultWithoutSet(boxes, func(yield func(engine.Value) bool) {
-		for f := range kept {
-			if !yield(engine.NewFloat(f)) {
-				return
-			}
-		}
-	})
 }

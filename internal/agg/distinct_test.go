@@ -8,7 +8,7 @@ import (
 )
 
 func TestDistinctCount(t *testing.T) {
-	d := NewDistinct(&Count{})
+	d := NewDistinct(&count{})
 	feed(d, 1, 2, 2, 3, 3, 3)
 	if got := d.Result().Int(); got != 3 {
 		t.Errorf("count distinct = %d", got)
@@ -16,9 +16,22 @@ func TestDistinctCount(t *testing.T) {
 	if d.Count() != 3 {
 		t.Errorf("Count() = %d", d.Count())
 	}
-	d.Add(engine.Null)
+	Add(d, engine.Null)
 	if got := d.Result().Int(); got != 3 {
 		t.Errorf("NULL counted: %d", got)
+	}
+}
+
+// TestDistinctStringIdentity pins what Add keys a string by: the string
+// "1" and the number 1 are two values, a repeated string is one, and a
+// NULL adds nothing.
+func TestDistinctStringIdentity(t *testing.T) {
+	d := NewDistinct(&count{})
+	for _, v := range []engine.Value{engine.NewString("1"), engine.NewFloat(1), engine.NewString("1"), engine.NewString("b"), engine.Null} {
+		Add(d, v)
+	}
+	if got := d.Result().Int(); got != 3 || d.Count() != 3 {
+		t.Errorf("count distinct of \"1\", 1, \"1\", \"b\", NULL = %d (Count %d), want 3", got, d.Count())
 	}
 }
 
@@ -48,7 +61,7 @@ func TestDistinctRemoveLastOccurrence(t *testing.T) {
 }
 
 func TestDistinctResultWithout(t *testing.T) {
-	d := NewDistinct(&Count{})
+	d := NewDistinct(&count{})
 	feed(d, 1, 1, 2)
 	// One of two 1s: distinct set unchanged.
 	if got, _ := d.ResultWithoutFloats([]float64{1}, nil); got != 2 {
@@ -60,7 +73,7 @@ func TestDistinctResultWithout(t *testing.T) {
 	}
 }
 
-// Property: Distinct(inner).ResultWithoutSet ≡ recompute over the
+// Property: Distinct(inner).ResultWithoutFloats ≡ recompute over the
 // multiset minus the removed values.
 func TestDistinctWithoutSetMatchesRecompute(t *testing.T) {
 	for _, name := range []string{"count", "sum", "avg", "min", "max"} {
@@ -74,27 +87,22 @@ func TestDistinctWithoutSetMatchesRecompute(t *testing.T) {
 				for i, r := range raw {
 					vals[i] = float64(r % 8) // force duplicates
 				}
-				var removed []engine.Value
-				var rest []float64
+				var removed, rest []float64
 				for i, v := range vals {
 					if mask&(1<<(i%16)) != 0 && len(removed) < len(vals)-1 {
-						removed = append(removed, engine.NewFloat(v))
+						removed = append(removed, v)
 					} else {
 						rest = append(rest, v)
 					}
 				}
 				inner, _ := New(name)
 				d := NewDistinct(inner)
-				for _, v := range vals {
-					d.Add(engine.NewFloat(v))
-				}
-				got := d.ResultWithoutSet(removed, nil)
+				feed(d, vals...)
+				got := value(d.ResultWithoutFloats(removed, nil))
 
 				inner2, _ := New(name)
 				want := NewDistinct(inner2)
-				for _, v := range rest {
-					want.Add(engine.NewFloat(v))
-				}
+				feed(want, rest...)
 				return valueClose(got, want.Result())
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -117,19 +125,12 @@ func TestDistinctRemoveMatchesRecompute(t *testing.T) {
 		}
 		idx := int(removeIdx) % len(vals)
 		d := NewDistinct(&Sum{})
-		for _, v := range vals {
-			d.Add(engine.NewFloat(v))
-		}
-		got := engine.Null
-		if f, ok := d.ResultWithoutFloats(vals[idx:idx+1], nil); ok {
-			got = engine.NewFloat(f)
-		}
+		feed(d, vals...)
+		got := value(d.ResultWithoutFloats(vals[idx:idx+1], nil))
 
 		rest := append(append([]float64(nil), vals[:idx]...), vals[idx+1:]...)
 		want := NewDistinct(&Sum{})
-		for _, v := range rest {
-			want.Add(engine.NewFloat(v))
-		}
+		feed(want, rest...)
 		return valueClose(got, want.Result())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -138,7 +139,7 @@ func TestDistinctRemoveMatchesRecompute(t *testing.T) {
 }
 
 func TestDistinctClone(t *testing.T) {
-	d := NewDistinct(&Count{})
+	d := NewDistinct(&count{})
 	feed(d, 1, 2)
 	c := d.Clone()
 	if c.Count() != 0 {

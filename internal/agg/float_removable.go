@@ -3,13 +3,14 @@ package agg
 import (
 	"iter"
 	"math"
+	"sort"
 )
 
 // ResultWithoutFloats of every aggregate (the contract is on Func).
 
 // ResultWithoutFloats implements Func. Count yields 0, not
 // NULL, on empty input, matching Result.
-func (c *Count) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+func (c *count) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	return float64(c.n - len(vals)), true
 }
 
@@ -27,41 +28,13 @@ func (s *Sum) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64,
 }
 
 // ResultWithoutFloats implements Func.
-func (a *Avg) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
-	sum, n := a.sum, a.n
-	for _, f := range vals {
-		sum -= f
-	}
-	n -= len(vals)
-	if n <= 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
-// varianceFloat mirrors varianceOf without boxing.
-func varianceFloat(sum, sumsq float64, n int, sample bool) (float64, bool) {
-	minN := 1
-	if sample {
-		minN = 2
-	}
-	if n < minN {
-		return 0, false
-	}
-	mean := sum / float64(n)
-	ss := sumsq - float64(n)*mean*mean
-	if ss < 0 {
-		ss = 0 // numeric guard
-	}
-	den := float64(n)
-	if sample {
-		den = float64(n - 1)
-	}
-	return ss / den, true
+func (a *avg) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+	sum, ok := a.Sum.ResultWithoutFloats(vals, nil)
+	return sum / float64(a.n-len(vals)), ok
 }
 
 // ResultWithoutFloats implements Func.
-func (v *Variance) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+func (v *variance) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	sum, sumsq, n := v.sum, v.sumsq, v.n
 	for _, f := range vals {
 		sum -= f
@@ -72,12 +45,9 @@ func (v *Variance) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (flo
 }
 
 // ResultWithoutFloats implements Func.
-func (s *Stddev) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
-	r, ok := s.Variance.ResultWithoutFloats(vals, nil)
-	if !ok {
-		return 0, false
-	}
-	return math.Sqrt(r), true
+func (s *stddev) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+	r, ok := s.variance.ResultWithoutFloats(vals, nil)
+	return math.Sqrt(r), ok
 }
 
 // ResultWithoutFloats implements Func. It allocates nothing unless
@@ -95,17 +65,25 @@ func (e *extremum) ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (
 	return e.without(gone, kept)
 }
 
-// ResultWithoutFloats implements Func. Like ResultWithoutSet
-// it never mutates the receiver (no lazy sort of the shared slice):
-// scoring workers call it concurrently on shared aggregate states.
-func (m *Median) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
+// ResultWithoutFloats implements Func. It never mutates the receiver
+// (no lazy sort of the shared slice): scoring workers call it
+// concurrently on shared aggregate states. It filters into a local slice
+// and sorts that instead, so it still reads m.vals — safe alongside
+// Result() because exec.materialize calls Result() on every aggregate
+// (sorting it) before any concurrent scoring starts.
+func (m *median) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
 	drop := make(map[float64]int, len(vals))
 	for _, f := range vals {
 		drop[f]++
 	}
-	v := m.withoutSorted(drop, len(vals))
-	if v.IsNull() {
-		return 0, false
+	kept := make([]float64, 0, max(len(m.vals)-len(vals), 0))
+	for _, f := range m.vals {
+		if drop[f] > 0 {
+			drop[f]--
+			continue
+		}
+		kept = append(kept, f)
 	}
-	return v.Float(), true
+	sort.Float64s(kept)
+	return medianOfSorted(kept)
 }

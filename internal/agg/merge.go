@@ -5,8 +5,8 @@ package agg
 // direct call, not one through the interface.
 
 // Merge implements Func.
-func (c *Count) Merge(other Func) bool {
-	o, ok := other.(*Count)
+func (c *count) Merge(other Func) bool {
+	o, ok := other.(*count)
 	if !ok {
 		return false
 	}
@@ -15,10 +15,10 @@ func (c *Count) Merge(other Func) bool {
 }
 
 // AddFloat implements Func.
-func (c *Count) AddFloat(float64) { c.n++ }
+func (c *count) AddFloat(float64) { c.n++ }
 
 // AddFloats implements Func.
-func (c *Count) AddFloats(_ []float64, null []uint64, sel []int32) {
+func (c *count) AddFloats(_ []float64, null []uint64, sel []int32) {
 	for _, o := range sel {
 		if !isNull(null, o) {
 			c.n++
@@ -52,59 +52,39 @@ func (s *Sum) AddFloats(vals []float64, null []uint64, sel []int32) {
 	}
 }
 
-// Merge implements Func.
-func (a *Avg) Merge(other Func) bool {
-	o, ok := other.(*Avg)
-	if !ok {
+// Merge implements Func. A Sum is not an avg state: it is refused.
+func (a *avg) Merge(other Func) bool {
+	o, ok := other.(*avg)
+	return ok && a.Sum.Merge(&o.Sum)
+}
+
+// mergeFrom folds another variance state of the same sample kind in,
+// shared by variance and the embedding stddev; it refuses the other kind.
+func (v *variance) mergeFrom(o *variance) bool {
+	if o.sample != v.sample {
 		return false
 	}
-	a.sum += o.sum
-	a.n += o.n
-	return true
-}
-
-// AddFloat implements Func.
-func (a *Avg) AddFloat(f float64) {
-	a.sum += f
-	a.n++
-}
-
-// AddFloats implements Func.
-func (a *Avg) AddFloats(vals []float64, null []uint64, sel []int32) {
-	for _, o := range sel {
-		if !isNull(null, o) {
-			a.AddFloat(vals[o])
-		}
-	}
-}
-
-// mergeFrom folds another variance state in, shared by Variance and the
-// embedding Stddev.
-func (v *Variance) mergeFrom(o *Variance) {
 	v.sum += o.sum
 	v.sumsq += o.sumsq
 	v.n += o.n
-}
-
-// Merge implements Func.
-func (v *Variance) Merge(other Func) bool {
-	o, ok := other.(*Variance)
-	if !ok {
-		return false
-	}
-	v.mergeFrom(o)
 	return true
 }
 
+// Merge implements Func.
+func (v *variance) Merge(other Func) bool {
+	o, ok := other.(*variance)
+	return ok && v.mergeFrom(o)
+}
+
 // AddFloat implements Func.
-func (v *Variance) AddFloat(f float64) {
+func (v *variance) AddFloat(f float64) {
 	v.sum += f
 	v.sumsq += f * f
 	v.n++
 }
 
-// AddFloats implements Func (and, embedded, for Stddev).
-func (v *Variance) AddFloats(vals []float64, null []uint64, sel []int32) {
+// AddFloats implements Func (and, embedded, for stddev).
+func (v *variance) AddFloats(vals []float64, null []uint64, sel []int32) {
 	for _, o := range sel {
 		if !isNull(null, o) {
 			v.AddFloat(vals[o])
@@ -112,15 +92,11 @@ func (v *Variance) AddFloats(vals []float64, null []uint64, sel []int32) {
 	}
 }
 
-// Merge implements Func. Stddev states only merge with Stddev states
-// (the embedded Variance.Merge would reject them).
-func (s *Stddev) Merge(other Func) bool {
-	o, ok := other.(*Stddev)
-	if !ok {
-		return false
-	}
-	s.mergeFrom(&o.Variance)
-	return true
+// Merge implements Func. stddev states only merge with stddev states
+// (the embedded variance.Merge would reject them).
+func (s *stddev) Merge(other Func) bool {
+	o, ok := other.(*stddev)
+	return ok && s.mergeFrom(&o.variance)
 }
 
 // Merge implements Func.
@@ -154,8 +130,8 @@ func (e *extremum) AddFloats(vals []float64, null []uint64, sel []int32) {
 // Merge implements Func. Appending other's values in shard order
 // reproduces the sequential scan's multiset (order is irrelevant after
 // the sort, but keeping it makes the merged state bit-identical).
-func (m *Median) Merge(other Func) bool {
-	o, ok := other.(*Median)
+func (m *median) Merge(other Func) bool {
+	o, ok := other.(*median)
 	if !ok {
 		return false
 	}
@@ -165,13 +141,13 @@ func (m *Median) Merge(other Func) bool {
 }
 
 // AddFloat implements Func.
-func (m *Median) AddFloat(f float64) {
+func (m *median) AddFloat(f float64) {
 	m.vals = append(m.vals, f)
 	m.sorted = false
 }
 
 // AddFloats implements Func.
-func (m *Median) AddFloats(vals []float64, null []uint64, sel []int32) {
+func (m *median) AddFloats(vals []float64, null []uint64, sel []int32) {
 	for _, o := range sel {
 		if !isNull(null, o) {
 			m.vals = append(m.vals, vals[o])

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/influence"
 )
 
 // intelFixture bundles everything the Intel-flow tests need.
@@ -172,9 +173,10 @@ func min(a, b int) int {
 // TestDebugRefusesDistinctOverStrings pins the one shape Debug declines
 // by name: a DISTINCT aggregate whose set is keyed by string values (a
 // computed string, or a string column under anything but count) has no
-// float argument view, and there is no second, boxed scorer to fall to.
-// The query itself runs, and count(DISTINCT <string column>) — scanned
-// and scored on dictionary codes — debugs.
+// float argument view, and there is no second, boxed scorer to fall to:
+// the reference scorer refuses it too. The query itself runs, and
+// count(DISTINCT <string column>) — scanned and scored on dictionary
+// codes — debugs.
 func TestDebugRefusesDistinctOverStrings(t *testing.T) {
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "s", engine.TString))
 	var rows [][]engine.Value
@@ -202,6 +204,10 @@ func TestDebugRefusesDistinctOverStrings(t *testing.T) {
 			t.Errorf("%s: Debug returned %v, %v; want the named refusal", agg, dr, err)
 		case !refused && err != nil:
 			t.Errorf("%s: %v", agg, err)
+		}
+		_, err = influence.EpsWithoutRows(res, []int{1}, 0, errmetric.TooHigh{C: 3}, []int{1, 3})
+		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), "DISTINCT aggregate over string values")) {
+			t.Errorf("%s: EpsWithoutRows returned %v; refused %v", agg, err, refused)
 		}
 	}
 }

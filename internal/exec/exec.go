@@ -200,10 +200,11 @@ func newProtos(stmt *sqlparse.SelectStmt, aggItems []int) ([]agg.Func, error) {
 
 // RunReference is the boxed reference scan: row-at-a-time WHERE
 // evaluation through expr.EvalBool, string group keys, boxed aggregate
-// accumulation, one goroutine. It is the oracle the differential tests
+// arguments, one goroutine. It is the oracle the differential tests
 // pin RunOnWithCtx and Advance to — rows, group order, lineage,
-// FirstRow, error presence — and shares nothing with them below
-// prepare and materialize. Nothing outside tests calls it.
+// FirstRow, error presence — and shares with them, below prepare and
+// materialize, only the states' AddFloat arithmetic (through agg.Add).
+// Nothing outside tests calls it.
 func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	aggArgs, aggItems, protos, err := prepare(src, stmt)
@@ -266,14 +267,14 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 		grp.Lineage = append(grp.Lineage, r)
 		for ai := range aggArgs {
 			if aggArgs[ai] == nil { // count(*)
-				grp.Aggs[ai].Add(engine.NewInt(1))
+				grp.Aggs[ai].AddFloat(1)
 				continue
 			}
 			v, err := aggArgs[ai].Eval(row)
 			if err != nil {
 				return nil, err
 			}
-			grp.Aggs[ai].Add(v)
+			agg.Add(grp.Aggs[ai], v)
 		}
 	}
 

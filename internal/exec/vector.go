@@ -203,7 +203,7 @@ type argSrc struct {
 // count(DISTINCT s) over a bare string column reads identity only, so the
 // family's dictionary codes — append-only, the same in every version of
 // the table — stand in for the strings. Everything else is evaluated per
-// row and boxed: Add takes it (strings keep string identity).
+// row and boxed: agg.Add takes it (strings keep string identity).
 func argSource(schema engine.Schema, call *sqlparse.AggCall) argSrc {
 	col, isCol := call.Arg.(*expr.Col)
 	switch {
@@ -727,7 +727,7 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 						n, firstErr = j+i, err
 						break
 					}
-					st.Add(v)
+					agg.Add(st, v)
 				}
 			}
 			j = end

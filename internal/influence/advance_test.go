@@ -185,7 +185,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _ := rankWithScorerCtx(context.Background(), fresh)
+				want, _ := rankFast(context.Background(), fresh)
 				analysesEqual(t, label, want, an)
 				if an.Scorer != carried {
 					t.Fatalf("%s: the analysis is not over the advanced scorer", label)

@@ -12,9 +12,12 @@ package influence
 
 import (
 	"context"
+	"errors"
+	"iter"
 	"math"
 	"slices"
 
+	"repro/internal/agg"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
@@ -24,6 +27,10 @@ import (
 // (same batch size as exec's scan loops): ctx is polled once per this
 // many analyzed tuples, free on the uncancelled path.
 const ctxCheckRows = 4096
+
+// errDistinctStrings is EpsWithoutRows' refusal of what NewScorer
+// refuses (exec's error of the same name).
+var errDistinctStrings = errors.New("influence: a DISTINCT aggregate over string values has no float argument to remove")
 
 // TupleInfluence records one tuple's leave-one-out effect on ε.
 type TupleInfluence struct {
@@ -65,29 +72,17 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ O
 // RankCtx is Rank under a cancellable context: the O(|F|) LOO loop
 // polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
-// followed by rankWithScorerCtx; a suspect selection or aggregate
-// NewScorer refuses is an error here.
+// followed by rankFast; a suspect selection or aggregate NewScorer
+// refuses is an error here.
 func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Analysis, error) {
 	sc, err := NewScorer(res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
 	}
-	return rankWithScorerCtx(ctx, sc)
+	return rankFast(ctx, sc)
 }
 
-// rankWithScorerCtx runs the columnar preprocessor pass over an
-// already-built scoring state. Rank and RankAdvancedCtx route through
-// it. The only possible error wraps the context error.
-func rankWithScorerCtx(ctx context.Context, sc *Scorer) (*Analysis, error) {
-	an, err := rankFast(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	an.Scorer = sc
-	return an, nil
-}
-
-// RankAdvancedCtx is rankWithScorerCtx for sc = NewScorer over an
+// RankAdvancedCtx is rankFast for sc = NewScorer over an
 // advanced result (exec.Advance), under the aggregate and metric prev
 // was ranked with — the step a monitoring loop repeats. A stream mostly grows by adding groups, not
 // rows to old ones: when no suspect group's lineage grew since prev
@@ -102,7 +97,7 @@ func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer) (*Analysis
 	if prev != nil && sc.sameLineage(prev.Scorer) {
 		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc}, nil
 	}
-	return rankWithScorerCtx(ctx, sc)
+	return rankFast(ctx, sc)
 }
 
 // byInfluence orders by descending Delta, ties by Row — a total order on
@@ -172,9 +167,11 @@ func (a *Analysis) TopQuantileRows(q float64) []int {
 }
 
 // EpsWithoutRows evaluates ε with an arbitrary set of source rows
-// removed from their groups, one boxed argument value at a time — the
+// removed from their groups, one argument value at a time — the
 // reference Scorer.EpsWithoutBits is pinned to. rows may contain rows
-// outside the suspect lineage; they are ignored.
+// outside the suspect lineage; they are ignored. It refuses a DISTINCT
+// aggregate's string argument, as NewScorer does: the state keys it by
+// the string, which no float removes.
 func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, rows []int) (float64, error) {
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return 0, err
@@ -185,52 +182,39 @@ func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.M
 	}
 	vals := make([]float64, len(suspect))
 	for i, ri := range suspect {
-		st := res.Groups[ri].Aggs[ord]
-		var removed []int
-		for _, src := range res.Groups[ri].Lineage {
-			if inRemoval[src] {
-				removed = append(removed, src)
-			}
-		}
-		if len(removed) == 0 {
-			if v, ok := res.AggFloat(ri, ord); ok {
-				vals[i] = v
-			} else {
-				vals[i] = math.NaN()
-			}
-			continue
-		}
-		removedVals := make([]engine.Value, len(removed))
-		for j, src := range removed {
-			v, err := res.AggArgValue(ord, src)
-			if err != nil {
-				return 0, err
-			}
-			removedVals[j] = v
-		}
-		var keptErr error
-		without := st.ResultWithoutSet(removedVals, func(yield func(engine.Value) bool) {
-			for _, src := range res.Groups[ri].Lineage {
-				if inRemoval[src] {
-					continue
-				}
-				v, err := res.AggArgValue(ord, src)
-				if err != nil {
-					keptErr = err
-					return
-				}
-				if !yield(v) {
-					return
+		g := res.Groups[ri]
+		_, distinct := g.Aggs[ord].(*agg.Distinct)
+		var argErr error
+		// each yields the non-NULL argument values of g's lineage rows in
+		// or out of the removal, until an argument fails to evaluate.
+		each := func(removed bool) iter.Seq[float64] {
+			return func(yield func(float64) bool) {
+				for _, src := range g.Lineage {
+					if inRemoval[src] != removed {
+						continue
+					}
+					v, err := res.AggArgValue(ord, src)
+					if err == nil && distinct && v.T == engine.TString {
+						err = errDistinctStrings
+					}
+					if err != nil {
+						argErr = err
+						return
+					}
+					if !v.IsNull() && !yield(v.Float()) {
+						return
+					}
 				}
 			}
-		})
-		if keptErr != nil {
-			return 0, keptErr
 		}
-		if without.IsNull() {
-			vals[i] = math.NaN()
-		} else {
-			vals[i] = without.Float()
+		removed := slices.Collect(each(true))
+		without, ok := g.Aggs[ord].ResultWithoutFloats(removed, each(false))
+		if argErr != nil {
+			return 0, argErr
+		}
+		vals[i] = math.NaN()
+		if ok {
+			vals[i] = without
 		}
 	}
 	return metric.Eval(vals), nil

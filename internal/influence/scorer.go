@@ -236,13 +236,14 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 	return s.metric.Eval(sc.vals)
 }
 
-// rankFast is the LOO pass: per-tuple leave-one-out influence without
-// boxed argument evaluation or per-row map lookups, in F order (no sort:
-// the readers of Analysis order what they return). It polls ctx per
-// ctxCheckRows tuples; the only possible error wraps the context error,
-// and the scorer stays valid for a retry.
+// rankFast is the LOO pass over an already-built scoring state:
+// per-tuple leave-one-out influence without boxed argument evaluation or
+// per-row map lookups, in F order (no sort: the readers of Analysis
+// order what they return). It polls ctx per ctxCheckRows tuples; the
+// only possible error wraps the context error, and the scorer stays
+// valid for a retry.
 func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
-	an := &Analysis{Eps: s.eps, F: s.fbits.Rows()}
+	an := &Analysis{Eps: s.eps, F: s.fbits.Rows(), Scorer: s}
 
 	// rowPos[src] is the suspect position of src's group (-1 outside F;
 	// the first listed suspect group wins).
