@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples
+.PHONY: all build test short quality test-race test-procs test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples
 
 all: build test
 
@@ -25,11 +25,20 @@ quality:
 	$(GO) test -count=1 -run 'TestQualityTable' -v ./internal/core
 
 # Race-detector pass over the concurrent surfaces: par's helpers (the
-# scan shards, F build and ranker scoring they run), the
+# scan's fold blocks, F build and ranker scoring they run), the
 # copy-on-write append/serve path, and the server's per-session state.
 # CI runs this as its own job.
 test-race:
 	$(GO) test -race -short ./...
+
+# Answers do not follow the core count: the golden Debug rankings and the
+# exec parity harnesses (bit for bit against the reference, which folds
+# by the same table-fixed blocks) at one core and at four. The scan's
+# fold blocks are the table's, so both runs must pass against the one
+# checked-in golden file.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity' ./internal/core ./internal/exec
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity' ./internal/core ./internal/exec
 
 # Durability fault suite: the crash-at-every-failpoint recovery matrix,
 # corruption/quarantine detection, and fail-stop behavior in
@@ -163,9 +172,9 @@ examples:
 	done
 
 # The CI gate: build, vet, formatting, the short test suite, the
-# benchmark module, the examples, a fuzz smoke pass, and the durability
-# and request-lifecycle fault suites.
-check: build vet fmt-check short check-bench examples fuzz-smoke test-crash test-chaos test-memcap
+# benchmark module, the examples, a fuzz smoke pass, the core-count
+# check, and the durability and request-lifecycle fault suites.
+check: build vet fmt-check short check-bench examples fuzz-smoke test-procs test-crash test-chaos test-memcap
 
 # Full benchmark sweep with allocation counts.
 bench:

@@ -109,7 +109,7 @@
 //
 // The same columnar substrate runs the query half of the loop. Every
 // grouped statement takes one path through internal/exec — resolve →
-// filter mask → sharded scan → merge → materialize — and nothing
+// filter mask → fold-block scan → fold → materialize — and nothing
 // chooses between, falls back to, or mirrors an alternative:
 //
 //   - One WHERE evaluator (exec/filter.go). The WHERE is a chain of one
@@ -148,10 +148,10 @@
 //     single conjunct lowered through the plain combinators.
 //     Plan.FilterConjuncts/FilterOrder/FilterShortCircuited and
 //     Plan.ResidualConjuncts/ResidualRows record the walk.
-//   - One scan (exec/vector.go), block-at-a-time. A shard walks its row
-//     range in blocks — its slice of one segment, at most 1024 rows, the
-//     ctx polled at least every 4096 — and turns a block's filter words
-//     into a selection vector. Group keys are integers, not strings, one
+//   - One scan (exec/vector.go), block-at-a-time. A worker walks a fold
+//     block in blocks — at most 1024 rows of one segment, the ctx polled
+//     at least every 4096 — and turns a block's filter words into a
+//     selection vector. Group keys are integers, not strings, one
 //     slot vector per key per block: dictionary codes for string
 //     columns, canonical float bits for numeric columns, and for numeric
 //     computed keys (bucket(epoch(ts), w), arithmetic, the math1
@@ -169,27 +169,28 @@
 //     table or a uint64 map, two or more through a map keyed by the
 //     slots' bytes — any width. The block then walks runs, consecutive
 //     selected rows with equal slots: one lookup, one lineage growth and
-//     one AddFloats per numeric argument per run. A group's boxed Key is
-//     born with the group, from the row the shard has pinned — a kernel
-//     key's from the boxed evaluator on that row, so it is the
-//     reference's value, type included, never the kernel's float; materialize takes a grouped statement's plain
-//     select items from it (they must BE group keys — expr.Equal) and
-//     reads no source row. Nothing on this path decodes a boxed chunk:
-//     out of core, a per-cell read (engine.RowReader) pins the float or
-//     code chunk the scan already pins and boxes that one cell.
+//     one AddFloats per numeric argument per run. A group's Key is boxed
+//     once, where the fold first meets the group, on its FirstRow — a
+//     kernel key's by the boxed evaluator, so it is the reference's
+//     value, type included, never the kernel's float; materialize takes
+//     a grouped statement's plain select items from it (they must BE
+//     group keys — expr.Equal) and reads no source row. Nothing on this
+//     path decodes a boxed chunk: out of core, a per-cell read
+//     (engine.RowReader) pins one float or code chunk, boxes one cell.
 //     Aggregate arguments fold from the block's chunk slices into the
 //     states, column at a time (an evaluator error truncates the block,
 //     so the first error is still the reference's: lowest row, key
-//     before argument). The row space splits into shards that par.Do
-//     spreads, on ranges balanced by SURVIVING-row popcount (zone-skipped
-//     segments contribute nothing; a hot segment subdivides on
-//     bitset-word boundaries), and per-shard states Merge in shard
-//     order, reproducing the sequential scan's group order, lineage
-//     order and FirstRow exactly — a DISTINCT set by replaying its
-//     unseen values in first-appearance order. A global aggregate is
-//     the zero-key block, one run a block, on the same fold: there is no
-//     second fold path (Plan.MaskedAgg still reports a filtered global
-//     statement whose arguments are all count(*) or numeric columns).
+//     before argument). The row space splits into fixed fold blocks of
+//     16384 row ids (a segment, when smaller) that par.Do hands out
+//     (an out-of-core segment's together, so its chunks pin once); each
+//     folds its rows in row order into partial states, and the partials
+//     Merge left in block order: the sequential scan's group order,
+//     lineage and FirstRow, and float bits the table fixes, not the
+//     core count. A result keeps its float sums' partial of its last,
+//     incomplete block apart, so Advance resumes that block (other
+//     Merges are exact): Run is Advance from the empty result. A global aggregate is the zero-key block, one
+//     run a block, on the same fold (Plan.MaskedAgg still reports a
+//     filtered global statement of count(*) or numeric columns).
 //   - Who still boxes in production, and why the edge is there: argEval
 //     — an aggregate argument that is neither a numeric column nor
 //     count(DISTINCT)'s string column evaluates per row to a Value and
@@ -203,14 +204,14 @@
 //     workload's WHERE reaches it.
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed arguments
-//     through agg.Add. No production code path reaches it. The randomized
-//     harnesses in internal/exec run generated statements — DISTINCT,
-//     0–6 keys, string computed keys, NULL/NaN/±0-heavy data, shards
-//     1–5, resident and out-of-core — through both and require
-//     identical rows, group order, lineage, FirstRow and error
-//     presence, with Plan.Vectorized set and Plan.Fallback empty on
-//     every fresh run; FuzzResidualFilterParity drives arbitrary parsed
-//     predicates through buildFilter against per-row EvalBool.
+//     through agg.Add, folding by the same blocks. No production code
+//     path reaches it. The randomized harnesses in internal/exec run
+//     generated statements — DISTINCT, 0–6 keys, string computed keys,
+//     NULL/NaN/±0-heavy and inexact floats, 64-row to default segments,
+//     resident and out-of-core — through both and require identical
+//     rows, float bits, group order, lineage, FirstRow and errors, and
+//     Vectorized with no Fallback; FuzzResidualFilterParity drives
+//     arbitrary parsed predicates through buildFilter against EvalBool.
 //
 // /api/stats sums the plan counters (scan.filters_ordered, …,
 // key_kernels) and each stage's time (stages.<endpoint>.<stage>); the
@@ -335,7 +336,7 @@
 // featurize, clean, enumerate, rank), so the incremental path cannot
 // drift from the full pipeline; the randomized differential harness in
 // internal/core/advance_test.go pins every DebugAdvance pass at every
-// step of random append chains, at forced shard counts: a full pass to
+// step of random append chains, over many fold blocks: a full pass to
 // from-scratch Debug entirely, a carried pass to Debug's ε, lineage,
 // influence ranking and D' and to its carried candidates rescored
 // against a fresh result — with the carried structures differentially
@@ -365,10 +366,9 @@
 // the single cell it asks for (Table.Value, RowReader); rows leave in
 // bulk as a Batch (Table.Batch). Column readers alias the chunks and the
 // predicate index's mask chunks live per segment, so every derived
-// structure shares the segment's lifetime, and the executor cuts its
-// scan shards on segment boundaries wherever a segment is no more than
-// a shard's share of surviving rows, so shard state aligns with chunk
-// boundaries instead of re-partitioning flat arrays per call.
+// structure shares the segment's lifetime, and a fold block never
+// straddles a segment, so scan state aligns with chunk boundaries
+// instead of re-partitioning flat arrays per call.
 //
 // Segments are also the unit of retention. DB.Retain /
 // Table.RetainTail drop whole head segments past a row-count or
@@ -409,7 +409,7 @@
 // long-running layer is cancellable and the server degrades gracefully
 // under load instead of stalling. A context.Context threads from the
 // HTTP request down through the whole stack, polled at bounded
-// granularity (every 4096 rows per scan shard, per candidate in the
+// granularity (every fold block and 4096 rows of it, per candidate in the
 // ranker's scoring, per group in the LOO influence pass, at every
 // stage boundary of core.Debug/DebugAdvance, and before — never after —
 // the store's WAL write acknowledges an append).

@@ -45,7 +45,7 @@ type Func interface {
 	AddFloats(vals []float64, null []uint64, sel []int32)
 	// Merge folds other's state into the receiver as if other's values
 	// had been added after the receiver's, in other's order — the combine
-	// step of a partitioned scan (shards merge in row order) and, onto a
+	// step of a partitioned scan (fold blocks merge in row order) and, onto a
 	// fresh Clone, a deep copy. It returns false, leaving the receiver
 	// unchanged, when other is not a state of the same kind; between
 	// states cloned from one prototype that cannot happen.
@@ -278,7 +278,7 @@ func (e *extremum) Name() string { return e.name }
 // real value and a real value always displaces NaN, so best is NaN only
 // when every value is NaN. (A plain comparison here made the result
 // depend on arrival order — first value NaN stuck forever — which also
-// broke the shard-merge equivalence Merge needs.)
+// broke the split-merge equivalence Merge needs.)
 func (e *extremum) displaces(f, best float64) bool {
 	switch {
 	case f != f:

@@ -27,9 +27,11 @@ import (
 // contractPool is what the inputs draw from. The inexact entries make a
 // float sum depend on association — 0.1 + 1e16 - 1e16 — so plain sum,
 // avg, var and stddev, which merge partial sums, are held to (2) only on
-// exact inputs (ROADMAP item 3 is the order contract that would lift
-// that); DISTINCT replays values in first-appearance order and is held to
-// it on everything.
+// exact inputs: (2) is agg's own split/merge association property, exact
+// only by nature. exec leans on it only where it holds on every input: it
+// folds float sums in an order the table fixes, and lets Advance regroup
+// every other state. DISTINCT replays values in first-appearance order
+// and is held to it on everything.
 var contractPool = []struct {
 	v     engine.Value
 	exact bool

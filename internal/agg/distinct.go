@@ -2,7 +2,9 @@ package agg
 
 import (
 	"iter"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -107,6 +109,13 @@ func (d *Distinct) Merge(other Func) bool {
 	o, ok := other.(*Distinct)
 	if !ok || o.inner.Name() != d.inner.Name() {
 		return false
+	}
+	if len(d.seen) == 0 { // onto an empty state: a copy, without rehashing
+		d.nums, d.strs, d.seen = maps.Clone(o.nums), maps.Clone(o.strs), slices.Clone(o.seen)
+		for _, dv := range o.seen {
+			d.inner.AddFloat(dv.f)
+		}
+		return true
 	}
 	for _, dv := range o.seen {
 		d.add(dv, dv.n)

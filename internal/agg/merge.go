@@ -127,7 +127,7 @@ func (e *extremum) AddFloats(vals []float64, null []uint64, sel []int32) {
 	}
 }
 
-// Merge implements Func. Appending other's values in shard order
+// Merge implements Func. Appending other's values in row order
 // reproduces the sequential scan's multiset (order is irrelevant after
 // the sort, but keeping it makes the merged state bit-identical).
 func (m *median) Merge(other Func) bool {

@@ -329,8 +329,7 @@ func AnyWords(ws []uint64) bool {
 	return false
 }
 
-// CountWords returns the total popcount of ws — the kernel behind
-// per-segment selectivity accounting in the adaptive shard splitter.
+// CountWords returns the total popcount of ws.
 func CountWords(ws []uint64) int {
 	c := 0
 	i := 0
@@ -347,16 +346,6 @@ func CountWords(ws []uint64) int {
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	return CountWords(b.words)
-}
-
-// Any reports whether any bit is set.
-func (b *Bitset) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // AndCount returns |x ∩ y| without materializing the intersection.

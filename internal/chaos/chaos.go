@@ -4,8 +4,8 @@
 // random timings, but by enumerating every failpoint.
 //
 // The instrument is CancelAfter, a context whose Err() trips Canceled
-// on the nth poll. Every cancellable loop in the system (exec's scan
-// shards, influence's LOO pass, ranker's scoring, core's learner
+// on the nth poll. Every cancellable loop in the system (exec's fold
+// blocks, influence's LOO pass, ranker's scoring, core's learner
 // stages, the store's pre-WAL gate) polls ctx.Err() at its failpoints,
 // so "cancel at the nth poll" lands a cancellation at the nth failpoint
 // deterministically — the cancellation twin of FaultFS.FailAt. A first

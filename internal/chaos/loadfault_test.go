@@ -13,7 +13,6 @@ package chaos
 // behind an uncapped pool on the undamaged filesystem — does.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -111,9 +110,8 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := exec.Options{Shards: 2}
 	run := func(tbl *engine.Table, stmtSeed int64) *exec.Result {
-		res, err := exec.RunOnWithCtx(context.Background(), tbl, testgen.DebugStmt(rand.New(rand.NewSource(stmtSeed))), opts)
+		res, err := exec.RunOn(tbl, testgen.DebugStmt(rand.New(rand.NewSource(stmtSeed))))
 		if err != nil {
 			t.Fatalf("stmt seed %d: %v", stmtSeed, err)
 		}

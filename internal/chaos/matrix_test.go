@@ -26,7 +26,7 @@ import (
 
 // maxMatrix caps how many failpoints a single case enumerates; beyond
 // it the matrix samples evenly. Scan-heavy statements cross one
-// checkpoint per 4096 rows per shard, so counts stay small anyway.
+// checkpoint per fold block and per 4096 rows within one.
 const maxMatrix = 64
 
 // matrixPoints returns the failpoint indexes to exercise: all of them
@@ -77,7 +77,7 @@ func resultsEq(t *testing.T, label string, want, got *exec.Result) {
 	}
 }
 
-// TestMatrixRun enumerates cancellation points of a sharded scan: a
+// TestMatrixRun enumerates cancellation points of a fold-block scan: a
 // cancelled run returns Canceled and no result; an uncancelled retry
 // matches the oracle (scans are read-only, so the pin here is that
 // cancellation surfaces and nothing deadlocks or leaks — TestMain's
@@ -92,13 +92,12 @@ func TestMatrixRun(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 101))
 		tbl := testgen.TableSeg(rng, 9000+rng.Intn(4000), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
-		opts := exec.Options{Shards: 4}
-		oracle, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+		oracle, err := exec.RunOn(tbl, stmt)
 		if err != nil {
 			continue
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt, opts)
+			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil {
@@ -108,7 +107,7 @@ func TestMatrixRun(t *testing.T) {
 			t.Fatalf("seed %d: scan over %d rows crossed no cancellation checkpoints", seed, tbl.NumRows())
 		}
 		for _, k := range matrixPoints(n) {
-			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt, opts)
+			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt)
 			if err == nil {
 				t.Fatalf("seed %d k=%d: cancelled run succeeded", seed, k)
 			}
@@ -118,7 +117,7 @@ func TestMatrixRun(t *testing.T) {
 			if res != nil {
 				t.Fatalf("seed %d k=%d: cancelled run returned a result", seed, k)
 			}
-			retry, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+			retry, err := exec.RunOn(tbl, stmt)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: retry failed: %v", seed, k, err)
 			}
@@ -159,7 +158,7 @@ func TestMatrixAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
+		oracle, err := exec.RunOn(grown, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -212,7 +211,7 @@ func TestMatrixAdvance(t *testing.T) {
 
 // TestMatrixKeyKernels runs both matrices over the computed-key shapes
 // the scan evaluates as chunk kernels, block-at-a-time: 8192-row segments
-// so a shard walks several blocks per segment, one of them
+// so a fold block walks several scan blocks, one of them
 // declined mid-scan (testgen.TableSegBigInt). Polling is per block: a
 // scan of n rows crosses at least n/4096 checkpoints, and cancelling at
 // each leaves nothing behind — the retry, and an advance retried on the
@@ -227,8 +226,7 @@ func TestMatrixKeyKernels(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 307))
 		tbl := testgen.TableSegBigInt(rng, 20000+rng.Intn(8000), segBits)
 		stmt := testgen.KeyKernelStmt(rng)
-		opts := exec.Options{Shards: 2}
-		oracle, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+		oracle, err := exec.RunOn(tbl, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -236,18 +234,18 @@ func TestMatrixKeyKernels(t *testing.T) {
 			t.Fatalf("seed %d: no key of %s planned as a kernel", seed, stmt)
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt, opts)
+			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil || n < tbl.NumRows()/4096 {
 			t.Fatalf("seed %d: %d polls over %d rows (err %v): more than 4096 rows between checkpoints", seed, n, tbl.NumRows(), err)
 		}
 		for _, k := range matrixPoints(n) {
-			if res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt, opts); !errors.Is(err, context.Canceled) || res != nil {
+			if res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt); !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("seed %d k=%d: cancelled run returned %v, %v", seed, k, res, err)
 			}
 		}
-		retry, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+		retry, err := exec.RunOn(tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +255,7 @@ func TestMatrixKeyKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oracle, err = exec.RunOnWithCtx(context.Background(), grown, stmt, opts); err != nil {
+		if oracle, err = exec.RunOn(grown, stmt); err != nil {
 			t.Fatal(err)
 		}
 		cancelled := 0
@@ -370,7 +368,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
 			t.Fatalf("seed %d: Advance re-ran: %+v [%s]", seed, advRes.Plan, stmt)
 		}
-		fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
+		fresh, err := exec.RunOn(grown, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}

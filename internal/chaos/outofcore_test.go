@@ -1,11 +1,11 @@
 package chaos
 
-// The out-of-core cancellation matrix: run a sharded scan over a
+// The out-of-core cancellation matrix: run a fold-block scan over a
 // lazily-attached table behind a deliberately tiny buffer pool, cancel
 // it at every cancellation checkpoint, and require that every aborted
 // attempt (a) surfaces context.Canceled, (b) leaves ZERO chunks
-// pinned — a shard killed between faulting a chunk and finishing its
-// range must still release its segment cursors — and (c) leaves the
+// pinned — a worker killed between faulting a chunk and finishing its
+// block must still release its segment cursors — and (c) leaves the
 // table fully usable: an uncancelled retry is bit-identical to the
 // oracle, the same table behind an uncapped pool.
 
@@ -67,16 +67,15 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := exec.Options{Shards: 4}
 	cases := 0
 	for s := int64(1); s <= 3; s++ {
 		stmt := testgen.DebugStmt(rand.New(rand.NewSource(s * 17)))
-		oracle, err := exec.RunOnWithCtx(context.Background(), oracleTbl, stmt, opts)
+		oracle, err := exec.RunOn(oracleTbl, stmt)
 		if err != nil {
 			continue
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt, opts)
+			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil {
@@ -86,7 +85,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 			t.Fatalf("stmt %d: %d chunks pinned after clean run", s, got)
 		}
 		for _, k := range matrixPoints(n) {
-			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt, opts)
+			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt)
 			if err == nil {
 				t.Fatalf("stmt %d k=%d: cancelled run succeeded", s, k)
 			}
@@ -99,7 +98,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 			if got := st.PoolPinned(); got != 0 {
 				t.Fatalf("stmt %d k=%d: cancellation leaked %d pinned chunks", s, k, got)
 			}
-			retry, err := exec.RunOnWithCtx(context.Background(), tbl, stmt, opts)
+			retry, err := exec.RunOn(tbl, stmt)
 			if err != nil {
 				t.Fatalf("stmt %d k=%d: retry failed: %v", s, k, err)
 			}

@@ -311,7 +311,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Logf("store close after fail-stop: %v", err) // expected when wedged
 	}
 
-	// Pin 2: every worker, scan shard and admission slot came back.
+	// Pin 2: every worker, scan helper and admission slot came back.
 	http.DefaultClient.CloseIdleConnections()
 	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 		tr.CloseIdleConnections()

@@ -24,8 +24,8 @@ import (
 // batches over 3–5-step chains, asserting at EVERY step that
 // DebugAdvance — advanced exec result, advanced scorer, carried clause
 // masks and argument views — answers what the same pass computes from
-// scratch over an independently executed fresh result (at a forced
-// shard count, so shard merging is in the loop). A full pass must equal
+// scratch over an independently executed fresh result (over 64-row fold
+// blocks, so the block fold is in the loop). A full pass must equal
 // Debug's: ε, lineage, influence ranking, D', candidate counts, and the
 // ranked explanations with their scores. A carried pass must equal
 // Debug's ε, lineage, influences and D', and its ranking must be the
@@ -247,9 +247,9 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
 					t.Fatalf("seed %d iter %d step %d: Advance re-ran: %+v [%s]", seed, iter, step, advRes.Plan, stmt)
 				}
-				// Fresh oracle at a forced shard count: shard-merged
-				// aggregate states feed the from-scratch Debug.
-				fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
+				// Fresh oracle: block-folded aggregate states feed the
+				// from-scratch Debug.
+				fresh, err := exec.RunOn(grown, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}

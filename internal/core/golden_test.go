@@ -71,7 +71,7 @@ func goldenOf(dr *DebugResult) goldenCase {
 }
 
 // goldenWalkthrough is one of the quality table's walkthrough questions
-// (two shards whatever the box, so the float bits do not follow
+// (the scan folds by the table's blocks, so the float bits do not follow
 // GOMAXPROCS).
 type goldenWalkthrough struct {
 	qualityScenario

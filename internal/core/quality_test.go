@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -143,15 +142,14 @@ type qualityBaselines struct {
 	exhaustive qualityCell
 }
 
-// newQualityScenario runs sql on two shards (a float aggregate's last
-// bits follow the shard geometry) and selects the suspects and examples.
+// newQualityScenario runs sql and selects the suspects and examples.
 func newQualityScenario(t *testing.T, name string, src *engine.Table, labels []bool, sql, suspectCol string, suspect func(float64) bool, examples string, metric errmetric.Metric, aggCol string) qualityScenario {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
-	res, err := exec.RunOnWithCtx(context.Background(), src, stmt, exec.Options{Shards: 2})
+	res, err := exec.RunOn(src, stmt)
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,7 +16,7 @@ import (
 // across retention horizons: append chains on a minimum-segment table
 // with interleaved whole-segment drops, every step checking DebugAdvance
 // over the carried chain against the oracles of advanceStep on the
-// retained window (forced shard count). A step across a horizon (the
+// retained window. A step across a horizon (the
 // base moved since the carried pass) must be a full Debug with a
 // "retention:" reason; a step within one base asking the same question
 // must be carried.
@@ -56,7 +55,7 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
-				fresh, err := exec.RunOnWithCtx(context.Background(), cur, stmt, exec.Options{Shards: 4})
+				fresh, err := exec.RunOn(cur, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}

@@ -23,7 +23,7 @@ import (
 // the memory bound only holds if pins are short-lived: ColReader
 // (reader.go) is the one type that pins, a scan holds at most one
 // pinned chunk per reader (released when it moves to the next segment,
-// and unconditionally — via defer — when the shard exits, so
+// and unconditionally — via defer — when the scan exits, so
 // cancellation never leaks a pin), and nothing in the engine caches
 // faulted data outside the pool, which is what makes a table several
 // times larger than the pool budget servable at bounded heap.

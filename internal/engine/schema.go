@@ -47,9 +47,6 @@ func (s Schema) ColIndex(name string) int {
 	return -1
 }
 
-// Col returns the column at position i.
-func (s Schema) Col(i int) Column { return s[i] }
-
 // Names returns the column names in order.
 func (s Schema) Names() []string {
 	out := make([]string, len(s))

@@ -245,13 +245,6 @@ func (t *Table) Select(rows []int) *Table {
 	return out
 }
 
-// Rename returns the table under a new name, sharing storage.
-func (t *Table) Rename(name string) *Table {
-	out := *t
-	out.name = name
-	return &out
-}
-
 // String renders a short description, not the rows.
 func (t *Table) String() string {
 	return fmt.Sprintf("%s%s [%d rows]", t.name, t.schema, t.nrows)

@@ -4,23 +4,21 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/agg"
 	"repro/internal/bitset"
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // This file implements incremental result maintenance for streaming
 // appends: Advance(res, grown) produces the result the statement would
-// yield over the grown table by folding ONLY the appended suffix rows
-// into copies of the previous result's group states — O(batch + groups)
-// instead of the O(n) rescan a fresh run costs. It is the top of the
-// incremental stack: the engine's appends extend the tail's arrays past
-// every published length, the predicate index extends clause masks by
-// suffix decode, and Advance
-// extends group aggregates, lineage, lineage bitsets, and argument
-// views, so a continuous-monitoring loop (append batch, re-run query,
-// re-Debug) does per-batch work independent of total table size.
+// yield over the grown table by scanning ONLY the appended rows —
+// O(batch + groups) instead of the O(n) rescan a fresh run costs. It is
+// runVector with res's groups as the prior: their complete fold blocks
+// carry, the block the old row count falls inside resumes from clones of
+// its float-sum partials, and new blocks fold after it, as a fresh run
+// folds them.
+// With the predicate index's suffix-extended clause masks, a monitoring
+// loop (append batch, re-run query, re-Debug) does per-batch work
+// independent of total table size.
 //
 // Correctness leans on three append-stability facts: row ids never
 // change (appends only add larger ids), dictionary codes are assigned
@@ -29,11 +27,11 @@ import (
 // equals the old order followed by suffix-only newcomers.
 //
 // The previous result stays valid and immutable for concurrent readers:
-// aggregate states are copied via Clone+Merge, and lineage/argument
-// slices grow by appending past every published length (prefix bytes
-// are never rewritten). That makes advancing linear — a result can be
-// advanced once; branching would clobber the shared suffix, so a second
-// Advance returns an error.
+// its states are cloned before anything folds into them, and
+// lineage/argument slices grow by appending past every published length
+// (prefix bytes are never rewritten). That makes advancing linear — a
+// result can be advanced once; branching would clobber the shared suffix,
+// so a second Advance returns an error.
 //
 // Carried state is valid only at the retention base it was computed at:
 // its row ids are local to that base. When a retention pass moved the
@@ -91,7 +89,7 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	// rerun executes the statement over the whole of grown, recording why
 	// the carried state could not be extended.
 	rerun := func(reason string) (*Result, error) {
-		out, err := RunOnWithCtx(ctx, grown, stmt, Options{})
+		out, err := RunOnWithCtx(ctx, grown, stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -117,15 +115,6 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	if err != nil {
 		return nil, err
 	}
-	// The WHERE mask is needed only for suffix rows: lowered conjuncts
-	// extend their clause masks incrementally and residual ones evaluate
-	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
-	// reinstate the O(table)-per-batch rescan this path exists to avoid.
-	p, err := planVector(ctx, grown, stmt, res.aggItems, protos, oldN)
-	if err != nil {
-		return nil, err
-	}
-
 	// Claim the result for advancing before touching any shared slice.
 	res.argMu.Lock()
 	if res.advanced {
@@ -136,59 +125,29 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	res.argMu.Unlock()
 	claimed = true
 
-	// Seed a suffix scan with copies of every old group, in scan order.
-	ss := newShardScan(p, oldN, newN)
-	oldLens := make([]int, len(res.allGroups))
-	nk := len(p.keys)
-	slots := make([]uint64, nk*len(res.allGroups)) // one backing array for every carried key
-	for gi, g := range res.allGroups {
-		oldLens[gi] = len(g.Lineage)
-		vg, err := copyGroup(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk])
-		if err != nil {
-			return nil, err
-		}
-		ss.index(vg.slots)
-		ss.groups = append(ss.groups, vg)
-	}
-
-	span := obs.Start(ctx, obs.Scan)
-	ss.run()
-	span.End()
-	if ss.err != nil {
-		return nil, ss.err
-	}
-
-	groups := make([]*Group, len(ss.groups))
-	for gi, vg := range ss.groups {
-		groups[gi] = vg.g
-	}
-
-	out = &Result{
-		Stmt: stmt, Source: grown, Groups: groups,
-		aggArgs: res.aggArgs, aggItems: res.aggItems,
-		Plan: p.planInfo(1),
-	}
-	out.Plan.Incremental = true
-	span = obs.Start(ctx, obs.Materialize)
-	err = out.materialize()
-	span.End()
+	// The WHERE mask is needed only for suffix rows: lowered conjuncts
+	// extend their clause masks incrementally and residual ones evaluate
+	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
+	// reinstate the O(table)-per-batch rescan this path exists to avoid.
+	out, err = runVector(ctx, grown, stmt, res.aggArgs, res.aggItems, protos, res.allGroups, oldN)
 	if err != nil {
 		return nil, err
 	}
-	carryCaches(res, out, ss, oldLens, oldN, newN)
+	out.Plan.Incremental = true
+	carryCaches(res, out, oldN, newN)
 	return out, nil
 }
 
-// copyGroup makes the advanced copy of one group: aggregate states are
-// deep-copied via Clone+Merge (the old states stay untouched for
-// in-flight readers), Key is shared (immutable), and Lineage is shared
-// as-is — suffix appends land past the old length, which old readers
-// never index. The key slots are rebuilt into slots (zeroed, one per key
-// column) from the boxed key values with the canonicalization the scan
-// applies per row; append-stable dictionary codes make the dict slots
-// version-portable.
-func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
-	ng := &Group{Key: g.Key, Lineage: g.Lineage, Aggs: make([]agg.Func, len(g.Aggs)), FirstRow: g.FirstRow}
+// carry makes the copy of one prior group that runVector folds onto:
+// Key is shared (immutable), and so are Lineage — appended rows land past
+// the old length, which old readers never index — and done, which the
+// fold copies before it first merges into it. The tail is not carried:
+// the block it covers resumes from clones of it. The key
+// slots are rebuilt into slots (zeroed, one per key column) from the boxed
+// key values with the canonicalization the scan applies per row;
+// append-stable dictionary codes make the dict slots version-portable.
+func carry(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
+	ng := &Group{Key: g.Key, Lineage: g.Lineage, FirstRow: g.FirstRow, done: g.done}
 	vg := &vGroup{g: ng, slots: slots}
 	for i, k := range p.keys {
 		v := g.Key[i]
@@ -202,11 +161,6 @@ func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 			vg.slots[i] = uint64(code + 1)
 		}
 	}
-	for i, a := range g.Aggs {
-		if ng.Aggs[i] = a.Clone(); !ng.Aggs[i].Merge(a) {
-			return nil, errShardMerge
-		}
-	}
 	return vg, nil
 }
 
@@ -215,8 +169,9 @@ func copyGroup(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 // new result, so downstream Debug runs (influence.Scorer) reuse the
 // unchanged prefix instead of rebuilding it: the prefix is a word-level
 // memcpy plus amortized slice growth, and only the appended suffix is
-// decoded or set bit-by-bit.
-func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN int) {
+// decoded or set bit-by-bit. out.allGroups begins with res.allGroups'
+// copies, in order.
+func carryCaches(res, out *Result, oldN, newN int) {
 	// Snapshot the cache maps under the lock: concurrent readers of the
 	// old result (a Debug in flight calls GroupLineageBitsShared /
 	// AggArgFloats, which insert) may grow them while we carry.
@@ -238,9 +193,9 @@ func carryCaches(res, out *Result, ss *shardScan, oldLens []int, oldN, newN int)
 			if !ok {
 				continue
 			}
-			ng := ss.groups[gi].g
+			ng := out.allGroups[gi]
 			nb := bitset.SnapshotWords(newN, b.Words())
-			for _, r := range ng.Lineage[oldLens[gi]:] {
+			for _, r := range ng.Lineage[len(og.Lineage):] {
 				nb.Set(r)
 			}
 			out.lineBits[ng] = nb

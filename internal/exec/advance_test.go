@@ -29,13 +29,15 @@ func batchRows(rng *rand.Rand, k int) [][]engine.Value {
 
 // TestAdvanceParity is the incremental counterpart of the vector/scalar
 // parity test: for random statements and random append batches, the
-// advanced result must equal a from-scratch RunReference on the grown
-// table, across a chain of appends.
+// advanced result must equal a from-scratch RunReference and a fresh run
+// on the grown table, bit for bit, across a chain of appends. The table's
+// 64-row segments are as many fold blocks, so the chains cross block
+// boundaries and resume partial blocks.
 func TestAdvanceParity(t *testing.T) {
-	sawDistinct := false
+	sawDistinct, sawCross := false, false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 101))
-		tbl := parityTable(rng, rng.Intn(200))
+		tbl := tinySegTable(rng, rng.Intn(200))
 		for iter := 0; iter < 25; iter++ {
 			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
@@ -60,9 +62,16 @@ func TestAdvanceParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: reference run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
+				fresh, err := RunOn(grown, stmt)
+				if err != nil {
+					t.Fatalf("seed %d iter %d step %d: fresh run: %v\nsql: %s", seed, iter, step, err, sql)
+				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
 				tablesEqual(t, label, ref.Table, adv.Table)
 				groupsEqual(t, label, ref, adv)
+				tablesEqual(t, label+" (fresh)", fresh.Table, adv.Table)
+				groupsEqual(t, label+" (fresh)", fresh, adv)
+				sawCross = sawCross || cur.NumRows()%64 != 0 && grown.NumRows()/64 > cur.NumRows()/64
 				// Without retention nothing re-runs: every state, DISTINCT
 				// sets included, is copied and extended by the suffix.
 				if !adv.Plan.Vectorized || !adv.Plan.Incremental || adv.Plan.Fallback != "" {
@@ -74,8 +83,61 @@ func TestAdvanceParity(t *testing.T) {
 			tbl = cur
 		}
 	}
-	if !sawDistinct {
-		t.Fatal("harness coverage: no DISTINCT statement advanced")
+	if !sawDistinct || !sawCross {
+		t.Fatalf("harness coverage: sawDistinct=%v sawCross=%v", sawDistinct, sawCross)
+	}
+}
+
+// TestAdvanceFromEmptyIsRun: Run is Advance from the empty result. A
+// result over an empty version of the table, advanced to the full one,
+// equals a fresh run over it bit for bit — float states included, over
+// inexact floats and several fold blocks.
+func TestAdvanceFromEmptyIsRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	full, compared := tinySegTable(rng, 500), 0
+	rows := make([][]engine.Value, full.NumRows())
+	for r := range rows {
+		rows[r] = full.Row(r)
+	}
+	for iter := 0; iter < 40; iter++ {
+		stmt, _ := randStmt(rng)
+		empty, err := engine.NewTableSeg("p", full.Schema(), engine.MinSegmentBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunOn(empty, stmt)
+		if err != nil {
+			continue
+		}
+		grown, err := empty.AppendBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv, advErr := Advance(res, grown)
+		fresh, err := RunOn(grown, stmt)
+		if (err != nil) != (advErr != nil) {
+			t.Fatalf("iter %d: error disagreement\nrun: %v\nadvance: %v", iter, err, advErr)
+		}
+		if err != nil {
+			continue
+		}
+		label := fmt.Sprintf("iter %d [%s]", iter, stmt)
+		tablesEqual(t, label, fresh.Table, adv.Table)
+		groupsEqual(t, label, fresh, adv)
+		for gi, g := range adv.allGroups {
+			for ai, st := range g.Aggs {
+				if a, b := st.Result(), fresh.allGroups[gi].Aggs[ai].Result(); !sameCell(a, b) {
+					t.Fatalf("%s: group %d aggregate %d: %#v advanced, %#v fresh", label, gi, ai, a, b)
+				}
+			}
+		}
+		if adv.Plan.Shards != fresh.Plan.Shards || fresh.Plan.Shards < 2 {
+			t.Fatalf("%s: fold blocks %d advanced, %d fresh", label, adv.Plan.Shards, fresh.Plan.Shards)
+		}
+		compared++
+	}
+	if compared < 10 {
+		t.Fatalf("harness coverage: %d statements compared", compared)
 	}
 }
 

@@ -50,6 +50,13 @@ type Group struct {
 	// FirstRow is the first source row id of the group: the row Key was
 	// evaluated on (and a projection's select items are).
 	FirstRow int
+	// done folds the group's partial states of the complete fold blocks,
+	// tail holds its float sums' partials of the last, incomplete block
+	// (nil when it had no row there or no state is a float sum; every
+	// other state folds that block into done), and Aggs is done ⊕ tail —
+	// done itself when there is no tail. Advance folds on from them
+	// (vector.go).
+	done, tail []agg.Func
 }
 
 // Result is an executed query: an ordinary result table plus the
@@ -97,7 +104,7 @@ func RunCtx(ctx context.Context, db *engine.DB, stmt *sqlparse.SelectStmt) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return RunOnWithCtx(ctx, src, stmt, Options{})
+	return RunOnWithCtx(ctx, src, stmt)
 }
 
 // RunSQL parses and executes sql against db.
@@ -113,15 +120,15 @@ func RunSQL(db *engine.DB, sql string) (*Result, error) {
 // is ignored). This is what clean-and-requery uses to run the original
 // statement against a filtered view.
 func RunOn(src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
-	return RunOnWithCtx(context.Background(), src, stmt, Options{})
+	return RunOnWithCtx(context.Background(), src, stmt)
 }
 
-// RunOnWithCtx is RunOn under a cancellable context (see RunCtx) with
-// explicit Options. Grouped statements run the sharded scan in
-// vector.go, aggregate-free ones runProjection. A chunk-load failure on
-// an out-of-core table (corrupt or vanished segment file) surfaces here
-// as an error, never as a panic.
-func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (res *Result, err error) {
+// RunOnWithCtx is RunOn under a cancellable context (see RunCtx).
+// Grouped statements run the fold-block scan in vector.go — an Advance
+// from the empty result — aggregate-free ones runProjection. A chunk-load
+// failure on an out-of-core table (corrupt or vanished segment file)
+// surfaces here as an error, never as a panic.
+func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	aggArgs, aggItems, protos, err := prepare(src, stmt)
 	if err != nil {
@@ -130,7 +137,7 @@ func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 	if !isGrouped(stmt) {
 		return runProjection(ctx, src, stmt)
 	}
-	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, opts)
+	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0)
 }
 
 func isGrouped(stmt *sqlparse.SelectStmt) bool {
@@ -202,9 +209,11 @@ func newProtos(stmt *sqlparse.SelectStmt, aggItems []int) ([]agg.Func, error) {
 // evaluation through expr.EvalBool, string group keys, boxed aggregate
 // arguments, one goroutine. It is the oracle the differential tests
 // pin RunOnWithCtx and Advance to — rows, group order, lineage,
-// FirstRow, error presence — and shares with them, below prepare and
-// materialize, only the states' AddFloat arithmetic (through agg.Add).
-// Nothing outside tests calls it.
+// FirstRow, error presence, float bits — and shares with them, below
+// prepare and materialize, only the states' AddFloat arithmetic (through
+// agg.Add) and the association rule: a group's rows of one fold block
+// fold into a fresh state, and the block states fold left in block
+// order. Nothing outside tests calls it.
 func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	aggArgs, aggItems, protos, err := prepare(src, stmt)
@@ -219,6 +228,24 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 	keyVals := make([]engine.Value, len(stmt.GroupBy))
 	rr := src.NewRowReader()
 	defer rr.Close()
+	// part is each group's state over the current fold block; fold folds
+	// them into their groups' Aggs when the block ends.
+	b, blk, part := min(foldRows, src.SegRows()), 0, make(map[*Group][]agg.Func)
+	fold := func() error {
+		defer clear(part)
+		for g, st := range part {
+			if g.Aggs == nil {
+				g.Aggs = st
+				continue
+			}
+			for i := range st {
+				if !g.Aggs[i].Merge(st[i]) {
+					return errMerge
+				}
+			}
+		}
+		return nil
+	}
 
 	for r := 0; r < src.NumRows(); r++ {
 		if r%ctxCheckRows == 0 {
@@ -253,29 +280,36 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 		key := keyBuf.String()
 		grp, ok := groupsByKey[key]
 		if !ok {
-			grp = &Group{
-				Key:      append([]engine.Value(nil), keyVals...),
-				Aggs:     make([]agg.Func, len(protos)),
-				FirstRow: r,
-			}
-			for i, p := range protos {
-				grp.Aggs[i] = p.Clone()
-			}
+			grp = &Group{Key: append([]engine.Value(nil), keyVals...), FirstRow: r}
 			groupsByKey[key] = grp
 			groups = append(groups, grp)
+		}
+		if r/b != blk {
+			if err := fold(); err != nil {
+				return nil, err
+			}
+			blk = r / b
+		}
+		st, ok := part[grp]
+		if !ok {
+			st = fresh(protos)
+			part[grp] = st
 		}
 		grp.Lineage = append(grp.Lineage, r)
 		for ai := range aggArgs {
 			if aggArgs[ai] == nil { // count(*)
-				grp.Aggs[ai].AddFloat(1)
+				st[ai].AddFloat(1)
 				continue
 			}
 			v, err := aggArgs[ai].Eval(row)
 			if err != nil {
 				return nil, err
 			}
-			agg.Add(grp.Aggs[ai], v)
+			agg.Add(st[ai], v)
 		}
+	}
+	if err := fold(); err != nil {
+		return nil, err
 	}
 
 	res = &Result{

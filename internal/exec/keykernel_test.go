@@ -18,7 +18,7 @@ import (
 // typed chunk kernels (expr.FloatKernel) — to the boxed reference scan:
 // the same groups in the same order with the same lineage, Group.Key bit
 // for bit the reference's value (type included: an int-typed bucket is an
-// int, never the kernel's float), at every shard count, through blocks
+// int, never the kernel's float), over many fold blocks, through blocks
 // the kernel declines mid-scan, through Advance, and with the reference's
 // first error.
 
@@ -73,8 +73,8 @@ func poisonedTable(rng *rand.Rand, nrows int, segBits uint, poison int) *engine.
 }
 
 // TestKeyKernelParity runs every shape over tables whose middle block —
-// a 64-row segment, then one block of a big segment — holds the
-// poisoned cell, filtered and not, at 1–4 shards.
+// a 64-row segment (one fold block of eleven), then one scan block of a
+// big segment — holds the poisoned cell, filtered and not.
 func TestKeyKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	tables := []struct {
@@ -93,18 +93,16 @@ func TestKeyKernelParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", stmt, err)
 				}
-				for shards := 1; shards <= 4; shards++ {
-					label := fmt.Sprintf("%s / %s / shards=%d [%s]", shape.name, tc.name, shards, stmt)
-					res, err := runWith(tc.tbl, stmt, Options{Shards: shards})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					tablesEqual(t, label, ref.Table, res.Table)
-					groupsEqual(t, label, ref, res)
-					assertPipeline(t, label, res)
-					if res.Plan.KeyKernels != shape.kernels {
-						t.Fatalf("%s: KeyKernels = %d, want %d (a declined block must not change it)", label, res.Plan.KeyKernels, shape.kernels)
-					}
+				label := fmt.Sprintf("%s / %s [%s]", shape.name, tc.name, stmt)
+				res, err := RunOn(tc.tbl, stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				tablesEqual(t, label, ref.Table, res.Table)
+				groupsEqual(t, label, ref, res)
+				assertPipeline(t, label, res)
+				if res.Plan.KeyKernels != shape.kernels {
+					t.Fatalf("%s: KeyKernels = %d, want %d (a declined block must not change it)", label, res.Plan.KeyKernels, shape.kernels)
 				}
 			}
 		}
@@ -239,21 +237,94 @@ func TestKeyKernelFirstError(t *testing.T) {
 		if refErr == nil || !strings.Contains(refErr.Error(), tc.want) {
 			t.Fatalf("%s: reference error %v, want one naming %q", tc.name, refErr, tc.want)
 		}
-		for shards := 1; shards <= 4; shards++ {
-			_, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
-			if err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("%s shards=%d: error %v, reference's is %v", tc.name, shards, err, refErr)
-			}
+		if _, err := RunOn(tbl, mustParse(t, sql)); err == nil || err.Error() != refErr.Error() {
+			t.Fatalf("%s: error %v, reference's is %v", tc.name, err, refErr)
 		}
 	}
 }
 
+// TestOutOfCoreSegmentPinsOnce: an out-of-core segment larger than a
+// fold block is one work item, so however many workers scan, each of
+// its chunks is pinned once — the workers never wait on one chunk. The
+// production geometry — fold blocks inside default segments, out of core
+// and through an Advance that resumes a block mid-segment — answers what
+// the reference and a fresh run answer, bit for bit, on inexact floats.
+func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
+	const segBits, sealed = engine.DefaultSegmentBits, 2 // four fold blocks a segment
+	src := poisonedTable(rand.New(rand.NewSource(3)), sealed<<segBits+100, segBits, -1)
+	twin, loader := enginetest.Faultable(src)
+	res, err := RunOn(twin, mustParse(t, "SELECT j, sum(f) AS v FROM p GROUP BY j"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan.Shards != sealed*4+1 {
+		t.Fatalf("folded %d blocks, want %d", res.Plan.Shards, sealed*4+1)
+	}
+	if floats, codes, ints, pinned := loader.Counts(); floats != 2*sealed+1 || codes != 0 || ints != 0 || pinned != 0 {
+		t.Fatalf("%d float pins (want a pin of j and of f per sealed segment, one more of j at group births), %d code, %d int, %d outstanding", floats, codes, ints, pinned)
+	}
+
+	// NaN cells would turn every sum into NaN; the filter drops them and
+	// keeps the ±1e16 and multiples of 0.1 that make the sums inexact.
+	stmt := mustParse(t, "SELECT j, count(*) AS n, sum(f) AS v, avg(f) AS a, var(f) AS w, "+
+		"count(DISTINCT f) AS d, sum(DISTINCT f) AS ds, median(f) AS m, max(f) AS x FROM p WHERE f < 1e300 GROUP BY j")
+	for _, tbl := range []*engine.Table{twin, src} {
+		ref, err := runRef(src, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunOn(tbl, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("out of core %v", tbl == twin)
+		tablesEqual(t, label, ref.Table, got.Table)
+		groupsEqual(t, label, ref, got)
+	}
+
+	// Rows to 70000 end mid-block in the second segment; the append
+	// completes that block at 81920 and opens the next.
+	rows := make([][]engine.Value, 90000)
+	for r := range rows {
+		rows[r] = src.Row(r)
+	}
+	old, err := engine.NewTableSeg("p", src.Schema(), segBits)
+	if err == nil {
+		old, err = old.AppendBatch(rows[:70000])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = RunOn(old, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := old.AppendBatch(rows[70000:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := Advance(res, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := RunOn(grown, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !adv.Plan.Incremental || adv.Plan.Shards != 2 {
+		t.Fatalf("advance scanned %d blocks (incremental %v), want the resumed one and the next", adv.Plan.Shards, adv.Plan.Incremental)
+	}
+	tablesEqual(t, "advance mid-segment", fresh.Table, adv.Table)
+	groupsEqual(t, "advance mid-segment", fresh, adv)
+}
+
 // TestKeyKernelOutOfCore counts what a computed-key statement faults in
-// through enginetest's loader. Key and argument share column f, and its
-// shard reader is the only one the blocks use: one float pin per sealed
-// segment a shard touches, however many blocks the segment
-// spans. Cells are boxed only where a group is born — the RowReader's
-// pins are bounded by segments holding a FirstRow, not by rows.
+// through enginetest's loader. Key and argument share column f, and a
+// worker's reader is the only one its blocks use: a segment here is one
+// fold block, so one float pin per sealed segment, however many scan
+// blocks it spans and whichever worker takes it. Cells are boxed only
+// where a group is born — the RowReader's pins are bounded by segments
+// holding a FirstRow, not by rows.
 func TestKeyKernelOutOfCore(t *testing.T) {
 	const segBits, sealed = 13, 3 // eight blocks a segment
 	src := poisonedTable(rand.New(rand.NewSource(23)), sealed<<segBits+300, segBits, -1)
@@ -268,37 +339,30 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 			birthSegs[k] = true
 		}
 	}
-	for shards := 1; shards <= 3; shards++ {
-		twin, loader := enginetest.Faultable(src)
-		res, err := runWith(twin, stmt, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("shards=%d", shards)
-		tablesEqual(t, label, ref.Table, res.Table)
-		groupsEqual(t, label, ref, res)
-		floats, codes, ints, pinned := loader.Counts()
-		if pinned != 0 || codes != 0 || ints != 0 {
-			t.Fatalf("%s: %d pins outstanding, %d code and %d exact-int pins for a statement over two numeric columns", label, pinned, codes, ints)
-		}
-		// j's clause mask is built once per table family (before any shard
-		// runs) and faults each of its chunks once.
-		floats -= sealed
-		if shards == 1 && floats != sealed+len(birthSegs) {
-			t.Fatalf("%s: %d float pins of f, want %d by the shard's reader + %d at group births", label, floats, sealed, len(birthSegs))
-		}
-		if most := 2 * (sealed + shards - 1); floats > most {
-			t.Fatalf("%s: %d float pins of f, want at most %d (reader + births, per segment a shard touches)", label, floats, most)
-		}
+	twin, loader := enginetest.Faultable(src)
+	res, err := RunOn(twin, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, "out of core", ref.Table, res.Table)
+	groupsEqual(t, "out of core", ref, res)
+	floats, codes, ints, pinned := loader.Counts()
+	if pinned != 0 || codes != 0 || ints != 0 {
+		t.Fatalf("%d pins outstanding, %d code and %d exact-int pins for a statement over two numeric columns", pinned, codes, ints)
+	}
+	// j's clause mask is built once per table family (before any block
+	// is scanned) and faults each of its chunks once.
+	if floats -= sealed; floats != sealed+len(birthSegs) {
+		t.Fatalf("%d float pins of f, want %d by the workers' readers + %d at group births", floats, sealed, len(birthSegs))
 	}
 
 	// A load failure mid-block — f's chunk fails once t's is pinned — is
 	// a SegmentLoadError with every pin released; through Advance it also
 	// releases the claim, so the retry carries.
 	fail := mustParse(t, "SELECT bucket(epoch(t), 1800) AS w, bucket(f, 2) AS b, count(*) AS n FROM p GROUP BY bucket(epoch(t), 1800), bucket(f, 2)")
-	twin, loader := enginetest.New(src)
+	twin, loader = enginetest.New(src)
 	twin = loader.Attach(loader.Attach(twin))
-	res, err := RunOn(twin, fail)
+	res, err = RunOn(twin, fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +414,7 @@ type pollCtx struct {
 func (c pollCtx) Err() error { c.at(); return nil }
 
 // TestBlockPollCadence pins the cancellation cadence of the block loop: a
-// shard polls before any block that would put more than ctxCheckRows rows
+// scanner polls before any block that would put more than ctxCheckRows rows
 // between two polls, whatever the segment size and wherever its range
 // starts (an Advance suffix starts mid-word).
 func TestBlockPollCadence(t *testing.T) {
@@ -363,7 +427,7 @@ func TestBlockPollCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lo := range []int{0, 1000, ctxCheckRows + 64} {
-			var ss *shardScan
+			var ss *scanner
 			last, polls := lo, 0
 			ctx := pollCtx{context.Background(), func() {
 				if ss == nil {
@@ -379,10 +443,10 @@ func TestBlockPollCadence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss = newShardScan(p, lo, n)
-			ss.pending = n - lo
-			if ss.run(); ss.err != nil || ss.pending != 0 {
-				t.Fatalf("segBits %d lo %d: err %v, %d rows pending", segBits, lo, ss.err, ss.pending)
+			ss = newScanner(p)
+			_, err = ss.run(lo, n, nil)
+			if ss.close(); err != nil || ss.pending != 0 {
+				t.Fatalf("segBits %d lo %d: err %v, %d rows pending", segBits, lo, err, ss.pending)
 			}
 			if want := (n - lo) / ctxCheckRows; polls < want || (segBits >= 12 && polls > want+2) {
 				t.Fatalf("segBits %d lo %d: %d polls over %d rows, want about %d", segBits, lo, polls, n-lo, want)

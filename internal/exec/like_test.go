@@ -97,7 +97,7 @@ func TestLikeLowersParity(t *testing.T) {
 		stmt := likeStmt(t, where)
 		cur := likeTable(t, rng, 100+rng.Intn(200))
 		words := cur.Dict(0).NumValues()
-		res, err := runWith(cur, stmt, Options{Shards: 1 + rng.Intn(3)})
+		res, err := RunOn(cur, stmt)
 		if err != nil {
 			t.Fatalf("[%s]: %v", where, err)
 		}

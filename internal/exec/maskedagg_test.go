@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -12,7 +13,7 @@ import (
 // BY-free statement whose aggregates all fold as floats must run
 // through the batch kernels (Plan.MaskedAgg) and stay bit-identical to
 // the reference scan at every filter density — including NaN, ±0.0,
-// and NULL inputs, sharded scans, incremental Advance, and the 4 KiB
+// and NULL inputs, many fold blocks, incremental Advance, and the 4 KiB
 // thrash-pool out-of-core configuration.
 
 // maskedAggSQL spans every float-fed aggregate over the parity table's
@@ -36,19 +37,19 @@ func TestMaskedAggDensities(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sql := maskedAggSQL + " WHERE " + tc.where
-			for _, shards := range []int{1, 3} {
-				res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
+			for _, tbl := range []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} {
+				res, err := RunOn(tbl, mustParse(t, sql))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !res.Plan.Vectorized || !res.Plan.MaskedAgg {
-					t.Fatalf("shards=%d: masked aggregation did not engage: %+v", shards, res.Plan)
+					t.Fatalf("%d-row segments: masked aggregation did not engage: %+v", tbl.SegRows(), res.Plan)
 				}
 				ref, err := runRef(tbl, mustParse(t, sql))
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("shards=%d [%s]", shards, sql)
+				label := fmt.Sprintf("%d-row segments [%s]", tbl.SegRows(), sql)
 				tablesEqual(t, label, ref.Table, res.Table)
 				groupsEqual(t, label, ref, res)
 			}
@@ -74,7 +75,7 @@ func TestMaskedAggEligibility(t *testing.T) {
 		{"SELECT sum(f) AS sf FROM p WHERE i >= 0 GROUP BY j", false}, // grouped
 	}
 	for _, tc := range cases {
-		res, err := runWith(tbl, mustParse(t, tc.sql), Options{})
+		res, err := RunOn(tbl, mustParse(t, tc.sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +104,7 @@ func TestMaskedAggParityRandomized(t *testing.T) {
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed * 7))
 		tbl := parityTable(rng, 1500)
+		tables := []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} // one fold block, then 24
 		for iter := 0; iter < 50; iter++ {
 			sel := ""
 			for i, k := 0, 1+rng.Intn(3); i < k; i++ {
@@ -113,19 +115,21 @@ func TestMaskedAggParityRandomized(t *testing.T) {
 			}
 			stmt := mustParse(t, "SELECT "+sel+" FROM p WHERE i >= 0")
 			stmt.Where = randWhere(rng, 1+rng.Intn(2))
-			ref, refErr := runRef(tbl, stmt)
-			got, gotErr := runWith(tbl, stmt, Options{Shards: 1 + rng.Intn(3)})
-			if (refErr != nil) != (gotErr != nil) {
-				t.Fatalf("seed %d iter %d: error disagreement ref=%v got=%v where=%s", seed, iter, refErr, gotErr, stmt.Where)
-			}
-			if refErr != nil {
-				continue
-			}
-			label := fmt.Sprintf("seed %d iter %d [%s | %s]", seed, iter, sel, stmt.Where)
-			tablesEqual(t, label, ref.Table, got.Table)
-			groupsEqual(t, label, ref, got)
-			if got.Plan.MaskedAgg {
-				sawMasked = true
+			for _, tbl := range tables {
+				ref, refErr := runRef(tbl, stmt)
+				got, gotErr := RunOn(tbl, stmt)
+				if (refErr != nil) != (gotErr != nil) {
+					t.Fatalf("seed %d iter %d, %d-row segments: error disagreement ref=%v got=%v where=%s", seed, iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
+				}
+				if refErr != nil {
+					continue
+				}
+				label := fmt.Sprintf("seed %d iter %d, %d-row segments [%s | %s]", seed, iter, tbl.SegRows(), sel, stmt.Where)
+				tablesEqual(t, label, ref.Table, got.Table)
+				groupsEqual(t, label, ref, got)
+				if got.Plan.MaskedAgg {
+					sawMasked = true
+				}
 			}
 		}
 	}
@@ -192,20 +196,18 @@ func TestMaskedAggOutOfCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			res, err := runWith(lazy, mustParse(t, sql), Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Plan.MaskedAgg {
-				t.Fatalf("[%s] shards=%d: masked path did not engage out of core: %+v", sql, shards, res.Plan)
-			}
-			label := fmt.Sprintf("ooc shards=%d [%s]", shards, sql)
-			tablesEqual(t, label, ref.Table, res.Table)
-			groupsEqual(t, label, ref, res)
-			if n := lazySt.PoolPinned(); n != 0 {
-				t.Fatalf("%s: %d chunks still pinned after query", label, n)
-			}
+		res, err := RunOn(lazy, mustParse(t, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Plan.MaskedAgg {
+			t.Fatalf("[%s]: masked path did not engage out of core: %+v", sql, res.Plan)
+		}
+		label := fmt.Sprintf("ooc [%s]", sql)
+		tablesEqual(t, label, ref.Table, res.Table)
+		groupsEqual(t, label, ref, res)
+		if n := lazySt.PoolPinned(); n != 0 {
+			t.Fatalf("%s: %d chunks still pinned after query", label, n)
 		}
 	}
 	if stats := lazySt.Stats(); stats.Pool == nil || stats.Pool.Misses == 0 {

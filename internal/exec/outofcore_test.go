@@ -16,7 +16,7 @@ import (
 
 // End-to-end out-of-core query tests: an in-memory copy of the same
 // on-disk table is the oracle for the faultable, buffer-pooled reopen. A deliberately tiny pool forces constant eviction, so every
-// statement exercises fault → pin → release across shard boundaries,
+// statement exercises fault → pin → release across fold blocks,
 // and the parity requirement is the same bit-exact one the pipeline
 // already owes the reference scan.
 
@@ -149,15 +149,12 @@ func TestOutOfCoreQueryParity(t *testing.T) {
 			sql := stmt.String()
 
 			ref, refErr := runRef(oracle, stmt)
-			for shards := 1; shards <= 4; shards++ {
-				label := fmt.Sprintf("seed %d iter %d lazy shards=%d [%s]", seed, iter, shards, sql)
-				res, err := runWith(lazy, stmt, Options{Shards: shards})
-				if (refErr != nil) != (err != nil) {
-					t.Fatalf("%s: error disagreement\nref: %v\nlazy: %v", label, refErr, err)
-				}
-				if refErr != nil {
-					continue
-				}
+			label := fmt.Sprintf("seed %d iter %d lazy [%s]", seed, iter, sql)
+			res, err := RunOn(lazy, stmt)
+			if (refErr != nil) != (err != nil) {
+				t.Fatalf("%s: error disagreement\nref: %v\nlazy: %v", label, refErr, err)
+			}
+			if refErr == nil {
 				tablesEqual(t, label, ref.Table, res.Table)
 				groupsEqual(t, label, ref, res)
 				assertPipeline(t, label, res)
@@ -231,7 +228,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runWith(lazy, stmt, Options{Shards: 1})
+	res, err := RunOn(lazy, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +255,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	// A predicate no segment can satisfy: everything skips, nothing
 	// faults.
 	none := mustParse(t, "SELECT s, count(*) AS n FROM p WHERE i = 123 GROUP BY s")
-	resNone, err := runWith(lazy, none, Options{Shards: 1})
+	resNone, err := RunOn(lazy, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,15 +359,13 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			res, err := runWith(lazy, stmt, Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("shards=%d [%s]", shards, sql)
-			tablesEqual(t, label, ref.Table, res.Table)
-			groupsEqual(t, label, ref, res)
+		res, err := RunOn(lazy, stmt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		label := fmt.Sprintf("[%s]", sql)
+		tablesEqual(t, label, ref.Table, res.Table)
+		groupsEqual(t, label, ref, res)
 		if n := lazySt.PoolPinned(); n != 0 {
 			t.Fatalf("%d chunks still pinned after [%s]", n, sql)
 		}
@@ -381,7 +376,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// segment (64), the mixed segment's NaN/-0.0/1.0 rows (48), and the
 	// tail (10). The -0.0-only segment contributing all 64 is the
 	// regression this test exists for.
-	res, err := runWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"), Options{Shards: 1})
+	res, err := RunOn(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +388,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// is [0,0] (seal canonicalizes -0.0), NaN never satisfies a strict
 	// op, and the mixed segment's finite range starts at 0 — all five
 	// sealed segments skip without faulting.
-	resLt, err := runWith(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"), Options{Shards: 1})
+	resLt, err := RunOn(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,8 +582,8 @@ func edgeFirstRows() [][]engine.Value {
 }
 
 // edgeKeySQL groups on every column kind and on computed keys. The
-// aggregates are order-insensitive (count, min, max): sums of ints past
-// 2^53 are not exact, and shard merges reorder them.
+// aggregates are order-insensitive (count, min, max): the statements
+// pin keys, not sums.
 var edgeKeySQL = []string{
 	"SELECT f, count(*) AS n, min(i) AS lo FROM p GROUP BY f",
 	"SELECT i, count(*) AS n, max(f) AS hi FROM p GROUP BY i",
@@ -604,7 +599,7 @@ var edgeKeySQL = []string{
 // evicts — every cell of the edge table read through RowReader and
 // Table.Value is the resident table's bit for bit, grouped statements
 // whose first rows hold -0.0, a NaN payload, 2^53+1 and NULL box the
-// reference's keys at 1–4 shards, nothing stays pinned, and a mid-read
+// reference's keys, nothing stays pinned, and a mid-read
 // checksum failure releases its pins too.
 func TestOutOfCoreTypedReaderCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -649,16 +644,14 @@ func TestOutOfCoreTypedReaderCells(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			for shards := 1; shards <= 4; shards++ {
-				label := fmt.Sprintf("pool %d shards=%d [%s]", pool, shards, sql)
-				res, err := runWith(lazy, stmt, Options{Shards: shards})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				tablesEqual(t, label, ref.Table, res.Table)
-				groupsEqual(t, label, ref, res)
-				assertPipeline(t, label, res)
+			label := fmt.Sprintf("pool %d [%s]", pool, sql)
+			res, err := RunOn(lazy, stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			tablesEqual(t, label, ref.Table, res.Table)
+			groupsEqual(t, label, ref, res)
+			assertPipeline(t, label, res)
 			if n := lazySt.PoolPinned(); n != 0 {
 				t.Fatalf("pool %d: %d chunks pinned after [%s]", pool, n, sql)
 			}
@@ -764,8 +757,8 @@ type scanMixWork struct {
 }
 
 // TestScanMixShapesSameWork runs the benchmark's eight scan_mix statement
-// shapes (bench/script.go) in process, in a fixed order at 1 and 3
-// shards, over faultable twins of its two tables, and holds the pins
+// shapes (bench/script.go) in process, in a fixed order, over faultable
+// twins of its two tables, and holds the pins
 // each one takes — as its plan reports them and as the loader counted
 // them — to the numbers recorded at the commit before the column readers
 // were unified (PR 26, 0274026): the one reader pins exactly what the
@@ -815,22 +808,20 @@ func TestScanMixShapesSameWork(t *testing.T) {
 		{"distinct", readings, "SELECT count(DISTINCT epoch) AS n FROM readings WHERE moteid = 17"},
 	}
 	var got []scanMixWork
-	for _, shards := range []int{1, 3} {
-		for _, s := range shapes {
-			before := pins()
-			res, err := runWith(s.tbl, mustParse(t, s.sql), Options{Shards: shards})
-			if err != nil {
-				t.Fatalf("%s: %v", s.shape, err)
-			}
-			assertPipeline(t, s.shape, res)
-			if res.NumRows() == 0 {
-				t.Fatalf("%s: no rows", s.shape)
-			}
-			if res.Plan.ResidualConjuncts != 0 || res.Plan.ResidualRows != 0 {
-				t.Fatalf("%s: a WHERE conjunct was evaluated per row: %+v", s.shape, res.Plan)
-			}
-			got = append(got, scanMixWork{s.shape, res.Plan.ChunksFaulted + res.Plan.ChunksResident, pins() - before})
+	for _, s := range shapes {
+		before := pins()
+		res, err := RunOn(s.tbl, mustParse(t, s.sql))
+		if err != nil {
+			t.Fatalf("%s: %v", s.shape, err)
 		}
+		assertPipeline(t, s.shape, res)
+		if res.NumRows() == 0 {
+			t.Fatalf("%s: no rows", s.shape)
+		}
+		if res.Plan.ResidualConjuncts != 0 || res.Plan.ResidualRows != 0 {
+			t.Fatalf("%s: a WHERE conjunct was evaluated per row: %+v", s.shape, res.Plan)
+		}
+		got = append(got, scanMixWork{s.shape, res.Plan.ChunksFaulted + res.Plan.ChunksResident, pins() - before})
 	}
 	for i, w := range scanMixWorkAtParent {
 		if got[i] != w {
@@ -843,16 +834,15 @@ func TestScanMixShapesSameWork(t *testing.T) {
 }
 
 // scanMixWorkAtParent is TestScanMixShapesSameWork's table as measured at
-// 0274026: the eight shapes at one shard (the first statement to name a
-// clause also builds its mask), then at three. The two residual cells
-// are the one exception, re-measured when LIKE on a string column began
-// to lower: its loader pins went 9 → 6. Building the memo mask pins memo
-// once a segment, as the per-row walk did, but with no residual after
-// it the candidate comparison needs no FALSE mask, so the three pins
-// that built candidate's non-NULL mask are gone.
+// 0274026: the eight shapes in one pass (the first statement to name a
+// clause also builds its mask). A segment here is one fold block, so the
+// table holds at any core count. The residual cell is the one exception,
+// re-measured when LIKE on a string column began to lower: its loader
+// pins went 9 → 6. Building the memo mask pins memo once a segment, as
+// the per-row walk did, but with no residual after it the candidate
+// comparison needs no FALSE mask, so the three pins that built
+// candidate's non-NULL mask are gone.
 var scanMixWorkAtParent = []scanMixWork{
 	{"grouped", 14, 12}, {"selective", 13, 21}, {"global", 6, 10}, {"orchain", 15, 38},
 	{"zonemap", 9, 19}, {"fecdaily", 11, 12}, {"residual", 5, 6}, {"distinct", 6, 5},
-	{"grouped", 16, 14}, {"selective", 15, 13}, {"global", 6, 5}, {"orchain", 16, 13},
-	{"zonemap", 15, 15}, {"fecdaily", 12, 9}, {"residual", 11, 6}, {"distinct", 6, 5},
 }

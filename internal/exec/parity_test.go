@@ -19,14 +19,14 @@ import (
 // DISTINCT over every argument source: numeric column, computed number,
 // string column, computed string), over tables with NULLs, NaNs and
 // collision-heavy values. Results must match exactly — cell values, group
-// order, lineage, FirstRow — at 1 to 5 shards, and every fresh grouped
-// run must report Plan.Vectorized with an empty Plan.Fallback.
+// order, lineage, FirstRow — at 64-row, 256-row and default segments (as
+// many fold blocks as segments, then one), and every fresh grouped run
+// must report Plan.Vectorized with an empty Plan.Fallback.
 //
-// Shard merging adds partial float sums, which is only bit-exact when
-// the addends are; the generator therefore draws floats from multiples
-// of 0.25 in a small range (exactly representable, with exactly
-// representable squares), so even the sharded run must agree to the
-// last bit.
+// The float column mixes multiples of 0.1 and ±1e16 into exact quarter
+// values, so partial sums round and a float aggregate's last bits depend
+// on the order it folds in. The table fixes that order (foldRows), and
+// the reference folds by the same blocks: exact equality holds anyway.
 
 // parityTable builds a random test table: two int columns, a float
 // column (NULLs and NaNs), a string column (NULLs, empty strings), and
@@ -64,8 +64,15 @@ func parityTable(rng *rand.Rand, nrows int) *engine.Table {
 			row[2] = engine.NewFloat(math.Copysign(0, -1))
 		case rng.Float64() < 0.08:
 			row[2] = engine.NewFloat(0)
+		case rng.Float64() < 0.3:
+			// Inexact: multiples of 0.1 in [-8, 8), now and then ±1e16.
+			if rng.Intn(8) == 0 {
+				row[2] = engine.NewFloat(float64(1-2*rng.Intn(2)) * 1e16)
+			} else {
+				row[2] = engine.NewFloat(float64(rng.Intn(160)-80) * 0.1)
+			}
 		default:
-			// Multiples of 0.25 in [-8, 8): exact partial sums.
+			// Multiples of 0.25 in [-8, 8).
 			row[2] = engine.NewFloat(float64(rng.Intn(64)-32) * 0.25)
 		}
 		if rng.Float64() < 0.15 {
@@ -83,6 +90,22 @@ func parityTable(rng *rand.Rand, nrows int) *engine.Table {
 		panic(err)
 	}
 	return t
+}
+
+// segCopy copies src's rows into a table of 1<<segBits-row segments.
+func segCopy(src *engine.Table, segBits uint) *engine.Table {
+	tbl, err := engine.NewTableSeg(src.Name(), src.Schema(), segBits)
+	if err != nil || src.NumRows() == 0 {
+		return tbl
+	}
+	rows := make([][]engine.Value, src.NumRows())
+	for r := range rows {
+		rows[r] = src.Row(r)
+	}
+	if tbl, err = tbl.AppendBatch(rows); err != nil {
+		panic(err)
+	}
+	return tbl
 }
 
 var parityCols = []string{"i", "j", "f", "s", "t"}
@@ -389,15 +412,18 @@ func TestVectorScalarParity(t *testing.T) {
 	sawDistinct, sawStringKey := make(map[string]bool), false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := parityTable(rng, rng.Intn(250))
+		tbl := parityTable(rng, rng.Intn(600))
+		tables := []*engine.Table{segCopy(tbl, engine.MinSegmentBits), segCopy(tbl, 8), tbl}
 		for iter := 0; iter < 60; iter++ {
 			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
 
-			ref, refErr := runRef(tbl, stmt)
-			for shards := 1; shards <= 5; shards++ {
-				label := fmt.Sprintf("seed %d iter %d shards=%d [%s]", seed, iter, shards, sql)
-				vec, vecErr := runWith(tbl, stmt, Options{Shards: shards})
+			var ref *Result
+			var refErr error
+			for _, tbl := range tables {
+				label := fmt.Sprintf("seed %d iter %d segment %d [%s]", seed, iter, tbl.SegRows(), sql)
+				ref, refErr = runRef(tbl, stmt)
+				vec, vecErr := RunOn(tbl, stmt)
 				if (refErr != nil) != (vecErr != nil) {
 					t.Fatalf("%s: error disagreement\nref: %v\nvec: %v", label, refErr, vecErr)
 				}

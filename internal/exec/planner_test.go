@@ -16,9 +16,9 @@ import (
 // lineage, errors) next to the boxed reference scan, which evaluates
 // WHERE left to right per row, and the incremental ORDER BY merge must
 // be invisible next to the reference's full sort. Both run under
-// adversarial configurations — a 4 KiB thrash pool with 4 shards for
-// the filter, append/retention chains for the sort — because those are
-// the paths the optimizations actually reorder work on.
+// adversarial configurations — a 4 KiB thrash pool under 64-row fold
+// blocks for the filter, append/retention chains for the sort — because
+// those are the paths the optimizations actually reorder work on.
 
 // randAndChain builds a WHERE that is a root AND chain of 2..5
 // conjuncts — the shape the greedy planner orders. Conjuncts are
@@ -36,9 +36,9 @@ func randAndChain(rng *rand.Rand) expr.Expr {
 
 // TestGreedyFilterParityOutOfCore pins greedy-ordered filter evaluation
 // bit-identical to the reference scan's left-to-right per-row
-// evaluation, over an out-of-core table served through a 4 KiB thrash pool
-// with 4 scan shards — the config where the ordering, short-circuit,
-// and adaptive shard split all engage at once.
+// evaluation, over an out-of-core table of 64-row segments (as many fold
+// blocks) served through a 4 KiB thrash pool — the config where the
+// ordering, short-circuit and block fold all engage at once.
 func TestGreedyFilterParityOutOfCore(t *testing.T) {
 	sawOrdered, sawShortCircuit := false, false
 	for seed := int64(1); seed <= 3; seed++ {
@@ -55,7 +55,7 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 			sql := stmt.String()
 
 			ref, refErr := runRef(oracle, stmt)
-			greedy, gErr := runWith(lazy, stmt, Options{Shards: 4})
+			greedy, gErr := RunOn(lazy, stmt)
 			if (refErr != nil) != (gErr != nil) {
 				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\ngreedy: %v",
 					seed, iter, sql, refErr, gErr)

@@ -95,25 +95,28 @@ func TestResidualFilterParityRandomized(t *testing.T) {
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := parityTable(rng, 1200)
+		tables := []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} // one fold block, then 19
 		for iter := 0; iter < 60; iter++ {
 			stmt, _ := randStmt(rng)
 			stmt.Where = randResidualAnd(rng)
-			ref, refErr := runRef(tbl, stmt)
-			got, gotErr := runWith(tbl, stmt, Options{Shards: 3})
-			if (refErr != nil) != (gotErr != nil) {
-				t.Fatalf("seed %d iter %d: error disagreement\nref: %v\ngot: %v\nwhere: %s",
-					seed, iter, refErr, gotErr, stmt.Where)
-			}
-			if refErr != nil {
-				continue
-			}
-			label := fmt.Sprintf("seed %d iter %d [%s]", seed, iter, stmt.Where)
-			tablesEqual(t, label, ref.Table, got.Table)
-			groupsEqual(t, label, ref, got)
-			if got.Plan.ResidualConjuncts > 0 {
-				sawResidual = true
-				if got.Plan.FilterShortCircuited > 0 {
-					sawShortCircuit = true
+			for _, tbl := range tables {
+				ref, refErr := runRef(tbl, stmt)
+				got, gotErr := RunOn(tbl, stmt)
+				if (refErr != nil) != (gotErr != nil) {
+					t.Fatalf("seed %d iter %d, %d-row segments: error disagreement\nref: %v\ngot: %v\nwhere: %s",
+						seed, iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
+				}
+				if refErr != nil {
+					continue
+				}
+				label := fmt.Sprintf("seed %d iter %d, %d-row segments [%s]", seed, iter, tbl.SegRows(), stmt.Where)
+				tablesEqual(t, label, ref.Table, got.Table)
+				groupsEqual(t, label, ref, got)
+				if got.Plan.ResidualConjuncts > 0 {
+					sawResidual = true
+					if got.Plan.FilterShortCircuited > 0 {
+						sawShortCircuit = true
+					}
 				}
 			}
 		}
@@ -132,6 +135,7 @@ func TestResidualFilterParityRandomized(t *testing.T) {
 func TestOrRootLowering(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tbl := parityTable(rng, 3000)
+	tables := []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} // one fold block, then 47
 	for _, tc := range []struct {
 		sql     string
 		lowered bool
@@ -143,10 +147,12 @@ func TestOrRootLowering(t *testing.T) {
 		{"SELECT j, count(*) AS n FROM p WHERE s = 'a' OR s NOT LIKE '%y' GROUP BY j", true},
 		{"SELECT j, count(*) AS n FROM p WHERE s = 'a' OR lower(s) LIKE '%y' GROUP BY j", false},
 	} {
-		res := runBoth(t, tbl, tc.sql)
-		assertPipeline(t, tc.sql, res)
-		if res.Plan.FilterConjuncts != 1 || res.Plan.WhereLowered != tc.lowered {
-			t.Fatalf("[%s] OR root: want one conjunct, lowered=%v, got %+v", tc.sql, tc.lowered, res.Plan)
+		for _, tbl := range tables {
+			res := runBoth(t, tbl, tc.sql)
+			assertPipeline(t, tc.sql, res)
+			if res.Plan.FilterConjuncts != 1 || res.Plan.WhereLowered != tc.lowered {
+				t.Fatalf("[%s] OR root: want one conjunct, lowered=%v, got %+v", tc.sql, tc.lowered, res.Plan)
+			}
 		}
 	}
 	t.Run("randomized", func(t *testing.T) {
@@ -161,22 +167,24 @@ func TestOrRootLowering(t *testing.T) {
 				w = expr.NewBin(expr.OpOr, w, randWhere(rng, 0))
 			}
 			stmt.Where = w
-			ref, refErr := runRef(tbl, stmt)
-			got, gotErr := runWith(tbl, stmt, Options{Shards: 3})
-			if (refErr != nil) != (gotErr != nil) {
-				t.Fatalf("iter %d: error disagreement ref=%v got=%v where=%s", iter, refErr, gotErr, stmt.Where)
-			}
-			if refErr != nil {
-				continue
-			}
-			label := fmt.Sprintf("or iter %d [%s]", iter, stmt.Where)
-			tablesEqual(t, label, ref.Table, got.Table)
-			groupsEqual(t, label, ref, got)
-			assertPipeline(t, label, got)
-			if got.Plan.WhereLowered {
-				sawLowered = true
-			} else {
-				sawResidual = true
+			for _, tbl := range tables {
+				ref, refErr := runRef(tbl, stmt)
+				got, gotErr := RunOn(tbl, stmt)
+				if (refErr != nil) != (gotErr != nil) {
+					t.Fatalf("iter %d, %d-row segments: error disagreement ref=%v got=%v where=%s", iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
+				}
+				if refErr != nil {
+					continue
+				}
+				label := fmt.Sprintf("or iter %d, %d-row segments [%s]", iter, tbl.SegRows(), stmt.Where)
+				tablesEqual(t, label, ref.Table, got.Table)
+				groupsEqual(t, label, ref, got)
+				assertPipeline(t, label, got)
+				if got.Plan.WhereLowered {
+					sawLowered = true
+				} else {
+					sawResidual = true
+				}
 			}
 		}
 		if !sawLowered || !sawResidual {
@@ -238,18 +246,16 @@ func TestFilterGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		res, err := runWith(old, mustParse(t, sql), Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPipeline(t, sql, res)
-		if res.Plan.FilterFallback != fallbackFilterGeometry || res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 2 {
-			t.Fatalf("superseded snapshot: want the geometry all-residual walk, got %+v", res.Plan)
-		}
-		tablesEqual(t, sql, ref.Table, res.Table)
-		groupsEqual(t, sql, ref, res)
+	res, err := RunOn(old, mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertPipeline(t, sql, res)
+	if res.Plan.FilterFallback != fallbackFilterGeometry || res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 2 {
+		t.Fatalf("superseded snapshot: want the geometry all-residual walk, got %+v", res.Plan)
+	}
+	tablesEqual(t, sql, ref.Table, res.Table)
+	groupsEqual(t, sql, ref, res)
 }
 
 // The residual loop must poll the context: a pre-canceled context

@@ -11,25 +11,10 @@ import (
 )
 
 // tinySegTable rebuilds a parityTable's rows into a minimum-segment
-// table so short chains straddle seal and retention boundaries.
+// table so short chains straddle seal and retention boundaries — and,
+// a segment being one fold block, fold-block boundaries.
 func tinySegTable(rng *rand.Rand, nrows int) *engine.Table {
-	src := parityTable(rng, nrows)
-	tbl, err := engine.NewTableSeg("p", src.Schema(), engine.MinSegmentBits)
-	if err != nil {
-		panic(err)
-	}
-	rows := make([][]engine.Value, nrows)
-	for r := 0; r < nrows; r++ {
-		rows[r] = src.Row(r)
-	}
-	if nrows == 0 {
-		return tbl
-	}
-	tbl, err = tbl.AppendBatch(rows)
-	if err != nil {
-		panic(err)
-	}
-	return tbl
+	return segCopy(parityTable(rng, nrows), engine.MinSegmentBits)
 }
 
 // boundaryBatchSize draws an append batch size biased to land exactly
@@ -162,7 +147,7 @@ func retentionStmt(t *testing.T, cutoff float64) *sqlparse.SelectStmt {
 // TestAdvanceRetentionBeyondWindow is a regression test: a carried
 // result with NO groups (WHERE matched nothing) whose entire window is
 // dropped by retention once slipped past the horizon checks with a
-// negative suffix start and panicked in the shard scan. It must fall
+// negative suffix start and panicked in the suffix scan. It must fall
 // back with a retention reason instead.
 func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 	tbl := retentionFixture(t, 64)
@@ -204,32 +189,4 @@ func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, "beyond-window", ref.Table, adv.Table)
-}
-
-// TestSubSegmentSharding: a table far smaller than one default segment
-// must still honor an explicit shard count by splitting on bitset-word
-// boundaries, with output identical to the single-shard run.
-func TestSubSegmentSharding(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tbl := parityTable(rng, 1000) // default 64Ki segments: 1 partial tail
-	sql := `SELECT s, sum(f) AS x, count(*) AS c FROM p GROUP BY s`
-	one, err := runWith(tbl, mustParse(t, sql), Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := runWith(tbl, mustParse(t, sql), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.Plan.Shards != 4 {
-		t.Fatalf("explicit 4-shard run used %d shards", many.Plan.Shards)
-	}
-	tablesEqual(t, sql, one.Table, many.Table)
-	groupsEqual(t, sql, one, many)
-	// Shard boundaries must sit on word boundaries.
-	for _, r := range shardRanges(1000, tbl.SegRows(), 4, nil) {
-		if r[0]%64 != 0 {
-			t.Fatalf("shard start %d not word-aligned", r[0])
-		}
-	}
 }

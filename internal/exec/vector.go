@@ -19,13 +19,13 @@ import (
 )
 
 // This file is the grouped scan — the one pipeline every grouped
-// statement runs on:
+// statement runs on, fresh or advanced:
 //
 //  1. WHERE evaluates once into a bitmap (filter.go),
-//  2. the row space splits into shards that par.Do spreads over
-//     GOMAXPROCS workers, and each shard walks its range
-//     block-at-a-time (a block = its slice of one segment, at most
-//     blockRows rows), the block's passing rows as a selection vector,
+//  2. par.Do hands the fold blocks (foldRows row ids; an out-of-core
+//     segment's together) to its workers, one scanner each, which walk
+//     them block-at-a-time (at most blockRows rows of one segment),
+//     passing rows as a selection vector,
 //  3. each group-by expression fills one key slot per selected row —
 //     dictionary codes for string columns, canonical float bits for
 //     numeric columns and numeric computed keys (expr.FloatKernel: loops
@@ -38,23 +38,13 @@ import (
 //     aggregate's block is one run — and each run takes one group lookup,
 //     one lineage growth and, per numeric argument, one AddFloats call
 //     over the chunk slices (Add per row only for what a per-row
-//     evaluator yields), and
-//  5. the shards' private group states Merge in shard order — which
-//     preserves the sequential scan's first-appearance group order,
-//     ascending lineage, and FirstRow.
+//     evaluator yields), into the block's own partial states, and
+//  5. the block partials fold left in block order — the sequential
+//     scan's group order, lineage and FirstRow, and float bits the table
+//     fixes: the core count decides only who scans a block.
 //
-// RunReference (exec.go) is the boxed oracle the randomized parity
-// tests pin this pipeline to, bit for bit.
-
-// Options tunes an execution. The zero value is what every caller
-// outside the tests passes.
-type Options struct {
-	// Shards forces the number of scan partitions (0 = automatic:
-	// par.Width, capped so each shard keeps at least a few thousand
-	// rows). Tests pin it on tables the automatic choice would not
-	// split.
-	Shards int
-}
+// RunReference (exec.go) is the boxed oracle the randomized parity tests
+// pin this pipeline to, bit for bit, folding by the same blocks.
 
 // PlanInfo records what an execution actually did; tests, the server's
 // stats and the benchmark's attribution read it.
@@ -66,8 +56,9 @@ type PlanInfo struct {
 	// through bitmap clause masks rather than per row. Meaningful for
 	// projections too; true when there is no WHERE.
 	WhereLowered bool
-	// Shards is the number of scan partitions the pipeline used (0 when
-	// it did not run).
+	// Shards is the number of fold blocks the pipeline scanned (0 when
+	// it did not run). The name is kept because the benchmark module
+	// (bench/) reads it.
 	Shards int
 	// Fallback names the reason an Advance re-ran the statement over the
 	// whole table instead of folding in the suffix ("" otherwise; always
@@ -126,12 +117,16 @@ type PlanInfo struct {
 }
 
 const (
-	// minShardRows keeps shards coarse enough that per-shard setup and
-	// merge never dominate.
-	minShardRows = 4096
-	// blockRows bounds a scan block: small enough that a block's scratch
-	// (selection, slots, kernel buffers) stays in L1/L2 and a selective
-	// shard allocates little, large enough to amortize per-block setup.
+	// foldRows is the fold block: each block of foldRows row ids (a
+	// segment, when smaller: a block never straddles one, so retention
+	// drops whole blocks) folds its rows in row order into states of its
+	// own. Large enough that per-block setup and the fold never dominate,
+	// small enough that a table of a few segments spreads over the cores.
+	foldRows = 16384
+	// blockRows bounds a scan block, a fold block's unit of work: small
+	// enough that a block's scratch (selection, slots, kernel buffers)
+	// stays in L1/L2 and a selective scan allocates little, large enough
+	// to amortize per-block setup.
 	blockRows = 1024
 	// nullSlot is the key slot of NULL. It is a NaN bit pattern
 	// canonSlot never produces (canonSlot maps every NaN to one
@@ -178,7 +173,7 @@ type keySrc struct {
 	kind keyKind
 	col  int         // kindDict, kindFloat: the column
 	dict engine.Dict // kindDict: the version's code ↔ string table
-	node expr.Expr   // kindKernel, kindEval (kernel and evaluator built per shard)
+	node expr.Expr   // kindKernel, kindEval (kernel and evaluator built per scanner)
 }
 
 type argKind int
@@ -196,7 +191,7 @@ const (
 type argSrc struct {
 	kind argKind
 	col  int       // argFloat, argDict
-	node expr.Expr // argEval (evaluator built per shard)
+	node expr.Expr // argEval (evaluator built per scanner)
 }
 
 // argSource picks call's argument source. A numeric column is its floats.
@@ -217,17 +212,16 @@ func argSource(schema engine.Schema, call *sqlparse.AggCall) argSrc {
 	return argSrc{kind: argEval, node: call.Arg}
 }
 
-// vectorPlan is the analyzed statement: everything the shard workers
-// share read-only (strCodes excepted, which strMu guards).
+// vectorPlan is the analyzed statement: everything the scanners share
+// read-only (strCodes excepted, which strMu guards).
 type vectorPlan struct {
 	ctx    context.Context
 	src    *engine.Table
-	stmt   *sqlparse.SelectStmt
 	protos []agg.Func
 	keys   []keySrc
 	args   []argSrc
 	// floatCols marks, by column index, every numeric column a key, a key
-	// kernel or an argument reads; each shard opens one chunk reader per
+	// kernel or an argument reads; each scanner opens one chunk reader per
 	// marked column.
 	floatCols  []bool
 	keyKernels int            // keys of kindKernel
@@ -237,9 +231,15 @@ type vectorPlan struct {
 	// maskedAgg (PlanInfo.MaskedAgg): a global aggregate under a filter
 	// whose arguments are all count(*) or numeric columns.
 	maskedAgg bool
+	// split marks the float sums (sum, avg, var, stddev): Merge
+	// reassociates their additions, so a group keeps their partial of the
+	// last, incomplete fold block apart (Group.tail) for Advance to resume
+	// from. Every other state's Merge is exact under any grouping, which
+	// agg's contract test (FuzzAggContract) holds on every input.
+	split []bool
 	// strCodes interns the strings evaluated group keys yield (GROUP BY
-	// lower(s)): plan-wide, so every shard maps equal strings to one slot
-	// and shard states merge on it.
+	// lower(s)): plan-wide, so every block maps equal strings to one slot
+	// and block partials fold on it.
 	strMu    sync.Mutex
 	strCodes map[string]uint64
 }
@@ -270,7 +270,7 @@ func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
 // pass 0, Advance passes the old row count — the suffix is then the
 // filter's universe, so residual conjuncts touch nothing before it.
 func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggItems []int, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
-	p := &vectorPlan{ctx: ctx, src: src, stmt: stmt, protos: protos}
+	p := &vectorPlan{ctx: ctx, src: src, protos: protos}
 	schema := src.Schema()
 	p.floatCols = make([]bool, len(schema))
 
@@ -318,29 +318,28 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 
 	p.maskedAgg = len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 &&
 		!slices.ContainsFunc(p.args, func(a argSrc) bool { return a.kind == argEval || a.kind == argDict })
+	p.split = make([]bool, len(protos))
+	for ai, proto := range protos {
+		_, distinct := proto.(*agg.Distinct)
+		p.split[ai] = !distinct && !slices.Contains([]string{"count", "min", "max", "median"}, proto.Name())
+	}
 	return p, nil
 }
 
-// planInfo is the PlanInfo of a scan of this plan over shards partitions.
-func (p *vectorPlan) planInfo(shards int) PlanInfo {
-	plan := p.fstats.plan()
-	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, shards, p.maskedAgg, p.keyKernels
-	return plan
-}
-
-// vGroup is one shard-local (or merged) group with its key slots.
+// vGroup is one block's (or the folded) group with its key slots.
 type vGroup struct {
 	g     *Group
 	slots []uint64 // one per group-by column
-	gain  int      // mergeShards: lineage rows later shards still add
+	gain  int      // foldBlocks: lineage rows later blocks still add
 }
 
-func (p *vectorPlan) newGroup(slots []uint64, r int) *vGroup {
-	g := &Group{Aggs: make([]agg.Func, len(p.protos)), FirstRow: r}
-	for i, proto := range p.protos {
-		g.Aggs[i] = proto.Clone()
+// fresh returns an empty state of each prototype's kind.
+func fresh(protos []agg.Func) []agg.Func {
+	out := make([]agg.Func, len(protos))
+	for i, proto := range protos {
+		out[i] = proto.Clone()
 	}
-	return &vGroup{g: g, slots: append([]uint64(nil), slots...)}
+	return out
 }
 
 // groupIndex is a list of groups in first-appearance order with the
@@ -399,36 +398,36 @@ func (gx *groupIndex) index(slots []uint64) (int, bool) {
 	return next, false
 }
 
-// keyScan is one shard's state for one group-by column.
+// keyScan is one scanner's state for one group-by column.
 type keyScan struct {
 	dc    *engine.ColReader // kindDict
 	kern  *expr.FloatKernel // kindKernel, with its Eval arguments below
 	kvals [][]float64
 	knull [][]uint64
 	// eval is the boxed evaluator of a kindKernel or kindEval key: every
-	// selected row of a string-valued key or a declined block, and the
-	// creating row of each group (Group.Key is the reference's value).
+	// selected row of a string-valued key or a declined block.
 	eval  evaluator
 	slots []uint64 // the current block's key slot per selected row
 }
 
-// shardScan is one worker's private accumulation state over [lo, hi).
-type shardScan struct {
+// scanner is one worker's scan state. Its readers, evaluators, kernels
+// and scratch serve every fold block the worker takes; its group index
+// and groups — the block's partial states — start empty each block.
+type scanner struct {
 	groupIndex
 	plan     *vectorPlan
-	lo, hi   int
+	lo       int // the current block's first row
 	keys     []keyScan
 	argEvals []evaluator         // argEval arguments
 	argDicts []*engine.ColReader // argDict arguments
-	err      error
 
 	// Column readers pin one chunk at a time, so out-of-core reads fault
 	// per segment: fr by column (plan.floatCols), keys[i].dc, argDicts, and
-	// rr, which boxes single cells — for evaluators and a new group's
-	// column keys — off the same typed chunks.
+	// rr, which boxes single cells for the evaluators off the same typed
+	// chunks.
 	fr []*engine.ColReader
 	rr *engine.RowReader
-	// cursors lists every column reader above, for closeCursors.
+	// cursors lists every column reader above, for close.
 	cursors []*engine.ColReader
 
 	// Block scratch: the filter words, the selection vector (chunk offsets
@@ -438,20 +437,16 @@ type shardScan struct {
 	sel  []int32
 	runs []run
 	// slots is the current run's key. A whole cache line: the tiny
-	// allocator would pack two shards' buffers into one, and the shard
-	// goroutines would bounce it.
+	// allocator would pack two scanners' buffers into one, and the
+	// workers would bounce it.
 	slots []uint64
-	// pending bounds the passing rows the shard has yet to scan; a global
+	// pending bounds the passing rows the block has yet to scan; a global
 	// aggregate sizes its one lineage from it.
 	pending int
-
-	segsSkipped    int // fully-pruned out-of-core segments never pinned
-	chunksFaulted  int
-	chunksResident int
 }
 
-func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
-	ss := &shardScan{groupIndex: newGroupIndex(p), plan: p, lo: lo, hi: hi}
+func newScanner(p *vectorPlan) *scanner {
+	ss := &scanner{groupIndex: newGroupIndex(p), plan: p}
 	ss.rr = p.src.NewRowReader()
 	open := func(col int) *engine.ColReader {
 		ss.cursors = append(ss.cursors, p.src.NewColReader(col))
@@ -493,18 +488,17 @@ func newShardScan(p *vectorPlan, lo, hi int) *shardScan {
 	return ss
 }
 
-// closeCursors releases every pinned chunk and folds the cursors' pin
-// counters into the shard totals. Deferred from run() so error and
-// cancellation exits release pins too.
-func (ss *shardScan) closeCursors() {
+// close releases every pinned chunk and returns the readers' pin counts.
+// It is idempotent.
+func (ss *scanner) close() (faulted, resident int) {
 	ss.rr.Close()
-	faulted, resident := ss.rr.Counters()
+	faulted, resident = ss.rr.Counters()
 	for _, c := range ss.cursors {
 		c.Close()
 		f, res := c.Counters()
 		faulted, resident = faulted+f, resident+res
 	}
-	ss.chunksFaulted, ss.chunksResident = faulted, resident
+	return faulted, resident
 }
 
 // errKernelSlot is the internal error of a key kernel whose slot is not
@@ -512,92 +506,99 @@ func (ss *shardScan) closeCursors() {
 // unreachable unless CompileFloat's parity contract is broken.
 var errKernelSlot = errors.New("exec: internal: key kernel disagrees with the evaluator")
 
-// group finds or creates the group keyed by slots and returns its
-// position in groups; r is the creating row, which the shard has pinned.
-// A new group's Key is boxed here, once, as what the reference evaluates
-// GROUP BY to on that row: a code's string, a numeric column's actual
-// cell (its slot folded -0.0, NaN payloads and ints past 2^53), a
-// computed key's value from the boxed evaluator — never a kernel's float.
-func (ss *shardScan) group(slots []uint64, r int) (int, error) {
-	gi, ok := ss.index(slots)
-	if ok {
-		return gi, nil
-	}
-	vg := ss.plan.newGroup(slots, r)
-	if len(slots) > 0 {
-		vg.g.Key = make([]engine.Value, len(slots))
-	}
-	for i, k := range ss.plan.keys {
-		switch {
-		case k.kind == kindFloat:
-			vg.g.Key[i] = ss.rr.Value(r, k.col)
-		case k.kind != kindDict:
-			v, err := ss.keys[i].eval(r)
-			if err == nil && ss.plan.valueSlot(v) != slots[i] {
-				err = errKernelSlot
-			}
-			if err != nil {
-				return 0, err
-			}
-			vg.g.Key[i] = v
-		case slots[i] != 0: // kindDict; slot 0 is NULL
-			vg.g.Key[i] = engine.NewString(k.dict.Value(int32(slots[i] - 1)))
+// boxKeys boxes the Key of each group in born, in row order, as what the
+// reference evaluates GROUP BY to on its FirstRow: a code's string, a
+// numeric column's actual cell (its slot folded -0.0, NaN payloads and
+// ints past 2^53), a computed key's value from the boxed evaluator —
+// never a kernel's float. It reads through a row reader of its own and
+// returns that reader's pin counts.
+func (p *vectorPlan) boxKeys(born []*vGroup) (faulted, resident int, err error) {
+	rr := p.src.NewRowReader()
+	defer rr.Close()
+	evals := make([]evaluator, len(p.keys))
+	for i, k := range p.keys {
+		if k.kind == kindKernel || k.kind == kindEval {
+			evals[i] = rowEval(k.node, rr, p.src.Schema())
 		}
 	}
-	ss.groups = append(ss.groups, vg)
-	return gi, nil
+	for _, vg := range born {
+		r, key := vg.g.FirstRow, make([]engine.Value, len(vg.slots))
+		for i, k := range p.keys {
+			switch {
+			case k.kind == kindFloat:
+				key[i] = rr.Value(r, k.col)
+			case k.kind != kindDict:
+				v, err := evals[i](r)
+				if err == nil && p.valueSlot(v) != vg.slots[i] {
+					err = errKernelSlot
+				}
+				if err != nil {
+					return 0, 0, err
+				}
+				key[i] = v
+			case vg.slots[i] != 0: // kindDict; slot 0 is NULL
+				key[i] = engine.NewString(k.dict.Value(int32(vg.slots[i] - 1)))
+			}
+		}
+		vg.g.Key = key
+	}
+	faulted, resident = rr.Counters()
+	return faulted, resident, nil
 }
 
-// run scans the shard's row range block by block, polling the plan's ctx
-// at least once per ctxCheckRows rows, so a cancelled query stops all shards
-// promptly; the first shard to observe cancellation records the context
-// error and runVector surfaces it. Advance's suffix scan rides the same
-// loop (its lo need not be word-aligned; block clips the first word).
-func (ss *shardScan) run() {
-	p := ss.plan
+// run folds rows [lo, hi) — one fold block, or an Advance's part of
+// one — into fresh partial states after seeds (the states an Advance
+// resumes the block from), and returns the block's groups in
+// first-appearance order. It polls the plan's ctx at least once per
+// ctxCheckRows rows, so a cancelled query stops every worker promptly.
+func (ss *scanner) run(lo, hi int, seeds []*vGroup) (groups []*vGroup, err error) {
 	// A chunk fault can fail (corrupt or vanished segment file); the
 	// loader surfaces that as a SegmentLoadError panic. Recover it into
-	// ss.err here rather than letting par.Do re-raise it — runVector
-	// reports the lowest-indexed shard's error, the one a sequential scan
-	// would hit — and release any pins the cursors still hold on every
-	// exit path, including that one.
-	defer engine.CatchSegmentLoad(&ss.err)
-	defer ss.closeCursors()
+	// err here rather than letting par.Do re-raise it: runVector reports
+	// the lowest block's error, the one a sequential scan would hit.
+	defer engine.CatchSegmentLoad(&err)
+	p := ss.plan
+	ss.groupIndex = newGroupIndex(p)
+	for _, vg := range seeds {
+		ss.index(vg.slots)
+		ss.groups = append(ss.groups, vg)
+	}
 	var words []uint64
-	ss.pending = ss.hi - ss.lo
+	ss.lo, ss.pending = lo, hi-lo
 	if p.filter != nil {
 		words = p.filter.Words()
-		ss.countSkips(words)
-		ss.pending = bitset.CountWords(words[ss.lo/64 : (ss.hi+63)/64])
+		ss.pending = bitset.CountWords(words[lo/64 : (hi+63)/64])
 	}
 	segRows := p.src.SegRows()
 	unpolled := ctxCheckRows
-	for lo := ss.lo &^ 63; lo < ss.hi && ss.err == nil; {
-		hi := min(lo+blockRows, lo-lo%segRows+segRows, ss.hi)
-		if unpolled += hi - lo; unpolled > ctxCheckRows {
+	for at := lo &^ 63; at < hi; {
+		end := min(at+blockRows, at-at%segRows+segRows, hi)
+		if unpolled += end - at; unpolled > ctxCheckRows {
 			if err := p.ctx.Err(); err != nil {
-				ss.err = ctxErr(err)
-				return
+				return nil, ctxErr(err)
 			}
-			unpolled = hi - lo
+			unpolled = end - at
 		}
-		ss.err = ss.block(words, lo, hi)
-		lo = hi
+		if err := ss.block(words, at, end); err != nil {
+			return nil, err
+		}
+		at = end
 	}
+	return ss.groups, nil
 }
 
 // block folds the passing rows of [lo, hi) — rows of one segment, lo
-// word-aligned — into the shard state: filter words → selection vector →
-// one slot vector per key → runs, each with its group and lineage →
-// arguments, one fold per run. A block whose mask is empty pins nothing,
-// which keeps zone-map pruning free on out-of-core tables.
+// word-aligned — into the fold block's partial states: filter words →
+// selection vector → one slot vector per key → runs, each with its group
+// and lineage → arguments, one fold per run. A block whose mask is empty
+// pins nothing, which keeps zone-map pruning free on out-of-core tables.
 //
 // Column-at-a-time evaluation must still report the reference's error:
 // the lowest erroring row's, and within a row a key's before an
 // argument's. An evaluator error therefore truncates the block to the
 // rows before it, so a later column can only replace it with the error
 // of a lower row.
-func (ss *shardScan) block(words []uint64, lo, hi int) error {
+func (ss *scanner) block(words []uint64, lo, hi int) error {
 	p := ss.plan
 	mask := ss.mask[:(hi-lo+63)/64]
 	if words != nil {
@@ -670,13 +671,16 @@ func (ss *shardScan) block(words []uint64, lo, hi int) error {
 		for i := range ss.keys {
 			ss.slots[i] = ss.keys[i].slots[j]
 		}
-		gi, err := ss.group(ss.slots, base+int(sel[j]))
-		if err != nil {
-			return err
+		gi, ok := ss.index(ss.slots)
+		if !ok { // a new group: its Key is boxed once per result (boxKeys)
+			g := &Group{Aggs: fresh(p.protos), FirstRow: base + int(sel[j])}
+			ss.groups = append(ss.groups, &vGroup{g: g, slots: slices.Clone(ss.slots)})
 		}
 		g, grow := ss.groups[gi].g, end-j
 		if len(p.keys) == 0 {
 			grow = ss.pending // the one group's whole lineage, once
+		} else if !ok {
+			grow = max(grow, 16) // skip a small group's first reallocations
 		}
 		at := len(g.Lineage)
 		g.Lineage = slices.Grow(g.Lineage, grow)[:at+end-j]
@@ -742,7 +746,7 @@ type run struct{ end, gi int32 }
 
 // runEnd returns the end of the run that starts at selected row j: the
 // first row after it whose key slots differ, or n.
-func (ss *shardScan) runEnd(j, n int) int {
+func (ss *scanner) runEnd(j, n int) int {
 	if len(ss.keys) == 0 {
 		return n
 	}
@@ -784,184 +788,262 @@ func floatSlots(slots []uint64, vals []float64, null []uint64, sel []int32) {
 	}
 }
 
-// countSkips counts the out-of-core segments wholly inside this shard's
-// range whose filter words are all zero — typically because zone-map
-// pruning zeroed their mask chunks. No block of theirs pins anything, so
-// they are served without disk. A segment straddling a shard boundary
-// (sub-segment sharding on small tables) is counted by neither shard.
-func (ss *shardScan) countSkips(words []uint64) {
-	segRows := ss.plan.src.SegRows()
-	for k := (ss.lo + segRows - 1) / segRows; (k+1)*segRows <= ss.hi; k++ {
-		if ss.plan.src.SegmentFaultable(k) && !bitset.AnyWords(words[k*segRows/64:(k+1)*segRows/64]) {
-			ss.segsSkipped++
+// countSkips counts the out-of-core segments wholly inside [lo, hi) whose
+// filter words are all zero — typically because zone-map pruning zeroed
+// their mask chunks. No block of theirs pins anything, so they are served
+// without disk.
+func (p *vectorPlan) countSkips(lo, hi int) int {
+	if p.filter == nil {
+		return 0
+	}
+	words, segRows, skipped := p.filter.Words(), p.src.SegRows(), 0
+	for k := (lo + segRows - 1) / segRows; (k+1)*segRows <= hi; k++ {
+		if p.src.SegmentFaultable(k) && !bitset.AnyWords(words[k*segRows/64:(k+1)*segRows/64]) {
+			skipped++
 		}
 	}
+	return skipped
 }
 
-// errShardMerge is the internal error of a Merge refusal between states
-// cloned from one prototype — unreachable unless an aggregate's Merge is
-// broken, and loud rather than silently re-run.
-var errShardMerge = errors.New("exec: internal: shard states of one prototype did not merge")
+// errMerge is the internal error of a Merge refusal between states cloned
+// from one prototype — unreachable unless an aggregate's Merge is broken,
+// and loud rather than silently re-run.
+var errMerge = errors.New("exec: internal: states of one prototype did not merge")
 
-// mergeShards combines per-shard group states in shard order. Because
-// shard row ranges are ascending and contiguous, visiting shard 0's
-// groups first (in their local first-appearance order), then each later
-// shard's unseen groups, reproduces the sequential scan's group order
-// exactly; concatenating lineage in shard order keeps it ascending.
-func mergeShards(p *vectorPlan, states []*shardScan) ([]*vGroup, error) {
-	if len(states) == 1 {
-		return states[0].groups, nil
+// merged returns a new state holding a ⊕ b (onto a fresh Clone, Merge is
+// a copy).
+func merged(a, b agg.Func) (agg.Func, error) {
+	out := a.Clone()
+	if !out.Merge(a) || !out.Merge(b) {
+		return nil, errMerge
 	}
-	total := newGroupIndex(p)
-	var later [][2]*vGroup // {the group an earlier shard opened, a later shard's part of it}
-	for _, ss := range states {
-		for _, vg := range ss.groups {
-			gi, ok := total.index(vg.slots)
-			if !ok {
-				total.groups = append(total.groups, vg)
-				continue
-			}
-			total.groups[gi].gain += len(vg.g.Lineage)
-			later = append(later, [2]*vGroup{total.groups[gi], vg})
+	return out, nil
+}
+
+// fold folds part, one block's partial states of g, after what g holds:
+// the last, incomplete block's float sums become g's tail, everything
+// else folds into done. shared means done is still a prior result's,
+// which its readers hold, so this fold copies it; after a complete
+// block's fold every state in done is g's own, and the last block's fold
+// is g's last.
+func (p *vectorPlan) fold(g *Group, part []agg.Func, last, shared bool) (err error) {
+	last = last && slices.Contains(p.split, true)
+	switch {
+	case last && !slices.Contains(p.split, false):
+		g.tail = part
+		return nil
+	case !last && g.done == nil:
+		g.done = part
+		return nil
+	case last:
+		g.tail = make([]agg.Func, len(part))
+	}
+	if g.done == nil {
+		g.done = make([]agg.Func, len(part))
+	} else if shared {
+		g.done = slices.Clone(g.done)
+	}
+	for i, st := range part {
+		switch d := g.done[i]; {
+		case last && p.split[i]:
+			g.tail[i] = st
+		case d == nil:
+			g.done[i] = st
+		case shared:
+			g.done[i], err = merged(d, st)
+		case !d.Merge(st):
+			err = errMerge
+		}
+		if err != nil {
+			return err
 		}
 	}
-	// gain is what a merged lineage still has coming, so the first append
+	return nil
+}
+
+// publish sets g.Aggs to done ⊕ tail: done itself when there is no tail,
+// and otherwise each float sum's done ⊕ tail on a fresh state (O(1))
+// beside the states only one of them holds.
+func publish(g *Group) (err error) {
+	if g.Aggs = g.done; g.tail == nil {
+		return nil
+	}
+	if g.Aggs = g.tail; g.done == nil {
+		return nil
+	}
+	g.Aggs = slices.Clone(g.tail)
+	for i, d := range g.done {
+		switch t := g.Aggs[i]; {
+		case t == nil:
+			g.Aggs[i] = d
+		case d != nil:
+			g.Aggs[i], err = merged(d, t)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// foldBlocks left-folds the block partials, in block order, onto carried
+// (a prior result's groups) and publishes each group's Aggs; parts[tail]
+// is the incomplete last block (tail < 0: none). Carried groups first,
+// then each block's unseen groups in its own first-appearance order, is
+// the sequential scan's group order, and lineage concatenated in block
+// order ascends.
+func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) ([]*vGroup, error) {
+	total := newGroupIndex(p)
+	for _, vg := range carried {
+		total.index(vg.slots)
+		total.groups = append(total.groups, vg)
+	}
+	type later struct {
+		gi, block int
+		part      *vGroup
+	}
+	var folds []later // a block's part of a group an earlier block, or the prior, opened
+	for i, part := range parts {
+		for _, vg := range part {
+			if gi, ok := total.index(vg.slots); ok {
+				total.groups[gi].gain += len(vg.g.Lineage)
+				folds = append(folds, later{gi, i, vg})
+				continue
+			}
+			total.groups = append(total.groups, vg)
+			if err := p.fold(vg.g, vg.g.Aggs, i == tail, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// gain is what a folded lineage still has coming, so the first append
 	// sizes it for all of them and the Grows after it find the room there.
-	for _, pr := range later {
-		tgt, part := pr[0], pr[1].g
+	copied := make([]bool, len(carried)) // the carried group's done is a copy already
+	for _, f := range folds {
+		tgt, part := total.groups[f.gi], f.part.g
 		tgt.g.Lineage = append(slices.Grow(tgt.g.Lineage, tgt.gain), part.Lineage...)
 		tgt.gain -= len(part.Lineage)
-		for ai := range tgt.g.Aggs {
-			if !tgt.g.Aggs[ai].Merge(part.Aggs[ai]) {
-				return nil, errShardMerge
-			}
+		shared := f.gi < len(carried) && !copied[f.gi]
+		if shared {
+			copied[f.gi] = true
+		}
+		if err := p.fold(tgt.g, part.Aggs, f.block == tail, shared); err != nil {
+			return nil, err
+		}
+	}
+	for _, vg := range total.groups {
+		if err := publish(vg.g); err != nil {
+			return nil, err
 		}
 	}
 	return total.groups, nil
 }
 
-// shardCount picks the scan partition count. An explicit Options.Shards
-// is honored as given (capped at one bitset word — 64 rows — per
-// shard, the alignment floor); the automatic choice additionally keeps
-// every shard above minShardRows so setup and merge never dominate.
-func shardCount(n int, opts Options) int {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = par.Width((n + minShardRows - 1) / minShardRows)
+// runVector executes a grouped statement over src: plan, scan the fold
+// blocks from row from on, fold, materialize. prior lists the groups of
+// a result over src's rows below from, in scan order (none on a fresh
+// run, where from is 0): their done carries as it is, and the block from
+// falls inside, if any, resumes from clones of their tails. So a fresh
+// run is an Advance from the empty result, and an advanced result is,
+// bit for bit, a fresh one.
+func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, prior []*Group, from int) (*Result, error) {
+	p, err := planVector(ctx, src, stmt, aggItems, protos, from)
+	if err != nil {
+		return nil, err
 	}
-	return max(1, min(shards, (n+63)/64))
-}
-
-// shardRanges splits [0, n) into at most nshards contiguous,
-// 64-row-aligned ranges balanced by *surviving* filter popcount rather
-// than raw row count (a nil filter counts every row). A fixed
-// whole-segment split serializes a scan whenever zone-map pruning
-// zeroes all but one segment: every surviving row lands in one shard
-// while the rest count zeros. Here skipped segments contribute nothing
-// to the range math — they ride along inside whichever range surrounds
-// them (always whole, so countSkips still sees them wholly inside one
-// shard) — cuts land on segment boundaries while segments are small
-// next to a shard's share, so a shard's filter words, column chunks and
-// mask chunks straddle no other shard's, and a hot segment carrying
-// more than one shard's share of survivors is subdivided on bitset-word
-// boundaries, the finest granularity at which shard ranges never
-// straddle a mask word.
-//
-// Every emitted cut closes a range holding at least
-// target = ceil(totalPop/nshards) surviving rows, so at most nshards
-// ranges come back, non-overlapping and exhaustive over [0, n).
-func shardRanges(n, segRows, nshards int, filter *bitset.Bitset) [][2]int {
-	nwords := (n + 63) / 64
-	// pop counts the surviving rows in words [lo, hi).
-	pop := func(lo, hi int) int {
-		if hi*64 > n {
-			return n - lo*64
+	n, b, nk := src.NumRows(), min(foldRows, src.SegRows()), len(p.keys)
+	carried := make([]*vGroup, len(prior))
+	slots := make([]uint64, nk*len(prior)) // one backing array for every carried key
+	var seeds []*vGroup
+	for gi, g := range prior {
+		if carried[gi], err = carry(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk]); err != nil {
+			return nil, err
 		}
-		return (hi - lo) * 64
-	}
-	if filter != nil {
-		words := filter.Words()
-		pop = func(lo, hi int) int { return bitset.CountWords(words[lo:hi]) }
-	}
-	total := pop(0, nwords)
-	if total == 0 || nshards <= 1 {
-		// Nothing survives the filter (or one shard): a single range —
-		// the scan only counts skips and touches no rows.
-		return [][2]int{{0, n}}
-	}
-	target := (total + nshards - 1) / nshards
-	segWords := segRows / 64 // segment boundaries are word boundaries
-	out := make([][2]int, 0, nshards)
-	lo, acc := 0, 0 // current range start (words) and its popcount
-	cut := func(hiWord int) {
-		out = append(out, [2]int{lo * 64, min(hiWord*64, n)})
-		lo, acc = hiWord, 0
-	}
-	for segLo := 0; segLo < nwords; segLo += segWords {
-		segHi := min(segLo+segWords, nwords)
-		segPop := pop(segLo, segHi)
-		if segPop > target && len(out) < nshards-1 {
-			// Hot segment: more survivors than one shard's share.
-			// Subdivide on word boundaries, continuing the running range.
-			for wi := segLo; wi < segHi; wi++ {
-				acc += pop(wi, wi+1)
-				if acc >= target && len(out) < nshards-1 {
-					cut(wi + 1)
-				}
-			}
+		if g.tail == nil {
 			continue
 		}
-		acc += segPop
-		if acc >= target && len(out) < nshards-1 {
-			cut(segHi)
+		// The prior's last block is incomplete (from is inside it): its
+		// float sums resume from their tail, the other states start fresh,
+		// their rows there being in done.
+		aggs := fresh(protos)
+		for i, t := range g.tail {
+			if t != nil && !aggs[i].Merge(t) {
+				return nil, errMerge
+			}
+		}
+		seeds = append(seeds, &vGroup{g: &Group{Aggs: aggs, FirstRow: g.FirstRow}, slots: carried[gi].slots})
+	}
+
+	first := from / b
+	parts := make([][]*vGroup, (n+b-1)/b-first)
+	errs := make([]error, len(parts))
+	// par.Do hands out work items: a block, or all of an out-of-core
+	// segment's blocks, so that a worker pins each chunk it reads once.
+	var items []int // each item's first block; the next item's ends it
+	segBlocks := src.SegRows() / b
+	for i := range len(parts) {
+		if k := first + i; i == 0 || k%segBlocks == 0 || !src.SegmentFaultable(k/segBlocks) {
+			items = append(items, i)
 		}
 	}
-	if lo*64 < n {
-		cut(nwords)
+	items = append(items, len(parts))
+	scanners := make([]*scanner, par.Width(len(items)-1))
+	closeAll := func() (faulted, resident int) {
+		for _, ss := range scanners {
+			if ss != nil {
+				f, r := ss.close()
+				faulted, resident = faulted+f, resident+r
+			}
+		}
+		return faulted, resident
 	}
-	return out
-}
-
-// runVector executes a grouped statement: plan, sharded scan, merge,
-// materialize.
-func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, opts Options) (*Result, error) {
-	p, err := planVector(ctx, src, stmt, aggItems, protos, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	n := src.NumRows()
-	var states []*shardScan
-	for _, r := range shardRanges(n, src.SegRows(), shardCount(n, opts), p.filter) {
-		states = append(states, newShardScan(p, r[0], r[1]))
-	}
+	defer closeAll() // error and panic exits release pins too
 	span := obs.Start(ctx, obs.Scan)
-	par.Do(len(states), func(_, i int) { states[i].run() })
-	span.End()
-	// The lowest-indexed shard's error corresponds to the earliest
-	// erroring row — the error the sequential scan would have hit.
-	for _, ss := range states {
-		if ss.err != nil {
-			return nil, ss.err
+	par.Do(len(items)-1, func(w, it int) {
+		if scanners[w] == nil {
+			scanners[w] = newScanner(p)
 		}
+		for i := items[it]; i < items[it+1]; i++ {
+			var s []*vGroup
+			if i == 0 {
+				s = seeds
+			}
+			k := first + i
+			parts[i], errs[i] = scanners[w].run(max(k*b, from), min(k*b+b, n), s)
+		}
+	})
+	faulted, resident := closeAll()
+	span.End()
+	// The lowest block's error is the earliest erroring row's — the error
+	// the sequential scan would have hit.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	tail := -1
+	if n%b != 0 {
+		tail = len(parts) - 1
 	}
 	span = obs.Start(ctx, obs.Merge)
-	merged, err := mergeShards(p, states)
+	folded, err := foldBlocks(p, carried, parts, tail)
+	if err == nil && nk > 0 && len(folded) > len(carried) {
+		var f, r int
+		f, r, err = p.boxKeys(folded[len(carried):])
+		faulted, resident = faulted+f, resident+r
+	}
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-
-	groups := make([]*Group, len(merged))
-	for i, vg := range merged {
-		groups[i] = vg.g
-	}
-
-	plan := p.planInfo(len(states))
-	for _, ss := range states {
-		plan.SegsSkipped += ss.segsSkipped
-		plan.ChunksFaulted += ss.chunksFaulted
-		plan.ChunksResident += ss.chunksResident
+	plan := p.fstats.plan()
+	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, len(parts), p.maskedAgg, p.keyKernels
+	plan.SegsSkipped = p.countSkips(from, n)
+	plan.ChunksFaulted, plan.ChunksResident = faulted, resident
+	groups := make([]*Group, len(folded))
+	for gi, vg := range folded {
+		groups[gi] = vg.g
 	}
 	res := &Result{
 		Stmt: stmt, Source: src, Groups: groups,

@@ -63,11 +63,6 @@ func runRef(tbl *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
 	return RunReference(context.Background(), tbl, stmt)
 }
 
-// runWith runs the pipeline with pinned options.
-func runWith(tbl *engine.Table, stmt *sqlparse.SelectStmt, opts Options) (*Result, error) {
-	return RunOnWithCtx(context.Background(), tbl, stmt, opts)
-}
-
 // assertPipeline fails unless res came from a fresh run of the grouped
 // pipeline — the only way a grouped statement may execute.
 func assertPipeline(t *testing.T, label string, res *Result) {
@@ -134,26 +129,16 @@ func TestVectorPlanDistinctRunsInPipeline(t *testing.T) {
 	if !res.Plan.MaskedAgg {
 		t.Fatalf("filtered global DISTINCT left the masked fold: %+v", res.Plan)
 	}
-	// DISTINCT sets merge: the scan shards like any other, and the shards'
-	// sets union to the sequential scan's.
+	// DISTINCT sets merge: the scan folds many blocks like any other, and
+	// the blocks' sets union to the sequential scan's.
 	big := vectorTestTableSegs(t, 6)
 	for _, sql := range []string{
 		`SELECT count(DISTINCT city) AS c FROM v`,
 		`SELECT pop, count(DISTINCT city) AS c, sum(DISTINCT temp) AS s FROM v GROUP BY pop`,
 	} {
-		many, err := runWith(big, mustParse(t, sql), Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
+		if many := runBoth(t, big, sql); many.Plan.Shards != 6 {
+			t.Fatalf("%s folded %d blocks, want 6", sql, many.Plan.Shards)
 		}
-		if many.Plan.Shards < 2 {
-			t.Fatalf("%s scanned on %d shards", sql, many.Plan.Shards)
-		}
-		ref, err := runRef(big, mustParse(t, sql))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesEqual(t, sql, ref.Table, many.Table)
-		groupsEqual(t, sql, ref, many)
 	}
 }
 
@@ -168,10 +153,11 @@ func TestVectorPlanStringComputedKey(t *testing.T) {
 }
 
 // TestStringComputedKeySharded is the regression test for the mid-scan
-// abort: GROUP BY lower(s) used to scan every shard, hit the first
+// abort: GROUP BY lower(s) used to scan every partition, hit the first
 // string key, throw the work away and re-run on the boxed scan,
-// reporting success. It now runs once, on the pipeline, across shards —
-// NULL keys included — with shard states merging on the interned slots.
+// reporting success. It now runs once, on the pipeline, across fold
+// blocks — NULL keys included — with block partials folding on the
+// interned slots.
 func TestStringComputedKeySharded(t *testing.T) {
 	tbl := tinySegTable(rand.New(rand.NewSource(5)), 900)
 	sql := `SELECT lower(s) AS k, i, count(*) AS c, sum(f) AS sf FROM p GROUP BY lower(s), i`
@@ -186,18 +172,16 @@ func TestStringComputedKeySharded(t *testing.T) {
 	if !sawNull {
 		t.Fatal("fixture has no NULL string key")
 	}
-	for _, shards := range []int{2, 3, 4} {
-		res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPipeline(t, sql, res)
-		if res.Plan.Shards < 2 {
-			t.Fatalf("asked for %d shards, scanned on %d", shards, res.Plan.Shards)
-		}
-		tablesEqual(t, sql, ref.Table, res.Table)
-		groupsEqual(t, sql, ref, res)
+	res, err := RunOn(tbl, mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertPipeline(t, sql, res)
+	if res.Plan.Shards < 2 {
+		t.Fatalf("folded %d blocks, want several", res.Plan.Shards)
+	}
+	tablesEqual(t, sql, ref.Table, res.Table)
+	groupsEqual(t, sql, ref, res)
 }
 
 // TestWideGroupKeys pins keys past the old four-column limit, and that
@@ -205,23 +189,13 @@ func TestStringComputedKeySharded(t *testing.T) {
 func TestWideGroupKeys(t *testing.T) {
 	tbl := parityTable(rand.New(rand.NewSource(6)), 700)
 	sql := `SELECT i, j, f, s, t, lower(s) AS ls, count(*) AS c FROM p GROUP BY i, j, f, s, t, lower(s)`
-	ref, err := runRef(tbl, mustParse(t, sql))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 4} {
-		res, err := runWith(tbl, mustParse(t, sql), Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPipeline(t, sql, res)
-		tablesEqual(t, sql, ref.Table, res.Table)
-		groupsEqual(t, sql, ref, res)
+	for _, tbl := range []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} {
+		assertPipeline(t, sql, runBoth(t, tbl, sql))
 	}
 }
 
 // refusingAgg is a state whose Merge always refuses — the broken
-// aggregate mergeShards must report instead of silently re-running.
+// aggregate foldBlocks must report instead of silently re-running.
 type refusingAgg struct{ agg.Sum }
 
 func (r *refusingAgg) Clone() agg.Func     { return &refusingAgg{} }
@@ -238,11 +212,18 @@ func TestMergeRefusalIsAnInternalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := newShardScan(p, 0, 3), newShardScan(p, 3, 6)
-	a.run()
-	b.run()
-	if _, err := mergeShards(p, []*shardScan{a, b}); !errors.Is(err, errShardMerge) {
-		t.Fatalf("merge refusal returned %v, want errShardMerge", err)
+	ss := newScanner(p)
+	defer ss.close()
+	a, err := ss.run(0, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ss.run(3, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := foldBlocks(p, nil, [][]*vGroup{a, b}, -1); !errors.Is(err, errMerge) {
+		t.Fatalf("merge refusal returned %v, want errMerge", err)
 	}
 }
 
@@ -265,8 +246,7 @@ func TestProjectionUsesLoweredFilter(t *testing.T) {
 }
 
 // vectorTestTableSegs repeats vectorTestTable's rows into a table of the
-// minimum segment size until it spans segs segments: a multi-shard scan
-// needs more than one.
+// minimum segment size until it spans segs segments: segs fold blocks.
 func vectorTestTableSegs(t *testing.T, segs int) *engine.Table {
 	t.Helper()
 	src := vectorTestTable(t)
@@ -287,20 +267,24 @@ func vectorTestTableSegs(t *testing.T, segs int) *engine.Table {
 	return tbl
 }
 
+// TestVectorShardedMatchesSingleShard: the same rows in six fold blocks
+// and in one (a default-segment table) answer alike — the values here are
+// exact, so the fold order cannot show.
 func TestVectorShardedMatchesSingleShard(t *testing.T) {
-	tbl := vectorTestTableSegs(t, 6)
+	many := vectorTestTableSegs(t, 6)
+	one := segCopy(many, engine.DefaultSegmentBits)
 	sql := `SELECT city, sum(pop) AS s, min(temp) AS m FROM v GROUP BY city`
-	one, err := runWith(tbl, mustParse(t, sql), Options{Shards: 1})
+	a, err := RunOn(one, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := runWith(tbl, mustParse(t, sql), Options{Shards: 5})
+	b, err := RunOn(many, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Plan.Shards != 1 || many.Plan.Shards < 2 {
-		t.Fatalf("shard counts: %+v vs %+v", one.Plan, many.Plan)
+	if a.Plan.Shards != 1 || b.Plan.Shards != 6 {
+		t.Fatalf("fold blocks: %+v vs %+v", a.Plan, b.Plan)
 	}
-	tablesEqual(t, sql, one.Table, many.Table)
-	groupsEqual(t, sql, one, many)
+	tablesEqual(t, sql, a.Table, b.Table)
+	groupsEqual(t, sql, a, b)
 }

@@ -4,7 +4,7 @@
 // are the one definition of a layer:
 //
 //	admit lock decode                    server: slot wait, session-lock wait, body decode
-//	parse filter scan merge materialize  query: SQL, WHERE mask, scan, shard merge, output
+//	parse filter scan merge materialize  query: SQL, WHERE mask, scan, block fold, output
 //	preprocess featurize enumerate predicates rank  Debug, as DebugResult.Timings' keys
 //	wal fsync seal                       durable append: WAL record, sync, segment files
 //	encode                               the JSON response

@@ -209,7 +209,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			got, _, _, _ := st.Rescore(carriedCtx)
 
 			// The oracle: from-scratch result, scorer and candidates.
-			fresh, err := exec.RunOnWithCtx(context.Background(), grown, stmt, exec.Options{Shards: 4})
+			fresh, err := exec.RunOn(grown, stmt)
 			if err != nil {
 				t.Fatalf("fresh run: %v", err)
 			}

@@ -141,19 +141,6 @@ func (s *Server) SetMaxBodyBytes(n int64) {
 	}
 }
 
-// SetSessionLimits overrides the session-map bounds (count cap and idle
-// TTL); zero keeps the current value. For tests and embedders.
-func (s *Server) SetSessionLimits(max int, ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if max > 0 {
-		s.maxSessions = max
-	}
-	if ttl > 0 {
-		s.sessionTTL = ttl
-	}
-}
-
 // Handler returns the HTTP handler (mountable under any mux). Every
 // /api route runs inside the lifecycle layer: query/debug/clean/reset
 // are heavy (admission-controlled, sheddable), suggest/zoom and the

@@ -348,7 +348,7 @@ func TestConcurrentAppendDebugRace(t *testing.T) {
 func TestSessionEviction(t *testing.T) {
 	db := streamDB(t)
 	srv := New(db)
-	srv.SetSessionLimits(3, time.Hour)
+	srv.maxSessions, srv.sessionTTL = 3, time.Hour
 	now := time.Unix(1_000_000, 0)
 	srv.now = func() time.Time { return now }
 

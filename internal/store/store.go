@@ -132,9 +132,6 @@ type tableStore struct {
 // execution (internal/exec, internal/core) runs against.
 func (s *DB) Eng() *engine.DB { return s.eng }
 
-// Dir returns the store's root directory.
-func (s *DB) Dir() string { return s.dir }
-
 func (s *DB) table(name string) (*tableStore, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,7 +8,7 @@
 // generator's shape: NULL-heavy columns, NaN, signed zeros, and
 // collision-heavy values — and floats drawn from multiples of 0.25 in
 // a small range, whose sums (and sums of squares) are exactly
-// representable, so sharded scans, merged aggregate states and
+// representable, so block-folded scans, merged aggregate states and
 // suffix-folded advances must agree with a sequential rebuild to the
 // last bit. Differential tests can therefore assert exact equality
 // instead of hiding maintenance bugs behind a tolerance.
