@@ -31,14 +31,15 @@ quality:
 test-race:
 	$(GO) test -race -short ./...
 
-# Answers do not follow the core count: the golden Debug rankings and the
+# Answers do not follow the core count: the golden Debug rankings, the
 # exec parity harnesses (bit for bit against the reference, which folds
-# by the same table-fixed blocks) at one core and at four. The scan's
-# fold blocks are the table's, so both runs must pass against the one
-# checked-in golden file.
+# by the same table-fixed blocks) and the lineage tests (the row order a
+# first read builds) at one core and at four. The scan's fold blocks are
+# the table's, so both runs must pass against the one checked-in golden
+# file.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity' ./internal/core ./internal/exec
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity' ./internal/core ./internal/exec
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity|TestLineage' ./internal/core ./internal/exec
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity|TestLineage' ./internal/core ./internal/exec
 
 # Durability fault suite: the crash-at-every-failpoint recovery matrix,
 # corruption/quarantine detection, and fail-stop behavior in
@@ -213,9 +214,10 @@ profile-append:
 
 # Where a scan spends its CPU: BenchmarkScanMix (the benchmark's scan_mix
 # grouped and global statements over 400k Intel rows, two CPUs) under the
-# CPU profiler, the twin of profile-debug. The key kernel, the argument
-# folds (AddFloats) and lineage growth should lead; a map assign under
-# min/max or one interface call per row means a fold went per value again.
+# CPU profiler, the twin of profile-debug. The key kernel and the argument
+# folds (AddFloats) should lead — the scan records no lineage, so a
+# slices.Grow of row ids means it does again; a map assign under min/max
+# or one interface call per row means a fold went per value again.
 profile-scan:
 	@dir=$$(mktemp -d); \
 	$(GO) test -run='^$$' -bench='BenchmarkScanMix' -benchmem -cpu 2 -count 3 \

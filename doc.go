@@ -10,7 +10,7 @@
 //     contribution): Debug(query, S, D', ε) → ranked predicates,
 //     plus the clean-and-requery loop.
 //   - internal/engine, expr, sqlparse, agg, exec — the SQL substrate
-//     with fine-grained provenance capture.
+//     with fine-grained provenance, built when first read.
 //   - internal/influence, cleaner, subgroup, dtree, predicate, ranker —
 //     the pipeline stages.
 //   - internal/datasets — synthetic FEC and Intel Lab generators with
@@ -168,8 +168,9 @@
 //     keys planned as kernels). One key looks up through a dense code
 //     table or a uint64 map, two or more through a map keyed by the
 //     slots' bytes — any width. The block then walks runs, consecutive
-//     selected rows with equal slots: one lookup, one lineage growth and
-//     one AddFloats per numeric argument per run. A group's Key is boxed
+//     selected rows with equal slots: one lookup, one row count, one
+//     AddFloats per numeric argument per run (no lineage: a result's
+//     first read runs these stages again for it). A group's Key is boxed
 //     once, where the fold first meets the group, on its FirstRow — a
 //     kernel key's by the boxed evaluator, so it is the reference's
 //     value, type included, never the kernel's float; materialize takes
@@ -184,13 +185,12 @@
 //     16384 row ids (a segment, when smaller) that par.Do hands out
 //     (an out-of-core segment's together, so its chunks pin once); each
 //     folds its rows in row order into partial states, and the partials
-//     Merge left in block order: the sequential scan's group order,
-//     lineage and FirstRow, and float bits the table fixes, not the
-//     core count. A result keeps its float sums' partial of its last,
+//     Merge left in block order: the sequential scan's group order, row
+//     counts and FirstRow, and float bits the table fixes, not the core
+//     count. A result keeps its float sums' partial of its last,
 //     incomplete block apart, so Advance resumes that block (other
-//     Merges are exact): Run is Advance from the empty result. A global aggregate is the zero-key block, one
-//     run a block, on the same fold (Plan.MaskedAgg still reports a
-//     filtered global statement of count(*) or numeric columns).
+//     Merges are exact): Run is Advance from the empty result. A global
+//     aggregate is the zero-key block, one run a block, on the same fold.
 //   - Who still boxes in production, and why the edge is there: argEval
 //     — an aggregate argument that is neither a numeric column nor
 //     count(DISTINCT)'s string column evaluates per row to a Value and
@@ -255,13 +255,13 @@
 //     pass — never sees a mask of the wrong geometry.
 //   - internal/exec — Advance(res, grown) re-executes a statement over a
 //     grown table version by folding only the appended rows into copies
-//     of the previous result's group states (Clone+Merge state copy,
-//     shared lineage prefixes), then re-materializing HAVING/ORDER
-//     BY/LIMIT over the groups — a full re-sort, which at the tens of
-//     groups a monitoring query has costs less than carrying an order:
-//     O(batch + groups) per cycle instead of an O(n) rescan. Lineage bitsets and argument views carry across
-//     the advance with prefix reuse, so a following Debug
-//     (influence.Scorer) also skips the unchanged prefix.
+//     of the previous result's group states (Clone+Merge state copy),
+//     then re-materializing HAVING/ORDER BY/LIMIT over the groups — a
+//     full re-sort, which at the tens of groups a monitoring query has
+//     costs less than carrying an order: O(batch + groups) per cycle
+//     instead of an O(n) rescan. A built lineage extends over the suffix
+//     (an unbuilt one stays unbuilt); lineage bitsets and argument views
+//     carry with prefix reuse, so a following Debug skips that prefix.
 //   - internal/server — POST /api/append decodes its envelope with
 //     encoding/json and scans the rows straight into a Batch (numbers
 //     by strconv, integer literals exact for int and time columns), which

@@ -329,10 +329,9 @@ func AnyWords(ws []uint64) bool {
 	return false
 }
 
-// CountWords returns the total popcount of ws.
-func CountWords(ws []uint64) int {
-	c := 0
-	i := 0
+// Count returns the number of set bits.
+func (b *Bitset) Count() int {
+	ws, c, i := b.words, 0, 0
 	for ; i+4 <= len(ws); i += 4 {
 		c += bits.OnesCount64(ws[i]) + bits.OnesCount64(ws[i+1]) +
 			bits.OnesCount64(ws[i+2]) + bits.OnesCount64(ws[i+3])
@@ -341,11 +340,6 @@ func CountWords(ws []uint64) int {
 		c += bits.OnesCount64(ws[i])
 	}
 	return c
-}
-
-// Count returns the number of set bits.
-func (b *Bitset) Count() int {
-	return CountWords(b.words)
 }
 
 // AndCount returns |x ∩ y| without materializing the intersection.

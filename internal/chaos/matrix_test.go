@@ -65,7 +65,7 @@ func resultsEq(t *testing.T, label string, want, got *exec.Result) {
 		t.Fatalf("%s: %d vs %d groups", label, len(want.Groups), len(got.Groups))
 	}
 	for i := range want.Groups {
-		wl, gl := want.Groups[i].Lineage, got.Groups[i].Lineage
+		wl, gl := want.GroupLineage(i), got.GroupLineage(i)
 		if len(wl) != len(gl) {
 			t.Fatalf("%s: group %d lineage %d vs %d", label, i, len(wl), len(gl))
 		}

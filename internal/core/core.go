@@ -687,6 +687,9 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// lineage bitsets and argument view were carried by exec.Advance) and
 	// share the previous ranking when no suspect group grew. ---
 	span := obs.Start(req.Ctx, obs.Preprocess)
+	if err := res.BuildLineage(req.ctx()); err != nil {
+		return nil, err
+	}
 	sc, err := influence.NewScorer(res, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
@@ -814,14 +817,17 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) 
 // the universe exec.FilterRows walks cond over, so a comparison against
 // a constant or a LIKE on a string column reads a shared clause mask and
 // anything else (arithmetic, function calls) is evaluated on lineage
-// rows only — an error is one a lineage row raises. The walk polls ctx; a chunk-load failure is an
-// error, as in Debug.
+// rows only — an error is one a lineage row raises. The lineage build
+// and the walk poll ctx; a chunk-load failure is an error, as in Debug.
 func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond string) ([]int, error) {
 	e, err := sqlparse.ParseExpr(cond)
 	if err != nil {
 		return nil, err
 	}
 	if err := e.Resolve(res.Source.Schema()); err != nil {
+		return nil, err
+	}
+	if err := res.BuildLineage(ctx); err != nil {
 		return nil, err
 	}
 	lineage := bitset.New(res.Source.NumRows())

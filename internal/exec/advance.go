@@ -29,9 +29,11 @@ import (
 // The previous result stays valid and immutable for concurrent readers:
 // its states are cloned before anything folds into them, and
 // lineage/argument slices grow by appending past every published length
-// (prefix bytes are never rewritten). That makes advancing linear — a
-// result can be advanced once; branching would clobber the shared suffix,
-// so a second Advance returns an error.
+// (prefix bytes are never rewritten). Lineage grows so only when the
+// previous result's is built: an unbuilt one stays unbuilt, and the
+// advanced result builds its own on first read. That makes advancing
+// linear — a result can be advanced once; branching would clobber the
+// shared suffix, so a second Advance returns an error.
 //
 // Carried state is valid only at the retention base it was computed at:
 // its row ids are local to that base. When a retention pass moved the
@@ -122,6 +124,10 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 		return nil, fmt.Errorf("exec: result already advanced (advance chains are linear)")
 	}
 	res.advanced = true
+	// Built or not is read with the claim: a built lineage never changes,
+	// so carry may share it; an unbuilt one a concurrent first read may
+	// build while carry runs, so carry must not look at it.
+	lineage := res.lineBuilt
 	res.argMu.Unlock()
 	claimed = true
 
@@ -129,7 +135,7 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	// extend their clause masks incrementally and residual ones evaluate
 	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
 	// reinstate the O(table)-per-batch rescan this path exists to avoid.
-	out, err = runVector(ctx, grown, stmt, res.aggArgs, res.aggItems, protos, res.allGroups, oldN)
+	out, err = runVector(ctx, grown, stmt, res.aggArgs, res.aggItems, protos, res.allGroups, oldN, lineage)
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +145,18 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 }
 
 // carry makes the copy of one prior group that runVector folds onto:
-// Key is shared (immutable), and so are Lineage — appended rows land past
-// the old length, which old readers never index — and done, which the
-// fold copies before it first merges into it. The tail is not carried:
-// the block it covers resumes from clones of it. The key
+// Key is shared (immutable), and so are a built lineage — appended rows
+// land past the old length, which old readers never index — and done,
+// which the fold copies before it first merges into it. The tail is not
+// carried: the block it covers resumes from clones of it. The key
 // slots are rebuilt into slots (zeroed, one per key column) from the boxed
 // key values with the canonicalization the scan applies per row;
 // append-stable dictionary codes make the dict slots version-portable.
-func carry(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
-	ng := &Group{Key: g.Key, Lineage: g.Lineage, FirstRow: g.FirstRow, done: g.done}
+func carry(g *Group, p *vectorPlan, slots []uint64, lineage bool) (*vGroup, error) {
+	ng := &Group{Key: g.Key, Rows: g.Rows, FirstRow: g.FirstRow, done: g.done}
+	if lineage {
+		ng.lineage = g.lineage
+	}
 	vg := &vGroup{g: ng, slots: slots}
 	for i, k := range p.keys {
 		v := g.Key[i]
@@ -165,12 +174,12 @@ func carry(g *Group, p *vectorPlan, slots []uint64) (*vGroup, error) {
 }
 
 // carryCaches extends the old result's lazily-built columnar caches —
-// per-group lineage bitsets and per-ordinal argument views — onto the
-// new result, so downstream Debug runs (influence.Scorer) reuse the
-// unchanged prefix instead of rebuilding it: the prefix is a word-level
-// memcpy plus amortized slice growth, and only the appended suffix is
-// decoded or set bit-by-bit. out.allGroups begins with res.allGroups'
-// copies, in order.
+// per-group lineage bitsets (when its lineage was built at the claim) and
+// per-ordinal argument views — onto the new result, so downstream Debug
+// runs (influence.Scorer) reuse the unchanged prefix instead of
+// rebuilding it: the prefix is a word-level memcpy plus amortized slice
+// growth, and only the appended suffix is decoded or set bit-by-bit.
+// out.allGroups begins with res.allGroups' copies, in order.
 func carryCaches(res, out *Result, oldN, newN int) {
 	// Snapshot the cache maps under the lock: concurrent readers of the
 	// old result (a Debug in flight calls GroupLineageBitsShared /
@@ -186,7 +195,7 @@ func carryCaches(res, out *Result, oldN, newN int) {
 	}
 	res.argMu.Unlock()
 
-	if len(oldBits) > 0 {
+	if len(oldBits) > 0 && out.lineBuilt {
 		out.lineBits = make(map[*Group]*bitset.Bitset, len(oldBits))
 		for gi, og := range res.allGroups {
 			b, ok := oldBits[og]
@@ -195,7 +204,7 @@ func carryCaches(res, out *Result, oldN, newN int) {
 			}
 			ng := out.allGroups[gi]
 			nb := bitset.SnapshotWords(newN, b.Words())
-			for _, r := range ng.Lineage[len(og.Lineage):] {
+			for _, r := range ng.lineage[len(og.lineage):] {
 				nb.Set(r)
 			}
 			out.lineBits[ng] = nb

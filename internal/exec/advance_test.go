@@ -34,7 +34,7 @@ func batchRows(rng *rand.Rand, k int) [][]engine.Value {
 // 64-row segments are as many fold blocks, so the chains cross block
 // boundaries and resume partial blocks.
 func TestAdvanceParity(t *testing.T) {
-	sawDistinct, sawCross := false, false
+	sawDistinct, sawCross, sawExtend := false, false, false
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 101))
 		tbl := tinySegTable(rng, rng.Intn(200))
@@ -67,6 +67,14 @@ func TestAdvanceParity(t *testing.T) {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
+				// Step 0 advances an unbuilt lineage, which stays unbuilt
+				// until groupsEqual builds it over the grown table; later
+				// steps extend the lineage the step before built, if it
+				// read one.
+				if adv.lineBuilt != res.lineBuilt || step == 0 && adv.lineBuilt {
+					t.Fatalf("%s: lineage built %v after Advance from %v", label, adv.lineBuilt, res.lineBuilt)
+				}
+				sawExtend = sawExtend || adv.lineBuilt
 				tablesEqual(t, label, ref.Table, adv.Table)
 				groupsEqual(t, label, ref, adv)
 				tablesEqual(t, label+" (fresh)", fresh.Table, adv.Table)
@@ -83,8 +91,8 @@ func TestAdvanceParity(t *testing.T) {
 			tbl = cur
 		}
 	}
-	if !sawDistinct || !sawCross {
-		t.Fatalf("harness coverage: sawDistinct=%v sawCross=%v", sawDistinct, sawCross)
+	if !sawDistinct || !sawCross || !sawExtend {
+		t.Fatalf("harness coverage: sawDistinct=%v sawCross=%v sawExtend=%v", sawDistinct, sawCross, sawExtend)
 	}
 }
 
@@ -243,8 +251,8 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 		lineage []int
 	}
 	var before []snap
-	for gi, g := range res.Groups {
-		s := snap{lineage: append([]int(nil), g.Lineage...)}
+	for gi := range res.Groups {
+		s := snap{lineage: append([]int(nil), res.GroupLineage(gi)...)}
 		for c := 0; c < res.Table.NumCols(); c++ {
 			s.cells = append(s.cells, res.Table.Value(gi, c).Key())
 		}
@@ -257,12 +265,13 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	if _, err := Advance(res, grown); err != nil {
 		t.Fatal(err)
 	}
-	for gi, g := range res.Groups {
-		if len(g.Lineage) != len(before[gi].lineage) {
-			t.Fatalf("group %d lineage grew in the old result: %d vs %d", gi, len(g.Lineage), len(before[gi].lineage))
+	for gi := range res.Groups {
+		l := res.GroupLineage(gi)
+		if len(l) != len(before[gi].lineage) {
+			t.Fatalf("group %d lineage grew in the old result: %d vs %d", gi, len(l), len(before[gi].lineage))
 		}
-		for k := range g.Lineage {
-			if g.Lineage[k] != before[gi].lineage[k] {
+		for k := range l {
+			if l[k] != before[gi].lineage[k] {
 				t.Fatalf("group %d lineage[%d] changed", gi, k)
 			}
 		}
@@ -405,8 +414,8 @@ func TestAppendDuringQueryRace(t *testing.T) {
 					return
 				}
 				total := 0
-				for _, g := range res.Groups {
-					total += len(g.Lineage)
+				for gi := range res.Groups {
+					total += len(res.GroupLineage(gi))
 				}
 				if total > n {
 					t.Errorf("lineage beyond snapshot: %d > %d", total, n)

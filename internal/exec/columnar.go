@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -112,15 +113,55 @@ func fillArgView(av *ArgView, call *sqlparse.AggCall, src *engine.Table, from, t
 	return nil
 }
 
+// BuildLineage builds every group's lineage unless it is built: a lineage
+// pass over Source under the result's lock, polling ctx, timed as its
+// scan span. A failed build publishes nothing; the next read retries it.
+// A chunk-load failure is an error, never a panic. The readers below
+// build under the background context; request paths call this first.
+func (r *Result) BuildLineage(ctx context.Context) (err error) {
+	defer engine.CatchSegmentLoad(&err)
+	r.argMu.Lock()
+	defer r.argMu.Unlock()
+	if r.lineBuilt {
+		return nil
+	}
+	p, err := planVector(ctx, r.Source, r.Stmt, nil, nil, 0)
+	if err != nil {
+		return err
+	}
+	total := 0
+	for _, g := range r.allGroups {
+		total += g.Rows
+	}
+	buf := make([]int, total)
+	for _, g := range r.allGroups { // capped: an Advance's appends reallocate
+		g.lineage, buf = buf[:0:g.Rows], buf[g.Rows:]
+	}
+	_, _, err = p.lineage(r.allGroups, nil, 0) // read by no one until lineBuilt
+	r.lineBuilt = err == nil
+	return err
+}
+
+// GroupLineage returns output row ri's lineage: the source row ids that
+// passed WHERE and fell into its group, ascending (nil when ri is out of
+// range); shared, read-only. A chunk-load failure while it builds panics
+// with the *engine.SegmentLoadError, as engine.ColReader does.
+func (r *Result) GroupLineage(ri int) []int {
+	if ri < 0 || ri >= len(r.Groups) {
+		return nil
+	}
+	if err := r.BuildLineage(context.Background()); err != nil {
+		panic(err)
+	}
+	return r.Groups[ri].lineage
+}
+
 // LineageBits returns the union of the given output rows' lineage as a
 // bitset over source rows — the bitmap form of Lineage.
 func (r *Result) LineageBits(rowIdxs []int) *bitset.Bitset {
 	b := bitset.New(r.Source.NumRows())
 	for _, ri := range rowIdxs {
-		if ri < 0 || ri >= len(r.Groups) {
-			continue
-		}
-		for _, src := range r.Groups[ri].Lineage {
+		for _, src := range r.GroupLineage(ri) {
 			b.Set(src)
 		}
 	}
@@ -147,7 +188,7 @@ func (r *Result) GroupLineageBitsShared(ri int) *bitset.Bitset {
 	// Build outside the lock so parallel Scorer construction isn't
 	// serialized; a racing duplicate build is correct and one wins.
 	b := bitset.New(r.Source.NumRows())
-	for _, src := range g.Lineage {
+	for _, src := range r.GroupLineage(ri) {
 		b.Set(src)
 	}
 	r.argMu.Lock()

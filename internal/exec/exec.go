@@ -1,14 +1,16 @@
 // Package exec plans and executes the single-block aggregate queries
 // produced by internal/sqlparse against internal/engine tables, and —
-// crucially for DBWipes — captures fine-grained provenance while doing
-// so: every output group records the exact set of source row ids
-// (its *lineage*) that flowed into its aggregates.
+// crucially for DBWipes — exposes fine-grained provenance: every output
+// group's exact set of source row ids (its *lineage*) that flowed into
+// its aggregates.
 //
 // The original DBWipes runs on PostgreSQL and reconstructs lineage with
-// rewritten queries; here lineage falls out of the hash-aggregation loop
-// for free. The Result type is the hand-off point to the ranked
-// provenance pipeline: it exposes lineage sets, the live aggregate
-// states, and each aggregate's argument as a flat column.
+// rewritten queries when the user zooms or debugs; here too a grouped
+// result builds its lineage on first read, with one pass of the scan's
+// own filter and grouping stages and none of its folds, so a query that
+// is never zoomed into holds no row ids. The Result type is the hand-off
+// point to the ranked provenance pipeline: it exposes lineage sets, the
+// live aggregate states, and each aggregate's argument as a flat column.
 package exec
 
 import (
@@ -37,14 +39,18 @@ const ctxCheckRows = 4096
 func ctxErr(err error) error { return fmt.Errorf("exec: cancelled: %w", err) }
 
 // Group is one output group: its key values, the aggregate states
-// accumulated over its input, and the lineage (source row ids).
+// accumulated over its input, and its row count. Its lineage (source row
+// ids) is read through Result.GroupLineage.
 type Group struct {
 	// Key holds the evaluated GROUP BY expressions for this group (empty
 	// for a global aggregate).
 	Key []engine.Value
-	// Lineage lists the source row ids that passed WHERE and fell into
-	// this group, in scan order.
-	Lineage []int
+	// Rows counts the source rows that passed WHERE and fell into this
+	// group: the length of its lineage.
+	Rows int
+	// lineage lists those rows' ids in scan order; nil until the result's
+	// lineage is built (Result.BuildLineage).
+	lineage []int
 	// Aggs holds one live aggregate state per aggregate select item.
 	Aggs []agg.Func
 	// FirstRow is the first source row id of the group: the row Key was
@@ -84,10 +90,12 @@ type Result struct {
 	// argMu guards argViews (the per-ordinal flat argument columns the
 	// columnar scoring fast path decodes on first use, see columnar.go),
 	// lineBits (the per-group lineage bitset cache Advance carries
-	// across batches), and the advanced flag.
-	argMu    sync.Mutex
-	argViews map[int]*ArgView
-	lineBits map[*Group]*bitset.Bitset
+	// across batches), lineBuilt (every group's lineage is built and
+	// will not change) and the advanced flag.
+	argMu     sync.Mutex
+	argViews  map[int]*ArgView
+	lineBits  map[*Group]*bitset.Bitset
+	lineBuilt bool
 	// advanced marks a result that has already been advanced once;
 	// Advance extends lineage slices and argument views in place past
 	// their published lengths, so advancing must be linear — a second
@@ -137,7 +145,7 @@ func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 	if !isGrouped(stmt) {
 		return runProjection(ctx, src, stmt)
 	}
-	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0)
+	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0, false)
 }
 
 func isGrouped(stmt *sqlparse.SelectStmt) bool {
@@ -264,7 +272,7 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 			}
 		}
 		if !grouped { // projection: every passing row is its own group
-			groups = append(groups, &Group{Lineage: []int{r}, FirstRow: r})
+			groups = append(groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
 			continue
 		}
 		keyBuf.Reset()
@@ -295,7 +303,8 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 			st = fresh(protos)
 			part[grp] = st
 		}
-		grp.Lineage = append(grp.Lineage, r)
+		grp.Rows++
+		grp.lineage = append(grp.lineage, r)
 		for ai := range aggArgs {
 			if aggArgs[ai] == nil { // count(*)
 				st[ai].AddFloat(1)
@@ -314,7 +323,7 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 
 	res = &Result{
 		Stmt: stmt, Source: src, Groups: groups,
-		aggArgs: aggArgs, aggItems: aggItems,
+		aggArgs: aggArgs, aggItems: aggItems, lineBuilt: true,
 	}
 	if err := res.materialize(); err != nil {
 		return nil, err
@@ -355,7 +364,7 @@ func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.Select
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stmt: stmt, Source: src, Plan: fstats.plan()}
+	res := &Result{Stmt: stmt, Source: src, Plan: fstats.plan(), lineBuilt: true}
 	if filter == nil {
 		for r := 0; r < src.NumRows(); r++ {
 			if r%ctxCheckRows == 0 {
@@ -363,12 +372,12 @@ func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.Select
 					return nil, ctxErr(err)
 				}
 			}
-			res.Groups = append(res.Groups, &Group{Lineage: []int{r}, FirstRow: r})
+			res.Groups = append(res.Groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
 		}
 		return res, res.materialize()
 	}
 	filter.ForEach(func(r int) {
-		res.Groups = append(res.Groups, &Group{Lineage: []int{r}, FirstRow: r})
+		res.Groups = append(res.Groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
 	})
 	return res, res.materialize()
 }

@@ -344,8 +344,8 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tablesEqual(t, "out of core", ref.Table, res.Table)
-	groupsEqual(t, "out of core", ref, res)
+	// The scan's pins are counted before groupsEqual builds the lineage,
+	// a pass of its own.
 	floats, codes, ints, pinned := loader.Counts()
 	if pinned != 0 || codes != 0 || ints != 0 {
 		t.Fatalf("%d pins outstanding, %d code and %d exact-int pins for a statement over two numeric columns", pinned, codes, ints)
@@ -355,6 +355,8 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 	if floats -= sealed; floats != sealed+len(birthSegs) {
 		t.Fatalf("%d float pins of f, want %d by the workers' readers + %d at group births", floats, sealed, len(birthSegs))
 	}
+	tablesEqual(t, "out of core", ref.Table, res.Table)
+	groupsEqual(t, "out of core", ref, res)
 
 	// A load failure mid-block — f's chunk fails once t's is pinned — is
 	// a SegmentLoadError with every pin released; through Advance it also
@@ -428,12 +430,21 @@ func TestBlockPollCadence(t *testing.T) {
 		}
 		for _, lo := range []int{0, 1000, ctxCheckRows + 64} {
 			var ss *scanner
+			// scanned is the rows the groups counted (no WHERE: every row
+			// passes).
+			scanned := func() int {
+				at := lo
+				for _, vg := range ss.groups {
+					at += vg.g.Rows
+				}
+				return at
+			}
 			last, polls := lo, 0
 			ctx := pollCtx{context.Background(), func() {
 				if ss == nil {
 					return // planning polls too
 				}
-				at := n - ss.pending // rows scanned so far (no WHERE: every row passes)
+				at := scanned()
 				if polls++; at-last > ctxCheckRows {
 					t.Fatalf("segBits %d lo %d: %d rows scanned between polls %d and %d", segBits, lo, at-last, polls-1, polls)
 				}
@@ -445,8 +456,8 @@ func TestBlockPollCadence(t *testing.T) {
 			}
 			ss = newScanner(p)
 			_, err = ss.run(lo, n, nil)
-			if ss.close(); err != nil || ss.pending != 0 {
-				t.Fatalf("segBits %d lo %d: err %v, %d rows pending", segBits, lo, err, ss.pending)
+			if ss.close(); err != nil || scanned() != n {
+				t.Fatalf("segBits %d lo %d: err %v, %d rows pending", segBits, lo, err, n-scanned())
 			}
 			if want := (n - lo) / ctxCheckRows; polls < want || (segBits >= 12 && polls > want+2) {
 				t.Fatalf("segBits %d lo %d: %d polls over %d rows, want about %d", segBits, lo, polls, n-lo, want)

@@ -362,7 +362,8 @@ func keysEqual(t *testing.T, label string, gi int, a, b []engine.Value) {
 	}
 }
 
-// groupsEqual compares two results' provenance exactly.
+// groupsEqual compares two results' provenance exactly: lineage through
+// GroupLineage, which builds it where it is not built.
 func groupsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Groups) != len(b.Groups) {
@@ -374,12 +375,13 @@ func groupsEqual(t *testing.T, label string, a, b *Result) {
 		if ga.FirstRow != gb.FirstRow {
 			t.Fatalf("%s: group %d FirstRow %d vs %d", label, gi, ga.FirstRow, gb.FirstRow)
 		}
-		if len(ga.Lineage) != len(gb.Lineage) {
-			t.Fatalf("%s: group %d lineage %d vs %d rows", label, gi, len(ga.Lineage), len(gb.Lineage))
+		la, lb := a.GroupLineage(gi), b.GroupLineage(gi)
+		if len(la) != len(lb) || ga.Rows != len(la) || gb.Rows != len(lb) {
+			t.Fatalf("%s: group %d lineage %d vs %d rows (counted %d vs %d)", label, gi, len(la), len(lb), ga.Rows, gb.Rows)
 		}
-		for k := range ga.Lineage {
-			if ga.Lineage[k] != gb.Lineage[k] {
-				t.Fatalf("%s: group %d lineage[%d] %d vs %d", label, gi, k, ga.Lineage[k], gb.Lineage[k])
+		for k := range la {
+			if la[k] != lb[k] {
+				t.Fatalf("%s: group %d lineage[%d] %d vs %d", label, gi, k, la[k], lb[k])
 			}
 		}
 	}

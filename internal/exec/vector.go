@@ -36,12 +36,15 @@ import (
 //     map (two or more keys),
 //  4. the selection splits into runs of equal key slots — a global
 //     aggregate's block is one run — and each run takes one group lookup,
-//     one lineage growth and, per numeric argument, one AddFloats call
+//     one row-count bump and, per numeric argument, one AddFloats call
 //     over the chunk slices (Add per row only for what a per-row
 //     evaluator yields), into the block's own partial states, and
 //  5. the block partials fold left in block order — the sequential
-//     scan's group order, lineage and FirstRow, and float bits the table
-//     fixes: the core count decides only who scans a block.
+//     scan's group order, row counts and FirstRow, and float bits the
+//     table fixes: the core count decides only who scans a block.
+//
+// No step records lineage: a result's first read runs steps 1–4 again on
+// one scanner, appending each run's row ids to its group (lineage).
 //
 // RunReference (exec.go) is the boxed oracle the randomized parity tests
 // pin this pipeline to, bit for bit, folding by the same blocks.
@@ -330,7 +333,6 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 type vGroup struct {
 	g     *Group
 	slots []uint64 // one per group-by column
-	gain  int      // foldBlocks: lineage rows later blocks still add
 }
 
 // fresh returns an empty state of each prototype's kind.
@@ -440,9 +442,9 @@ type scanner struct {
 	// allocator would pack two scanners' buffers into one, and the
 	// workers would bounce it.
 	slots []uint64
-	// pending bounds the passing rows the block has yet to scan; a global
-	// aggregate sizes its one lineage from it.
-	pending int
+	// targets, in a lineage pass, are the result's groups in scan order;
+	// a run appends its row ids to its group instead of folding.
+	targets []*Group
 }
 
 func newScanner(p *vectorPlan) *scanner {
@@ -564,10 +566,8 @@ func (ss *scanner) run(lo, hi int, seeds []*vGroup) (groups []*vGroup, err error
 		ss.groups = append(ss.groups, vg)
 	}
 	var words []uint64
-	ss.lo, ss.pending = lo, hi-lo
-	if p.filter != nil {
+	if ss.lo = lo; p.filter != nil {
 		words = p.filter.Words()
-		ss.pending = bitset.CountWords(words[lo/64 : (hi+63)/64])
 	}
 	segRows := p.src.SegRows()
 	unpolled := ctxCheckRows
@@ -590,8 +590,9 @@ func (ss *scanner) run(lo, hi int, seeds []*vGroup) (groups []*vGroup, err error
 // block folds the passing rows of [lo, hi) — rows of one segment, lo
 // word-aligned — into the fold block's partial states: filter words →
 // selection vector → one slot vector per key → runs, each with its group
-// and lineage → arguments, one fold per run. A block whose mask is empty
-// pins nothing, which keeps zone-map pruning free on out-of-core tables.
+// → arguments, one fold per run (a lineage pass appends the run's row ids
+// instead). A block whose mask is empty pins nothing, which keeps
+// zone-map pruning free on out-of-core tables.
 //
 // Column-at-a-time evaluation must still report the reference's error:
 // the lowest erroring row's, and within a row a key's before an
@@ -663,8 +664,8 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 
 	// A run is consecutive selected rows with equal key slots — time
 	// ordered data groups in runs, and a global aggregate's block is one —
-	// and takes one group lookup, one lineage growth and one fold call per
-	// numeric argument.
+	// and takes one group lookup, one row-count bump and one fold call per
+	// numeric argument; in a lineage pass, one append of its row ids.
 	runs := ss.runs[:0]
 	for j := 0; j < n; {
 		end := ss.runEnd(j, n)
@@ -672,26 +673,25 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 			ss.slots[i] = ss.keys[i].slots[j]
 		}
 		gi, ok := ss.index(ss.slots)
-		if !ok { // a new group: its Key is boxed once per result (boxKeys)
+		if !ok && ss.targets != nil { // the lineage pass meets groups in the scan's order
+			ss.groups = append(ss.groups, &vGroup{g: ss.targets[gi]})
+		} else if !ok { // a new group: its Key is boxed once per result (boxKeys)
 			g := &Group{Aggs: fresh(p.protos), FirstRow: base + int(sel[j])}
 			ss.groups = append(ss.groups, &vGroup{g: g, slots: slices.Clone(ss.slots)})
 		}
-		g, grow := ss.groups[gi].g, end-j
-		if len(p.keys) == 0 {
-			grow = ss.pending // the one group's whole lineage, once
-		} else if !ok {
-			grow = max(grow, 16) // skip a small group's first reallocations
-		}
-		at := len(g.Lineage)
-		g.Lineage = slices.Grow(g.Lineage, grow)[:at+end-j]
-		for i, o := range sel[j:end] {
-			g.Lineage[at+i] = base + int(o)
+		if g := ss.groups[gi].g; ss.targets == nil {
+			g.Rows += end - j
+		} else {
+			for _, o := range sel[j:end] {
+				g.lineage = append(g.lineage, base+int(o))
+			}
 		}
 		runs = append(runs, run{end: int32(end), gi: int32(gi)})
 		j = end
 	}
-	ss.runs = runs
-	ss.pending -= len(sel)
+	if ss.runs = runs; ss.targets != nil {
+		return firstErr
+	}
 
 	for ai := range p.args {
 		a := &p.args[ai]
@@ -887,11 +887,10 @@ func publish(g *Group) (err error) {
 }
 
 // foldBlocks left-folds the block partials, in block order, onto carried
-// (a prior result's groups) and publishes each group's Aggs; parts[tail]
-// is the incomplete last block (tail < 0: none). Carried groups first,
-// then each block's unseen groups in its own first-appearance order, is
-// the sequential scan's group order, and lineage concatenated in block
-// order ascends.
+// (a prior result's groups) and publishes each group's Aggs and Rows;
+// parts[tail] is the incomplete last block (tail < 0: none). Carried
+// groups first, then each block's unseen groups in its own
+// first-appearance order, is the sequential scan's group order.
 func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) ([]*vGroup, error) {
 	total := newGroupIndex(p)
 	for _, vg := range carried {
@@ -906,7 +905,7 @@ func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) (
 	for i, part := range parts {
 		for _, vg := range part {
 			if gi, ok := total.index(vg.slots); ok {
-				total.groups[gi].gain += len(vg.g.Lineage)
+				total.groups[gi].g.Rows += vg.g.Rows
 				folds = append(folds, later{gi, i, vg})
 				continue
 			}
@@ -916,13 +915,9 @@ func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) (
 			}
 		}
 	}
-	// gain is what a folded lineage still has coming, so the first append
-	// sizes it for all of them and the Grows after it find the room there.
 	copied := make([]bool, len(carried)) // the carried group's done is a copy already
 	for _, f := range folds {
 		tgt, part := total.groups[f.gi], f.part.g
-		tgt.g.Lineage = append(slices.Grow(tgt.g.Lineage, tgt.gain), part.Lineage...)
-		tgt.gain -= len(part.Lineage)
 		shared := f.gi < len(carried) && !copied[f.gi]
 		if shared {
 			copied[f.gi] = true
@@ -945,8 +940,10 @@ func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) (
 // run, where from is 0): their done carries as it is, and the block from
 // falls inside, if any, resumes from clones of their tails. So a fresh
 // run is an Advance from the empty result, and an advanced result is,
-// bit for bit, a fresh one.
-func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, prior []*Group, from int) (*Result, error) {
+// bit for bit, a fresh one. lineage says prior's lineage is built: a
+// lineage pass over rows from on then extends it, and the result's
+// lineage is built too.
+func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, prior []*Group, from int, lineage bool) (*Result, error) {
 	p, err := planVector(ctx, src, stmt, aggItems, protos, from)
 	if err != nil {
 		return nil, err
@@ -956,7 +953,7 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	slots := make([]uint64, nk*len(prior)) // one backing array for every carried key
 	var seeds []*vGroup
 	for gi, g := range prior {
-		if carried[gi], err = carry(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk]); err != nil {
+		if carried[gi], err = carry(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk], lineage); err != nil {
 			return nil, err
 		}
 		if g.tail == nil {
@@ -1037,22 +1034,42 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	if err != nil {
 		return nil, err
 	}
-	plan := p.fstats.plan()
-	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, len(parts), p.maskedAgg, p.keyKernels
-	plan.SegsSkipped = p.countSkips(from, n)
-	plan.ChunksFaulted, plan.ChunksResident = faulted, resident
 	groups := make([]*Group, len(folded))
 	for gi, vg := range folded {
 		groups[gi] = vg.g
 	}
+	if lineage {
+		f, r, err := p.lineage(groups, carried, from)
+		if err != nil {
+			return nil, err
+		}
+		faulted, resident = faulted+f, resident+r
+	}
+	plan := p.fstats.plan()
+	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, len(parts), p.maskedAgg, p.keyKernels
+	plan.SegsSkipped = p.countSkips(from, n)
+	plan.ChunksFaulted, plan.ChunksResident = faulted, resident
 	res := &Result{
 		Stmt: stmt, Source: src, Groups: groups,
 		aggArgs: aggArgs, aggItems: aggItems,
-		Plan: plan,
+		Plan: plan, lineBuilt: lineage,
 	}
 	defer obs.Start(ctx, obs.Materialize).End()
 	if err := res.materialize(); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// lineage appends to groups — a result's groups in scan order, carried's
+// first — the ids of the rows from on that pass the filter: stages 1–4 on
+// one scanner, with no fold. It returns the scanner's pin counts.
+func (p *vectorPlan) lineage(groups []*Group, carried []*vGroup, from int) (faulted, resident int, err error) {
+	defer obs.Start(p.ctx, obs.Scan).End()
+	ss := newScanner(p)
+	defer ss.close() // a panic's exit releases pins too
+	ss.targets = groups
+	_, err = ss.run(from, p.src.NumRows(), carried)
+	faulted, resident = ss.close()
+	return faulted, resident, err
 }

@@ -234,9 +234,9 @@ func TestProjectionUsesLoweredFilter(t *testing.T) {
 		t.Fatalf("projection over predicate WHERE should lower, got %+v", res.Plan)
 	}
 	// Lineage of a projection is one source row per output row.
-	for i, g := range res.Groups {
-		if len(g.Lineage) != 1 {
-			t.Fatalf("projection group %d lineage %v", i, g.Lineage)
+	for i := range res.Groups {
+		if l := res.GroupLineage(i); len(l) != 1 {
+			t.Fatalf("projection group %d lineage %v", i, l)
 		}
 	}
 	res = runBoth(t, tbl, `SELECT city FROM v WHERE length(city) = 3`)

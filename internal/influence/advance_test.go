@@ -166,7 +166,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 					same, suspect = slices.Equal(redrawn, suspect), redrawn
 				}
 				for _, ri := range suspect {
-					same = same && ri < len(res.Groups) && len(adv.Groups[ri].Lineage) == len(res.Groups[ri].Lineage)
+					same = same && ri < len(res.Groups) && adv.Groups[ri].Rows == res.Groups[ri].Rows
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
 				ref, err := exec.RunOn(grown, stmt)

@@ -73,8 +73,11 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ O
 // polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
 // followed by rankFast; a suspect selection or aggregate NewScorer
-// refuses is an error here.
+// refuses is an error here. res's lineage is built under ctx.
 func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Analysis, error) {
+	if err := res.BuildLineage(ctx); err != nil {
+		return nil, err
+	}
 	sc, err := NewScorer(res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
@@ -182,14 +185,14 @@ func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.M
 	}
 	vals := make([]float64, len(suspect))
 	for i, ri := range suspect {
-		g := res.Groups[ri]
+		g, lineage := res.Groups[ri], res.GroupLineage(ri)
 		_, distinct := g.Aggs[ord].(*agg.Distinct)
 		var argErr error
 		// each yields the non-NULL argument values of g's lineage rows in
 		// or out of the removal, until an argument fails to evaluate.
 		each := func(removed bool) iter.Seq[float64] {
 			return func(yield func(float64) bool) {
-				for _, src := range g.Lineage {
+				for _, src := range lineage {
 					if inRemoval[src] != removed {
 						continue
 					}

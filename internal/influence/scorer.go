@@ -77,9 +77,10 @@ type Scratch struct {
 
 // NewScorer builds the columnar scoring state for the ord'th aggregate
 // of res over the suspect output rows. It fails when the selection is
-// out of range or the argument has no float view (exec.AggArgFloats: an
-// evaluation error, or a DISTINCT aggregate over string values); there is
-// no other scorer to fall back to, so callers report the error.
+// out of range, the argument has no float view (exec.AggArgFloats: an
+// evaluation error, or a DISTINCT aggregate over string values) or res's
+// lineage fails to build (exec.Result.BuildLineage); there is no other
+// scorer to fall back to, so callers report the error.
 func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return nil, err
@@ -96,7 +97,7 @@ func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric
 	}
 	for i, ri := range suspect {
 		s.firstRows[i] = res.Groups[ri].FirstRow
-		s.lineLens[i] = len(res.Groups[ri].Lineage)
+		s.lineLens[i] = res.Groups[ri].Rows
 		s.states[i] = res.Groups[ri].Aggs[ord]
 		if v, ok := res.AggFloat(ri, ord); ok {
 			s.base[i] = v
@@ -111,6 +112,10 @@ func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric
 		return nil, err
 	}
 	s.args = args
+	// Built before the fan-out, so a chunk-load failure is this error.
+	if err := res.BuildLineage(context.Background()); err != nil {
+		return nil, err
+	}
 	s.buildGroupBits(res, suspect)
 	return s, nil
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -17,7 +21,7 @@ import (
 // serveSegments writes table p — columns k, v, s; nseg 64-row segments,
 // k = 100 × the segment index — to a store on fs, reopens it with a pool
 // of cacheBytes, and serves it.
-func serveSegments(t *testing.T, fs *store.MemFS, nseg int, cacheBytes int64) (*store.DB, *httptest.Server) {
+func serveSegments(t *testing.T, fs store.FS, nseg int, cacheBytes int64) (*store.DB, *httptest.Server) {
 	t.Helper()
 	quiet := func(string, ...any) {}
 	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
@@ -210,4 +214,88 @@ func TestZoomAcrossRetention(t *testing.T) {
 	if status, after := zoom(); status != http.StatusOK || after != before {
 		t.Fatalf("zoom after retention: status %d\n%s\nwant\n%s", status, after, before)
 	}
+}
+
+// failingReads fails every ReadAt while armed: an I/O error on an
+// undamaged file.
+type failingReads struct {
+	store.FS
+	armed atomic.Bool
+}
+
+func (f *failingReads) ReadAt(name string, off int64, p []byte) (int, error) {
+	if f.armed.Load() {
+		return 0, errors.New("server test: injected read failure")
+	}
+	return f.FS.ReadAt(name, off, p)
+}
+
+// TestLineageBuildLoadFailure injects a read failure while a request
+// builds a result's lineage — on first use, from key columns the
+// pool no longer holds. /api/zoom and /api/debug answer the retryable
+// 503 "segment-load-failed" with Retry-After, not a recovered panic's
+// 500; the server stays up, and once reads heal the zoom returns the
+// bytes a resident server returns.
+func TestLineageBuildLoadFailure(t *testing.T) {
+	const sql = "SELECT k, avg(v) AS a FROM p GROUP BY k"
+	fs := &failingReads{FS: store.NewMemFS()}
+	_, ts := serveSegments(t, fs, 4, 256) // a pool smaller than a chunk: every pin reads
+	_, resident := serveSegments(t, store.NewMemFS(), 4, 0)
+	zoomBody := map[string]any{"session": "s", "suspect": []int{1, 2}}
+	zoom := func(ts *httptest.Server) (int, http.Header, []byte) {
+		t.Helper()
+		b, _ := json.Marshal(zoomBody)
+		resp, err := http.Post(ts.URL+"/api/zoom", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, body
+	}
+	query := func(ts *httptest.Server) {
+		t.Helper()
+		if resp := post(t, ts, "/api/query", map[string]any{"session": "s", "sql": sql}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: status %d", resp.StatusCode)
+		}
+	}
+	failed := func(what string, status int, hdr http.Header, body []byte) {
+		t.Helper()
+		var out struct {
+			Reason    string `json:"reason"`
+			Retryable bool   `json:"retryable"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: %v: %s", what, err, body)
+		}
+		if status != http.StatusServiceUnavailable || out.Reason != "segment-load-failed" || !out.Retryable || hdr.Get("Retry-After") == "" {
+			t.Fatalf("%s under the fault: status %d, Retry-After %q, body %s; want 503 segment-load-failed", what, status, hdr.Get("Retry-After"), body)
+		}
+	}
+
+	query(resident)
+	status, _, want := zoom(resident)
+	if status != http.StatusOK {
+		t.Fatalf("resident zoom: status %d: %s", status, want)
+	}
+	query(ts)
+	fs.armed.Store(true)
+	status, hdr, body := zoom(ts)
+	fs.armed.Store(false)
+	failed("zoom", status, hdr, body)
+	if status, _, got := zoom(ts); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("zoom after the fault cleared: status %d\n%s\nwant\n%s", status, got, want)
+	}
+
+	// A fresh result, then Debug under the fault: its lineage build is the
+	// first read.
+	query(ts)
+	fs.armed.Store(true)
+	var out json.RawMessage
+	resp := post(t, ts, "/api/debug", map[string]any{"session": "s", "suspect": []int{1}, "aggItem": 1, "metric": "toohigh", "metricParams": map[string]any{"c": 0}}, &out)
+	fs.armed.Store(false)
+	failed("debug", resp.StatusCode, resp.Header, out)
 }

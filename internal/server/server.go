@@ -585,6 +585,12 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > 20000 {
 		limit = 20000
 	}
+	// A chunk-load failure while the lineage builds is a 503, like one
+	// while zoomRows reads the rows.
+	if err := sess.res.BuildLineage(r.Context()); err != nil {
+		writeReqErr(s, w, err)
+		return
+	}
 	lineage := sess.res.Lineage(req.Suspect)
 	truncated := false
 	if len(lineage) > limit {
