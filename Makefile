@@ -217,7 +217,10 @@ profile-append:
 # CPU profiler, the twin of profile-debug. The key kernel and the argument
 # folds (AddFloats) should lead — the scan records no lineage, so a
 # slices.Grow of row ids means it does again; a map assign under min/max
-# or one interface call per row means a fold went per value again.
+# or one interface call per row means a fold went per value again. Its
+# outofcore case runs both statements from a cold pool a third of the
+# table's size: decodeSection and the clause-mask builds show the fault
+# path there.
 profile-scan:
 	@dir=$$(mktemp -d); \
 	$(GO) test -run='^$$' -bench='BenchmarkScanMix' -benchmem -cpu 2 -count 3 \

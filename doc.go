@@ -247,12 +247,12 @@
 //     dictionary codes are assigned at append, in first-appearance order
 //     — with no per-version index to build or cache.
 //   - internal/predicate — Index has a SyncRows method (the
-//     row-stamped invalidation hook of Table.AuxLoadOrStore): cached
-//     clause masks and non-NULL masks are per-segment word arrays
-//     extended independently from the matching column chunks, and queries
-//     request masks stamped to their own snapshot's length and base
-//     (ClauseBitsAtBase), so a scan mid-append — or racing a retention
-//     pass — never sees a mask of the wrong geometry.
+//     row-stamped invalidation hook of Table.AuxLoadOrStore): a cached
+//     mask is one flat bitset, never written once handed out (appends
+//     extend a copy, retention re-slices whole words); queries request
+//     masks of their own snapshot's length and base (ClauseBitsAtBase),
+//     so a scan mid-append or racing a retention pass never sees a mask
+//     of the wrong geometry. An Index holds at most 128 masks.
 //   - internal/exec — Advance(res, grown) re-executes a statement over a
 //     grown table version by folding only the appended rows into copies
 //     of the previous result's group states (Clone+Merge state copy),
@@ -304,10 +304,10 @@
 //     carried in the debug state and rebased onto each grown version
 //     (Index.SyncRows), so rescoring a carried candidate decodes only
 //     the appended rows into its masks. It is deliberately NOT the
-//     family-shared predicate.Shared index (which the executor's
-//     bounded WHERE lowering uses): candidate thresholds churn with
-//     every full Debug and that cache never evicts, so the carried index
-//     lives and dies with the analysis chain, capped in size.
+//     family-shared predicate.Shared index (which the executor's WHERE
+//     lowering uses): candidate thresholds churn with every full Debug
+//     and would evict the statements' masks, so the carried index lives
+//     and dies with the analysis chain; both evict past 128 masks.
 //   - internal/ranker — RankAllCarry returns a RankerState: every
 //     ranked predicate with its frozen target set and score. A later
 //     Rescore runs the same par.Do scoring/pruning/dedup mechanics

@@ -446,31 +446,13 @@ func (b *Bitset) WordRange() (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// ---- Segment-aligned views ----------------------------------------
-//
-// The storage engine chunks rows into fixed-size segments of at least
-// 64 rows (a power of two), so a segment boundary is always a word
-// boundary in every bitmap over row ids. These helpers exploit that:
-// a flat bitset decomposes into per-segment word windows and
-// per-segment word blocks concatenate into a flat bitset.
-
-// ConcatWords stamps a length-n bitset out of per-segment word blocks:
-// block k covers bits [k*segWords*64, ...), and each block may be
-// shorter than segWords only if it is the last. Ghost bits past n are
-// cleared. The blocks are not retained — this is the
-// compose-by-concatenation constructor for segment-chunked masks.
-func ConcatWords(n int, segWords int, blocks [][]uint64) *Bitset {
-	nw := (n + wordBits - 1) / wordBits
-	words := make([]uint64, nw)
-	at := 0
-	for _, blk := range blocks {
-		if at >= nw {
-			break
-		}
-		at += copy(words[at:], blk)
-		if rem := at % segWords; rem != 0 && at < nw {
-			at += segWords - rem // short (partial) block: pad to the segment
-		}
+// SkipWords returns b without its first w words, sharing the rest: a
+// view, not a copy, and it writes nothing, so it may be taken of a
+// bitset other goroutines read. Dropping whole words keeps the ghost
+// bits clear.
+func (b *Bitset) SkipWords(w int) *Bitset {
+	if w >= len(b.words) {
+		return New(0)
 	}
-	return FromWords(n, words)
+	return &Bitset{words: b.words[w:], n: b.n - w*wordBits}
 }

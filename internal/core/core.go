@@ -222,20 +222,12 @@ type debugState struct {
 	examplesKey string
 	// index is the pass's clause-mask index, carried so rescoring a
 	// candidate over the grown table extends masks by suffix decode
-	// only. Owned by the Debug chain (NOT the family-shared aux index):
-	// candidate thresholds churn with every full Debug, and an
-	// unevictable family-lifetime cache would grow without bound under
-	// streaming.
+	// only. Owned by the Debug chain, not the family-shared aux index:
+	// candidate thresholds churn with every full Debug, and the
+	// statements' masks should not be evicted for them. Like every
+	// Index it holds at most a fixed number of masks.
 	index *predicate.Index
 }
-
-// maxCarriedClauseMasks bounds the carried index: a full Debug caches a
-// mask for every clause of every candidate and prune variant it scored,
-// most of which no carried candidate reads, so past this many cached
-// masks a carried pass starts a fresh index holding only the carried
-// candidates' clauses rather than keep paying rows/8 bytes per dead
-// mask.
-const maxCarriedClauseMasks = 256
 
 // metricKey canonicalizes a metric for change detection across Debug
 // passes; every errmetric renders its parameters into String/against
@@ -703,7 +695,7 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
 	// Carry the clause-mask index: rescoring a carried candidate then
 	// only decodes the appended rows into its masks.
-	if st.index != nil && st.index.NumClauses() <= maxCarriedClauseMasks {
+	if st.index != nil {
 		st.index.SyncRows(res.Source)
 		d.index = st.index
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
+	"repro/internal/store"
 )
 
 func benchDB(rows int) *engine.DB {
@@ -149,15 +151,20 @@ var scanMix = []struct{ name, sql string }{
 	{"global", "SELECT count(*) AS n, sum(temperature) AS total, min(temperature) AS lo, max(temperature) AS hi FROM readings WHERE humidity > 39.5"},
 }
 
-// BenchmarkScanMix runs the scanMix statements over 400k Intel rows.
-// make profile-scan profiles it.
+// BenchmarkScanMix runs the scanMix statements over 400k Intel rows:
+// each resident, then all of them in turn out of core — stored on a
+// MemFS and reopened, untimed, before every run behind a buffer pool a
+// third of the table's size, so each run faults its chunks and builds
+// its clause masks from a cold pool. make profile-scan profiles it.
 func BenchmarkScanMix(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
-	for _, c := range scanMix {
+	stmts := make([]*sqlparse.SelectStmt, len(scanMix))
+	for i, c := range scanMix {
 		stmt, err := sqlparse.Parse(c.sql)
 		if err != nil {
 			b.Fatal(err)
 		}
+		stmts[i] = stmt
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -167,4 +174,44 @@ func BenchmarkScanMix(b *testing.B) {
 			}
 		})
 	}
+	fs := store.NewMemFS()
+	st, err := store.Open("d", store.Options{SyncEvery: 1 << 30, FS: fs, Logf: func(string, ...any) {}}) // Close syncs
+	if err == nil {
+		err = st.CreateTable(tbl.Name(), tbl.Schema(), tbl.SegmentBits())
+	}
+	for lo := 0; err == nil && lo < tbl.NumRows(); lo += 1 << 14 {
+		_, err = st.AppendColsCtx(context.Background(), tbl.Name(), tbl.Batch(lo, min(lo+1<<14, tbl.NumRows())))
+	}
+	if err == nil {
+		err = st.Close()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, bytes := tbl.MemStats()
+	b.Run("outofcore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st, err := store.Open("d", oocOpts(fs, int64(bytes/3)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ooc, err := st.Eng().Table(tbl.Name())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, stmt := range stmts {
+				if _, err := RunOn(ooc, stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }

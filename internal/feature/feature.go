@@ -235,14 +235,20 @@ func sampled[T any](col []T, sample []int) []T {
 	return out
 }
 
-// gatherFloats reads numeric column c at rows (NaN at NULL), one pinned
-// chunk at a time.
+// gatherFloats reads numeric column c at rows (NaN at NULL). The rows
+// are sorted, so each segment's run of them is read from one Floats
+// call.
 func gatherFloats(t *engine.Table, c int, rows []int) []float64 {
 	r := t.NewColReader(c)
 	defer r.Close()
 	out := make([]float64, len(rows))
-	for i, row := range rows {
-		out[i], _ = r.Float(row)
+	segBits := t.SegmentBits()
+	for i := 0; i < len(rows); {
+		k := rows[i] >> segBits
+		vals, _ := r.Floats(k)
+		for base := k << segBits; i < len(rows) && rows[i]>>segBits == k; i++ {
+			out[i] = vals[rows[i]-base]
+		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -18,17 +19,24 @@ import (
 // ranker's pruning re-scores one-clause-removed variants — so the cache
 // hit rate is high and steady-state matching allocates nothing.
 //
-// Masks are stored the way the engine stores rows: as per-segment word
-// arrays, each extended independently from the matching column chunk.
-// Appends extend only the tail segment's chunk (suffix decode, prefix
-// bits immutable); retention rebases the index by dropping whole head
-// chunks — no mask is ever rebuilt or shifted, because segment
-// boundaries are bitset-word-aligned (engine.MinSegmentBits).
-// Callers receive immutable flat snapshots stamped by concatenating
-// the chunk words (bitset.ConcatWords), at exactly the requested
-// length, so queries running against an older same-base table version
-// keep masks of their length even while newer versions extend the
-// canonical chunks.
+// A cached mask is one flat bitset over the first n rows of the current
+// base window, and like a table version's chunks it is never written
+// once handed out. Appends extend it into a longer copy: the published
+// words, then the appended rows decoded from the matching column chunks.
+// Retention re-slices it past the dropped head words — segment
+// boundaries are bitset-word-aligned (engine.MinSegmentBits), so no
+// mask is ever rebuilt or shifted. A query against an older same-base
+// version asks for its own length and gets a copy of that prefix, so it
+// keeps masks of its length while newer versions extend them.
+//
+// The index holds at most maxMasks masks and evicts by second chance:
+// a hit sets its entry's reference bit (only when clear, so readers
+// write no shared word in the steady state), and an insert into a full
+// index sweeps the entries, clearing set bits and evicting the first
+// clear one. A statement asks for a mask more than once (its count to
+// order the clauses, then its bits), so only a hit after another insert
+// counts: the statement that built a mask does not keep it. An evicted
+// clause rebuilds on its next request.
 //
 // Evaluation semantics are bit-for-bit identical to MatchesRow: NULL
 // never matches, comparisons follow engine.Compare (numeric coercion
@@ -42,10 +50,20 @@ type Index struct {
 	// decodes read from it (its rows cover every requested length at the
 	// current base).
 	t *engine.Table
-	// clauses caches canonical match masks keyed by the clause value
-	// itself (Clause is comparable), so cache hits allocate nothing.
+	// clauses maps a clause (Clause is comparable) to its entry, so
+	// cache hits allocate nothing; ring holds the same entries in sweep
+	// order, hand the next one the sweep examines.
 	clauses map[Clause]*maskEntry
+	ring    []*maskEntry
+	hand    int
+	inserts int // entries inserted so far
 }
+
+// maxMasks bounds every Index, at rows/8 bytes a mask. Replaying the
+// benchmark's eight scan shapes, 360 statements with seeded literals,
+// left 176 masks in the readings table's shared index, 74 of them hit
+// by a later statement; a full Debug's own index holds under ten.
+const maxMasks = 128
 
 // NonNull is the clause every non-NULL row of col matches, and no other:
 // engine.Compare places a NULL clause value below everything, so `col !=
@@ -54,45 +72,28 @@ type Index struct {
 // into a mask — is cached, extended and counted like any other clause's.
 func NonNull(col string) Clause { return Clause{Col: col, Op: OpNeq, Val: engine.Null} }
 
-// maskEntry is one mask's canonical chunked state: chunks[k] covers the
-// current window's segment k, all chunks before the last fully built.
+// maskEntry is one clause's published mask and its popcount — the
+// selectivity estimate the executor's greedy clause ordering reads —
+// both replaced, never written, under ix.mu.
 type maskEntry struct {
-	chunks []*maskChunk
-	snap   *bitset.Bitset
-	// snapCount caches snap's popcount (valid iff snapCounted). It is
-	// the selectivity estimate the executor's greedy clause ordering
-	// reads, cached per (base, length) stamp: any extension or rebase
-	// clears snap, and re-stamping a snap resets the count with it.
-	snapCount   int
-	snapCounted bool
+	c     Clause
+	bits  *bitset.Bitset
+	count int
+	born  int         // ix.inserts when it was inserted
+	ref   atomic.Bool // hit since the sweep last passed it
 }
 
-// countSnap returns the cached popcount of b when b is the entry's
-// current snap, computing and caching it on first request. Caller
-// holds ix.mu (write).
-func (e *maskEntry) countSnap(b *bitset.Bitset) int {
-	if e.snap != b {
-		return b.Count()
+// hit marks e referenced unless nothing was inserted since e was; the
+// load keeps a hot entry's word unwritten. Caller holds ix.mu.
+func (ix *Index) hit(e *maskEntry) {
+	if e.born != ix.inserts && !e.ref.Load() {
+		e.ref.Store(true)
 	}
-	if !e.snapCounted {
-		e.snapCount = b.Count()
-		e.snapCounted = true
-	}
-	return e.snapCount
 }
 
-// maskChunk is one segment's worth of mask words.
-type maskChunk struct {
-	words []uint64
-	built int // rows decoded within this segment
-}
-
-// built returns the contiguous row count the entry covers.
-func (e *maskEntry) built(segRows int) int {
-	if len(e.chunks) == 0 {
-		return 0
-	}
-	return (len(e.chunks)-1)*segRows + e.chunks[len(e.chunks)-1].built
+// publish makes b e's mask. Caller holds ix.mu (write).
+func (e *maskEntry) publish(b *bitset.Bitset) {
+	e.bits, e.count = b, b.Count()
 }
 
 // NewIndex returns an index over t.
@@ -108,28 +109,21 @@ type sharedIndexKey struct{}
 // request through the engine's aux cache. The cache calls the index's
 // SyncRows, so requesting it through a grown copy-on-write
 // version rebases it: cached clause masks then extend by decoding only
-// the appended suffix (or drop whole head chunks after retention).
+// the appended suffix (or drop whole head words after retention).
 //
-// The shared index lives as long as the table family and never evicts,
-// so it is only for BOUNDED clause vocabularies — user-typed statement
-// text: WHERE clauses (the executor's filter lowering) and the
-// /api/debug examples condition, which core.ExamplesWhere routes through
-// the same lowering (exec.FilterRows). Analysis passes whose
-// clause thresholds are data-dependent and churn per run (the ranker's
-// candidate scoring) must own a NewIndex scoped to their own lifetime
-// instead, or every Debug pass would permanently grow this cache.
+// The shared index lives as long as the table family, bounded like any
+// Index at maxMasks masks. The clause vocabularies that feed it are not
+// bounded: user-typed WHERE clauses (the executor's filter lowering),
+// the /api/debug examples condition, which core.ExamplesWhere routes
+// through the same lowering (exec.FilterRows), and a clean's WHERE NOT
+// re-run, whose cut points come from the data. Analysis passes whose
+// thresholds churn per run (the ranker's candidate scoring) own a
+// NewIndex scoped to their lifetime, so they neither evict the
+// statements' masks nor keep theirs past the pass.
 func Shared(t *engine.Table) *Index {
 	return t.AuxLoadOrStore(sharedIndexKey{}, func() any {
 		return NewIndex(t)
 	}).(*Index)
-}
-
-// NumClauses reports how many clause masks the index currently caches
-// (capacity accounting for carried indexes).
-func (ix *Index) NumClauses() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.clauses)
 }
 
 // Table returns the newest indexed table version.
@@ -143,8 +137,9 @@ func (ix *Index) Table() *engine.Table {
 // version (Table.AuxLoadOrStore): it rebases the index onto t
 // when t is a newer version of the indexed table family — longer, or
 // equal-length with a larger retention base. Appends extend cached
-// masks lazily on their next request; retention drops whole head
-// chunks eagerly (the dropped words are exactly the dropped segments).
+// masks lazily on their next request; retention re-slices each mask
+// past the dropped rows eagerly (they are whole segments, so whole
+// words), writing no word a reader may hold.
 func (ix *Index) SyncRows(t *engine.Table) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -153,23 +148,14 @@ func (ix *Index) SyncRows(t *engine.Table) {
 	if !newer {
 		return
 	}
-	dropSegs := (t.Base() - ix.t.Base()) >> t.SegmentBits()
+	drop := t.Base() - ix.t.Base()
 	ix.t = t
-	if dropSegs <= 0 {
+	if drop <= 0 {
 		return
 	}
 	for _, e := range ix.clauses {
-		e.dropHead(dropSegs)
+		e.publish(e.bits.SkipWords(drop >> 6))
 	}
-}
-
-func (e *maskEntry) dropHead(segs int) {
-	if segs >= len(e.chunks) {
-		e.chunks = nil
-	} else {
-		e.chunks = e.chunks[segs:]
-	}
-	e.snap = nil
 }
 
 // ClauseBits returns the match mask of one clause at the newest synced
@@ -182,7 +168,7 @@ func (ix *Index) ClauseBits(c Clause) *bitset.Bitset {
 // rows of the current base window — the form queries use so a statement
 // executing against an older same-base table version gets masks of
 // exactly its length, even while newer versions have already extended
-// the canonical bits. The returned bitset is shared and read-only.
+// the cached bits. The returned bitset is shared and read-only.
 func (ix *Index) ClauseBitsAt(c Clause, n int) *bitset.Bitset {
 	b, _ := ix.ClauseBitsAtBase(c, -1, n)
 	return b
@@ -191,96 +177,96 @@ func (ix *Index) ClauseBitsAt(c Clause, n int) *bitset.Bitset {
 // ClauseBitsAtBase is ClauseBitsAt with a base check: it returns
 // ok=false (and a nil mask) when base >= 0 and the index's window does
 // not start at base — the caller's table version predates a retention
-// pass and the head chunks its mask would need are gone. Callers then
+// pass and the head words its mask would need are gone. Callers then
 // fall back to per-row evaluation.
 func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, bool) {
-	if c.Val.T == engine.TFloat && math.IsNaN(c.Val.F) {
-		// NaN keys never hit a map; build uncached rather than leak an
-		// entry per call.
-		e := &maskEntry{}
-		ix.mu.Lock()
-		defer ix.mu.Unlock()
-		if base >= 0 && ix.t.Base() != base {
-			return nil, false
-		}
-		ix.extendClause(e, c, n)
-		return e.stamp(n, ix.t), true
+	b, _, ok := ix.mask(c, base, n)
+	return b, ok
+}
+
+// ClauseCountAtBase returns the popcount of clause c's match mask over
+// the first n rows at base — the statistics-free selectivity estimate
+// the executor's greedy clause ordering sorts by. The count is kept with
+// the cached mask, so steady-state calls cost a map probe. ok is false
+// under the same base-superseded condition as ClauseBitsAtBase.
+func (ix *Index) ClauseCountAtBase(c Clause, base, n int) (int, bool) {
+	b, count, ok := ix.mask(c, base, n)
+	if ok && count < 0 {
+		count = b.Count()
 	}
+	return count, ok
+}
+
+// mask returns clause c's mask over the first n rows at base, and its
+// popcount when it is the cached mask itself (-1 for a prefix copy or
+// an uncached build).
+func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
 	ix.mu.RLock()
 	if base >= 0 && ix.t.Base() != base {
 		ix.mu.RUnlock()
-		return nil, false
+		return nil, 0, false
 	}
-	e, ok := ix.clauses[c]
-	if ok && e.built(ix.t.SegRows()) >= n {
-		if s := e.snap; s != nil && s.Len() == n {
+	if c.Val.T == engine.TFloat && math.IsNaN(c.Val.F) {
+		// NaN keys never hit a map; build uncached rather than leak an
+		// entry per call.
+		defer ix.mu.RUnlock()
+		return ix.extend(bitset.New(0), c, n), -1, true
+	}
+	if e := ix.clauses[c]; e != nil {
+		ix.hit(e)
+		if b, count := e.bits, e.count; b.Len() >= n {
 			ix.mu.RUnlock()
-			return s, true
+			b, count = prefix(b, count, n)
+			return b, count, true
 		}
 	}
 	ix.mu.RUnlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if base >= 0 && ix.t.Base() != base {
-		return nil, false
+		return nil, 0, false
 	}
-	e, ok = ix.clauses[c]
-	if !ok {
-		e = &maskEntry{}
-		ix.clauses[c] = e
+	e := ix.clauses[c]
+	if e == nil {
+		e = ix.insert(c)
+	} else {
+		ix.hit(e)
 	}
-	ix.extendClause(e, c, n)
-	return e.snapshot(n, ix.t), true
+	if e.bits.Len() < n {
+		e.publish(ix.extend(e.bits, c, n))
+	}
+	b, count := prefix(e.bits, e.count, n)
+	return b, count, true
 }
 
-// ClauseCountAtBase returns the popcount of clause c's match mask over
-// the first n rows at base — the statistics-free selectivity estimate
-// the executor's greedy clause ordering sorts by. The count is cached
-// alongside the mask's (base, length) snapshot stamp, so steady-state
-// calls cost a map probe; any mask extension or retention rebase
-// invalidates it with the stamp. ok is false under the same
-// base-superseded condition as ClauseBitsAtBase.
-func (ix *Index) ClauseCountAtBase(c Clause, base, n int) (int, bool) {
-	b, ok := ix.ClauseBitsAtBase(c, base, n)
-	if !ok {
-		return 0, false
+// prefix returns the first n rows of a cached mask: the mask itself at
+// its own length, else a copy (an older version's request).
+func prefix(b *bitset.Bitset, count, n int) (*bitset.Bitset, int) {
+	if b.Len() == n {
+		return b, count
 	}
-	if c.Val.T == engine.TFloat && math.IsNaN(c.Val.F) {
-		return b.Count(), true // NaN clauses are built uncached; count likewise
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if e, ok := ix.clauses[c]; ok {
-		return e.countSnap(b), true
-	}
-	return b.Count(), true
+	return bitset.SnapshotWords(n, b.Words()), -1
 }
 
-// snapshot stamps an immutable length-n bitset by concatenating the
-// chunk words: the newest length is cached, older lengths (in-flight
-// queries against a superseded same-base version) are copied on
-// demand. The copy is n/64 words — bits below the built frontier never
-// change, so the chunk memcpys plus a ghost-bit trim are all a shorter
-// view needs.
-func (e *maskEntry) snapshot(n int, t *engine.Table) *bitset.Bitset {
-	if s := e.snap; s != nil && s.Len() == n {
-		return s
+// insert adds an empty entry for c. A full index first evicts by second
+// chance: the sweep clears each set reference bit it passes and evicts
+// the first entry whose bit was clear — at most one lap, as no reader
+// runs under the write lock. Caller holds ix.mu (write).
+func (ix *Index) insert(c Clause) *maskEntry {
+	ix.inserts++
+	e := &maskEntry{c: c, bits: bitset.New(0), born: ix.inserts}
+	if len(ix.ring) < maxMasks {
+		ix.ring = append(ix.ring, e)
+	} else {
+		for ix.ring[ix.hand].ref.Swap(false) {
+			ix.hand = (ix.hand + 1) % maxMasks
+		}
+		delete(ix.clauses, ix.ring[ix.hand].c)
+		ix.ring[ix.hand] = e
+		ix.hand = (ix.hand + 1) % maxMasks
 	}
-	b := e.stamp(n, t)
-	if n == e.built(t.SegRows()) {
-		e.snap = b
-		e.snapCounted = false
-	}
-	return b
-}
-
-func (e *maskEntry) stamp(n int, t *engine.Table) *bitset.Bitset {
-	segWords := t.SegRows() >> 6
-	blocks := make([][]uint64, len(e.chunks))
-	for i, ch := range e.chunks {
-		blocks[i] = ch.words
-	}
-	return bitset.ConcatWords(n, segWords, blocks)
+	ix.clauses[c] = e
+	return e
 }
 
 // opMatchesCmp reports whether comparison outcome cmp satisfies op —
@@ -304,162 +290,170 @@ func opMatchesCmp(op Op, cmp int) bool {
 	return false
 }
 
-// forEachSegSpan walks the per-segment row spans the entry must decode
-// to cover n rows: for each segment k it hands the chunk plus the
-// [lo, hi) row range (segment-local) still missing. Chunks are
-// allocated as needed. Caller holds ix.mu.
-func (ix *Index) forEachSegSpan(e *maskEntry, n int, fn func(k int, ch *maskChunk, lo, hi int)) {
-	segRows := ix.t.SegRows()
-	segWords := segRows >> 6
-	for start := 0; start < n; start += segRows {
-		k := start / segRows
-		hi := n - start
-		if hi > segRows {
-			hi = segRows
-		}
-		for len(e.chunks) <= k {
-			e.chunks = append(e.chunks, &maskChunk{words: make([]uint64, segWords)})
-		}
-		ch := e.chunks[k]
-		if ch.built >= hi {
-			continue
-		}
-		fn(k, ch, ch.built, hi)
-		ch.built = hi
-		e.snap = nil
+// extend returns clause c's mask over the first n rows: a fresh copy of
+// old's words with rows [old.Len(), n) decoded into it. old, which
+// readers may hold, is not written. Caller holds ix.mu.
+func (ix *Index) extend(old *bitset.Bitset, c Clause, n int) *bitset.Bitset {
+	words := make([]uint64, (n+63)>>6)
+	copy(words, old.Words())
+	if ci := ix.t.Schema().ColIndex(c.Col); ci >= 0 {
+		// An unknown column matches nothing.
+		ix.decode(words, ci, c, old.Len(), n)
 	}
+	return bitset.FromWords(n, words)
 }
 
-// extendClause decodes the missing rows of clause c's mask up to n.
-// Caller holds ix.mu.
-func (ix *Index) extendClause(e *maskEntry, c Clause, n int) {
-	ci := ix.t.Schema().ColIndex(c.Col)
-	if ci < 0 {
-		// Unknown column matches nothing, but the chunks must still
-		// cover n so built() reflects the decoded length.
-		ix.forEachSegSpan(e, n, func(int, *maskChunk, int, int) {})
-		return
-	}
+// decode sets the rows in [from, n) of column ci that match c.
+func (ix *Index) decode(words []uint64, ci int, c Clause, from, n int) {
 	colType := ix.t.Schema()[ci].Type
-
-	// NULL clause value: engine.Compare places NULL below every non-NULL
-	// value, so every non-NULL row compares as +1.
-	if c.Val.IsNull() {
-		if opMatchesCmp(c.Op, 1) {
-			ix.extendNonNull(e, ci, n)
-		} else {
-			ix.forEachSegSpan(e, n, func(int, *maskChunk, int, int) {})
-		}
-		return
-	}
-
 	switch {
+	case c.Val.IsNull():
+		// engine.Compare places NULL below every non-NULL value, so
+		// every non-NULL row compares as +1.
+		if opMatchesCmp(c.Op, 1) {
+			ix.decodeNonNull(words, ci, from, n)
+		}
 	case colType.IsNumeric() && c.Val.T.IsNumeric():
-		ix.extendNumeric(e, ci, c, n)
+		ix.decodeNumeric(words, ci, c, from, n)
 	case colType == engine.TString && c.Val.T == engine.TString:
-		ix.extendString(e, ci, c, n)
-	default:
-		// Incomparable column/value types: engine.Compare errors, the
-		// clause matches nothing.
-		ix.forEachSegSpan(e, n, func(int, *maskChunk, int, int) {})
+		ix.decodeString(words, ci, c, from, n)
+	}
+	// Otherwise the types are incomparable: engine.Compare errors, the
+	// clause matches nothing.
+}
+
+// forEachSegSpan walks rows [from, n) a segment at a time, handing fn
+// segment k, the mask words from the segment's first row on, and the
+// segment-local row span [lo, hi) to decode.
+func (ix *Index) forEachSegSpan(words []uint64, from, n int, fn func(k int, seg []uint64, lo, hi int)) {
+	segRows := ix.t.SegRows()
+	for k := from / segRows; k*segRows < n; k++ {
+		start := k * segRows
+		fn(k, words[start>>6:], max(from-start, 0), min(n-start, segRows))
 	}
 }
 
-// extendNonNull sets every missing non-NULL row of column ci up to n.
-// Out-of-core segments answer from their zone maps when the NULL count
-// is decisive, and otherwise scan under a pin.
-func (ix *Index) extendNonNull(e *maskEntry, ci, n int) {
+// orSpan ORs word(wi) into each word wi of seg that rows [lo, hi) touch,
+// masked to the span.
+func orSpan(seg []uint64, lo, hi int, word func(wi int) uint64) {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		m := word(wi)
+		if wi == lo>>6 {
+			m &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if rem := hi - wi<<6; rem < 64 {
+			m &= 1<<uint(rem) - 1
+		}
+		seg[wi] |= m
+	}
+}
+
+// zoneSpan settles a whole-segment span from segment k's zone map when
+// verdict is decisive: a provably-none segment leaves its words zero and
+// a provably-all one fills them, neither faulting the chunk. It reports
+// whether the span still needs a scan.
+func (ix *Index) zoneSpan(seg []uint64, k, ci, lo, hi int, verdict func(engine.ZoneInfo) zoneVerdict) bool {
+	z, ok := ix.segZone(k, ci, lo, hi)
+	if !ok {
+		return true
+	}
+	switch verdict(z) {
+	case zoneNone:
+		return false
+	case zoneAll:
+		orSpan(seg, lo, hi, func(int) uint64 { return ^uint64(0) })
+		return false
+	}
+	return true
+}
+
+// decodeNonNull sets the non-NULL rows of column ci in [from, n).
+func (ix *Index) decodeNonNull(words []uint64, ci, from, n int) {
 	r := ix.t.NewColReader(ci)
 	defer r.Close()
 	numeric := ix.t.Schema()[ci].Type.IsNumeric() // every column is numeric or a string
-	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
-		if z, ok := ix.segZone(k, ci, lo, hi); ok {
-			switch zoneNonNullVerdict(z) {
-			case zoneNone:
-				return
-			case zoneAll:
-				fillRange(ch.words, lo, hi)
-				return
-			}
+	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !ix.zoneSpan(seg, k, ci, lo, hi, zoneNonNullVerdict) {
+			return
 		}
 		if numeric {
-			// Word-level Fill+AndNot over the segment span: ~64x fewer
-			// operations than per-bit sets on a full-segment build.
 			_, null := r.Floats(k)
-			orRangeAndNot(ch.words, lo, hi, null)
+			orSpan(seg, lo, hi, func(wi int) uint64 { return ^null[wi] })
 			return
 		}
 		codes := r.Codes(k)
-		for i := lo; i < hi; i++ {
-			if codes[i] >= 0 {
-				ch.words[i>>6] |= 1 << (uint(i) & 63)
+		orSpan(seg, lo, hi, func(wi int) uint64 {
+			var w uint64
+			for j, code := range codes[wi<<6 : min(wi<<6+64, hi)] {
+				if code >= 0 {
+					w |= 1 << uint(j)
+				}
 			}
-		}
+			return w
+		})
 	})
 }
 
-// orRangeAndNot sets bits [lo, hi) of words to the complement of not's
-// corresponding bits, word-at-a-time.
-func orRangeAndNot(words []uint64, lo, hi int, not []uint64) {
-	loWord, hiWord := lo>>6, (hi-1)>>6
-	for wi := loWord; wi <= hiWord; wi++ {
-		m := ^uint64(0)
-		if wi == loWord {
-			m &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == hiWord {
-			if rem := hi - wi*64; rem < 64 {
-				m &= 1<<uint(rem) - 1
-			}
-		}
-		words[wi] |= m &^ not[wi]
+// decodeNumeric evaluates a numeric clause against the float chunks 64
+// rows at a time: each word's two comparison masks — cells below and
+// above the constant — give every op's word. A NaN on either side sets
+// neither bit, so it compares equal, as in engine.Compare.
+func (ix *Index) decodeNumeric(words []uint64, ci int, c Clause, from, n int) {
+	if c.Op == OpLike {
+		return // LIKE on a numeric column matches nothing
 	}
-}
-
-// extendNumeric evaluates a numeric clause against the missing rows of
-// the float chunks. The comparisons are written so NaN values yield
-// cmp==0 (both f<cv and f>cv false), matching engine.Compare's behavior
-// exactly.
-func (ix *Index) extendNumeric(e *maskEntry, ci int, c Clause, n int) {
 	cv := c.Val.Float()
-	var match func(f float64) bool
-	switch c.Op {
-	case OpEq:
-		match = func(f float64) bool { return !(f < cv) && !(f > cv) }
-	case OpNeq:
-		match = func(f float64) bool { return f < cv || f > cv }
-	case OpLe:
-		match = func(f float64) bool { return !(f > cv) }
-	case OpGe:
-		match = func(f float64) bool { return !(f < cv) }
-	case OpLt:
-		match = func(f float64) bool { return f < cv }
-	case OpGt:
-		match = func(f float64) bool { return f > cv }
-	default:
-		return
-	}
 	r := ix.t.NewColReader(ci)
 	defer r.Close()
-	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
-		if z, ok := ix.segZone(k, ci, lo, hi); ok {
-			switch zoneNumericVerdict(z, c.Op, cv) {
-			case zoneNone:
-				return // provably no match: chunk stays zero, no fault
-			case zoneAll:
-				// Every row (incl. NaN, excl. none — NullCount is 0)
-				// matches: fill without faulting.
-				fillRange(ch.words, lo, hi)
-				return
-			}
+	verdict := func(z engine.ZoneInfo) zoneVerdict { return zoneNumericVerdict(z, c.Op, cv) }
+	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !ix.zoneSpan(seg, k, ci, lo, hi, verdict) {
+			return
 		}
 		vals, null := r.Floats(k)
-		for i := lo; i < hi; i++ {
-			if match(vals[i]) && null[i>>6]&(1<<(uint(i)&63)) == 0 {
-				ch.words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
+		orSpan(seg, lo, hi, func(wi int) uint64 {
+			lt, gt := compareWord(vals[wi<<6:min(wi<<6+64, hi)], cv)
+			return opWord(c.Op, lt, gt) &^ null[wi]
+		})
 	})
+}
+
+// compareWord returns the masks of the cells of vals (at most 64) that
+// compare below cv and above it, without a branch per cell.
+func compareWord(vals []float64, cv float64) (lt, gt uint64) {
+	for j := len(vals) - 1; j >= 0; j-- { // cell j's bits shift up to bit j
+		f := vals[j]
+		lt = lt<<1 | bit(f < cv)
+		gt = gt<<1 | bit(f > cv)
+	}
+	return lt, gt
+}
+
+// bit is b as 0 or 1; the compiler emits it without a branch.
+func bit(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// opWord is op's match word for a word whose cells compare below the
+// constant at lt's bits and above it at gt's.
+func opWord(op Op, lt, gt uint64) uint64 {
+	switch op {
+	case OpEq:
+		return ^(lt | gt)
+	case OpNeq:
+		return lt | gt
+	case OpLe:
+		return ^gt
+	case OpGe:
+		return ^lt
+	case OpLt:
+		return lt
+	}
+	return gt // OpGt
 }
 
 // matchString is a string clause's verdict on one non-NULL value of its
@@ -471,11 +465,11 @@ func (c Clause) matchString(s string) bool {
 	return opMatchesCmp(c.Op, strings.Compare(s, c.Val.S))
 }
 
-// extendString evaluates a string clause against the missing rows of
-// the dictionary codes: the verdict is computed once per distinct value
-// — the whole dictionary, so codes an append added since the last
-// extension get theirs — then fans out by code.
-func (ix *Index) extendString(e *maskEntry, ci int, c Clause, n int) {
+// decodeString evaluates a string clause against the dictionary codes:
+// the verdict is computed once per distinct value — the whole
+// dictionary, so codes an append added since the last extension get
+// theirs — then fans out by code.
+func (ix *Index) decodeString(words []uint64, ci int, c Clause, from, n int) {
 	values := ix.t.Dict(ci).Values()
 	verdict := make([]bool, len(values))
 	eqCode := -1 // the single matching code for OpEq (dict values are distinct)
@@ -485,20 +479,28 @@ func (ix *Index) extendString(e *maskEntry, ci int, c Clause, n int) {
 			eqCode = code
 		}
 	}
+	zone := func(z engine.ZoneInfo) zoneVerdict {
+		if c.Op == OpEq {
+			return zoneEqStringVerdict(z, eqCode)
+		}
+		return zoneScan
+	}
 	r := ix.t.NewColReader(ci)
 	defer r.Close()
-	ix.forEachSegSpan(e, n, func(k int, ch *maskChunk, lo, hi int) {
-		if c.Op == OpEq {
-			if z, ok := ix.segZone(k, ci, lo, hi); ok && zoneEqStringVerdict(z, eqCode) == zoneNone {
-				return // code provably absent from the segment: no fault
-			}
+	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !ix.zoneSpan(seg, k, ci, lo, hi, zone) {
+			return
 		}
 		codes := r.Codes(k)
-		for i := lo; i < hi; i++ {
-			if code := codes[i]; code >= 0 && verdict[code] {
-				ch.words[i>>6] |= 1 << (uint(i) & 63)
+		orSpan(seg, lo, hi, func(wi int) uint64 {
+			var w uint64
+			for j, code := range codes[wi<<6 : min(wi<<6+64, hi)] {
+				if code >= 0 && verdict[code] {
+					w |= 1 << uint(j)
+				}
 			}
-		}
+			return w
+		})
 	})
 }
 

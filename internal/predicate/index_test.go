@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -268,7 +269,7 @@ func TestIndexAfterAppend(t *testing.T) {
 
 // TestIndexExtendsOnAppend pins the incremental clause-mask
 // maintenance: after rows are appended, cached masks extend by decoding
-// only the suffix (the canonical entry survives), snapshots at the old
+// only the suffix (the cached entry survives), snapshots at the old
 // length stay valid, and match results stay parity-exact with the
 // scalar evaluator.
 func TestIndexExtendsOnAppend(t *testing.T) {
@@ -286,8 +287,8 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 	for k, c := range clauses {
 		old[k] = ix.ClauseBits(c)
 		entries[k] = ix.clauses[c]
-		if entries[k].built(tbl.SegRows()) != 150 {
-			t.Fatalf("clause %d built = %d", k, entries[k].built(tbl.SegRows()))
+		if entries[k].bits.Len() != 150 {
+			t.Fatalf("clause %d built = %d", k, entries[k].bits.Len())
 		}
 	}
 	oldNonNull := ix.ClauseBits(NonNull("f"))
@@ -305,8 +306,8 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 		if ix.clauses[c] != entries[k] {
 			t.Fatalf("clause %d: canonical entry rebuilt instead of extended", k)
 		}
-		if entries[k].built(tbl.SegRows()) != 210 || nb.Len() != 210 {
-			t.Fatalf("clause %d: built=%d len=%d", k, entries[k].built(tbl.SegRows()), nb.Len())
+		if entries[k].bits != nb || nb.Len() != 210 {
+			t.Fatalf("clause %d: built=%d len=%d", k, entries[k].bits.Len(), nb.Len())
 		}
 		// Parity with the scalar evaluator over the grown table.
 		ci := tbl.Schema().ColIndex(c.Col)
@@ -368,5 +369,191 @@ func TestIndexSyncRows(t *testing.T) {
 	ix.SyncRows(tbl)
 	if ix.Table() != nt {
 		t.Fatal("SyncRows regressed to an older version")
+	}
+}
+
+// TestClauseEdgeCells pins the word-at-a-time numeric masks to
+// Clause.Matches on the cells where comparisons are easiest to get
+// wrong: NULL, NaN, ±0 and ±Inf in the column and as the clause
+// constant, under all six ops, on float and int columns whose 64-row
+// segments end in a partial tail — built whole, and extended across an
+// append that starts mid-word.
+func TestClauseEdgeCells(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	edges := []engine.Value{
+		engine.Null, engine.NewFloat(math.NaN()), engine.NewFloat(negZero), engine.NewFloat(0),
+		engine.NewFloat(math.Inf(-1)), engine.NewFloat(math.Inf(1)), engine.NewFloat(1.5), engine.NewFloat(-2),
+	}
+	tbl, err := engine.NewTableSeg("t", engine.NewSchema("f", engine.TFloat, "i", engine.TInt), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]engine.Value
+	for r := 0; r < 150; r++ {
+		i := engine.NewInt(int64(r%5 - 2))
+		if r%7 == 3 {
+			i = engine.Null
+		}
+		rows = append(rows, []engine.Value{edges[(r*5+r/8)%len(edges)], i})
+	}
+	short, err := tbl.AppendBatch(rows[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := short.AppendBatch(rows[100:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := append(edges, engine.NewInt(0), engine.NewInt(-2))
+	for _, col := range []string{"f", "i"} {
+		ci := full.Schema().ColIndex(col)
+		for op := OpEq; op <= OpGt; op++ {
+			for _, v := range consts {
+				c := Clause{Col: col, Op: op, Val: v}
+				whole := NewIndex(full).ClauseBits(c)
+				grown := NewIndex(short)
+				grown.ClauseBits(c)
+				grown.SyncRows(full)
+				for name, b := range map[string]*bitset.Bitset{"whole": whole, "extended": grown.ClauseBits(c)} {
+					for r := 0; r < full.NumRows(); r++ {
+						if want := c.Matches(full.Value(r, ci)); b.Get(r) != want {
+							t.Fatalf("%s %s: row %d (%v) mask %v, Matches %v", name, c, r, full.Value(r, ci), b.Get(r), want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIndexEvictsBySecondChance: an index holds at most maxMasks masks;
+// a clause hit between inserts keeps its mask, one never hit again is
+// evicted, and an evicted clause rebuilds bit for bit.
+func TestIndexEvictsBySecondChance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tbl := randomTable(rng, 300)
+	ix := NewIndex(tbl)
+	hot := Clause{Col: "f", Op: OpLe, Val: engine.NewFloat(1)}
+	hotBits := ix.ClauseBits(hot)
+	cold := func(k int) Clause { return Clause{Col: "f", Op: OpGt, Val: engine.NewFloat(float64(k) / 64)} }
+	first := ix.ClauseBits(cold(0))
+	firstClone := first.Clone()
+	for k := 1; k < 4*maxMasks; k++ {
+		ix.ClauseBits(cold(k))
+		if ix.ClauseBits(hot) != hotBits {
+			t.Fatalf("insert %d evicted the hot clause", k)
+		}
+		if len(ix.clauses) > maxMasks || len(ix.ring) != len(ix.clauses) {
+			t.Fatalf("insert %d: %d masks, %d in the ring", k, len(ix.clauses), len(ix.ring))
+		}
+	}
+	again := ix.ClauseBits(cold(0))
+	if again == first {
+		t.Fatal("a clause never hit again survived 4×maxMasks inserts")
+	}
+	if !equalRows(again.Rows(), firstClone.Rows()) || again.Len() != firstClone.Len() {
+		t.Fatal("the evicted clause rebuilt different bits")
+	}
+}
+
+// TestHeldMasksImmutable: masks handed out are never written — not by
+// an extension after an append, a prefix request from an older version,
+// a retention rebase or an eviction. Readers scan every held mask while
+// the index moves on (run it under -race), and each mask ends equal to
+// the clone taken when it was handed out; the masks served after each
+// round match Clause.Matches.
+func TestHeldMasksImmutable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	seed := randomTable(rng, 200)
+	tbl, err := engine.NewTableSeg("t", seed.Schema(), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = tbl.AppendCols(seed.Batch(0, 200), 0, 200); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex(tbl)
+	clauses := []Clause{
+		{Col: "f", Op: OpGt, Val: engine.NewFloat(0)},
+		{Col: "s", Op: OpEq, Val: engine.NewString("beta")},
+		{Col: "i", Op: OpLe, Val: engine.NewInt(2)},
+		NonNull("s"),
+	}
+	type held struct{ mask, clone *bitset.Bitset }
+	var (
+		masks []held
+		mu    sync.Mutex // guards masks; the masks themselves are read unlocked
+	)
+	hold := func(b *bitset.Bitset) {
+		mu.Lock()
+		masks = append(masks, held{b, b.Clone()})
+		mu.Unlock()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				hs := masks
+				mu.Unlock()
+				for _, h := range hs {
+					h.mask.Count()
+				}
+				for _, c := range clauses {
+					// As a query asks: at its version's base and length.
+					v := ix.Table()
+					if b, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
+						b.Count()
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 12; round++ {
+		old := tbl
+		for _, c := range clauses {
+			hold(ix.ClauseBits(c))
+		}
+		more := randomTable(rng, 70)
+		if tbl, err = tbl.AppendCols(more.Batch(0, 70), 0, 70); err != nil {
+			t.Fatal(err)
+		}
+		ix.SyncRows(tbl)
+		for _, c := range clauses {
+			hold(ix.ClauseBits(c))                  // extends into a copy
+			hold(ix.ClauseBitsAt(c, old.NumRows())) // the older length
+		}
+		if round%3 == 2 {
+			if tbl, _, err = tbl.RetainTail(engine.RetentionPolicy{MaxRows: 150}); err != nil {
+				t.Fatal(err)
+			}
+			ix.SyncRows(tbl) // re-slices every held clause's mask
+		}
+		for k := range maxMasks / 2 { // evicts the held clauses' entries now and then
+			ix.ClauseBits(Clause{Col: "f", Op: OpLt, Val: engine.NewFloat(float64(round*maxMasks + k))})
+		}
+		for _, c := range clauses { // and what the index serves now is right
+			b, ci := ix.ClauseBits(c), tbl.Schema().ColIndex(c.Col)
+			for r := 0; r < tbl.NumRows(); r++ {
+				if b.Get(r) != c.Matches(tbl.Value(r, ci)) {
+					t.Fatalf("round %d %s row %d: mask %v", round, c, r, b.Get(r))
+				}
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	for i, h := range masks {
+		if h.mask.Len() != h.clone.Len() || !equalRows(h.mask.Rows(), h.clone.Rows()) {
+			t.Fatalf("held mask %d changed after it was handed out", i)
+		}
 	}
 }

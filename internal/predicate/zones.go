@@ -4,8 +4,8 @@ import "repro/internal/engine"
 
 // Zone-map pruning: before faulting an out-of-core segment's chunk to
 // build a clause mask, the index consults the segment's zone map. A
-// provably-none segment leaves its mask chunk all-zero and a
-// provably-all segment fills it, in both cases without touching disk.
+// provably-none segment leaves its mask words zero and a provably-all
+// segment fills them, in both cases without touching disk.
 // The verdicts must be exact, not heuristic — a mask bit is a promise —
 // so the NaN and NULL rules below mirror engine.Compare precisely: NaN
 // compares equal to everything (cmp == 0), NULL never matches.
@@ -123,23 +123,6 @@ func zoneNonNullVerdict(z engine.ZoneInfo) zoneVerdict {
 		return zoneNone
 	}
 	return zoneScan
-}
-
-// fillRange sets bits [lo, hi) of words.
-func fillRange(words []uint64, lo, hi int) {
-	loWord, hiWord := lo>>6, (hi-1)>>6
-	for wi := loWord; wi <= hiWord; wi++ {
-		m := ^uint64(0)
-		if wi == loWord {
-			m &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if wi == hiWord {
-			if rem := hi - wi*64; rem < 64 {
-				m &= 1<<uint(rem) - 1
-			}
-		}
-		words[wi] |= m
-	}
 }
 
 // segZone returns segment k's zone map for column ci when it has one

@@ -122,7 +122,8 @@ func (ctx *Context) prepare() error {
 			// candidates' masks extend by suffix across batches. The
 			// family-shared predicate.Shared index is deliberately NOT
 			// used here: candidate thresholds are data-dependent and
-			// churn per pass, and that cache never evicts.
+			// churn per pass, and in a bounded cache they would evict
+			// the masks the statements reuse.
 			ctx.Index = predicate.NewIndex(ctx.Res.Source)
 		}
 		n := ctx.Res.Source.NumRows()

@@ -103,7 +103,8 @@
 //     count is zero (asserted by the chaos soak and the cancellation
 //     matrix).
 //   - Faults verify: a chunk load that misses the pool re-reads the
-//     column section and checks it, as above.
+//     column section into a recycled read buffer, checks it, as above,
+//     and decodes it into the chunk — the one allocation a fault makes.
 //   - Zone maps prune. Seal time writes per-column min/max, NULL/NaN
 //     counts and a dictionary-code presence bitmap; scans consult
 //     them to skip provably empty segments without touching disk.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -231,18 +232,21 @@ func decodeSection(section []byte, typ engine.Type, segBits uint, kind chunkKind
 	switch kind {
 	case chunkFloat:
 		ch.Vals, ch.Null = make([]float64, segRows), make([]uint64, segRows/64)
-		for w := range ch.Null {
-			ch.Null[w] = binary.LittleEndian.Uint64(nulls[w*8:])
+		if typ == engine.TFloat {
+			for i := range ch.Vals {
+				ch.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(cells[i*8:]))
+			}
+		} else {
+			for i := range ch.Vals {
+				ch.Vals[i] = float64(int64(binary.LittleEndian.Uint64(cells[i*8:])))
+			}
 		}
-		for i := range ch.Vals {
-			bits := binary.LittleEndian.Uint64(cells[i*8:])
-			switch {
-			case ch.Null[i>>6]&(1<<(uint(i)&63)) != 0:
-				ch.Vals[i] = math.NaN()
-			case typ == engine.TFloat:
-				ch.Vals[i] = math.Float64frombits(bits)
-			default:
-				ch.Vals[i] = float64(int64(bits))
+		nan := math.NaN()
+		for w := range ch.Null {
+			null := binary.LittleEndian.Uint64(nulls[w*8:])
+			ch.Null[w] = null
+			for ; null != 0; null &= null - 1 {
+				ch.Vals[w<<6+bits.TrailingZeros64(null)] = nan
 			}
 		}
 	case chunkCodes:
@@ -360,7 +364,14 @@ func (l *tableLoader) quarantineRecords() []string {
 // decodes the chunk of the given kind. Corruption quarantines the
 // segment file (rename + record, once); plain I/O failures do not.
 func (l *tableLoader) load(m *segMeta, read func(p []byte, off int64) (int, error), col int, kind chunkKind) (engine.Chunk, error) {
-	buf := make([]byte, 4+m.secLen[col]+4)
+	bp := sectionBufs.Get().(*[]byte)
+	defer sectionBufs.Put(bp)
+	if need := 4 + m.secLen[col] + 4; cap(*bp) < need {
+		*bp = make([]byte, need)
+	} else {
+		*bp = (*bp)[:need]
+	}
+	buf := *bp
 	if _, err := read(buf, m.secOff[col]); err != nil {
 		return engine.Chunk{}, fmt.Errorf("read section: %w", err)
 	}
@@ -374,6 +385,10 @@ func (l *tableLoader) load(m *segMeta, read func(p []byte, off int64) (int, erro
 	}
 	return ch, nil
 }
+
+// sectionBufs recycles the section read buffers of load: a decoded chunk
+// keeps none of its buffer's bytes, so a fault allocates only its chunk.
+var sectionBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // segLoader serves one recovered segment's chunk faults: it implements
 // engine.ChunkLoader over the segment file m. A live file is read by
