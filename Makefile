@@ -126,7 +126,9 @@ fuzz-smoke:
 # mask and every lineage set above is one of their bitmaps. par (95%)
 # too: every fan-out above runs on its helpers and its panic re-raise.
 # server (93%) and obs (100%) too: the request lifecycle's exactly-once
-# accounting and every stage timing the running server reports.
+# accounting and every stage timing the running server reports. So does
+# errmetric (92%): every ε Debug reports and every δ it ranks by is one
+# of its terms.
 cover:
 	@for want in "./internal/influence:90" "./internal/ranker:88" "./internal/feature:92" \
 			"./internal/dtree:90" "./internal/subgroup:92" "./internal/core:86" \
@@ -134,7 +136,8 @@ cover:
 			"./internal/engine:77" "./internal/exec:88" "./internal/store:88" \
 			"./internal/expr:79" "./internal/agg:95" \
 			"./internal/predicate:70" "./internal/bitset:78" \
-			"./internal/par:95" "./internal/server:90" "./internal/obs:95"; do \
+			"./internal/par:95" "./internal/server:90" "./internal/obs:95" \
+			"./internal/errmetric:89"; do \
 		pkg=$${want%%:*}; min=$${want##*:}; \
 		pct=$$($(GO) test -short -coverprofile=cover.out $$pkg | grep -o 'coverage: [0-9.]*' | cut -d' ' -f2); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg"; exit 1; fi; \

@@ -226,12 +226,18 @@ func BenchmarkPipelineVsBaselines(b *testing.B) {
 }
 
 // BenchmarkDebugScaling measures Debug wall time against dataset size
-// (E2). The paper's claim: ~linear in |F| thanks to removable
-// aggregates.
+// (E2), up to the paper's 2.3M Intel readings (skipped in -short, as the
+// full-scale generators are). The paper's claim: ~linear in |F|, as the
+// leave-one-out pass is O(|F|) — removable aggregates and one metric
+// term per tuple — plus one group scan per tuple that removes the last
+// copy of a min or max.
 func BenchmarkDebugScaling(b *testing.B) {
-	for _, rows := range []int{25_000, 50_000, 100_000, 200_000} {
+	for _, rows := range []int{25_000, 50_000, 100_000, 200_000, 400_000, 2_300_000} {
 		rows := rows
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			if rows > 200_000 && testing.Short() {
+				b.Skip("full-scale trace generation is slow; skipped in -short")
+			}
 			e := intelBench(b, rows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -247,7 +253,9 @@ func BenchmarkDebugScaling(b *testing.B) {
 }
 
 // BenchmarkInfluenceLOO isolates the preprocessor's leave-one-out pass
-// (E5): O(|F|) with removable aggregates.
+// (E5): O(|F|) with removable aggregates and one metric term per tuple,
+// plus one group scan per tuple that removes the last copy of a min or
+// max.
 func BenchmarkInfluenceLOO(b *testing.B) {
 	e := intelBench(b, 100_000)
 	b.ResetTimer()

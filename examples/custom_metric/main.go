@@ -22,28 +22,22 @@ import (
 
 // relDeviation is a user-defined ε: the summed *relative* deviation of
 // each suspect value from an expected baseline, ignoring deviations
-// under 25%. Direction 0: both inflated and deflated counts are errors.
+// under 25%. Both inflated and deflated counts are errors. Like every
+// metric, it is a per-group term (0 for a NULL aggregate) and a combine.
 type relDeviation struct {
 	Expected float64
 }
 
 func (relDeviation) Name() string { return "reldev" }
 
-func (m relDeviation) Eval(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		if math.IsNaN(v) || m.Expected == 0 {
-			continue
-		}
-		d := math.Abs(v-m.Expected) / m.Expected
-		if d > 0.25 {
-			sum += d - 0.25
-		}
+func (m relDeviation) Term(v float64) float64 {
+	if d := math.Abs(v-m.Expected) / m.Expected; m.Expected != 0 && d > 0.25 { // NaN fails the comparison
+		return d - 0.25
 	}
-	return sum
+	return 0
 }
 
-func (relDeviation) Direction() int { return 0 }
+func (relDeviation) Combine() errmetric.Combine { return errmetric.Sum }
 
 func (m relDeviation) String() string { return fmt.Sprintf("reldev(expected=%g)", m.Expected) }
 

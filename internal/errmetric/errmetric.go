@@ -2,16 +2,17 @@
 // the paper: functions over the suspect aggregate values S that are 0
 // when S is error-free and grow with the severity of the error.
 //
-// The paper's running example is
+// Every metric of the paper's Error Metric Form is a per-group penalty
+// Term(sᵢ) ≥ 0, combined over S by sum ("value is too high", "too low",
+// "should be equal to") or by max — the running example
 //
 //	diff(S) = max(0, max_{sᵢ∈S}(sᵢ − c))
 //
-// ("the maximum amount an element of S exceeds a constant c"), offered
-// in the UI alongside "value is too high", "value is too low", and
-// "should be equal to". Metrics are directional: Direction reports
-// whether error increases when aggregate values increase (+1, "too
-// high"), decrease (−1, "too low"), or neither (0), which lets the
-// influence ranker orient per-tuple deltas.
+// ("the maximum amount an element of S exceeds a constant c"). A NULL
+// aggregate (NaN) contributes 0. Eval is the one combine loop; the
+// leave-one-out pass (internal/influence) reads the terms directly, so
+// removing a tuple from one group costs one Term, not a pass over S. A
+// metric of neither shape is not supported: none exists in the paper.
 package errmetric
 
 import (
@@ -23,33 +24,40 @@ import (
 )
 
 // Metric is a user-selected error function ε over the suspect aggregate
-// values.
+// values: Eval(m, S) combines m.Term over S by m.Combine().
 type Metric interface {
 	// Name returns a short identifier ("diff", "toohigh", ...).
 	Name() string
-	// Eval computes ε over the suspect aggregate values. NULL aggregate
-	// results are passed as NaN and should be ignored.
-	Eval(vals []float64) float64
-	// Direction reports the error orientation: +1 when larger values
-	// mean more error, −1 when smaller values mean more error, 0 when
-	// non-directional (e.g. not-equal).
-	Direction() int
+	// Term is one group's penalty: at least 0 (never −0), and 0 for a
+	// NULL aggregate, passed as NaN.
+	Term(v float64) float64
+	// Combine reports how the terms fold into ε.
+	Combine() Combine
 	// String renders the metric with its parameters.
 	String() string
 }
 
-// clean filters NaNs (NULL aggregates) into a fresh slice. Eval
-// implementations skip NaNs inline instead — they run once per candidate
-// predicate per scoring pass and must not allocate — so clean is only
-// for cold paths like SuggestReference.
-func clean(vals []float64) []float64 {
-	out := vals[:0:0]
+// Combine is how a metric folds its per-group terms into ε.
+type Combine uint8
+
+const (
+	Sum Combine = iota // ε = Σ Term(sᵢ)
+	Max                // ε = max(0, max Term(sᵢ))
+)
+
+// Eval computes ε over the suspect aggregate values. It runs once per
+// candidate predicate per scoring pass and allocates nothing. Every term
+// is ≥ 0, so a group without error adds an exact +0.
+func Eval(m Metric, vals []float64) float64 {
+	byMax, eps := m.Combine() == Max, 0.0
 	for _, v := range vals {
-		if !math.IsNaN(v) {
-			out = append(out, v)
+		if t := m.Term(v); !byMax {
+			eps += t
+		} else if t > eps {
+			eps = t
 		}
 	}
-	return out
+	return eps
 }
 
 // ---------------------------------------------------------------------
@@ -63,22 +71,11 @@ type Diff struct {
 // Name implements Metric.
 func (Diff) Name() string { return "diff" }
 
-// Eval implements Metric.
-func (m Diff) Eval(vals []float64) float64 {
-	worst := 0.0
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		if d := v - m.C; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
+// Term implements Metric: the excess over C.
+func (m Diff) Term(v float64) float64 { return TooHigh(m).Term(v) }
 
-// Direction implements Metric.
-func (Diff) Direction() int { return +1 }
+// Combine implements Metric.
+func (Diff) Combine() Combine { return Max }
 
 // String implements Metric.
 func (m Diff) String() string { return fmt.Sprintf("diff(c=%g)", m.C) }
@@ -94,19 +91,16 @@ type TooHigh struct {
 // Name implements Metric.
 func (TooHigh) Name() string { return "toohigh" }
 
-// Eval implements Metric.
-func (m TooHigh) Eval(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		if v > m.C { // NaN fails the comparison, filtering NULLs for free
-			sum += v - m.C
-		}
+// Term implements Metric.
+func (m TooHigh) Term(v float64) float64 {
+	if v > m.C { // NaN fails the comparison, filtering NULLs for free
+		return v - m.C
 	}
-	return sum
+	return 0
 }
 
-// Direction implements Metric.
-func (TooHigh) Direction() int { return +1 }
+// Combine implements Metric.
+func (TooHigh) Combine() Combine { return Sum }
 
 // String implements Metric.
 func (m TooHigh) String() string { return fmt.Sprintf("toohigh(c=%g)", m.C) }
@@ -119,19 +113,16 @@ type TooLow struct {
 // Name implements Metric.
 func (TooLow) Name() string { return "toolow" }
 
-// Eval implements Metric.
-func (m TooLow) Eval(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		if v < m.C { // NaN fails the comparison, filtering NULLs for free
-			sum += m.C - v
-		}
+// Term implements Metric.
+func (m TooLow) Term(v float64) float64 {
+	if v < m.C { // NaN fails the comparison, filtering NULLs for free
+		return m.C - v
 	}
-	return sum
+	return 0
 }
 
-// Direction implements Metric.
-func (TooLow) Direction() int { return -1 }
+// Combine implements Metric.
+func (TooLow) Combine() Combine { return Sum }
 
 // String implements Metric.
 func (m TooLow) String() string { return fmt.Sprintf("toolow(c=%g)", m.C) }
@@ -144,29 +135,25 @@ type NotEqual struct {
 // Name implements Metric.
 func (NotEqual) Name() string { return "notequal" }
 
-// Eval implements Metric.
-func (m NotEqual) Eval(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		sum += math.Abs(v - m.C)
+// Term implements Metric.
+func (m NotEqual) Term(v float64) float64 {
+	if math.IsNaN(v) {
+		return 0
 	}
-	return sum
+	return math.Abs(v - m.C)
 }
 
-// Direction implements Metric.
-func (NotEqual) Direction() int { return 0 }
+// Combine implements Metric.
+func (NotEqual) Combine() Combine { return Sum }
 
 // String implements Metric.
 func (m NotEqual) String() string { return fmt.Sprintf("notequal(c=%g)", m.C) }
 
 // ZScore penalizes values more than K standard deviations from the
-// reference mean: ε = Σ max(0, |sᵢ−Mean|/Std − K). It captures "these
-// points are outliers relative to the rest of the series" without the
-// user naming a constant; the frontend fills Mean/Std from the
-// non-suspect groups.
+// reference mean: ε = Σ max(0, |sᵢ−Mean|/Std − K), and 0 when Std ≤ 0.
+// It captures "these points are outliers relative to the rest of the
+// series" without the user naming a constant; the frontend fills
+// Mean/Std from the non-suspect groups.
 type ZScore struct {
 	Mean, Std, K float64
 }
@@ -174,23 +161,16 @@ type ZScore struct {
 // Name implements Metric.
 func (ZScore) Name() string { return "zscore" }
 
-// Eval implements Metric.
-func (m ZScore) Eval(vals []float64) float64 {
-	if m.Std <= 0 {
-		return 0
+// Term implements Metric.
+func (m ZScore) Term(v float64) float64 {
+	if z := math.Abs(v-m.Mean) / m.Std; m.Std > 0 && z > m.K { // NaN z fails the comparison
+		return z - m.K
 	}
-	var sum float64
-	for _, v := range vals {
-		z := math.Abs(v-m.Mean) / m.Std
-		if z > m.K { // NaN z fails the comparison, filtering NULLs for free
-			sum += z - m.K
-		}
-	}
-	return sum
+	return 0
 }
 
-// Direction implements Metric.
-func (ZScore) Direction() int { return 0 }
+// Combine implements Metric.
+func (ZScore) Combine() Combine { return Sum }
 
 // String implements Metric.
 func (m ZScore) String() string {
@@ -278,11 +258,15 @@ func ParseSpec(s string) (Metric, error) {
 // the median of vals. UIs use it to prefill the metric's expected value
 // from the non-suspect groups.
 func SuggestReference(vals []float64) float64 {
-	vs := clean(vals)
-	if len(vs) == 0 {
+	var sorted []float64
+	for _, v := range vals {
+		if !math.IsNaN(v) {
+			sorted = append(sorted, v)
+		}
+	}
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), vs...)
 	sort.Float64s(sorted)
 	n := len(sorted)
 	if n%2 == 1 {

@@ -8,62 +8,76 @@ import (
 
 func TestDiff(t *testing.T) {
 	m := Diff{C: 70}
-	if got := m.Eval([]float64{65, 80, 120}); got != 50 {
+	if got := Eval(m, []float64{65, 80, 120}); got != 50 {
 		t.Errorf("diff: %v", got)
 	}
-	if got := m.Eval([]float64{60, 65}); got != 0 {
+	if got := Eval(m, []float64{60, 65}); got != 0 {
 		t.Errorf("diff error-free: %v", got)
 	}
-	if m.Direction() != 1 {
-		t.Error("diff direction")
+	if m.Combine() != Max {
+		t.Error("diff combines by max")
 	}
 }
 
 func TestTooHigh(t *testing.T) {
 	m := TooHigh{C: 70}
-	if got := m.Eval([]float64{65, 80, 120}); got != 60 {
+	if got := Eval(m, []float64{65, 80, 120}); got != 60 {
 		t.Errorf("toohigh: %v", got) // (80-70)+(120-70)
 	}
-	if got := m.Eval([]float64{70, 60}); got != 0 {
+	if got := Eval(m, []float64{70, 60}); got != 0 {
 		t.Errorf("toohigh clean: %v", got)
 	}
 }
 
 func TestTooLow(t *testing.T) {
 	m := TooLow{C: 0}
-	if got := m.Eval([]float64{-5, 3, -10}); got != 15 {
+	if got := Eval(m, []float64{-5, 3, -10}); got != 15 {
 		t.Errorf("toolow: %v", got)
-	}
-	if m.Direction() != -1 {
-		t.Error("toolow direction")
 	}
 }
 
 func TestNotEqual(t *testing.T) {
 	m := NotEqual{C: 10}
-	if got := m.Eval([]float64{8, 12}); got != 4 {
+	if got := Eval(m, []float64{8, 12}); got != 4 {
 		t.Errorf("notequal: %v", got)
-	}
-	if m.Direction() != 0 {
-		t.Error("notequal direction")
 	}
 }
 
 func TestZScore(t *testing.T) {
 	m := ZScore{Mean: 0, Std: 1, K: 2}
-	if got := m.Eval([]float64{0, 1, 3}); math.Abs(got-1) > 1e-9 {
+	if got := Eval(m, []float64{0, 1, 3}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("zscore: %v", got) // only 3 exceeds k=2 by 1
 	}
 	zero := ZScore{Mean: 0, Std: 0, K: 2}
-	if zero.Eval([]float64{100}) != 0 {
+	if Eval(zero, []float64{100}) != 0 {
 		t.Error("zero-std zscore should be 0")
 	}
 }
 
 func TestNaNIgnored(t *testing.T) {
 	m := TooHigh{C: 0}
-	if got := m.Eval([]float64{math.NaN(), 5}); got != 5 {
+	if got := Eval(m, []float64{math.NaN(), 5}); got != 5 {
 		t.Errorf("NaN handling: %v", got)
+	}
+}
+
+// TestTermContract: every term is at least 0 with a clear sign bit, and
+// exactly 0 for a NULL (NaN) aggregate — what makes Eval's error-free
+// terms exact +0s, under either combine.
+func TestTermContract(t *testing.T) {
+	metrics := []Metric{Diff{C: 3}, TooHigh{C: 3}, TooLow{C: 3}, NotEqual{C: 3}, ZScore{Mean: 0, Std: 2, K: 1}, ZScore{Std: 0, K: 1}}
+	for _, m := range metrics {
+		if got := m.Term(math.NaN()); math.Float64bits(got) != 0 {
+			t.Errorf("%s: Term(NaN) = %g, want +0", m, got)
+		}
+		for _, v := range []float64{math.Inf(-1), -5, math.Copysign(0, -1), 0, 3, 3.5, 100, math.Inf(1)} {
+			if got := m.Term(v); !(got >= 0) || math.Signbit(got) {
+				t.Errorf("%s: Term(%g) = %g, want ≥ +0", m, v, got)
+			}
+		}
+	}
+	if got := Eval(Diff{C: 0}, []float64{math.NaN(), 5, math.NaN(), 2}); got != 5 {
+		t.Errorf("diff over NULLs: %v", got)
 	}
 }
 
@@ -76,10 +90,10 @@ func TestMetricsNonNegative(t *testing.T) {
 			vals[i] = float64(r)
 		}
 		for _, m := range metrics {
-			if m.Eval(vals) < 0 {
+			if Eval(m, vals) < 0 {
 				return false
 			}
-			if m.Eval(nil) != 0 {
+			if Eval(m, nil) != 0 {
 				return false
 			}
 		}
@@ -105,8 +119,8 @@ func TestTooHighMonotone(t *testing.T) {
 			}
 		}
 		m := TooHigh{C: 0}
-		before := m.Eval(vals)
-		after := m.Eval(append(append([]float64(nil), vals[:worst]...), vals[worst+1:]...))
+		before := Eval(m, vals)
+		after := Eval(m, append(append([]float64(nil), vals[:worst]...), vals[worst+1:]...))
 		return after <= before
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -29,8 +29,10 @@ func benchResult(b *testing.B, rows int) *exec.Result {
 	return res
 }
 
-// BenchmarkRank measures the full leave-one-out pass: the paper's
-// O(|F|) Preprocessor claim rests on this staying linear.
+// BenchmarkRank measures the full leave-one-out pass: O(|F|) — one
+// metric term per tuple — plus one group scan per tuple that removes the
+// last copy of a min or max; the paper's Preprocessor claim rests on this
+// staying linear.
 func BenchmarkRank(b *testing.B) {
 	for _, rows := range []int{10_000, 100_000} {
 		rows := rows

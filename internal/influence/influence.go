@@ -7,7 +7,8 @@
 // these values" (ResultWithoutFloats) — O(1) per tuple for sum, count,
 // avg, stddev and var, and for min and max unless the tuple is the last
 // copy of the extremum, when they recompute over the group's survivors —
-// so the whole pass is O(|F|) plus one group scan per such tuple.
+// and ε moves by that group's term, so the whole pass is O(|F|) plus one
+// group scan per tuple that removes the last copy of a min or max.
 package influence
 
 import (
@@ -69,8 +70,9 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ O
 	return RankCtx(context.Background(), res, suspect, ord, metric)
 }
 
-// RankCtx is Rank under a cancellable context: the O(|F|) LOO loop
-// polls ctx per ctxCheckRows tuples and returns an error wrapping the
+// RankCtx is Rank under a cancellable context: the LOO loop — O(|F|),
+// plus one group scan per tuple that removes the last copy of a min or
+// max — polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
 // followed by rankFast; a suspect selection or aggregate NewScorer
 // refuses is an error here. res's lineage is built under ctx.
@@ -220,5 +222,5 @@ func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.M
 			vals[i] = without
 		}
 	}
-	return metric.Eval(vals), nil
+	return errmetric.Eval(metric, vals), nil
 }

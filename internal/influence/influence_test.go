@@ -12,14 +12,18 @@ import (
 	"repro/internal/exec"
 )
 
-// buildResult runs an avg-per-group query over the given (group, value)
-// rows.
+// buildResult runs an agg-per-group query over the given (group, value)
+// rows; a NaN value is NULL.
 func buildResult(t *testing.T, agg string, rows [][2]float64) *exec.Result {
 	t.Helper()
 	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat))
 	var vals [][]engine.Value
 	for _, r := range rows {
-		vals = append(vals, []engine.Value{engine.NewInt(int64(r[0])), engine.NewFloat(r[1])})
+		v := engine.NewFloat(r[1])
+		if math.IsNaN(r[1]) {
+			v = engine.Null
+		}
+		vals = append(vals, []engine.Value{engine.NewInt(int64(r[0])), v})
 	}
 	tbl, err := tbl.AppendBatch(vals)
 	if err != nil {
@@ -115,9 +119,9 @@ func TestLOOMatchesRequery(t *testing.T) {
 				res2 := buildResult(t, aggName, rest)
 				var after float64
 				if v, ok := res2.AggFloat(0, 0); ok {
-					after = metric.Eval([]float64{v})
+					after = errmetric.Eval(metric, []float64{v})
 				} else {
-					after = metric.Eval(nil)
+					after = errmetric.Eval(metric, nil)
 				}
 				wantDelta := an.Eps - after
 				return math.Abs(deltaOf(an, idx)-wantDelta) < 1e-6*math.Max(1, math.Abs(wantDelta))
@@ -176,7 +180,7 @@ func TestEpsWithoutRowsMatchesRequery(t *testing.T) {
 			}
 			vals = append(vals, sum/float64(len(gvals)))
 		}
-		want := metric.Eval(vals)
+		want := errmetric.Eval(metric, vals)
 		return math.Abs(got-want) < 1e-6*math.Max(1, math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -105,7 +105,7 @@ func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric
 			s.base[i] = math.NaN()
 		}
 	}
-	s.eps = metric.Eval(s.base)
+	s.eps = errmetric.Eval(metric, s.base)
 
 	args, err := res.AggArgFloats(ord)
 	if err != nil {
@@ -238,38 +238,45 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 			sc.vals[i] = s.without(i, buf, mw, sc)
 		}
 	}
-	return s.metric.Eval(sc.vals)
+	return errmetric.Eval(s.metric, sc.vals)
 }
 
 // rankFast is the LOO pass over an already-built scoring state:
 // per-tuple leave-one-out influence without boxed argument evaluation or
 // per-row map lookups, in F order (no sort: the readers of Analysis
-// order what they return). It polls ctx per ctxCheckRows tuples; the
-// only possible error wraps the context error, and the scorer stays
-// valid for a retry.
+// order what they return). A tuple moves one group's term: δ is the term
+// before less the term after under a sum metric, and ε less the larger
+// of the other groups' best term and the term after under a max. It
+// polls ctx per ctxCheckRows tuples; the only possible error wraps the
+// context error, and the scorer stays valid for a retry.
 func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 	an := &Analysis{Eps: s.eps, F: s.fbits.Rows(), Scorer: s}
 
 	// rowPos[src] is the suspect position of src's group (-1 outside F;
-	// the first listed suspect group wins).
+	// the first listed suspect group wins, so it is written last).
 	rowPos := make([]int32, s.nsrc)
 	for i := range rowPos {
 		rowPos[i] = -1
 	}
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		if g.empty {
-			continue
-		}
-		pos := int32(gi)
-		g.bits.ForEach(func(r int) {
-			if rowPos[r] < 0 {
-				rowPos[r] = pos
-			}
-		})
+	for p := len(s.groups) - 1; p >= 0; p-- {
+		s.groups[p].bits.ForEach(func(r int) { rowPos[r] = int32(p) })
 	}
 
-	scratch := append([]float64(nil), s.base...)
+	// terms[p] is position p's term; top is the best term, at topPos, and
+	// next the best of the other positions (floored at 0, as Eval's max).
+	byMax := s.metric.Combine() == errmetric.Max
+	terms := make([]float64, len(s.base))
+	top, topPos, next := 0.0, int32(-1), 0.0
+	for p, v := range s.base {
+		t := s.metric.Term(v)
+		terms[p] = t
+		if t > top {
+			top, topPos, next = t, int32(p), top
+		} else if t > next {
+			next = t
+		}
+	}
+
 	var buf1 [1]float64
 	sc, one := s.NewScratch(), make([]uint64, len(rowPos)/64+1) // one: the row left out
 	an.Influences = make([]TupleInfluence, 0, len(an.F))
@@ -283,21 +290,23 @@ func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
 		if pos < 0 {
 			continue
 		}
-		gi := s.suspect[pos]
+		// Removing a NULL argument changes nothing: δ is exactly 0.
 		var delta float64
-		if s.args.Null.Get(src) {
-			// Removing a NULL argument changes nothing: δ is exactly 0.
-			delta = 0
-		} else {
+		if !s.args.Null.Get(src) {
 			buf1[0] = s.args.Vals[src]
-			old := scratch[pos]
 			one[src/64] = 1 << (src % 64)
-			scratch[pos] = s.without(int(pos), buf1[:1], one, sc)
+			t := s.metric.Term(s.without(int(pos), buf1[:1], one, sc))
 			one[src/64] = 0
-			delta = s.eps - s.metric.Eval(scratch)
-			scratch[pos] = old
+			switch {
+			case !byMax:
+				delta = terms[pos] - t
+			case pos == topPos:
+				delta = s.eps - max(next, t)
+			default:
+				delta = s.eps - max(top, t)
+			}
 		}
-		an.Influences = append(an.Influences, TupleInfluence{Row: src, GroupRow: gi, Delta: delta})
+		an.Influences = append(an.Influences, TupleInfluence{Row: src, GroupRow: s.suspect[pos], Delta: delta})
 	}
 	return an, nil
 }

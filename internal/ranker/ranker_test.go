@@ -43,7 +43,7 @@ func fixture(t *testing.T) (*exec.Result, *Context) {
 		}
 	}
 	metric := errmetric.TooHigh{C: 15}
-	eps := metric.Eval([]float64{32.5}) // avg = (30*10+10*100)/40 = 32.5
+	eps := errmetric.Eval(metric, []float64{32.5}) // avg = (30*10+10*100)/40 = 32.5
 	ctx := &Context{
 		Res: res, Suspect: []int{0}, Ord: 0,
 		Metric: metric, F: F, Eps: eps, Culpable: culpable,
@@ -222,7 +222,7 @@ func TestRankAllDedupsAndSorts(t *testing.T) {
 	ctx := &Context{
 		Res: res, Suspect: []int{0}, Ord: 0, Metric: metric,
 		F: F, Population: append(append([]int(nil), F...), contrast...),
-		Eps: metric.Eval([]float64{32.5}), Culpable: bad,
+		Eps: errmetric.Eval(metric, []float64{32.5}), Culpable: bad,
 		// Pruning would itself cut the two-clause spelling below to the
 		// one-clause one; with it off, the dedup has to choose.
 		DisablePrune: true,

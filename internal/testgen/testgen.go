@@ -235,17 +235,22 @@ func Suspects(rng *rand.Rand, res *exec.Result) []int {
 	return uniq
 }
 
-// Metric draws a random error metric with a small integral reference,
-// so ε values stay exactly representable.
+// Metric draws one of the five registry metrics — the sum combines and
+// diff's max, zscore's scaled term — with small integral parameters
+// (zscore's Std 1 or 2), so ε values stay exactly representable.
 func Metric(rng *rand.Rand) errmetric.Metric {
 	c := float64(rng.Intn(9) - 4)
-	switch rng.Intn(3) {
+	switch rng.Intn(5) {
 	case 0:
 		return errmetric.TooHigh{C: c}
 	case 1:
 		return errmetric.TooLow{C: c}
-	default:
+	case 2:
 		return errmetric.NotEqual{C: c}
+	case 3:
+		return errmetric.Diff{C: c}
+	default:
+		return errmetric.ZScore{Mean: c, Std: float64(1 + rng.Intn(2)), K: float64(rng.Intn(3))}
 	}
 }
 
