@@ -63,12 +63,14 @@
 //     dictionary codes that every segment is stored as, read in place
 //     by every downstream consumer, plus a per-version dictionary
 //     handle (Table.Dict).
-//   - internal/exec — Result.AggArgFloats builds an aggregate's
-//     ArgView once per result, the float the scan fed the state for
-//     each row: a bare column copies out of its typed chunks, any other
-//     argument evaluates once per source row; Advance extends it by the
-//     appended suffix through the same fill. Result.LineageBits and
-//     GroupLineageBitsShared expose provenance as bitsets.
+//   - internal/exec — a result's Provenance is one write-once value,
+//     built on first read: each group's lineage, its lineage bitset
+//     (Provenance.Bits) and each aggregate's ArgView (Provenance.ArgView,
+//     the float the scan fed the state for each row: a bare column
+//     copies out of its typed chunks, any other argument evaluates once
+//     per source row), the last two filled once, on first read. An
+//     advanced result's value extends its nearest built ancestor's by
+//     the appended rows through the same fill.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
 //     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
@@ -259,9 +261,13 @@
 //     then re-materializing HAVING/ORDER BY/LIMIT over the groups — a
 //     full re-sort, which at the tens of groups a monitoring query has
 //     costs less than carrying an order: O(batch + groups) per cycle
-//     instead of an O(n) rescan. A built lineage extends over the suffix
-//     (an unbuilt one stays unbuilt); lineage bitsets and argument views
-//     carry with prefix reuse, so a following Debug skips that prefix.
+//     instead of an O(n) rescan. Advance touches no provenance: the
+//     advanced result records its nearest built ancestor's value, and
+//     its first read copies that value's lineage, bitsets and argument
+//     views and runs one lineage pass over the rows appended since, so a
+//     following Debug skips the prefix and a chain of unread advances
+//     costs one suffix pass. A result may be advanced any number of
+//     times.
 //   - internal/server — POST /api/append decodes its envelope with
 //     encoding/json and scans the rows straight into a Batch (numbers
 //     by strconv, integer literals exact for int and time columns), which
@@ -288,9 +294,9 @@
 // rebuilding the scoring state from row 0:
 //
 //   - internal/influence — NewScorer over the advanced result reads the
-//     per-group lineage bitsets and the flat argument view that
-//     exec.Advance carried, so only the F union is rebuilt, a word OR
-//     per suspect group. RankAdvancedCtx ranks LOO influence through it
+//     per-group lineage bitsets and the flat argument view its
+//     provenance extended from its ancestor's, so only the F union is
+//     rebuilt, a word OR per suspect group. RankAdvancedCtx ranks LOO influence through it
 //     — or, when no suspect group's lineage grew (a stream mostly adds
 //     groups), shares the previous pass's ranking as it stands: every
 //     aggregate state, so ε and every δ, is unchanged.

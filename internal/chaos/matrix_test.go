@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -65,7 +66,7 @@ func resultsEq(t *testing.T, label string, want, got *exec.Result) {
 		t.Fatalf("%s: %d vs %d groups", label, len(want.Groups), len(got.Groups))
 	}
 	for i := range want.Groups {
-		wl, gl := want.GroupLineage(i), got.GroupLineage(i)
+		wl, gl := want.Lineage([]int{i}), got.Lineage([]int{i})
 		if len(wl) != len(gl) {
 			t.Fatalf("%s: group %d lineage %d vs %d", label, i, len(wl), len(gl))
 		}
@@ -163,8 +164,7 @@ func TestMatrixAdvance(t *testing.T) {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
 
-		// Measure the matrix on a throwaway copy: a successful count run
-		// claims res as advanced, so rebuild it after.
+		// Measure the matrix: Advance never writes res.
 		n, err := CountPolls(func(ctx context.Context) error {
 			_, err := exec.AdvanceCtx(ctx, res, grown)
 			return err
@@ -173,7 +173,7 @@ func TestMatrixAdvance(t *testing.T) {
 			t.Fatalf("seed %d: counting advance failed: %v", seed, err)
 		}
 		for _, k := range matrixPoints(n) {
-			// Fresh carried state per trial: Advance claims its input.
+			// Fresh carried state per trial.
 			res, err = exec.RunOn(tbl, stmt)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: base run: %v", seed, k, err)
@@ -190,8 +190,7 @@ func TestMatrixAdvance(t *testing.T) {
 				t.Fatalf("seed %d k=%d: error %v does not wrap Canceled", seed, k, cerr)
 			}
 			// The carried res must remain advanceable: the cancelled
-			// attempt may have appended scratch past the published
-			// lengths but must not have claimed or half-published.
+			// attempt must not have half-published.
 			retry, err := exec.AdvanceCtx(context.Background(), res, grown)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: retry after cancel failed: %v", seed, k, err)
@@ -206,6 +205,117 @@ func TestMatrixAdvance(t *testing.T) {
 	}
 	if cases < minCases {
 		t.Fatalf("matrix degenerated: only %d cancelled cases", cases)
+	}
+}
+
+// TestMatrixProvenance cancels, at every checkpoint, the first read of
+// an advanced result's provenance: the build that extends the value its
+// parent built — lineage, the bitsets and the argument view it held — by
+// one lineage pass over the appended rows. A cancelled build publishes
+// nothing (the next read builds again, so cancelled at its first poll it
+// fails too), and the uncancelled retry is bit-identical to the value of
+// a fresh run over the grown table. Each trial advances the one base
+// result anew: a result may be advanced any number of times.
+func TestMatrixProvenance(t *testing.T) {
+	seeds := int64(3)
+	if testing.Short() {
+		seeds = 2
+	}
+	cases := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed * 131))
+		tbl := testgen.TableSeg(rng, 4000+rng.Intn(2000), engine.MinSegmentBits)
+		stmt := testgen.DebugStmt(rng)
+		res, err := exec.RunOn(tbl, stmt)
+		if err != nil {
+			continue
+		}
+		prov, err := res.Provenance(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		prov.ArgView(0) // an evaluation error leaves nothing to extend
+		for ri := range res.Groups {
+			prov.Bits(ri)
+		}
+		grown, err := tbl.AppendBatch(testgen.Batch(rng, 9000+rng.Intn(4000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := exec.RunOn(grown, stmt)
+		if err != nil {
+			t.Fatalf("seed %d: oracle: %v", seed, err)
+		}
+		advance := func() *exec.Result {
+			adv, err := exec.Advance(res, grown)
+			if err != nil || !adv.Plan.Incremental {
+				t.Fatalf("seed %d: Advance: %v", seed, err)
+			}
+			return adv
+		}
+		n, err := CountPolls(func(ctx context.Context) error {
+			_, err := advance().Provenance(ctx)
+			return err
+		})
+		if err != nil || n < 2 {
+			t.Fatalf("seed %d: the build crossed %d checkpoints (err %v)", seed, n, err)
+		}
+		for _, k := range matrixPoints(n) {
+			label := fmt.Sprintf("seed %d k=%d [%s]", seed, k, stmt)
+			adv := advance()
+			if _, err := adv.Provenance(CancelAfter(k)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled build returned %v", label, err)
+			}
+			if _, err := adv.Provenance(CancelAfter(0)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: a cancelled build published a value (the next read returned %v)", label, err)
+			}
+			provEq(t, label, oracle, adv)
+			cases++
+		}
+	}
+	if cases < 4 {
+		t.Fatalf("matrix degenerated: only %d cancelled cases", cases)
+	}
+}
+
+// provEq asserts two results' provenance values are bit-identical: every
+// output row's lineage and lineage bitset, and every aggregate's argument
+// view (or the same refusal).
+func provEq(t *testing.T, label string, want, got *exec.Result) {
+	t.Helper()
+	wv, err := want.Provenance(context.Background())
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	gv, err := got.Provenance(context.Background())
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for ri := range want.Groups {
+		if w, g := wv.Rows(ri), gv.Rows(ri); !slices.Equal(w, g) {
+			t.Fatalf("%s: group %d lineage %v, want %v", label, ri, g, w)
+		}
+		if w, g := wv.Bits(ri), gv.Bits(ri); w.Len() != g.Len() || !slices.Equal(w.Words(), g.Words()) {
+			t.Fatalf("%s: group %d lineage bits differ", label, ri)
+		}
+	}
+	for ord := range want.AggOrdinals() {
+		wa, werr := wv.ArgView(ord)
+		ga, gerr := gv.ArgView(ord)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%s: aggregate %d view errors %v vs %v", label, ord, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		if !slices.Equal(wa.Null.Words(), ga.Null.Words()) || len(wa.Vals) != len(ga.Vals) {
+			t.Fatalf("%s: aggregate %d views differ in NULLs or length", label, ord)
+		}
+		for r := range wa.Vals {
+			if math.Float64bits(wa.Vals[r]) != math.Float64bits(ga.Vals[r]) && !(math.IsNaN(wa.Vals[r]) && math.IsNaN(ga.Vals[r])) {
+				t.Fatalf("%s: aggregate %d row %d: %v, want %v", label, ord, r, ga.Vals[r], wa.Vals[r])
+			}
+		}
 	}
 }
 

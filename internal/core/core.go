@@ -568,7 +568,11 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 	out := &DebugResult{Plan: DebugPlan{Mode: "full"}}
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
 
-	// --- Preprocessor: lineage + leave-one-out influence. ---
+	// --- Preprocessor: lineage + leave-one-out influence. The lineage
+	// is the provenance build's own stage. ---
+	if _, err := req.Result.Provenance(req.ctx()); err != nil {
+		return nil, err
+	}
 	span := obs.Start(req.Ctx, obs.Preprocess)
 	an, err := influence.RankCtx(req.Ctx, req.Result, req.Suspect, ord, req.Metric)
 	span.End()
@@ -676,12 +680,13 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	}
 
 	// --- Preprocessor, incremental: score the advanced result (its
-	// lineage bitsets and argument view were carried by exec.Advance) and
-	// share the previous ranking when no suspect group grew. ---
-	span := obs.Start(req.Ctx, obs.Preprocess)
-	if err := res.BuildLineage(req.ctx()); err != nil {
+	// provenance extends its nearest built ancestor's lineage bitsets and
+	// argument view by the appended rows) and share the previous ranking
+	// when no suspect group grew. ---
+	if _, err := res.Provenance(req.ctx()); err != nil {
 		return nil, err
 	}
+	span := obs.Start(req.Ctx, obs.Preprocess)
 	sc, err := influence.NewScorer(res, req.Suspect, ord, req.Metric)
 	if err != nil {
 		return nil, err
@@ -805,7 +810,7 @@ func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) 
 }
 
 // ExamplesWhereCtx is the suspect lineage ∧ cond's WHERE mask: the
-// groups' carried lineage bitsets (out-of-range suspects skipped) are
+// groups' shared lineage bitsets (out-of-range suspects skipped) are
 // the universe exec.FilterRows walks cond over, so a comparison against
 // a constant or a LIKE on a string column reads a shared clause mask and
 // anything else (arithmetic, function calls) is evaluated on lineage
@@ -819,13 +824,14 @@ func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond
 	if err := e.Resolve(res.Source.Schema()); err != nil {
 		return nil, err
 	}
-	if err := res.BuildLineage(ctx); err != nil {
+	prov, err := res.Provenance(ctx)
+	if err != nil {
 		return nil, err
 	}
 	lineage := bitset.New(res.Source.NumRows())
 	for _, ri := range suspect {
 		if ri >= 0 && ri < len(res.Groups) {
-			lineage.Or(res.GroupLineageBitsShared(ri))
+			lineage.Or(prov.Bits(ri))
 		}
 	}
 	pass, _, err := exec.FilterRows(ctx, res.Source, e, lineage)

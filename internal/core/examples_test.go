@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -106,7 +107,7 @@ func TestExamplesWhereDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pass, plan, _ := exec.FilterRows(context.Background(), res.Source, e, res.LineageBits(suspect))
+			pass, plan, _ := exec.FilterRows(context.Background(), res.Source, e, bitset.FromRows(res.Source.NumRows(), res.Lineage(suspect)))
 			if gotErr == nil && !slices.Equal(pass.Rows(), got) {
 				t.Fatalf("%s [%s]: exec.FilterRows over the lineage is not what ExamplesWhere returned", label, cond)
 			}

@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/engine"
 )
 
@@ -17,8 +17,9 @@ import (
 // its float-sum partials, and new blocks fold after it, as a fresh run
 // folds them.
 // With the predicate index's suffix-extended clause masks, a monitoring
-// loop (append batch, re-run query, re-Debug) does per-batch work
-// independent of total table size.
+// loop (append batch, re-run query, re-Debug) scans per batch only the
+// batch; the re-Debug's first provenance read still copies the argument
+// views, O(table).
 //
 // Correctness leans on three append-stability facts: row ids never
 // change (appends only add larger ids), dictionary codes are assigned
@@ -27,13 +28,13 @@ import (
 // equals the old order followed by suffix-only newcomers.
 //
 // The previous result stays valid and immutable for concurrent readers:
-// its states are cloned before anything folds into them, and
-// lineage/argument slices grow by appending past every published length
-// (prefix bytes are never rewritten). Lineage grows so only when the
-// previous result's is built: an unbuilt one stays unbuilt, and the
-// advanced result builds its own on first read. That makes advancing
-// linear — a result can be advanced once; branching would clobber the
-// shared suffix, so a second Advance returns an error.
+// its states are cloned before anything folds into them. Advance runs no
+// lineage pass and touches no provenance: the result it returns records
+// the nearest built ancestor's (its parent's if built, else the one its
+// parent recorded), and its first read extends that by the rows appended
+// since (Result.Provenance). So one result may be the parent of any
+// number of Advances, and a chain of unread advances costs one suffix
+// lineage pass when it is finally read.
 //
 // Carried state is valid only at the retention base it was computed at:
 // its row ids are local to that base. When a retention pass moved the
@@ -53,30 +54,10 @@ func Advance(res *Result, grown *engine.Table) (*Result, error) {
 
 // AdvanceCtx is Advance under a cancellable context, with the
 // cancellation-safety contract the serving layer depends on: a
-// cancelled advance returns a context error, publishes nothing, and
-// leaves res exactly as usable as before — the claim is released, and
-// any suffix rows the aborted scan appended sit past res's published
-// slice lengths, where no reader indexes and where a retry overwrites
-// them (the suffix scan is synchronous, so no writer outlives the
-// call). Retrying AdvanceCtx on the same res, or re-running the
-// statement from scratch, must yield bit-identical results.
-func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Result, err error) {
-	// Any error after the claim below publishes nothing, so the claim
-	// must be released for the caller to retry: partial suffix appends
-	// from the aborted attempt live past res's published slice lengths
-	// and are overwritten by the next attempt. Deferred before
-	// CatchSegmentLoad so that it sees a chunk-load failure as err too.
-	claimed := false
-	defer func() {
-		if err != nil {
-			out = nil // a fault recovered below struck after out was built
-		}
-		if claimed && err != nil {
-			res.argMu.Lock()
-			res.advanced = false
-			res.argMu.Unlock()
-		}
-	}()
+// cancelled advance returns a context error and publishes nothing, and
+// res is never written, so retrying AdvanceCtx on the same res, or
+// re-running the statement from scratch, yields bit-identical results.
+func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (_ *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	if res == nil || res.Stmt == nil {
 		return nil, fmt.Errorf("exec: Advance of nil result")
@@ -117,109 +98,46 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (out *Res
 	if err != nil {
 		return nil, err
 	}
-	// Claim the result for advancing before touching any shared slice.
-	res.argMu.Lock()
-	if res.advanced {
-		res.argMu.Unlock()
-		return nil, fmt.Errorf("exec: result already advanced (advance chains are linear)")
-	}
-	res.advanced = true
-	// Built or not is read with the claim: a built lineage never changes,
-	// so carry may share it; an unbuilt one a concurrent first read may
-	// build while carry runs, so carry must not look at it.
-	lineage := res.lineBuilt
-	res.argMu.Unlock()
-	claimed = true
-
 	// The WHERE mask is needed only for suffix rows: lowered conjuncts
 	// extend their clause masks incrementally and residual ones evaluate
 	// just [oldN, newN) — otherwise a non-lowerable WHERE would silently
 	// reinstate the O(table)-per-batch rescan this path exists to avoid.
-	out, err = runVector(ctx, grown, stmt, res.aggArgs, res.aggItems, protos, res.allGroups, oldN, lineage)
+	out, err := runVector(ctx, grown, stmt, res.aggArgs, res.aggItems, protos, res.allGroups, oldN)
 	if err != nil {
 		return nil, err
 	}
 	out.Plan.Incremental = true
-	carryCaches(res, out, oldN, newN)
+	// The nearest built ancestor: res's value, else the one res recorded
+	// (none when a build publishes between the loads: out's first read
+	// then builds from scratch).
+	out.anc.Store(cmp.Or(res.prov.Load(), res.anc.Load()))
 	return out, nil
 }
 
-// carry makes the copy of one prior group that runVector folds onto:
-// Key is shared (immutable), and so are a built lineage — appended rows
-// land past the old length, which old readers never index — and done,
-// which the fold copies before it first merges into it. The tail is not
-// carried: the block it covers resumes from clones of it. The key
-// slots are rebuilt into slots (zeroed, one per key column) from the boxed
-// key values with the canonicalization the scan applies per row;
+// seed returns groups keyed for a scan under p: one vGroup per group, in
+// order, whose slots (one backing array for all) are rebuilt from the
+// boxed key values with the canonicalization the scan applies per row;
 // append-stable dictionary codes make the dict slots version-portable.
-func carry(g *Group, p *vectorPlan, slots []uint64, lineage bool) (*vGroup, error) {
-	ng := &Group{Key: g.Key, Rows: g.Rows, FirstRow: g.FirstRow, done: g.done}
-	if lineage {
-		ng.lineage = g.lineage
-	}
-	vg := &vGroup{g: ng, slots: slots}
-	for i, k := range p.keys {
-		v := g.Key[i]
-		if k.kind != kindDict {
-			vg.slots[i] = p.valueSlot(v)
-		} else if !v.IsNull() { // the scan: NULL code -1 → slot 0
-			code := k.dict.Code(v.S)
-			if code < 0 {
-				return nil, fmt.Errorf("exec: internal: carried group key %q missing from the grown dictionary", v.S)
-			}
-			vg.slots[i] = uint64(code + 1)
-		}
-	}
-	return vg, nil
-}
-
-// carryCaches extends the old result's lazily-built columnar caches —
-// per-group lineage bitsets (when its lineage was built at the claim) and
-// per-ordinal argument views — onto the new result, so downstream Debug
-// runs (influence.Scorer) reuse the unchanged prefix instead of
-// rebuilding it: the prefix is a word-level memcpy plus amortized slice
-// growth, and only the appended suffix is decoded or set bit-by-bit.
-// out.allGroups begins with res.allGroups' copies, in order.
-func carryCaches(res, out *Result, oldN, newN int) {
-	// Snapshot the cache maps under the lock: concurrent readers of the
-	// old result (a Debug in flight calls GroupLineageBitsShared /
-	// AggArgFloats, which insert) may grow them while we carry.
-	res.argMu.Lock()
-	oldBits := make(map[*Group]*bitset.Bitset, len(res.lineBits))
-	for g, b := range res.lineBits {
-		oldBits[g] = b
-	}
-	oldAVs := make(map[int]*ArgView, len(res.argViews))
-	for ord, av := range res.argViews {
-		oldAVs[ord] = av
-	}
-	res.argMu.Unlock()
-
-	if len(oldBits) > 0 && out.lineBuilt {
-		out.lineBits = make(map[*Group]*bitset.Bitset, len(oldBits))
-		for gi, og := range res.allGroups {
-			b, ok := oldBits[og]
-			if !ok {
-				continue
-			}
-			ng := out.allGroups[gi]
-			nb := bitset.SnapshotWords(newN, b.Words())
-			for _, r := range ng.lineage[len(og.lineage):] {
-				nb.Set(r)
-			}
-			out.lineBits[ng] = nb
-		}
-	}
-
-	if len(oldAVs) > 0 {
-		out.argViews = make(map[int]*ArgView, len(oldAVs))
-		for ord, old := range oldAVs {
-			// Vals has len oldN; appends stay past published lengths.
-			av := &ArgView{Vals: old.Vals, Null: bitset.SnapshotWords(newN, old.Null.Words())}
-			// An evaluation error leaves this ordinal to a lazy full build.
-			if fillArgView(av, out.aggCall(ord), out.Source, oldN, newN) == nil {
-				out.argViews[ord] = av
+// Its g is the group itself.
+func (p *vectorPlan) seed(groups []*Group) ([]*vGroup, error) {
+	nk := len(p.keys)
+	slots := make([]uint64, nk*len(groups))
+	out := make([]*vGroup, len(groups))
+	for gi, g := range groups {
+		vg := &vGroup{g: g, slots: slots[gi*nk : (gi+1)*nk : (gi+1)*nk]}
+		for i, k := range p.keys {
+			v := g.Key[i]
+			if k.kind != kindDict {
+				vg.slots[i] = p.valueSlot(v)
+			} else if !v.IsNull() { // the scan: NULL code -1 → slot 0
+				code := k.dict.Code(v.S)
+				if code < 0 {
+					return nil, fmt.Errorf("exec: internal: carried group key %q missing from the grown dictionary", v.S)
+				}
+				vg.slots[i] = uint64(code + 1)
 			}
 		}
+		out[gi] = vg
 	}
+	return out, nil
 }

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,8 +15,9 @@ import (
 // These tests pin the incremental append path: Advance over a grown
 // copy-on-write table version must produce exactly the result a fresh
 // run over the grown table produces — cells, group order, lineage —
-// while leaving the old result untouched, and the carried columnar
-// caches (argument views, lineage bitsets) must match fresh builds.
+// while leaving the old result untouched, and the provenance a first
+// read extends from an ancestor (argument views, lineage bitsets) must
+// match fresh builds.
 
 // batchRows materializes k random rows (parityTable's distribution) as
 // an AppendBatch payload.
@@ -67,14 +70,14 @@ func TestAdvanceParity(t *testing.T) {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, sql)
-				// Step 0 advances an unbuilt lineage, which stays unbuilt
-				// until groupsEqual builds it over the grown table; later
-				// steps extend the lineage the step before built, if it
-				// read one.
-				if adv.lineBuilt != res.lineBuilt || step == 0 && adv.lineBuilt {
-					t.Fatalf("%s: lineage built %v after Advance from %v", label, adv.lineBuilt, res.lineBuilt)
+				// Step 0 advances an unbuilt provenance: the advanced result
+				// records no ancestor and groupsEqual builds its value over
+				// the grown table. Later steps record the value the step
+				// before built, which the first read extends.
+				if anc := adv.anc.Load(); anc != res.prov.Load() || step == 0 && anc != nil {
+					t.Fatalf("%s: Advance recorded ancestor %p, the parent's value is %p", label, anc, res.prov.Load())
 				}
-				sawExtend = sawExtend || adv.lineBuilt
+				sawExtend = sawExtend || adv.anc.Load() != nil
 				tablesEqual(t, label, ref.Table, adv.Table)
 				groupsEqual(t, label, ref, adv)
 				tablesEqual(t, label+" (fresh)", fresh.Table, adv.Table)
@@ -183,7 +186,8 @@ func streamBatch(rng *rand.Rand, k int, strs []string) [][]engine.Value {
 
 // TestAdvanceIncrementalPlan asserts the incremental path actually runs
 // (Plan.Incremental) for a vectorizable statement, that new group keys
-// born in a batch appear, and that advancing is linear.
+// born in a batch appear, and that one result advances to two grown
+// versions, each branch equal to a fresh run.
 func TestAdvanceIncrementalPlan(t *testing.T) {
 	tbl, stmt := streamFixture(t, 500)
 	res, err := RunOn(tbl, stmt)
@@ -217,25 +221,83 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	tablesEqual(t, "incremental", ref.Table, adv.Table)
 	groupsEqual(t, "incremental", ref, adv)
 
-	// Advance chains are linear: the old result cannot branch.
-	if _, err := Advance(res, grown); err == nil {
-		t.Fatal("second Advance from the same result should error")
-	}
-	// But the chain continues from the advanced result.
+	// A result may be advanced twice: a second Advance from res, to a
+	// further grown version, is a branch of its own. Each branch equals a
+	// reference and a fresh run over its version, provenance included.
 	grown2, err := grown.AppendBatch(streamBatch(rand.New(rand.NewSource(7)), 20, []string{"a", "b", "zz"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv2, err := Advance(adv, grown2)
+	adv2, err := Advance(res, grown2)
+	if err != nil {
+		t.Fatalf("second Advance from one result: %v", err)
+	}
+	for label, a := range map[string]*Result{"first branch": adv, "second branch": adv2} {
+		ref, err := runRef(a.Source, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := RunOn(a.Source, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tablesEqual(t, label, ref.Table, a.Table)
+		groupsEqual(t, label, ref, a)
+		provEqual(t, label, ref, a)
+		provEqual(t, label+" (fresh)", fresh, a)
+	}
+	// And each chain continues from its advanced result.
+	grown3, err := grown2.AppendBatch(streamBatch(rand.New(rand.NewSource(8)), 20, []string{"a", "c", "zy"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := runRef(grown2, stmt)
+	adv3, err := Advance(adv, grown3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tablesEqual(t, "chain step 2", ref2.Table, adv2.Table)
-	groupsEqual(t, "chain step 2", ref2, adv2)
+	ref3, err := runRef(grown3, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, "chain step 2", ref3.Table, adv3.Table)
+	groupsEqual(t, "chain step 2", ref3, adv3)
+	provEqual(t, "chain step 2", ref3, adv3)
+}
+
+// provEqual compares two results' provenance values exactly: every
+// output row's lineage and lineage bitset, and every aggregate's
+// argument view, bit for bit.
+func provEqual(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	wv, gv := mustProv(want), mustProv(got)
+	if len(want.Groups) != len(got.Groups) {
+		t.Fatalf("%s: %d vs %d groups", label, len(want.Groups), len(got.Groups))
+	}
+	for ri := range want.Groups {
+		w, g := wv.Rows(ri), gv.Rows(ri)
+		if !slices.Equal(w, g) {
+			t.Fatalf("%s: group %d lineage %v, want %v", label, ri, g, w)
+		}
+		wb, gb := wv.Bits(ri), gv.Bits(ri)
+		if wb.Len() != gb.Len() || !slices.Equal(wb.Words(), gb.Words()) || !slices.Equal(gb.Rows(), w) {
+			t.Fatalf("%s: group %d lineage bits %v (len %d), want %v (len %d)", label, ri, gb.Rows(), gb.Len(), w, wb.Len())
+		}
+	}
+	for ord := range want.aggItems {
+		wa, werr := wv.ArgView(ord)
+		ga, gerr := gv.ArgView(ord)
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: aggregate %d views: %v / %v", label, ord, werr, gerr)
+		}
+		if len(wa.Vals) != len(ga.Vals) || !slices.Equal(wa.Null.Words(), ga.Null.Words()) {
+			t.Fatalf("%s: aggregate %d view covers %d rows (%d NULL), want %d (%d NULL)", label, ord, len(ga.Vals), ga.Null.Count(), len(wa.Vals), wa.Null.Count())
+		}
+		for r := range wa.Vals {
+			if math.Float64bits(wa.Vals[r]) != math.Float64bits(ga.Vals[r]) && !(math.IsNaN(wa.Vals[r]) && math.IsNaN(ga.Vals[r])) {
+				t.Fatalf("%s: aggregate %d row %d: %v, want %v", label, ord, r, ga.Vals[r], wa.Vals[r])
+			}
+		}
+	}
 }
 
 // TestAdvanceLeavesOldResultIntact pins copy-on-write semantics: after
@@ -252,7 +314,7 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	}
 	var before []snap
 	for gi := range res.Groups {
-		s := snap{lineage: append([]int(nil), res.GroupLineage(gi)...)}
+		s := snap{lineage: append([]int(nil), groupLineage(res, gi)...)}
 		for c := 0; c < res.Table.NumCols(); c++ {
 			s.cells = append(s.cells, res.Table.Value(gi, c).Key())
 		}
@@ -266,7 +328,7 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for gi := range res.Groups {
-		l := res.GroupLineage(gi)
+		l := groupLineage(res, gi)
 		if len(l) != len(before[gi].lineage) {
 			t.Fatalf("group %d lineage grew in the old result: %d vs %d", gi, len(l), len(before[gi].lineage))
 		}
@@ -286,21 +348,22 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	}
 }
 
-// TestAdvanceCarriesColumnarCaches checks that argument views and
-// lineage bitsets carried across an Advance equal fresh builds on the
-// grown result.
+// TestAdvanceCarriesColumnarCaches checks that an advanced result's
+// first read extends the argument views and lineage bitsets its parent's
+// value held, and that they equal a fresh run's.
 func TestAdvanceCarriesColumnarCaches(t *testing.T) {
 	tbl, stmt := streamFixture(t, 400)
 	res, err := RunOn(tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch the caches so there is something to carry.
-	if _, err := res.AggArgFloats(0); err != nil {
+	// Touch the value so there is something to extend.
+	v := mustProv(res)
+	if _, err := v.ArgView(0); err != nil {
 		t.Fatal(err)
 	}
 	for ri := range res.Groups {
-		res.GroupLineageBitsShared(ri)
+		v.Bits(ri)
 	}
 	grown, err := tbl.AppendBatch(streamBatch(rand.New(rand.NewSource(9)), 150, []string{"a", "b", "c", "new"}))
 	if err != nil {
@@ -310,42 +373,25 @@ func TestAdvanceCarriesColumnarCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !adv.Plan.Incremental {
-		t.Fatalf("expected incremental advance, got %+v", adv.Plan)
+	if !adv.Plan.Incremental || adv.anc.Load() != v {
+		t.Fatalf("expected an incremental advance recording the parent's value, got %+v", adv.Plan)
+	}
+	av := mustProv(adv)
+	if av.views[0] == nil || av.views[1] != nil {
+		t.Fatal("the first read did not extend exactly the views the parent's value held")
+	}
+	for ri, b := range v.bits {
+		if (b != nil) != (av.bits[ri] != nil) {
+			t.Fatalf("group %d: parent bitset %v, extended %v", ri, b != nil, av.bits[ri] != nil)
+		}
 	}
 	fresh, err := RunOn(grown, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAV, err := adv.AggArgFloats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAV, err := fresh.AggArgFloats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotAV.Vals) != len(wantAV.Vals) {
-		t.Fatalf("carried ArgView length %d, want %d", len(gotAV.Vals), len(wantAV.Vals))
-	}
-	for i := range gotAV.Vals {
-		if gotAV.Vals[i] != wantAV.Vals[i] && !(gotAV.Vals[i] != gotAV.Vals[i] && wantAV.Vals[i] != wantAV.Vals[i]) {
-			t.Fatalf("carried ArgView.Vals[%d] = %v, want %v", i, gotAV.Vals[i], wantAV.Vals[i])
-		}
-		if gotAV.Null.Get(i) != wantAV.Null.Get(i) {
-			t.Fatalf("carried ArgView.Null(%d) mismatch", i)
-		}
-	}
-	for ri := range adv.Groups {
-		got, want := adv.GroupLineageBitsShared(ri), fresh.GroupLineageBitsShared(ri)
-		if got.Len() != want.Len() || got.Count() != want.Count() {
-			t.Fatalf("group %d lineage bits: len %d/%d count %d/%d", ri, got.Len(), want.Len(), got.Count(), want.Count())
-		}
-		want.ForEach(func(i int) {
-			if !got.Get(i) {
-				t.Fatalf("group %d lineage bit %d missing in carried bitset", ri, i)
-			}
-		})
+	provEqual(t, "extended", fresh, adv)
+	if adv.anc.Load() != nil {
+		t.Fatal("a built value still pins its ancestor")
 	}
 }
 
@@ -415,7 +461,7 @@ func TestAppendDuringQueryRace(t *testing.T) {
 				}
 				total := 0
 				for gi := range res.Groups {
-					total += len(res.GroupLineage(gi))
+					total += len(groupLineage(res, gi))
 				}
 				if total > n {
 					t.Errorf("lineage beyond snapshot: %d > %d", total, n)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/store"
 )
 
-// boxedArgView is the oracle of fillArgView: the argument expression
+// boxedArgView is the oracle of growView: the argument expression
 // evaluated through the boxed interpreter on every source row.
 func boxedArgView(t *testing.T, res *Result, ord int) (vals []float64, null []bool) {
 	t.Helper()
@@ -39,7 +39,7 @@ func boxedArgView(t *testing.T, res *Result, ord int) (vals []float64, null []bo
 func checkArgViews(t *testing.T, label string, res *Result) {
 	t.Helper()
 	for ord := range res.aggArgs {
-		av, err := res.AggArgFloats(ord)
+		av, err := mustProv(res).ArgView(ord)
 		if err != nil {
 			t.Fatalf("%s: aggregate %d: %v", label, ord, err)
 		}
@@ -80,12 +80,13 @@ func checkArgViews(t *testing.T, label string, res *Result) {
 	}
 }
 
-// TestArgViewMatchesBoxedEval pins fillArgView — fresh (AggArgFloats)
-// and as Advance's suffix extension — to the boxed evaluation, for a
-// bare float column, bare int and time columns, a bare string column
-// (the evaluator arm; its dictionary codes under count(DISTINCT)),
-// computed arguments and count(*), on a resident table and on the same
-// rows served out of core through a pool smaller than one chunk.
+// TestArgViewMatchesBoxedEval pins growView — a fresh view (ArgView) and
+// the one an advanced result's first read extends from its ancestor's —
+// to the boxed evaluation, for a bare float column, bare int and time
+// columns, a bare string column (the evaluator arm; its dictionary codes
+// under count(DISTINCT)), computed arguments and count(*), on a resident
+// table and on the same rows served out of core through a pool smaller
+// than one chunk.
 func TestArgViewMatchesBoxedEval(t *testing.T) {
 	stmt := mustParse(t, "SELECT j, avg(f) AS a, sum(i) AS b, max(t) AS c, count(s) AS d, "+
 		"sum(f + j) AS e, avg(f * 2 - i) AS g, count(*) AS n, count(DISTINCT s) AS h FROM p GROUP BY j")
@@ -103,8 +104,8 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 		}
 		checkArgViews(t, name, res)
 
-		// The carried views extend by the appended suffix through the
-		// same fill, across a segment boundary.
+		// The advanced result's first read extends the views by the
+		// appended suffix through the same fill, across a segment boundary.
 		grown, err := tbl.AppendBatch(oocBatch(rng, 100))
 		if err != nil {
 			t.Fatal(err)
@@ -113,8 +114,10 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: advance: %v", name, err)
 		}
-		if len(adv.argViews) != len(res.aggArgs) {
-			t.Fatalf("%s: advance carried %d of %d argument views", name, len(adv.argViews), len(res.aggArgs))
+		for ord, av := range mustProv(adv).views {
+			if av == nil {
+				t.Fatalf("%s: the first read did not extend argument view %d of %d", name, ord, len(res.aggArgs))
+			}
 		}
 		checkArgViews(t, name+" advanced", adv)
 	}

@@ -6,22 +6,23 @@
 //
 // The original DBWipes runs on PostgreSQL and reconstructs lineage with
 // rewritten queries when the user zooms or debugs; here too a grouped
-// result builds its lineage on first read, with one pass of the scan's
+// result builds its provenance on first read, with one pass of the scan's
 // own filter and grouping stages and none of its folds, so a query that
 // is never zoomed into holds no row ids. The Result type is the hand-off
-// point to the ranked provenance pipeline: it exposes lineage sets, the
-// live aggregate states, and each aggregate's argument as a flat column.
+// point to the ranked provenance pipeline: it exposes the live aggregate
+// states, and its Provenance value the lineage sets and each aggregate's
+// argument as a flat column.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/agg"
-	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
@@ -40,7 +41,7 @@ func ctxErr(err error) error { return fmt.Errorf("exec: cancelled: %w", err) }
 
 // Group is one output group: its key values, the aggregate states
 // accumulated over its input, and its row count. Its lineage (source row
-// ids) is read through Result.GroupLineage.
+// ids) is read through the result's Provenance.
 type Group struct {
 	// Key holds the evaluated GROUP BY expressions for this group (empty
 	// for a global aggregate).
@@ -48,9 +49,8 @@ type Group struct {
 	// Rows counts the source rows that passed WHERE and fell into this
 	// group: the length of its lineage.
 	Rows int
-	// lineage lists those rows' ids in scan order; nil until the result's
-	// lineage is built (Result.BuildLineage).
-	lineage []int
+	// id is the group's position in its result's scan order (allGroups).
+	id int
 	// Aggs holds one live aggregate state per aggregate select item.
 	Aggs []agg.Func
 	// FirstRow is the first source row id of the group: the row Key was
@@ -87,20 +87,12 @@ type Result struct {
 	// BY/LIMIT pruned or reordered Groups — the set Advance folds
 	// appended rows into.
 	allGroups []*Group
-	// argMu guards argViews (the per-ordinal flat argument columns the
-	// columnar scoring fast path decodes on first use, see columnar.go),
-	// lineBits (the per-group lineage bitset cache Advance carries
-	// across batches), lineBuilt (every group's lineage is built and
-	// will not change) and the advanced flag.
-	argMu     sync.Mutex
-	argViews  map[int]*ArgView
-	lineBits  map[*Group]*bitset.Bitset
-	lineBuilt bool
-	// advanced marks a result that has already been advanced once;
-	// Advance extends lineage slices and argument views in place past
-	// their published lengths, so advancing must be linear — a second
-	// Advance from the same result would clobber the first's suffix.
-	advanced bool
+	// prov is the result's provenance once built (columnar.go). Until
+	// then anc is the nearest built ancestor's an Advance recorded, which
+	// the build extends (nil: none). provMu serializes the build.
+	provMu sync.Mutex
+	prov   atomic.Pointer[Provenance]
+	anc    atomic.Pointer[Provenance]
 }
 
 // RunCtx executes stmt against db, capturing provenance. Scan loops
@@ -145,7 +137,7 @@ func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 	if !isGrouped(stmt) {
 		return runProjection(ctx, src, stmt)
 	}
-	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0, false)
+	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0)
 }
 
 func isGrouped(stmt *sqlparse.SelectStmt) bool {
@@ -229,8 +221,9 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 		return nil, err
 	}
 	grouped := isGrouped(stmt)
-	groupsByKey := make(map[string]*Group)
+	groupsByKey := make(map[string]int) // key → position in groups
 	var groups []*Group
+	var lineage [][]int // by group
 	row := make([]engine.Value, src.NumCols())
 	var keyBuf strings.Builder
 	keyVals := make([]engine.Value, len(stmt.GroupBy))
@@ -272,7 +265,7 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 			}
 		}
 		if !grouped { // projection: every passing row is its own group
-			groups = append(groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
+			groups, lineage = append(groups, &Group{Rows: 1, FirstRow: r}), append(lineage, []int{r})
 			continue
 		}
 		keyBuf.Reset()
@@ -286,12 +279,14 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 			keyBuf.WriteByte('\x1f')
 		}
 		key := keyBuf.String()
-		grp, ok := groupsByKey[key]
+		gi, ok := groupsByKey[key]
 		if !ok {
-			grp = &Group{Key: append([]engine.Value(nil), keyVals...), FirstRow: r}
-			groupsByKey[key] = grp
-			groups = append(groups, grp)
+			gi = len(groups)
+			groupsByKey[key] = gi
+			groups = append(groups, &Group{Key: append([]engine.Value(nil), keyVals...), FirstRow: r})
+			lineage = append(lineage, nil)
 		}
+		grp := groups[gi]
 		if r/b != blk {
 			if err := fold(); err != nil {
 				return nil, err
@@ -304,7 +299,7 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 			part[grp] = st
 		}
 		grp.Rows++
-		grp.lineage = append(grp.lineage, r)
+		lineage[gi] = append(lineage[gi], r)
 		for ai := range aggArgs {
 			if aggArgs[ai] == nil { // count(*)
 				st[ai].AddFloat(1)
@@ -323,11 +318,12 @@ func RunReference(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 
 	res = &Result{
 		Stmt: stmt, Source: src, Groups: groups,
-		aggArgs: aggArgs, aggItems: aggItems, lineBuilt: true,
+		aggArgs: aggArgs, aggItems: aggItems,
 	}
 	if err := res.materialize(); err != nil {
 		return nil, err
 	}
+	res.prov.Store(res.newProvenance(lineage))
 	return res, nil
 }
 
@@ -357,14 +353,14 @@ func groupKeyIndex(stmt *sqlparse.SelectStmt, e expr.Expr) int {
 }
 
 // runProjection handles aggregate-free statements: each output row's
-// lineage is exactly its one source row. The WHERE filter is the same
-// buildFilter mask the grouped scan consumes.
+// lineage is exactly its one source row, its FirstRow. The WHERE filter
+// is the same buildFilter mask the grouped scan consumes.
 func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
 	filter, fstats, err := buildFilter(ctx, src, stmt.Where, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Stmt: stmt, Source: src, Plan: fstats.plan(), lineBuilt: true}
+	res := &Result{Stmt: stmt, Source: src, Plan: fstats.plan()}
 	if filter == nil {
 		for r := 0; r < src.NumRows(); r++ {
 			if r%ctxCheckRows == 0 {
@@ -372,23 +368,27 @@ func runProjection(ctx context.Context, src *engine.Table, stmt *sqlparse.Select
 					return nil, ctxErr(err)
 				}
 			}
-			res.Groups = append(res.Groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
+			res.Groups = append(res.Groups, &Group{Rows: 1, FirstRow: r})
 		}
 		return res, res.materialize()
 	}
 	filter.ForEach(func(r int) {
-		res.Groups = append(res.Groups, &Group{Rows: 1, lineage: []int{r}, FirstRow: r})
+		res.Groups = append(res.Groups, &Group{Rows: 1, FirstRow: r})
 	})
 	return res, res.materialize()
 }
 
 // materialize builds the result table from groups and applies HAVING,
-// ORDER BY and LIMIT (keeping Groups parallel to rows throughout).
+// ORDER BY and LIMIT to Groups, numbering each group by its scan
+// position (Group.id) first.
 // Advance materializes the same way, re-sorting every output group: a
 // monitoring query has tens of groups, too few for a carried order to
 // pay.
 func (r *Result) materialize() error {
 	r.allGroups = r.Groups
+	for gi, g := range r.Groups {
+		g.id = gi
+	}
 	stmt := r.Stmt
 	labels := make([]string, len(stmt.Items))
 	for i := range stmt.Items {
@@ -455,27 +455,24 @@ func (r *Result) materialize() error {
 		seen[lower]++
 	}
 
-	// HAVING over output rows.
+	// HAVING, ORDER BY and LIMIT prune and reorder Groups; a group's
+	// output row is rows[g.id].
 	if stmt.Having != nil {
 		if err := stmt.Having.Resolve(schema); err != nil {
 			return fmt.Errorf("exec: HAVING references output columns (%s): %w", schema, err)
 		}
-		var keptRows [][]engine.Value
-		var keptGroups []*Group
-		for i, row := range rows {
-			ok, err := expr.EvalBool(stmt.Having, row)
+		var kept []*Group
+		for _, g := range r.Groups {
+			ok, err := expr.EvalBool(stmt.Having, rows[g.id])
 			if err != nil {
 				return err
 			}
 			if ok {
-				keptRows = append(keptRows, row)
-				keptGroups = append(keptGroups, r.Groups[i])
+				kept = append(kept, g)
 			}
 		}
-		rows, r.Groups = keptRows, keptGroups
+		r.Groups = kept
 	}
-
-	// ORDER BY over output rows.
 	if len(stmt.OrderBy) > 0 {
 		for i := range stmt.OrderBy {
 			if err := stmt.OrderBy[i].Expr.Resolve(schema); err != nil {
@@ -483,55 +480,42 @@ func (r *Result) materialize() error {
 			}
 		}
 		keys := make([][]engine.Value, len(rows))
-		for i, row := range rows {
-			ks := make([]engine.Value, len(stmt.OrderBy))
+		for _, g := range r.Groups {
+			keys[g.id] = make([]engine.Value, len(stmt.OrderBy))
 			for k := range stmt.OrderBy {
-				v, err := stmt.OrderBy[k].Expr.Eval(row)
+				v, err := stmt.OrderBy[k].Expr.Eval(rows[g.id])
 				if err != nil {
 					return err
 				}
-				ks[k] = v
+				keys[g.id][k] = v
 			}
-			keys[i] = ks
 		}
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			for k := range stmt.OrderBy {
-				c, err := engine.Compare(keys[idx[a]][k], keys[idx[b]][k])
-				if err != nil {
-					continue
-				}
-				if c != 0 {
-					if stmt.OrderBy[k].Desc {
-						return c > 0
+		r.Groups = slices.Clone(r.Groups) // allGroups keeps the scan order
+		slices.SortStableFunc(r.Groups, func(a, b *Group) int {
+			for k, o := range stmt.OrderBy {
+				if c, err := engine.Compare(keys[a.id][k], keys[b.id][k]); err == nil && c != 0 {
+					if o.Desc {
+						return -c
 					}
-					return c < 0
+					return c
 				}
 			}
-			return false
+			return 0
 		})
-		newRows := make([][]engine.Value, len(rows))
-		newGroups := make([]*Group, len(rows))
-		for i, j := range idx {
-			newRows[i] = rows[j]
-			newGroups[i] = r.Groups[j]
-		}
-		rows, r.Groups = newRows, newGroups
 	}
-
-	if stmt.Limit >= 0 && stmt.Limit < len(rows) {
-		rows = rows[:stmt.Limit]
+	if stmt.Limit >= 0 && stmt.Limit < len(r.Groups) {
 		r.Groups = r.Groups[:stmt.Limit]
+	}
+	outRows := make([][]engine.Value, len(r.Groups))
+	for i, g := range r.Groups {
+		outRows[i] = rows[g.id]
 	}
 
 	out, err := engine.NewTable("result", schema)
 	if err != nil {
 		return err
 	}
-	if out, err = out.AppendBatch(rows); err != nil {
+	if out, err = out.AppendBatch(outRows); err != nil {
 		return err
 	}
 	r.Table = out
@@ -573,7 +557,7 @@ func (r *Result) AggFloat(rowIdx, ord int) (float64, bool) {
 // column's dictionary codes (argSource), that code, so that what the
 // reference scorer (influence.EpsWithoutRows, this method's caller)
 // removes is in the state's identity domain. Production reads
-// AggArgFloats.
+// Provenance.ArgView.
 func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 	if r.aggArgs[ord] == nil {
 		return engine.NewInt(1), nil
@@ -590,11 +574,16 @@ func (r *Result) AggArgValue(ord, src int) (engine.Value, error) {
 }
 
 // Lineage returns the union of the lineage of the given output rows,
-// sorted ascending and deduplicated. This is F in the paper: the
-// fine-grained provenance of the suspect groups S. The union runs
-// through a bitmap, so dedup and sort order fall out of bit position.
+// ascending and deduplicated: Provenance(ctx).Lineage under the
+// background context. A build failure panics with its error (a
+// *engine.SegmentLoadError), as engine.ColReader does; request paths
+// build the value under their context first.
 func (r *Result) Lineage(rowIdxs []int) []int {
-	return r.LineageBits(rowIdxs).Rows()
+	v, err := r.Provenance(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return v.Lineage(rowIdxs)
 }
 
 // AllRows returns 0..NumRows-1, convenient for "every group is suspect".

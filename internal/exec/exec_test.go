@@ -93,7 +93,7 @@ func TestLineageCapture(t *testing.T) {
 	// east = rows 0,1; north = row 5; west = rows 2,3,4.
 	want := [][]int{{0, 1}, {5}, {2, 3, 4}}
 	for i, w := range want {
-		got := append([]int(nil), res.GroupLineage(i)...)
+		got := append([]int(nil), groupLineage(res, i)...)
 		sort.Ints(got)
 		if len(got) != len(w) {
 			t.Fatalf("group %d lineage %v, want %v", i, got, w)
@@ -135,7 +135,7 @@ func TestLineagePartitionProperty(t *testing.T) {
 		}
 		seen := map[int]int{}
 		for gi := range res.Groups {
-			for _, r := range res.GroupLineage(gi) {
+			for _, r := range groupLineage(res, gi) {
 				seen[r]++
 			}
 		}
@@ -166,8 +166,8 @@ func TestGlobalAggregate(t *testing.T) {
 		res.Table.Value(0, 2).Float() != 50 {
 		t.Errorf("global aggs: %v", res.Table.Row(0))
 	}
-	if len(res.GroupLineage(0)) != 6 {
-		t.Errorf("global lineage: %d", len(res.GroupLineage(0)))
+	if len(groupLineage(res, 0)) != 6 {
+		t.Errorf("global lineage: %d", len(groupLineage(res, 0)))
 	}
 }
 
@@ -180,8 +180,8 @@ func TestHavingOnOutput(t *testing.T) {
 		t.Errorf("DESC order: %v", res.Table.Value(0, 1))
 	}
 	// Groups stay parallel through HAVING+ORDER BY.
-	if len(res.GroupLineage(0)) != 3 {
-		t.Errorf("lineage of top row: %v", res.GroupLineage(0))
+	if len(groupLineage(res, 0)) != 3 {
+		t.Errorf("lineage of top row: %v", groupLineage(res, 0))
 	}
 }
 
@@ -205,8 +205,8 @@ func TestProjectionLineage(t *testing.T) {
 		t.Fatalf("rows: %d", res.NumRows())
 	}
 	for i := 0; i < res.NumRows(); i++ {
-		if len(res.GroupLineage(i)) != 1 {
-			t.Errorf("projection lineage %d: %v", i, res.GroupLineage(i))
+		if len(groupLineage(res, i)) != 1 {
+			t.Errorf("projection lineage %d: %v", i, groupLineage(res, i))
 		}
 	}
 }

@@ -55,22 +55,6 @@ type lowerCtx struct {
 	base int
 }
 
-func (lc lowerCtx) clauseBits(c predicate.Clause) (*bitset.Bitset, bool) {
-	return lc.ix.ClauseBitsAtBase(c, lc.base, lc.src.NumRows())
-}
-
-func (lc lowerCtx) nonNullBits(ci int) (*bitset.Bitset, bool) {
-	return lc.clauseBits(predicate.NonNull(lc.src.Schema()[ci].Name))
-}
-
-func (lc lowerCtx) clauseCount(c predicate.Clause) (int, bool) {
-	return lc.ix.ClauseCountAtBase(c, lc.base, lc.src.NumRows())
-}
-
-func (lc lowerCtx) nonNullCount(ci int) (int, bool) {
-	return lc.clauseCount(predicate.NonNull(lc.src.Schema()[ci].Name))
-}
-
 // tfMask is a node's three-valued result: t holds the rows where it is
 // TRUE, f the rows where it is FALSE; rows in neither are NULL. Leaf
 // masks may alias shared cached bitsets — combinators always allocate
@@ -102,6 +86,37 @@ type leaf struct {
 	all     bool // leafClauses: T is the AND of the clause masks, not the OR
 	openF   bool // IN list holding a NULL literal: a non-matching row is NULL, never FALSE
 	invert  bool // IS NOT NULL / NOT BETWEEN / NOT IN / NOT LIKE: T and F swap
+	// got is what fetch asked the index for, once per leaf — each
+	// clause's mask and popcount, then the column's non-NULL mask's when
+	// asked for — so what est estimated from is what masks combines.
+	got []clauseMask
+}
+
+type clauseMask struct {
+	b *bitset.Bitset
+	n int
+}
+
+// fetch fills l.got up to the clauses' masks and, when nonNull, the
+// column's non-NULL mask, at the statement's snapshot. It reports false
+// on an index geometry mismatch.
+func (l *leaf) fetch(lc lowerCtx, nonNull bool) bool {
+	want := len(l.clauses)
+	if nonNull {
+		want++
+	}
+	for len(l.got) < want {
+		c := predicate.NonNull(lc.src.Schema()[l.ci].Name)
+		if len(l.got) < len(l.clauses) {
+			c = l.clauses[len(l.got)]
+		}
+		b, n, ok := lc.ix.ClauseBitsAtBase(c, lc.base, lc.src.NumRows())
+		if !ok {
+			return false
+		}
+		l.got = append(l.got, clauseMask{b, n})
+	}
+	return true
 }
 
 // classify reports whether e is a leaf, and which. The checks are pure
@@ -207,33 +222,29 @@ func classify(e expr.Expr, schema engine.Schema) (leaf, bool) {
 }
 
 // est estimates the popcount of the leaf's TRUE mask from the counts
-// the index caches per clause, materializing nothing. ok is false on an
-// index geometry mismatch.
-func (l leaf) est(lc lowerCtx) (est int, ok bool) {
+// the index keeps with each clause mask, combining no mask. ok is false
+// on an index geometry mismatch.
+func (l *leaf) est(lc lowerCtx) (est int, ok bool) {
 	n := lc.src.NumRows()
-	switch l.kind {
-	case leafConst:
+	switch {
+	case l.kind == leafConst:
 		if l.verdict > 0 {
 			return n, true
 		}
 		return 0, true
-	case leafIsNull:
-		nn, ok := lc.nonNullCount(l.ci)
-		if l.invert {
-			return nn, ok
-		}
-		return n - nn, ok
+	case !l.fetch(lc, l.invert || l.kind == leafIsNull):
+		return 0, false
+	case l.kind == leafIsNull && l.invert:
+		return l.got[0].n, true
+	case l.kind == leafIsNull:
+		return n - l.got[0].n, true
 	}
-	for i, c := range l.clauses {
-		cnt, ok := lc.clauseCount(c)
-		if !ok {
-			return 0, false
-		}
+	for i, cm := range l.got[:len(l.clauses)] {
 		switch {
 		case !l.all:
-			est += cnt
-		case i == 0 || cnt < est:
-			est = cnt // a range matches at most its narrower bound
+			est += cm.n
+		case i == 0 || cm.n < est:
+			est = cm.n // a range matches at most its narrower bound
 		}
 	}
 	if est > n {
@@ -245,11 +256,7 @@ func (l leaf) est(lc lowerCtx) (est int, ok bool) {
 	if l.openF {
 		return 0, true // NOT IN with a NULL literal is never TRUE
 	}
-	nn, ok := lc.nonNullCount(l.ci)
-	if est = nn - est; est < 0 {
-		est = 0
-	}
-	return est, ok
+	return max(l.got[len(l.clauses)].n-est, 0), true
 }
 
 // masks materializes the leaf's TRUE mask and, when needF, its FALSE
@@ -257,7 +264,7 @@ func (l leaf) est(lc lowerCtx) (est int, ok bool) {
 // contributes T). The TRUE mask of a single clause aliases the index's
 // shared cached bitset and is read-only. ok is false on an index
 // geometry mismatch.
-func (l leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
+func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 	n := lc.src.NumRows()
 	if l.kind == leafConst {
 		m = tfMask{t: bitset.New(n), f: bitset.New(n)}
@@ -270,10 +277,12 @@ func (l leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		return m, true
 	}
 	var nn *bitset.Bitset
-	if needF || l.invert || l.kind == leafIsNull {
-		if nn, ok = lc.nonNullBits(l.ci); !ok {
-			return tfMask{}, false
-		}
+	needNN := needF || l.invert || l.kind == leafIsNull
+	if !l.fetch(lc, needNN) {
+		return tfMask{}, false
+	}
+	if needNN {
+		nn = l.got[len(l.clauses)].b
 	}
 	if l.kind == leafIsNull {
 		m.t = bitset.New(n)
@@ -281,11 +290,8 @@ func (l leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		m.t.AndNot(nn)
 		m.f = nn
 	} else {
-		for i, c := range l.clauses {
-			b, ok := lc.clauseBits(c)
-			switch {
-			case !ok:
-				return tfMask{}, false
+		for i, cm := range l.got[:len(l.clauses)] {
+			switch b := cm.b; {
 			case len(l.clauses) == 1:
 				m.t = b
 			case i == 0:

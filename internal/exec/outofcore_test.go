@@ -425,16 +425,15 @@ func corruptSegments(t *testing.T, fs *store.MemFS) {
 	}
 }
 
-// TestAdvanceReleasesClaimOnLoadFailure: an error after the advance has
-// claimed the carried result — anything from the suffix scan on — must
-// release the claim, so the caller can retry instead of being told the
-// result was already advanced. A grouped advance reads no old row any
-// more (TestAdvanceReadsNoOldSegments), so the two failures still
-// reachable behind the suffix scan are pinned here: a chunk fault under
-// carryCaches' argument-view extension, injected on the suffix segment's
-// second pin (the scan takes the first), and a HAVING that only errors
-// on the advanced aggregates.
-func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
+// TestProvenanceRetriesAfterLoadFailure: an advance touches no
+// provenance, so a chunk fault under the advanced result's first read —
+// here the argument view it extends from its ancestor's, injected on the
+// suffix segment's pins — fails that read alone: it publishes nothing,
+// the ancestor stays recorded, and once the fault clears the next read
+// builds the reference's value. A HAVING that only errors on the
+// advanced aggregates fails every attempt alike, leaving the result
+// advanceable.
+func TestProvenanceRetriesAfterLoadFailure(t *testing.T) {
 	src := tinySegTable(rand.New(rand.NewSource(13)), 3*64+8) // three sealed segments and a tail
 	fCol := src.Schema().ColIndex("f")
 	twin, loader := enginetest.New(src)
@@ -444,34 +443,32 @@ func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.AggArgFloats(0); err != nil { // the view the advance will extend
+	v := mustProv(res)
+	if _, err := v.ArgView(0); err != nil { // the view the first read will extend
 		t.Fatal(err)
 	}
 	grown := loader.Attach(twin)
-	pins := 0
+	adv, err := Advance(res, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loader.Fail = func(seg, col int) error {
 		if seg == 2 && col == fCol {
-			if pins++; pins%2 == 0 {
-				return errors.New("injected")
-			}
+			return errors.New("injected")
 		}
 		return nil
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		out, err := Advance(res, grown)
+		out, err := adv.Provenance(t.Context())
 		var sle *engine.SegmentLoadError
-		if !errors.As(err, &sle) || out != nil {
-			t.Fatalf("attempt %d: want the injected chunk-load failure and no result, got %v, %v", attempt, out, err)
+		if !errors.As(err, &sle) || out != nil || adv.prov.Load() != nil || adv.anc.Load() != v {
+			t.Fatalf("attempt %d: want the injected chunk-load failure and nothing published, got %v, %v", attempt, out, err)
 		}
 		if _, _, _, pinned := loader.Counts(); pinned != 0 {
 			t.Fatalf("attempt %d: %d chunks still pinned", attempt, pinned)
 		}
 	}
 	loader.Fail = nil
-	adv, err := Advance(res, grown)
-	if err != nil {
-		t.Fatalf("retry after the fault cleared: %v", err)
-	}
 	sealedRows := make([]int, grown.NumRows())
 	for r := range sealedRows {
 		sealedRows[r] = r
@@ -482,8 +479,9 @@ func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
 	}
 	tablesEqual(t, "retry", ref.Table, adv.Table)
 	groupsEqual(t, "retry", ref, adv)
+	provEqual(t, "retry", ref, adv)
 	if !adv.Plan.Incremental {
-		t.Fatalf("retry did not carry: %+v", adv.Plan)
+		t.Fatalf("advance did not carry: %+v", adv.Plan)
 	}
 
 	// HAVING over an aggregate that is NULL on the carried rows (i is
@@ -506,8 +504,8 @@ func TestAdvanceReleasesClaimOnLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err := Advance(res, tbl); err == nil || strings.Contains(err.Error(), "already advanced") {
-			t.Fatalf("attempt %d: want the HAVING error with the claim released, got %v", attempt, err)
+		if _, err := Advance(res, tbl); err == nil || !strings.Contains(err.Error(), "compare") {
+			t.Fatalf("attempt %d: want the HAVING error, got %v", attempt, err)
 		}
 	}
 }

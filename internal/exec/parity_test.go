@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -362,8 +363,20 @@ func keysEqual(t *testing.T, label string, gi int, a, b []engine.Value) {
 	}
 }
 
+// mustProv returns r's provenance, building it where it is not built.
+func mustProv(r *Result) *Provenance {
+	v, err := r.Provenance(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// groupLineage is output row ri's lineage, through r's provenance.
+func groupLineage(r *Result, ri int) []int { return mustProv(r).Rows(ri) }
+
 // groupsEqual compares two results' provenance exactly: lineage through
-// GroupLineage, which builds it where it is not built.
+// groupLineage, which builds it where it is not built.
 func groupsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Groups) != len(b.Groups) {
@@ -375,7 +388,7 @@ func groupsEqual(t *testing.T, label string, a, b *Result) {
 		if ga.FirstRow != gb.FirstRow {
 			t.Fatalf("%s: group %d FirstRow %d vs %d", label, gi, ga.FirstRow, gb.FirstRow)
 		}
-		la, lb := a.GroupLineage(gi), b.GroupLineage(gi)
+		la, lb := groupLineage(a, gi), groupLineage(b, gi)
 		if len(la) != len(lb) || ga.Rows != len(la) || gb.Rows != len(lb) {
 			t.Fatalf("%s: group %d lineage %d vs %d rows (counted %d vs %d)", label, gi, len(la), len(lb), ga.Rows, gb.Rows)
 		}

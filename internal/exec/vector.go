@@ -19,7 +19,7 @@ import (
 )
 
 // This file is the grouped scan — the one pipeline every grouped
-// statement runs on, fresh or advanced:
+// statement runs on, fresh or by Advance:
 //
 //  1. WHERE evaluates once into a bitmap (filter.go),
 //  2. par.Do hands the fold blocks (foldRows row ids; an out-of-core
@@ -44,7 +44,8 @@ import (
 //     table fixes: the core count decides only who scans a block.
 //
 // No step records lineage: a result's first read runs steps 1–4 again on
-// one scanner, appending each run's row ids to its group (lineage).
+// one scanner, appending each run's row ids to its group's lineage
+// (lineage, Result.Provenance).
 //
 // RunReference (exec.go) is the boxed oracle the randomized parity tests
 // pin this pipeline to, bit for bit, folding by the same blocks.
@@ -189,7 +190,7 @@ const (
 )
 
 // argSrc is one aggregate's per-row argument source: what the scan, a
-// later Advance's suffix scan and the scorer's argument view (fillArgView)
+// later Advance's suffix scan and the scorer's argument view (growView)
 // all feed the state, so a DISTINCT set has one identity domain for life.
 type argSrc struct {
 	kind argKind
@@ -311,11 +312,8 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 		universe = bitset.New(src.NumRows())
 		universe.FillFrom(filterFrom)
 	}
-	span := obs.Start(ctx, obs.Filter)
 	var err error
-	p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, universe)
-	span.End()
-	if err != nil {
+	if p.filter, p.fstats, err = buildFilter(ctx, src, stmt.Where, universe); err != nil {
 		return nil, err
 	}
 
@@ -442,9 +440,9 @@ type scanner struct {
 	// allocator would pack two scanners' buffers into one, and the
 	// workers would bounce it.
 	slots []uint64
-	// targets, in a lineage pass, are the result's groups in scan order;
-	// a run appends its row ids to its group instead of folding.
-	targets []*Group
+	// lineage, in a lineage pass, is each group's row ids in scan order; a
+	// run appends its row ids to its group's instead of folding.
+	lineage [][]int
 }
 
 func newScanner(p *vectorPlan) *scanner {
@@ -673,23 +671,24 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 			ss.slots[i] = ss.keys[i].slots[j]
 		}
 		gi, ok := ss.index(ss.slots)
-		if !ok && ss.targets != nil { // the lineage pass meets groups in the scan's order
-			ss.groups = append(ss.groups, &vGroup{g: ss.targets[gi]})
-		} else if !ok { // a new group: its Key is boxed once per result (boxKeys)
-			g := &Group{Aggs: fresh(p.protos), FirstRow: base + int(sel[j])}
-			ss.groups = append(ss.groups, &vGroup{g: g, slots: slices.Clone(ss.slots)})
-		}
-		if g := ss.groups[gi].g; ss.targets == nil {
-			g.Rows += end - j
-		} else {
-			for _, o := range sel[j:end] {
-				g.lineage = append(g.lineage, base+int(o))
+		switch {
+		case ss.lineage != nil: // the lineage pass meets groups in the scan's order
+			if !ok {
+				ss.groups = append(ss.groups, nil)
 			}
+			for _, o := range sel[j:end] {
+				ss.lineage[gi] = append(ss.lineage[gi], base+int(o))
+			}
+		case !ok: // a new group: its Key is boxed once per result (boxKeys)
+			g := &Group{Aggs: fresh(p.protos), FirstRow: base + int(sel[j]), Rows: end - j}
+			ss.groups = append(ss.groups, &vGroup{g: g, slots: slices.Clone(ss.slots)})
+		default:
+			ss.groups[gi].g.Rows += end - j
 		}
 		runs = append(runs, run{end: int32(end), gi: int32(gi)})
 		j = end
 	}
-	if ss.runs = runs; ss.targets != nil {
+	if ss.runs = runs; ss.lineage != nil {
 		return firstErr
 	}
 
@@ -939,23 +938,26 @@ func foldBlocks(p *vectorPlan, carried []*vGroup, parts [][]*vGroup, tail int) (
 // a result over src's rows below from, in scan order (none on a fresh
 // run, where from is 0): their done carries as it is, and the block from
 // falls inside, if any, resumes from clones of their tails. So a fresh
-// run is an Advance from the empty result, and an advanced result is,
-// bit for bit, a fresh one. lineage says prior's lineage is built: a
-// lineage pass over rows from on then extends it, and the result's
-// lineage is built too.
-func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, prior []*Group, from int, lineage bool) (*Result, error) {
+// run is an Advance from the empty result, and Advance's result is, bit
+// for bit, a fresh run's.
+func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggArgs []expr.Expr, aggItems []int, protos []agg.Func, prior []*Group, from int) (*Result, error) {
+	span := obs.Start(ctx, obs.Filter) // a provenance build's plan is its lineage stage's
 	p, err := planVector(ctx, src, stmt, aggItems, protos, from)
+	span.End()
 	if err != nil {
 		return nil, err
 	}
 	n, b, nk := src.NumRows(), min(foldRows, src.SegRows()), len(p.keys)
-	carried := make([]*vGroup, len(prior))
-	slots := make([]uint64, nk*len(prior)) // one backing array for every carried key
+	carried, err := p.seed(prior)
+	if err != nil {
+		return nil, err
+	}
 	var seeds []*vGroup
 	for gi, g := range prior {
-		if carried[gi], err = carry(g, p, slots[gi*nk:(gi+1)*nk:(gi+1)*nk], lineage); err != nil {
-			return nil, err
-		}
+		// The copy the fold folds onto shares Key and done, which the fold
+		// copies before it first merges into it. The tail is not carried:
+		// the block it covers resumes from clones of it.
+		carried[gi].g = &Group{Key: g.Key, Rows: g.Rows, FirstRow: g.FirstRow, done: g.done}
 		if g.tail == nil {
 			continue
 		}
@@ -995,7 +997,7 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		return faulted, resident
 	}
 	defer closeAll() // error and panic exits release pins too
-	span := obs.Start(ctx, obs.Scan)
+	span = obs.Start(ctx, obs.Scan)
 	par.Do(len(items)-1, func(w, it int) {
 		if scanners[w] == nil {
 			scanners[w] = newScanner(p)
@@ -1038,21 +1040,13 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	for gi, vg := range folded {
 		groups[gi] = vg.g
 	}
-	if lineage {
-		f, r, err := p.lineage(groups, carried, from)
-		if err != nil {
-			return nil, err
-		}
-		faulted, resident = faulted+f, resident+r
-	}
 	plan := p.fstats.plan()
 	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, len(parts), p.maskedAgg, p.keyKernels
 	plan.SegsSkipped = p.countSkips(from, n)
 	plan.ChunksFaulted, plan.ChunksResident = faulted, resident
 	res := &Result{
 		Stmt: stmt, Source: src, Groups: groups,
-		aggArgs: aggArgs, aggItems: aggItems,
-		Plan: plan, lineBuilt: lineage,
+		aggArgs: aggArgs, aggItems: aggItems, Plan: plan,
 	}
 	defer obs.Start(ctx, obs.Materialize).End()
 	if err := res.materialize(); err != nil {
@@ -1061,15 +1055,13 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 	return res, nil
 }
 
-// lineage appends to groups — a result's groups in scan order, carried's
-// first — the ids of the rows from on that pass the filter: stages 1–4 on
-// one scanner, with no fold. It returns the scanner's pin counts.
-func (p *vectorPlan) lineage(groups []*Group, carried []*vGroup, from int) (faulted, resident int, err error) {
-	defer obs.Start(p.ctx, obs.Scan).End()
+// lineage appends to lineage — each group's row ids, by group in scan
+// order, seeded's groups first — the ids of the rows from on that pass
+// the filter: stages 1–4 on one scanner, with no fold.
+func (p *vectorPlan) lineage(lineage [][]int, seeded []*vGroup, from int) error {
 	ss := newScanner(p)
 	defer ss.close() // a panic's exit releases pins too
-	ss.targets = groups
-	_, err = ss.run(from, p.src.NumRows(), carried)
-	faulted, resident = ss.close()
-	return faulted, resident, err
+	ss.lineage = lineage
+	_, err := ss.run(from, p.src.NumRows(), seeded)
+	return err
 }

@@ -235,7 +235,7 @@ func TestProjectionUsesLoweredFilter(t *testing.T) {
 	}
 	// Lineage of a projection is one source row per output row.
 	for i := range res.Groups {
-		if l := res.GroupLineage(i); len(l) != 1 {
+		if l := groupLineage(res, i); len(l) != 1 {
 			t.Fatalf("projection group %d lineage %v", i, l)
 		}
 	}

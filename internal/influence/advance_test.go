@@ -200,8 +200,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				prevAn = an
 				res, cur = adv, grown
 			}
-			// Next iteration draws a fresh statement (and a fresh result
-			// — the old one was already advanced; chains are linear)
+			// Next iteration draws a fresh statement (and a fresh result)
 			// over the grown table.
 			tbl = cur
 		}

@@ -75,9 +75,9 @@ func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ O
 // max — polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
 // followed by rankFast; a suspect selection or aggregate NewScorer
-// refuses is an error here. res's lineage is built under ctx.
+// refuses is an error here. res's provenance is built under ctx.
 func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Analysis, error) {
-	if err := res.BuildLineage(ctx); err != nil {
+	if _, err := res.Provenance(ctx); err != nil {
 		return nil, err
 	}
 	sc, err := NewScorer(res, suspect, ord, metric)
@@ -181,13 +181,17 @@ func EpsWithoutRows(res *exec.Result, suspect []int, ord int, metric errmetric.M
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return 0, err
 	}
+	prov, err := res.Provenance(context.Background())
+	if err != nil {
+		return 0, err
+	}
 	inRemoval := make(map[int]bool, len(rows))
 	for _, r := range rows {
 		inRemoval[r] = true
 	}
 	vals := make([]float64, len(suspect))
 	for i, ri := range suspect {
-		g, lineage := res.Groups[ri], res.GroupLineage(ri)
+		g, lineage := res.Groups[ri], prov.Rows(ri)
 		_, distinct := g.Aggs[ord].(*agg.Distinct)
 		var argErr error
 		// each yields the non-NULL argument values of g's lineage rows in

@@ -77,10 +77,10 @@ type Scratch struct {
 
 // NewScorer builds the columnar scoring state for the ord'th aggregate
 // of res over the suspect output rows. It fails when the selection is
-// out of range, the argument has no float view (exec.AggArgFloats: an
-// evaluation error, or a DISTINCT aggregate over string values) or res's
-// lineage fails to build (exec.Result.BuildLineage); there is no other
-// scorer to fall back to, so callers report the error.
+// out of range, res's provenance fails to build (exec.Result.Provenance)
+// or the argument has no float view (exec.Provenance.ArgView: an
+// evaluation error, or a DISTINCT aggregate over string values); there is
+// no other scorer to fall back to, so callers report the error.
 func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric) (*Scorer, error) {
 	if err := checkSelection(res, suspect, ord); err != nil {
 		return nil, err
@@ -107,16 +107,14 @@ func NewScorer(res *exec.Result, suspect []int, ord int, metric errmetric.Metric
 	}
 	s.eps = errmetric.Eval(metric, s.base)
 
-	args, err := res.AggArgFloats(ord)
+	prov, err := res.Provenance(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	s.args = args
-	// Built before the fan-out, so a chunk-load failure is this error.
-	if err := res.BuildLineage(context.Background()); err != nil {
+	if s.args, err = prov.ArgView(ord); err != nil {
 		return nil, err
 	}
-	s.buildGroupBits(res, suspect)
+	s.buildGroupBits(prov, suspect)
 	return s, nil
 }
 
@@ -148,21 +146,21 @@ func checkSelection(res *exec.Result, suspect []int, ord int) error {
 	return nil
 }
 
-// buildGroupBits fetches each suspect group's lineage bitset (from the
-// result's shared per-group cache — for incrementally advanced results
-// the unchanged prefix was carried over rather than rebuilt) and unions
-// them into F. The per-group work is independent, so par.Do spreads it;
-// each worker ORs into a partial F of its own (the caller's is F), and
-// the partials merge at the end, keeping the result identical to the
-// sequential build.
-func (s *Scorer) buildGroupBits(res *exec.Result, suspect []int) {
+// buildGroupBits fetches each suspect group's lineage bitset from the
+// result's provenance — built once per value; an advanced result's value
+// copies the bitsets its ancestor's held and sets only the appended rows'
+// bits — and unions them into F. The per-group work is independent, so
+// par.Do spreads it; each worker ORs into a partial F of its own (the
+// caller's is F), and the partials merge at the end, keeping the result
+// identical to the sequential build.
+func (s *Scorer) buildGroupBits(prov *exec.Provenance, suspect []int) {
 	s.groups = make([]groupBits, len(suspect))
 	partial := make([]*bitset.Bitset, par.Width(len(suspect)))
 	for w := range partial {
 		partial[w] = bitset.New(s.nsrc)
 	}
 	par.Do(len(suspect), func(w, i int) {
-		b := res.GroupLineageBitsShared(suspect[i])
+		b := prov.Bits(suspect[i])
 		lo, hi, ok := b.WordRange()
 		s.groups[i] = groupBits{bits: b, lo: lo, hi: hi, empty: !ok}
 		partial[w].Or(b)

@@ -5,6 +5,7 @@
 //
 //	admit lock decode                    server: slot wait, session-lock wait, body decode
 //	parse filter scan merge materialize  query: SQL, WHERE mask, scan, block fold, output
+//	lineage                              a result's provenance, built on its first read
 //	preprocess featurize enumerate predicates rank  Debug, as DebugResult.Timings' keys
 //	wal fsync seal                       durable append: WAL record, sync, segment files
 //	encode                               the JSON response
@@ -32,6 +33,7 @@ const (
 	Scan
 	Merge
 	Materialize
+	Lineage
 	Preprocess
 	Featurize
 	Enumerate
@@ -45,7 +47,7 @@ const (
 )
 
 var names = [numStages]string{"admit", "lock", "decode", "parse", "filter", "scan", "merge", "materialize",
-	"preprocess", "featurize", "enumerate", "predicates", "rank", "wal", "fsync", "seal", "encode"}
+	"lineage", "preprocess", "featurize", "enumerate", "predicates", "rank", "wal", "fsync", "seal", "encode"}
 
 // Record is a request's (or an endpoint's) total time and spans per stage.
 type Record struct{ ns, n [numStages]atomic.Int64 }

@@ -159,48 +159,44 @@ func (ix *Index) SyncRows(t *engine.Table) {
 }
 
 // ClauseBits returns the match mask of one clause at the newest synced
-// length. The returned bitset is shared and read-only.
+// length, read in the critical section that builds the mask, so a
+// retention pass cannot shrink the table between the two. The returned
+// bitset is shared and read-only.
 func (ix *Index) ClauseBits(c Clause) *bitset.Bitset {
-	return ix.ClauseBitsAt(c, ix.Table().NumRows())
-}
-
-// ClauseBitsAt returns the match mask of one clause over the first n
-// rows of the current base window — the form queries use so a statement
-// executing against an older same-base table version gets masks of
-// exactly its length, even while newer versions have already extended
-// the cached bits. The returned bitset is shared and read-only.
-func (ix *Index) ClauseBitsAt(c Clause, n int) *bitset.Bitset {
-	b, _ := ix.ClauseBitsAtBase(c, -1, n)
+	b, _, _ := ix.mask(c, -1, -1)
 	return b
 }
 
-// ClauseBitsAtBase is ClauseBitsAt with a base check: it returns
-// ok=false (and a nil mask) when base >= 0 and the index's window does
-// not start at base — the caller's table version predates a retention
-// pass and the head words its mask would need are gone. Callers then
-// fall back to per-row evaluation.
-func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, bool) {
-	b, _, ok := ix.mask(c, base, n)
-	return b, ok
-}
-
-// ClauseCountAtBase returns the popcount of clause c's match mask over
-// the first n rows at base — the statistics-free selectivity estimate
-// the executor's greedy clause ordering sorts by. The count is kept with
-// the cached mask, so steady-state calls cost a map probe. ok is false
-// under the same base-superseded condition as ClauseBitsAtBase.
-func (ix *Index) ClauseCountAtBase(c Clause, base, n int) (int, bool) {
+// ClauseBitsAtBase returns the match mask of one clause over the first n
+// rows at base, and its popcount — the statistics-free selectivity
+// estimate the executor's greedy clause ordering sorts by, kept with the
+// cached mask so steady-state calls cost a map probe. It is the form
+// queries use, so a statement executing against an older same-base table
+// version gets a mask of exactly its length even while newer versions
+// have already extended the cached bits. ok is false (and the mask nil)
+// when base >= 0 and the index's window does not start at base: the
+// caller's table version predates a retention pass and the head words
+// its mask would need are gone. Callers then fall back to per-row
+// evaluation. The returned bitset is shared and read-only.
+func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, int, bool) {
 	b, count, ok := ix.mask(c, base, n)
 	if ok && count < 0 {
 		count = b.Count()
 	}
-	return count, ok
+	return b, count, ok
 }
 
-// mask returns clause c's mask over the first n rows at base, and its
-// popcount when it is the cached mask itself (-1 for a prefix copy or
-// an uncached build).
+// mask returns clause c's mask over the first n rows at base (n < 0: the
+// indexed table's, read under the lock that serves it), and its popcount
+// when it is the cached mask itself (-1 for a prefix copy or an uncached
+// build).
 func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
+	rows := func() int {
+		if n < 0 {
+			return ix.t.NumRows()
+		}
+		return n
+	}
 	ix.mu.RLock()
 	if base >= 0 && ix.t.Base() != base {
 		ix.mu.RUnlock()
@@ -210,11 +206,11 @@ func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
 		// NaN keys never hit a map; build uncached rather than leak an
 		// entry per call.
 		defer ix.mu.RUnlock()
-		return ix.extend(bitset.New(0), c, n), -1, true
+		return ix.extend(bitset.New(0), c, rows()), -1, true
 	}
 	if e := ix.clauses[c]; e != nil {
 		ix.hit(e)
-		if b, count := e.bits, e.count; b.Len() >= n {
+		if b, count, n := e.bits, e.count, rows(); b.Len() >= n {
 			ix.mu.RUnlock()
 			b, count = prefix(b, count, n)
 			return b, count, true
@@ -232,10 +228,10 @@ func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
 	} else {
 		ix.hit(e)
 	}
-	if e.bits.Len() < n {
-		e.publish(ix.extend(e.bits, c, n))
+	if e.bits.Len() < rows() {
+		e.publish(ix.extend(e.bits, c, rows()))
 	}
-	b, count := prefix(e.bits, e.count, n)
+	b, count := prefix(e.bits, e.count, rows())
 	return b, count, true
 }
 
@@ -515,7 +511,8 @@ func (ix *Index) MatchInto(p Predicate, subset *bitset.Bitset, dst *bitset.Bitse
 		dst.Fill()
 	}
 	for _, c := range p.Clauses {
-		dst.And(ix.ClauseBitsAt(c, dst.Len()))
+		b, _, _ := ix.mask(c, -1, dst.Len())
+		dst.And(b)
 	}
 	return dst
 }

@@ -326,8 +326,8 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 			}
 		}
 		// Length-stamped requests at the old version still work.
-		if s := ix.ClauseBitsAt(c, 150); s.Len() != 150 || s.Count() != old[k].Count() {
-			t.Fatalf("clause %d: ClauseBitsAt(150) = len %d count %d", k, s.Len(), s.Count())
+		if s, count, _ := ix.ClauseBitsAtBase(c, -1, 150); s.Len() != 150 || s.Count() != old[k].Count() || count != s.Count() {
+			t.Fatalf("clause %d: ClauseBitsAtBase(150) = len %d count %d (said %d)", k, s.Len(), s.Count(), count)
 		}
 	}
 	if nn := ix.ClauseBits(NonNull("f")); nn.Len() != 210 || oldNonNull.Len() != 150 {
@@ -510,7 +510,7 @@ func TestHeldMasksImmutable(t *testing.T) {
 				for _, c := range clauses {
 					// As a query asks: at its version's base and length.
 					v := ix.Table()
-					if b, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
+					if b, _, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
 						b.Count()
 					}
 				}
@@ -528,8 +528,9 @@ func TestHeldMasksImmutable(t *testing.T) {
 		}
 		ix.SyncRows(tbl)
 		for _, c := range clauses {
-			hold(ix.ClauseBits(c))                  // extends into a copy
-			hold(ix.ClauseBitsAt(c, old.NumRows())) // the older length
+			hold(ix.ClauseBits(c)) // extends into a copy
+			b, _, _ := ix.ClauseBitsAtBase(c, -1, old.NumRows())
+			hold(b) // the older length
 		}
 		if round%3 == 2 {
 			if tbl, _, err = tbl.RetainTail(engine.RetentionPolicy{MaxRows: 150}); err != nil {
@@ -554,6 +555,75 @@ func TestHeldMasksImmutable(t *testing.T) {
 	for i, h := range masks {
 		if h.mask.Len() != h.clone.Len() || !equalRows(h.mask.Rows(), h.clone.Rows()) {
 			t.Fatalf("held mask %d changed after it was handed out", i)
+		}
+	}
+}
+
+// TestClauseBitsRacesRetention: ClauseBits resolves the row count it
+// serves in the critical section that builds the mask. Readers ask for
+// the newest masks while a writer appends and retains (run it under
+// -race); a count read before a retention pass and served after it would
+// slice past the shrunken table's tail chunk. The index ends serving the
+// last version's masks.
+func TestClauseBitsRacesRetention(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seed := randomTable(rng, 100)
+	tbl, err := engine.NewTableSeg("t", seed.Schema(), engine.MinSegmentBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = tbl.AppendCols(seed.Batch(0, 100), 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex(tbl)
+	clauses := []Clause{
+		{Col: "f", Op: OpGt, Val: engine.NewFloat(0)},
+		{Col: "s", Op: OpEq, Val: engine.NewString("beta")},
+		NonNull("i"),
+	}
+	more := randomTable(rng, 90)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for w := range 3 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := w; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The window never outgrows a retained tail (under five
+				// segments) plus one batch.
+				if b := ix.ClauseBits(clauses[k%len(clauses)]); b.Len() >= 5*64+90 || b.Count() > b.Len() {
+					t.Errorf("a mask of %d rows, %d set", b.Len(), b.Count())
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 100; round++ {
+		if tbl, err = tbl.AppendCols(more.Batch(0, 90), 0, 90); err != nil {
+			t.Fatal(err)
+		}
+		ix.SyncRows(tbl)
+		if tbl, _, err = tbl.RetainTail(engine.RetentionPolicy{MaxRows: 4 * 64}); err != nil {
+			t.Fatal(err)
+		}
+		ix.SyncRows(tbl)
+	}
+	close(stop)
+	readers.Wait()
+	for _, c := range clauses {
+		b, ci := ix.ClauseBits(c), tbl.Schema().ColIndex(c.Col)
+		if b.Len() != tbl.NumRows() {
+			t.Fatalf("%s: mask of %d rows over a %d-row window", c, b.Len(), tbl.NumRows())
+		}
+		for r := 0; r < tbl.NumRows(); r++ {
+			if b.Get(r) != c.Matches(tbl.Value(r, ci)) {
+				t.Fatalf("%s row %d: mask %v", c, r, b.Get(r))
+			}
 		}
 	}
 }

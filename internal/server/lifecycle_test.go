@@ -200,6 +200,31 @@ func hasStages(t *testing.T, label string, h http.Header, stages ...string) {
 	}
 }
 
+// TestZoomTimesLineage: the first zoom into a fresh session's result
+// builds its provenance, and its Server-Timing names that work lineage,
+// not a filter or a scan no query ran. The second zoom reads the built
+// value and names none of them.
+func TestZoomTimesLineage(t *testing.T) {
+	ts := testServer(t)
+	post(t, ts, "/api/query", map[string]any{"session": "zoom",
+		"sql": "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' GROUP BY day"}, nil)
+	for i, want := range []bool{true, false} {
+		resp := post(t, ts, "/api/zoom", map[string]any{"session": "zoom", "suspect": []int{0, 1}}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("zoom %d: status %d", i, resp.StatusCode)
+		}
+		st := resp.Header.Get("Server-Timing")
+		if want {
+			hasStages(t, "first zoom", resp.Header, "lineage", "encode")
+		} else if strings.Contains(st, "lineage") {
+			t.Errorf("zoom %d rebuilt the provenance: %q", i, st)
+		}
+		if strings.Contains(st, "scan") || strings.Contains(st, "filter") {
+			t.Errorf("zoom %d timed a query stage: %q", i, st)
+		}
+	}
+}
+
 // TestServerTiming pins the per-request stage record on the wire: each
 // response's Server-Timing header names the stages its request ran — a
 // query's pipeline, a debug's five stages, a durable append's WAL write

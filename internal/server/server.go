@@ -585,13 +585,14 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > 20000 {
 		limit = 20000
 	}
-	// A chunk-load failure while the lineage builds is a 503, like one
+	// A chunk-load failure while the provenance builds is a 503, like one
 	// while zoomRows reads the rows.
-	if err := sess.res.BuildLineage(r.Context()); err != nil {
+	prov, err := sess.res.Provenance(r.Context())
+	if err != nil {
 		writeReqErr(s, w, err)
 		return
 	}
-	lineage := sess.res.Lineage(req.Suspect)
+	lineage := prov.Lineage(req.Suspect)
 	truncated := false
 	if len(lineage) > limit {
 		lineage = lineage[:limit]
