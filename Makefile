@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-procs test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples
+.PHONY: all build test short quality test-race test-procs test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples surface
 
 all: build test
 
@@ -90,8 +90,10 @@ fmt-check:
 # Short fuzz sessions over the parser round-trip, the interpreter's
 # named-cells contract and key kernel parity targets, the aggregate contract, the
 # segment-file section decoder, the WAL replay parser, the dict.log and
-# manifest decoders, the quantile-threshold selection and the /api/append
-# body decoder against the [][]any path it replaced (one
+# manifest decoders, the quantile-threshold selection, the /api/append
+# body decoder against the [][]any path it replaced, and every POST
+# endpoint's body on a queried session (no 5xx, the session still
+# answers) (one
 # -fuzz target per invocation is a Go toolchain constraint). The
 # checked-in corpora under testdata/fuzz replay on every plain `go test`;
 # this additionally explores new inputs for a few seconds each.
@@ -109,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzQuantileThresholds -fuzztime=$(FUZZTIME) ./internal/feature
 	$(GO) test -run='^$$' -fuzz=FuzzAppendBody -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzPostBodies -fuzztime=$(FUZZTIME) ./internal/server
 
 # Coverage with a ratchet on the Debug pipeline: the scoring and
 # ranking layers carry state across batches, so untested carry paths
@@ -158,6 +161,92 @@ lines:
 		nt=$$((nt+n)); tt=$$((tt+t)); \
 		printf '%-26s %8d %8d\n' "$$(realpath --relative-to=$(CURDIR) $$d)" $$n $$t; \
 	done; printf '%-26s %8d %8d\n' total $$nt $$tt
+
+# Which production code no real surface runs. Every binary is built with
+# -cover and writes its counters to one directory: the four bench
+# workloads (the harness builds cmd/dbwipes with the inherited GOFLAGS,
+# and each server writes its counters when SIGTERM stops it), the six
+# examples, the FEC walkthrough through dbwipes-cli, and one run of each
+# kept surface those miss:
+#   - datagen writing CSV (with append batches), a durable store (FEC,
+#     one sealed segment) and a -fixture-bytes store;
+#   - dbwipes-cli over the CSV (a median/var query);
+#   - dbwipes recovering the store and loading the CSV (-csv), serving
+#     the dashboard's GET /, /api/tables and /api/metrics, a query whose
+#     WHERE the scan evaluates per row (NOT, unary minus, IN, BETWEEN,
+#     IS NULL, OR, computed arguments), debugs under the diff, notequal
+#     and zscore metrics, datagen -post batches and the carried
+#     re-queries, a LIKE / IS NULL / count(DISTINCT s) query grouped by
+#     a string over the recovered segment, a projection, retention by
+#     time and by rows over the recovered segment (session p keeps the
+#     version from before it, so no retired handle closes at GC's
+#     whim), and /api/reset.
+# testdata/surface.awk then rewrites testdata/surface.txt: one tagged
+# line per function outside bench/ that ran 0.0%. The target fails when
+# that changes the file (a zero-hit function with no line is
+# "untagged"; a line whose function now runs goes). TestSurfaceLedger
+# holds the tags. Not part of tier-1 or `make check`: it takes about a
+# minute.
+SURFACE_ADDR ?= 127.0.0.1:18239
+SURFACE_SQL = SELECT moteid, max(temperature) AS mx, median(temperature * 2) AS med, \
+	count(DISTINCT epoch) AS n, count(humidity) AS c FROM readings \
+	WHERE humidity BETWEEN 0 AND 100 AND NOT (light * 1 < 10) AND -voltage < 0 AND 0 < voltage \
+	AND moteid * 1 IN (1, 2, 3, 4, 5, 6) AND (light * 1 IS NULL OR temperature * 1 BETWEEN -50 AND 150) \
+	GROUP BY moteid ORDER BY moteid
+# The bodies are single-quoted in the shell: SQ is a single quote there.
+SQ := '"'"'
+SURFACE_FEC_SQL = SELECT memo, sum(amount) AS total, count(DISTINCT state) AS states FROM donations \
+	WHERE (memo LIKE $(SQ)%SPOUSE%$(SQ) OR memo IS NULL) AND candidate = $(SQ)McCain$(SQ) \
+	AND lower(memo) LIKE $(SQ)%spouse%$(SQ) GROUP BY memo
+SURFACE_ROWS_SQL = SELECT substr(memo, 1, 12) AS m, amount, date FROM donations WHERE amount < -2000
+surface:
+	@dir=$$(mktemp -d); trap '[ -z "$$pid" ] || { kill $$pid; wait $$pid; } 2>/dev/null; rm -rf $$dir' EXIT; \
+	mkdir $$dir/cov; export GOCOVERDIR=$$dir/cov; set -e; \
+	echo "surface: bench workloads"; \
+	GOFLAGS=-cover $(GO) run -C bench . -workload all -seed 1 -seconds 2 > $$dir/bench.log 2>&1 || \
+		{ tail -20 $$dir/bench.log; exit 1; }; \
+	echo "surface: examples"; \
+	for d in examples/*/; do $(GO) run -cover ./$$d > /dev/null; done; \
+	echo "surface: dbwipes-cli, datagen, dashboard"; \
+	$(GO) build -cover -o $$dir/ ./cmd/...; \
+	$$dir/dbwipes-cli -dataset fec \
+		-sql "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day" \
+		-suspect "total < 0" -metric "toolow(c=0)" -examples "amount < 0" -clean 0 > /dev/null; \
+	$$dir/datagen -dataset intel -rows 50000 -batches 1 -batch-rows 500 -out $$dir/readings.csv > /dev/null; \
+	$$dir/datagen -dataset fec -rows 70000 -batches 1 -batch-rows 500 -data $$dir/store -table donations > /dev/null; \
+	$$dir/datagen -dataset intel -fixture-bytes 200000 -data $$dir/fixture > /dev/null; \
+	$$dir/dbwipes-cli -csv $$dir/readings.csv -table readings -noplot \
+		-sql "SELECT -moteid AS m, median(temperature) AS med, var(humidity) AS v FROM readings GROUP BY -moteid" > /dev/null; \
+	$$dir/dbwipes -addr $(SURFACE_ADDR) -intel-rows 0 -fec-rows 0 -data $$dir/store \
+		-csv readings=$$dir/readings.csv > $$dir/server.log 2>&1 & pid=$$!; \
+	for i in $$(seq 100); do curl -sf http://$(SURFACE_ADDR)/api/tables > /dev/null && break; sleep 0.1; done; \
+	get() { curl -sSf -o /dev/null http://$(SURFACE_ADDR)$$1; }; \
+	post() { curl -sS --fail-with-body -o $$dir/resp -H 'Content-Type: application/json' -d "$$2" http://$(SURFACE_ADDR)$$1 || \
+		{ echo "surface: POST $$1: $$(cat $$dir/resp)"; return 1; }; }; \
+	get /; get /api/tables; get /api/metrics; \
+	post /api/query '{"session":"s","sql":"$(SURFACE_SQL)"}'; \
+	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":1,"metric":"diff","metricParams":{"c":60}}'; \
+	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":2,"metric":"notequal","metricParams":{"c":120}}'; \
+	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":3,"metric":"zscore","metricParams":{"mean":60,"std":5,"k":1}}'; \
+	$$dir/datagen -dataset intel -rows 50000 -batches 2 -batch-rows 500 -out $$dir/posted.csv \
+		-post http://$(SURFACE_ADDR)/api/append -table readings > /dev/null; \
+	post /api/query '{"session":"s","sql":"$(SURFACE_SQL)"}'; \
+	post /api/query '{"session":"d","sql":"$(SURFACE_FEC_SQL)"}'; \
+	post /api/debug '{"session":"d","suspect":[0],"aggItem":1,"metric":"toolow","metricParams":{"c":0}}'; \
+	$$dir/datagen -dataset fec -rows 70500 -batches 1 -batch-rows 500 -out $$dir/posted.csv \
+		-post http://$(SURFACE_ADDR)/api/append -table donations > /dev/null; \
+	post /api/query '{"session":"d","sql":"$(SURFACE_FEC_SQL)"}'; \
+	post /api/query '{"session":"p","sql":"$(SURFACE_ROWS_SQL)"}'; \
+	post /api/retention '{"table":"donations","time_col":"date","cutoff":0}'; \
+	post /api/retention '{"table":"donations","max_rows":1000}'; \
+	post /api/query '{"session":"d","sql":"$(SURFACE_FEC_SQL)"}'; \
+	post /api/reset '{"session":"s"}'; \
+	kill -TERM $$pid; wait $$pid; pid=; \
+	$(GO) tool covdata func -i $$dir/cov | awk -f testdata/surface.awk testdata/surface.txt - > $$dir/surface.txt; \
+	cp testdata/surface.txt $$dir/old.txt; cp $$dir/surface.txt testdata/surface.txt; \
+	echo "surface: $$(grep -vc '^#\|^$$' testdata/surface.txt) functions with zero surface hits"; \
+	diff -u $$dir/old.txt testdata/surface.txt || \
+		{ echo "surface: testdata/surface.txt changed: tag every untagged line, commit the file"; exit 1; }
 
 # bench/ is its own module, so `go build ./...` and `go test ./...` at
 # the root never compile it: an API slip in a package it imports would

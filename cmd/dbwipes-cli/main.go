@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/predicate"
 	"repro/internal/sqlparse"
 	"repro/internal/viz"
 )
@@ -40,7 +38,6 @@ func main() {
 	examplesCond := flag.String("examples", "", "condition over source columns selecting D' (e.g. \"amount < 0\")")
 	clean := flag.Int("clean", -1, "apply the i'th ranked predicate and re-plot")
 	noPlot := flag.Bool("noplot", false, "suppress ASCII plots")
-	repl := flag.Bool("repl", false, "interactive session instead of one-shot flags")
 	flag.Parse()
 
 	db := engine.NewDB()
@@ -65,12 +62,6 @@ func main() {
 		}
 	default:
 		log.Fatalf("unknown dataset %q", *dataset)
-	}
-	if *repl {
-		if err := runREPL(db, os.Stdin, os.Stdout, *noPlot); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	if *sqlStr == "" {
 		log.Fatal("-sql required")
@@ -140,16 +131,6 @@ func main() {
 	if !*noPlot {
 		fmt.Println(plotResult(cleaned, nil))
 	}
-}
-
-// runCleaned parses sql, appends NOT (p) for every applied predicate,
-// and executes it.
-func runCleaned(db *engine.DB, sql string, applied []predicate.Predicate) (*exec.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return exec.RunCtx(context.Background(), db, core.Cleaned(stmt, applied...))
 }
 
 func selectSuspect(res *exec.Result, cond string) ([]int, error) {

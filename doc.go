@@ -73,7 +73,7 @@
 //     the appended rows through the same fill.
 //   - internal/predicate — Index caches a full-table match mask per
 //     clause; a predicate match is the AND of its clause masks
-//     (Predicate.MatchingBitset), bit-for-bit equal to MatchesRow.
+//     (Index.MatchInto), bit-for-bit equal to MatchesRow.
 //   - internal/agg — one contract, agg.Func, on float64s: every state
 //     (DISTINCT sets included) folds a run of rows in one call
 //     (AddFloats), merges and answers "the result without these values"

@@ -57,8 +57,6 @@ type Func interface {
 	// state: one state is read by every scoring worker at once. vals is
 	// borrowed for the call.
 	ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (result float64, ok bool)
-	// Count returns the number of non-NULL values added.
-	Count() int
 	// Clone returns a fresh, empty aggregate of the same kind.
 	Clone() Func
 }
@@ -122,12 +120,6 @@ func IsAggregate(name string) bool {
 	return err == nil
 }
 
-// names returns the canonical aggregate names: one per kind of state,
-// the name it reports.
-func names() []string {
-	return []string{"count", "sum", "avg", "min", "max", "stddev", "stddev_pop", "var", "var_pop", "median"}
-}
-
 // ---------------------------------------------------------------------
 // count
 
@@ -139,9 +131,6 @@ func (*count) Name() string { return "count" }
 
 // Result implements Func.
 func (c *count) Result() engine.Value { return engine.NewInt(int64(c.n)) }
-
-// Count implements Func.
-func (c *count) Count() int { return c.n }
 
 // Clone implements Func.
 func (*count) Clone() Func { return &count{} }
@@ -160,9 +149,6 @@ func (*Sum) Name() string { return "sum" }
 
 // Result implements Func.
 func (s *Sum) Result() engine.Value { return value(s.sum, s.n > 0) }
-
-// Count implements Func.
-func (s *Sum) Count() int { return s.n }
 
 // Clone implements Func.
 func (*Sum) Clone() Func { return &Sum{} }
@@ -227,9 +213,6 @@ func varianceFloat(sum, sumsq float64, n int, sample bool) (float64, bool) {
 func (v *variance) Result() engine.Value {
 	return value(varianceFloat(v.sum, v.sumsq, v.n, v.sample))
 }
-
-// Count implements Func.
-func (v *variance) Count() int { return v.n }
 
 // Clone implements Func.
 func (v *variance) Clone() Func { return &variance{sample: v.sample} }
@@ -306,9 +289,6 @@ func (e *extremum) fold(f float64, copies int) {
 // Result implements Func.
 func (e *extremum) Result() engine.Value { return value(e.best, e.n > 0) }
 
-// Count implements Func.
-func (e *extremum) Count() int { return e.n }
-
 // Clone implements Func.
 func (e *extremum) Clone() Func { return newExtremum(e.name, e.min) }
 
@@ -363,9 +343,6 @@ func (m *median) Result() engine.Value {
 	m.ensureSorted()
 	return value(medianOfSorted(m.vals))
 }
-
-// Count implements Func.
-func (m *median) Count() int { return len(m.vals) }
 
 // Clone implements Func.
 func (*median) Clone() Func { return &median{} }

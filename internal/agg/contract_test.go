@@ -16,7 +16,7 @@ import (
 // on one multiset of adds and one multiset of removals:
 //
 //  1. AddFloat ≡ Add, and AddFloats over a selection with NULL words ≡
-//     AddFloat of each selected non-NULL cell, in Result() and Count();
+//     AddFloat of each selected non-NULL cell, in Result();
 //  2. adds split at every point, each half accumulated alone, then merged
 //     ≡ the sequential state (and Clone+Merge is a copy), Result() and
 //     removal bit-equal; Merge refuses every state of another name;
@@ -174,15 +174,15 @@ func checkContract(t testing.TB, adds, rms []byte) {
 		// whether the selection comes as one run or two.
 		seq := fill(fresh(), addIdx, false)
 		want := seq.Result()
-		if got := fill(fresh(), addIdx, true); !sameValue(got.Result(), want) || got.Count() != seq.Count() {
-			fail("AddFloat state = %v (count %d), Add state = %v (count %d)", got.Result(), got.Count(), want, seq.Count())
+		if got := fill(fresh(), addIdx, true); !sameValue(got.Result(), want) {
+			fail("AddFloat state = %v, Add state = %v", got.Result(), want)
 		}
 		for _, cut := range []int{len(sel), len(sel) / 2} {
 			batch := fresh()
 			batch.AddFloats(vals, null, sel[:cut])
 			batch.AddFloats(vals, null, sel[cut:])
-			if !sameValue(batch.Result(), want) || batch.Count() != seq.Count() {
-				fail("AddFloats (runs cut at %d of %d) = %v (count %d), AddFloat state = %v (count %d)", cut, len(sel), batch.Result(), batch.Count(), want, seq.Count())
+			if !sameValue(batch.Result(), want) {
+				fail("AddFloats (runs cut at %d of %d) = %v, AddFloat state = %v", cut, len(sel), batch.Result(), want)
 			}
 		}
 
@@ -204,9 +204,6 @@ func checkContract(t testing.TB, adds, rms []byte) {
 			if !left.Merge(right) {
 				fail("split %d: Merge refused a state of its own kind", k)
 			}
-			if left.Count() != seq.Count() {
-				fail("split %d: merged count %d, sequential %d", k, left.Count(), seq.Count())
-			}
 			if got := left.Result(); (orderFree || exact) && !sameValue(got, want) {
 				fail("split %d: merged = %v, sequential = %v", k, got, want)
 			}
@@ -216,8 +213,8 @@ func checkContract(t testing.TB, adds, rms []byte) {
 			}
 		}
 		dup := seq.Clone()
-		if dup.Count() != 0 || !dup.Merge(seq) || !sameValue(dup.Result(), want) || dup.Count() != seq.Count() {
-			fail("Clone+Merge copy = %v (count %d), original = %v (count %d)", dup.Result(), dup.Count(), want, seq.Count())
+		if !dup.Merge(seq) || !sameValue(dup.Result(), want) {
+			fail("Clone+Merge copy = %v, original = %v", dup.Result(), want)
 		}
 		for j := range 2 * len(kinds) {
 			if other := state(j); other.Name() != name && seq.Merge(other) {

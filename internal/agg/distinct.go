@@ -126,9 +126,6 @@ func (d *Distinct) Merge(other Func) bool {
 // Result implements Func.
 func (d *Distinct) Result() engine.Value { return d.inner.Result() }
 
-// Count implements Func (number of distinct non-NULL values).
-func (d *Distinct) Count() int { return len(d.seen) }
-
 // Clone implements Func.
 func (d *Distinct) Clone() Func { return NewDistinct(d.inner.Clone()) }
 

@@ -125,9 +125,9 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 
 	preds1 := make([]predicate.Predicate, 0, len(selectors))
 	for _, sel := range selectors {
-		p := predicate.New(predicate.Clause{
+		p := predicate.Predicate{Clauses: []predicate.Clause{{
 			Col: sp.Attrs[sel.AttrIdx].Name, Op: sel.Op, Val: sel.Val,
-		})
+		}}}
 		preds1 = append(preds1, p)
 		score(p)
 	}

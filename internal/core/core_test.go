@@ -68,7 +68,7 @@ func TestDebugIntelFindsFailingMotes(t *testing.T) {
 		t.Logf("#%d %s", i+1, e.Scored)
 	}
 	top := dr.Explanations[0]
-	cols := strings.ToLower(strings.Join(top.Pred.Columns(), ","))
+	cols := strings.ToLower(top.Pred.String())
 	if !strings.Contains(cols, "moteid") && !strings.Contains(cols, "voltage") && !strings.Contains(cols, "humidity") {
 		t.Errorf("top predicate %q references none of the causal attributes", top.Pred)
 	}

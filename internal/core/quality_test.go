@@ -275,7 +275,7 @@ func qualityScenarios(t *testing.T) []qualityScenario {
 	}
 
 	cause := func(clauses ...predicate.Clause) []predicate.Predicate {
-		return []predicate.Predicate{predicate.New(clauses...)}
+		return []predicate.Predicate{{Clauses: clauses}}
 	}
 	ge := func(col string, v float64) predicate.Clause {
 		return predicate.Clause{Col: col, Op: predicate.OpGe, Val: engine.NewFloat(v)}

@@ -183,8 +183,8 @@ func TestFECDailyQueryShowsNegativeSpike(t *testing.T) {
 
 func TestTruthScore(t *testing.T) {
 	truth := NewTruth([]bool{true, true, false, false, false})
-	if truth.NumPositive() != 2 {
-		t.Errorf("positives: %d", truth.NumPositive())
+	if truth.n != 2 {
+		t.Errorf("positives: %d", truth.n)
 	}
 	p, r, f1 := truth.Score([]int{0, 2}, nil)
 	if p != 0.5 || r != 0.5 || f1 != 0.5 {
@@ -212,7 +212,7 @@ func TestIntelSchemaStable(t *testing.T) {
 			t.Errorf("col %d = %s, want %s", i, s[i].Name, n)
 		}
 	}
-	f := FECSchema()
+	f := fecSchema()
 	if f.ColIndex("memo") < 0 || f.ColIndex("amount") < 0 {
 		t.Error("FEC schema missing columns")
 	}

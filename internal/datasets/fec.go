@@ -69,11 +69,11 @@ func (c *FECConfig) defaults() {
 	}
 }
 
-// FECSchema mirrors the FEC contribution file's useful columns: the
+// fecSchema mirrors the FEC contribution file's useful columns: the
 // candidate, donor geography and occupation, the amount, the
 // contribution date (plus a precomputed campaign-day integer for easy
 // grouping), and the free-text memo field the walkthrough pivots on.
-func FECSchema() engine.Schema {
+func fecSchema() engine.Schema {
 	return engine.NewSchema(
 		"candidate", engine.TString,
 		"state", engine.TString,
@@ -119,9 +119,9 @@ var (
 	// MemoReattribution is the exact string the paper's walkthrough
 	// discovers in the top predicate.
 	MemoReattribution = "REATTRIBUTION TO SPOUSE"
-	// MemoRefund marks ordinary refunds (background negatives that are
+	// memoRefund marks ordinary refunds (background negatives that are
 	// NOT the anomaly, to keep the learners honest).
-	MemoRefund = "REFUND"
+	memoRefund = "REFUND"
 )
 
 // FEC generates the donations table and the ground-truth labels (true =
@@ -129,7 +129,7 @@ var (
 func FEC(cfg FECConfig) (*engine.Table, []bool) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := newSegWriter(engine.MustNewTable("donations", FECSchema()), cfg.Rows)
+	w := newSegWriter(engine.MustNewTable("donations", fecSchema()), cfg.Rows)
 	truth := make([]bool, 0, cfg.Rows)
 
 	// Candidate popularity weights and per-candidate campaign ramp.
@@ -171,7 +171,7 @@ func FEC(cfg FECConfig) (*engine.Table, []bool) {
 		memo := ""
 		if rng.Float64() < cfg.RefundRate {
 			amount = -amount
-			memo = MemoRefund
+			memo = memoRefund
 		}
 		fecRow(w.next(), cand, state, cities[rng.Intn(len(cities))],
 			fecOccupations[rng.Intn(len(fecOccupations))],
@@ -203,7 +203,7 @@ func FEC(cfg FECConfig) (*engine.Table, []bool) {
 	return w.done(), truth
 }
 
-// fecRow appends one donations row to b in FECSchema's column order.
+// fecRow appends one donations row to b in fecSchema's column order.
 func fecRow(b *engine.Batch, cand, state, city, occ, employer string, amount float64, date time.Time, day int, memo string) {
 	for c, s := range [...]string{0: cand, 1: state, 2: city, 3: occ, 4: employer} {
 		_ = b.AppendValue(c, engine.NewString(s)) // a string always fits a string column
@@ -276,9 +276,6 @@ func NewTruth(labels []bool) *Truth {
 	}
 	return &Truth{labels: labels, n: n}
 }
-
-// NumPositive returns the number of ground-truth anomalous rows.
-func (t *Truth) NumPositive() int { return t.n }
 
 // Label reports whether row is anomalous.
 func (t *Truth) Label(row int) bool { return row >= 0 && row < len(t.labels) && t.labels[row] }

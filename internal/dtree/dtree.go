@@ -16,7 +16,6 @@ package dtree
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/feature"
@@ -71,11 +70,7 @@ type Node struct {
 type Tree struct {
 	Root  *Node
 	Space *feature.Space
-	nodes int
 }
-
-// NumNodes returns the node count.
-func (t *Tree) NumNodes() int { return t.nodes }
 
 // trainer is one training run's working state. Split search and routing
 // read only the learning frame's Bins matrix.
@@ -126,7 +121,6 @@ func impurity(pos, tot int) float64 {
 }
 
 func (t *trainer) leaf(pos, tot int) *Node {
-	t.nodes++
 	purity := 0.0
 	if tot > 0 {
 		purity = float64(pos) / float64(tot)
@@ -176,7 +170,6 @@ func (t *trainer) build(idx []int32, depth int) *Node {
 	if nl == 0 || nl == tot {
 		return t.leaf(pos, tot)
 	}
-	t.nodes++
 	node := &Node{Split: best, N: tot, Purity: float64(pos) / float64(tot)}
 	node.Left = t.build(idx[:nl], depth+1)
 	node.Right = t.build(idx[nl:], depth+1)
@@ -297,26 +290,4 @@ func (t *Tree) PositivePaths() []LeafPredicate {
 		return out[i].N > out[j].N
 	})
 	return out
-}
-
-// String renders the tree for debugging.
-func (t *Tree) String() string {
-	var b strings.Builder
-	var walk func(n *Node, indent string)
-	walk = func(n *Node, indent string) {
-		if n.Leaf {
-			fmt.Fprintf(&b, "%sleaf pos=%v purity=%.2f n=%d\n", indent, n.Positive, n.Purity, n.N)
-			return
-		}
-		attr := &t.Space.Attrs[n.Split.AttrIdx]
-		if n.Split.Numeric {
-			fmt.Fprintf(&b, "%s%s <= %g?\n", indent, attr.Name, n.Split.Threshold)
-		} else {
-			fmt.Fprintf(&b, "%s%s = %s?\n", indent, attr.Name, n.Split.Val.SQL())
-		}
-		walk(n.Left, indent+"  ")
-		walk(n.Right, indent+"  ")
-	}
-	walk(t.Root, "")
-	return b.String()
 }

@@ -99,13 +99,6 @@ func (db *DB) Append(name string, rows [][]Value) (*Table, error) {
 	return db.AppendCols(name, b)
 }
 
-// Drop removes the named table; it is a no-op when absent.
-func (db *DB) Drop(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.tables, strings.ToLower(name))
-}
-
 // Names returns the registered table names, sorted.
 func (db *DB) Names() []string {
 	db.mu.RLock()

@@ -157,10 +157,6 @@ func TestDB(t *testing.T) {
 	if got := db.Names(); len(got) != 1 || got[0] != "t" {
 		t.Errorf("Names: %v", got)
 	}
-	db.Drop("t")
-	if _, err := db.Table("t"); err == nil {
-		t.Error("dropped table still present")
-	}
 }
 
 // TestAppendBatchAllocatesPerColumn pins the append path's allocation

@@ -586,15 +586,6 @@ func (r *Result) Lineage(rowIdxs []int) []int {
 	return v.Lineage(rowIdxs)
 }
 
-// AllRows returns 0..NumRows-1, convenient for "every group is suspect".
-func (r *Result) AllRows() []int {
-	out := make([]int, r.NumRows())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // SelectRows returns the output row indexes for which keep returns true,
 // where keep receives the output row values.
 func (r *Result) SelectRows(keep func(row []engine.Value) bool) []int {

@@ -302,7 +302,10 @@ func TestCountStarArgValue(t *testing.T) {
 func TestRunOnFilteredView(t *testing.T) {
 	db := salesDB(t)
 	src, _ := db.Table("sales")
-	stmt := sqlparse.MustParse("SELECT region, sum(amount) AS s FROM sales GROUP BY region ORDER BY region")
+	stmt, err := sqlparse.Parse("SELECT region, sum(amount) AS s FROM sales GROUP BY region ORDER BY region")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunOn(src, stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -317,9 +320,6 @@ func TestSelectRows(t *testing.T) {
 	neg := res.SelectRows(func(row []engine.Value) bool { return row[1].Float() < 0 })
 	if len(neg) != 1 || res.Table.Value(neg[0], 0).Str() != "north" {
 		t.Errorf("SelectRows: %v", neg)
-	}
-	if len(res.AllRows()) != 3 {
-		t.Errorf("AllRows: %v", res.AllRows())
 	}
 }
 

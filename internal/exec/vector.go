@@ -320,9 +320,8 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 	p.maskedAgg = len(p.keys) == 0 && p.filter != nil && len(p.args) > 0 &&
 		!slices.ContainsFunc(p.args, func(a argSrc) bool { return a.kind == argEval || a.kind == argDict })
 	p.split = make([]bool, len(protos))
-	for ai, proto := range protos {
-		_, distinct := proto.(*agg.Distinct)
-		p.split[ai] = !distinct && !slices.Contains([]string{"count", "min", "max", "median"}, proto.Name())
+	for ai, proto := range protos { // a DISTINCT state's name is "sum distinct"
+		p.split[ai] = slices.Contains([]string{"sum", "avg", "var", "var_pop", "stddev", "stddev_pop"}, proto.Name())
 	}
 	return p, nil
 }

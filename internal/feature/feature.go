@@ -33,14 +33,6 @@ const (
 	Categorical
 )
 
-// String returns the kind name.
-func (k Kind) String() string {
-	if k == Numeric {
-		return "numeric"
-	}
-	return "categorical"
-}
-
 // Attr is one usable attribute of the space.
 type Attr struct {
 	Name string

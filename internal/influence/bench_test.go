@@ -38,7 +38,7 @@ func BenchmarkRank(b *testing.B) {
 		rows := rows
 		b.Run(fmt.Sprintf("F=%d", rows), func(b *testing.B) {
 			res := benchResult(b, rows)
-			suspects := res.AllRows()
+			suspects := allGroups(res)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Rank(res, suspects, 0, errmetric.TooHigh{C: 100}, Options{}); err != nil {
@@ -52,7 +52,7 @@ func BenchmarkRank(b *testing.B) {
 
 func BenchmarkEpsWithoutRows(b *testing.B) {
 	res := benchResult(b, 100_000)
-	suspects := res.AllRows()
+	suspects := allGroups(res)
 	removed := make([]int, 0, 1000)
 	for r := 0; r < 100_000; r += 100 {
 		removed = append(removed, r)

@@ -143,7 +143,7 @@ func TestEpsWithoutRowsMatchesRequery(t *testing.T) {
 			rows[i] = [2]float64{float64(i % 2), float64(r)}
 		}
 		res := buildResult(t, "avg", rows)
-		suspects := res.AllRows()
+		suspects := allGroups(res)
 		metric := errmetric.TooHigh{C: 0}
 
 		var removed []int
@@ -322,4 +322,14 @@ func TestRankErrors(t *testing.T) {
 	if _, err := EpsWithoutRows(res, []int{0}, 5, errmetric.TooHigh{}, nil); err == nil {
 		t.Error("EpsWithoutRows accepted a bad ordinal")
 	}
+}
+
+// allGroups returns every output row of res, 0..NumRows-1: every group
+// a suspect.
+func allGroups(res *exec.Result) []int {
+	out := make([]int, res.NumRows())
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

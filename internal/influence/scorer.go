@@ -171,9 +171,6 @@ func (s *Scorer) buildGroupBits(prov *exec.Provenance, suspect []int) {
 	}
 }
 
-// Eps returns ε over the suspect groups before any removal.
-func (s *Scorer) Eps() float64 { return s.eps }
-
 // FBits returns the suspect groups' combined lineage (F) as a bitset.
 // Shared and read-only.
 func (s *Scorer) FBits() *bitset.Bitset { return s.fbits }

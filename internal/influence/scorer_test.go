@@ -47,7 +47,7 @@ func TestEpsWithoutBitsParity(t *testing.T) {
 	for _, aggSQL := range []string{"avg(v)", "sum(v)", "count(v)", "stddev(v)", "min(v)", "max(v)", "median(v)", "count(*)",
 		"count(DISTINCT v)", "sum(DISTINCT v)", "avg(DISTINCT v + k)", "min(DISTINCT v)", "median(DISTINCT v)"} {
 		res := scorerResult(t, 500, aggSQL)
-		suspect := res.AllRows()
+		suspect := allGroups(res)
 		metric := errmetric.TooHigh{C: 90}
 		sc, err := NewScorer(res, suspect, 0, metric)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestFBitsIsLineageUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	metric := errmetric.TooHigh{C: 90}
-	for _, suspect := range [][]int{{3}, {0, 6}, res.AllRows()[100:400], res.AllRows()} {
+	for _, suspect := range [][]int{{3}, {0, 6}, allGroups(res)[100:400], allGroups(res)} {
 		sc, err := NewScorer(res, suspect, 0, metric)
 		if err != nil {
 			t.Fatal(err)
@@ -108,8 +108,8 @@ func TestFBitsIsLineageUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !floatsEqual(sc.Eps(), want) {
-			t.Errorf("%d suspect groups: Eps %g, want %g", len(suspect), sc.Eps(), want)
+		if !floatsEqual(sc.eps, want) {
+			t.Errorf("%d suspect groups: Eps %g, want %g", len(suspect), sc.eps, want)
 		}
 	}
 }
@@ -188,7 +188,7 @@ func checkLOOParity(t *testing.T, label string, res *exec.Result, suspect []int)
 // against the boxed one-row removal, under every metric.
 func TestRankFastParity(t *testing.T) {
 	res := scorerResult(t, 400, "avg(v)")
-	suspect := res.AllRows()
+	suspect := allGroups(res)
 	checkLOOParity(t, "avg(v)", res, suspect)
 	an, err := Rank(res, suspect, 0, errmetric.TooHigh{C: 90}, Options{})
 	if err != nil {
@@ -214,7 +214,7 @@ func TestRankFastParity(t *testing.T) {
 func TestRankFastExtremumParity(t *testing.T) {
 	for _, aggSQL := range []string{"min(v)", "max(v)", "max(DISTINCT v)"} {
 		res := scorerResult(t, 300, aggSQL)
-		checkLOOParity(t, aggSQL, res, res.AllRows())
+		checkLOOParity(t, aggSQL, res, allGroups(res))
 	}
 }
 
@@ -288,7 +288,7 @@ func TestRankTermCallsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suspect := res.AllRows()
+	suspect := allGroups(res)
 	for _, m := range []errmetric.Metric{errmetric.TooHigh{C: 90}, errmetric.Diff{C: 90}} {
 		var calls atomic.Int64
 		an, err := Rank(res, suspect, 0, countingMetric{m, &calls}, Options{})
@@ -306,7 +306,7 @@ func TestRankTermCallsLinear(t *testing.T) {
 // property the whole columnar layer exists to provide.
 func TestEpsWithoutBitsZeroAlloc(t *testing.T) {
 	res := scorerResult(t, 2000, "avg(v)")
-	suspect := res.AllRows()
+	suspect := allGroups(res)
 	sc, err := NewScorer(res, suspect, 0, errmetric.TooHigh{C: 90})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func floatsEqual(a, b float64) bool {
 
 func BenchmarkEpsWithoutBits(b *testing.B) {
 	res := benchResult(b, 100_000)
-	suspect := res.AllRows()
+	suspect := allGroups(res)
 	sc, err := NewScorer(res, suspect, 0, errmetric.TooHigh{C: 100})
 	if err != nil {
 		b.Fatal(err)

@@ -126,13 +126,6 @@ func Shared(t *engine.Table) *Index {
 	}).(*Index)
 }
 
-// Table returns the newest indexed table version.
-func (ix *Index) Table() *engine.Table {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.t
-}
-
 // SyncRows is the hook the engine's aux cache calls with the requesting
 // version (Table.AuxLoadOrStore): it rebases the index onto t
 // when t is a newer version of the indexed table family — longer, or
@@ -515,11 +508,4 @@ func (ix *Index) MatchInto(p Predicate, subset *bitset.Bitset, dst *bitset.Bitse
 		dst.And(b)
 	}
 	return dst
-}
-
-// MatchingBitset returns the rows of the indexed table satisfying p
-// (restricted to subset when non-nil) as a fresh bitset — the vectorized
-// counterpart of Predicate.MatchingRows.
-func (p Predicate) MatchingBitset(ix *Index, subset *bitset.Bitset) *bitset.Bitset {
-	return ix.MatchInto(p, subset, bitset.New(ix.Table().NumRows()))
 }

@@ -72,6 +72,19 @@ func randomClause(rng *rand.Rand) Clause {
 	return Clause{Col: col, Op: op, Val: val}
 }
 
+// matchingBitset returns the rows of ix's table satisfying p (within
+// subset when non-nil) as a fresh bitset.
+func matchingBitset(p Predicate, ix *Index, subset *bitset.Bitset) *bitset.Bitset {
+	return ix.MatchInto(p, subset, bitset.New(indexTable(ix).NumRows()))
+}
+
+// indexTable returns the newest table version ix has synced to.
+func indexTable(ix *Index) *engine.Table {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.t
+}
+
 // TestMatchingBitsetParity is the scalar/vector property test: over
 // random tables, subsets and predicates, the vectorized MatchingBitset
 // must return exactly the rows MatchingRows returns.
@@ -90,15 +103,15 @@ func TestMatchingBitsetParity(t *testing.T) {
 		}
 		ix := NewIndex(tbl)
 		preds := []Predicate{
-			New(Clause{Col: "s", Op: OpEq, Val: engine.NewString("alpha")}),
-			New(Clause{Col: "s", Op: OpLt, Val: engine.NewString("beta")}),
-			New(Clause{Col: "s", Op: OpNeq, Val: engine.NewString("gamma")}),
-			New(Clause{Col: "s", Op: OpNeq, Val: engine.Null}), // IS NOT NULL
-			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("%ta")}),
-			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("")},
-				Clause{Col: "i", Op: OpGe, Val: engine.NewInt(0)}),
-			New(Clause{Col: "s", Op: OpLike, Val: engine.NewString("_e%")}),
-			New(Clause{Col: "f", Op: OpLike, Val: engine.NewString("%")}), // not a string column
+			{Clauses: []Clause{{Col: "s", Op: OpEq, Val: engine.NewString("alpha")}}},
+			{Clauses: []Clause{{Col: "s", Op: OpLt, Val: engine.NewString("beta")}}},
+			{Clauses: []Clause{{Col: "s", Op: OpNeq, Val: engine.NewString("gamma")}}},
+			{Clauses: []Clause{{Col: "s", Op: OpNeq, Val: engine.Null}}}, // IS NOT NULL
+			{Clauses: []Clause{{Col: "s", Op: OpLike, Val: engine.NewString("%ta")}}},
+			{Clauses: []Clause{{Col: "s", Op: OpLike, Val: engine.NewString("")},
+				{Col: "i", Op: OpGe, Val: engine.NewInt(0)}}},
+			{Clauses: []Clause{{Col: "s", Op: OpLike, Val: engine.NewString("_e%")}}},
+			{Clauses: []Clause{{Col: "f", Op: OpLike, Val: engine.NewString("%")}}}, // not a string column
 		}
 		for len(preds) < 18 {
 			var pred Predicate
@@ -125,7 +138,7 @@ func TestMatchingBitsetParity(t *testing.T) {
 			}
 
 			want := pred.MatchingRows(tbl, subset)
-			got := pred.MatchingBitset(ix, subsetBits).Rows()
+			got := matchingBitset(pred, ix, subsetBits).Rows()
 			if subset == nil && subsetBits == nil {
 				// both mean "all rows"
 			}
@@ -144,11 +157,11 @@ func TestMatchingBitsetTruePredicate(t *testing.T) {
 	tbl := randomTable(rng, 50)
 	ix := NewIndex(tbl)
 	var pred Predicate
-	if got := pred.MatchingBitset(ix, nil).Count(); got != 50 {
+	if got := matchingBitset(pred, ix, nil).Count(); got != 50 {
 		t.Fatalf("TRUE matched %d of 50", got)
 	}
 	sub := bitset.FromRows(50, []int{3, 7, 11})
-	if got := pred.MatchingBitset(ix, sub).Rows(); !equalRows(got, []int{3, 7, 11}) {
+	if got := matchingBitset(pred, ix, sub).Rows(); !equalRows(got, []int{3, 7, 11}) {
 		t.Fatalf("TRUE over subset = %v", got)
 	}
 }
@@ -198,10 +211,10 @@ func equalRows(a, b []int) bool {
 func BenchmarkMatchingRowsScalar(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tbl := randomTable(rng, 100_000)
-	pred := New(
-		Clause{Col: "f", Op: OpGe, Val: engine.NewFloat(-1)},
-		Clause{Col: "s", Op: OpEq, Val: engine.NewString("alpha")},
-	)
+	pred := Predicate{Clauses: []Clause{
+		{Col: "f", Op: OpGe, Val: engine.NewFloat(-1)},
+		{Col: "s", Op: OpEq, Val: engine.NewString("alpha")},
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pred.MatchingRows(tbl, nil)
@@ -212,10 +225,10 @@ func BenchmarkMatchingBitsetVector(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tbl := randomTable(rng, 100_000)
 	ix := NewIndex(tbl)
-	pred := New(
-		Clause{Col: "f", Op: OpGe, Val: engine.NewFloat(-1)},
-		Clause{Col: "s", Op: OpEq, Val: engine.NewString("alpha")},
-	)
+	pred := Predicate{Clauses: []Clause{
+		{Col: "f", Op: OpGe, Val: engine.NewFloat(-1)},
+		{Col: "s", Op: OpEq, Val: engine.NewString("alpha")},
+	}}
 	dst := bitset.New(tbl.NumRows())
 	ix.MatchInto(pred, nil, dst) // warm the clause cache
 	b.ReportAllocs()
@@ -225,7 +238,7 @@ func BenchmarkMatchingBitsetVector(b *testing.B) {
 	}
 }
 
-func ExamplePredicate_MatchingBitset() {
+func ExampleIndex_MatchInto() {
 	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TInt))
 	var rows [][]engine.Value
 	for i := 0; i < 6; i++ {
@@ -236,8 +249,8 @@ func ExamplePredicate_MatchingBitset() {
 		panic(err)
 	}
 	ix := NewIndex(tbl)
-	p := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(4)})
-	fmt.Println(p.MatchingBitset(ix, nil).Rows())
+	p := Predicate{Clauses: []Clause{{Col: "x", Op: OpGe, Val: engine.NewInt(4)}}}
+	fmt.Println(ix.MatchInto(p, nil, bitset.New(tbl.NumRows())).Rows())
 	// Output: [4 5]
 }
 
@@ -254,15 +267,15 @@ func TestIndexAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex(tbl)
-	p := New(Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)})
-	if got := p.MatchingBitset(ix, nil).Rows(); !equalRows(got, []int{3, 4}) {
+	p := Predicate{Clauses: []Clause{{Col: "x", Op: OpGe, Val: engine.NewInt(3)}}}
+	if got := matchingBitset(p, ix, nil).Rows(); !equalRows(got, []int{3, 4}) {
 		t.Fatalf("before append: %v", got)
 	}
 	if tbl, err = tbl.AppendBatch([][]engine.Value{{engine.NewInt(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	ix.SyncRows(tbl)
-	if got := p.MatchingBitset(ix, nil).Rows(); !equalRows(got, []int{3, 4, 5}) {
+	if got := matchingBitset(p, ix, nil).Rows(); !equalRows(got, []int{3, 4, 5}) {
 		t.Fatalf("after append: %v", got)
 	}
 }
@@ -358,7 +371,7 @@ func TestIndexSyncRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.SyncRows(nt)
-	if ix.Table() != nt {
+	if indexTable(ix) != nt {
 		t.Fatal("SyncRows did not rebase onto the newer version")
 	}
 	b := ix.ClauseBits(c)
@@ -367,7 +380,7 @@ func TestIndexSyncRows(t *testing.T) {
 	}
 	// Syncing to an older version is a no-op.
 	ix.SyncRows(tbl)
-	if ix.Table() != nt {
+	if indexTable(ix) != nt {
 		t.Fatal("SyncRows regressed to an older version")
 	}
 }
@@ -509,7 +522,7 @@ func TestHeldMasksImmutable(t *testing.T) {
 				}
 				for _, c := range clauses {
 					// As a query asks: at its version's base and length.
-					v := ix.Table()
+					v := indexTable(ix)
 					if b, _, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
 						b.Count()
 					}

@@ -80,29 +80,12 @@ type Predicate struct {
 	Clauses []Clause
 }
 
-// New builds a predicate from clauses.
-func New(clauses ...Clause) Predicate { return Predicate{Clauses: clauses} }
-
 // IsTrue reports whether the predicate has no clauses.
 func (p Predicate) IsTrue() bool { return len(p.Clauses) == 0 }
 
 // Len returns the number of clauses (the paper's "complexity": number
 // of terms).
 func (p Predicate) Len() int { return len(p.Clauses) }
-
-// Columns returns the distinct columns referenced, in clause order.
-func (p Predicate) Columns() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range p.Clauses {
-		lower := strings.ToLower(c.Col)
-		if !seen[lower] {
-			seen[lower] = true
-			out = append(out, c.Col)
-		}
-	}
-	return out
-}
 
 // And returns p with an extra clause appended.
 func (p Predicate) And(c Clause) Predicate {

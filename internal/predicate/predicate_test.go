@@ -63,8 +63,8 @@ func TestClauseMatches(t *testing.T) {
 // only an exact duplicate drops, and it evaluates like the clause.
 func TestLikeClauseVerbatim(t *testing.T) {
 	like := Clause{Col: "memo", Op: OpLike, Val: engine.NewString("%UN%")}
-	p := New(like, Clause{Col: "mote", Op: OpGe, Val: engine.NewInt(2)}, like,
-		Clause{Col: "memo", Op: OpNeq, Val: engine.NewString("")})
+	p := Predicate{Clauses: []Clause{like, {Col: "mote", Op: OpGe, Val: engine.NewInt(2)}, like,
+		{Col: "memo", Op: OpNeq, Val: engine.NewString("")}}}
 	s, ok := p.Simplify()
 	if !ok || s.Len() != 3 || s.Clauses[0] != like {
 		t.Fatalf("Simplify(%s) = %s, %v: want the LIKE kept once", p, s, ok)
@@ -89,10 +89,10 @@ func TestLikeClauseVerbatim(t *testing.T) {
 
 func TestPredicateMatchingRows(t *testing.T) {
 	tbl := sampleTable(t)
-	p := New(
-		Clause{Col: "mote", Op: OpEq, Val: engine.NewInt(15)},
-		Clause{Col: "volt", Op: OpLe, Val: engine.NewFloat(2.25)},
-	)
+	p := Predicate{Clauses: []Clause{
+		{Col: "mote", Op: OpEq, Val: engine.NewInt(15)},
+		{Col: "volt", Op: OpLe, Val: engine.NewFloat(2.25)},
+	}}
 	rows := p.MatchingRows(tbl, nil)
 	if len(rows) != 1 || rows[0] != 3 {
 		t.Errorf("matching: %v", rows)
@@ -105,7 +105,7 @@ func TestPredicateMatchingRows(t *testing.T) {
 
 func TestBinderUnknownColumn(t *testing.T) {
 	tbl := sampleTable(t)
-	p := New(Clause{Col: "nosuch", Op: OpEq, Val: engine.NewInt(1)})
+	p := Predicate{Clauses: []Clause{{Col: "nosuch", Op: OpEq, Val: engine.NewInt(1)}}}
 	if got := p.MatchingRows(tbl, nil); len(got) != 0 {
 		t.Errorf("unknown column matched: %v", got)
 	}
@@ -123,11 +123,11 @@ func TestTruePredicate(t *testing.T) {
 }
 
 func TestSimplifyBounds(t *testing.T) {
-	p := New(
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(5)},
-		Clause{Col: "x", Op: OpLe, Val: engine.NewInt(10)},
-	)
+	p := Predicate{Clauses: []Clause{
+		{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
+		{Col: "x", Op: OpGe, Val: engine.NewInt(5)},
+		{Col: "x", Op: OpLe, Val: engine.NewInt(10)},
+	}}
 	s, ok := p.Simplify()
 	if !ok {
 		t.Fatal("contradiction reported")
@@ -141,34 +141,34 @@ func TestSimplifyBounds(t *testing.T) {
 }
 
 func TestSimplifyContradiction(t *testing.T) {
-	p := New(
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(5)},
-		Clause{Col: "x", Op: OpLe, Val: engine.NewInt(3)},
-	)
+	p := Predicate{Clauses: []Clause{
+		{Col: "x", Op: OpGe, Val: engine.NewInt(5)},
+		{Col: "x", Op: OpLe, Val: engine.NewInt(3)},
+	}}
 	if _, ok := p.Simplify(); ok {
 		t.Error("x>=5 AND x<=3 not detected as contradiction")
 	}
-	p2 := New(
-		Clause{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
-		Clause{Col: "x", Op: OpEq, Val: engine.NewInt(6)},
-	)
+	p2 := Predicate{Clauses: []Clause{
+		{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
+		{Col: "x", Op: OpEq, Val: engine.NewInt(6)},
+	}}
 	if _, ok := p2.Simplify(); ok {
 		t.Error("x=5 AND x=6 not detected")
 	}
-	p3 := New(
-		Clause{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
-		Clause{Col: "x", Op: OpNeq, Val: engine.NewInt(5)},
-	)
+	p3 := Predicate{Clauses: []Clause{
+		{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
+		{Col: "x", Op: OpNeq, Val: engine.NewInt(5)},
+	}}
 	if _, ok := p3.Simplify(); ok {
 		t.Error("x=5 AND x!=5 not detected")
 	}
 }
 
 func TestSimplifyEqSupersedesBounds(t *testing.T) {
-	p := New(
-		Clause{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
-		Clause{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
-	)
+	p := Predicate{Clauses: []Clause{
+		{Col: "x", Op: OpEq, Val: engine.NewInt(5)},
+		{Col: "x", Op: OpGe, Val: engine.NewInt(3)},
+	}}
 	s, ok := p.Simplify()
 	if !ok || s.Len() != 1 || s.Clauses[0].Op != OpEq {
 		t.Errorf("eq supersede: %s ok=%v", s, ok)
@@ -221,10 +221,10 @@ func TestSimplifyPreservesSemantics(t *testing.T) {
 func TestToExprEquivalence(t *testing.T) {
 	tbl := sampleTable(t)
 	preds := []Predicate{
-		New(Clause{Col: "mote", Op: OpEq, Val: engine.NewInt(15)}),
-		New(Clause{Col: "volt", Op: OpLe, Val: engine.NewFloat(2.4)},
-			Clause{Col: "memo", Op: OpEq, Val: engine.NewString("BAD")}),
-		New(Clause{Col: "memo", Op: OpNeq, Val: engine.NewString("")}),
+		{Clauses: []Clause{{Col: "mote", Op: OpEq, Val: engine.NewInt(15)}}},
+		{Clauses: []Clause{{Col: "volt", Op: OpLe, Val: engine.NewFloat(2.4)},
+			{Col: "memo", Op: OpEq, Val: engine.NewString("BAD")}}},
+		{Clauses: []Clause{{Col: "memo", Op: OpNeq, Val: engine.NewString("")}}},
 		{},
 	}
 	for _, p := range preds {
@@ -246,7 +246,7 @@ func TestToExprEquivalence(t *testing.T) {
 
 func TestNegationExpr(t *testing.T) {
 	tbl := sampleTable(t)
-	p := New(Clause{Col: "memo", Op: OpEq, Val: engine.NewString("BAD")})
+	p := Predicate{Clauses: []Clause{{Col: "memo", Op: OpEq, Val: engine.NewString("BAD")}}}
 	ne := p.NegationExpr()
 	if err := ne.Resolve(tbl.Schema()); err != nil {
 		t.Fatal(err)
@@ -263,23 +263,11 @@ func TestNegationExpr(t *testing.T) {
 	}
 }
 
-func TestColumns(t *testing.T) {
-	p := New(
-		Clause{Col: "a", Op: OpEq, Val: engine.NewInt(1)},
-		Clause{Col: "b", Op: OpEq, Val: engine.NewInt(2)},
-		Clause{Col: "A", Op: OpGe, Val: engine.NewInt(0)},
-	)
-	cols := p.Columns()
-	if len(cols) != 2 {
-		t.Errorf("Columns: %v", cols)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
-	p := New(
-		Clause{Col: "memo", Op: OpEq, Val: engine.NewString("REATTRIBUTION TO SPOUSE")},
-		Clause{Col: "amount", Op: OpLt, Val: engine.NewFloat(0)},
-	)
+	p := Predicate{Clauses: []Clause{
+		{Col: "memo", Op: OpEq, Val: engine.NewString("REATTRIBUTION TO SPOUSE")},
+		{Col: "amount", Op: OpLt, Val: engine.NewFloat(0)},
+	}}
 	// Float literals render with an explicit float marker ("0.0", not
 	// "0") so predicate SQL survives a parse → print → parse round trip
 	// (bare "0" re-parses as an integer literal).

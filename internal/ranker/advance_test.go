@@ -255,7 +255,7 @@ func TestRescoreVacuousDrift(t *testing.T) {
 	}
 	metric := testgen.Metric(rand.New(rand.NewSource(1)))
 	ctx0, _ := rankerCtx(t, res, []int{0}, metric)
-	pred := predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")})
+	pred := predicate.Predicate{Clauses: []predicate.Clause{{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")}}}
 	target := badTarget(res)
 	scored, st, _ := RankAllCarry([]Candidate{{Pred: pred, Origin: "test", Target: target}}, ctx0)
 	if len(scored) != 1 || st.Len() != 1 {

@@ -173,7 +173,7 @@ func TestRankAllDistinctSharedScorerParallel(t *testing.T) {
 	var cands []Candidate
 	for th := 10.0; th <= 100; th += 10 {
 		cands = append(cands, Candidate{
-			Pred:   predicate.New(predicate.Clause{Col: "v", Op: predicate.OpGt, Val: engine.NewFloat(th)}),
+			Pred:   predicate.Predicate{Clauses: []predicate.Clause{{Col: "v", Op: predicate.OpGt, Val: engine.NewFloat(th)}}},
 			Origin: "test",
 		})
 	}

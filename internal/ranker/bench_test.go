@@ -38,7 +38,7 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suspect := res.AllRows()
+	suspect := allGroups(res)
 	metric := errmetric.TooHigh{C: 30}
 	F := res.Lineage(suspect)
 	target := bitset.New(tbl.NumRows())
@@ -58,15 +58,15 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 	}
 	var cands []Candidate
 	cands = append(cands, Candidate{
-		Pred:   predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")}),
+		Pred:   predicate.Predicate{Clauses: []predicate.Clause{{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")}}},
 		Origin: "bench", Target: target,
 	})
 	for _, th := range []float64{60, 100, 140} {
 		cands = append(cands, Candidate{
-			Pred: predicate.New(
-				predicate.Clause{Col: "v", Op: predicate.OpGt, Val: engine.NewFloat(th)},
-				predicate.Clause{Col: "site", Op: predicate.OpLe, Val: engine.NewInt(6)},
-			),
+			Pred: predicate.Predicate{Clauses: []predicate.Clause{
+				{Col: "v", Op: predicate.OpGt, Val: engine.NewFloat(th)},
+				{Col: "site", Op: predicate.OpLe, Val: engine.NewInt(6)},
+			}},
 			Origin: "bench", Target: target,
 		})
 	}
@@ -109,4 +109,14 @@ func BenchmarkRankAll(b *testing.B) {
 			b.Fatal("no results")
 		}
 	}
+}
+
+// allGroups returns every output row of res, 0..NumRows-1: every group
+// a suspect.
+func allGroups(res *exec.Result) []int {
+	out := make([]int, res.NumRows())
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

@@ -62,7 +62,7 @@ func badTarget(res *exec.Result) *bitset.Bitset {
 }
 
 func memoPred() predicate.Predicate {
-	return predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")})
+	return predicate.Predicate{Clauses: []predicate.Clause{{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("BAD")}}}
 }
 
 // scoreOne scores one candidate on a fresh prepared context; ok is also
@@ -96,11 +96,11 @@ func TestScoreGoodPredicate(t *testing.T) {
 
 func TestScoreRejectsVacuousAndTautological(t *testing.T) {
 	res, ctx := fixture(t)
-	empty := predicate.New(predicate.Clause{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("NOPE")})
+	empty := predicate.Predicate{Clauses: []predicate.Clause{{Col: "memo", Op: predicate.OpEq, Val: engine.NewString("NOPE")}}}
 	if _, ok := scoreOne(Candidate{Pred: empty, Target: badTarget(res)}, ctx); ok {
 		t.Error("vacuous predicate accepted")
 	}
-	taut := predicate.New(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(-1e9)})
+	taut := predicate.Predicate{Clauses: []predicate.Clause{{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(-1e9)}}}
 	if _, ok := scoreOne(Candidate{Pred: taut, Target: badTarget(res)}, ctx); ok {
 		t.Error("tautological predicate accepted")
 	}
@@ -110,9 +110,9 @@ func TestExcessPenalty(t *testing.T) {
 	res, ctx := fixture(t)
 	// A blunt predicate that removes everything culpable AND 20 clean
 	// rows: same error improvement, lower score.
-	blunt := predicate.New(predicate.Clause{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(9)})
+	blunt := predicate.Predicate{Clauses: []predicate.Clause{{Col: "v", Op: predicate.OpGe, Val: engine.NewFloat(9)}}}
 	// matches rows with v >= 9 → all 40 → tautology. Use site-based:
-	blunt = predicate.New(predicate.Clause{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(2)})
+	blunt = predicate.Predicate{Clauses: []predicate.Clause{{Col: "site", Op: predicate.OpGe, Val: engine.NewInt(2)}}}
 	bluntSc, ok := scoreOne(Candidate{Pred: blunt, Target: badTarget(res), Origin: "blunt"}, ctx)
 	if !ok {
 		t.Fatal("blunt predicate rejected")
@@ -233,13 +233,13 @@ func TestRankAllDedupsAndSorts(t *testing.T) {
 	// v > 50 and v >= 100 both match F's ten BAD rows (no value lies
 	// between), but v > 50 also matches ten contrast rows outside its
 	// target: the higher-scoring v >= 100 is the answer.
-	gt := predicate.New(clause("v", predicate.OpGt, engine.NewFloat(50)))
-	ge := predicate.New(clause("v", predicate.OpGe, engine.NewFloat(100)))
+	gt := predicate.Predicate{Clauses: []predicate.Clause{clause("v", predicate.OpGt, engine.NewFloat(50))}}
+	ge := predicate.Predicate{Clauses: []predicate.Clause{clause("v", predicate.OpGe, engine.NewFloat(100))}}
 	// site = 1 AND v <= 50 and site = 1 both match F's ten site-1 rows;
 	// the second clause buys exactly the F1 its complexity costs, so the
 	// scores tie and the one-clause spelling is the answer.
-	long := predicate.New(clause("site", predicate.OpEq, engine.NewInt(1)), clause("v", predicate.OpLe, engine.NewFloat(50)))
-	short := predicate.New(clause("site", predicate.OpEq, engine.NewInt(1)))
+	long := predicate.Predicate{Clauses: []predicate.Clause{clause("site", predicate.OpEq, engine.NewInt(1)), clause("v", predicate.OpLe, engine.NewFloat(50))}}
+	short := predicate.Predicate{Clauses: []predicate.Clause{clause("site", predicate.OpEq, engine.NewInt(1))}}
 	cands := []Candidate{
 		{Pred: gt, Origin: "gt", Target: bad},
 		{Pred: long, Origin: "long", Target: site1},

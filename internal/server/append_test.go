@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -160,6 +161,9 @@ func legacyAppend(db *engine.DB, body []byte) int {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.UseNumber()
 	if err := dec.Decode(&req); err != nil || req.Table == "" || len(req.Rows) == 0 {
+		return http.StatusBadRequest
+	}
+	if _, err := dec.Token(); err != io.EOF { // one value, then only whitespace
 		return http.StatusBadRequest
 	}
 	t, err := db.Table(req.Table)

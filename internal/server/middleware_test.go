@@ -67,7 +67,7 @@ func TestRecoveryRepanicsAbortHandler(t *testing.T) {
 func TestBodyLimit(t *testing.T) {
 	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 1_000, Seed: 2})
 	srv := New(db)
-	srv.SetMaxBodyBytes(256)
+	srv.maxBodyBytes = 256
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -133,14 +134,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// SetMaxBodyBytes overrides the POST body cap; zero or negative keeps
-// the current value.
-func (s *Server) SetMaxBodyBytes(n int64) {
-	if n > 0 {
-		s.maxBodyBytes = n
-	}
-}
-
 // Handler returns the HTTP handler (mountable under any mux). Every
 // /api route runs inside the lifecycle layer: query/debug/clean/reset
 // are heavy (admission-controlled, sheddable), suggest/zoom and the
@@ -164,13 +157,21 @@ func (s *Server) Handler() http.Handler {
 	return withRecovery(mux)
 }
 
-// decodeJSON decodes a POST body into v under the server's size cap
-// (withLifecycle sets it), writing the error response (413 on an
-// oversized body, 400 otherwise) and returning false when the request
-// cannot proceed.
+// decodeJSON decodes a POST body — one JSON value, then nothing but
+// whitespace — into v under the server's size cap (withLifecycle sets
+// it), writing the error response (413 on an oversized body, 400
+// otherwise) and returning false when the request cannot proceed.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	span := obs.Start(r.Context(), obs.Decode)
-	err := json.NewDecoder(r.Body).Decode(v)
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil || !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("request body holds more than one JSON value")
+		}
+	}
 	span.End()
 	if err != nil {
 		var tooBig *http.MaxBytesError

@@ -19,7 +19,7 @@ func BenchmarkParse(b *testing.B) {
 func BenchmarkRender(b *testing.B) {
 	stmts := make([]*SelectStmt, len(benchQueries))
 	for i, q := range benchQueries {
-		stmts[i] = MustParse(q)
+		stmts[i] = mustParse(q)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,15 +28,6 @@ func Parse(sql string) (*SelectStmt, error) {
 	return stmt, nil
 }
 
-// MustParse is Parse for statically known statements; it panics on error.
-func MustParse(sql string) *SelectStmt {
-	s, err := Parse(sql)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // ParseExpr parses a standalone scalar expression (used for predicates
 // arriving over the HTTP API).
 func ParseExpr(s string) (expr.Expr, error) {

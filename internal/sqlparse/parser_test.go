@@ -223,7 +223,7 @@ func itoa(v int64) string {
 }
 
 func TestStmtClone(t *testing.T) {
-	s := MustParse("SELECT a, sum(b) FROM t WHERE a > 0 GROUP BY a")
+	s := mustParse("SELECT a, sum(b) FROM t WHERE a > 0 GROUP BY a")
 	c := s.Clone()
 	c.Items = append(c.Items, SelectItem{})
 	c.GroupBy = append(c.GroupBy, nil)
@@ -233,15 +233,24 @@ func TestStmtClone(t *testing.T) {
 }
 
 func TestAggItemsHelpers(t *testing.T) {
-	s := MustParse("SELECT a, sum(b), avg(c) FROM t GROUP BY a")
+	s := mustParse("SELECT a, sum(b), avg(c) FROM t GROUP BY a")
 	if !s.HasAggregates() {
 		t.Error("HasAggregates false")
 	}
 	if s.Items[0].IsAgg() || !s.Items[1].IsAgg() || !s.Items[2].IsAgg() {
 		t.Errorf("IsAgg: %+v", s.Items)
 	}
-	plain := MustParse("SELECT a FROM t")
+	plain := mustParse("SELECT a FROM t")
 	if plain.HasAggregates() {
 		t.Error("plain query claims aggregates")
 	}
+}
+
+// mustParse is Parse for statically known statements; it panics on error.
+func mustParse(sql string) *SelectStmt {
+	s, err := Parse(sql)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

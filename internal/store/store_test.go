@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
@@ -397,5 +399,52 @@ func TestEncodeSegmentRemapsCodes(t *testing.T) {
 		if w := want[i]; w.IsNull() != (code < 0) || (code >= 0 && values[code] != w.S) {
 			t.Fatalf("row %d: store code %d, appended %v", i, code, w)
 		}
+	}
+}
+
+// TestTornWALTailOSFS: on the real filesystem a reopen cuts a torn WAL
+// tail off in place (OSFS.Truncate) and recovers every acknowledged row.
+func TestTornWALTailOSFS(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("p", testgen.Schema(), engine.DefaultSegmentBits); err != nil {
+		t.Fatal(err)
+	}
+	rows := testgen.Batch(rand.New(rand.NewSource(3)), 50)
+	if _, err := st.Append("p", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, "p", walFileName)
+	before, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x17, 0, 0, 0, 9}); err != nil { // half a record header
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st2, err := Open(dir, Options{Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	tab, err := st2.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRowsMatch(t, tab, rows)
+	if after, err := os.Stat(wal); err != nil || after.Size() != before.Size() {
+		t.Fatalf("wal is %v bytes after recovery (%v), want the %d acknowledged", after.Size(), err, before.Size())
 	}
 }
