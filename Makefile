@@ -228,12 +228,12 @@ surface:
 	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":1,"metric":"diff","metricParams":{"c":60}}'; \
 	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":2,"metric":"notequal","metricParams":{"c":120}}'; \
 	post /api/debug '{"session":"s","suspect":[0,1,2],"aggItem":3,"metric":"zscore","metricParams":{"mean":60,"std":5,"k":1}}'; \
-	$$dir/datagen -dataset intel -rows 50000 -batches 2 -batch-rows 500 -out $$dir/posted.csv \
+	$$dir/datagen -dataset intel -rows 50000 -batches 2 -batch-rows 500 \
 		-post http://$(SURFACE_ADDR)/api/append -table readings > /dev/null; \
 	post /api/query '{"session":"s","sql":"$(SURFACE_SQL)"}'; \
 	post /api/query '{"session":"d","sql":"$(SURFACE_FEC_SQL)"}'; \
 	post /api/debug '{"session":"d","suspect":[0],"aggItem":1,"metric":"toolow","metricParams":{"c":0}}'; \
-	$$dir/datagen -dataset fec -rows 70500 -batches 1 -batch-rows 500 -out $$dir/posted.csv \
+	$$dir/datagen -dataset fec -rows 70500 -batches 1 -batch-rows 500 \
 		-post http://$(SURFACE_ADDR)/api/append -table donations > /dev/null; \
 	post /api/query '{"session":"d","sql":"$(SURFACE_FEC_SQL)"}'; \
 	post /api/query '{"session":"p","sql":"$(SURFACE_ROWS_SQL)"}'; \

@@ -857,13 +857,11 @@ func BenchmarkZoneMapSkip(b *testing.B) {
 	b.ReportMetric(skipRate*100, "skip%")
 }
 
-// BenchmarkSelectiveFilter measures greedy clause ordering on the shape
-// it exists for: an AND chain whose most selective clause sits LAST in
-// source order (temperature > 1000 matches nothing; the four clauses
-// before it match nearly everything). The walker probes cached
-// popcounts, evaluates the empty clause first, and short-circuits the
-// rest. The bench fails if the short-circuit ever stops engaging — the
-// optimization, not just the timing, is pinned.
+// BenchmarkSelectiveFilter measures a lowered AND chain whose most
+// selective clause sits LAST in source order (temperature > 1000
+// matches nothing; the four clauses before it match nearly everything).
+// The walker ANDs the five cached clause masks in source order, so
+// nothing is skipped: short-circuited/op reads 0 on this shape.
 func BenchmarkSelectiveFilter(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 200_000, Seed: 7})
 	stmt, err := sqlparse.Parse(
@@ -886,9 +884,6 @@ func BenchmarkSelectiveFilter(b *testing.B) {
 			b.Fatal(err)
 		}
 		skipped += res.Plan.FilterShortCircuited
-	}
-	if skipped == 0 {
-		b.Fatal("greedy ordering never short-circuited the chain")
 	}
 	b.ReportMetric(float64(skipped)/float64(b.N), "short-circuited/op")
 }

@@ -7,14 +7,15 @@
 //	datagen -dataset intel -rows 100000 -out readings.csv [-truth truth.csv] [-seed 1]
 //	datagen -dataset fec   -rows 150000 -out donations.csv
 //
-// Streaming driver — the continuous-monitoring scenario. The base rows
-// go to -out as usual and the remaining rows are carved into -batches
-// append batches of -batch-rows each, either written as numbered CSV
-// files next to -out or POSTed to a running dashboard's /api/append
-// ingest endpoint (with -interval pacing, simulating live sensors):
+// Streaming driver — the continuous-monitoring scenario. The rows after
+// the first -rows form -batches append batches of -batch-rows each.
+// Without -post the base rows go to -out and each batch to a numbered
+// CSV next to it; -post writes no CSV and sends only the batches, to a
+// running dashboard's /api/append ingest endpoint that already holds
+// the base rows (-interval paces them, simulating live sensors):
 //
 //	datagen -dataset intel -rows 100000 -batches 20 -batch-rows 1000 -out readings.csv
-//	datagen -dataset intel -rows 100000 -batches 20 -batch-rows 1000 -out readings.csv \
+//	datagen -dataset intel -rows 100000 -batches 20 -batch-rows 1000 \
 //	        -post http://localhost:8080/api/append -table readings -interval 500ms
 //
 // With -data the rows are instead ingested into a durable segment
@@ -49,18 +50,18 @@ func main() {
 	dataset := flag.String("dataset", "intel", "intel or fec")
 	rows := flag.Int("rows", 100_000, "base row count")
 	seed := flag.Int64("seed", 1, "generator seed")
-	out := flag.String("out", "", "output CSV path (required)")
+	out := flag.String("out", "", "output CSV path (required unless -post or -data)")
 	truthPath := flag.String("truth", "", "optional ground-truth CSV path")
 	batches := flag.Int("batches", 0, "streaming: number of append batches to generate after the base rows")
 	batchRows := flag.Int("batch-rows", 1000, "streaming: rows per append batch")
-	post := flag.String("post", "", "streaming: POST batches to this /api/append URL instead of writing CSVs")
+	post := flag.String("post", "", "streaming: POST batches to this /api/append URL instead of writing any CSV")
 	table := flag.String("table", "readings", "streaming: table name for -post/-data")
 	interval := flag.Duration("interval", 0, "streaming: pause between posted batches")
 	retries := flag.Int("retries", 8, "streaming: retry budget per posted batch when the server sheds (429/503)")
 	dataPath := flag.String("data", "", "ingest into a durable store directory instead of writing CSVs")
 	fixtureBytes := flag.Int64("fixture-bytes", 0, "with -data: ignore -rows and keep appending synthetic rows until the store directory holds at least this many on-disk bytes — bigger-than-cache fixtures for `dbwipes -cache-bytes` out-of-core serving")
 	flag.Parse()
-	if *out == "" && *dataPath == "" {
+	if *out == "" && *dataPath == "" && *post == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -94,43 +95,25 @@ func main() {
 		}
 	}
 
-	base := t
-	if *batches > 0 {
-		ids := make([]int, *rows)
-		for i := range ids {
-			ids[i] = i
-		}
-		base = t.Select(ids)
+	if *post == "" {
+		writeCSV(*out, t, 0, *rows)
 	}
-	if err := engine.SaveCSVFile(*out, base); err != nil {
-		log.Fatalf("write %s: %v", *out, err)
-	}
-	fmt.Printf("wrote %s (%d rows)\n", *out, base.NumRows())
-
 	p := &poster{budget: *retries, sleep: time.Sleep, logf: log.Printf,
 		rng: rand.New(rand.NewSource(*seed))}
 	for b := 0; b < *batches; b++ {
 		lo := *rows + b**batchRows
 		hi := lo + *batchRows
-		if *post != "" {
-			if err := p.postBatch(*post, *table, t, lo, hi); err != nil {
-				log.Fatalf("post batch %d: %v", b, err)
-			}
-			fmt.Printf("posted batch %d (%d rows) to %s\n", b, hi-lo, *post)
-			if *interval > 0 && b < *batches-1 {
-				time.Sleep(*interval)
-			}
+		if *post == "" {
+			writeCSV(fmt.Sprintf("%s.batch%03d.csv", *out, b), t, lo, hi)
 			continue
 		}
-		ids := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			ids = append(ids, i)
+		if err := p.postBatch(*post, *table, t, lo, hi); err != nil {
+			log.Fatalf("post batch %d: %v", b, err)
 		}
-		path := fmt.Sprintf("%s.batch%03d.csv", *out, b)
-		if err := engine.SaveCSVFile(path, t.Select(ids)); err != nil {
-			log.Fatalf("write %s: %v", path, err)
+		fmt.Printf("posted batch %d (%d rows) to %s\n", b, hi-lo, *post)
+		if *interval > 0 && b < *batches-1 {
+			time.Sleep(*interval)
 		}
-		fmt.Printf("wrote %s (%d rows)\n", path, hi-lo)
 	}
 
 	if *truthPath != "" {
@@ -156,6 +139,18 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d anomalous rows)\n", *truthPath, n)
 	}
+}
+
+// writeCSV writes rows [lo, hi) of t to path.
+func writeCSV(path string, t *engine.Table, lo, hi int) {
+	ids := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		ids = append(ids, i)
+	}
+	if err := engine.SaveCSVFile(path, t.Select(ids)); err != nil {
+		log.Fatalf("write %s: %v", path, err)
+	}
+	fmt.Printf("wrote %s (%d rows)\n", path, hi-lo)
 }
 
 // ingestStore writes the base rows and every append batch of t into a
@@ -197,16 +192,17 @@ func appendRows(st *store.DB, table string, t *engine.Table, lo, hi int) {
 
 // fixtureStore grows a durable table until the store directory's
 // on-disk footprint reaches target bytes, generating dataset rows in
-// rounds (a fresh seed per round, so values stay varied). The row
-// count is adaptive — encoded bytes per row depend on the dataset — so
-// the caller asks for a size, not a count. Meant for out-of-core
+// rounds (a fresh seed per round, so values stay varied). After a small
+// first round, each is the bytes still missing at the bytes per row so
+// far, so the caller asks for a size, not a count. Meant for out-of-core
 // testing: build a fixture ~10x the pool you plan to serve it with.
 func fixtureStore(dir, table, dataset string, seed, target int64) {
 	st, err := store.Open(dir, store.Options{SyncEvery: 64})
 	if err != nil {
 		log.Fatalf("open store %s: %v", dir, err)
 	}
-	const roundRows = 32768
+	const firstRoundRows, maxRoundRows = 1024, 32768
+	roundRows, appended := int64(firstRoundRows), int64(0)
 	created := false
 	for round := 0; ; round++ {
 		size, err := dirBytes(dir)
@@ -221,12 +217,15 @@ func fixtureStore(dir, table, dataset string, seed, target int64) {
 				dir, size, target, dir, target/10)
 			return
 		}
+		if appended > 0 {
+			roundRows = min(max((target-size)*appended/size, 1), maxRoundRows)
+		}
 		var t *engine.Table
 		switch dataset {
 		case "intel":
-			t, _ = datasets.Intel(datasets.IntelConfig{Rows: roundRows, Seed: seed + int64(round)})
+			t, _ = datasets.Intel(datasets.IntelConfig{Rows: int(roundRows), Seed: seed + int64(round)})
 		case "fec":
-			t, _ = datasets.FEC(datasets.FECConfig{Rows: roundRows, Seed: seed + int64(round)})
+			t, _ = datasets.FEC(datasets.FECConfig{Rows: int(roundRows), Seed: seed + int64(round)})
 		default:
 			log.Fatalf("unknown dataset %q (want intel or fec)", dataset)
 		}
@@ -237,7 +236,8 @@ func fixtureStore(dir, table, dataset string, seed, target int64) {
 			created = true
 		}
 		appendRows(st, table, t, 0, t.NumRows())
-		fmt.Printf("fixture round %d: %d rows appended (%d bytes on disk so far)\n", round, t.NumRows(), size)
+		appended += int64(t.NumRows())
+		fmt.Printf("fixture round %d: %d rows appended to %d bytes on disk\n", round, t.NumRows(), size)
 	}
 }
 

@@ -169,3 +169,20 @@ func TestPosterRetriesTransportError(t *testing.T) {
 		t.Fatalf("slept %d times, want 2", len(*slept))
 	}
 }
+
+// TestFixtureBytesNearTarget: a small -fixture-bytes target is met by
+// rounds sized from the bytes still missing, not whole 32,768-row
+// rounds: the store directory ends at or above the target and under
+// twice it.
+func TestFixtureBytesNearTarget(t *testing.T) {
+	const target = 200_000
+	dir := t.TempDir()
+	fixtureStore(dir, "readings", "intel", 1, target)
+	size, err := dirBytes(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size < target || size >= 2*target {
+		t.Fatalf("fixture holds %d bytes on disk, want [%d, %d)", size, target, 2*target)
+	}
+}

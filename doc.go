@@ -119,9 +119,9 @@
 //     against constant, IS NULL, BETWEEN, IN, under AND/OR/NOT — lowers
 //     onto predicate.Index clause masks as a Kleene (TRUE, FALSE)
 //     bitmap pair, so NOT/NULL semantics survive; one function
-//     (classify) decides which node lowers to what, and a leaf's
-//     selectivity estimate and masks both derive from that one
-//     description — LIKE on a string column included: its verdict is
+//     (classify) decides which node lowers to what, and a leaf's masks
+//     derive from that one description — LIKE on a string column
+//     included: its verdict is
 //     computed once per dictionary code (expr.LikeMatch, the
 //     interpreter's own matcher) and fanned out by code, so the mask
 //     extends with the dictionary as rows are appended. Any other
@@ -135,20 +135,17 @@
 //     with every conjunct residual; Plan.FilterFallback names which
 //     ("filter: non-lowerable predicate shape" / "filter: predicate
 //     index geometry mismatch").
-//   - Statistics-free ordering. Lowered conjuncts AND into the running
-//     mask in ascending estimated-TRUE order — cached clause-mask
-//     popcounts, O(1) once the mask exists, in the spirit of
-//     janus-datalog's "greedy beats optimal, no statistics" result —
-//     through a fused AND+popcount kernel, and the rest of the chain is
-//     skipped the moment the mask empties (with residuals pending: the
-//     moment eligibility empties). Reordering happens only within runs
-//     of lowered conjuncts between residuals, and every conjunct's
-//     shape is validated before any cut, so ordering can never suppress
-//     an error the left-to-right evaluator would have surfaced. Under
-//     3VL this is sound because the root AND chain needs only TRUE
-//     masks: T(chain) = ∩ T(conjunct). OR roots and nested trees are a
+//   - One WHERE order: the root AND chain is walked in source order,
+//     as RunReference evaluates it. A lowered conjunct ANDs its TRUE
+//     mask into the running mask through a fused AND+popcount kernel
+//     and builds its FALSE mask only when a residual follows it; the
+//     rest of the chain is skipped, its masks never built, the moment
+//     the running mask empties (with residuals pending: the moment
+//     eligibility empties). No estimate, no statistics and no reorder:
+//     an estimate would need the masks it is meant to spare, and an AND
+//     of built masks costs the same in any order. OR roots and nested trees are a
 //     single conjunct lowered through the plain combinators.
-//     Plan.FilterConjuncts/FilterOrder/FilterShortCircuited and
+//     Plan.FilterConjuncts/FilterShortCircuited and
 //     Plan.ResidualConjuncts/ResidualRows record the walk.
 //   - One scan (exec/vector.go), block-at-a-time. A worker walks a fold
 //     block in blocks — at most 1024 rows of one segment, the ctx polled
@@ -215,10 +212,12 @@
 //     Vectorized with no Fallback; FuzzResidualFilterParity drives
 //     arbitrary parsed predicates through buildFilter against EvalBool.
 //
-// /api/stats sums the plan counters (scan.filters_ordered, …,
+// /api/stats sums the plan counters (scan.segs_skipped, …,
 // key_kernels) and each stage's time (stages.<endpoint>.<stage>); the
-// Benchmark{SelectiveFilter,ResidualFilter,MaskedAggregation} benchmarks
-// fail when the thing they time stops engaging, not just when it slows.
+// Benchmark{ResidualFilter,MaskedAggregation} benchmarks fail when the
+// thing they time stops engaging, not just when it slows, and
+// BenchmarkSelectiveFilter times a five-mask chain whose empty clause
+// comes last.
 //
 // # Incremental maintenance and streaming ingest
 //
@@ -254,7 +253,8 @@
 //     extend a copy, retention re-slices whole words); queries request
 //     masks of their own snapshot's length and base (ClauseBitsAtBase),
 //     so a scan mid-append or racing a retention pass never sees a mask
-//     of the wrong geometry. An Index holds at most 128 masks.
+//     of the wrong geometry. An Index holds at most 128 masks and no
+//     statistics.
 //   - internal/exec — Advance(res, grown) re-executes a statement over a
 //     grown table version by folding only the appended rows into copies
 //     of the previous result's group states (Clone+Merge state copy),

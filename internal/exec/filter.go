@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -75,9 +74,9 @@ const (
 )
 
 // leaf is a WHERE node that lowers directly onto the predicate index,
-// normalized so its selectivity estimate and its masks derive from one
-// description: a comparison or a LIKE is one clause, BETWEEN the AND of
-// two, IN the OR of one equality clause per literal.
+// normalized so its masks derive from one description: a comparison or
+// a LIKE is one clause, BETWEEN the AND of two, IN the OR of one
+// equality clause per literal.
 type leaf struct {
 	kind    leafKind
 	verdict int8 // leafConst: +1 TRUE, -1 FALSE, 0 NULL
@@ -86,37 +85,6 @@ type leaf struct {
 	all     bool // leafClauses: T is the AND of the clause masks, not the OR
 	openF   bool // IN list holding a NULL literal: a non-matching row is NULL, never FALSE
 	invert  bool // IS NOT NULL / NOT BETWEEN / NOT IN / NOT LIKE: T and F swap
-	// got is what fetch asked the index for, once per leaf — each
-	// clause's mask and popcount, then the column's non-NULL mask's when
-	// asked for — so what est estimated from is what masks combines.
-	got []clauseMask
-}
-
-type clauseMask struct {
-	b *bitset.Bitset
-	n int
-}
-
-// fetch fills l.got up to the clauses' masks and, when nonNull, the
-// column's non-NULL mask, at the statement's snapshot. It reports false
-// on an index geometry mismatch.
-func (l *leaf) fetch(lc lowerCtx, nonNull bool) bool {
-	want := len(l.clauses)
-	if nonNull {
-		want++
-	}
-	for len(l.got) < want {
-		c := predicate.NonNull(lc.src.Schema()[l.ci].Name)
-		if len(l.got) < len(l.clauses) {
-			c = l.clauses[len(l.got)]
-		}
-		b, n, ok := lc.ix.ClauseBitsAtBase(c, lc.base, lc.src.NumRows())
-		if !ok {
-			return false
-		}
-		l.got = append(l.got, clauseMask{b, n})
-	}
-	return true
 }
 
 // classify reports whether e is a leaf, and which. The checks are pure
@@ -221,44 +189,6 @@ func classify(e expr.Expr, schema engine.Schema) (leaf, bool) {
 	return leaf{}, false
 }
 
-// est estimates the popcount of the leaf's TRUE mask from the counts
-// the index keeps with each clause mask, combining no mask. ok is false
-// on an index geometry mismatch.
-func (l *leaf) est(lc lowerCtx) (est int, ok bool) {
-	n := lc.src.NumRows()
-	switch {
-	case l.kind == leafConst:
-		if l.verdict > 0 {
-			return n, true
-		}
-		return 0, true
-	case !l.fetch(lc, l.invert || l.kind == leafIsNull):
-		return 0, false
-	case l.kind == leafIsNull && l.invert:
-		return l.got[0].n, true
-	case l.kind == leafIsNull:
-		return n - l.got[0].n, true
-	}
-	for i, cm := range l.got[:len(l.clauses)] {
-		switch {
-		case !l.all:
-			est += cm.n
-		case i == 0 || cm.n < est:
-			est = cm.n // a range matches at most its narrower bound
-		}
-	}
-	if est > n {
-		est = n
-	}
-	if !l.invert {
-		return est, true
-	}
-	if l.openF {
-		return 0, true // NOT IN with a NULL literal is never TRUE
-	}
-	return max(l.got[len(l.clauses)].n-est, 0), true
-}
-
 // masks materializes the leaf's TRUE mask and, when needF, its FALSE
 // mask (left nil otherwise — a conjunct nothing is guarded by only ever
 // contributes T). The TRUE mask of a single clause aliases the index's
@@ -276,13 +206,14 @@ func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		}
 		return m, true
 	}
-	var nn *bitset.Bitset
-	needNN := needF || l.invert || l.kind == leafIsNull
-	if !l.fetch(lc, needNN) {
-		return tfMask{}, false
+	bits := func(c predicate.Clause) (*bitset.Bitset, bool) {
+		return lc.ix.ClauseBitsAtBase(c, lc.base, n)
 	}
-	if needNN {
-		nn = l.got[len(l.clauses)].b
+	var nn *bitset.Bitset
+	if needF || l.invert || l.kind == leafIsNull {
+		if nn, ok = bits(predicate.NonNull(lc.src.Schema()[l.ci].Name)); !ok {
+			return tfMask{}, false
+		}
 	}
 	if l.kind == leafIsNull {
 		m.t = bitset.New(n)
@@ -290,8 +221,11 @@ func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		m.t.AndNot(nn)
 		m.f = nn
 	} else {
-		for i, cm := range l.got[:len(l.clauses)] {
-			switch b := cm.b; {
+		for i, c := range l.clauses {
+			b, ok := bits(c)
+			switch {
+			case !ok:
+				return tfMask{}, false
 			case len(l.clauses) == 1:
 				m.t = b
 			case i == 0:
@@ -401,22 +335,23 @@ func lowerable(e expr.Expr, schema engine.Schema) bool {
 	return false
 }
 
-// lowerTF lowers a lowerable tree to its TRUE/FALSE mask pair. ok is
-// false on an index geometry mismatch.
-func lowerTF(e expr.Expr, lc lowerCtx) (tfMask, bool) {
+// lowerTF lowers a lowerable tree to its TRUE/FALSE mask pair; a leaf
+// at the root builds its FALSE mask only when needF. ok is false on an
+// index geometry mismatch.
+func lowerTF(e expr.Expr, lc lowerCtx, needF bool) (tfMask, bool) {
 	if l, ok := classify(e, lc.src.Schema()); ok {
-		return l.masks(lc, true)
+		return l.masks(lc, needF)
 	}
 	if not, ok := e.(*expr.Not); ok {
-		m, ok := lowerTF(not.X, lc)
+		m, ok := lowerTF(not.X, lc, true)
 		return tfMask{t: m.f, f: m.t}, ok
 	}
 	node := e.(*expr.Bin) // lowerable: AND or OR
-	l, ok := lowerTF(node.L, lc)
+	l, ok := lowerTF(node.L, lc, true)
 	if !ok {
 		return tfMask{}, false
 	}
-	r, ok := lowerTF(node.R, lc)
+	r, ok := lowerTF(node.R, lc, true)
 	if !ok {
 		return tfMask{}, false
 	}
@@ -437,31 +372,22 @@ func lowerTF(e expr.Expr, lc lowerCtx) (tfMask, bool) {
 // ---------------------------------------------------------------------
 // The conjunct walker
 //
-// The pass mask of the root AND chain is the intersection of the
-// conjuncts' TRUE masks — order-independent, and a conjunct's FALSE
-// mask matters only to the residuals after it. That makes the chain a
-// planning opportunity: AND the lowered conjuncts in ascending
-// estimated-TRUE order through the fused AndCountWith kernel, and stop
-// materializing once the running mask has no set bits — every remaining
-// conjunct can only be skipped, never change the result. Selectivity
-// estimates are the clause-mask popcounts predicate.Index caches per
-// (base, length) stamp: no table statistics, in the spirit of
-// janus-datalog's "greedy beats optimal" ordering result. OR roots, OR
-// conjuncts and nested trees lower through the plain combinators above.
-//
-// The walk keeps a running mask pair — pass (rows still TRUE under
-// every conjunct so far) and elig (rows not yet known FALSE under any
-// source-earlier conjunct) — and evaluates each residual conjunct per
-// row only on elig's set bits. Eligibility must reflect exactly the
-// conjuncts that precede a residual in source order, because that is
-// the set of rows the scalar evaluator would reach it on (Kleene AND
-// short-circuits only on known FALSE, so NULL rows stay eligible):
-// lowered conjuncts may be reordered greedily *within* a run between
-// residuals, but never across one, and a guarded conjunct contributes
-// its FALSE mask to elig where a trailing one only narrows pass. The
-// residual loop can be skipped only when elig is empty — an empty pass
-// alone is not enough, since a residual might still error on an
-// eligible row and the scalar path would surface that error.
+// The root AND chain is walked in source order, as the scalar evaluator
+// (RunReference) evaluates it, with a running mask pair: pass (rows
+// still TRUE under every conjunct so far) and elig (rows not yet known
+// FALSE under any earlier conjunct; pass ⊆ elig). A lowered conjunct
+// ANDs its TRUE mask into pass through the fused AndCountWith kernel,
+// and only when a residual conjunct follows it does it build its FALSE
+// mask and remove that from elig. A residual conjunct is evaluated per
+// row on elig's set bits alone: exactly the rows the scalar evaluator
+// reaches it on, since Kleene AND stops only on a known FALSE and NULL
+// rows stay eligible, so no error is hidden and none invented. The walk
+// stops when elig is empty, or when pass is empty and no residual is
+// left; the masks of the conjuncts it skips are never built. An empty
+// pass alone is not enough while a residual is left: it might still
+// error on an eligible row, and the scalar path would surface that
+// error. OR roots, OR conjuncts and nested trees lower through the
+// plain combinators above.
 
 // Canonical Plan.FilterFallback vocabulary: the two reasons a WHERE was
 // evaluated entirely per row.
@@ -473,7 +399,6 @@ const (
 // filterStats records the walk for Result.Plan.
 type filterStats struct {
 	conjuncts         int    // root AND-chain conjuncts
-	order             []int  // evaluation order, as source-position indexes
 	shortCircuited    int    // trailing conjuncts never evaluated
 	residualConjuncts int    // conjuncts evaluated per row on eligible bits
 	residualRows      int    // total residual per-row evaluations
@@ -485,7 +410,6 @@ func (fs filterStats) plan() PlanInfo {
 	return PlanInfo{
 		WhereLowered:         fs.fallback == "",
 		FilterConjuncts:      fs.conjuncts,
-		FilterOrder:          fs.order,
 		FilterShortCircuited: fs.shortCircuited,
 		ResidualConjuncts:    fs.residualConjuncts,
 		ResidualRows:         fs.residualRows,
@@ -501,20 +425,6 @@ func flattenAnd(e expr.Expr, out []expr.Expr) []expr.Expr {
 		return flattenAnd(b.R, out)
 	}
 	return append(out, e)
-}
-
-// conjunct is one root AND-chain conjunct in the walk: lowered
-// conjuncts carry masks (the full T/F pair when guarded, T only when
-// trailing), residual conjuncts are evaluated per row on eligible bits
-// at their source position.
-type conjunct struct {
-	e        expr.Expr
-	pos      int
-	est      int
-	residual bool
-	guarded  bool   // a residual conjunct follows in source order
-	lazy     *leaf  // trailing leaf whose TRUE mask waits behind the empty cut
-	m        tfMask // every other lowered conjunct, materialized up front
 }
 
 // evaluator is an expression evaluated on one source row by id. It
@@ -549,12 +459,11 @@ func rowEval(e expr.Expr, rr *engine.RowReader, schema engine.Schema) evaluator 
 // a universe row — and context cancellation.
 func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe *bitset.Bitset, allResidual bool) (pass *bitset.Bitset, stats filterStats, geometry bool, err error) {
 	schema := lc.src.Schema()
-	conj := make([]conjunct, len(parts))
+	residual := make([]bool, len(parts))
 	lastResidual := -1
-	stats = filterStats{conjuncts: len(parts), order: make([]int, len(parts))}
+	stats = filterStats{conjuncts: len(parts)}
 	for i, pe := range parts {
-		conj[i] = conjunct{e: pe, pos: i, residual: allResidual || !lowerable(pe, schema)}
-		if conj[i].residual {
+		if residual[i] = allResidual || !lowerable(pe, schema); residual[i] {
 			lastResidual = i
 			stats.residualConjuncts++
 		}
@@ -563,50 +472,6 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 		stats.fallback = fallbackFilterShape
 	}
 
-	// Estimates and masks. Guarded conjuncts (source-before the last
-	// residual) need the full T/F pair — their FALSE mask feeds
-	// eligibility — and can never be skipped, so they lower eagerly, as
-	// do trees the index holds no count for. Trailing leaves stay lazy.
-	for i := range conj {
-		c := &conj[i]
-		if c.residual {
-			continue
-		}
-		c.guarded = c.pos < lastResidual
-		ok := true
-		if l, isLeaf := classify(c.e, schema); isLeaf && !c.guarded {
-			c.lazy = &l
-			c.est, ok = l.est(lc)
-		} else if c.m, ok = lowerTF(c.e, lc); ok {
-			c.est = c.m.t.Count()
-		}
-		if !ok {
-			return nil, filterStats{}, true, nil
-		}
-	}
-
-	// Residuals stay at their source positions (eligibility is defined
-	// by source order); lowered conjuncts sort ascending-estimate within
-	// each run between residuals.
-	planned := make([]*conjunct, len(conj))
-	for i := range conj {
-		planned[i] = &conj[i]
-	}
-	for lo := 0; lo < len(planned); {
-		hi := lo
-		for hi < len(planned) && !planned[hi].residual {
-			hi++
-		}
-		run := planned[lo:hi]
-		sort.SliceStable(run, func(a, b int) bool { return run[a].est < run[b].est })
-		lo = hi + 1
-	}
-	for i, c := range planned {
-		stats.order[i] = c.pos
-	}
-
-	// pass = rows TRUE under every conjunct so far; elig = rows not known
-	// FALSE under any source-earlier conjunct (pass ⊆ elig).
 	n := lc.src.NumRows()
 	passCount := n
 	if universe != nil {
@@ -625,56 +490,50 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 	}
 	residualLeft := stats.residualConjuncts
 	ctxTick := 0
-	for k, c := range planned {
-		// With residuals pending, stop only when every row already has a
-		// known-FALSE conjunct: the AND is FALSE everywhere and the scalar
-		// evaluator reaches no residual on any row, so skipping the rest
-		// cannot hide an error. Without, an empty TRUE mask is enough.
+	for k, pe := range parts {
 		if (residualLeft > 0 && eligCount == 0) || (residualLeft == 0 && passCount == 0) {
-			stats.shortCircuited = len(planned) - k
+			stats.shortCircuited = len(parts) - k
 			break
 		}
-		switch {
-		case c.residual:
-			ev := rowEval(c.e, rr, schema)
-			it := elig.Iter(0)
-			for r, more := it.Next(); more; r, more = it.Next() {
-				if ctxTick%ctxCheckRows == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, filterStats{}, false, ctxErr(cerr)
-					}
-				}
-				ctxTick++
-				v, everr := ev(r)
-				if everr != nil {
-					return nil, filterStats{}, false, everr
-				}
-				stats.residualRows++
-				if v.IsNull() {
-					// NULL: the row can no longer pass, but Kleene AND does
-					// not short-circuit on NULL — later conjuncts still see
-					// it (and may error on it), so it stays eligible.
-					pass.Unset(r)
-				} else if !v.Bool() {
-					pass.Unset(r)
-					elig.Unset(r)
-					eligCount--
-				}
+		if !residual[k] {
+			guarded := k < lastResidual
+			m, ok := lowerTF(pe, lc, guarded)
+			if !ok {
+				return nil, filterStats{}, true, nil
 			}
-			passCount = pass.Count()
-			residualLeft--
-		case c.guarded:
-			passCount = pass.AndCountWith(c.m.t)
-			eligCount = elig.AndNotCountWith(c.m.f)
-		default:
-			if c.lazy != nil {
-				var ok bool
-				if c.m, ok = c.lazy.masks(lc, false); !ok {
-					return nil, filterStats{}, true, nil
-				}
+			passCount = pass.AndCountWith(m.t)
+			if guarded {
+				eligCount = elig.AndNotCountWith(m.f)
 			}
-			passCount = pass.AndCountWith(c.m.t)
+			continue
 		}
+		ev := rowEval(pe, rr, schema)
+		it := elig.Iter(0)
+		for r, more := it.Next(); more; r, more = it.Next() {
+			if ctxTick%ctxCheckRows == 0 {
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, filterStats{}, false, ctxErr(cerr)
+				}
+			}
+			ctxTick++
+			v, everr := ev(r)
+			if everr != nil {
+				return nil, filterStats{}, false, everr
+			}
+			stats.residualRows++
+			if v.IsNull() {
+				// NULL: the row can no longer pass, but Kleene AND does
+				// not short-circuit on NULL — later conjuncts still see
+				// it (and may error on it), so it stays eligible.
+				pass.Unset(r)
+			} else if !v.Bool() {
+				pass.Unset(r)
+				elig.Unset(r)
+				eligCount--
+			}
+		}
+		passCount = pass.Count()
+		residualLeft--
 	}
 	return pass, stats, false, nil
 }

@@ -11,17 +11,18 @@ import (
 	"repro/internal/store"
 )
 
-// Differential harnesses for the statistics-free planner: greedy clause
-// ordering must be invisible in every output bit (tables, group order,
-// lineage, errors) next to the boxed reference scan, which evaluates
-// WHERE left to right per row, and the incremental ORDER BY merge must
-// be invisible next to the reference's full sort. Both run under
-// adversarial configurations — a 4 KiB thrash pool under 64-row fold
-// blocks for the filter, append/retention chains for the sort — because
-// those are the paths the optimizations actually reorder work on.
+// Differential harnesses for the filter walk and the sort carry: the
+// mask walk over a root AND chain, with its short-circuit, must be
+// invisible in every output bit (tables, group order, lineage, errors)
+// next to the boxed reference scan, which evaluates WHERE left to right
+// per row, and the incremental ORDER BY merge must be invisible next to
+// the reference's full sort. Both run under adversarial configurations —
+// a 4 KiB thrash pool under 64-row fold blocks for the filter,
+// append/retention chains for the sort — because those are the paths
+// where the fast paths do their work differently.
 
 // randAndChain builds a WHERE that is a root AND chain of 2..5
-// conjuncts — the shape the greedy planner orders. Conjuncts are
+// conjuncts — the shape the conjunct walker walks. Conjuncts are
 // randWhere subtrees at depth 1, so the chain mixes simple probeable
 // leaves, nested OR/NOT subtrees (eagerly lowered), further ANDs
 // (flattened into the chain), and non-lowerable nodes (LIKE over a
@@ -34,13 +35,13 @@ func randAndChain(rng *rand.Rand) expr.Expr {
 	return e
 }
 
-// TestGreedyFilterParityOutOfCore pins greedy-ordered filter evaluation
+// TestGreedyFilterParityOutOfCore pins the mask walk of a root AND chain
 // bit-identical to the reference scan's left-to-right per-row
 // evaluation, over an out-of-core table of 64-row segments (as many fold
 // blocks) served through a 4 KiB thrash pool — the config where the
-// ordering, short-circuit and block fold all engage at once.
+// short-circuit and block fold engage at once.
 func TestGreedyFilterParityOutOfCore(t *testing.T) {
-	sawOrdered, sawShortCircuit := false, false
+	sawShortCircuit := false
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed * 31))
 		fs := store.NewMemFS()
@@ -68,20 +69,9 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 			groupsEqual(t, label, ref, greedy)
 			assertPipeline(t, label, greedy)
 			if greedy.Plan.WhereLowered {
-				// A lowered root AND chain must record its ordering: the
-				// order is a permutation of the source positions.
 				if greedy.Plan.FilterConjuncts < 2 {
-					t.Fatalf("seed %d iter %d: lowered AND chain not ordered: %+v\nsql: %s", seed, iter, greedy.Plan, sql)
+					t.Fatalf("seed %d iter %d: lowered AND chain not walked: %+v\nsql: %s", seed, iter, greedy.Plan, sql)
 				}
-				seen := make(map[int]bool)
-				for _, p := range greedy.Plan.FilterOrder {
-					if p < 0 || p >= greedy.Plan.FilterConjuncts || seen[p] {
-						t.Fatalf("seed %d iter %d: FilterOrder %v is not a permutation of %d conjuncts",
-							seed, iter, greedy.Plan.FilterOrder, greedy.Plan.FilterConjuncts)
-					}
-					seen[p] = true
-				}
-				sawOrdered = true
 				if greedy.Plan.FilterShortCircuited > 0 {
 					sawShortCircuit = true
 				}
@@ -94,8 +84,8 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !sawOrdered || !sawShortCircuit {
-		t.Fatalf("harness coverage: sawOrdered=%v sawShortCircuit=%v", sawOrdered, sawShortCircuit)
+	if !sawShortCircuit {
+		t.Fatal("harness coverage: no chain short-circuited")
 	}
 }
 

@@ -85,12 +85,10 @@ type PlanInfo struct {
 	// FilterConjuncts is the number of conjuncts in the WHERE's root AND
 	// chain (0 when there is no WHERE).
 	FilterConjuncts int
-	// FilterOrder is the evaluation order as source-position indexes
-	// into the AND chain. An entry of 2 first means the third conjunct in
-	// source order was estimated most selective and evaluated first.
-	FilterOrder []int
-	// FilterShortCircuited counts trailing conjuncts never evaluated
-	// because the running mask emptied first.
+	// FilterShortCircuited counts the trailing conjuncts, in source
+	// order, the walk never evaluated and whose masks it never built: the
+	// rows still TRUE ran out first (with a residual left, the rows not
+	// yet known FALSE did).
 	FilterShortCircuited int
 	// ResidualConjuncts counts WHERE conjuncts that did not lower and
 	// were evaluated per row, only on the bits the conjuncts before them

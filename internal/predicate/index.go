@@ -29,14 +29,13 @@ import (
 // version asks for its own length and gets a copy of that prefix, so it
 // keeps masks of its length while newer versions extend them.
 //
-// The index holds at most maxMasks masks and evicts by second chance:
-// a hit sets its entry's reference bit (only when clear, so readers
-// write no shared word in the steady state), and an insert into a full
-// index sweeps the entries, clearing set bits and evicting the first
-// clear one. A statement asks for a mask more than once (its count to
-// order the clauses, then its bits), so only a hit after another insert
-// counts: the statement that built a mask does not keep it. An evicted
-// clause rebuilds on its next request.
+// The index keeps masks, not statistics. It holds at most maxMasks of
+// them and evicts by second chance: a hit sets its entry's reference bit
+// (only when clear, so readers write no shared word in the steady
+// state), and an insert into a full index sweeps the entries, clearing
+// set bits and evicting the first clear one. An insert leaves the bit
+// clear, so a mask no later request asks for goes on the next lap. An
+// evicted clause rebuilds on its next request.
 //
 // Evaluation semantics are bit-for-bit identical to MatchesRow: NULL
 // never matches, comparisons follow engine.Compare (numeric coercion
@@ -56,44 +55,36 @@ type Index struct {
 	clauses map[Clause]*maskEntry
 	ring    []*maskEntry
 	hand    int
-	inserts int // entries inserted so far
 }
 
 // maxMasks bounds every Index, at rows/8 bytes a mask. Replaying the
 // benchmark's eight scan shapes, 360 statements with seeded literals,
-// left 176 masks in the readings table's shared index, 74 of them hit
-// by a later statement; a full Debug's own index holds under ten.
+// left 176 distinct clauses in the readings table's shared index, 74 of
+// them asked for again by a later statement; a full Debug's own index
+// holds under ten.
 const maxMasks = 128
 
 // NonNull is the clause every non-NULL row of col matches, and no other:
 // engine.Compare places a NULL clause value below everything, so `col !=
 // NULL` is TRUE exactly there. Its mask — the complement half the
 // executor's 3VL filter lowering needs to turn "comparison is FALSE"
-// into a mask — is cached, extended and counted like any other clause's.
+// into a mask — is cached and extended like any other clause's.
 func NonNull(col string) Clause { return Clause{Col: col, Op: OpNeq, Val: engine.Null} }
 
-// maskEntry is one clause's published mask and its popcount — the
-// selectivity estimate the executor's greedy clause ordering reads —
-// both replaced, never written, under ix.mu.
+// maskEntry is one clause's published mask, replaced, never written,
+// under ix.mu.
 type maskEntry struct {
-	c     Clause
-	bits  *bitset.Bitset
-	count int
-	born  int         // ix.inserts when it was inserted
-	ref   atomic.Bool // hit since the sweep last passed it
+	c    Clause
+	bits *bitset.Bitset
+	ref  atomic.Bool // hit since the sweep last passed it
 }
 
-// hit marks e referenced unless nothing was inserted since e was; the
-// load keeps a hot entry's word unwritten. Caller holds ix.mu.
-func (ix *Index) hit(e *maskEntry) {
-	if e.born != ix.inserts && !e.ref.Load() {
+// hit marks e referenced; the load keeps a hot entry's word unwritten.
+// Caller holds ix.mu.
+func (e *maskEntry) hit() {
+	if !e.ref.Load() {
 		e.ref.Store(true)
 	}
-}
-
-// publish makes b e's mask. Caller holds ix.mu (write).
-func (e *maskEntry) publish(b *bitset.Bitset) {
-	e.bits, e.count = b, b.Count()
 }
 
 // NewIndex returns an index over t.
@@ -147,7 +138,7 @@ func (ix *Index) SyncRows(t *engine.Table) {
 		return
 	}
 	for _, e := range ix.clauses {
-		e.publish(e.bits.SkipWords(drop >> 6))
+		e.bits = e.bits.SkipWords(drop >> 6)
 	}
 }
 
@@ -156,34 +147,21 @@ func (ix *Index) SyncRows(t *engine.Table) {
 // retention pass cannot shrink the table between the two. The returned
 // bitset is shared and read-only.
 func (ix *Index) ClauseBits(c Clause) *bitset.Bitset {
-	b, _, _ := ix.mask(c, -1, -1)
+	b, _ := ix.ClauseBitsAtBase(c, -1, -1)
 	return b
 }
 
 // ClauseBitsAtBase returns the match mask of one clause over the first n
-// rows at base, and its popcount — the statistics-free selectivity
-// estimate the executor's greedy clause ordering sorts by, kept with the
-// cached mask so steady-state calls cost a map probe. It is the form
-// queries use, so a statement executing against an older same-base table
-// version gets a mask of exactly its length even while newer versions
-// have already extended the cached bits. ok is false (and the mask nil)
-// when base >= 0 and the index's window does not start at base: the
-// caller's table version predates a retention pass and the head words
-// its mask would need are gone. Callers then fall back to per-row
-// evaluation. The returned bitset is shared and read-only.
-func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, int, bool) {
-	b, count, ok := ix.mask(c, base, n)
-	if ok && count < 0 {
-		count = b.Count()
-	}
-	return b, count, ok
-}
-
-// mask returns clause c's mask over the first n rows at base (n < 0: the
-// indexed table's, read under the lock that serves it), and its popcount
-// when it is the cached mask itself (-1 for a prefix copy or an uncached
-// build).
-func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
+// rows at base. It is the form queries use, so a statement executing
+// against an older same-base table version gets a mask of exactly its
+// length even while newer versions have already extended the cached
+// bits. ok is false (and the mask nil) when base >= 0 and the index's
+// window does not start at base: the caller's table version predates a
+// retention pass and the head words its mask would need are gone.
+// Callers then fall back to per-row evaluation. base < 0 accepts any
+// window, and n < 0 asks for the indexed table's length, read under the
+// lock that serves it. The returned bitset is shared and read-only.
+func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, bool) {
 	rows := func() int {
 		if n < 0 {
 			return ix.t.NumRows()
@@ -193,48 +171,46 @@ func (ix *Index) mask(c Clause, base, n int) (*bitset.Bitset, int, bool) {
 	ix.mu.RLock()
 	if base >= 0 && ix.t.Base() != base {
 		ix.mu.RUnlock()
-		return nil, 0, false
+		return nil, false
 	}
 	if c.Val.T == engine.TFloat && math.IsNaN(c.Val.F) {
 		// NaN keys never hit a map; build uncached rather than leak an
 		// entry per call.
 		defer ix.mu.RUnlock()
-		return ix.extend(bitset.New(0), c, rows()), -1, true
+		return ix.extend(bitset.New(0), c, rows()), true
 	}
 	if e := ix.clauses[c]; e != nil {
-		ix.hit(e)
-		if b, count, n := e.bits, e.count, rows(); b.Len() >= n {
+		e.hit()
+		if b, n := e.bits, rows(); b.Len() >= n {
 			ix.mu.RUnlock()
-			b, count = prefix(b, count, n)
-			return b, count, true
+			return prefix(b, n), true
 		}
 	}
 	ix.mu.RUnlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if base >= 0 && ix.t.Base() != base {
-		return nil, 0, false
+		return nil, false
 	}
 	e := ix.clauses[c]
 	if e == nil {
 		e = ix.insert(c)
 	} else {
-		ix.hit(e)
+		e.hit()
 	}
 	if e.bits.Len() < rows() {
-		e.publish(ix.extend(e.bits, c, rows()))
+		e.bits = ix.extend(e.bits, c, rows())
 	}
-	b, count := prefix(e.bits, e.count, rows())
-	return b, count, true
+	return prefix(e.bits, rows()), true
 }
 
 // prefix returns the first n rows of a cached mask: the mask itself at
 // its own length, else a copy (an older version's request).
-func prefix(b *bitset.Bitset, count, n int) (*bitset.Bitset, int) {
+func prefix(b *bitset.Bitset, n int) *bitset.Bitset {
 	if b.Len() == n {
-		return b, count
+		return b
 	}
-	return bitset.SnapshotWords(n, b.Words()), -1
+	return bitset.SnapshotWords(n, b.Words())
 }
 
 // insert adds an empty entry for c. A full index first evicts by second
@@ -242,8 +218,7 @@ func prefix(b *bitset.Bitset, count, n int) (*bitset.Bitset, int) {
 // the first entry whose bit was clear — at most one lap, as no reader
 // runs under the write lock. Caller holds ix.mu (write).
 func (ix *Index) insert(c Clause) *maskEntry {
-	ix.inserts++
-	e := &maskEntry{c: c, bits: bitset.New(0), born: ix.inserts}
+	e := &maskEntry{c: c, bits: bitset.New(0)}
 	if len(ix.ring) < maxMasks {
 		ix.ring = append(ix.ring, e)
 	} else {
@@ -504,7 +479,7 @@ func (ix *Index) MatchInto(p Predicate, subset *bitset.Bitset, dst *bitset.Bitse
 		dst.Fill()
 	}
 	for _, c := range p.Clauses {
-		b, _, _ := ix.mask(c, -1, dst.Len())
+		b, _ := ix.ClauseBitsAtBase(c, -1, dst.Len())
 		dst.And(b)
 	}
 	return dst

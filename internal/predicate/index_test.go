@@ -339,8 +339,8 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 			}
 		}
 		// Length-stamped requests at the old version still work.
-		if s, count, _ := ix.ClauseBitsAtBase(c, -1, 150); s.Len() != 150 || s.Count() != old[k].Count() || count != s.Count() {
-			t.Fatalf("clause %d: ClauseBitsAtBase(150) = len %d count %d (said %d)", k, s.Len(), s.Count(), count)
+		if s, _ := ix.ClauseBitsAtBase(c, -1, 150); s.Len() != 150 || s.Count() != old[k].Count() {
+			t.Fatalf("clause %d: ClauseBitsAtBase(150) = len %d count %d", k, s.Len(), s.Count())
 		}
 	}
 	if nn := ix.ClauseBits(NonNull("f")); nn.Len() != 210 || oldNonNull.Len() != 150 {
@@ -523,7 +523,7 @@ func TestHeldMasksImmutable(t *testing.T) {
 				for _, c := range clauses {
 					// As a query asks: at its version's base and length.
 					v := indexTable(ix)
-					if b, _, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
+					if b, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
 						b.Count()
 					}
 				}
@@ -542,7 +542,7 @@ func TestHeldMasksImmutable(t *testing.T) {
 		ix.SyncRows(tbl)
 		for _, c := range clauses {
 			hold(ix.ClauseBits(c)) // extends into a copy
-			b, _, _ := ix.ClauseBitsAtBase(c, -1, old.NumRows())
+			b, _ := ix.ClauseBitsAtBase(c, -1, old.NumRows())
 			hold(b) // the older length
 		}
 		if round%3 == 2 {

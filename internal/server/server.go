@@ -68,10 +68,7 @@ func (s *Server) recordScan(p exec.PlanInfo) {
 	scan.Add("segs_skipped", int64(p.SegsSkipped))
 	scan.Add("chunks_faulted", int64(p.ChunksFaulted))
 	scan.Add("chunks_resident", int64(p.ChunksResident))
-	if p.FilterConjuncts > 1 { // a chain with something to order
-		scan.Add("filters_ordered", 1)
-		scan.Add("conjuncts_skipped", int64(p.FilterShortCircuited))
-	}
+	scan.Add("conjuncts_skipped", int64(p.FilterShortCircuited))
 	if p.ResidualConjuncts > 0 {
 		scan.Add("filters_residual", 1)
 		scan.Add("residual_rows", int64(p.ResidualRows))
