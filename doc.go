@@ -130,11 +130,11 @@
 //     mask — the rows with no source-earlier known-FALSE conjunct,
 //     exactly the rows the scalar evaluator's AND short-circuit would
 //     reach (FALSE short-circuits, NULL does not), so error presence is
-//     preserved, not just values. "Nothing lowers" and "the predicate
-//     index cannot serve this superseded snapshot" are the same walk
-//     with every conjunct residual; Plan.FilterFallback names which
-//     ("filter: non-lowerable predicate shape" / "filter: predicate
-//     index geometry mismatch").
+//     preserved, not just values. A WHERE where nothing lowers is the
+//     same walk with every conjunct residual; Plan.FilterFallback says
+//     so ("filter: non-lowerable predicate shape"). That is its one
+//     reason: a superseded snapshot lowers too, on masks built for its
+//     own rows.
 //   - One WHERE order: the root AND chain is walked in source order,
 //     as RunReference evaluates it. A lowered conjunct ANDs its TRUE
 //     mask into the running mask through a fused AND+popcount kernel
@@ -247,14 +247,16 @@
 //     typed chunks every segment, the tail included, is stored as —
 //     dictionary codes are assigned at append, in first-appearance order
 //     — with no per-version index to build or cache.
-//   - internal/predicate — Index has a SyncRows method (the
-//     row-stamped invalidation hook of Table.AuxLoadOrStore): a cached
-//     mask is one flat bitset, never written once handed out (appends
-//     extend a copy, retention re-slices whole words); queries request
-//     masks of their own snapshot's length and base (ClauseBitsAtBase),
-//     so a scan mid-append or racing a retention pass never sees a mask
-//     of the wrong geometry. An Index holds at most 128 masks and no
-//     statistics.
+//   - internal/predicate — one Index per table family
+//     (predicate.Shared, kept in Table.AuxLoadOrStore), and every mask
+//     request names its table version (Index.Mask, Index.MatchInto). A
+//     cached mask is one flat bitset, never written once handed out: a
+//     newer version rebases the index (appends extend a copy,
+//     retention re-slices whole words), an older same-base one gets its
+//     own length's prefix, and one from before a retention the index
+//     has seen gets a mask built for it alone. So a scan mid-append or
+//     racing a retention pass never sees another version's rows. An
+//     Index holds at most 128 masks and no statistics.
 //   - internal/exec — Advance(res, grown) re-executes a statement over a
 //     grown table version by folding only the appended rows into copies
 //     of the previous result's group states (Clone+Merge state copy),
@@ -306,19 +308,13 @@
 //     by the appended suffix, and so does a LIKE on a string column;
 //     only arithmetic and function-call conjuncts evaluate rows, and
 //     only lineage rows.
-//   - internal/predicate — the Debug chain owns one clause-mask Index,
-//     carried in the debug state and rebased onto each grown version
-//     (Index.SyncRows), so rescoring a carried candidate decodes only
-//     the appended rows into its masks. It is deliberately NOT the
-//     family-shared predicate.Shared index (which the executor's WHERE
-//     lowering uses): candidate thresholds churn with every full Debug
-//     and would evict the statements' masks, so the carried index lives
-//     and dies with the analysis chain; both evict past 128 masks.
 //   - internal/ranker — RankAllCarry returns a RankerState: every
 //     ranked predicate with its frozen target set and score. A later
 //     Rescore runs the same par.Do scoring/pruning/dedup mechanics
 //     over the carried candidates against the advanced context and
-//     reports the score drift.
+//     reports the score drift. Both score through the family's one
+//     clause-mask index, so rescoring a carried candidate decodes only
+//     the appended rows into its masks.
 //
 // A DebugAdvance pass is one of two modes (DebugResult.Plan.Mode):
 //

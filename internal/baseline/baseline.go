@@ -106,13 +106,18 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 	// Candidates are scored as ranker.score scores them: clause-mask ANDs
 	// over the lineage bitset and the scorer's counterfactual ε.
 	// influence.EpsWithoutRows over boxed matches is the oracle
-	// (TestExhaustiveMatchesBoxedScoring).
-	ix := predicate.NewIndex(res.Source)
+	// (TestExhaustiveMatchesBoxedScoring). Each selector's mask is read
+	// once from the family's index and held for every pair it joins.
+	ix := predicate.Shared(res.Source)
 	fBits, scratch := an.Scorer.FBits(), an.Scorer.NewScratch()
 	mb := bitset.New(res.Source.NumRows())
-	score := func(p predicate.Predicate) {
+	score := func(p predicate.Predicate, masks ...*bitset.Bitset) {
 		evaluated++
-		matched := ix.MatchInto(p, fBits, mb).Count()
+		mb.CopyFrom(fBits)
+		for _, m := range masks {
+			mb.And(m)
+		}
+		matched := mb.Count()
 		if matched < opt.MinCoverage || matched == len(an.F) {
 			return
 		}
@@ -124,12 +129,12 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 	}
 
 	preds1 := make([]predicate.Predicate, 0, len(selectors))
+	masks1 := make([]*bitset.Bitset, 0, len(selectors))
 	for _, sel := range selectors {
-		p := predicate.Predicate{Clauses: []predicate.Clause{{
-			Col: sp.Attrs[sel.AttrIdx].Name, Op: sel.Op, Val: sel.Val,
-		}}}
-		preds1 = append(preds1, p)
-		score(p)
+		c := predicate.Clause{Col: sp.Attrs[sel.AttrIdx].Name, Op: sel.Op, Val: sel.Val}
+		p := predicate.Predicate{Clauses: []predicate.Clause{c}}
+		preds1, masks1 = append(preds1, p), append(masks1, ix.Mask(res.Source, c))
+		score(p, masks1[len(masks1)-1])
 	}
 	if opt.MaxClauses >= 2 {
 		for i := 0; i < len(selectors); i++ {
@@ -142,7 +147,7 @@ func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metri
 				if !ok {
 					continue
 				}
-				score(simplified)
+				score(simplified, masks1[i], masks1[j])
 			}
 		}
 	}

@@ -22,10 +22,10 @@ import (
 // This file is the randomized differential harness for incremental
 // Debug: random schemas, statements, suspect selections and append
 // batches over 3–5-step chains, asserting at EVERY step that
-// DebugAdvance — advanced exec result, advanced scorer, carried clause
-// masks and argument views — answers what the same pass computes from
-// scratch over an independently executed fresh result (over 64-row fold
-// blocks, so the block fold is in the loop). A full pass must equal
+// DebugAdvance — advanced exec result, advanced scorer, the family's
+// clause masks and carried argument views — answers what the same pass
+// computes from scratch over an independently executed fresh result
+// (over 64-row fold blocks, so the block fold is in the loop). A full pass must equal
 // Debug's: ε, lineage, influence ranking, D', candidate counts, and the
 // ranked explanations with their scores. A carried pass must equal
 // Debug's ε, lineage, influences and D', and its ranking must be the
@@ -110,7 +110,7 @@ func debugResultsEqual(t *testing.T, label string, want, got *DebugResult) {
 // rescoreOracle is what a carried pass over req must answer, computed
 // from scratch: Debug's own preprocessing and example cleaning over req's
 // result, then prev's carried candidates rescored through a fresh
-// scorer and a fresh clause-mask index.
+// scorer.
 func rescoreOracle(t *testing.T, prev *DebugResult, req DebugRequest) *DebugResult {
 	t.Helper()
 	opt := req.Opt

@@ -220,13 +220,6 @@ type debugState struct {
 	// so selection-specific predicates could be silently missing.
 	suspectKey  string
 	examplesKey string
-	// index is the pass's clause-mask index, carried so rescoring a
-	// candidate over the grown table extends masks by suffix decode
-	// only. Owned by the Debug chain, not the family-shared aux index:
-	// candidate thresholds churn with every full Debug, and the
-	// statements' masks should not be evicted for them. Like every
-	// Index it holds at most a fixed number of masks.
-	index *predicate.Index
 }
 
 // metricKey canonicalizes a metric for change detection across Debug
@@ -324,10 +317,6 @@ type debugRun struct {
 	extras   []int
 	learnPop []int
 	sp       *feature.Space
-	// index is the clause-mask index the ranking stage scores through —
-	// fresh for a from-scratch Debug, carried (suffix-extending) for an
-	// advanced one.
-	index *predicate.Index
 }
 
 // checkCtx is the between-stages cancellation point: every pipeline
@@ -503,7 +492,7 @@ func (d *debugRun) context() *ranker.Context {
 	// Culpability: tuples in the user's cleaned D' or the high-influence
 	// set. The ranker's Excess term uses it to prefer surgical
 	// predicates over "delete the whole group" ones.
-	ctx := &ranker.Context{
+	return &ranker.Context{
 		Ctx: d.req.Ctx,
 		Res: d.req.Result, Suspect: d.req.Suspect, Ord: d.ord,
 		Metric: d.req.Metric, F: d.an.F, Population: d.learnPop, Culpable: d.culpable,
@@ -511,11 +500,6 @@ func (d *debugRun) context() *ranker.Context {
 		DisablePrune: d.opt.DisablePrune, DisableExcess: d.opt.DisableExcess,
 		Scorer: d.an.Scorer, // the preprocessor's: lineage bitsets + flat argument column
 	}
-	if d.index == nil {
-		d.index = predicate.NewIndex(d.req.Result.Source)
-	}
-	ctx.Index = d.index
-	return ctx
 }
 
 // finish truncates, renders the explanation list, ends the rank span,
@@ -544,7 +528,6 @@ func (d *debugRun) finish(scored []ranker.Scored, rstate *ranker.RankerState, ra
 		opt:       opt,
 		an:        d.an,
 		rstate:    rstate,
-		index:     d.index,
 	}
 	out.state.suspectKey = suspectKeyOf(d.req.Result, d.req.Suspect)
 	out.state.examplesKey = rowsKey(d.req.Examples)
@@ -609,11 +592,13 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 // DebugAdvance picks a Debug analysis up after the source table grew:
 // req.Result must be (a version of) the result prev was computed over,
 // advanced across one or more appended batches (exec.Advance). Every
-// carried structure — lineage bitsets, the argument view, clause masks,
-// the scored candidates — extends by the appended suffix, the influence
-// ranking stands as it is while no suspect group's lineage grew, and the
-// feature space is only profiled (for example cleaning) when the
-// request has examples. What a carried pass still pays per
+// carried structure — lineage bitsets, the argument view, the scored
+// candidates — extends by the appended suffix, and so do the
+// candidates' clause masks, which live in the table family's one index
+// (predicate.Shared) and are asked for at req.Result's version. The
+// influence ranking stands as it is while no suspect group's lineage
+// grew, and the feature space is only profiled (for example cleaning)
+// when the request has examples. What a carried pass still pays per
 // learning-population row is the contrast sample and, with examples,
 // the profile-only featurize and the naive Bayes pass that cleans them.
 //
@@ -698,12 +683,6 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 
 	out := &DebugResult{Plan: DebugPlan{Mode: "carried"}}
 	d := &debugRun{req: req, opt: opt, ord: ord, out: out}
-	// Carry the clause-mask index: rescoring a carried candidate then
-	// only decodes the appended rows into its masks.
-	if st.index != nil {
-		st.index.SyncRows(res.Source)
-		d.index = st.index
-	}
 	span.End()
 	if err := d.preprocess(an); err != nil {
 		return nil, err

@@ -121,12 +121,9 @@ func TestExamplesWhereDifferential(t *testing.T) {
 				lineage := len(res.Lineage(suspect))
 				for _, cond := range examplesLowerable {
 					if plan, _ := check(label, suspect, cond); !plan.WhereLowered || plan.ResidualRows != 0 || plan.ResidualConjuncts != 0 {
-						if plan.FilterFallback == "" { // (a superseded snapshot walks all-residual, by design)
-							t.Fatalf("%s [%s]: a lowerable condition evaluated rows: %+v", label, cond, plan)
-						}
-					} else {
-						lowered++
+						t.Fatalf("%s [%s]: a lowerable condition evaluated rows: %+v", label, cond, plan)
 					}
+					lowered++
 				}
 				for _, cond := range examplesResidual {
 					plan, err := check(label, suspect, cond)

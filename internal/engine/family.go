@@ -111,35 +111,14 @@ func (d Dict) Code(s string) int32 {
 	return -1
 }
 
-// rowSynced is implemented by aux cache values (AuxLoadOrStore) that
-// maintain per-row derived state — e.g. the executor's predicate index
-// with its cached clause masks. AuxLoadOrStore calls SyncRows with the
-// requesting table version on every access, so the value can extend
-// itself to a grown snapshot (decoding only the appended suffix) — or
-// rebase itself after retention by dropping whole head segments —
-// instead of being rebuilt from row 0.
-type rowSynced interface {
-	SyncRows(t *Table)
-}
-
 // AuxLoadOrStore returns the per-table auxiliary cache entry for key,
 // building it with build on first request. Entries share the table
 // family's lifetime (and its Rename/AppendCols/RetainTail copies),
-// which lets higher layers — the executor's predicate index, for
+// which lets higher layers — the family's clause-mask index, for
 // instance — cache derived structures per table without a
 // process-global map that outlives the table. build may run more than
-// once under a race; exactly one result wins. Values implementing
-// rowSynced are notified of the requesting table version before being
-// returned.
+// once under a race; exactly one result wins.
 func (t *Table) AuxLoadOrStore(key any, build func() any) any {
-	v := t.auxLoadOrStore(key, build)
-	if rs, ok := v.(rowSynced); ok {
-		rs.SyncRows(t)
-	}
-	return v
-}
-
-func (t *Table) auxLoadOrStore(key any, build func() any) any {
 	fam := t.fam
 	fam.mu.Lock()
 	if v, ok := fam.aux[key]; ok {

@@ -36,22 +36,15 @@ import (
 // bit-for-bit to the scalar evaluator by the predicate package's parity
 // test) and F = nonNull(column) \ T.
 
-// lowerCtx carries the table family's shared predicate index
-// (predicate.Shared — one set of clause masks per family; the engine's
-// aux cache calls its SyncRows, so requesting it through a grown
-// copy-on-write version rebases it and cached masks extend by decoding
-// only the appended suffix) together with the exact table version the statement
-// is executing against. Masks are always requested at
-// src.NumRows() AND src.Base(), never at the index's own (possibly
-// newer) geometry, so a query running mid-append sees masks of exactly
-// its snapshot's length — and a query racing a retention pass (whose
-// base the index has already rebased past) gets ok=false from every
-// accessor instead of masks of a different row-id window. buildFilter
-// then evaluates every conjunct as a residual, which is always correct.
+// lowerCtx carries the table family's one clause-mask index
+// (predicate.Shared) together with the exact table version the
+// statement is executing against, which names every mask request: a
+// query running mid-append gets masks of exactly its snapshot's length,
+// and one racing a retention pass gets masks built for its own row-id
+// window.
 type lowerCtx struct {
-	ix   *predicate.Index
-	src  *engine.Table
-	base int
+	ix  *predicate.Index
+	src *engine.Table
 }
 
 // tfMask is a node's three-valued result: t holds the rows where it is
@@ -89,7 +82,7 @@ type leaf struct {
 
 // classify reports whether e is a leaf, and which. The checks are pure
 // shape — schema and literal types, no index access — and a leaf always
-// lowers unless the index refuses the table version's geometry. A
+// lowers. A
 // comparison or range whose literal is not comparable with the column
 // is not a leaf: the scalar evaluator errors on it, and evaluating it
 // as a residual surfaces that error identically.
@@ -192,9 +185,8 @@ func classify(e expr.Expr, schema engine.Schema) (leaf, bool) {
 // masks materializes the leaf's TRUE mask and, when needF, its FALSE
 // mask (left nil otherwise — a conjunct nothing is guarded by only ever
 // contributes T). The TRUE mask of a single clause aliases the index's
-// shared cached bitset and is read-only. ok is false on an index
-// geometry mismatch.
-func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
+// shared cached bitset and is read-only.
+func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask) {
 	n := lc.src.NumRows()
 	if l.kind == leafConst {
 		m = tfMask{t: bitset.New(n), f: bitset.New(n)}
@@ -204,16 +196,11 @@ func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		case l.verdict < 0:
 			m.f.Fill()
 		}
-		return m, true
-	}
-	bits := func(c predicate.Clause) (*bitset.Bitset, bool) {
-		return lc.ix.ClauseBitsAtBase(c, lc.base, n)
+		return m
 	}
 	var nn *bitset.Bitset
 	if needF || l.invert || l.kind == leafIsNull {
-		if nn, ok = bits(predicate.NonNull(lc.src.Schema()[l.ci].Name)); !ok {
-			return tfMask{}, false
-		}
+		nn = lc.ix.Mask(lc.src, predicate.NonNull(lc.src.Schema()[l.ci].Name))
 	}
 	if l.kind == leafIsNull {
 		m.t = bitset.New(n)
@@ -222,10 +209,8 @@ func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 		m.f = nn
 	} else {
 		for i, c := range l.clauses {
-			b, ok := bits(c)
+			b := lc.ix.Mask(lc.src, c)
 			switch {
-			case !ok:
-				return tfMask{}, false
 			case len(l.clauses) == 1:
 				m.t = b
 			case i == 0:
@@ -249,7 +234,7 @@ func (l *leaf) masks(lc lowerCtx, needF bool) (m tfMask, ok bool) {
 	if l.invert {
 		m.t, m.f = m.f, m.t
 	}
-	return m, true
+	return m
 }
 
 // comparisonShape extracts the (column, constant, clause op) of a
@@ -336,25 +321,17 @@ func lowerable(e expr.Expr, schema engine.Schema) bool {
 }
 
 // lowerTF lowers a lowerable tree to its TRUE/FALSE mask pair; a leaf
-// at the root builds its FALSE mask only when needF. ok is false on an
-// index geometry mismatch.
-func lowerTF(e expr.Expr, lc lowerCtx, needF bool) (tfMask, bool) {
+// at the root builds its FALSE mask only when needF.
+func lowerTF(e expr.Expr, lc lowerCtx, needF bool) tfMask {
 	if l, ok := classify(e, lc.src.Schema()); ok {
 		return l.masks(lc, needF)
 	}
 	if not, ok := e.(*expr.Not); ok {
-		m, ok := lowerTF(not.X, lc, true)
-		return tfMask{t: m.f, f: m.t}, ok
+		m := lowerTF(not.X, lc, true)
+		return tfMask{t: m.f, f: m.t}
 	}
 	node := e.(*expr.Bin) // lowerable: AND or OR
-	l, ok := lowerTF(node.L, lc, true)
-	if !ok {
-		return tfMask{}, false
-	}
-	r, ok := lowerTF(node.R, lc, true)
-	if !ok {
-		return tfMask{}, false
-	}
+	l, r := lowerTF(node.L, lc, true), lowerTF(node.R, lc, true)
 	n := lc.src.NumRows()
 	out := tfMask{t: bitset.New(n), f: bitset.New(n)}
 	if node.Op == expr.OpAnd {
@@ -366,7 +343,7 @@ func lowerTF(e expr.Expr, lc lowerCtx, needF bool) (tfMask, bool) {
 		out.t.Or(r.t)
 		out.f.IntersectOf(l.f, r.f)
 	}
-	return out, true
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -389,12 +366,9 @@ func lowerTF(e expr.Expr, lc lowerCtx, needF bool) (tfMask, bool) {
 // error. OR roots, OR conjuncts and nested trees lower through the
 // plain combinators above.
 
-// Canonical Plan.FilterFallback vocabulary: the two reasons a WHERE was
+// fallbackFilterShape is Plan.FilterFallback's one reason a WHERE was
 // evaluated entirely per row.
-const (
-	fallbackFilterShape    = "filter: non-lowerable predicate shape"
-	fallbackFilterGeometry = "filter: predicate index geometry mismatch"
-)
+const fallbackFilterShape = "filter: non-lowerable predicate shape"
 
 // filterStats records the walk for Result.Plan.
 type filterStats struct {
@@ -452,18 +426,16 @@ func rowEval(e expr.Expr, rr *engine.RowReader, schema engine.Schema) evaluator 
 
 // walkConjuncts evaluates the AND chain parts over the rows of universe
 // (nil: every row of lc.src); the bits outside it are left unset, and no
-// residual is evaluated there. With allResidual the index is never
-// consulted. geometry reports an index geometry mismatch (the caller
-// re-walks with allResidual); err carries residual evaluation errors —
+// residual is evaluated there. err carries residual evaluation errors —
 // genuine expression errors the scalar path would also have surfaced on
 // a universe row — and context cancellation.
-func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe *bitset.Bitset, allResidual bool) (pass *bitset.Bitset, stats filterStats, geometry bool, err error) {
+func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe *bitset.Bitset) (pass *bitset.Bitset, stats filterStats, err error) {
 	schema := lc.src.Schema()
 	residual := make([]bool, len(parts))
 	lastResidual := -1
 	stats = filterStats{conjuncts: len(parts)}
 	for i, pe := range parts {
-		if residual[i] = allResidual || !lowerable(pe, schema); residual[i] {
+		if residual[i] = !lowerable(pe, schema); residual[i] {
 			lastResidual = i
 			stats.residualConjuncts++
 		}
@@ -497,10 +469,7 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 		}
 		if !residual[k] {
 			guarded := k < lastResidual
-			m, ok := lowerTF(pe, lc, guarded)
-			if !ok {
-				return nil, filterStats{}, true, nil
-			}
+			m := lowerTF(pe, lc, guarded)
 			passCount = pass.AndCountWith(m.t)
 			if guarded {
 				eligCount = elig.AndNotCountWith(m.f)
@@ -512,13 +481,13 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 		for r, more := it.Next(); more; r, more = it.Next() {
 			if ctxTick%ctxCheckRows == 0 {
 				if cerr := ctx.Err(); cerr != nil {
-					return nil, filterStats{}, false, ctxErr(cerr)
+					return nil, filterStats{}, ctxErr(cerr)
 				}
 			}
 			ctxTick++
 			v, everr := ev(r)
 			if everr != nil {
-				return nil, filterStats{}, false, everr
+				return nil, filterStats{}, everr
 			}
 			stats.residualRows++
 			if v.IsNull() {
@@ -535,32 +504,21 @@ func walkConjuncts(ctx context.Context, parts []expr.Expr, lc lowerCtx, universe
 		passCount = pass.Count()
 		residualLeft--
 	}
-	return pass, stats, false, nil
+	return pass, stats, nil
 }
 
 // buildFilter produces the WHERE pass mask for src through
-// walkConjuncts. A nil where yields a nil mask: no filtering. When the
-// predicate index cannot serve this table version's geometry (a
-// superseded snapshot racing retention) the chain is walked again with
-// every conjunct residual. universe is the set of rows the caller will
-// read — Advance's appended suffix, FilterRows' lineage; nil, a full
-// scan's, is every row — and bounds residual evaluation: O(universe),
-// not O(table), with no error from a row outside it.
+// walkConjuncts. A nil where yields a nil mask: no filtering. universe
+// is the set of rows the caller will read — Advance's appended suffix,
+// FilterRows' lineage; nil, a full scan's, is every row — and bounds
+// residual evaluation: O(universe), not O(table), with no error from a
+// row outside it.
 func buildFilter(ctx context.Context, src *engine.Table, where expr.Expr, universe *bitset.Bitset) (*bitset.Bitset, filterStats, error) {
 	if where == nil {
 		return nil, filterStats{}, nil
 	}
-	lc := lowerCtx{ix: predicate.Shared(src), src: src, base: src.Base()}
-	parts := flattenAnd(where, nil)
-	pass, stats, geometry, err := walkConjuncts(ctx, parts, lc, universe, false)
-	if geometry {
-		pass, stats, _, err = walkConjuncts(ctx, parts, lc, universe, true)
-		stats.fallback = fallbackFilterGeometry
-	}
-	if err != nil {
-		return nil, filterStats{}, err
-	}
-	return pass, stats, nil
+	lc := lowerCtx{ix: predicate.Shared(src), src: src}
+	return walkConjuncts(ctx, flattenAnd(where, nil), lc, universe)
 }
 
 // FilterRows returns the rows of universe (nil: every row of src) on

@@ -218,11 +218,9 @@ func TestFilterFallbackVocabulary(t *testing.T) {
 	}
 }
 
-// TestFilterGeometryMismatch pins the other all-residual case: a
-// snapshot whose retention base the shared predicate index has already
-// rebased past gets no clause masks, so every conjunct — lowerable
-// shape or not — is walked as a residual, the plan says why, and the
-// rows still equal the reference scan's.
+// TestFilterGeometryMismatch: a snapshot whose retention base the
+// family's index has already rebased past still lowers, on masks built
+// for its own rows, and answers what the reference scan answers.
 func TestFilterGeometryMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	old := tinySegTable(rng, 300)
@@ -251,8 +249,8 @@ func TestFilterGeometryMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPipeline(t, sql, res)
-	if res.Plan.FilterFallback != fallbackFilterGeometry || res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 2 {
-		t.Fatalf("superseded snapshot: want the geometry all-residual walk, got %+v", res.Plan)
+	if res.Plan.FilterFallback != "" || !res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 0 {
+		t.Fatalf("superseded snapshot: want a lowered walk, got %+v", res.Plan)
 	}
 	tablesEqual(t, sql, ref.Table, res.Table)
 	groupsEqual(t, sql, ref, res)

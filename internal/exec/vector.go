@@ -98,8 +98,8 @@ type PlanInfo struct {
 	ResidualRows int
 	// FilterFallback is the canonical reason every conjunct was residual
 	// ("" when something lowered or there was no WHERE): "filter:
-	// non-lowerable predicate shape" or "filter: predicate index geometry
-	// mismatch".
+	// non-lowerable predicate shape", the one reason there is — every
+	// table version, a superseded one too, lowers on its own masks.
 	FilterFallback string
 	// MaskedAgg is true when a global (no GROUP BY) aggregation under a
 	// WHERE has only count(*) and numeric-column arguments, so every

@@ -11,23 +11,29 @@ import (
 	"repro/internal/expr"
 )
 
-// Index evaluates predicates against one table column-at-a-time. Each
-// clause is evaluated once over the whole table into a bitset mask and
-// cached; a predicate match is then just the AND of its clause masks
+// Index evaluates predicates against one table family column-at-a-time.
+// Each clause is evaluated once over the whole table into a bitset mask
+// and cached; a predicate match is then just the AND of its clause masks
 // (and an optional subset mask). Candidate predicates share clauses
 // heavily — tree paths reuse the same attribute thresholds, and the
 // ranker's pruning re-scores one-clause-removed variants — so the cache
 // hit rate is high and steady-state matching allocates nothing.
 //
-// A cached mask is one flat bitset over the first n rows of the current
-// base window, and like a table version's chunks it is never written
-// once handed out. Appends extend it into a longer copy: the published
-// words, then the appended rows decoded from the matching column chunks.
-// Retention re-slices it past the dropped head words — segment
-// boundaries are bitset-word-aligned (engine.MinSegmentBits), so no
-// mask is ever rebuilt or shifted. A query against an older same-base
-// version asks for its own length and gets a copy of that prefix, so it
-// keeps masks of its length while newer versions extend them.
+// Every request names the table version it reads (Mask, MatchInto), and
+// the answer is that version's mask, whatever the index has seen since.
+// A cached mask is one flat bitset over the first n rows of the newest
+// base window the index has been asked about, and like a table
+// version's chunks it is never written once handed out:
+//   - a newer version rebases the index: retention re-slices each mask
+//     past the dropped head words (segment boundaries are
+//     bitset-word-aligned, engine.MinSegmentBits, so no mask is rebuilt
+//     or shifted), and appends extend a mask on its next request into a
+//     longer copy — the published words, then the appended rows decoded
+//     from the version's column chunks;
+//   - a version at the index's base is served from the cache, an older
+//     (shorter) one a copy of its own length's prefix;
+//   - a version from before a retention the index has already seen gets
+//     a mask built for it alone and not cached.
 //
 // The index keeps masks, not statistics. It holds at most maxMasks of
 // them and evicts by second chance: a hit sets its entry's reference bit
@@ -45,9 +51,8 @@ import (
 // expr.LikeMatch.
 type Index struct {
 	mu sync.RWMutex
-	// t is the newest table version the index has been synced to; suffix
-	// decodes read from it (its rows cover every requested length at the
-	// current base).
+	// t is the newest table version the index has served; cached masks
+	// are over its base window.
 	t *engine.Table
 	// clauses maps a clause (Clause is comparable) to its entry, so
 	// cache hits allocate nothing; ring holds the same entries in sweep
@@ -60,8 +65,10 @@ type Index struct {
 // maxMasks bounds every Index, at rows/8 bytes a mask. Replaying the
 // benchmark's eight scan shapes, 360 statements with seeded literals,
 // left 176 distinct clauses in the readings table's shared index, 74 of
-// them asked for again by a later statement; a full Debug's own index
-// holds under ten.
+// them asked for again by a later statement. The Debug passes that
+// score their candidates through the same index add few: one benchmark
+// server run inserted 9–10 clauses in all on intel_session and 36 on
+// stream_monitor, Debug's candidates included, and evicted none.
 const maxMasks = 128
 
 // NonNull is the clause every non-NULL row of col matches, and no other:
@@ -87,7 +94,7 @@ func (e *maskEntry) hit() {
 	}
 }
 
-// NewIndex returns an index over t.
+// NewIndex returns an index over t's table family.
 func NewIndex(t *engine.Table) *Index {
 	return &Index{t: t, clauses: make(map[Clause]*maskEntry)}
 }
@@ -96,101 +103,65 @@ func NewIndex(t *engine.Table) *Index {
 // aux cache.
 type sharedIndexKey struct{}
 
-// Shared returns the table family's shared index, creating it on first
-// request through the engine's aux cache. The cache calls the index's
-// SyncRows, so requesting it through a grown copy-on-write
-// version rebases it: cached clause masks then extend by decoding only
-// the appended suffix (or drop whole head words after retention).
-//
-// The shared index lives as long as the table family, bounded like any
-// Index at maxMasks masks. The clause vocabularies that feed it are not
-// bounded: user-typed WHERE clauses (the executor's filter lowering),
-// the /api/debug examples condition, which core.ExamplesWhere routes
-// through the same lowering (exec.FilterRows), and a clean's WHERE NOT
-// re-run, whose cut points come from the data. Analysis passes whose
-// thresholds churn per run (the ranker's candidate scoring) own a
-// NewIndex scoped to their lifetime, so they neither evict the
-// statements' masks nor keep theirs past the pass.
+// Shared returns the table family's one index, creating it on first
+// request through the engine's aux cache. Every clause mask of the
+// family is served from it: the executor's WHERE lowering, the
+// /api/debug examples condition (core.ExamplesWhere routes it through
+// the same lowering, exec.FilterRows), the ranker's candidate scoring
+// and a clean's WHERE NOT re-run, whose cut points are the ones the
+// ranker just scored. It lives as long as the table family, bounded
+// like any Index at maxMasks masks.
 func Shared(t *engine.Table) *Index {
 	return t.AuxLoadOrStore(sharedIndexKey{}, func() any {
 		return NewIndex(t)
 	}).(*Index)
 }
 
-// SyncRows is the hook the engine's aux cache calls with the requesting
-// version (Table.AuxLoadOrStore): it rebases the index onto t
-// when t is a newer version of the indexed table family — longer, or
-// equal-length with a larger retention base. Appends extend cached
-// masks lazily on their next request; retention re-slices each mask
-// past the dropped rows eagerly (they are whole segments, so whole
-// words), writing no word a reader may hold.
-func (ix *Index) SyncRows(t *engine.Table) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	newer := t.Version() > ix.t.Version() ||
-		(t.Version() == ix.t.Version() && t.Base() > ix.t.Base())
-	if !newer {
-		return
-	}
-	drop := t.Base() - ix.t.Base()
-	ix.t = t
-	if drop <= 0 {
-		return
-	}
-	for _, e := range ix.clauses {
-		e.bits = e.bits.SkipWords(drop >> 6)
-	}
-}
-
-// ClauseBits returns the match mask of one clause at the newest synced
-// length, read in the critical section that builds the mask, so a
-// retention pass cannot shrink the table between the two. The returned
-// bitset is shared and read-only.
+// ClauseBits returns the match mask of one clause over the newest
+// version the index has served. The returned bitset is shared and
+// read-only.
 func (ix *Index) ClauseBits(c Clause) *bitset.Bitset {
-	b, _ := ix.ClauseBitsAtBase(c, -1, -1)
-	return b
+	ix.mu.RLock()
+	t := ix.t
+	ix.mu.RUnlock()
+	return ix.Mask(t, c)
 }
 
-// ClauseBitsAtBase returns the match mask of one clause over the first n
-// rows at base. It is the form queries use, so a statement executing
-// against an older same-base table version gets a mask of exactly its
-// length even while newer versions have already extended the cached
-// bits. ok is false (and the mask nil) when base >= 0 and the index's
-// window does not start at base: the caller's table version predates a
-// retention pass and the head words its mask would need are gone.
-// Callers then fall back to per-row evaluation. base < 0 accepts any
-// window, and n < 0 asks for the indexed table's length, read under the
-// lock that serves it. The returned bitset is shared and read-only.
-func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, bool) {
-	rows := func() int {
-		if n < 0 {
-			return ix.t.NumRows()
-		}
-		return n
+// Mask returns the match mask of one clause over table version t's rows,
+// which must be a version of the index's family. A newer t rebases the
+// index first; a t from before a retention the index has seen gets a
+// mask built for it and not cached, as does a NaN literal (a key no map
+// lookup finds). The returned bitset is shared and read-only.
+func (ix *Index) Mask(t *engine.Table, c Clause) *bitset.Bitset {
+	if b := ix.cached(t, c); b != nil {
+		return b
 	}
+	return build(t, bitset.New(0), c, t.NumRows())
+}
+
+// cached serves c's mask over t from the cache, extending or inserting
+// it, or returns nil when t predates the index's base or c's literal is
+// NaN.
+func (ix *Index) cached(t *engine.Table, c Clause) *bitset.Bitset {
+	n := t.NumRows()
 	ix.mu.RLock()
-	if base >= 0 && ix.t.Base() != base {
+	if t.Base() < ix.t.Base() {
 		ix.mu.RUnlock()
-		return nil, false
+		return nil
 	}
-	if c.Val.T == engine.TFloat && math.IsNaN(c.Val.F) {
-		// NaN keys never hit a map; build uncached rather than leak an
-		// entry per call.
-		defer ix.mu.RUnlock()
-		return ix.extend(bitset.New(0), c, rows()), true
-	}
-	if e := ix.clauses[c]; e != nil {
+	if e := ix.clauses[c]; e != nil && t.Base() == ix.t.Base() {
 		e.hit()
-		if b, n := e.bits, rows(); b.Len() >= n {
+		if b := e.bits; b.Len() >= n {
 			ix.mu.RUnlock()
-			return prefix(b, n), true
+			return prefix(b, n)
 		}
 	}
 	ix.mu.RUnlock()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if base >= 0 && ix.t.Base() != base {
-		return nil, false
+	ix.rebase(t)
+	if t.Base() != ix.t.Base() || (c.Val.T == engine.TFloat && math.IsNaN(c.Val.F)) {
+		return nil
 	}
 	e := ix.clauses[c]
 	if e == nil {
@@ -198,10 +169,28 @@ func (ix *Index) ClauseBitsAtBase(c Clause, base, n int) (*bitset.Bitset, bool) 
 	} else {
 		e.hit()
 	}
-	if e.bits.Len() < rows() {
-		e.bits = ix.extend(e.bits, c, rows())
+	if e.bits.Len() < n {
+		e.bits = build(t, e.bits, c, n)
 	}
-	return prefix(e.bits, rows()), true
+	return prefix(e.bits, n)
+}
+
+// rebase moves the index onto t when t is a newer version of its family
+// — longer, or equal-length with a larger retention base. Retention
+// re-slices each mask past the dropped rows (whole segments, so whole
+// words), writing no word a reader may hold. Caller holds ix.mu (write).
+func (ix *Index) rebase(t *engine.Table) {
+	newer := t.Version() > ix.t.Version() ||
+		(t.Version() == ix.t.Version() && t.Base() > ix.t.Base())
+	if !newer {
+		return
+	}
+	if drop := t.Base() - ix.t.Base(); drop > 0 {
+		for _, e := range ix.clauses {
+			e.bits = e.bits.SkipWords(drop >> 6)
+		}
+	}
+	ix.t = t
 }
 
 // prefix returns the first n rows of a cached mask: the mask itself at
@@ -254,33 +243,33 @@ func opMatchesCmp(op Op, cmp int) bool {
 	return false
 }
 
-// extend returns clause c's mask over the first n rows: a fresh copy of
-// old's words with rows [old.Len(), n) decoded into it. old, which
-// readers may hold, is not written. Caller holds ix.mu.
-func (ix *Index) extend(old *bitset.Bitset, c Clause, n int) *bitset.Bitset {
+// build returns clause c's mask over the first n rows of version t: a
+// fresh copy of old's words with rows [old.Len(), n) decoded from t's
+// chunks into it. old, which readers may hold, is not written.
+func build(t *engine.Table, old *bitset.Bitset, c Clause, n int) *bitset.Bitset {
 	words := make([]uint64, (n+63)>>6)
 	copy(words, old.Words())
-	if ci := ix.t.Schema().ColIndex(c.Col); ci >= 0 {
+	if ci := t.Schema().ColIndex(c.Col); ci >= 0 {
 		// An unknown column matches nothing.
-		ix.decode(words, ci, c, old.Len(), n)
+		decode(t, words, ci, c, old.Len(), n)
 	}
 	return bitset.FromWords(n, words)
 }
 
 // decode sets the rows in [from, n) of column ci that match c.
-func (ix *Index) decode(words []uint64, ci int, c Clause, from, n int) {
-	colType := ix.t.Schema()[ci].Type
+func decode(t *engine.Table, words []uint64, ci int, c Clause, from, n int) {
+	colType := t.Schema()[ci].Type
 	switch {
 	case c.Val.IsNull():
 		// engine.Compare places NULL below every non-NULL value, so
 		// every non-NULL row compares as +1.
 		if opMatchesCmp(c.Op, 1) {
-			ix.decodeNonNull(words, ci, from, n)
+			decodeNonNull(t, words, ci, from, n)
 		}
 	case colType.IsNumeric() && c.Val.T.IsNumeric():
-		ix.decodeNumeric(words, ci, c, from, n)
+		decodeNumeric(t, words, ci, c, from, n)
 	case colType == engine.TString && c.Val.T == engine.TString:
-		ix.decodeString(words, ci, c, from, n)
+		decodeString(t, words, ci, c, from, n)
 	}
 	// Otherwise the types are incomparable: engine.Compare errors, the
 	// clause matches nothing.
@@ -289,8 +278,8 @@ func (ix *Index) decode(words []uint64, ci int, c Clause, from, n int) {
 // forEachSegSpan walks rows [from, n) a segment at a time, handing fn
 // segment k, the mask words from the segment's first row on, and the
 // segment-local row span [lo, hi) to decode.
-func (ix *Index) forEachSegSpan(words []uint64, from, n int, fn func(k int, seg []uint64, lo, hi int)) {
-	segRows := ix.t.SegRows()
+func forEachSegSpan(t *engine.Table, words []uint64, from, n int, fn func(k int, seg []uint64, lo, hi int)) {
+	segRows := t.SegRows()
 	for k := from / segRows; k*segRows < n; k++ {
 		start := k * segRows
 		fn(k, words[start>>6:], max(from-start, 0), min(n-start, segRows))
@@ -316,8 +305,8 @@ func orSpan(seg []uint64, lo, hi int, word func(wi int) uint64) {
 // verdict is decisive: a provably-none segment leaves its words zero and
 // a provably-all one fills them, neither faulting the chunk. It reports
 // whether the span still needs a scan.
-func (ix *Index) zoneSpan(seg []uint64, k, ci, lo, hi int, verdict func(engine.ZoneInfo) zoneVerdict) bool {
-	z, ok := ix.segZone(k, ci, lo, hi)
+func zoneSpan(t *engine.Table, seg []uint64, k, ci, lo, hi int, verdict func(engine.ZoneInfo) zoneVerdict) bool {
+	z, ok := segZone(t, k, ci, lo, hi)
 	if !ok {
 		return true
 	}
@@ -332,12 +321,12 @@ func (ix *Index) zoneSpan(seg []uint64, k, ci, lo, hi int, verdict func(engine.Z
 }
 
 // decodeNonNull sets the non-NULL rows of column ci in [from, n).
-func (ix *Index) decodeNonNull(words []uint64, ci, from, n int) {
-	r := ix.t.NewColReader(ci)
+func decodeNonNull(t *engine.Table, words []uint64, ci, from, n int) {
+	r := t.NewColReader(ci)
 	defer r.Close()
-	numeric := ix.t.Schema()[ci].Type.IsNumeric() // every column is numeric or a string
-	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
-		if !ix.zoneSpan(seg, k, ci, lo, hi, zoneNonNullVerdict) {
+	numeric := t.Schema()[ci].Type.IsNumeric() // every column is numeric or a string
+	forEachSegSpan(t, words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !zoneSpan(t, seg, k, ci, lo, hi, zoneNonNullVerdict) {
 			return
 		}
 		if numeric {
@@ -362,16 +351,16 @@ func (ix *Index) decodeNonNull(words []uint64, ci, from, n int) {
 // rows at a time: each word's two comparison masks — cells below and
 // above the constant — give every op's word. A NaN on either side sets
 // neither bit, so it compares equal, as in engine.Compare.
-func (ix *Index) decodeNumeric(words []uint64, ci int, c Clause, from, n int) {
+func decodeNumeric(t *engine.Table, words []uint64, ci int, c Clause, from, n int) {
 	if c.Op == OpLike {
 		return // LIKE on a numeric column matches nothing
 	}
 	cv := c.Val.Float()
-	r := ix.t.NewColReader(ci)
+	r := t.NewColReader(ci)
 	defer r.Close()
 	verdict := func(z engine.ZoneInfo) zoneVerdict { return zoneNumericVerdict(z, c.Op, cv) }
-	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
-		if !ix.zoneSpan(seg, k, ci, lo, hi, verdict) {
+	forEachSegSpan(t, words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !zoneSpan(t, seg, k, ci, lo, hi, verdict) {
 			return
 		}
 		vals, null := r.Floats(k)
@@ -433,8 +422,8 @@ func (c Clause) matchString(s string) bool {
 // the verdict is computed once per distinct value — the whole
 // dictionary, so codes an append added since the last extension get
 // theirs — then fans out by code.
-func (ix *Index) decodeString(words []uint64, ci int, c Clause, from, n int) {
-	values := ix.t.Dict(ci).Values()
+func decodeString(t *engine.Table, words []uint64, ci int, c Clause, from, n int) {
+	values := t.Dict(ci).Values()
 	verdict := make([]bool, len(values))
 	eqCode := -1 // the single matching code for OpEq (dict values are distinct)
 	for code, s := range values {
@@ -449,10 +438,10 @@ func (ix *Index) decodeString(words []uint64, ci int, c Clause, from, n int) {
 		}
 		return zoneScan
 	}
-	r := ix.t.NewColReader(ci)
+	r := t.NewColReader(ci)
 	defer r.Close()
-	ix.forEachSegSpan(words, from, n, func(k int, seg []uint64, lo, hi int) {
-		if !ix.zoneSpan(seg, k, ci, lo, hi, zone) {
+	forEachSegSpan(t, words, from, n, func(k int, seg []uint64, lo, hi int) {
+		if !zoneSpan(t, seg, k, ci, lo, hi, zone) {
 			return
 		}
 		codes := r.Codes(k)
@@ -468,19 +457,17 @@ func (ix *Index) decodeString(words []uint64, ci int, c Clause, from, n int) {
 	})
 }
 
-// MatchInto writes the rows matching p (within subset, or the whole
-// table when subset is nil) into dst and returns it. dst's length picks
-// the table version: every clause mask is stamped to it. The TRUE
-// predicate matches everything in subset.
-func (ix *Index) MatchInto(p Predicate, subset *bitset.Bitset, dst *bitset.Bitset) *bitset.Bitset {
+// MatchInto writes the rows of version t matching p (within subset, or
+// every row when subset is nil) into dst and returns it; dst's length is
+// t.NumRows(). The TRUE predicate matches everything in subset.
+func (ix *Index) MatchInto(t *engine.Table, p Predicate, subset *bitset.Bitset, dst *bitset.Bitset) *bitset.Bitset {
 	if subset != nil {
 		dst.CopyFrom(subset)
 	} else {
 		dst.Fill()
 	}
 	for _, c := range p.Clauses {
-		b, _ := ix.ClauseBitsAtBase(c, -1, dst.Len())
-		dst.And(b)
+		dst.And(ix.Mask(t, c))
 	}
 	return dst
 }

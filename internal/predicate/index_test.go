@@ -72,13 +72,13 @@ func randomClause(rng *rand.Rand) Clause {
 	return Clause{Col: col, Op: op, Val: val}
 }
 
-// matchingBitset returns the rows of ix's table satisfying p (within
+// matchingBitset returns the rows of version v satisfying p (within
 // subset when non-nil) as a fresh bitset.
-func matchingBitset(p Predicate, ix *Index, subset *bitset.Bitset) *bitset.Bitset {
-	return ix.MatchInto(p, subset, bitset.New(indexTable(ix).NumRows()))
+func matchingBitset(v *engine.Table, p Predicate, ix *Index, subset *bitset.Bitset) *bitset.Bitset {
+	return ix.MatchInto(v, p, subset, bitset.New(v.NumRows()))
 }
 
-// indexTable returns the newest table version ix has synced to.
+// indexTable returns the newest table version ix has served.
 func indexTable(ix *Index) *engine.Table {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -138,7 +138,7 @@ func TestMatchingBitsetParity(t *testing.T) {
 			}
 
 			want := pred.MatchingRows(tbl, subset)
-			got := matchingBitset(pred, ix, subsetBits).Rows()
+			got := matchingBitset(tbl, pred, ix, subsetBits).Rows()
 			if subset == nil && subsetBits == nil {
 				// both mean "all rows"
 			}
@@ -157,11 +157,11 @@ func TestMatchingBitsetTruePredicate(t *testing.T) {
 	tbl := randomTable(rng, 50)
 	ix := NewIndex(tbl)
 	var pred Predicate
-	if got := matchingBitset(pred, ix, nil).Count(); got != 50 {
+	if got := matchingBitset(tbl, pred, ix, nil).Count(); got != 50 {
 		t.Fatalf("TRUE matched %d of 50", got)
 	}
 	sub := bitset.FromRows(50, []int{3, 7, 11})
-	if got := matchingBitset(pred, ix, sub).Rows(); !equalRows(got, []int{3, 7, 11}) {
+	if got := matchingBitset(tbl, pred, ix, sub).Rows(); !equalRows(got, []int{3, 7, 11}) {
 		t.Fatalf("TRUE over subset = %v", got)
 	}
 }
@@ -230,11 +230,11 @@ func BenchmarkMatchingBitsetVector(b *testing.B) {
 		{Col: "s", Op: OpEq, Val: engine.NewString("alpha")},
 	}}
 	dst := bitset.New(tbl.NumRows())
-	ix.MatchInto(pred, nil, dst) // warm the clause cache
+	ix.MatchInto(tbl, pred, nil, dst) // warm the clause cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.MatchInto(pred, nil, dst)
+		ix.MatchInto(tbl, pred, nil, dst)
 	}
 }
 
@@ -250,7 +250,7 @@ func ExampleIndex_MatchInto() {
 	}
 	ix := NewIndex(tbl)
 	p := Predicate{Clauses: []Clause{{Col: "x", Op: OpGe, Val: engine.NewInt(4)}}}
-	fmt.Println(ix.MatchInto(p, nil, bitset.New(tbl.NumRows())).Rows())
+	fmt.Println(ix.MatchInto(tbl, p, nil, bitset.New(tbl.NumRows())).Rows())
 	// Output: [4 5]
 }
 
@@ -268,14 +268,13 @@ func TestIndexAfterAppend(t *testing.T) {
 	}
 	ix := NewIndex(tbl)
 	p := Predicate{Clauses: []Clause{{Col: "x", Op: OpGe, Val: engine.NewInt(3)}}}
-	if got := matchingBitset(p, ix, nil).Rows(); !equalRows(got, []int{3, 4}) {
+	if got := matchingBitset(tbl, p, ix, nil).Rows(); !equalRows(got, []int{3, 4}) {
 		t.Fatalf("before append: %v", got)
 	}
 	if tbl, err = tbl.AppendBatch([][]engine.Value{{engine.NewInt(9)}}); err != nil {
 		t.Fatal(err)
 	}
-	ix.SyncRows(tbl)
-	if got := matchingBitset(p, ix, nil).Rows(); !equalRows(got, []int{3, 4, 5}) {
+	if got := matchingBitset(tbl, p, ix, nil).Rows(); !equalRows(got, []int{3, 4, 5}) {
 		t.Fatalf("after append: %v", got)
 	}
 }
@@ -306,16 +305,16 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 	}
 	oldNonNull := ix.ClauseBits(NonNull("f"))
 
-	// Grow the table by 60 rows and sync the index to the new version.
+	// Grow the table by 60 rows and ask for the new version's masks.
+	old150 := tbl
 	grown := randomTable(rng, 60)
 	tbl, err := tbl.AppendCols(grown.Batch(0, 60), 0, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SyncRows(tbl)
 
 	for k, c := range clauses {
-		nb := ix.ClauseBits(c)
+		nb := ix.Mask(tbl, c)
 		if ix.clauses[c] != entries[k] {
 			t.Fatalf("clause %d: canonical entry rebuilt instead of extended", k)
 		}
@@ -338,9 +337,9 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 				t.Fatalf("clause %d row %d: prefix bit changed", k, r)
 			}
 		}
-		// Length-stamped requests at the old version still work.
-		if s, _ := ix.ClauseBitsAtBase(c, -1, 150); s.Len() != 150 || s.Count() != old[k].Count() {
-			t.Fatalf("clause %d: ClauseBitsAtBase(150) = len %d count %d", k, s.Len(), s.Count())
+		// Requests at the old version still work.
+		if s := ix.Mask(old150, c); s.Len() != 150 || s.Count() != old[k].Count() {
+			t.Fatalf("clause %d: Mask(old) = len %d count %d", k, s.Len(), s.Count())
 		}
 	}
 	if nn := ix.ClauseBits(NonNull("f")); nn.Len() != 210 || oldNonNull.Len() != 150 {
@@ -348,40 +347,62 @@ func TestIndexExtendsOnAppend(t *testing.T) {
 	}
 }
 
-// TestIndexSyncRows checks the copy-on-write form: the index follows
-// the table family to the newest version through SyncRows (the hook
-// engine's aux cache calls) and serves masks at the grown length.
-func TestIndexSyncRows(t *testing.T) {
-	tbl := engine.MustNewTable("t", engine.NewSchema("x", engine.TFloat))
-	var rows [][]engine.Value
-	for i := 0; i < 30; i++ {
-		rows = append(rows, []engine.Value{engine.NewFloat(float64(i))})
-	}
-	tbl, err := tbl.AppendBatch(rows)
+// TestIndexRebase: a newer version's Mask rebases the index — an
+// append lengthens its window, a retention moves its base and re-slices
+// the cached masks — and an older version's Mask gets that version's
+// mask without regressing the index.
+func TestIndexRebase(t *testing.T) {
+	tbl, err := engine.NewTableSeg("t", engine.NewSchema("x", engine.TFloat), engine.MinSegmentBits)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]engine.Value
+	for i := 0; i < 100; i++ {
+		rows = append(rows, []engine.Value{engine.NewFloat(float64(i % 40))})
+	}
+	if tbl, err = tbl.AppendBatch(rows[:30]); err != nil {
 		t.Fatal(err)
 	}
 	ix := NewIndex(tbl)
 	c := Clause{Col: "x", Op: OpGe, Val: engine.NewFloat(10)}
-	if got := ix.ClauseBits(c).Count(); got != 20 {
+	if got := ix.Mask(tbl, c).Count(); got != 20 {
 		t.Fatalf("initial count = %d", got)
 	}
-	nt, err := tbl.AppendBatch([][]engine.Value{{engine.NewFloat(50)}, {engine.NewFloat(-1)}})
+	grown, err := tbl.AppendBatch(rows[30:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SyncRows(nt)
-	if indexTable(ix) != nt {
-		t.Fatal("SyncRows did not rebase onto the newer version")
+	want := func(v *engine.Table) int {
+		n := 0
+		for r := range v.NumRows() {
+			if c.Matches(v.Value(r, 0)) {
+				n++
+			}
+		}
+		return n
 	}
-	b := ix.ClauseBits(c)
-	if b.Len() != 32 || b.Count() != 21 {
-		t.Fatalf("after sync: len=%d count=%d", b.Len(), b.Count())
+	if b := ix.Mask(grown, c); indexTable(ix) != grown || b.Len() != 100 || b.Count() != want(grown) {
+		t.Fatalf("the grown version's Mask: len %d count %d, rebased %v", b.Len(), b.Count(), indexTable(ix) == grown)
 	}
-	// Syncing to an older version is a no-op.
-	ix.SyncRows(tbl)
-	if indexTable(ix) != nt {
-		t.Fatal("SyncRows regressed to an older version")
+	if b := ix.Mask(tbl, c); indexTable(ix) != grown || b.Len() != 30 || b.Count() != 20 {
+		t.Fatalf("the older version's Mask: len %d count %d, regressed %v", b.Len(), b.Count(), indexTable(ix) != grown)
+	}
+	retained, stats, err := grown.RetainTail(engine.RetentionPolicy{MaxRows: 30})
+	if err != nil || stats.DroppedRows != 64 {
+		t.Fatalf("retain: %+v %v", stats, err)
+	}
+	entry := ix.clauses[c]
+	if b := ix.Mask(retained, c); indexTable(ix) != retained || b.Len() != 36 || b.Count() != want(retained) {
+		t.Fatalf("the retained version's Mask: len %d count %d", b.Len(), b.Count())
+	}
+	if ix.clauses[c] != entry || entry.bits.Len() != 36 {
+		t.Fatal("the retention rebuilt the cached mask instead of re-slicing it")
+	}
+	// Versions from before the retention are served, and cache nothing.
+	for _, v := range []*engine.Table{grown, tbl} {
+		if b := ix.Mask(v, c); indexTable(ix) != retained || ix.clauses[c] != entry || b.Len() != v.NumRows() || b.Count() != want(v) {
+			t.Fatalf("a pre-retention %d-row version: len %d count %d", v.NumRows(), b.Len(), b.Count())
+		}
 	}
 }
 
@@ -426,7 +447,7 @@ func TestClauseEdgeCells(t *testing.T) {
 				whole := NewIndex(full).ClauseBits(c)
 				grown := NewIndex(short)
 				grown.ClauseBits(c)
-				grown.SyncRows(full)
+				grown.Mask(full, c)
 				for name, b := range map[string]*bitset.Bitset{"whole": whole, "extended": grown.ClauseBits(c)} {
 					for r := 0; r < full.NumRows(); r++ {
 						if want := c.Matches(full.Value(r, ci)); b.Get(r) != want {
@@ -521,11 +542,7 @@ func TestHeldMasksImmutable(t *testing.T) {
 					h.mask.Count()
 				}
 				for _, c := range clauses {
-					// As a query asks: at its version's base and length.
-					v := indexTable(ix)
-					if b, ok := ix.ClauseBitsAtBase(c, v.Base(), v.NumRows()); ok {
-						b.Count()
-					}
+					ix.Mask(indexTable(ix), c).Count() // as a query asks: at its version
 				}
 			}
 		}()
@@ -539,17 +556,15 @@ func TestHeldMasksImmutable(t *testing.T) {
 		if tbl, err = tbl.AppendCols(more.Batch(0, 70), 0, 70); err != nil {
 			t.Fatal(err)
 		}
-		ix.SyncRows(tbl)
 		for _, c := range clauses {
-			hold(ix.ClauseBits(c)) // extends into a copy
-			b, _ := ix.ClauseBitsAtBase(c, -1, old.NumRows())
-			hold(b) // the older length
+			hold(ix.Mask(tbl, c)) // extends into a copy
+			hold(ix.Mask(old, c)) // the older length
 		}
 		if round%3 == 2 {
 			if tbl, _, err = tbl.RetainTail(engine.RetentionPolicy{MaxRows: 150}); err != nil {
 				t.Fatal(err)
 			}
-			ix.SyncRows(tbl) // re-slices every held clause's mask
+			hold(ix.Mask(tbl, clauses[0])) // rebases: re-slices every held clause's mask
 		}
 		for k := range maxMasks / 2 { // evicts the held clauses' entries now and then
 			ix.ClauseBits(Clause{Col: "f", Op: OpLt, Val: engine.NewFloat(float64(round*maxMasks + k))})
@@ -572,13 +587,14 @@ func TestHeldMasksImmutable(t *testing.T) {
 	}
 }
 
-// TestClauseBitsRacesRetention: ClauseBits resolves the row count it
-// serves in the critical section that builds the mask. Readers ask for
-// the newest masks while a writer appends and retains (run it under
-// -race); a count read before a retention pass and served after it would
-// slice past the shrunken table's tail chunk. The index ends serving the
-// last version's masks.
-func TestClauseBitsRacesRetention(t *testing.T) {
+// TestMaskRacesRetention: every mask request names its version, and
+// gets that version's rows whatever the index has moved on to. Readers
+// hold versions — some from before a retention the index has since
+// rebased past — and ask Mask and MatchInto while a writer appends and
+// retains (run it under -race); each answer must be bit-identical to
+// Clause.Matches over the version's own rows. A read at a stale base
+// must leave the index's cached entries as they were.
+func TestMaskRacesRetention(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seed := randomTable(rng, 100)
 	tbl, err := engine.NewTableSeg("t", seed.Schema(), engine.MinSegmentBits)
@@ -594,6 +610,31 @@ func TestClauseBitsRacesRetention(t *testing.T) {
 		{Col: "s", Op: OpEq, Val: engine.NewString("beta")},
 		NonNull("i"),
 	}
+	// A published version carries its clauses' masks by Clause.Matches.
+	type version struct {
+		v    *engine.Table
+		want []*bitset.Bitset
+	}
+	publish := func(v *engine.Table) version {
+		pv := version{v: v}
+		for _, c := range clauses {
+			b, ci := bitset.New(v.NumRows()), v.Schema().ColIndex(c.Col)
+			for r := range v.NumRows() {
+				if c.Matches(v.Value(r, ci)) {
+					b.Set(r)
+				}
+			}
+			pv.want = append(pv.want, b)
+		}
+		return pv
+	}
+	same := func(a, b *bitset.Bitset) bool {
+		return a.Len() == b.Len() && equalRows(a.Rows(), b.Rows())
+	}
+	var (
+		mu       sync.Mutex // guards versions; the versions are read unlocked
+		versions = []version{publish(tbl)}
+	)
 	more := randomTable(rng, 90)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -601,42 +642,101 @@ func TestClauseBitsRacesRetention(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for k := w; ; k++ {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// The window never outgrows a retained tail (under five
-				// segments) plus one batch.
-				if b := ix.ClauseBits(clauses[k%len(clauses)]); b.Len() >= 5*64+90 || b.Count() > b.Len() {
-					t.Errorf("a mask of %d rows, %d set", b.Len(), b.Count())
+				mu.Lock()
+				pv := versions[rng.Intn(len(versions))]
+				mu.Unlock()
+				a, b := rng.Intn(len(clauses)), rng.Intn(len(clauses))
+				if got := ix.Mask(pv.v, clauses[a]); !same(got, pv.want[a]) {
+					t.Errorf("%s over a %d-row version at base %d: a mask of %d rows, %d set; want %d set",
+						clauses[a], pv.v.NumRows(), pv.v.Base(), got.Len(), got.Count(), pv.want[a].Count())
+					return
+				}
+				want := pv.want[a].Clone()
+				want.And(pv.want[b])
+				p := Predicate{Clauses: []Clause{clauses[a], clauses[b]}}
+				if got := ix.MatchInto(pv.v, p, nil, bitset.New(pv.v.NumRows())); !same(got, want) {
+					t.Errorf("%s over a %d-row version at base %d: %d rows, want %d",
+						p, pv.v.NumRows(), pv.v.Base(), got.Count(), want.Count())
 					return
 				}
 			}
 		}()
 	}
-	for round := 0; round < 100; round++ {
+	sawStale := false
+	for round := 0; round < 60; round++ {
 		if tbl, err = tbl.AppendCols(more.Batch(0, 90), 0, 90); err != nil {
 			t.Fatal(err)
 		}
-		ix.SyncRows(tbl)
+		appended := publish(tbl)
 		if tbl, _, err = tbl.RetainTail(engine.RetentionPolicy{MaxRows: 4 * 64}); err != nil {
 			t.Fatal(err)
 		}
-		ix.SyncRows(tbl)
+		retained := publish(tbl)
+		sawStale = sawStale || appended.v.Base() < retained.v.Base()
+		mu.Lock()
+		versions = append(versions, appended, retained)
+		if len(versions) > 8 { // the last four rounds' versions
+			versions = versions[len(versions)-8:]
+		}
+		mu.Unlock()
 	}
 	close(stop)
 	readers.Wait()
-	for _, c := range clauses {
-		b, ci := ix.ClauseBits(c), tbl.Schema().ColIndex(c.Col)
-		if b.Len() != tbl.NumRows() {
-			t.Fatalf("%s: mask of %d rows over a %d-row window", c, b.Len(), tbl.NumRows())
+	if !sawStale {
+		t.Fatal("harness coverage: no retention moved the base")
+	}
+
+	// The index serves the last version, and a stale read leaves it so.
+	last := versions[len(versions)-1]
+	for k, c := range clauses {
+		if !same(ix.Mask(last.v, c), last.want[k]) {
+			t.Fatalf("%s: the last version's mask differs from Matches", c)
 		}
-		for r := 0; r < tbl.NumRows(); r++ {
-			if b.Get(r) != c.Matches(tbl.Value(r, ci)) {
-				t.Fatalf("%s row %d: mask %v", c, r, b.Get(r))
+	}
+	type entry struct {
+		e    *maskEntry
+		bits *bitset.Bitset
+	}
+	snapshot := func() (*engine.Table, map[Clause]entry) {
+		ix.mu.RLock()
+		defer ix.mu.RUnlock()
+		m := make(map[Clause]entry, len(ix.clauses))
+		for c, e := range ix.clauses {
+			m[c] = entry{e, e.bits}
+		}
+		return ix.t, m
+	}
+	beforeT, before := snapshot()
+	if beforeT != last.v {
+		t.Fatal("the index is not on the last version")
+	}
+	uncached := Clause{Col: "f", Op: OpLt, Val: engine.NewFloat(1)}
+	for _, pv := range versions {
+		if pv.v.Base() == last.v.Base() {
+			continue
+		}
+		for k, c := range clauses {
+			if !same(ix.Mask(pv.v, c), pv.want[k]) {
+				t.Fatalf("%s: a stale version's mask differs from Matches", c)
 			}
+		}
+		ix.Mask(pv.v, uncached)
+		ix.MatchInto(pv.v, Predicate{Clauses: clauses}, nil, bitset.New(pv.v.NumRows()))
+	}
+	afterT, after := snapshot()
+	if afterT != beforeT || len(after) != len(before) {
+		t.Fatalf("stale reads moved the index: %d entries → %d", len(before), len(after))
+	}
+	for c, e := range before {
+		if after[c] != e {
+			t.Fatalf("stale reads replaced %s's cached mask", c)
 		}
 	}
 }

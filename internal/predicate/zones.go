@@ -129,9 +129,9 @@ func zoneNonNullVerdict(z engine.ZoneInfo) zoneVerdict {
 // (only a faultable segment does) AND the span covers the whole segment
 // — partial spans must scan (the zone summarizes all rows, the span only
 // some).
-func (ix *Index) segZone(k, ci, lo, hi int) (engine.ZoneInfo, bool) {
-	if lo != 0 || hi != ix.t.SegRows() {
+func segZone(t *engine.Table, k, ci, lo, hi int) (engine.ZoneInfo, bool) {
+	if lo != 0 || hi != t.SegRows() {
 		return engine.ZoneInfo{}, false
 	}
-	return ix.t.SegmentZone(k, ci)
+	return t.SegmentZone(k, ci)
 }

@@ -57,7 +57,10 @@ const (
 	weightExcess = 0.2
 )
 
-// Context carries everything scoring needs.
+// Context carries everything scoring needs. Candidates match through
+// the source family's one clause-mask index (predicate.Shared), each
+// mask asked for at Res.Source's version, so a retention that runs
+// during the pass cannot hand the scorer another row-id window.
 type Context struct {
 	// Ctx cancels a ranking pass: scoring polls it before every
 	// candidate, and RankAllCarry/Rescore return an error wrapping the
@@ -88,14 +91,14 @@ type Context struct {
 	// Left nil, the first ranking call builds one; a selection or
 	// aggregate influence.NewScorer refuses is that call's error.
 	Scorer *influence.Scorer
-	// Index caches vectorized per-clause match masks over Res.Source;
-	// built automatically when nil.
-	Index *predicate.Index
 
-	// prepared lazily by prepare(): bitset forms of Population and F,
-	// shared read-only across scoring goroutines.
+	// prepared lazily by prepare(): the source family's clause-mask
+	// index (predicate.Shared, asked for Res.Source's masks) and bitset
+	// forms of Population and F, shared read-only across scoring
+	// goroutines.
 	prepOnce sync.Once
 	prepErr  error
+	ix       *predicate.Index
 	popBits  *bitset.Bitset
 	fBits    *bitset.Bitset
 	popCount int
@@ -115,17 +118,10 @@ func (ctx *Context) prepare() error {
 				return
 			}
 		}
-		if ctx.Index == nil {
-			// Per-context index, collected with the ranking pass.
-			// Callers chaining incremental Debugs (core.DebugAdvance)
-			// pass in a longer-lived index instead, so carried
-			// candidates' masks extend by suffix across batches. The
-			// family-shared predicate.Shared index is deliberately NOT
-			// used here: candidate thresholds are data-dependent and
-			// churn per pass, and in a bounded cache they would evict
-			// the masks the statements reuse.
-			ctx.Index = predicate.NewIndex(ctx.Res.Source)
-		}
+		// The family's index: a carried candidate's masks extend by the
+		// appended rows only, and a clean's WHERE NOT re-run finds the
+		// winner's clauses already built.
+		ctx.ix = predicate.Shared(ctx.Res.Source)
 		n := ctx.Res.Source.NumRows()
 		pop := ctx.Population
 		if pop == nil {
@@ -193,7 +189,7 @@ func (s Scored) String() string {
 // (tautological). Steady state (clause masks warm, target bits
 // populated) it allocates nothing for the algebraic aggregates.
 func score(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
-	pb := ctx.Index.MatchInto(c.Pred, ctx.popBits, env.pb)
+	pb := ctx.ix.MatchInto(ctx.Res.Source, c.Pred, ctx.popBits, env.pb)
 	nPop := pb.Count()
 	// Vacuous and tautological predicates explain nothing.
 	if nPop == 0 || nPop == ctx.popCount {
@@ -202,7 +198,7 @@ func score(c Candidate, ctx *Context, env *scoreEnv) (Scored, bool) {
 	// Match against the FULL lineage, not pb ∩ F: the Population may be
 	// a capped learner sample (core's MaxLearnRows) that misses lineage
 	// rows, and ε must reflect removing every matched lineage tuple.
-	mb := ctx.Index.MatchInto(c.Pred, ctx.fBits, env.mb)
+	mb := ctx.ix.MatchInto(ctx.Res.Source, c.Pred, ctx.fBits, env.mb)
 	nMatched := mb.Count()
 	if nMatched == 0 {
 		return Scored{}, false
@@ -316,7 +312,7 @@ type rowSet struct {
 // rowsOf matches c over F into env.mb (which prune leaves holding a
 // rejected variant's rows) and returns its rowSet.
 func rowsOf(c Candidate, ctx *Context, env *scoreEnv) rowSet {
-	mb := ctx.Index.MatchInto(c.Pred, ctx.fBits, env.mb)
+	mb := ctx.ix.MatchInto(ctx.Res.Source, c.Pred, ctx.fBits, env.mb)
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range mb.Words() {
 		h = bits.RotateLeft64(h^w, 29) * 0xbf58476d1ce4e5b9
