@@ -30,6 +30,7 @@ import (
 	"repro/internal/influence"
 	"repro/internal/sqlparse"
 	"repro/internal/store"
+	"repro/internal/testgen"
 )
 
 // intelEnv caches one synthetic trace + executed query per size so the
@@ -49,7 +50,7 @@ func intelBench(b testing.TB, rows int) *intelEnv {
 		return e
 	}
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: rows, Seed: 7})
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(b.Context(), db, datasets.IntelWindowSQL)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func intelBench(b testing.TB, rows int) *intelEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dprime, err := core.ExamplesWhere(res, suspect, "temperature > 100")
+	dprime, err := core.ExamplesWhereCtx(b.Context(), res, suspect, "temperature > 100")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func fecBench(b testing.TB, rows int) *fecEnv {
 		return e
 	}
 	db, _ := datasets.FECDB(datasets.FECConfig{Rows: rows, Seed: 7})
-	res, err := exec.RunSQL(db, datasets.FECDailySQL("McCain"))
+	res, err := testgen.Query(b.Context(), db, datasets.FECDailySQL("McCain"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func fecBench(b testing.TB, rows int) *fecEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dprime, err := core.ExamplesWhere(res, suspect, "amount < 0")
+	dprime, err := core.ExamplesWhereCtx(b.Context(), res, suspect, "amount < 0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func BenchmarkFigure4WindowQuery(b *testing.B) {
 	e := intelBench(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunSQL(e.db, datasets.IntelWindowSQL); err != nil {
+		if _, err := testgen.Query(b.Context(), e.db, datasets.IntelWindowSQL); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func BenchmarkFigure6RankedPredicatesFresh(b *testing.B) {
 	e := intelBench(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec.RunSQL(e.db, datasets.IntelWindowSQL)
+		res, err := testgen.Query(b.Context(), e.db, datasets.IntelWindowSQL)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func BenchmarkFigure7FECDaily(b *testing.B) {
 	e := fecBench(b, 150_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunSQL(e.db, datasets.FECDailySQL("McCain")); err != nil {
+		if _, err := testgen.Query(b.Context(), e.db, datasets.FECDailySQL("McCain")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,7 +261,7 @@ func BenchmarkInfluenceLOO(b *testing.B) {
 	e := intelBench(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := influence.Rank(e.res, e.suspect, 0, errmetric.TooHigh{C: 70}, influence.Options{}); err != nil {
+		if _, err := influence.RankCtx(b.Context(), e.res, e.suspect, 0, errmetric.TooHigh{C: 70}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func BenchmarkInfluenceLOO(b *testing.B) {
 // BenchmarkStreamingAppendQuery measures the continuous-monitoring
 // cycle — append one batch, re-run the Figure 4 window query — at
 // several base table sizes. The incremental path (copy-on-write
-// AppendBatch + exec.Advance folding in only the appended rows, with
+// AppendBatch + exec.AdvanceCtx folding in only the appended rows, with
 // clause masks extending by suffix decode) must cost
 // O(batch) per cycle regardless of table size; the rebuild variant
 // re-runs the full query after each append and scales O(table), the
@@ -297,7 +298,7 @@ func BenchmarkStreamingAppendQuery(b *testing.B) {
 				ids[i] = i
 			}
 			tbl := full.Select(ids)
-			res, err := exec.RunOn(tbl, stmt)
+			res, err := exec.Run(b.Context(), tbl, stmt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -324,7 +325,7 @@ func BenchmarkStreamingAppendQuery(b *testing.B) {
 					}
 					bi++
 					if mode == "incremental" {
-						res, err = exec.Advance(res, grown)
+						res, err = exec.AdvanceCtx(b.Context(), res, grown)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -332,7 +333,7 @@ func BenchmarkStreamingAppendQuery(b *testing.B) {
 							b.Fatalf("advance fell back: %+v", res.Plan)
 						}
 					} else {
-						res, err = exec.RunOn(grown, stmt)
+						res, err = exec.Run(b.Context(), grown, stmt)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -426,7 +427,7 @@ func BenchmarkStreamingDebug(b *testing.B) {
 				if closed == nil {
 					closed = suspectsOf(res, res.NumRows()-1) // the last window is still filling
 				}
-				examples, err := core.ExamplesWhere(res, closed, "temperature > 100")
+				examples, err := core.ExamplesWhereCtx(b.Context(), res, closed, "temperature > 100")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -438,7 +439,7 @@ func BenchmarkStreamingDebug(b *testing.B) {
 					ids[i] = i
 				}
 				tbl := full.Select(ids)
-				res, err := exec.RunOn(tbl, stmt)
+				res, err := exec.Run(b.Context(), tbl, stmt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -467,7 +468,7 @@ func BenchmarkStreamingDebug(b *testing.B) {
 					}
 					bi++
 					if mode != "rebuild" {
-						res, err = exec.Advance(res, grown)
+						res, err = exec.AdvanceCtx(b.Context(), res, grown)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -481,7 +482,7 @@ func BenchmarkStreamingDebug(b *testing.B) {
 							b.Fatalf("debug advance fell back: %+v", dbg.Plan)
 						}
 					} else {
-						res, err = exec.RunOn(grown, stmt)
+						res, err = exec.Run(b.Context(), grown, stmt)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -507,7 +508,7 @@ func BenchmarkFullScaleIntel(b *testing.B) {
 	e := intelBench(b, 2_300_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunSQL(e.db, datasets.IntelWindowSQL); err != nil {
+		if _, err := testgen.Query(b.Context(), e.db, datasets.IntelWindowSQL); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -597,7 +598,7 @@ func BenchmarkRetention(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(b.Context(), tbl, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -623,7 +624,7 @@ func BenchmarkRetention(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err = exec.Advance(res, retained)
+		res, err = exec.AdvanceCtx(b.Context(), res, retained)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -809,7 +810,7 @@ func BenchmarkColdScan(b *testing.B) {
 			var faulted, resident int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.RunOn(tbl, stmt)
+				res, err := exec.Run(b.Context(), tbl, stmt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -840,7 +841,7 @@ func BenchmarkZoneMapSkip(b *testing.B) {
 	var skipped, faulted int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(b.Context(), tbl, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -873,13 +874,13 @@ func BenchmarkSelectiveFilter(b *testing.B) {
 	}
 	// Warm the shared clause-mask cache: steady-state lowering, not the
 	// first decode.
-	if _, err := exec.RunOn(tbl, stmt); err != nil {
+	if _, err := exec.Run(b.Context(), tbl, stmt); err != nil {
 		b.Fatal(err)
 	}
 	var skipped int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(b.Context(), tbl, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -904,13 +905,13 @@ func BenchmarkResidualFilter(b *testing.B) {
 	}
 	// Warm the shared clause-mask cache: steady-state lowering, not the
 	// first decode.
-	if _, err := exec.RunOn(tbl, stmt); err != nil {
+	if _, err := exec.Run(b.Context(), tbl, stmt); err != nil {
 		b.Fatal(err)
 	}
 	var residualRows int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(b.Context(), tbl, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -942,7 +943,7 @@ func BenchmarkMaskedAggregation(b *testing.B) {
 		run  func() (*exec.Result, error)
 	}{
 		{"reference", func() (*exec.Result, error) { return exec.RunReference(ctx, tbl, stmt) }},
-		{"masked", func() (*exec.Result, error) { return exec.RunOn(tbl, stmt) }},
+		{"masked", func() (*exec.Result, error) { return exec.Run(b.Context(), tbl, stmt) }},
 	}
 	for _, mode := range modes {
 		if _, err := mode.run(); err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -40,6 +41,7 @@ func main() {
 	noPlot := flag.Bool("noplot", false, "suppress ASCII plots")
 	flag.Parse()
 
+	ctx := context.Background()
 	db := engine.NewDB()
 	switch {
 	case *csvPath != "":
@@ -67,7 +69,15 @@ func main() {
 		log.Fatal("-sql required")
 	}
 
-	res, err := exec.RunSQL(db, *sqlStr)
+	stmt, err := sqlparse.Parse(*sqlStr)
+	if err != nil {
+		log.Fatalf("query: %v", err)
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		log.Fatalf("query: %v", err)
+	}
+	res, err := exec.Run(ctx, src, stmt)
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
@@ -100,7 +110,7 @@ func main() {
 	}
 	var examples []int
 	if *examplesCond != "" {
-		examples, err = core.ExamplesWhere(res, suspect, *examplesCond)
+		examples, err = core.ExamplesWhereCtx(ctx, res, suspect, *examplesCond)
 		if err != nil {
 			log.Fatalf("examples: %v", err)
 		}

@@ -257,13 +257,15 @@
 //     has seen gets a mask built for it alone. So a scan mid-append or
 //     racing a retention pass never sees another version's rows. An
 //     Index holds at most 128 masks and no statistics.
-//   - internal/exec — Advance(res, grown) re-executes a statement over a
-//     grown table version by folding only the appended rows into copies
-//     of the previous result's group states (Clone+Merge state copy),
-//     then re-materializing HAVING/ORDER BY/LIMIT over the groups — a
+//   - internal/exec — two entries: Run(ctx, src, stmt) executes a
+//     statement over the table it is handed (the caller resolves FROM,
+//     engine.DB.Table), and AdvanceCtx(ctx, res, grown) re-executes one
+//     over a grown table version by folding only the appended rows into
+//     copies of the previous result's group states (Clone+Merge state
+//     copy), then re-materializing HAVING/ORDER BY/LIMIT over the groups — a
 //     full re-sort, which at the tens of groups a monitoring query has
 //     costs less than carrying an order: O(batch + groups) per cycle
-//     instead of an O(n) rescan. Advance touches no provenance: the
+//     instead of an O(n) rescan. AdvanceCtx touches no provenance: the
 //     advanced result records its nearest built ancestor's value, and
 //     its first read copies that value's lineage, bitsets and argument
 //     views and runs one lineage pass over the rows appended since, so a
@@ -302,7 +304,7 @@
 //     — or, when no suspect group's lineage grew (a stream mostly adds
 //     groups), shares the previous pass's ranking as it stands: every
 //     aggregate state, so ε and every δ, is unchanged.
-//   - core.ExamplesWhere — the user's examples are the suspect lineage
+//   - core.ExamplesWhereCtx — the user's examples are the suspect lineage
 //     bitset ∧ the condition's WHERE mask (exec.FilterRows): a
 //     comparison reads the family's shared clause mask, which extends
 //     by the appended suffix, and so does a LIKE on a string column;
@@ -372,10 +374,10 @@
 // straddles a segment, so scan state aligns with chunk boundaries
 // instead of re-partitioning flat arrays per call.
 //
-// Segments are also the unit of retention. DB.Retain /
-// Table.RetainTail drop whole head segments past a row-count or
-// age-column horizon and republish the retained version, giving an
-// unbounded append stream a bounded resident window
+// Segments are also the unit of retention. engine.DB.Retain (durably,
+// store.DB.RetainCtx) / Table.RetainTail drop whole head segments past
+// a row-count or age-column horizon and republish the retained version,
+// giving an unbounded append stream a bounded resident window
 // (examples/sensor_stream runs the monitoring loop forever at a
 // retained-segment plateau; Table.MemStats and the server's /api/stats
 // report the footprint). Dropping k segments rebases every surviving
@@ -385,7 +387,7 @@
 //   - the predicate index, keyed by clause over per-segment mask
 //     chunks, outlives versions: it just drops its head chunks;
 //   - a carried result, scorer or ranking is valid only at the base it
-//     was computed at. exec.Advance across a moved base re-runs the
+//     was computed at. exec.AdvanceCtx across a moved base re-runs the
 //     statement over the retained window, recording why in
 //     Plan.Fallback ("retention: ...") — the only thing that field ever
 //     names — and core.DebugAdvance across one runs a full Debug with
@@ -421,9 +423,10 @@
 // was fed (cached exec results, debug analyses, the published table
 // version) either untouched or fully published, so an uncancelled retry
 // is bit-identical to a from-scratch run. Concretely, exec.AdvanceCtx
-// un-claims its input result on every post-claim error; store.AppendCtx
-// checks the context only before the WAL write, so an acknowledged
-// batch is never half-durable (cancel-before-publish-or-not-at-all);
+// never writes its input result, so a retry on the same result is
+// bit-identical; store.DB.AppendColsCtx checks the context only before
+// the WAL write, so an acknowledged batch is never half-durable
+// (cancel-before-publish-or-not-at-all);
 // core.DebugAdvance leaves the previous analysis reusable; and
 // ranker.Rescore leaves the carried ranking untouched on error.
 //

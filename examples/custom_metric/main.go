@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 )
 
 // relDeviation is a user-defined ε: the summed *relative* deviation of
@@ -49,7 +51,15 @@ func main() {
 	// generating a spike with an unusual occupation signature.
 	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 100_000, Seed: 9})
 
-	res, err := exec.RunSQL(db, `SELECT day, count(*) AS n FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day`)
+	stmt, err := sqlparse.Parse(`SELECT day, count(*) AS n FROM donations WHERE candidate = 'McCain' GROUP BY day ORDER BY day`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(context.Background(), src, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}

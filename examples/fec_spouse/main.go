@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/viz"
 )
 
@@ -24,7 +26,15 @@ func main() {
 	sql := datasets.FECDailySQL("McCain")
 	fmt.Println("query:", sql)
 
-	res, err := exec.RunSQL(db, sql)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(context.Background(), src, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +50,7 @@ func main() {
 	fmt.Printf("S: %d days with negative totals\n", len(suspect))
 
 	// She zooms in, sees negative donations, highlights them...
-	dprime, err := core.ExamplesWhere(res, suspect, "amount < 0")
+	dprime, err := core.ExamplesWhereCtx(context.Background(), res, suspect, "amount < 0")
 	if err != nil {
 		log.Fatal(err)
 	}

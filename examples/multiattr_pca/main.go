@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/viz"
 )
 
@@ -29,7 +31,15 @@ func main() {
 	               stddev(temperature) AS std_temp
 	        FROM readings
 	        GROUP BY moteid, bucket(epoch(ts), 3600)`
-	res, err := exec.RunSQL(db, sql)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(context.Background(), src, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}

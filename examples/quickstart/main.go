@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 )
 
 func main() {
@@ -39,11 +41,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db := engine.NewDB()
-	db.Register(readings)
 
 	// 1. Run an aggregate query (provenance is captured automatically).
-	res, err := exec.RunSQL(db, "SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
+	stmt, err := sqlparse.Parse("SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(context.Background(), readings, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}

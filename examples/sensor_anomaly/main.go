@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,6 +25,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/viz"
 )
 
@@ -32,7 +34,15 @@ func main() {
 	fmt.Println("synthetic Intel Lab trace loaded; query:")
 	fmt.Println(" ", datasets.IntelWindowSQL)
 
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	stmt, err := sqlparse.Parse(datasets.IntelWindowSQL)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(context.Background(), src, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +58,7 @@ func main() {
 	fmt.Printf("S: %d windows with stddev > 10\n\n", len(suspect))
 
 	// Figure 4, right: zoom in; D' = readings above 100F.
-	dprime, err := core.ExamplesWhere(res, suspect, "temperature > 100")
+	dprime, err := core.ExamplesWhereCtx(context.Background(), res, suspect, "temperature > 100")
 	if err != nil {
 		log.Fatal(err)
 	}

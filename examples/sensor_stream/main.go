@@ -7,13 +7,13 @@
 // cycle appends one batch of rows (Table.Batch) through the
 // copy-on-write ingest path (store.DB.AppendColsCtx), advances the
 // cached query result by folding in only the appended rows
-// (exec.Advance — no rescan), and advances
-// the previous Debug analysis the same way (core.DebugAdvance): the
+// (exec.AdvanceCtx — no rescan), and advances the previous Debug
+// analysis the same way (core.DebugAdvance): the
 // carried lineage bitsets, argument view and scored predicates all
 // extend by the appended suffix, and the learners only re-run when a
 // carried predicate's score drifts.
 //
-// On top of the streaming loop, a retention policy (engine.DB.Retain)
+// On top of the streaming loop, a retention policy (store.DB.RetainCtx)
 // drops whole head segments past a row horizon every few batches, so
 // the retained segment count — and with it resident memory — plateaus
 // while the stream keeps growing. A carried answer is valid only at the
@@ -46,6 +46,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/sqlparse"
 	"repro/internal/store"
 )
 
@@ -65,6 +66,7 @@ const (
 func main() {
 	// Generate the whole trace once, then replay its tail as live
 	// batches against a table seeded with the first baseRows readings.
+	ctx := context.Background()
 	full, _ := datasets.Intel(datasets.IntelConfig{Rows: baseRows + batches*batchRows, Seed: 11})
 
 	// The stream is durable: a segment store under a scratch directory
@@ -82,7 +84,8 @@ func main() {
 	if err := st.CreateTable("readings", full.Schema(), segBits); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := st.AppendColsCtx(context.Background(), "readings", full.Batch(0, baseRows)); err != nil {
+	src, err := st.AppendColsCtx(ctx, "readings", full.Batch(0, baseRows))
+	if err != nil {
 		log.Fatal(err)
 	}
 	db := st.Eng()
@@ -90,7 +93,11 @@ func main() {
 	fmt.Printf("monitoring %d motes; base trace %d rows; %d-row segments, retain ~%d rows; durable dir %s; query:\n  %s\n\n",
 		54, baseRows, 1<<segBits, retainRows, dir, datasets.IntelWindowSQL)
 
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	stmt, err := sqlparse.Parse(datasets.IntelWindowSQL)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := exec.Run(ctx, src, stmt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,13 +108,13 @@ func main() {
 		lo := baseRows + b*batchRows
 		batch := full.Batch(lo, lo+batchRows)
 		start := time.Now()
-		grown, err := st.AppendColsCtx(context.Background(), "readings", batch)
+		grown, err := st.AppendColsCtx(ctx, "readings", batch)
 		if err != nil {
 			log.Fatal(err)
 		}
 		note := ""
 		if (b+1)%retainEvery == 0 {
-			retained, stats, err := st.Retain("readings", engine.RetentionPolicy{MaxRows: retainRows})
+			retained, stats, err := st.RetainCtx(ctx, "readings", engine.RetentionPolicy{MaxRows: retainRows})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -116,7 +123,7 @@ func main() {
 			}
 			grown = retained
 		}
-		res, err = exec.Advance(res, grown)
+		res, err = exec.AdvanceCtx(ctx, res, grown)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/bitset"
@@ -34,7 +35,7 @@ func FullProvenance(res *exec.Result, suspect []int) []int {
 
 // TopKInfluence returns the k most error-influential tuples.
 func TopKInfluence(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, k int) ([]int, error) {
-	an, err := influence.Rank(res, suspect, ord, metric, influence.Options{})
+	an, err := influence.RankCtx(context.TODO(), res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +84,7 @@ type ExhaustiveResult struct {
 // so the comparison with CN2-SD is apples-to-apples.
 func Exhaustive(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, opt ExhaustiveOptions) ([]ExhaustiveResult, error) {
 	opt.defaults()
-	an, err := influence.Rank(res, suspect, ord, metric, influence.Options{})
+	an, err := influence.RankCtx(context.TODO(), res, suspect, ord, metric)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,13 @@ import (
 	"repro/internal/exec"
 	"repro/internal/feature"
 	"repro/internal/influence"
+	"repro/internal/testgen"
 )
 
 func fecFixture(t *testing.T) (*exec.Result, []int, *datasets.Truth) {
 	t.Helper()
 	db, labels := datasets.FECDB(datasets.FECConfig{Rows: 30_000, Seed: 2})
-	res, err := exec.RunSQL(db, datasets.FECDailySQL("McCain"))
+	res, err := testgen.Query(t.Context(), db, datasets.FECDailySQL("McCain"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestExhaustiveZeroEps(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

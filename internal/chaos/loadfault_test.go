@@ -111,7 +111,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 	}
 
 	run := func(tbl *engine.Table, stmtSeed int64) *exec.Result {
-		res, err := exec.RunOn(tbl, testgen.DebugStmt(rand.New(rand.NewSource(stmtSeed))))
+		res, err := exec.Run(t.Context(), tbl, testgen.DebugStmt(rand.New(rand.NewSource(stmtSeed))))
 		if err != nil {
 			t.Fatalf("stmt seed %d: %v", stmtSeed, err)
 		}
@@ -186,7 +186,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 			continue
 		}
 		// The carried pass's oracle is the same pass over the oracle table.
-		oracleAdvRes, err := exec.Advance(oracleRes, oracleGrown)
+		oracleAdvRes, err := exec.AdvanceCtx(t.Context(), oracleRes, oracleGrown)
 		if err != nil {
 			t.Fatalf("seed %d: oracle advance: %v", seed, err)
 		}
@@ -217,7 +217,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: prev: %v", seed, err)
 		}
-		advRes, err := exec.Advance(res, grown)
+		advRes, err := exec.AdvanceCtx(t.Context(), res, grown)
 		if err != nil {
 			t.Fatalf("seed %d: advance: %v", seed, err)
 		}

@@ -93,12 +93,12 @@ func TestMatrixRun(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 101))
 		tbl := testgen.TableSeg(rng, 9000+rng.Intn(4000), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
-		oracle, err := exec.RunOn(tbl, stmt)
+		oracle, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
+			_, err := exec.Run(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil {
@@ -108,7 +108,7 @@ func TestMatrixRun(t *testing.T) {
 			t.Fatalf("seed %d: scan over %d rows crossed no cancellation checkpoints", seed, tbl.NumRows())
 		}
 		for _, k := range matrixPoints(n) {
-			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt)
+			res, err := exec.Run(CancelAfter(k), tbl, stmt)
 			if err == nil {
 				t.Fatalf("seed %d k=%d: cancelled run succeeded", seed, k)
 			}
@@ -118,7 +118,7 @@ func TestMatrixRun(t *testing.T) {
 			if res != nil {
 				t.Fatalf("seed %d k=%d: cancelled run returned a result", seed, k)
 			}
-			retry, err := exec.RunOn(tbl, stmt)
+			retry, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: retry failed: %v", seed, k, err)
 			}
@@ -149,7 +149,7 @@ func TestMatrixAdvance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 211))
 		tbl := testgen.TableSeg(rng, 4000+rng.Intn(3000), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
@@ -159,7 +159,7 @@ func TestMatrixAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := exec.RunOn(grown, stmt)
+		oracle, err := exec.Run(t.Context(), grown, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -174,7 +174,7 @@ func TestMatrixAdvance(t *testing.T) {
 		}
 		for _, k := range matrixPoints(n) {
 			// Fresh carried state per trial.
-			res, err = exec.RunOn(tbl, stmt)
+			res, err = exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				t.Fatalf("seed %d k=%d: base run: %v", seed, k, err)
 			}
@@ -226,7 +226,7 @@ func TestMatrixProvenance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 131))
 		tbl := testgen.TableSeg(rng, 4000+rng.Intn(2000), engine.MinSegmentBits)
 		stmt := testgen.DebugStmt(rng)
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
@@ -242,12 +242,12 @@ func TestMatrixProvenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := exec.RunOn(grown, stmt)
+		oracle, err := exec.Run(t.Context(), grown, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
 		advance := func() *exec.Result {
-			adv, err := exec.Advance(res, grown)
+			adv, err := exec.AdvanceCtx(t.Context(), res, grown)
 			if err != nil || !adv.Plan.Incremental {
 				t.Fatalf("seed %d: Advance: %v", seed, err)
 			}
@@ -336,7 +336,7 @@ func TestMatrixKeyKernels(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 307))
 		tbl := testgen.TableSegBigInt(rng, 20000+rng.Intn(8000), segBits)
 		stmt := testgen.KeyKernelStmt(rng)
-		oracle, err := exec.RunOn(tbl, stmt)
+		oracle, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -344,18 +344,18 @@ func TestMatrixKeyKernels(t *testing.T) {
 			t.Fatalf("seed %d: no key of %s planned as a kernel", seed, stmt)
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
+			_, err := exec.Run(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil || n < tbl.NumRows()/4096 {
 			t.Fatalf("seed %d: %d polls over %d rows (err %v): more than 4096 rows between checkpoints", seed, n, tbl.NumRows(), err)
 		}
 		for _, k := range matrixPoints(n) {
-			if res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt); !errors.Is(err, context.Canceled) || res != nil {
+			if res, err := exec.Run(CancelAfter(k), tbl, stmt); !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("seed %d k=%d: cancelled run returned %v, %v", seed, k, res, err)
 			}
 		}
-		retry, err := exec.RunOn(tbl, stmt)
+		retry, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestMatrixKeyKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oracle, err = exec.RunOn(grown, stmt); err != nil {
+		if oracle, err = exec.Run(t.Context(), grown, stmt); err != nil {
 			t.Fatal(err)
 		}
 		cancelled := 0
@@ -445,7 +445,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		for seed == 0 && !stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
 			stmt = testgen.DebugStmt(rng)
 		}
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
@@ -471,14 +471,14 @@ func TestMatrixDebugAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		advRes, err := exec.Advance(res, grown)
+		advRes, err := exec.AdvanceCtx(t.Context(), res, grown)
 		if err != nil {
 			t.Fatalf("seed %d: Advance: %v", seed, err)
 		}
 		if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
 			t.Fatalf("seed %d: Advance re-ran: %+v [%s]", seed, advRes.Plan, stmt)
 		}
-		fresh, err := exec.RunOn(grown, stmt)
+		fresh, err := exec.Run(t.Context(), grown, stmt)
 		if err != nil {
 			t.Fatalf("seed %d: fresh run: %v", seed, err)
 		}

@@ -70,12 +70,12 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 	cases := 0
 	for s := int64(1); s <= 3; s++ {
 		stmt := testgen.DebugStmt(rand.New(rand.NewSource(s * 17)))
-		oracle, err := exec.RunOn(oracleTbl, stmt)
+		oracle, err := exec.Run(t.Context(), oracleTbl, stmt)
 		if err != nil {
 			continue
 		}
 		n, err := CountPolls(func(ctx context.Context) error {
-			_, err := exec.RunOnWithCtx(ctx, tbl, stmt)
+			_, err := exec.Run(ctx, tbl, stmt)
 			return err
 		})
 		if err != nil {
@@ -85,7 +85,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 			t.Fatalf("stmt %d: %d chunks pinned after clean run", s, got)
 		}
 		for _, k := range matrixPoints(n) {
-			res, err := exec.RunOnWithCtx(CancelAfter(k), tbl, stmt)
+			res, err := exec.Run(CancelAfter(k), tbl, stmt)
 			if err == nil {
 				t.Fatalf("stmt %d k=%d: cancelled run succeeded", s, k)
 			}
@@ -98,7 +98,7 @@ func TestMatrixOutOfCorePins(t *testing.T) {
 			if got := st.PoolPinned(); got != 0 {
 				t.Fatalf("stmt %d k=%d: cancellation leaked %d pinned chunks", s, k, got)
 			}
-			retry, err := exec.RunOn(tbl, stmt)
+			retry, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				t.Fatalf("stmt %d k=%d: retry failed: %v", s, k, err)
 			}

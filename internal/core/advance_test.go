@@ -224,7 +224,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
 		for iter := 0; iter < iters; iter++ {
 			stmt := debugStmt(rng, iter == 0)
-			advRes, err := exec.RunOn(tbl, stmt)
+			advRes, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				continue
 			}
@@ -240,7 +240,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
 				cur = grown
-				advRes, err = exec.Advance(advRes, grown)
+				advRes, err = exec.AdvanceCtx(t.Context(), advRes, grown)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
@@ -249,7 +249,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 				}
 				// Fresh oracle: block-folded aggregate states feed the
 				// from-scratch Debug.
-				fresh, err := exec.RunOn(grown, stmt)
+				fresh, err := exec.Run(t.Context(), grown, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}
@@ -324,7 +324,7 @@ func carriedFixture(t *testing.T, rng *rand.Rand, opt Options) (*engine.Table, *
 	t.Helper()
 	for attempt := 0; attempt < 50; attempt++ {
 		tbl := testgen.Table(rng, 250)
-		res, err := exec.RunOn(tbl, testgen.DebugStmt(rng))
+		res, err := exec.Run(t.Context(), tbl, testgen.DebugStmt(rng))
 		if err != nil {
 			continue
 		}
@@ -378,14 +378,14 @@ func TestDebugAdvanceCarried(t *testing.T) {
 		}
 		grew := false
 		before := advRes
-		if advRes, err = exec.Advance(advRes, grown); err != nil {
+		if advRes, err = exec.AdvanceCtx(t.Context(), advRes, grown); err != nil {
 			t.Fatalf("Advance: %v", err)
 		}
 		for _, ri := range req.Suspect {
 			grew = grew || advRes.Groups[ri].Rows != before.Groups[ri].Rows
 		}
 		tbl = grown
-		fresh, err := exec.RunOn(grown, advRes.Stmt)
+		fresh, err := exec.Run(t.Context(), grown, advRes.Stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,11 +442,11 @@ func TestDebugAdvanceCarried(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if advRes, err = exec.Advance(advRes, grown); err != nil {
+			if advRes, err = exec.AdvanceCtx(t.Context(), advRes, grown); err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
 			tbl = grown
-			fresh, err := exec.RunOn(grown, advRes.Stmt)
+			fresh, err := exec.Run(t.Context(), grown, advRes.Stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,7 +506,7 @@ func TestDebugAdvanceChainRetainsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if advRes, err = exec.Advance(advRes, grown); err != nil {
+		if advRes, err = exec.AdvanceCtx(t.Context(), advRes, grown); err != nil {
 			t.Fatal(err)
 		}
 		tbl, req.Result = grown, advRes
@@ -546,7 +546,7 @@ func TestDebugAdvanceChangedSelectionRunsFull(t *testing.T) {
 	for attempt := 0; attempt < 30; attempt++ {
 		tbl := testgen.Table(rng, 200+rng.Intn(100))
 		stmt := testgen.DebugStmt(rng)
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil || res.NumRows() < 2 {
 			continue
 		}
@@ -563,7 +563,7 @@ func TestDebugAdvanceChangedSelectionRunsFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, err := exec.Advance(res, grown)
+		adv, err := exec.AdvanceCtx(t.Context(), res, grown)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,11 +593,11 @@ func TestDebugDeterminism(t *testing.T) {
 	tbl := testgen.Table(rng, 220)
 	for iter := 0; iter < 6; iter++ {
 		stmt := testgen.DebugStmt(rng)
-		res1, err := exec.RunOn(tbl, stmt)
+		res1, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
-		res2, err := exec.RunOn(tbl, stmt)
+		res2, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +630,7 @@ func TestDebugAdvanceFallbacks(t *testing.T) {
 	var stmt = testgen.DebugStmt(rng)
 	var err error
 	for {
-		res, err = exec.RunOn(tbl, stmt)
+		res, err = exec.Run(t.Context(), tbl, stmt)
 		if err == nil && res.NumRows() > 0 {
 			break
 		}
@@ -687,7 +687,7 @@ func TestDebugAdvanceFallbacks(t *testing.T) {
 	for stmt2.String() == stmt.String() {
 		stmt2 = testgen.DebugStmt(rng)
 	}
-	res2, err := exec.RunOn(tbl, stmt2)
+	res2, err := exec.Run(t.Context(), tbl, stmt2)
 	if err == nil {
 		if s2, _, ok := drawRequest(rng, res2); ok {
 			dr, err = DebugAdvance(prev, DebugRequest{Result: res2, AggItem: -1, Suspect: s2, Metric: metric})
@@ -709,7 +709,7 @@ func TestDebugAdvanceFallbacks(t *testing.T) {
 
 	// Unrelated table → fallback.
 	other := testgen.Table(rng, 100)
-	resOther, err := exec.RunOn(other, stmt)
+	resOther, err := exec.Run(t.Context(), other, stmt)
 	if err == nil {
 		if s3, _, ok := drawRequest(rng, resOther); ok {
 			dr, err = DebugAdvance(prev, DebugRequest{Result: resOther, AggItem: -1, Suspect: s3, Metric: metric})

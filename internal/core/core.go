@@ -591,7 +591,7 @@ func Debug(req DebugRequest) (_ *DebugResult, err error) {
 
 // DebugAdvance picks a Debug analysis up after the source table grew:
 // req.Result must be (a version of) the result prev was computed over,
-// advanced across one or more appended batches (exec.Advance). Every
+// advanced across one or more appended batches (exec.AdvanceCtx). Every
 // carried structure — lineage bitsets, the argument view, the scored
 // candidates — extends by the appended suffix, and so do the
 // candidates' clause masks, which live in the table family's one index
@@ -745,7 +745,7 @@ func aggColumns(res *exec.Result, ord int) []string {
 // action. The returned result carries fresh provenance, so the user can
 // immediately debug the cleaned view again.
 func CleanAndRequery(res *exec.Result, pred predicate.Predicate) (*exec.Result, error) {
-	return exec.RunOn(res.Source, Cleaned(res.Stmt, pred))
+	return exec.Run(context.TODO(), res.Source, Cleaned(res.Stmt, pred))
 }
 
 // Cleaned is a copy of stmt with AND NOT (p) appended to its WHERE for
@@ -779,22 +779,23 @@ func SuspectWhere(res *exec.Result, col string, keep func(v engine.Value) bool) 
 	return out, nil
 }
 
-// ExamplesWhere selects D' from the lineage of the suspect groups: the
-// source rows satisfying the SQL condition cond (e.g.
-// "temperature > 100"), ascending. This mirrors zooming into the raw
-// tuples and highlighting outliers. It is ExamplesWhereCtx under the
-// background context.
+// ExamplesWhere is ExamplesWhereCtx without a context. bench/ only; goes
+// with ROADMAP item 14.
 func ExamplesWhere(res *exec.Result, suspect []int, cond string) ([]int, error) {
 	return ExamplesWhereCtx(context.Background(), res, suspect, cond)
 }
 
-// ExamplesWhereCtx is the suspect lineage ∧ cond's WHERE mask: the
-// groups' shared lineage bitsets (out-of-range suspects skipped) are
-// the universe exec.FilterRows walks cond over, so a comparison against
-// a constant or a LIKE on a string column reads a shared clause mask and
-// anything else (arithmetic, function calls) is evaluated on lineage
-// rows only — an error is one a lineage row raises. The lineage build
-// and the walk poll ctx; a chunk-load failure is an error, as in Debug.
+// ExamplesWhereCtx selects D' from the lineage of the suspect groups: the
+// source rows satisfying the SQL condition cond (e.g.
+// "temperature > 100"), ascending. This mirrors zooming into the raw
+// tuples and highlighting outliers. It is the suspect lineage ∧ cond's
+// WHERE mask: the groups' shared lineage bitsets (out-of-range suspects
+// skipped) are the universe exec.FilterRows walks cond over, so a
+// comparison against a constant or a LIKE on a string column reads a
+// shared clause mask and anything else (arithmetic, function calls) is
+// evaluated on lineage rows only — an error is one a lineage row raises.
+// The lineage build and the walk poll ctx; a chunk-load failure is an
+// error, as in Debug.
 func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond string) ([]int, error) {
 	e, err := sqlparse.ParseExpr(cond)
 	if err != nil {

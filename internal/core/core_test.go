@@ -9,6 +9,7 @@ import (
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/influence"
+	"repro/internal/testgen"
 )
 
 // intelFixture bundles everything the Intel-flow tests need.
@@ -23,7 +24,7 @@ type intelFixture struct {
 func debugIntel(t *testing.T, rows int) *intelFixture {
 	t.Helper()
 	db, labels := datasets.IntelDB(datasets.IntelConfig{Rows: rows, Seed: 7})
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -38,7 +39,7 @@ func debugIntel(t *testing.T, rows int) *intelFixture {
 		t.Fatal("no suspect windows — generator should produce high-stddev windows")
 	}
 	// D': zoomed-in outlier readings (Figure 4 right).
-	dprime, err := ExamplesWhere(res, suspect, "temperature > 100")
+	dprime, err := ExamplesWhereCtx(t.Context(), res, suspect, "temperature > 100")
 	if err != nil {
 		t.Fatalf("examples: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestDebugIntelFindsFailingMotes(t *testing.T) {
 
 func TestDebugFECFindsReattribution(t *testing.T) {
 	db, labels := datasets.FECDB(datasets.FECConfig{Rows: 60_000, Seed: 3})
-	res, err := exec.RunSQL(db, datasets.FECDailySQL("McCain"))
+	res, err := testgen.Query(t.Context(), db, datasets.FECDailySQL("McCain"))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestDebugFECFindsReattribution(t *testing.T) {
 	if len(suspect) == 0 {
 		t.Fatal("no negative-total days; generator must inject the spike")
 	}
-	dprime, err := ExamplesWhere(res, suspect, "amount < 0")
+	dprime, err := ExamplesWhereCtx(t.Context(), res, suspect, "amount < 0")
 	if err != nil {
 		t.Fatalf("examples: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestDebugRefusesDistinctOverStrings(t *testing.T) {
 		"count(DISTINCT lower(s))": true,
 		"min(DISTINCT s)":          true,
 	} {
-		res, err := exec.RunSQL(db, "SELECT k, "+agg+" AS a FROM t GROUP BY k")
+		res, err := testgen.Query(t.Context(), db, "SELECT k, "+agg+" AS a FROM t GROUP BY k")
 		if err != nil {
 			t.Fatalf("%s: %v", agg, err)
 		}

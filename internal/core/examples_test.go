@@ -83,14 +83,14 @@ func TestExamplesWhereDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exec.RunOn(cur, stmt)
+		res, err := exec.Run(t.Context(), cur, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check := func(label string, suspect []int, cond string) (exec.PlanInfo, error) {
 			t.Helper()
 			want, wantErr := examplesWhereBoxed(res, suspect, cond)
-			got, gotErr := ExamplesWhere(res, suspect, cond)
+			got, gotErr := ExamplesWhereCtx(t.Context(), res, suspect, cond)
 			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 				t.Fatalf("%s [%s] suspect %v: error %v, the scalar loop's %v", label, cond, suspect, gotErr, wantErr)
 			}
@@ -163,7 +163,7 @@ func TestExamplesWhereDifferential(t *testing.T) {
 					rebased++
 				}
 			}
-			if res, err = exec.Advance(res, grown); err != nil {
+			if res, err = exec.AdvanceCtx(t.Context(), res, grown); err != nil {
 				t.Fatalf("%s: Advance: %v", label, err)
 			}
 			cur = grown
@@ -217,13 +217,13 @@ func TestExamplesWhereLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	res, err := exec.RunSQL(st.Eng(), "SELECT j, avg(f) AS a FROM p GROUP BY j")
+	res, err := testgen.Query(t.Context(), st.Eng(), "SELECT j, avg(f) AS a FROM p GROUP BY j")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cond := range []string{"i > 1", "lower(s) LIKE 'a%'"} { // a mask build, a residual read
 		fs.armed.Store(true)
-		_, err := ExamplesWhere(res, allGroups(res), cond)
+		_, err := ExamplesWhereCtx(t.Context(), res, allGroups(res), cond)
 		fs.armed.Store(false)
 		var sle *engine.SegmentLoadError
 		if !errors.As(err, &sle) || !errors.Is(err, errInjectedRead) {
@@ -232,7 +232,7 @@ func TestExamplesWhereLoadFailure(t *testing.T) {
 		if pinned := st.PoolPinned(); pinned != 0 {
 			t.Fatalf("[%s]: %d chunks pinned after the failed walk", cond, pinned)
 		}
-		got, err := ExamplesWhere(res, allGroups(res), cond)
+		got, err := ExamplesWhereCtx(t.Context(), res, allGroups(res), cond)
 		want, wantErr := examplesWhereBoxed(res, allGroups(res), cond)
 		if err != nil || wantErr != nil || !slices.Equal(got, want) || len(got) == 0 {
 			t.Fatalf("[%s] on the healed filesystem: %v (%v), want %v (%v)", cond, got, err, want, wantErr)

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/errmetric"
-	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 // TestHomogeneousGroup exercises the case where an entire group is bad:
@@ -30,7 +30,7 @@ func TestHomogeneousGroup(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(readings)
-	res, err := exec.RunSQL(db, "SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
+	res, err := testgen.Query(t.Context(), db, "SELECT room, avg(temp) AS avg_temp FROM readings GROUP BY room")
 	if err != nil {
 		t.Fatal(err)
 	}

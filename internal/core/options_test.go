@@ -11,6 +11,7 @@ import (
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/influence"
+	"repro/internal/testgen"
 )
 
 // smallIntel builds a fast fixture shared by the option-surface tests:
@@ -20,7 +21,7 @@ import (
 func smallIntel(t *testing.T) (*exec.Result, []int, []int) {
 	t.Helper()
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 40_000, Seed: 1})
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func smallIntel(t *testing.T) (*exec.Result, []int, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dprime, err := ExamplesWhere(res, suspect, "temperature > 100")
+	dprime, err := ExamplesWhereCtx(t.Context(), res, suspect, "temperature > 100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOptionMaxLearnRows(t *testing.T) {
 		req := DebugRequest{Result: res, AggItem: -1, Suspect: s, Examples: d, Metric: errmetric.TooHigh{C: 70}, Opt: c.opt}
 		c.opt.defaults()
 		run := &debugRun{req: req, opt: c.opt, out: &DebugResult{Timings: map[string]time.Duration{}}}
-		an, err := influence.Rank(res, s, 0, req.Metric, influence.Options{})
+		an, err := influence.RankCtx(t.Context(), res, s, 0, req.Metric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestOptionWeights(t *testing.T) {
 // predicate separates D' (less the complexity and excess penalties).
 func TestDebugZeroEps(t *testing.T) {
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 20_000, Seed: 7})
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestDebugZeroEps(t *testing.T) {
 	if _, err := Debug(req); err == nil || !strings.Contains(err.Error(), "nothing to explain") {
 		t.Fatalf("Debug without examples at ε = 0: %v", err)
 	}
-	if req.Examples, err = ExamplesWhere(res, suspect, "temperature > 100"); err != nil || len(req.Examples) == 0 {
+	if req.Examples, err = ExamplesWhereCtx(t.Context(), res, suspect, "temperature > 100"); err != nil || len(req.Examples) == 0 {
 		t.Fatalf("examples: %v (%d rows)", err, len(req.Examples))
 	}
 	dr, err := Debug(req)
@@ -198,7 +199,7 @@ func TestDebugErrorCases(t *testing.T) {
 	_ = d
 	// Non-aggregate query.
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 1_000, Seed: 1})
-	plain, err := exec.RunSQL(db, "SELECT moteid, temperature FROM readings LIMIT 10")
+	plain, err := testgen.Query(t.Context(), db, "SELECT moteid, temperature FROM readings LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestCleanedSQLRendersNegation(t *testing.T) {
 	// The rendered SQL must reparse and run.
 	db := engine.NewDB()
 	db.Register(res.Source)
-	if _, err := exec.RunSQL(db, sql); err != nil {
+	if _, err := testgen.Query(t.Context(), db, sql); err != nil {
 		t.Errorf("cleaned SQL does not run: %v\n%s", err, sql)
 	}
 }
@@ -267,7 +268,7 @@ func TestDebugWithNullHeavyData(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k ORDER BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) AS a FROM t GROUP BY k ORDER BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestDebugOutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.RunOn(tbl, stmt)
+	res, err := exec.Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

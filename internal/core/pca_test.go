@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 func TestPCAGroupsOnWindowResult(t *testing.T) {
 	db, _ := datasets.IntelDB(datasets.IntelConfig{Rows: 30_000, Seed: 7})
-	res, err := exec.RunSQL(db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPCAGroupsErrors(t *testing.T) {
 	// Single aggregate + string group key → only one numeric column
 	// after the day column... day is numeric, so use a two-column case
 	// with too few rows instead.
-	res, err := exec.RunSQL(db, "SELECT candidate, sum(amount) AS s, count(*) AS n FROM donations GROUP BY candidate")
+	res, err := testgen.Query(t.Context(), db, "SELECT candidate, sum(amount) AS s, count(*) AS n FROM donations GROUP BY candidate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPCAGroupsErrors(t *testing.T) {
 	if _, _, err := PCAGroups(res); err != nil {
 		t.Errorf("PCA on candidate summary: %v", err)
 	}
-	res2, err := exec.RunSQL(db, "SELECT candidate, sum(amount) AS s FROM donations GROUP BY candidate LIMIT 2")
+	res2, err := testgen.Query(t.Context(), db, "SELECT candidate, sum(amount) AS s FROM donations GROUP BY candidate LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func newQualityScenario(t *testing.T, name string, src *engine.Table, labels []b
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
-	res, err := exec.RunOn(src, stmt)
+	res, err := exec.Run(t.Context(), src, stmt)
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
@@ -157,7 +157,7 @@ func newQualityScenario(t *testing.T, name string, src *engine.Table, labels []b
 	if err != nil || len(s) == 0 {
 		t.Fatalf("%s: suspect: %v (%d groups)", name, err, len(s))
 	}
-	ex, err := ExamplesWhere(res, s, examples)
+	ex, err := ExamplesWhereCtx(t.Context(), res, s, examples)
 	if err != nil || len(ex) == 0 {
 		t.Fatalf("%s: examples: %v (%d rows)", name, err, len(ex))
 	}

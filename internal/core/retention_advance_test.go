@@ -29,7 +29,7 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 		tbl := testgen.TableSeg(rng, 100+rng.Intn(150), engine.MinSegmentBits)
 		for iter := 0; iter < iters; iter++ {
 			stmt := debugStmt(rng, iter == 0)
-			advRes, err := exec.RunOn(tbl, stmt)
+			advRes, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				continue
 			}
@@ -52,11 +52,11 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 						horizons++
 					}
 				}
-				advRes, err = exec.Advance(advRes, cur)
+				advRes, err = exec.AdvanceCtx(t.Context(), advRes, cur)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
-				fresh, err := exec.RunOn(cur, stmt)
+				fresh, err := exec.Run(t.Context(), cur, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v", seed, iter, step, err)
 				}
@@ -117,7 +117,7 @@ func TestDebugStaleVersion(t *testing.T) {
 		v := testgen.TableSeg(rng, 150+rng.Intn(150), engine.MinSegmentBits)
 		batch := testgen.Batch(rng, 1+rng.Intn(60))
 		stmt := debugStmt(rng, false)
-		res, err := exec.RunOn(v, stmt)
+		res, err := exec.Run(t.Context(), v, stmt)
 		if err != nil {
 			continue
 		}
@@ -137,7 +137,7 @@ func TestDebugStaleVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, err := exec.Advance(res, v2)
+		adv, err := exec.AdvanceCtx(t.Context(), res, v2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestDebugStaleVersion(t *testing.T) {
 			t.Fatalf("%s: stale Debug: %v", label, err)
 		}
 		copyV := freshCopy(t, v)
-		copyRes, err := exec.RunOn(copyV, stmt)
+		copyRes, err := exec.Run(t.Context(), copyV, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestDebugStaleVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if copyReq.Result, err = exec.Advance(copyRes, copyV2); err != nil {
+		if copyReq.Result, err = exec.AdvanceCtx(t.Context(), copyRes, copyV2); err != nil {
 			t.Fatal(err)
 		}
 		wantAdv, wantErr := DebugAdvance(want, copyReq)

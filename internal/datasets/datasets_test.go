@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 func TestIntelDeterministic(t *testing.T) {
@@ -84,7 +84,7 @@ func TestIntelAnomalyShape(t *testing.T) {
 
 func TestIntelWindowQueryRuns(t *testing.T) {
 	db, _ := IntelDB(IntelConfig{Rows: 10_000, Seed: 2})
-	res, err := exec.RunSQL(db, IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), db, IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFECAnomalyShape(t *testing.T) {
 
 func TestFECDailyQueryShowsNegativeSpike(t *testing.T) {
 	db, _ := FECDB(FECConfig{Rows: 60_000, Seed: 1})
-	res, err := exec.RunSQL(db, FECDailySQL("McCain"))
+	res, err := testgen.Query(t.Context(), db, FECDailySQL("McCain"))
 	if err != nil {
 		t.Fatal(err)
 	}

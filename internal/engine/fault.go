@@ -91,7 +91,7 @@ func (e *SegmentLoadError) Unwrap() error { return e.Err }
 
 // CatchSegmentLoad converts a SegmentLoadError panic into *errp,
 // re-panicking anything else. Deferred at every public entry point
-// that can reach a faultable segment (exec.RunOnWithCtx,
+// that can reach a faultable segment (exec.Run,
 // exec.AdvanceCtx, the stats accessors) so a failed chunk load is a
 // query error, not a crash. The panic may wrap the SegmentLoadError (a
 // par.Do helper's re-raised panic does); *errp gets it bare.

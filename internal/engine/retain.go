@@ -14,7 +14,7 @@ import (
 // predicate index rebases its clause masks by dropping whole leading
 // chunks. Everything carried across versions above it follows one
 // rule: a carried result, scorer or ranking is valid only at the base
-// it was computed at, so exec.Advance and core.DebugAdvance rebuild
+// it was computed at, so exec.AdvanceCtx and core.DebugAdvance rebuild
 // when the base moved and record the reason in their plan.
 
 // RetentionPolicy selects how many head segments RetainTail may drop.

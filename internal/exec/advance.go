@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements incremental result maintenance for streaming
-// appends: Advance(res, grown) produces the result the statement would
-// yield over the grown table by scanning ONLY the appended rows —
+// appends: AdvanceCtx(ctx, res, grown) produces the result the statement
+// would yield over the grown table by scanning ONLY the appended rows —
 // O(batch + groups) instead of the O(n) rescan a fresh run costs. It is
 // runVector with res's groups as the prior: their complete fold blocks
 // carry, the block the old row count falls inside resumes from clones of
@@ -41,19 +41,22 @@ import (
 // base, Advance re-runs the statement over the retained window instead
 // and says so in Plan.Fallback ("retention: …").
 
-// Advance executes res.Stmt against grown — a newer version of
+// Advance is AdvanceCtx without a context. bench/ only; goes with
+// ROADMAP item 14.
+func Advance(res *Result, grown *engine.Table) (*Result, error) {
+	return AdvanceCtx(context.Background(), res, grown)
+}
+
+// AdvanceCtx executes res.Stmt against grown — a newer version of
 // res.Source's table family (see engine.Table.AppendBatch) — reusing
 // res's group states and folding in only the appended rows.
 // Plan.Incremental reports whether that happened; when grown's retention
 // base differs from res.Source's, the statement re-runs over the whole
 // of grown and Plan.Fallback records why — the only thing that field
-// names. Aggregate-free projections always re-run.
-func Advance(res *Result, grown *engine.Table) (*Result, error) {
-	return AdvanceCtx(context.Background(), res, grown)
-}
-
-// AdvanceCtx is Advance under a cancellable context, with the
-// cancellation-safety contract the serving layer depends on: a
+// names. Aggregate-free projections always re-run. A nil res, a grown
+// of another family or one shorter than res.Source is an error.
+//
+// The cancellation-safety contract the serving layer depends on: a
 // cancelled advance returns a context error and publishes nothing, and
 // res is never written, so retrying AdvanceCtx on the same res, or
 // re-running the statement from scratch, yields bit-identical results.
@@ -72,7 +75,7 @@ func AdvanceCtx(ctx context.Context, res *Result, grown *engine.Table) (_ *Resul
 	// rerun executes the statement over the whole of grown, recording why
 	// the carried state could not be extended.
 	rerun := func(reason string) (*Result, error) {
-		out, err := RunOnWithCtx(ctx, grown, stmt)
+		out, err := Run(ctx, grown, stmt)
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ func TestAdvanceParity(t *testing.T) {
 			// Appends are linear per family: each iteration chains from
 			// the newest version the previous iteration produced.
 			cur := tbl
-			res, err := RunOn(cur, stmt)
+			res, err := Run(t.Context(), cur, stmt)
 			if err != nil {
 				continue // reference scan rejects it identically; covered by parity test
 			}
@@ -57,7 +57,7 @@ func TestAdvanceParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
-				adv, err := Advance(res, grown)
+				adv, err := AdvanceCtx(t.Context(), res, grown)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}
@@ -65,7 +65,7 @@ func TestAdvanceParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: reference run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
-				fresh, err := RunOn(grown, stmt)
+				fresh, err := Run(t.Context(), grown, stmt)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: fresh run: %v\nsql: %s", seed, iter, step, err, sql)
 				}
@@ -116,7 +116,7 @@ func TestAdvanceFromEmptyIsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOn(empty, stmt)
+		res, err := Run(t.Context(), empty, stmt)
 		if err != nil {
 			continue
 		}
@@ -124,8 +124,8 @@ func TestAdvanceFromEmptyIsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, advErr := Advance(res, grown)
-		fresh, err := RunOn(grown, stmt)
+		adv, advErr := AdvanceCtx(t.Context(), res, grown)
+		fresh, err := Run(t.Context(), grown, stmt)
 		if (err != nil) != (advErr != nil) {
 			t.Fatalf("iter %d: error disagreement\nrun: %v\nadvance: %v", iter, err, advErr)
 		}
@@ -190,7 +190,7 @@ func streamBatch(rng *rand.Rand, k int, strs []string) [][]engine.Value {
 // versions, each branch equal to a fresh run.
 func TestAdvanceIncrementalPlan(t *testing.T) {
 	tbl, stmt := streamFixture(t, 500)
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := Advance(res, grown)
+	adv, err := AdvanceCtx(t.Context(), res, grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv2, err := Advance(res, grown2)
+	adv2, err := AdvanceCtx(t.Context(), res, grown2)
 	if err != nil {
 		t.Fatalf("second Advance from one result: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := RunOn(a.Source, stmt)
+		fresh, err := Run(t.Context(), a.Source, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv3, err := Advance(adv, grown3)
+	adv3, err := AdvanceCtx(t.Context(), adv, grown3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func provEqual(t *testing.T, label string, want, got *Result) {
 // an Advance, the previous result still reports the pre-append state.
 func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	tbl, stmt := streamFixture(t, 300)
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Advance(res, grown); err != nil {
+	if _, err := AdvanceCtx(t.Context(), res, grown); err != nil {
 		t.Fatal(err)
 	}
 	for gi := range res.Groups {
@@ -348,12 +348,59 @@ func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	}
 }
 
+// TestAdvanceRejectsBadInput drives AdvanceCtx's input checks: a nil
+// result, a table of another family and an older, shorter version of the
+// result's own family are each an error, and the result handed in still
+// advances afterwards to what a fresh run over the grown table returns.
+func TestAdvanceRejectsBadInput(t *testing.T) {
+	older, stmt := streamFixture(t, 200)
+	tbl, err := older.AppendBatch(streamBatch(rand.New(rand.NewSource(5)), 50, []string{"a", "b"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(t.Context(), tbl, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := streamFixture(t, 300)
+	grown, err := tbl.AppendBatch(streamBatch(rand.New(rand.NewSource(6)), 80, []string{"a", "b", "c", "d"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(t.Context(), grown, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		res   *Result
+		grown *engine.Table
+	}{
+		{"nil result", nil, grown},
+		{"other family", res, other},
+		{"older version", res, older},
+	} {
+		if out, err := AdvanceCtx(t.Context(), c.res, c.grown); err == nil || out != nil {
+			t.Fatalf("%s: want an error and no result, got %v, %v", c.name, out, err)
+		}
+		adv, err := AdvanceCtx(t.Context(), res, grown)
+		if err != nil {
+			t.Fatalf("%s: advance after the rejected one: %v", c.name, err)
+		}
+		if !adv.Plan.Incremental {
+			t.Fatalf("%s: advance after the rejected one re-ran: %+v", c.name, adv.Plan)
+		}
+		tablesEqual(t, c.name, fresh.Table, adv.Table)
+		groupsEqual(t, c.name, fresh, adv)
+	}
+}
+
 // TestAdvanceCarriesColumnarCaches checks that an advanced result's
 // first read extends the argument views and lineage bitsets its parent's
 // value held, and that they equal a fresh run's.
 func TestAdvanceCarriesColumnarCaches(t *testing.T) {
 	tbl, stmt := streamFixture(t, 400)
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +416,7 @@ func TestAdvanceCarriesColumnarCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := Advance(res, grown)
+	adv, err := AdvanceCtx(t.Context(), res, grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +432,7 @@ func TestAdvanceCarriesColumnarCaches(t *testing.T) {
 			t.Fatalf("group %d: parent bitset %v, extended %v", ri, b != nil, av.bits[ri] != nil)
 		}
 	}
-	fresh, err := RunOn(grown, stmt)
+	fresh, err := Run(t.Context(), grown, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +501,7 @@ func TestAppendDuringQueryRace(t *testing.T) {
 					t.Errorf("observed half-appended batch: %d rows", n)
 					return
 				}
-				res, err := RunOn(src, stmt)
+				res, err := Run(t.Context(), src, stmt)
 				if err != nil {
 					t.Error(err)
 					return
@@ -476,7 +523,7 @@ func TestAppendDuringQueryRace(t *testing.T) {
 		defer wg.Done()
 		stmt := parse()
 		src, _ := db.Table("p")
-		res, err := RunOn(src, stmt)
+		res, err := Run(t.Context(), src, stmt)
 		if err != nil {
 			t.Error(err)
 			return
@@ -495,7 +542,7 @@ func TestAppendDuringQueryRace(t *testing.T) {
 			if cur.NumRows() == res.Source.NumRows() {
 				continue
 			}
-			res, err = Advance(res, cur)
+			res, err = AdvanceCtx(t.Context(), res, cur)
 			if err != nil {
 				t.Error(err)
 				return

@@ -98,7 +98,7 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 	defer st.Close()
 
 	for name, tbl := range map[string]*engine.Table{"resident": resident, "out-of-core": faulted} {
-		res, err := RunOn(tbl, stmt)
+		res, err := Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +110,7 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, err := Advance(res, grown)
+		adv, err := AdvanceCtx(t.Context(), res, grown)
 		if err != nil {
 			t.Fatalf("%s: advance: %v", name, err)
 		}

@@ -68,7 +68,7 @@ func BenchmarkGroupByScan(b *testing.B) {
 			db := computedBenchDB(c.repeat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunSQL(db, "SELECT bucket(epoch(ts), 1800) AS w, avg(v), stddev(v) FROM t GROUP BY bucket(epoch(ts), 1800)"); err != nil {
+				if _, err := querySQL(b.Context(), db, "SELECT bucket(epoch(ts), 1800) AS w, avg(v), stddev(v) FROM t GROUP BY bucket(epoch(ts), 1800)"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +80,7 @@ func BenchmarkGroupByScan(b *testing.B) {
 			db := benchDB(rows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunSQL(db, "SELECT k, avg(v), stddev(v) FROM t GROUP BY k"); err != nil {
+				if _, err := querySQL(b.Context(), db, "SELECT k, avg(v), stddev(v) FROM t GROUP BY k"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +93,7 @@ func BenchmarkWhereFilter(b *testing.B) {
 	db := benchDB(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSQL(db, "SELECT cat, sum(v) FROM t WHERE v > 500 AND cat != 'd' GROUP BY cat"); err != nil {
+		if _, err := querySQL(b.Context(), db, "SELECT cat, sum(v) FROM t WHERE v > 500 AND cat != 'd' GROUP BY cat"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkLineageUnion(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func() *Result {
-		res, err := RunOn(tbl, stmt)
+		res, err := Run(b.Context(), tbl, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkScanMix(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunOn(tbl, stmt); err != nil {
+				if _, err := Run(b.Context(), tbl, stmt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,7 +203,7 @@ func BenchmarkScanMix(b *testing.B) {
 			}
 			b.StartTimer()
 			for _, stmt := range stmts {
-				if _, err := RunOn(ooc, stmt); err != nil {
+				if _, err := Run(b.Context(), ooc, stmt); err != nil {
 					b.Fatal(err)
 				}
 			}

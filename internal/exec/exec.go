@@ -95,40 +95,15 @@ type Result struct {
 	anc    atomic.Pointer[Provenance]
 }
 
-// RunCtx executes stmt against db, capturing provenance. Scan loops
-// poll ctx at ctxCheckRows granularity and return a context error
-// (wrapping context.Canceled / DeadlineExceeded) without publishing
-// anything.
-func RunCtx(ctx context.Context, db *engine.DB, stmt *sqlparse.SelectStmt) (*Result, error) {
-	src, err := db.Table(stmt.From)
-	if err != nil {
-		return nil, err
-	}
-	return RunOnWithCtx(ctx, src, stmt)
-}
-
-// RunSQL parses and executes sql against db.
-func RunSQL(db *engine.DB, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return RunCtx(context.Background(), db, stmt)
-}
-
-// RunOn executes stmt against an explicit source table (the FROM name
-// is ignored). This is what clean-and-requery uses to run the original
-// statement against a filtered view.
-func RunOn(src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
-	return RunOnWithCtx(context.Background(), src, stmt)
-}
-
-// RunOnWithCtx is RunOn under a cancellable context (see RunCtx).
-// Grouped statements run the fold-block scan in vector.go — an Advance
-// from the empty result — aggregate-free ones runProjection. A chunk-load
-// failure on an out-of-core table (corrupt or vanished segment file)
-// surfaces here as an error, never as a panic.
-func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
+// Run executes stmt against src, capturing provenance. The FROM name is
+// ignored: a caller resolves it (engine.DB.Table) or passes the table it
+// holds, such as clean-and-requery's filtered view. Grouped statements
+// run the fold-block scan in vector.go — an Advance from the empty
+// result — aggregate-free ones runProjection. Scan loops poll ctx every
+// ctxCheckRows rows and return a context error (wrapping
+// context.Canceled / DeadlineExceeded) without publishing anything; a
+// chunk-load failure on an out-of-core table is an error, never a panic.
+func Run(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt) (res *Result, err error) {
 	defer engine.CatchSegmentLoad(&err)
 	aggArgs, aggItems, protos, err := prepare(src, stmt)
 	if err != nil {
@@ -138,6 +113,31 @@ func RunOnWithCtx(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectS
 		return runProjection(ctx, src, stmt)
 	}
 	return runVector(ctx, src, stmt, aggArgs, aggItems, protos, nil, 0)
+}
+
+// RunCtx is Run over the table of db that stmt's FROM names. bench/
+// only; goes with ROADMAP item 14.
+func RunCtx(ctx context.Context, db *engine.DB, stmt *sqlparse.SelectStmt) (*Result, error) {
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		return nil, err
+	}
+	return Run(ctx, src, stmt)
+}
+
+// RunSQL parses sql and runs it with RunCtx, without a context.
+// bench/ only; goes with ROADMAP item 14.
+func RunSQL(db *engine.DB, sql string) (*Result, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return RunCtx(context.Background(), db, stmt)
+}
+
+// RunOn is Run without a context. bench/ only; goes with ROADMAP item 14.
+func RunOn(src *engine.Table, stmt *sqlparse.SelectStmt) (*Result, error) {
+	return Run(context.Background(), src, stmt)
 }
 
 func isGrouped(stmt *sqlparse.SelectStmt) bool {
@@ -207,9 +207,9 @@ func newProtos(stmt *sqlparse.SelectStmt, aggItems []int) ([]agg.Func, error) {
 
 // RunReference is the boxed reference scan: row-at-a-time WHERE
 // evaluation through expr.EvalBool, string group keys, boxed aggregate
-// arguments, one goroutine. It is the oracle the differential tests
-// pin RunOnWithCtx and Advance to — rows, group order, lineage,
-// FirstRow, error presence, float bits — and shares with them, below
+// arguments, one goroutine. It is the oracle the differential tests pin
+// Run and AdvanceCtx to — rows, group order, lineage, FirstRow, error
+// presence, float bits — and shares with them, below
 // prepare and materialize, only the states' AddFloat arithmetic (through
 // agg.Add) and the association rule: a group's rows of one fold block
 // fold into a fresh state, and the block states fold left in block

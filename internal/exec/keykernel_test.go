@@ -94,7 +94,7 @@ func TestKeyKernelParity(t *testing.T) {
 					t.Fatalf("%s: reference: %v", stmt, err)
 				}
 				label := fmt.Sprintf("%s / %s [%s]", shape.name, tc.name, stmt)
-				res, err := RunOn(tc.tbl, stmt)
+				res, err := Run(t.Context(), tc.tbl, stmt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -114,7 +114,7 @@ func TestKeyKernelParity(t *testing.T) {
 // string-valued computed key or bare columns.
 func TestKeyKernelsPlanned(t *testing.T) {
 	readings, _ := datasets.Intel(datasets.IntelConfig{Rows: 2000, Seed: 1})
-	res, err := RunOn(readings, mustParse(t, datasets.IntelWindowSQL))
+	res, err := Run(t.Context(), readings, mustParse(t, datasets.IntelWindowSQL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestKeyKernelAdvance(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(31 + si)))
 		cur := poisonedTable(rng, 300, engine.MinSegmentBits, 2*64+5)
 		stmt := keyShapeStmt(t, "p", shape.groupBy, "")
-		res, err := RunOn(cur, stmt)
+		res, err := Run(t.Context(), cur, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestKeyKernelAdvance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			adv, err := Advance(res, cur)
+			adv, err := AdvanceCtx(t.Context(), res, cur)
 			if err != nil {
 				t.Fatalf("%s step %d: Advance: %v", shape.name, step, err)
 			}
@@ -237,7 +237,7 @@ func TestKeyKernelFirstError(t *testing.T) {
 		if refErr == nil || !strings.Contains(refErr.Error(), tc.want) {
 			t.Fatalf("%s: reference error %v, want one naming %q", tc.name, refErr, tc.want)
 		}
-		if _, err := RunOn(tbl, mustParse(t, sql)); err == nil || err.Error() != refErr.Error() {
+		if _, err := Run(t.Context(), tbl, mustParse(t, sql)); err == nil || err.Error() != refErr.Error() {
 			t.Fatalf("%s: error %v, reference's is %v", tc.name, err, refErr)
 		}
 	}
@@ -253,7 +253,7 @@ func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
 	const segBits, sealed = engine.DefaultSegmentBits, 2 // four fold blocks a segment
 	src := poisonedTable(rand.New(rand.NewSource(3)), sealed<<segBits+100, segBits, -1)
 	twin, loader := enginetest.Faultable(src)
-	res, err := RunOn(twin, mustParse(t, "SELECT j, sum(f) AS v FROM p GROUP BY j"))
+	res, err := Run(t.Context(), twin, mustParse(t, "SELECT j, sum(f) AS v FROM p GROUP BY j"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunOn(tbl, stmt)
+		got, err := Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = RunOn(old, stmt)
+	res, err = Run(t.Context(), old, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +303,11 @@ func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := Advance(res, grown)
+	adv, err := AdvanceCtx(t.Context(), res, grown)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := RunOn(grown, stmt)
+	fresh, err := Run(t.Context(), grown, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 		}
 	}
 	twin, loader := enginetest.Faultable(src)
-	res, err := RunOn(twin, stmt)
+	res, err := Run(t.Context(), twin, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +359,12 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 	groupsEqual(t, "out of core", ref, res)
 
 	// A load failure mid-block — f's chunk fails once t's is pinned — is
-	// a SegmentLoadError with every pin released; through Advance it also
-	// releases the claim, so the retry carries.
+	// a SegmentLoadError with every pin released; AdvanceCtx never writes
+	// res, so the retry on the same res carries, bit-identical.
 	fail := mustParse(t, "SELECT bucket(epoch(t), 1800) AS w, bucket(f, 2) AS b, count(*) AS n FROM p GROUP BY bucket(epoch(t), 1800), bucket(f, 2)")
 	twin, loader = enginetest.New(src)
 	twin = loader.Attach(loader.Attach(twin))
-	res, err = RunOn(twin, fail)
+	res, err = Run(t.Context(), twin, fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		for name, run := range map[string]func() (*Result, error){
-			"run":     func() (*Result, error) { return RunOn(grown, fail) },
+			"run":     func() (*Result, error) { return Run(t.Context(), grown, fail) },
 			"advance": func() (*Result, error) { return AdvanceCtx(context.Background(), res, grown) },
 		} {
 			out, err := run()
@@ -392,7 +392,7 @@ func TestKeyKernelOutOfCore(t *testing.T) {
 		}
 	}
 	loader.Fail = nil
-	adv, err := Advance(res, grown)
+	adv, err := AdvanceCtx(t.Context(), res, grown)
 	if err != nil || !adv.Plan.Incremental {
 		t.Fatalf("retry after the fault cleared: %v (plan %+v)", err, adv.Plan)
 	}

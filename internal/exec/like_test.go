@@ -97,7 +97,7 @@ func TestLikeLowersParity(t *testing.T) {
 		stmt := likeStmt(t, where)
 		cur := likeTable(t, rng, 100+rng.Intn(200))
 		words := cur.Dict(0).NumValues()
-		res, err := RunOn(cur, stmt)
+		res, err := Run(t.Context(), cur, stmt)
 		if err != nil {
 			t.Fatalf("[%s]: %v", where, err)
 		}
@@ -115,7 +115,7 @@ func TestLikeLowersParity(t *testing.T) {
 					}
 					sawDrop = sawDrop || stats.DroppedRows > 0
 				}
-				if res, err = Advance(res, cur); err != nil {
+				if res, err = AdvanceCtx(t.Context(), res, cur); err != nil {
 					t.Fatalf("%s: Advance: %v", label, err)
 				}
 				if res.Plan.Incremental == (stats.DroppedRows > 0) {
@@ -154,12 +154,12 @@ func TestLikeGeometryMismatch(t *testing.T) {
 	for i, pat := range likeCases {
 		stmt := likeStmt(t, &expr.Like{X: expr.NewCol("s"), Pattern: pat, Invert: i%2 == 1})
 		// A query on the retained version rebases the family's index.
-		res, err := RunOn(cur, stmt)
+		res, err := Run(t.Context(), cur, stmt)
 		if err != nil || !res.Plan.WhereLowered {
 			t.Fatalf("[%s] retained version: %v, plan %+v", stmt.Where, err, res.Plan)
 		}
 		likeParity(t, fmt.Sprintf("retained [%s]", stmt.Where), cur, stmt, res)
-		if res, err = RunOn(old, stmt); err != nil {
+		if res, err = Run(t.Context(), old, stmt); err != nil {
 			t.Fatal(err)
 		}
 		if res.Plan.FilterFallback != "" || !res.Plan.WhereLowered || res.Plan.ResidualConjuncts != 0 {

@@ -31,14 +31,14 @@ func TestLineageFirstReadRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := RunOn(grown, stmt)
+	fresh, err := Run(t.Context(), grown, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const readers, rounds = 4, 16
 	for round := range rounds {
 		label := fmt.Sprintf("round %d", round)
-		res, err := RunOn(tbl, stmt)
+		res, err := Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestLineageFirstReadRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			adv, advErr = Advance(res, grown)
+			adv, advErr = AdvanceCtx(t.Context(), res, grown)
 		}()
 		wg.Wait()
 		if advErr != nil || !adv.Plan.Incremental {
@@ -110,7 +110,7 @@ func TestLineageUnreadChain(t *testing.T) {
 		tbl = loader.Attach(tbl)
 	}
 	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d FROM p WHERE j < 3 GROUP BY s")
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLineageUnreadChain(t *testing.T) {
 		if tbl, err = tbl.AppendBatch(batchRows(rng, k)); err != nil {
 			t.Fatal(err)
 		}
-		if adv, err = Advance(adv, tbl); err != nil {
+		if adv, err = AdvanceCtx(t.Context(), adv, tbl); err != nil {
 			t.Fatal(err)
 		}
 		if !adv.Plan.Incremental || adv.prov.Load() != nil || adv.anc.Load() != v0 {
@@ -152,7 +152,7 @@ func TestLineageUnreadChain(t *testing.T) {
 	if v.views[0] == nil || v.views[1] != nil {
 		t.Fatal("the read did not extend exactly the views the ancestor held")
 	}
-	fresh, err := RunOn(tbl, stmt)
+	fresh, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +173,14 @@ func TestScanAllocatesPerGroup(t *testing.T) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
 	for _, c := range scanMix {
 		stmt := mustParse(t, c.sql)
-		if _, err := RunOn(tbl, stmt); err != nil { // warm the shared clause masks
+		if _, err := Run(t.Context(), tbl, stmt); err != nil { // warm the shared clause masks
 			t.Fatal(err)
 		}
 		const runs = 3
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			if _, err := RunOn(tbl, stmt); err != nil {
+			if _, err := Run(t.Context(), tbl, stmt); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -38,7 +38,7 @@ func TestMaskedAggDensities(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sql := maskedAggSQL + " WHERE " + tc.where
 			for _, tbl := range []*engine.Table{tbl, segCopy(tbl, engine.MinSegmentBits)} {
-				res, err := RunOn(tbl, mustParse(t, sql))
+				res, err := Run(t.Context(), tbl, mustParse(t, sql))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +75,7 @@ func TestMaskedAggEligibility(t *testing.T) {
 		{"SELECT sum(f) AS sf FROM p WHERE i >= 0 GROUP BY j", false}, // grouped
 	}
 	for _, tc := range cases {
-		res, err := RunOn(tbl, mustParse(t, tc.sql))
+		res, err := Run(t.Context(), tbl, mustParse(t, tc.sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestMaskedAggParityRandomized(t *testing.T) {
 			stmt.Where = randWhere(rng, 1+rng.Intn(2))
 			for _, tbl := range tables {
 				ref, refErr := runRef(tbl, stmt)
-				got, gotErr := RunOn(tbl, stmt)
+				got, gotErr := Run(t.Context(), tbl, stmt)
 				if (refErr != nil) != (gotErr != nil) {
 					t.Fatalf("seed %d iter %d, %d-row segments: error disagreement ref=%v got=%v where=%s", seed, iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
 				}
@@ -145,7 +145,7 @@ func TestMaskedAggAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tbl := parityTable(rng, 800)
 	stmt := mustParse(t, maskedAggSQL+" WHERE i >= 0")
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMaskedAggAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, err := Advance(res, grown)
+		adv, err := AdvanceCtx(t.Context(), res, grown)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestMaskedAggOutOfCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOn(lazy, mustParse(t, sql))
+		res, err := Run(t.Context(), lazy, mustParse(t, sql))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func TestOutOfCoreQueryParity(t *testing.T) {
 
 			ref, refErr := runRef(oracle, stmt)
 			label := fmt.Sprintf("seed %d iter %d lazy [%s]", seed, iter, sql)
-			res, err := RunOn(lazy, stmt)
+			res, err := Run(t.Context(), lazy, stmt)
 			if (refErr != nil) != (err != nil) {
 				t.Fatalf("%s: error disagreement\nref: %v\nlazy: %v", label, refErr, err)
 			}
@@ -228,7 +228,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOn(lazy, stmt)
+	res, err := Run(t.Context(), lazy, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	// A predicate no segment can satisfy: everything skips, nothing
 	// faults.
 	none := mustParse(t, "SELECT s, count(*) AS n FROM p WHERE i = 123 GROUP BY s")
-	resNone, err := RunOn(lazy, none)
+	resNone, err := Run(t.Context(), lazy, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunOn(lazy, stmt)
+		res, err := Run(t.Context(), lazy, stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// segment (64), the mixed segment's NaN/-0.0/1.0 rows (48), and the
 	// tail (10). The -0.0-only segment contributing all 64 is the
 	// regression this test exists for.
-	res, err := RunOn(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"))
+	res, err := Run(t.Context(), lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 	// is [0,0] (seal canonicalizes -0.0), NaN never satisfies a strict
 	// op, and the mixed segment's finite range starts at 0 — all five
 	// sealed segments skip without faulting.
-	resLt, err := RunOn(lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"))
+	resLt, err := Run(t.Context(), lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestProvenanceRetriesAfterLoadFailure(t *testing.T) {
 	twin, loader := enginetest.New(src)
 	twin = loader.Attach(loader.Attach(twin))
 	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n FROM p GROUP BY s")
-	res, err := RunOn(twin, stmt)
+	res, err := Run(t.Context(), twin, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestProvenanceRetriesAfterLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := loader.Attach(twin)
-	adv, err := Advance(res, grown)
+	adv, err := AdvanceCtx(t.Context(), res, grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,14 +497,14 @@ func TestProvenanceRetriesAfterLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	having := mustParse(t, "SELECT s, sum(i) AS v FROM p GROUP BY s HAVING v > 'x'")
-	if res, err = RunOn(tbl, having); err != nil {
+	if res, err = Run(t.Context(), tbl, having); err != nil {
 		t.Fatal(err)
 	}
 	if tbl, err = tbl.AppendBatch(row(engine.NewInt(3))); err != nil {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		if _, err := Advance(res, tbl); err == nil || !strings.Contains(err.Error(), "compare") {
+		if _, err := AdvanceCtx(t.Context(), res, tbl); err == nil || !strings.Contains(err.Error(), "compare") {
 			t.Fatalf("attempt %d: want the HAVING error, got %v", attempt, err)
 		}
 	}
@@ -529,7 +529,7 @@ func TestAdvanceReadsNoOldSegments(t *testing.T) {
 	fresh := make([]*Result, len(sqls))
 	for i, sql := range sqls {
 		var err error
-		if fresh[i], err = RunOn(tbl, mustParse(t, sql)); err != nil {
+		if fresh[i], err = Run(t.Context(), tbl, mustParse(t, sql)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -546,7 +546,7 @@ func TestAdvanceReadsNoOldSegments(t *testing.T) {
 	}
 	corruptSegments(t, fs)
 	for i, sql := range sqls {
-		adv, err := Advance(fresh[i], grown)
+		adv, err := AdvanceCtx(t.Context(), fresh[i], grown)
 		if err != nil {
 			t.Fatalf("advance over corrupted-but-unread segments: %v [%s]", err, sql)
 		}
@@ -643,7 +643,7 @@ func TestOutOfCoreTypedReaderCells(t *testing.T) {
 				t.Fatalf("%s: %v", sql, err)
 			}
 			label := fmt.Sprintf("pool %d [%s]", pool, sql)
-			res, err := RunOn(lazy, stmt)
+			res, err := Run(t.Context(), lazy, stmt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -711,7 +711,7 @@ func TestOutOfCoreGroupKeysAcrossAdvance(t *testing.T) {
 		stmt := mustParse(t, sql)
 		twin, loader := enginetest.New(src)
 		twin = loader.Attach(loader.Attach(twin))
-		res, err := RunOn(twin, stmt)
+		res, err := Run(t.Context(), twin, stmt)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -722,7 +722,7 @@ func TestOutOfCoreGroupKeysAcrossAdvance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			adv, err := Advance(res, twin)
+			adv, err := AdvanceCtx(t.Context(), res, twin)
 			if err != nil {
 				t.Fatalf("step %d [%s]: %v", step, sql, err)
 			}
@@ -808,7 +808,7 @@ func TestScanMixShapesSameWork(t *testing.T) {
 	var got []scanMixWork
 	for _, s := range shapes {
 		before := pins()
-		res, err := RunOn(s.tbl, mustParse(t, s.sql))
+		res, err := Run(t.Context(), s.tbl, mustParse(t, s.sql))
 		if err != nil {
 			t.Fatalf("%s: %v", s.shape, err)
 		}

@@ -438,7 +438,7 @@ func TestVectorScalarParity(t *testing.T) {
 			for _, tbl := range tables {
 				label := fmt.Sprintf("seed %d iter %d segment %d [%s]", seed, iter, tbl.SegRows(), sql)
 				ref, refErr = runRef(tbl, stmt)
-				vec, vecErr := RunOn(tbl, stmt)
+				vec, vecErr := Run(t.Context(), tbl, stmt)
 				if (refErr != nil) != (vecErr != nil) {
 					t.Fatalf("%s: error disagreement\nref: %v\nvec: %v", label, refErr, vecErr)
 				}

@@ -56,7 +56,7 @@ func TestGreedyFilterParityOutOfCore(t *testing.T) {
 			sql := stmt.String()
 
 			ref, refErr := runRef(oracle, stmt)
-			greedy, gErr := RunOn(lazy, stmt)
+			greedy, gErr := Run(t.Context(), lazy, stmt)
 			if (refErr != nil) != (gErr != nil) {
 				t.Fatalf("seed %d iter %d: error disagreement\nsql: %s\nref: %v\ngreedy: %v",
 					seed, iter, sql, refErr, gErr)
@@ -108,7 +108,7 @@ func TestAdvanceSortCarryParity(t *testing.T) {
 			}
 			sql := stmt.String()
 			cur := tbl
-			resCarry, err := RunOn(cur, stmt)
+			resCarry, err := Run(t.Context(), cur, stmt)
 			if err != nil {
 				continue
 			}
@@ -126,7 +126,7 @@ func TestAdvanceSortCarryParity(t *testing.T) {
 					}
 					cur = nt
 				}
-				advCarry, err := Advance(resCarry, cur)
+				advCarry, err := AdvanceCtx(t.Context(), resCarry, cur)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}

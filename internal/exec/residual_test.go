@@ -25,7 +25,7 @@ func TestResidualFilterEngages(t *testing.T) {
 	tbl := parityTable(rng, 4000)
 	sql := "SELECT j, sum(f) AS sf, count(*) AS n FROM p WHERE i >= 4 AND lower(s) LIKE 'a%' GROUP BY j"
 	stmt := mustParse(t, sql)
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestResidualFilterParityRandomized(t *testing.T) {
 			stmt.Where = randResidualAnd(rng)
 			for _, tbl := range tables {
 				ref, refErr := runRef(tbl, stmt)
-				got, gotErr := RunOn(tbl, stmt)
+				got, gotErr := Run(t.Context(), tbl, stmt)
 				if (refErr != nil) != (gotErr != nil) {
 					t.Fatalf("seed %d iter %d, %d-row segments: error disagreement\nref: %v\ngot: %v\nwhere: %s",
 						seed, iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
@@ -169,7 +169,7 @@ func TestOrRootLowering(t *testing.T) {
 			stmt.Where = w
 			for _, tbl := range tables {
 				ref, refErr := runRef(tbl, stmt)
-				got, gotErr := RunOn(tbl, stmt)
+				got, gotErr := Run(t.Context(), tbl, stmt)
 				if (refErr != nil) != (gotErr != nil) {
 					t.Fatalf("iter %d, %d-row segments: error disagreement ref=%v got=%v where=%s", iter, tbl.SegRows(), refErr, gotErr, stmt.Where)
 				}
@@ -244,7 +244,7 @@ func TestFilterGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOn(old, mustParse(t, sql))
+	res, err := Run(t.Context(), old, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestAdvanceRetentionParity(t *testing.T) {
 			stmt, hasDistinct := randStmt(rng)
 			sql := stmt.String()
 			cur := tbl
-			res, err := RunOn(cur, stmt)
+			res, err := Run(t.Context(), cur, stmt)
 			if err != nil {
 				continue
 			}
@@ -84,7 +84,7 @@ func TestAdvanceRetentionParity(t *testing.T) {
 						sawDrop = true
 					}
 				}
-				adv, err := Advance(res, cur)
+				adv, err := AdvanceCtx(t.Context(), res, cur)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v\nsql: %s", seed, iter, step, err, sql)
 				}
@@ -152,7 +152,7 @@ func retentionStmt(t *testing.T, cutoff float64) *sqlparse.SelectStmt {
 func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 	tbl := retentionFixture(t, 64)
 	stmt := retentionStmt(t, 1e9) // matches nothing: zero groups
-	res, err := RunOn(tbl, stmt)
+	res, err := Run(t.Context(), tbl, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAdvanceRetentionBeyondWindow(t *testing.T) {
 	if stats.DroppedRows <= 64 {
 		t.Fatalf("fixture needs the horizon past the carried window, dropped %d", stats.DroppedRows)
 	}
-	adv, err := Advance(res, cur)
+	adv, err := AdvanceCtx(t.Context(), res, cur)
 	if err != nil {
 		t.Fatal(err)
 	}

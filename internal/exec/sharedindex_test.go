@@ -27,7 +27,7 @@ func TestSharedIndexBounded(t *testing.T) {
 	}
 	run := func(x float64) {
 		t.Helper()
-		if _, err := RunOn(tbl, mustParse(t, fmt.Sprintf("SELECT count(*) AS n FROM readings WHERE temperature > %v", x))); err != nil {
+		if _, err := Run(t.Context(), tbl, mustParse(t, fmt.Sprintf("SELECT count(*) AS n FROM readings WHERE temperature > %v", x))); err != nil {
 			t.Fatal(err)
 		}
 	}

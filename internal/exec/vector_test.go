@@ -77,7 +77,7 @@ func assertPipeline(t *testing.T, label string, res *Result) {
 // plan assertions.
 func runBoth(t *testing.T, tbl *engine.Table, sql string) *Result {
 	t.Helper()
-	res, err := RunOn(tbl, mustParse(t, sql))
+	res, err := Run(t.Context(), tbl, mustParse(t, sql))
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -172,7 +172,7 @@ func TestStringComputedKeySharded(t *testing.T) {
 	if !sawNull {
 		t.Fatal("fixture has no NULL string key")
 	}
-	res, err := RunOn(tbl, mustParse(t, sql))
+	res, err := Run(t.Context(), tbl, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestVectorShardedMatchesSingleShard(t *testing.T) {
 	many := vectorTestTableSegs(t, 6)
 	one := segCopy(many, engine.DefaultSegmentBits)
 	sql := `SELECT city, sum(pop) AS s, min(temp) AS m FROM v GROUP BY city`
-	a, err := RunOn(one, mustParse(t, sql))
+	a, err := Run(t.Context(), one, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOn(many, mustParse(t, sql))
+	b, err := Run(t.Context(), many, mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // These tests pin a scorer over an advanced result — built from the
-// lineage bitsets and argument view exec.Advance carried — to one built
+// lineage bitsets and argument view exec.AdvanceCtx carried — to one built
 // over a from-scratch run of the grown table: F union, per-group spans,
 // base aggregates, ε, and every EpsWithoutBits evaluation. The
 // generator's floats are exactly representable, so equality is exact.
@@ -119,7 +119,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 		tbl := testgen.TableSeg(rng, 80+rng.Intn(150), engine.MinSegmentBits)
 		for iter := 0; iter < 6; iter++ {
 			stmt := testgen.DebugStmt(rng)
-			res, err := exec.RunOn(tbl, stmt)
+			res, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				continue
 			}
@@ -150,7 +150,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
-				adv, err := exec.Advance(res, grown)
+				adv, err := exec.AdvanceCtx(t.Context(), res, grown)
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: Advance: %v", seed, iter, step, err)
 				}
@@ -169,7 +169,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 					same = same && ri < len(res.Groups) && adv.Groups[ri].Rows == res.Groups[ri].Rows
 				}
 				label := fmt.Sprintf("seed %d iter %d step %d [%s]", seed, iter, step, stmt.String())
-				ref, err := exec.RunOn(grown, stmt)
+				ref, err := exec.Run(t.Context(), grown, stmt)
 				if err != nil {
 					t.Fatalf("%s: fresh run: %v", label, err)
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 func benchResult(b *testing.B, rows int) *exec.Result {
@@ -22,7 +23,7 @@ func benchResult(b *testing.B, rows int) *exec.Result {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) FROM t GROUP BY k")
+	res, err := testgen.Query(b.Context(), db, "SELECT k, avg(v) FROM t GROUP BY k")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func BenchmarkRank(b *testing.B) {
 			suspects := allGroups(res)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Rank(res, suspects, 0, errmetric.TooHigh{C: 100}, Options{}); err != nil {
+				if _, err := RankCtx(b.Context(), res, suspects, 0, errmetric.TooHigh{C: 100}); err != nil {
 					b.Fatal(err)
 				}
 			}

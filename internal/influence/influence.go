@@ -45,7 +45,7 @@ type TupleInfluence struct {
 }
 
 // Options is empty — every lineage tuple is analyzed — and remains only
-// as Rank's last parameter, which bench/ compiles against.
+// as Rank's last parameter. bench/ only; goes with ROADMAP item 14.
 type Options struct{}
 
 // Analysis is the result of the preprocessor pass.
@@ -64,13 +64,14 @@ type Analysis struct {
 	Scorer *Scorer
 }
 
-// Rank computes ε and per-tuple LOO influence for the ord'th aggregate
-// of res over the suspect output rows.
+// Rank is RankCtx without a context. bench/ only; goes with ROADMAP
+// item 14.
 func Rank(res *exec.Result, suspect []int, ord int, metric errmetric.Metric, _ Options) (*Analysis, error) {
 	return RankCtx(context.Background(), res, suspect, ord, metric)
 }
 
-// RankCtx is Rank under a cancellable context: the LOO loop — O(|F|),
+// RankCtx computes ε and per-tuple LOO influence for the ord'th
+// aggregate of res over the suspect output rows. The LOO loop — O(|F|),
 // plus one group scan per tuple that removes the last copy of a min or
 // max — polls ctx per ctxCheckRows tuples and returns an error wrapping the
 // context error on cancellation, leaving res untouched. It is NewScorer
@@ -88,7 +89,7 @@ func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metr
 }
 
 // RankAdvancedCtx is rankFast for sc = NewScorer over an
-// advanced result (exec.Advance), under the aggregate and metric prev
+// advanced result (exec.AdvanceCtx), under the aggregate and metric prev
 // was ranked with — the step a monitoring loop repeats. A stream mostly grows by adding groups, not
 // rows to old ones: when no suspect group's lineage grew since prev
 // (Scorer.sameLineage), every aggregate state, hence ε and every δ, is

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 // buildResult runs an agg-per-group query over the given (group, value)
@@ -31,7 +32,7 @@ func buildResult(t *testing.T, agg string, rows [][2]float64) *exec.Result {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, "+agg+"(v) AS a FROM t GROUP BY k ORDER BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, "+agg+"(v) AS a FROM t GROUP BY k ORDER BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func buildResult(t *testing.T, agg string, rows [][2]float64) *exec.Result {
 func TestRankAvgAnalytic(t *testing.T) {
 	// Group 0: values 10, 10, 100 → avg 40. Metric TooHigh{C: 20}: ε=20.
 	res := buildResult(t, "avg", [][2]float64{{0, 10}, {0, 10}, {0, 100}})
-	an, err := Rank(res, []int{0}, 0, errmetric.TooHigh{C: 20}, Options{})
+	an, err := RankCtx(t.Context(), res, []int{0}, 0, errmetric.TooHigh{C: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRankAvgAnalytic(t *testing.T) {
 func TestRankMultiGroup(t *testing.T) {
 	// Two suspect groups; sum metric.
 	res := buildResult(t, "sum", [][2]float64{{0, 5}, {0, -8}, {1, -3}, {1, 1}})
-	an, err := Rank(res, []int{0, 1}, 0, errmetric.TooLow{C: 0}, Options{})
+	an, err := RankCtx(t.Context(), res, []int{0, 1}, 0, errmetric.TooLow{C: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestLOOMatchesRequery(t *testing.T) {
 				}
 				res := buildResult(t, aggName, rows)
 				metric := errmetric.NotEqual{C: 1}
-				an, err := Rank(res, []int{0}, 0, metric, Options{})
+				an, err := RankCtx(t.Context(), res, []int{0}, 0, metric)
 				if err != nil {
 					return false
 				}
@@ -190,7 +191,7 @@ func TestEpsWithoutRowsMatchesRequery(t *testing.T) {
 
 func TestTopQuantileRows(t *testing.T) {
 	res := buildResult(t, "avg", [][2]float64{{0, 0}, {0, 0}, {0, 100}, {0, 90}})
-	an, err := Rank(res, []int{0}, 0, errmetric.TooHigh{C: 10}, Options{})
+	an, err := RankCtx(t.Context(), res, []int{0}, 0, errmetric.TooHigh{C: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,13 +304,13 @@ func TestTopReadersNeverSelectNaN(t *testing.T) {
 
 func TestRankErrors(t *testing.T) {
 	res := buildResult(t, "avg", [][2]float64{{0, 1}})
-	if _, err := Rank(res, nil, 0, errmetric.TooHigh{}, Options{}); err == nil {
+	if _, err := RankCtx(t.Context(), res, nil, 0, errmetric.TooHigh{}); err == nil {
 		t.Error("empty suspects accepted")
 	}
-	if _, err := Rank(res, []int{0}, 5, errmetric.TooHigh{}, Options{}); err == nil {
+	if _, err := RankCtx(t.Context(), res, []int{0}, 5, errmetric.TooHigh{}); err == nil {
 		t.Error("bad ordinal accepted")
 	}
-	if _, err := Rank(res, []int{99}, 0, errmetric.TooHigh{}, Options{}); err == nil {
+	if _, err := RankCtx(t.Context(), res, []int{99}, 0, errmetric.TooHigh{}); err == nil {
 		t.Error("out-of-range suspect accepted")
 	}
 	// The reference scorer checks its selection like NewScorer does: it

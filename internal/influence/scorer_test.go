@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
+	"repro/internal/testgen"
 )
 
 // scorerResult builds a grouped query over a table with NULLs mixed in.
@@ -33,7 +34,7 @@ func scorerResult(t testing.TB, rows int, aggSQL string) *exec.Result {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, "+aggSQL+" FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, "+aggSQL+" FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFBitsIsLineageUnion(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func sameBits(a, b float64) bool {
 func checkLOOParity(t *testing.T, label string, res *exec.Result, suspect []int) {
 	t.Helper()
 	for _, m := range looMetrics {
-		an, err := Rank(res, suspect, 0, m, Options{})
+		an, err := RankCtx(t.Context(), res, suspect, 0, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestRankFastParity(t *testing.T) {
 	res := scorerResult(t, 400, "avg(v)")
 	suspect := allGroups(res)
 	checkLOOParity(t, "avg(v)", res, suspect)
-	an, err := Rank(res, suspect, 0, errmetric.TooHigh{C: 90}, Options{})
+	an, err := RankCtx(t.Context(), res, suspect, 0, errmetric.TooHigh{C: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestRankFastEdgeParity(t *testing.T) {
 		{errmetric.Diff{C: 90}, []int{1, 2}, 3, -10},
 		{errmetric.Diff{C: 90}, []int{1, 2}, 4, 0},
 	} {
-		an, err := Rank(res, c.suspect, 0, c.m, Options{})
+		an, err := RankCtx(t.Context(), res, c.suspect, 0, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,14 +285,14 @@ func TestRankTermCallsLinear(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	suspect := allGroups(res)
 	for _, m := range []errmetric.Metric{errmetric.TooHigh{C: 90}, errmetric.Diff{C: 90}} {
 		var calls atomic.Int64
-		an, err := Rank(res, suspect, 0, countingMetric{m, &calls}, Options{})
+		an, err := RankCtx(t.Context(), res, suspect, 0, countingMetric{m, &calls})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ type sharedIndexKey struct{}
 // Shared returns the table family's one index, creating it on first
 // request through the engine's aux cache. Every clause mask of the
 // family is served from it: the executor's WHERE lowering, the
-// /api/debug examples condition (core.ExamplesWhere routes it through
+// /api/debug examples condition (core.ExamplesWhereCtx routes it through
 // the same lowering, exec.FilterRows), the ranker's candidate scoring
 // and a clean's WHERE NOT re-run, whose cut points are the ones the
 // ranker just scored. It lives as long as the table family, bounded

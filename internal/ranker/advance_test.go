@@ -38,9 +38,9 @@ func mustParse(t *testing.T, sql string) *sqlparse.SelectStmt {
 // preprocessor (the same wiring core.Debug uses).
 func rankerCtx(t *testing.T, res *exec.Result, suspect []int, metric errmetric.Metric) (*Context, *influence.Analysis) {
 	t.Helper()
-	an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
+	an, err := influence.RankCtx(t.Context(), res, suspect, 0, metric)
 	if err != nil {
-		t.Fatalf("influence.Rank: %v", err)
+		t.Fatalf("influence.RankCtx: %v", err)
 	}
 	ctx := &Context{
 		Res: res, Suspect: suspect, Ord: 0, Metric: metric,
@@ -107,7 +107,7 @@ func TestRescoreStableContext(t *testing.T) {
 	tbl := testgen.Table(rng, 200)
 	for iter := 0; iter < 8; iter++ {
 		stmt := testgen.DebugStmt(rng)
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			continue
 		}
@@ -116,7 +116,7 @@ func TestRescoreStableContext(t *testing.T) {
 			continue
 		}
 		metric := testgen.Metric(rng)
-		an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
+		an, err := influence.RankCtx(t.Context(), res, suspect, 0, metric)
 		if err != nil || len(an.F) == 0 {
 			continue
 		}
@@ -158,7 +158,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 		tbl := testgen.TableSeg(rng, 150+rng.Intn(100), engine.MinSegmentBits)
 		for iter := 0; iter < 5; iter++ {
 			stmt := testgen.DebugStmt(rng)
-			res, err := exec.RunOn(tbl, stmt)
+			res, err := exec.Run(t.Context(), tbl, stmt)
 			if err != nil {
 				continue
 			}
@@ -167,7 +167,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 				continue
 			}
 			metric := testgen.Metric(rng)
-			an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
+			an, err := influence.RankCtx(t.Context(), res, suspect, 0, metric)
 			if err != nil {
 				t.Fatalf("seed %d iter %d: Rank: %v [%s]", seed, iter, err, stmt)
 			}
@@ -190,7 +190,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adv, err := exec.Advance(res, grown)
+			adv, err := exec.AdvanceCtx(t.Context(), res, grown)
 			if err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
@@ -209,11 +209,11 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			got, _, _, _ := st.Rescore(carriedCtx)
 
 			// The oracle: from-scratch result, scorer and candidates.
-			fresh, err := exec.RunOn(grown, stmt)
+			fresh, err := exec.Run(t.Context(), grown, stmt)
 			if err != nil {
 				t.Fatalf("fresh run: %v", err)
 			}
-			fan, err := influence.Rank(fresh, suspect, 0, metric, influence.Options{})
+			fan, err := influence.RankCtx(t.Context(), fresh, suspect, 0, metric)
 			if err != nil {
 				t.Fatalf("fresh rank: %v", err)
 			}
@@ -249,7 +249,7 @@ func TestRescoreVacuousDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.RunOn(tbl, mustParse(t, "SELECT k, avg(v) AS a FROM t GROUP BY k"))
+	res, err := exec.Run(t.Context(), tbl, mustParse(t, "SELECT k, avg(v) AS a FROM t GROUP BY k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRescoreVacuousDrift(t *testing.T) {
 	}
 	// Same table, but suspecting group 1 — no BAD rows in its lineage:
 	// the carried predicate is vacuous there.
-	res2, err := exec.RunOn(tbl, mustParse(t, "SELECT k, avg(v) AS a FROM t GROUP BY k"))
+	res2, err := exec.Run(t.Context(), tbl, mustParse(t, "SELECT k, avg(v) AS a FROM t GROUP BY k"))
 	if err != nil {
 		t.Fatal(err)
 	}

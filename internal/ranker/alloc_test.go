@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/errmetric"
-	"repro/internal/exec"
 	"repro/internal/influence"
 	"repro/internal/predicate"
+	"repro/internal/testgen"
 )
 
 // TestScoreFastZeroAlloc pins per-predicate scoring to zero steady-state
@@ -159,7 +159,7 @@ func TestRankAllDistinctSharedScorerParallel(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, sum(DISTINCT v) AS s FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, sum(DISTINCT v) AS s FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/influence"
 	"repro/internal/predicate"
+	"repro/internal/testgen"
 )
 
 // benchCtx builds a 100k-row grouped result with a handful of candidate
@@ -34,7 +35,7 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
+	res, err := testgen.Query(b.Context(), db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func benchCtx(b *testing.B) (*Context, []Candidate) {
 		}
 	}
 	culpable := target
-	an, err := influence.Rank(res, suspect, 0, metric, influence.Options{})
+	an, err := influence.RankCtx(b.Context(), res, suspect, 0, metric)
 	if err != nil {
 		b.Fatal(err)
 	}

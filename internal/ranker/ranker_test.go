@@ -9,6 +9,7 @@ import (
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/predicate"
+	"repro/internal/testgen"
 )
 
 // fixture: one group with a planted anomaly (memo='BAD' rows are large).
@@ -31,7 +32,7 @@ func fixture(t *testing.T) (*exec.Result, *Context) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRankAllDedupsAndSorts(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Register(tbl)
-	res, err := exec.RunSQL(db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

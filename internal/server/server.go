@@ -427,7 +427,7 @@ func cleanKey(sql string, applied []predicate.Predicate) string {
 // appended as WHERE NOT (...) conjuncts. When the statement and
 // cleaning set are unchanged and the source table is another version of
 // the cached result's (the streaming /api/append and /api/retention
-// path), the cached result is advanced (exec.Advance): it folds in just
+// path), the cached result is advanced (exec.AdvanceCtx): it folds in just
 // the appended rows, or re-runs when retention moved the base.
 func (s *Server) runWithCleaning(ctx context.Context, sess *session, sql string) error {
 	key := cleanKey(sql, sess.applied)
@@ -445,13 +445,13 @@ func (s *Server) runWithCleaning(ctx context.Context, sess *session, sql string)
 				return nil
 			}
 			if ctx.Err() != nil {
-				// A cancelled Advance leaves sess.res valid and
-				// unclaimed (see exec.AdvanceCtx); don't burn a full
-				// rescan on a request that is already dead.
+				// A cancelled advance never writes sess.res, so a retry
+				// on it is bit-identical (see exec.AdvanceCtx); don't
+				// burn a full rescan on a request that is already dead.
 				return err
 			}
-			// Any other Advance error (already-advanced result,
-			// unexpected shape) falls through to the full run below.
+			// Any other advance error (a chunk-load failure, say)
+			// falls through to the full run below.
 		}
 	}
 	span := obs.Start(ctx, obs.Parse)
@@ -460,7 +460,11 @@ func (s *Server) runWithCleaning(ctx context.Context, sess *session, sql string)
 	if err != nil {
 		return err
 	}
-	res, err := exec.RunCtx(ctx, s.db, core.Cleaned(stmt, sess.applied...))
+	src, err := s.db.Table(stmt.From)
+	if err != nil {
+		return err
+	}
+	res, err := exec.Run(ctx, src, core.Cleaned(stmt, sess.applied...))
 	if err != nil {
 		return err
 	}
@@ -843,7 +847,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 // republishes the retained version. In-flight queries keep their
 // snapshots; session results cached over the old window advance across
 // the horizon on their next request (rebasing when the carried state
-// allows it, re-running otherwise — see exec.Advance).
+// allows it, re-running otherwise — see exec.AdvanceCtx).
 func (s *Server) handleRetention(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Table   string  `json:"table"`

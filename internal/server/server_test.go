@@ -215,6 +215,12 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad sql: %d", resp.StatusCode)
 	}
+	// Unknown FROM table: exec.Run takes the table it is handed, so the
+	// server's lookup is what refuses it.
+	resp = post(t, ts, "/api/query", map[string]any{"sql": "SELECT sum(amount) FROM nosuch"}, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown table: %d", resp.StatusCode)
+	}
 	// Clean before debug.
 	idx := 0
 	resp = post(t, ts, "/api/clean", map[string]any{"explanation": &idx}, nil)

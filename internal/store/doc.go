@@ -28,9 +28,10 @@
 // always restores a clean batch PREFIX of the acknowledged sequence —
 // never a torn, reordered, or partially applied batch.
 //
-// Any I/O error during Append or Retain fail-stops the table: the
-// error is recorded, subsequent mutations are refused, and reads keep
-// serving the last published version until a restart re-runs recovery.
+// Any I/O error during AppendColsCtx or RetainCtx fail-stops the table:
+// the error is recorded, subsequent mutations are refused, and reads
+// keep serving the last published version until a restart re-runs
+// recovery.
 // Acknowledging a write the disk may not hold would silently break the
 // contract above, so the store refuses instead.
 //

@@ -84,7 +84,7 @@ func TestOutOfCoreBoundedHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exec.RunOn(tbl, stmt)
+		res, err := exec.Run(t.Context(), tbl, stmt)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

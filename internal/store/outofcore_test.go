@@ -12,7 +12,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
-	"repro/internal/exec"
 	"repro/internal/testgen"
 )
 
@@ -225,7 +224,7 @@ func TestOutOfCoreRetention(t *testing.T) {
 	}
 	tab, _ := lazy.Eng().Table("p")
 	requireRowsMatch(t, tab, oracle) // warm the pool over all segments
-	nt, stats, err := lazy.Retain("p", engine.RetentionPolicy{MaxRows: 3 * (1 << engine.MinSegmentBits)})
+	nt, stats, err := lazy.RetainCtx(t.Context(), "p", engine.RetentionPolicy{MaxRows: 3 * (1 << engine.MinSegmentBits)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,7 @@ func TestRetentionKeepsStaleVersionsReadable(t *testing.T) {
 				fr.Close()
 			}
 		}()
-		nt, stats, err := st.Retain("p", engine.RetentionPolicy{MaxRows: 3 << engine.MinSegmentBits})
+		nt, stats, err := st.RetainCtx(t.Context(), "p", engine.RetentionPolicy{MaxRows: 3 << engine.MinSegmentBits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,7 +620,7 @@ func TestBenchShapesFaultTypedChunksOnly(t *testing.T) {
 		"residual":  "SELECT day, sum(amount) AS total FROM donations WHERE candidate = 'McCain' AND memo LIKE '%SPOUSE%' GROUP BY day ORDER BY day",
 		"distinct":  "SELECT count(DISTINCT epoch) AS n FROM readings WHERE moteid = 17",
 	} {
-		res, err := exec.RunSQL(lazy.Eng(), sql)
+		res, err := testgen.Query(t.Context(), lazy.Eng(), sql)
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}

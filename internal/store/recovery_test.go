@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,7 +46,7 @@ func runCrashWorkload(st *DB, rng *rand.Rand, steps, syncEvery int, o *crashOrac
 		}
 		if i%6 == 5 {
 			keep := tab.SegRows() * (1 + rng.Intn(3))
-			_, stats, err := st.Retain("p", engine.RetentionPolicy{MaxRows: keep})
+			_, stats, err := st.RetainCtx(context.Background(), "p", engine.RetentionPolicy{MaxRows: keep})
 			if err != nil {
 				return err
 			}

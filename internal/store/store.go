@@ -426,19 +426,14 @@ func (s *DB) rewriteWALLocked(ts *tableStore, nt *engine.Table, nsealed, tailRow
 	return nil
 }
 
-// Retain applies a retention policy durably: the engine drops head
+// RetainCtx applies a retention policy durably: the engine drops head
 // segments, the manifest records the new base (the commit point), and
 // only then are the dropped segment files unlinked. A crash between
 // manifest and unlink leaves stale files below base, which the next
-// Open removes.
-func (s *DB) Retain(name string, pol engine.RetentionPolicy) (*engine.Table, engine.RetainStats, error) {
-	return s.RetainCtx(context.Background(), name, pol)
-}
-
-// RetainCtx is Retain with a cancellation point strictly before the
-// engine drop: once segments are dropped from the published version
-// the manifest write and unlinks run to completion regardless of ctx,
-// so the on-disk base can never lag a published drop.
+// Open removes. ctx is polled once, strictly before the engine drop:
+// once segments are dropped from the published version the manifest
+// write and unlinks run to completion regardless of ctx, so the on-disk
+// base can never lag a published drop.
 func (s *DB) RetainCtx(ctx context.Context, name string, pol engine.RetentionPolicy) (*engine.Table, engine.RetainStats, error) {
 	ts, err := s.table(name)
 	if err != nil {

@@ -151,7 +151,7 @@ func TestStoreRetentionDurable(t *testing.T) {
 		}
 		oracle = append(oracle, batch...)
 	}
-	nt, stats, err := st.Retain("p", engine.RetentionPolicy{MaxRows: 128})
+	nt, stats, err := st.RetainCtx(t.Context(), "p", engine.RetentionPolicy{MaxRows: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStoreFailStop(t *testing.T) {
 	if _, err := st.Append("p", testgen.Batch(rng, 8)); err == nil {
 		t.Fatal("append after fail-stop succeeded")
 	}
-	if _, _, err := st.Retain("p", engine.RetentionPolicy{MaxRows: 64}); err == nil {
+	if _, _, err := st.RetainCtx(t.Context(), "p", engine.RetentionPolicy{MaxRows: 64}); err == nil {
 		t.Fatal("retain after fail-stop succeeded")
 	}
 	if got := st.Stats().Tables["p"].Failed; got == "" {

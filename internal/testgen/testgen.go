@@ -1,7 +1,7 @@
 // Package testgen generates randomized tables, append batches,
 // statements, suspect selections and error metrics for the
 // differential test harnesses that pin the incremental paths
-// (exec.Advance, influence.RankAdvancedCtx, core.DebugAdvance) to their
+// (exec.AdvanceCtx, influence.RankAdvancedCtx, core.DebugAdvance) to their
 // from-scratch oracles.
 //
 // The value distribution deliberately reuses the PR 3 parity
@@ -18,6 +18,7 @@
 package testgen
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -327,4 +328,18 @@ func RetainStep(rng *rand.Rand, t *engine.Table) (*engine.Table, int) {
 		panic(err)
 	}
 	return nt, stats.DroppedRows
+}
+
+// Query parses sql and runs it with exec.Run over the table of db that
+// its FROM names: the lookup exec.Run leaves to its caller.
+func Query(ctx context.Context, db *engine.DB, sql string) (*exec.Result, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	src, err := db.Table(stmt.From)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Run(ctx, src, stmt)
 }

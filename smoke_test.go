@@ -14,9 +14,9 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/errmetric"
-	"repro/internal/exec"
 	"repro/internal/influence"
 	"repro/internal/store"
+	"repro/internal/testgen"
 )
 
 // TestInfluenceAllocSmoke pins the leave-one-out pass to a small,
@@ -25,7 +25,7 @@ import (
 // metric scratch) — about 120k allocations at this scale.
 func TestInfluenceAllocSmoke(t *testing.T) {
 	e := intelBench(t, 20_000)
-	warm, err := influence.Rank(e.res, e.suspect, 0, errmetric.TooHigh{C: 70}, influence.Options{})
+	warm, err := influence.RankCtx(t.Context(), e.res, e.suspect, 0, errmetric.TooHigh{C: 70})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func TestInfluenceAllocSmoke(t *testing.T) {
 		t.Fatal("empty lineage")
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := influence.Rank(e.res, e.suspect, 0, errmetric.TooHigh{C: 70}, influence.Options{}); err != nil {
+		if _, err := influence.RankCtx(t.Context(), e.res, e.suspect, 0, errmetric.TooHigh{C: 70}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1000 {
-		t.Errorf("influence.Rank allocates %.0f per run; the columnar path budget is 1000", allocs)
+		t.Errorf("influence.RankCtx allocates %.0f per run; the columnar path budget is 1000", allocs)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestInfluenceAllocSmoke(t *testing.T) {
 func TestWindowQueryAllocSmoke(t *testing.T) {
 	e := intelBench(t, 20_000)
 	// Warm up once, then measure the steady state.
-	res, err := exec.RunSQL(e.db, datasets.IntelWindowSQL)
+	res, err := testgen.Query(t.Context(), e.db, datasets.IntelWindowSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWindowQueryAllocSmoke(t *testing.T) {
 		t.Fatalf("window query did not take the vectorized pipeline: %+v", res.Plan)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := exec.RunSQL(e.db, datasets.IntelWindowSQL); err != nil {
+		if _, err := testgen.Query(t.Context(), e.db, datasets.IntelWindowSQL); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -111,7 +111,7 @@ func TestOutOfCoreQueryAllocSmoke(t *testing.T) {
 		}
 		defer db.Close()
 		run := func() {
-			if res, err := exec.RunSQL(db.Eng(), sql); err != nil || res.NumRows() < 6 { // groups born in every segment
+			if res, err := testgen.Query(t.Context(), db.Eng(), sql); err != nil || res.NumRows() < 6 { // groups born in every segment
 				t.Fatalf("%v, %d rows", err, res.NumRows())
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -126,4 +127,106 @@ func funcNames(path string) ([]string, error) {
 		names = append(names, name)
 	}
 	return names, nil
+}
+
+// TestBenchAPIOnlyInBench keeps the package-level functions
+// testdata/surface.txt tags "bench API" — the context-less shims bench/,
+// a module of its own, compiles against — for bench/ alone: no Go file
+// outside bench/, tests included, may name one, through its import
+// (exec.RunSQL) or bare inside its own package. The shims' own
+// declarations are exempt. Methods tagged "bench API" (*DB.Append,
+// *Result.Lineage, …) are not checked: which type a selector's receiver
+// has takes type information, which go/parser does not give.
+func TestBenchAPIOnlyInBench(t *testing.T) {
+	shims := map[string][]string{} // package dir → its bench-only functions
+	f, err := os.Open(surfaceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 3 || strings.HasPrefix(fields[0], "#") || strings.Join(fields[2:], " ") != "bench API" || strings.Contains(fields[1], ".") {
+			continue
+		}
+		dir := path.Dir(fields[0])
+		shims[dir] = append(shims[dir], fields[1])
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(shims) == 0 {
+		t.Fatalf("%s tags no package-level function bench API: with the last shim gone, delete this test", surfaceFile)
+	}
+
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "bench") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := path.Dir(filepath.ToSlash(p))
+		imports := map[string]string{} // local name → package dir with shims
+		for _, imp := range file.Imports {
+			pdir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "repro/")
+			if !ok || shims[pdir] == nil {
+				continue
+			}
+			name := path.Base(pdir)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = pdir
+		}
+		var own []string // names callable bare here: this file is in the shims' package
+		if file.Name.Name == path.Base(dir) {
+			own = shims[dir]
+		}
+		report := func(n ast.Node, name string) {
+			t.Errorf("%s: names %s, a bench/-only shim (ROADMAP item 14); call its context-taking entry", fset.Position(n.Pos()), name)
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && slices.Contains(shims[imports[id.Name]], x.Sel.Name) {
+					report(x, id.Name+"."+x.Sel.Name)
+				}
+				ast.Inspect(x.X, visit)
+				return false
+			case *ast.Ident:
+				if slices.Contains(own, x.Name) {
+					report(x, x.Name)
+				}
+			}
+			return true
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				if fd.Recv == nil && slices.Contains(own, fd.Name.Name) {
+					continue // a shim's own declaration
+				}
+				ast.Inspect(fd.Type, visit)
+				if fd.Body != nil {
+					ast.Inspect(fd.Body, visit)
+				}
+				continue
+			}
+			ast.Inspect(decl, visit)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
