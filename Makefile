@@ -284,13 +284,21 @@ bench-kernels:
 # Where one full Debug spends its CPU: BenchmarkFigure6RankedPredicates
 # (100k Intel rows, two CPUs) under the CPU profiler, written to a
 # temporary directory, then the cumulative table of the program's own
-# functions — the stage-by-stage profile CHANGES.md records.
+# functions — the stage-by-stage profile CHANGES.md records. A second
+# table does the same for the monitoring loop's carried re-debug
+# (BenchmarkStreamingDebug/examples/base=200000: append, advance,
+# examples, DebugAdvance), whose derived provenance read and
+# preprocess should cost the appended rows, not the table.
 profile-debug:
 	@dir=$$(mktemp -d); \
 	$(GO) test -run='^$$' -bench='BenchmarkFigure6RankedPredicates$$' -benchmem -cpu 2 -count 3 \
 		-o $$dir/repro.test -cpuprofile $$dir/cpu.prof . && \
 	$(GO) tool pprof -top -cum $$dir/repro.test $$dir/cpu.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -50; \
-	echo "profile: $$dir/cpu.prof"
+	echo "profile: $$dir/cpu.prof"; \
+	$(GO) test -run='^$$' -bench='BenchmarkStreamingDebug/examples/base=200000$$' -benchmem -cpu 2 -count 3 \
+		-o $$dir/repro.test -cpuprofile $$dir/carried.prof . && \
+	$(GO) tool pprof -top -cum $$dir/repro.test $$dir/carried.prof 2>/dev/null | grep -E 'flat%|Total|repro' | head -50; \
+	echo "profile: $$dir/carried.prof"
 
 # Where one durable 1,000-row append spends its CPU: BenchmarkAppendBody
 # (an Intel body through Handler() into a store on MemFS) under the CPU

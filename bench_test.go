@@ -219,8 +219,8 @@ func BenchmarkPipelineVsBaselines(b *testing.B) {
 	})
 	b.Run("full-provenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := baseline.FullProvenance(e.res, e.suspect); len(got) == 0 {
-				b.Fatal("empty")
+			if got, err := baseline.FullProvenance(b.Context(), e.res, e.suspect); err != nil || len(got) == 0 {
+				b.Fatalf("%d rows, %v", len(got), err)
 			}
 		}
 	})

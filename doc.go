@@ -267,11 +267,15 @@
 //     costs less than carrying an order: O(batch + groups) per cycle
 //     instead of an O(n) rescan. AdvanceCtx touches no provenance: the
 //     advanced result records its nearest built ancestor's value, and
-//     its first read copies that value's lineage, bitsets and argument
-//     views and runs one lineage pass over the rows appended since, so a
-//     following Debug skips the prefix and a chain of unread advances
-//     costs one suffix pass. A result may be advanced any number of
-//     times.
+//     its first read runs one lineage pass over the rows appended since
+//     and extends that value: row ids of the groups that grew, bitsets
+//     and NULL words are copied, and each argument view's floats are
+//     appended in place, past the length the ancestor publishes, by the
+//     first advance to claim them (a sibling advance of the same
+//     ancestor copies). So a following Debug skips the prefix, a
+//     carried re-debug pays for the appended rows and not the table,
+//     and a chain of unread advances costs one suffix pass. A result
+//     may be advanced any number of times.
 //   - internal/server — POST /api/append decodes its envelope with
 //     encoding/json and scans the rows straight into a Batch (numbers
 //     by strconv, integer literals exact for int and time columns), which
@@ -326,9 +330,11 @@
 //     against it, drift no further than Options.DriftThreshold: they
 //     ARE the answer. The learners (subgroup discovery, tree induction)
 //     do not run, and the feature space is only profiled, for cleaning
-//     the user's examples. What such a pass still pays per
-//     learning-population row: the contrast sample and, with examples,
-//     the gather and the classifier's one pass over the frame.
+//     the user's examples. The contrast sample and the capped learning
+//     population are picked a bitmap word at a time (a word with no
+//     pick costs one popcount), so what such a pass still pays per
+//     learning-population row is, with examples, the gather and the
+//     classifier's one pass over the frame.
 //   - full — everything else runs Debug from scratch, with
 //     Plan.Fallback saying why: no carried state, a changed question or
 //     Options, a moved retention base, a negative threshold, an empty

@@ -28,9 +28,14 @@ import (
 )
 
 // FullProvenance returns the complete lineage of the suspect groups —
-// what a traditional provenance system hands the user.
-func FullProvenance(res *exec.Result, suspect []int) []int {
-	return res.Lineage(suspect)
+// what a traditional provenance system hands the user. A failed
+// provenance build (a chunk-load failure, a cancelled ctx) is its error.
+func FullProvenance(ctx context.Context, res *exec.Result, suspect []int) ([]int, error) {
+	prov, err := res.Provenance(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return prov.Lineage(suspect), nil
 }
 
 // TopKInfluence returns the k most error-influential tuples.

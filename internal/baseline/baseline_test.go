@@ -34,10 +34,23 @@ func fecFixture(t *testing.T) (*exec.Result, []int, *datasets.Truth) {
 	return res, suspect, datasets.NewTruth(labels)
 }
 
+// lineage is the suspect groups' lineage, F.
+func lineage(t *testing.T, res *exec.Result, suspect []int) []int {
+	t.Helper()
+	prov, err := res.Provenance(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prov.Lineage(suspect)
+}
+
 func TestFullProvenanceIsLineage(t *testing.T) {
 	res, suspect, truth := fecFixture(t)
-	full := FullProvenance(res, suspect)
-	want := res.Lineage(suspect)
+	full, err := FullProvenance(t.Context(), res, suspect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lineage(t, res, suspect)
 	if len(full) != len(want) {
 		t.Fatalf("full provenance size %d vs %d", len(full), len(want))
 	}
@@ -60,7 +73,7 @@ func TestTopKInfluence(t *testing.T) {
 	if len(top) == 0 || len(top) > 100 {
 		t.Fatalf("topk size: %d", len(top))
 	}
-	p, _, _ := truth.Score(top, res.Lineage(suspect))
+	p, _, _ := truth.Score(top, lineage(t, res, suspect))
 	if p < 0.9 {
 		t.Errorf("topk precision %.2f; the negative donations should dominate", p)
 	}
@@ -87,8 +100,8 @@ func TestExhaustiveFindsMemoPredicate(t *testing.T) {
 	if best.Evaluated <= 0 {
 		t.Error("evaluation count missing")
 	}
-	matched := best.Pred.MatchingRows(res.Source, res.Lineage(suspect))
-	p, r, _ := truth.Score(matched, res.Lineage(suspect))
+	matched := best.Pred.MatchingRows(res.Source, lineage(t, res, suspect))
+	p, r, _ := truth.Score(matched, lineage(t, res, suspect))
 	if p < 0.9 || r < 0.9 {
 		t.Errorf("exhaustive quality: P=%.2f R=%.2f", p, r)
 	}
@@ -105,7 +118,7 @@ func TestExhaustiveMatchesBoxedScoring(t *testing.T) {
 	if err != nil || len(out) == 0 {
 		t.Fatalf("%d results, %v", len(out), err)
 	}
-	F := res.Lineage(suspect)
+	F := lineage(t, res, suspect)
 	eps, err := influence.EpsWithoutRows(res, suspect, 0, metric, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -26,8 +26,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -238,15 +240,20 @@ func suspectKeyOf(res *exec.Result, suspect []int) string {
 	for i, ri := range suspect {
 		frs[i] = res.Groups[ri].FirstRow
 	}
-	sort.Ints(frs)
-	return fmt.Sprint(frs)
+	return rowsKey(frs)
 }
 
-// rowsKey fingerprints a row-id selection (order-insensitive).
+// rowsKey fingerprints a row-id selection (order-insensitive): the
+// ascending ids as varints.
 func rowsKey(rows []int) string {
-	s := append([]int(nil), rows...)
-	sort.Ints(s)
-	return fmt.Sprint(s)
+	if !slices.IsSorted(rows) { // examples come ascending
+		rows = slices.Sorted(slices.Values(rows))
+	}
+	b := make([]byte, 0, 4*len(rows))
+	for _, r := range rows {
+		b = binary.AppendVarint(b, int64(r))
+	}
+	return string(b)
 }
 
 // ctx returns the request's context, Background when unset.
@@ -330,7 +337,7 @@ func (d *debugRun) checkCtx() error {
 }
 
 // preprocess records the influence analysis and derives the example and
-// learning populations (Dataset Enumerator step 1).
+// learning populations (Dataset Enumerator step 1) a word of F at a time.
 func (d *debugRun) preprocess(an *influence.Analysis) error {
 	opt, req, out := d.opt, d.req, d.out
 	d.an = an
@@ -342,7 +349,6 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 	}
 
 	defer obs.Start(req.ctx(), obs.Enumerate).End()
-	n := req.Result.Source.NumRows()
 	d.fBits = an.Scorer.FBits() // shared, read-only
 	d.dprime = nil
 	for _, r := range req.Examples {
@@ -365,41 +371,36 @@ func (d *debugRun) preprocess(an *influence.Analysis) error {
 	// non-suspect groups are error-free by construction — so that
 	// predicates can describe F itself when an entire group is bad, and
 	// so they generalize against the rest of the table.
-	pop := an.F
-	d.extras = sampleOutside(n, d.fBits, min(max(len(an.F), 50), 20000))
-	if len(d.extras) > 0 {
-		pop = append(append(make([]int, 0, len(an.F)+len(d.extras)), an.F...), d.extras...)
-	}
-
-	// Learners see a capped population (maxLearnRows): culpable tuples
-	// first, then an evenly spaced sample of the rest.
-	d.learnPop = pop
-	if opt.MaxLearnRows > 0 && len(pop) > opt.MaxLearnRows {
-		culpable := d.culpableBits()
-		learnPop := make([]int, 0, opt.MaxLearnRows)
-		others := make([]int, 0, len(pop))
-		capCulp := opt.MaxLearnRows * 3 / 4
-		for _, r := range pop {
-			switch {
-			case !culpable.Get(r):
-				others = append(others, r)
-			case len(learnPop) < capCulp:
-				learnPop = append(learnPop, r)
-			}
-		}
-		rest := opt.MaxLearnRows - len(learnPop)
-		if rest >= len(others) {
-			learnPop = append(learnPop, others...)
-		} else {
-			step := float64(len(others)) / float64(rest)
-			for i := 0; i < rest; i++ {
-				learnPop = append(learnPop, others[int(float64(i)*step)])
-			}
-		}
-		sort.Ints(learnPop)
-		d.learnPop = learnPop
-	}
+	d.extras = sampleOutside(d.fBits, min(max(len(an.F), 50), 20000))
+	d.learnPop = learnPopulation(an.F, d.fBits, d.extras, opt.MaxLearnRows, d.culpableBits)
 	return nil
+}
+
+// learnPopulation is the learners' population: F, then extras, or, past
+// limit > 0 rows (maxLearnRows), limit of them ascending: F's first
+// limit*3/4 culpable rows, then evenly spaced picks from the rest of F
+// followed by extras. culpable lies within F, extras outside it.
+func learnPopulation(F []int, fBits *bitset.Bitset, extras []int, limit int, culpable func() *bitset.Bitset) []int {
+	if limit <= 0 || len(F)+len(extras) <= limit {
+		return slices.Concat(F, extras)
+	}
+	cb, pop := culpable(), bitset.New(fBits.Len())
+	f, c, m, taken := fBits.Words(), cb.Words(), pop.Words(), 0
+	for w, x := range f {
+		for x &= c[w]; x != 0 && taken < limit*3/4; x &= x - 1 {
+			m[w], taken = m[w]|x&-x, taken+1
+		}
+	}
+	others := len(F) - bitset.AndCount(fBits, cb) + len(extras)
+	s := spaced{want: min(limit-taken, others)}
+	s.step = float64(others) / float64(s.want) // 1 takes them all
+	for w, x := range f {
+		m[w] |= s.word(x &^ c[w])
+	}
+	for ; s.j < s.want; s.j++ {
+		pop.Set(extras[int(float64(s.j)*s.step)-s.k])
+	}
+	return pop.Rows()
 }
 
 // culpableBits is D' (as it stands) ∪ the high-influence set over the
@@ -821,25 +822,45 @@ func ExamplesWhereCtx(ctx context.Context, res *exec.Result, suspect []int, cond
 	return pass.Rows(), nil
 }
 
-// sampleOutside returns up to want evenly spaced row ids in [0, n) not
-// in exclude.
-func sampleOutside(n int, exclude *bitset.Bitset, want int) []int {
+// sampleOutside returns up to want evenly spaced row ids in
+// [0, exclude.Len()) not in exclude, a word of the complement at a time.
+func sampleOutside(exclude *bitset.Bitset, want int) []int {
+	n := exclude.Len()
 	outside := n - exclude.Count()
-	if outside <= 0 || want <= 0 {
+	s := spaced{want: min(want, outside)}
+	if s.want <= 0 {
 		return nil
 	}
-	want = min(want, outside)
-	out := make([]int, 0, want)
-	step := float64(outside) / float64(want)
-	k := 0 // rank of r among the outside rows
-	for r := 0; r < n && len(out) < want; r++ {
-		if exclude.Get(r) {
-			continue
+	s.step = float64(outside) / float64(s.want)
+	out := make([]int, 0, s.want)
+	for w, x := range exclude.Words() { // no row past n is outside
+		for p := s.word(^x & (1<<min(n-w*64, 64) - 1)); p != 0; p &= p - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(p))
 		}
-		if k == int(float64(len(out))*step) {
-			out = append(out, r)
-		}
-		k++
 	}
 	return out
+}
+
+// spaced picks want evenly spaced items of a sequence, the j'th at rank int(j*step).
+type spaced struct {
+	step       float64
+	j, want, k int // picks made, picks wanted, items offered so far
+}
+
+// word offers x's set bits as the next items, ascending, and returns the
+// ones it picks: a word with no pick costs one popcount.
+func (s *spaced) word(x uint64) (picked uint64) {
+	j, c, at := s.j, bits.OnesCount64(x), 0
+	for ; j < s.want; j++ {
+		t := int(float64(j)*s.step) - s.k
+		if t >= c {
+			break
+		}
+		for ; at < t; at++ {
+			x &= x - 1
+		}
+		picked |= x & -x
+	}
+	s.j, s.k = j, s.k+c
+	return picked
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -212,7 +213,11 @@ func (sc qualityScenario) debug(opt Options) (qualityCell, float64, error) {
 func (sc qualityScenario) baselines() *qualityBaselines {
 	b := sc.base
 	b.once.Do(func() {
-		F := baseline.FullProvenance(sc.res, sc.suspect)
+		F, err := baseline.FullProvenance(context.Background(), sc.res, sc.suspect)
+		if err != nil {
+			b.err = err
+			return
+		}
 		b.lenF = len(F)
 		for _, r := range F {
 			if sc.truth.Label(r) {

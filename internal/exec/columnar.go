@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -25,10 +26,12 @@ import (
 // argument's float64 coercion — 1 for count(*), the dictionary code for
 // count(DISTINCT string column) — and NaN when NULL; Null marks the NULL
 // rows. Vals[src] is therefore what ResultWithoutFloats removes row src
-// with.
+// with. No float within len(Vals) is written again; an advance's view
+// may extend Vals in place, past that length (growView).
 type ArgView struct {
-	Vals []float64
-	Null *bitset.Bitset
+	Vals    []float64
+	Null    *bitset.Bitset
+	claimed atomic.Bool // Vals' spare capacity is an extension's (growView)
 }
 
 // errDistinctStrings is ArgView's error for a DISTINCT aggregate whose
@@ -91,6 +94,7 @@ func (r *Result) newProvenance(rows [][]int) *Provenance {
 // anc's groups are r's first, in order, over a prefix of r's source at
 // its retention base (Advance records no other), so the lineage pass
 // scans only the rows after anc's, seeded with anc's groups' key slots.
+// Grown groups copy their row ids; anc's views grow in place (growView).
 func (r *Result) buildProvenance(ctx context.Context, anc *Provenance) (*Provenance, error) {
 	from, old := 0, [][]int(nil)
 	if anc != nil {
@@ -210,15 +214,20 @@ func (v *Provenance) ArgView(ord int) (_ *ArgView, err error) {
 func (r *Result) aggCall(ord int) *sqlparse.AggCall { return r.Stmt.Items[r.aggItems[ord]].Agg }
 
 // growView returns call's argument view over every row of src, read the
-// way the scan reads it (argSource): a copy of old, the view over src's
-// first len(old.Vals) rows (nil: none), extended by the rest. old is not
-// written.
+// way the scan reads it (argSource): old, the view over src's first
+// len(old.Vals) rows (nil: none), extended by the rest: the first to
+// claim old.Vals' spare capacity appends there, so an advance chain pays
+// for its appended rows (and append's growth), not the table, and a
+// sibling copies. As in the engine's table tail, no published float is
+// written. A bare column copies out of its typed chunks a segment at a time.
 func growView(old *ArgView, call *sqlparse.AggCall, src *engine.Table) (*ArgView, error) {
 	n := src.NumRows()
-	av := &ArgView{Vals: make([]float64, 0, n)}
-	var null []uint64
+	av, null := new(ArgView), []uint64(nil)
 	if old != nil {
-		av.Vals, null = append(av.Vals, old.Vals...), old.Null.Words()
+		av.Vals, null = old.Vals, old.Null.Words()
+	}
+	if old == nil || !old.claimed.CompareAndSwap(false, true) {
+		av.Vals = append(make([]float64, 0, n), av.Vals...)
 	}
 	av.Null = bitset.SnapshotWords(n, null)
 	add := func(i int, f float64, null bool) {
@@ -233,19 +242,19 @@ func growView(old *ArgView, call *sqlparse.AggCall, src *engine.Table) (*ArgView
 		for i := from; i < n; i++ {
 			add(i, 1, false)
 		}
-	case argFloat:
+	case argFloat, argDict:
 		cr := src.NewColReader(a.col)
 		defer cr.Close()
-		for i := from; i < n; i++ {
-			f, null := cr.Float(i)
-			add(i, f, null)
-		}
-	case argDict:
-		cr := src.NewColReader(a.col)
-		defer cr.Close()
-		for i := from; i < n; i++ {
-			c := cr.Code(i)
-			add(i, float64(c), c < 0)
+		for i, seg := from, src.SegRows(); i < n; i = (i/seg + 1) * seg {
+			if a.kind == argDict {
+				for j, c := range cr.Codes(i / seg)[i%seg:] {
+					add(i+j, float64(c), c < 0)
+				}
+				continue
+			}
+			vals, words := cr.Floats(i / seg) // NaN at NULL; word-aligned
+			av.Vals = append(av.Vals, vals[i%seg:]...)
+			copy(av.Null.Words()[i/64:], words[i%seg/64:])
 		}
 	default:
 		rr := src.NewRowReader()

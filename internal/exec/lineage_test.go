@@ -190,3 +190,124 @@ func TestScanAllocatesPerGroup(t *testing.T) {
 		}
 	}
 }
+
+// TestLineageDerivedViews pins what a derived first read does with its
+// ancestor's argument views. Two sibling advances of one built parent,
+// first-read concurrently (make test-race), each equal a fresh run bit
+// for bit, and so does the parent: one sibling extended each of the
+// parent's views in the spare capacity past its length, the other
+// copied it. And along a chain of 20 one-batch advances of a 100k-row
+// table, each read right after its advance, the derived first reads
+// together allocate less than one view of the table (8 bytes a row):
+// each pays for its appended rows, the NULL words and the groups, not
+// for the table's floats. The chain starts past the one extension that
+// outgrows a from-scratch view's exact capacity; from there append's
+// growth leaves room for every batch.
+func TestLineageDerivedViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	grow := func(tbl *engine.Table, rows [][]engine.Value) *engine.Table {
+		grown, err := tbl.AppendBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return grown
+	}
+	advance := func(res *Result, tbl *engine.Table) *Result {
+		adv, err := AdvanceCtx(t.Context(), res, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
+	build := func(res *Result) *Result {
+		for ord := range res.aggItems {
+			if _, err := mustProv(res).ArgView(ord); err != nil {
+				t.Error(err)
+			}
+		}
+		return res
+	}
+	check := func(label string, res *Result) {
+		fresh, err := Run(t.Context(), res.Source, res.Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		provEqual(t, label, fresh, res)
+	}
+
+	tbl := tinySegTable(rng, 5*64+17)
+	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d, avg(i * 2) AS e FROM p WHERE j < 3 GROUP BY s")
+	res, err := Run(t.Context(), tbl, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl = grow(tbl, batchRows(rng, 40))
+	parent := build(advance(build(res), tbl)) // a derived view: spare capacity
+	t2 := grow(tbl, batchRows(rng, 9))
+	sibs := []*Result{advance(parent, t2), advance(parent, grow(t2, batchRows(rng, 13)))}
+	var wg sync.WaitGroup
+	for _, sib := range sibs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build(sib)
+		}()
+	}
+	wg.Wait()
+	inPlace := 0
+	for i, sib := range sibs {
+		check(fmt.Sprintf("sibling %d", i), sib)
+		for ord, pv := range mustProv(parent).views {
+			if sv := mustProv(sib).views[ord].Vals; &pv.Vals[:1][0] == &sv[:1][0] {
+				inPlace++
+			}
+		}
+	}
+	if inPlace != len(stmt.Items)-1 {
+		t.Fatalf("%d views extended in place, want each of the parent's once", inPlace)
+	}
+	check("parent", parent)
+
+	// A window per 10,000 base rows; each appended batch opens a window.
+	const rows, batch = 100_000, 500
+	chainBatch := func(lo, n int) [][]engine.Value {
+		out := make([][]engine.Value, n)
+		for i := range out {
+			f := engine.NewFloat(float64((lo + i) % 97))
+			if (lo+i)%13 == 0 {
+				f = engine.Null
+			}
+			w := min(lo+i, rows-1) / 10_000
+			if lo >= rows {
+				w = lo
+			}
+			out[i] = []engine.Value{engine.NewInt(int64(w)), f}
+		}
+		return out
+	}
+	if tbl, err = engine.NewTable("c", engine.NewSchema("w", engine.TInt, "f", engine.TFloat)); err != nil {
+		t.Fatal(err)
+	}
+	tbl = grow(tbl, chainBatch(0, rows))
+	adv, err := Run(t.Context(), tbl, mustParse(t, "SELECT w, sum(f) AS v FROM c GROUP BY w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build(adv)
+	var alloc uint64
+	for step := range 21 {
+		tbl = grow(tbl, chainBatch(tbl.NumRows(), batch))
+		adv = advance(adv, tbl)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build(adv)
+		runtime.ReadMemStats(&after)
+		if step > 0 { // step 0 outgrows the from-scratch view's capacity
+			alloc += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if view := uint64(8 * rows); alloc >= view {
+		t.Fatalf("20 derived first reads allocated %d bytes, want under one view of the table (%d)", alloc, view)
+	}
+	check("chain", adv)
+}
