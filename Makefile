@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short quality test-race test-procs test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples surface
+.PHONY: all build test short quality test-race test-procs test-crash test-chaos test-memcap vet fmt-check check check-bench bench bench-hot bench-kernels profile-debug profile-append profile-scan fuzz-smoke cover lines examples surface mutants
 
 all: build test
 
@@ -31,15 +31,15 @@ quality:
 test-race:
 	$(GO) test -race -short ./...
 
-# Answers do not follow the core count: the golden Debug rankings, the
-# exec parity harnesses (bit for bit against the reference, which folds
-# by the same table-fixed blocks) and the lineage tests (the row order a
-# first read builds) at one core and at four. The scan's fold blocks are
-# the table's, so both runs must pass against the one checked-in golden
-# file.
+# Answers do not follow the core count: the golden Debug rankings, exec's
+# differential generator (TestDifferential and its *Parity profiles:
+# every step bit for bit against the reference, which folds by the same
+# table-fixed blocks) and the lineage tests (the row order a first read
+# builds) at one core and at four. The scan's fold blocks are the
+# table's, so both runs must pass against the one checked-in golden file.
 test-procs:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity|TestLineage' ./internal/core ./internal/exec
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestGoldenRankings|TestVectorScalarParity|TestAdvanceParity|TestLineage' ./internal/core ./internal/exec
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGoldenRankings|TestDifferential|Parity|TestLineage' ./internal/core ./internal/exec
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestGoldenRankings|TestDifferential|Parity|TestLineage' ./internal/core ./internal/exec
 
 # Durability fault suite: the crash-at-every-failpoint recovery matrix,
 # corruption/quarantine detection, and fail-stop behavior in
@@ -149,6 +149,19 @@ cover:
 		fi; \
 		echo "cover: $$pkg $$pct% (ratchet $$min%)"; \
 	done
+
+# The mutation ledger of one package (PKG, default exec): a fixed-seed
+# sample of 100 mutants of its non-test files (flipped comparisons,
+# swapped && and ||, integer literals moved by one, dropped calls and
+# assignments, nil error returns), each run through `go test -overlay
+# -short -failfast` — no file in the tree changes — and printed as
+# killed, survived, timeout or invalid with the first failing test. The
+# same tree gives the same sample, so two commits' ledgers compare
+# mutant by mutant. Not in tier-1 or `make check`: exec takes about ten
+# minutes on two cores.
+PKG ?= ./internal/exec
+mutants:
+	$(GO) run ./internal/mutants $(PKG)
 
 # Non-test and test Go lines per package (plain `wc -l`), bench/ — its own
 # module — as one row, then the total: the table every PR reports in

@@ -204,13 +204,17 @@
 //   - The oracle (exec.RunReference): the boxed row-at-a-time scan —
 //     per-row WHERE interpretation, string group keys, boxed arguments
 //     through agg.Add, folding by the same blocks. No production code
-//     path reaches it. The randomized harnesses in internal/exec run
-//     generated statements — DISTINCT, 0–6 keys, string computed keys,
-//     NULL/NaN/±0-heavy and inexact floats, 64-row to default segments,
-//     resident and out-of-core — through both and require identical
-//     rows, float bits, group order, lineage, FirstRow and errors, and
-//     Vectorized with no Fallback; FuzzResidualFilterParity drives
-//     arbitrary parsed predicates through buildFilter against EvalBool.
+//     path reaches it. One differential generator in internal/exec runs
+//     seeded statements — DISTINCT, 0–6 keys, string computed keys —
+//     over NULL/NaN/±0-heavy and inexact floats, 64-row to default
+//     segments, resident and out-of-core, through histories of appends,
+//     retention and cancelled advances, and requires of both identical
+//     rows, float bits (but a NaN's payload, and a median's sign of
+//     zero), group order, lineage, argument views, FirstRow and errors,
+//     and Vectorized with no Fallback at every step; an advance from
+//     empty must equal Run bit for bit, and a first read must extend its
+//     ancestor's views. FuzzResidualFilterParity routes parsed
+//     predicates through it.
 //
 // /api/stats sums the plan counters (scan.segs_skipped, …,
 // key_kernels) and each stage's time (stages.<endpoint>.<stage>); the

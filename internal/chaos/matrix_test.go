@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/store"
 	"repro/internal/testgen"
@@ -467,7 +468,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 			continue
 		}
 
-		grown, err := tbl.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, tbl)))
+		grown, err := tbl.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, tbl)))
 		if err != nil {
 			t.Fatal(err)
 		}

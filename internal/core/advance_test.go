@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/influence"
 	"repro/internal/obs"
@@ -235,7 +236,7 @@ func TestDebugAdvanceDifferential(t *testing.T) {
 			steps := 3 + rng.Intn(3)
 			cur := tbl
 			for step := 0; step < steps; step++ {
-				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
+				grown, err := cur.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, cur)))
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
@@ -153,13 +154,13 @@ func TestExamplesWhereDifferential(t *testing.T) {
 
 			// Grow (the family's shared clause masks extend by the suffix),
 			// and once per chain trim the head so the next advance rebases.
-			grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
+			grown, err := cur.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, cur)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if step == 3 {
 				var dropped int
-				if grown, dropped = testgen.RetainStep(rng, grown); dropped > 0 {
+				if grown, dropped = enginetest.RetainStep(rng, grown); dropped > 0 {
 					rebased++
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/predicate"
 	"repro/internal/testgen"
@@ -40,14 +41,14 @@ func TestDebugAdvanceRetentionDifferential(t *testing.T) {
 			prevBase := 0
 			cur := tbl
 			for step := 0; step < 4; step++ {
-				grown, err := cur.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur)))
+				grown, err := cur.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, cur)))
 				if err != nil {
 					t.Fatalf("seed %d iter %d step %d: AppendBatch: %v", seed, iter, step, err)
 				}
 				cur = grown
 				dropped := 0
 				if rng.Intn(2) == 0 {
-					cur, dropped = testgen.RetainStep(rng, cur)
+					cur, dropped = enginetest.RetainStep(rng, cur)
 					if dropped > 0 {
 						horizons++
 					}

@@ -362,7 +362,7 @@ func TestSegmentedRandomizedParity(t *testing.T) {
 		}
 		chain := []*engine.Table{cur}
 		for step, next := 0, 0; step < 12; step++ {
-			k := []int{1, 7, 63, 64, 65, 130, 1 + rng.Intn(40), testgen.BoundaryBatchSize(rng, cur)}[rng.Intn(8)]
+			k := []int{1, 7, 63, 64, 65, 130, 1 + rng.Intn(40), enginetest.BoundaryBatchSize(rng, cur)}[rng.Intn(8)]
 			if cur, err = cur.AppendBatch(stream[next : next+k]); err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,9 @@
 // Package enginetest builds out-of-core twins of resident tables for
 // the tests of the typed read path: an in-memory engine.ChunkLoader that
 // counts pins by chunk kind, tracks outstanding pins and fails on
-// demand, and a row generator that covers every cell a float64 or a
-// lower-cased rendering would get wrong.
+// demand, a row generator that covers every cell a float64 or a
+// lower-cased rendering would get wrong, and the append-batch sizes and
+// retention steps the incremental harnesses draw their histories from.
 //
 // Like internal/testgen it is a non-test package so several layers'
 // _test files can share it (it imports only the engine, so the
@@ -214,4 +215,41 @@ func EdgeRows(rng *rand.Rand, n int) [][]engine.Value {
 		rows[i] = EdgeRow(rng)
 	}
 	return rows
+}
+
+// BoundaryBatchSize draws an append batch size biased to land exactly
+// on, one under, or one over the table's next segment boundary —
+// where every off-by-one in the seal and suffix plumbing would live — and
+// otherwise a small random size.
+func BoundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
+	segRows := t.SegRows()
+	toBoundary := segRows - t.NumRows()%segRows // rows until the next seal
+	switch rng.Intn(6) {
+	case 0:
+		return toBoundary // lands exactly on the boundary
+	case 1:
+		if toBoundary > 1 {
+			return toBoundary - 1 // one under
+		}
+		return 1
+	case 2:
+		return toBoundary + 1 // one over
+	case 3:
+		return toBoundary + segRows // straddles two boundaries
+	default:
+		return 1 + rng.Intn(2*segRows)
+	}
+}
+
+// RetainStep applies a randomized row-bound retention policy to the
+// newest version, returning it (possibly unchanged) plus the stream
+// rows dropped. Harnesses interleave it with append batches to check
+// that carried state is rebuilt across every moved base.
+func RetainStep(rng *rand.Rand, t *engine.Table) (*engine.Table, int) {
+	keep := t.SegRows() * (1 + rng.Intn(4))
+	nt, stats, err := t.RetainTail(engine.RetentionPolicy{MaxRows: keep})
+	if err != nil {
+		panic(err)
+	}
+	return nt, stats.DroppedRows
 }

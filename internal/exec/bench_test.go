@@ -13,25 +13,21 @@ import (
 	"repro/internal/store"
 )
 
-func benchDB(rows int) *engine.DB {
-	tbl := engine.MustNewTable("t", engine.NewSchema(
-		"k", engine.TInt, "cat", engine.TString, "v", engine.TFloat))
-	cats := []string{"a", "b", "c", "d"}
+// dbOf is a database of one table t of schema, rows rows of row's.
+func dbOf(schema engine.Schema, rows int, row func(i int) []engine.Value) *engine.DB {
 	vals := make([][]engine.Value, rows)
 	for i := range vals {
-		vals[i] = []engine.Value{
-			engine.NewInt(int64(i % 100)),
-			engine.NewString(cats[i%len(cats)]),
-			engine.NewFloat(float64(i % 997)),
-		}
-	}
-	tbl, err := tbl.AppendBatch(vals)
-	if err != nil {
-		panic(err)
+		vals[i] = row(i)
 	}
 	db := engine.NewDB()
-	db.Register(tbl)
+	db.Register(must(engine.MustNewTable("t", schema).AppendBatch(vals)))
 	return db
+}
+
+func benchDB(rows int) *engine.DB {
+	return dbOf(engine.NewSchema("k", engine.TInt, "cat", engine.TString, "v", engine.TFloat), rows, func(i int) []engine.Value {
+		return []engine.Value{engine.NewInt(int64(i % 100)), engine.NewString([]string{"a", "b", "c", "d"}[i%4]), engine.NewFloat(float64(i % 997))}
+	})
 }
 
 // computedBenchDB is a 100k-row table for the computed-key scan: ts
@@ -39,19 +35,9 @@ func benchDB(rows int) *engine.DB {
 // bucket(epoch(ts), 1800) occurs repeat times in a row (54 is the Intel
 // trace's motes per epoch; 1 is a source that never repeats).
 func computedBenchDB(repeat int) *engine.DB {
-	const rows = 100_000
-	tbl := engine.MustNewTable("t", engine.NewSchema("ts", engine.TTime, "v", engine.TFloat))
-	vals := make([][]engine.Value, rows)
-	for i := range vals {
-		vals[i] = []engine.Value{engine.NewTimeUnix(1_078_000_000 + int64(i/repeat)*31), engine.NewFloat(float64(i % 997))}
-	}
-	tbl, err := tbl.AppendBatch(vals)
-	if err != nil {
-		panic(err)
-	}
-	db := engine.NewDB()
-	db.Register(tbl)
-	return db
+	return dbOf(engine.NewSchema("ts", engine.TTime, "v", engine.TFloat), 100_000, func(i int) []engine.Value {
+		return []engine.Value{engine.NewTimeUnix(1_078_000_000 + int64(i/repeat)*31), engine.NewFloat(float64(i % 997))}
+	})
 }
 
 // BenchmarkGroupByScan measures the hash-aggregation scan — the
@@ -65,37 +51,27 @@ func BenchmarkGroupByScan(b *testing.B) {
 		repeat int
 	}{{"computed/repeating", 54}, {"computed/unique", 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			db := computedBenchDB(c.repeat)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := querySQL(b.Context(), db, "SELECT bucket(epoch(ts), 1800) AS w, avg(v), stddev(v) FROM t GROUP BY bucket(epoch(ts), 1800)"); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSQL(b, computedBenchDB(c.repeat), "SELECT bucket(epoch(ts), 1800) AS w, avg(v), stddev(v) FROM t GROUP BY bucket(epoch(ts), 1800)")
 		})
 	}
 	for _, rows := range []int{10_000, 100_000} {
 		rows := rows
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			db := benchDB(rows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := querySQL(b.Context(), db, "SELECT k, avg(v), stddev(v) FROM t GROUP BY k"); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSQL(b, benchDB(rows), "SELECT k, avg(v), stddev(v) FROM t GROUP BY k")
 			b.SetBytes(int64(rows))
 		})
 	}
 }
 
 func BenchmarkWhereFilter(b *testing.B) {
-	db := benchDB(100_000)
+	benchSQL(b, benchDB(100_000), "SELECT cat, sum(v) FROM t WHERE v > 500 AND cat != 'd' GROUP BY cat")
+}
+
+// benchSQL times sql over db.
+func benchSQL(b *testing.B, db *engine.DB, sql string) {
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := querySQL(b.Context(), db, "SELECT cat, sum(v) FROM t WHERE v > 500 AND cat != 'd' GROUP BY cat"); err != nil {
-			b.Fatal(err)
-		}
+	for range b.N {
+		must(querySQL(b.Context(), db, sql))
 	}
 }
 
@@ -106,20 +82,11 @@ func BenchmarkWhereFilter(b *testing.B) {
 // the lineage pass a result's first reader pays.
 func BenchmarkLineageUnion(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 100_000, Seed: 1})
-	stmt, err := sqlparse.Parse(datasets.IntelWindowSQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() *Result {
-		res, err := Run(b.Context(), tbl, stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
+	stmt := must(sqlparse.Parse(datasets.IntelWindowSQL))
+	run := func() *Result { return must(Run(b.Context(), tbl, stmt)) }
 	res := run()
 	std := func(ri int) float64 { v, _ := res.AggFloat(ri, 1); return v }
-	suspects := allGroups(res)
+	suspects := seq(res.NumRows()) // every group a suspect
 	slices.SortFunc(suspects, func(x, y int) int { return cmp.Compare(std(y), std(x)) })
 	suspects = suspects[:10]
 	read := func(b *testing.B, res *Result) {
@@ -160,10 +127,7 @@ func BenchmarkScanMix(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
 	stmts := make([]*sqlparse.SelectStmt, len(scanMix))
 	for i, c := range scanMix {
-		stmt, err := sqlparse.Parse(c.sql)
-		if err != nil {
-			b.Fatal(err)
-		}
+		stmt := must(sqlparse.Parse(c.sql))
 		stmts[i] = stmt
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -193,14 +157,8 @@ func BenchmarkScanMix(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			st, err := store.Open("d", oocOpts(fs, int64(bytes/3)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ooc, err := st.Eng().Table(tbl.Name())
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := must(store.Open("d", oocOpts(fs, int64(bytes/3))))
+			ooc := must(st.Eng().Table(tbl.Name()))
 			b.StartTimer()
 			for _, stmt := range stmts {
 				if _, err := Run(b.Context(), ooc, stmt); err != nil {
@@ -208,20 +166,8 @@ func BenchmarkScanMix(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
+			must(0, st.Close())
 			b.StartTimer()
 		}
 	})
-}
-
-// allGroups returns every output row of res, 0..NumRows-1: every group
-// a suspect.
-func allGroups(res *Result) []int {
-	out := make([]int, res.NumRows())
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

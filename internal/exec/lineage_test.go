@@ -11,6 +11,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
+	"repro/internal/predicate"
 )
 
 // TestLineageFirstReadRace races a result's first provenance readers —
@@ -23,29 +24,15 @@ import (
 func TestLineageFirstReadRace(t *testing.T) {
 	base, stmt := streamFixture(t, 700)
 	tbl := segCopy(base, engine.MinSegmentBits)
-	grown, err := tbl.AppendBatch(streamBatch(rand.New(rand.NewSource(8)), 90, []string{"a", "b", "new"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := runRef(tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Run(t.Context(), grown, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grown := must(tbl.AppendBatch(streamBatch(rand.New(rand.NewSource(8)), 90, []string{"a", "b", "new"})))
+	ref := must(runRef(tbl, stmt))
+	fresh := must(Run(t.Context(), grown, stmt))
 	const readers, rounds = 4, 16
 	for round := range rounds {
 		label := fmt.Sprintf("round %d", round)
-		res, err := Run(t.Context(), tbl, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := must(Run(t.Context(), tbl, stmt))
 		if round%2 == 1 {
-			if _, err := res.Provenance(t.Context()); err != nil {
-				t.Fatal(err)
-			}
+			must(res.Provenance(t.Context()))
 		}
 		got := make([][][]int, readers) // by reader, by output row
 		var adv *Result
@@ -90,9 +77,9 @@ func TestLineageFirstReadRace(t *testing.T) {
 				}
 			}
 		}
-		groupsEqual(t, label, ref, res)
-		tablesEqual(t, label+" (advanced)", fresh.Table, adv.Table)
-		groupsEqual(t, label+" (advanced)", fresh, adv)
+		fatalIf(t, label, compareGroups(ref, res, true))
+		fatalIf(t, label+" (advanced)", compareTables(fresh.Table, adv.Table, nil))
+		fatalIf(t, label+" (advanced)", compareGroups(fresh, adv, true))
 	}
 }
 
@@ -104,31 +91,22 @@ func TestLineageFirstReadRace(t *testing.T) {
 // for bit, and pins no ancestor once built.
 func TestLineageUnreadChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	src := tinySegTable(rng, 4*64)
+	src := parityTable(rng, 4*64, engine.MinSegmentBits)
 	tbl, loader := enginetest.New(src)
 	for range 4 {
 		tbl = loader.Attach(tbl)
 	}
-	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d FROM p WHERE j < 3 GROUP BY s")
-	res, err := Run(t.Context(), tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse("SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d FROM p WHERE j < 3 GROUP BY s")
+	res := must(Run(t.Context(), tbl, stmt))
 	v0 := mustProv(res)
-	if _, err := v0.ArgView(0); err != nil {
-		t.Fatal(err)
-	}
+	must(v0.ArgView(0))
 	for ri := range res.Groups {
 		v0.Bits(ri)
 	}
 	adv := res
 	for step, k := range []int{30, 50, 70} {
-		if tbl, err = tbl.AppendBatch(batchRows(rng, k)); err != nil {
-			t.Fatal(err)
-		}
-		if adv, err = AdvanceCtx(t.Context(), adv, tbl); err != nil {
-			t.Fatal(err)
-		}
+		tbl = must(tbl.AppendBatch(genRows(rng, k, 5, false)))
+		adv = must(AdvanceCtx(t.Context(), adv, tbl))
 		if !adv.Plan.Incremental || adv.prov.Load() != nil || adv.anc.Load() != v0 {
 			t.Fatalf("step %d: advance built a value or lost the ancestor: %+v", step, adv.Plan)
 		}
@@ -138,9 +116,7 @@ func TestLineageUnreadChain(t *testing.T) {
 	}
 	v, err := adv.Provenance(t.Context())
 	loader.Fail = nil
-	if err != nil {
-		t.Fatal(err)
-	}
+	fatalIf(t, "setup", err)
 	if adv.anc.Load() != nil {
 		t.Fatal("a built value still pins its ancestor")
 	}
@@ -152,16 +128,9 @@ func TestLineageUnreadChain(t *testing.T) {
 	if v.views[0] == nil || v.views[1] != nil {
 		t.Fatal("the read did not extend exactly the views the ancestor held")
 	}
-	fresh, err := Run(t.Context(), tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := runRef(tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groupsEqual(t, "chain", ref, adv)
-	provEqual(t, "chain", fresh, adv)
+	fresh, ref := must(Run(t.Context(), tbl, stmt)), must(runRef(tbl, stmt))
+	fatalIf(t, "chain", compareGroups(ref, adv, true))
+	fatalIf(t, "chain", compareProv(fresh, adv))
 }
 
 // TestScanAllocatesPerGroup: a grouped scan records no lineage, so it
@@ -172,17 +141,13 @@ func TestLineageUnreadChain(t *testing.T) {
 func TestScanAllocatesPerGroup(t *testing.T) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
 	for _, c := range scanMix {
-		stmt := mustParse(t, c.sql)
-		if _, err := Run(t.Context(), tbl, stmt); err != nil { // warm the shared clause masks
-			t.Fatal(err)
-		}
+		stmt := mustParse(c.sql)
+		must(Run(t.Context(), tbl, stmt)) // warm the shared clause masks
 		const runs = 3
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			if _, err := Run(t.Context(), tbl, stmt); err != nil {
-				t.Fatal(err)
-			}
+			must(Run(t.Context(), tbl, stmt))
 		}
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
@@ -205,20 +170,8 @@ func TestScanAllocatesPerGroup(t *testing.T) {
 // growth leaves room for every batch.
 func TestLineageDerivedViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	grow := func(tbl *engine.Table, rows [][]engine.Value) *engine.Table {
-		grown, err := tbl.AppendBatch(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return grown
-	}
-	advance := func(res *Result, tbl *engine.Table) *Result {
-		adv, err := AdvanceCtx(t.Context(), res, tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return adv
-	}
+	grow := func(tbl *engine.Table, rows [][]engine.Value) *engine.Table { return must(tbl.AppendBatch(rows)) }
+	advance := func(res *Result, tbl *engine.Table) *Result { return must(AdvanceCtx(t.Context(), res, tbl)) }
 	build := func(res *Result) *Result {
 		for ord := range res.aggItems {
 			if _, err := mustProv(res).ArgView(ord); err != nil {
@@ -228,23 +181,16 @@ func TestLineageDerivedViews(t *testing.T) {
 		return res
 	}
 	check := func(label string, res *Result) {
-		fresh, err := Run(t.Context(), res.Source, res.Stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		provEqual(t, label, fresh, res)
+		fatalIf(t, label, compareProv(must(Run(t.Context(), res.Source, res.Stmt)), res))
 	}
 
-	tbl := tinySegTable(rng, 5*64+17)
-	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d, avg(i * 2) AS e FROM p WHERE j < 3 GROUP BY s")
-	res, err := Run(t.Context(), tbl, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl = grow(tbl, batchRows(rng, 40))
+	tbl := parityTable(rng, 5*64+17, engine.MinSegmentBits)
+	stmt := mustParse("SELECT s, sum(f) AS v, count(*) AS n, count(DISTINCT s) AS d, avg(i * 2) AS e FROM p WHERE j < 3 GROUP BY s")
+	res := must(Run(t.Context(), tbl, stmt))
+	tbl = grow(tbl, genRows(rng, 40, 5, false))
 	parent := build(advance(build(res), tbl)) // a derived view: spare capacity
-	t2 := grow(tbl, batchRows(rng, 9))
-	sibs := []*Result{advance(parent, t2), advance(parent, grow(t2, batchRows(rng, 13)))}
+	t2 := grow(tbl, genRows(rng, 9, 5, false))
+	sibs := []*Result{advance(parent, t2), advance(parent, grow(t2, genRows(rng, 13, 5, false)))}
 	var wg sync.WaitGroup
 	for _, sib := range sibs {
 		wg.Add(1)
@@ -285,14 +231,8 @@ func TestLineageDerivedViews(t *testing.T) {
 		}
 		return out
 	}
-	if tbl, err = engine.NewTable("c", engine.NewSchema("w", engine.TInt, "f", engine.TFloat)); err != nil {
-		t.Fatal(err)
-	}
-	tbl = grow(tbl, chainBatch(0, rows))
-	adv, err := Run(t.Context(), tbl, mustParse(t, "SELECT w, sum(f) AS v FROM c GROUP BY w"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl = grow(engine.MustNewTable("c", engine.NewSchema("w", engine.TInt, "f", engine.TFloat)), chainBatch(0, rows))
+	adv := must(Run(t.Context(), tbl, mustParse("SELECT w, sum(f) AS v FROM c GROUP BY w")))
 	build(adv)
 	var alloc uint64
 	for step := range 21 {
@@ -310,4 +250,53 @@ func TestLineageDerivedViews(t *testing.T) {
 		t.Fatalf("20 derived first reads allocated %d bytes, want under one view of the table (%d)", alloc, view)
 	}
 	check("chain", adv)
+}
+
+// TestSharedIndexBounded: the family-shared clause-mask index is bounded
+// however many distinct literals the statements bring. 1,000 distinct
+// `WHERE temperature > x` statements over 400k Intel rows, a hot literal
+// queried between each, grow the heap by at most the index bound's worth
+// of masks (128 of rows/8 bytes) plus slack — unbounded, they held
+// 1,000. The hot literal's mask survives every sweep, and the first cold
+// literal, evicted, rebuilds bit for bit.
+func TestSharedIndexBounded(t *testing.T) {
+	const rows, literals, bound = 400_000, 1000, 128 // bound: predicate's maxMasks
+	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: rows, Seed: 1})
+	ix := predicate.Shared(tbl)
+	literal := func(k int) float64 { return 10.25 + float64(k)/64 }
+	clause := func(x float64) predicate.Clause {
+		return predicate.Clause{Col: "temperature", Op: predicate.OpGt, Val: engine.NewFloat(x)}
+	}
+	run := func(x float64) {
+		must(Run(t.Context(), tbl, mustParse(fmt.Sprintf("SELECT count(*) AS n FROM readings WHERE temperature > %v", x))))
+	}
+	const hotX = 100.5
+	run(hotX)
+	hot := ix.ClauseBits(clause(hotX))
+	run(literal(0))
+	first := ix.ClauseBits(clause(literal(0)))
+	firstBits := first.Clone()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := 1; k < literals; k++ {
+		run(literal(k))
+		run(hotX)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if limit := int64(bound*rows/8 + 4<<20); int64(after.HeapAlloc)-int64(before.HeapAlloc) > limit {
+		t.Fatalf("heap grew %d bytes over %d literals, want at most %d", int64(after.HeapAlloc)-int64(before.HeapAlloc), literals, limit)
+	}
+	if ix.ClauseBits(clause(hotX)) != hot {
+		t.Fatal("the hot literal's mask was evicted")
+	}
+	again := ix.ClauseBits(clause(literal(0)))
+	if again == first {
+		t.Fatal("the first literal's mask survived 999 newer literals")
+	}
+	if again.Len() != firstBits.Len() || !slices.Equal(again.Words(), firstBits.Words()) {
+		t.Fatal("the evicted literal rebuilt different bits")
+	}
 }

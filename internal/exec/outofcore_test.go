@@ -1,8 +1,8 @@
 package exec
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,392 +14,130 @@ import (
 	"repro/internal/store"
 )
 
-// End-to-end out-of-core query tests: an in-memory copy of the same
-// on-disk table is the oracle for the faultable, buffer-pooled reopen. A deliberately tiny pool forces constant eviction, so every
-// statement exercises fault → pin → release across fold blocks,
-// and the parity requirement is the same bit-exact one the pipeline
-// already owes the reference scan.
+// Out-of-core tests beside the generator's: zone maps skip what they can,
+// a failed load releases its pins, an advance faults no old segment, edge
+// cells read back bit for bit, and the scans pin what they always did.
 
-func oocOpts(fs store.FS, cacheBytes int64) store.Options {
-	return store.Options{
-		SyncEvery:        1,
-		MaxResidentBytes: cacheBytes,
-		Logf:             func(string, ...any) {},
-		FS:               fs,
-	}
-}
-
-// oocBatch draws rows with the parityTable distribution (NULLs, NaNs,
-// signed zeros, exactly-representable floats) as boxed batches for
-// store.Append.
-func oocBatch(rng *rand.Rand, nrows int) [][]engine.Value {
-	strs := []string{"a", "b", "c", "", "xy"}
-	rows := make([][]engine.Value, nrows)
-	for r := range rows {
-		row := make([]engine.Value, 5)
-		row[0] = engine.NewInt(int64(rng.Intn(11) - 5))
-		if rng.Float64() < 0.15 {
-			row[0] = engine.Null
-		}
-		row[1] = engine.NewInt(int64(rng.Intn(4)))
-		switch {
-		case rng.Float64() < 0.12:
-			row[2] = engine.Null
-		case rng.Float64() < 0.1:
-			row[2] = engine.NewFloat(math.NaN())
-		case rng.Float64() < 0.08:
-			row[2] = engine.NewFloat(math.Copysign(0, -1))
-		default:
-			row[2] = engine.NewFloat(float64(rng.Intn(64)-32) * 0.25)
-		}
-		if rng.Float64() < 0.15 {
-			row[3] = engine.Null
-		} else {
-			row[3] = engine.NewString(strs[rng.Intn(len(strs))])
-		}
-		if rng.Float64() < 0.1 {
-			row[4] = engine.Null
-		} else {
-			row[4] = engine.NewTimeUnix(int64(rng.Intn(7200)))
-		}
-		rows[r] = row
-	}
-	return rows
-}
-
-// buildOOCTable writes nbatch random batches to table "p" on fs and
-// closes the store, leaving sealed v2 segment files.
-func buildOOCTable(t *testing.T, fs store.FS, rng *rand.Rand, nbatch int) {
-	t.Helper()
-	st, err := store.Open("d", oocOpts(fs, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := engine.Schema{
-		{Name: "i", Type: engine.TInt},
-		{Name: "j", Type: engine.TInt},
-		{Name: "f", Type: engine.TFloat},
-		{Name: "s", Type: engine.TString},
-		{Name: "t", Type: engine.TTime},
-	}
-	if err := st.CreateTable("p", schema, engine.MinSegmentBits); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nbatch; i++ {
-		if _, err := st.Append("p", oocBatch(rng, 40+rng.Intn(60))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// reopen opens the store over fs with the given pool size and returns
-// the recovered table, every sealed segment faultable (cacheBytes == 0:
-// an uncapped pool).
-func reopen(t *testing.T, fs store.FS, cacheBytes int64) (*store.DB, *engine.Table) {
-	t.Helper()
-	st, err := store.Open("d", oocOpts(fs, cacheBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := st.Eng().Table("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, tbl
-}
-
-// residentReopen reopens the store on fs uncapped, copies table p into
-// an in-memory table of the same name, schema and segment size, and
-// closes the store: the oracle, whose segments hold their chunks and
-// read no file, for a store whose every recovered segment is faultable.
-func residentReopen(t *testing.T, fs store.FS) *engine.Table {
-	t.Helper()
-	st, tbl := reopen(t, fs, 0)
-	defer st.Close()
-	cp, err := engine.NewTableSeg(tbl.Name(), tbl.Schema(), tbl.SegmentBits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([][]engine.Value, tbl.NumRows())
-	for r := range rows {
-		rows[r] = tbl.Row(r)
-	}
-	if cp, err = cp.AppendBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	return cp
-}
-
-func TestOutOfCoreQueryParity(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		fs := store.NewMemFS()
-		buildOOCTable(t, fs, rng, 6+rng.Intn(6))
-
-		oracle := residentReopen(t, fs)
-		// 4 KiB: a fraction of one decoded segment column set, so every
-		// scan faults and evicts continuously.
-		lazySt, lazy := reopen(t, fs, 4096)
-
-		for iter := 0; iter < 40; iter++ {
-			stmt, _ := randStmt(rng)
-			sql := stmt.String()
-
-			ref, refErr := runRef(oracle, stmt)
-			label := fmt.Sprintf("seed %d iter %d lazy [%s]", seed, iter, sql)
-			res, err := Run(t.Context(), lazy, stmt)
-			if (refErr != nil) != (err != nil) {
-				t.Fatalf("%s: error disagreement\nref: %v\nlazy: %v", label, refErr, err)
-			}
-			if refErr == nil {
-				tablesEqual(t, label, ref.Table, res.Table)
-				groupsEqual(t, label, ref, res)
-				assertPipeline(t, label, res)
-			}
-			if n := lazySt.PoolPinned(); n != 0 {
-				t.Fatalf("seed %d iter %d: %d chunks still pinned after query [%s]", seed, iter, n, sql)
-			}
-		}
-
-		stats := lazySt.Stats()
-		if stats.Pool == nil {
-			t.Fatal("out-of-core store reports no pool stats")
-		}
-		if stats.Pool.Misses == 0 {
-			t.Fatalf("tiny pool served every chunk without a fault: %+v", stats.Pool)
-		}
-		if err := lazySt.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestOutOfCoreZoneSkip builds a table whose int column is constant per
-// segment-sized batch, so zone maps give disjoint [min, max] ranges per
-// sealed segment, then checks that a selective WHERE is answered with
-// most segments skipped — and still bit-identically to the resident
-// oracle.
-func TestOutOfCoreZoneSkip(t *testing.T) {
+// writeStore writes batches to table p (1<<segBits-row segments) of a
+// store on a fresh MemFS, closes it, and returns the files.
+func writeStore(schema engine.Schema, segBits uint, batches ...[][]engine.Value) *store.MemFS {
 	fs := store.NewMemFS()
-	st, err := store.Open("d", oocOpts(fs, 0))
-	if err != nil {
-		t.Fatal(err)
+	st := must(store.Open("d", oocOpts(fs, 0)))
+	must(0, st.CreateTable("p", schema, segBits))
+	for _, b := range batches {
+		if len(b) > 0 {
+			must(st.Append("p", b))
+		}
 	}
-	schema := engine.Schema{
-		{Name: "i", Type: engine.TInt},
-		{Name: "f", Type: engine.TFloat},
-		{Name: "s", Type: engine.TString},
+	must(0, st.Close())
+	return fs
+}
+
+// reopen opens the store over fs with the given pool size (0: uncapped)
+// and returns the recovered table, every sealed segment faultable.
+func reopen(fs store.FS, cacheBytes int64) (*store.DB, *engine.Table) {
+	st := must(store.Open("d", oocOpts(fs, cacheBytes)))
+	return st, must(st.Eng().Table("p"))
+}
+
+// residentReopen is the oracle: table p of fs copied into an in-memory
+// table of the same name, schema and segment size, which reads no file.
+func residentReopen(fs store.FS) *engine.Table {
+	st, tbl := reopen(fs, 0)
+	defer st.Close()
+	return segCopy(tbl, tbl.SegmentBits())
+}
+
+// loaderPinned is l's outstanding pins.
+func loaderPinned(l *enginetest.Loader) func() int {
+	return func() int { _, _, _, pinned := l.Counts(); return pinned }
+}
+
+// prefix is a resident copy of src's first n rows.
+func prefix(src *engine.Table, n int) *engine.Table { return src.Select(seq(n)) }
+
+// failSegment makes l fail every pin of segment seg's column col.
+func failSegment(l *enginetest.Loader, seg, col int) {
+	l.Fail = func(s, c int) error {
+		if s == seg && c == col {
+			return errors.New("injected")
+		}
+		return nil
 	}
-	if err := st.CreateTable("p", schema, engine.MinSegmentBits); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	strs := []string{"a", "b", "c"}
+}
+
+// TestOutOfCoreZoneSkip: with i constant per segment, zone maps give the
+// sealed segments disjoint ranges, so a selective WHERE skips all but
+// one of them, and an impossible one skips every one and faults nothing.
+func TestOutOfCoreZoneSkip(t *testing.T) {
 	const nseg = 12
-	segRows := 1 << engine.MinSegmentBits
-	for k := 0; k < nseg; k++ {
-		rows := make([][]engine.Value, segRows)
-		for r := range rows {
-			rows[r] = []engine.Value{
-				engine.NewInt(int64(k * 1000)),
-				engine.NewFloat(float64(rng.Intn(64)) * 0.25),
-				engine.NewString(strs[rng.Intn(len(strs))]),
-			}
-		}
-		if _, err := st.Append("p", rows); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(7))
+	batches := make([][][]engine.Value, nseg)
+	for k := range batches {
+		batches[k] = genRows(rng, 1<<engine.MinSegmentBits, 5, false)
+		for _, row := range batches[k] {
+			row[0] = engine.NewInt(int64(k * 1000))
 		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	fs := writeStore(genSchema, engine.MinSegmentBits, batches...)
+	oracle := residentReopen(fs)
+	st, lazy := reopen(fs, 1<<20)
+	defer st.Close()
+	res := runOracle(t, st.PoolPinned, lazy, oracle, "SELECT s, sum(f) AS total, count(*) AS n FROM p WHERE i = 5000 GROUP BY s")
+	// The last segment may stay an unsealed tail; every other one but
+	// segment 5 is pruned.
+	if res.Plan.SegsSkipped < nseg-2 || res.Plan.ChunksFaulted == 0 {
+		t.Fatalf("want at least %d skipped segments and the matching one faulted: %+v", nseg-2, res.Plan)
 	}
-
-	oracle := residentReopen(t, fs)
-	lazySt, lazy := reopen(t, fs, 1<<20)
-	defer lazySt.Close()
-
-	// One segment's worth of matches: every other sealed segment's zone
-	// range excludes 5000, so pruning must skip them without faulting.
-	stmt := mustParse(t, "SELECT s, sum(f) AS total, count(*) AS n FROM p WHERE i = 5000 GROUP BY s")
-	ref, err := runRef(oracle, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(t.Context(), lazy, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "zone skip", ref.Table, res.Table)
-	groupsEqual(t, "zone skip", ref, res)
-	if !res.Plan.Vectorized {
-		t.Fatalf("zone-skip statement fell back: %+v", res.Plan)
-	}
-	// 12 appended segments: the last may stay as an unsealed tail, all
-	// earlier ones are sealed, faultable, and (except segment 5) pruned.
-	if res.Plan.SegsSkipped < nseg-2 {
-		t.Fatalf("expected at least %d skipped segments, got %+v", nseg-2, res.Plan)
-	}
-	if res.Plan.ChunksFaulted == 0 {
-		t.Fatalf("matching segment was never faulted: %+v", res.Plan)
-	}
-	if got := float64(res.Plan.SegsSkipped) / float64(nseg); got <= 0.5 {
-		t.Fatalf("skip rate %.2f not > 0.5: %+v", got, res.Plan)
-	}
-	if n := lazySt.PoolPinned(); n != 0 {
-		t.Fatalf("%d chunks still pinned after query", n)
-	}
-
-	// A predicate no segment can satisfy: everything skips, nothing
-	// faults.
-	none := mustParse(t, "SELECT s, count(*) AS n FROM p WHERE i = 123 GROUP BY s")
-	resNone, err := Run(t.Context(), lazy, none)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resNone.Groups) != 0 {
-		t.Fatalf("impossible predicate matched %d groups", len(resNone.Groups))
-	}
-	if resNone.Plan.ChunksFaulted != 0 {
-		t.Fatalf("fully-pruned query still faulted chunks: %+v", resNone.Plan)
-	}
-	if resNone.Plan.SegsSkipped < nseg-1 {
-		t.Fatalf("expected at least %d skipped segments, got %+v", nseg-1, resNone.Plan)
+	res = runOracle(t, st.PoolPinned, lazy, oracle, "SELECT s, count(*) AS n FROM p WHERE i = 123 GROUP BY s")
+	if len(res.Groups) != 0 || res.Plan.ChunksFaulted != 0 || res.Plan.SegsSkipped < nseg-1 {
+		t.Fatalf("impossible predicate: %d groups, %+v", len(res.Groups), res.Plan)
 	}
 }
 
 // TestOutOfCoreZoneEdgeValues pins zone-map pruning on the float edge
-// cases the verdict logic must treat exactly like engine.Compare:
-// signed zeros (one value — a segment holding only -0.0 must never be
-// skipped by f >= 0), NaN (compares equal to everything, so it matches
-// every cmp==0 op and no strict op), all-NaN segments (no finite
-// range), and NULLs. Each segment-sized batch holds one edge
-// population; a battery of comparison predicates must come back
-// bit-identical to the resident boxed oracle, with pruning still
-// engaging where it provably can.
+// cases the verdict must treat as engine.Compare does: signed zeros (one
+// value: a segment of only -0.0 is never skipped by f >= 0), NaN
+// (compares equal to everything: it matches every cmp==0 op and no strict
+// one), all-NaN segments (no finite range) and NULLs. Each segment holds
+// one edge population, and every comparison answers as the resident
+// oracle does.
 func TestOutOfCoreZoneEdgeValues(t *testing.T) {
-	fs := store.NewMemFS()
-	st, err := store.Open("d", oocOpts(fs, 0))
-	if err != nil {
-		t.Fatal(err)
+	negZero, nan := engine.NewFloat(math.Copysign(0, -1)), engine.NewFloat(math.NaN())
+	segVal := []func(r int) engine.Value{
+		func(int) engine.Value { return negZero },
+		func(int) engine.Value { return engine.NewFloat(0) },
+		func(int) engine.Value { return nan },
+		func(r int) engine.Value { return engine.NewFloat(100 + float64(r)*0.25) },
+		func(r int) engine.Value { return []engine.Value{engine.Null, nan, negZero, engine.NewFloat(1)}[r%4] },
+		func(int) engine.Value { return engine.NewFloat(0.5) }, // an unsealed tail: the five seal
 	}
-	schema := engine.Schema{
-		{Name: "g", Type: engine.TInt},
-		{Name: "f", Type: engine.TFloat},
-	}
-	if err := st.CreateTable("p", schema, engine.MinSegmentBits); err != nil {
-		t.Fatal(err)
-	}
-	segRows := 1 << engine.MinSegmentBits
-	segVal := func(k, r int) engine.Value {
-		switch k {
-		case 0:
-			return engine.NewFloat(math.Copysign(0, -1)) // only -0.0
-		case 1:
-			return engine.NewFloat(0) // only +0.0
-		case 2:
-			return engine.NewFloat(math.NaN()) // all NaN, no finite range
-		case 3:
-			return engine.NewFloat(100 + float64(r)*0.25) // far from zero
-		default: // mixed NULL / NaN / -0.0 / 1.0
-			switch r % 4 {
-			case 0:
-				return engine.Null
-			case 1:
-				return engine.NewFloat(math.NaN())
-			case 2:
-				return engine.NewFloat(math.Copysign(0, -1))
-			default:
-				return engine.NewFloat(1)
-			}
+	batches := make([][][]engine.Value, len(segVal))
+	for k, val := range segVal {
+		for r := range map[bool]int{false: 64, true: 10}[k == len(segVal)-1] {
+			batches[k] = append(batches[k], []engine.Value{engine.NewInt(int64(k)), val(r)})
 		}
 	}
-	for k := 0; k < 5; k++ {
-		rows := make([][]engine.Value, segRows)
-		for r := range rows {
-			rows[r] = []engine.Value{engine.NewInt(int64(k)), segVal(k, r)}
-		}
-		if _, err := st.Append("p", rows); err != nil {
-			t.Fatal(err)
-		}
+	fs := writeStore(engine.NewSchema("g", engine.TInt, "f", engine.TFloat), engine.MinSegmentBits, batches...)
+	oracle := residentReopen(fs)
+	st, lazy := reopen(fs, 4096)
+	defer st.Close()
+	for _, where := range []string{"f >= 0", "f = 0", "f <= 0", "f > 0", "f = 100", "f != 0", "f IS NULL", "f IS NOT NULL", "f BETWEEN -1 AND 1"} {
+		runOracle(t, st.PoolPinned, lazy, oracle, "SELECT g, count(*) AS n FROM p WHERE "+where+" GROUP BY g")
 	}
-	// Unsealed tail so all five edge segments above are sealed+faultable.
-	tail := make([][]engine.Value, 10)
-	for r := range tail {
-		tail[r] = []engine.Value{engine.NewInt(9), engine.NewFloat(0.5)}
-	}
-	if _, err := st.Append("p", tail); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	oracle := residentReopen(t, fs)
-	lazySt, lazy := reopen(t, fs, 4096)
-	defer lazySt.Close()
-
-	queries := []string{
-		"SELECT g, count(*) AS n FROM p WHERE f >= 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f = 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f <= 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f < 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f > 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f = 100 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f != 0 GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f IS NULL GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f IS NOT NULL GROUP BY g",
-		"SELECT g, count(*) AS n FROM p WHERE f BETWEEN -1 AND 1 GROUP BY g",
-	}
-	for _, sql := range queries {
-		stmt := mustParse(t, sql)
-		ref, err := runRef(oracle, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(t.Context(), lazy, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("[%s]", sql)
-		tablesEqual(t, label, ref.Table, res.Table)
-		groupsEqual(t, label, ref, res)
-		if n := lazySt.PoolPinned(); n != 0 {
-			t.Fatalf("%d chunks still pinned after [%s]", n, sql)
-		}
-	}
-
-	// f >= 0 matches the -0.0 segment (64), the +0.0 segment (64), the
-	// all-NaN segment (NaN compares equal to everything: 64), the far
-	// segment (64), the mixed segment's NaN/-0.0/1.0 rows (48), and the
-	// tail (10). The -0.0-only segment contributing all 64 is the
-	// regression this test exists for.
-	res, err := Run(t.Context(), lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f >= 0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// f >= 0: the -0.0, +0.0, all-NaN and far segments (64 each), the
+	// mixed one's NaN, -0.0 and 1.0 rows (48) and the tail (10). The
+	// -0.0-only segment's 64 are the regression this test exists for.
+	res := runOracle(t, st.PoolPinned, lazy, oracle, "SELECT count(*) AS n FROM p WHERE f >= 0")
 	if got := res.Table.Row(0)[0].Float(); got != 4*64+48+10 {
 		t.Fatalf("f >= 0 matched %v rows, want %d", got, 4*64+48+10)
 	}
-
-	// f < 0 is provably empty in every segment: the zero segments' range
-	// is [0,0] (seal canonicalizes -0.0), NaN never satisfies a strict
-	// op, and the mixed segment's finite range starts at 0 — all five
-	// sealed segments skip without faulting.
-	resLt, err := Run(t.Context(), lazy, mustParse(t, "SELECT count(*) AS n FROM p WHERE f < 0 GROUP BY g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resLt.Groups) != 0 {
-		t.Fatalf("f < 0 matched %d groups", len(resLt.Groups))
-	}
-	if resLt.Plan.SegsSkipped < 5 {
-		t.Fatalf("f < 0 should zone-skip all 5 sealed segments: %+v", resLt.Plan)
-	}
-	if resLt.Plan.ChunksFaulted != 0 {
-		t.Fatalf("fully-pruned f < 0 still faulted: %+v", resLt.Plan)
+	// f < 0 is provably empty everywhere: sealing canonicalizes -0.0 to a
+	// [0, 0] range, NaN satisfies no strict op, and the mixed segment's
+	// finite range starts at 0. All five sealed segments skip unfaulted.
+	res = runOracle(t, st.PoolPinned, lazy, oracle, "SELECT g, count(*) AS n FROM p WHERE f < 0 GROUP BY g")
+	if len(res.Groups) != 0 || res.Plan.SegsSkipped < 5 || res.Plan.ChunksFaulted != 0 {
+		t.Fatalf("f < 0 should zone-skip all 5 sealed segments: %d groups, %+v", len(res.Groups), res.Plan)
 	}
 }
 
@@ -410,13 +148,8 @@ func corruptSegments(t *testing.T, fs *store.MemFS) {
 	n := 0
 	for _, f := range fs.Files() {
 		if strings.HasSuffix(f, ".seg") {
-			size, err := fs.FileSize(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.FlipBit(f, size/2, 5); err != nil {
-				t.Fatal(err)
-			}
+			size := must(fs.FileSize(f))
+			fatalIf(t, f, fs.FlipBit(f, size/2, 5))
 			n++
 		}
 	}
@@ -425,143 +158,82 @@ func corruptSegments(t *testing.T, fs *store.MemFS) {
 	}
 }
 
-// TestProvenanceRetriesAfterLoadFailure: an advance touches no
-// provenance, so a chunk fault under the advanced result's first read —
-// here the argument view it extends from its ancestor's, injected on the
+// TestProvenanceRetriesAfterLoadFailure: a chunk fault under an advanced
+// result's first read — extending its ancestor's argument view, on the
 // suffix segment's pins — fails that read alone: it publishes nothing,
 // the ancestor stays recorded, and once the fault clears the next read
-// builds the reference's value. A HAVING that only errors on the
-// advanced aggregates fails every attempt alike, leaving the result
-// advanceable.
+// builds the reference's value. A HAVING that only errors on the advanced
+// aggregates fails every attempt alike, leaving the result advanceable.
 func TestProvenanceRetriesAfterLoadFailure(t *testing.T) {
-	src := tinySegTable(rand.New(rand.NewSource(13)), 3*64+8) // three sealed segments and a tail
-	fCol := src.Schema().ColIndex("f")
+	src := parityTable(rand.New(rand.NewSource(13)), 3*64+8, engine.MinSegmentBits) // three sealed segments and a tail
 	twin, loader := enginetest.New(src)
 	twin = loader.Attach(loader.Attach(twin))
-	stmt := mustParse(t, "SELECT s, sum(f) AS v, count(*) AS n FROM p GROUP BY s")
-	res, err := Run(t.Context(), twin, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt := mustParse("SELECT s, sum(f) AS v, count(*) AS n FROM p GROUP BY s")
+	res := must(Run(t.Context(), twin, stmt))
 	v := mustProv(res)
-	if _, err := v.ArgView(0); err != nil { // the view the first read will extend
-		t.Fatal(err)
-	}
+	must(v.ArgView(0)) // the view the first read will extend
 	grown := loader.Attach(twin)
-	adv, err := AdvanceCtx(t.Context(), res, grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.Fail = func(seg, col int) error {
-		if seg == 2 && col == fCol {
-			return errors.New("injected")
-		}
-		return nil
-	}
-	for attempt := 0; attempt < 2; attempt++ {
+	adv := must(AdvanceCtx(t.Context(), res, grown))
+	failSegment(loader, 2, src.Schema().ColIndex("f"))
+	for attempt := range 2 {
 		out, err := adv.Provenance(t.Context())
 		var sle *engine.SegmentLoadError
-		if !errors.As(err, &sle) || out != nil || adv.prov.Load() != nil || adv.anc.Load() != v {
-			t.Fatalf("attempt %d: want the injected chunk-load failure and nothing published, got %v, %v", attempt, out, err)
-		}
-		if _, _, _, pinned := loader.Counts(); pinned != 0 {
-			t.Fatalf("attempt %d: %d chunks still pinned", attempt, pinned)
+		if !errors.As(err, &sle) || out != nil || adv.prov.Load() != nil || adv.anc.Load() != v || loaderPinned(loader)() != 0 {
+			t.Fatalf("attempt %d: want the injected chunk-load failure, nothing published or pinned, got %v, %v", attempt, out, err)
 		}
 	}
 	loader.Fail = nil
-	sealedRows := make([]int, grown.NumRows())
-	for r := range sealedRows {
-		sealedRows[r] = r
-	}
-	ref, err := runRef(src.Select(sealedRows), stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, "retry", ref.Table, adv.Table)
-	groupsEqual(t, "retry", ref, adv)
-	provEqual(t, "retry", ref, adv)
+	ref := must(runRef(prefix(src, grown.NumRows()), stmt))
+	check(t, "retry", ref, adv)
 	if !adv.Plan.Incremental {
 		t.Fatalf("advance did not carry: %+v", adv.Plan)
 	}
 
 	// HAVING over an aggregate that is NULL on the carried rows (i is
 	// NULL there) and an int once the batch lands: int > string errors.
-	tbl, err := engine.NewTableSeg("p", src.Schema(), engine.MinSegmentBits)
-	if err != nil {
-		t.Fatal(err)
-	}
 	row := func(i engine.Value) [][]engine.Value {
 		return [][]engine.Value{{i, engine.NewInt(1), engine.NewFloat(1), engine.NewString("a"), engine.Null}}
 	}
-	if tbl, err = tbl.AppendBatch(row(engine.Null)); err != nil {
-		t.Fatal(err)
-	}
-	having := mustParse(t, "SELECT s, sum(i) AS v FROM p GROUP BY s HAVING v > 'x'")
-	if res, err = Run(t.Context(), tbl, having); err != nil {
-		t.Fatal(err)
-	}
-	if tbl, err = tbl.AppendBatch(row(engine.NewInt(3))); err != nil {
-		t.Fatal(err)
-	}
-	for attempt := 0; attempt < 2; attempt++ {
+	tbl := must(must(engine.NewTableSeg("p", genSchema, engine.MinSegmentBits)).AppendBatch(row(engine.Null)))
+	res = must(Run(t.Context(), tbl, mustParse("SELECT s, sum(i) AS v FROM p GROUP BY s HAVING v > 'x'")))
+	tbl = must(tbl.AppendBatch(row(engine.NewInt(3))))
+	for attempt := range 2 {
 		if _, err := AdvanceCtx(t.Context(), res, tbl); err == nil || !strings.Contains(err.Error(), "compare") {
 			t.Fatalf("attempt %d: want the HAVING error, got %v", attempt, err)
 		}
 	}
 }
 
-// TestAdvanceReadsNoOldSegments is the positive twin: with every old
-// segment file corrupted since the fresh run, an advance still returns
-// the reference's answer, because it faults none of them — group keys
-// are carried, materialize takes plain items from them, and the suffix
-// is all the scan reads.
+// TestAdvanceReadsNoOldSegments: with every old segment file corrupted
+// since the fresh run, an advance still answers right, because it faults
+// none of them — group keys are carried, materialize takes plain items
+// from them, and the suffix is all the scan reads.
 func TestAdvanceReadsNoOldSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	fs := store.NewMemFS()
-	buildOOCTable(t, fs, rng, 8)
-	oracle := residentReopen(t, fs)
-	st, tbl := reopen(t, fs, 4096)
+	fs := writeStore(genSchema, engine.MinSegmentBits, genRows(rng, 300, 5, false), genRows(rng, 250, 5, false))
+	oracle := residentReopen(fs)
+	st, tbl := reopen(fs, 4096)
 	defer st.Close()
-	sqls := []string{
+	var fresh []*Result
+	for _, sql := range []string{
 		"SELECT s, count(*) AS n FROM p GROUP BY s",
 		"SELECT f, bucket(i, 3) AS b, sum(f) AS v FROM p WHERE j < 3 GROUP BY f, bucket(i, 3) ORDER BY v",
+	} {
+		res := must(Run(t.Context(), tbl, mustParse(sql)))
+		fresh = append(fresh, res)
 	}
-	fresh := make([]*Result, len(sqls))
-	for i, sql := range sqls {
-		var err error
-		if fresh[i], err = Run(t.Context(), tbl, mustParse(t, sql)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch := oocBatch(rng, 10)
-	if _, err := st.Append("p", batch); err != nil {
-		t.Fatal(err)
-	}
-	grown, err := st.Eng().Table("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oracle, err = oracle.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
+	batch := genRows(rng, 10, 5, false)
+	must(st.Append("p", batch))
+	grown := must(st.Eng().Table("p"))
+	oracle = must(oracle.AppendBatch(batch))
 	corruptSegments(t, fs)
-	for i, sql := range sqls {
-		adv, err := AdvanceCtx(t.Context(), fresh[i], grown)
-		if err != nil {
-			t.Fatalf("advance over corrupted-but-unread segments: %v [%s]", err, sql)
+	for _, res := range fresh {
+		adv, err := AdvanceCtx(t.Context(), res, grown)
+		if err != nil || !adv.Plan.Incremental || adv.Plan.ChunksFaulted != 0 || st.PoolPinned() != 0 {
+			t.Fatalf("advance over corrupted-but-unread segments: %v, %+v [%s]", err, adv.Plan, res.Stmt)
 		}
-		if !adv.Plan.Incremental || adv.Plan.ChunksFaulted != 0 {
-			t.Fatalf("advance faulted old segments: %+v [%s]", adv.Plan, sql)
-		}
-		ref, err := runRef(oracle, adv.Stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesEqual(t, sql, ref.Table, adv.Table)
-		groupsEqual(t, sql, ref, adv)
-		if n := st.PoolPinned(); n != 0 {
-			t.Fatalf("%d chunks still pinned [%s]", n, sql)
-		}
+		ref := must(runRef(oracle, adv.Stmt))
+		check(t, res.Stmt.String(), ref, adv)
 	}
 }
 
@@ -579,9 +251,8 @@ func edgeFirstRows() [][]engine.Value {
 	}
 }
 
-// edgeKeySQL groups on every column kind and on computed keys. The
-// aggregates are order-insensitive (count, min, max): the statements
-// pin keys, not sums.
+// edgeKeySQL groups on every column kind and on computed keys, under
+// order-insensitive aggregates: the statements pin keys, not sums.
 var edgeKeySQL = []string{
 	"SELECT f, count(*) AS n, min(i) AS lo FROM p GROUP BY f",
 	"SELECT i, count(*) AS n, max(f) AS hi FROM p GROUP BY i",
@@ -597,153 +268,156 @@ var edgeKeySQL = []string{
 // evicts — every cell of the edge table read through RowReader and
 // Table.Value is the resident table's bit for bit, grouped statements
 // whose first rows hold -0.0, a NaN payload, 2^53+1 and NULL box the
-// reference's keys, nothing stays pinned, and a mid-read
-// checksum failure releases its pins too.
+// reference's keys, nothing stays pinned, and a mid-read checksum
+// failure releases its pins too.
 func TestOutOfCoreTypedReaderCells(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	fs := store.NewMemFS()
-	st, err := store.Open("d", oocOpts(fs, 0))
-	if err != nil {
-		t.Fatal(err)
+	fs := writeStore(enginetest.EdgeSchema(), engine.MinSegmentBits, append(edgeFirstRows(), enginetest.EdgeRows(rand.New(rand.NewSource(29)), 400)...))
+	oracle := residentReopen(fs)
+	readAll := func(lazy *engine.Table, each func(r int, row []engine.Value)) (err error) {
+		defer engine.CatchSegmentLoad(&err)
+		rr := lazy.NewRowReader()
+		defer rr.Close()
+		row := make([]engine.Value, lazy.NumCols())
+		for r := range lazy.NumRows() {
+			rr.RowInto(r, row)
+			each(r, row)
+		}
+		return nil
 	}
-	if err := st.CreateTable("p", enginetest.EdgeSchema(), engine.MinSegmentBits); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append("p", append(edgeFirstRows(), enginetest.EdgeRows(rng, 400)...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	oracle := residentReopen(t, fs)
 	for _, pool := range []int64{256, 4096} {
-		lazySt, lazy := reopen(t, fs, pool)
+		st, lazy := reopen(fs, pool)
 		if !lazy.SegmentFaultable(0) {
 			t.Fatal("lazy reopen is resident")
 		}
-		rr := lazy.NewRowReader()
-		row := make([]engine.Value, lazy.NumCols())
-		for r := 0; r < lazy.NumRows(); r++ {
-			rr.RowInto(r, row)
+		fatalIf(t, "read", readAll(lazy, func(r int, row []engine.Value) {
 			for c := range row {
 				if w := oracle.Value(r, c); !sameCell(w, row[c]) || !sameCell(w, lazy.Value(r, c)) {
 					t.Fatalf("pool %d: cell (%d, %d): reader %#v, table %#v, resident %#v", pool, r, c, row[c], lazy.Value(r, c), w)
 				}
 			}
-		}
-		rr.Close()
-		if n := lazySt.PoolPinned(); n != 0 {
-			t.Fatalf("pool %d: %d chunks pinned after Close", pool, n)
-		}
-
+		}))
 		for _, sql := range edgeKeySQL {
-			stmt := mustParse(t, sql)
-			ref, err := runRef(oracle, stmt)
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
-			}
-			label := fmt.Sprintf("pool %d [%s]", pool, sql)
-			res, err := Run(t.Context(), lazy, stmt)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			tablesEqual(t, label, ref.Table, res.Table)
-			groupsEqual(t, label, ref, res)
-			assertPipeline(t, label, res)
-			if n := lazySt.PoolPinned(); n != 0 {
-				t.Fatalf("pool %d: %d chunks pinned after [%s]", pool, n, sql)
-			}
+			assertPipeline(t, sql, runOracle(t, st.PoolPinned, lazy, oracle, sql))
 		}
-		if err := lazySt.Close(); err != nil {
-			t.Fatal(err)
-		}
+		fatalIf(t, "close", st.Close())
 	}
 
 	// A read that runs into a corrupted section fails as a
 	// SegmentLoadError part-way through and still releases every pin.
-	lazySt, lazy := reopen(t, fs, 256)
-	defer lazySt.Close()
+	st, lazy := reopen(fs, 256)
+	defer st.Close()
 	corruptSegments(t, fs)
-	err = func() (err error) {
-		defer engine.CatchSegmentLoad(&err)
-		rr := lazy.NewRowReader()
-		defer rr.Close()
-		row := make([]engine.Value, lazy.NumCols())
-		for r := 0; r < lazy.NumRows(); r++ {
-			rr.RowInto(r, row)
-		}
-		return nil
-	}()
 	var sle *engine.SegmentLoadError
-	if !errors.As(err, &sle) {
-		t.Fatalf("read of a corrupted segment: want a SegmentLoadError, got %v", err)
-	}
-	if n := lazySt.PoolPinned(); n != 0 {
-		t.Fatalf("%d chunks pinned after the failed read", n)
+	if err := readAll(lazy, func(int, []engine.Value) {}); !errors.As(err, &sle) || st.PoolPinned() != 0 {
+		t.Fatalf("read of a corrupted segment: want a SegmentLoadError and no pin, got %v, %d pinned", err, st.PoolPinned())
 	}
 }
 
-// TestOutOfCoreGroupKeysAcrossAdvance carries the edge statements over a
-// three-step chain whose every suffix is a faultable segment, with a
-// retention pass on the way: each advanced result — keys carried from
-// the fresh run, keys born in a suffix scan, keys rebuilt by the re-run
-// retention forces — equals the reference over a resident copy of the
-// same window, Group.Key bit for bit.
-func TestOutOfCoreGroupKeysAcrossAdvance(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	src, err := engine.NewTableSeg("p", enginetest.EdgeSchema(), engine.MinSegmentBits)
-	if err != nil {
-		t.Fatal(err)
+// TestOutOfCoreSegmentPinsOnce: an out-of-core segment larger than a
+// fold block is one work item, so however many workers scan, each of
+// its chunks is pinned once — the workers never wait on one chunk. The
+// production geometry — fold blocks inside default segments, out of core
+// and through an Advance that resumes a block mid-segment — answers what
+// the reference and a fresh run answer, bit for bit, on inexact floats.
+func TestOutOfCoreSegmentPinsOnce(t *testing.T) {
+	const segBits, sealed = engine.DefaultSegmentBits, 2 // four fold blocks a segment
+	src := parityTable(rand.New(rand.NewSource(3)), sealed<<segBits+100, segBits)
+	twin, loader := enginetest.Faultable(src)
+	res := must(Run(t.Context(), twin, mustParse("SELECT j, sum(f) AS v FROM p GROUP BY j")))
+	if res.Plan.Shards != sealed*4+1 {
+		t.Fatalf("folded %d blocks, want %d", res.Plan.Shards, sealed*4+1)
 	}
-	if src, err = src.AppendBatch(append(edgeFirstRows(), enginetest.EdgeRows(rng, 5*64)...)); err != nil {
-		t.Fatal(err)
+	if floats, codes, ints, pinned := loader.Counts(); floats != 2*sealed+1 || codes != 0 || ints != 0 || pinned != 0 {
+		t.Fatalf("%d float pins (want a pin of j and of f per sealed segment, one more of j at group births), %d code, %d int, %d outstanding", floats, codes, ints, pinned)
 	}
-	// window is the resident copy of a twin version's rows.
-	window := func(twin *engine.Table) *engine.Table {
-		rows := make([]int, twin.NumRows())
-		for r := range rows {
-			rows[r] = twin.Base() + r
+
+	// NaN cells would turn every sum into NaN; the filter drops them and
+	// keeps the ±1e16 and multiples of 0.1 that make the sums inexact.
+	sql := "SELECT j, count(*) AS n, sum(f) AS v, avg(f) AS a, var(f) AS w, " +
+		"count(DISTINCT f) AS d, sum(DISTINCT f) AS ds, median(f) AS m, max(f) AS x FROM p WHERE f < 1e300 GROUP BY j"
+	runOracle(t, loaderPinned(loader), twin, src, sql)
+	runOracle(t, loaderPinned(loader), src, src, sql)
+
+	// Rows to 70000 end mid-block in the second segment; the append
+	// completes that block at 81920 and opens the next.
+	old := segCopy(prefix(src, 70000), segBits)
+	res = must(Run(t.Context(), old, mustParse(sql)))
+	grown := must(old.AppendBatch(batchOf(src, 70000)[:20000]))
+	adv := must(AdvanceCtx(t.Context(), res, grown))
+	if !adv.Plan.Incremental || adv.Plan.Shards != 2 {
+		t.Fatalf("advance scanned %d blocks (incremental %v), want the resumed one and the next", adv.Plan.Shards, adv.Plan.Incremental)
+	}
+	fresh := must(Run(t.Context(), grown, mustParse(sql)))
+	check(t, "advance mid-segment", fresh, adv)
+}
+
+// batchOf is src's rows from lo on, as an append batch.
+func batchOf(src *engine.Table, lo int) [][]engine.Value {
+	rows := make([][]engine.Value, src.NumRows()-lo)
+	for r := range rows {
+		rows[r] = src.Row(lo + r)
+	}
+	return rows
+}
+
+// TestKeyKernelOutOfCore counts what a computed-key statement faults in
+// through enginetest's loader. Key and argument share column f, and a
+// worker's reader is the only one its blocks use: a segment here is one
+// fold block, so one float pin per sealed segment, however many scan
+// blocks it spans and whichever worker takes it. Cells are boxed only
+// where a group is born — the RowReader's pins are bounded by segments
+// holding a FirstRow, not by rows.
+func TestKeyKernelOutOfCore(t *testing.T) {
+	const segBits, sealed = 13, 3 // eight blocks a segment
+	src := parityTable(rand.New(rand.NewSource(23)), sealed<<segBits+300, segBits)
+	stmt := mustParse("SELECT bucket(f, 2) AS b, sum(f) AS v, count(*) AS n FROM p WHERE j >= 0 GROUP BY bucket(f, 2)")
+	ref := must(runRef(src, stmt))
+	birthSegs := map[int]bool{}
+	for _, g := range ref.Groups {
+		if k := g.FirstRow >> segBits; k < sealed {
+			birthSegs[k] = true
 		}
-		return src.Select(rows)
 	}
-	sawIncremental, sawFallback := false, false
-	for _, sql := range edgeKeySQL {
-		stmt := mustParse(t, sql)
-		twin, loader := enginetest.New(src)
-		twin = loader.Attach(loader.Attach(twin))
-		res, err := Run(t.Context(), twin, stmt)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		for step := 0; step < 3; step++ {
-			twin = loader.Attach(twin)
-			if step == 1 {
-				if twin, _, err = twin.RetainTail(engine.RetentionPolicy{MaxRows: 3 * 64}); err != nil {
-					t.Fatal(err)
-				}
+	twin, loader := enginetest.Faultable(src)
+	res := must(Run(t.Context(), twin, stmt))
+	// The scan's pins are counted before the check builds the lineage, a
+	// pass of its own. j's clause mask is built once per table family
+	// (before any block is scanned) and faults each of its chunks once.
+	if floats, codes, ints, pinned := loader.Counts(); pinned != 0 || codes != 0 || ints != 0 || floats-sealed != sealed+len(birthSegs) {
+		t.Fatalf("%d float pins of f, want %d by the workers' readers + %d at group births; %d outstanding, %d code and %d exact-int pins",
+			floats-sealed, sealed, len(birthSegs), pinned, codes, ints)
+	}
+	check(t, "out of core", ref, res)
+
+	// A load failure mid-block — f's chunk fails once t's is pinned — is
+	// a SegmentLoadError with every pin released; AdvanceCtx never writes
+	// res, so the retry on the same res carries, bit-identical.
+	fail := mustParse("SELECT bucket(epoch(t), 1800) AS w, bucket(f, 2) AS b, count(*) AS n FROM p GROUP BY bucket(epoch(t), 1800), bucket(f, 2)")
+	twin, loader = enginetest.New(src)
+	twin = loader.Attach(loader.Attach(twin))
+	res = must(Run(t.Context(), twin, fail))
+	grown := loader.Attach(twin)
+	fCol := src.Schema().ColIndex("f")
+	failSegment(loader, 2, fCol)
+	for attempt := range 2 {
+		for name, run := range map[string]func() (*Result, error){
+			"run":     func() (*Result, error) { return Run(t.Context(), grown, fail) },
+			"advance": func() (*Result, error) { return AdvanceCtx(context.Background(), res, grown) },
+		} {
+			out, err := run()
+			var sle *engine.SegmentLoadError
+			if !errors.As(err, &sle) || sle.Seg != 2 || sle.Col != fCol || out != nil || loaderPinned(loader)() != 0 {
+				t.Fatalf("%s attempt %d: want the injected load failure of segment 2 column f and no pin, got %v, %v", name, attempt, out, err)
 			}
-			adv, err := AdvanceCtx(t.Context(), res, twin)
-			if err != nil {
-				t.Fatalf("step %d [%s]: %v", step, sql, err)
-			}
-			sawIncremental = sawIncremental || adv.Plan.Incremental
-			sawFallback = sawFallback || adv.Plan.Fallback != ""
-			ref, err := runRef(window(twin), stmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("step %d [%s]", step, sql)
-			tablesEqual(t, label, ref.Table, adv.Table)
-			groupsEqual(t, label, ref, adv)
-			if _, _, _, pinned := loader.Counts(); pinned != 0 {
-				t.Fatalf("%s: %d chunks still pinned", label, pinned)
-			}
-			res = adv
 		}
 	}
-	if !sawIncremental || !sawFallback {
-		t.Fatalf("harness coverage: sawIncremental=%v sawFallback=%v", sawIncremental, sawFallback)
+	loader.Fail = nil
+	adv, err := AdvanceCtx(t.Context(), res, grown)
+	if err != nil || !adv.Plan.Incremental {
+		t.Fatalf("retry after the fault cleared: %v (plan %+v)", err, adv.Plan)
 	}
+	ref = must(runRef(prefix(src, grown.NumRows()), fail))
+	check(t, "retry", ref, adv)
 }
 
 // scanMixWork is what one scan_mix shape costs on the faultable twins
@@ -756,28 +430,16 @@ type scanMixWork struct {
 
 // TestScanMixShapesSameWork runs the benchmark's eight scan_mix statement
 // shapes (bench/script.go) in process, in a fixed order, over faultable
-// twins of its two tables, and holds the pins
-// each one takes — as its plan reports them and as the loader counted
-// them — to the numbers recorded at the commit before the column readers
-// were unified (PR 26, 0274026): the one reader pins exactly what the
-// five it replaced pinned, and every pin is released. No shape
-// evaluates a WHERE row by row: the residual shape's LIKE on a string
-// column lowers to a clause mask like its comparison.
+// twins of its two tables, and holds the pins each one takes — as its
+// plan reports them and as the loader counted them — to the numbers
+// recorded at the commit before the column readers were unified (PR 26,
+// 0274026): the one reader pins exactly what the five it replaced
+// pinned, and every pin is released. No shape evaluates a WHERE row by
+// row: the residual shape's LIKE on a string column lowers to a mask.
 func TestScanMixShapesSameWork(t *testing.T) {
 	const segBits = 10
 	twin := func(src *engine.Table) (*engine.Table, *enginetest.Loader) {
-		small, err := engine.NewTableSeg(src.Name(), src.Schema(), segBits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]engine.Value, src.NumRows())
-		for r := range rows {
-			rows[r] = src.Row(r)
-		}
-		if small, err = small.AppendBatch(rows); err != nil {
-			t.Fatal(err)
-		}
-		return enginetest.Faultable(small)
+		return enginetest.Faultable(segCopy(src, segBits))
 	}
 	intel, _ := datasets.Intel(datasets.IntelConfig{Rows: 5*(1<<segBits) + 300, Seed: 1})
 	fec, _ := datasets.FEC(datasets.FECConfig{Rows: 3*(1<<segBits) + 200, Seed: 1})
@@ -808,7 +470,7 @@ func TestScanMixShapesSameWork(t *testing.T) {
 	var got []scanMixWork
 	for _, s := range shapes {
 		before := pins()
-		res, err := Run(t.Context(), s.tbl, mustParse(t, s.sql))
+		res, err := Run(t.Context(), s.tbl, mustParse(s.sql))
 		if err != nil {
 			t.Fatalf("%s: %v", s.shape, err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/testgen"
@@ -137,7 +138,7 @@ func TestAdvanceScorerDifferential(t *testing.T) {
 			}
 			cur := tbl
 			for step := 0; step < 4; step++ {
-				batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, cur))
+				batch := testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, cur))
 				if step%2 == 1 {
 					// Keys no generator draws: the batch founds groups and
 					// grows none, whatever the statement groups by.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/errmetric"
 	"repro/internal/exec"
 	"repro/internal/influence"
@@ -186,7 +187,7 @@ func TestRescoreAdvancedContext(t *testing.T) {
 			// s) among them carries and rescores like the rest.
 			sawDistinct = sawDistinct || stmt.Items[len(stmt.GroupBy)].Agg.Distinct
 
-			grown, err := tbl.AppendBatch(testgen.Batch(rng, testgen.BoundaryBatchSize(rng, tbl)))
+			grown, err := tbl.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, tbl)))
 			if err != nil {
 				t.Fatal(err)
 			}

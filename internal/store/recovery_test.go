@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/enginetest"
 	"repro/internal/testgen"
 )
 
@@ -53,7 +54,7 @@ func runCrashWorkload(st *DB, rng *rand.Rand, steps, syncEvery int, o *crashOrac
 			o.baseLow = stats.Base
 			continue
 		}
-		batch := testgen.Batch(rng, testgen.BoundaryBatchSize(rng, tab))
+		batch := testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, tab))
 		o.inflight = batch
 		prevVer := tab.Version()
 		nt, err := st.Append("p", batch)

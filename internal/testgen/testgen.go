@@ -293,43 +293,6 @@ func TableSegBigInt(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
 	return t
 }
 
-// BoundaryBatchSize draws an append batch size biased to land exactly
-// on, one under, or one over the table's next segment boundary —
-// where every off-by-one in the seal and suffix plumbing would live — and
-// otherwise a small random size.
-func BoundaryBatchSize(rng *rand.Rand, t *engine.Table) int {
-	segRows := t.SegRows()
-	toBoundary := segRows - t.NumRows()%segRows // rows until the next seal
-	switch rng.Intn(6) {
-	case 0:
-		return toBoundary // lands exactly on the boundary
-	case 1:
-		if toBoundary > 1 {
-			return toBoundary - 1 // one under
-		}
-		return 1
-	case 2:
-		return toBoundary + 1 // one over
-	case 3:
-		return toBoundary + segRows // straddles two boundaries
-	default:
-		return 1 + rng.Intn(2*segRows)
-	}
-}
-
-// RetainStep applies a randomized row-bound retention policy to the
-// newest version, returning it (possibly unchanged) plus the stream
-// rows dropped. Harnesses interleave it with append batches to check
-// that carried state is rebuilt across every moved base.
-func RetainStep(rng *rand.Rand, t *engine.Table) (*engine.Table, int) {
-	keep := t.SegRows() * (1 + rng.Intn(4))
-	nt, stats, err := t.RetainTail(engine.RetentionPolicy{MaxRows: keep})
-	if err != nil {
-		panic(err)
-	}
-	return nt, stats.DroppedRows
-}
-
 // Query parses sql and runs it with exec.Run over the table of db that
 // its FROM names: the lookup exec.Run leaves to its caller.
 func Query(ctx context.Context, db *engine.DB, sql string) (*exec.Result, error) {
