@@ -43,17 +43,18 @@ test-procs:
 
 # Durability fault suite: the crash-at-every-failpoint recovery matrix,
 # corruption/quarantine detection, and fail-stop behavior in
-# internal/store, under the race detector. GOMAXPROCS=1 pins the
-# single-core schedule; GOMAXPROCS=4 lets recovered tables publish to
-# genuinely concurrent readers.
+# internal/store, and the fault model they run on (internal/vfs/vfstest),
+# under the race detector. GOMAXPROCS=1 pins the single-core schedule;
+# GOMAXPROCS=4 lets recovered tables publish to genuinely concurrent
+# readers.
 test-crash:
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/store/
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
 
 # Request-lifecycle fault suite: the cancel-at-every-failpoint matrix
 # over scans, advances, debug carries and the store's append gate, the
 # deadline storm (every request classified exactly once), and the
-# concurrent chaos soak with FaultFS faults — under the race detector,
+# concurrent chaos soak with MemFS faults — under the race detector,
 # short mode (the full soak runs in the plain test suite). GOMAXPROCS=1
 # pins the single-core schedule; GOMAXPROCS=4 gives the storm and soak
 # genuine parallelism.
@@ -314,10 +315,10 @@ profile-debug:
 	echo "profile: $$dir/carried.prof"
 
 # Where one durable 1,000-row append spends its CPU: BenchmarkAppendBody
-# (an Intel body through Handler() into a store on MemFS) under the CPU
-# profiler, the twin of profile-debug. Envelope decode, the body scan,
-# the WAL record and the chunk append should lead; MemFS's Sync copies
-# the whole log, which a real disk does not.
+# (an Intel body through Handler() into a store on vfstest.MemFS) under
+# the CPU profiler, the twin of profile-debug. Envelope decode, the body
+# scan, the WAL record and the chunk append should lead; vfstest.MemFS's
+# Sync copies the whole log, which a real disk does not.
 profile-append:
 	@dir=$$(mktemp -d); \
 	$(GO) test -run='^$$' -bench='BenchmarkAppendBody$$' -benchmem -count 3 \

@@ -443,9 +443,9 @@
 // internal/chaos pins the contract the same way internal/store pins
 // durability: not by sampling timings but by enumerating failpoints.
 // chaos.CancelAfter(n) is a context whose Err() trips Canceled on the
-// nth poll — the cancellation twin of FaultFS.FailAt — and the matrix
-// tests replay each carried operation once per failpoint, asserting the
-// retry matches a from-scratch oracle bit for bit. A deadline storm and
+// nth poll — the cancellation twin of vfstest.MemFS.FailAt — and the
+// matrix tests replay each carried operation once per failpoint,
+// asserting the retry matches a from-scratch oracle bit for bit. A deadline storm and
 // a concurrent chaos soak (ingest + queries + debug + retention under
 // filesystem faults, tight deadlines and client aborts) add the
 // system-level pins: every request classified exactly once, no

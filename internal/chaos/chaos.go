@@ -8,8 +8,8 @@
 // blocks, influence's LOO pass, ranker's scoring, core's learner
 // stages, the store's pre-WAL gate) polls ctx.Err() at its failpoints,
 // so "cancel at the nth poll" lands a cancellation at the nth failpoint
-// deterministically — the cancellation twin of FaultFS.FailAt. A first
-// run under a counting context that never trips measures how many
+// deterministically — the cancellation twin of vfstest.MemFS.FailAt. A
+// first run under a counting context that never trips measures how many
 // failpoints an operation crosses; the matrix then replays the
 // operation once per failpoint and asserts that after each cancelled
 // attempt the carried state (cached exec results, debug analyses, the
@@ -20,8 +20,9 @@
 // On top of the matrix, the package's tests run a deadline storm
 // (every request must be classified exactly once by the server's
 // lifecycle counters) and a concurrent soak mixing ingest, queries,
-// debugging and retention with FaultFS faults and random cancellations,
-// asserting no goroutine leaks and oracle-identical re-queries.
+// debugging and retention with vfstest.MemFS faults and random
+// cancellations, asserting no goroutine leaks and oracle-identical
+// re-queries.
 //
 // CancelAfter is poll-driven: code that waits on Done() instead of
 // polling Err() will not observe the trip until the next Err() call

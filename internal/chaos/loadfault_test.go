@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -25,45 +24,12 @@ import (
 	"repro/internal/exec"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
-
-// readFaultFS fails the failAt'th ReadAt (1-based) since the last arm;
-// everything else passes through.
-type readFaultFS struct {
-	store.FS
-	mu     sync.Mutex
-	reads  int
-	failAt int
-}
-
-var errReadFault = errors.New("chaos: injected read failure")
-
-func (f *readFaultFS) arm(failAt int) {
-	f.mu.Lock()
-	f.reads, f.failAt = 0, failAt
-	f.mu.Unlock()
-}
-
-func (f *readFaultFS) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.reads
-}
-
-func (f *readFaultFS) ReadAt(name string, off int64, p []byte) (int, error) {
-	f.mu.Lock()
-	f.reads++
-	fail := f.reads == f.failAt
-	f.mu.Unlock()
-	if fail {
-		return 0, errReadFault
-	}
-	return f.FS.ReadAt(name, off, p)
-}
 
 func TestMatrixDebugLoadFailure(t *testing.T) {
 	quiet := func(string, ...any) {}
-	mem := store.NewMemFS()
+	mem := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(53))
 	seedSt, err := store.Open("/db", store.Options{SyncEvery: 1, FS: mem, Logf: quiet})
 	if err != nil {
@@ -90,8 +56,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A pool far smaller than one chunk: every pin is a read.
-	ffs := &readFaultFS{FS: mem}
-	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: ffs, Logf: quiet, MaxResidentBytes: 256})
+	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: mem, Logf: quiet, MaxResidentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +82,18 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		}
 		return res
 	}
-	// faultEvery replays op (which must build all its state fresh) with
-	// each of its reads failing in turn and checks the contract.
-	faultEvery := func(label string, oracle *core.DebugResult, op func() (*core.DebugResult, error)) (failed int) {
-		ffs.arm(0)
-		clean, err := op()
+	// faultEvery replays op on the result prep gives it (op must build
+	// all its state fresh; prep runs unfaulted) with each of op's reads
+	// failing in turn and checks the contract.
+	faultEvery := func(label string, oracle *core.DebugResult, prep func() *exec.Result, op func(*exec.Result) (*core.DebugResult, error)) (failed int) {
+		res := prep()
+		mem.FailReadAt(0)
+		clean, err := op(res)
 		if err != nil {
 			t.Fatalf("%s: clean pass: %v", label, err)
 		}
 		debugEq(t, label+" clean", oracle, clean)
-		n := ffs.count()
+		n := mem.Reads()
 		if n == 0 {
 			t.Fatalf("%s: the pass read nothing — the table is not out of core", label)
 		}
@@ -138,9 +105,10 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 			}
 		}
 		for _, k := range points {
-			ffs.arm(k + 1)
-			got, err := op()
-			ffs.arm(0)
+			res := prep()
+			mem.FailReadAt(k + 1)
+			got, err := op(res)
+			mem.FailReadAt(0)
 			if pinned := st.PoolPinned(); pinned != 0 {
 				t.Fatalf("%s read %d: %d chunks pinned after the pass (err %v)", label, k+1, pinned, err)
 			}
@@ -150,11 +118,11 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 				continue
 			}
 			var sle *engine.SegmentLoadError
-			if !errors.As(err, &sle) || !errors.Is(err, errReadFault) {
+			if !errors.As(err, &sle) || !errors.Is(err, vfstest.ErrInjected) {
 				t.Fatalf("%s read %d: error %v does not wrap the SegmentLoadError of the injected fault", label, k+1, err)
 			}
 			failed++
-			healed, err := op()
+			healed, err := op(prep())
 			if err != nil {
 				t.Fatalf("%s read %d: pass on the healed filesystem failed: %v", label, k+1, err)
 			}
@@ -201,15 +169,9 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 
 		// A fresh result per attempt: its argument view and lineage
 		// caches are part of what a Debug reads.
-		failed += faultEvery(fmt.Sprintf("seed %d debug", seed), oracle, func() (*core.DebugResult, error) {
-			ffs.mu.Lock()
-			armed := ffs.failAt
-			ffs.failAt = 0 // the query is not under test
-			ffs.mu.Unlock()
-			res := run(tbl, seed)
-			ffs.arm(armed)
-			return core.Debug(req(res))
-		})
+		failed += faultEvery(fmt.Sprintf("seed %d debug", seed), oracle,
+			func() *exec.Result { return run(tbl, seed) },
+			func(res *exec.Result) (*core.DebugResult, error) { return core.Debug(req(res)) })
 
 		// The carried pass: prev must survive every failed advance.
 		res := run(tbl, seed)
@@ -221,9 +183,9 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: advance: %v", seed, err)
 		}
-		failed += faultEvery(fmt.Sprintf("seed %d advance", seed), oracleAdv, func() (*core.DebugResult, error) {
-			return core.DebugAdvance(prev, req(advRes))
-		})
+		failed += faultEvery(fmt.Sprintf("seed %d advance", seed), oracleAdv,
+			func() *exec.Result { return advRes },
+			func(res *exec.Result) (*core.DebugResult, error) { return core.DebugAdvance(prev, req(res)) })
 	}
 	t.Logf("%d cases, %d failed passes", cases, failed)
 	if cases < 2 || failed < 20 {

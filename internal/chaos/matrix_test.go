@@ -24,6 +24,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // maxMatrix caps how many failpoints a single case enumerates; beyond
@@ -543,7 +544,7 @@ func TestMatrixDebugAdvance(t *testing.T) {
 // restart recovers exactly the acknowledged prefix.
 func TestMatrixStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	mem := store.NewMemFS()
+	mem := vfstest.NewMemFS()
 	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: mem, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)

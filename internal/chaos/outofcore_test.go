@@ -20,11 +20,12 @@ import (
 	"repro/internal/exec"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 func TestMatrixOutOfCorePins(t *testing.T) {
 	quiet := func(string, ...any) {}
-	fs := store.NewMemFS()
+	fs := vfstest.NewMemFS()
 
 	rng := rand.New(rand.NewSource(31))
 	seedSt, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})

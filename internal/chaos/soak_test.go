@@ -32,6 +32,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // jsonRow draws one JSON-safe row of testgen.Schema (no NaN — JSON
@@ -95,7 +96,7 @@ func TestChaosSoak(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	quiet := func(string, ...any) {}
-	mem := store.NewMemFS()
+	mem := vfstest.NewMemFS()
 
 	// Seed the stream durably first, then reopen OUT-OF-CORE with a
 	// pool far smaller than the seeded segments: every scan during the
@@ -121,8 +122,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ffs := store.NewFaultFS(mem)
-	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: ffs, Logf: quiet, MaxResidentBytes: 16 << 10})
+	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: mem, Logf: quiet, MaxResidentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestChaosSoak(t *testing.T) {
 	// after that must shed with 503 while queries keep serving.
 	go func() {
 		time.Sleep(duration / 2)
-		ffs.FailAt(1, store.FaultError, rand.New(rand.NewSource(99)))
+		mem.FailAt(1, rand.New(rand.NewSource(99)))
 	}()
 
 	var wg sync.WaitGroup

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitset"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // examplesWhereBoxed is ExamplesWhere as it was before it became a WHERE
@@ -177,28 +177,13 @@ func TestExamplesWhereDifferential(t *testing.T) {
 	}
 }
 
-// failingReads is a store.FS whose every ReadAt fails while armed.
-type failingReads struct {
-	store.FS
-	armed atomic.Bool
-}
-
-var errInjectedRead = errors.New("core test: injected read failure")
-
-func (f *failingReads) ReadAt(name string, off int64, p []byte) (int, error) {
-	if f.armed.Load() {
-		return 0, errInjectedRead
-	}
-	return f.FS.ReadAt(name, off, p)
-}
-
 // A chunk that fails to load while a clause mask is being built, or
 // while a residual conjunct reads a row, is ExamplesWhere's error — never
 // a panic, never a pin left behind — and the same call succeeds once the
 // filesystem heals.
 func TestExamplesWhereLoadFailure(t *testing.T) {
 	quiet := func(string, ...any) {}
-	fs := &failingReads{FS: store.NewMemFS()}
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(5))
 	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
 	if err != nil {
@@ -223,11 +208,11 @@ func TestExamplesWhereLoadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cond := range []string{"i > 1", "lower(s) LIKE 'a%'"} { // a mask build, a residual read
-		fs.armed.Store(true)
+		fs.FailReadAt(1)
 		_, err := ExamplesWhereCtx(t.Context(), res, allGroups(res), cond)
-		fs.armed.Store(false)
+		fs.FailReadAt(0)
 		var sle *engine.SegmentLoadError
-		if !errors.As(err, &sle) || !errors.Is(err, errInjectedRead) {
+		if !errors.As(err, &sle) || !errors.Is(err, vfstest.ErrInjected) {
 			t.Fatalf("[%s]: error %v does not wrap the SegmentLoadError of the injected fault", cond, err)
 		}
 		if pinned := st.PoolPinned(); pinned != 0 {

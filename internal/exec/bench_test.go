@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
 	"repro/internal/store"
+	"repro/internal/vfs/vfstest"
 )
 
 // dbOf is a database of one table t of schema, rows rows of row's.
@@ -138,7 +139,7 @@ func BenchmarkScanMix(b *testing.B) {
 			}
 		})
 	}
-	fs := store.NewMemFS()
+	fs := vfstest.NewMemFS()
 	st, err := store.Open("d", store.Options{SyncEvery: 1 << 30, FS: fs, Logf: func(string, ...any) {}}) // Close syncs
 	if err == nil {
 		err = st.CreateTable(tbl.Name(), tbl.Schema(), tbl.SegmentBits())

@@ -22,6 +22,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // This file is exec's differential generator. A case is a table, a
@@ -608,7 +609,7 @@ func evolve(t *engine.Table, rows [][]engine.Value, keep int) (_ *engine.Table, 
 	return t, err
 }
 
-func oocOpts(fs store.FS, cacheBytes int64) store.Options {
+func oocOpts(fs vfs.FS, cacheBytes int64) store.Options {
 	return store.Options{SyncEvery: 1, MaxResidentBytes: cacheBytes, Logf: func(string, ...any) {}, FS: fs}
 }
 

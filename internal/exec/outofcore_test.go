@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/store"
+	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 // Out-of-core tests beside the generator's: zone maps skip what they can,
@@ -20,8 +23,8 @@ import (
 
 // writeStore writes batches to table p (1<<segBits-row segments) of a
 // store on a fresh MemFS, closes it, and returns the files.
-func writeStore(schema engine.Schema, segBits uint, batches ...[][]engine.Value) *store.MemFS {
-	fs := store.NewMemFS()
+func writeStore(schema engine.Schema, segBits uint, batches ...[][]engine.Value) *vfstest.MemFS {
+	fs := vfstest.NewMemFS()
 	st := must(store.Open("d", oocOpts(fs, 0)))
 	must(0, st.CreateTable("p", schema, segBits))
 	for _, b := range batches {
@@ -35,14 +38,14 @@ func writeStore(schema engine.Schema, segBits uint, batches ...[][]engine.Value)
 
 // reopen opens the store over fs with the given pool size (0: uncapped)
 // and returns the recovered table, every sealed segment faultable.
-func reopen(fs store.FS, cacheBytes int64) (*store.DB, *engine.Table) {
+func reopen(fs vfs.FS, cacheBytes int64) (*store.DB, *engine.Table) {
 	st := must(store.Open("d", oocOpts(fs, cacheBytes)))
 	return st, must(st.Eng().Table("p"))
 }
 
 // residentReopen is the oracle: table p of fs copied into an in-memory
 // table of the same name, schema and segment size, which reads no file.
-func residentReopen(fs store.FS) *engine.Table {
+func residentReopen(fs vfs.FS) *engine.Table {
 	st, tbl := reopen(fs, 0)
 	defer st.Close()
 	return segCopy(tbl, tbl.SegmentBits())
@@ -95,6 +98,31 @@ func TestOutOfCoreZoneSkip(t *testing.T) {
 	}
 }
 
+// TestOutOfCoreZonePresencePast32: a sealed segment holding 48
+// distinct strings gives them store codes 0–47, so its zone's presence
+// bits span two 64-bit words' worth of codes past 32; an equality on
+// any of them must read the segment, not zone-skip it.
+func TestOutOfCoreZonePresencePast32(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := genRows(rng, 1<<engine.MinSegmentBits, 5, false)
+	for r, row := range rows {
+		row[3] = engine.NewString(fmt.Sprintf("v%02d", r%48))
+	}
+	fs := writeStore(genSchema, engine.MinSegmentBits, rows, genRows(rng, 10, 5, false))
+	oracle := residentReopen(fs)
+	st, lazy := reopen(fs, 4096)
+	defer st.Close()
+	if res := runOracle(t, st.PoolPinned, lazy, oracle, "SELECT count(*) AS n FROM p WHERE s = 'zz'"); res.Plan.SegsSkipped == 0 {
+		t.Fatalf("an absent string skipped no segment: %+v", res.Plan)
+	}
+	for k := range 48 {
+		res := runOracle(t, st.PoolPinned, lazy, oracle, fmt.Sprintf("SELECT s, count(*) AS n FROM p WHERE s = 'v%02d' GROUP BY s", k))
+		if len(res.Groups) != 1 {
+			t.Fatalf("v%02d: %d groups, want 1: %+v", k, len(res.Groups), res.Plan)
+		}
+	}
+}
+
 // TestOutOfCoreZoneEdgeValues pins zone-map pruning on the float edge
 // cases the verdict must treat as engine.Compare does: signed zeros (one
 // value: a segment of only -0.0 is never skipped by f >= 0), NaN
@@ -143,7 +171,7 @@ func TestOutOfCoreZoneEdgeValues(t *testing.T) {
 
 // corruptSegments flips one bit in the column sections of every sealed
 // segment file on fs, so any later fault of any of them fails its CRC.
-func corruptSegments(t *testing.T, fs *store.MemFS) {
+func corruptSegments(t *testing.T, fs *vfstest.MemFS) {
 	t.Helper()
 	n := 0
 	for _, f := range fs.Files() {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/store"
+	"repro/internal/vfs/vfstest"
 )
 
 // The frame tests pin the typed gather to the boxed reader: every cell,
@@ -290,7 +291,7 @@ func TestFrameMatchesBoxedReader(t *testing.T) {
 
 		// The same rows served out of core through a pool smaller than
 		// one decoded chunk.
-		fs := store.NewMemFS()
+		fs := vfstest.NewMemFS()
 		st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
 		if err != nil {
 			t.Fatal(err)

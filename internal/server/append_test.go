@@ -16,6 +16,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/store"
+	"repro/internal/vfs/vfstest"
 )
 
 // appendFixture is a durable Intel readings table on MemFS behind
@@ -23,7 +24,7 @@ import (
 // client posts: unix seconds, two ints, four floats per row.
 func appendFixture(tb testing.TB) (http.Handler, []byte) {
 	tb.Helper()
-	st, err := store.Open("/db", store.Options{FS: store.NewMemFS(), Logf: func(string, ...any) {}})
+	st, err := store.Open("/db", store.Options{FS: vfstest.NewMemFS(), Logf: func(string, ...any) {}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -108,7 +109,7 @@ var fuzzSchema = engine.NewSchema("ts", engine.TTime, "n", engine.TInt, "f", eng
 func FuzzAppendBody(f *testing.F) {
 	f.Add([]byte(`{"table":"p","rows":[[1700000000,7,1.5,true,"x"]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		st, err := store.Open("/db", store.Options{FS: store.NewMemFS(), Logf: func(string, ...any) {}})
+		st, err := store.Open("/db", store.Options{FS: vfstest.NewMemFS(), Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func jsonValue(cell any, ct engine.Type) (engine.Value, error) {
 // became …992). Integral floats still fit an int column; fractions and
 // values past int64 still answer 400.
 func TestAppendExactIntegers(t *testing.T) {
-	fs := store.NewMemFS()
+	fs := vfstest.NewMemFS()
 	schema := engine.NewSchema("n", engine.TInt, "ts", engine.TTime)
 	serve := func() (*store.DB, http.Handler) {
 		st, err := store.Open("/db", store.Options{FS: fs, Logf: func(string, ...any) {}})

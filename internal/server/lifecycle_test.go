@@ -17,6 +17,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/store"
+	"repro/internal/vfs/vfstest"
 )
 
 // endpointStats is one endpoint's lifecycle counters in /api/stats.
@@ -69,9 +70,8 @@ func checkAccounted(t *testing.T, name string, c endpointStats) {
 // Retry-After hint and a machine-readable reason — the batch was never
 // acknowledged, so the client should back off and retry, not drop it.
 func TestAppendFailStop503(t *testing.T) {
-	mem := store.NewMemFS()
-	ffs := store.NewFaultFS(mem)
-	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: ffs, Logf: func(string, ...any) {}})
+	mem := vfstest.NewMemFS()
+	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: mem, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAppendFailStop503(t *testing.T) {
 
 	// Fail the next mutating filesystem operation (the WAL write): the
 	// append that hits it wedges the table.
-	ffs.FailAt(1, store.FaultError, rand.New(rand.NewSource(7)))
+	mem.FailAt(1, rand.New(rand.NewSource(7)))
 	for i := 0; i < 2; i++ { // the faulted append, then one against the wedged table
 		resp := post(t, ts, "/api/append", batch, nil)
 		if resp.StatusCode != http.StatusServiceUnavailable {

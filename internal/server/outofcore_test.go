@@ -3,15 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/store"
+	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 // TestStatsOutOfCore pins the /api/stats operator view of out-of-core
@@ -21,7 +21,7 @@ import (
 // serveSegments writes table p — columns k, v, s; nseg 64-row segments,
 // k = 100 × the segment index — to a store on fs, reopens it with a pool
 // of cacheBytes, and serves it.
-func serveSegments(t *testing.T, fs store.FS, nseg int, cacheBytes int64) (*store.DB, *httptest.Server) {
+func serveSegments(t *testing.T, fs vfs.FS, nseg int, cacheBytes int64) (*store.DB, *httptest.Server) {
 	t.Helper()
 	quiet := func(string, ...any) {}
 	st, err := store.Open("/db", store.Options{SyncEvery: 1, FS: fs, Logf: quiet})
@@ -64,7 +64,7 @@ func serveSegments(t *testing.T, fs store.FS, nseg int, cacheBytes int64) (*stor
 
 func TestStatsOutOfCore(t *testing.T) {
 	// Reopen with a pool far smaller than the table.
-	st, ts := serveSegments(t, store.NewMemFS(), 8, 4096)
+	st, ts := serveSegments(t, vfstest.NewMemFS(), 8, 4096)
 
 	// A full scan (faults chunks) and a zone-prunable point query
 	// (skips segments).
@@ -131,13 +131,13 @@ func TestSegmentUnreadable500(t *testing.T) {
 	const victim = "/db/p/seg-00000001.seg"
 	for _, tc := range []struct {
 		name        string
-		damage      func(fs *store.MemFS) error
+		damage      func(fs *vfstest.MemFS) error
 		status      int
 		reason      string
 		retryable   bool
 		quarantined int
 	}{
-		{"flipped", func(fs *store.MemFS) error {
+		{"flipped", func(fs *vfstest.MemFS) error {
 			// Column s's section is the file's last, just before its
 			// checksum and end magic.
 			size, err := fs.FileSize(victim)
@@ -146,7 +146,7 @@ func TestSegmentUnreadable500(t *testing.T) {
 			}
 			return fs.FlipBit(victim, size-150, 3)
 		}, http.StatusInternalServerError, "segment-unreadable", false, 1},
-		{"unlinked", func(fs *store.MemFS) error { return fs.Remove(victim) },
+		{"unlinked", func(fs *vfstest.MemFS) error { return fs.Remove(victim) },
 			http.StatusServiceUnavailable, "segment-load-failed", true, 0},
 	} {
 		for path, body := range map[string]map[string]any{
@@ -155,7 +155,7 @@ func TestSegmentUnreadable500(t *testing.T) {
 			"/api/query": {"session": "s", "sql": "SELECT s, count(*) AS n FROM p GROUP BY s"},
 		} {
 			t.Run(tc.name+path, func(t *testing.T) {
-				fs := store.NewMemFS()
+				fs := vfstest.NewMemFS()
 				st, ts := serveSegments(t, fs, 4, 1<<20)
 				if resp := post(t, ts, "/api/query", map[string]any{"session": "s", "sql": "SELECT k, count(*) AS n FROM p GROUP BY k"}, nil); resp.StatusCode != http.StatusOK {
 					t.Fatalf("query reading only k: status %d", resp.StatusCode)
@@ -187,7 +187,7 @@ func TestSegmentUnreadable500(t *testing.T) {
 // answered before — though the segment file is gone.
 func TestZoomAcrossRetention(t *testing.T) {
 	const victim = "/db/p/seg-00000001.seg"
-	fs := store.NewMemFS()
+	fs := vfstest.NewMemFS()
 	_, ts := serveSegments(t, fs, 4, 0)
 	if resp := post(t, ts, "/api/query", map[string]any{"session": "s", "sql": "SELECT k, count(*) AS n FROM p GROUP BY k"}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: status %d", resp.StatusCode)
@@ -216,20 +216,6 @@ func TestZoomAcrossRetention(t *testing.T) {
 	}
 }
 
-// failingReads fails every ReadAt while armed: an I/O error on an
-// undamaged file.
-type failingReads struct {
-	store.FS
-	armed atomic.Bool
-}
-
-func (f *failingReads) ReadAt(name string, off int64, p []byte) (int, error) {
-	if f.armed.Load() {
-		return 0, errors.New("server test: injected read failure")
-	}
-	return f.FS.ReadAt(name, off, p)
-}
-
 // TestLineageBuildLoadFailure injects a read failure while a request
 // builds a result's lineage — on first use, from key columns the
 // pool no longer holds. /api/zoom and /api/debug answer the retryable
@@ -238,9 +224,9 @@ func (f *failingReads) ReadAt(name string, off int64, p []byte) (int, error) {
 // bytes a resident server returns.
 func TestLineageBuildLoadFailure(t *testing.T) {
 	const sql = "SELECT k, avg(v) AS a FROM p GROUP BY k"
-	fs := &failingReads{FS: store.NewMemFS()}
+	fs := vfstest.NewMemFS()
 	_, ts := serveSegments(t, fs, 4, 256) // a pool smaller than a chunk: every pin reads
-	_, resident := serveSegments(t, store.NewMemFS(), 4, 0)
+	_, resident := serveSegments(t, vfstest.NewMemFS(), 4, 0)
 	zoomBody := map[string]any{"session": "s", "suspect": []int{1, 2}}
 	zoom := func(ts *httptest.Server) (int, http.Header, []byte) {
 		t.Helper()
@@ -282,9 +268,9 @@ func TestLineageBuildLoadFailure(t *testing.T) {
 		t.Fatalf("resident zoom: status %d: %s", status, want)
 	}
 	query(ts)
-	fs.armed.Store(true)
+	fs.FailReadAt(1)
 	status, hdr, body := zoom(ts)
-	fs.armed.Store(false)
+	fs.FailReadAt(0)
 	failed("zoom", status, hdr, body)
 	if status, _, got := zoom(ts); status != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("zoom after the fault cleared: status %d\n%s\nwant\n%s", status, got, want)
@@ -293,9 +279,9 @@ func TestLineageBuildLoadFailure(t *testing.T) {
 	// A fresh result, then Debug under the fault: its lineage build is the
 	// first read.
 	query(ts)
-	fs.armed.Store(true)
+	fs.FailReadAt(1)
 	var out json.RawMessage
 	resp := post(t, ts, "/api/debug", map[string]any{"session": "s", "suspect": []int{1}, "aggItem": 1, "metric": "toohigh", "metricParams": map[string]any{"c": 0}}, &out)
-	fs.armed.Store(false)
+	fs.FailReadAt(0)
 	failed("debug", resp.StatusCode, resp.Header, out)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // Corruption (a flipped bit on the platter — NOT a torn write) must be
@@ -18,9 +19,9 @@ import (
 
 // buildFixture creates a store with 4 sealed segments (64 rows each)
 // plus a 10-row WAL tail, closed cleanly. Deterministic per seed.
-func buildFixture(t *testing.T) (*MemFS, [][]engine.Value) {
+func buildFixture(t *testing.T) (*vfstest.MemFS, [][]engine.Value) {
 	t.Helper()
-	mem := NewMemFS()
+	mem := vfstest.NewMemFS()
 	st, err := Open("/db", quietOpts(mem, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func buildFixture(t *testing.T) (*MemFS, [][]engine.Value) {
 	return mem, oracle
 }
 
-func reopenFixture(t *testing.T, mem *MemFS) (*DB, *engine.Table, TableStats) {
+func reopenFixture(t *testing.T, mem *vfstest.MemFS) (*DB, *engine.Table, TableStats) {
 	t.Helper()
 	st, err := Open("/db", quietOpts(mem, 1))
 	if err != nil {
@@ -64,7 +65,7 @@ func reopenFixture(t *testing.T, mem *MemFS) (*DB, *engine.Table, TableStats) {
 
 // requireSetAside asserts the damaged file is set aside, not deleted,
 // and the stranded valid segment 0 below it is left untouched.
-func requireSetAside(t *testing.T, mem *MemFS, victim string) {
+func requireSetAside(t *testing.T, mem *vfstest.MemFS, victim string) {
 	t.Helper()
 	var aside, stranded bool
 	for _, f := range mem.Files() {
@@ -89,7 +90,7 @@ func requireSetAside(t *testing.T, mem *MemFS, victim string) {
 // section fails with a *engine.SegmentLoadError and quarantines the
 // file, and a reopen serves the suffix above the gap — base, version
 // and gap as given — every row matching the oracle.
-func requireReadQuarantines(t *testing.T, mem *MemFS, victim string, oracle [][]engine.Value, base, version, gap int) {
+func requireReadQuarantines(t *testing.T, mem *vfstest.MemFS, victim string, oracle [][]engine.Value, base, version, gap int) {
 	t.Helper()
 	st, tab, ts := reopenFixture(t, mem)
 	if len(ts.Quarantined) != 0 || tab.Base() != 0 || tab.Version() != len(oracle) {
@@ -181,23 +182,6 @@ func TestCorruptMidSegment(t *testing.T) {
 	}
 }
 
-// cloneMemFS copies m's live files and directories into a fresh MemFS,
-// every file durable.
-func cloneMemFS(m *MemFS) *MemFS {
-	c := NewMemFS()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for d := range m.dirs {
-		c.dirs[d] = true
-	}
-	for p, f := range m.cur {
-		data := append([]byte(nil), f.data...)
-		nf := &memFile{data: data, synced: append([]byte(nil), data...)}
-		c.cur[p], c.durable[p] = nf, nf
-	}
-	return c
-}
-
 // TestEveryFlippedByteCaughtOrHarmless flips one bit of every byte of an
 // interior segment file in turn, opens the store with default options
 // and reads every cell. Each flip must end one way: Open quarantines the
@@ -225,7 +209,7 @@ func TestEveryFlippedByteCaughtOrHarmless(t *testing.T) {
 	}
 	var atOpen, atRead, served int
 	for off := int64(0); off < size; off += stride {
-		mem := cloneMemFS(fixture)
+		mem := fixture.Clone()
 		if err := mem.FlipBit(victim, off, uint(off)%8); err != nil {
 			t.Fatal(err)
 		}
@@ -301,6 +285,40 @@ func TestCorruptManifest(t *testing.T) {
 	requireRowsMatch(t, tab, oracle)
 }
 
+// TestDecodersRejectMalformed feeds hand-made malformed bytes to the
+// decoders of untrusted input that the corruption tests above do not
+// reach: each must fail with its reason.
+func TestDecodersRejectMalformed(t *testing.T) {
+	fixture, _ := buildFixture(t)
+	seg, err := readFileAll(fixture, "/db/p/seg-00000001.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMagic := append([]byte(nil), seg...)
+	badMagic[0] ^= 1
+	wal := func(body ...byte) error {
+		_, err := decodeWALBody(body, engine.NewBatch(testgen.Schema(), 0))
+		return err
+	}
+	header := func(nrows uint32) []byte { return appendU32(appendU64(nil, 0), nrows) } // start row 0
+	for _, c := range []struct {
+		name, want string
+		err        error
+	}{
+		{"segment magic", "bad magic", func() error { _, _, err := readSegHeader(badMagic); return err }()},
+		{"WAL record shorter than its header", "implausible row count", wal(1, 2, 3)},
+		{"WAL row count past the body", "implausible row count 1000", wal(header(1000)...)},
+		{"WAL cell tag", "bad cell tag 2", wal(append(header(1), 2)...)},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want %q", c.name, c.err, c.want)
+		}
+	}
+	if _, _, err := readSegHeader(seg); err != nil {
+		t.Fatalf("the undamaged segment header: %v", err)
+	}
+}
+
 // TestCorruptWAL flips a bit in the WAL tail record: indistinguishable
 // from a torn write, so the tail is truncated away — sealed data stays.
 func TestCorruptWAL(t *testing.T) {
@@ -346,7 +364,7 @@ func TestCorruptDict(t *testing.T) {
 // restampFileCRC recomputes a segment file's whole-file checksum after a
 // test edited its bytes: what is left is damage only the edited part's
 // own checksum can catch.
-func restampFileCRC(t *testing.T, fs *MemFS, path string, edit func(image []byte)) {
+func restampFileCRC(t *testing.T, fs *vfstest.MemFS, path string, edit func(image []byte)) {
 	t.Helper()
 	image, err := readFileAll(fs, path)
 	if err != nil {

@@ -143,13 +143,6 @@
 //
 // # Fault injection
 //
-// All I/O goes through the FS interface. fault.go provides MemFS (an
-// in-memory filesystem with an explicit crash-durability model: file
-// contents survive only up to the last Sync plus an arbitrary torn
-// prefix of later writes; namespace operations survive only after the
-// parent directory's SyncDir, each with probability ½ on crash) and
-// FaultFS (injects a short write, fsync error, or full crash at the
-// n'th mutating operation). The recovery tests crash a workload at
-// EVERY failpoint, reopen, and require the recovered table to match an
-// oracle that holds exactly the acknowledged batches.
+// All I/O goes through vfs.FS; internal/vfs/vfstest documents the
+// crash and fault model the recovery tests run the store on.
 package store

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/vfs"
 )
 
 // On-disk formats. All integers are little-endian and fixed-width; all
@@ -639,7 +640,7 @@ func decodeManifest(data []byte) (manifest, error) {
 // dir-fsync protocol: after it returns nil the file is durably whole
 // under name; after a crash at any interior point the old file (or
 // absence) survives intact.
-func writeFileAtomic(fs FS, name string, data []byte) error {
+func writeFileAtomic(fs vfs.FS, name string, data []byte) error {
 	tmp := name + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -672,7 +673,7 @@ func dirOf(name string) string {
 }
 
 // readFileAll slurps a file through the FS.
-func readFileAll(fs FS, name string) ([]byte, error) {
+func readFileAll(fs vfs.FS, name string) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err

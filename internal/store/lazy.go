@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/vfs"
 )
 
 // The one reader of segment files. Open validates every file's envelope
@@ -35,15 +36,15 @@ type segMeta struct {
 	zones  []engine.ZoneInfo // nil when the zone block is damaged
 
 	mu   sync.Mutex
-	held File // nil while the file is live under path
-	bad  bool // quarantined at fault time
+	held vfs.File // nil while the file is live under path
+	bad  bool     // quarantined at fault time
 }
 
 // retire opens the read handle stale readers fault through once
 // retention unlinks the file; call it before the unlink, while a version
 // holding the segment is reachable (so drop has not run). Best effort:
 // without a handle a stale read fails like any I/O error.
-func (m *segMeta) retire(fs FS) {
+func (m *segMeta) retire(fs vfs.FS) {
 	if f, err := fs.Open(m.path); err == nil {
 		m.mu.Lock()
 		m.held = f
@@ -52,7 +53,7 @@ func (m *segMeta) retire(fs FS) {
 }
 
 // handle returns the retired file's read handle, nil while it is live.
-func (m *segMeta) handle() File {
+func (m *segMeta) handle() vfs.File {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.held
@@ -81,7 +82,7 @@ const maxSegHeaderLen = 1 << 20
 // zones == nil (logged), because the data sections carry their own
 // CRCs and remain perfectly servable — losing pruning must never lose
 // the table.
-func openSegMeta(fs FS, path string, schema engine.Schema, segBits uint, wantIdx int, dict *storeDict, logf func(string, ...any)) (*segMeta, error) {
+func openSegMeta(fs vfs.FS, path string, schema engine.Schema, segBits uint, wantIdx int, dict *storeDict, logf func(string, ...any)) (*segMeta, error) {
 	segRows := 1 << segBits
 	pre := make([]byte, len(segMagic)+4)
 	if _, err := fs.ReadAt(path, 0, pre); err != nil {
@@ -173,7 +174,7 @@ func openSegMeta(fs FS, path string, schema engine.Schema, segBits uint, wantIdx
 
 // decodeZoneBlock reads and verifies the zone block, returning nil
 // (after logging) on any damage — never an error.
-func decodeZoneBlock(fs FS, path string, zoneOff int64, zb []byte, wantLen int, m *segMeta, segRows int, logf func(string, ...any)) []engine.ZoneInfo {
+func decodeZoneBlock(fs vfs.FS, path string, zoneOff int64, zb []byte, wantLen int, m *segMeta, segRows int, logf func(string, ...any)) []engine.ZoneInfo {
 	degrade := func(why string) []engine.ZoneInfo {
 		if logf != nil {
 			logf("store: %s: zone block ignored (%s); scans fall back to full-segment masks", path, why)
@@ -283,7 +284,7 @@ func decodeSection(section []byte, typ engine.Type, segBits uint, kind chunkKind
 // and is never read on the fault path.
 type tableLoader struct {
 	pool    *bufferPool
-	fs      FS
+	fs      vfs.FS
 	name    string
 	schema  engine.Schema
 	segBits uint

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,11 +14,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/testgen"
+	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 // outOfCoreOpts is quietOpts plus a (tiny, unless overridden) buffer
 // pool so tests exercise eviction thrash, not just the happy path.
-func outOfCoreOpts(fs FS, cacheBytes int64) Options {
+func outOfCoreOpts(fs vfs.FS, cacheBytes int64) Options {
 	o := quietOpts(fs, 1)
 	o.MaxResidentBytes = cacheBytes
 	return o
@@ -26,7 +29,7 @@ func outOfCoreOpts(fs FS, cacheBytes int64) Options {
 // buildStream appends nbatch random batches to table "p" on fs and
 // returns the oracle: the rows the store acknowledged, in stream order
 // (testgen rows are already of their columns' types).
-func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Value {
+func buildStream(t *testing.T, fs vfs.FS, rng *rand.Rand, nbatch int) [][]engine.Value {
 	t.Helper()
 	st, err := Open("d", quietOpts(fs, 1))
 	if err != nil {
@@ -55,7 +58,7 @@ func buildStream(t *testing.T, fs FS, rng *rand.Rand, nbatch int) [][]engine.Val
 // to each other: they share their decoders — across post-open appends,
 // and a quiesced pool.
 func TestOutOfCoreDifferential(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(42))
 	oracle := buildStream(t, fs, rng, 12)
 
@@ -173,7 +176,7 @@ func TestOutOfCoreDifferential(t *testing.T) {
 // (the second round appends to a recovered table, whose dictionary was
 // preloaded), comparing every cell with the acknowledged rows.
 func TestStoreEdgeCellsBothReopens(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(23))
 	st, err := Open("d", quietOpts(fs, 1))
 	if err != nil {
@@ -214,7 +217,7 @@ func TestStoreEdgeCellsBothReopens(t *testing.T) {
 // mode: the pool must drop the retained segments' chunks, reads on the
 // new window must still match, and a reopen agrees.
 func TestOutOfCoreRetention(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(7))
 	oracle := buildStream(t, fs, rng, 10)
 
@@ -254,6 +257,51 @@ func TestOutOfCoreRetention(t *testing.T) {
 	_ = re.Close()
 }
 
+// TestPoolLifecycle follows the chunks of an uncapped pool: a failed
+// read is the reader's I/O error and leaves nothing pinned or cached; a
+// full read caches every chunk, so a second is all hits; and retention
+// takes the retired segments' chunks out of the pool's entry map.
+func TestPoolLifecycle(t *testing.T) {
+	fs := vfstest.NewMemFS()
+	oracle := buildStream(t, fs, rand.New(rand.NewSource(5)), 10)
+	st, err := Open("d", outOfCoreOpts(fs, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tab, err := st.Eng().Table("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.FailReadAt(1)
+	err = readRows(t, tab, oracle)
+	var sle *engine.SegmentLoadError
+	if !errors.As(err, &sle) || !errors.Is(err, vfstest.ErrInjected) || st.PoolPinned() != 0 {
+		t.Fatalf("a failed chunk read: error %v, %d chunks pinned; want the injected fault as a SegmentLoadError, none pinned", err, st.PoolPinned())
+	}
+	requireRowsMatch(t, tab, oracle)
+	warm := *st.Stats().Pool
+	requireRowsMatch(t, tab, oracle)
+	if p := *st.Stats().Pool; warm.Misses == 0 || p.Misses != warm.Misses || p.Hits <= warm.Hits || p.Evictions != 0 {
+		t.Fatalf("an uncapped pool did not serve a second read from cache: %+v, then %+v", warm, p)
+	}
+	nt, _, err := st.RetainCtx(t.Context(), "p", engine.RetentionPolicy{MaxRows: 3 << engine.MinSegmentBits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := nt.Base() >> engine.MinSegmentBits
+	if first == 0 {
+		t.Fatal("retention dropped nothing")
+	}
+	st.pool.mu.Lock()
+	defer st.pool.mu.Unlock()
+	for key := range st.pool.entries {
+		if key.seg < first {
+			t.Fatalf("the pool still holds retired segment %d's chunk %+v (first kept %d)", key.seg, key, first)
+		}
+	}
+}
+
 // TestRetentionKeepsStaleVersionsReadable reads a table version from
 // before a retention pass, during and after the pass that unlinked its
 // recovered segment files. It must read every row it did before —
@@ -262,7 +310,7 @@ func TestOutOfCoreRetention(t *testing.T) {
 // dropped segments, the handles close.
 func TestRetentionKeepsStaleVersionsReadable(t *testing.T) {
 	for _, cache := range []int64{0, 4096} {
-		fs := NewMemFS()
+		fs := vfstest.NewMemFS()
 		oracle := buildStream(t, fs, rand.New(rand.NewSource(11)), 10)
 		st, err := Open("d", outOfCoreOpts(fs, cache))
 		if err != nil {
@@ -343,7 +391,7 @@ func TestRetentionKeepsStaleVersionsReadable(t *testing.T) {
 }
 
 // segHeaderLen reads the header length field of a segment file image.
-func segHeaderLen(t *testing.T, fs *MemFS, path string) int {
+func segHeaderLen(t *testing.T, fs *vfstest.MemFS, path string) int {
 	t.Helper()
 	buf := make([]byte, len(segMagic)+4)
 	if _, err := fs.ReadAt(path, 0, buf); err != nil {
@@ -353,7 +401,7 @@ func segHeaderLen(t *testing.T, fs *MemFS, path string) int {
 }
 
 // firstSegPath returns the path of the lowest-indexed segment file.
-func firstSegPath(t *testing.T, fs *MemFS) string {
+func firstSegPath(t *testing.T, fs *vfstest.MemFS) string {
 	t.Helper()
 	for _, f := range fs.Files() {
 		if strings.HasSuffix(f, segFileName(0)) {
@@ -368,7 +416,7 @@ func firstSegPath(t *testing.T, fs *MemFS) string {
 // the out-of-core open must NOT quarantine the segment — it serves it
 // without zone maps, logging the reason — and reads stay bit-identical.
 func TestOutOfCoreZoneCorruptionDegrades(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(3))
 	oracle := buildStream(t, fs, rng, 8)
 
@@ -420,7 +468,7 @@ func TestOutOfCoreZoneCorruptionDegrades(t *testing.T) {
 // and the first fault of that chunk quarantines the file and surfaces
 // a SegmentLoadError — never silent data.
 func TestOutOfCoreSectionCorruptionFaults(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	rng := rand.New(rand.NewSource(11))
 	buildStream(t, fs, rng, 8)
 
@@ -496,7 +544,7 @@ func toV1(t *testing.T, image []byte) []byte {
 // rebuilt from a (current) segment header, losing nothing.
 func TestV1FilesRejected(t *testing.T) {
 	for _, cache := range []int64{0, 1 << 20} {
-		fs := NewMemFS()
+		fs := vfstest.NewMemFS()
 		oracle := buildStream(t, fs, rand.New(rand.NewSource(5)), 8)
 		nseg := 0
 		for _, f := range fs.Files() {
@@ -543,7 +591,7 @@ func TestV1FilesRejected(t *testing.T) {
 		_ = st.Close()
 	}
 
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	oracle := buildStream(t, fs, rand.New(rand.NewSource(5)), 8)
 	old := manifestFor("P", testgen.Schema(), engine.MinSegmentBits, 0)
 	old.Format = 1
@@ -582,7 +630,7 @@ func TestV1FilesRejected(t *testing.T) {
 // 2^53.
 func TestBenchShapesFaultTypedChunksOnly(t *testing.T) {
 	const segBits = 12
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	st, err := Open("d", quietOpts(fs, 1<<20))
 	if err != nil {
 		t.Fatal(err)

@@ -10,12 +10,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // This file is the crash matrix: an append/seal/retention workload is
-// run against FaultFS with a crash injected at EVERY mutating
-// operation in turn; after each crash the filesystem is "rebooted"
-// (MemFS.Crash) and reopened, and the recovered table must be
+// run against vfstest.MemFS with a crash injected at EVERY failpoint
+// in turn; after each crash the filesystem is "rebooted" (Crash) and
+// reopened, and the recovered table must be
 // bit-identical to an oracle that holds exactly the acknowledged
 // batches — plus, at most, the single operation that was in flight
 // when the power died.
@@ -127,8 +128,8 @@ func verifyRecovered(t *testing.T, st *DB, o *crashOracle, requireFloor bool) {
 
 // runCrashMatrix crashes one workload shape at every failpoint.
 func runCrashMatrix(t *testing.T, seed int64, steps, syncEvery int) {
-	// Size the matrix: run once unarmed and count mutating operations.
-	sizing := NewFaultFS(NewMemFS())
+	// Size the matrix: run once unarmed and count failpoints.
+	sizing := vfstest.NewMemFS()
 	st, err := Open("/db", quietOpts(sizing, syncEvery))
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +148,9 @@ func runCrashMatrix(t *testing.T, seed int64, steps, syncEvery int) {
 	for fail := 1; fail <= total; fail++ {
 		fail := fail
 		t.Run(fmt.Sprintf("failpoint-%03d", fail), func(t *testing.T) {
-			mem := NewMemFS()
-			ffs := NewFaultFS(mem)
-			ffs.FailAt(fail, FaultCrash, rand.New(rand.NewSource(seed^int64(fail))))
-			st, err := Open("/db", quietOpts(ffs, syncEvery))
+			mem := vfstest.NewMemFS()
+			mem.CrashAt(fail, rand.New(rand.NewSource(seed^int64(fail))))
+			st, err := Open("/db", quietOpts(mem, syncEvery))
 			if err != nil {
 				t.Fatal(err) // opening an empty dir does no mutating I/O
 			}
@@ -159,7 +159,7 @@ func runCrashMatrix(t *testing.T, seed int64, steps, syncEvery int) {
 			if werr == nil {
 				t.Fatalf("failpoint %d of %d did not fire", fail, total)
 			}
-			if !errors.Is(werr, ErrInjected) && !errors.Is(werr, ErrCrashed) &&
+			if !errors.Is(werr, vfstest.ErrInjected) && !errors.Is(werr, vfstest.ErrCrashed) &&
 				!errors.Is(werr, ErrClosed) && !errIsFailStop(werr) {
 				t.Fatalf("workload died with unexpected error: %v", werr)
 			}
@@ -197,7 +197,7 @@ func runCrashMatrix(t *testing.T, seed int64, steps, syncEvery int) {
 }
 
 func errIsFailStop(err error) bool {
-	return err != nil && (errors.Is(err, ErrInjected) || errors.Is(err, ErrCrashed))
+	return err != nil && (errors.Is(err, vfstest.ErrInjected) || errors.Is(err, vfstest.ErrCrashed))
 }
 
 func tableShape(st *DB) (version, base int) {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/vfs"
 )
 
 // Package store makes the engine's segmented tables crash-safe. Layout
@@ -66,7 +67,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// FS overrides the filesystem (fault-injection tests); defaults to
 	// the real disk.
-	FS FS
+	FS vfs.FS
 }
 
 func (o *Options) fill() {
@@ -77,7 +78,7 @@ func (o *Options) fill() {
 		o.Logf = log.Printf
 	}
 	if o.FS == nil {
-		o.FS = OSFS{}
+		o.FS = vfs.OSFS{}
 	}
 }
 
@@ -87,7 +88,7 @@ func (o *Options) fill() {
 // execution keeps reading the engine catalog directly — the store is
 // an ingest-side wrapper, not a query path.
 type DB struct {
-	fs   FS
+	fs   vfs.FS
 	dir  string
 	opts Options
 	eng  *engine.DB
@@ -111,9 +112,9 @@ type tableStore struct {
 
 	dict          *storeDict
 	dictPersisted map[int]int // per column: entries already in dict.log
-	dictF         File
-	walF          File // nil only during recovery and after Close
-	walBatches    int  // batches appended since the last WAL fsync
+	dictF         vfs.File
+	walF          vfs.File // nil only during recovery and after Close
+	walBatches    int      // batches appended since the last WAL fsync
 
 	nextSeg     int // stream segment index of the next segment to spill
 	base        int // manifested retention base (rows)
@@ -199,7 +200,7 @@ func (s *DB) CreateTable(name string, schema engine.Schema, segBits uint) error 
 
 // createLogFile creates an append-only log with its magic durably on
 // disk, returning the still-open handle for subsequent appends.
-func createLogFile(fs FS, name, magic string) (File, error) {
+func createLogFile(fs vfs.FS, name, magic string) (vfs.File, error) {
 	f, err := fs.Create(name)
 	if err != nil {
 		return nil, err

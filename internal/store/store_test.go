@@ -10,10 +10,12 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/testgen"
+	"repro/internal/vfs"
+	"repro/internal/vfs/vfstest"
 )
 
 // quietOpts returns Options that log nowhere and use fs.
-func quietOpts(fs FS, syncEvery int) Options {
+func quietOpts(fs vfs.FS, syncEvery int) Options {
 	return Options{FS: fs, SyncEvery: syncEvery, Logf: func(string, ...any) {}}
 }
 
@@ -134,7 +136,7 @@ func TestStoreRoundtripOSFS(t *testing.T) {
 }
 
 func TestStoreRetentionDurable(t *testing.T) {
-	mem := NewMemFS()
+	mem := vfstest.NewMemFS()
 	st, err := Open("/db", quietOpts(mem, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestStoreRetentionDurable(t *testing.T) {
 }
 
 func TestStoreSyncEveryBatching(t *testing.T) {
-	mem := NewMemFS()
+	mem := vfstest.NewMemFS()
 	st, err := Open("/db", quietOpts(mem, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +221,8 @@ func TestStoreSyncEveryBatching(t *testing.T) {
 }
 
 func TestStoreFailStop(t *testing.T) {
-	mem := NewMemFS()
-	ffs := NewFaultFS(mem)
-	st, err := Open("/db", quietOpts(ffs, 1))
+	mem := vfstest.NewMemFS()
+	st, err := Open("/db", quietOpts(mem, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +244,8 @@ func TestStoreFailStop(t *testing.T) {
 	}
 
 	// Fail the very next mutating operation (the WAL append write).
-	ffs.FailAt(1, FaultError, rand.New(rand.NewSource(2)))
-	if _, err := st.Append("p", testgen.Batch(rng, 8)); !errors.Is(err, ErrInjected) {
+	mem.FailAt(1, rand.New(rand.NewSource(2)))
+	if _, err := st.Append("p", testgen.Batch(rng, 8)); !errors.Is(err, vfstest.ErrInjected) {
 		t.Fatalf("append with injected fault returned %v", err)
 	}
 	// Fail-stop: later mutations refuse without touching the disk...
@@ -288,7 +289,7 @@ func TestStoreFailStop(t *testing.T) {
 }
 
 func TestStoreErrors(t *testing.T) {
-	mem := NewMemFS()
+	mem := vfstest.NewMemFS()
 	st, err := Open("/db", quietOpts(mem, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -317,9 +318,8 @@ func TestStoreErrors(t *testing.T) {
 }
 
 func TestStoreCloseSurfacesSyncError(t *testing.T) {
-	mem := NewMemFS()
-	ffs := NewFaultFS(mem)
-	st, err := Open("/db", quietOpts(ffs, 100)) // keep batches unsynced
+	mem := vfstest.NewMemFS()
+	st, err := Open("/db", quietOpts(mem, 100)) // keep batches unsynced
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +330,9 @@ func TestStoreCloseSurfacesSyncError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The next mutating op is Close's flush of the pending WAL batch.
-	ffs.FailAt(1, FaultError, rand.New(rand.NewSource(2)))
-	if err := st.Close(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("close with failing fsync returned %v, want ErrInjected", err)
+	mem.FailAt(1, rand.New(rand.NewSource(2)))
+	if err := st.Close(); !errors.Is(err, vfstest.ErrInjected) {
+		t.Fatalf("close with failing fsync returned %v, want vfstest.ErrInjected", err)
 	}
 }
 
@@ -371,7 +371,7 @@ func TestEncodeSegmentRemapsCodes(t *testing.T) {
 		t.Fatalf("store dictionary after the seal: %q, want z q x y (first appearance within the segment)", got)
 	}
 
-	mem := NewMemFS()
+	mem := vfstest.NewMemFS()
 	if err := mem.MkdirAll("d"); err != nil {
 		t.Fatal(err)
 	}

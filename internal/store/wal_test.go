@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/vfs/vfstest"
 )
 
 // pinnedRows are deterministic rows over every column type, with the
@@ -48,7 +49,7 @@ func pinnedRows(lo, hi int) [][]engine.Value {
 // logged boxed rows: the batch path changed no byte of the format, and
 // recovery reads back every cell bit for bit.
 func TestOnDiskBytesPinned(t *testing.T) {
-	fs := NewMemFS()
+	fs := vfstest.NewMemFS()
 	schema := engine.NewSchema("i", engine.TInt, "f", engine.TFloat, "b", engine.TBool, "t", engine.TTime, "s", engine.TString)
 	st, err := Open("/db", quietOpts(fs, 1))
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/influence"
 	"repro/internal/store"
 	"repro/internal/testgen"
+	"repro/internal/vfs/vfstest"
 )
 
 // TestInfluenceAllocSmoke pins the leave-one-out pass to a small,
@@ -80,7 +81,7 @@ func TestWindowQueryAllocSmoke(t *testing.T) {
 // unnoticed.
 func TestOutOfCoreQueryAllocSmoke(t *testing.T) {
 	const segBits = 12
-	fs := store.NewMemFS()
+	fs := vfstest.NewMemFS()
 	opts := func(cacheBytes int64) store.Options {
 		return store.Options{FS: fs, MaxResidentBytes: cacheBytes, Logf: func(string, ...any) {}}
 	}
