@@ -43,7 +43,7 @@
 // TestQualityTable (`make quality` prints it), a tier-1 test with
 // checked-in floors. core.Options keeps only what that table has a row
 // for (two ablation switches, two known-bad settings) and
-// DriftThreshold, which the differential harnesses set to +Inf to drive
+// DriftThreshold, which the differential generator sets to +Inf to drive
 // the carried pass; a switch whose row stops moving a cell fails the
 // test until it is deleted with its code.
 //
@@ -209,12 +209,11 @@
 //     over NULL/NaN/±0-heavy and inexact floats, 64-row to default
 //     segments, resident and out-of-core, through histories of appends,
 //     retention and cancelled advances, and requires of both identical
-//     rows, float bits (but a NaN's payload, and a median's sign of
-//     zero), group order, lineage, argument views, FirstRow and errors,
-//     and Vectorized with no Fallback at every step; an advance from
-//     empty must equal Run bit for bit, and a first read must extend its
-//     ancestor's views. FuzzResidualFilterParity routes parsed
-//     predicates through it.
+//     rows, float bits (but a NaN's payload), group order, lineage,
+//     argument views, FirstRow and errors, and Vectorized with no
+//     Fallback at every step; an advance from empty must equal Run bit
+//     for bit, and a first read must extend its ancestor's views.
+//     FuzzResidualFilterParity routes parsed predicates through it.
 //
 // /api/stats sums the plan counters (scan.segs_skipped, …,
 // key_kernels) and each stage's time (stages.<endpoint>.<stage>); the
@@ -341,20 +340,20 @@
 //     classifier's one pass over the frame.
 //   - full — everything else runs Debug from scratch, with
 //     Plan.Fallback saying why: no carried state, a changed question or
-//     Options, a moved retention base, a negative threshold, an empty
-//     carried ranking, or drift past the threshold (a previously-ranked
-//     predicate turning vacuous counts as infinite drift). Plan.Drift
-//     keeps the drift that sent a pass there.
+//     Options, a moved retention base, an empty carried ranking, or
+//     drift past the threshold (a previously-ranked predicate turning
+//     vacuous counts as infinite drift). Plan.Drift keeps the drift that
+//     sent a pass there.
 //
 // Debug and DebugAdvance share their stage functions (preprocess,
 // featurize, clean, enumerate, rank), so the incremental path cannot
-// drift from the full pipeline; the randomized differential harness in
-// internal/core/advance_test.go pins every DebugAdvance pass at every
-// step of random append chains, over many fold blocks: a full pass to
-// from-scratch Debug entirely, a carried pass to Debug's ε, lineage,
-// influence ranking and D' and to its carried candidates rescored
-// against a fresh result — with the carried structures differentially
-// tested one layer down (influence, ranker) as well.
+// drift from the full pipeline. One differential generator
+// (internal/core/differential_test.go) holds every DebugAdvance pass of
+// seeded append, retention, re-ask, stale-mask and cancel histories to
+// an oracle over an independently executed result, bit for bit: a full
+// pass to Debug, a carried pass to Debug's analysis plus its carried
+// candidates rescored there, and the advanced scorer to
+// influence.EpsWithoutRows.
 //
 // BenchmarkStreamingDebug measures the append + advance + re-Debug
 // cycle against append + fresh run + fresh Debug: incremental cost

@@ -21,7 +21,7 @@ import (
 // longer than deadExportsCap.
 const (
 	deadExportsFile = "testdata/dead_exports.txt"
-	deadExportsCap  = 27
+	deadExportsCap  = 25
 )
 
 // TestNoDeadExports is the guard against exports nobody outside the

@@ -19,6 +19,7 @@ package agg
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strings"
 
@@ -322,8 +323,21 @@ func (*median) Name() string { return "median" }
 
 func (m *median) ensureSorted() {
 	if !m.sorted {
-		sort.Float64s(m.vals)
+		sortMedian(m.vals)
 		m.sorted = true
+	}
+}
+
+// sortMedian sorts vals, -0 before +0: sort.Float64s orders the two,
+// which compare equal, by arrival, and so would a median of the zeros.
+func sortMedian(vals []float64) {
+	sort.Float64s(vals)
+	i := sort.SearchFloat64s(vals, 0)
+	for j := i; j < len(vals) && vals[j] == 0; j++ {
+		if math.Signbit(vals[j]) {
+			vals[i], vals[j] = vals[j], vals[i]
+			i++
+		}
 	}
 }
 

@@ -277,6 +277,36 @@ func TestMedianEvenOdd(t *testing.T) {
 	}
 }
 
+// A median's sign of zero follows its multiset, not the arrival order:
+// every order of every multiset of up to five zeros gives one bit
+// pattern, fresh and carried (Result, then more AddFloat, then Result).
+func TestMedianZeroSignIgnoresOrder(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		want := map[int]uint64{} // negative zeros → the median's bits
+		for signs := 0; signs < 1<<n; signs++ {
+			for carry := 0; carry <= n; carry++ {
+				f, _ := New("median")
+				neg := 0
+				for i := 0; i < n; i++ {
+					if i == carry {
+						f.Result()
+					}
+					z := 0.0
+					if signs>>i&1 == 1 {
+						z, neg = math.Copysign(0, -1), neg+1
+					}
+					f.AddFloat(z)
+				}
+				got := math.Float64bits(res(f))
+				if w, ok := want[neg]; ok && w != got {
+					t.Fatalf("%d zeros, %d negative, signs %05b, Result after %d: median bits %x, another order gave %x", n, neg, signs, carry, got, w)
+				}
+				want[neg] = got
+			}
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	for _, name := range names() {
 		orig, _ := New(name)

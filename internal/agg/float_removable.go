@@ -3,7 +3,6 @@ package agg
 import (
 	"iter"
 	"math"
-	"sort"
 )
 
 // ResultWithoutFloats of every aggregate (the contract is on Func).
@@ -84,6 +83,6 @@ func (m *median) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float
 		}
 		kept = append(kept, f)
 	}
-	sort.Float64s(kept)
+	sortMedian(kept)
 	return medianOfSorted(kept)
 }

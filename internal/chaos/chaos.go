@@ -17,7 +17,8 @@
 // operation uncancelled must produce a result bit-identical to a
 // from-scratch oracle.
 //
-// On top of the matrix, the package's tests run a deadline storm
+// On top of the matrix (the Debug carry's runs in internal/core's
+// differential generator), the package's tests run a deadline storm
 // (every request must be classified exactly once by the server's
 // lifecycle counters) and a concurrent soak mixing ingest, queries,
 // debugging and retention with vfstest.MemFS faults and random

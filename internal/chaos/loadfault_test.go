@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -92,7 +93,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: clean pass: %v", label, err)
 		}
-		debugEq(t, label+" clean", oracle, clean)
+		sameAnswer(t, label+" clean", oracle, clean)
 		n := mem.Reads()
 		if n == 0 {
 			t.Fatalf("%s: the pass read nothing — the table is not out of core", label)
@@ -114,7 +115,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 			}
 			if err == nil {
 				// Worker scheduling moved the armed read past the pass's last.
-				debugEq(t, fmt.Sprintf("%s read %d (not reached)", label, k+1), oracle, got)
+				sameAnswer(t, fmt.Sprintf("%s read %d (not reached)", label, k+1), oracle, got)
 				continue
 			}
 			var sle *engine.SegmentLoadError
@@ -126,7 +127,7 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s read %d: pass on the healed filesystem failed: %v", label, k+1, err)
 			}
-			debugEq(t, fmt.Sprintf("%s read %d healed", label, k+1), oracle, healed)
+			sameAnswer(t, fmt.Sprintf("%s read %d healed", label, k+1), oracle, healed)
 		}
 		return failed
 	}
@@ -190,5 +191,17 @@ func TestMatrixDebugLoadFailure(t *testing.T) {
 	t.Logf("%d cases, %d failed passes", cases, failed)
 	if cases < 2 || failed < 20 {
 		t.Fatalf("matrix degenerated: %d cases, %d failed passes", cases, failed)
+	}
+}
+
+// sameAnswer fails the test unless got answered what want did: ε to the
+// bit, F, D′, the candidate count and every explanation field.
+func sameAnswer(t *testing.T, label string, want, got *core.DebugResult) {
+	t.Helper()
+	answer := func(d *core.DebugResult) []any {
+		return []any{math.Float64bits(d.Eps), d.F, d.DPrime, d.Candidates, d.Explanations}
+	}
+	if !reflect.DeepEqual(answer(want), answer(got)) {
+		t.Fatalf("%s: answered %v, the oracle %v", label, answer(got), answer(want))
 	}
 }

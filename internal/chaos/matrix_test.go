@@ -18,9 +18,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/enginetest"
 	"repro/internal/exec"
 	"repro/internal/store"
 	"repro/internal/testgen"
@@ -388,153 +386,6 @@ func TestMatrixKeyKernels(t *testing.T) {
 		if cancelled < 2 {
 			t.Fatalf("seed %d: the suffix scan crossed only %d checkpoints", seed, cancelled)
 		}
-	}
-}
-
-// debugEq compares the fields of two debug results that pin analysis
-// identity: ε, lineage, D', candidate count and the ranked
-// explanations with their scores.
-func debugEq(t *testing.T, label string, want, got *core.DebugResult) {
-	t.Helper()
-	if want.Eps != got.Eps && !(math.IsNaN(want.Eps) && math.IsNaN(got.Eps)) {
-		t.Fatalf("%s: eps %v vs %v", label, want.Eps, got.Eps)
-	}
-	if len(want.F) != len(got.F) {
-		t.Fatalf("%s: |F| %d vs %d", label, len(want.F), len(got.F))
-	}
-	for i := range want.F {
-		if want.F[i] != got.F[i] {
-			t.Fatalf("%s: F[%d] %d vs %d", label, i, want.F[i], got.F[i])
-		}
-	}
-	if len(want.DPrime) != len(got.DPrime) || want.Candidates != got.Candidates {
-		t.Fatalf("%s: |D'| %d vs %d, candidates %d vs %d",
-			label, len(want.DPrime), len(got.DPrime), want.Candidates, got.Candidates)
-	}
-	if len(want.Explanations) != len(got.Explanations) {
-		t.Fatalf("%s: %d vs %d explanations", label, len(want.Explanations), len(got.Explanations))
-	}
-	for i := range want.Explanations {
-		we, ge := want.Explanations[i], got.Explanations[i]
-		if we.Pred.String() != ge.Pred.String() {
-			t.Fatalf("%s: explanation %d pred %s vs %s", label, i, we.Pred, ge.Pred)
-		}
-		if we.Score != ge.Score && !(math.IsNaN(we.Score) && math.IsNaN(ge.Score)) {
-			t.Fatalf("%s: explanation %d score %v vs %v", label, i, we.Score, ge.Score)
-		}
-	}
-}
-
-// TestMatrixDebugAdvance cancels the carried core.DebugAdvance pass at
-// every checkpoint. The carried prev must survive each cancelled
-// attempt: retrying uncancelled must produce what the same carried pass
-// produces over an independently executed fresh result (fresh lineage
-// bitsets, argument views and scorer). Seed 0 is the trial whose
-// debugged aggregate is count(DISTINCT s): it redraws the statement
-// until it is one, and highlights examples (leaving one tuple out rarely
-// moves a distinct count, so there is little influence to stand in for
-// them).
-func TestMatrixDebugAdvance(t *testing.T) {
-	seeds := int64(5)
-	if testing.Short() {
-		seeds = 2
-	}
-	cases, distinctCases := 0, 0
-	for seed := int64(0); seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed*317 + 1))
-		tbl := testgen.TableSeg(rng, 150+rng.Intn(150), engine.MinSegmentBits)
-		stmt := testgen.DebugStmt(rng)
-		for seed == 0 && !stmt.Items[len(stmt.GroupBy)].Agg.Distinct {
-			stmt = testgen.DebugStmt(rng)
-		}
-		res, err := exec.Run(t.Context(), tbl, stmt)
-		if err != nil {
-			continue
-		}
-		suspect := testgen.Suspects(rng, res)
-		if len(suspect) == 0 {
-			continue
-		}
-		var examples []int
-		if seed == 0 {
-			F := res.Lineage(suspect)
-			examples = F[:len(F)/3+1]
-		}
-		metric := testgen.Metric(rng)
-		opt := core.Options{DriftThreshold: math.Inf(1)} // an advance always carries
-		prev, err := core.Debug(core.DebugRequest{
-			Result: res, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt,
-		})
-		if err != nil {
-			continue
-		}
-
-		grown, err := tbl.AppendBatch(testgen.Batch(rng, enginetest.BoundaryBatchSize(rng, tbl)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		advRes, err := exec.AdvanceCtx(t.Context(), res, grown)
-		if err != nil {
-			t.Fatalf("seed %d: Advance: %v", seed, err)
-		}
-		if !advRes.Plan.Incremental || advRes.Plan.Fallback != "" {
-			t.Fatalf("seed %d: Advance re-ran: %+v [%s]", seed, advRes.Plan, stmt)
-		}
-		fresh, err := exec.Run(t.Context(), grown, stmt)
-		if err != nil {
-			t.Fatalf("seed %d: fresh run: %v", seed, err)
-		}
-		// The same question on the grown table (no ORDER BY: the suspect
-		// groups keep their output rows), so the advance carries.
-		req := func(ctx context.Context) core.DebugRequest {
-			return core.DebugRequest{
-				Ctx: ctx, Result: advRes, AggItem: -1, Suspect: suspect, Examples: examples, Metric: metric, Opt: opt,
-			}
-		}
-		freshReq := req(context.Background())
-		freshReq.Result = fresh
-		oracle, oerr := core.DebugAdvance(prev, freshReq)
-		if oerr == nil && oracle.Plan.Mode != "carried" {
-			t.Fatalf("seed %d: the oracle advance was not carried: %+v [%s]", seed, oracle.Plan, stmt)
-		}
-		n, cntErr := CountPolls(func(ctx context.Context) error {
-			_, err := core.DebugAdvance(prev, req(ctx))
-			return err
-		})
-		if (oerr != nil) != (cntErr != nil) {
-			t.Fatalf("seed %d: oracle err %v vs advance err %v", seed, oerr, cntErr)
-		}
-		if oerr != nil {
-			continue
-		}
-		for _, k := range matrixPoints(n) {
-			_, cerr := core.DebugAdvance(prev, req(CancelAfter(k)))
-			if cerr == nil {
-				continue // checkpoint count shrank; nothing cancelled
-			}
-			if !errors.Is(cerr, context.Canceled) {
-				t.Fatalf("seed %d k=%d: error %v does not wrap Canceled", seed, k, cerr)
-			}
-			retry, err := core.DebugAdvance(prev, req(context.Background()))
-			if err != nil {
-				t.Fatalf("seed %d k=%d: retry after cancel failed: %v", seed, k, err)
-			}
-			if retry.Plan.Mode != "carried" {
-				t.Fatalf("seed %d k=%d: the advance was not carried: %+v [%s]", seed, k, retry.Plan, stmt)
-			}
-			debugEq(t, fmt.Sprintf("seed %d k=%d [%s]", seed, k, stmt.String()), oracle, retry)
-			cases++
-			if seed == 0 {
-				distinctCases++
-			}
-		}
-	}
-	minCases := 10
-	if testing.Short() {
-		minCases = 3
-	}
-	if cases < minCases || distinctCases == 0 {
-		t.Fatalf("matrix degenerated: only %d cancelled cases, %d debugging count(DISTINCT s)", cases, distinctCases)
 	}
 }
 

@@ -53,8 +53,8 @@ import (
 // value no caller sets became a constant: two ablation switches and two
 // known-bad settings, each a row of the quality table (quality_test.go,
 // TestQualityTable) that shows what its component is for, and the one
-// knob the differential harnesses need. Production callers pass the zero
-// value.
+// knob the differential generator needs. Production callers pass the
+// zero value.
 type Options struct {
 	// DisablePrune turns off the ranker's greedy clause pruning.
 	DisablePrune bool
@@ -72,9 +72,9 @@ type Options struct {
 	// DriftThreshold governs DebugAdvance's carry decision: carried
 	// candidates are rescored against the advanced state, and when the
 	// largest score movement exceeds the threshold DebugAdvance runs a
-	// full Debug instead. 0 takes the default (0.1); negative never
-	// carries; +Inf always carries once seeded, which is how the
-	// differential harnesses drive the carried pass.
+	// full Debug instead. A value ≤ 0 takes the default (0.1); +Inf
+	// always carries once seeded, which is how the differential
+	// generator drives the carried pass.
 	DriftThreshold float64
 }
 
@@ -115,7 +115,7 @@ func (o *Options) defaults() {
 	if o.MaxLearnRows == 0 {
 		o.MaxLearnRows = maxLearnRows
 	}
-	if o.DriftThreshold == 0 {
+	if o.DriftThreshold <= 0 {
 		o.DriftThreshold = defaultDriftThreshold
 	}
 }
@@ -655,8 +655,6 @@ func DebugAdvance(prev *DebugResult, req DebugRequest) (_ *DebugResult, err erro
 	// rankings never mix regimes.
 	case st.opt != opt:
 		return fall("options changed")
-	case opt.DriftThreshold < 0:
-		return fall("negative drift threshold: never carry")
 	case st.rstate.Len() == 0:
 		return fall("no carried ranking")
 	case st.suspectKey != suspectKeyOf(res, req.Suspect):

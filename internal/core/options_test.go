@@ -223,6 +223,9 @@ func TestCleanedSQLRendersNegation(t *testing.T) {
 	}
 }
 
+// Debug twice over the same result answers alike: the first pass leaves
+// nothing on the result that changes the second. TestDebugDeterminism
+// holds Debug over two independently executed results instead.
 func TestDebugIsDeterministic(t *testing.T) {
 	res, s, d := smallIntel(t)
 	a := debugWith(t, res, s, d, Options{})

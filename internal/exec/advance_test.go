@@ -59,7 +59,7 @@ func TestAdvanceRejectsBadInput(t *testing.T) {
 		if !adv.Plan.Incremental {
 			t.Fatalf("%s: advance after the rejected one re-ran: %+v", c.name, adv.Plan)
 		}
-		fatalIf(t, c.name, compareTables(fresh.Table, adv.Table, nil))
+		fatalIf(t, c.name, compareTables(fresh.Table, adv.Table))
 		fatalIf(t, c.name, compareGroups(fresh, adv, true))
 	}
 }

@@ -78,7 +78,7 @@ func TestLineageFirstReadRace(t *testing.T) {
 			}
 		}
 		fatalIf(t, label, compareGroups(ref, res, true))
-		fatalIf(t, label+" (advanced)", compareTables(fresh.Table, adv.Table, nil))
+		fatalIf(t, label+" (advanced)", compareTables(fresh.Table, adv.Table))
 		fatalIf(t, label+" (advanced)", compareGroups(fresh, adv, true))
 	}
 }

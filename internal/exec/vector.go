@@ -443,7 +443,7 @@ type scanner struct {
 }
 
 func newScanner(p *vectorPlan) *scanner {
-	ss := &scanner{groupIndex: newGroupIndex(p), plan: p}
+	ss := &scanner{plan: p} // run builds the groupIndex, once per call
 	ss.rr = p.src.NewRowReader()
 	open := func(col int) *engine.ColReader {
 		ss.cursors = append(ss.cursors, p.src.NewColReader(col))

@@ -334,3 +334,44 @@ func allGroups(res *exec.Result) []int {
 	}
 	return out
 }
+
+// TestRankAdvancedCtxShares: over an advanced result the analysis shares
+// the previous ranking exactly when the suspect groups are the same and
+// none grew; otherwise it is the LOO pass over the advanced scorer. The
+// Debug carry's differential generator (internal/core) holds every
+// carried pass to a fresh oracle.
+func TestRankAdvancedCtxShares(t *testing.T) {
+	res := buildResult(t, "sum", [][2]float64{{0, 1}, {0, 2}, {0, 30}, {1, 4}, {1, 5}})
+	metric := errmetric.TooHigh{C: 10}
+	prev, err := RankCtx(t.Context(), res, []int{0}, 0, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		k       int64 // the appended row's group
+		suspect int
+		shared  bool
+	}{{2, 0, true}, {0, 0, false}, {2, 1, false}} {
+		grown, err := res.Source.AppendBatch([][]engine.Value{{engine.NewInt(step.k), engine.NewFloat(7)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = exec.AdvanceCtx(t.Context(), res, grown); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := NewScorer(res, []int{step.suspect}, 0, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := RankAdvancedCtx(t.Context(), prev, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := rankFast(t.Context(), sc)
+		if shared := &an.Influences[0] == &prev.Influences[0]; shared != step.shared || an.Scorer != sc ||
+			an.Eps != want.Eps || !slices.Equal(an.F, want.F) || !slices.Equal(an.Influences, want.Influences) {
+			t.Fatalf("step %d: shared %v, want %v; analysis %+v, LOO pass %+v", i, shared, step.shared, an, want)
+		}
+		prev = an
+	}
+}

@@ -1,7 +1,9 @@
 // Command mutants prints the mutation ledger of one package: which small
-// edits to its non-test files its tests notice.
+// edits to its non-test files its tests, and those of any test packages
+// named after it, notice.
 //
 //	go run ./internal/mutants ./internal/exec
+//	go run ./internal/mutants ./internal/influence ./internal/core
 //
 // It walks the package's non-test files with go/ast and lists every
 // mutant of five operators:
@@ -13,7 +15,7 @@
 //   - nilerr: the error result of a return replaced by nil.
 //
 // From that list it takes a fixed-seed sample, so the same production
-// tree always gives the same mutants, and runs the package's tests on
+// tree always gives the same mutants, and runs the packages' tests on
 // each one through `go test -overlay` — no file in the tree changes —
 // with -short -failfast -json. A mutant's test run may take twice the
 // unmutated run's wall time plus 20 seconds; past that it is a timeout.
@@ -62,11 +64,11 @@ var flips = map[token.Token]token.Token{
 }
 
 func main() {
-	if len(os.Args) != 2 || strings.HasPrefix(os.Args[1], "-") {
-		fmt.Fprintln(os.Stderr, "usage: go run ./internal/mutants <package>")
+	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
+		fmt.Fprintln(os.Stderr, "usage: go run ./internal/mutants <package> [test-package…]")
 		os.Exit(2)
 	}
-	pkg := os.Args[1]
+	pkg, pkgs := os.Args[1], os.Args[1:] // go test runs a package named twice once
 	out, err := exec.Command("go", "list", "-f", "{{.Dir}}{{range .GoFiles}} {{.}}{{end}}", pkg).Output()
 	if err != nil {
 		fatal("go list %s: %v", pkg, err)
@@ -91,11 +93,11 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 	start := time.Now()
-	if status, first := runTests(pkg, "", 10*time.Minute); status != "survived" {
-		fatal("the unmutated tests of %s end %s (%s)", pkg, status, first)
+	if status, first := runTests(pkgs, "", 10*time.Minute); status != "survived" {
+		fatal("the unmutated tests of %s end %s (%s)", pkgs, status, first)
 	}
 	timeout := 2*time.Since(start) + 20*time.Second
-	fmt.Printf("# %s: %d mutants, %d sampled (seed %d); timeout %s\n", pkg, len(all), len(sample), sampleSeed, timeout.Round(time.Second))
+	fmt.Printf("# %s, tests of %s: %d mutants, %d sampled (seed %d); timeout %s\n", pkg, pkgs, len(all), len(sample), sampleSeed, timeout.Round(time.Second))
 
 	statuses := []string{"killed", "survived", "timeout", "invalid"}
 	tally := map[string]*[4]int{}
@@ -105,7 +107,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		status, first := runTests(pkg, overlay, timeout)
+		status, first := runTests(pkgs, overlay, timeout)
 		base := filepath.Base(m.file)
 		fmt.Printf("%s:%d:%d\t%s\t%s\t%s\n", base, m.line, m.col, m.op, status, first)
 		if tally[base] == nil {
@@ -249,10 +251,10 @@ func writeOverlay(dir string, i int, m mutant) (string, error) {
 	return overlay, os.WriteFile(overlay, js, 0o644)
 }
 
-// runTests runs pkg's tests, under overlay if it is not empty, and
+// runTests runs pkgs' tests, under overlay if it is not empty, and
 // classifies the run: survived (they pass), killed, timeout or invalid.
-// first is the first test that failed, or "-".
-func runTests(pkg, overlay string, timeout time.Duration) (status, first string) {
+// first is the first test that failed, as package.Test, or "-".
+func runTests(pkgs []string, overlay string, timeout time.Duration) (status, first string) {
 	args := []string{"test", "-short", "-failfast", "-json", "-count=1", "-timeout", timeout.String()}
 	if overlay != "" {
 		args = append(args, "-overlay", overlay)
@@ -261,22 +263,23 @@ func runTests(pkg, overlay string, timeout time.Duration) (status, first string)
 	// stuck past it (a build, say), and WaitDelay stops waiting for output.
 	ctx, cancel := context.WithTimeout(context.Background(), timeout+time.Minute)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, "go", append(args, pkg)...)
+	cmd := exec.CommandContext(ctx, "go", append(args, pkgs...)...)
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr, cmd.WaitDelay = &buf, &buf, 10*time.Second
 	err := cmd.Run()
 	first, running, timedOut, buildFailed := "-", "", ctx.Err() != nil, false
 	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		var ev struct{ Action, Test, Output string }
+		var ev struct{ Action, Package, Test, Output string }
 		if json.Unmarshal(line, &ev) != nil {
 			buildFailed = buildFailed || bytes.Contains(line, []byte("build failed"))
 			continue
 		}
+		name := filepath.Base(ev.Package) + "." + ev.Test
 		if ev.Action == "run" {
-			running = ev.Test
+			running = name
 		}
 		if ev.Action == "fail" && ev.Test != "" && first == "-" {
-			first = ev.Test
+			first = name
 		}
 		timedOut = timedOut || strings.Contains(ev.Output, "panic: test timed out")
 		buildFailed = buildFailed || ev.Action == "build-fail" || strings.Contains(ev.Output, "[build failed]")

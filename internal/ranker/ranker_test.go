@@ -314,3 +314,41 @@ func TestScoredString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestRescoreVacuousDrift: a carried predicate whose matches dissolve
+// under the new suspect selection registers as unbounded drift, so the
+// caller abandons the carried ranking no matter the threshold.
+func TestRescoreVacuousDrift(t *testing.T) {
+	tbl := engine.MustNewTable("t", engine.NewSchema("k", engine.TInt, "v", engine.TFloat, "memo", engine.TString))
+	var rows [][]engine.Value
+	for i := 0; i < 40; i++ {
+		memo, v := "", 10.0
+		if i%4 == 0 { // the anomaly, in group 0 only
+			memo, v = "BAD", 100.0
+		}
+		rows = append(rows, []engine.Value{engine.NewInt(int64(i % 2)), engine.NewFloat(v), engine.NewString(memo)})
+	}
+	tbl, err := tbl.AppendBatch(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.NewDB()
+	db.Register(tbl)
+	res, err := testgen.Query(t.Context(), db, "SELECT k, avg(v) AS a FROM t GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := errmetric.TooHigh{C: 15}
+	ctxOf := func(suspect int) *Context {
+		v, _ := res.AggFloat(suspect, 0)
+		return &Context{Res: res, Suspect: []int{suspect}, Metric: metric, F: res.Lineage([]int{suspect}), Eps: errmetric.Eval(metric, []float64{v})}
+	}
+	scored, st, _ := RankAllCarry([]Candidate{{Pred: memoPred(), Origin: "test", Target: badTarget(res)}}, ctxOf(0))
+	if len(scored) != 1 || st.Len() != 1 {
+		t.Fatalf("seed ranking: %d scored, %d carried", len(scored), st.Len())
+	}
+	// Group 1 has no BAD rows: the carried predicate is vacuous there.
+	if _, _, drift, _ := st.Rescore(ctxOf(1)); !math.IsInf(drift, 1) {
+		t.Fatalf("vacuous carried predicate: drift %v, want +Inf", drift)
+	}
+}
