@@ -32,33 +32,38 @@ test-race:
 	$(GO) test -race -short ./...
 
 # Answers do not follow the core count: the golden Debug rankings, exec's
-# differential generator (TestDifferential and its *Parity profiles:
+# differential generator (TestDifferential, its *Parity profiles and its
+# cancellation matrices TestMatrixRun, TestMatrixAdvance,
+# TestMatrixProvenance, TestMatrixKeyKernels and TestMatrixOutOfCorePins:
 # every step bit for bit against the reference, which folds by the same
 # table-fixed blocks), the Debug carry's generator in internal/core (its
 # profiles, each a name below) and the lineage tests (the row order a
 # first read builds) at one core and at four. The scan's fold blocks are
 # the table's, so both runs must pass against the one checked-in golden
 # file.
-PROCS_RUN = TestGoldenRankings|TestDifferential|Parity|TestLineage|TestDebugAdvance|TestDebugStaleVersion|TestDebugDeterminism|TestAdvanceScorerDifferential|TestRescore|TestMatrixDebugAdvance
+PROCS_RUN = TestGoldenRankings|TestDifferential|Parity|TestLineage|TestDebugAdvance|TestDebugStaleVersion|TestDebugDeterminism|TestAdvanceScorerDifferential|TestRescore|TestMatrixDebugAdvance|TestMatrixRun|TestMatrixAdvance|TestMatrixProvenance|TestMatrixKeyKernels|TestMatrixOutOfCorePins
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run '$(PROCS_RUN)' ./internal/core ./internal/exec
 	GOMAXPROCS=4 $(GO) test -count=1 -run '$(PROCS_RUN)' ./internal/core ./internal/exec
 
-# Durability fault suite: the crash-at-every-failpoint recovery matrix,
-# corruption/quarantine detection, and fail-stop behavior in
-# internal/store, and the fault model they run on (internal/vfs/vfstest),
-# under the race detector. GOMAXPROCS=1 pins the single-core schedule;
+# Durability fault suite: the crash-at-every-failpoint recovery matrix
+# and its cancellation twin (TestMatrixStore: AppendCtx and RetainCtx
+# cancelled at every failpoint), corruption/quarantine detection, and
+# fail-stop behavior in internal/store, and the fault model they run on
+# (internal/vfs/vfstest), under the race detector. GOMAXPROCS=1 pins the single-core schedule;
 # GOMAXPROCS=4 lets recovered tables publish to genuinely concurrent
 # readers.
 test-crash:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
 
-# Request-lifecycle fault suite: the cancel-at-every-failpoint matrix
-# over scans, advances and the store's append gate, the
-# deadline storm (every request classified exactly once), and the
-# concurrent chaos soak with MemFS faults — under the race detector,
-# short mode (the full soak runs in the plain test suite). GOMAXPROCS=1
+# Request-lifecycle fault suite: what crosses the server or core's
+# out-of-core reads — the deadline storm (every request classified
+# exactly once), the concurrent chaos soak with MemFS faults and the
+# chunk-load failure at every read of a Debug — under the race detector,
+# short mode (the full soak runs in the plain test suite). The
+# cancel-at-every-failpoint matrices run with their layers: exec's under
+# test-procs and test-race, the store's under test-crash. GOMAXPROCS=1
 # pins the single-core schedule; GOMAXPROCS=4 gives the storm and soak
 # genuine parallelism.
 test-chaos:
@@ -66,8 +71,8 @@ test-chaos:
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/chaos/
 
 # Out-of-core suite under a hard memory cap: the store and exec tests
-# (including the bigger-than-cache differential and bounded-heap
-# checks) run with GOMEMLIMIT far below the decoded size of their
+# (including the bigger-than-cache differential, bounded-heap checks and
+# both layers' cancellation matrices) run with GOMEMLIMIT far below the decoded size of their
 # fixtures. A regression to eager residency fails the heap-growth
 # assertions — or stalls visibly in GC thrash under the limit. The
 # uncapped-pool guard rides in the same package
@@ -160,7 +165,8 @@ cover:
 # assignments, nil error returns), each run through `go test -overlay
 # -short -failfast` of PKG and of the packages in TESTS, whose tests
 # reach PKG too (the Debug carry's generator in internal/core kills
-# influence's and ranker's mutants) — no file in the tree changes — and
+# influence's and ranker's mutants; ./internal/chaos reaches exec, store
+# and engine through the server) — no file in the tree changes — and
 # printed as killed, survived, timeout or invalid with the first failing
 # test. The same tree gives the same sample, so two commits' ledgers
 # compare mutant by mutant. Not in tier-1 or `make check`: exec takes

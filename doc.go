@@ -208,11 +208,12 @@
 //     seeded statements — DISTINCT, 0–6 keys, string computed keys —
 //     over NULL/NaN/±0-heavy and inexact floats, 64-row to default
 //     segments, resident and out-of-core, through histories of appends,
-//     retention and cancelled advances, and requires of both identical
-//     rows, float bits (but a NaN's payload), group order, lineage,
-//     argument views, FirstRow and errors, and Vectorized with no
-//     Fallback at every step; an advance from empty must equal Run bit
-//     for bit, and a first read must extend its ancestor's views.
+//     retention and calls cancelled at every failpoint, and requires of
+//     both identical rows, float bits (every NaN result is math.NaN()),
+//     group order, lineage, argument views, FirstRow and errors, and
+//     Vectorized with no Fallback at every step; an advance from empty
+//     must equal Run bit for bit, and a first read must extend its
+//     ancestor's views.
 //     FuzzResidualFilterParity routes parsed predicates through it.
 //
 // /api/stats sums the plan counters (scan.segs_skipped, …,
@@ -439,17 +440,19 @@
 // core.DebugAdvance leaves the previous analysis reusable; and
 // ranker.Rescore leaves the carried ranking untouched on error.
 //
-// internal/chaos pins the contract the same way internal/store pins
-// durability: not by sampling timings but by enumerating failpoints.
-// chaos.CancelAfter(n) is a context whose Err() trips Canceled on the
-// nth poll — the cancellation twin of vfstest.MemFS.FailAt — and the
-// matrix tests replay each carried operation once per failpoint,
-// asserting the retry matches a from-scratch oracle bit for bit. A deadline storm and
-// a concurrent chaos soak (ingest + queries + debug + retention under
-// filesystem faults, tight deadlines and client aborts) add the
-// system-level pins: every request classified exactly once, no
-// goroutine leaks (internal/leakcheck), bounded memory, and
-// oracle-identical re-queries afterwards (`make test-chaos`).
+// Each layer's harness pins the contract by enumerating failpoints, as
+// internal/store pins durability. chaos.CancelAfter(n) is a context
+// whose Err() trips Canceled on the nth poll, the cancellation twin of
+// vfstest.MemFS.FailAt; chaos.CancelEach replays an operation cancelled
+// at each failpoint: a cancelled attempt returns nothing, and its retry
+// passes the caller's check. exec's generator so cancels a Run or
+// AdvanceCtx and its first Provenance read (its TestMatrix* profiles),
+// core's a DebugAdvance, and the store's TestMatrixStore its appends and
+// retention. internal/chaos keeps what crosses the server or core's
+// out-of-core reads: a deadline storm and a concurrent soak (every
+// request classified exactly once, no goroutine leaks, bounded memory,
+// oracle-identical re-queries) and a chunk-load failure at every read of
+// a Debug (`make test-chaos`).
 //
 // On top, internal/server enforces per-request deadlines (class
 // defaults via server.Limits, per-request `?timeout=` capped by

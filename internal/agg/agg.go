@@ -76,10 +76,14 @@ func Add(f Func, v engine.Value) {
 	}
 }
 
-// value boxes a float result; !ok is NULL.
+// value boxes a float result; !ok is NULL. Every NaN result is the one
+// math.NaN(): which payload an operation on NaNs keeps is the hardware's.
 func value(f float64, ok bool) engine.Value {
-	if !ok {
+	switch {
+	case !ok:
 		return engine.Null
+	case f != f:
+		return engine.NewFloat(math.NaN())
 	}
 	return engine.NewFloat(f)
 }

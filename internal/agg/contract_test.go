@@ -20,9 +20,9 @@ import (
 //  2. adds split at every point, each half accumulated alone, then merged
 //     ≡ the sequential state (and Clone+Merge is a copy), Result() and
 //     removal bit-equal; Merge refuses every state of another name;
-//  3. ResultWithoutFloats never moves the state's next Result(); for min
-//     and max (and every DISTINCT state over an exact inner one) it ≡ a
-//     recompute over what is left.
+//  3. ResultWithoutFloats never moves the state's next Result(); for min,
+//     max and median (and every DISTINCT state over an exact inner one)
+//     it ≡ a recompute over what is left.
 //
 // contractPool is what the inputs draw from. The inexact entries make a
 // float sum depend on association — 0.1 + 1e16 - 1e16 — so plain sum,
@@ -227,14 +227,13 @@ func checkContract(t testing.TB, adds, rms []byte) {
 		if got := seq.Result(); !sameValue(got, want) {
 			fail("removal evaluation moved Result() from %v to %v", want, got)
 		}
-		// Removal ≡ a recompute over what is left, as numbers: for min and
-		// max, and for DISTINCT over an exact inner aggregate (DISTINCT
-		// removal is defined for any multiset: unknown values and copies
-		// past a value's multiplicity are ignored). Two exceptions keep
-		// the old answers: a NaN extremum — every value NaN — survives any
-		// removal, and median's removal never matches a NaN.
-		nan := slices.ContainsFunc(addIdx, func(i int) bool { f := contractPool[i].v.Float(); return f != f })
-		if !exactInner || !(distinct || extremum) || (extremum && want.Float() != want.Float()) || (inner == "median" && nan) {
+		// Removal ≡ a recompute over what is left, as numbers: for min, max
+		// and median, and for DISTINCT over an exact inner aggregate
+		// (DISTINCT removal is defined for any multiset: unknown values and
+		// copies past a value's multiplicity are ignored). One exception
+		// keeps the old answer: a NaN extremum — every value NaN — survives
+		// any removal.
+		if !exactInner || !(distinct || extremum || inner == "median") || (extremum && want.Float() != want.Float()) {
 			continue
 		}
 		re := fill(fresh(), keptIdx, false).Result()

@@ -69,16 +69,17 @@ func (e *extremum) ResultWithoutFloats(vals []float64, kept iter.Seq[float64]) (
 // concurrently on shared aggregate states. It filters into a local slice
 // and sorts that instead, so it still reads m.vals — safe alongside
 // Result() because exec.materialize calls Result() on every aggregate
-// (sorting it) before any concurrent scoring starts.
+// (sorting it) before any concurrent scoring starts. A removal takes a
+// value of its identity (numKey: every NaN one value, -0 is +0).
 func (m *median) ResultWithoutFloats(vals []float64, _ iter.Seq[float64]) (float64, bool) {
-	drop := make(map[float64]int, len(vals))
+	drop := make(map[uint64]int, len(vals))
 	for _, f := range vals {
-		drop[f]++
+		drop[numKey(f)]++
 	}
 	kept := make([]float64, 0, max(len(m.vals)-len(vals), 0))
 	for _, f := range m.vals {
-		if drop[f] > 0 {
-			drop[f]--
+		if k := numKey(f); drop[k] > 0 {
+			drop[k]--
 			continue
 		}
 		kept = append(kept, f)

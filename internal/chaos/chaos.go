@@ -1,29 +1,31 @@
-// Package chaos is the request-lifecycle fault harness. It pins the
-// PR's central invariant — cancellation never corrupts carried state —
-// the same way the store's crash tests pin durability: not by sampling
-// random timings, but by enumerating every failpoint.
+// Package chaos is the request-lifecycle fault harness: one
+// cancellation instrument, and the server-level tests that only a whole
+// server can run. Like the store's crash matrix, it pins "cancellation
+// never corrupts carried state" by enumerating failpoints, not by
+// sampling random timings.
 //
 // The instrument is CancelAfter, a context whose Err() trips Canceled
 // on the nth poll. Every cancellable loop in the system (exec's fold
 // blocks, influence's LOO pass, ranker's scoring, core's learner
 // stages, the store's pre-WAL gate) polls ctx.Err() at its failpoints,
 // so "cancel at the nth poll" lands a cancellation at the nth failpoint
-// deterministically — the cancellation twin of vfstest.MemFS.FailAt. A
-// first run under a counting context that never trips measures how many
-// failpoints an operation crosses; the matrix then replays the
-// operation once per failpoint and asserts that after each cancelled
-// attempt the carried state (cached exec results, debug analyses, the
-// published table) is either untouched or fully published: retrying the
-// operation uncancelled must produce a result bit-identical to a
-// from-scratch oracle.
+// deterministically — the cancellation twin of vfstest.MemFS.FailAt.
+// CancelEach counts an operation's polls and replays it cancelled at
+// each: a cancelled attempt returns nothing and Canceled, and a retry
+// right after it passes the caller's check.
 //
-// On top of the matrix (the Debug carry's runs in internal/core's
-// differential generator), the package's tests run a deadline storm
-// (every request must be classified exactly once by the server's
-// lifecycle counters) and a concurrent soak mixing ingest, queries,
-// debugging and retention with vfstest.MemFS faults and random
-// cancellations, asserting no goroutine leaks and oracle-identical
-// re-queries.
+// Each layer's harness calls CancelEach: exec's differential generator
+// cancels a step's Run or AdvanceCtx and its first Provenance read at
+// every failpoint (its TestMatrix* profiles), the Debug carry's
+// generator in internal/core cancels a DebugAdvance, and the store's
+// TestMatrixStore cancels AppendCtx and RetainCtx beside its crash
+// matrix. What stays here crosses the server or core's out-of-core
+// reads: a deadline storm (every request classified exactly once by the
+// server's lifecycle counters), a concurrent soak mixing ingest,
+// queries, debugging and retention with vfstest.MemFS faults and random
+// cancellations (no goroutine leaks, oracle-identical re-queries), and
+// TestMatrixDebugLoadFailure, a chunk-load failure at every read of an
+// out-of-core Debug.
 //
 // CancelAfter is poll-driven: code that waits on Done() instead of
 // polling Err() will not observe the trip until the next Err() call
@@ -34,6 +36,8 @@ package chaos
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -42,7 +46,7 @@ import (
 // It implements context.Context.
 type Ctx struct {
 	mu        sync.Mutex
-	remaining int // polls left before the trip; -1 = never trip
+	remaining int // polls left before the trip; < 0: never
 	polls     int
 	tripped   bool
 	done      chan struct{}
@@ -53,11 +57,6 @@ type Ctx struct {
 // an operation crosses.
 func CancelAfter(n int) *Ctx {
 	return &Ctx{remaining: n, done: make(chan struct{})}
-}
-
-// counting returns a context that never trips but counts polls.
-func counting() *Ctx {
-	return &Ctx{remaining: -1, done: make(chan struct{})}
 }
 
 // Err implements context.Context.
@@ -89,19 +88,42 @@ func (c *Ctx) Deadline() (time.Time, bool) { return time.Time{}, false }
 // Value implements context.Context: there are no values.
 func (c *Ctx) Value(any) any { return nil }
 
-// Polls reports how many times Err was called so far.
-func (c *Ctx) Polls() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.polls
-}
-
-// CountPolls runs op under a never-cancelling counting context and
-// reports how many failpoints it crossed — the size of the matrix a
-// test must enumerate. The operation's own result is returned too so
-// callers can reuse it as the oracle.
-func CountPolls(op func(ctx context.Context) error) (int, error) {
-	c := counting()
-	err := op(c)
-	return c.Polls(), err
+// CancelEach runs op once under a context that never trips, counting
+// its n polls, then replays it cancelled at each of them — at most 64,
+// the ith of m at poll i*n/m. A cancelled attempt must return T's zero
+// value and an error wrapping context.Canceled, and the retry right
+// after it must pass check(counted, retry, err), counted being what the
+// counting run returned; an attempt that ends before its poll comes must
+// pass check itself. An op that fails uncancelled has nothing to cancel:
+// CancelEach returns 0 and no error. Otherwise it reports how many
+// attempts were cancelled, or the first broken promise.
+func CancelEach[T comparable](op func(context.Context) (T, error), check func(counted, got T, err error) error) (cancelled int, _ error) {
+	var zero T
+	counter := CancelAfter(-1) // never trips
+	counted, err := op(counter)
+	if err != nil {
+		return 0, nil
+	}
+	counter.mu.Lock()
+	n := counter.polls
+	counter.mu.Unlock()
+	for i, m := 0, min(n, 64); i < m; i++ {
+		at := i * n / m
+		out, err := op(CancelAfter(at))
+		if err == nil { // the count shrank: an attempt that ends answers in full
+			if err := check(counted, out, nil); err != nil {
+				return cancelled, fmt.Errorf("uncancelled at poll %d of %d: %w", at, n, err)
+			}
+			continue
+		}
+		if !errors.Is(err, context.Canceled) || out != zero {
+			return cancelled, fmt.Errorf("cancelled at poll %d of %d: returned %v, %v", at, n, out, err)
+		}
+		cancelled++
+		retry, err := op(context.Background())
+		if err := check(counted, retry, err); err != nil {
+			return cancelled, fmt.Errorf("retried after a cancel at poll %d of %d: %w", at, n, err)
+		}
+	}
+	return cancelled, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -34,7 +33,7 @@ import (
 // races a retention and a mask request on the retained version between
 // the advance and its Debug; then advances the result (exec.AdvanceCtx)
 // and the last pass (DebugAdvance). One step per chain may first be
-// cancelled at each of its failpoints (chaos.CountPolls, CancelAfter),
+// cancelled at each of its failpoints (chaos.CancelEach),
 // each attempt retried. Every pass goes through one check, sameDebug:
 // mode, drift, ε, F, D′, influences, candidate count and every
 // explanation field, bit for bit, against an oracle over an independently
@@ -200,8 +199,13 @@ func (p debugProfile) chain(seed int64, distinct bool, seen map[string]bool) err
 			r.Ctx = c
 			return DebugAdvance(prev, r)
 		}
+		cancelled := 0
 		if step == cancelAt {
-			if err := cancelEach(call, seen); err != nil {
+			var err error
+			cancelled, err = chaos.CancelEach(call, func(counted, got *DebugResult, err error) error {
+				return sameDebug(counted, nil, got, err)
+			})
+			if err != nil {
 				return fmt.Errorf("%s: %v", label, err)
 			}
 		}
@@ -214,6 +218,9 @@ func (p debugProfile) chain(seed int64, distinct bool, seen map[string]bool) err
 		if gerr != nil {
 			prev = nil
 			continue
+		}
+		if cancelled > 0 {
+			seen["cancelled:"+got.Plan.Mode] = true
 		}
 		if !strings.HasPrefix(got.Plan.Fallback, reason) || (reason == "") != (got.Plan.Fallback == "") {
 			return fmt.Errorf("%s: fallback %q, want %q", label, got.Plan.Fallback, reason)
@@ -243,39 +250,6 @@ func (p debugProfile) chain(seed int64, distinct bool, seen map[string]bool) err
 			seen[strings.ReplaceAll(strings.TrimSuffix(reason, ":"), " ", "-")] = true
 		}
 		prev, asked = got, req
-	}
-	return nil
-}
-
-// cancelEach cancels call at each of its failpoints (up to 64, evenly
-// spread): a cancelled call returns nothing and an error wrapping
-// context.Canceled, and a retry right after it, like a call that ends
-// before its poll comes, answers what the counting run answered.
-func cancelEach(call func(context.Context) (*DebugResult, error), seen map[string]bool) error {
-	var counted *DebugResult
-	n, cerr := chaos.CountPolls(func(c context.Context) (err error) {
-		counted, err = call(c)
-		return err
-	})
-	if cerr != nil {
-		return nil // the pass errs before any cancellation could
-	}
-	for i, m := 0, min(n, 64); i < m; i++ {
-		out, err := call(chaos.CancelAfter(i * n / m))
-		if err == nil { // the count shrank: a pass that ends answers in full
-			if err := sameDebug(counted, nil, out, nil); err != nil {
-				return fmt.Errorf("uncancelled at poll %d of %d: %v", i*n/m, n, err)
-			}
-			continue
-		}
-		if !errors.Is(err, context.Canceled) || out != nil {
-			return fmt.Errorf("cancelled at poll %d of %d: %v, %v", i*n/m, n, out, err)
-		}
-		retry, rerr := call(context.Background())
-		if err := sameDebug(counted, nil, retry, rerr); err != nil {
-			return fmt.Errorf("retried after a cancel at poll %d of %d: %v", i*n/m, n, err)
-		}
-		seen["cancelled:"+retry.Plan.Mode] = true
 	}
 	return nil
 }

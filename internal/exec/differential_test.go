@@ -14,9 +14,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/expr"
@@ -27,20 +27,22 @@ import (
 
 // This file is exec's differential generator. A case is a table, a
 // history and a statement, drawn from one seed: 64-row, 256-row or
-// default segments, resident or out of core, over NULLs, NaNs, ±0,
-// inexact floats and enginetest.EdgeRow's cells; boundary-sized appends
-// that grow the dictionary, retention, zero-row advances, a result
-// advanced twice or left unread, calls cancelled at their nth poll and
-// retried; WHERE trees of classify's grammar, 0–6 GROUP BY keys of every
-// kind, every aggregate with and without DISTINCT, HAVING, ORDER BY,
-// LIMIT, or a projection. Every step goes through one check against
+// default segments (some past two polls a fold block), resident or out
+// of core, over NULLs, NaNs, ±0, inexact floats and enginetest.EdgeRow's
+// cells; boundary-sized appends that grow the dictionary, retention,
+// zero-row advances, a result advanced twice or left unread, a call and
+// its first provenance read cancelled at every failpoint and retried
+// (chaos.CancelEach); WHERE trees of classify's grammar, 0–6 GROUP BY
+// keys of every kind, every aggregate with and without DISTINCT, HAVING,
+// ORDER BY, LIMIT, or a projection. Every step goes through one check against
 // RunReference over a resident copy (compare): errors, output cells,
 // group keys, FirstRow, row counts and aggregate states bit for bit
-// (sameOutput), and the provenance's lineage, bitsets and argument
+// (sameCell), and the provenance's lineage, bitsets and argument
 // views; a first read extends its ancestor's views, and an advance from
 // empty is Run. A failing case is shrunk — history steps, then WHERE
 // conjuncts, then rows — and printed as SQL plus history. Each test at
-// the bottom is a profile; TestDifferential draws from every dimension.
+// the bottom is a profile; TestDifferential draws from every dimension
+// but dBlock.
 
 var genSchema = engine.NewSchema("i", engine.TInt, "j", engine.TInt, "f", engine.TFloat, "s", engine.TString, "t", engine.TTime)
 
@@ -317,16 +319,8 @@ func sameCell(a, b engine.Value) bool {
 	return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-// sameOutput is sameCell for an aggregate's output, except that any NaN
-// matches any NaN: the pipeline and the reference combine values
-// differently, and which payload an operation on two NaNs keeps is left
-// open by IEEE 754.
-func sameOutput(a, b engine.Value) bool {
-	return sameCell(a, b) || a.T == engine.TFloat && b.T == engine.TFloat && math.IsNaN(a.F) && math.IsNaN(b.F)
-}
-
-// compare is the one check: got must be want, bit for bit (aggregate
-// outputs up to sameOutput). Without deep, got's provenance stays unread.
+// compare is the one check: got must be want, bit for bit. Without deep,
+// got's provenance stays unread.
 func compare(want, got *Result, deep bool) error {
 	if err := compareTables(want.Table, got.Table); err != nil {
 		return err
@@ -337,7 +331,7 @@ func compare(want, got *Result, deep bool) error {
 	return compareProv(want, got)
 }
 
-// compareTables compares two tables' labels and cells, up to sameOutput.
+// compareTables compares two tables' labels and cells.
 func compareTables(a, b *engine.Table) error {
 	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
 		return fmt.Errorf("shape %dx%d vs %dx%d", a.NumRows(), a.NumCols(), b.NumRows(), b.NumCols())
@@ -347,7 +341,7 @@ func compareTables(a, b *engine.Table) error {
 			return fmt.Errorf("column %d label %q vs %q", c, a.Schema()[c].Name, b.Schema()[c].Name)
 		}
 		for r := range a.NumRows() {
-			if va, vb := a.Value(r, c), b.Value(r, c); !sameOutput(va, vb) {
+			if va, vb := a.Value(r, c), b.Value(r, c); !sameCell(va, vb) {
 				return fmt.Errorf("cell (%d,%d): %#v vs %#v", r, c, va, vb)
 			}
 		}
@@ -372,7 +366,7 @@ func compareGroups(want, got *Result, lineage bool) error {
 			}
 		}
 		for ai := range w.Aggs {
-			if a, b := w.Aggs[ai].Result(), g.Aggs[ai].Result(); !sameOutput(a, b) {
+			if a, b := w.Aggs[ai].Result(), g.Aggs[ai].Result(); !sameCell(a, b) {
 				return fmt.Errorf("group %d aggregate %d: %#v vs %#v", gi, ai, a, b)
 			}
 		}
@@ -555,23 +549,16 @@ func runOracle(t *testing.T, pinned func() int, tbl, oracle *engine.Table, sql s
 	return res
 }
 
-// pollCtx reports at's answer on every cancellation poll.
-type pollCtx struct {
-	context.Context
-	at func() error
-}
-
-func (c pollCtx) Err() error { return c.at() }
-
 // genStep is one version of the table: rows appended to the one before
 // (step 0: the initial rows), then a retention pass down to keep rows.
 // Its result is Run's at step 0, else an advance of the step before's
-// (with branch, of the one before that). cancel cancels the call at that
-// poll, then retries it; unread leaves the provenance unbuilt.
+// (with branch, of the one before that). With cancel the call, then the
+// first provenance read of a fresh result of it, are cancelled at each
+// failpoint and retried first; unread leaves the provenance unbuilt.
 type genStep struct {
-	rows           [][]engine.Value
-	keep, cancel   int
-	branch, unread bool
+	rows                   [][]engine.Value
+	keep                   int
+	cancel, branch, unread bool
 }
 
 type genCase struct {
@@ -587,7 +574,7 @@ func (c *genCase) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed %d, %d-row segments, out of core %v\n%s\n", c.seed, 1<<c.segBits, c.ooc, c.stmt)
 	for k, s := range c.steps {
-		fmt.Fprintf(&b, "step %d: +%d rows, keep %d, cancel at poll %d, branch %v, unread %v\n", k, len(s.rows), s.keep, s.cancel, s.branch, s.unread)
+		fmt.Fprintf(&b, "step %d: +%d rows, keep %d, cancel %v, branch %v, unread %v\n", k, len(s.rows), s.keep, s.cancel, s.branch, s.unread)
 		for _, r := range s.rows[:min(len(s.rows), 8)] {
 			fmt.Fprintf(&b, "\t%v\n", r)
 		}
@@ -619,13 +606,15 @@ func (c *genCase) run(seen map[string]bool) (err error) {
 		}
 	}()
 	oracle, lazy := must(engine.NewTableSeg("p", genSchema, c.segBits)), (*engine.Table)(nil)
+	pinned := func() int { return 0 }
 	if c.ooc {
 		// Behind a 4 KiB pool every sealed segment faults in on demand, and
 		// is soon evicted again.
 		var st *store.DB
 		st, lazy = reopen(writeStore(genSchema, c.segBits, c.steps[0].rows), 4096)
+		pinned = st.PoolPinned
 		defer func() {
-			if n := st.PoolPinned(); n != 0 && err == nil {
+			if n := pinned(); n != 0 && err == nil {
 				err = fmt.Errorf("%d chunks still pinned", n)
 			}
 			st.Close()
@@ -652,23 +641,24 @@ func (c *genCase) run(seen map[string]bool) (err error) {
 			}
 			return AdvanceCtx(ctx, parent, tbl)
 		}
-		if s.cancel > 0 {
-			// A cancelled call publishes nothing. (A statement that errs
-			// may err before the poll; the retry's check covers that.)
-			var polls atomic.Int64
-			out, err := call(pollCtx{context.Background(), func() error {
-				if polls.Add(1) >= int64(s.cancel) {
-					return context.Canceled
-				}
-				return nil
-			}})
-			if errors.Is(err, context.Canceled) && out != nil {
-				return fmt.Errorf("step %d: cancelled at poll %d, and published a result", k, s.cancel)
+		want, wantErr := runRef(oracle, c.stmt)
+		if s.cancel && wantErr == nil {
+			calls, err := cancelEach(call, want, pinned, seen)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", k, err)
 			}
-			seen["cancelled"] = seen["cancelled"] || errors.Is(err, context.Canceled)
+			kind := "cancelled:advance"
+			if parent == nil {
+				kind = "cancelled:run"
+			}
+			// Over default segments, a scan of more than 2×ctxCheckRows rows
+			// polls inside its first fold block, and each poll was cancelled.
+			inBlock := parent == nil && c.segBits == engine.DefaultSegmentBits && tbl.NumRows() > 2*ctxCheckRows
+			for f, on := range map[string]bool{"cancelled": calls > 0, kind: calls > 0, "inblock": calls > 0 && inBlock} {
+				seen[f] = seen[f] || on
+			}
 		}
 		got, gotErr := call(context.Background())
-		want, wantErr := runRef(oracle, c.stmt)
 		if (gotErr != nil) != (wantErr != nil) {
 			return fmt.Errorf("step %d: error %v, reference error %v", k, gotErr, wantErr)
 		}
@@ -732,6 +722,49 @@ func (c *genCase) run(seen map[string]bool) (err error) {
 		}
 	}
 	return nil
+}
+
+// cancelEach cancels call, then the first provenance read of a fresh
+// result of it, at each of their failpoints (chaos.CancelEach). A
+// cancelled build publishes nothing: the next read builds again, so
+// cancelled at its first poll it fails too, and the retry reads the
+// cancelled result. Every retry goes through compare against want and
+// leaves no chunk pinned.
+func cancelEach(call func(context.Context) (*Result, error), want *Result, pinned func() int, seen map[string]bool) (calls int, _ error) {
+	check := func(_, got *Result, err error) error {
+		if n := pinned(); err != nil || n != 0 {
+			return cmp.Or(err, fmt.Errorf("%d chunks pinned", n))
+		}
+		return compare(want, got, true)
+	}
+	calls, err := chaos.CancelEach(call, check)
+	if err != nil {
+		return 0, fmt.Errorf("call: %w", err)
+	}
+	var r *Result
+	derived := false
+	read := func(ctx context.Context) (*Result, error) {
+		if r == nil {
+			r = must(call(context.Background()))
+		}
+		derived = derived || r.anc.Load() != nil
+		if _, err := r.Provenance(ctx); err != nil {
+			if _, again := r.Provenance(chaos.CancelAfter(0)); !errors.Is(again, context.Canceled) {
+				return nil, fmt.Errorf("a cancelled build published: the next read returned %v", again)
+			}
+			return nil, err
+		}
+		got := r
+		r = nil
+		return got, nil
+	}
+	builds, err := chaos.CancelEach(read, check)
+	if err != nil {
+		return 0, fmt.Errorf("provenance: %w", err)
+	}
+	seen["cancelled:provenance"] = seen["cancelled:provenance"] || builds > 0
+	seen["cancelled:derived"] = seen["cancelled:derived"] || builds > 0 && derived
+	return calls, nil
 }
 
 // argFeature names an aggregate argument as a feature: no spaces.
@@ -828,10 +861,13 @@ const (
 	dAppend dims = 1 << iota // a history of 1–4 appends
 	dRetain                  // retention passes
 	dBranch                  // a result advanced twice
-	dCancel                  // calls cancelled at their nth poll, then retried
+	dCancel                  // a call and its first read cancelled at every failpoint, then retried
 	dOOC                     // out of core behind a 4 KiB pool
 	dEdge                    // enginetest.EdgeRow cells
-	dAll    = dAppend | dRetain | dBranch | dCancel | dOOC | dEdge
+	dBlock                   // more than 2×ctxCheckRows initial rows in default segments
+	// dAll is every dimension but dBlock, whose big tables only the
+	// matrix profiles draw.
+	dAll = dAppend | dRetain | dBranch | dCancel | dOOC | dEdge
 )
 
 // genProfile is one use of the generator: seeds cases drawn from dims
@@ -855,8 +891,11 @@ func (p genProfile) newCase(seed int64) *genCase {
 	rng := rand.New(rand.NewSource(seed))
 	geometries := []uint{engine.MinSegmentBits, 8, engine.DefaultSegmentBits}
 	c := &genCase{seed: seed, check: p.check, segBits: geometries[rng.Intn(3)]}
-	if c.ooc = p.has(dOOC, rng, 2); c.ooc {
+	block := p.has(dBlock, rng, 8)
+	if c.ooc = !block && p.has(dOOC, rng, 2); c.ooc {
 		c.segBits = geometries[rng.Intn(2)]
+	} else if block {
+		c.segBits = engine.DefaultSegmentBits
 	}
 	edge := p.has(dEdge, rng, 2)
 	if c.stmt = randStmt(rng); p.stmt != nil {
@@ -872,6 +911,8 @@ func (p genProfile) newCase(seed int64) *genCase {
 		switch {
 		case k == 0 && p.fromEmpty:
 			n = 0
+		case k == 0 && block:
+			n = 2*ctxCheckRows + 1 + rng.Intn(ctxCheckRows)
 		case k == 0 && c.segBits == engine.DefaultSegmentBits && rng.Intn(4) == 0:
 			n = 3 * blockRows // scan blocks inside one segment
 		case k > 0 && rng.Intn(8) == 0:
@@ -881,9 +922,7 @@ func (p genProfile) newCase(seed int64) *genCase {
 		}
 		vocab = min(vocab+3*min(k, 1), len(genVocab))
 		s := genStep{rows: genRows(rng, n, vocab, edge), branch: k >= 2 && p.has(dBranch, rng, 3), unread: k < nsteps && rng.Intn(5) == 0}
-		if p.has(dCancel, rng, 3) {
-			s.cancel = 1 + rng.Intn(8)
-		}
+		s.cancel = p.has(dCancel, rng, 3)
 		if tbl = must(evolve(tbl, s.rows, 0)); p.has(dRetain, rng, 2) {
 			if nt, dropped := enginetest.RetainStep(rng, tbl); dropped > 0 {
 				tbl, s.keep = nt, nt.NumRows()
@@ -964,6 +1003,38 @@ func TestAdvanceIncrementalPlan(t *testing.T) {
 // unread.
 func TestAdvanceLeavesOldResultIntact(t *testing.T) {
 	differential(t, genProfile{seeds: 15, dims: dCancel, force: dAppend | dBranch, want: "incremental branch cancelled unread"})
+}
+
+// The cancellation matrices: a step's Run or AdvanceCtx, then the first
+// provenance read of a fresh result of it, cancelled at each failpoint
+// and retried (cancelEach). A Run over default segments of more than
+// 2×ctxCheckRows rows is cancelled inside its first fold block.
+func TestMatrixRun(t *testing.T) {
+	differential(t, genProfile{seeds: 40, dims: dEdge | dBlock, force: dCancel, want: "cancelled:run cancelled:provenance inblock"})
+}
+
+// A cancelled advance leaves its parent advanceable: the retry carries.
+func TestMatrixAdvance(t *testing.T) {
+	differential(t, genProfile{seeds: 20, dims: dBranch | dRetain, force: dAppend | dCancel,
+		want: "cancelled:advance cancelled:derived incremental retention branch"})
+}
+
+// A cancelled build of an advanced result's provenance, which extends
+// its ancestor's, publishes nothing; its retry answers the reference's.
+func TestMatrixProvenance(t *testing.T) {
+	differential(t, genProfile{seeds: 15, force: dAppend | dCancel, want: "cancelled:derived extended"})
+}
+
+// Kernel keys over edge cells, one block declined mid-scan, cancelled
+// inside a fold block too.
+func TestMatrixKeyKernels(t *testing.T) {
+	differential(t, genProfile{seeds: 10, dims: dAppend | dBlock, force: dCancel | dEdge, stmt: kernelKeys,
+		want: "kernel cancelled:run cancelled:advance inblock"})
+}
+
+// A cancelled scan behind a 4 KiB pool releases every chunk it pinned.
+func TestMatrixOutOfCorePins(t *testing.T) {
+	differential(t, genProfile{seeds: 15, dims: dAppend, force: dCancel | dOOC, want: "faulted cancelled:run cancelled:advance cancelled:provenance"})
 }
 
 // Every grouped statement sorts on an aggregate that moves as batches

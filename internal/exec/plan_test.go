@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/chaos"
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
@@ -282,7 +283,8 @@ func TestKeyKernelFirstError(t *testing.T) {
 // TestBlockPollCadence pins the cancellation cadence of the block loop: a
 // scanner polls before any block that would put more than ctxCheckRows rows
 // between two polls, whatever the segment size and wherever its range
-// starts (an Advance suffix starts mid-word).
+// starts (an Advance suffix starts mid-word). Cancelled at each poll in
+// turn, the scan has folded exactly the rows before it.
 func TestBlockPollCadence(t *testing.T) {
 	for _, segBits := range []uint{engine.MinSegmentBits, 8, 12, 13, engine.DefaultSegmentBits} {
 		const n = 5*ctxCheckRows + 777
@@ -291,33 +293,29 @@ func TestBlockPollCadence(t *testing.T) {
 		_, aggItems, protos, err := prepare(tbl, stmt)
 		fatalIf(t, "prepare", err)
 		for _, lo := range []int{0, 1000, ctxCheckRows + 64} {
-			var ss *scanner
-			// scanned is the rows the groups counted (no WHERE: every row
-			// passes).
-			scanned := func() int {
-				at := lo
+			last, polls := lo, 0
+			for k := 0; ; k++ {
+				p, err := planVector(chaos.CancelAfter(k), tbl, stmt, aggItems, protos, lo)
+				if errors.Is(err, context.Canceled) {
+					continue // planning polls too
+				}
+				fatalIf(t, "plan", err)
+				ss := newScanner(p)
+				_, err = ss.run(lo, n, nil)
+				at := lo // the rows the groups counted (no WHERE: every row passes)
 				for _, vg := range ss.groups {
 					at += vg.g.Rows
 				}
-				return at
-			}
-			last, polls := lo, 0
-			ctx := pollCtx{context.Background(), func() error {
-				if ss == nil {
-					return nil // planning polls too
+				if ss.close(); err == nil {
+					if at != n {
+						t.Fatalf("segBits %d lo %d: %d rows pending", segBits, lo, n-at)
+					}
+					break
 				}
-				at := scanned()
-				if polls++; at-last > ctxCheckRows {
-					t.Fatalf("segBits %d lo %d: %d rows scanned between polls %d and %d", segBits, lo, at-last, polls-1, polls)
+				if polls++; !errors.Is(err, context.Canceled) || at-last > ctxCheckRows {
+					t.Fatalf("segBits %d lo %d: %d rows scanned between polls %d and %d (err %v)", segBits, lo, at-last, polls-1, polls, err)
 				}
 				last = at
-				return nil
-			}}
-			p := must(planVector(ctx, tbl, stmt, aggItems, protos, lo))
-			ss = newScanner(p)
-			_, err = ss.run(lo, n, nil)
-			if ss.close(); err != nil || scanned() != n {
-				t.Fatalf("segBits %d lo %d: err %v, %d rows pending", segBits, lo, err, n-scanned())
 			}
 			if want := (n - lo) / ctxCheckRows; polls < want || (segBits >= 12 && polls > want+2) {
 				t.Fatalf("segBits %d lo %d: %d polls over %d rows, want about %d", segBits, lo, polls, n-lo, want)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/enginetest"
 	"repro/internal/testgen"
@@ -19,7 +20,8 @@ import (
 // reopened, and the recovered table must be
 // bit-identical to an oracle that holds exactly the acknowledged
 // batches — plus, at most, the single operation that was in flight
-// when the power died.
+// when the power died. TestMatrixStore, at the bottom, is its
+// cancellation twin: a mutation cancelled at each failpoint.
 
 // crashOracle mirrors what the store has acknowledged to the client.
 type crashOracle struct {
@@ -227,4 +229,79 @@ func TestCrashMatrixSecondSeed(t *testing.T) {
 		t.Skip("one matrix seed is enough under -short")
 	}
 	runCrashMatrix(t, 1234, 30, 1)
+}
+
+// TestMatrixStore cancels AppendCtx and RetainCtx at each of their
+// failpoints (chaos.CancelEach): a cancelled mutation acknowledges,
+// publishes and writes nothing, so its retry lands once, and a restart
+// recovers exactly the acknowledged rows.
+func TestMatrixStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	mem := vfstest.NewMemFS()
+	st, err := Open("/db", quietOpts(mem, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("p", testgen.Schema(), engine.MinSegmentBits); err != nil {
+		t.Fatal(err)
+	}
+	o := &crashOracle{created: true}
+	check := func(_, got *engine.Table, err error) error {
+		if err == nil && (got.Version() != len(o.rows) || got.Base() != o.baseLow) {
+			err = fmt.Errorf("version/base %d/%d, acknowledged %d/%d", got.Version(), got.Base(), len(o.rows), o.baseLow)
+		}
+		return err
+	}
+	for step := range 8 {
+		tab, err := st.Eng().Table("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		retain, size := step%4 == 3, enginetest.BoundaryBatchSize(rng, tab)
+		if retain {
+			size = 2 * tab.SegRows()
+		}
+		mutate := func(ctx context.Context) (nt *engine.Table, err error) {
+			// A retention grows the table by two segments first,
+			// uncancelled, so that every attempt drops one.
+			batch := testgen.Batch(rng, size)
+			if retain {
+				if _, err := st.AppendCtx(context.Background(), "p", batch); err != nil {
+					return nil, err
+				}
+				o.rows = append(o.rows, batch...)
+			}
+			v, b := tableShape(st)
+			if retain {
+				var stats engine.RetainStats
+				if nt, stats, err = st.RetainCtx(ctx, "p", engine.RetentionPolicy{MaxRows: tab.SegRows()}); err == nil {
+					o.baseLow = stats.Base
+				}
+			} else if nt, err = st.AppendCtx(ctx, "p", batch); err == nil {
+				o.rows = append(o.rows, batch...)
+			}
+			if v2, b2 := tableShape(st); err != nil && (v2 != v || b2 != b) {
+				return nil, fmt.Errorf("a failed mutation moved version/base %d/%d to %d/%d: %v", v, b, v2, b2, err)
+			}
+			return nt, err
+		}
+		if n, err := chaos.CancelEach(mutate, check); err != nil || n == 0 {
+			t.Fatalf("step %d: %d cancelled attempts: %v", step, n, err)
+		}
+	}
+	// The last append is cancelled and never retried: no record of it
+	// may survive the restart.
+	if _, err := st.AppendCtx(chaos.CancelAfter(0), "p", testgen.Batch(rng, 8)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled append returned %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open("/db", quietOpts(mem, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	o.syncedVer = len(o.rows)
+	verifyRecovered(t, re, o, true)
 }

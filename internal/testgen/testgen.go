@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/errmetric"
@@ -46,8 +45,8 @@ func Schema() engine.Schema {
 
 var genStrs = []string{"a", "b", "c", "", "xy"}
 
-// Row draws one random row of Schema.
-func Row(rng *rand.Rand) []engine.Value {
+// drawRow draws one random row of Schema.
+func drawRow(rng *rand.Rand) []engine.Value {
 	row := make([]engine.Value, 5)
 	row[0] = engine.NewInt(int64(rng.Intn(11) - 5))
 	if rng.Float64() < 0.15 {
@@ -98,7 +97,7 @@ func Table(rng *rand.Rand, nrows int) *engine.Table {
 func Batch(rng *rand.Rand, k int) [][]engine.Value {
 	out := make([][]engine.Value, k)
 	for i := range out {
-		out[i] = Row(rng)
+		out[i] = drawRow(rng)
 	}
 	return out
 }
@@ -162,38 +161,6 @@ func DebugStmt(rng *rand.Rand) *sqlparse.SelectStmt {
 			lit = expr.Int(int64(rng.Intn(7) - 3))
 		}
 		stmt.Where = expr.NewBin(ops[rng.Intn(len(ops))], expr.NewCol(col), lit)
-	}
-	return stmt
-}
-
-// keyKernelShapes are the computed-key GROUP BY lists the executor runs
-// as typed chunk kernels: one kernel key; a kernel key beside a
-// dictionary key and a per-row string key; int- and float-typed
-// arithmetic keys.
-var keyKernelShapes = [][]string{
-	{"bucket(epoch(t), 1800)"},
-	{"bucket(i, 3)", "s", "lower(s)"},
-	{"i * 2 - j", "floor(f / 2)"},
-}
-
-// KeyKernelStmt generates a grouped statement over one of the
-// computed-key shapes (keyKernelShapes) with a counting, a float-fed and
-// a computed argument, and half the time a WHERE.
-func KeyKernelStmt(rng *rand.Rand) *sqlparse.SelectStmt {
-	groupBy := keyKernelShapes[rng.Intn(len(keyKernelShapes))]
-	items := make([]string, len(groupBy))
-	for k, g := range groupBy {
-		items[k] = fmt.Sprintf("%s AS g%d", g, k)
-	}
-	where := ""
-	if rng.Intn(2) == 0 {
-		where = fmt.Sprintf(" WHERE j >= %d", rng.Intn(3))
-	}
-	sql := fmt.Sprintf("SELECT %s, count(*) AS a0, avg(f) AS a1, sum(f + j) AS a2 FROM p%s GROUP BY %s",
-		strings.Join(items, ", "), where, strings.Join(groupBy, ", "))
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		panic(fmt.Sprintf("testgen: KeyKernelStmt %q: %v", sql, err))
 	}
 	return stmt
 }
@@ -272,22 +239,6 @@ func TableSeg(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
 		panic(err)
 	}
 	if t, err = t.AppendBatch(Batch(rng, nrows)); err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// TableSegBigInt is TableSeg with one cell of i past 2^53 in the middle
-// row: the column's float chunk has rounded it, so a key kernel reading i
-// declines that row's block — mid-scan — and no other.
-func TableSegBigInt(rng *rand.Rand, nrows int, segBits uint) *engine.Table {
-	t, err := engine.NewTableSeg("p", Schema(), segBits)
-	if err != nil {
-		panic(err)
-	}
-	rows := Batch(rng, nrows)
-	rows[nrows/2][0] = engine.NewInt(1<<53 + 1)
-	if t, err = t.AppendBatch(rows); err != nil {
 		panic(err)
 	}
 	return t
