@@ -34,14 +34,15 @@ test-race:
 # Answers do not follow the core count: the golden Debug rankings, exec's
 # differential generator (TestDifferential, its *Parity profiles and its
 # cancellation matrices TestMatrixRun, TestMatrixAdvance,
-# TestMatrixProvenance, TestMatrixKeyKernels and TestMatrixOutOfCorePins:
+# TestMatrixProvenance, TestMatrixKeyKernels and TestMatrixOutOfCorePins,
+# and its ordered profile TestOrderedRuns with TestOrderedBlocksFigure4:
 # every step bit for bit against the reference, which folds by the same
 # table-fixed blocks), the Debug carry's generator in internal/core (its
 # profiles, each a name below) and the lineage tests (the row order a
 # first read builds) at one core and at four. The scan's fold blocks are
 # the table's, so both runs must pass against the one checked-in golden
 # file.
-PROCS_RUN = TestGoldenRankings|TestDifferential|Parity|TestLineage|TestDebugAdvance|TestDebugStaleVersion|TestDebugDeterminism|TestAdvanceScorerDifferential|TestRescore|TestMatrixDebugAdvance|TestMatrixRun|TestMatrixAdvance|TestMatrixProvenance|TestMatrixKeyKernels|TestMatrixOutOfCorePins
+PROCS_RUN = TestGoldenRankings|TestDifferential|Parity|TestLineage|TestDebugAdvance|TestDebugStaleVersion|TestDebugDeterminism|TestAdvanceScorerDifferential|TestRescore|TestMatrixDebugAdvance|TestMatrixRun|TestMatrixAdvance|TestMatrixProvenance|TestMatrixKeyKernels|TestMatrixOutOfCorePins|TestOrderedRuns|TestOrderedBlocksFigure4
 test-procs:
 	GOMAXPROCS=1 $(GO) test -count=1 -run '$(PROCS_RUN)' ./internal/core ./internal/exec
 	GOMAXPROCS=4 $(GO) test -count=1 -run '$(PROCS_RUN)' ./internal/core ./internal/exec
@@ -300,12 +301,15 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
 # The hardware-bound scan kernels: unrolled bitset word loops, each
-# aggregate's AddFloats over one block, and the end-to-end residual and
-# masked filter benchmarks that ride on them.
+# aggregate's AddFloats over one block, the end-to-end residual and
+# masked filter benchmarks that ride on them, and the grouped scan's
+# ordered path: the Figure 4 window query, which takes it in every block,
+# beside the two scan_mix arms whose blocks fall back.
 bench-kernels:
 	$(GO) test -run='^$$' -bench='BenchmarkIter|BenchmarkAndCountWith' -benchmem ./internal/bitset
 	$(GO) test -run='^$$' -bench='BenchmarkAddFloats' -benchmem ./internal/agg
-	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkSelectiveFilter|BenchmarkResidualFilter|BenchmarkMaskedAggregation|BenchmarkFigure4WindowQuery$$' -benchmem .
+	$(GO) test -run='^$$' -bench='BenchmarkScanMix/grouped' -benchmem ./internal/exec
 
 # Where one full Debug spends its CPU: BenchmarkFigure6RankedPredicates
 # (100k Intel rows, two CPUs) under the CPU profiler, written to a

@@ -169,9 +169,26 @@
 //     slots' bytes — any width. The block then walks runs, consecutive
 //     selected rows with equal slots: one lookup, one row count, one
 //     AddFloats per numeric argument per run (no lineage: a result's
-//     first read runs these stages again for it). A group's Key is boxed
-//     once, where the fold first meets the group, on its FirstRow — a
-//     kernel key's by the boxed evaluator, so it is the reference's
+//     first read runs these stages again for it). Time-ordered data
+//     groups in long runs, and a block finds them without keying every
+//     row when its one key is monotone — a numeric column, or a kernel
+//     expr.CompileFloat marks Monotone (epoch, bucket by a literal width
+//     above 0, and their compositions over one column; never negation,
+//     sqrt or two columns) — and the key's column cells it selects are
+//     non-NULL and non-decreasing (v >= prev, which a NaN fails). It keys
+//     every 128th selected row and the last; the kernel must accept those
+//     probes (the end cells have the largest magnitudes, so no cell
+//     between is past ±2^53), and between two probes of one key every
+//     row has that key: only the rows between probes that differ are
+//     keyed. A monotone key over ascending cells puts equal keys next to
+//     each other, so the runs are exactly the per-row path's and fold
+//     order, FirstRow, lineage order and every bit stay. A block that
+//     fails a check, or whose probes differ more than 4 times (many short
+//     runs), is keyed row by row. Run, Advance and a result's first read
+//     all scan through this one block step; Plan.OrderedBlocks counts the
+//     blocks that took the path. A group's Key is boxed once, where the
+//     fold first meets the group, on its FirstRow — a kernel key's by
+//     the boxed evaluator, so it is the reference's
 //     value, type included, never the kernel's float; materialize takes
 //     a grouped statement's plain select items from it (they must BE
 //     group keys — expr.Equal) and reads no source row. Nothing on this

@@ -182,7 +182,8 @@ type DebugResult struct {
 	Eps float64
 	// F is the suspect groups' lineage (fine-grained provenance).
 	F []int
-	// DPrime is the cleaned example set actually used.
+	// DPrime is the cleaned example set actually used. It may be the
+	// analysis' TopQuantileRows answer, which is shared: read-only.
 	DPrime []int
 	// Influence is the preprocessor's analysis (influences in F order;
 	// TopQuantileRows reads the top).

@@ -119,17 +119,27 @@ var scanMix = []struct{ name, sql string }{
 	{"global", "SELECT count(*) AS n, sum(temperature) AS total, min(temperature) AS lo, max(temperature) AS hi FROM readings WHERE humidity > 39.5"},
 }
 
-// BenchmarkScanMix runs the scanMix statements over 400k Intel rows:
-// each resident, then all of them in turn out of core — stored on a
+// orderedArms are grouped statements whose blocks fall back from the
+// ordered path to keying every row: a bucket over humidity, whose blocks
+// are never ordered, and epoch(ts), ordered but in runs of 54 rows (the
+// motes of one epoch), too short to probe.
+var orderedArms = []struct{ name, sql string }{
+	{"grouped-unordered", "SELECT bucket(humidity, 5) AS h, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY bucket(humidity, 5)"},
+	{"grouped-epoch", "SELECT epoch(ts) AS e, avg(temperature) AS avg_temp, stddev(temperature) AS std_temp FROM readings GROUP BY epoch(ts)"},
+}
+
+// BenchmarkScanMix runs the scanMix statements and orderedArms over 400k
+// Intel rows, each resident, then the scanMix statements in turn out of
+// core — stored on a
 // MemFS and reopened, untimed, before every run behind a buffer pool a
 // third of the table's size, so each run faults its chunks and builds
 // its clause masks from a cold pool. make profile-scan profiles it.
 func BenchmarkScanMix(b *testing.B) {
 	tbl, _ := datasets.Intel(datasets.IntelConfig{Rows: 400_000, Seed: 1})
-	stmts := make([]*sqlparse.SelectStmt, len(scanMix))
-	for i, c := range scanMix {
+	var stmts []*sqlparse.SelectStmt
+	for _, c := range append(slices.Clip(scanMix), orderedArms...) {
 		stmt := must(sqlparse.Parse(c.sql))
-		stmts[i] = stmt
+		stmts = append(stmts, stmt)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -161,7 +171,7 @@ func BenchmarkScanMix(b *testing.B) {
 			st := must(store.Open("d", oocOpts(fs, int64(bytes/3))))
 			ooc := must(st.Eng().Table(tbl.Name()))
 			b.StartTimer()
-			for _, stmt := range stmts {
+			for _, stmt := range stmts[:len(scanMix)] {
 				if _, err := Run(b.Context(), ooc, stmt); err != nil {
 					b.Fatal(err)
 				}

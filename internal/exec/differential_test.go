@@ -705,6 +705,7 @@ func (c *genCase) run(seen map[string]bool) (err error) {
 			"beyond":    parent != nil && len(parent.Groups) == 0 && tbl.Base() >= parent.Source.Base()+parent.Source.NumRows(),
 			"stringkey": computedStringKey(c.stmt, got), "projection": !grouped, "wide": len(c.stmt.GroupBy) >= 5,
 			"born": p.Incremental && len(got.allGroups) > len(parent.allGroups), fmt.Sprint("keys", len(c.stmt.GroupBy)): true,
+			"ordered": p.OrderedBlocks > 0, "ordered-fallback": parent == nil && p.OrderedBlocks > 0 && p.OrderedBlocks < scanBlocks(want),
 		} {
 			seen[f] = seen[f] || on
 		}
@@ -765,6 +766,19 @@ func cancelEach(call func(context.Context) (*Result, error), want *Result, pinne
 	seen["cancelled:provenance"] = seen["cancelled:provenance"] || builds > 0
 	seen["cancelled:derived"] = seen["cancelled:derived"] || builds > 0 && derived
 	return calls, nil
+}
+
+// scanBlocks is, of the scan blocks a fresh run of res's statement folds,
+// how many hold a row of one of res's groups: at most the blocks that may
+// take the ordered path.
+func scanBlocks(res *Result) int {
+	blocks, size := map[int]bool{}, min(blockRows, res.Source.SegRows())
+	for ri := range res.Groups {
+		for _, r := range mustProv(res).Rows(ri) {
+			blocks[r/size] = true
+		}
+	}
+	return len(blocks)
 }
 
 // argFeature names an aggregate argument as a feature: no spaces.
@@ -858,17 +872,94 @@ func shrink(c *genCase) *genCase {
 type dims uint
 
 const (
-	dAppend dims = 1 << iota // a history of 1–4 appends
-	dRetain                  // retention passes
-	dBranch                  // a result advanced twice
-	dCancel                  // a call and its first read cancelled at every failpoint, then retried
-	dOOC                     // out of core behind a 4 KiB pool
-	dEdge                    // enginetest.EdgeRow cells
-	dBlock                   // more than 2×ctxCheckRows initial rows in default segments
+	dAppend  dims = 1 << iota // a history of 1–4 appends
+	dRetain                   // retention passes
+	dBranch                   // a result advanced twice
+	dCancel                   // a call and its first read cancelled at every failpoint, then retried
+	dOOC                      // out of core behind a 4 KiB pool
+	dEdge                     // enginetest.EdgeRow cells
+	dBlock                    // more than 2×ctxCheckRows initial rows in default segments
+	dOrdered                  // i, f and t ascending across steps, under a monotone key (ordCursor)
 	// dAll is every dimension but dBlock, whose big tables only the
 	// matrix profiles draw.
-	dAll = dAppend | dRetain | dBranch | dCancel | dOOC | dEdge
+	dAll = dAppend | dRetain | dBranch | dCancel | dOOC | dEdge | dOrdered
 )
+
+// orderedKeys are the keys monotone in one column: the columns the
+// ordered dimension draws ascending, and kernels marked Monotone over
+// them.
+var orderedKeys = []string{"t", "i", "f", "bucket(epoch(t), 1800)", "bucket(f, 2)", "bucket(i, 3)"}
+
+// ordCursor draws the ordered dimension's i, f and t cells: each column
+// non-decreasing across a case's steps, repeating its last cell with
+// chance stay (plateaus), f through -0 and +0 mixed, from -Inf or up to
+// +Inf. With breaks, one row in 120 breaks the order — a NULL, a NaN, a
+// cell below the last — or jumps i or t to just below 2^53, past which
+// the rows go on ascending and a kernel declines.
+type ordCursor struct {
+	i, t   int64
+	f      float64
+	stay   float64
+	breaks bool
+}
+
+func newOrdCursor(rng *rand.Rand) *ordCursor {
+	c := &ordCursor{i: int64(rng.Intn(11) - 5), t: int64(rng.Intn(7200)), f: -3, stay: []float64{0.3, 0.9, 0.99}[rng.Intn(3)], breaks: rng.Intn(2) == 0}
+	if rng.Intn(4) == 0 {
+		c.f = math.Inf(-1)
+	}
+	return c
+}
+
+// fill overwrites rows' i, f and t cells with the cursor's next cells.
+func (c *ordCursor) fill(rng *rand.Rand, rows [][]engine.Value) {
+	step := func() bool { return rng.Float64() >= c.stay }
+	for _, row := range rows {
+		if step() {
+			c.i += 1 + int64(rng.Intn(2))
+		}
+		if step() {
+			c.t += int64(rng.Intn(900))
+		}
+		switch {
+		case !step():
+		case math.IsInf(c.f, -1):
+			c.f = -4
+		case rng.Intn(200) == 0:
+			c.f = math.Inf(1)
+		default:
+			c.f += 0.25
+		}
+		f := c.f
+		if f == 0 && rng.Intn(2) == 0 {
+			f = math.Copysign(0, -1)
+		}
+		row[0], row[2], row[4] = engine.NewInt(c.i), engine.NewFloat(f), engine.NewTimeUnix(c.t)
+		if !c.breaks || rng.Intn(120) != 0 {
+			continue
+		}
+		switch col := []int{0, 2, 4}[rng.Intn(3)]; rng.Intn(4) {
+		case 0:
+			row[col] = engine.Null
+		case 1:
+			row[2] = engine.NewFloat(math.NaN())
+		case 2:
+			row[0], row[2], row[4] = engine.NewInt(c.i-3), engine.NewFloat(f-1), engine.NewTimeUnix(c.t-60)
+		default:
+			c.i, c.t = max(c.i, 1<<53-2-int64(rng.Intn(3))), max(c.t, 1<<53-2-int64(rng.Intn(3)))
+		}
+	}
+}
+
+// orderedStmt gives a grouped statement one of orderedKeys as its key.
+func orderedStmt(rng *rand.Rand, s *sqlparse.SelectStmt) {
+	if !isGrouped(s) || rng.Intn(4) == 0 {
+		return
+	}
+	key := orderedKeys[rng.Intn(len(orderedKeys))]
+	s.Items = append([]sqlparse.SelectItem{{Expr: mustExpr(key), Alias: "g0"}}, s.Items[len(s.GroupBy):]...)
+	s.GroupBy = []expr.Expr{mustExpr(key)}
+}
 
 // genProfile is one use of the generator: seeds cases drawn from dims
 // (force's in every case), from a table of no rows with fromEmpty, each
@@ -901,6 +992,11 @@ func (p genProfile) newCase(seed int64) *genCase {
 	if c.stmt = randStmt(rng); p.stmt != nil {
 		p.stmt(rng, c.stmt)
 	}
+	var cursor *ordCursor
+	if p.has(dOrdered, rng, 3) {
+		cursor, edge = newOrdCursor(rng), false
+		orderedStmt(rng, c.stmt)
+	}
 	nsteps, vocab := 0, 5
 	if p.has(dAppend, rng, 1) {
 		nsteps = 1 + rng.Intn(4)
@@ -922,6 +1018,9 @@ func (p genProfile) newCase(seed int64) *genCase {
 		}
 		vocab = min(vocab+3*min(k, 1), len(genVocab))
 		s := genStep{rows: genRows(rng, n, vocab, edge), branch: k >= 2 && p.has(dBranch, rng, 3), unread: k < nsteps && rng.Intn(5) == 0}
+		if cursor != nil {
+			cursor.fill(rng, s.rows)
+		}
 		s.cancel = p.has(dCancel, rng, 3)
 		if tbl = must(evolve(tbl, s.rows, 0)); p.has(dRetain, rng, 2) {
 			if nt, dropped := enginetest.RetainStep(rng, tbl); dropped > 0 {
@@ -971,7 +1070,7 @@ func maskedStmt(rng *rand.Rand, s *sqlparse.SelectStmt) {
 
 func TestDifferential(t *testing.T) {
 	differential(t, genProfile{seeds: 80, dims: dAll, want: "incremental retention empty unread branch cancelled error " +
-		"projection wide distinct masked kernel residual shortcircuit lowered faulted dict stringkey"})
+		"projection wide distinct masked kernel residual shortcircuit lowered faulted dict stringkey ordered ordered-fallback"})
 }
 
 // Every GROUP BY width from 0 to 6, every aggregate and argument under
@@ -1100,6 +1199,15 @@ func TestArgViewMatchesBoxedEval(t *testing.T) {
 			*s = *must(sqlparse.Parse("SELECT j, avg(f) AS a, sum(i) AS b, max(t) AS c, count(s) AS d, " +
 				"sum(f + j) AS e, avg(f * 2 - i) AS g, count(*) AS n, count(DISTINCT s) AS h FROM p GROUP BY j"))
 		}})
+}
+
+// Cells ascending across appends under a monotone key: blocks take the
+// ordered path, and blocks a NULL, a NaN, a descent, an int past 2^53 or
+// many short runs break fall back mid-scan, fresh, advanced, out of core
+// and cancelled inside a fold block.
+func TestOrderedRuns(t *testing.T) {
+	differential(t, genProfile{seeds: 40, dims: dAppend | dRetain | dBranch | dCancel | dOOC | dBlock, force: dOrdered,
+		want: "ordered ordered-fallback kernel incremental faulted cancelled:run inblock"})
 }
 
 // Kernel keys over edge cells: an int past 2^53 makes a kernel decline

@@ -236,6 +236,24 @@ func TestKeyKernelsPlanned(t *testing.T) {
 	}
 }
 
+// TestOrderedBlocksFigure4 pins PlanInfo.OrderedBlocks on the Figure 4
+// window query over the time-ordered Intel trace: every scan block takes
+// the ordered path, fresh and over an advance's suffix, and the answers,
+// lineage included, are the reference's.
+func TestOrderedBlocksFigure4(t *testing.T) {
+	const n, from = 100_000, 60 * blockRows
+	readings, _ := datasets.Intel(datasets.IntelConfig{Rows: n, Seed: 1})
+	head := must(must(engine.NewTableSeg(readings.Name(), readings.Schema(), readings.SegmentBits())).AppendCols(readings.Batch(0, from), 0, from))
+	grown := must(head.AppendCols(readings.Batch(from, n), 0, n-from))
+	res := runBoth(t, head, datasets.IntelWindowSQL)
+	adv := must(AdvanceCtx(t.Context(), res, grown))
+	check(t, "advanced", must(runRef(grown, res.Stmt)), adv)
+	blocks := func(rows int) int { return (rows + blockRows - 1) / blockRows }
+	if res.Plan.OrderedBlocks != blocks(from) || !adv.Plan.Incremental || adv.Plan.OrderedBlocks != blocks(n-from) {
+		t.Fatalf("ordered blocks %d, then %d (%+v); want every block's", res.Plan.OrderedBlocks, adv.Plan.OrderedBlocks, adv.Plan)
+	}
+}
+
 // TestKeyKernelFirstError pins the error a column-at-a-time block
 // reports to the row-at-a-time reference's: the lowest erroring row's,
 // and on one row a key's before an argument's. epoch(i) errs on every

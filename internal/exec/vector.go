@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/bitset"
@@ -35,9 +36,10 @@ import (
 //     column), a uint64 map (one key of any other kind) or a byte-string
 //     map (two or more keys),
 //  4. the selection splits into runs of equal key slots — a global
-//     aggregate's block is one run — and each run takes one group lookup,
-//     one row-count bump and, per numeric argument, one AddFloats call
-//     over the chunk slices (Add per row only for what a per-row
+//     aggregate's block is one run, an ordered one's found from probes
+//     instead of step 3 (orderedRuns) — and each run takes one group
+//     lookup, one row-count bump and, per numeric argument, one AddFloats
+//     call over the chunk slices (Add per row only for what a per-row
 //     evaluator yields), into the block's own partial states, and
 //  5. the block partials fold left in block order — the sequential
 //     scan's group order, row counts and FirstRow, and float bits the
@@ -112,6 +114,8 @@ type PlanInfo struct {
 	// blocks: a block the kernel declines at run time falls to the per-row
 	// evaluator without changing it.
 	KeyKernels int
+	// OrderedBlocks counts the scan blocks whose runs came from probes.
+	OrderedBlocks int
 	// SortCarried is always false: Advance re-sorts its output groups.
 	// The field is kept only because the benchmark module (bench/) reads
 	// it.
@@ -227,6 +231,8 @@ type vectorPlan struct {
 	// marked column.
 	floatCols  []bool
 	keyKernels int            // keys of kindKernel
+	ordCol     int            // a column a key is monotone in, if it is the only key (orderedRuns); -1: none
+	ordered    atomic.Int64   // blocks orderedRuns split (PlanInfo.OrderedBlocks)
 	filter     *bitset.Bitset // nil: no WHERE
 	fstats     filterStats
 	denseSize  int // >0: single string group column, dense slot table
@@ -272,7 +278,7 @@ func (p *vectorPlan) valueSlot(v engine.Value) uint64 {
 // pass 0, Advance passes the old row count — the suffix is then the
 // filter's universe, so residual conjuncts touch nothing before it.
 func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt, aggItems []int, protos []agg.Func, filterFrom int) (*vectorPlan, error) {
-	p := &vectorPlan{ctx: ctx, src: src, protos: protos}
+	p := &vectorPlan{ctx: ctx, src: src, protos: protos, ordCol: -1}
 	schema := src.Schema()
 	p.floatCols = make([]bool, len(schema))
 
@@ -288,12 +294,16 @@ func planVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStm
 			} else { // every column is a string or numeric
 				p.keys[i] = keySrc{kind: kindFloat, col: col.Index}
 				p.floatCols[col.Index] = true
+				p.ordCol = col.Index
 			}
 		} else if kern, ok := expr.CompileFloat(g, schema); ok {
 			p.keys[i].kind = kindKernel
 			p.keyKernels++
 			for _, col := range kern.Cols {
 				p.floatCols[col] = true
+			}
+			if kern.Monotone {
+				p.ordCol = kern.Cols[0]
 			}
 		}
 	}
@@ -430,9 +440,12 @@ type scanner struct {
 	// Block scratch: the filter words, the selection vector (chunk offsets
 	// of the passing rows) and its runs — grown to the densest block seen,
 	// so a selective scan stays small.
-	mask []uint64
-	sel  []int32
-	runs []run
+	mask   []uint64
+	sel    []int32
+	runs   []run
+	probe  []int32 // orderedRuns' scratch: probes, their slots, run ends
+	pslots []uint64
+	ends   []int32
 	// slots is the current run's key. A whole cache line: the tiny
 	// allocator would pack two scanners' buffers into one, and the
 	// workers would bounce it.
@@ -624,7 +637,8 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 	}
 	var firstErr error
 
-	for i := range p.keys {
+	ordered := len(p.keys) == 1 && p.ordCol >= 0 && ss.orderedRuns(k, sel[:n])
+	for i := 0; i < len(p.keys) && !ordered; i++ {
 		ks := &ss.keys[i]
 		ks.slots = scratch(ks.slots, n)
 		switch key := &p.keys[i]; key.kind {
@@ -657,13 +671,13 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 		}
 	}
 
-	// A run is consecutive selected rows with equal key slots — time
-	// ordered data groups in runs, and a global aggregate's block is one —
-	// and takes one group lookup, one row-count bump and one fold call per
-	// numeric argument; in a lineage pass, one append of its row ids.
+	// A run is consecutive selected rows with equal key slots (time ordered
+	// data groups in runs, which orderedRuns finds from probes; a global
+	// aggregate's block is one) and takes one group lookup, one row-count
+	// bump and one fold call per numeric argument; lineage: one row-id append.
 	runs := ss.runs[:0]
-	for j := 0; j < n; {
-		end := ss.runEnd(j, n)
+	for j, r := 0, 0; j < n; r++ {
+		end := ss.runEnd(j, n, r, ordered)
 		for i := range ss.keys {
 			ss.slots[i] = ss.keys[i].slots[j]
 		}
@@ -740,9 +754,89 @@ func (ss *scanner) block(words []uint64, lo, hi int) error {
 // index) since the previous run, all of the group at groups[gi].
 type run struct{ end, gi int32 }
 
+const (
+	orderedStride = 128 // orderedRuns keys every orderedStride'th selected row and the last
+	orderedSplits = 4   // past this many probe pairs with different keys, runs are short
+)
+
+// orderedRuns splits a block into runs without keying every row; false
+// (key every row) unless the kernel of the plan's one key, monotone in
+// column ordCol, accepts the probes, at most orderedSplits adjacent ones
+// differ, and the selected cells ascend (v >= prev, which a NaN fails, so
+// a NULL too: engine.Chunk's float is NaN). The probes hold the end cells
+// and every node is monotone, so no cell between is past ±2^53. Equal
+// keys then lie together: between two probes of one key every row has
+// it, only rows between probes that differ are keyed, and the runs are
+// runEnd's maximal equal-slot stretches, so folds and lineage stay.
+func (ss *scanner) orderedRuns(k int, sel []int32) bool {
+	ks, n := &ss.keys[0], len(sel)
+	vals, null := ss.fr[ss.plan.ordCol].Floats(k)
+	keyed := func(slots []uint64, sel []int32) bool {
+		out, outNull, ok := vals, null, true
+		if ks.kern != nil {
+			ks.kvals[0], ks.knull[0] = vals, null
+			out, outNull, ok = ks.kern.Eval(ks.kvals, ks.knull, sel)
+			sel = nil // a kernel's output is dense
+		}
+		if ok {
+			floatSlots(slots, out, outNull, sel)
+		}
+		return ok
+	}
+	at := func(i int) int { return min(i*orderedStride, n-1) }
+	m := (n+orderedStride-2)/orderedStride + 1
+	ss.probe, ss.pslots = scratch(ss.probe, m), scratch(ss.pslots, m)
+	for i := range m {
+		ss.probe[i] = sel[at(i)]
+	}
+	if !keyed(ss.pslots, ss.probe) {
+		return false
+	}
+	splits := 0
+	for i := 1; i < m; i++ {
+		if ss.pslots[i] != ss.pslots[i-1] {
+			splits++
+		}
+	}
+	if splits > orderedSplits {
+		return false
+	}
+	prev := math.Inf(-1)
+	for _, o := range sel {
+		if !(vals[o] >= prev) {
+			return false
+		}
+		prev = vals[o]
+	}
+	ends, cur := ss.ends[:0], ss.pslots[0]
+	ks.slots = scratch(ks.slots, n)
+	ks.slots[0] = cur
+	for i := 1; i < m; i++ {
+		lo, hi := at(i-1)+1, at(i)
+		if ss.pslots[i] == cur {
+			continue
+		}
+		if !keyed(ks.slots[lo:hi], sel[lo:hi]) {
+			return false
+		}
+		for j, s := range append(ks.slots[lo:hi], ss.pslots[i]) { // the rows, then probe i
+			if s != cur {
+				ends, cur = append(ends, int32(lo+j)), s
+			}
+		}
+	}
+	ss.ends = append(ends, int32(n))
+	ss.plan.ordered.Add(1)
+	return true
+}
+
 // runEnd returns the end of the run that starts at selected row j: the
-// first row after it whose key slots differ, or n.
-func (ss *scanner) runEnd(j, n int) int {
+// first row after it whose key slots differ, or n; in an ordered block,
+// run r's (orderedRuns, which keeps its slot at its first row).
+func (ss *scanner) runEnd(j, n, r int, ordered bool) int {
+	if ordered {
+		return int(ss.ends[r])
+	}
 	if len(ss.keys) == 0 {
 		return n
 	}
@@ -1038,7 +1132,7 @@ func runVector(ctx context.Context, src *engine.Table, stmt *sqlparse.SelectStmt
 		groups[gi] = vg.g
 	}
 	plan := p.fstats.plan()
-	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels = true, len(parts), p.maskedAgg, p.keyKernels
+	plan.Vectorized, plan.Shards, plan.MaskedAgg, plan.KeyKernels, plan.OrderedBlocks = true, len(parts), p.maskedAgg, p.keyKernels, int(p.ordered.Load())
 	plan.SegsSkipped = p.countSkips(from, n)
 	plan.ChunksFaulted, plan.ChunksResident = faulted, resident
 	res := &Result{

@@ -32,6 +32,9 @@ type FloatKernel struct {
 	// Cols lists the schema indexes of the columns the expression reads,
 	// each once: Eval wants their chunks in this order.
 	Cols []int
+	// Monotone marks a kernel non-decreasing in its one column: the
+	// column, epoch and bucket by a finite literal width > 0, composed.
+	Monotone bool
 
 	root kfn
 	vals [][]float64
@@ -52,8 +55,20 @@ func CompileFloat(e Expr, schema engine.Schema) (*FloatKernel, bool) {
 	if !ok {
 		return nil, false
 	}
-	k.root = root
+	k.root, k.Monotone = root, monotone(e)
 	return k, true
+}
+
+// monotone reports whether a compiled e is non-decreasing in its one
+// column (FloatKernel.Monotone).
+func monotone(e Expr) bool {
+	if f, ok := e.(*Func); ok {
+		w, lit := f.Args[len(f.Args)-1].(*Lit)
+		return (f.Name == "epoch" || f.Name == "bucket" && len(f.Args) == 2 && lit &&
+			0 < w.Val.Float() && w.Val.Float() <= math.MaxFloat64) && monotone(f.Args[0])
+	}
+	_, col := e.(*Col)
+	return col
 }
 
 // Eval evaluates the expression on the rows sel picks (chunk offsets) out

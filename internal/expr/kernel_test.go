@@ -2,6 +2,8 @@ package expr_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -200,6 +202,75 @@ func TestFloatKernelDeclines(t *testing.T) {
 			t.Errorf("%s: declined the rows beside the big one", tc.text)
 		}
 		checkKernelParity(t, e, k, rows)
+	}
+}
+
+// TestMonotoneKernels holds FloatKernel.Monotone to its meaning: a
+// kernel marked Monotone, evaluated over ascending cells of its one
+// column — small ones or the edge cells (±0, ±Inf, ±MaxFloat64, the
+// least subnormal, ints and times around ±2^53) — yields non-NULL,
+// non-decreasing keys in every block it answers. A key that is not
+// non-decreasing in one column is not marked.
+func TestMonotoneKernels(t *testing.T) {
+	const big = int64(1) << 53
+	edgeInts := []int64{-big - 1, -big, -big + 1, -7, -1, 0, 1, 3, 1800, big - 1, big, big + 1}
+	edgeFloats := []float64{math.Inf(-1), -math.MaxFloat64, -2.5, -0.25, math.Copysign(0, -1), 0, 5e-324, 0.25, 1.75, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(7))
+	for _, text := range []string{
+		"i", "f", "t", "epoch(t)", "bucket(i, 3)", "bucket(f, 2)", "bucket(epoch(t), 1800)",
+		"bucket(bucket(i, 3), 2)", "bucket(f, 0.25)", "bucket(f, 5e-324)", "bucket(t, 60)",
+	} {
+		e := parseKernelExpr(t, text)
+		k, ok := expr.CompileFloat(e, kernelSchema)
+		if !ok || !k.Monotone || len(k.Cols) != 1 {
+			t.Fatalf("%s: compiled %v, Monotone %v, want a monotone kernel over one column", text, ok, ok && k.Monotone)
+		}
+		col, answered := k.Cols[0], 0
+		for range 300 {
+			cells, edges := make([]float64, 2+rng.Intn(40)), []float64{0, 0.05, 0.25}[rng.Intn(3)]
+			for j := range cells {
+				switch edge := rng.Float64() < edges; {
+				case col == 2 && edge:
+					cells[j] = edgeFloats[rng.Intn(len(edgeFloats))]
+				case col == 2:
+					cells[j] = float64(rng.Intn(64)-32) * 0.25
+				case edge:
+					cells[j] = float64(edgeInts[rng.Intn(len(edgeInts))])
+				default:
+					cells[j] = float64(rng.Intn(20000) - 10000)
+				}
+			}
+			slices.Sort(cells)
+			rows := make([][]engine.Value, len(cells))
+			sel := make([]int32, len(cells))
+			for j, v := range cells {
+				rows[j], sel[j] = make([]engine.Value, len(kernelSchema)), int32(j)
+				rows[j][col] = map[int]engine.Value{0: engine.NewInt(int64(v)), 2: engine.NewFloat(v), 3: engine.NewTimeUnix(int64(v))}[col]
+			}
+			vals, null := kernelChunks(rows)
+			out, outNull, ok := k.Eval([][]float64{vals[col]}, [][]uint64{null[col]}, sel)
+			if !ok {
+				continue
+			}
+			answered++
+			for j := range out {
+				if outNull[j>>6]&(1<<(uint(j)&63)) != 0 || j > 0 && !(out[j] >= out[j-1]) {
+					t.Fatalf("%s over ascending %v: keys %v are not non-NULL and non-decreasing", text, cells, out)
+				}
+			}
+		}
+		if answered < 120 {
+			t.Errorf("%s: answered %d of 300 blocks", text, answered)
+		}
+	}
+	for _, text := range []string{
+		"-i", "-f", "i * 2 - j", "sqrt(f)", "bucket(i, 0)", "bucket(f, -2)", "bucket(f, 0 - 2)", "bucket(i, j)",
+		"bucket(f, 0.0)", "i + 1", "floor(f)", "bucket(-i, 3)", "epoch(t) + 0",
+	} {
+		e := parseKernelExpr(t, text)
+		if k, ok := expr.CompileFloat(e, kernelSchema); !ok || k.Monotone {
+			t.Errorf("%s: compiled %v, Monotone %v; want a kernel not marked", text, ok, ok && k.Monotone)
+		}
 	}
 }
 

@@ -81,8 +81,9 @@ type Frame struct {
 	// Bins[ai][i] is position i's place in attribute ai's vocabulary —
 	// the learning frame only, and nil until Space.Discretize, which is
 	// how a learner tells a space it cannot train on. Numeric: the
-	// threshold bucket (sort.SearchFloat64s over Thresholds; NULL and NaN
-	// land in the last bucket, len(Thresholds)), so value <=
+	// threshold bucket (the cuts below the value, as sort.SearchFloat64s
+	// over Thresholds counts them; NULL and NaN land in the last bucket,
+	// len(Thresholds)), so value <=
 	// Thresholds[k] is Bins <= k; nil without thresholds. Categorical:
 	// the index into Values, -1 for NULL and for values outside the
 	// capped set.
@@ -341,16 +342,22 @@ func ninther(v []float64, lo, hi int) float64 {
 func median3(a, b, c float64) float64 { return max(min(a, b), min(max(a, b), c)) }
 
 // bucketize resolves every position's threshold bucket once, so no
-// learner repeats the binary search per node, per tree or per selector.
+// learner repeats the search per node, per tree or per selector. A
+// bucket is the count of cuts not at or above the value — what
+// sort.SearchFloat64s finds over the sorted cuts, and every cut for a
+// NaN — counted without a data-dependent branch: a value's bucket is
+// unpredictable, and there are at most numThresholds cuts.
 func bucketize(floats []float64, ths []float64) []int16 {
 	if len(ths) == 0 {
 		return nil
 	}
 	b := make([]int16, len(floats))
 	for i, f := range floats {
-		k := len(ths)
-		if !math.IsNaN(f) {
-			k = sort.SearchFloat64s(ths, f)
+		k := 0
+		for _, c := range ths {
+			if !(c >= f) {
+				k++
+			}
 		}
 		b[i] = int16(k)
 	}

@@ -1,6 +1,8 @@
 package feature
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/engine"
@@ -119,5 +121,32 @@ func TestNullColumnSkipped(t *testing.T) {
 	sp := NewSpace(tbl, Options{})
 	if len(sp.Attrs) != 1 || sp.Attrs[0].Name != "y" {
 		t.Errorf("all-null column should be skipped: %+v", sp.Attrs)
+	}
+}
+
+// TestBucketizeMatchesSearch holds bucketize's count of the cuts below a
+// value to sort.SearchFloat64s over the sorted cuts (NaN: every cut), at
+// NaN, ±0, ±Inf, each cut and each cut's neighbours, for cut lists of 1
+// to numThresholds cuts, -0 and ±Inf among them.
+func TestBucketizeMatchesSearch(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, ths := range [][]float64{
+		{0}, {negZero}, {-1, 2.5}, {math.Inf(-1), 0, math.Inf(1)},
+		{-1e300, -3, -0.5, negZero, 1e-300, 0.25, 1, 2, 3.75, 10, 1e6, math.MaxFloat64},
+	} {
+		vals := []float64{math.NaN(), 0, negZero, math.Inf(1), math.Inf(-1)}
+		for _, c := range ths {
+			vals = append(vals, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+		}
+		got := bucketize(vals, ths)
+		for i, v := range vals {
+			want := len(ths)
+			if !math.IsNaN(v) {
+				want = sort.SearchFloat64s(ths, v)
+			}
+			if int(got[i]) != want {
+				t.Errorf("cuts %v, value %v: bucket %d, want %d", ths, v, got[i], want)
+			}
+		}
 	}
 }

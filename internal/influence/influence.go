@@ -17,6 +17,7 @@ import (
 	"iter"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/engine"
@@ -62,6 +63,15 @@ type Analysis struct {
 	// Scorer is the columnar scoring state the ranking ran through, ready
 	// for reuse by downstream predicate scoring. Never nil.
 	Scorer *Scorer
+	// top memoizes TopQuantileRows; the analyses that share Influences
+	// share it (nil: no memo).
+	top *topMemo
+}
+
+// topMemo holds TopQuantileRows' answer per q, each written once.
+type topMemo struct {
+	mu   sync.Mutex
+	rows map[float64][]int
 }
 
 // Rank is RankCtx without a context. bench/ only; goes with ROADMAP
@@ -101,7 +111,7 @@ func RankCtx(ctx context.Context, res *exec.Result, suspect []int, ord int, metr
 // retains nothing of its history.
 func RankAdvancedCtx(ctx context.Context, prev *Analysis, sc *Scorer) (*Analysis, error) {
 	if prev != nil && sc.sameLineage(prev.Scorer) {
-		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc}, nil
+		return &Analysis{Eps: prev.Eps, Influences: prev.Influences, F: prev.F, Scorer: sc, top: prev.top}, nil
 	}
 	return rankFast(ctx, sc)
 }
@@ -159,7 +169,29 @@ func (a *Analysis) TopRows(k int) []int {
 // (descending Delta, ties by Row); nil when no influence is positive. A
 // NaN Delta is neither the maximum nor selected. This is the adaptive
 // high-influence set the Dataset Enumerator extends D' with.
+//
+// The answer is computed once per q and shared — with later calls and
+// with the analyses of a carried chain that share Influences — so it is
+// read-only, as Provenance.Rows is (its capacity is its length, so an
+// append copies).
 func (a *Analysis) TopQuantileRows(q float64) []int {
+	if a.top == nil || q != q {
+		return a.topQuantileRows(q)
+	}
+	a.top.mu.Lock()
+	defer a.top.mu.Unlock()
+	rows, ok := a.top.rows[q]
+	if !ok {
+		if a.top.rows == nil {
+			a.top.rows = make(map[float64][]int)
+		}
+		rows = a.topQuantileRows(q)
+		a.top.rows[q] = rows
+	}
+	return rows
+}
+
+func (a *Analysis) topQuantileRows(q float64) []int {
 	top := math.Inf(-1)
 	for _, ti := range a.Influences {
 		if ti.Delta > top {

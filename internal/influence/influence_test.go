@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +208,34 @@ func TestTopQuantileRows(t *testing.T) {
 	}
 }
 
+// TestTopQuantileRowsConcurrent: readers racing to fill a fresh
+// analysis's memo each get the oracle's answer, and the readers of one q
+// the one shared slice.
+func TestTopQuantileRowsConcurrent(t *testing.T) {
+	res := buildResult(t, "sum", [][2]float64{{0, 1}, {0, 2}, {0, 30}, {0, 40}, {1, 4}})
+	an, err := RankCtx(t.Context(), res, []int{0}, 0, errmetric.TooHigh{C: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []float64{0.5, 0.9, 0.5, 0.9}
+	got := make([][]int, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = an.TopQuantileRows(q)
+		}()
+	}
+	wg.Wait()
+	for i, q := range qs {
+		want, _ := topOracle(an.Influences, q, 0)
+		if len(want) == 0 || !slices.Equal(got[i], want) || &got[i][0] != &got[i%2][0] {
+			t.Fatalf("TopQuantileRows(%g) = %v, want %v, the slice every reader of %g got", q, got[i], want, q)
+		}
+	}
+}
+
 // topOracle is the two readers as they were while the LOO pass sorted
 // every influence: one stable sort by descending δ of the F-ordered list,
 // then a walk from the top. A NaN δ has no place in that order; the
@@ -337,9 +366,10 @@ func allGroups(res *exec.Result) []int {
 
 // TestRankAdvancedCtxShares: over an advanced result the analysis shares
 // the previous ranking exactly when the suspect groups are the same and
-// none grew; otherwise it is the LOO pass over the advanced scorer. The
-// Debug carry's differential generator (internal/core) holds every
-// carried pass to a fresh oracle.
+// none grew; otherwise it is the LOO pass over the advanced scorer. A
+// shared analysis shares TopQuantileRows' memoized answer too: the same
+// clipped slice, not a re-sorted copy. The Debug carry's differential
+// generator (internal/core) holds every carried pass to a fresh oracle.
 func TestRankAdvancedCtxShares(t *testing.T) {
 	res := buildResult(t, "sum", [][2]float64{{0, 1}, {0, 2}, {0, 30}, {1, 4}, {1, 5}})
 	metric := errmetric.TooHigh{C: 10}
@@ -371,6 +401,11 @@ func TestRankAdvancedCtxShares(t *testing.T) {
 		if shared := &an.Influences[0] == &prev.Influences[0]; shared != step.shared || an.Scorer != sc ||
 			an.Eps != want.Eps || !slices.Equal(an.F, want.F) || !slices.Equal(an.Influences, want.Influences) {
 			t.Fatalf("step %d: shared %v, want %v; analysis %+v, LOO pass %+v", i, shared, step.shared, an, want)
+		}
+		prevTop, top := prev.TopQuantileRows(0.5), an.TopQuantileRows(0.5)
+		same := len(top) > 0 && len(prevTop) > 0 && &top[0] == &prevTop[0]
+		if cap(top) != len(top) || !slices.Equal(top, want.TopQuantileRows(0.5)) || same != step.shared {
+			t.Fatalf("step %d: top rows %v (cap %d), previous %v, LOO pass %v; want the previous slice iff shared", i, top, cap(top), prevTop, want.TopQuantileRows(0.5))
 		}
 		prev = an
 	}

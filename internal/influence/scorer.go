@@ -245,7 +245,7 @@ func (s *Scorer) EpsWithoutBits(matched *bitset.Bitset, sc *Scratch) float64 {
 // polls ctx per ctxCheckRows tuples; the only possible error wraps the
 // context error, and the scorer stays valid for a retry.
 func rankFast(ctx context.Context, s *Scorer) (*Analysis, error) {
-	an := &Analysis{Eps: s.eps, F: s.fbits.Rows(), Scorer: s}
+	an := &Analysis{Eps: s.eps, F: s.fbits.Rows(), Scorer: s, top: &topMemo{}}
 
 	// rowPos[src] is the suspect position of src's group (-1 outside F;
 	// the first listed suspect group wins, so it is written last).

@@ -126,10 +126,10 @@ func (s *Server) SetLimits(l Limits) { s.lc = newLifecycle(l) }
 // scanCounters are the registry's scan section, summed by recordScan from
 // each query's exec.PlanInfo: zone-map segment skips, chunk pins split
 // into faults and memory hits, the WHERE conjuncts a filter walk never
-// reached, residual filters and their per-row evaluations, and GROUP BY
-// keys run as typed chunk kernels.
+// reached, residual filters and their per-row evaluations, GROUP BY keys
+// run as typed chunk kernels, and scan blocks split on the ordered path.
 var scanCounters = []string{"queries", "segs_skipped", "chunks_faulted", "chunks_resident",
-	"conjuncts_skipped", "filters_residual", "residual_rows", "key_kernels"}
+	"conjuncts_skipped", "filters_residual", "residual_rows", "key_kernels", "ordered_blocks"}
 
 // newStats makes the server's one counter registry, which /api/stats
 // renders whole. endpoints.<name> is lifecycle accounting: a request adds

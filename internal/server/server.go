@@ -74,6 +74,7 @@ func (s *Server) recordScan(p exec.PlanInfo) {
 		scan.Add("residual_rows", int64(p.ResidualRows))
 	}
 	scan.Add("key_kernels", int64(p.KeyKernels))
+	scan.Add("ordered_blocks", int64(p.OrderedBlocks))
 }
 
 const (

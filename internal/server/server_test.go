@@ -433,15 +433,23 @@ func TestSessionIDBounded(t *testing.T) {
 	}
 }
 
-// TestStatsKeyKernels pins /api/stats scan.key_kernels: the sum of
-// PlanInfo.KeyKernels over executed queries — one for a numeric computed
-// key, none for a string-valued one or a bare column.
+// TestStatsKeyKernels pins /api/stats scan.key_kernels and
+// scan.ordered_blocks: the sums of PlanInfo.KeyKernels and
+// PlanInfo.OrderedBlocks over executed queries. A numeric computed key is
+// one kernel, a string-valued one or a bare column none; the Figure 4
+// window query over time-ordered readings splits every one of its blocks
+// on the ordered path, the same key over unordered amounts none.
 func TestStatsKeyKernels(t *testing.T) {
-	ts := testServer(t)
+	db, _ := datasets.FECDB(datasets.FECConfig{Rows: 30_000, Seed: 2})
+	intel, _ := datasets.Intel(datasets.IntelConfig{Rows: 5000, Seed: 1})
+	db.Register(intel)
+	ts := httptest.NewServer(New(db).Handler())
+	t.Cleanup(ts.Close)
 	for _, sql := range []string{
 		"SELECT bucket(amount, 100) AS b, count(*) AS n FROM donations GROUP BY bucket(amount, 100)",
 		"SELECT lower(state) AS st, count(*) AS n FROM donations GROUP BY lower(state)",
 		"SELECT state, count(*) AS n FROM donations GROUP BY state",
+		datasets.IntelWindowSQL,
 	} {
 		if resp := post(t, ts, "/api/query", map[string]any{"session": "kern", "sql": sql}, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %q: status %d", sql, resp.StatusCode)
@@ -454,15 +462,16 @@ func TestStatsKeyKernels(t *testing.T) {
 	defer resp.Body.Close()
 	var stats struct {
 		Scan struct {
-			Queries    int64 `json:"queries"`
-			KeyKernels int64 `json:"key_kernels"`
+			Queries       int64 `json:"queries"`
+			KeyKernels    int64 `json:"key_kernels"`
+			OrderedBlocks int64 `json:"ordered_blocks"`
 		} `json:"scan"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Scan.Queries != 3 || stats.Scan.KeyKernels != 1 {
-		t.Fatalf("scan = %+v, want 3 queries and 1 key kernel", stats.Scan)
+	if stats.Scan.Queries != 4 || stats.Scan.KeyKernels != 2 || stats.Scan.OrderedBlocks != 5 {
+		t.Fatalf("scan = %+v, want 4 queries, 2 key kernels and 5 ordered blocks (5000 rows)", stats.Scan)
 	}
 }
 
