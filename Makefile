@@ -27,9 +27,17 @@ quality:
 # Race-detector pass over the concurrent surfaces: par's helpers (the
 # scan's fold blocks, F build and ranker scoring they run), the
 # copy-on-write append/serve path, and the server's per-session state.
+# The server's session generator (TestSessionDifferential and its
+# profiles, each a name below) and the direct tests beside it (a damaged
+# segment, and TestMatrixDebugLoadFailure's chunk-load failure at every
+# read of a Debug) run again at one core and at four: the SUT, its twin
+# and the model must agree whatever the helpers do.
 # CI runs this as its own job.
+SESSION_RUN = TestSession|TestAppendEndpointAndIncrementalRequery|TestDebugAdvanceAfterAppend|TestDebugSuspectRemapAcrossAppend|TestAppendQueryRetentionLoop|TestDebugAfterRetentionRefreshes|TestZoomAcrossRetention|TestLineageBuildLoadFailure|TestSegmentUnreadable500|TestMatrixDebugLoadFailure
 test-race:
 	$(GO) test -race -short ./...
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run '$(SESSION_RUN)' ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 -run '$(SESSION_RUN)' ./internal/server
 
 # Answers do not follow the core count: the golden Debug rankings, exec's
 # differential generator (TestDifferential, its *Parity profiles and its
@@ -58,15 +66,16 @@ test-crash:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/ ./internal/vfs/vfstest/
 
-# Request-lifecycle fault suite: what crosses the server or core's
-# out-of-core reads — the deadline storm (every request classified
-# exactly once), the concurrent chaos soak with MemFS faults and the
-# chunk-load failure at every read of a Debug — under the race detector,
-# short mode (the full soak runs in the plain test suite). The
+# Request-lifecycle fault suite: what only concurrent clients of a whole
+# server reach — the deadline storm (every request classified exactly
+# once) and the concurrent chaos soak with MemFS faults — under the race
+# detector, short mode (the full soak runs in the plain test suite). The
 # cancel-at-every-failpoint matrices run with their layers: exec's under
-# test-procs and test-race, the store's under test-crash. GOMAXPROCS=1
-# pins the single-core schedule; GOMAXPROCS=4 gives the storm and soak
-# genuine parallelism.
+# test-procs and test-race, the store's under test-crash; the chunk-load
+# failure at every read of a Debug (TestMatrixDebugLoadFailure) runs in
+# internal/server beside its session generator, under test-race.
+# GOMAXPROCS=1 pins the single-core schedule; GOMAXPROCS=4 gives the
+# storm and soak genuine parallelism.
 test-chaos:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/chaos/
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/chaos/
@@ -166,8 +175,11 @@ cover:
 # assignments, nil error returns), each run through `go test -overlay
 # -short -failfast` of PKG and of the packages in TESTS, whose tests
 # reach PKG too (the Debug carry's generator in internal/core kills
-# influence's and ranker's mutants; ./internal/chaos reaches exec, store
-# and engine through the server) — no file in the tree changes — and
+# influence's and ranker's mutants; ./internal/server's session
+# generator and its per-read Debug matrix, which reach core's and
+# store's, and ./internal/chaos reach exec, store and engine through the
+# server)
+# — no file in the tree changes — and
 # printed as killed, survived, timeout or invalid with the first failing
 # test. The same tree gives the same sample, so two commits' ledgers
 # compare mutant by mutant. Not in tier-1 or `make check`: exec takes

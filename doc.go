@@ -465,11 +465,19 @@
 // passes the caller's check. exec's generator so cancels a Run or
 // AdvanceCtx and its first Provenance read (its TestMatrix* profiles),
 // core's a DebugAdvance, and the store's TestMatrixStore its appends and
-// retention. internal/chaos keeps what crosses the server or core's
-// out-of-core reads: a deadline storm and a concurrent soak (every
-// request classified exactly once, no goroutine leaks, bounded memory,
-// oracle-identical re-queries) and a chunk-load failure at every read of
-// a Debug (`make test-chaos`).
+// retention. The server's session generator (internal/server,
+// TestSessionDifferential and its profiles) plays seeded dashboard
+// sessions — query, zoom, debug, clean, reset, appends, retention,
+// restarts — with steps cancelled at a drawn poll or a read failed, on a
+// system under test and an uncapped twin that gets only the completed
+// steps: a completed step answers the twin's bytes, a cancelled one 499
+// and publishes nothing, and every answer is held to exec.RunReference
+// and core.Debug over a model of the rows. Beside it,
+// TestMatrixDebugLoadFailure fails each read of a fresh and a carried
+// Debug in turn. internal/chaos keeps what
+// only concurrent clients reach: a deadline storm and a concurrent soak
+// (every request classified exactly once, no goroutine leaks, bounded
+// memory, oracle-identical re-queries; `make test-chaos`).
 //
 // On top, internal/server enforces per-request deadlines (class
 // defaults via server.Limits, per-request `?timeout=` capped by

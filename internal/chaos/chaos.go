@@ -19,13 +19,14 @@
 // every failpoint (its TestMatrix* profiles), the Debug carry's
 // generator in internal/core cancels a DebugAdvance, and the store's
 // TestMatrixStore cancels AppendCtx and RetainCtx beside its crash
-// matrix. What stays here crosses the server or core's out-of-core
-// reads: a deadline storm (every request classified exactly once by the
-// server's lifecycle counters), a concurrent soak mixing ingest,
-// queries, debugging and retention with vfstest.MemFS faults and random
-// cancellations (no goroutine leaks, oracle-identical re-queries), and
-// TestMatrixDebugLoadFailure, a chunk-load failure at every read of an
-// out-of-core Debug.
+// matrix. The server's session generator (internal/server) sends
+// requests under CancelAfter at a drawn poll, and its
+// TestMatrixDebugLoadFailure fails each read of an out-of-core Debug in
+// turn. What stays here needs concurrent clients of a whole server: a
+// deadline storm (every request classified exactly once by the server's
+// lifecycle counters) and a concurrent soak mixing ingest, queries,
+// debugging and retention with vfstest.MemFS faults and random
+// cancellations (no goroutine leaks, oracle-identical re-queries).
 //
 // CancelAfter is poll-driven: code that waits on Done() instead of
 // polling Err() will not observe the trip until the next Err() call

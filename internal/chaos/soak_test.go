@@ -35,63 +35,6 @@ import (
 	"repro/internal/vfs/vfstest"
 )
 
-// jsonRow draws one JSON-safe row of testgen.Schema (no NaN — JSON
-// cannot carry it — and exactly representable floats, so oracle
-// comparisons are bit-exact).
-func jsonRow(rng *rand.Rand) []any {
-	row := make([]any, 5)
-	if rng.Float64() < 0.1 {
-		row[0] = nil
-	} else {
-		row[0] = rng.Intn(11) - 5
-	}
-	row[1] = rng.Intn(4)
-	if rng.Float64() < 0.1 {
-		row[2] = nil
-	} else {
-		row[2] = float64(rng.Intn(64)-32) * 0.25
-	}
-	strs := []string{"a", "b", "c", "", "xy"}
-	if rng.Float64() < 0.1 {
-		row[3] = nil
-	} else {
-		row[3] = strs[rng.Intn(len(strs))]
-	}
-	row[4] = rng.Intn(7200)
-	return row
-}
-
-func jsonBatch(rng *rand.Rand, k int) [][]any {
-	out := make([][]any, k)
-	for i := range out {
-		out[i] = jsonRow(rng)
-	}
-	return out
-}
-
-// engRow converts one jsonRow to boxed engine values for a direct
-// store append (same distribution, same JSON-safety).
-func engRow(j []any) []engine.Value {
-	row := make([]engine.Value, 5)
-	for c, v := range j {
-		if v == nil {
-			row[c] = engine.Null
-			continue
-		}
-		switch c {
-		case 0, 1:
-			row[c] = engine.NewInt(int64(v.(int)))
-		case 2:
-			row[c] = engine.NewFloat(v.(float64))
-		case 3:
-			row[c] = engine.NewString(v.(string))
-		default:
-			row[c] = engine.NewTimeUnix(int64(v.(int)))
-		}
-	}
-	return row
-}
-
 func TestChaosSoak(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -113,7 +56,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	seed := make([][]engine.Value, 2000)
 	for i := range seed {
-		seed[i] = engRow(jsonRow(seedRng))
+		seed[i] = testgen.EngRow(testgen.JSONRow(seedRng))
 	}
 	if _, err := seedSt.Append("stream", seed); err != nil {
 		t.Fatal(err)
@@ -175,7 +118,7 @@ func TestChaosSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)*71 + 1))
 			for !stopped() {
 				status, err := postJSON(ts.URL, "/api/append",
-					map[string]any{"table": "stream", "rows": jsonBatch(rng, 50+rng.Intn(200))},
+					map[string]any{"table": "stream", "rows": testgen.JSONBatch(rng, 50+rng.Intn(200))},
 					0, 0)
 				if err == nil && status == http.StatusServiceUnavailable {
 					time.Sleep(5 * time.Millisecond)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -366,22 +367,13 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-// cancelAtPoll is a request context that reports Canceled from its nth
-// Err() poll on — a client going away at a chosen failpoint of the
-// handler (the chaos package's CancelAfter, which this package cannot
-// import).
-type cancelAtPoll struct {
-	context.Context
-	n     int64
-	polls atomic.Int64
+// polled counts the Err polls of a chaos.CancelAfter context.
+type polled struct {
+	*chaos.Ctx
+	n atomic.Int64
 }
 
-func (c *cancelAtPoll) Err() error {
-	if c.polls.Add(1) >= c.n {
-		return context.Canceled
-	}
-	return nil
-}
+func (c *polled) Err() error { c.n.Add(1); return c.Ctx.Err() }
 
 // TestDebugExamplesCancellation pins that evaluating examplesCond
 // belongs to the request's lifecycle: a client that goes away while a
@@ -427,14 +419,14 @@ func TestDebugExamplesCancellation(t *testing.T) {
 	// The residual walk is the handler's first poller here (the session
 	// lock and the admission slot are free, the table did not grow): its
 	// first poll passes, its second — 4096 lineage rows in — cancels.
-	ctx := &cancelAtPoll{Context: context.Background(), n: 2}
+	ctx := &polled{Ctx: chaos.CancelAfter(1)}
 	rec := debug(ctx)
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("cancelled mid-examples: status %d, want 499: %s", rec.Code, rec.Body)
 	}
 	// The walk's two polls and the departure classification's two; left
 	// to finish, the walk alone would poll 30,000/4096 times.
-	if polls := ctx.polls.Load(); polls != 4 {
+	if polls := ctx.n.Load(); polls != 4 {
 		t.Fatalf("the handler polled %d times, want 4: the walk did not stop at the cancellation", polls)
 	}
 	after := getStats(t, ts)["debug"]

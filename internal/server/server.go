@@ -101,6 +101,10 @@ type session struct {
 	resKey  string                // sql + applied predicates res was computed under
 	applied []predicate.Predicate // cleaning history (clicked predicates)
 	lastDbg *core.DebugResult
+	// seen is the result of the last payload: the one the client's suspect
+	// indexes and zoom's row ids point into, which a debug's refresh moves
+	// res past.
+	seen *exec.Result
 
 	// lastUsed is guarded by Server.mu (not session.mu): eviction scans
 	// it while handlers hold individual session locks.
@@ -354,6 +358,7 @@ const maxRowsOut = 5000
 
 func (s *Server) buildPayload(sess *session) *queryPayload {
 	res := sess.res
+	sess.seen = res
 	p := &queryPayload{SQL: sess.sql, AggCols: res.AggOrdinals()}
 	for _, c := range res.Table.Schema() {
 		p.Columns = append(p.Columns, c.Name)
@@ -515,18 +520,18 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.release()
-	if sess.res == nil {
+	if sess.seen == nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("no query executed yet"))
 		return
 	}
-	ords := sess.res.AggOrdinals()
+	ords := sess.seen.AggOrdinals()
 	if len(ords) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("query has no aggregates"))
 		return
 	}
 	// aggItem reads as /api/debug reads it: 0 (the JSON default) or
 	// negative is the first aggregate, and a group key is refused.
-	ord, err := core.AggOrdinal(sess.res, cmp.Or(req.AggItem, -1))
+	ord, err := core.AggOrdinal(sess.seen, cmp.Or(req.AggItem, -1))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -537,8 +542,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		inS[i] = true
 	}
 	var rest, suspects []float64
-	for i := 0; i < sess.res.Table.NumRows(); i++ {
-		v := sess.res.Table.Value(i, col)
+	for i := 0; i < sess.seen.Table.NumRows(); i++ {
+		v := sess.seen.Table.Value(i, col)
 		if v.IsNull() {
 			continue
 		}
@@ -580,7 +585,7 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.release()
-	if sess.res == nil {
+	if sess.seen == nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("no query executed yet"))
 		return
 	}
@@ -590,7 +595,7 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 	}
 	// A chunk-load failure while the provenance builds is a 503, like one
 	// while zoomRows reads the rows.
-	prov, err := sess.res.Provenance(r.Context())
+	prov, err := sess.seen.Provenance(r.Context())
 	if err != nil {
 		writeReqErr(s, w, err)
 		return
@@ -601,7 +606,7 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		lineage = lineage[:limit]
 		truncated = true
 	}
-	src := sess.res.Source
+	src := sess.seen.Source
 	var cols []string
 	for _, c := range src.Schema() {
 		cols = append(cols, c.Name)
@@ -684,53 +689,54 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	// and keeps lastDbg's carried analysis alive, or re-runs across a
 	// retention horizon.
 	//
-	// The client's suspect indexes point into the result it SAW; after
-	// the refresh re-materializes HAVING/ORDER BY/LIMIT over the new
-	// table, the same output row number can be a different group. The
-	// indexes are therefore remapped by group identity — the stream row
-	// id of its first row, FirstRow + Base(), which retention does not
-	// move — across the refresh; a selected group that no longer
+	// The client's suspect indexes point into the result it SAW (seen);
+	// after a refresh — this one, or an earlier debug's — re-materializes
+	// HAVING/ORDER BY/LIMIT over the new table, the same output row number
+	// can be a different group. The indexes are therefore remapped by group
+	// identity — the stream row id of its first row, FirstRow + Base(),
+	// which retention does not move; a selected group that no longer
 	// materializes, or lost its first row to retention, is an error
 	// asking the client to re-query, never a silent answer about a
 	// different group.
-	if sess.sql != "" {
+	if seen := sess.seen; seen != nil {
+		firstRows := make([]int, len(req.Suspect))
+		for i, ri := range req.Suspect {
+			if ri < 0 || ri >= len(seen.Groups) {
+				// An index the client never saw is Debug's 400, whatever moved since.
+				writeErr(w, http.StatusBadRequest, fmt.Errorf("core: suspect row %d out of range", ri))
+				return
+			}
+			firstRows[i] = seen.Groups[ri].FirstRow + seen.Source.Base()
+		}
 		old := sess.res
 		if src, err := s.db.Table(old.Stmt.From); err == nil && src.SameFamily(old.Source) &&
 			(src.Version() != old.Source.Version() || src.Base() != old.Source.Base()) {
-			var firstRows []int
-			if len(req.Suspect) > 0 {
-				firstRows = make([]int, 0, len(req.Suspect))
-				for _, ri := range req.Suspect {
-					if ri < 0 || ri >= len(old.Groups) {
-						firstRows = nil // let Debug report the bad index
-						break
-					}
-					firstRows = append(firstRows, old.Groups[ri].FirstRow+old.Source.Base())
-				}
-			}
 			if err := s.runWithCleaning(r.Context(), sess, sess.sql); err != nil {
 				writeReqErr(s, w, err)
 				return
 			}
-			if firstRows != nil {
-				base := sess.res.Source.Base()
-				byFirst := make(map[int]int, len(sess.res.Groups))
-				for ri, g := range sess.res.Groups {
-					if _, dup := byFirst[g.FirstRow+base]; !dup {
-						byFirst[g.FirstRow+base] = ri
-					}
-				}
-				remapped := make([]int, len(firstRows))
-				for i, fr := range firstRows {
-					ri, ok := byFirst[fr]
-					if !ok {
-						writeErr(w, http.StatusConflict, fmt.Errorf(
-							"the result changed while ingesting: suspect group %d is no longer in the output; re-run the query", req.Suspect[i]))
-						return
-					}
-					remapped[i] = ri
-				}
-				req.Suspect = remapped
+		}
+		base := sess.res.Source.Base()
+		byFirst := make(map[int]int, len(sess.res.Groups))
+		for ri, g := range sess.res.Groups {
+			if _, dup := byFirst[g.FirstRow+base]; !dup {
+				byFirst[g.FirstRow+base] = ri
+			}
+		}
+		for i, fr := range firstRows {
+			ri, ok := byFirst[fr]
+			if !ok {
+				writeErr(w, http.StatusConflict, fmt.Errorf(
+					"the result changed while ingesting: suspect group %d is no longer in the output; re-run the query", req.Suspect[i]))
+				return
+			}
+			req.Suspect[i] = ri
+		}
+		// Example row ids come from a zoom, in the payload's frame too.
+		for i, r := range req.ExampleRows {
+			if req.ExampleRows[i] = r + seen.Source.Base() - sess.res.Source.Base(); req.ExampleRows[i] < 0 {
+				writeErr(w, http.StatusConflict, fmt.Errorf("example row %d was dropped by retention; re-run the query", r))
+				return
 			}
 		}
 	}
@@ -830,10 +836,12 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sess.release()
-	sess.applied = nil
-	sess.lastDbg = nil
+	applied, lastDbg := sess.applied, sess.lastDbg
+	sess.applied, sess.lastDbg = nil, nil
 	if sess.sql != "" {
 		if err := s.runWithCleaning(r.Context(), sess, sess.sql); err != nil {
+			// A failed re-run publishes nothing: the cleaning stays applied.
+			sess.applied, sess.lastDbg = applied, lastDbg
 			writeReqErr(s, w, err)
 			return
 		}
@@ -914,9 +922,9 @@ type sessionStats struct {
 }
 
 // handleStats reports the storage footprint retention is managing: per
-// registered table and per live session (the table version its cached
-// result still pins — the number that shows whether old windows are
-// being held alive), as retained segment counts and approximate
+// registered table and per live session (the table version of its last
+// payload, the oldest one it pins — the number that shows whether old
+// windows are being held alive), as retained segment counts and approximate
 // resident bytes.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	type tableStats struct {
@@ -948,8 +956,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for i, sess := range sesss {
 		st := sessionStats{Session: ids[i]}
 		if sess.tryAcquire() {
-			if sess.res != nil && sess.res.Source != nil {
-				src := sess.res.Source
+			if sess.seen != nil { // the last payload's version: the oldest the session holds
+				src := sess.seen.Source
 				segs, bytes := src.MemStats()
 				st.Table = src.Name()
 				st.Rows = src.NumRows()

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,75 +29,6 @@ func streamDB(t *testing.T) *engine.DB {
 	db := engine.NewDB()
 	db.Register(tbl)
 	return db
-}
-
-// TestAppendEndpointAndIncrementalRequery walks the streaming loop:
-// query, ingest a batch through /api/append, re-query. The second
-// result must include the batch, and the server must have advanced the
-// cached result incrementally rather than rescanning.
-func TestAppendEndpointAndIncrementalRequery(t *testing.T) {
-	db := streamDB(t)
-	srv := New(db)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	sql := "SELECT mote, sum(temp) AS total FROM readings GROUP BY mote"
-	var q1 struct {
-		Rows [][]any `json:"rows"`
-	}
-	post(t, ts, "/api/query", map[string]any{"session": "s", "sql": sql}, &q1)
-	if len(q1.Rows) != 4 {
-		t.Fatalf("initial groups: %d", len(q1.Rows))
-	}
-
-	var ap struct {
-		Appended int    `json:"appended"`
-		Rows     int    `json:"rows"`
-		Error    string `json:"error"`
-	}
-	resp := post(t, ts, "/api/append", map[string]any{
-		"table": "readings",
-		"rows": [][]any{
-			{"m0", 1000.0},
-			{"m9", 5.0}, // brand-new group
-			{nil, 3.0},
-		},
-	}, &ap)
-	if resp.StatusCode != 200 || ap.Appended != 3 || ap.Rows != 203 {
-		t.Fatalf("append: status=%d %+v", resp.StatusCode, ap)
-	}
-
-	var q2 struct {
-		Rows [][]any `json:"rows"`
-	}
-	post(t, ts, "/api/query", map[string]any{"session": "s", "sql": sql}, &q2)
-	if len(q2.Rows) != 6 { // m0..m3, m9, NULL
-		t.Fatalf("groups after append: %d", len(q2.Rows))
-	}
-	srv.mu.Lock()
-	sess := srv.sessions["s"]
-	srv.mu.Unlock()
-	sess.acquire(context.Background())
-	incremental := sess.res.Plan.Incremental
-	n := sess.res.Source.NumRows()
-	sess.release()
-	if !incremental {
-		t.Fatal("re-query after append did not take the incremental path")
-	}
-	if n != 203 {
-		t.Fatalf("advanced source has %d rows", n)
-	}
-
-	// Bad rows never publish: wrong arity and wrong type both 400.
-	if resp := post(t, ts, "/api/append", map[string]any{"table": "readings", "rows": [][]any{{"m0"}}}, nil); resp.StatusCode != 400 {
-		t.Fatalf("short row: status %d", resp.StatusCode)
-	}
-	if resp := post(t, ts, "/api/append", map[string]any{"table": "readings", "rows": [][]any{{true, 1.0}}}, nil); resp.StatusCode != 400 {
-		t.Fatalf("bad type: status %d", resp.StatusCode)
-	}
-	if resp := post(t, ts, "/api/append", map[string]any{"table": "nope", "rows": [][]any{{"a", 1.0}}}, nil); resp.StatusCode != 404 {
-		t.Fatalf("missing table: status %d", resp.StatusCode)
-	}
 }
 
 // TestConcurrentQueryCleanRace fires /api/query and /api/clean at ONE
@@ -157,127 +87,6 @@ func TestConcurrentQueryCleanRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestDebugAdvanceAfterAppend walks the full monitoring loop over the
-// API: query → debug → append → debug. The second debug must see the
-// appended rows (the handler refreshes the stale session result
-// incrementally) and must advance the carried analysis rather than
-// rebuild it.
-func TestDebugAdvanceAfterAppend(t *testing.T) {
-	db := streamDB(t)
-	srv := New(db)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	sql := "SELECT mote, sum(temp) AS total FROM readings GROUP BY mote"
-	var q struct {
-		Rows [][]any `json:"rows"`
-	}
-	post(t, ts, "/api/query", map[string]any{"session": "s", "sql": sql}, &q)
-
-	debugReq := map[string]any{
-		"session": "s", "suspect": []int{0, 1}, "aggItem": -1,
-		"metric": "toohigh", "metricParams": map[string]float64{"c": 100},
-	}
-	var d1 struct {
-		Eps         float64 `json:"eps"`
-		LineageSize int     `json:"lineageSize"`
-		Incremental bool    `json:"incremental"`
-		Mode        string  `json:"mode"`
-	}
-	if resp := post(t, ts, "/api/debug", debugReq, &d1); resp.StatusCode != 200 {
-		t.Fatalf("first debug: status %d", resp.StatusCode)
-	}
-	if d1.Mode != "full" || d1.Incremental {
-		t.Fatalf("first debug plan: %+v", d1)
-	}
-
-	// Ingest a batch, then debug again WITHOUT re-querying: the handler
-	// must advance the session result and the carried analysis itself.
-	rows := make([][]any, 40)
-	for i := range rows {
-		rows[i] = []any{fmt.Sprintf("m%d", i%4), 50.0}
-	}
-	if resp := post(t, ts, "/api/append", map[string]any{"table": "readings", "rows": rows}, nil); resp.StatusCode != 200 {
-		t.Fatalf("append: status %d", resp.StatusCode)
-	}
-	var d2 struct {
-		Eps         float64 `json:"eps"`
-		LineageSize int     `json:"lineageSize"`
-		Incremental bool    `json:"incremental"`
-		Mode        string  `json:"mode"`
-	}
-	if resp := post(t, ts, "/api/debug", debugReq, &d2); resp.StatusCode != 200 {
-		t.Fatalf("second debug: status %d", resp.StatusCode)
-	}
-	if d2.Mode != "carried" || !d2.Incremental {
-		t.Fatalf("debug after append did not carry: %+v", d2)
-	}
-	if d2.LineageSize <= d1.LineageSize {
-		t.Fatalf("debug after append is blind to the batch: lineage %d → %d", d1.LineageSize, d2.LineageSize)
-	}
-	srv.mu.Lock()
-	sess := srv.sessions["s"]
-	srv.mu.Unlock()
-	sess.acquire(context.Background())
-	n := sess.res.Source.NumRows()
-	sess.release()
-	if n != 240 {
-		t.Fatalf("session result not refreshed: %d rows", n)
-	}
-}
-
-// TestDebugSuspectRemapAcrossAppend: the client picks suspects by
-// output row index against the result it saw; when an append lands
-// before the debug and the refreshed result re-orders (ORDER BY over
-// shifted totals), the handler must remap the indexes by group
-// identity — the debug answers about the group the client pointed at,
-// not whatever now occupies that row number.
-func TestDebugSuspectRemapAcrossAppend(t *testing.T) {
-	db := streamDB(t)
-	srv := New(db)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	sql := "SELECT mote, sum(temp) AS total FROM readings GROUP BY mote ORDER BY total DESC"
-	var q struct {
-		Rows [][]any `json:"rows"`
-	}
-	post(t, ts, "/api/query", map[string]any{"session": "s", "sql": sql}, &q)
-	// Suspect the current top row (50 lineage rows), then boost two
-	// OTHER motes past it, so after the refresh row 0 is a different,
-	// bigger group (80 rows) — a debug without the remap would answer
-	// about that one instead.
-	suspect := 0
-	topMote := q.Rows[0][0].(string)
-	var boost []string
-	for _, m := range []string{"m0", "m1", "m2", "m3"} {
-		if m != topMote && len(boost) < 2 {
-			boost = append(boost, m)
-		}
-	}
-	rows := make([][]any, 60)
-	for i := range rows {
-		rows[i] = []any{boost[i%2], 500.0}
-	}
-	post(t, ts, "/api/append", map[string]any{"table": "readings", "rows": rows}, nil)
-
-	var d struct {
-		LineageSize int    `json:"lineageSize"`
-		Incremental bool   `json:"incremental"`
-		Error       string `json:"error"`
-	}
-	resp := post(t, ts, "/api/debug", map[string]any{
-		"session": "s", "suspect": []int{suspect}, "aggItem": -1,
-		"metric": "toohigh", "metricParams": map[string]float64{"c": 0},
-	}, &d)
-	if resp.StatusCode != 200 {
-		t.Fatalf("debug: status %d (%s)", resp.StatusCode, d.Error)
-	}
-	if d.LineageSize != 50 {
-		t.Fatalf("debugged the wrong group after the refresh: lineage %d, want %s's 50", d.LineageSize, topMote)
-	}
 }
 
 // TestConcurrentAppendDebugRace fires /api/append and /api/debug at ONE

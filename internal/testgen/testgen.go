@@ -81,6 +81,64 @@ func drawRow(rng *rand.Rand) []engine.Value {
 	return row
 }
 
+// JSONRow draws one JSON-safe row of Schema: no NaN, which JSON cannot
+// carry, and quarter floats, so a row sent through /api/append answers
+// bit for bit what the same row appended directly does. Times are unix
+// seconds.
+func JSONRow(rng *rand.Rand) []any {
+	row := make([]any, 5)
+	if rng.Float64() < 0.1 {
+		row[0] = nil
+	} else {
+		row[0] = rng.Intn(11) - 5
+	}
+	row[1] = rng.Intn(4)
+	if rng.Float64() < 0.1 {
+		row[2] = nil
+	} else {
+		row[2] = float64(rng.Intn(64)-32) * 0.25
+	}
+	if rng.Float64() < 0.1 {
+		row[3] = nil
+	} else {
+		row[3] = genStrs[rng.Intn(len(genStrs))]
+	}
+	row[4] = rng.Intn(7200)
+	return row
+}
+
+// JSONBatch draws k JSONRows.
+func JSONBatch(rng *rand.Rand, k int) [][]any {
+	out := make([][]any, k)
+	for i := range out {
+		out[i] = JSONRow(rng)
+	}
+	return out
+}
+
+// EngRow is a JSONRow as engine values, for a direct table or store
+// append.
+func EngRow(j []any) []engine.Value {
+	row := make([]engine.Value, 5)
+	for c, v := range j {
+		if v == nil {
+			row[c] = engine.Null
+			continue
+		}
+		switch c {
+		case 0, 1:
+			row[c] = engine.NewInt(int64(v.(int)))
+		case 2:
+			row[c] = engine.NewFloat(v.(float64))
+		case 3:
+			row[c] = engine.NewString(v.(string))
+		default:
+			row[c] = engine.NewTimeUnix(int64(v.(int)))
+		}
+	}
+	return row
+}
+
 // Table builds a random table named "p" with nrows rows.
 func Table(rng *rand.Rand, nrows int) *engine.Table {
 	t, err := engine.NewTable("p", Schema())
